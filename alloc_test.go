@@ -29,7 +29,7 @@ func warmSearcher(tb testing.TB, ix Searcher, queries [][]float32, k, lambda int
 	var err error
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {
-			dst, err = ix.SearchBudgetInto(q, k, lambda, dst)
+			dst, err = ix.SearchQuery(q, Query{K: k, Budget: lambda}, dst)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -39,7 +39,7 @@ func warmSearcher(tb testing.TB, ix Searcher, queries [][]float32, k, lambda int
 }
 
 // TestSearchZeroAllocIndex pins the tentpole property on the single
-// Index: a warmed steady-state SearchBudgetInto performs zero heap
+// Index: a warmed steady-state SearchQuery performs zero heap
 // allocations per query. GOMAXPROCS is held at 1 for the measurement so
 // a mid-run GC cannot strip the sync.Pool and charge a pool refill to
 // the measured function.
@@ -59,19 +59,19 @@ func TestSearchZeroAllocIndex(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		q := queries[qi%len(queries)]
 		qi++
-		dst, err = ix.SearchBudgetInto(q, k, lambda, dst)
+		dst, err = ix.SearchQuery(q, Query{K: k, Budget: lambda}, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Index.SearchBudgetInto: %v allocs/op, want 0", allocs)
+		t.Fatalf("Index.SearchQuery: %v allocs/op, want 0", allocs)
 	}
 }
 
 // TestSearchZeroAllocSharded pins the same property across the shard
 // fan-out: sequential per-shard search, pooled per-shard lists, and the
-// reusable tournament merge together make ShardedIndex.SearchBudgetInto
+// reusable tournament merge together make ShardedIndex.SearchQuery
 // allocation-free at steady state.
 func TestSearchZeroAllocSharded(t *testing.T) {
 	if raceEnabled {
@@ -89,13 +89,13 @@ func TestSearchZeroAllocSharded(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		q := queries[qi%len(queries)]
 		qi++
-		dst, err = sx.SearchBudgetInto(q, k, lambda, dst)
+		dst, err = sx.SearchQuery(q, Query{K: k, Budget: lambda}, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ShardedIndex.SearchBudgetInto: %v allocs/op, want 0", allocs)
+		t.Fatalf("ShardedIndex.SearchQuery: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -121,13 +121,13 @@ func TestSearchZeroAllocSQ8(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		q := queries[qi%len(queries)]
 		qi++
-		dst, err = ix.SearchBudgetInto(q, k, lambda, dst)
+		dst, err = ix.SearchQuery(q, Query{K: k, Budget: lambda}, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("quantized Index.SearchBudgetInto: %v allocs/op, want 0", allocs)
+		t.Fatalf("quantized Index.SearchQuery: %v allocs/op, want 0", allocs)
 	}
 
 	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 3, Quantize: QuantizeSQ8}, 4)
@@ -139,13 +139,13 @@ func TestSearchZeroAllocSQ8(t *testing.T) {
 	allocs = testing.AllocsPerRun(200, func() {
 		q := queries[qi%len(queries)]
 		qi++
-		dst, err = sx.SearchBudgetInto(q, k, lambda, dst)
+		dst, err = sx.SearchQuery(q, Query{K: k, Budget: lambda}, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("quantized ShardedIndex.SearchBudgetInto: %v allocs/op, want 0", allocs)
+		t.Fatalf("quantized ShardedIndex.SearchQuery: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -168,12 +168,12 @@ func TestSearchAllocBoundAllocatingAPI(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		q := queries[qi%len(queries)]
 		qi++
-		if _, err := ix.SearchBudget(q, k, lambda); err != nil {
+		if _, err := ix.SearchQuery(q, Query{K: k, Budget: lambda}, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 2 {
-		t.Fatalf("Index.SearchBudget: %v allocs/op, want ≤ 2 (result slice only)", allocs)
+		t.Fatalf("Index.SearchQuery: %v allocs/op, want ≤ 2 (result slice only)", allocs)
 	}
 }
 
@@ -190,11 +190,11 @@ func TestSearchBatchAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k, lambda = 10, 40
-	if _, err := sx.SearchBatchBudget(queries, k, lambda); err != nil {
+	if _, err := sx.SearchBatch(queries, k, lambda); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := sx.SearchBatchBudget(queries, k, lambda); err != nil {
+		if _, err := sx.SearchBatch(queries, k, lambda); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -202,13 +202,13 @@ func TestSearchBatchAllocBound(t *testing.T) {
 	// One result row per query is inherent to the API; the bound allows
 	// it plus batch-engine overhead amortized across the batch.
 	if perQuery > 4 {
-		t.Fatalf("SearchBatchBudget: %.2f allocs per query (%.0f total for %d queries), want ≤ 4",
+		t.Fatalf("SearchBatch: %.2f allocs per query (%.0f total for %d queries), want ≤ 4",
 			perQuery, allocs, len(queries))
 	}
 }
 
 // TestSearchZeroAllocCosted extends the zero-allocation gate to the
-// metered path: SearchCostInto with a live cost record (untraced,
+// metered path: SearchQuery with a live cost record (untraced,
 // unfiltered) must stay allocation-free on every facade, so per-tenant
 // usage accounting is literally free on the steady-state hot path.
 func TestSearchZeroAllocCosted(t *testing.T) {
@@ -234,14 +234,14 @@ func TestSearchZeroAllocCosted(t *testing.T) {
 	var co Cost
 	for _, tc := range []struct {
 		name string
-		cs   CostSearcher
+		cs   Searcher
 	}{{"Index", ix}, {"ShardedIndex", sx}, {"DynamicIndex", dx}} {
 		// Warm the pooled scratch through the metered call itself.
 		var dst []Neighbor
 		for round := 0; round < 3; round++ {
 			for _, q := range queries {
 				co.Reset()
-				if dst, err = tc.cs.SearchCostInto(q, k, lambda, nil, dst, &co, nil); err != nil {
+				if dst, err = tc.cs.SearchQuery(q, Query{K: k, Budget: lambda, Cost: &co}, dst); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -254,13 +254,13 @@ func TestSearchZeroAllocCosted(t *testing.T) {
 			q := queries[qi%len(queries)]
 			qi++
 			co.Reset()
-			dst, err = tc.cs.SearchCostInto(q, k, lambda, nil, dst, &co, nil)
+			dst, err = tc.cs.SearchQuery(q, Query{K: k, Budget: lambda, Cost: &co}, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("%s.SearchCostInto: %v allocs/op, want 0", tc.name, allocs)
+			t.Fatalf("%s.SearchQuery: %v allocs/op, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -5,36 +5,31 @@ import (
 	"sync"
 )
 
-// budgetSearcher is any index shape that answers a single budgeted query
-// into a caller buffer; Index, ShardedIndex, and DynamicIndex all satisfy
-// it, so they share one batch engine.
-type budgetSearcher interface {
-	SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error)
-}
-
-// searchBatch answers many queries concurrently across all CPUs; results
-// are returned in query order and each row is byte-identical to what a
-// sequential SearchBudget call would return. The first per-query
-// validation error fails the whole batch; k and λ are checked up front
-// so even an empty batch holds the shared validation contract.
+// searchBatch answers many queries concurrently across all CPUs through
+// search (a facade's SearchQuery); results are returned in query order
+// and each row is byte-identical to what a sequential SearchQuery call
+// would return. The first per-query validation error fails the whole
+// batch; k and the budget are checked up front so even an empty batch
+// holds the shared validation contract.
 //
 // Workers share the backend's pooled search contexts and reuse one
 // scratch row each, so the only per-query allocation left is the result
 // row handed back to the caller.
-func searchBatch(ix budgetSearcher, queries [][]float32, k, lambda int) ([][]Neighbor, error) {
+func searchBatch(queries [][]float32, k, budget int, search func(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error)) ([][]Neighbor, error) {
 	if k <= 0 {
 		return nil, ErrInvalidK
 	}
-	if lambda <= 0 {
+	if budget < 0 {
 		return nil, ErrInvalidBudget
 	}
+	qr := Query{K: k, Budget: budget}
 	out := make([][]Neighbor, len(queries))
 	errs := make([]error, len(queries))
 	// run answers query i into a worker-owned scratch row and copies the
 	// result out, so the backend's Into path never allocates beyond the
 	// returned row.
 	run := func(i int, scratch []Neighbor) []Neighbor {
-		res, err := ix.SearchBudgetInto(queries[i], k, lambda, scratch)
+		res, err := search(queries[i], qr, scratch)
 		if err != nil {
 			errs[i] = err
 			return scratch
@@ -84,49 +79,23 @@ func batchResult(out [][]Neighbor, errs []error) ([][]Neighbor, error) {
 	return out, nil
 }
 
-// SearchBatch answers many queries concurrently across all CPUs with the
-// index's default candidate budget; results are returned in query order.
-// Each query's result slice matches what Search would return.
-func (ix *Index) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
-	return ix.SearchBatchBudget(queries, k, ix.budget)
+// SearchBatch answers many queries concurrently across all CPUs under
+// one k and candidate budget (0 selects the default); results are
+// returned in query order.
+func (ix *Index) SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error) {
+	return searchBatch(queries, k, budget, ix.SearchQuery)
 }
 
-// SearchBatchBudget is SearchBatch with an explicit candidate budget λ.
-func (ix *Index) SearchBatchBudget(queries [][]float32, k, lambda int) ([][]Neighbor, error) {
-	return searchBatch(ix, queries, k, lambda)
-}
-
-// SearchBatch answers many queries concurrently with the index's default
-// candidate budget; results are returned in query order. When the batch
-// has at least GOMAXPROCS queries the worker pool already saturates the
-// CPUs, so each query runs its shard fan-out sequentially; smaller
-// batches keep the per-shard fan-out so idle cores still help.
-func (sx *ShardedIndex) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
-	return sx.SearchBatchBudget(queries, k, sx.budget)
-}
-
-// SearchBatchBudget is SearchBatch with an explicit candidate budget λ.
-func (sx *ShardedIndex) SearchBatchBudget(queries [][]float32, k, lambda int) ([][]Neighbor, error) {
-	if len(queries) >= runtime.GOMAXPROCS(0) {
-		return searchBatch(seqShardSearcher{sx}, queries, k, lambda)
-	}
-	return searchBatch(parShardSearcher{sx}, queries, k, lambda)
-}
-
-// seqShardSearcher runs a sharded query without the per-shard goroutine
-// fan-out, for use inside an already saturated batch worker pool. Results
-// are identical to ShardedIndex.SearchBudget — the merge is deterministic
-// either way.
-type seqShardSearcher struct{ sx *ShardedIndex }
-
-func (s seqShardSearcher) SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error) {
-	return s.sx.searchBudgetInto(q, k, lambda, false, dst, nil)
-}
-
-// parShardSearcher keeps the per-shard fan-out inside each worker, for
-// small batches that leave cores idle.
-type parShardSearcher struct{ sx *ShardedIndex }
-
-func (s parShardSearcher) SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error) {
-	return s.sx.searchBudgetInto(q, k, lambda, true, dst, nil)
+// SearchBatch answers many queries concurrently under one k and
+// candidate budget (0 selects the default); results are returned in
+// query order. When the batch has at least GOMAXPROCS queries the worker
+// pool already saturates the CPUs, so each query runs its shard fan-out
+// sequentially; smaller batches keep the per-shard fan-out so idle cores
+// still help. Results are identical either way — the merge is
+// deterministic.
+func (sx *ShardedIndex) SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error) {
+	parallel := len(queries) < runtime.GOMAXPROCS(0)
+	return searchBatch(queries, k, budget, func(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
+		return sx.searchQuery(q, qr, dst, parallel)
+	})
 }

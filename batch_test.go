@@ -20,12 +20,12 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		}
 		queries[i] = q
 	}
-	batch := must(ix.SearchBatchBudget(queries, 5, 60))
+	batch := must(ix.SearchBatch(queries, 5, 60))
 	if len(batch) != len(queries) {
 		t.Fatalf("batch size %d", len(batch))
 	}
 	for i, q := range queries {
-		seq := must(ix.SearchBudget(q, 5, 60))
+		seq := must(ix.SearchQuery(q, Query{K: 5, Budget: 60}, nil))
 		if len(seq) != len(batch[i]) {
 			t.Fatalf("query %d: lengths differ", i)
 		}
@@ -52,9 +52,9 @@ func TestSearchBatchWorkersLEOne(t *testing.T) {
 	}
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	batch := must(ix.SearchBatchBudget(queries, 4, 40))
+	batch := must(ix.SearchBatch(queries, 4, 40))
 	for i, q := range queries {
-		seq := must(ix.SearchBudget(q, 4, 40))
+		seq := must(ix.SearchQuery(q, Query{K: 4, Budget: 40}, nil))
 		if len(seq) != len(batch[i]) {
 			t.Fatalf("query %d: lengths differ", i)
 		}
@@ -75,17 +75,17 @@ func TestSearchBatchEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := must(ix.SearchBatchBudget(nil, 3, 50)); len(got) != 0 {
+	if got := must(ix.SearchBatch(nil, 3, 50)); len(got) != 0 {
 		t.Fatalf("empty batch: %d rows", len(got))
 	}
-	if got := must(ix.SearchBatchBudget([][]float32{}, 3, 50)); len(got) != 0 {
+	if got := must(ix.SearchBatch([][]float32{}, 3, 50)); len(got) != 0 {
 		t.Fatalf("zero-length batch: %d rows", len(got))
 	}
-	one := must(ix.SearchBatchBudget(data[:1], 3, 50))
+	one := must(ix.SearchBatch(data[:1], 3, 50))
 	if len(one) != 1 {
 		t.Fatalf("one-query batch: %d rows", len(one))
 	}
-	seq := must(ix.SearchBudget(data[0], 3, 50))
+	seq := must(ix.SearchQuery(data[0], Query{K: 3, Budget: 50}, nil))
 	for j := range seq {
 		if seq[j] != one[0][j] {
 			t.Fatalf("one-query batch differs from Search at %d", j)
@@ -106,12 +106,12 @@ func TestShardedSearchBatchMatchesSequential(t *testing.T) {
 	for i := range queries {
 		queries[i] = g.GaussianVector(10)
 	}
-	batch := must(sx.SearchBatchBudget(queries, 5, 60))
+	batch := must(sx.SearchBatch(queries, 5, 60))
 	if len(batch) != len(queries) {
 		t.Fatalf("batch size %d", len(batch))
 	}
 	for i, q := range queries {
-		seq := must(sx.SearchBudget(q, 5, 60))
+		seq := must(sx.SearchQuery(q, Query{K: 5, Budget: 60}, nil))
 		if len(seq) != len(batch[i]) {
 			t.Fatalf("query %d: lengths differ", i)
 		}
@@ -121,28 +121,8 @@ func TestShardedSearchBatchMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	if got := must(sx.SearchBatch(nil, 3)); len(got) != 0 {
+	if got := must(sx.SearchBatch(nil, 3, 0)); len(got) != 0 {
 		t.Fatal("empty sharded batch should be empty")
-	}
-}
-
-func TestSearchBatchDefaultBudget(t *testing.T) {
-	data, _ := testData(42, 200, 8, 4, 0.5)
-	ix, err := NewIndex(data, Config{Metric: Euclidean, M: 16, Budget: 50, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := must(ix.SearchBatch(data[:5], 3))
-	if len(out) != 5 {
-		t.Fatalf("got %d rows", len(out))
-	}
-	for i, row := range out {
-		if len(row) != 3 {
-			t.Fatalf("row %d has %d results", i, len(row))
-		}
-	}
-	if got := must(ix.SearchBatch(nil, 3)); len(got) != 0 {
-		t.Fatal("empty batch should be empty")
 	}
 }
 
@@ -176,7 +156,7 @@ func TestJaccardFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := must(ix.SearchBudget(data[10], 2, 50))
+	res := must(ix.SearchQuery(data[10], Query{K: 2, Budget: 50}, nil))
 	if len(res) != 2 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -195,7 +175,7 @@ func TestJaccardFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2 := must(loaded.SearchBudget(data[10], 2, 50))
+	res2 := must(loaded.SearchQuery(data[10], Query{K: 2, Budget: 50}, nil))
 	for i := range res {
 		if res[i] != res2[i] {
 			t.Fatal("results differ after load")

@@ -231,7 +231,7 @@ func shardBench(n, nq, k, m, shards int, seed uint64, kind lccs.MetricKind, quan
 	}
 	fmt.Printf("fan-out QPS         %10.0f\n", qps(func(q []float32) { sx.Search(q, k) }))
 	start = time.Now()
-	if _, err := sx.SearchBatch(queries, k); err != nil {
+	if _, err := sx.SearchBatch(queries, k, 0); err != nil {
 		return err
 	}
 	fmt.Printf("batch fan-out QPS   %10.0f\n", float64(nq)/time.Since(start).Seconds())

@@ -60,10 +60,11 @@ var ErrCursorInvalid = errors.New("lccs: invalid cursor token")
 var ErrCursorStale = fmt.Errorf("%w: invalidated by writes", ErrCursorInvalid)
 
 // CursorSearcher is implemented by every facade: resumable ranked
-// search. limit is the page size; lambda the candidate budget (≤ 0
-// selects the default, ignored on resume — the token carries the
-// original); f may be nil. An empty cursor starts a new scan. The
-// returned next token is empty once the result stream is exhausted.
+// search. limit is the page size; lambda the candidate budget (0
+// selects the default, negative is ErrInvalidBudget; ignored on resume —
+// the token carries the original); f may be nil. An empty cursor starts
+// a new scan. The returned next token is empty once the result stream is
+// exhausted.
 type CursorSearcher interface {
 	SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) (page []Neighbor, next string, err error)
 }
@@ -184,15 +185,6 @@ func cursorResume(cursor string, q []float32, lambda int, f *Filter, gen uint64,
 	return t, nil
 }
 
-// validateCursorQuery applies the page-size and query contract shared
-// by every SearchCursor implementation.
-func validateCursorQuery(q []float32, dim, limit, lambda int) error {
-	if limit <= 0 {
-		return ErrInvalidK
-	}
-	return validateQuery(q, dim, limit, lambda)
-}
-
 // mergeCursorPage pops up to limit results from the per-source sorted
 // lists, starting at pos t.offs[i] in list i, advancing offsets in
 // place. It merges by (Dist, ID) — identical to the tournament's
@@ -238,20 +230,16 @@ func mergeCursorPage(lists [][]pqueue.Neighbor, requested []int, t *cursorToken,
 	return exhausted
 }
 
-// SearchCursor pages through the ranked results of a (optionally
-// filtered) scan of a static Index. See CursorSearcher.
-func (ix *Index) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
-	if lambda <= 0 {
-		lambda = ix.budget
-	}
-	if err := validateCursorQuery(q, ix.dim, limit, lambda); err != nil {
-		return nil, "", err
-	}
-	if err := validateFilter(f); err != nil {
-		return nil, "", err
-	}
+// cursorPage is the shared body of the three SearchCursor methods, run
+// once the query is validated: resume (or mint) the token against the
+// backend's write generation gen and source count nsrc, have fetch
+// produce each source's ranked top `want` under the scan's budget,
+// merge one page, and re-encode. ext maps a result's slot to its
+// external id.
+func cursorPage(q []float32, limit, lambda int, f *Filter, cursor string, gen uint64, nsrc int,
+	fetch func(src, want, lambda int) []pqueue.Neighbor, ext func(slot int) int) ([]Neighbor, string, error) {
 	start := time.Now()
-	t, err := cursorResume(cursor, q, lambda, f, 0, 1)
+	t, err := cursorResume(cursor, q, lambda, f, gen, nsrc)
 	if err != nil {
 		return nil, "", err
 	}
@@ -259,26 +247,16 @@ func (ix *Index) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor 
 		lambda = t.lambda
 		defer func() { obs.ObserveDur(obs.StageCursorResume, time.Since(start)) }()
 	}
-	need := t.offs[0] + limit
-	attrs := ix.attrs
-	accept := func(id int) bool { return f.Matches(attrs.Row(id)) }
-	if f.Empty() {
-		accept = nil
+	lists := make([][]pqueue.Neighbor, nsrc)
+	requested := make([]int, nsrc)
+	for i := range lists {
+		requested[i] = t.offs[i] + limit
+		lists[i] = fetch(i, requested[i], lambda)
 	}
-	rb := ix.getRaw()
-	var list []pqueue.Neighbor
-	kFetch, lamEff := cursorFetch(need, lambda)
-	if ix.multi != nil {
-		rb.buf, _ = ix.multi.SearchFilterOffsetIntoStats(q, kFetch, lamEff, 0, accept, rb.buf[:0])
-	} else {
-		rb.buf, _ = ix.single.SearchFilterOffsetIntoStats(q, kFetch, lamEff, 0, accept, rb.buf[:0])
-	}
-	list = rb.buf
 	page := make([]Neighbor, 0, limit)
-	exhausted := mergeCursorPage([][]pqueue.Neighbor{list}, []int{need}, &t, limit, func(nb pqueue.Neighbor) {
-		page = append(page, Neighbor{ID: nb.ID, Dist: nb.Dist})
+	exhausted := mergeCursorPage(lists, requested, &t, limit, func(nb pqueue.Neighbor) {
+		page = append(page, Neighbor{ID: ext(nb.ID), Dist: nb.Dist})
 	})
-	ix.raw.Put(rb)
 	next := ""
 	if !exhausted {
 		next = encodeCursor(t)
@@ -286,107 +264,75 @@ func (ix *Index) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor 
 	return page, next, nil
 }
 
-// SearchCursor pages through the ranked, merged results of a sharded
-// scan. See CursorSearcher.
-func (sx *ShardedIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
-	if lambda <= 0 {
-		lambda = sx.budget
-	}
-	if err := validateCursorQuery(q, sx.dim, limit, lambda); err != nil {
-		return nil, "", err
-	}
-	if err := validateFilter(f); err != nil {
-		return nil, "", err
-	}
-	start := time.Now()
-	s := len(sx.shards)
-	t, err := cursorResume(cursor, q, lambda, f, 0, s)
+// cursorScan fetches one shard source's ranked top `want` for a cursor
+// page: the shard's scan step with tombstones and f rejected in-stream
+// and the verification work pinned to lambda candidates.
+func (sh shardRef) cursorScan(q []float32, want, lambda int, f *Filter) []pqueue.Neighbor {
+	kFetch, lamEff := cursorFetch(want, lambda)
+	list, _ := sh.scan(q, kFetch, lamEff, f, true, nil, nil, -1)
+	return list
+}
+
+// SearchCursor pages through the ranked results of a (optionally
+// filtered) scan of a static Index. See CursorSearcher.
+func (ix *Index) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
+	lambda, err := Query{K: limit, Budget: lambda, Filter: f}.resolve(q, ix.dim, ix.budget)
 	if err != nil {
 		return nil, "", err
 	}
-	if cursor != "" {
-		lambda = t.lambda
-		defer func() { obs.ObserveDur(obs.StageCursorResume, time.Since(start)) }()
+	return cursorPage(q, limit, lambda, f, cursor, 0, 1,
+		func(_, want, lambda int) []pqueue.Neighbor { return ix.asShard().cursorScan(q, want, lambda, f) },
+		func(slot int) int { return slot })
+}
+
+// SearchCursor pages through the ranked, merged results of a sharded
+// scan. See CursorSearcher.
+func (sx *ShardedIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
+	lambda, err := Query{K: limit, Budget: lambda, Filter: f}.resolve(q, sx.dim, sx.budget)
+	if err != nil {
+		return nil, "", err
 	}
-	lambdaShard := (lambda + s - 1) / s
-	lists := make([][]pqueue.Neighbor, s)
-	requested := make([]int, s)
-	for i, shard := range sx.shards {
-		off := sx.offsets[i]
-		requested[i] = t.offs[i] + limit
-		accept := sx.acceptFunc(f, off)
-		kFetch, lamEff := cursorFetch(requested[i], lambdaShard)
-		lists[i], _ = shard.searchFilterOffsetIntoStats(q, kFetch, lamEff, off, accept, nil)
-	}
-	page := make([]Neighbor, 0, limit)
-	exhausted := mergeCursorPage(lists, requested, &t, limit, func(nb pqueue.Neighbor) {
-		page = append(page, Neighbor{ID: sx.ids.Ext(nb.ID), Dist: nb.Dist})
-	})
-	next := ""
-	if !exhausted {
-		next = encodeCursor(t)
-	}
-	return page, next, nil
+	s := len(sx.shards)
+	return cursorPage(q, limit, lambda, f, cursor, 0, s,
+		func(i, want, lambda int) []pqueue.Neighbor {
+			return sx.shard(i).cursorScan(q, want, (lambda+s-1)/s, f)
+		}, sx.ids.Ext)
 }
 
 // SearchCursor pages through the ranked results of a dynamic scan:
 // sources are the immutable shards plus the delta buffer. Tokens are
 // invalidated by any write. See CursorSearcher.
 func (d *DynamicIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
-	if lambda <= 0 {
-		lambda = d.defaultBudget()
-	}
-	if err := validateFilter(f); err != nil {
-		return nil, "", err
-	}
-	start := time.Now()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if err := validateCursorQuery(q, d.store.Dim(), limit, lambda); err != nil {
-		return nil, "", err
-	}
-	nsrc := len(d.shards) + 1 // + the delta buffer
-	t, err := cursorResume(cursor, q, lambda, f, d.writes, nsrc)
+	lambda, err := Query{K: limit, Budget: lambda, Filter: f}.resolve(q, d.store.Dim(), d.defaultBudgetLocked())
 	if err != nil {
 		return nil, "", err
 	}
-	if cursor != "" {
-		lambda = t.lambda
-		defer func() { obs.ObserveDur(obs.StageCursorResume, time.Since(start)) }()
-	}
-	// Each shard source gets the full budget rather than a ⌈λ/S⌉ split:
-	// dynamic shards are uneven (each background build freezes whatever
-	// the buffer held), so a split budget could under-verify the largest
-	// shard and break the λ ≥ n exactness guarantee.
-	lists := make([][]pqueue.Neighbor, nsrc)
-	requested := make([]int, nsrc)
-	for i, sh := range d.shards {
-		requested[i] = t.offs[i] + limit
-		kFetch, lamEff := cursorFetch(requested[i], lambda)
-		lists[i], _ = sh.ix.searchFilterOffsetIntoStats(q, kFetch, lamEff, sh.off, d.acceptLocked(f, sh.off), nil)
-	}
-	// The delta buffer is one exact-scan source: collect its top
-	// (consumed + limit) eligible rows. It is always fully enumerated,
-	// so "requested" never truncates it.
-	bi := nsrc - 1
-	requested[bi] = t.offs[bi] + limit
-	if d.store.Len() > d.indexed {
-		var best pqueue.KBest
-		best.Reset(requested[bi])
-		d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
-			if !d.deleted[slot] && f.Matches(d.attrs.Row(slot)) {
-				best.Add(slot, dist)
+	nsrc := len(d.shards) + 1 // + the delta buffer
+	return cursorPage(q, limit, lambda, f, cursor, d.writes, nsrc,
+		func(i, want, lambda int) []pqueue.Neighbor {
+			if i < len(d.shards) {
+				// Each shard source gets the full budget rather than a ⌈λ/S⌉
+				// split: dynamic shards are uneven (each background build
+				// freezes whatever the buffer held), so a split budget could
+				// under-verify the largest shard and break the λ ≥ n
+				// exactness guarantee.
+				return d.shardLocked(i).cursorScan(q, want, lambda, f)
 			}
-		})
-		lists[bi] = best.AppendSorted(nil)
-	}
-	page := make([]Neighbor, 0, limit)
-	exhausted := mergeCursorPage(lists, requested, &t, limit, func(nb pqueue.Neighbor) {
-		page = append(page, Neighbor{ID: d.ids.Ext(nb.ID), Dist: nb.Dist})
-	})
-	next := ""
-	if !exhausted {
-		next = encodeCursor(t)
-	}
-	return page, next, nil
+			// The delta buffer is one exact-scan source: collect its top
+			// `want` eligible rows. It is always fully enumerated, so the
+			// request never truncates it.
+			if d.store.Len() == d.indexed {
+				return nil
+			}
+			var best pqueue.KBest
+			best.Reset(want)
+			d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
+				if !d.deleted[slot] && f.Matches(d.attrs.Row(slot)) {
+					best.Add(slot, dist)
+				}
+			})
+			return best.AppendSorted(nil)
+		}, d.ids.Ext)
 }

@@ -65,7 +65,7 @@ func TestCursorDrainEqualsOneShot(t *testing.T) {
 
 	type facadeCase struct {
 		cs     CursorSearcher
-		fs     FilterSearcher
+		fs     Searcher
 		nTotal int
 	}
 	facades := map[string]facadeCase{
@@ -76,7 +76,7 @@ func TestCursorDrainEqualsOneShot(t *testing.T) {
 	q := data[3]
 	for fname, f := range testFilters() {
 		for facade, fc := range facades {
-			want, err := fc.fs.SearchFilterBudgetInto(q, fc.nTotal, fc.nTotal+5, f, nil)
+			want, err := fc.fs.SearchQuery(q, Query{K: fc.nTotal, Budget: fc.nTotal + 5, Filter: f}, nil)
 			if err != nil {
 				t.Fatalf("%s/%s one-shot: %v", facade, fname, err)
 			}

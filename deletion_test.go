@@ -102,7 +102,7 @@ func TestSnapshotExcludesDeletedRoundTrip(t *testing.T) {
 			t.Fatalf("%s: Len=%d, want 299", name, s.Len())
 		}
 		for id, v := range deadVecs {
-			res := must(s.SearchBudget(v, 5, exhaustive))
+			res := must(s.SearchQuery(v, Query{K: 5, Budget: exhaustive}, nil))
 			if len(res) == 0 {
 				t.Fatalf("%s: no results at all", name)
 			}
@@ -116,7 +116,7 @@ func TestSnapshotExcludesDeletedRoundTrip(t *testing.T) {
 		// shifted during buffer compaction — answer under their stable
 		// external id.
 		for _, id := range []int{0, 150, bufKeep} {
-			res := must(s.SearchBudget(vectors[mustSlot(t, loaded, id)], 1, exhaustive))
+			res := must(s.SearchQuery(vectors[mustSlot(t, loaded, id)], Query{K: 1, Budget: exhaustive}, nil))
 			if len(res) != 1 || res[0].ID != id || res[0].Dist != 0 {
 				t.Fatalf("%s: live id %d not served: %+v", name, id, res)
 			}
@@ -145,7 +145,7 @@ func TestSnapshotExcludesDeletedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, v := range deadVecs {
-		for _, nb := range must(loaded2.SearchBudget(v, 5, exhaustive)) {
+		for _, nb := range must(loaded2.SearchQuery(v, Query{K: 5, Budget: exhaustive}, nil)) {
 			if nb.ID == id {
 				t.Fatalf("deleted id %d resurrected in second generation", id)
 			}
@@ -286,7 +286,7 @@ func TestOverfetchClampYieldsLiveResults(t *testing.T) {
 		}
 	}
 	const k = 10
-	res := must(d.SearchBudget(data[190], k, 3*len(data)))
+	res := must(d.SearchQuery(data[190], Query{K: k, Budget: 3 * len(data)}, nil))
 	if len(res) != k {
 		t.Fatalf("got %d results, want %d live", len(res), k)
 	}
@@ -296,7 +296,7 @@ func TestOverfetchClampYieldsLiveResults(t *testing.T) {
 		}
 	}
 	// More live results than exist: all 20 survivors, nothing else.
-	res = must(d.SearchBudget(data[190], 50, 3*len(data)))
+	res = must(d.SearchQuery(data[190], Query{K: 50, Budget: 3 * len(data)}, nil))
 	if len(res) != 20 {
 		t.Fatalf("got %d results, want the 20 live vectors", len(res))
 	}

@@ -383,7 +383,7 @@ func (di *DurableIndex) removeOrphans(man *wal.Manifest) error {
 // vector was rejected (as opposed to a deferred background-build
 // failure delivered alongside a successful insert).
 func isValidationError(err error) bool {
-	return errors.Is(err, ErrEmptyVector) || errors.Is(err, ErrDimensionMismatch)
+	return errors.Is(err, ErrEmptyVector) || errors.Is(err, ErrDimensionMismatch) || errors.Is(err, ErrNonFinite)
 }
 
 // Add inserts a vector and blocks until the insert is durable under

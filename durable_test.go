@@ -40,9 +40,9 @@ func mustOpenDurable(t *testing.T, dir string) *DurableIndex {
 // searchIDs returns the id set of a full-budget search around q.
 func searchIDs(t *testing.T, s Searcher, q []float32, k int) map[int]bool {
 	t.Helper()
-	res, err := s.SearchBudget(q, k, 1<<20)
+	res, err := s.SearchQuery(q, Query{K: k, Budget: 1 << 20}, nil)
 	if err != nil {
-		t.Fatalf("SearchBudget: %v", err)
+		t.Fatalf("SearchQuery: %v", err)
 	}
 	ids := make(map[int]bool, len(res))
 	for _, nb := range res {
@@ -437,7 +437,7 @@ func TestDurableSearchConformance(t *testing.T) {
 	}
 	di.WaitRebuild()
 	q := data[g.IntN(len(data))]
-	got, err := di.SearchBudget(q, 10, 1<<20)
+	got, err := di.SearchQuery(q, Query{K: 10, Budget: 1 << 20}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,9 +688,9 @@ func TestDurableAttrsRoundTrip(t *testing.T) {
 		if got := di.Attrs(extraID); !got.Equal(Attrs{"color": StrAttr("red")}) {
 			t.Fatalf("%s: Attrs(extra) = %v", label, got)
 		}
-		res, err := di.SearchFilterBudgetInto([]float32{0, 0, 1}, len(vecs)+1, 1<<20, &Filter{Terms: []FilterTerm{EqStr("color", "red")}}, nil)
+		res, err := di.SearchQuery([]float32{0, 0, 1}, Query{K: len(vecs) + 1, Budget: 1 << 20, Filter: &Filter{Terms: []FilterTerm{EqStr("color", "red")}}}, nil)
 		if err != nil {
-			t.Fatalf("%s: SearchFilterBudgetInto: %v", label, err)
+			t.Fatalf("%s: SearchQuery: %v", label, err)
 		}
 		for _, nb := range res {
 			if got := di.Attrs(nb.ID); got["color"] != StrAttr("red") {

@@ -252,6 +252,23 @@ func (d *DynamicIndex) adoptConfigLocked(ix *Index) {
 	}
 }
 
+// validateVector is the one write validator: a non-empty, finite vector
+// of the index's dimensionality (when dim > 0 is known). The durable
+// layer applies a write here before journaling it, so a rejected vector
+// never reaches the WAL.
+func validateVector(v []float32, dim int) error {
+	if len(v) == 0 {
+		return ErrEmptyVector
+	}
+	if dim != 0 && len(v) != dim {
+		return fmt.Errorf("%w: vector has %d dimensions, index has %d", ErrDimensionMismatch, len(v), dim)
+	}
+	if !finite(v) {
+		return ErrNonFinite
+	}
+	return nil
+}
+
 // Add inserts a vector (copied into the flat store) and returns its id.
 // Crossing the rebuild threshold starts a background shard build; Add
 // itself never blocks on index construction. If a previous background
@@ -262,16 +279,13 @@ func (d *DynamicIndex) Add(v []float32) (int, error) {
 }
 
 // AddWithAttrs is Add with optional metadata attached to the vector:
-// the attributes become filterable with SearchFilter and travel through
+// the attributes become filterable through Query.Filter and travel through
 // snapshots and (on a DurableIndex) the WAL. A nil attrs is exactly Add.
 func (d *DynamicIndex) AddWithAttrs(v []float32, a Attrs) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(v) == 0 {
-		return 0, ErrEmptyVector
-	}
-	if dim := d.store.Dim(); dim != 0 && len(v) != dim {
-		return 0, fmt.Errorf("%w: vector has %d dimensions, index has %d", ErrDimensionMismatch, len(v), dim)
+	if err := validateVector(v, d.store.Dim()); err != nil {
+		return 0, err
 	}
 	slot := d.store.Append(v)
 	if len(a) > 0 {
@@ -562,122 +576,64 @@ func (d *DynamicIndex) Shards() int {
 // Search returns the k nearest live vectors: every shard's candidates
 // (at the default budget) merged with an exact scan of the buffer.
 func (d *DynamicIndex) Search(q []float32, k int) ([]Neighbor, error) {
-	return d.SearchBudget(q, k, d.defaultBudget())
+	return d.SearchQuery(q, Query{K: k}, nil)
 }
 
 // SearchInto is Search appending into dst (reset to dst[:0] first).
 func (d *DynamicIndex) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, error) {
-	return d.SearchBudgetInto(q, k, d.defaultBudget(), dst)
+	return d.SearchQuery(q, Query{K: k}, dst)
 }
 
-// defaultBudget returns the facade's default candidate budget: the
+// defaultBudgetLocked returns the facade's default candidate budget: the
 // resolved configuration's, or the package default before the first
 // build resolves one.
-func (d *DynamicIndex) defaultBudget() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+func (d *DynamicIndex) defaultBudgetLocked() int {
 	if d.cfg.Budget > 0 {
 		return d.cfg.Budget
 	}
 	return defaultBudget
 }
 
-// SearchBudget is Search with an explicit candidate budget λ. As in
-// ShardedIndex, the budget is divided across the index shards (⌈λ/S⌉
-// each), so a given budget means comparable verification work on every
-// Searcher backend; the insert buffer is always scanned exactly.
-func (d *DynamicIndex) SearchBudget(q []float32, k, lambda int) ([]Neighbor, error) {
-	return d.SearchBudgetInto(q, k, lambda, nil)
+// shardLocked returns the scan view of shard i.
+func (d *DynamicIndex) shardLocked(i int) shardRef {
+	sh := d.shards[i]
+	return shardRef{ix: sh.ix, n: i, off: sh.off, dead: sh.dead, attrs: d.attrs, tomb: d.deleted}
 }
 
-// SearchBudgetInto is SearchBudget appending into dst (reset to dst[:0]
-// first; dst may be nil). Shard fetches and the k-best row ride in
+// SearchQuery answers qr, appending into dst (reset to dst[:0] first;
+// dst may be nil). As in ShardedIndex, the budget is divided across the
+// index shards (⌈λ/S⌉ each); the insert buffer is always scanned
+// exactly, filtered row by row. Shard fetches and the k-best row ride in
 // pooled scratch, so a steady-state query's only allocations are those
 // of the result row growth.
-func (d *DynamicIndex) SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error) {
-	return d.searchCostInto(q, k, lambda, nil, dst, nil, nil)
-}
-
-// SearchBudgetIntoTraced is SearchBudgetInto recording spans into tr:
-// one shard_scan span per immutable shard (CSA comparison and verified-
-// candidate counters), a buffer_scan span over the unindexed delta
-// buffer, and a merge span, under a query root span. A nil tr is
-// exactly SearchBudgetInto; a non-positive lambda selects the default
-// budget.
-func (d *DynamicIndex) SearchBudgetIntoTraced(q []float32, k, lambda int, dst []Neighbor, tr *Trace) ([]Neighbor, error) {
-	return d.SearchCostInto(q, k, lambda, nil, dst, nil, tr)
-}
-
-// SearchCostInto is the fully instrumented dynamic search: filter f
-// restricts results (nil or empty means unfiltered), co accumulates the
-// query's cost record (nil skips accounting), tr records spans (nil
-// skips tracing). Each argument degrades independently; all three nil
-// is exactly SearchBudgetInto. A non-positive lambda selects the
-// default budget.
-func (d *DynamicIndex) SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
-	if lambda <= 0 {
-		lambda = d.defaultBudget()
-	}
-	return d.searchCostInto(q, k, lambda, f, dst, co, tr)
-}
-
-func (d *DynamicIndex) searchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
-	filtered := f != nil && !f.Empty()
-	if filtered {
-		if err := validateFilter(f); err != nil {
-			return nil, err
-		}
-	}
+func (d *DynamicIndex) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if err := validateQuery(q, d.store.Dim(), k, lambda); err != nil {
+	lambda, err := qr.resolve(q, d.store.Dim(), d.defaultBudgetLocked())
+	if err != nil {
 		return nil, err
 	}
 	if d.store.Len() == 0 {
 		return nil, nil
 	}
+	k, f, co, tr := qr.K, qr.Filter, qr.Cost, qr.Trace
+	filtered := !f.Empty()
 	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
 	ctx := d.ctxs.Get().(*dynCtx)
 	ctx.best.Reset(k)
-	// searchOffsetInto shifts shard-local slots into the global slot
-	// space. Shard ranges are disjoint, so no dedup is needed.
-	lambdaShard := lambda
 	if s := len(d.shards); s > 1 {
-		lambdaShard = (lambda + s - 1) / s
+		lambda = (lambda + s - 1) / s
 	}
-	metered := co != nil || tr != nil
-	for i, sh := range d.shards {
-		sp := -1
-		if tr != nil {
-			sp = tr.StartShardSpan(obs.StageShardScan, root, i)
-		}
+	for i := range d.shards {
 		var stats core.SearchStats
-		switch {
-		case filtered:
-			// The accept predicate filters tombstones too, so the plain
-			// fetch of k matching live rows needs no over-fetch allowance.
-			ctx.shardBuf, stats = sh.ix.searchFilterOffsetIntoStats(q, k, lambdaShard, sh.off, d.acceptLocked(f, sh.off), ctx.shardBuf)
-		case metered:
-			ctx.shardBuf, stats = sh.ix.searchOffsetIntoStats(q, fetchForShard(k, sh.dead, sh.ix.Len()), lambdaShard, sh.off, ctx.shardBuf)
-		default:
-			// Over-fetch exactly the shard's own tombstone count — never
-			// more than the shard holds — so k live results survive
-			// filtering without the fetch growing with global churn.
-			ctx.shardBuf = sh.ix.searchOffsetInto(q, fetchForShard(k, sh.dead, sh.ix.Len()), lambdaShard, sh.off, ctx.shardBuf)
-		}
-		if tr != nil {
-			obs.ObserveDur(obs.StageShardScan, tr.FinishSpanCost(sp, int64(stats.Comparisons), int64(stats.Candidates), stats.BytesScanned))
-		}
+		ctx.shardBuf, stats = d.shardLocked(i).scan(q, k, lambda, f, filtered, ctx.shardBuf, tr, root)
 		co.addStats(stats)
-		if filtered {
-			for _, nb := range ctx.shardBuf {
+		// Shard ranges are disjoint, so no dedup is needed; an unfiltered
+		// scan over-fetched by the shard's tombstone count and sheds its
+		// dead rows here.
+		for _, nb := range ctx.shardBuf {
+			if filtered || !d.deleted[nb.ID] {
 				ctx.best.Add(nb.ID, nb.Dist)
-			}
-		} else {
-			for _, nb := range ctx.shardBuf {
-				if !d.deleted[nb.ID] {
-					ctx.best.Add(nb.ID, nb.Dist)
-				}
 			}
 		}
 	}
@@ -685,24 +641,16 @@ func (d *DynamicIndex) searchCostInto(q []float32, k, lambda int, f *Filter, dst
 	bufSpan := tr.StartSpan(obs.StageBufferScan, root)
 	bufRows := d.store.Len() - d.indexed
 	rejected := 0
-	if filtered {
-		d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
-			if d.deleted[slot] {
-				return
-			}
-			if !f.Matches(d.attrs.Row(slot)) {
-				rejected++
-				return
-			}
-			ctx.best.Add(slot, dist)
-		})
-	} else {
-		d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
-			if !d.deleted[slot] {
-				ctx.best.Add(slot, dist)
-			}
-		})
-	}
+	d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
+		if d.deleted[slot] {
+			return
+		}
+		if filtered && !f.Matches(d.attrs.Row(slot)) {
+			rejected++
+			return
+		}
+		ctx.best.Add(slot, dist)
+	})
 	// The buffer scan reads every row's full float32 payload exactly
 	// once; rows the predicate rejected still paid for their distance
 	// (Comparisons) but do not count as candidates, matching the core
@@ -711,14 +659,12 @@ func (d *DynamicIndex) searchCostInto(q []float32, k, lambda int, f *Filter, dst
 	if tr != nil {
 		obs.ObserveDur(obs.StageBufferScan, tr.FinishSpanCost(bufSpan, int64(bufRows), int64(bufRows-rejected), bufBytes))
 	}
-	if co != nil {
-		co.addStats(core.SearchStats{
-			Comparisons:    bufRows,
-			Candidates:     bufRows - rejected,
-			BytesScanned:   bufBytes,
-			FilterRejected: rejected,
-		})
-	}
+	co.addStats(core.SearchStats{
+		Comparisons:    bufRows,
+		Candidates:     bufRows - rejected,
+		BytesScanned:   bufBytes,
+		FilterRejected: rejected,
+	})
 	mergeSpan := tr.StartSpan(obs.StageMerge, root)
 	ctx.sorted = ctx.best.AppendSorted(ctx.sorted[:0])
 	if dst == nil {
@@ -737,38 +683,11 @@ func (d *DynamicIndex) searchCostInto(q []float32, k, lambda int, f *Filter, dst
 	return dst, nil
 }
 
-// SearchFilter returns the k nearest live vectors matching f under the
-// default candidate budget.
-func (d *DynamicIndex) SearchFilter(q []float32, k int, f *Filter) ([]Neighbor, error) {
-	return d.SearchFilterBudgetInto(q, k, d.defaultBudget(), f, nil)
-}
-
-// SearchFilterBudgetInto is SearchFilter with an explicit budget λ,
-// appending into dst. Shard candidate streams drain past non-matching
-// and tombstoned rows before any distance work; the buffer scan applies
-// the predicate per row.
-func (d *DynamicIndex) SearchFilterBudgetInto(q []float32, k, lambda int, f *Filter, dst []Neighbor) ([]Neighbor, error) {
-	return d.searchCostInto(q, k, lambda, f, dst, nil, nil)
-}
-
-// acceptLocked builds the per-shard candidate predicate of a filtered
-// dynamic query: live and matching, in the global slot space.
-func (d *DynamicIndex) acceptLocked(f *Filter, off int) func(int) bool {
-	return func(local int) bool {
-		glob := local + off
-		return !d.deleted[glob] && f.Matches(d.attrs.Row(glob))
-	}
-}
-
-// SearchBatch answers many queries concurrently under the default
-// candidate budget; results are returned in query order.
-func (d *DynamicIndex) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
-	return d.SearchBatchBudget(queries, k, d.defaultBudget())
-}
-
-// SearchBatchBudget is SearchBatch with an explicit candidate budget λ.
-func (d *DynamicIndex) SearchBatchBudget(queries [][]float32, k, lambda int) ([][]Neighbor, error) {
-	return searchBatch(d, queries, k, lambda)
+// SearchBatch answers many queries concurrently under one k and
+// candidate budget (0 selects the default); results are returned in
+// query order.
+func (d *DynamicIndex) SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error) {
+	return searchBatch(queries, k, budget, d.SearchQuery)
 }
 
 // Distance returns the configured metric's distance between two vectors.

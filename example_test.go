@@ -45,7 +45,7 @@ func ExampleNewIndex() {
 	// Output: 42 true
 }
 
-func ExampleIndex_SearchBudget() {
+func ExampleIndex_SearchQuery() {
 	data := grid(500, 16)
 	ix, err := lccs.NewIndex(data, lccs.Config{
 		Metric:      lccs.Euclidean,
@@ -58,11 +58,11 @@ func ExampleIndex_SearchBudget() {
 	}
 	// A larger candidate budget λ verifies more of the CSA's frontier:
 	// results can only improve.
-	loose, err := ix.SearchBudget(data[7], 5, 10)
+	loose, err := ix.SearchQuery(data[7], lccs.Query{K: 5, Budget: 10}, nil)
 	if err != nil {
 		panic(err)
 	}
-	tight, err := ix.SearchBudget(data[7], 5, 200)
+	tight, err := ix.SearchQuery(data[7], lccs.Query{K: 5, Budget: 200}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -81,7 +81,7 @@ func ExampleIndex_SearchBatch() {
 	if err != nil {
 		panic(err)
 	}
-	results, err := ix.SearchBatch(data[:3], 2)
+	results, err := ix.SearchBatch(data[:3], 2, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -45,7 +45,7 @@ func main() {
 		ix.Len(), bits, ix.M(), float64(ix.Bytes())/(1<<20))
 
 	fmt.Println("\nnear-duplicates of document 100:")
-	res, err := ix.SearchBudget(data[100], 5, 200)
+	res, err := ix.SearchQuery(data[100], lccs.Query{K: 5, Budget: 200}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func main() {
 		start := time.Now()
 		var recall float64
 		for i, q := range queries {
-			got, err := ix.SearchBudget(q, k, lambda)
+			got, err := ix.SearchQuery(q, lccs.Query{K: k, Budget: lambda}, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -70,7 +70,7 @@ func main() {
 		results := make([][]lccs.Neighbor, nq)
 		start := time.Now()
 		for i, q := range queries {
-			res, err := ix.SearchBudget(q, k, lambda)
+			res, err := ix.SearchQuery(q, lccs.Query{K: k, Budget: lambda}, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func main() {
 	}
 	q := queries[0]
 	fmt.Println("\nnearest words to query 0:")
-	top, err := ix.SearchBudget(q, 5, 100)
+	top, err := ix.SearchQuery(q, lccs.Query{K: 5, Budget: 100}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package lccs
 
 import (
 	"errors"
-	"fmt"
 
 	"lccs/internal/vec"
 )
@@ -75,34 +74,6 @@ var ErrInvalidFilter = errors.New("lccs: invalid filter")
 // slice whose length does not match the data.
 var ErrAttrsMismatch = errors.New("lccs: attrs length does not match vectors")
 
-// validateFilter translates filter validation failures into the
-// package's typed error.
-func validateFilter(f *Filter) error {
-	if err := f.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidFilter, err)
-	}
-	return nil
-}
-
-// FilterSearcher is implemented by every facade: filtered top-k search.
-// A nil or empty filter degenerates to the plain search.
-type FilterSearcher interface {
-	// SearchFilter returns the k nearest neighbors among vectors
-	// matching f, under the facade's default candidate budget.
-	SearchFilter(q []float32, k int, f *Filter) ([]Neighbor, error)
-	// SearchFilterBudgetInto is SearchFilter with an explicit candidate
-	// budget λ, appending into dst (reset to dst[:0] first).
-	SearchFilterBudgetInto(q []float32, k, lambda int, f *Filter, dst []Neighbor) ([]Neighbor, error)
-}
-
-// Compile-time conformance of the facades (DurableIndex inherits from
-// DynamicIndex).
-var (
-	_ FilterSearcher = (*Index)(nil)
-	_ FilterSearcher = (*ShardedIndex)(nil)
-	_ FilterSearcher = (*DynamicIndex)(nil)
-)
-
 // Attrs returns the metadata of the vector with the given id, or nil.
 func (ix *Index) Attrs(id int) Attrs { return ix.attrs.Row(id) }
 
@@ -121,39 +92,4 @@ func NewIndexWithAttrs(data [][]float32, attrs []Attrs, cfg Config) (*Index, err
 		ix.attrs = vec.MetaFromRows(append([]Attrs(nil), attrs...))
 	}
 	return ix, nil
-}
-
-// SearchFilter returns the k nearest neighbors among vectors matching f
-// under the default candidate budget.
-func (ix *Index) SearchFilter(q []float32, k int, f *Filter) ([]Neighbor, error) {
-	return ix.SearchFilterBudgetInto(q, k, ix.budget, f, nil)
-}
-
-// SearchFilterBudgetInto is SearchFilter with an explicit budget λ,
-// appending into dst. A vector with no metadata matches only the empty
-// filter.
-func (ix *Index) SearchFilterBudgetInto(q []float32, k, lambda int, f *Filter, dst []Neighbor) ([]Neighbor, error) {
-	if f.Empty() {
-		return ix.SearchBudgetInto(q, k, lambda, dst)
-	}
-	if err := validateFilter(f); err != nil {
-		return nil, err
-	}
-	if err := validateQuery(q, ix.dim, k, lambda); err != nil {
-		return nil, err
-	}
-	attrs := ix.attrs
-	accept := func(id int) bool { return f.Matches(attrs.Row(id)) }
-	rb := ix.getRaw()
-	if ix.multi != nil {
-		rb.buf, _ = ix.multi.SearchFilterOffsetIntoStats(q, k, lambda, 0, accept, rb.buf[:0])
-	} else {
-		rb.buf, _ = ix.single.SearchFilterOffsetIntoStats(q, k, lambda, 0, accept, rb.buf[:0])
-	}
-	if dst == nil {
-		dst = make([]Neighbor, 0, len(rb.buf))
-	}
-	dst = appendNeighbors(dst[:0], rb.buf)
-	ix.raw.Put(rb)
-	return dst, nil
 }

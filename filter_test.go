@@ -87,106 +87,6 @@ func neighborsEqual(a, b []Neighbor) bool {
 	return true
 }
 
-// TestFilteredSearchExactAcrossFacades pins the acceptance criterion:
-// at an exhaustive budget, filtered search on every facade returns
-// exactly the brute-force ranked answer over matching live vectors.
-func TestFilteredSearchExactAcrossFacades(t *testing.T) {
-	const n, dim, k = 200, 8, 10
-	data, attrs := filterTestData(n, dim)
-	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, Budget: n}
-
-	single, err := NewIndexWithAttrs(data, attrs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewShardedIndexWithAttrs(data, attrs, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn, err := NewDynamicIndex(nil, cfg, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range data {
-		if _, err := dyn.AddWithAttrs(v, attrs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dyn.WaitRebuild()
-
-	facades := map[string]FilterSearcher{
-		"index":   single,
-		"sharded": sharded,
-		"dynamic": dyn,
-	}
-	q := data[3]
-	for fname, f := range testFilters() {
-		want := bruteFilter(data, attrs, nil, q, k, f, single.Distance)
-		for facade, ix := range facades {
-			got, err := ix.SearchFilterBudgetInto(q, k, n, f, nil)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", facade, fname, err)
-			}
-			if !neighborsEqual(got, want) {
-				t.Errorf("%s/%s: got %v, want %v", facade, fname, got, want)
-			}
-		}
-	}
-}
-
-// TestFilteredSearchWithDeletes checks tombstoned rows never surface in
-// filtered results and the remaining ranking stays exact.
-func TestFilteredSearchWithDeletes(t *testing.T) {
-	const n, dim, k = 150, 8, 10
-	data, attrs := filterTestData(n, dim)
-	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, Budget: n}
-	dyn, err := NewDynamicIndex(nil, cfg, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range data {
-		if _, err := dyn.AddWithAttrs(v, attrs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dyn.WaitRebuild()
-	deleted := map[int]bool{}
-	for id := 0; id < n; id += 5 {
-		if !dyn.Delete(id) {
-			t.Fatalf("delete %d", id)
-		}
-		deleted[id] = true
-	}
-	live := func(id int) bool { return !deleted[id] }
-	q := data[8]
-	for fname, f := range testFilters() {
-		want := bruteFilter(data, attrs, live, q, k, f, dyn.Distance)
-		got, err := dyn.SearchFilterBudgetInto(q, k, n, f, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", fname, err)
-		}
-		if !neighborsEqual(got, want) {
-			t.Errorf("%s: got %v, want %v", fname, got, want)
-		}
-	}
-
-	// The snapshot (→ ShardedIndex) must answer identically.
-	_, sx, err := dyn.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fname, f := range testFilters() {
-		want := bruteFilter(data, attrs, live, q, k, f, dyn.Distance)
-		got, err := sx.SearchFilterBudgetInto(q, k, n, f, nil)
-		if err != nil {
-			t.Fatalf("snapshot/%s: %v", fname, err)
-		}
-		if !neighborsEqual(got, want) {
-			t.Errorf("snapshot/%s: got %v, want %v", fname, got, want)
-		}
-	}
-}
-
 // TestFilterValidation pins the typed error for malformed filters.
 func TestFilterValidation(t *testing.T) {
 	data, attrs := filterTestData(30, 4)
@@ -200,7 +100,7 @@ func TestFilterValidation(t *testing.T) {
 		{Terms: []FilterTerm{{Key: "x", Op: FilterOp(99)}}},
 	}
 	for i, f := range bad {
-		if _, err := ix.SearchFilter(data[0], 3, f); !errors.Is(err, ErrInvalidFilter) {
+		if _, err := ix.SearchQuery(data[0], Query{K: 3, Filter: f}, nil); !errors.Is(err, ErrInvalidFilter) {
 			t.Errorf("bad filter %d: err = %v, want ErrInvalidFilter", i, err)
 		}
 	}

@@ -417,7 +417,7 @@ func (r *runner) search() error {
 	if r.di.Len() == 0 {
 		return nil
 	}
-	res, err := r.di.SearchBudget(q, 8, searchBudget)
+	res, err := r.di.SearchQuery(q, lccs.Query{K: 8, Budget: searchBudget}, nil)
 	if err != nil {
 		return r.violation("search failed: %v", err)
 	}
@@ -523,7 +523,7 @@ func (r *runner) check() error {
 	k := len(r.live) + len(r.limbo) + len(r.limboDel) + 4
 	sweep := func(vecs map[int][]float32) error {
 		for _, vec := range vecs {
-			res, err := r.di.SearchBudget(vec, k, searchBudget)
+			res, err := r.di.SearchQuery(vec, lccs.Query{K: k, Budget: searchBudget}, nil)
 			if err != nil {
 				return r.violation("recovery sweep search failed: %v", err)
 			}

@@ -278,7 +278,7 @@ func TestSearchStatsCounters(t *testing.T) {
 	data := clusteredData(g, 300, 8, 5, 0.3)
 	fam := lshfamily.NewRandomProjection(8, 8)
 	ix, _ := Build(data, fam, Params{M: 16, Seed: 1})
-	_, st := ix.SearchWithStats(data[0], 5, 50)
+	_, st := ix.SearchScan(data[0], 5, 50, Scan{}, nil)
 	if st.Probes != 1 {
 		t.Errorf("Probes = %d, want 1", st.Probes)
 	}
@@ -286,7 +286,7 @@ func TestSearchStatsCounters(t *testing.T) {
 		t.Errorf("Candidates = %d, want 54", st.Candidates)
 	}
 	// Degenerate arguments.
-	if res, st := ix.SearchWithStats(data[0], 0, 10); res != nil || st.Candidates != 0 {
+	if res, st := ix.SearchScan(data[0], 0, 10, Scan{}, nil); res != nil || st.Candidates != 0 {
 		t.Error("k=0 should return nothing")
 	}
 	if res := ix.Search(data[0], 5, 0); res != nil {

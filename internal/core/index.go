@@ -95,7 +95,8 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.FilterRejected += o.FilterRejected
 }
 
-// Index is a single-probe LCCS-LSH index over a fixed dataset.
+// Index is an LCCS-LSH index over a fixed dataset: single-probe as
+// built, multi-probe once WrapMP has installed probe state on it.
 // It is safe for concurrent queries.
 type Index struct {
 	family lshfamily.Family
@@ -111,6 +112,10 @@ type Index struct {
 	// re-ranks the best rerank of them with exact distances.
 	sq8    *vec.SQ8Store
 	rerank int
+
+	// mp, when non-nil, is the multi-probe state WrapMP installed: every
+	// search then begins with its perturbed probes.
+	mp *MPIndex
 
 	buildTime time.Duration
 	// ctxs pools searchCtx values: all per-query scratch in one object,
@@ -140,11 +145,9 @@ type searchCtx struct {
 	probeStr []int32
 	modPos   []int
 	affected []int
-	// per-query cost accumulators, reset on entry and read into the
-	// returned SearchStats: vector-block bytes touched and candidates
-	// the filter predicate rejected.
-	bytes    int64
-	rejected int
+	// bytes accumulates the vector-block bytes one query's verification
+	// touched; reset on entry and read into the returned SearchStats.
+	bytes int64
 }
 
 // initPool installs the searchCtx pool; called once per constructed or
@@ -262,44 +265,76 @@ func (ix *Index) HashQuery(q []float32) []int32 {
 	return lshfamily.HashString(ix.funcs, q, nil)
 }
 
+// Scan narrows one search for shard-local use; the zero value is the
+// plain query.
+type Scan struct {
+	// Offset is added to every returned id: the index covers a contiguous
+	// slice of a larger dataset starting at this global id, so results
+	// from several shards merge without remapping.
+	Offset int
+	// Accept, when non-nil, restricts the search to the candidates it
+	// admits. It receives index-local ids (before the Offset shift).
+	// Rejected candidates are discarded before any distance work and do
+	// not count toward the λ+k−1 verification budget, so the CSA stream
+	// keeps draining (in LCCS order) until enough matching candidates are
+	// verified or the stream is exhausted — the over-fetch ladder for
+	// selective filters is built in. With an exhaustive budget (λ ≥ n)
+	// every matching row is verified, making the result exactly the
+	// brute-force answer over matching vectors.
+	Accept func(id int) bool
+}
+
 // Search answers a c-k-ANNS query: it performs a (λ+k−1)-LCCS search of
-// H(q) (§4.1), verifies the candidates with exact distances, and returns
-// the k nearest in ascending distance order. lambda is the candidate
-// budget λ; larger values trade time for recall.
+// H(q) (§4.1) — plus, on a multi-probe index, the Probes−1 perturbed
+// probes of Algorithm 3 merged into the same deduplicated candidate
+// stream (§4.2) — verifies the candidates with exact distances, and
+// returns the k nearest in ascending distance order. lambda is the
+// candidate budget λ; larger values trade time for recall.
 func (ix *Index) Search(q []float32, k, lambda int) []pqueue.Neighbor {
-	res, _ := ix.searchInto(q, k, lambda, nil)
+	res, _ := ix.SearchScan(q, k, lambda, Scan{}, nil)
 	return res
 }
 
 // SearchInto is Search appending into dst (reset to dst[:0] first): the
 // zero-allocation path for callers that reuse a result buffer.
 func (ix *Index) SearchInto(q []float32, k, lambda int, dst []pqueue.Neighbor) []pqueue.Neighbor {
-	res, _ := ix.searchInto(q, k, lambda, dst[:0])
+	res, _ := ix.SearchScan(q, k, lambda, Scan{}, dst)
 	return res
 }
 
-// SearchWithStats is Search plus work counters.
-func (ix *Index) SearchWithStats(q []float32, k, lambda int) ([]pqueue.Neighbor, SearchStats) {
-	return ix.searchInto(q, k, lambda, nil)
-}
-
-// searchInto runs the single-probe query with pooled scratch, appending
-// the k nearest to dst (which may be nil).
-func (ix *Index) searchInto(q []float32, k, lambda int, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
+// SearchScan is the one query path: Search narrowed by sc, appending the
+// k nearest to dst (reset to dst[:0] first; dst may be nil) and
+// returning the query's work counters. All scratch is pooled.
+func (ix *Index) SearchScan(q []float32, k, lambda int, sc Scan, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
+	dst = dst[:0]
 	if k <= 0 || lambda <= 0 {
 		return dst, SearchStats{}
 	}
 	ctx := ix.ctxs.Get().(*searchCtx)
 	ctx.hq = lshfamily.HashString(ix.funcs, q, ctx.hq)
-
-	nCand := lambda + k - 1
 	ctx.s.Begin(ctx.hq)
+	probes := 1
+	if ix.mp != nil { // the one place single- and multi-probe differ
+		probes += ix.mp.issueProbes(ctx, q)
+	}
 	ctx.best.Reset(k)
-	ctx.bytes, ctx.rejected = 0, 0
-	verified, reranked := ix.verifyCandidates(ctx, q, k, nCand)
+	ctx.bytes = 0
+	var start time.Time
+	if sc.Accept != nil {
+		start = time.Now()
+	}
+	verified, rejected, reranked := ix.verify(ctx, q, k, lambda+k-1, sc.Accept)
+	if sc.Accept != nil {
+		obs.ObserveDur(obs.StageFilter, time.Since(start))
+	}
 	dst = ctx.best.AppendSorted(dst)
-	stats := SearchStats{Candidates: verified, Probes: 1, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes}
+	stats := SearchStats{Candidates: verified, Probes: probes, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes, FilterRejected: rejected}
 	ix.ctxs.Put(ctx)
+	if sc.Offset != 0 {
+		for i := range dst {
+			dst[i].ID += sc.Offset
+		}
+	}
 	return dst, stats
 }
 
@@ -354,223 +389,60 @@ func defaultRerank(n int) int {
 	return r
 }
 
-// verifyCandidates drains up to nCand candidates from ctx.s, computes
-// their distances in batches of verifyBatch through the gather kernels,
-// and feeds ctx.best (already Reset to k). It returns the number of
-// candidates verified and the number re-ranked exactly (quantized path
-// only). Candidates enter ctx.best in CSA stream order, exactly as the
-// old per-row loop did, so results are bit-identical to per-row
-// verification.
-func (ix *Index) verifyCandidates(ctx *searchCtx, q []float32, k, nCand int) (verified, reranked int) {
-	if ix.sq8 != nil {
-		return ix.verifyQuantized(ctx, q, k, nCand)
+// verify is the one verification loop. It drains ctx.s in batches of
+// verifyBatch — skipping candidates accept (when non-nil) rejects, at the
+// cost of one predicate call each — until nCand candidates are scored or
+// the stream is exhausted, and feeds ctx.best (already Reset to k). An
+// exact index scores each batch with float32 distances straight into
+// ctx.best; an SQ8 index ranks by approximate quantized score into
+// ctx.rr and then re-ranks the winners exactly (timed into the obs
+// "rerank" stage histogram). Candidates enter the collectors in CSA
+// stream order, so results are bit-identical to per-row verification.
+func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, accept func(id int) bool) (verified, rejected, reranked int) {
+	quantized := ix.sq8 != nil
+	if quantized {
+		rr := ix.rerank
+		if rr < k {
+			rr = k
+		}
+		ix.sq8.Prepare(ix.metric, q, &ctx.sq8q)
+		ctx.rr.Reset(rr)
 	}
-	for verified < nCand {
+	for drained := false; !drained && verified < nCand; {
 		b := 0
 		max := nCand - verified
 		if max > verifyBatch {
 			max = verifyBatch
 		}
-		for b < max {
-			r, ok := ctx.s.Next()
-			if !ok {
-				break
-			}
-			ctx.ids[b] = int32(r.ID)
-			b++
-		}
-		if b == 0 {
-			break
-		}
-		ix.store.GatherDistancesInto(ctx.ids[:b], q, ix.metric, ctx.dists[:b])
-		ctx.bytes += int64(b) * int64(ix.store.Dim()) * 4
-		for i := 0; i < b; i++ {
-			ctx.best.Add(int(ctx.ids[i]), ctx.dists[i])
-		}
-		verified += b
-	}
-	return verified, 0
-}
-
-// verifyQuantized is the SQ8 verification path: rank the candidate
-// stream by approximate quantized score, then re-rank the winners with
-// exact float32 distances into ctx.best. The re-rank phase is timed
-// into the obs "rerank" stage histogram.
-func (ix *Index) verifyQuantized(ctx *searchCtx, q []float32, k, nCand int) (verified, reranked int) {
-	rr := ix.rerank
-	if rr < k {
-		rr = k
-	}
-	ix.sq8.Prepare(ix.metric, q, &ctx.sq8q)
-	ctx.rr.Reset(rr)
-	for verified < nCand {
-		b := 0
-		max := nCand - verified
-		if max > verifyBatch {
-			max = verifyBatch
-		}
-		for b < max {
-			r, ok := ctx.s.Next()
-			if !ok {
-				break
-			}
-			ctx.ids[b] = int32(r.ID)
-			b++
-		}
-		if b == 0 {
-			break
-		}
-		ix.sq8.GatherScoresInto(ctx.ids[:b], &ctx.sq8q, ctx.scores[:b])
-		ctx.bytes += int64(b) * int64(ix.store.Dim())
-		for i := 0; i < b; i++ {
-			ctx.rr.Add(int(ctx.ids[i]), float64(ctx.scores[i]))
-		}
-		verified += b
-	}
-	start := time.Now()
-	ctx.rrBuf = ctx.rr.AppendSorted(ctx.rrBuf[:0])
-	for base := 0; base < len(ctx.rrBuf); base += verifyBatch {
-		c := len(ctx.rrBuf) - base
-		if c > verifyBatch {
-			c = verifyBatch
-		}
-		for i := 0; i < c; i++ {
-			ctx.ids[i] = int32(ctx.rrBuf[base+i].ID)
-		}
-		ix.store.GatherDistancesInto(ctx.ids[:c], q, ix.metric, ctx.dists[:c])
-		ctx.bytes += int64(c) * int64(ix.store.Dim()) * 4
-		for i := 0; i < c; i++ {
-			ctx.best.Add(int(ctx.ids[i]), ctx.dists[i])
-		}
-	}
-	reranked = len(ctx.rrBuf)
-	obs.ObserveDur(obs.StageRerank, time.Since(start))
-	return verified, reranked
-}
-
-// searchFilterInto is searchInto with a per-candidate accept predicate:
-// candidates the predicate rejects are discarded before any distance
-// work and do not count toward the λ+k−1 verification budget, so the
-// CSA stream keeps draining (in LCCS order) until enough matching
-// candidates are verified or the stream is exhausted — the over-fetch
-// ladder for selective filters is built in. With an exhaustive budget
-// (λ ≥ n) this verifies every matching row, making the result exactly
-// the brute-force answer over matching vectors.
-func (ix *Index) searchFilterInto(q []float32, k, lambda int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	if k <= 0 || lambda <= 0 {
-		return dst, SearchStats{}
-	}
-	ctx := ix.ctxs.Get().(*searchCtx)
-	ctx.hq = lshfamily.HashString(ix.funcs, q, ctx.hq)
-
-	nCand := lambda + k - 1
-	ctx.s.Begin(ctx.hq)
-	ctx.best.Reset(k)
-	ctx.bytes, ctx.rejected = 0, 0
-	start := time.Now()
-	verified, reranked := ix.verifyFiltered(ctx, q, k, nCand, accept)
-	obs.ObserveDur(obs.StageFilter, time.Since(start))
-	dst = ctx.best.AppendSorted(dst)
-	stats := SearchStats{Candidates: verified, Probes: 1, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes, FilterRejected: ctx.rejected}
-	ix.ctxs.Put(ctx)
-	return dst, stats
-}
-
-// SearchFilterOffsetIntoStats is SearchOffsetIntoStats restricted to
-// candidates the accept predicate admits. accept receives shard-local
-// ids (before the offset shift). A nil accept takes the unfiltered path.
-func (ix *Index) SearchFilterOffsetIntoStats(q []float32, k, lambda, offset int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	if accept == nil {
-		return ix.SearchOffsetIntoStats(q, k, lambda, offset, dst)
-	}
-	res, stats := ix.searchFilterInto(q, k, lambda, accept, dst[:0])
-	shiftIDs(res, offset)
-	return res, stats
-}
-
-// verifyFiltered is verifyCandidates with the accept predicate applied
-// to each drained candidate before it enters a gather batch. Rejected
-// ids cost one predicate call and nothing else.
-func (ix *Index) verifyFiltered(ctx *searchCtx, q []float32, k, nCand int, accept func(id int) bool) (verified, reranked int) {
-	if ix.sq8 != nil {
-		return ix.verifyQuantizedFiltered(ctx, q, k, nCand, accept)
-	}
-	for verified < nCand {
-		b := 0
-		max := nCand - verified
-		if max > verifyBatch {
-			max = verifyBatch
-		}
-		drained := false
 		for b < max {
 			r, ok := ctx.s.Next()
 			if !ok {
 				drained = true
 				break
 			}
-			if !accept(r.ID) {
-				ctx.rejected++
+			if accept != nil && !accept(r.ID) {
+				rejected++
 				continue
 			}
 			ctx.ids[b] = int32(r.ID)
 			b++
 		}
-		if b > 0 {
-			ix.store.GatherDistancesInto(ctx.ids[:b], q, ix.metric, ctx.dists[:b])
-			ctx.bytes += int64(b) * int64(ix.store.Dim()) * 4
-			for i := 0; i < b; i++ {
-				ctx.best.Add(int(ctx.ids[i]), ctx.dists[i])
-			}
-			verified += b
+		if b == 0 {
+			break // only an exhausted stream yields an empty batch
 		}
-		if drained {
-			break
-		}
-	}
-	return verified, 0
-}
-
-// verifyQuantizedFiltered is verifyQuantized with the accept predicate
-// applied before the quantized score gather; the exact re-rank then only
-// ever sees matching candidates.
-func (ix *Index) verifyQuantizedFiltered(ctx *searchCtx, q []float32, k, nCand int, accept func(id int) bool) (verified, reranked int) {
-	rr := ix.rerank
-	if rr < k {
-		rr = k
-	}
-	ix.sq8.Prepare(ix.metric, q, &ctx.sq8q)
-	ctx.rr.Reset(rr)
-	for verified < nCand {
-		b := 0
-		max := nCand - verified
-		if max > verifyBatch {
-			max = verifyBatch
-		}
-		drained := false
-		for b < max {
-			r, ok := ctx.s.Next()
-			if !ok {
-				drained = true
-				break
-			}
-			if !accept(r.ID) {
-				ctx.rejected++
-				continue
-			}
-			ctx.ids[b] = int32(r.ID)
-			b++
-		}
-		if b > 0 {
+		if quantized {
 			ix.sq8.GatherScoresInto(ctx.ids[:b], &ctx.sq8q, ctx.scores[:b])
 			ctx.bytes += int64(b) * int64(ix.store.Dim())
 			for i := 0; i < b; i++ {
 				ctx.rr.Add(int(ctx.ids[i]), float64(ctx.scores[i]))
 			}
-			verified += b
+		} else {
+			ix.scoreExact(ctx, q, b)
 		}
-		if drained {
-			break
-		}
+		verified += b
+	}
+	if !quantized {
+		return verified, rejected, 0
 	}
 	start := time.Now()
 	ctx.rrBuf = ctx.rr.AppendSorted(ctx.rrBuf[:0])
@@ -582,15 +454,21 @@ func (ix *Index) verifyQuantizedFiltered(ctx *searchCtx, q []float32, k, nCand i
 		for i := 0; i < c; i++ {
 			ctx.ids[i] = int32(ctx.rrBuf[base+i].ID)
 		}
-		ix.store.GatherDistancesInto(ctx.ids[:c], q, ix.metric, ctx.dists[:c])
-		ctx.bytes += int64(c) * int64(ix.store.Dim()) * 4
-		for i := 0; i < c; i++ {
-			ctx.best.Add(int(ctx.ids[i]), ctx.dists[i])
-		}
+		ix.scoreExact(ctx, q, c)
 	}
-	reranked = len(ctx.rrBuf)
 	obs.ObserveDur(obs.StageRerank, time.Since(start))
-	return verified, reranked
+	return verified, rejected, len(ctx.rrBuf)
+}
+
+// scoreExact gathers the exact float32 distances of ctx.ids[:b] and adds
+// them to ctx.best: the scoring step of an exact index and the re-rank
+// step of a quantized one.
+func (ix *Index) scoreExact(ctx *searchCtx, q []float32, b int) {
+	ix.store.GatherDistancesInto(ctx.ids[:b], q, ix.metric, ctx.dists[:b])
+	ctx.bytes += int64(b) * int64(ix.store.Dim()) * 4
+	for i := 0; i < b; i++ {
+		ctx.best.Add(int(ctx.ids[i]), ctx.dists[i])
+	}
 }
 
 // Data returns the indexed vector with the given id (a view into the
@@ -599,38 +477,3 @@ func (ix *Index) Data(id int) []float32 { return ix.store.Row(id) }
 
 // Store returns the flat vector store backing the index (read-only).
 func (ix *Index) Store() *vec.Store { return ix.store }
-
-// SearchOffset is Search for shard-local use: the index covers a
-// contiguous slice of a larger dataset starting at global id offset, and
-// every returned neighbor id is shifted by offset so results from several
-// shards merge without remapping.
-func (ix *Index) SearchOffset(q []float32, k, lambda, offset int) []pqueue.Neighbor {
-	return shiftIDs(ix.Search(q, k, lambda), offset)
-}
-
-// SearchOffsetInto is SearchOffset appending into dst (reset to dst[:0]
-// first), the zero-allocation shard fan-out path.
-func (ix *Index) SearchOffsetInto(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) []pqueue.Neighbor {
-	res := ix.SearchInto(q, k, lambda, dst)
-	shiftIDs(res, offset)
-	return res
-}
-
-// SearchOffsetIntoStats is SearchOffsetInto returning the query's work
-// counters — the traced shard fan-out path.
-func (ix *Index) SearchOffsetIntoStats(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	res, stats := ix.searchInto(q, k, lambda, dst[:0])
-	shiftIDs(res, offset)
-	return res, stats
-}
-
-// shiftIDs adds offset to every neighbor id in place and returns the
-// slice.
-func shiftIDs(res []pqueue.Neighbor, offset int) []pqueue.Neighbor {
-	if offset != 0 {
-		for i := range res {
-			res[i].ID += offset
-		}
-	}
-	return res
-}

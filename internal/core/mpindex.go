@@ -3,12 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"lccs/internal/lshfamily"
-	"lccs/internal/obs"
-	"lccs/internal/pqueue"
-	"lccs/internal/vec"
 )
 
 // MPParams configures an MP-LCCS-LSH index (§4.2).
@@ -48,10 +44,11 @@ func (p MPParams) Validate() error {
 	return nil
 }
 
-// MPIndex is a multi-probe LCCS-LSH index. Besides the base index it keeps
-// the probing hooks of the LSH functions. It is safe for concurrent
-// queries; its per-query scratch rides in the base index's pooled
-// searchCtx.
+// MPIndex is a multi-probe LCCS-LSH index: the base index plus the probe
+// state — the probing hooks of the LSH functions and the Algorithm 3
+// limits — that the base index's one search path begins its scan with.
+// It is safe for concurrent queries; its per-query scratch rides in the
+// base index's pooled searchCtx.
 type MPIndex struct {
 	*Index
 	pfuncs []lshfamily.ProbeFunc
@@ -73,21 +70,11 @@ func BuildMP(data [][]float32, family lshfamily.Family, p MPParams) (*MPIndex, e
 	return WrapMP(base, p)
 }
 
-// BuildMPStore is BuildMP over a flat vec.Store.
-func BuildMPStore(store *vec.Store, family lshfamily.Family, p MPParams) (*MPIndex, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	base, err := BuildStore(store, family, p.Params)
-	if err != nil {
-		return nil, err
-	}
-	return WrapMP(base, p)
-}
-
-// WrapMP adds multi-probe querying on top of an existing single-probe
-// index (used both by BuildMP and when loading a serialized index). The
-// base index's hash functions must implement lshfamily.ProbeFunc.
+// WrapMP turns an existing single-probe index into a multi-probe one
+// (used both by BuildMP and when loading a serialized index): the probe
+// state is installed on base, so base itself searches multi-probe from
+// then on. The base index's hash functions must implement
+// lshfamily.ProbeFunc.
 func WrapMP(base *Index, p MPParams) (*MPIndex, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -112,133 +99,42 @@ func WrapMP(base *Index, p MPParams) (*MPIndex, error) {
 	if mp.maxAlt == 0 {
 		mp.maxAlt = defaultMaxAlt
 	}
+	base.mp = mp
 	return mp, nil
 }
 
-// Probes returns the configured number of probing sequences.
-func (ix *MPIndex) Probes() int { return ix.probes }
-
-// Search answers a c-k-ANNS query with multi-probe LCCS search: the
-// unperturbed λ-LCCS search plus Probes−1 perturbed probes generated by
-// Algorithm 3, merged into one candidate stream (deduplicated), verified
-// with exact distances.
-func (ix *MPIndex) Search(q []float32, k, lambda int) []pqueue.Neighbor {
-	res, _ := ix.searchInto(q, k, lambda, nil)
-	return res
-}
-
-// SearchInto is Search appending into dst (reset to dst[:0] first).
-func (ix *MPIndex) SearchInto(q []float32, k, lambda int, dst []pqueue.Neighbor) []pqueue.Neighbor {
-	res, _ := ix.searchInto(q, k, lambda, dst[:0])
-	return res
-}
-
-// SearchOffset is Search for shard-local use, with every returned
-// neighbor id shifted by the shard's global id offset.
-func (ix *MPIndex) SearchOffset(q []float32, k, lambda, offset int) []pqueue.Neighbor {
-	return shiftIDs(ix.Search(q, k, lambda), offset)
-}
-
-// SearchOffsetInto is SearchOffset appending into dst (reset to dst[:0]
-// first).
-func (ix *MPIndex) SearchOffsetInto(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) []pqueue.Neighbor {
-	res := ix.SearchInto(q, k, lambda, dst)
-	shiftIDs(res, offset)
-	return res
-}
-
-// SearchWithStats is Search plus work counters.
-func (ix *MPIndex) SearchWithStats(q []float32, k, lambda int) ([]pqueue.Neighbor, SearchStats) {
-	return ix.searchInto(q, k, lambda, nil)
-}
-
-// SearchOffsetIntoStats is SearchOffsetInto returning the query's work
-// counters — the traced shard fan-out path.
-func (ix *MPIndex) SearchOffsetIntoStats(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	res, stats := ix.searchInto(q, k, lambda, dst[:0])
-	shiftIDs(res, offset)
-	return res, stats
-}
-
-// SearchFilterOffsetIntoStats is SearchOffsetIntoStats restricted to
-// candidates the accept predicate admits; the multi-probe candidate
-// stream is drained past rejected ids exactly like the single-probe
-// filtered path. A nil accept takes the unfiltered path.
-func (ix *MPIndex) SearchFilterOffsetIntoStats(q []float32, k, lambda, offset int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	if accept == nil {
-		return ix.SearchOffsetIntoStats(q, k, lambda, offset, dst)
+// Probes returns the number of probing sequences per query (1 on a
+// single-probe index).
+func (ix *Index) Probes() int {
+	if ix.mp == nil {
+		return 1
 	}
-	res, stats := ix.searchFilterIntoMP(q, k, lambda, accept, dst[:0])
-	shiftIDs(res, offset)
-	return res, stats
+	return ix.mp.probes
 }
 
-// searchFilterIntoMP mirrors searchInto with filtered verification.
-func (ix *MPIndex) searchFilterIntoMP(q []float32, k, lambda int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	if k <= 0 || lambda <= 0 {
-		return dst, SearchStats{}
-	}
-	ctx := ix.ctxs.Get().(*searchCtx)
-	issued := ix.issueProbes(ctx, q)
-
-	nCand := lambda + k - 1
-	ctx.best.Reset(k)
-	ctx.bytes, ctx.rejected = 0, 0
-	start := time.Now()
-	verified, reranked := ix.verifyFiltered(ctx, q, k, nCand, accept)
-	obs.ObserveDur(obs.StageFilter, time.Since(start))
-	dst = ctx.best.AppendSorted(dst)
-	stats := SearchStats{Candidates: verified, Probes: issued, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes, FilterRejected: ctx.rejected}
-	ix.ctxs.Put(ctx)
-	return dst, stats
-}
-
-// issueProbes hashes q, begins the CSA scan, and issues the perturbed
-// probes; it returns the number of probing sequences issued.
+// issueProbes issues the Probes−1 perturbed probes of Algorithm 3 into
+// the CSA scan the caller has begun over ctx.hq = H(q); it returns how
+// many it issued.
 func (ix *MPIndex) issueProbes(ctx *searchCtx, q []float32) int {
-	ctx.hq = lshfamily.HashString(ix.funcs, q, ctx.hq)
-	hq := ctx.hq
-	ctx.s.Begin(hq)
-
-	issued := 1
-	if ix.probes > 1 {
-		maxAlt := ix.maxAlt
-		if maxAlt > ix.probes {
-			maxAlt = ix.probes
-		}
-		for i, pf := range ix.pfuncs {
-			ctx.alts[i] = pf.Alternatives(q, maxAlt, ctx.alts[i])
-		}
-		perts := generatePerturbations(ctx.alts, ix.probes, ix.maxGap)
-		for _, p := range perts {
-			copy(ctx.probeStr, hq)
-			ctx.modPos = ctx.modPos[:0]
-			for _, md := range p.mods {
-				ctx.probeStr[md.pos] = ctx.alts[md.pos][md.alt].Value
-				ctx.modPos = append(ctx.modPos, md.pos)
-			}
-			ctx.affected = ctx.s.Probe(ctx.probeStr, ctx.modPos, ctx.affected)
-			issued++
-		}
+	if ix.probes <= 1 {
+		return 0
 	}
-	return issued
-}
-
-// searchInto runs the multi-probe query with pooled scratch, appending
-// the k nearest to dst (which may be nil).
-func (ix *MPIndex) searchInto(q []float32, k, lambda int, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	if k <= 0 || lambda <= 0 {
-		return dst, SearchStats{}
+	maxAlt := ix.maxAlt
+	if maxAlt > ix.probes {
+		maxAlt = ix.probes
 	}
-	ctx := ix.ctxs.Get().(*searchCtx)
-	issued := ix.issueProbes(ctx, q)
-
-	nCand := lambda + k - 1
-	ctx.best.Reset(k)
-	ctx.bytes, ctx.rejected = 0, 0
-	verified, reranked := ix.verifyCandidates(ctx, q, k, nCand)
-	dst = ctx.best.AppendSorted(dst)
-	stats := SearchStats{Candidates: verified, Probes: issued, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes}
-	ix.ctxs.Put(ctx)
-	return dst, stats
+	for i, pf := range ix.pfuncs {
+		ctx.alts[i] = pf.Alternatives(q, maxAlt, ctx.alts[i])
+	}
+	perts := generatePerturbations(ctx.alts, ix.probes, ix.maxGap)
+	for _, p := range perts {
+		copy(ctx.probeStr, ctx.hq)
+		ctx.modPos = ctx.modPos[:0]
+		for _, md := range p.mods {
+			ctx.probeStr[md.pos] = ctx.alts[md.pos][md.alt].Value
+			ctx.modPos = append(ctx.modPos, md.pos)
+		}
+		ctx.affected = ctx.s.Probe(ctx.probeStr, ctx.modPos, ctx.affected)
+	}
+	return len(perts)
 }

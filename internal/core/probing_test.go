@@ -194,12 +194,12 @@ func TestMPSearchStatsProbes(t *testing.T) {
 	data := clusteredData(g, 200, 8, 4, 0.3)
 	fam := lshfamily.NewRandomProjection(8, 8)
 	mp, _ := BuildMP(data, fam, MPParams{Params: Params{M: 16, Seed: 1}, Probes: 9})
-	_, st := mp.SearchWithStats(data[0], 5, 20)
+	_, st := mp.SearchScan(data[0], 5, 20, Scan{}, nil)
 	if st.Probes != 9 {
 		t.Errorf("Probes = %d, want 9", st.Probes)
 	}
 	mp1, _ := BuildMP(data, fam, MPParams{Params: Params{M: 16, Seed: 1}, Probes: 1})
-	_, st1 := mp1.SearchWithStats(data[0], 5, 20)
+	_, st1 := mp1.SearchScan(data[0], 5, 20, Scan{}, nil)
 	if st1.Probes != 1 {
 		t.Errorf("Probes = %d, want 1", st1.Probes)
 	}

@@ -228,7 +228,7 @@ func TestFilteredSearchHTTP(t *testing.T) {
 			lccs.EqStr("color", "blue"), lccs.Range("rank", &lo, &hi)}}},
 	}
 	for _, tc := range cases {
-		want, err := local.SearchFilter(q, 5, tc.f)
+		want, err := local.SearchQuery(q, lccs.Query{K: 5, Filter: tc.f}, nil)
 		if err != nil {
 			t.Fatalf("%s: local: %v", tc.name, err)
 		}
@@ -260,14 +260,12 @@ func TestFilteredSearchHTTP(t *testing.T) {
 		}
 	}
 
-	// A backend without filter support answers 501.
+	// Filters ride in the Query every Searcher takes; cursor pagination
+	// is the one optional capability, and a backend without it answers
+	// 501.
 	bb := &blockingBackend{started: make(chan struct{}, 8), gate: make(chan struct{})}
 	close(bb.gate)
 	_, ts2 := newTestServer(t, Config{Backend: bb})
-	if code := postJSON(t, ts2, "/v1/search",
-		searchRequest{Query: q, K: 1, Filter: []filterTermJSON{{Key: "a", Value: "b"}}}, nil); code != http.StatusNotImplemented {
-		t.Fatalf("filter on plain backend: HTTP %d, want 501", code)
-	}
 	if code := postJSON(t, ts2, "/v1/search",
 		searchRequest{Query: q, Limit: 2}, nil); code != http.StatusNotImplemented {
 		t.Fatalf("cursor on plain backend: HTTP %d, want 501", code)

@@ -195,13 +195,7 @@ type coll struct {
 	durDeleter  DurableDeleter
 	batchDel    BatchDeleter
 	walStats    WALStatser
-	traced      lccs.TracedSearcher
-	filt        lccs.FilterSearcher
 	cur         lccs.CursorSearcher
-	// cost is the unified metered query path (filter + cost record +
-	// trace in one call); the library facades all implement it. When
-	// present it supersedes traced/filt for single searches.
-	cost lccs.CostSearcher
 	// spec is the resolved collection configuration (zero for adopted
 	// backends); EXPLAIN reports its quantize/re-rank settings.
 	spec engine.Spec
@@ -228,9 +222,6 @@ func newColl(ec *engine.Collection) *coll {
 	name, backend := ec.Name(), ec.Backend()
 	c := &coll{name: name, backend: backend, spec: ec.Spec(),
 		usage: ec.Usage(), health: new(obs.Health)}
-	if t, ok := backend.(lccs.TracedSearcher); ok {
-		c.traced = t
-	}
 	if ins, ok := backend.(Inserter); ok {
 		c.inserter = ins
 		switch backend.(type) {
@@ -259,14 +250,8 @@ func newColl(ec *engine.Collection) *coll {
 	if ws, ok := backend.(WALStatser); ok {
 		c.walStats = ws
 	}
-	if f, ok := backend.(lccs.FilterSearcher); ok {
-		c.filt = f
-	}
 	if cu, ok := backend.(lccs.CursorSearcher); ok {
 		c.cur = cu
-	}
-	if cs, ok := backend.(lccs.CostSearcher); ok {
-		c.cost = cs
 	}
 	return c
 }
@@ -785,7 +770,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if paginated {
 		res, next, err = s.searchCursor(c, req.Query, req.Limit, req.Budget, f, req.Cursor)
 	} else {
-		res, err = s.search(c, req.Query, req.K, req.Budget, f, sc.res, co, tr)
+		// The backend's one query path: filter, cost record and trace ride
+		// in the Query value, each independently nil; co and the result
+		// row are pooled scratch, so accounting allocates nothing.
+		res, err = c.backend.SearchQuery(req.Query, lccs.Query{K: req.K, Budget: req.Budget, Filter: f, Cost: co, Trace: tr}, sc.res)
 	}
 	if err != nil {
 		code := statusFor(err)
@@ -887,45 +875,8 @@ func (s *Server) recordSlow(reqID uint64, endpoint, collection string, f *lccs.F
 // backend lacks; the handler maps it to 501.
 var errNotSupported = errors.New("backend does not support this request")
 
-// search routes an unpaginated query to the backend. The library
-// facades all implement CostSearcher, whose one metered call covers
-// filter + cost record + trace at once; co is filled in place (the
-// caller passes pooled scratch, so accounting allocates nothing). A
-// custom backend without it falls back to the legacy capability
-// routing: the filtered path when f is set, otherwise the
-// default-budget (budget == 0) or explicit-budget call, appending into
-// the pooled dst row — its cost record simply stays zero. A negative
-// budget is the client's error, not a request for the default.
-func (s *Server) search(c *coll, q []float32, k, budget int, f *lccs.Filter, dst []lccs.Neighbor, co *lccs.Cost, tr *obs.Trace) ([]lccs.Neighbor, error) {
-	if budget < 0 {
-		return dst, lccs.ErrInvalidBudget
-	}
-	if c.cost != nil {
-		return c.cost.SearchCostInto(q, k, budget, f, dst, co, tr)
-	}
-	if f != nil {
-		if c.filt == nil {
-			return dst, fmt.Errorf("%w: filtered search", errNotSupported)
-		}
-		if budget > 0 {
-			return c.filt.SearchFilterBudgetInto(q, k, budget, f, dst)
-		}
-		return c.filt.SearchFilter(q, k, f)
-	}
-	if tr != nil && c.traced != nil {
-		return c.traced.SearchBudgetIntoTraced(q, k, budget, dst, tr)
-	}
-	if budget > 0 {
-		return c.backend.SearchBudgetInto(q, k, budget, dst)
-	}
-	return c.backend.SearchInto(q, k, dst)
-}
-
 // searchCursor routes a paginated query to the backend's cursor path.
 func (s *Server) searchCursor(c *coll, q []float32, limit, budget int, f *lccs.Filter, cursor string) ([]lccs.Neighbor, string, error) {
-	if budget < 0 {
-		return nil, "", lccs.ErrInvalidBudget
-	}
 	if c.cur == nil {
 		return nil, "", fmt.Errorf("%w: cursor pagination", errNotSupported)
 	}
@@ -956,16 +907,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var rows [][]lccs.Neighbor
-	var err error
-	switch {
-	case req.Budget > 0:
-		rows, err = c.backend.SearchBatchBudget(req.Queries, req.K, req.Budget)
-	case req.Budget < 0:
-		err = lccs.ErrInvalidBudget
-	default:
-		rows, err = c.backend.SearchBatch(req.Queries, req.K)
-	}
+	rows, err := c.backend.SearchBatch(req.Queries, req.K, req.Budget)
 	if err != nil {
 		s.fail(w, c.name, "search_batch", statusFor(err), err)
 		return
@@ -1287,7 +1229,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // a deferred background-build failure delivered alongside a successful
 // insert.
 func isRejectedInsert(err error) bool {
-	return errors.Is(err, lccs.ErrEmptyVector) || errors.Is(err, lccs.ErrDimensionMismatch)
+	return errors.Is(err, lccs.ErrEmptyVector) || errors.Is(err, lccs.ErrDimensionMismatch) || errors.Is(err, lccs.ErrNonFinite)
 }
 
 // ---- collection registry endpoints ----
@@ -1867,6 +1809,7 @@ func statusFor(err error) int {
 		errors.Is(err, lccs.ErrInvalidBudget),
 		errors.Is(err, lccs.ErrEmptyQuery),
 		errors.Is(err, lccs.ErrDimensionMismatch),
+		errors.Is(err, lccs.ErrNonFinite),
 		errors.Is(err, lccs.ErrInvalidFilter),
 		errors.Is(err, lccs.ErrCursorInvalid):
 		return http.StatusBadRequest

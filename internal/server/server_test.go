@@ -91,7 +91,7 @@ func TestServeSearchMatchesDirect(t *testing.T) {
 			}
 			var want []lccs.Neighbor
 			if budget > 0 {
-				want, err = sx.SearchBudget(q, 5, budget)
+				want, err = sx.SearchQuery(q, lccs.Query{K: 5, Budget: budget}, nil)
 			} else {
 				want, err = sx.Search(q, 5)
 			}
@@ -123,7 +123,7 @@ func TestServeBatchMatchesDirect(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("HTTP %d", code)
 	}
-	want, err := sx.SearchBatchBudget(queries, 4, 80)
+	want, err := sx.SearchBatch(queries, 4, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,22 +433,16 @@ func (b *blockingBackend) Search(q []float32, k int) ([]lccs.Neighbor, error) {
 	<-b.gate
 	return []lccs.Neighbor{{ID: 0, Dist: 0}}, nil
 }
-func (b *blockingBackend) SearchBudget(q []float32, k, lambda int) ([]lccs.Neighbor, error) {
-	return b.Search(q, k)
-}
 
 func (b *blockingBackend) SearchInto(q []float32, k int, dst []lccs.Neighbor) ([]lccs.Neighbor, error) {
-	res, err := b.Search(q, k)
-	return append(dst[:0], res...), err
+	return b.SearchQuery(q, lccs.Query{K: k}, dst)
 }
 
-func (b *blockingBackend) SearchBudgetInto(q []float32, k, lambda int, dst []lccs.Neighbor) ([]lccs.Neighbor, error) {
-	return b.SearchInto(q, k, dst)
+func (b *blockingBackend) SearchQuery(q []float32, qr lccs.Query, dst []lccs.Neighbor) ([]lccs.Neighbor, error) {
+	res, err := b.Search(q, qr.K)
+	return append(dst[:0], res...), err
 }
-func (b *blockingBackend) SearchBatch(qs [][]float32, k int) ([][]lccs.Neighbor, error) {
-	return [][]lccs.Neighbor{}, nil
-}
-func (b *blockingBackend) SearchBatchBudget(qs [][]float32, k, lambda int) ([][]lccs.Neighbor, error) {
+func (b *blockingBackend) SearchBatch(qs [][]float32, k, budget int) ([][]lccs.Neighbor, error) {
 	return [][]lccs.Neighbor{}, nil
 }
 func (b *blockingBackend) Len() int                        { return 1 }

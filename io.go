@@ -88,7 +88,7 @@ func (ix *Index) Save(path string) error {
 
 func (ix *Index) encode(w io.Writer) error {
 	if !ix.attrs.Empty() {
-		qs := ix.single.SQ8()
+		qs := ix.core.SQ8()
 		var flags byte
 		if qs != nil {
 			flags |= pkg5FlagQuantized
@@ -102,7 +102,7 @@ func (ix *Index) encode(w io.Writer) error {
 		if err := encodeConfig(w, ix.cfg); err != nil {
 			return err
 		}
-		if err := ix.single.Encode(w); err != nil {
+		if err := ix.core.Encode(w); err != nil {
 			return err
 		}
 		if qs != nil {
@@ -115,7 +115,7 @@ func (ix *Index) encode(w io.Writer) error {
 		}
 		return encodeAttrsSection(w, ix.attrs)
 	}
-	if qs := ix.single.SQ8(); qs != nil {
+	if qs := ix.core.SQ8(); qs != nil {
 		if _, err := w.Write(pkgMagic4[:]); err != nil {
 			return err
 		}
@@ -125,7 +125,7 @@ func (ix *Index) encode(w io.Writer) error {
 		if err := encodeConfig(w, ix.cfg); err != nil {
 			return err
 		}
-		if err := ix.single.Encode(w); err != nil {
+		if err := ix.core.Encode(w); err != nil {
 			return err
 		}
 		if err := encodeQuantHeader(w, ix.cfg); err != nil {
@@ -139,7 +139,7 @@ func (ix *Index) encode(w io.Writer) error {
 	if err := encodeConfig(w, ix.cfg); err != nil {
 		return err
 	}
-	return ix.single.Encode(w)
+	return ix.core.Encode(w)
 }
 
 // encodeConfig writes the resolved configuration header shared by both
@@ -429,7 +429,7 @@ func decodeSingleQuantized(r io.Reader, store *vec.Store) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.single.EnableSQ8(qs, rerank)
+	ix.core.EnableSQ8(qs, rerank)
 	return ix, nil
 }
 
@@ -469,19 +469,12 @@ func checkCoreMatches(single *core.Index, cfg Config) error {
 }
 
 // wrapSingle builds the facade Index around a decoded core index,
-// restoring the multi-probe wrapper when the configuration asks for one.
+// restoring the multi-probe state when the configuration asks for it.
 func wrapSingle(single *core.Index, cfg Config, family lshfamily.Family) (*Index, error) {
-	ix := &Index{single: single, metric: family.Metric(), budget: cfg.Budget, dim: family.Dim(), cfg: cfg}
+	ix := &Index{core: single, metric: family.Metric(), budget: cfg.Budget, dim: family.Dim(), cfg: cfg}
 	ix.raw.New = func() any { return new(rawBuf) }
-	if cfg.Probes > 1 {
-		mp, err := core.WrapMP(single, core.MPParams{
-			Params: core.Params{M: cfg.M, Seed: cfg.Seed},
-			Probes: cfg.Probes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ix.multi = mp
+	if err := ix.enableProbes(); err != nil {
+		return nil, err
 	}
 	return ix, nil
 }
@@ -512,7 +505,7 @@ func (sx *ShardedIndex) Save(path string) error {
 
 func (sx *ShardedIndex) encode(w io.Writer) error {
 	lifecycle := sx.ids != nil || len(sx.dead) > 0
-	quantized := len(sx.shards) > 0 && sx.shards[0].single.SQ8() != nil
+	quantized := len(sx.shards) > 0 && sx.shards[0].core.SQ8() != nil
 	hasAttrs := !sx.attrs.Empty()
 	magic := pkgMagic2
 	if lifecycle {
@@ -563,7 +556,7 @@ func (sx *ShardedIndex) encode(w io.Writer) error {
 		return err
 	}
 	for _, shard := range sx.shards {
-		if err := shard.single.Encode(w); err != nil {
+		if err := shard.core.Encode(w); err != nil {
 			return err
 		}
 	}
@@ -577,7 +570,7 @@ func (sx *ShardedIndex) encode(w io.Writer) error {
 			return err
 		}
 		for s, shard := range sx.shards {
-			qs := shard.single.SQ8()
+			qs := shard.core.SQ8()
 			if qs == nil {
 				return fmt.Errorf("lccs: shard %d has no quantized store while shard 0 does", s)
 			}
@@ -888,7 +881,7 @@ func LoadShardedStore(path string, store *vec.Store) (*ShardedIndex, error) {
 func wrapAsSharded(ix *Index) *ShardedIndex {
 	sx := &ShardedIndex{
 		cfg:     ix.cfg,
-		store:   ix.single.Store(),
+		store:   ix.core.Store(),
 		shards:  []*Index{ix},
 		offsets: []int{0, ix.Len()},
 		budget:  ix.budget,
@@ -979,7 +972,7 @@ func decodeSharded(r io.Reader, store *vec.Store, lifecycle, quantized bool) (*S
 			if err != nil {
 				return nil, fmt.Errorf("lccs: shard %d: %w", s, err)
 			}
-			sx.shards[s].single.EnableSQ8(qs, rerank)
+			sx.shards[s].core.EnableSQ8(qs, rerank)
 			sx.shards[s].cfg.Quantize, sx.shards[s].cfg.Rerank = kind, rerank
 		}
 	}

@@ -58,7 +58,7 @@ func TestGoldenFormat4(t *testing.T) {
 	}
 	for qi := 0; qi < 10; qi++ {
 		q := data[qi*7]
-		a, b := must(fresh.SearchBudget(q, 5, 40)), must(loaded.SearchBudget(q, 5, 40))
+		a, b := must(fresh.SearchQuery(q, Query{K: 5, Budget: 40}, nil)), must(loaded.SearchQuery(q, Query{K: 5, Budget: 40}, nil))
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("query %d pos %d: %+v vs %+v", qi, j, a[j], b[j])
@@ -115,7 +115,7 @@ func TestFormat4SingleRoundTrip(t *testing.T) {
 	}
 	for qi := 0; qi < 10; qi++ {
 		q := data[qi*11]
-		a, b := must(ix.SearchBudget(q, 5, 40)), must(loaded.SearchBudget(q, 5, 40))
+		a, b := must(ix.SearchQuery(q, Query{K: 5, Budget: 40}, nil)), must(loaded.SearchQuery(q, Query{K: 5, Budget: 40}, nil))
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("query %d pos %d: %+v vs %+v", qi, j, a[j], b[j])
@@ -192,7 +192,7 @@ func TestFormat4WithLifecycle(t *testing.T) {
 	}
 	exhaustive := 4 * len(vectors)
 	for _, deadID := range []int{3, 77} {
-		for _, nb := range must(loaded.SearchBudget(vectors[deadID], 10, exhaustive)) {
+		for _, nb := range must(loaded.SearchQuery(vectors[deadID], Query{K: 10, Budget: exhaustive}, nil)) {
 			if nb.ID == deadID {
 				t.Fatalf("tombstone %d resurrected", deadID)
 			}
@@ -200,7 +200,7 @@ func TestFormat4WithLifecycle(t *testing.T) {
 	}
 	for qi := 0; qi < 10; qi++ {
 		q := vectors[qi*13]
-		a, b := must(sx.SearchBudget(q, 5, exhaustive)), must(loaded.SearchBudget(q, 5, exhaustive))
+		a, b := must(sx.SearchQuery(q, Query{K: 5, Budget: exhaustive}, nil)), must(loaded.SearchQuery(q, Query{K: 5, Budget: exhaustive}, nil))
 		if len(a) != len(b) {
 			t.Fatalf("query %d: lengths differ", qi)
 		}

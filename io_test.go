@@ -52,7 +52,7 @@ func TestGoldenFormat1(t *testing.T) {
 	}
 	for qi := 0; qi < 10; qi++ {
 		q := data[qi*11]
-		a, b := must(fresh.SearchBudget(q, 5, 40)), must(loaded.SearchBudget(q, 5, 40))
+		a, b := must(fresh.SearchQuery(q, Query{K: 5, Budget: 40}, nil)), must(loaded.SearchQuery(q, Query{K: 5, Budget: 40}, nil))
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("query %d pos %d: %+v vs %+v", qi, j, a[j], b[j])
@@ -95,7 +95,7 @@ func TestGoldenFormat2(t *testing.T) {
 	}
 	for qi := 0; qi < 10; qi++ {
 		q := data[qi*7]
-		a, b := must(fresh.SearchBudget(q, 5, 40)), must(loaded.SearchBudget(q, 5, 40))
+		a, b := must(fresh.SearchQuery(q, Query{K: 5, Budget: 40}, nil)), must(loaded.SearchQuery(q, Query{K: 5, Budget: 40}, nil))
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("query %d pos %d: %+v vs %+v", qi, j, a[j], b[j])
@@ -167,7 +167,7 @@ func TestGoldenFormat3(t *testing.T) {
 	exhaustive := 4 * len(vectors)
 	for qi := 0; qi < 10; qi++ {
 		q := vectors[qi*13]
-		a, b := must(fresh.SearchBudget(q, 5, exhaustive)), must(loaded.SearchBudget(q, 5, exhaustive))
+		a, b := must(fresh.SearchQuery(q, Query{K: 5, Budget: exhaustive}, nil)), must(loaded.SearchQuery(q, Query{K: 5, Budget: exhaustive}, nil))
 		if len(a) != len(b) {
 			t.Fatalf("query %d: lengths differ", qi)
 		}
@@ -178,7 +178,7 @@ func TestGoldenFormat3(t *testing.T) {
 		}
 	}
 	for _, deadID := range []int{3, 77} {
-		for _, nb := range must(loaded.SearchBudget(vectors[deadID], 10, exhaustive)) {
+		for _, nb := range must(loaded.SearchQuery(vectors[deadID], Query{K: 10, Budget: exhaustive}, nil)) {
 			if nb.ID == deadID {
 				t.Fatalf("golden tombstone %d resurrected", deadID)
 			}
@@ -461,8 +461,8 @@ func TestSaveLoadRoundTripEuclidean(t *testing.T) {
 	// CSA).
 	for i := 0; i < 10; i++ {
 		q := data[i*37]
-		a := must(ix.SearchBudget(q, 5, 50))
-		b := must(loaded.SearchBudget(q, 5, 50))
+		a := must(ix.SearchQuery(q, Query{K: 5, Budget: 50}, nil))
+		b := must(loaded.SearchQuery(q, Query{K: 5, Budget: 50}, nil))
 		if len(a) != len(b) {
 			t.Fatalf("result lengths differ: %d vs %d", len(a), len(b))
 		}
@@ -488,7 +488,7 @@ func TestSaveLoadMultiProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.multi == nil {
+	if loaded.core.Probes() != ix.core.Probes() || loaded.core.Probes() <= 1 {
 		t.Fatal("multi-probe configuration lost on load")
 	}
 	q := data[3]
@@ -529,7 +529,7 @@ func TestSaveLoadAngularAndHamming(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", metric, err)
 		}
-		a, b := must(ix.SearchBudget(d[0], 3, 30)), must(loaded.SearchBudget(d[0], 3, 30))
+		a, b := must(ix.SearchQuery(d[0], Query{K: 3, Budget: 30}, nil)), must(loaded.SearchQuery(d[0], Query{K: 3, Budget: 30}, nil))
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("%s: results differ", metric)
@@ -664,11 +664,11 @@ func TestGoldenFormat5(t *testing.T) {
 	f := &Filter{Terms: []FilterTerm{EqStr("color", "red")}}
 	for qi := 0; qi < 10; qi++ {
 		q := data[qi*7]
-		a, err := fresh.SearchFilterBudgetInto(q, 5, len(data), f, nil)
+		a, err := fresh.SearchQuery(q, Query{K: 5, Budget: len(data), Filter: f}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := loaded.SearchFilterBudgetInto(q, 5, len(data), f, nil)
+		b, err := loaded.SearchQuery(q, Query{K: 5, Budget: len(data), Filter: f}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -724,11 +724,11 @@ func TestFormat5SingleRoundTrip(t *testing.T) {
 		}
 	}
 	f := &Filter{Terms: []FilterTerm{EqInt("price", 33)}}
-	a, err := ix.SearchFilterBudgetInto(data[0], 3, len(data), f, nil)
+	a, err := ix.SearchQuery(data[0], Query{K: 3, Budget: len(data), Filter: f}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.SearchFilterBudgetInto(data[0], 3, len(data), f, nil)
+	b, err := loaded.SearchQuery(data[0], Query{K: 3, Budget: len(data), Filter: f}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

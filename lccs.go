@@ -19,6 +19,17 @@
 //	if err != nil { ... }
 //	neighbors := ix.Search(query, 10)
 //
+// Every search on every facade goes through one method, SearchQuery,
+// which takes one request value:
+//
+//	res, err := ix.SearchQuery(query, lccs.Query{K: 10, Budget: 400, Filter: f}, dst)
+//
+// Query carries the candidate budget λ (0 = the index's default), an
+// optional attribute Filter, and optional Cost and Trace recorders;
+// Search and SearchInto are one-line conveniences for Query{K: k},
+// SearchBatch answers many queries across all CPUs, and SearchCursor
+// pages through the ranked result stream.
+//
 // Multi-probe querying (MP-LCCS-LSH, smaller indexes at equal recall) is
 // enabled by setting Config.Probes > 1.
 //
@@ -50,8 +61,8 @@ import (
 
 // Trace is the per-request span recorder of the observability layer
 // (internal/obs), re-exported so callers outside the module can drive
-// the traced search variants. A nil *Trace is always valid and selects
-// the untraced zero-allocation path; every Trace method is nil-safe.
+// Query.Trace. A nil *Trace is always valid and selects the untraced
+// zero-allocation path; every Trace method is nil-safe.
 type Trace = obs.Trace
 
 // SpanNode is the serialized form of one trace span, children nested —
@@ -67,16 +78,8 @@ func NewTrace(id uint64) *Trace { return obs.GetTrace(id) }
 // ReleaseTrace returns a Trace to the pool. Safe on nil.
 func ReleaseTrace(t *Trace) { obs.PutTrace(t) }
 
-// TracedSearcher is implemented by every facade: SearchBudgetInto with
-// per-stage span recording. A non-positive lambda selects the facade's
-// default candidate budget, and a nil trace degenerates to the plain
-// untraced search, so one method covers all four call shapes.
-type TracedSearcher interface {
-	SearchBudgetIntoTraced(q []float32, k, lambda int, dst []Neighbor, tr *Trace) ([]Neighbor, error)
-}
-
-// Cost is the per-query resource-cost record accumulated by
-// SearchCostInto: every counter is summed across shards and the delta
+// Cost is the per-query resource-cost record a search accumulates into
+// Query.Cost: every counter is summed across shards and the delta
 // buffer, so one Cost describes the whole query regardless of which
 // facade answered it. All fields are additive — reuse one Cost across
 // queries to meter a workload, or reset it per query to bill one.
@@ -118,28 +121,34 @@ func (c *Cost) addStats(st core.SearchStats) {
 	c.FilterRejected += int64(st.FilterRejected)
 }
 
-// CostSearcher is the unified metered query interface implemented by
-// every facade: filtered or unfiltered budgeted search, appending into
-// dst, accumulating the query's resource cost into co, and recording
-// spans into tr. Each of f, co, and tr may independently be nil — a nil
-// filter matches everything, a nil cost skips accounting, a nil trace
-// skips spans — and the all-nil call is exactly SearchBudgetInto, so
-// the steady-state path stays allocation-free. A non-positive lambda
-// selects the facade's default budget.
-type CostSearcher interface {
-	SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error)
+// Query is the one request value every facade's SearchQuery takes. The
+// zero value of each optional field selects the plain behaviour, and the
+// fields degrade independently: Query{K: k} is exactly Search(q, k), and
+// with Filter, Cost, and Trace all nil the steady-state path stays
+// allocation-free.
+type Query struct {
+	// K is the number of neighbors wanted. Required (> 0).
+	K int
+	// Budget is the candidate budget λ: the query verifies the λ+K−1 data
+	// objects whose hash strings share the longest circular co-substring
+	// with the query's, so larger budgets trade time for recall. Sharded
+	// facades divide it across their shards (⌈λ/S⌉ each), so a given
+	// budget means comparable verification work on every backend. 0
+	// selects the facade's default (Config.Budget); negative is
+	// ErrInvalidBudget.
+	Budget int
+	// Filter restricts results to vectors whose attributes match; nil or
+	// empty matches everything.
+	Filter *Filter
+	// Cost, when non-nil, has the query's resource cost added to it.
+	Cost *Cost
+	// Trace, when non-nil, records the query's spans: a query root, one
+	// shard_scan span per shard (an unsharded Index is its own single
+	// shard) carrying CSA-comparison, verified-candidate and
+	// bytes-scanned counters, plus buffer_scan and merge spans where the
+	// facade has those stages.
+	Trace *Trace
 }
-
-// Compile-time conformance of the three facades (DurableIndex embeds
-// DynamicIndex and inherits its traced and metered paths).
-var (
-	_ TracedSearcher = (*Index)(nil)
-	_ TracedSearcher = (*ShardedIndex)(nil)
-	_ TracedSearcher = (*DynamicIndex)(nil)
-	_ CostSearcher   = (*Index)(nil)
-	_ CostSearcher   = (*ShardedIndex)(nil)
-	_ CostSearcher   = (*DynamicIndex)(nil)
-)
 
 // Typed query-validation errors. Every facade returns exactly these (or
 // wrapped forms testable with errors.Is) for the corresponding invalid
@@ -147,7 +156,8 @@ var (
 var (
 	// ErrInvalidK is returned when k ≤ 0.
 	ErrInvalidK = errors.New("lccs: k must be positive")
-	// ErrInvalidBudget is returned when the candidate budget λ ≤ 0.
+	// ErrInvalidBudget is returned for a negative candidate budget λ
+	// (0 selects the facade's default).
 	ErrInvalidBudget = errors.New("lccs: candidate budget must be positive")
 	// ErrEmptyQuery is returned for a nil or zero-length query vector.
 	ErrEmptyQuery = errors.New("lccs: nil or empty query")
@@ -157,6 +167,11 @@ var (
 	// ErrDimensionMismatch is returned when the query dimensionality does
 	// not match the indexed data.
 	ErrDimensionMismatch = errors.New("lccs: query dimension mismatch")
+	// ErrNonFinite is returned when a query, an inserted vector, or a
+	// dataset row holds a NaN or infinite coordinate: such a vector has no
+	// meaningful distance to anything, so it is rejected at the door —
+	// on a DurableIndex before anything is journaled.
+	ErrNonFinite = errors.New("lccs: vector has a NaN or infinite coordinate")
 )
 
 // Searcher is the facade-agnostic query interface implemented by Index,
@@ -166,54 +181,75 @@ var (
 //
 // All search methods validate their input and return the package's
 // typed errors (ErrInvalidK, ErrInvalidBudget, ErrEmptyQuery,
-// ErrDimensionMismatch); results are in ascending distance order.
+// ErrDimensionMismatch, ErrNonFinite, ErrInvalidFilter); results are in
+// ascending distance order.
 type Searcher interface {
 	// Search returns the k nearest neighbors under the facade's default
-	// candidate budget.
+	// candidate budget: SearchQuery(q, Query{K: k}, nil).
 	Search(q []float32, k int) ([]Neighbor, error)
-	// SearchBudget is Search with an explicit candidate budget λ.
-	SearchBudget(q []float32, k, lambda int) ([]Neighbor, error)
 	// SearchInto is Search appending into dst (reset to dst[:0] first):
 	// the zero-allocation steady-state path for callers that reuse a
 	// result buffer across queries. dst may be nil.
 	SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, error)
-	// SearchBudgetInto is SearchBudget appending into dst.
-	SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error)
+	// SearchQuery is the one query path: budgeted, filtered, metered and
+	// traced as qr says, appending into dst like SearchInto.
+	SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error)
 	// SearchBatch answers many queries (concurrently where the facade
-	// supports it) under the default budget, in query order.
-	SearchBatch(queries [][]float32, k int) ([][]Neighbor, error)
-	// SearchBatchBudget is SearchBatch with an explicit budget λ.
-	SearchBatchBudget(queries [][]float32, k, lambda int) ([][]Neighbor, error)
+	// supports it) under one k and budget (0 selects the default), in
+	// query order; each row is what SearchQuery would return.
+	SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error)
 	// Len returns the number of searchable vectors.
 	Len() int
 	// Distance returns the facade's metric distance between two vectors.
 	Distance(a, b []float32) float64
 }
 
-// Compile-time conformance of the three facades.
+// Compile-time conformance of the three facades (DurableIndex embeds
+// DynamicIndex).
 var (
 	_ Searcher = (*Index)(nil)
 	_ Searcher = (*ShardedIndex)(nil)
 	_ Searcher = (*DynamicIndex)(nil)
 )
 
-// validateQuery applies the shared query contract: positive k and
-// budget, a non-empty query, and (when dim > 0 is known) a matching
-// dimensionality.
-func validateQuery(q []float32, dim, k, lambda int) error {
-	if k <= 0 {
-		return ErrInvalidK
+// resolve applies the shared query contract — positive K, a non-negative
+// budget, a non-empty finite query of matching dimensionality (when
+// dim > 0 is known), a well-formed filter — and returns the effective
+// candidate budget: qr.Budget, or def when that is 0.
+func (qr Query) resolve(q []float32, dim, def int) (lambda int, err error) {
+	if qr.K <= 0 {
+		return 0, ErrInvalidK
+	}
+	if lambda = qr.Budget; lambda == 0 {
+		lambda = def
 	}
 	if lambda <= 0 {
-		return ErrInvalidBudget
+		return 0, ErrInvalidBudget
 	}
 	if len(q) == 0 {
-		return ErrEmptyQuery
+		return 0, ErrEmptyQuery
 	}
 	if dim > 0 && len(q) != dim {
-		return fmt.Errorf("%w: query has %d dimensions, index has %d", ErrDimensionMismatch, len(q), dim)
+		return 0, fmt.Errorf("%w: query has %d dimensions, index has %d", ErrDimensionMismatch, len(q), dim)
 	}
-	return nil
+	if !finite(q) {
+		return 0, ErrNonFinite
+	}
+	if err := qr.Filter.Validate(); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrInvalidFilter, err)
+	}
+	return lambda, nil
+}
+
+// finite reports whether every coordinate of v is finite. v−v is 0 for a
+// finite v and NaN for NaN and ±Inf.
+func finite(v []float32) bool {
+	for _, x := range v {
+		if x-x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ParseMetric resolves a CLI-style metric name to a MetricKind. It
@@ -309,8 +345,9 @@ type Neighbor struct {
 // structure-of-arrays store (one contiguous float32 block) that the
 // index retains; the input rows are not referenced afterwards.
 type Index struct {
-	single *core.Index
-	multi  *core.MPIndex
+	// core is the one core searcher: single-probe, or carrying multi-probe
+	// state when Config.Probes > 1.
+	core   *core.Index
 	metric vec.Metric
 	budget int
 	dim    int
@@ -320,17 +357,14 @@ type Index struct {
 	// attrs holds the optional per-vector metadata, slot-aligned with
 	// the vector store; nil when no vector carries attributes.
 	attrs *vec.MetaStore
-	// raw pools the core-typed result buffers behind the Into variants,
-	// so converting to the public Neighbor type allocates nothing at
-	// steady state.
+	// raw pools the core-typed result buffers of SearchQuery, so
+	// converting to the public Neighbor type allocates nothing at steady
+	// state.
 	raw sync.Pool
 }
 
 // rawBuf is the pooled core-result buffer of the facade conversion.
 type rawBuf struct{ buf []pqueue.Neighbor }
-
-// getRaw fetches a pooled core-result buffer.
-func (ix *Index) getRaw() *rawBuf { return ix.raw.Get().(*rawBuf) }
 
 const (
 	defaultM      = 64
@@ -364,12 +398,18 @@ func resolveConfig(store *vec.Store, cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// storeFromRows packs public row-slice input into a flat store,
-// translating the validation error into this package's voice.
+// storeFromRows packs public row-slice input into a flat store — the
+// one door dataset rows enter by — translating the validation error into
+// this package's voice and rejecting non-finite rows.
 func storeFromRows(rows [][]float32) (*vec.Store, error) {
 	store, err := vec.FromRows(rows)
 	if err != nil {
 		return nil, fmt.Errorf("lccs: %w", err)
+	}
+	for i, row := range rows {
+		if !finite(row) {
+			return nil, fmt.Errorf("%w: data row %d", ErrNonFinite, i)
+		}
 	}
 	return store, nil
 }
@@ -423,30 +463,34 @@ func newIndexFromStore(store *vec.Store, cfg Config) (*Index, error) {
 	}
 	ix := &Index{metric: family.Metric(), budget: cfg.Budget, dim: store.Dim(), cfg: cfg}
 	ix.raw.New = func() any { return new(rawBuf) }
-	if cfg.Probes > 1 {
-		mp, err := core.BuildMPStore(store, family, core.MPParams{
-			Params: core.Params{M: cfg.M, Seed: cfg.Seed},
-			Probes: cfg.Probes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ix.multi = mp
-		ix.single = mp.Index
-	} else {
-		s, err := core.BuildStore(store, family, core.Params{M: cfg.M, Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-		ix.single = s
+	ix.core, err = core.BuildStore(store, family, core.Params{M: cfg.M, Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.enableProbes(); err != nil {
+		return nil, err
 	}
 	if cfg.Quantize == QuantizeSQ8 {
 		// Quantize exactly the rows this index covers: for a sharded build
 		// the store is already the shard's view, so codebooks are
-		// per-shard. ix.multi shares ix.single, so both paths see it.
-		ix.single.EnableSQ8(vec.QuantizeSQ8(store), cfg.Rerank)
+		// per-shard.
+		ix.core.EnableSQ8(vec.QuantizeSQ8(store), cfg.Rerank)
 	}
 	return ix, nil
+}
+
+// enableProbes installs multi-probe state on the core index when the
+// configuration asks for it (Probes > 1) — after a build and after a
+// load alike.
+func (ix *Index) enableProbes() error {
+	if ix.cfg.Probes <= 1 {
+		return nil
+	}
+	_, err := core.WrapMP(ix.core, core.MPParams{
+		Params: core.Params{M: ix.cfg.M, Seed: ix.cfg.Seed},
+		Probes: ix.cfg.Probes,
+	})
+	return err
 }
 
 // autoBucketWidth estimates a bucket width from the data: twice the median
@@ -490,92 +534,31 @@ func autoBucketWidth(store *vec.Store, seed uint64) float64 {
 // Search returns the k nearest neighbors of q found within the index's
 // default candidate budget, in ascending distance order.
 func (ix *Index) Search(q []float32, k int) ([]Neighbor, error) {
-	return ix.SearchBudget(q, k, ix.budget)
-}
-
-// SearchBudget is Search with an explicit candidate budget λ: the query
-// verifies the λ+k−1 data objects whose hash strings have the longest
-// circular co-substring with the query's. Larger budgets trade query time
-// for recall.
-func (ix *Index) SearchBudget(q []float32, k, lambda int) ([]Neighbor, error) {
-	return ix.SearchBudgetInto(q, k, lambda, nil)
+	return ix.SearchQuery(q, Query{K: k}, nil)
 }
 
 // SearchInto is Search appending into dst (reset to dst[:0] first): with
 // a reused dst, a steady-state query performs no heap allocations.
 func (ix *Index) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, error) {
-	return ix.SearchBudgetInto(q, k, ix.budget, dst)
+	return ix.SearchQuery(q, Query{K: k}, dst)
 }
 
-// SearchBudgetInto is SearchBudget appending into dst (reset to
-// dst[:0] first). dst may be nil.
-func (ix *Index) SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error) {
-	if err := validateQuery(q, ix.dim, k, lambda); err != nil {
+// SearchQuery answers qr, appending into dst (reset to dst[:0] first;
+// dst may be nil). A vector with no metadata matches only the empty
+// filter.
+func (ix *Index) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
+	lambda, err := qr.resolve(q, ix.dim, ix.budget)
+	if err != nil {
 		return nil, err
 	}
-	rb := ix.getRaw()
-	if ix.multi != nil {
-		rb.buf = ix.multi.SearchInto(q, k, lambda, rb.buf)
-	} else {
-		rb.buf = ix.single.SearchInto(q, k, lambda, rb.buf)
-	}
+	tr := qr.Trace
+	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
+	rb := ix.raw.Get().(*rawBuf)
+	var stats core.SearchStats
+	rb.buf, stats = ix.asShard().scan(q, qr.K, lambda, qr.Filter, !qr.Filter.Empty(), rb.buf, tr, root)
+	qr.Cost.addStats(stats)
 	if dst == nil {
 		// The plain Search path: one exactly-sized result allocation.
-		dst = make([]Neighbor, 0, len(rb.buf))
-	}
-	dst = appendNeighbors(dst[:0], rb.buf)
-	ix.raw.Put(rb)
-	return dst, nil
-}
-
-// SearchBudgetIntoTraced is SearchBudgetInto recording spans into tr:
-// one shard_scan span (an unsharded index is its own single shard)
-// with the CSA comparison and verified-candidate counters, under a
-// query root span. A nil tr selects the untraced path unchanged; a
-// non-positive lambda selects the default budget.
-func (ix *Index) SearchBudgetIntoTraced(q []float32, k, lambda int, dst []Neighbor, tr *Trace) ([]Neighbor, error) {
-	return ix.SearchCostInto(q, k, lambda, nil, dst, nil, tr)
-}
-
-// SearchCostInto is the unified metered query path: filtered when f is
-// non-empty, cost-accounted when co is non-nil, span-traced when tr is
-// non-nil, and exactly SearchBudgetInto when all three are nil. A
-// non-positive lambda selects the default budget.
-func (ix *Index) SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
-	if lambda <= 0 {
-		lambda = ix.budget
-	}
-	if !f.Empty() {
-		if err := validateFilter(f); err != nil {
-			return nil, err
-		}
-	}
-	if err := validateQuery(q, ix.dim, k, lambda); err != nil {
-		return nil, err
-	}
-	root := tr.StartSpan(obs.StageQuery, -1)
-	sp := tr.StartShardSpan(obs.StageShardScan, root, 0)
-	rb := ix.getRaw()
-	var stats core.SearchStats
-	switch {
-	case !f.Empty():
-		attrs := ix.attrs
-		accept := func(id int) bool { return f.Matches(attrs.Row(id)) }
-		if ix.multi != nil {
-			rb.buf, stats = ix.multi.SearchFilterOffsetIntoStats(q, k, lambda, 0, accept, rb.buf)
-		} else {
-			rb.buf, stats = ix.single.SearchFilterOffsetIntoStats(q, k, lambda, 0, accept, rb.buf)
-		}
-	case ix.multi != nil:
-		rb.buf, stats = ix.multi.SearchOffsetIntoStats(q, k, lambda, 0, rb.buf)
-	default:
-		rb.buf, stats = ix.single.SearchOffsetIntoStats(q, k, lambda, 0, rb.buf)
-	}
-	if tr != nil {
-		obs.ObserveDur(obs.StageShardScan, tr.FinishSpanCost(sp, int64(stats.Comparisons), int64(stats.Candidates), stats.BytesScanned))
-	}
-	co.addStats(stats)
-	if dst == nil {
 		dst = make([]Neighbor, 0, len(rb.buf))
 	}
 	dst = appendNeighbors(dst[:0], rb.buf)
@@ -599,26 +582,26 @@ func appendNeighbors(dst []Neighbor, raw []pqueue.Neighbor) []Neighbor {
 func (ix *Index) Distance(a, b []float32) float64 { return ix.metric.Distance(a, b) }
 
 // M returns the hash-string length.
-func (ix *Index) M() int { return ix.single.M() }
+func (ix *Index) M() int { return ix.core.M() }
 
 // Dim returns the dimensionality of the indexed vectors.
 func (ix *Index) Dim() int { return ix.dim }
 
 // Len returns the number of indexed vectors.
-func (ix *Index) Len() int { return ix.single.N() }
+func (ix *Index) Len() int { return ix.core.N() }
 
 // Bytes returns the approximate index memory footprint.
-func (ix *Index) Bytes() int64 { return ix.single.Bytes() }
+func (ix *Index) Bytes() int64 { return ix.core.Bytes() }
 
 // Quantization reports the scan-time compression in effect ("" = none,
 // QuantizeSQ8) and the effective per-query re-rank depth (0 when
 // unquantized).
 func (ix *Index) Quantization() (kind string, rerank int) {
-	if ix.single.SQ8() == nil {
+	if ix.core.SQ8() == nil {
 		return "", 0
 	}
-	return ix.cfg.Quantize, ix.single.Rerank()
+	return ix.cfg.Quantize, ix.core.Rerank()
 }
 
 // BuildTime returns the wall-clock time spent building the index.
-func (ix *Index) BuildTime() time.Duration { return ix.single.BuildTime() }
+func (ix *Index) BuildTime() time.Duration { return ix.core.BuildTime() }

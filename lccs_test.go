@@ -88,7 +88,7 @@ func TestEuclideanRecall(t *testing.T) {
 			q[j] = base[j] + float32(g.NormFloat64()*0.4)
 		}
 		want := bruteKNN(data, q, k, vec.Distance)
-		got := must(ix.SearchBudget(q, k, 200))
+		got := must(ix.SearchQuery(q, Query{K: k, Budget: 200}, nil))
 		wantSet := map[int]bool{}
 		for _, w := range want {
 			wantSet[w.ID] = true
@@ -116,7 +116,7 @@ func TestAngularSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := data[123]
-	got := must(ix.SearchBudget(q, 5, 100))
+	got := must(ix.SearchQuery(q, Query{K: 5, Budget: 100}, nil))
 	if len(got) != 5 {
 		t.Fatalf("got %d results", len(got))
 	}
@@ -148,7 +148,7 @@ func TestHammingSearch(t *testing.T) {
 	for _, j := range g.Perm(d)[:3] {
 		q[j] = 1 - q[j]
 	}
-	got := must(ix.SearchBudget(q, 1, 50))
+	got := must(ix.SearchQuery(q, Query{K: 1, Budget: 50}, nil))
 	if len(got) != 1 {
 		t.Fatal("no result")
 	}

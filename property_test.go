@@ -37,7 +37,7 @@ func TestSearchInvariantsProperty(t *testing.T) {
 			return false
 		}
 		q := data[r.IntN(n)]
-		res, err := ix.SearchBudget(q, k, n) // budget covers everything
+		res, err := ix.SearchQuery(q, Query{K: k, Budget: n}, nil) // budget covers everything
 		if err != nil {
 			return false
 		}
@@ -94,7 +94,7 @@ func TestFullBudgetEqualsExactProperty(t *testing.T) {
 		for j := range q {
 			q[j] = float32(r.NormFloat64())
 		}
-		got, err := ix.SearchBudget(q, 5, n)
+		got, err := ix.SearchQuery(q, Query{K: 5, Budget: n}, nil)
 		if err != nil {
 			return false
 		}

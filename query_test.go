@@ -1,0 +1,336 @@
+package lccs
+
+import (
+	"errors"
+	"math"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"lccs/internal/core"
+)
+
+// queryFacade is one row of the Query conformance table: a backend, the
+// rows it was given, and which of them are still live.
+type queryFacade struct {
+	name string
+	s    Searcher
+	live func(id int) bool // nil: every row
+}
+
+// queryFacades builds every facade shape over the same attributed rows:
+// the static Index plain, SQ8-quantized and multi-probe, a ShardedIndex,
+// and the three lifecycle shapes — a DynamicIndex with background-built
+// shards, a non-empty delta buffer and tombstones in both; the
+// tombstoned Snapshot of one; and a DurableIndex in the same state.
+// Rerank = n keeps the SQ8 row exact at an exhaustive budget.
+func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
+	t.Helper()
+	n := len(data)
+	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}
+	sq8, mp := cfg, cfg
+	sq8.Quantize, sq8.Rerank = QuantizeSQ8, n
+	mp.Probes = 5
+
+	// Deletes land in every shard and in the delta buffer.
+	dead := map[int]bool{}
+	for id := 2; id < n; id += 9 {
+		dead[id] = true
+	}
+	dead[n-1] = true
+	live := func(id int) bool { return !dead[id] }
+	// churn inserts every row — waiting out each background build, so the
+	// shard layout (one shard per 64 rows, the rest buffered) does not
+	// depend on timing — and then tombstones the dead set.
+	churn := func(add func([]float32, Attrs) (int, error), wait func(), del func(int) bool) {
+		for i, v := range data {
+			if id, err := add(v, attrs[i]); err != nil || id != i {
+				t.Fatalf("add row %d: id %d, err %v", i, id, err)
+			}
+			wait()
+		}
+		for id := range dead {
+			if !del(id) {
+				t.Fatalf("delete %d failed", id)
+			}
+		}
+	}
+	newDyn := func() *DynamicIndex {
+		d := must(NewDynamicIndex(nil, cfg, 64))
+		churn(d.AddWithAttrs, d.WaitRebuild, d.Delete)
+		if d.Shards() != n/64 || d.Buffered() != n%64 || d.Deleted() != len(dead) {
+			t.Fatalf("dynamic fixture: %d shards, %d buffered, %d tombstones", d.Shards(), d.Buffered(), d.Deleted())
+		}
+		return d
+	}
+	_, snap, err := newDyn().Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Deleted() == 0 {
+		t.Fatal("snapshot fixture carries no tombstones")
+	}
+	dur, err := OpenDurable(t.TempDir(), DurableConfig{Config: cfg, RebuildAt: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dur.Close() })
+	churn(dur.AddWithAttrs, dur.WaitRebuild, dur.Delete)
+
+	return []queryFacade{
+		{"Index", must(NewIndexWithAttrs(data, attrs, cfg)), nil},
+		{"Index+SQ8", must(NewIndexWithAttrs(data, attrs, sq8)), nil},
+		{"Index+Probes", must(NewIndexWithAttrs(data, attrs, mp)), nil},
+		{"ShardedIndex", must(NewShardedIndexWithAttrs(data, attrs, cfg, 3)), nil},
+		{"Snapshot", snap, live},
+		{"DynamicIndex", newDyn(), live},
+		{"DurableIndex", dur, live},
+	}
+}
+
+// spanTotals sums the work counters of a traced query's scan spans.
+func spanTotals(t *testing.T, tr *Trace) (rows, cands, bytes int64) {
+	t.Helper()
+	tree := tr.Tree()
+	for _, stage := range []string{"shard_scan", "buffer_scan"} {
+		for _, sp := range findSpans(t, tree, stage) {
+			rows, cands, bytes = rows+sp.Rows, cands+sp.Cands, bytes+sp.Bytes
+		}
+	}
+	return rows, cands, bytes
+}
+
+// TestQueryConformance is the one table over the Query value: every
+// facade × {plain, Budget, Filter, exhaustive Budget × every test filter}
+// × {no instrumentation, Cost, Trace, both}. Setting Cost or Trace never changes results; Cost
+// totals equal the sum of the trace's span counters; the conveniences
+// (Search, SearchInto, a reused dst) equal SearchQuery; at an exhaustive
+// budget the answer is brute force over the matching live rows; and
+// SearchBatch rows equal per-query rows.
+func TestQueryConformance(t *testing.T) {
+	const n, dim, k = 200, 8, 10
+	data, attrs := filterTestData(n, dim)
+	exhaustive := 8 * n // covers every shard even after ⌈λ/S⌉ splitting
+	type baseCase struct {
+		name  string
+		qr    Query
+		exact bool // the budget is exhaustive: results are brute force
+	}
+	bases := []baseCase{
+		{"plain", Query{K: k}, false},
+		{"budget", Query{K: k, Budget: 37}, false},
+		{"filter", Query{K: k, Filter: testFilters()["eq-str"]}, false},
+	}
+	for name, f := range testFilters() { // includes the nil filter
+		bases = append(bases, baseCase{"exhaustive/" + name, Query{K: k, Budget: exhaustive, Filter: f}, true})
+	}
+	queries := [][]float32{data[3], data[77], data[n-1]}
+
+	for _, fc := range queryFacades(t, data, attrs) {
+		for _, base := range bases {
+			for qi, q := range queries {
+				label := func(what string) string { return fc.name + "/" + base.name + "/" + what }
+				want, err := fc.s.SearchQuery(q, base.qr, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", label("uninstrumented"), err)
+				}
+				if base.exact {
+					brute := bruteFilter(data, attrs, fc.live, q, k, base.qr.Filter, fc.s.Distance)
+					if !neighborsEqual(want, brute) {
+						t.Errorf("%s query %d: got %v, brute force says %v", label("exact"), qi, want, brute)
+					}
+				}
+
+				var co, coTraced Cost
+				trOnly, tr := NewTrace(0), NewTrace(1)
+				for _, in := range []struct {
+					name string
+					qr   Query
+				}{
+					{"cost", Query{Cost: &co}},
+					{"trace", Query{Trace: trOnly}},
+					{"cost+trace", Query{Cost: &coTraced, Trace: tr}},
+				} {
+					qr := base.qr
+					qr.Cost, qr.Trace = in.qr.Cost, in.qr.Trace
+					got, err := fc.s.SearchQuery(q, qr, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", label(in.name), err)
+					}
+					if !neighborsEqual(got, want) {
+						t.Errorf("%s query %d: instrumentation changed the results: %v vs %v", label(in.name), qi, got, want)
+					}
+				}
+				if co != coTraced || co.Comparisons <= 0 {
+					t.Errorf("%s query %d: cost %+v untraced, %+v traced", label("cost"), qi, co, coTraced)
+				}
+				rows, cands, bytes := spanTotals(t, tr)
+				if rows != co.Comparisons || cands != co.Candidates || bytes != co.BytesScanned {
+					t.Errorf("%s query %d: spans sum to rows=%d cands=%d bytes=%d, cost says %+v",
+						label("cost=spans"), qi, rows, cands, bytes, co)
+				}
+				ReleaseTrace(trOnly)
+				ReleaseTrace(tr)
+
+				// A reused dst (the sequential fan-out) answers like the
+				// allocating call (the parallel one).
+				dst := make([]Neighbor, 0, 2*k)
+				if got := must(fc.s.SearchQuery(q, base.qr, dst)); !neighborsEqual(got, want) {
+					t.Errorf("%s query %d: %v vs %v", label("dst"), qi, got, want)
+				}
+				if base.name == "plain" {
+					if got := must(fc.s.Search(q, k)); !neighborsEqual(got, want) {
+						t.Errorf("%s query %d: %v vs %v", label("Search"), qi, got, want)
+					}
+					if got := must(fc.s.SearchInto(q, k, dst)); !neighborsEqual(got, want) {
+						t.Errorf("%s query %d: %v vs %v", label("SearchInto"), qi, got, want)
+					}
+				}
+			}
+			if base.qr.Filter != nil {
+				continue // SearchBatch carries k and a budget only
+			}
+			rows, err := fc.s.SearchBatch(queries, k, base.qr.Budget)
+			if err != nil {
+				t.Fatalf("%s/%s/batch: %v", fc.name, base.name, err)
+			}
+			for i, q := range queries {
+				if seq := must(fc.s.SearchQuery(q, base.qr, nil)); !neighborsEqual(rows[i], seq) {
+					t.Errorf("%s/%s/batch row %d: %v vs %v", fc.name, base.name, i, rows[i], seq)
+				}
+			}
+		}
+	}
+}
+
+// TestQueryBudgetRule pins the one budget rule on every entry point of
+// every facade: 0 selects the facade's default, negative is
+// ErrInvalidBudget.
+func TestQueryBudgetRule(t *testing.T) {
+	data, attrs := filterTestData(120, 8)
+	q := data[5]
+	for _, fc := range queryFacades(t, data, attrs) {
+		cs := fc.s.(CursorSearcher)
+		def := must(fc.s.Search(q, 5))
+		if got := must(fc.s.SearchQuery(q, Query{K: 5, Budget: 0}, nil)); !neighborsEqual(got, def) {
+			t.Errorf("%s: Budget 0 is not the default: %v vs %v", fc.name, got, def)
+		}
+		if got := must(fc.s.SearchBatch([][]float32{q}, 5, 0)); !neighborsEqual(got[0], def) {
+			t.Errorf("%s: batch budget 0 is not the default: %v vs %v", fc.name, got[0], def)
+		}
+		if page, _, err := cs.SearchCursor(q, 5, 0, nil, ""); err != nil || len(page) != 5 {
+			t.Errorf("%s: cursor budget 0: %d results, err %v", fc.name, len(page), err)
+		}
+		if _, err := fc.s.SearchQuery(q, Query{K: 5, Budget: -1}, nil); !errors.Is(err, ErrInvalidBudget) {
+			t.Errorf("%s: SearchQuery budget -1: err=%v", fc.name, err)
+		}
+		if _, err := fc.s.SearchBatch([][]float32{q}, 5, -1); !errors.Is(err, ErrInvalidBudget) {
+			t.Errorf("%s: SearchBatch budget -1: err=%v", fc.name, err)
+		}
+		if _, _, err := cs.SearchCursor(q, 5, -1, nil, ""); !errors.Is(err, ErrInvalidBudget) {
+			t.Errorf("%s: SearchCursor budget -1: err=%v", fc.name, err)
+		}
+	}
+}
+
+// TestNonFiniteRejected: a NaN or infinite coordinate is refused with
+// ErrNonFinite at the query door of every facade and at every door data
+// enters by — never answered at distance NaN, never stored.
+func TestNonFiniteRejected(t *testing.T) {
+	data, attrs := filterTestData(120, 8)
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	poison := func(x float32) []float32 {
+		v := append([]float32(nil), data[0]...)
+		v[3] = x
+		return v
+	}
+	for _, fc := range queryFacades(t, data, attrs) {
+		for _, x := range []float32{nan, inf, -inf} {
+			q := poison(x)
+			if res, err := fc.s.SearchQuery(q, Query{K: 3}, nil); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s: SearchQuery(%v): %v, err=%v", fc.name, x, res, err)
+			}
+			if _, err := fc.s.SearchBatch([][]float32{data[1], q}, 3, 0); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s: SearchBatch(%v): err=%v", fc.name, x, err)
+			}
+			if _, _, err := fc.s.(CursorSearcher).SearchCursor(q, 3, 0, nil, ""); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s: SearchCursor(%v): err=%v", fc.name, x, err)
+			}
+		}
+	}
+
+	// Construction and insert.
+	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}
+	bad := append(append([][]float32(nil), data[:10]...), poison(nan))
+	if _, err := NewIndex(bad, cfg); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("NewIndex: err=%v", err)
+	}
+	if _, err := NewShardedIndex(bad, cfg, 2); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("NewShardedIndex: err=%v", err)
+	}
+	if _, err := NewDynamicIndex(bad, cfg, 0); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("NewDynamicIndex: err=%v", err)
+	}
+	dyn := must(NewDynamicIndex(data[:10], cfg, 0))
+	if _, err := dyn.Add(poison(inf)); !errors.Is(err, ErrNonFinite) || dyn.Len() != 10 {
+		t.Errorf("DynamicIndex.Add: err=%v, Len=%d", err, dyn.Len())
+	}
+
+	// A rejected durable write is never journaled: the log does not grow,
+	// and nothing comes back after a reopen.
+	dir := t.TempDir()
+	di := mustOpenDurable(t, dir)
+	good := []float32{1, 2, 3}
+	id := must(di.Add(good))
+	before := di.WALStats()
+	if _, err := di.Add([]float32{1, nan, 3}); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("DurableIndex.Add: err=%v", err)
+	}
+	if ids, err := di.AddBatch([][]float32{{4, 5, inf}, {4, 5, 6}}); !errors.Is(err, ErrNonFinite) || len(ids) != 0 {
+		t.Errorf("DurableIndex.AddBatch: ids=%v err=%v", ids, err)
+	}
+	if after := di.WALStats(); after.Bytes != before.Bytes || after.AppendedBytes != before.AppendedBytes || after.LastLSN != before.LastLSN {
+		t.Errorf("rejected writes reached the log: %+v → %+v", before, after)
+	}
+	crash(di)
+	di = mustOpenDurable(t, dir)
+	defer di.Close()
+	if di.Len() != 1 || di.Recovery().Records != 1 {
+		t.Errorf("after reopen: Len=%d, replayed %d records, want 1 and 1", di.Len(), di.Recovery().Records)
+	}
+	if res := must(di.Search(good, 1)); len(res) != 1 || res[0].ID != id || res[0].Dist != 0 {
+		t.Errorf("after reopen: %v", res)
+	}
+}
+
+// TestSearchSurface is the guard against the method matrix regrowing:
+// the exported Search* methods of every facade and of the core index are
+// exactly these.
+func TestSearchSurface(t *testing.T) {
+	facade := []string{"Search", "SearchBatch", "SearchCursor", "SearchInto", "SearchQuery"}
+	coreSet := []string{"Search", "SearchInto", "SearchScan"}
+	for _, tc := range []struct {
+		v    any
+		want []string
+	}{
+		{(*Index)(nil), facade},
+		{(*ShardedIndex)(nil), facade},
+		{(*DynamicIndex)(nil), facade},
+		{(*DurableIndex)(nil), facade},
+		{(*core.Index)(nil), coreSet},
+		{(*core.MPIndex)(nil), coreSet},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		var got []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			if name := typ.Method(i).Name; strings.HasPrefix(name, "Search") {
+				got = append(got, name)
+			}
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v exports %v, want exactly %v", typ, got, tc.want)
+		}
+	}
+}

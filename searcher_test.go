@@ -40,9 +40,9 @@ func TestSearcherConformanceIdenticalResults(t *testing.T) {
 	exhaustive := 3 * len(data) // covers every shard even after ⌈λ/S⌉ splitting
 	for qi := 0; qi < 12; qi++ {
 		q := g.GaussianVector(10)
-		want := must(facades["Index"].SearchBudget(q, k, exhaustive))
+		want := must(facades["Index"].SearchQuery(q, Query{K: k, Budget: exhaustive}, nil))
 		for name, s := range facades {
-			got := must(s.SearchBudget(q, k, exhaustive))
+			got := must(s.SearchQuery(q, Query{K: k, Budget: exhaustive}, nil))
 			if len(got) != len(want) {
 				t.Fatalf("%s query %d: %d results, want %d", name, qi, len(got), len(want))
 			}
@@ -60,9 +60,9 @@ func TestSearcherConformanceIdenticalResults(t *testing.T) {
 		queries[i] = g.GaussianVector(10)
 	}
 	for name, s := range facades {
-		rows := must(s.SearchBatchBudget(queries, k, exhaustive))
+		rows := must(s.SearchBatch(queries, k, exhaustive))
 		for i, q := range queries {
-			seq := must(s.SearchBudget(q, k, exhaustive))
+			seq := must(s.SearchQuery(q, Query{K: k, Budget: exhaustive}, nil))
 			if len(rows[i]) != len(seq) {
 				t.Fatalf("%s batch row %d: lengths differ", name, i)
 			}
@@ -123,7 +123,7 @@ func TestSearcherConformanceTombstoneFiltering(t *testing.T) {
 			return refs[i].id < refs[j].id
 		})
 		for name, s := range facades {
-			got := must(s.SearchBudget(q, k, exhaustive))
+			got := must(s.SearchQuery(q, Query{K: k, Budget: exhaustive}, nil))
 			if len(got) != k {
 				t.Fatalf("%s query %d: %d results, want %d", name, qi, len(got), k)
 			}
@@ -157,7 +157,7 @@ func TestFacadeValidationConformance(t *testing.T) {
 	}{
 		{"k=0", valid, 0, 50, ErrInvalidK},
 		{"k<0", valid, -3, 50, ErrInvalidK},
-		{"lambda=0", valid, 5, 0, ErrInvalidBudget},
+		{"lambda=0 selects the default", valid, 5, 0, nil},
 		{"lambda<0", valid, 5, -1, ErrInvalidBudget},
 		{"nil query", nil, 5, 50, ErrEmptyQuery},
 		{"empty query", []float32{}, 5, 50, ErrEmptyQuery},
@@ -165,19 +165,19 @@ func TestFacadeValidationConformance(t *testing.T) {
 	}
 	for name, s := range facades {
 		for _, c := range cases {
-			if _, err := s.SearchBudget(c.q, c.k, c.l); !errors.Is(err, c.wantErr) {
-				t.Errorf("%s/SearchBudget/%s: err=%v, want %v", name, c.name, err, c.wantErr)
+			if _, err := s.SearchQuery(c.q, Query{K: c.k, Budget: c.l}, nil); !errors.Is(err, c.wantErr) {
+				t.Errorf("%s/SearchQuery/%s: err=%v, want %v", name, c.name, err, c.wantErr)
 			}
-			if _, err := s.SearchBatchBudget([][]float32{c.q}, c.k, c.l); !errors.Is(err, c.wantErr) {
-				t.Errorf("%s/SearchBatchBudget/%s: err=%v, want %v", name, c.name, err, c.wantErr)
+			if _, err := s.SearchBatch([][]float32{c.q}, c.k, c.l); !errors.Is(err, c.wantErr) {
+				t.Errorf("%s/SearchBatch/%s: err=%v, want %v", name, c.name, err, c.wantErr)
 			}
 		}
 		// Even an empty batch enforces the k/λ contract.
-		if _, err := s.SearchBatchBudget(nil, 0, 50); !errors.Is(err, ErrInvalidK) {
-			t.Errorf("%s/SearchBatchBudget empty k=0: err=%v, want ErrInvalidK", name, err)
+		if _, err := s.SearchBatch(nil, 0, 50); !errors.Is(err, ErrInvalidK) {
+			t.Errorf("%s/SearchBatch empty k=0: err=%v, want ErrInvalidK", name, err)
 		}
-		if _, err := s.SearchBatchBudget([][]float32{}, 5, -1); !errors.Is(err, ErrInvalidBudget) {
-			t.Errorf("%s/SearchBatchBudget empty lambda<0: err=%v, want ErrInvalidBudget", name, err)
+		if _, err := s.SearchBatch([][]float32{}, 5, -1); !errors.Is(err, ErrInvalidBudget) {
+			t.Errorf("%s/SearchBatch empty lambda<0: err=%v, want ErrInvalidBudget", name, err)
 		}
 		// Search (default budget) applies the same k/query checks.
 		if _, err := s.Search(valid, 0); !errors.Is(err, ErrInvalidK) {
@@ -253,7 +253,7 @@ func TestDynamicSnapshotRoundTrip(t *testing.T) {
 	// The buffered insert is preserved: it is findable at distance 0
 	// under its stable id, before and after the round trip.
 	for _, s := range []Searcher{sx, loaded} {
-		res := must(s.SearchBudget(vectors[lastID], 1, 3*len(vectors)))
+		res := must(s.SearchQuery(vectors[lastID], Query{K: 1, Budget: 3 * len(vectors)}, nil))
 		if len(res) != 1 || res[0].ID != lastID || res[0].Dist != 0 {
 			t.Fatalf("buffered insert lost after snapshot: %+v", res)
 		}
@@ -261,8 +261,8 @@ func TestDynamicSnapshotRoundTrip(t *testing.T) {
 	// Full parity between the in-memory snapshot and the reloaded one.
 	for qi := 0; qi < 10; qi++ {
 		q := g.GaussianVector(8)
-		a := must(sx.SearchBudget(q, 5, 60))
-		b := must(loaded.SearchBudget(q, 5, 60))
+		a := must(sx.SearchQuery(q, Query{K: 5, Budget: 60}, nil))
+		b := must(loaded.SearchQuery(q, Query{K: 5, Budget: 60}, nil))
 		if len(a) != len(b) {
 			t.Fatalf("query %d: lengths differ", qi)
 		}
@@ -314,7 +314,7 @@ func TestDynamicFromShardedStaysWritable(t *testing.T) {
 		t.Fatalf("Len=%d Buffered=%d", warm.Len(), warm.Buffered())
 	}
 	// The pre-restart insert is still served under its stable id.
-	res := must(warm.SearchBudget(vectors[firstInsert], 1, 4*len(vectors)))
+	res := must(warm.SearchQuery(vectors[firstInsert], Query{K: 1, Budget: 4 * len(vectors)}, nil))
 	if len(res) != 1 || res[0].ID != firstInsert || res[0].Dist != 0 {
 		t.Fatalf("pre-restart insert lost: %+v", res)
 	}

@@ -71,9 +71,9 @@ type ShardedIndex struct {
 }
 
 // shardCtx is the pooled per-query scratch of a shard fan-out: one
-// reusable result buffer per shard, a per-shard stats slot for metered
-// queries (written by each scan, summed after the fan-out joins — no
-// atomics), and the merge tree.
+// reusable result buffer and one stats slot per shard (written by each
+// scan, summed after the fan-out joins — no atomics), and the merge
+// tree.
 type shardCtx struct {
 	lists [][]pqueue.Neighbor
 	stats []core.SearchStats
@@ -170,85 +170,58 @@ func shardOffsets(n, shards int) []int {
 // index's default candidate budget, in ascending distance order. Ids are
 // global: they index into the data slice the index was built from.
 func (sx *ShardedIndex) Search(q []float32, k int) ([]Neighbor, error) {
-	return sx.SearchBudget(q, k, sx.budget)
-}
-
-// SearchBudget is Search with an explicit candidate budget λ. The budget
-// is divided across shards (⌈λ/S⌉ each), so each shard verifies
-// ⌈λ/S⌉+k−1 candidates and the total verification work is ≈ λ+S·(k−1).
-func (sx *ShardedIndex) SearchBudget(q []float32, k, lambda int) ([]Neighbor, error) {
-	return sx.searchBudgetInto(q, k, lambda, true, nil, nil)
+	return sx.SearchQuery(q, Query{K: k}, nil)
 }
 
 // SearchInto is Search appending into dst (reset to dst[:0] first): the
-// zero-allocation steady-state path. The shard fan-out runs sequentially
-// here — it is meant for callers that already provide their own
-// concurrency (batch workers, server handlers); the merge is
-// deterministic, so results are identical to Search either way.
+// zero-allocation steady-state path.
 func (sx *ShardedIndex) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, error) {
-	return sx.searchBudgetInto(q, k, sx.budget, false, dst, nil)
+	return sx.SearchQuery(q, Query{K: k}, dst)
 }
 
-// SearchBudgetInto is SearchBudget appending into dst; like SearchInto
-// it runs the fan-out sequentially.
-func (sx *ShardedIndex) SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error) {
-	return sx.searchBudgetInto(q, k, lambda, false, dst, nil)
+// SearchQuery answers qr, appending into dst (reset to dst[:0] first).
+// The budget is divided across shards (⌈λ/S⌉ each), so each shard
+// verifies ⌈λ/S⌉+k−1 candidates and the total verification work is
+// ≈ λ+S·(k−1). An allocating call (dst == nil) may fan the shards out in
+// goroutines; a call that reuses dst is meant for callers that already
+// provide their own concurrency (batch workers, server handlers) and
+// scans them sequentially. The merge is deterministic, so results are
+// identical either way.
+func (sx *ShardedIndex) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
+	return sx.searchQuery(q, qr, dst, dst == nil)
 }
 
-// SearchBudgetIntoTraced is SearchBudgetInto recording spans into tr:
-// one shard_scan span per shard (with CSA comparison and verified-
-// candidate counters) plus a tournament-merge span, all under a query
-// root span. A nil tr is exactly SearchBudgetInto; a non-positive
-// lambda selects the default budget.
-func (sx *ShardedIndex) SearchBudgetIntoTraced(q []float32, k, lambda int, dst []Neighbor, tr *Trace) ([]Neighbor, error) {
-	return sx.SearchCostInto(q, k, lambda, nil, dst, nil, tr)
-}
-
-// SearchCostInto is the unified metered query path: filtered when f is
-// non-empty, cost-accounted when co is non-nil, span-traced when tr is
-// non-nil, and exactly SearchBudgetInto when all three are nil. The
-// shard fan-out runs sequentially (callers on this path — server
-// handlers, batch workers — provide their own concurrency); a
-// non-positive lambda selects the default budget.
-func (sx *ShardedIndex) SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
-	if lambda <= 0 {
-		lambda = sx.budget
-	}
-	return sx.searchCostInto(q, k, lambda, false, f, dst, co, tr)
-}
-
-// searchBudgetInto is the pre-metering entry point kept for the batch
-// engine: fan-out/merge with or without per-shard goroutines. The
-// result is identical either way (deterministic merge), so batch
-// callers whose worker pool already saturates the CPUs skip the nested
-// parallelism.
-func (sx *ShardedIndex) searchBudgetInto(q []float32, k, lambda int, parallel bool, dst []Neighbor, tr *Trace) ([]Neighbor, error) {
-	return sx.searchCostInto(q, k, lambda, parallel, nil, dst, nil, tr)
-}
-
-// searchCostInto runs the fan-out/merge with every orthogonal query
-// feature — filter, cost accounting, span tracing, optional per-shard
-// goroutines. Results are appended to dst (reset to dst[:0] first; dst
-// may be nil). Per-shard stats land in pooled slots and are summed
-// after the fan-out joins, so the parallel path needs no atomics and
-// the sequential unmetered path allocates nothing.
-func (sx *ShardedIndex) searchCostInto(q []float32, k, lambda int, parallel bool, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
-	filtered := !f.Empty()
-	if filtered {
-		if err := validateFilter(f); err != nil {
-			return nil, err
-		}
-	}
-	if err := validateQuery(q, sx.dim, k, lambda); err != nil {
+// searchQuery runs the fan-out/merge, with per-shard goroutines when
+// parallel is set and more than one CPU is available. Per-shard stats
+// land in pooled slots and are summed after the fan-out joins, so the
+// parallel path needs no atomics and the sequential unmetered path
+// allocates nothing.
+func (sx *ShardedIndex) searchQuery(q []float32, qr Query, dst []Neighbor, parallel bool) ([]Neighbor, error) {
+	lambda, err := qr.resolve(q, sx.dim, sx.budget)
+	if err != nil {
 		return nil, err
 	}
+	k, f, tr := qr.K, qr.Filter, qr.Trace
+	filtered := !f.Empty()
 	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
 	ctx := sx.ctxs.Get().(*shardCtx)
-	stats := ctx.stats
-	if co == nil {
-		stats = nil
+	s := len(sx.shards)
+	lambdaShard := (lambda + s - 1) / s
+	if !parallel || s == 1 || runtime.GOMAXPROCS(0) == 1 {
+		for i := range sx.shards {
+			ctx.lists[i], ctx.stats[i] = sx.shard(i).scan(q, k, lambdaShard, f, filtered, ctx.lists[i], tr, root)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for i := range sx.shards {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				ctx.lists[i], ctx.stats[i] = sx.shard(i).scan(q, k, lambdaShard, f, filtered, ctx.lists[i], tr, root)
+			}(i)
+		}
+		wg.Wait()
 	}
-	sx.searchShards(q, k, lambda, parallel, f, ctx.lists, stats, tr, root)
 	mergeSpan := tr.StartSpan(obs.StageMerge, root)
 	ctx.t.Reset(ctx.lists)
 	if dst == nil {
@@ -271,9 +244,9 @@ func (sx *ShardedIndex) searchCostInto(q []float32, k, lambda int, parallel bool
 		}
 		dst = append(dst, Neighbor{ID: sx.ids.Ext(nb.ID), Dist: nb.Dist})
 	}
-	if co != nil {
+	if qr.Cost != nil {
 		for i := range ctx.stats {
-			co.addStats(ctx.stats[i])
+			qr.Cost.addStats(ctx.stats[i])
 		}
 	}
 	sx.ctxs.Put(ctx)
@@ -284,118 +257,72 @@ func (sx *ShardedIndex) searchCostInto(q []float32, k, lambda int, parallel bool
 	return dst, nil
 }
 
-// searchShards fans the query out across all shards — concurrently when
-// asked and more than one CPU is available — filling lists with the
-// per-shard top-k (global ids, ascending by distance). The per-shard
-// buffers are reused across queries; stats, when non-nil, receives one
-// slot per shard.
-func (sx *ShardedIndex) searchShards(q []float32, k, lambda int, parallel bool, f *Filter, lists [][]pqueue.Neighbor, stats []core.SearchStats, tr *Trace, parent int) {
-	s := len(sx.shards)
-	lambdaShard := (lambda + s - 1) / s
-	if !parallel || s == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i := range sx.shards {
-			sx.scanOne(i, q, k, lambdaShard, f, lists, stats, tr, parent)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i := range sx.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sx.scanOne(i, q, k, lambdaShard, f, lists, stats, tr, parent)
-		}(i)
-	}
-	wg.Wait()
+// shardRef is one shard of a fan-out as the per-shard scan step sees it:
+// the shard's index and position, plus the attribute rows and tombstone
+// set of the whole slot space it is a slice of. An unsharded Index is
+// its own single shard.
+type shardRef struct {
+	ix  *Index
+	n   int // shard number, for span labels
+	off int // global slot of the shard's first row
+	// dead counts the tombstones inside the shard: its over-fetch
+	// allowance on unfiltered queries.
+	dead  int
+	attrs *vec.MetaStore
+	tomb  map[int]bool
 }
 
-// scanOne prepares shard i's predicate and stats slot and runs its scan.
-func (sx *ShardedIndex) scanOne(i int, q []float32, k, lambdaShard int, f *Filter, lists [][]pqueue.Neighbor, stats []core.SearchStats, tr *Trace, parent int) {
-	var accept func(int) bool
-	if !f.Empty() {
-		accept = sx.acceptFunc(f, sx.offsets[i])
+// asShard views an unsharded index as the single shard it is.
+func (ix *Index) asShard() shardRef { return shardRef{ix: ix, attrs: ix.attrs} }
+
+// shard returns the scan view of shard i.
+func (sx *ShardedIndex) shard(i int) shardRef {
+	sh := shardRef{ix: sx.shards[i], n: i, off: sx.offsets[i], attrs: sx.attrs, tomb: sx.dead}
+	if sx.shardDead != nil {
+		sh.dead = sx.shardDead[i]
 	}
-	var st *core.SearchStats
-	if stats != nil {
-		st = &stats[i]
-	}
-	lists[i] = sx.scanShard(sx.shards[i], q, i, k, lambdaShard, accept, lists[i], st, tr, parent)
+	return sh
 }
 
-// scanShard runs one shard's CSA scan, recording a per-shard span with
-// rows-compared, candidates-verified, and bytes-scanned counters when
-// traced, and the shard's stats into st when metered. The untraced
-// unmetered unfiltered call is the original stats-free route, so it
-// stays on the zero-allocation path. A filtered scan fetches k (its
-// predicate already rejects tombstones in-stream); an unfiltered one
-// over-fetches by the shard's tombstone count.
-func (sx *ShardedIndex) scanShard(shard *Index, q []float32, i, k, lambdaShard int, accept func(int) bool, dst []pqueue.Neighbor, st *core.SearchStats, tr *Trace, parent int) []pqueue.Neighbor {
-	if accept == nil && st == nil && tr == nil {
-		return shard.searchOffsetInto(q, sx.shardFetch(i, k), lambdaShard, sx.offsets[i], dst)
-	}
-	sp := tr.StartShardSpan(obs.StageShardScan, parent, i)
-	var stats core.SearchStats
-	if accept != nil {
-		dst, stats = shard.searchFilterOffsetIntoStats(q, k, lambdaShard, sx.offsets[i], accept, dst)
+// scan is the one per-shard step of every query: it runs the shard's
+// core search for the k nearest under budget lambda, appending into dst
+// (reset first) with ids shifted to the global slot space, and records a
+// shard_scan span with rows-compared, candidates-verified, and
+// bytes-scanned counters when traced. Tombstones are handled one of two
+// ways. inStream — every filtered query, every cursor page — rejects
+// them (and rows failing f) inside the candidate stream, so the k
+// results are all live matches; otherwise the scan over-fetches by the
+// shard's tombstone count, never past what the shard holds, and the
+// caller drops the dead rows when it merges.
+func (sh shardRef) scan(q []float32, k, lambda int, f *Filter, inStream bool, dst []pqueue.Neighbor, tr *Trace, parent int) ([]pqueue.Neighbor, core.SearchStats) {
+	sc := core.Scan{Offset: sh.off}
+	if inStream {
+		sc.Accept = sh.accept(f)
 	} else {
-		dst, stats = shard.searchOffsetIntoStats(q, sx.shardFetch(i, k), lambdaShard, sx.offsets[i], dst)
+		k = min(k+sh.dead, sh.ix.Len())
 	}
+	sp := tr.StartShardSpan(obs.StageShardScan, parent, sh.n)
+	dst, stats := sh.ix.core.SearchScan(q, k, lambda, sc, dst)
 	if tr != nil {
 		obs.ObserveDur(obs.StageShardScan, tr.FinishSpanCost(sp, int64(stats.Comparisons), int64(stats.Candidates), stats.BytesScanned))
 	}
-	if st != nil {
-		*st = stats
-	}
-	return dst
+	return dst, stats
 }
 
-// shardFetch returns the tombstone-aware fetch for shard s.
-func (sx *ShardedIndex) shardFetch(s, k int) int {
-	if sx.shardDead == nil {
-		return k
+// accept builds the shard's candidate predicate: live (not tombstoned)
+// and matching f, over shard-local ids. It is nil when every row passes.
+func (sh shardRef) accept(f *Filter) func(int) bool {
+	attrs, tomb, off := sh.attrs, sh.tomb, sh.off
+	switch {
+	case len(tomb) > 0:
+		return func(local int) bool {
+			glob := local + off
+			return !tomb[glob] && f.Matches(attrs.Row(glob))
+		}
+	case !f.Empty():
+		return func(local int) bool { return f.Matches(attrs.Row(local + off)) }
 	}
-	return fetchForShard(k, sx.shardDead[s], sx.offsets[s+1]-sx.offsets[s])
-}
-
-// fetchForShard is the single over-fetch policy shared by ShardedIndex
-// and DynamicIndex (their results must stay conformant): how many
-// candidates a shard must yield for k live results to survive tombstone
-// filtering — k plus the shard's own tombstone count, clamped to the
-// shard's size so the fetch never grows past what the shard holds.
-func fetchForShard(k, dead, shardLen int) int {
-	fetch := k + dead
-	if fetch > shardLen {
-		fetch = shardLen
-	}
-	return fetch
-}
-
-// searchOffsetInto routes a shard-local query to the core index (single-
-// or multi-probe), appending into dst (reset to dst[:0] first) with
-// result ids shifted to the global id space.
-func (ix *Index) searchOffsetInto(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) []pqueue.Neighbor {
-	if ix.multi != nil {
-		return ix.multi.SearchOffsetInto(q, k, lambda, offset, dst)
-	}
-	return ix.single.SearchOffsetInto(q, k, lambda, offset, dst)
-}
-
-// searchOffsetIntoStats is searchOffsetInto returning work counters,
-// for per-shard span recording on traced queries.
-func (ix *Index) searchOffsetIntoStats(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) ([]pqueue.Neighbor, core.SearchStats) {
-	if ix.multi != nil {
-		return ix.multi.SearchOffsetIntoStats(q, k, lambda, offset, dst)
-	}
-	return ix.single.SearchOffsetIntoStats(q, k, lambda, offset, dst)
-}
-
-// searchFilterOffsetIntoStats is searchOffsetIntoStats restricted to
-// candidates the accept predicate admits (shard-local ids).
-func (ix *Index) searchFilterOffsetIntoStats(q []float32, k, lambda, offset int, accept func(int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, core.SearchStats) {
-	if ix.multi != nil {
-		return ix.multi.SearchFilterOffsetIntoStats(q, k, lambda, offset, accept, dst[:0])
-	}
-	return ix.single.SearchFilterOffsetIntoStats(q, k, lambda, offset, accept, dst[:0])
+	return nil
 }
 
 // NewShardedIndexWithAttrs is NewShardedIndex with per-vector metadata:
@@ -439,34 +366,6 @@ func (sx *ShardedIndex) slotFor(id int) (int, bool) {
 		return 0, false
 	}
 	return slot, true
-}
-
-// SearchFilter returns the k nearest neighbors among vectors matching f
-// under the default candidate budget.
-func (sx *ShardedIndex) SearchFilter(q []float32, k int, f *Filter) ([]Neighbor, error) {
-	return sx.SearchFilterBudgetInto(q, k, sx.budget, f, nil)
-}
-
-// SearchFilterBudgetInto is SearchFilter with an explicit budget λ,
-// appending into dst. Each shard drains its candidate stream past
-// non-matching (or tombstoned) rows before any distance work, so the
-// per-shard lists the tournament merges hold only live matching rows.
-func (sx *ShardedIndex) SearchFilterBudgetInto(q []float32, k, lambda int, f *Filter, dst []Neighbor) ([]Neighbor, error) {
-	return sx.searchCostInto(q, k, lambda, false, f, dst, nil, nil)
-}
-
-// acceptFunc builds the per-shard candidate predicate of a filtered
-// query: live (not tombstoned) and matching the filter. local ids are
-// shard-local; off is the shard's global offset.
-func (sx *ShardedIndex) acceptFunc(f *Filter, off int) func(int) bool {
-	attrs, dead := sx.attrs, sx.dead
-	if dead == nil {
-		return func(local int) bool { return f.Matches(attrs.Row(local + off)) }
-	}
-	return func(local int) bool {
-		glob := local + off
-		return !dead[glob] && f.Matches(attrs.Row(glob))
-	}
 }
 
 // Distance returns the index's metric distance between two vectors.

@@ -38,8 +38,8 @@ func TestShardedMatchesSingleIndexTopK(t *testing.T) {
 		exhaustive := shards * len(data)
 		for qi := 0; qi < 15; qi++ {
 			q := g.GaussianVector(10)
-			a := must(single.SearchBudget(q, 10, len(data)))
-			b := must(sx.SearchBudget(q, 10, exhaustive))
+			a := must(single.SearchQuery(q, Query{K: 10, Budget: len(data)}, nil))
+			b := must(sx.SearchQuery(q, Query{K: 10, Budget: exhaustive}, nil))
 			if len(a) != len(b) {
 				t.Fatalf("shards=%d query %d: %d vs %d results", shards, qi, len(a), len(b))
 			}
@@ -72,7 +72,7 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 	for qi := 0; qi < 20; qi++ {
 		q := g.GaussianVector(8)
-		ra, rb := must(a.SearchBudget(q, 8, 64)), must(b.SearchBudget(q, 8, 64))
+		ra, rb := must(a.SearchQuery(q, Query{K: 8, Budget: 64}, nil)), must(b.SearchQuery(q, Query{K: 8, Budget: 64}, nil))
 		if len(ra) != len(rb) {
 			t.Fatalf("query %d: lengths %d vs %d", qi, len(ra), len(rb))
 		}
@@ -93,7 +93,7 @@ func TestShardedGlobalIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 0; id < len(data); id += 37 {
-		res := must(sx.SearchBudget(data[id], 1, 5*len(data)))
+		res := must(sx.SearchQuery(data[id], Query{K: 1, Budget: 5 * len(data)}, nil))
 		if len(res) != 1 || res[0].Dist != 0 {
 			t.Fatalf("id %d: %+v", id, res)
 		}
@@ -132,8 +132,8 @@ func TestShardedConfigAndEdgeCases(t *testing.T) {
 	if _, err := sx.Search(data[0], 0); !errors.Is(err, ErrInvalidK) {
 		t.Fatalf("k=0: err=%v, want ErrInvalidK", err)
 	}
-	if _, err := sx.SearchBudget(data[0], 3, 0); !errors.Is(err, ErrInvalidBudget) {
-		t.Fatalf("lambda=0: err=%v, want ErrInvalidBudget", err)
+	if _, err := sx.SearchQuery(data[0], Query{K: 3, Budget: -1}, nil); !errors.Is(err, ErrInvalidBudget) {
+		t.Fatalf("lambda<0: err=%v, want ErrInvalidBudget", err)
 	}
 	// Errors propagate.
 	if _, err := NewShardedIndex(nil, Config{Metric: Euclidean}, 2); err == nil {
@@ -150,7 +150,7 @@ func TestShardedMultiProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := must(sx.SearchBudget(data[42], 1, 3*len(data)))
+	res := must(sx.SearchQuery(data[42], Query{K: 1, Budget: 3 * len(data)}, nil))
 	if len(res) != 1 || res[0].Dist != 0 {
 		t.Fatalf("multi-probe sharded self-search: %+v", res)
 	}
@@ -198,7 +198,7 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	}
 	for qi := 0; qi < 10; qi++ {
 		q := g.GaussianVector(10)
-		a, b := must(sx.SearchBudget(q, 5, 80)), must(loaded.SearchBudget(q, 5, 80))
+		a, b := must(sx.SearchQuery(q, Query{K: 5, Budget: 80}, nil)), must(loaded.SearchQuery(q, Query{K: 5, Budget: 80}, nil))
 		if len(a) != len(b) {
 			t.Fatalf("query %d: lengths differ", qi)
 		}
@@ -231,7 +231,7 @@ func TestLoadShardedAcceptsFormat1(t *testing.T) {
 	if sx.Shards() != 1 || sx.Len() != 400 {
 		t.Fatalf("wrapped format-1: shards=%d len=%d", sx.Shards(), sx.Len())
 	}
-	a, b := must(ix.SearchBudget(data[7], 5, 60)), must(sx.SearchBudget(data[7], 5, 60))
+	a, b := must(ix.SearchQuery(data[7], Query{K: 5, Budget: 60}, nil)), must(sx.SearchQuery(data[7], Query{K: 5, Budget: 60}, nil))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("pos %d: %+v vs %+v", i, a[i], b[i])

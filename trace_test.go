@@ -50,13 +50,13 @@ func TestShardedSearchTraced(t *testing.T) {
 	}
 	q := data[3]
 
-	plain, err := sx.SearchBudget(q, 5, 40)
+	plain, err := sx.SearchQuery(q, Query{K: 5, Budget: 40}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.GetTrace(1)
 	defer obs.PutTrace(tr)
-	traced, err := sx.SearchBudgetIntoTraced(q, 5, 40, nil, tr)
+	traced, err := sx.SearchQuery(q, Query{K: 5, Budget: 40, Trace: tr}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestDynamicSearchTracedBufferScan(t *testing.T) {
 	}
 	tr := obs.GetTrace(2)
 	defer obs.PutTrace(tr)
-	if _, err := d.SearchBudgetIntoTraced(data[0], 5, 0, nil, tr); err != nil {
+	if _, err := d.SearchQuery(data[0], Query{K: 5, Budget: 0, Trace: tr}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tree := tr.Tree()
