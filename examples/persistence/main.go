@@ -1,5 +1,5 @@
 // Persistence and online updates: save an index to disk so the next start
-// skips the sort-dominated build (Algorithm 1), then serve inserts and
+// skips the index build (Algorithm 1), then serve inserts and
 // deletes through the dynamic wrapper while queries keep running.
 package main
 

@@ -17,7 +17,9 @@ var indexMagic = [8]byte{'L', 'C', 'C', 'S', 'I', 'D', 'X', '1'}
 // Encode serializes the index: parameters plus the CSA. The dataset
 // itself is not stored — hash functions regenerate deterministically from
 // (family, M, Seed), and the caller supplies the same data slice at
-// Decode time. Loading skips the m sorts of Algorithm 1.
+// Decode time. Loading skips the sort and the induced passes of the build;
+// it still pays the O(n·m) pass that validates the orders and rebuilds
+// the rank entries' LCP bits.
 func (ix *Index) Encode(w io.Writer) error {
 	if _, err := w.Write(indexMagic[:]); err != nil {
 		return err

@@ -9,16 +9,49 @@
 // the next links (Lemma 3.1 / Corollary 3.2), finally merging the 2m
 // sorted neighborhoods with a priority queue to emit candidates in
 // non-increasing LCCS-length order (Algorithm 2).
+//
+// # Rank entries
+//
+// A rank entry of a sorted order is one 32-bit word. Its low
+// idBits = bits.Len(n−1) bits hold the string id; the remaining high bits
+// hold the adjacent LCP: the number of leading symbols, read circularly
+// from the order's shift, that the string shares with the string at the
+// next rank, clamped to lcpMax = min(m, 2^(32−idBits) − 1). The merge
+// moves each of its 2m lanes monotonically away from the query's place in
+// a sorted order, so the LCP of the query with the next string on a lane
+// is min(current length, adjacent LCP between the two ranks): Next reads
+// one rank entry per step and never opens a hash string.
+//
+// Saturation rule: when lcpMax < m (the LCP field is narrower than
+// bits.Len(m)), a stored lcpMax means "at least lcpMax". Only a lane whose
+// current length exceeds lcpMax can need more than that, and only then is
+// the length finished by comparing the string with the query from symbol
+// lcpMax on.
+//
+// # Build
+//
+// The circular order at shift i is the stable sort of the order at shift
+// i+1 by the single symbol at position i (equal strings stay id-ordered).
+// NewFromFlat therefore runs one comparison sort, at shift m−1, and
+// induces the other m−1 orders with stable counting passes over one
+// int32 column each (two 16-bit radix passes when a column's value range
+// needs them); the next links fall out of the scatter. A final pass per
+// shift fills the LCP bits, carrying each string's LCP along its next
+// link (the LCP with the successor drops by at most one per shift, as in
+// Kasai et al.), which bounds the work at O(n·m) symbol comparisons; the
+// inducing is one chain, the LCP pass runs on all cores, a run of shifts
+// each.
 package csa
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
-
-	"lccs/internal/pqueue"
 )
 
 // CSA is an immutable Circular Shift Array over n strings of length m.
@@ -33,20 +66,38 @@ type CSA struct {
 	// data holds the n strings row-major: symbol j of string id is
 	// data[id*m + j].
 	data []int32
-	// sorted holds the m sorted orders back to back: sorted[i*n + rank]
-	// is the id of the rank-th smallest string when strings are compared
-	// circularly starting at position i (the paper's I_{i+1} over
-	// shift(T, i)).
-	sorted []int32
+	// sorted holds the m sorted orders back to back as rank entries:
+	// sorted[i*n + rank] & idMask is the id of the rank-th smallest string
+	// when strings are compared circularly starting at position i (the
+	// paper's I_{i+1} over shift(T, i)), and sorted[i*n + rank] >> idBits
+	// is min(lcpMax, LCP of that string with the one at rank+1), zero at
+	// the last rank.
+	sorted []uint32
 	// next holds the m next-link arrays back to back: next[i*n + rank]
 	// is the rank, in shift (i+1) mod m's order, of the string at
 	// sorted[i*n + rank] (the paper's N_{i+1}).
 	next []int32
+
+	idBits uint
+	idMask uint32
+	lcpMax int32
 }
 
-// sortedRow returns the sorted order of shift i as a view into the flat
+// entryBits is the width of a rank entry.
+const entryBits = 32
+
+// setLayout splits the rank entry for n ids, leaving the LCP field at
+// most fieldBits wide (tests narrow it to reach the saturation rule).
+func (c *CSA) setLayout(fieldBits int) {
+	c.idBits = uint(bits.Len(uint(c.n - 1)))
+	c.idMask = 1<<c.idBits - 1
+	free := min(entryBits-int(c.idBits), fieldBits)
+	c.lcpMax = int32(min(int64(c.m), 1<<free-1))
+}
+
+// sortedRow returns the rank entries of shift i as a view into the flat
 // block.
-func (c *CSA) sortedRow(i int) []int32 {
+func (c *CSA) sortedRow(i int) []uint32 {
 	return c.sorted[i*c.n : (i+1)*c.n : (i+1)*c.n]
 }
 
@@ -56,9 +107,14 @@ func (c *CSA) nextRow(i int) []int32 {
 	return c.next[i*c.n : (i+1)*c.n : (i+1)*c.n]
 }
 
+// str returns string id as a view into the symbol block.
+func (c *CSA) str(id uint32) []int32 {
+	return c.data[int(id)*c.m : (int(id)+1)*c.m : (int(id)+1)*c.m]
+}
+
 // New builds a CSA over the given equal-length strings (Algorithm 1).
-// It runs the m sorts on all available CPUs. New panics if strings is
-// empty or lengths differ; those are programming errors in callers.
+// New panics if strings is empty or lengths differ; those are programming
+// errors in callers.
 func New(strings [][]int32) *CSA {
 	n := len(strings)
 	if n == 0 {
@@ -81,129 +137,249 @@ func New(strings [][]int32) *CSA {
 // NewFromFlat builds a CSA from a row-major n×m symbol block. The block is
 // retained by the CSA and must not be modified afterwards.
 func NewFromFlat(data []int32, n, m int) *CSA {
+	return newFromFlat(data, n, m, entryBits)
+}
+
+func newFromFlat(data []int32, n, m, fieldBits int) *CSA {
 	if len(data) != n*m {
 		panic("csa: flat data size mismatch")
 	}
 	c := &CSA{n: n, m: m, data: data}
-	c.sorted = make([]int32, m*n)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	shifts := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range shifts {
-				c.sortShift(i)
-			}
-		}()
-	}
-	for i := 0; i < m; i++ {
-		shifts <- i
-	}
-	close(shifts)
-	wg.Wait()
-
-	// Next links: next[i·n + rank(id at shift i)] = rank(id at shift i+1).
+	c.setLayout(fieldBits)
+	c.sorted = make([]uint32, m*n)
 	c.next = make([]int32, m*n)
-	pos := make([]int32, n)
-	for i := 0; i < m; i++ {
-		ni := (i + 1) % m
-		for r, id := range c.sortedRow(ni) {
-			pos[id] = int32(r)
-		}
-		links := c.nextRow(i)
-		for r, id := range c.sortedRow(i) {
-			links[r] = pos[id]
-		}
+	c.buildOrders()
+	if err := c.fillLCP(); err != nil {
+		panic(err) // the orders just built are sorted
 	}
 	return c
 }
 
-// sortShift fills shift i's region of the flat sorted block with string
-// ids ordered by circular comparison from shift i, ties broken by id so
-// the order is deterministic. Regions of distinct shifts are disjoint,
-// so the m sorts run in parallel without coordination.
-func (c *CSA) sortShift(i int) {
-	ids := c.sortedRow(i)
-	for j := range ids {
-		ids[j] = int32(j)
+// buildOrders fills sorted (ids only) and next: a comparison sort at
+// shift m−1, ties broken by id so the order is deterministic, then one
+// induced pass per remaining shift.
+func (c *CSA) buildOrders() {
+	n, m := c.n, c.m
+	last := c.sortedRow(m - 1)
+	for j := range last {
+		last[j] = uint32(j)
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		cmp := c.compareStrings(ids[a], ids[b], i)
-		if cmp != 0 {
-			return cmp < 0
+	slices.SortFunc(last, func(a, b uint32) int {
+		if k, greater := commonPrefix(c.str(a), c.str(b), m-1, 0, m); k < m {
+			if greater {
+				return 1
+			}
+			return -1
 		}
-		return ids[a] < ids[b]
+		return cmp.Compare(a, b)
 	})
+	sc := &induceScratch{keys: make([]uint32, n)}
+	for i := m - 2; i >= 0; i-- {
+		c.induce(i, sc)
+	}
+	// The wrap-around links, from shift m−1's ranks to shift 0's; the
+	// key scratch is free to hold shift 0's ranks by id.
+	pos := sc.keys
+	for r, id := range c.sortedRow(0) {
+		pos[id] = uint32(r)
+	}
+	links := c.nextRow(m - 1)
+	for r, id := range last {
+		links[r] = int32(pos[id])
+	}
 }
 
-// compareStrings lexicographically compares strings a and b circularly
-// from position shift.
-func (c *CSA) compareStrings(a, b int32, shift int) int {
-	m := c.m
-	ra := c.data[int(a)*m : int(a)*m+m]
-	rb := c.data[int(b)*m : int(b)*m+m]
-	p := shift
-	for i := 0; i < m; i++ {
-		av, bv := ra[p], rb[p]
-		if av != bv {
-			if av < bv {
-				return -1
+// induceScratch is the O(n) working memory of the induced passes.
+type induceScratch struct {
+	keys   []uint32 // one column, biased so that unsigned order is int32 order
+	counts []uint32
+	// Intermediate order of a two-digit pass: ids and the ranks they
+	// came from. Allocated on the first column that needs it.
+	ids   []uint32
+	ranks []int32
+}
+
+const digitBits = 16
+
+// induce derives shift i's order and next links from shift i+1's: a
+// stable sort of that order by the symbol at position i. Columns whose
+// values span fewer than 2^16 take one counting pass, wider ones an LSD
+// pass per 16-bit digit.
+func (c *CSA) induce(i int, sc *induceScratch) {
+	n, m := c.n, c.m
+	lo, hi := uint32(math.MaxUint32), uint32(0)
+	for id, p := 0, i; id < n; id, p = id+1, p+m {
+		k := uint32(c.data[p]) ^ 1<<31
+		sc.keys[id] = k
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	span := hi - lo
+	srcIDs, srcRanks := c.sortedRow(i+1), []int32(nil)
+	for shift := uint(0); ; shift += digitBits {
+		final := span>>shift < 1<<digitBits
+		dstIDs, dstRanks := c.sortedRow(i), c.nextRow(i)
+		if !final {
+			if sc.ids == nil {
+				sc.ids, sc.ranks = make([]uint32, n), make([]int32, n)
 			}
-			return 1
+			dstIDs, dstRanks = sc.ids, sc.ranks
 		}
-		p++
-		if p >= m {
-			p = 0
+		buckets := int(min(span>>shift, 1<<digitBits-1)) + 1
+		if cap(sc.counts) < buckets {
+			sc.counts = make([]uint32, buckets)
 		}
-	}
-	return 0
-}
-
-// compareToQuery compares the data string id (circularly from shift)
-// against the query string q (circularly from shift).
-func (c *CSA) compareToQuery(id int32, q []int32, shift int) int {
-	m := c.m
-	row := c.data[int(id)*m : int(id)*m+m]
-	p := shift
-	for i := 0; i < m; i++ {
-		av, bv := row[p], q[p]
-		if av != bv {
-			if av < bv {
-				return -1
+		counts := sc.counts[:buckets]
+		clear(counts)
+		const mask = 1<<digitBits - 1
+		for _, k := range sc.keys {
+			counts[(k-lo)>>shift&mask]++
+		}
+		sum := uint32(0)
+		for d, cnt := range counts {
+			counts[d] = sum
+			sum += cnt
+		}
+		for r, id := range srcIDs {
+			d := (sc.keys[id] - lo) >> shift & mask
+			at := counts[d]
+			counts[d] = at + 1
+			dstIDs[at] = id
+			if srcRanks == nil {
+				dstRanks[at] = int32(r)
+			} else {
+				dstRanks[at] = srcRanks[r]
 			}
-			return 1
 		}
-		p++
-		if p >= m {
-			p = 0
+		if final {
+			return
 		}
+		srcIDs, srcRanks = dstIDs, dstRanks
 	}
-	return 0
 }
 
-// lcpWithQuery returns the length of the longest common prefix of the data
-// string id and the query q, both read circularly from position shift.
-// The result is capped at m.
-func (c *CSA) lcpWithQuery(id int32, q []int32, shift int) int32 {
-	m := c.m
-	row := c.data[int(id)*m : int(id)*m+m]
-	p := shift
-	for i := 0; i < m; i++ {
-		if row[p] != q[p] {
-			return int32(i)
+var errUnsorted = errors.New("csa: sorted order is not in circular order")
+
+// fillLCP packs the adjacent LCPs into the rank entries, which must hold
+// bare ids, and checks on the way that every order is sorted: neighbours
+// a, b at shift i must satisfy a[i] < b[i], or a[i] = b[i] with a before
+// b at shift i+1 too — or be equal strings, which may stand in either
+// order. Holding at every rank of every shift, that implies every order
+// is sorted — of all neighbours out of order take a pair whose first
+// mismatch comes earliest: not at the first symbol, by the rule, so one
+// shift on the two stand in the same wrong order with the mismatch one
+// symbol earlier, and somewhere between them are neighbours out of order
+// no later than that — so nothing has to be compared twice.
+//
+// While b still follows a one shift on, the LCP of a with its successor
+// there is at least that of a and b, less one (every string between the
+// two shares it). So each LCP found is also left, through the next link,
+// in the LCP bits of a's entry one shift on, and the comparison there
+// starts from it, less one, before overwriting it: O(n·m) symbol
+// comparisons per worker at worst, and no scratch. Equal strings that
+// swap places carry nothing — a's new successor may be any string — and
+// cost a comparison in full each: a file may spend O(m) per such pair and
+// shift, a build never does (its equal strings stay id-ordered). The
+// bounds are only as good as the orders; they are trusted because a file
+// whose orders are not sorted is rejected as a whole.
+func (c *CSA) fillLCP() error {
+	// Shifts are dealt out in contiguous runs, one per worker. A run
+	// touches the rank entries of its own shifts only, and starts without
+	// carried LCPs as shift 0 does, so runs share nothing they write.
+	workers := min(runtime.GOMAXPROCS(0), c.m)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = c.fillShifts(w*c.m/workers, (w+1)*c.m/workers)
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fillShifts is fillLCP over shifts [from, to).
+func (c *CSA) fillShifts(from, to int) error {
+	n, m := c.n, c.m
+	limit := int(c.lcpMax)
+	// The first symbols of a block of neighbours are gathered ahead of
+	// the comparisons: loads that depend on nothing but the order, which
+	// the processor overlaps instead of stalling on one row at a time.
+	var first [64]int32
+	for i := from; i < to; i++ {
+		row, links := c.sortedRow(i), c.nextRow(i)
+		var following []uint32 // nothing is carried out of the run
+		if i+1 < to {
+			following = c.sortedRow(i + 1)
+		}
+		a := c.str(row[0] & c.idMask)
+		x := a[i]
+		for base := 1; base < n; base += len(first) {
+			block := row[base:min(base+len(first), n)]
+			for j, w := range block {
+				first[j] = c.data[int(w&c.idMask)*m+i]
+			}
+			for j, w := range block {
+				r, y := base+j-1, first[j]
+				if x > y {
+					return errUnsorted
+				}
+				b := c.str(w & c.idMask)
+				lcp, follows := 0, links[r] < links[r+1]
+				switch {
+				case x < y:
+				case follows:
+					carried := int(row[r] >> c.idBits)
+					lcp, _ = commonPrefix(a, b, i, max(carried-1, 1), limit)
+				default:
+					// Only equal strings may swap places; compared in
+					// full and from the start, whatever was carried.
+					if k, _ := commonPrefix(a, b, 0, 0, m); k < m {
+						return errUnsorted
+					}
+					lcp = limit
+				}
+				row[r] = row[r]&c.idMask | uint32(lcp)<<c.idBits
+				// The carry bounds a's LCP with its successor one shift on
+				// only if b still comes after a there.
+				if follows && following != nil {
+					following[links[r]] |= uint32(lcp) << c.idBits
+				}
+				a, x = b, y
+			}
+		}
+		row[n-1] &= c.idMask
+	}
+	return nil
+}
+
+// commonPrefix compares strings a and b of length m = len(a), both read
+// circularly from position shift, given that their first from symbols
+// are equal. It returns the length of their common prefix, capped at
+// limit, and whether a is the greater at the first mismatch.
+func commonPrefix(a, b []int32, shift, from, limit int) (int, bool) {
+	m := len(a)
+	b = b[:m]
+	p := shift + from
+	if p >= m {
+		p -= m
+	}
+	for k := from; k < limit; k++ {
+		if x, y := a[p], b[p]; x != y {
+			return k, x > y
 		}
 		p++
-		if p >= m {
+		if p == m {
 			p = 0
 		}
 	}
-	return int32(m)
+	return limit, false
 }
 
 // N returns the number of indexed strings.
@@ -232,15 +408,24 @@ type Result struct {
 	Length int
 }
 
-// entry is a frontier element of the 2m-way merge: the string at rank pos
-// in sorted[shift] matches probe query #probe with an LCP of len symbols
-// from that shift; dir is the direction this frontier advances in.
-type entry struct {
-	len   int32
+// lane is one frontier of the 2m-way merge (times the probes issued): it
+// stands at rank pos of one shift's sorted order and advances in one
+// direction. key packs what orders the lanes — the LCP of the lane's
+// string with its probe's query (longest first), then the shift, then
+// the direction (downward first) — as
+//
+//	(m − len) << 32 | shift << 1 | up
+//
+// so that the smaller key pops first; probe breaks the ties that only
+// multi-probe can produce, which makes the order total.
+type lane struct {
+	key   uint64
 	pos   int32
-	shift int32
-	dir   int32
 	probe int32
+}
+
+func (a lane) before(b lane) bool {
+	return a.key < b.key || a.key == b.key && a.probe < b.probe
 }
 
 // bounds records the outcome of the binary search at one shift, kept both
@@ -255,14 +440,15 @@ type bounds struct {
 }
 
 // Searcher runs k-LCCS queries against one CSA. It owns reusable scratch
-// (visited stamps, per-shift bounds, the merge heap, the flat query
+// (visited stamps, per-shift bounds, the lane queue, the flat query
 // buffer) and is therefore not safe for concurrent use; create one
 // Searcher per goroutine — or, as the core index does, keep Searchers in
 // a sync.Pool. At steady state (buffers grown to their working size) a
 // full Begin/Next/SearchInto cycle performs no heap allocations.
 type Searcher struct {
-	c       *CSA
-	heap    *pqueue.Heap[entry]
+	c *CSA
+	// lanes is a binary min-heap under lane.before.
+	lanes   []lane
 	bounds  []bounds
 	visited []int32
 	gen     int32
@@ -290,28 +476,18 @@ func (s *Searcher) pushQuery(q []int32) int32 {
 // NewSearcher returns a fresh Searcher for c.
 func (c *CSA) NewSearcher() *Searcher {
 	return &Searcher{
-		c: c,
-		heap: pqueue.NewWithCapacity(2*c.m+16, func(a, b entry) bool {
-			if a.len != b.len {
-				return a.len > b.len
-			}
-			// Deterministic tie-break keeps runs reproducible.
-			if a.shift != b.shift {
-				return a.shift < b.shift
-			}
-			return a.dir < b.dir
-		}),
+		c:       c,
+		lanes:   make([]lane, 0, 2*c.m+16),
 		bounds:  make([]bounds, c.m),
 		visited: make([]int32, c.n),
-		gen:     0,
 	}
 }
 
-// reset prepares the reusable scratch for a fresh search: empty heap
-// and query buffer, a new visited generation (re-stamping the visited
+// reset prepares the reusable scratch for a fresh search: no lanes, an
+// empty query buffer, a new visited generation (re-stamping the visited
 // array only on the rare int32 wrap), zeroed counters.
 func (s *Searcher) reset() {
-	s.heap.Reset()
+	s.lanes = s.lanes[:0]
 	if s.gen == math.MaxInt32 {
 		for i := range s.visited {
 			s.visited[i] = 0
@@ -323,44 +499,92 @@ func (s *Searcher) reset() {
 	s.qbuf = s.qbuf[:0]
 }
 
-// searchRange binary-searches sorted[shift] in rank range [lo, hi]
-// (inclusive) for the query q read circularly from shift. It returns the
-// clamped lower/upper bound ranks, their LCP lengths with q, and whether
-// each bound satisfies its ordering precondition.
-func (s *Searcher) searchRange(q []int32, shift, lo, hi int) bounds {
+// push adds a lane to the queue.
+func (s *Searcher) push(e lane) {
+	h := append(s.lanes, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	s.lanes = h
+}
+
+// replaceTop puts e where the first lane was and restores the heap.
+func (s *Searcher) replaceTop(e lane) {
+	h := s.lanes
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = e
+}
+
+// search binary-searches sorted[shift] for the query q read circularly
+// from shift, strictly between ranks l and h. The caller knows the string
+// at l to be ⪯ q with an LCP of exactly lenL, or passes l = −1, lenL = 0
+// for no such string; likewise the string at h is ≻ q with LCP lenU, or
+// h = n, lenU = 0. Every string between two ranks shares with q what both
+// ends share, so each comparison starts at the smaller of the two LCPs
+// (Manber–Myers) and hands the LCP it finds to the end it replaces: the
+// bounds' lengths cost no further reads. search pushes the two lanes of
+// the outcome and returns it — the clamped lower/upper bound ranks, their
+// LCPs with q, and whether each bound satisfies its ordering precondition.
+func (s *Searcher) search(probe int32, shift, l, h int, lenL, lenU int32) bounds {
 	c := s.c
+	q := s.query(probe)
 	order := c.sortedRow(shift)
-	// Find the first rank in [lo, hi+1) whose string compares strictly
-	// greater than q; strings equal to q count as ⪯ q.
-	first := lo + sort.Search(hi-lo+1, func(i int) bool {
+	for h-l > 1 {
+		mid := int(uint(l+h) >> 1)
 		s.comparisons++
-		return c.compareToQuery(order[lo+i], q, shift) > 0
-	})
-	var b bounds
-	// posL is the last rank with T ⪯ q. If none in range, clamp to lo.
-	if first > lo {
-		b.posL = int32(first - 1)
-		b.validL = true
-	} else {
-		b.posL = int32(lo)
-		b.validL = false
+		k, greater := commonPrefix(c.str(order[mid]&c.idMask), q, shift, int(min(lenL, lenU)), c.m)
+		if greater {
+			h, lenU = mid, int32(k)
+		} else {
+			l, lenL = mid, int32(k)
+		}
 	}
-	// posU is the first rank with q ≺ T. If none in range, clamp to hi.
-	if first <= hi {
-		b.posU = int32(first)
-		b.validU = true
-	} else {
-		b.posU = int32(hi)
-		b.validU = false
+	b := bounds{posL: int32(l), posU: int32(h), lenL: lenL, lenU: lenU, validL: l >= 0, validU: h < c.n}
+	// No string ⪯ q, or none ≻ q: the missing bound clamps onto the other.
+	if !b.validL {
+		b.posL, b.lenL = b.posU, b.lenU
+	} else if !b.validU {
+		b.posU, b.lenU = b.posL, b.lenL
 	}
-	b.lenL = c.lcpWithQuery(order[b.posL], q, shift)
-	b.lenU = c.lcpWithQuery(order[b.posU], q, shift)
+	key := uint64(shift) << 1
+	s.push(lane{key: uint64(int32(c.m)-b.lenL)<<32 | key, pos: b.posL, probe: probe})
+	s.push(lane{key: uint64(int32(c.m)-b.lenU)<<32 | key | 1, pos: b.posU, probe: probe})
 	return b
+}
+
+// shifted returns the LCP, one shift on, of a string and a query whose
+// LCP is l ≥ 1: one symbol fewer, unless the two are equal.
+func (c *CSA) shifted(l int32) int32 {
+	if l == int32(c.m) {
+		return l
+	}
+	return l - 1
 }
 
 // Begin starts a new k-LCCS search for query q (Algorithm 2, lines 1–11):
 // it computes the per-shift bounds — a full binary search at shift 0, then
-// next-link-narrowed searches — and seeds the merge heap. Candidates are
+// next-link-narrowed searches — and seeds the lane queue. Candidates are
 // then pulled with Next. q must have length m; Begin copies it.
 func (s *Searcher) Begin(q []int32) {
 	c := s.c
@@ -368,33 +592,25 @@ func (s *Searcher) Begin(q []int32) {
 		panic(fmt.Sprintf("csa: query length %d, want %d", len(q), c.m))
 	}
 	s.reset()
-	qc := s.query(s.pushQuery(q))
+	s.pushQuery(q)
 
+	var prev bounds
 	for i := 0; i < c.m; i++ {
-		var lo, hi = 0, c.n - 1
+		l, h, lenL, lenU := -1, c.n, int32(0), int32(0)
 		if i > 0 {
-			prev := s.bounds[i-1]
-			// Corollary 3.2, applied per side: a bound whose LCP
-			// with the query is ≥ 1 shifts into a valid bound for
-			// the next shift's search range.
+			// Corollary 3.2, applied per side: a bound whose LCP with
+			// the query is ≥ 1 is, one shift on, a string on the same
+			// side of the query whose LCP is known without a read.
 			links := c.nextRow(i - 1)
 			if prev.validL && prev.lenL >= 1 {
-				lo = int(links[prev.posL])
+				l, lenL = int(links[prev.posL]), c.shifted(prev.lenL)
 			}
 			if prev.validU && prev.lenU >= 1 {
-				hi = int(links[prev.posU])
-			}
-			if lo > hi {
-				// Defensive: cannot happen for a correctly
-				// ordered index, but a full search is always
-				// safe.
-				lo, hi = 0, c.n-1
+				h, lenU = int(links[prev.posU]), c.shifted(prev.lenU)
 			}
 		}
-		b := s.searchRange(qc, i, lo, hi)
-		s.bounds[i] = b
-		s.heap.Push(entry{len: b.lenL, pos: b.posL, shift: int32(i), dir: -1, probe: 0})
-		s.heap.Push(entry{len: b.lenU, pos: b.posU, shift: int32(i), dir: +1, probe: 0})
+		prev = s.search(0, i, l, h, lenL, lenU)
+		s.bounds[i] = prev
 	}
 }
 
@@ -408,13 +624,9 @@ func (s *Searcher) BeginSimple(q []int32) {
 		panic(fmt.Sprintf("csa: query length %d, want %d", len(q), c.m))
 	}
 	s.reset()
-	qc := s.query(s.pushQuery(q))
-
+	s.pushQuery(q)
 	for i := 0; i < c.m; i++ {
-		b := s.searchRange(qc, i, 0, c.n-1)
-		s.bounds[i] = b
-		s.heap.Push(entry{len: b.lenL, pos: b.posL, shift: int32(i), dir: -1, probe: 0})
-		s.heap.Push(entry{len: b.lenU, pos: b.posU, shift: int32(i), dir: +1, probe: 0})
+		s.bounds[i] = s.search(0, i, -1, c.n, 0, 0)
 	}
 }
 
@@ -424,29 +636,49 @@ func (s *Searcher) BeginSimple(q []int32) {
 // for the first emission of an id equals its LCCS length with the query.
 func (s *Searcher) Next() (Result, bool) {
 	c := s.c
-	for s.heap.Len() > 0 {
-		e := s.heap.Pop()
-		order := c.sortedRow(int(e.shift))
-		id := order[e.pos]
-		// Advance this frontier before the dedup check so the lane
-		// keeps producing candidates.
-		npos := e.pos + e.dir
-		if npos >= 0 && npos < int32(c.n) {
-			q := s.query(e.probe)
-			nid := order[npos]
-			s.heap.Push(entry{
-				len:   c.lcpWithQuery(nid, q, int(e.shift)),
-				pos:   npos,
-				shift: e.shift,
-				dir:   e.dir,
-				probe: e.probe,
-			})
+	m := int32(c.m)
+	for len(s.lanes) > 0 {
+		e := s.lanes[0]
+		shift := int(uint32(e.key) >> 1)
+		order := c.sortedRow(shift)
+		w := order[e.pos]
+		length := m - int32(e.key>>32)
+		// Advance this lane before the dedup check so it keeps producing
+		// candidates. A lane moves away from the query's place in the
+		// order, so its next length is the smaller of this one and the
+		// LCP stored between the two ranks.
+		npos, between := e.pos+1, w
+		if e.key&1 == 0 {
+			if npos = e.pos - 1; npos >= 0 {
+				between = order[npos]
+			}
 		}
+		if uint32(npos) < uint32(c.n) {
+			e.pos = npos
+			if lcp := int32(between >> c.idBits); lcp < length {
+				if lcp == c.lcpMax {
+					// Saturated: the stored value is a lower bound
+					// (lcp < length ≤ m, so lcpMax < m here).
+					k, _ := commonPrefix(c.str(order[npos]&c.idMask), s.query(e.probe), shift, int(lcp), int(length))
+					lcp = int32(k)
+				}
+				e.key += uint64(length-lcp) << 32
+			}
+			s.replaceTop(e)
+		} else {
+			last := len(s.lanes) - 1
+			e = s.lanes[last]
+			s.lanes = s.lanes[:last]
+			if last > 0 {
+				s.replaceTop(e)
+			}
+		}
+		id := w & c.idMask
 		if s.visited[id] == s.gen {
 			continue
 		}
 		s.visited[id] = s.gen
-		return Result{ID: int(id), Length: int(e.len)}, true
+		return Result{ID: int(id), Length: int(length)}, true
 	}
 	return Result{}, false
 }
@@ -517,8 +749,8 @@ func (s *Searcher) AffectedShifts(dst []int, modified []int) []int {
 // Probe injects a perturbed query into the ongoing search (MP-LCCS-LSH,
 // §4.2): pq is the full perturbed hash string and modified lists the
 // positions where it differs from the original query. Only the affected
-// shifts are re-searched (full-range binary searches); their frontiers are
-// pushed into the shared merge heap so subsequent Next calls interleave
+// shifts are re-searched (full-range binary searches); their lanes are
+// pushed into the shared queue so subsequent Next calls interleave
 // candidates from all probes issued so far, deduplicated against earlier
 // emissions. scratch is an optional reusable buffer for the affected-shift
 // list.
@@ -528,13 +760,9 @@ func (s *Searcher) Probe(pq []int32, modified []int, scratch []int) []int {
 		panic(fmt.Sprintf("csa: probe length %d, want %d", len(pq), c.m))
 	}
 	probe := s.pushQuery(pq)
-	qc := s.query(probe)
-
 	scratch = s.AffectedShifts(scratch[:0], modified)
 	for _, i := range scratch {
-		b := s.searchRange(qc, i, 0, c.n-1)
-		s.heap.Push(entry{len: b.lenL, pos: b.posL, shift: int32(i), dir: -1, probe: probe})
-		s.heap.Push(entry{len: b.lenU, pos: b.posU, shift: int32(i), dir: +1, probe: probe})
+		s.search(probe, i, -1, c.n, 0, 0)
 	}
 	return scratch
 }
@@ -544,10 +772,7 @@ func (s *Searcher) Probe(pq []int32, modified []int, scratch []int) []int {
 func (s *Searcher) ProbeFull(pq []int32) {
 	c := s.c
 	probe := s.pushQuery(pq)
-	qc := s.query(probe)
 	for i := 0; i < c.m; i++ {
-		b := s.searchRange(qc, i, 0, c.n-1)
-		s.heap.Push(entry{len: b.lenL, pos: b.posL, shift: int32(i), dir: -1, probe: probe})
-		s.heap.Push(entry{len: b.lenU, pos: b.posU, shift: int32(i), dir: +1, probe: probe})
+		s.search(probe, i, -1, c.n, 0, 0)
 	}
 }

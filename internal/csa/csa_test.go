@@ -23,7 +23,7 @@ var (
 // [0,2,1] and next[0] = [2,0,1].
 func TestBuildPaperExample(t *testing.T) {
 	c := New([][]int32{paperO1, paperO2, paperO3})
-	if got, want := c.sortedRow(0), []int32{0, 2, 1}; !eqInt32(got, want) {
+	if got, want := rowIDs(c, 0), []int32{0, 2, 1}; !eqInt32(got, want) {
 		t.Errorf("sorted[0] = %v, want %v", got, want)
 	}
 	if got, want := c.nextRow(0), []int32{2, 0, 1}; !eqInt32(got, want) {
@@ -55,9 +55,9 @@ func TestNextLinksConsistency(t *testing.T) {
 	r := rand.New(rand.NewPCG(11, 13))
 	c := New(randStrings(r, 50, 6, 4))
 	for i := 0; i < c.m; i++ {
-		ni := (i + 1) % c.m
-		for rank, id := range c.sortedRow(i) {
-			got := c.sortedRow(ni)[c.nextRow(i)[rank]]
+		following := rowIDs(c, (i+1)%c.m)
+		for rank, id := range rowIDs(c, i) {
+			got := following[c.nextRow(i)[rank]]
 			if got != id {
 				t.Fatalf("next link broken at shift %d rank %d: %d != %d", i, rank, got, id)
 			}
@@ -69,9 +69,9 @@ func TestSortedOrdersAreSorted(t *testing.T) {
 	r := rand.New(rand.NewPCG(17, 19))
 	c := New(randStrings(r, 80, 5, 3))
 	for i := 0; i < c.m; i++ {
+		ids := rowIDs(c, i)
 		for rank := 1; rank < c.n; rank++ {
-			a, b := c.sortedRow(i)[rank-1], c.sortedRow(i)[rank]
-			if c.compareStrings(a, b, i) > 0 {
+			if c.compareStrings(ids[rank-1], ids[rank], i) > 0 {
 				t.Fatalf("sorted[%d] out of order at rank %d", i, rank)
 			}
 		}
@@ -392,6 +392,15 @@ func randStrings(r *rand.Rand, n, m int, alphabet int32) [][]int32 {
 			s[j] = r.Int32N(alphabet)
 		}
 		out[i] = s
+	}
+	return out
+}
+
+// rowIDs returns the string ids of shift i's order, rank by rank.
+func rowIDs(c *CSA, i int) []int32 {
+	out := make([]int32, c.n)
+	for r, w := range c.sortedRow(i) {
+		out[r] = int32(w & c.idMask)
 	}
 	return out
 }

@@ -15,8 +15,8 @@ var csaMagic = [8]byte{'L', 'C', 'C', 'S', 'C', 'S', 'A', '1'}
 // in memory, so it is written as one contiguous block on disk — the
 // byte stream is identical to what the earlier per-shift encoder
 // produced (m consecutive length-n little-endian arrays), keeping old
-// files loadable unchanged. Loading an encoded CSA skips the
-// O(m·n log n) sort of Algorithm 1, which dominates indexing time.
+// files loadable unchanged. Loading an encoded CSA skips the sort and
+// the induced passes of the build, not the O(n·m) LCP pass.
 func (c *CSA) Encode(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(csaMagic[:]); err != nil {
@@ -29,8 +29,17 @@ func (c *CSA) Encode(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, c.data); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, c.sorted); err != nil {
-		return err
+	// Rank entries go to disk as bare ids: the LCP bits are derived
+	// from the strings, so Decode rebuilds rather than trusts them.
+	var buf [1 << 14]byte
+	for off := 0; off < len(c.sorted); off += len(buf) / 4 {
+		chunk := c.sorted[off:min(off+len(buf)/4, len(c.sorted))]
+		for j, w := range chunk {
+			binary.LittleEndian.PutUint32(buf[4*j:], w&c.idMask)
+		}
+		if _, err := bw.Write(buf[:4*len(chunk)]); err != nil {
+			return err
+		}
 	}
 	if err := binary.Write(bw, binary.LittleEndian, c.next); err != nil {
 		return err
@@ -38,8 +47,9 @@ func (c *CSA) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode reads a CSA written by Encode and validates its structural
-// invariants (each sorted order a permutation, next links consistent).
+// Decode reads a CSA written by Encode, validates its invariants (each
+// sorted order a permutation in circular order, next links consistent)
+// and rebuilds the LCP bits of the rank entries from the strings.
 func Decode(r io.Reader) (*CSA, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
@@ -63,33 +73,37 @@ func Decode(r io.Reader) (*CSA, error) {
 	// with a read error after at most one chunk instead of committing
 	// a multi-gigabyte allocation up front.
 	var err error
-	if c.data, err = readInt32Block(br, n*m); err != nil {
+	if c.data, err = readBlock[int32](br, n*m); err != nil {
 		return nil, err
 	}
 	// The m sorted orders and m next-link arrays are flat blocks, so
 	// each decodes in one read (legacy files wrote the same bytes as m
 	// consecutive arrays — the stream is identical).
-	if c.sorted, err = readInt32Block(br, m*n); err != nil {
+	if c.sorted, err = readBlock[uint32](br, m*n); err != nil {
 		return nil, err
 	}
-	if c.next, err = readInt32Block(br, m*n); err != nil {
+	if c.next, err = readBlock[int32](br, m*n); err != nil {
 		return nil, err
 	}
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
+	c.setLayout(entryBits)
+	if err := c.fillLCP(); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
-// readInt32Block reads count little-endian int32s, growing the result
+// readBlock reads count little-endian 32-bit values, growing the result
 // chunk by chunk so the allocation never outruns the bytes the stream
 // really holds.
-func readInt32Block(r io.Reader, count int) ([]int32, error) {
+func readBlock[T int32 | uint32](r io.Reader, count int) ([]T, error) {
 	const chunk = 1 << 20
-	out := make([]int32, 0, min(count, chunk))
+	out := make([]T, 0, min(count, chunk))
 	for len(out) < count {
 		step := min(count-len(out), chunk)
-		out = append(out, make([]int32, step)...)
+		out = append(out, make([]T, step)...)
 		if err := binary.Read(r, binary.LittleEndian, out[len(out)-step:]); err != nil {
 			return nil, err
 		}
@@ -99,7 +113,8 @@ func readInt32Block(r io.Reader, count int) ([]int32, error) {
 
 // validate checks the structural invariants of a decoded CSA: every rank
 // array is a permutation of [0,n) and every next link points at the same
-// string in the following shift's order.
+// string in the following shift's order. That the orders are sorted is
+// left to fillLCP.
 func (c *CSA) validate() error {
 	seen := make([]bool, c.n)
 	for i := 0; i < c.m; i++ {
@@ -108,7 +123,7 @@ func (c *CSA) validate() error {
 		}
 		order := c.sortedRow(i)
 		for _, id := range order {
-			if id < 0 || int(id) >= c.n || seen[id] {
+			if int(id) >= c.n || seen[id] {
 				return fmt.Errorf("csa: sorted[%d] is not a permutation", i)
 			}
 			seen[id] = true

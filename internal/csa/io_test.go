@@ -2,8 +2,13 @@ package csa
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"testing"
+
+	"lccs/internal/hstring"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -78,4 +83,254 @@ func TestDecodeRejectsCorruptedLinks(t *testing.T) {
 	if _, err := Decode(bytes.NewReader(corrupted)); err == nil {
 		t.Fatal("corrupted permutation should fail validation")
 	}
+}
+
+// swapRanks exchanges ranks r and r+1 of shift i's order and repairs the
+// next links on both sides, so that only the circular order is broken.
+func swapRanks(c *CSA, i, r int) {
+	row, links := c.sortedRow(i), c.nextRow(i)
+	row[r], row[r+1] = row[r+1]&c.idMask, row[r]&c.idMask
+	links[r], links[r+1] = links[r+1], links[r]
+	into := c.nextRow((i + c.m - 1) % c.m)
+	for j, link := range into {
+		switch int(link) {
+		case r:
+			into[j] = int32(r + 1)
+		case r + 1:
+			into[j] = int32(r)
+		}
+	}
+}
+
+// TestDecodeRejectsUnsortedOrder: permutations and links that check out
+// are not enough — a row out of circular order would make every length
+// read off the rank entries wrong.
+func TestDecodeRejectsUnsortedOrder(t *testing.T) {
+	r := rand.New(rand.NewPCG(57, 58))
+	strs := randStrings(r, 60, 6, 3)
+	for trial := 0; trial < 40; trial++ {
+		c := New(strs)
+		i, rank := r.IntN(c.m), r.IntN(c.n-1)
+		ids := rowIDs(c, i)
+		equal := eqInt32(strs[ids[rank]], strs[ids[rank+1]])
+		swapRanks(c, i, rank)
+		for j := range c.sorted {
+			c.sorted[j] &= c.idMask // validate reads bare ids, as Decode hands it
+		}
+		if err := c.validate(); err != nil {
+			t.Fatalf("swap left the structure inconsistent: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := c.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(&buf)
+		if equal {
+			// Equal strings may stand in either id order.
+			label := fmt.Sprintf("shift %d rank %d: equal strings swapped", i, rank)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkStoredLCPs(t, got, label)
+			checkDrain(t, got, strs[ids[rank]], label)
+		} else if !errors.Is(err, errUnsorted) {
+			t.Fatalf("shift %d rank %d: Decode = %v, want %v", i, rank, err, errUnsorted)
+		}
+	}
+}
+
+// flipEqualNeighbours swaps, in a random half of the shifts, a random half
+// of the neighbouring ranks that hold equal strings: a legal file whose
+// equal strings change their relative order from shift to shift. It
+// reports how many pairs it swapped.
+func flipEqualNeighbours(r *rand.Rand, c *CSA) int {
+	swapped := 0
+	for i := 0; i < c.m; i++ {
+		if r.IntN(2) == 0 {
+			continue
+		}
+		for rank := 0; rank+1 < c.n; rank++ {
+			row := c.sortedRow(i)
+			if r.IntN(2) == 0 && eqInt32(c.str(row[rank]&c.idMask), c.str(row[rank+1]&c.idMask)) {
+				swapRanks(c, i, rank)
+				swapped++
+			}
+		}
+	}
+	for j := range c.sorted {
+		c.sorted[j] &= c.idMask
+	}
+	return swapped
+}
+
+// checkStoredLCPs compares the LCP bits of every rank entry with the LCP
+// of the two strings recomputed from the symbol block.
+func checkStoredLCPs(t *testing.T, c *CSA, label string) {
+	t.Helper()
+	for i := 0; i < c.m; i++ {
+		ids := rowIDs(c, i)
+		for rank, w := range c.sortedRow(i) {
+			want := int32(0)
+			if rank+1 < c.n {
+				want = min(c.lcpMax, c.lcpWithQuery(ids[rank], c.str(uint32(ids[rank+1])), i))
+			}
+			if got := int32(w >> c.idBits); got != want {
+				t.Fatalf("%s: lcp[%d][%d] = %d, want %d", label, i, rank, got, want)
+			}
+		}
+	}
+}
+
+// checkDrain runs q to exhaustion: every id once, lengths non-increasing
+// and each the true LCCS.
+func checkDrain(t *testing.T, c *CSA, q []int32, label string) {
+	t.Helper()
+	s := c.NewSearcher()
+	s.Begin(q)
+	seen := make([]bool, c.n)
+	prev := c.m
+	for count := 0; ; count++ {
+		res, ok := s.Next()
+		if !ok {
+			if count != c.n {
+				t.Fatalf("%s: drained %d of %d ids", label, count, c.n)
+			}
+			return
+		}
+		if want := hstring.LCCS(c.String(res.ID), q); seen[res.ID] || res.Length > prev || res.Length != want {
+			t.Fatalf("%s: emission %d: %+v (previous length %d, seen %v, LCCS %d)",
+				label, count, res, prev, seen[res.ID], want)
+		}
+		seen[res.ID], prev = true, res.Length
+	}
+}
+
+// TestDecodeEqualStringsFlipped: equal strings may stand in either id
+// order, and in a different one at every shift. The LCP carried along a
+// next link holds only while the successor still follows; a file that
+// flips equal strings between shifts must still decode to exact LCPs, on
+// one core (one run of shifts, every carry live) as on several.
+func TestDecodeEqualStringsFlipped(t *testing.T) {
+	r := rand.New(rand.NewPCG(61, 62))
+	inputs := [][][]int32{
+		{{1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 2, 1}},
+		{{0, 0, 0, 0, 1, 0}, {0, 0, 0, 0, 1, 0}, {0, 1, 1, 0, 1, 0}, {0, 0, 1, 0, 1, 0}, {0, 0, 0, 0, 0, 0}},
+		{{7, 7, 7}, {7, 7, 7}, {7, 7, 7}, {7, 7, 7}},
+	}
+	for trial := 0; trial < 30; trial++ {
+		n, m := 2+r.IntN(80), 1+r.IntN(8)
+		strs := randStrings(r, 1+r.IntN(6), m, 2)
+		for len(strs) < n {
+			strs = append(strs, strs[r.IntN(len(strs))])
+		}
+		inputs = append(inputs, strs)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for idx, strs := range inputs {
+		for attempt := 0; attempt < 4; attempt++ {
+			c := New(strs)
+			if attempt == 0 {
+				// The smallest case: one pair, flipped at one shift only.
+				i, ids := 1%c.m, rowIDs(c, 1%c.m)
+				rank := 0
+				for rank+1 < c.n && !eqInt32(strs[ids[rank]], strs[ids[rank+1]]) {
+					rank++
+				}
+				if rank+1 == c.n {
+					continue
+				}
+				swapRanks(c, i, rank)
+				for j := range c.sorted {
+					c.sorted[j] &= c.idMask
+				}
+			} else if flipEqualNeighbours(r, c) == 0 {
+				continue
+			}
+			if err := c.validate(); err != nil {
+				t.Fatalf("input %d: flips left the structure inconsistent: %v", idx, err)
+			}
+			var buf bytes.Buffer
+			if err := c.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			for _, procs := range []int{1, 4} {
+				label := fmt.Sprintf("input %d attempt %d GOMAXPROCS=%d", idx, attempt, procs)
+				runtime.GOMAXPROCS(procs)
+				got, err := Decode(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				checkStoredLCPs(t, got, label)
+				for _, q := range [][]int32{strs[0], strs[len(strs)-1], randStrings(r, 1, c.m, 3)[0]} {
+					checkDrain(t, got, q, label)
+				}
+				// The same file under the saturation rule.
+				label += " narrow field"
+				got.setLayout(1 + r.IntN(2))
+				for j := range got.sorted {
+					got.sorted[j] &= got.idMask
+				}
+				if err := got.fillLCP(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				checkStoredLCPs(t, got, label)
+				checkDrain(t, got, strs[0], label)
+			}
+		}
+	}
+}
+
+// FuzzCSADecode feeds arbitrary bytes to Decode. It must never panic or
+// allocate beyond the bytes it was given, and whatever it accepts must
+// behave as an index: draining a search yields every id once, in
+// non-increasing length order, each length the true LCCS.
+func FuzzCSADecode(f *testing.F) {
+	r := rand.New(rand.NewPCG(59, 60))
+	for _, shape := range [][3]int{{1, 1, 2}, {5, 3, 2}, {40, 6, 3}, {9, 1, 4}} {
+		c := New(randStrings(r, shape[0], shape[1], int32(shape[2])))
+		var buf bytes.Buffer
+		if err := c.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+		if c.n > 1 {
+			swapRanks(c, c.m-1, c.n/2)
+			buf.Reset()
+			if err := c.Encode(&buf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	// Legal files whose equal strings change order from shift to shift.
+	for _, shape := range [][2]int{{5, 4}, {12, 6}, {40, 5}} {
+		strs := randStrings(r, 3, shape[1], 2)
+		for len(strs) < shape[0] {
+			strs = append(strs, strs[r.IntN(3)])
+		}
+		c := New(strs)
+		flipEqualNeighbours(r, c)
+		var buf bytes.Buffer
+		if err := c.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("LCCSCSA1"))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		c, err := Decode(bytes.NewReader(blob))
+		if err != nil {
+			return
+		}
+		if int64(c.n)*int64(c.m)*12 > int64(len(blob)) {
+			t.Fatalf("accepted %dx%d from %d bytes", c.n, c.m, len(blob))
+		}
+		q := c.String(0)
+		if len(blob) > 0 {
+			q[int(blob[len(blob)-1])%c.m]++
+		}
+		checkStoredLCPs(t, c, "accepted")
+		checkDrain(t, c, q, "accepted")
+	})
 }

@@ -1,0 +1,391 @@
+package csa
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"sort"
+	"testing"
+
+	"lccs/internal/pqueue"
+)
+
+// The walk, search and build this package shipped before rank entries
+// carried LCPs, kept as the oracle: every length is recomputed from the
+// strings, every binary search reads whole strings through sort.Search,
+// every order is its own sort.Slice. The one change is that probe is the
+// comparator's last component, which the old frontier left to the heap.
+
+func (c *CSA) compareStrings(a, b int32, shift int) int {
+	return c.compareToQuery(a, c.str(uint32(b)), shift)
+}
+
+func (c *CSA) compareToQuery(id int32, q []int32, shift int) int {
+	m := c.m
+	row := c.data[int(id)*m : int(id)*m+m]
+	p := shift
+	for i := 0; i < m; i++ {
+		av, bv := row[p], q[p]
+		if av != bv {
+			if av < bv {
+				return -1
+			}
+			return 1
+		}
+		p++
+		if p >= m {
+			p = 0
+		}
+	}
+	return 0
+}
+
+func (c *CSA) lcpWithQuery(id int32, q []int32, shift int) int32 {
+	m := c.m
+	row := c.data[int(id)*m : int(id)*m+m]
+	p := shift
+	for i := 0; i < m; i++ {
+		if row[p] != q[p] {
+			return int32(i)
+		}
+		p++
+		if p >= m {
+			p = 0
+		}
+	}
+	return int32(m)
+}
+
+// refOrders is the build by m independent sorts plus a pos-array pass.
+func refOrders(data []int32, n, m int) (sorted, next [][]int32) {
+	c := &CSA{n: n, m: m, data: data}
+	sorted, next = make([][]int32, m), make([][]int32, m)
+	for i := range sorted {
+		ids := make([]int32, n)
+		for j := range ids {
+			ids[j] = int32(j)
+		}
+		sort.Slice(ids, func(a, b int) bool {
+			if cmp := c.compareStrings(ids[a], ids[b], i); cmp != 0 {
+				return cmp < 0
+			}
+			return ids[a] < ids[b]
+		})
+		sorted[i] = ids
+	}
+	pos := make([]int32, n)
+	for i := range next {
+		for r, id := range sorted[(i+1)%m] {
+			pos[id] = int32(r)
+		}
+		next[i] = make([]int32, n)
+		for r, id := range sorted[i] {
+			next[i][r] = pos[id]
+		}
+	}
+	return sorted, next
+}
+
+type refEntry struct {
+	len, pos, shift, dir, probe int32
+}
+
+type refSearcher struct {
+	c       *CSA
+	order   [][]int32
+	heap    *pqueue.Heap[refEntry]
+	bounds  []bounds
+	visited []bool
+	queries [][]int32
+}
+
+func newRefSearcher(c *CSA) *refSearcher {
+	s := &refSearcher{c: c, bounds: make([]bounds, c.m)}
+	for i := 0; i < c.m; i++ {
+		s.order = append(s.order, rowIDs(c, i))
+	}
+	return s
+}
+
+func (s *refSearcher) searchRange(q []int32, shift, lo, hi int) bounds {
+	c, order := s.c, s.order[shift]
+	first := lo + sort.Search(hi-lo+1, func(i int) bool {
+		return c.compareToQuery(order[lo+i], q, shift) > 0
+	})
+	var b bounds
+	if first > lo {
+		b.posL, b.validL = int32(first-1), true
+	} else {
+		b.posL = int32(lo)
+	}
+	if first <= hi {
+		b.posU, b.validU = int32(first), true
+	} else {
+		b.posU = int32(hi)
+	}
+	b.lenL = c.lcpWithQuery(order[b.posL], q, shift)
+	b.lenU = c.lcpWithQuery(order[b.posU], q, shift)
+	return b
+}
+
+func (s *refSearcher) seed(b bounds, shift int) {
+	probe := int32(len(s.queries) - 1)
+	s.heap.Push(refEntry{len: b.lenL, pos: b.posL, shift: int32(shift), dir: -1, probe: probe})
+	s.heap.Push(refEntry{len: b.lenU, pos: b.posU, shift: int32(shift), dir: +1, probe: probe})
+}
+
+func (s *refSearcher) begin(q []int32) {
+	c := s.c
+	s.heap = pqueue.NewWithCapacity(2*c.m, func(a, b refEntry) bool {
+		if a.len != b.len {
+			return a.len > b.len
+		}
+		if a.shift != b.shift {
+			return a.shift < b.shift
+		}
+		if a.dir != b.dir {
+			return a.dir < b.dir
+		}
+		return a.probe < b.probe
+	})
+	s.visited = make([]bool, c.n)
+	s.queries = [][]int32{q}
+	for i := 0; i < c.m; i++ {
+		lo, hi := 0, c.n-1
+		if i > 0 {
+			prev, links := s.bounds[i-1], c.nextRow(i-1)
+			if prev.validL && prev.lenL >= 1 {
+				lo = int(links[prev.posL])
+			}
+			if prev.validU && prev.lenU >= 1 {
+				hi = int(links[prev.posU])
+			}
+			if lo > hi {
+				lo, hi = 0, c.n-1
+			}
+		}
+		s.bounds[i] = s.searchRange(q, i, lo, hi)
+		s.seed(s.bounds[i], i)
+	}
+}
+
+// probe returns the bounds it found, by shift.
+func (s *refSearcher) probe(pq []int32, affected []int) map[int]bounds {
+	s.queries = append(s.queries, pq)
+	out := map[int]bounds{}
+	for _, i := range affected {
+		out[i] = s.searchRange(pq, i, 0, s.c.n-1)
+		s.seed(out[i], i)
+	}
+	return out
+}
+
+func (s *refSearcher) next() (Result, bool) {
+	c := s.c
+	for s.heap.Len() > 0 {
+		e := s.heap.Pop()
+		order := s.order[e.shift]
+		id := order[e.pos]
+		if npos := e.pos + e.dir; npos >= 0 && npos < int32(c.n) {
+			e2 := e
+			e2.pos, e2.len = npos, c.lcpWithQuery(order[npos], s.queries[e.probe], int(e.shift))
+			s.heap.Push(e2)
+		}
+		if s.visited[id] {
+			continue
+		}
+		s.visited[id] = true
+		return Result{ID: int(id), Length: int(e.len)}, true
+	}
+	return Result{}, false
+}
+
+// oracleCase is one index plus the queries to run against it.
+type oracleCase struct {
+	name    string
+	strs    [][]int32
+	queries [][]int32
+}
+
+func oracleCases(r *rand.Rand) []oracleCase {
+	var cases []oracleCase
+	for trial := 0; trial < 60; trial++ {
+		n, m := 1+r.IntN(300), 1+r.IntN(12)
+		alphabet := int32(2 + r.IntN(3))
+		strs := randStrings(r, n, m, alphabet)
+		qs := randStrings(r, 3, m, alphabet)
+		qs = append(qs, strs[r.IntN(n)]) // a query equal to a data string
+		cases = append(cases, oracleCase{fmt.Sprintf("random-%d-n%d-m%d-a%d", trial, n, m, alphabet), strs, qs})
+	}
+	same := make([][]int32, 40)
+	for i := range same {
+		same[i] = []int32{3, 1, 3, 3, 1, 2, 3}
+	}
+	cases = append(cases,
+		oracleCase{"all-identical", same, [][]int32{same[0], {3, 1, 3, 3, 1, 2, 9}, {0, 0, 0, 0, 0, 0, 0}}},
+		oracleCase{"n1", [][]int32{{5, 4, 3}}, [][]int32{{5, 4, 3}, {5, 4, 9}, {1, 1, 1}}},
+		oracleCase{"m1", randStrings(r, 50, 1, 3), [][]int32{{0}, {1}, {7}, {-1}}},
+		oracleCase{"n1-m1", [][]int32{{2}}, [][]int32{{2}, {3}}},
+	)
+	return cases
+}
+
+// TestWalkMatchesOracle: bounds per shift and the (ID, Length) stream to
+// exhaustion are those of the old walk, with and without a probe, at the
+// natural rank-entry layout and with the LCP field forced down to 1–3
+// bits, where stored LCPs saturate and lengths are finished by comparing.
+func TestWalkMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewPCG(0x16, 0xc5a))
+	for _, tc := range oracleCases(r) {
+		n, m := len(tc.strs), len(tc.strs[0])
+		for _, fieldBits := range []int{32, 1, 2, 3} {
+			data := make([]int32, 0, n*m)
+			for _, s := range tc.strs {
+				data = append(data, s...)
+			}
+			c := newFromFlat(data, n, m, fieldBits)
+			s, ref := c.NewSearcher(), newRefSearcher(c)
+			for qi, q := range tc.queries {
+				for _, withProbe := range []bool{false, true} {
+					name := fmt.Sprintf("%s/bits%d/q%d/probe=%v", tc.name, fieldBits, qi, withProbe)
+					s.Begin(q)
+					ref.begin(q)
+					for i := range ref.bounds {
+						if s.bounds[i] != ref.bounds[i] {
+							t.Fatalf("%s: bounds[%d] = %+v, oracle %+v", name, i, s.bounds[i], ref.bounds[i])
+						}
+					}
+					if withProbe {
+						// Drain a little first, so the probe's lanes meet a live queue.
+						for j := r.IntN(4); j > 0; j-- {
+							got, _ := s.Next()
+							want, _ := ref.next()
+							if got != want {
+								t.Fatalf("%s: before probe: %+v, oracle %+v", name, got, want)
+							}
+						}
+						pq := append([]int32(nil), q...)
+						mods := []int{r.IntN(m)}
+						pq[mods[0]]++
+						if m > 1 && r.IntN(2) == 0 {
+							mods = append(mods, (mods[0]+1+r.IntN(m-1))%m)
+							pq[mods[1]]--
+						}
+						if r.IntN(4) == 0 {
+							copy(pq, q) // the degenerate probe: every lane ties with probe 0's
+						}
+						affected := s.Probe(pq, mods, nil)
+						want := ref.probe(pq, affected)
+						// The probe's bounds are not kept; its lanes are.
+						// Compare those through the stream below, and the
+						// searches through a second searcher's Begin.
+						full := c.NewSearcher()
+						full.BeginSimple(pq)
+						for i, b := range want {
+							if full.bounds[i] != b {
+								t.Fatalf("%s: probe bounds[%d] = %+v, oracle %+v", name, i, full.bounds[i], b)
+							}
+						}
+					}
+					for step := 0; ; step++ {
+						got, ok := s.Next()
+						want, wantOK := ref.next()
+						if got != want || ok != wantOK {
+							t.Fatalf("%s: step %d: (%+v, %v), oracle (%+v, %v)", name, step, got, ok, want, wantOK)
+						}
+						if !ok {
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// buildInputs are symbol blocks that stress the induced build: heavy
+// duplicates, negative symbols, and columns that span all of int32 (the
+// two-digit radix path) beside narrow ones.
+func buildInputs(r *rand.Rand) map[string][][]int32 {
+	wide := func(n, m int) [][]int32 {
+		out := make([][]int32, n)
+		for i := range out {
+			out[i] = make([]int32, m)
+			for j := range out[i] {
+				switch r.IntN(6) {
+				case 0:
+					out[i][j] = math.MinInt32
+				case 1:
+					out[i][j] = math.MaxInt32
+				case 2:
+					out[i][j] = int32(r.Uint32())
+				default:
+					out[i][j] = r.Int32N(5) - 2
+				}
+			}
+		}
+		return out
+	}
+	negative := randStrings(r, 200, 7, 4)
+	for _, s := range negative {
+		for j := range s {
+			s[j] -= 2
+		}
+	}
+	dup := randStrings(r, 30, 6, 2)
+	for i := 0; i < 170; i++ {
+		dup = append(dup, dup[r.IntN(30)])
+	}
+	mixed := wide(150, 5)
+	for _, s := range mixed {
+		s[1] = r.Int32N(3) // one narrow column among wide ones
+		s[3] = 70000 * r.Int32N(3)
+	}
+	return map[string][][]int32{
+		"negative": negative, "duplicates": dup, "wide": wide(257, 9), "mixed": mixed,
+		"extremes-only": {{math.MinInt32, math.MaxInt32}, {math.MaxInt32, math.MinInt32}, {math.MinInt32, math.MinInt32}, {0, -1}},
+		"single":        {{4, 4, 4}},
+	}
+}
+
+// TestBuildMatchesReferenceSort: sorted and next are what m independent
+// sort.Slice calls produce, and every stored LCP is the pairwise one.
+func TestBuildMatchesReferenceSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(0xb01d, 16))
+	for name, strs := range buildInputs(r) {
+		for _, fieldBits := range []int{32, 2} {
+			c := New(strs)
+			if fieldBits != 32 {
+				c = newFromFlat(c.data, c.n, c.m, fieldBits)
+			}
+			sorted, next := refOrders(c.data, c.n, c.m)
+			for i := 0; i < c.m; i++ {
+				if got := rowIDs(c, i); !eqInt32(got, sorted[i]) {
+					t.Fatalf("%s: sorted[%d] = %v, want %v", name, i, got, sorted[i])
+				}
+				if !eqInt32(c.nextRow(i), next[i]) {
+					t.Fatalf("%s: next[%d] = %v, want %v", name, i, c.nextRow(i), next[i])
+				}
+			}
+			checkStoredLCPs(t, c, fmt.Sprintf("%s: bits %d", name, fieldBits))
+		}
+	}
+}
+
+// TestLayout pins the split of the rank entry the issue quotes.
+func TestLayout(t *testing.T) {
+	for _, tc := range []struct {
+		n, m   int
+		idBits uint
+		lcpMax int32
+	}{
+		{1, 8, 0, 8}, {2, 8, 1, 8}, {100000, 32, 17, 32}, {100000, 40000, 17, 32767},
+		{1 << 24, 512, 24, 255}, {1<<24 + 1, 512, 25, 127}, {math.MaxInt32, 512, 31, 1},
+	} {
+		c := &CSA{n: tc.n, m: tc.m}
+		c.setLayout(32)
+		if c.idBits != tc.idBits || c.lcpMax != tc.lcpMax || c.idMask != 1<<tc.idBits-1 {
+			t.Errorf("n=%d m=%d: idBits %d lcpMax %d idMask %#x, want %d %d", tc.n, tc.m, c.idBits, c.lcpMax, c.idMask, tc.idBits, tc.lcpMax)
+		}
+	}
+}

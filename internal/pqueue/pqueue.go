@@ -1,7 +1,7 @@
 // Package pqueue provides the two priority-queue shapes this repository
 // needs: a generic binary heap with a caller-supplied ordering (used by the
-// CSA's 2m-way merge, Algorithm 2, and by the perturbation-vector generator,
-// Algorithm 3), and a bounded "k best" collector for nearest-neighbor
+// perturbation-vector generator, Algorithm 3, and the kd-tree baseline;
+// the CSA's 2m-way merge keeps its own packed-key queue), and a bounded "k best" collector for nearest-neighbor
 // verification.
 package pqueue
 
@@ -57,15 +57,6 @@ func (h *Heap[T]) Pop() T {
 		h.down(0)
 	}
 	return top
-}
-
-// Reset empties the heap, retaining capacity.
-func (h *Heap[T]) Reset() {
-	var zero T
-	for i := range h.items {
-		h.items[i] = zero
-	}
-	h.items = h.items[:0]
 }
 
 func (h *Heap[T]) up(i int) {

@@ -66,20 +66,6 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 	}
 }
 
-func TestHeapReset(t *testing.T) {
-	h := New(func(a, b int) bool { return a < b })
-	h.Push(3)
-	h.Push(1)
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatal("Reset did not empty heap")
-	}
-	h.Push(2)
-	if h.Pop() != 2 {
-		t.Fatal("heap unusable after Reset")
-	}
-}
-
 func TestHeapPanicsWhenEmpty(t *testing.T) {
 	h := New(func(a, b int) bool { return a < b })
 	for name, f := range map[string]func(){

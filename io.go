@@ -68,7 +68,7 @@ const (
 
 // Save writes the index to path. The dataset itself is not stored: Load
 // must be given the same data slice (same order) the index was built
-// over. Saving avoids the sort-dominated build cost on the next start.
+// over. Saving avoids the build cost on the next start.
 func (ix *Index) Save(path string) error {
 	f, err := os.Create(path)
 	if err != nil {

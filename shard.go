@@ -22,11 +22,10 @@ import (
 // live in one flat store shared by every shard (each shard holds a
 // contiguous view), so sharding adds no per-shard copies.
 //
-// Sharding serves two purposes. Construction: the CSA build is dominated
-// by the m circular sorts, and S shards sort S independent problems of
-// size n/S in parallel, turning the sort-bound build near-linear in cores
-// (each shard's working set is also S× smaller, which keeps the
-// comparison-heavy sorts in cache). Queries: a search fans out across all
+// Sharding serves two purposes. Construction: the orders of one CSA are
+// induced from one another, shift by shift, on one core, and S shards
+// build S independent problems of size n/S in parallel, each over an S×
+// smaller working set. Queries: a search fans out across all
 // shards — concurrently when cores allow — and the per-shard top-k lists
 // are combined by a tournament-tree merge into the global top-k.
 //
