@@ -398,6 +398,8 @@ func defaultRerank(n int) int {
 // ctx.rr and then re-ranks the winners exactly (timed into the obs
 // "rerank" stage histogram). Candidates enter the collectors in CSA
 // stream order, so results are bit-identical to per-row verification.
+// Each candidate's row is hinted to the cache the moment its id leaves the
+// stream, a batch ahead of its scoring.
 func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, accept func(id int) bool) (verified, rejected, reranked int) {
 	quantized := ix.sq8 != nil
 	if quantized {
@@ -426,6 +428,13 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, accept func(i
 			}
 			ctx.ids[b] = int32(r.ID)
 			b++
+			// Scored once the batch is full: the row's first lines
+			// travel while the CSA finds the rest of the batch.
+			if quantized {
+				ix.sq8.PrefetchRow(r.ID)
+			} else {
+				ix.store.PrefetchRow(r.ID)
+			}
 		}
 		if b == 0 {
 			break // only an exhausted stream yields an empty batch

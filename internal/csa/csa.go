@@ -41,6 +41,15 @@
 // Kasai et al.), which bounds the work at O(n·m) symbol comparisons; the
 // inducing is one chain, the LCP pass runs on all cores, a run of shifts
 // each.
+//
+// # Prefetching
+//
+// Begin is a chain of scattered reads — a link, a rank entry, a hash
+// string, per shift and per binary-search level — in 12·n·m bytes no cache
+// holds. It asks for what the next steps may read before it needs it
+// (package prefetch; search has the scheme). A prefetch is a hint: bounds,
+// candidate streams and Comparisons() are exactly what they are without
+// it, as they are under -tags noasm, where it compiles to nothing.
 package csa
 
 import (
@@ -52,6 +61,8 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+
+	"lccs/internal/prefetch"
 )
 
 // CSA is an immutable Circular Shift Array over n strings of length m.
@@ -546,14 +557,31 @@ func (s *Searcher) replaceTop(e lane) {
 // bounds' lengths cost no further reads. search pushes the two lanes of
 // the outcome and returns it — the clamped lower/upper bound ranks, their
 // LCPs with q, and whether each bound satisfies its ordering precondition.
+//
+// A comparison is two dependent cache misses, the rank entry and then the
+// string it names, and the next comparison cannot begin before this one
+// has ended. So search asks ahead for what it may read — level by level
+// while the window is wide (warmLevels), all at once when it has come
+// down to narrowWindow (warmWindow). Which strings are compared, and from
+// which symbol, is untouched, and Comparisons() counts the same.
 func (s *Searcher) search(probe int32, shift, l, h int, lenL, lenU int32) bounds {
 	c := s.c
 	q := s.query(probe)
 	order := c.sortedRow(shift)
+	warmed := false
 	for h-l > 1 {
+		from := int(min(lenL, lenU))
+		switch {
+		case warmed:
+		case h-l <= narrowWindow:
+			c.warmWindow(shift, l, h, from)
+			warmed = true
+		default:
+			c.warmLevels(shift, l, h, from)
+		}
 		mid := int(uint(l+h) >> 1)
 		s.comparisons++
-		k, greater := commonPrefix(c.str(order[mid]&c.idMask), q, shift, int(min(lenL, lenU)), c.m)
+		k, greater := commonPrefix(c.str(order[mid]&c.idMask), q, shift, from, c.m)
 		if greater {
 			h, lenU = mid, int32(k)
 		} else {
@@ -571,6 +599,78 @@ func (s *Searcher) search(probe int32, shift, l, h int, lenL, lenU int32) bounds
 	s.push(lane{key: uint64(int32(c.m)-b.lenL)<<32 | key, pos: b.posL, probe: probe})
 	s.push(lane{key: uint64(int32(c.m)-b.lenU)<<32 | key | 1, pos: b.posU, probe: probe})
 	return b
+}
+
+// narrowWindow is the widest window (h − l) that search warms whole: the
+// ranks strictly inside are a few entries of one or two cache lines, and
+// so are the links of l..h. Anything wider is searched by levels; at least
+// 7, so that every rank warmLevels names lies inside its window.
+// BenchmarkCSABegin on a 2-vCPU Xeon @ 2.1 GHz, µs per Begin at
+// (n = 100 000, m = 32) / (n = 50 000, m = 64), medians of 7 alternating
+// runs: no warming 17.0 / 34.9; 8: 10.7 / 20.5; 12: 10.4 / 20.3;
+// 16: 10.7 / 20.5; 24: 11.0 / 20.5 — flat, so a constant.
+const narrowWindow = 12
+
+const _ = uint(narrowWindow - 7) // does not compile below the bound
+
+// warmStr asks for the line of string id's symbols that a comparison
+// starting from symbol `from` at this shift reads first.
+func (c *CSA) warmStr(id uint32, shift, from int) {
+	p := shift + from
+	if p >= c.m {
+		p -= c.m
+	}
+	prefetch.T0(&c.data[int(id)*c.m+p])
+}
+
+// warmWindow prepares a search that has come down to the few ranks
+// strictly between l and h (at least one). It asks for the string of every
+// one of them at once, so the misses overlap instead of queueing behind one
+// another's comparisons. Then it looks one shift on. Begin's next search
+// starts from this shift's links of the two ranks this one ends on, which
+// are among l..h; the ranks all of those lead to are where its rank entries
+// and, should its window be empty, its own links will be read. The links
+// are asked for before the strings and read after, by when they have had
+// as long to arrive as this search's first string.
+func (c *CSA) warmWindow(shift, l, h, from int) {
+	links := c.nextRow(shift)[max(l, 0) : min(h, c.n-1)+1]
+	prefetch.T0(&links[0])
+	prefetch.T0(&links[len(links)-1])
+	for _, w := range c.sortedRow(shift)[l+1 : h] {
+		c.warmStr(w&c.idMask, shift, from)
+	}
+	if shift+1 == c.m {
+		return
+	}
+	order, following := c.sortedRow(shift+1), c.nextRow(shift+1)
+	// Neighbours here mostly stay neighbours one shift on: one request
+	// per run of ranks that share 16 entries, a cache line of either row.
+	line := int32(-1)
+	for _, r := range links {
+		if r>>4 != line {
+			line = r >> 4
+			prefetch.T0(&order[r])
+			prefetch.T0(&following[r])
+		}
+	}
+}
+
+// warmLevels runs two levels ahead of a search over a wide window. Before
+// the middle of (l, h) is compared, it asks for the strings at the two
+// ranks one of which is compared next — whose rank entries the level
+// before asked for — and for the rank entries of the four that may follow
+// those. A level then waits for one round of overlapped misses, not for
+// two chained ones.
+func (c *CSA) warmLevels(shift, l, h, from int) {
+	order := c.sortedRow(shift)
+	mid := int(uint(l+h) >> 1)
+	lo, hi := int(uint(l+mid)>>1), int(uint(mid+h)>>1)
+	c.warmStr(order[lo]&c.idMask, shift, from)
+	c.warmStr(order[hi]&c.idMask, shift, from)
+	prefetch.T0(&order[int(uint(l+lo)>>1)])
+	prefetch.T0(&order[int(uint(lo+mid)>>1)])
+	prefetch.T0(&order[int(uint(mid+hi)>>1)])
+	prefetch.T0(&order[int(uint(hi+h)>>1)])
 }
 
 // shifted returns the LCP, one shift on, of a string and a query whose

@@ -1,0 +1,155 @@
+package vec
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"testing"
+)
+
+// gatherIDLists are the id sequences the gather entry points must handle:
+// each puts a different row into the look-ahead (next) slot of the row
+// kernels, or none at all.
+func gatherIDLists(n int) map[string][]int32 {
+	last := int32(n - 1)
+	desc := make([]int32, n)
+	for i := range desc {
+		desc[i] = last - int32(i)
+	}
+	return map[string][]int32{
+		"empty":              {},
+		"single":             {int32(n / 2)},
+		"duplicates":         {3 % int32(n), 3 % int32(n), 3 % int32(n), 3 % int32(n)},
+		"descending":         desc,
+		"first row last":     {last, int32(n / 2), 0},
+		"first row non-last": {0, last, int32(n / 2)},
+		"last row last":      {0, int32(n / 2), last},
+		"last row non-last":  {int32(n / 2), last, 0},
+	}
+}
+
+// TestGatherMatchesDistance holds both gather entry points to their
+// contract directly: out[j] is, bit for bit, what scoring row ids[j] alone
+// gives — the pairwise Distance for the store, the row kernel's score for
+// the quantized store — whatever row the kernel was handed to prefetch.
+// It runs against the assembly and, under -tags noasm, the pure-Go
+// kernels.
+func TestGatherMatchesDistance(t *testing.T) {
+	g := rand.New(rand.NewPCG(21, 23))
+	const n = 9
+	for _, dim := range []int{1, 7, 8, 15, 16, 17, 31, 128, 960, 961} {
+		rows := make([][]float32, n)
+		for i := range rows {
+			rows[i] = kernelTestVec(g, dim)
+			// Set metrics want indicator-like rows; zeros also exercise
+			// the exact-equality arms of Hamming.
+			for d := range rows[i] {
+				if g.IntN(4) == 0 {
+					rows[i][d] = 0
+				}
+			}
+		}
+		rows[n-2] = make([]float32, dim) // a zero row: angular's zero-norm arm
+		s, err := FromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := QuantizeSQ8(s)
+		q := kernelTestVec(g, dim)
+
+		for name, ids := range gatherIDLists(n) {
+			for _, m := range []Metric{Euclidean, Angular, Hamming, Jaccard} {
+				out := make([]float64, len(ids)+1)
+				sentinel := math.Float64frombits(0x7ff8dead00000000)
+				out[len(ids)] = sentinel
+				s.GatherDistancesInto(ids, q, m, out)
+				for j, id := range ids {
+					want := m.Distance(s.Row(int(id)), q)
+					if math.Float64bits(out[j]) != math.Float64bits(want) {
+						t.Fatalf("dim %d %s %s: out[%d] (row %d) = %x, Distance = %x", dim, m.Name(), name, j, id,
+							math.Float64bits(out[j]), math.Float64bits(want))
+					}
+				}
+				if math.Float64bits(out[len(ids)]) != math.Float64bits(sentinel) {
+					t.Fatalf("dim %d %s %s: wrote past out[:len(ids)]", dim, m.Name(), name)
+				}
+			}
+			for _, m := range []Metric{Euclidean, Angular} {
+				var st SQ8Query
+				qs.Prepare(m, q, &st)
+				out := make([]float32, len(ids))
+				qs.GatherScoresInto(ids, &st, out)
+				for j, id := range ids {
+					row := qs.row(int(id))
+					var want float32
+					switch {
+					case m == Euclidean:
+						want = sq8SqRow(row, qs.scale, st.adj, row)
+					case qs.norms[id] != 0:
+						want = -(st.base + sq8DotRow(row, st.adj, row)) / qs.norms[id]
+					}
+					if math.Float32bits(out[j]) != math.Float32bits(want) {
+						t.Fatalf("dim %d sq8 %s %s: out[%d] (row %d) = %x, row kernel = %x", dim, m.Name(), name, j, id,
+							math.Float32bits(out[j]), math.Float32bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// A short out must be refused before anything is written, with
+// DistancesInto's message; an id outside the store must panic wherever it
+// stands in the list — also where it is only ever a look-ahead row.
+func TestGatherPanics(t *testing.T) {
+	s, err := FromRows([][]float32{{1, 2}, {3, 4}, {5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := QuantizeSQ8(s)
+	q := []float32{1, 1}
+	var st SQ8Query
+	qs.Prepare(Euclidean, q, &st)
+	panicOf := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+
+	const short = "vec: distance output buffer too short"
+	for _, m := range []Metric{Euclidean, Angular, Hamming} {
+		out := []float64{-1, -1}
+		if v := panicOf(func() { s.GatherDistancesInto([]int32{0, 1, 2}, q, m, out) }); v != short {
+			t.Fatalf("%s: short out: panic %v, want %q", m.Name(), v, short)
+		}
+		if out[0] != -1 || out[1] != -1 {
+			t.Fatalf("%s: short out was written to before the panic: %v", m.Name(), out)
+		}
+	}
+	scores := []float32{-1}
+	if v := panicOf(func() { qs.GatherScoresInto([]int32{0, 1}, &st, scores) }); v != short {
+		t.Fatalf("sq8: short out: panic %v, want %q", v, short)
+	}
+	if scores[0] != -1 {
+		t.Fatalf("sq8: short out was written to before the panic: %v", scores)
+	}
+
+	for _, bad := range []int32{-1, 3, math.MaxInt32, math.MinInt32} {
+		for pos := 0; pos < 3; pos++ {
+			ids := []int32{0, 1, 2}
+			ids[pos] = bad
+			name := fmt.Sprintf("id %d at %d", bad, pos)
+			for _, m := range []Metric{Euclidean, Angular, Jaccard} {
+				if panicOf(func() { s.GatherDistancesInto(ids, q, m, make([]float64, 3)) }) == nil {
+					t.Fatalf("%s, %s: no panic", name, m.Name())
+				}
+			}
+			if panicOf(func() { qs.GatherScoresInto(ids, &st, make([]float32, 3)) }) == nil {
+				t.Fatalf("%s, sq8: no panic", name)
+			}
+			if panicOf(func() { s.PrefetchRow(int(bad)) }) == nil || panicOf(func() { qs.PrefetchRow(int(bad)) }) == nil {
+				t.Fatalf("%s: PrefetchRow: no panic", name)
+			}
+		}
+	}
+}

@@ -17,7 +17,10 @@ import "math"
 // two horizontal adds), use separate multiply and add (never FMA), and
 // fold the scalar tail in sequentially after the vector reduction. A
 // distance therefore does not depend on which implementation produced
-// it, and the parity tests assert exact equality between the two.
+// it, and the parity tests assert exact equality between the two. The
+// assembly also prefetches (a fixed distance ahead in the block kernels,
+// the caller's next row in the row kernels); that moves when memory is
+// read, never what is computed, and is outside the contract.
 //
 // Everything above this layer — the exported pairwise helpers, the
 // Metric singletons, Store.DistancesInto — routes through the same
@@ -36,19 +39,28 @@ var (
 	dotNormBlock func(block, q, outDot, outNorm []float32) = dotNormBlockGeneric
 	// sq8SqRow returns Σ_d (adj[d] - scale[d]·codes[d])², the asymmetric
 	// int8×float32 squared-Euclidean kernel (adj[d] = q[d] - min[d]).
-	sq8SqRow func(codes []uint8, scale, adj []float32) float32 = sq8SqRowGeneric
+	sq8SqRow func(codes []uint8, scale, adj []float32, next []uint8) float32 = sq8SqRowGeneric
 	// sq8DotRow returns Σ_d adj[d]·codes[d], the asymmetric dot kernel
 	// (adj[d] = q[d]·scale[d]; caller adds the Σ q·min base term).
-	sq8DotRow func(codes []uint8, adj []float32) float32 = sq8DotRowGeneric
+	sq8DotRow func(codes []uint8, adj []float32, next []uint8) float32 = sq8DotRowGeneric
 
 	// Single-row variants returning by value. These exist (rather than
 	// calling the block kernels with a one-element out slice) because a
 	// call through a function pointer cannot be proven noescape, so a
 	// stack out-buffer would be forced to the heap on every pairwise
 	// distance — the hot verification path must stay at 0 allocs/op.
-	sqRow      func(a, b []float32) float32            = sqRowGeneric
-	dotRow     func(a, b []float32) float32            = dotRowGeneric
-	dotNormRow func(a, q []float32) (float32, float32) = dotNormRowGeneric
+	//
+	// Each, like the SQ8 kernels above, takes last the row its caller
+	// will ask for next. A gather reads scattered rows, every one of
+	// which would otherwise begin with cache misses no hardware
+	// prefetcher can predict; the assembly requests next line by line as
+	// it consumes the current row, so the misses overlap the arithmetic.
+	// A caller with no next row — the pairwise helpers, the last row of a
+	// gather — passes the row itself, and nothing is requested. next is
+	// never read and changes no result; the pure-Go kernels ignore it.
+	sqRow      func(a, b, next []float32) float32            = sqRowGeneric
+	dotRow     func(a, b, next []float32) float32            = dotRowGeneric
+	dotNormRow func(a, q, next []float32) (float32, float32) = dotNormRowGeneric
 
 	// kernelImpl names the selected implementation ("avx2" or "generic").
 	kernelImpl = "generic"

@@ -18,19 +18,19 @@ func dotBlockAVX2(block, q, out []float32)
 func dotNormBlockAVX2(block, q, outDot, outNorm []float32)
 
 //go:noescape
-func sqRowAVX2(a, b []float32) float32
+func sqRowAVX2(a, b, next []float32) float32
 
 //go:noescape
-func dotRowAVX2(a, b []float32) float32
+func dotRowAVX2(a, b, next []float32) float32
 
 //go:noescape
-func dotNormRowAVX2(a, q []float32) (dot, normSq float32)
+func dotNormRowAVX2(a, q, next []float32) (dot, normSq float32)
 
 //go:noescape
-func sq8SqRowAVX2(codes []uint8, scale, adj []float32) float32
+func sq8SqRowAVX2(codes []uint8, scale, adj []float32, next []uint8) float32
 
 //go:noescape
-func sq8DotRowAVX2(codes []uint8, adj []float32) float32
+func sq8DotRowAVX2(codes []uint8, adj []float32, next []uint8) float32
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

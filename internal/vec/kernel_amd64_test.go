@@ -64,14 +64,14 @@ func TestKernelAsmGenericBitIdentity(t *testing.T) {
 
 		for r := 0; r < rows; r++ {
 			row := block[r*dim : (r+1)*dim]
-			if a, g := sqRowAVX2(row, q), sqRowGeneric(row, q); math.Float32bits(a) != math.Float32bits(g) {
+			if a, g := sqRowAVX2(row, q, row), sqRowGeneric(row, q, row); math.Float32bits(a) != math.Float32bits(g) {
 				t.Fatalf("dim %d row %d: sqRow asm %x generic %x", dim, r, math.Float32bits(a), math.Float32bits(g))
 			}
-			if a, g := dotRowAVX2(row, q), dotRowGeneric(row, q); math.Float32bits(a) != math.Float32bits(g) {
+			if a, g := dotRowAVX2(row, q, row), dotRowGeneric(row, q, row); math.Float32bits(a) != math.Float32bits(g) {
 				t.Fatalf("dim %d row %d: dotRow asm %x generic %x", dim, r, math.Float32bits(a), math.Float32bits(g))
 			}
-			ad, an := dotNormRowAVX2(row, q)
-			gd, gn := dotNormRowGeneric(row, q)
+			ad, an := dotNormRowAVX2(row, q, row)
+			gd, gn := dotNormRowGeneric(row, q, row)
 			if math.Float32bits(ad) != math.Float32bits(gd) || math.Float32bits(an) != math.Float32bits(gn) {
 				t.Fatalf("dim %d row %d: dotNormRow asm (%x,%x) generic (%x,%x)", dim, r,
 					math.Float32bits(ad), math.Float32bits(an), math.Float32bits(gd), math.Float32bits(gn))
@@ -86,10 +86,10 @@ func TestKernelAsmGenericBitIdentity(t *testing.T) {
 			scale[i] = float32(g.Float64())
 			adj[i] = float32(g.NormFloat64() * 50)
 		}
-		if a, gg := sq8SqRowAVX2(codes, scale, adj), sq8SqRowGeneric(codes, scale, adj); math.Float32bits(a) != math.Float32bits(gg) {
+		if a, gg := sq8SqRowAVX2(codes, scale, adj, codes), sq8SqRowGeneric(codes, scale, adj, codes); math.Float32bits(a) != math.Float32bits(gg) {
 			t.Fatalf("dim %d: sq8SqRow asm %x generic %x", dim, math.Float32bits(a), math.Float32bits(gg))
 		}
-		if a, gg := sq8DotRowAVX2(codes, adj), sq8DotRowGeneric(codes, adj); math.Float32bits(a) != math.Float32bits(gg) {
+		if a, gg := sq8DotRowAVX2(codes, adj, codes), sq8DotRowGeneric(codes, adj, codes); math.Float32bits(a) != math.Float32bits(gg) {
 			t.Fatalf("dim %d: sq8DotRow asm %x generic %x", dim, math.Float32bits(a), math.Float32bits(gg))
 		}
 	}

@@ -17,15 +17,20 @@ package vec
 //
 // The amd64-only parity test asserts exact equality between these and
 // the assembly across dims 1..67, so any structural drift fails CI.
+//
+// The row kernels take a last argument, next, that these twins ignore:
+// it is the row the caller will ask for next, which the assembly
+// prefetches while it consumes this one (see kernel.go). Prefetching
+// changes no value, so it is not part of the contract above.
 
 func sqBlockGeneric(block, q, out []float32) {
 	dim := len(q)
 	for r := range out {
-		out[r] = sqRowGeneric(block[r*dim:r*dim+dim], q)
+		out[r] = sqRowGeneric(block[r*dim:r*dim+dim], q, nil)
 	}
 }
 
-func sqRowGeneric(a, b []float32) float32 {
+func sqRowGeneric(a, b, _ []float32) float32 {
 	var acc0, acc1 [8]float32
 	j := 0
 	for ; j+16 <= len(a); j += 16 {
@@ -53,11 +58,11 @@ func sqRowGeneric(a, b []float32) float32 {
 func dotBlockGeneric(block, q, out []float32) {
 	dim := len(q)
 	for r := range out {
-		out[r] = dotRowGeneric(block[r*dim:r*dim+dim], q)
+		out[r] = dotRowGeneric(block[r*dim:r*dim+dim], q, nil)
 	}
 }
 
-func dotRowGeneric(a, b []float32) float32 {
+func dotRowGeneric(a, b, _ []float32) float32 {
 	var acc0, acc1 [8]float32
 	j := 0
 	for ; j+16 <= len(a); j += 16 {
@@ -81,11 +86,11 @@ func dotRowGeneric(a, b []float32) float32 {
 func dotNormBlockGeneric(block, q, outDot, outNorm []float32) {
 	dim := len(q)
 	for r := range outDot {
-		outDot[r], outNorm[r] = dotNormRowGeneric(block[r*dim:r*dim+dim], q)
+		outDot[r], outNorm[r] = dotNormRowGeneric(block[r*dim:r*dim+dim], q, nil)
 	}
 }
 
-func dotNormRowGeneric(a, b []float32) (dot, normSq float32) {
+func dotNormRowGeneric(a, b, _ []float32) (dot, normSq float32) {
 	var dacc0, dacc1, nacc0, nacc1 [8]float32
 	j := 0
 	for ; j+16 <= len(a); j += 16 {
@@ -115,7 +120,7 @@ func dotNormRowGeneric(a, b []float32) (dot, normSq float32) {
 	return d, n
 }
 
-func sq8SqRowGeneric(codes []uint8, scale, adj []float32) float32 {
+func sq8SqRowGeneric(codes []uint8, scale, adj []float32, _ []uint8) float32 {
 	var acc0, acc1 [8]float32
 	j := 0
 	for ; j+16 <= len(adj); j += 16 {
@@ -140,7 +145,7 @@ func sq8SqRowGeneric(codes []uint8, scale, adj []float32) float32 {
 	return s
 }
 
-func sq8DotRowGeneric(codes []uint8, adj []float32) float32 {
+func sq8DotRowGeneric(codes []uint8, adj []float32, _ []uint8) float32 {
 	var acc0, acc1 [8]float32
 	j := 0
 	for ; j+16 <= len(adj); j += 16 {

@@ -73,13 +73,13 @@ func TestKernelParityAgainstReference(t *testing.T) {
 			}
 			// Single-row variants must agree with the block kernels
 			// bit for bit — they are the same accumulation structure.
-			if sqRow(row, q) != outSq[r] {
-				t.Fatalf("dim %d row %d: sqRow %g != block %g", dim, r, sqRow(row, q), outSq[r])
+			if sqRow(row, q, row) != outSq[r] {
+				t.Fatalf("dim %d row %d: sqRow %g != block %g", dim, r, sqRow(row, q, row), outSq[r])
 			}
-			if dotRow(row, q) != outDot[r] {
-				t.Fatalf("dim %d row %d: dotRow %g != block %g", dim, r, dotRow(row, q), outDot[r])
+			if dotRow(row, q, row) != outDot[r] {
+				t.Fatalf("dim %d row %d: dotRow %g != block %g", dim, r, dotRow(row, q, row), outDot[r])
 			}
-			d, nrm := dotNormRow(row, q)
+			d, nrm := dotNormRow(row, q, row)
 			if d != outDN[r] || nrm != outNorm[r] {
 				t.Fatalf("dim %d row %d: dotNormRow (%g,%g) != block (%g,%g)", dim, r, d, nrm, outDN[r], outNorm[r])
 			}
@@ -261,7 +261,10 @@ func TestSQ8SupportedMetrics(t *testing.T) {
 // FuzzKernelParity drives the dispatched kernels with arbitrary bytes
 // reinterpreted as float32 vectors — including NaN, Inf, denormals and
 // extreme exponents — and cross-checks them against the float64 scalar
-// references, plus the block/row bit-identity invariant.
+// references, plus the block/row bit-identity invariant, plus the gather:
+// the same bytes pick a list of row ids (repeats and all), and what
+// GatherDistancesInto writes for each must be what the row kernels make of
+// that row alone, whichever row they were given to prefetch.
 func FuzzKernelParity(f *testing.F) {
 	f.Add(uint16(4), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(uint16(1), []byte{0x7f, 0x80, 0, 0, 0xff, 0x80, 0, 0})       // ±Inf
@@ -291,10 +294,10 @@ func FuzzKernelParity(f *testing.F) {
 		DotNormBlock(block, q, outDN, outNorm)
 		for r := 0; r < rows; r++ {
 			row := block[r*dim : (r+1)*dim]
-			if g := sqRow(row, q); g != outSq[r] && !(math.IsNaN(float64(g)) && math.IsNaN(float64(outSq[r]))) {
+			if g := sqRow(row, q, row); g != outSq[r] && !(math.IsNaN(float64(g)) && math.IsNaN(float64(outSq[r]))) {
 				t.Fatalf("row %d: sqRow %g != block %g", r, g, outSq[r])
 			}
-			if g := dotRow(row, q); g != outDot[r] && !(math.IsNaN(float64(g)) && math.IsNaN(float64(outDot[r]))) {
+			if g := dotRow(row, q, row); g != outDot[r] && !(math.IsNaN(float64(g)) && math.IsNaN(float64(outDot[r]))) {
 				t.Fatalf("row %d: dotRow %g != block %g", r, g, outDot[r])
 			}
 			// Against the scalar reference only when everything stays
@@ -304,6 +307,31 @@ func FuzzKernelParity(f *testing.F) {
 				scale := math.Max(refNormSq(row), refNormSq(q))
 				if !relClose(float64(outSq[r]), want, scale, 1e-3) {
 					t.Fatalf("row %d dim %d: sq %g, reference %g", r, dim, outSq[r], want)
+				}
+			}
+		}
+
+		s, err := FromBlock(dim, block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]int32, min(len(raw), 3*rows))
+		for j := range ids {
+			ids[j] = int32(int(raw[j]) % rows)
+		}
+		got := make([]float64, len(ids))
+		qn2 := dotRow(q, q, q)
+		for _, m := range []Metric{Euclidean, Angular} {
+			s.GatherDistancesInto(ids, q, m, got)
+			for j, id := range ids {
+				row := s.Row(int(id))
+				want := euclideanFromSq(sqRow(row, q, row))
+				if m == Angular {
+					d, n2 := dotNormRow(row, q, row)
+					want = angularFromParts(d, n2, qn2)
+				}
+				if got[j] != want && !(math.IsNaN(got[j]) && math.IsNaN(want)) {
+					t.Fatalf("%s gather[%d] (row %d of %d, dim %d) = %g, row kernel %g", m.Name(), j, id, rows, dim, got[j], want)
 				}
 			}
 		}

@@ -64,7 +64,7 @@ func QuantizeSQ8(s *Store) *SQ8Store {
 	dec := make([]float32, dim)
 	for i := 0; i < n; i++ {
 		row := s.Row(i)
-		out := qs.codes[i*dim : (i+1)*dim]
+		out := qs.row(i)
 		for d, v := range row {
 			if qs.scale[d] == 0 {
 				out[d] = 0
@@ -79,7 +79,7 @@ func QuantizeSQ8(s *Store) *SQ8Store {
 			out[d] = uint8(c)
 		}
 		qs.DecodeInto(i, dec)
-		qs.norms[i] = float32(math.Sqrt(float64(dotRow(dec, dec))))
+		qs.norms[i] = float32(math.Sqrt(float64(dotRow(dec, dec, dec))))
 	}
 	return qs
 }
@@ -113,8 +113,7 @@ func (qs *SQ8Store) Codebook() (min, scale, norms []float32, codes []uint8) {
 
 // DecodeInto dequantizes row i into dst (len >= dim).
 func (qs *SQ8Store) DecodeInto(i int, dst []float32) {
-	row := qs.codes[i*qs.dim : (i+1)*qs.dim]
-	for d, c := range row {
+	for d, c := range qs.row(i) {
 		dst[d] = qs.min[d] + qs.scale[d]*float32(c)
 	}
 }
@@ -169,26 +168,41 @@ func (qs *SQ8Store) Prepare(m Metric, q []float32, st *SQ8Query) {
 }
 
 // GatherScoresInto writes an approximate score for every id into
-// out[:len(ids)]. Scores are monotone in the metric distance — smaller
-// is closer — but are not distances: euclidean scores are squared
-// distances against the dequantized rows, angular scores are negated
-// cosines. The caller ranks by score and re-ranks the winners exactly.
+// out[:len(ids)] (out must be at least that long). Scores are monotone
+// in the metric distance — smaller is closer — but are not distances:
+// euclidean scores are squared distances against the dequantized rows,
+// angular scores are negated cosines. The caller ranks by score and
+// re-ranks the winners exactly. As in Store.GatherDistancesInto, the
+// kernel that scores one row prefetches the next.
 func (qs *SQ8Store) GatherScoresInto(ids []int32, st *SQ8Query, out []float32) {
-	if st.angular {
-		for j, id := range ids {
-			row := qs.codes[int(id)*qs.dim : (int(id)+1)*qs.dim]
-			norm := qs.norms[id]
-			if norm == 0 {
-				out[j] = 0
-				continue
-			}
-			dot := st.base + sq8DotRow(row, st.adj)
-			out[j] = -dot / norm
-		}
+	if len(out) < len(ids) {
+		panic("vec: distance output buffer too short")
+	}
+	if len(ids) == 0 {
 		return
 	}
+	row := qs.row(int(ids[0]))
 	for j, id := range ids {
-		row := qs.codes[int(id)*qs.dim : (int(id)+1)*qs.dim]
-		out[j] = sq8SqRow(row, qs.scale, st.adj)
+		next := row
+		if j+1 < len(ids) {
+			next = qs.row(int(ids[j+1]))
+		}
+		if !st.angular {
+			out[j] = sq8SqRow(row, qs.scale, st.adj, next)
+		} else if norm := qs.norms[id]; norm == 0 {
+			out[j] = 0
+		} else {
+			out[j] = -(st.base + sq8DotRow(row, st.adj, next)) / norm
+		}
+		row = next
 	}
 }
+
+// row returns the codes of row i as a capped view.
+func (qs *SQ8Store) row(i int) []uint8 {
+	off := i * qs.dim
+	return qs.codes[off : off+qs.dim : off+qs.dim]
+}
+
+// PrefetchRow is Store.PrefetchRow for the quantized rows.
+func (qs *SQ8Store) PrefetchRow(i int) { prefetchHead(qs.row(i), lineBytes) }

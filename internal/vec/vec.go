@@ -21,7 +21,7 @@ func Dot(a, b []float32) float64 {
 	if len(a) == 0 {
 		return 0
 	}
-	return float64(dotRow(a, b))
+	return float64(dotRow(a, b, a))
 }
 
 // SquaredDistance returns the squared Euclidean distance between a and
@@ -33,7 +33,7 @@ func SquaredDistance(a, b []float32) float64 {
 	if len(a) == 0 {
 		return 0
 	}
-	return float64(sqRow(a, b))
+	return float64(sqRow(a, b, a))
 }
 
 // Distance returns the Euclidean distance between a and b. The value is
@@ -46,7 +46,7 @@ func Distance(a, b []float32) float64 {
 	if len(a) == 0 {
 		return 0
 	}
-	return euclideanFromSq(sqRow(a, b))
+	return euclideanFromSq(sqRow(a, b, a))
 }
 
 // Norm returns the Euclidean norm of a (float32-accumulated square sum,
@@ -55,7 +55,7 @@ func Norm(a []float32) float64 {
 	if len(a) == 0 {
 		return 0
 	}
-	return math.Sqrt(float64(dotRow(a, a)))
+	return math.Sqrt(float64(dotRow(a, a, a)))
 }
 
 // Normalize returns a unit-norm copy of a. The zero vector is returned
@@ -97,12 +97,12 @@ func CosineSimilarity(a, b []float32) float64 {
 	if len(a) == 0 {
 		return 0
 	}
-	na2 := dotRow(a, a)
-	nb2 := dotRow(b, b)
+	na2 := dotRow(a, a, a)
+	nb2 := dotRow(b, b, b)
 	if na2 == 0 || nb2 == 0 {
 		return 0
 	}
-	c := float64(dotRow(a, b)) / (math.Sqrt(float64(na2)) * math.Sqrt(float64(nb2)))
+	c := float64(dotRow(a, b, a)) / (math.Sqrt(float64(na2)) * math.Sqrt(float64(nb2)))
 	if c > 1 {
 		c = 1
 	} else if c < -1 {
