@@ -20,6 +20,7 @@ import (
 	"lccs/internal/dataset"
 	"lccs/internal/experiments"
 	"lccs/internal/lshfamily"
+	"lccs/internal/pqueue"
 	"lccs/internal/rng"
 )
 
@@ -378,9 +379,6 @@ func shardBenchData(n, d int) [][]float32 {
 // shards=1. Compare with
 //
 //	go test -bench BenchmarkShardedBuild -benchtime 3x
-//
-// or run `lccs-bench -exp shard`, which reports the speedup directly on
-// a similar (not byte-identical) clustered workload.
 func BenchmarkShardedBuild(b *testing.B) {
 	const n, d, m = 100_000, 16, 32
 	data := shardBenchData(n, d)
@@ -445,7 +443,7 @@ func BenchmarkPublicAPI(b *testing.B) {
 // iteration: one insert, one delete of a random live id, and one
 // search against a DynamicIndex whose background delta builds (and
 // their buffer compactions) run as a side effect of the churn. This is
-// the smoke-scale cousin of `lccs-bench -exp churn`.
+// the smoke-scale cousin of the `churn-d16` workload in bench/.
 func BenchmarkDynamicChurn(b *testing.B) {
 	g := rng.New(9)
 	data := make([][]float32, 4000)
@@ -516,5 +514,84 @@ func BenchmarkDynamicCompaction(b *testing.B) {
 		if err := d.Rebuild(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFilteredSearch measures metadata-filtered search on a
+// DynamicIndex at three predicate selectivities — string equality
+// matching 1 % of rows, int equality 10 %, an int range 50 % — under the
+// default candidate budget λ. Beside ns/op it reports recall@10 against
+// an exact scan of the matching rows: at a fixed λ the filter rejects
+// candidates in-stream, so a rarer predicate pays a longer drain per
+// verified row, and the recall column says what that bought.
+func BenchmarkFilteredSearch(b *testing.B) {
+	const n, d, m, k, nq = 20_000, 16, 32, 10, 50
+	data := shardBenchData(n, d)
+	g := rng.New(11)
+	queries := make([][]float32, nq)
+	for i := range queries {
+		queries[i] = g.GaussianVector(d)
+		for j, x := range data[g.IntN(n)] {
+			queries[i][j] = x + queries[i][j]*0.3
+		}
+	}
+	dyn, err := NewDynamicIndex(nil, Config{Metric: Euclidean, M: m, BucketWidth: 4, Seed: 1}, n+1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id, v := range data {
+		tier := "cold"
+		if id%100 == 0 {
+			tier = "hot"
+		}
+		attrs := Attrs{"tier": StrAttr(tier), "decile": IntAttr(int64(id % 10)), "bucket": IntAttr(int64(id % 100))}
+		if _, err := dyn.AddWithAttrs(v, attrs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := dyn.Rebuild(); err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := int64(0), int64(49)
+	cases := []struct {
+		name   string
+		filter *Filter
+		match  func(id int) bool
+	}{
+		{"sel=1%", &Filter{Terms: []FilterTerm{EqStr("tier", "hot")}}, func(id int) bool { return id%100 == 0 }},
+		{"sel=10%", &Filter{Terms: []FilterTerm{EqInt("decile", 0)}}, func(id int) bool { return id%10 == 0 }},
+		{"sel=50%", &Filter{Terms: []FilterTerm{Range("bucket", &lo, &hi)}}, func(id int) bool { return id%100 < 50 }},
+	}
+	for _, c := range cases {
+		var hit, total int
+		for _, q := range queries {
+			// The exact answer: the k nearest matching rows.
+			var exact pqueue.KBest
+			exact.Reset(k)
+			for id, row := range data {
+				if c.match(id) {
+					exact.Add(id, dyn.Distance(q, row))
+				}
+			}
+			truth := map[int]bool{}
+			for _, nb := range exact.AppendSorted(nil) {
+				truth[nb.ID] = true
+			}
+			for _, nb := range must(dyn.SearchQuery(q, Query{K: k, Filter: c.filter}, nil)) {
+				if truth[nb.ID] {
+					hit++
+				}
+			}
+			total += len(truth)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			var dst []Neighbor
+			for i := 0; i < b.N; i++ {
+				if dst, err = dyn.SearchQuery(queries[i%nq], Query{K: k, Filter: c.filter}, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(hit)/float64(total), "recall@10")
+		})
 	}
 }

@@ -25,7 +25,7 @@
 // daemon restarts with every acknowledged write intact.
 //
 // When -data names a dataset FILE, the pre-PR5 modes apply: -index
-// loads a prebuilt LCCSPKG1/2/3 container (read-only, or writable with
+// loads a prebuilt index container (read-only, or writable with
 // -dynamic); -dynamic alone builds a DynamicIndex (writes are held only
 // in memory until the shutdown snapshot — use a durable data dir when
 // acknowledged writes must survive a crash); otherwise a ShardedIndex
@@ -101,7 +101,7 @@ func main() {
 		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "durable mode: checkpoint at least this often (0 disables the timer)")
 		ckptWALMB   = flag.Int64("checkpoint-wal-mb", 256, "durable mode: checkpoint when the WAL exceeds this size (0 disables the size trigger)")
 		bootstrap   = flag.String("bootstrap", "", "durable mode: seed a fresh data dir from this dataset file (ignored once data exists)")
-		snapPath    = flag.String("snapshot", "", "file mode: on shutdown, save the dynamic index here (LCCSPKG2/3)")
+		snapPath    = flag.String("snapshot", "", "file mode: on shutdown, save the dynamic index here")
 		snapDataPth = flag.String("snapshot-data", "", "file mode: on shutdown, save the snapshot's vectors here (default: <snapshot>.ds)")
 		drainWait   = flag.Duration("drain", 10*time.Second, "graceful shutdown deadline")
 		drainDelay  = flag.Duration("drain-delay", 0, "window between /healthz going 503 and the listener closing; set to ≥ your load balancer's probe interval")
@@ -521,8 +521,8 @@ func buildBackend(ds *dataset.Dataset, cfg lccs.Config, indexPath string, dynami
 // built over the buffer) and all its vectors, so a warm restart via
 // -data <snapDataPath> -index <snapPath> preserves every insert — and
 // every delete: Snapshot compacts buffered tombstones away, and Save
-// writes the id map plus remaining tombstones into the LCCSPKG3
-// container whenever deletion state exists.
+// writes the id map plus remaining tombstones into the container's
+// lifecycle section whenever deletion state exists.
 func snapshot(dyn *lccs.DynamicIndex, ds *dataset.Dataset, snapPath, snapDataPath string) error {
 	if snapDataPath == "" {
 		snapDataPath = snapPath + ".ds"

@@ -160,7 +160,7 @@ type WALStats struct {
 // no acknowledged write. It owns a data directory:
 //
 //	<dir>/MANIFEST            durable root: active snapshot + WAL watermark
-//	<dir>/snapshot-N.lccs     index container (LCCSPKG2/3) of generation N
+//	<dir>/snapshot-N.lccs     index container of generation N
 //	<dir>/snapshot-N.ds       the snapshot's vectors
 //	<dir>/wal/*.wal           log segments holding writes since the snapshot
 //
@@ -386,6 +386,39 @@ func isValidationError(err error) bool {
 	return errors.Is(err, ErrEmptyVector) || errors.Is(err, ErrDimensionMismatch) || errors.Is(err, ErrNonFinite)
 }
 
+// journal is the one durable write step. apply changes the in-memory
+// index and returns the records describing what it did; it runs under
+// wmu together with the log append, so LSN order is id-allocation
+// order, and the durability wait comes after the unlock, so concurrent
+// writers group-commit. A write that applied nothing journals nothing.
+// An error (always wrapping ErrNotDurable) means the records may not
+// survive a crash. The stage clock: apply covers the write-lock wait
+// plus the in-memory change; append the journal record write; fsync the
+// group-commit durability wait.
+func (di *DurableIndex) journal(apply func() []wal.Record) error {
+	t0 := time.Now()
+	di.wmu.Lock()
+	recs := apply()
+	if len(recs) == 0 {
+		di.wmu.Unlock()
+		return nil
+	}
+	t1 := time.Now()
+	obs.ObserveDur(obs.StageIndexApply, t1.Sub(t0))
+	lsn, err := di.log.Append(recs...)
+	di.wmu.Unlock()
+	t2 := time.Now()
+	obs.ObserveDur(obs.StageWALAppend, t2.Sub(t1))
+	if err == nil {
+		err = di.log.WaitDurable(lsn)
+		obs.ObserveSince(obs.StageWALFsync, t2)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrNotDurable, err)
+	}
+	return nil
+}
+
 // Add inserts a vector and blocks until the insert is durable under
 // the configured sync policy; only then is the id safe to acknowledge.
 // As with DynamicIndex.Add, a non-nil error alongside a valid id can be
@@ -400,28 +433,17 @@ func (di *DurableIndex) Add(v []float32) (int, error) {
 // journaled alongside the vector (an OpInsertAttrs record), so filtered
 // search state survives crash recovery exactly like the vectors do.
 func (di *DurableIndex) AddWithAttrs(v []float32, a Attrs) (int, error) {
-	// The stage clock: apply covers the write-lock wait plus the
-	// in-memory insert; append the journal record write; fsync the
-	// group-commit durability wait.
-	t0 := time.Now()
-	di.wmu.Lock()
-	id, aerr := di.DynamicIndex.AddWithAttrs(v, a)
-	if aerr != nil && isValidationError(aerr) {
-		di.wmu.Unlock()
-		return id, aerr
-	}
-	t1 := time.Now()
-	obs.ObserveDur(obs.StageIndexApply, t1.Sub(t0))
-	lsn, werr := di.log.Append(insertRecord(id, v, a))
-	di.wmu.Unlock()
-	t2 := time.Now()
-	obs.ObserveDur(obs.StageWALAppend, t2.Sub(t1))
-	if werr == nil {
-		werr = di.log.WaitDurable(lsn)
-		obs.ObserveSince(obs.StageWALFsync, t2)
-	}
+	var id int
+	var aerr error
+	werr := di.journal(func() []wal.Record {
+		id, aerr = di.DynamicIndex.AddWithAttrs(v, a)
+		if aerr != nil && isValidationError(aerr) {
+			return nil
+		}
+		return []wal.Record{insertRecord(id, v, a)}
+	})
 	if werr != nil {
-		return id, fmt.Errorf("%w: %v", ErrNotDurable, werr)
+		return id, werr
 	}
 	return id, aerr
 }
@@ -448,54 +470,24 @@ func (di *DurableIndex) AddBatch(vecs [][]float32) ([]int, error) {
 // belongs to vecs[i]. attrs may be nil (no metadata) or must match
 // vecs in length; rows whose attrs are empty journal as plain inserts.
 func (di *DurableIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int, error) {
-	if len(vecs) == 0 {
-		return nil, nil
-	}
-	if attrs != nil && len(attrs) != len(vecs) {
-		return nil, ErrAttrsMismatch
-	}
-	ids := make([]int, 0, len(vecs))
-	recs := make([]wal.Record, 0, len(vecs))
-	var deferred, rejected error
-	t0 := time.Now()
-	di.wmu.Lock()
-	for i, v := range vecs {
-		var a Attrs
-		if attrs != nil {
-			a = attrs[i]
+	var ids []int
+	var aerr error // a rejected vector, or a deferred build failure
+	werr := di.journal(func() []wal.Record {
+		ids, aerr = di.DynamicIndex.AddBatchWithAttrs(vecs, attrs)
+		recs := make([]wal.Record, len(ids))
+		for i, id := range ids {
+			var a Attrs
+			if attrs != nil {
+				a = attrs[i]
+			}
+			recs[i] = insertRecord(id, vecs[i], a)
 		}
-		id, aerr := di.DynamicIndex.AddWithAttrs(v, a)
-		if aerr != nil && isValidationError(aerr) {
-			rejected = fmt.Errorf("vector %d: %w", len(ids), aerr)
-			break
-		}
-		if aerr != nil {
-			deferred = aerr
-		}
-		ids = append(ids, id)
-		recs = append(recs, insertRecord(id, v, a))
+		return recs
+	})
+	if werr != nil {
+		return ids, werr
 	}
-	t1 := time.Now()
-	obs.ObserveDur(obs.StageIndexApply, t1.Sub(t0))
-	var lsn uint64
-	var werr error
-	if len(recs) > 0 {
-		lsn, werr = di.log.Append(recs...)
-	}
-	di.wmu.Unlock()
-	t2 := time.Now()
-	obs.ObserveDur(obs.StageWALAppend, t2.Sub(t1))
-	if len(recs) > 0 && werr == nil {
-		werr = di.log.WaitDurable(lsn)
-		obs.ObserveSince(obs.StageWALFsync, t2)
-	}
-	switch {
-	case werr != nil:
-		return ids, fmt.Errorf("%w: %v", ErrNotDurable, werr)
-	case rejected != nil:
-		return ids, rejected
-	}
-	return ids, deferred
+	return ids, aerr
 }
 
 // DeleteDurable tombstones id and blocks until the delete is durable
@@ -503,27 +495,8 @@ func (di *DurableIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]in
 // an error wrapping ErrNotDurable means the delete may not survive a
 // crash and must not be acknowledged.
 func (di *DurableIndex) DeleteDurable(id int) (bool, error) {
-	t0 := time.Now()
-	di.wmu.Lock()
-	ok := di.DynamicIndex.Delete(id)
-	if !ok {
-		di.wmu.Unlock()
-		return false, nil
-	}
-	t1 := time.Now()
-	obs.ObserveDur(obs.StageIndexApply, t1.Sub(t0))
-	lsn, werr := di.log.Append(wal.Record{Op: wal.OpDelete, ID: int64(id)})
-	di.wmu.Unlock()
-	t2 := time.Now()
-	obs.ObserveDur(obs.StageWALAppend, t2.Sub(t1))
-	if werr == nil {
-		werr = di.log.WaitDurable(lsn)
-		obs.ObserveSince(obs.StageWALFsync, t2)
-	}
-	if werr != nil {
-		return true, fmt.Errorf("%w: %v", ErrNotDurable, werr)
-	}
-	return true, nil
+	deleted, _, err := di.DeleteBatch([]int{id})
+	return deleted == 1, err
 }
 
 // Delete is DeleteDurable for callers bound to the DynamicIndex
@@ -542,37 +515,19 @@ func (di *DurableIndex) Delete(id int) bool {
 // means the tombstones may not survive a crash and must not be
 // acknowledged.
 func (di *DurableIndex) DeleteBatch(ids []int) (deleted int, missing []int, err error) {
-	if len(ids) == 0 {
-		return 0, nil, nil
-	}
-	recs := make([]wal.Record, 0, len(ids))
-	t0 := time.Now()
-	di.wmu.Lock()
-	for _, id := range ids {
-		if di.DynamicIndex.Delete(id) {
-			recs = append(recs, wal.Record{Op: wal.OpDelete, ID: int64(id)})
-		} else {
-			missing = append(missing, id)
+	err = di.journal(func() []wal.Record {
+		recs := make([]wal.Record, 0, len(ids))
+		for _, id := range ids {
+			if di.DynamicIndex.Delete(id) {
+				recs = append(recs, wal.Record{Op: wal.OpDelete, ID: int64(id)})
+			} else {
+				missing = append(missing, id)
+			}
 		}
-	}
-	t1 := time.Now()
-	obs.ObserveDur(obs.StageIndexApply, t1.Sub(t0))
-	var lsn uint64
-	var werr error
-	if len(recs) > 0 {
-		lsn, werr = di.log.Append(recs...)
-	}
-	di.wmu.Unlock()
-	t2 := time.Now()
-	obs.ObserveDur(obs.StageWALAppend, t2.Sub(t1))
-	if len(recs) > 0 && werr == nil {
-		werr = di.log.WaitDurable(lsn)
-		obs.ObserveSince(obs.StageWALFsync, t2)
-	}
-	if werr != nil {
-		return len(recs), missing, fmt.Errorf("%w: %v", ErrNotDurable, werr)
-	}
-	return len(recs), missing, nil
+		deleted = len(recs)
+		return recs
+	})
+	return deleted, missing, err
 }
 
 // Checkpoint persists the current state as a new snapshot generation,

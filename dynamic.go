@@ -218,8 +218,9 @@ func NewDynamicIndexFromShardedStore(sx *ShardedIndex, rebuildAt int) (*DynamicI
 		writes:    nextCursorEpoch(),
 	}
 	// Adopt the sharded index's lifecycle state — the id map and the
-	// tombstones a PKG3 snapshot carries across a restart — so deleted
-	// ids stay dead and id allocation resumes past the watermark.
+	// tombstones a snapshot's lifecycle section carries across a restart
+	// — so deleted ids stay dead and id allocation resumes past the
+	// watermark.
 	if sx.ids != nil {
 		d.ids = sx.ids.Clone()
 	} else {
@@ -284,6 +285,45 @@ func (d *DynamicIndex) Add(v []float32) (int, error) {
 func (d *DynamicIndex) AddWithAttrs(v []float32, a Attrs) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	id, err := d.addLocked(v, a)
+	if err != nil {
+		return 0, err
+	}
+	return id, d.takeBuildErrLocked()
+}
+
+// AddBatchWithAttrs inserts many vectors under one hold of the write
+// lock; attrs[i] belongs to vecs[i], and attrs may be nil (no metadata)
+// or must match vecs in length. On a validation error the valid prefix
+// stays inserted and its ids are returned alongside the error; a
+// deferred background-build failure is returned alongside all the ids,
+// as Add does.
+func (d *DynamicIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int, error) {
+	if attrs != nil && len(attrs) != len(vecs) {
+		return nil, ErrAttrsMismatch
+	}
+	if len(vecs) == 0 {
+		return nil, nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	ids := make([]int, 0, len(vecs))
+	for i, v := range vecs {
+		var a Attrs
+		if attrs != nil {
+			a = attrs[i]
+		}
+		id, err := d.addLocked(v, a)
+		if err != nil {
+			return ids, fmt.Errorf("vector %d: %w", i, err)
+		}
+		ids = append(ids, id)
+	}
+	return ids, d.takeBuildErrLocked()
+}
+
+// addLocked validates and appends one vector and returns its id.
+func (d *DynamicIndex) addLocked(v []float32, a Attrs) (int, error) {
 	if err := validateVector(v, d.store.Dim()); err != nil {
 		return 0, err
 	}
@@ -297,10 +337,16 @@ func (d *DynamicIndex) AddWithAttrs(v []float32, a Attrs) (int, error) {
 	}
 	id := d.ids.Alloc()
 	d.writes++
+	d.maybeStartBuildLocked()
+	return id, nil
+}
+
+// takeBuildErrLocked returns and clears the most recent background
+// build failure; a successful insert delivers it.
+func (d *DynamicIndex) takeBuildErrLocked() error {
 	err := d.buildErr
 	d.buildErr = nil
-	d.maybeStartBuildLocked()
-	return id, err
+	return err
 }
 
 // Attrs returns the metadata of the live vector with the given id, or
@@ -427,6 +473,27 @@ func (d *DynamicIndex) WaitRebuild() {
 func (d *DynamicIndex) Delete(id int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.deleteLocked(id)
+}
+
+// DeleteBatch tombstones many ids under one hold of the write lock. It
+// returns how many ids were live (now tombstoned) and which were unknown
+// or already deleted. The error is always nil here: it is the slot
+// through which DurableIndex.DeleteBatch reports a journal failure.
+func (d *DynamicIndex) DeleteBatch(ids []int) (deleted int, missing []int, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, id := range ids {
+		if d.deleteLocked(id) {
+			deleted++
+		} else {
+			missing = append(missing, id)
+		}
+	}
+	return deleted, missing, nil
+}
+
+func (d *DynamicIndex) deleteLocked(id int) bool {
 	slot, ok := d.ids.Slot(id)
 	if !ok || d.deleted[slot] {
 		return false
@@ -709,10 +776,10 @@ func (d *DynamicIndex) Distance(a, b []float32) float64 {
 // first, so tombstones that never reached a shard are simply gone; the
 // rest — tombstoned slots inside immutable shards, and the id map that
 // keeps external ids stable across compactions — is carried by the
-// ShardedIndex and persisted by Save in the LCCSPKG3 container. The
-// snapshot therefore never resurrects a deleted id: not in its own
-// results, and not after a save/load round trip. (The returned vector
-// slice still includes rows tombstoned inside shards — the shard
+// ShardedIndex and persisted by Save in the container's lifecycle
+// section. The snapshot therefore never resurrects a deleted id: not in
+// its own results, and not after a save/load round trip. (The returned
+// vector slice still includes rows tombstoned inside shards — the shard
 // structures index them positionally — but no search will return them.)
 //
 // Snapshot blocks writers while the buffer shard builds; it is meant for

@@ -140,6 +140,67 @@ func TestDynamicDimensionMismatch(t *testing.T) {
 	}
 }
 
+// TestDynamicBatchWrites pins the batch write methods the serving layer
+// calls: the ids and attribute rows of a whole batch, the valid prefix
+// alongside a validation error, and DeleteBatch's live count and
+// missing list.
+func TestDynamicBatchWrites(t *testing.T) {
+	data, _ := testData(56, 60, 8, 4, 0.5)
+	d, err := NewDynamicIndex(data[:50], Config{Metric: Euclidean, M: 16, Seed: 5}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := []Attrs{{"color": StrAttr("red")}, nil, {"price": IntAttr(7)}}
+	ids, err := d.AddBatchWithAttrs(data[50:53], attrs)
+	if err != nil || len(ids) != 3 || ids[0] != 50 || ids[2] != 52 {
+		t.Fatalf("AddBatchWithAttrs = %v, %v; want ids 50..52", ids, err)
+	}
+	for i, id := range ids {
+		if !d.Attrs(id).Equal(attrs[i]) {
+			t.Fatalf("Attrs(%d) = %v, want %v", id, d.Attrs(id), attrs[i])
+		}
+	}
+	// A rejected vector stops the batch; the prefix is in and reported.
+	ids, err = d.AddBatchWithAttrs([][]float32{data[53], {1, 2}, data[54]}, nil)
+	if !errors.Is(err, ErrDimensionMismatch) || len(ids) != 1 || ids[0] != 53 {
+		t.Fatalf("batch with a bad vector = %v, %v; want [53] and ErrDimensionMismatch", ids, err)
+	}
+	if d.Len() != 54 {
+		t.Fatalf("Len = %d after the rejected batch, want 54", d.Len())
+	}
+	if _, err := d.AddBatchWithAttrs(data[54:56], attrs); !errors.Is(err, ErrAttrsMismatch) {
+		t.Fatalf("3 attr rows for 2 vectors: err=%v, want ErrAttrsMismatch", err)
+	}
+	if ids, err := d.AddBatchWithAttrs(nil, nil); ids != nil || err != nil {
+		t.Fatalf("empty batch = %v, %v; want nil, nil", ids, err)
+	}
+	// A deferred background-build failure rides along with a successful
+	// batch, once.
+	boom := errors.New("background build failed")
+	d.mu.Lock()
+	d.buildErr = boom
+	d.mu.Unlock()
+	if ids, err := d.AddBatchWithAttrs(data[54:56], nil); err != boom || len(ids) != 2 {
+		t.Fatalf("batch after a failed build = %v, %v; want both ids and the build error", ids, err)
+	}
+	if _, err := d.Add(data[56]); err != nil {
+		t.Fatalf("build error delivered twice: %v", err)
+	}
+
+	deleted, missing, err := d.DeleteBatch([]int{3, 52, 999, 3})
+	if err != nil || deleted != 2 || len(missing) != 2 || missing[0] != 999 || missing[1] != 3 {
+		t.Fatalf("DeleteBatch = %d, %v, %v; want 2 deleted, missing [999 3]", deleted, missing, err)
+	}
+	if d.Len() != 55 || d.Deleted() != 2 {
+		t.Fatalf("Len=%d Deleted=%d after DeleteBatch, want 55 and 2", d.Len(), d.Deleted())
+	}
+	for _, nb := range must(d.SearchQuery(data[3], Query{K: 5, Budget: 400}, nil)) {
+		if nb.ID == 3 || nb.ID == 52 {
+			t.Fatalf("batch-deleted id %d still served", nb.ID)
+		}
+	}
+}
+
 func TestDynamicConcurrentReadersAndWriters(t *testing.T) {
 	data, g := testData(56, 400, 8, 4, 0.5)
 	d, err := NewDynamicIndex(data, Config{Metric: Euclidean, M: 16, Seed: 6}, 50)

@@ -21,23 +21,52 @@ func TestFamilyForErrors(t *testing.T) {
 
 func TestDecodeHeaderErrors(t *testing.T) {
 	data, _ := testData(61, 20, 4, 2, 0.5)
-	// Valid magic but truncated right after.
-	if _, err := decodeSingle(bytes.NewReader(nil), data); err == nil {
-		t.Error("header truncation should fail")
+	store, err := storeFromRows(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Valid header but truncated right after.
+	if _, err := decodeBody(bytes.NewReader(nil), store, header{}); err == nil {
+		t.Error("body truncation should fail")
 	}
 	// Corrupt metric length.
 	blob := []byte{0xFF, 0xFF, 0xFF, 0x7F}
-	if _, err := decodeSingle(bytes.NewReader(blob), data); err == nil {
+	if _, err := decodeBody(bytes.NewReader(blob), store, header{}); err == nil {
 		t.Error("corrupt metric length should fail")
 	}
-	// Unknown magic is rejected up front.
-	if _, err := readMagic(bytes.NewReader([]byte("LCCSPKG9"))); err == nil {
-		t.Error("unknown magic should fail")
+	// The header table: every version's header bytes map to the sections
+	// its body carries.
+	accepted := []struct {
+		bytes string
+		want  header
+	}{
+		{"LCCSPKG1", header{}},
+		{"LCCSPKG2", header{sharded: true}},
+		{"LCCSPKG3", header{sharded: true, lifecycle: true}},
+		{"LCCSPKG4\x01", header{quantized: true}},
+		{"LCCSPKG4\x02\x00", header{sharded: true, quantized: true}},
+		{"LCCSPKG4\x02\x01", header{sharded: true, lifecycle: true, quantized: true}},
+		{"LCCSPKG5\x01\x00", header{attrs: true}},
+		{"LCCSPKG5\x01\x02", header{quantized: true, attrs: true}},
+		{"LCCSPKG5\x02\x00", header{sharded: true, attrs: true}},
+		{"LCCSPKG5\x02\x03", header{sharded: true, lifecycle: true, quantized: true, attrs: true}},
 	}
-	// Both known magics are accepted.
-	for _, m := range [][8]byte{pkgMagic, pkgMagic2} {
-		if got, err := readMagic(bytes.NewReader(m[:])); err != nil || got != m {
-			t.Errorf("magic %q rejected: %v", m, err)
+	for _, c := range accepted {
+		r := bytes.NewReader([]byte(c.bytes + "body"))
+		if got, err := readHeader(r); err != nil || got != c.want {
+			t.Errorf("readHeader(%q) = %+v, %v; want %+v", c.bytes, got, err, c.want)
+		} else if r.Len() != len("body") {
+			t.Errorf("readHeader(%q) left %d bytes, want the 4 of the body", c.bytes, r.Len())
+		}
+	}
+	rejected := []string{
+		"", "LCCSPKG", "LCCSPKG0", "LCCSPKG6", "LCCSPKG9", "LCCSCSA1", "lccspkg1",
+		"LCCSPKG4", "LCCSPKG4\x00", "LCCSPKG4\x03", "LCCSPKG4\x02", "LCCSPKG4\x02\x02",
+		"LCCSPKG5\x01", "LCCSPKG5\x09\x00", "LCCSPKG5\x02\x04", "LCCSPKG5\x01\x01",
+	}
+	for _, in := range rejected {
+		if h, err := readHeader(bytes.NewReader([]byte(in))); err == nil {
+			t.Errorf("readHeader(%q) = %+v, want an error", in, h)
 		}
 	}
 }

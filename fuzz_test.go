@@ -1,23 +1,38 @@
 package lccs
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // FuzzLoadSharded feeds arbitrary bytes through the container parsers —
-// LoadSharded first (it accepts all three formats), then Load — and
+// LoadSharded first (it accepts every container), then Load — and
 // asserts the durability-grade contract: truncated or corrupt
 // containers must return an error, never panic and never OOM. The
-// committed golden files of all three formats seed the corpus so the
-// fuzzer starts from deep inside the valid format space.
+// committed golden files of all five magics, plus an attribute-free
+// file in the layout Save writes, seed the corpus so the fuzzer starts
+// from deep inside the valid format space.
 func FuzzLoadSharded(f *testing.F) {
-	for _, name := range []string{"golden_pkg1.lccs", "golden_pkg2.lccs", "golden_pkg3.lccs"} {
+	data, cfg := goldenSetup()
+	var seeds [][]byte
+	for _, name := range []string{"golden_pkg1.lccs", "golden_pkg2.lccs", "golden_pkg3.lccs", "golden_pkg4.lccs", "golden_pkg5.lccs"} {
 		blob, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatalf("missing golden seed %s: %v", name, err)
 		}
+		seeds = append(seeds, blob)
+	}
+	ix, err := NewIndex(data, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var plain bytes.Buffer
+	if err := ix.encode(&plain); err != nil {
+		f.Fatal(err)
+	}
+	for _, blob := range append(seeds, plain.Bytes()) {
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2]) // truncated container
 		mut := append([]byte(nil), blob...)
@@ -28,7 +43,6 @@ func FuzzLoadSharded(f *testing.F) {
 	f.Add([]byte("LCCSPKG9 not a real format"))
 	f.Add([]byte{})
 
-	data, _ := goldenSetup()
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.lccs")
 		if err := os.WriteFile(path, blob, 0o644); err != nil {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"testing"
+	"testing/iotest"
 
 	"lccs/internal/lshfamily"
 	"lccs/internal/rng"
@@ -35,6 +37,44 @@ func TestCoreEncodeDecodeRoundTrip(t *testing.T) {
 			if a[j] != b[j] {
 				t.Fatalf("query %d result %d differs", i, j)
 			}
+		}
+	}
+}
+
+// TestDecodeConsumesExactly: Decode and DecodeStore read their own blob
+// and nothing after it, whatever the reader — two indexes back to back
+// plus a tail must come out as two indexes and that tail.
+func TestDecodeConsumesExactly(t *testing.T) {
+	g := rng.New(83)
+	data := clusteredData(g, 120, 8, 4, 0.5)
+	fam := lshfamily.NewRandomProjection(8, 4)
+	var buf bytes.Buffer
+	for _, m := range []int{16, 8} {
+		ix, err := Build(data, fam, Params{M: m, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf.WriteString("tail")
+	readers := map[string]io.Reader{
+		"bytes.Reader":  bytes.NewReader(buf.Bytes()),
+		"OneByteReader": iotest.OneByteReader(bytes.NewReader(buf.Bytes())),
+	}
+	for name, rd := range readers {
+		for _, m := range []int{16, 8} {
+			ix, err := Decode(rd, data, fam)
+			if err != nil {
+				t.Fatalf("%s: index m=%d: %v", name, m, err)
+			}
+			if ix.M() != m {
+				t.Fatalf("%s: decoded m=%d, want %d", name, ix.M(), m)
+			}
+		}
+		if rest, err := io.ReadAll(rd); err != nil || string(rest) != "tail" {
+			t.Fatalf("%s: %q, %v left after two indexes, want \"tail\"", name, rest, err)
 		}
 	}
 }

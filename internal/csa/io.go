@@ -1,7 +1,6 @@
 package csa
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -16,17 +15,17 @@ var csaMagic = [8]byte{'L', 'C', 'C', 'S', 'C', 'S', 'A', '1'}
 // byte stream is identical to what the earlier per-shift encoder
 // produced (m consecutive length-n little-endian arrays), keeping old
 // files loadable unchanged. Loading an encoded CSA skips the sort and
-// the induced passes of the build, not the O(n·m) LCP pass.
+// the induced passes of the build, not the O(n·m) LCP pass. Encode
+// writes straight to w; buffering is the caller's (the container's) job.
 func (c *CSA) Encode(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(csaMagic[:]); err != nil {
+	if _, err := w.Write(csaMagic[:]); err != nil {
 		return err
 	}
 	hdr := []int32{int32(c.n), int32(c.m)}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, c.data); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, c.data); err != nil {
 		return err
 	}
 	// Rank entries go to disk as bare ids: the LCP bits are derived
@@ -34,33 +33,31 @@ func (c *CSA) Encode(w io.Writer) error {
 	var buf [1 << 14]byte
 	for off := 0; off < len(c.sorted); off += len(buf) / 4 {
 		chunk := c.sorted[off:min(off+len(buf)/4, len(c.sorted))]
-		for j, w := range chunk {
-			binary.LittleEndian.PutUint32(buf[4*j:], w&c.idMask)
+		for j, entry := range chunk {
+			binary.LittleEndian.PutUint32(buf[4*j:], entry&c.idMask)
 		}
-		if _, err := bw.Write(buf[:4*len(chunk)]); err != nil {
+		if _, err := w.Write(buf[:4*len(chunk)]); err != nil {
 			return err
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, c.next); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return binary.Write(w, binary.LittleEndian, c.next)
 }
 
 // Decode reads a CSA written by Encode, validates its invariants (each
 // sorted order a permutation in circular order, next links consistent)
-// and rebuilds the LCP bits of the rank entries from the strings.
+// and rebuilds the LCP bits of the rank entries from the strings. It
+// reads exactly the bytes Encode wrote — never past them — so whatever
+// follows the CSA in r is still there for the caller.
 func Decode(r io.Reader) (*CSA, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, err
 	}
 	if magic != csaMagic {
 		return nil, fmt.Errorf("csa: bad magic %q", magic)
 	}
 	var hdr [2]int32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
 		return nil, err
 	}
 	n, m := int(hdr[0]), int(hdr[1])
@@ -73,16 +70,16 @@ func Decode(r io.Reader) (*CSA, error) {
 	// with a read error after at most one chunk instead of committing
 	// a multi-gigabyte allocation up front.
 	var err error
-	if c.data, err = readBlock[int32](br, n*m); err != nil {
+	if c.data, err = readBlock[int32](r, n*m); err != nil {
 		return nil, err
 	}
 	// The m sorted orders and m next-link arrays are flat blocks, so
 	// each decodes in one read (legacy files wrote the same bytes as m
 	// consecutive arrays — the stream is identical).
-	if c.sorted, err = readBlock[uint32](br, m*n); err != nil {
+	if c.sorted, err = readBlock[uint32](r, m*n); err != nil {
 		return nil, err
 	}
-	if c.next, err = readBlock[int32](br, m*n); err != nil {
+	if c.next, err = readBlock[int32](r, m*n); err != nil {
 		return nil, err
 	}
 	if err := c.validate(); err != nil {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"lccs/internal/hstring"
 )
@@ -39,6 +41,39 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("result %d differs: %+v vs %+v", i, a[i], b[i])
 			}
+		}
+	}
+}
+
+// TestDecodeConsumesExactly: Decode reads its own bytes and nothing
+// after them, whatever the reader — two CSAs back to back plus a tail
+// must come out as two CSAs and that tail.
+func TestDecodeConsumesExactly(t *testing.T) {
+	r := rand.New(rand.NewPCG(57, 58))
+	first, second := New(randStrings(r, 40, 6, 4)), New(randStrings(r, 25, 3, 2))
+	var buf bytes.Buffer
+	for _, c := range []*CSA{first, second} {
+		if err := c.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf.WriteString("tail")
+	readers := map[string]io.Reader{
+		"bytes.Reader":  bytes.NewReader(buf.Bytes()),
+		"OneByteReader": iotest.OneByteReader(bytes.NewReader(buf.Bytes())),
+	}
+	for name, rd := range readers {
+		for i, want := range []*CSA{first, second} {
+			got, err := Decode(rd)
+			if err != nil {
+				t.Fatalf("%s: CSA %d: %v", name, i, err)
+			}
+			if got.N() != want.N() || got.M() != want.M() {
+				t.Fatalf("%s: CSA %d decoded as %dx%d, want %dx%d", name, i, got.N(), got.M(), want.N(), want.M())
+			}
+		}
+		if rest, err := io.ReadAll(rd); err != nil || string(rest) != "tail" {
+			t.Fatalf("%s: %q, %v left after two CSAs, want \"tail\"", name, rest, err)
 		}
 	}
 }

@@ -50,62 +50,22 @@ import (
 	"lccs/internal/obs"
 )
 
-// Inserter is the optional write interface of a backend; DynamicIndex
-// implements it. Backends that do not are served read-only and
-// /v1/insert answers 501.
+// Writer is the optional write side of a backend; DynamicIndex and
+// DurableIndex implement it. Backends that do not are served read-only
+// and /v1/insert and /v1/delete answer 501. Each request is one call —
+// on a write-ahead-logged backend one journal append and one
+// group-committed fsync for the whole batch — that returns only once
+// the write is durable per the backend's sync policy.
 //
-// Any error a custom Inserter returns is treated as a failed insert.
-// The library's own DynamicIndex is special-cased: its Add is
-// documented to deliver a *previous* background build's failure
-// alongside a successful insert, so for that backend a non-validation
-// error keeps the id and is surfaced to clients as a warning.
-type Inserter interface {
-	Add(v []float32) (int, error)
-}
-
-// AttrInserter is the metadata-carrying write interface; DynamicIndex
-// implements it. Backends without it answer attribute inserts with 501.
-type AttrInserter interface {
-	AddWithAttrs(v []float32, a lccs.Attrs) (int, error)
-}
-
-// BatchInserter is the optional bulk-write interface of a backend;
-// DurableIndex implements it. When present, /v1/insert applies the
-// whole request through one AddBatch call — on a write-ahead-logged
-// backend that is one journal append and one group-committed fsync for
-// the entire batch instead of one per vector.
-type BatchInserter interface {
-	AddBatch(vecs [][]float32) ([]int, error)
-}
-
-// AttrBatchInserter is the bulk counterpart of AttrInserter;
-// DurableIndex implements it.
-type AttrBatchInserter interface {
+// AddBatchWithAttrs (attrs nil, or one row per vector) returns the ids
+// of the vectors that went in: all of them, or the valid prefix
+// alongside a validation error. An error wrapping lccs.ErrNotDurable
+// means the write must not be acknowledged; any other error alongside
+// all the ids is a deferred background-build failure and the insert
+// itself succeeded. DeleteBatch reports how many ids were live and
+// which were unknown or already deleted.
+type Writer interface {
 	AddBatchWithAttrs(vecs [][]float32, attrs []lccs.Attrs) ([]int, error)
-}
-
-// Deleter is the optional delete interface of a backend; DynamicIndex
-// implements it. Delete reports whether the id was live. Backends that
-// do not implement it answer /v1/delete with 501.
-type Deleter interface {
-	Delete(id int) bool
-}
-
-// DurableDeleter is the error-aware delete interface of a durable
-// backend (DurableIndex): the delete is acknowledged only once it is
-// durable per the backend's sync policy, and a journal failure is
-// reported instead of being swallowed. Preferred over Deleter when
-// implemented.
-type DurableDeleter interface {
-	DeleteDurable(id int) (bool, error)
-}
-
-// BatchDeleter is the bulk counterpart of DurableDeleter; DurableIndex
-// implements it. When present, /v1/delete applies the whole id batch
-// through one DeleteBatch call — one journal append and one
-// group-committed fsync instead of one per id. It reports how many ids
-// were live and which were unknown or already deleted.
-type BatchDeleter interface {
 	DeleteBatch(ids []int) (deleted int, missing []int, err error)
 }
 
@@ -178,24 +138,11 @@ type Config struct {
 // backend's capability interfaces resolved once, the write generation
 // folded into its cache keys, and its admission occupancy.
 type coll struct {
-	name    string
-	backend lccs.Searcher
-	// dynInserter marks the backend as the library's own
-	// DynamicIndex/DurableIndex, whose Add is documented to deliver
-	// deferred background-build failures alongside a *successful*
-	// insert. Only then is a non-validation Add error downgraded to a
-	// warning; a custom Inserter's errors are always treated as failed
-	// inserts.
-	inserter    Inserter
-	dynInserter bool
-	attrIns     AttrInserter
-	batch       BatchInserter
-	attrBatch   AttrBatchInserter
-	deleter     Deleter
-	durDeleter  DurableDeleter
-	batchDel    BatchDeleter
-	walStats    WALStatser
-	cur         lccs.CursorSearcher
+	name     string
+	backend  lccs.Searcher
+	writer   Writer     // nil: read-only backend
+	walStats WALStatser // nil: no write-ahead log
+	cur      lccs.CursorSearcher
 	// spec is the resolved collection configuration (zero for adopted
 	// backends); EXPLAIN reports its quantize/re-rank settings.
 	spec engine.Spec
@@ -222,30 +169,8 @@ func newColl(ec *engine.Collection) *coll {
 	name, backend := ec.Name(), ec.Backend()
 	c := &coll{name: name, backend: backend, spec: ec.Spec(),
 		usage: ec.Usage(), health: new(obs.Health)}
-	if ins, ok := backend.(Inserter); ok {
-		c.inserter = ins
-		switch backend.(type) {
-		case *lccs.DynamicIndex, *lccs.DurableIndex:
-			c.dynInserter = true
-		}
-	}
-	if ai, ok := backend.(AttrInserter); ok {
-		c.attrIns = ai
-	}
-	if b, ok := backend.(BatchInserter); ok {
-		c.batch = b
-	}
-	if ab, ok := backend.(AttrBatchInserter); ok {
-		c.attrBatch = ab
-	}
-	if del, ok := backend.(Deleter); ok {
-		c.deleter = del
-	}
-	if del, ok := backend.(DurableDeleter); ok {
-		c.durDeleter = del
-	}
-	if del, ok := backend.(BatchDeleter); ok {
-		c.batchDel = del
+	if wr, ok := backend.(Writer); ok {
+		c.writer = wr
 	}
 	if ws, ok := backend.(WALStatser); ok {
 		c.walStats = ws
@@ -965,7 +890,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := s.reqID.Add(1)
-	if c.inserter == nil {
+	if c.writer == nil {
 		s.fail(w, c.name, "insert", http.StatusNotImplemented,
 			errors.New("backend is read-only: inserts need a DynamicIndex (-dynamic)"))
 		return
@@ -991,11 +916,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		if len(req.Attrs) != len(req.Vectors) {
 			s.fail(w, c.name, "insert", http.StatusBadRequest,
 				fmt.Errorf("%w: %d attr rows for %d vectors", lccs.ErrAttrsMismatch, len(req.Attrs), len(req.Vectors)))
-			return
-		}
-		if c.attrIns == nil && c.attrBatch == nil {
-			s.fail(w, c.name, "insert", http.StatusNotImplemented,
-				errors.New("backend does not support vector attributes"))
 			return
 		}
 		var err error
@@ -1068,51 +988,15 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyInserts pushes a pre-validated vector batch (with optional
-// aligned attrs) into the backend. On a durable backend (BatchInserter)
-// the whole batch is one journal append — and, crucially, the call
-// returns only once the batch is durable per the configured sync
-// policy, so a 200 never acknowledges a write a crash could lose. A
-// durability failure is a 503 (the write may be applied in memory but
-// not on disk); a rejected vector is a 400. A deferred background-build
+// aligned attrs) into the backend and classifies the outcome. The call
+// returns only once the batch is durable per the backend's sync policy,
+// so a 200 never acknowledges a write a crash could lose. A durability
+// failure is a 503 (the write may be applied in memory but not on
+// disk); a rejected vector is a 400. A deferred background-build
 // failure is reported as a warning alongside success, matching
 // DynamicIndex.Add's documented semantics.
 func (s *Server) applyInserts(c *coll, vectors [][]float32, attrs []lccs.Attrs) (ids []int, warning string, failCode int, failErr error) {
-	if attrs == nil && c.batch != nil {
-		return s.finishBatch(c.batch.AddBatch(vectors))
-	}
-	if attrs != nil && c.attrBatch != nil {
-		return s.finishBatch(c.attrBatch.AddBatchWithAttrs(vectors, attrs))
-	}
-	ids = make([]int, 0, len(vectors))
-	for i, v := range vectors {
-		var id int
-		var err error
-		if attrs != nil {
-			id, err = c.attrIns.AddWithAttrs(v, attrs[i])
-		} else {
-			id, err = c.inserter.Add(v)
-		}
-		switch {
-		case err != nil && errors.Is(err, lccs.ErrNotDurable):
-			return ids, "", http.StatusServiceUnavailable, fmt.Errorf("vector %d: %w", i, err)
-		case err != nil && (!c.dynInserter || isRejectedInsert(err)):
-			// Should be unreachable after pre-validation, but a custom
-			// Inserter may reject for its own reasons.
-			return ids, "", http.StatusBadRequest, fmt.Errorf("vector %d rejected: %w", i, err)
-		case err != nil:
-			// DynamicIndex.Add surfaces a *previous* background build
-			// failure here while the insert itself succeeded — keep the
-			// id and pass the condition on as a warning.
-			warning = err.Error()
-		}
-		ids = append(ids, id)
-	}
-	return ids, warning, 0, nil
-}
-
-// finishBatch classifies a bulk-insert result into the applyInserts
-// return shape.
-func (s *Server) finishBatch(ids []int, err error) ([]int, string, int, error) {
+	ids, err := c.writer.AddBatchWithAttrs(vectors, attrs)
 	switch {
 	case err == nil:
 		return ids, "", 0, nil
@@ -1134,7 +1018,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := s.reqID.Add(1)
-	if c.deleter == nil {
+	if c.writer == nil {
 		s.fail(w, c.name, "delete", http.StatusNotImplemented,
 			errors.New("backend cannot delete: deletes need a DynamicIndex (-dynamic)"))
 		return
@@ -1159,51 +1043,22 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, c.name, "delete", http.StatusBadRequest, errors.New("no ids in request"))
 		return
 	}
-	// On a durable backend the error-aware paths are used: the delete
-	// is acknowledged only after it is journaled per the sync policy —
-	// the whole batch under a single group-committed wait when the
-	// backend has a bulk path — and a journal failure turns into a 503
-	// instead of a silently non-durable 200.
+	// On a durable backend the delete is acknowledged only after the
+	// whole batch is journaled per the sync policy, under a single
+	// group-committed wait; a journal failure turns into a 503 instead
+	// of a silently non-durable 200.
 	walBefore := walAppended(c)
 	var resp deleteResponse
-	switch {
-	case c.batchDel != nil:
-		deleted, missing, err := c.batchDel.DeleteBatch(ids)
-		resp.Deleted, resp.Missing = deleted, missing
-		if err != nil {
-			if deleted > 0 {
-				c.gen.Add(1)
-				c.deletes.Add(uint64(deleted))
-				c.usage.AddDelete(deleted, walAppended(c)-walBefore)
-			}
-			s.fail(w, c.name, "delete", http.StatusServiceUnavailable, err)
-			return
+	var err error
+	resp.Deleted, resp.Missing, err = c.writer.DeleteBatch(ids)
+	if err != nil {
+		if resp.Deleted > 0 {
+			c.gen.Add(1)
+			c.deletes.Add(uint64(resp.Deleted))
+			c.usage.AddDelete(resp.Deleted, walAppended(c)-walBefore)
 		}
-	default:
-		for _, id := range ids {
-			var live bool
-			var err error
-			if c.durDeleter != nil {
-				live, err = c.durDeleter.DeleteDurable(id)
-			} else {
-				live = c.deleter.Delete(id)
-			}
-			if live {
-				resp.Deleted++
-			} else {
-				resp.Missing = append(resp.Missing, id)
-			}
-			if err != nil {
-				if resp.Deleted > 0 {
-					c.gen.Add(1)
-					c.deletes.Add(uint64(resp.Deleted))
-					c.usage.AddDelete(resp.Deleted, walAppended(c)-walBefore)
-				}
-				s.fail(w, c.name, "delete", http.StatusServiceUnavailable,
-					fmt.Errorf("id %d: %w (deleted %d of %d before the failure)", id, err, resp.Deleted, len(ids)))
-				return
-			}
-		}
+		s.fail(w, c.name, "delete", http.StatusServiceUnavailable, err)
+		return
 	}
 	if resp.Deleted > 0 {
 		// A delete changes every query's answer set: bump the write
@@ -1224,8 +1079,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, c.name, "delete", http.StatusOK, resp)
 }
 
-// isRejectedInsert reports whether an Inserter.Add error means the
-// vector was rejected (DynamicIndex's validation errors), as opposed to
+// isRejectedInsert reports whether an insert error means the vector
+// was rejected (DynamicIndex's validation errors), as opposed to
 // a deferred background-build failure delivered alongside a successful
 // insert.
 func isRejectedInsert(err error) bool {
@@ -1466,7 +1321,7 @@ func (s *Server) StatsSnapshot() Stats {
 
 // backendStats inspects the concrete facade behind one collection.
 func backendStats(c *coll) BackendStats {
-	b := BackendStats{Vectors: c.backend.Len(), Writable: c.inserter != nil}
+	b := BackendStats{Vectors: c.backend.Len(), Writable: c.writer != nil}
 	switch ix := c.backend.(type) {
 	case *lccs.Index:
 		b.Kind = "index"
@@ -1529,18 +1384,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		bs                         BackendStats
 		inserts, deletes, quotaRej float64
 		occupancy                  float64
-		hasDeleter                 bool
 	}
 	figs := make([]collFig, 0, len(colls))
 	for _, c := range colls {
 		bs := backendStats(c)
 		figs = append(figs, collFig{
 			name: c.name, bs: bs,
-			inserts:    float64(c.inserts.Load()),
-			deletes:    float64(c.deletes.Load()),
-			quotaRej:   float64(c.quotaRejected.Load()),
-			occupancy:  float64(c.occupancy.Load()),
-			hasDeleter: c.deleter != nil,
+			inserts:   float64(c.inserts.Load()),
+			deletes:   float64(c.deletes.Load()),
+			quotaRej:  float64(c.quotaRejected.Load()),
+			occupancy: float64(c.occupancy.Load()),
 		})
 		totInserts += float64(c.inserts.Load())
 		totDeletes += float64(c.deletes.Load())
@@ -1558,13 +1411,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{name: "lccs_admission_queue_depth", help: "Requests waiting for an admission slot.", value: float64(s.adm.queueDepth())},
 		{name: "lccs_index_vectors", help: "Vectors searchable across all collections.", value: totVectors},
 	}
-	anyDeleter := false
+	anyWritable := false
 	for _, f := range figs {
-		if f.hasDeleter {
-			anyDeleter = true
+		if f.bs.Writable {
+			anyWritable = true
 		}
 	}
-	if anyDeleter {
+	if anyWritable {
 		gauges = append(gauges,
 			gauge{name: "lccs_index_tombstones", help: "Deleted vectors awaiting compaction.", value: totTombstones})
 	}

@@ -85,7 +85,7 @@ func QuantizeSQ8(s *Store) *SQ8Store {
 }
 
 // RestoreSQ8 reassembles a quantized store from its persisted parts
-// (the LCCSPKG4 loader). Slices are adopted, not copied.
+// (the container loader). Slices are adopted, not copied.
 func RestoreSQ8(dim int, min, scale, norms []float32, codes []uint8) *SQ8Store {
 	return &SQ8Store{codes: codes, dim: dim, min: min, scale: scale, norms: norms}
 }

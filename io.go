@@ -14,68 +14,109 @@ import (
 	"lccs/internal/vec"
 )
 
-// pkgMagic versions the facade's on-disk index format: a single-Index
-// file (format 1).
-var pkgMagic = [8]byte{'L', 'C', 'C', 'S', 'P', 'K', 'G', '1'}
+// The index container. Save writes one layout, whatever the index
+// carries:
+//
+//	magic "LCCSPKG5" · kind byte · flags byte
+//	config                          metric, m, probes, budget, bucket width, seed
+//	shard table                     sharded kind only: count, then each shard's size
+//	core index × shards             one blob per shard (one for the single kind)
+//	lifecycle section               flagLifecycle: id map + tombstoned ids
+//	quantization section            flagQuantized: quantizer, re-rank depth, SQ8 store × shards
+//	attribute section               always; 16 zero bytes when no row carries metadata
+//
+// The dataset itself is never stored. A single Index is the one-shard
+// case of the same body, so one encoder (encodeContainer) and one decoder
+// (decodeBody) serve both facades, the durable checkpoint and the
+// lccs-serve warm start. Files of the four earlier versions differ only
+// in how the header names the optional sections; readHeader maps them
+// onto the same header value and they load through the same decoder:
+//
+//	LCCSPKG1  nothing after the magic           single
+//	LCCSPKG2  nothing after the magic           sharded
+//	LCCSPKG3  nothing after the magic           sharded, lifecycle
+//	LCCSPKG4  kind; sharded: lifecycle byte     quantized
+//	LCCSPKG5  kind, flags                       attribute section present
+var pkgMagic = [8]byte{'L', 'C', 'C', 'S', 'P', 'K', 'G', '5'}
 
-// pkgMagic2 is the sharded container (format 2): the same configuration
-// header as format 1 followed by a shard table and one core index blob per
-// shard. Format-1 files remain loadable by both Load and LoadSharded.
-var pkgMagic2 = [8]byte{'L', 'C', 'C', 'S', 'P', 'K', 'G', '2'}
-
-// pkgMagic3 is the lifecycle container (format 3): the format-2 layout
-// followed by a deletion-lifecycle section — the stable-id map and the
-// tombstone set of a dynamic snapshot — so deleted vectors stay deleted
-// across a save/load cycle. Save emits format 3 only when lifecycle
-// state exists; indexes without it keep writing byte-identical format-2
-// (or format-1) files, and both legacy formats keep loading.
-var pkgMagic3 = [8]byte{'L', 'C', 'C', 'S', 'P', 'K', 'G', '3'}
-
-// pkgMagic4 is the quantized container (format 4), emitted only when the
-// index carries an SQ8 quantized store (Config.Quantize). After the
-// magic, a container-kind byte distinguishes a single Index from a
-// sharded body; the sharded body is the format-2 layout plus an explicit
-// lifecycle-presence flag (formats 2/3 encode that in the magic), and
-// both kinds end with a quantization section: the quantizer name, the
-// configured re-rank depth, and each shard's codebook (per-dimension
-// min/scale), dequantized row norms, and packed int8 codes. Indexes
-// without quantization keep writing byte-identical format-1/2/3 files,
-// and all three legacy formats keep loading.
-var pkgMagic4 = [8]byte{'L', 'C', 'C', 'S', 'P', 'K', 'G', '4'}
-
-// pkgMagic5 is the metadata container (format 5), emitted only when the
-// index carries vector attributes. After the magic come a container-kind
-// byte and a flags byte selecting the optional sections; the body is the
-// usual single or sharded layout, followed by the lifecycle tail and the
-// quantization section when flagged, and always ending with the
-// attribute section (the per-slot canonical attrs rows). Indexes without
-// metadata keep writing byte-identical format-1..4 files, and all four
-// legacy formats keep loading.
-var pkgMagic5 = [8]byte{'L', 'C', 'C', 'S', 'P', 'K', 'G', '5'}
-
-// Container-kind byte of a format-4/5 file.
+// Container-kind byte.
 const (
 	containerSingle  byte = 1
 	containerSharded byte = 2
 )
 
-// Flags byte of a format-5 file.
+// Flags byte: which optional sections follow the core blobs.
 const (
-	pkg5FlagLifecycle byte = 1 << 0
-	pkg5FlagQuantized byte = 1 << 1
-	pkg5FlagsKnown         = pkg5FlagLifecycle | pkg5FlagQuantized
+	flagLifecycle byte = 1 << 0
+	flagQuantized byte = 1 << 1
 )
 
-// Save writes the index to path. The dataset itself is not stored: Load
-// must be given the same data slice (same order) the index was built
-// over. Saving avoids the build cost on the next start.
-func (ix *Index) Save(path string) error {
+// header is what a container's first bytes say about its body.
+type header struct {
+	sharded, lifecycle, quantized, attrs bool
+}
+
+// readHeader reads the magic plus the kind and flags bytes its version
+// carries (see the table above).
+func readHeader(r io.Reader) (header, error) {
+	var b [10]byte
+	if _, err := io.ReadFull(r, b[:8]); err != nil {
+		return header{}, err
+	}
+	version := b[7]
+	if string(b[:7]) != string(pkgMagic[:7]) || version < '1' || version > '5' {
+		return header{}, fmt.Errorf("lccs: bad index magic %q", b[:8])
+	}
+	h := header{
+		sharded:   version == '2' || version == '3',
+		lifecycle: version == '3',
+		quantized: version == '4',
+		attrs:     version == '5',
+	}
+	if version < '4' {
+		return h, nil
+	}
+	if _, err := io.ReadFull(r, b[8:9]); err != nil {
+		return header{}, err
+	}
+	switch b[8] {
+	case containerSingle:
+	case containerSharded:
+		h.sharded = true
+	default:
+		return header{}, fmt.Errorf("lccs: corrupt container kind %d", b[8])
+	}
+	if version == '4' && !h.sharded {
+		return h, nil // a single format-4 file has no flags byte
+	}
+	if _, err := io.ReadFull(r, b[9:10]); err != nil {
+		return header{}, err
+	}
+	known := flagLifecycle // format 4's lifecycle byte is the same bit
+	if version == '5' {
+		known |= flagQuantized
+	}
+	flags := b[9]
+	if flags&^known != 0 {
+		return header{}, fmt.Errorf("lccs: unknown container flags %#x", flags)
+	}
+	h.lifecycle = flags&flagLifecycle != 0
+	h.quantized = h.quantized || flags&flagQuantized != 0
+	if h.lifecycle && !h.sharded {
+		return header{}, fmt.Errorf("lccs: single-index container cannot carry lifecycle state")
+	}
+	return h, nil
+}
+
+// saveFile creates path and streams encode into it through the
+// container's one write buffer.
+func saveFile(path string, encode func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
-	if err := ix.encode(w); err != nil {
+	if err := encode(w); err != nil {
 		f.Close()
 		return err
 	}
@@ -86,64 +127,87 @@ func (ix *Index) Save(path string) error {
 	return f.Close()
 }
 
+// Save writes the index to path. The dataset itself is not stored: Load
+// must be given the same data slice (same order) the index was built
+// over. Saving avoids the build cost on the next start.
+func (ix *Index) Save(path string) error { return saveFile(path, ix.encode) }
+
+// encode writes ix as the one-shard case of the container body.
 func (ix *Index) encode(w io.Writer) error {
-	if !ix.attrs.Empty() {
-		qs := ix.core.SQ8()
-		var flags byte
-		if qs != nil {
-			flags |= pkg5FlagQuantized
-		}
-		if _, err := w.Write(pkgMagic5[:]); err != nil {
+	one := &ShardedIndex{cfg: ix.cfg, shards: []*Index{ix}, offsets: []int{0, ix.Len()}, attrs: ix.attrs}
+	return one.encodeContainer(w, containerSingle)
+}
+
+// Save writes the sharded index to path: the shared configuration, the
+// shard table, each shard's core index, and whatever the index carries
+// of deletion state (a compacted id map or tombstones from a dynamic
+// snapshot), a quantized store and vector attributes. As with
+// Index.Save, the dataset itself is not stored — LoadSharded must be
+// given the same data slice in the same order.
+func (sx *ShardedIndex) Save(path string) error { return saveFile(path, sx.encode) }
+
+func (sx *ShardedIndex) encode(w io.Writer) error { return sx.encodeContainer(w, containerSharded) }
+
+// encodeContainer writes the container layout described at pkgMagic.
+// Every section encodes deterministically, so a loaded file re-saves
+// byte for byte.
+func (sx *ShardedIndex) encodeContainer(w io.Writer, kind byte) error {
+	lifecycle := sx.ids != nil || len(sx.dead) > 0
+	quantized := len(sx.shards) > 0 && sx.shards[0].core.SQ8() != nil
+	var flags byte
+	if lifecycle {
+		flags |= flagLifecycle
+	}
+	if quantized {
+		flags |= flagQuantized
+	}
+	if _, err := w.Write(append(pkgMagic[:], kind, flags)); err != nil {
+		return err
+	}
+	if err := encodeConfig(w, sx.cfg); err != nil {
+		return err
+	}
+	if kind == containerSharded {
+		if err := binary.Write(w, binary.LittleEndian, int32(len(sx.shards))); err != nil {
 			return err
 		}
-		if _, err := w.Write([]byte{containerSingle, flags}); err != nil {
+		sizes := make([]int64, len(sx.shards))
+		for s := range sx.shards {
+			sizes[s] = int64(sx.offsets[s+1] - sx.offsets[s])
+		}
+		if err := binary.Write(w, binary.LittleEndian, sizes); err != nil {
 			return err
 		}
-		if err := encodeConfig(w, ix.cfg); err != nil {
+	}
+	for _, shard := range sx.shards {
+		if err := shard.core.Encode(w); err != nil {
 			return err
 		}
-		if err := ix.core.Encode(w); err != nil {
+	}
+	if lifecycle {
+		if err := sx.encodeLifecycle(w); err != nil {
 			return err
 		}
-		if qs != nil {
-			if err := encodeQuantHeader(w, ix.cfg); err != nil {
-				return err
+	}
+	if quantized {
+		if err := encodeQuantHeader(w, sx.cfg); err != nil {
+			return err
+		}
+		for s, shard := range sx.shards {
+			qs := shard.core.SQ8()
+			if qs == nil {
+				return fmt.Errorf("lccs: shard %d has no quantized store while shard 0 does", s)
 			}
 			if err := encodeSQ8(w, qs); err != nil {
 				return err
 			}
 		}
-		return encodeAttrsSection(w, ix.attrs)
 	}
-	if qs := ix.core.SQ8(); qs != nil {
-		if _, err := w.Write(pkgMagic4[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte{containerSingle}); err != nil {
-			return err
-		}
-		if err := encodeConfig(w, ix.cfg); err != nil {
-			return err
-		}
-		if err := ix.core.Encode(w); err != nil {
-			return err
-		}
-		if err := encodeQuantHeader(w, ix.cfg); err != nil {
-			return err
-		}
-		return encodeSQ8(w, qs)
-	}
-	if _, err := w.Write(pkgMagic[:]); err != nil {
-		return err
-	}
-	if err := encodeConfig(w, ix.cfg); err != nil {
-		return err
-	}
-	return ix.core.Encode(w)
+	return encodeAttrsSection(w, sx.attrs)
 }
 
-// encodeConfig writes the resolved configuration header shared by both
-// package formats.
+// encodeConfig writes the resolved configuration every container
+// starts its body with.
 func encodeConfig(w io.Writer, cfg Config) error {
 	metric := string(cfg.Metric)
 	if err := binary.Write(w, binary.LittleEndian, int32(len(metric))); err != nil {
@@ -162,8 +226,7 @@ func encodeConfig(w io.Writer, cfg Config) error {
 	return binary.Write(w, binary.LittleEndian, cfg.Seed)
 }
 
-// decodeConfig reads the configuration header shared by both package
-// formats.
+// decodeConfig reads the configuration encodeConfig wrote.
 func decodeConfig(r io.Reader) (Config, error) {
 	var cfg Config
 	var metricLen int32
@@ -202,10 +265,10 @@ func decodeConfig(r io.Reader) (Config, error) {
 	}, nil
 }
 
-// encodeQuantHeader writes the quantization-section header of a format-4
-// file: the quantizer name and the configured re-rank depth (0 when the
-// user left the default; the default is re-derived deterministically at
-// load time, keeping re-encodes byte-identical).
+// encodeQuantHeader writes the quantization-section header: the
+// quantizer name and the configured re-rank depth (0 when the user left
+// the default; the default is re-derived deterministically at load
+// time, keeping re-encodes byte-identical).
 func encodeQuantHeader(w io.Writer, cfg Config) error {
 	if err := binary.Write(w, binary.LittleEndian, int32(len(cfg.Quantize))); err != nil {
 		return err
@@ -284,78 +347,64 @@ func decodeSQ8(r io.Reader, rows, dim int) (*vec.SQ8Store, error) {
 	return vec.RestoreSQ8(dim, min, scale, norms, codes), nil
 }
 
-// readContainerKind reads and validates the format-4 container-kind byte.
-func readContainerKind(r io.Reader) (byte, error) {
-	var kind [1]byte
-	if _, err := io.ReadFull(r, kind[:]); err != nil {
-		return 0, err
-	}
-	if kind[0] != containerSingle && kind[0] != containerSharded {
-		return 0, fmt.Errorf("lccs: corrupt container kind %d", kind[0])
-	}
-	return kind[0], nil
-}
-
 // Load reads a single-Index file written by Index.Save. data must be the
 // dataset the index was built over; a sample of hash strings is
 // re-verified against it, so passing different data fails loudly rather
-// than silently returning wrong neighbors. Sharded (format 2) files are
-// rejected with an error directing to LoadSharded.
+// than silently returning wrong neighbors. Sharded files are rejected
+// with an error directing to LoadSharded.
 func Load(path string, data [][]float32) (*Index, error) {
+	store, err := storeFromRows(data)
+	if err != nil {
+		return nil, err
+	}
+	sx, err := loadContainer(path, store, true)
+	if err != nil {
+		return nil, err
+	}
+	ix := sx.shards[0]
+	ix.attrs = sx.attrs
+	return ix, nil
+}
+
+// LoadSharded reads a sharded index written by ShardedIndex.Save. data
+// must be the dataset the index was built over, in the same order (for
+// a file carrying lifecycle state that is the slot-ordered row slice
+// Snapshot returned, including rows tombstoned inside shards). A
+// single-Index file is accepted too and opens as one shard, so callers
+// can migrate to the sharded API without rewriting old files.
+func LoadSharded(path string, data [][]float32) (*ShardedIndex, error) {
+	store, err := storeFromRows(data)
+	if err != nil {
+		return nil, err
+	}
+	return LoadShardedStore(path, store)
+}
+
+// LoadShardedStore is LoadSharded over an already-flat vector store,
+// which the loaded index adopts without re-packing — the copy-free
+// warm-restart path (dataset.Dataset.FlatData feeds it directly). The
+// caller must not write through store afterwards.
+func LoadShardedStore(path string, store *vec.Store) (*ShardedIndex, error) {
+	return loadContainer(path, store, false)
+}
+
+// loadContainer opens path behind the container's one read buffer and
+// decodes it over store; single refuses a sharded body.
+func loadContainer(path string, store *vec.Store, single bool) (*ShardedIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
-	magic, err := readMagic(r)
+	h, err := readHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	if magic == pkgMagic2 || magic == pkgMagic3 {
+	if single && h.sharded {
 		return nil, fmt.Errorf("lccs: %s holds a sharded index; use LoadSharded", path)
 	}
-	if magic == pkgMagic4 {
-		kind, err := readContainerKind(r)
-		if err != nil {
-			return nil, err
-		}
-		if kind == containerSharded {
-			return nil, fmt.Errorf("lccs: %s holds a sharded index; use LoadSharded", path)
-		}
-		store, err := storeFromRows(data)
-		if err != nil {
-			return nil, err
-		}
-		return decodeSingleQuantized(r, store)
-	}
-	if magic == pkgMagic5 {
-		kind, flags, err := readPkg5Header(r)
-		if err != nil {
-			return nil, err
-		}
-		if kind == containerSharded {
-			return nil, fmt.Errorf("lccs: %s holds a sharded index; use LoadSharded", path)
-		}
-		store, err := storeFromRows(data)
-		if err != nil {
-			return nil, err
-		}
-		return decodeSingleWithAttrs(r, store, flags)
-	}
-	return decodeSingle(r, data)
-}
-
-// readMagic reads and validates the 8-byte package magic.
-func readMagic(r io.Reader) ([8]byte, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return magic, err
-	}
-	if magic != pkgMagic && magic != pkgMagic2 && magic != pkgMagic3 && magic != pkgMagic4 && magic != pkgMagic5 {
-		return magic, fmt.Errorf("lccs: bad index magic %q", magic)
-	}
-	return magic, nil
+	return decodeBody(r, store, h)
 }
 
 // checkStore validates the caller-supplied dataset store before it is
@@ -371,20 +420,10 @@ func checkStore(store *vec.Store) error {
 	return nil
 }
 
-// decodeSingle decodes a format-1 body (everything after the magic).
-// The supplied rows are packed once into a flat store that the decoded
-// index retains.
-func decodeSingle(r io.Reader, data [][]float32) (*Index, error) {
-	store, err := storeFromRows(data)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSingleStore(r, store)
-}
-
-// decodeSingleStore is decodeSingle over an already-flat store, which
-// the decoded index adopts without copying.
-func decodeSingleStore(r io.Reader, store *vec.Store) (*Index, error) {
+// decodeBody decodes everything after the header, in the order
+// encodeContainer wrote it; h selects the optional sections. A single
+// body has no shard table and decodes as one shard over the whole store.
+func decodeBody(r io.Reader, store *vec.Store, h header) (*ShardedIndex, error) {
 	cfg, err := decodeConfig(r)
 	if err != nil {
 		return nil, err
@@ -392,67 +431,104 @@ func decodeSingleStore(r io.Reader, store *vec.Store) (*Index, error) {
 	if err := checkStore(store); err != nil {
 		return nil, err
 	}
+	n := store.Len()
+	offsets := []int{0, n}
+	if h.sharded {
+		if offsets, err = decodeShardTable(r, n); err != nil {
+			return nil, err
+		}
+	}
 	family, err := familyFor(cfg, store.Dim())
 	if err != nil {
 		return nil, err
 	}
-	// Hand the index a capped view, not the owning store: growing the
-	// owner (e.g. through a DynamicIndex that adopts it) must never
-	// change what a loaded index covers.
-	single, err := core.DecodeStore(r, store.Slice(0, store.Len()), family)
-	if err != nil {
-		return nil, err
+	sx := &ShardedIndex{
+		cfg:     cfg,
+		store:   store,
+		shards:  make([]*Index, len(offsets)-1),
+		offsets: offsets,
+		budget:  cfg.Budget,
+		dim:     store.Dim(),
 	}
-	if err := checkCoreMatches(single, cfg); err != nil {
-		return nil, err
+	inShard := func(s int, err error) error {
+		if !h.sharded {
+			return err
+		}
+		return fmt.Errorf("lccs: shard %d: %w", s, err)
 	}
-	return wrapSingle(single, cfg, family)
+	for s := range sx.shards {
+		// Every shard decodes against a capped contiguous view of the one
+		// flat store, exactly as NewShardedIndex builds: growing the owner
+		// (e.g. through a DynamicIndex that adopts it) must never change
+		// what a loaded index covers.
+		single, err := core.DecodeStore(r, store.Slice(offsets[s], offsets[s+1]), family)
+		if err == nil {
+			err = checkCoreMatches(single, cfg)
+		}
+		if err == nil {
+			sx.shards[s], err = wrapSingle(single, cfg, family)
+		}
+		if err != nil {
+			return nil, inShard(s, err)
+		}
+	}
+	if h.lifecycle {
+		if err := sx.decodeLifecycle(r); err != nil {
+			return nil, err
+		}
+	}
+	if h.quantized {
+		kind, rerank, err := decodeQuantHeader(r)
+		if err != nil {
+			return nil, err
+		}
+		sx.cfg.Quantize, sx.cfg.Rerank = kind, rerank
+		if err := validateConfig(sx.cfg); err != nil {
+			return nil, err
+		}
+		for s, shard := range sx.shards {
+			qs, err := decodeSQ8(r, shard.Len(), store.Dim())
+			if err != nil {
+				return nil, inShard(s, err)
+			}
+			shard.core.EnableSQ8(qs, rerank)
+			shard.cfg.Quantize, shard.cfg.Rerank = kind, rerank
+		}
+	}
+	if h.attrs {
+		if sx.attrs, err = decodeAttrsSection(r, n); err != nil {
+			return nil, err
+		}
+	}
+	sx.initPool()
+	return sx, nil
 }
 
-// decodeSingleQuantized decodes a format-4 single-Index body (everything
-// after the magic and kind byte): the format-1 body followed by the
-// quantization section.
-func decodeSingleQuantized(r io.Reader, store *vec.Store) (*Index, error) {
-	ix, err := decodeSingleStore(r, store)
-	if err != nil {
+// decodeShardTable reads the shard count and sizes of a sharded body
+// and returns the shard offsets, which must tile the n rows exactly.
+func decodeShardTable(r io.Reader, n int) ([]int, error) {
+	var shardCount int32
+	if err := binary.Read(r, binary.LittleEndian, &shardCount); err != nil {
 		return nil, err
 	}
-	kind, rerank, err := decodeQuantHeader(r)
-	if err != nil {
+	if err := validateShardCount(int(shardCount), n); err != nil {
 		return nil, err
 	}
-	ix.cfg.Quantize, ix.cfg.Rerank = kind, rerank
-	if err := validateConfig(ix.cfg); err != nil {
+	sizes := make([]int64, shardCount)
+	if err := binary.Read(r, binary.LittleEndian, sizes); err != nil {
 		return nil, err
 	}
-	qs, err := decodeSQ8(r, ix.Len(), ix.Dim())
-	if err != nil {
-		return nil, err
+	offsets := make([]int, shardCount+1)
+	for s, size := range sizes {
+		if size <= 0 || size > int64(n) {
+			return nil, fmt.Errorf("lccs: corrupt shard size %d", size)
+		}
+		offsets[s+1] = offsets[s] + int(size)
 	}
-	ix.core.EnableSQ8(qs, rerank)
-	return ix, nil
-}
-
-// decodeSingleWithAttrs decodes a format-5 single-Index body: the
-// format-1 body, the quantization section when flagged, and the
-// attribute tail.
-func decodeSingleWithAttrs(r io.Reader, store *vec.Store, flags byte) (*Index, error) {
-	var ix *Index
-	var err error
-	if flags&pkg5FlagQuantized != 0 {
-		ix, err = decodeSingleQuantized(r, store)
-	} else {
-		ix, err = decodeSingleStore(r, store)
+	if offsets[shardCount] != n {
+		return nil, fmt.Errorf("lccs: shard table covers %d vectors, data has %d", offsets[shardCount], n)
 	}
-	if err != nil {
-		return nil, err
-	}
-	attrs, err := decodeAttrsSection(r, ix.Len())
-	if err != nil {
-		return nil, err
-	}
-	ix.attrs = attrs
-	return ix, nil
+	return offsets, nil
 }
 
 // checkCoreMatches verifies the package header agrees with the decoded
@@ -479,118 +555,16 @@ func wrapSingle(single *core.Index, cfg Config, family lshfamily.Family) (*Index
 	return ix, nil
 }
 
-// Save writes the sharded index to path: a format-2 container (the
-// shared configuration header, the shard table, and each shard's core
-// index), extended to format 3 with a lifecycle section when the index
-// carries deletion state (a compacted id map or tombstones from a
-// dynamic snapshot). As with Index.Save, the dataset itself is not
-// stored — LoadSharded must be given the same data slice in the same
-// order.
-func (sx *ShardedIndex) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := sx.encode(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func (sx *ShardedIndex) encode(w io.Writer) error {
-	lifecycle := sx.ids != nil || len(sx.dead) > 0
-	quantized := len(sx.shards) > 0 && sx.shards[0].core.SQ8() != nil
-	hasAttrs := !sx.attrs.Empty()
-	magic := pkgMagic2
-	if lifecycle {
-		magic = pkgMagic3
-	}
-	if quantized {
-		magic = pkgMagic4
-	}
-	if hasAttrs {
-		magic = pkgMagic5
-	}
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	if hasAttrs {
-		var flags byte
-		if lifecycle {
-			flags |= pkg5FlagLifecycle
-		}
-		if quantized {
-			flags |= pkg5FlagQuantized
-		}
-		if _, err := w.Write([]byte{containerSharded, flags}); err != nil {
-			return err
-		}
-	} else if quantized {
-		// Format 4 carries the container kind and an explicit lifecycle
-		// flag; formats 2/3 encode lifecycle presence in the magic.
-		flag := byte(0)
-		if lifecycle {
-			flag = 1
-		}
-		if _, err := w.Write([]byte{containerSharded, flag}); err != nil {
-			return err
-		}
-	}
-	if err := encodeConfig(w, sx.cfg); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, int32(len(sx.shards))); err != nil {
-		return err
-	}
-	sizes := make([]int64, len(sx.shards))
-	for s := range sx.shards {
-		sizes[s] = int64(sx.offsets[s+1] - sx.offsets[s])
-	}
-	if err := binary.Write(w, binary.LittleEndian, sizes); err != nil {
-		return err
-	}
-	for _, shard := range sx.shards {
-		if err := shard.core.Encode(w); err != nil {
-			return err
-		}
-	}
-	if lifecycle {
-		if err := sx.encodeLifecycle(w); err != nil {
-			return err
-		}
-	}
-	if quantized {
-		if err := encodeQuantHeader(w, sx.cfg); err != nil {
-			return err
-		}
-		for s, shard := range sx.shards {
-			qs := shard.core.SQ8()
-			if qs == nil {
-				return fmt.Errorf("lccs: shard %d has no quantized store while shard 0 does", s)
-			}
-			if err := encodeSQ8(w, qs); err != nil {
-				return err
-			}
-		}
-	}
-	if hasAttrs {
-		return encodeAttrsSection(w, sx.attrs)
-	}
-	return nil
-}
-
-// encodeAttrsSection writes the format-5 tail: the stored row count, the
-// byte length of the concatenated canonical row encodings, and the rows
-// themselves. The per-row encoding is deterministic (sorted keys), so a
-// loaded format-5 file re-saves byte-identically.
+// encodeAttrsSection writes the container's last section: the stored row
+// count, the byte length of the concatenated canonical row encodings,
+// and the rows themselves (sorted keys, so the encoding is
+// deterministic). A store in which no row carries an attribute writes
+// zero rows — the same 16 bytes as an index built without metadata.
 func encodeAttrsSection(w io.Writer, ms *vec.MetaStore) error {
 	n := ms.Len()
+	if ms.Empty() {
+		n = 0
+	}
 	var buf []byte
 	for i := 0; i < n; i++ {
 		buf = vec.AppendAttrs(buf, ms.Row(i))
@@ -606,9 +580,10 @@ func encodeAttrsSection(w io.Writer, ms *vec.MetaStore) error {
 // (corrupt headers must not drive allocations).
 const maxAttrsSectionBytes = 1 << 30
 
-// decodeAttrsSection reads the format-5 tail. The row count may be
+// decodeAttrsSection reads the attribute section. The row count may be
 // smaller than the slot count (trailing slots carry no metadata) but
-// never larger.
+// never larger; zero rows decode as no store at all, the state of an
+// index built without metadata.
 func decodeAttrsSection(r io.Reader, maxRows int) (*vec.MetaStore, error) {
 	var hdr [2]int64
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
@@ -638,33 +613,16 @@ func decodeAttrsSection(r io.Reader, maxRows int) (*vec.MetaStore, error) {
 	if off != len(buf) {
 		return nil, fmt.Errorf("lccs: attribute section has %d trailing bytes", len(buf)-off)
 	}
+	if n == 0 {
+		return nil, nil
+	}
 	return vec.MetaFromRows(rows), nil
 }
 
-// readPkg5Header reads and validates the format-5 kind and flags bytes.
-func readPkg5Header(r io.Reader) (kind, flags byte, err error) {
-	kind, err = readContainerKind(r)
-	if err != nil {
-		return 0, 0, err
-	}
-	var fb [1]byte
-	if _, err := io.ReadFull(r, fb[:]); err != nil {
-		return 0, 0, err
-	}
-	flags = fb[0]
-	if flags&^pkg5FlagsKnown != 0 {
-		return 0, 0, fmt.Errorf("lccs: unknown format-5 flags %#x", flags)
-	}
-	if kind == containerSingle && flags&pkg5FlagLifecycle != 0 {
-		return 0, 0, fmt.Errorf("lccs: single-index container cannot carry lifecycle state")
-	}
-	return kind, flags, nil
-}
-
-// encodeLifecycle writes the format-3 tail: the id map (identity flag,
+// encodeLifecycle writes the lifecycle section: the id map (identity flag,
 // next-id watermark, and — when compacted — the slot-ordered external
 // ids) followed by the sorted tombstoned external ids. The encoding is
-// deterministic, so a loaded format-3 file re-saves byte-identically.
+// deterministic (ids in slot order, tombstones sorted).
 func (sx *ShardedIndex) encodeLifecycle(w io.Writer) error {
 	identity := sx.ids.Identity()
 	flag := byte(0)
@@ -709,7 +667,7 @@ func toInt64s(ids []int) []int64 {
 	return out
 }
 
-// decodeLifecycle reads the format-3 tail and installs the lifecycle
+// decodeLifecycle reads the lifecycle section and installs the lifecycle
 // state on sx: the restored id map (nil for identity) and the tombstone
 // set translated back to slots, with per-shard tombstone counts derived
 // from the shard table.
@@ -790,194 +748,6 @@ func (sx *ShardedIndex) decodeLifecycle(r io.Reader) error {
 		}
 	}
 	return nil
-}
-
-// LoadSharded reads a sharded index written by ShardedIndex.Save. data
-// must be the dataset the index was built over, in the same order (for
-// a format-3 file that is the slot-ordered row slice Snapshot returned,
-// including rows tombstoned inside shards). A format-1 (single-Index)
-// file is accepted too and wrapped as one shard, so callers can migrate
-// to the sharded API without rewriting old files.
-func LoadSharded(path string, data [][]float32) (*ShardedIndex, error) {
-	store, err := storeFromRows(data)
-	if err != nil {
-		return nil, err
-	}
-	return LoadShardedStore(path, store)
-}
-
-// LoadShardedStore is LoadSharded over an already-flat vector store,
-// which the loaded index adopts without re-packing — the copy-free
-// warm-restart path (dataset.Dataset.FlatData feeds it directly). The
-// caller must not write through store afterwards.
-func LoadShardedStore(path string, store *vec.Store) (*ShardedIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	magic, err := readMagic(r)
-	if err != nil {
-		return nil, err
-	}
-	if magic == pkgMagic {
-		ix, err := decodeSingleStore(r, store)
-		if err != nil {
-			return nil, err
-		}
-		return wrapAsSharded(ix), nil
-	}
-	if magic == pkgMagic4 {
-		kind, err := readContainerKind(r)
-		if err != nil {
-			return nil, err
-		}
-		if kind == containerSingle {
-			ix, err := decodeSingleQuantized(r, store)
-			if err != nil {
-				return nil, err
-			}
-			return wrapAsSharded(ix), nil
-		}
-		var flag [1]byte
-		if _, err := io.ReadFull(r, flag[:]); err != nil {
-			return nil, err
-		}
-		if flag[0] > 1 {
-			return nil, fmt.Errorf("lccs: corrupt lifecycle flag %d", flag[0])
-		}
-		return decodeSharded(r, store, flag[0] == 1, true)
-	}
-	if magic == pkgMagic5 {
-		kind, flags, err := readPkg5Header(r)
-		if err != nil {
-			return nil, err
-		}
-		if kind == containerSingle {
-			ix, err := decodeSingleWithAttrs(r, store, flags)
-			if err != nil {
-				return nil, err
-			}
-			return wrapAsSharded(ix), nil
-		}
-		sx, err := decodeSharded(r, store, flags&pkg5FlagLifecycle != 0, flags&pkg5FlagQuantized != 0)
-		if err != nil {
-			return nil, err
-		}
-		attrs, err := decodeAttrsSection(r, sx.slots())
-		if err != nil {
-			return nil, err
-		}
-		sx.attrs = attrs
-		return sx, nil
-	}
-	return decodeSharded(r, store, magic == pkgMagic3, false)
-}
-
-// wrapAsSharded adapts a decoded single Index into a one-shard
-// ShardedIndex — the migration path for format-1 (and quantized
-// format-4 single) files opened with LoadSharded.
-func wrapAsSharded(ix *Index) *ShardedIndex {
-	sx := &ShardedIndex{
-		cfg:     ix.cfg,
-		store:   ix.core.Store(),
-		shards:  []*Index{ix},
-		offsets: []int{0, ix.Len()},
-		budget:  ix.budget,
-		dim:     ix.dim,
-		attrs:   ix.attrs,
-	}
-	sx.initPool()
-	return sx
-}
-
-// decodeSharded decodes a format-2, format-3, or sharded format-4 body
-// (everything after the magic and, for format 4, the kind and lifecycle
-// flag bytes); lifecycle selects the lifecycle tail, quantized the
-// format-4 quantization section.
-func decodeSharded(r io.Reader, store *vec.Store, lifecycle, quantized bool) (*ShardedIndex, error) {
-	cfg, err := decodeConfig(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkStore(store); err != nil {
-		return nil, err
-	}
-	n := store.Len()
-	var shardCount int32
-	if err := binary.Read(r, binary.LittleEndian, &shardCount); err != nil {
-		return nil, err
-	}
-	if err := validateShardCount(int(shardCount), n); err != nil {
-		return nil, err
-	}
-	sizes := make([]int64, shardCount)
-	if err := binary.Read(r, binary.LittleEndian, sizes); err != nil {
-		return nil, err
-	}
-	offsets := make([]int, shardCount+1)
-	for s, size := range sizes {
-		if size <= 0 || size > int64(n) {
-			return nil, fmt.Errorf("lccs: corrupt shard size %d", size)
-		}
-		offsets[s+1] = offsets[s] + int(size)
-	}
-	if offsets[shardCount] != n {
-		return nil, fmt.Errorf("lccs: shard table covers %d vectors, data has %d", offsets[shardCount], n)
-	}
-	// One flat store for the whole dataset; every shard decodes against
-	// a contiguous view of it, exactly as NewShardedIndex builds.
-	family, err := familyFor(cfg, store.Dim())
-	if err != nil {
-		return nil, err
-	}
-	sx := &ShardedIndex{
-		cfg:     cfg,
-		store:   store,
-		shards:  make([]*Index, shardCount),
-		offsets: offsets,
-		budget:  cfg.Budget,
-		dim:     store.Dim(),
-	}
-	for s := range sx.shards {
-		single, err := core.DecodeStore(r, store.Slice(offsets[s], offsets[s+1]), family)
-		if err != nil {
-			return nil, fmt.Errorf("lccs: shard %d: %w", s, err)
-		}
-		if err := checkCoreMatches(single, cfg); err != nil {
-			return nil, fmt.Errorf("lccs: shard %d: %w", s, err)
-		}
-		sx.shards[s], err = wrapSingle(single, cfg, family)
-		if err != nil {
-			return nil, fmt.Errorf("lccs: shard %d: %w", s, err)
-		}
-	}
-	if lifecycle {
-		if err := sx.decodeLifecycle(r); err != nil {
-			return nil, err
-		}
-	}
-	if quantized {
-		kind, rerank, err := decodeQuantHeader(r)
-		if err != nil {
-			return nil, err
-		}
-		sx.cfg.Quantize, sx.cfg.Rerank = kind, rerank
-		if err := validateConfig(sx.cfg); err != nil {
-			return nil, err
-		}
-		for s := range sx.shards {
-			qs, err := decodeSQ8(r, offsets[s+1]-offsets[s], store.Dim())
-			if err != nil {
-				return nil, fmt.Errorf("lccs: shard %d: %w", s, err)
-			}
-			sx.shards[s].core.EnableSQ8(qs, rerank)
-			sx.shards[s].cfg.Quantize, sx.shards[s].cfg.Rerank = kind, rerank
-		}
-	}
-	sx.initPool()
-	return sx, nil
 }
 
 // familyFor constructs the LSH family a Config selects. BucketWidth must

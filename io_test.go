@@ -5,19 +5,26 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"lccs/internal/rng"
 )
 
-// updateGolden regenerates the committed golden index files:
+// updateGolden regenerates the golden files this build can still write
+// — golden_pkg5.lccs, the one layout Save emits, and the unsorted-CSA
+// fuzz seed derived from golden_pkg2:
 //
-//	go test -run TestGolden -update-golden
+//	go test -run 'TestGolden|TestLoadRejectsUnsortedCSA' -update-golden
+//
+// golden_pkg1…4.lccs are read-only fixtures written by earlier releases;
+// nothing regenerates them.
 var updateGolden = flag.Bool("update-golden", false, "regenerate testdata golden index files")
 
 // goldenSetup returns the deterministic dataset and configs behind the
-// committed golden files. Changing either invalidates the files — rerun
-// with -update-golden and commit the result.
+// committed golden files. Changing either invalidates the files.
 func goldenSetup() ([][]float32, Config) {
 	data, _ := testData(88, 150, 8, 4, 0.5)
 	return data, Config{Metric: Euclidean, M: 16, Budget: 40, Seed: 88}
@@ -33,15 +40,6 @@ func TestGoldenFormat1(t *testing.T) {
 	fresh, err := NewIndex(data, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s", path)
 	}
 	loaded, err := Load(path, data)
 	if err != nil {
@@ -76,15 +74,6 @@ func TestGoldenFormat2(t *testing.T) {
 	fresh, err := NewShardedIndex(data, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s", path)
 	}
 	loaded, err := LoadSharded(path, data)
 	if err != nil {
@@ -147,15 +136,6 @@ func goldenLifecycleIndex(t *testing.T) ([][]float32, *ShardedIndex) {
 func TestGoldenFormat3(t *testing.T) {
 	const path = "testdata/golden_pkg3.lccs"
 	vectors, fresh := goldenLifecycleIndex(t)
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s", path)
-	}
 	loaded, err := LoadSharded(path, vectors)
 	if err != nil {
 		t.Fatalf("golden format-3 file no longer loads: %v", err)
@@ -192,115 +172,278 @@ func TestGoldenFormat3(t *testing.T) {
 }
 
 // TestGoldenReencodeByteIdentical pins the on-disk layout itself, not
-// just loadability: re-saving an index loaded from a legacy golden file
-// must reproduce the file byte for byte. This proves the flat
-// structure-of-arrays decoder/encoder speaks exactly the legacy PKG1 and
-// PKG2 stream layout (the m per-shift arrays of the old encoder and the
-// single contiguous block of the new one are the same bytes).
+// just loadability: re-saving the index loaded from golden_pkg5.lccs —
+// the golden in the one layout Save writes — must reproduce the file
+// byte for byte. (The four legacy goldens re-save in that layout too,
+// so their bytes change by design; TestContainerCompat pins what they
+// become.)
 func TestGoldenReencodeByteIdentical(t *testing.T) {
+	const path = "testdata/golden_pkg5.lccs"
 	data, _ := goldenSetup()
-	dir := t.TempDir()
-
-	orig1, err := os.ReadFile("testdata/golden_pkg1.lccs")
+	golden, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Load("testdata/golden_pkg1.lccs", data)
+	sx, err := LoadSharded(path, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resaved1 := filepath.Join(dir, "pkg1.lccs")
-	if err := ix.Save(resaved1); err != nil {
-		t.Fatal(err)
-	}
-	got1, err := os.ReadFile(resaved1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig1, got1) {
-		t.Fatalf("format-1 re-encode differs from golden: %d vs %d bytes", len(got1), len(orig1))
-	}
-
-	orig2, err := os.ReadFile("testdata/golden_pkg2.lccs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sx, err := LoadSharded("testdata/golden_pkg2.lccs", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resaved2 := filepath.Join(dir, "pkg2.lccs")
-	if err := sx.Save(resaved2); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := os.ReadFile(resaved2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig2, got2) {
-		t.Fatalf("format-2 re-encode differs from golden: %d vs %d bytes", len(got2), len(orig2))
-	}
-
-	// Format 3: the lifecycle tail (id map + sorted tombstones) encodes
-	// deterministically, so load → re-save is also byte-identical.
-	vectors, _ := goldenLifecycleIndex(t)
-	orig3, err := os.ReadFile("testdata/golden_pkg3.lccs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sx3, err := LoadSharded("testdata/golden_pkg3.lccs", vectors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resaved3 := filepath.Join(dir, "pkg3.lccs")
-	if err := sx3.Save(resaved3); err != nil {
-		t.Fatal(err)
-	}
-	got3, err := os.ReadFile(resaved3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig3, got3) {
-		t.Fatalf("format-3 re-encode differs from golden: %d vs %d bytes", len(got3), len(orig3))
+	if got := saveBytes(t, sx); !bytes.Equal(golden, got) {
+		t.Fatalf("re-encode differs from golden: %d vs %d bytes", len(got), len(golden))
 	}
 }
 
-// TestSaveWithoutLifecycleStaysFormat2 pins the compatibility promise
-// from the other side: a snapshot with no deletion state writes the
-// exact format-2 container older readers understand.
-func TestSaveWithoutLifecycleStaysFormat2(t *testing.T) {
-	data, cfg := goldenSetup()
-	d, err := NewDynamicIndex(data, cfg, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vectors, sx, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "clean.lccs")
-	if err := sx.Save(path); err != nil {
+// saveBytes saves ix to a scratch file and returns the file's bytes.
+func saveBytes(t *testing.T, ix interface{ Save(string) error }) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "saved.lccs")
+	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(blob[:8]) != "LCCSPKG2" {
-		t.Fatalf("clean snapshot wrote magic %q, want LCCSPKG2", blob[:8])
+	return blob
+}
+
+// containerState is everything a container must carry across a
+// save/load cycle, in comparable form.
+type containerState struct {
+	Shards, Len int
+	Results     [][]Neighbor // default-budget and exhaustive answers to fixed queries
+	Dead        []int        // tombstoned slots, ascending
+	IDs         []int        // slot-ordered external ids; nil for the identity map
+	NextID      int
+	Quantize    string
+	Rerank      int
+	Attrs       []Attrs // one per slot, nil where the slot has none
+}
+
+// stateOf extracts the containerState of a loaded or built index over
+// its slot-ordered vectors.
+func stateOf(t *testing.T, ix Searcher, vectors [][]float32) containerState {
+	t.Helper()
+	var st containerState
+	var attrs func(slot int) Attrs
+	switch v := ix.(type) {
+	case *Index:
+		st.Shards, st.Len = 1, v.Len()
+		st.Quantize, st.Rerank = v.Quantization()
+		attrs = v.attrs.Row
+	case *ShardedIndex:
+		st.Shards, st.Len = v.Shards(), v.Len()
+		for s := 0; s < v.Shards(); s++ {
+			shard, _ := v.Shard(s)
+			kind, rerank := shard.Quantization()
+			if s > 0 && (kind != st.Quantize || rerank != st.Rerank) {
+				t.Fatalf("shard %d quantization (%q, %d) differs from shard 0's (%q, %d)", s, kind, rerank, st.Quantize, st.Rerank)
+			}
+			st.Quantize, st.Rerank = kind, rerank
+		}
+		for slot := range v.dead {
+			st.Dead = append(st.Dead, slot)
+		}
+		sort.Ints(st.Dead)
+		if v.ids != nil {
+			st.IDs, st.NextID = v.ids.AppendIDs(nil), v.ids.Next()
+		}
+		attrs = v.attrs.Row
+	default:
+		t.Fatalf("stateOf: unexpected %T", ix)
 	}
-	if _, err := LoadSharded(path, vectors); err != nil {
+	for slot := range vectors {
+		a := attrs(slot)
+		if len(a) == 0 {
+			a = nil
+		}
+		st.Attrs = append(st.Attrs, a)
+	}
+	for qi := 0; qi < 10; qi++ {
+		q := vectors[qi*13]
+		st.Results = append(st.Results,
+			must(ix.SearchQuery(q, Query{K: 5, Budget: 40}, nil)),
+			must(ix.SearchQuery(q, Query{K: 5, Budget: 4 * len(vectors)}, nil)))
+	}
+	return st
+}
+
+// checkOneLayout saves ix, checks the file is the one layout with the
+// given kind and flags bytes, reloads it through load, and checks the
+// reloaded index carries the same state and saves to the same bytes. It
+// returns the reloaded index.
+func checkOneLayout[T interface {
+	Searcher
+	Save(string) error
+}](t *testing.T, ix T, vectors [][]float32, kind, flags byte, load func(string, [][]float32) (T, error)) T {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "one.lccs")
+	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
+	}
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte("LCCSPKG5"), kind, flags); !bytes.HasPrefix(first, want) {
+		t.Fatalf("saved header %q, want %q", first[:10], want)
+	}
+	reloaded, err := load(path, vectors)
+	if err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	if want, got := stateOf(t, ix, vectors), stateOf(t, reloaded, vectors); !reflect.DeepEqual(want, got) {
+		t.Fatalf("state changed across save/load:\nsaved  %+v\nloaded %+v", want, got)
+	}
+	if second := saveBytes(t, reloaded); !bytes.Equal(first, second) {
+		t.Fatalf("second save differs from the first: %d vs %d bytes", len(second), len(first))
+	}
+	return reloaded
+}
+
+// TestContainerCompat is the container's compatibility table. Read side:
+// each of the five golden files — one per magic ever written — loads
+// through LoadSharded (and through Load when it holds a single index;
+// Load refuses the others), re-saves as the one layout, and reloads to
+// the same results, tombstones, id map, re-rank depth and attribute
+// rows, after which saving is a fixed point. Write side: every
+// combination of facade and optional section writes that one layout and
+// round-trips the same way.
+func TestContainerCompat(t *testing.T) {
+	data, cfg := goldenSetup()
+	_, qcfg := goldenQuantizedSetup()
+	lifeVectors, _ := goldenLifecycleIndex(t)
+	goldens := []struct {
+		file    string
+		vectors [][]float32
+		single  bool
+		flags   byte
+	}{
+		{"golden_pkg1.lccs", data, true, 0},
+		{"golden_pkg2.lccs", data, false, 0},
+		{"golden_pkg3.lccs", lifeVectors, false, flagLifecycle},
+		{"golden_pkg4.lccs", data, false, flagQuantized},
+		{"golden_pkg5.lccs", data, false, 0},
+	}
+	for _, g := range goldens {
+		t.Run(g.file, func(t *testing.T) {
+			path := filepath.Join("testdata", g.file)
+			sx, err := LoadSharded(path, g.vectors)
+			if err != nil {
+				t.Fatalf("LoadSharded: %v", err)
+			}
+			upgraded := checkOneLayout(t, sx, g.vectors, containerSharded, g.flags, LoadSharded)
+			ix, err := Load(path, g.vectors)
+			if !g.single {
+				if err == nil || !strings.Contains(err.Error(), "use LoadSharded") {
+					t.Fatalf("Load = %v, want the use-LoadSharded refusal", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			single := checkOneLayout(t, ix, g.vectors, containerSingle, g.flags, Load)
+			// One shard or one index, legacy bytes or new: the same answers.
+			if a, b := stateOf(t, single, g.vectors).Results, stateOf(t, upgraded, g.vectors).Results; !reflect.DeepEqual(a, b) {
+				t.Fatalf("single and one-shard loads answer differently:\n%v\n%v", a, b)
+			}
+		})
+	}
+
+	attrs := goldenAttrsRows(len(data))
+	for _, quantized := range []bool{false, true} {
+		for _, withAttrs := range []bool{false, true} {
+			name, c, rows, flags := "plain", cfg, []Attrs(nil), byte(0)
+			if quantized {
+				name, c, flags = "sq8", qcfg, flagQuantized
+			}
+			if withAttrs {
+				name, rows = name+"+attrs", attrs
+			}
+			t.Run("Index/"+name, func(t *testing.T) {
+				ix, err := NewIndexWithAttrs(data, rows, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkOneLayout(t, ix, data, containerSingle, flags, Load)
+				if !withAttrs {
+					// No metadata is 16 zero bytes, and all-nil attribute rows
+					// count as no metadata.
+					blob := saveBytes(t, ix)
+					if !bytes.HasSuffix(blob, make([]byte, 16)) {
+						t.Fatalf("attribute-free file ends %x, want the empty attribute section", blob[len(blob)-16:])
+					}
+					nilRows, err := NewIndexWithAttrs(data, make([]Attrs, len(data)), c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(blob, saveBytes(t, nilRows)) {
+						t.Fatal("all-nil attribute rows write different bytes than no rows")
+					}
+				}
+				// The migration path: a single-index file opens as one shard
+				// with everything it carries.
+				path := filepath.Join(t.TempDir(), "single.lccs")
+				if err := ix.Save(path); err != nil {
+					t.Fatal(err)
+				}
+				wrapped, err := LoadSharded(path, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, got := stateOf(t, ix, data), stateOf(t, wrapped, data); !reflect.DeepEqual(want, got) {
+					t.Fatalf("one-shard load of a single file differs:\nsaved  %+v\nloaded %+v", want, got)
+				}
+			})
+			t.Run("ShardedIndex/"+name, func(t *testing.T) {
+				sx, err := NewShardedIndexWithAttrs(data, rows, c, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkOneLayout(t, sx, data, containerSharded, flags, LoadSharded)
+			})
+			t.Run("ShardedIndex/lifecycle+"+name, func(t *testing.T) {
+				// A dynamic snapshot with deletes inside a shard and a
+				// compacted buffer: tombstones and a non-identity id map.
+				d, err := NewDynamicIndex(data[:140], c, 10000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 140; i < len(data); i++ {
+					var a Attrs
+					if withAttrs {
+						a = rows[i]
+					}
+					if _, err := d.AddWithAttrs(data[i], a); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, id := range []int{3, 77, 141} {
+					if !d.Delete(id) {
+						t.Fatalf("delete %d failed", id)
+					}
+				}
+				vectors, sx, err := d.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sx.Deleted() != 2 || sx.ids == nil {
+					t.Fatalf("setup: Deleted=%d ids=%v, want 2 tombstones and a compacted id map", sx.Deleted(), sx.ids)
+				}
+				checkOneLayout(t, sx, vectors, containerSharded, flags|flagLifecycle, LoadSharded)
+			})
+		}
 	}
 }
 
-// TestLoadCorruptedLifecycleSection flips bytes across the format-3
-// lifecycle tail (id-map flag, watermark, counts, ids) and checks every
+// TestLoadCorruptedLifecycleSection flips bytes across the lifecycle
+// section (id-map flag, watermark, counts, ids) and checks every
 // corruption fails loudly.
 func TestLoadCorruptedLifecycleSection(t *testing.T) {
 	vectors, sx := goldenLifecycleIndex(t)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "pkg3.lccs")
+	path := filepath.Join(dir, "life.lccs")
 	if err := sx.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +451,13 @@ func TestLoadCorruptedLifecycleSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The lifecycle section is the file tail: flag(1) + next(8) +
-	// idCount(8) + ids + deadCount(8) + dead ids. Truncations anywhere
-	// inside it must fail.
-	tail := 1 + 8 + 8 + 8*len(vectors) + 8 + 8*sx.Deleted()
-	for _, cut := range []int{tail, tail - 5, 9, 1} {
+	// The lifecycle section — flag(1) + next(8) + idCount(8) + ids +
+	// deadCount(8) + dead ids — sits in front of the 16-byte empty
+	// attribute section that ends the file. Truncations anywhere inside
+	// either must fail.
+	const attrsTail = 16
+	tail := attrsTail + 1 + 8 + 8 + 8*len(vectors) + 8 + 8*sx.Deleted()
+	for _, cut := range []int{tail, tail - 5, attrsTail + 9, attrsTail + 1, attrsTail, 1} {
 		p := filepath.Join(dir, "cut.lccs")
 		if err := os.WriteFile(p, blob[:len(blob)-cut], 0o644); err != nil {
 			t.Fatal(err)
@@ -334,7 +479,7 @@ func TestLoadCorruptedLifecycleSection(t *testing.T) {
 	// A tombstone id that resolves to no slot is rejected.
 	bad = append([]byte(nil), blob...)
 	for i := 0; i < 8; i++ {
-		bad[len(blob)-8+i] = 0xFF // last dead id → garbage
+		bad[len(blob)-attrsTail-8+i] = 0xFF // last dead id → garbage
 	}
 	p = filepath.Join(dir, "badtomb.lccs")
 	if err := os.WriteFile(p, bad, 0o644); err != nil {
@@ -392,8 +537,7 @@ func TestFormat1WarmRestartDoesNotMutateLoadedIndex(t *testing.T) {
 	}
 }
 
-// TestLoadCorruptedHeaderBytes flips bytes inside the format-1 header
-// region and checks every corruption is reported as an error — never a
+// TestLoadCorruptedHeaderBytes flips bytes inside the header region and checks every corruption is reported as an error — never a
 // panic or a silently wrong index.
 func TestLoadCorruptedHeaderBytes(t *testing.T) {
 	data, _ := testData(37, 200, 8, 4, 0.5)
@@ -410,17 +554,18 @@ func TestLoadCorruptedHeaderBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Header = magic(8) + metric len(4)/str + [M,Probes,Budget] int64 +
-	// bucket width float64 + seed uint64. Flips in Probes or Budget yield
-	// a coherent-but-different config that legitimately loads, so the
-	// test targets the regions the loader must verify: the magic, the
-	// metric, the M field (cross-checked against the core index), and
-	// the seed (caught by the hash-string spot check).
-	metricEnd := 8 + 4 + len(Euclidean)
+	// Header = magic(8) + kind(1) + flags(1) + metric len(4)/str +
+	// [M,Probes,Budget] int64 + bucket width float64 + seed uint64. Flips
+	// in Probes or Budget yield a coherent-but-different config that
+	// legitimately loads, so the test targets the regions the loader must
+	// verify: the magic, the kind and flags bytes, the metric, the M
+	// field (cross-checked against the core index), and the seed (caught
+	// by the hash-string spot check).
+	metricEnd := 8 + 2 + 4 + len(Euclidean)
 	headerLen := metricEnd + 3*8 + 8 + 8
 	var offsets []int
 	for off := 0; off < metricEnd+8; off++ {
-		offsets = append(offsets, off) // magic, metric, M
+		offsets = append(offsets, off) // magic, kind, flags, metric, M
 	}
 	for off := headerLen - 8; off < headerLen; off++ {
 		offsets = append(offsets, off) // seed
@@ -625,9 +770,10 @@ func goldenAttrsRows(n int) []Attrs {
 	return rows
 }
 
-// TestGoldenFormat5 pins the metadata container: a format-5 (LCCSPKG5)
-// file keeps loading with its attribute rows intact, serves identical
-// filtered results to a fresh build, and re-saves byte for byte.
+// TestGoldenFormat5 pins the one layout Save writes, on an index that
+// carries metadata: golden_pkg5.lccs keeps loading with its attribute
+// rows intact and serves identical filtered results to a fresh build
+// (TestGoldenReencodeByteIdentical pins its bytes).
 func TestGoldenFormat5(t *testing.T) {
 	const path = "testdata/golden_pkg5.lccs"
 	data, cfg := goldenSetup()
@@ -676,26 +822,16 @@ func TestGoldenFormat5(t *testing.T) {
 			t.Fatalf("query %d: %v vs %v", qi, a, b)
 		}
 	}
-	// Re-saving the loaded index reproduces the file byte for byte.
-	resaved := filepath.Join(t.TempDir(), "pkg5.lccs")
-	if err := loaded.Save(resaved); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(resaved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, got) {
-		t.Fatalf("format-5 re-encode differs from golden: %d vs %d bytes", len(got), len(blob))
-	}
 	// A sharded format-5 container is rejected by the single loader.
 	if _, err := Load(path, data); err == nil {
 		t.Fatal("Load accepted a sharded format-5 container")
 	}
 }
 
-// TestFormat5SingleRoundTrip checks the single-Index side of format 5,
-// including the LoadSharded migration path carrying the metadata along.
+// TestFormat5SingleRoundTrip checks a single Index with metadata through
+// the public accessors: attribute rows, a filtered search, the
+// LoadSharded migration path carrying the metadata along, and
+// truncations inside the attribute section.
 func TestFormat5SingleRoundTrip(t *testing.T) {
 	data, cfg := goldenSetup()
 	attrs := goldenAttrsRows(len(data))
@@ -710,9 +846,6 @@ func TestFormat5SingleRoundTrip(t *testing.T) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if string(blob[:8]) != "LCCSPKG5" {
-		t.Fatalf("single index with attrs wrote magic %q, want LCCSPKG5", blob[:8])
 	}
 	loaded, err := Load(path, data)
 	if err != nil {
@@ -753,28 +886,5 @@ func TestFormat5SingleRoundTrip(t *testing.T) {
 		if _, err := Load(p, data); err == nil {
 			t.Fatalf("truncated attribute section (-%d bytes) loaded", cut)
 		}
-	}
-}
-
-// TestSaveWithoutAttrsKeepsLegacyFormats pins the compatibility promise
-// from the other side: indexes whose rows carry no metadata keep writing
-// the exact legacy containers older readers understand.
-func TestSaveWithoutAttrsKeepsLegacyFormats(t *testing.T) {
-	data, cfg := goldenSetup()
-	// All-nil attribute rows count as "no metadata".
-	ix, err := NewIndexWithAttrs(data, make([]Attrs, len(data)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "plain.lccs")
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(blob[:8]) != "LCCSPKG1" {
-		t.Fatalf("attr-free index wrote magic %q, want LCCSPKG1", blob[:8])
 	}
 }

@@ -48,8 +48,9 @@ type ShardedIndex struct {
 	dim       int
 	buildTime time.Duration
 	// Lifecycle state carried over from a DynamicIndex snapshot (or a
-	// loaded LCCSPKG3 container). All three stay nil on fresh builds and
-	// legacy loads, keeping the common path untouched.
+	// loaded container's lifecycle section). All three stay nil on fresh
+	// builds and on loads without that section, keeping the common path
+	// untouched.
 	//
 	// ids maps dense store slots to the stable external ids results are
 	// reported in; nil means the identity (slot == id).

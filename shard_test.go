@@ -271,7 +271,7 @@ func TestLoadShardedRejectsCorruption(t *testing.T) {
 	}
 	// Corrupt shard count (bytes right after the config header).
 	bad := append([]byte(nil), blob...)
-	hdrEnd := len(pkgMagic2) + 4 + len(Euclidean) + 3*8 + 8 + 8
+	hdrEnd := len(pkgMagic) + 2 + 4 + len(Euclidean) + 3*8 + 8 + 8 // magic, kind, flags, config
 	bad[hdrEnd] = 0xFF
 	bad[hdrEnd+1] = 0xFF
 	if _, err := LoadSharded(write("badcount.lccs", bad), data); err == nil {

@@ -60,7 +60,7 @@ func unsortCSA(t *testing.T, container []byte) []byte {
 // must not load — its rank entries would report wrong lengths.
 func TestLoadRejectsUnsortedCSA(t *testing.T) {
 	data, _ := goldenSetup()
-	for _, name := range []string{"golden_pkg1.lccs", "golden_pkg2.lccs"} {
+	for _, name := range []string{"golden_pkg1.lccs", "golden_pkg2.lccs", "golden_pkg5.lccs"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
