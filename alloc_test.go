@@ -264,3 +264,63 @@ func TestSearchZeroAllocCosted(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchZeroAllocTombstoned extends the gate to the tombstone path:
+// a DynamicIndex with tombstones in its shards and its buffer, and the
+// tombstoned Snapshot of it, answer SearchQuery — plain and metered —
+// without allocating. The bitset probe rides in core.Scan by value.
+func TestSearchZeroAllocTombstoned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation; run without -race")
+	}
+	data, queries := allocWorkload(47, 2000, 12)
+	const k, lambda = 10, 40
+	dx, err := NewDynamicIndex(data[:1200], Config{Metric: Euclidean, M: 16, Seed: 3}, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range data[1200:] {
+		must(dx.Add(v))
+		dx.WaitRebuild()
+	}
+	for id := 0; id < len(data); id += 3 {
+		dx.Delete(id)
+	}
+	if dx.Shards() != 2 || dx.Buffered() != 300 || dx.Deleted() != 667 {
+		t.Fatalf("fixture: %d shards, %d buffered, %d tombstones", dx.Shards(), dx.Buffered(), dx.Deleted())
+	}
+	measure := func(name string, s Searcher) {
+		var co Cost
+		for _, cost := range []*Cost{nil, &co} {
+			qr := Query{K: k, Budget: lambda, Cost: cost}
+			var dst []Neighbor
+			for round := 0; round < 3; round++ {
+				for _, q := range queries {
+					if dst, err = s.SearchQuery(q, qr, dst); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			qi := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				dst, err = s.SearchQuery(queries[qi%len(queries)], qr, dst)
+				qi++
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s.SearchQuery (metered: %v): %v allocs/op, want 0", name, cost != nil, allocs)
+			}
+		}
+	}
+	measure("DynamicIndex", dx)
+	_, sx, err := dx.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sx.Deleted() == 0 {
+		t.Fatal("snapshot fixture carries no tombstones")
+	}
+	measure("Snapshot", sx)
+}

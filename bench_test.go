@@ -595,3 +595,50 @@ func BenchmarkFilteredSearch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTombstonedSearch measures a search over a fixed tombstoned
+// state at the shape of bench/'s `churn-d16` workload: n = 20 000 rows of
+// dim 16 in one shard (m = 32, λ = 100, k = 10) plus a 1 400-row insert
+// buffer, with the given share of all rows deleted at random and no
+// compaction. Beside ns/op it reports cand/op, the rows scored per query
+// (Cost.Candidates). dead=0% is the no-tombstone control: whatever the
+// tombstone path costs must not show there.
+func BenchmarkTombstonedSearch(b *testing.B) {
+	const n, buffered, d, m, lambda, k, nq = 20_000, 1400, 16, 32, 100, 10, 200
+	data := shardBenchData(n+buffered, d)
+	g := rng.New(12)
+	queries := make([][]float32, nq)
+	for i := range queries {
+		queries[i] = g.GaussianVector(d)
+		for j, x := range data[g.IntN(len(data))] {
+			queries[i][j] = x + queries[i][j]*0.3
+		}
+	}
+	cfg := Config{Metric: Euclidean, M: m, BucketWidth: 4, Budget: lambda, Seed: 1}
+	for _, pct := range []int{0, 10, 25, 50, 90} {
+		b.Run(fmt.Sprintf("dead=%d%%", pct), func(b *testing.B) {
+			dyn, err := NewDynamicIndex(data[:n], cfg, buffered+1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, v := range data[n:] {
+				must(dyn.Add(v))
+			}
+			for _, id := range rng.New(13).Perm(len(data))[:len(data)*pct/100] {
+				dyn.Delete(id)
+			}
+			var cost Cost
+			for _, q := range queries {
+				must(dyn.SearchQuery(q, Query{K: k, Cost: &cost}, nil))
+			}
+			dst := make([]Neighbor, 0, k)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dst, err = dyn.SearchInto(queries[i%nq], k, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(cost.Candidates)/nq, "cand/op")
+		})
+	}
+}

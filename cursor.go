@@ -265,8 +265,9 @@ func cursorPage(q []float32, limit, lambda int, f *Filter, cursor string, gen ui
 }
 
 // cursorScan fetches one shard source's ranked top `want` for a cursor
-// page: the shard's scan step with tombstones and f rejected in-stream
-// and the verification work pinned to lambda candidates.
+// page: the shard's scan step with tombstones and rows failing f dropped
+// in-stream for free and the verification work pinned to lambda live
+// matching candidates.
 func (sh shardRef) cursorScan(q []float32, want, lambda int, f *Filter) []pqueue.Neighbor {
 	kFetch, lamEff := cursorFetch(want, lambda)
 	list, _ := sh.scan(q, kFetch, lamEff, f, true, nil, nil, -1)
@@ -329,7 +330,7 @@ func (d *DynamicIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, c
 			var best pqueue.KBest
 			best.Reset(want)
 			d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
-				if !d.deleted[slot] && f.Matches(d.attrs.Row(slot)) {
+				if !d.deleted.Has(slot) && f.Matches(d.attrs.Row(slot)) {
 					best.Add(slot, dist)
 				}
 			})

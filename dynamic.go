@@ -39,11 +39,13 @@ func nextCursorEpoch() uint64 { return cursorEpoch.Add(1 << 32) }
 // the shards and the buffer.
 //
 // Deletes are a first-class part of the lifecycle. A Delete tombstones
-// the vector immediately (it stops appearing in results); the physical
-// row is reclaimed by compaction: the background delta build drops
-// tombstoned rows from the buffer before indexing it, and an explicit
-// Rebuild compacts every shard and the buffer into one index over only
-// the live rows — clearing the tombstone set and releasing the memory.
+// the vector immediately: one bit in a slot bitset (n/8 bytes) that every
+// scan probes as candidates leave the stream, so a dead row costs a query
+// its CSA step and nothing else. The physical row is reclaimed by
+// compaction: the background delta build drops tombstoned rows from the
+// buffer before indexing it, and an explicit Rebuild compacts every shard
+// and the buffer into one index over only the live rows — clearing the
+// tombstone set and releasing the memory.
 // Because compaction moves rows, vectors are addressed by stable
 // external ids maintained in an idmap.Map: the id Add returns is valid
 // forever, deleted ids are never reissued, and until the first
@@ -80,7 +82,7 @@ type DynamicIndex struct {
 	ids *idmap.Map
 	// deleted is the tombstone set, keyed by store slot (the space the
 	// query path works in). Compaction removes reclaimed slots.
-	deleted map[int]bool
+	deleted slotSet
 	// rebuildAt triggers a background shard build when the buffer
 	// reaches this size.
 	rebuildAt int
@@ -111,17 +113,16 @@ type DynamicIndex struct {
 type dynShard struct {
 	ix  *Index
 	off int
-	// dead counts tombstoned slots inside this shard's range, which is
-	// exactly how far the shard's fetch must over-shoot k to still yield
-	// k live candidates after filtering.
+	// dead counts tombstoned slots inside this shard's range: how far an
+	// unfiltered scan's budget is widened so that dropping them in-stream
+	// still leaves k live candidates.
 	dead int
 }
 
 // dynCtx is the pooled per-query scratch of a dynamic search.
 type dynCtx struct {
-	shardBuf []pqueue.Neighbor
-	best     pqueue.KBest
-	sorted   []pqueue.Neighbor
+	best pqueue.KBest
+	row  []pqueue.Neighbor // each shard's k nearest in turn, then the merged result
 }
 
 // DefaultRebuildThreshold is the buffer size that triggers a background
@@ -155,7 +156,6 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 		cfg:       cfg,
 		store:     store,
 		ids:       idmap.New(store.Len()),
-		deleted:   make(map[int]bool),
 		rebuildAt: rebuildAt,
 		writes:    nextCursorEpoch(),
 	}
@@ -213,7 +213,7 @@ func NewDynamicIndexFromShardedStore(sx *ShardedIndex, rebuildAt int) (*DynamicI
 		store:     sx.store.Slice(0, slots),
 		shards:    make([]dynShard, len(sx.shards)),
 		indexed:   slots,
-		deleted:   make(map[int]bool, len(sx.dead)),
+		deleted:   sx.dead.Clone(),
 		rebuildAt: rebuildAt,
 		writes:    nextCursorEpoch(),
 	}
@@ -225,9 +225,6 @@ func NewDynamicIndexFromShardedStore(sx *ShardedIndex, rebuildAt int) (*DynamicI
 		d.ids = sx.ids.Clone()
 	} else {
 		d.ids = idmap.New(slots)
-	}
-	for slot := range sx.dead {
-		d.deleted[slot] = true
 	}
 	if sx.attrs != nil {
 		d.attrs = sx.attrs.Slice(slots)
@@ -355,7 +352,7 @@ func (d *DynamicIndex) Attrs(id int) Attrs {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	slot, ok := d.ids.Slot(id)
-	if !ok || d.deleted[slot] {
+	if !ok || d.deleted.Has(slot) {
 		return nil
 	}
 	return d.attrs.Row(slot)
@@ -393,26 +390,15 @@ func (d *DynamicIndex) maybeStartBuildLocked() {
 // (bump d.gen), because the build's [lo, hi) range names pre-compaction
 // slots.
 func (d *DynamicIndex) compactBufferLocked() bool {
-	dead := 0
-	for slot := range d.deleted {
-		if slot >= d.indexed {
-			dead++
-		}
-	}
-	if dead == 0 {
+	if d.deleted.CountRange(d.indexed, d.store.Len()) == 0 {
 		return false
 	}
-	isDead := func(slot int) bool { return d.deleted[slot] }
 	if d.attrs != nil {
-		d.attrs = d.attrs.CompactCopy(d.store.Len(), d.indexed, isDead)
+		d.attrs = d.attrs.CompactCopy(d.store.Len(), d.indexed, d.deleted.Has)
 	}
-	d.store = d.store.CompactCopy(d.indexed, isDead)
-	d.ids.Compact(d.indexed, isDead)
-	for slot := range d.deleted {
-		if slot >= d.indexed {
-			delete(d.deleted, slot)
-		}
-	}
+	d.store = d.store.CompactCopy(d.indexed, d.deleted.Has)
+	d.ids.Compact(d.indexed, d.deleted.Has)
+	d.deleted.Truncate(d.indexed)
 	d.writes++ // compaction renumbers buffer slots; open cursors die
 	return true
 }
@@ -432,14 +418,8 @@ func (d *DynamicIndex) buildShard(gen uint64, lo, hi int, delta *vec.Store, cfg 
 		} else {
 			d.adoptConfigLocked(ix)
 			// Deletes that landed in [lo, hi) while the shard was
-			// building become its filter over-fetch allowance.
-			dead := 0
-			for slot := range d.deleted {
-				if slot >= lo && slot < hi {
-					dead++
-				}
-			}
-			d.shards = append(d.shards, dynShard{ix: ix, off: lo, dead: dead})
+			// building become its budget allowance.
+			d.shards = append(d.shards, dynShard{ix: ix, off: lo, dead: d.deleted.CountRange(lo, hi)})
 			d.indexed = hi
 			d.writes++ // source set changed; open cursors die
 		}
@@ -495,10 +475,10 @@ func (d *DynamicIndex) DeleteBatch(ids []int) (deleted int, missing []int, err e
 
 func (d *DynamicIndex) deleteLocked(id int) bool {
 	slot, ok := d.ids.Slot(id)
-	if !ok || d.deleted[slot] {
+	if !ok || d.deleted.Has(slot) {
 		return false
 	}
-	d.deleted[slot] = true
+	d.deleted.Set(slot)
 	if i := d.shardForSlotLocked(slot); i >= 0 {
 		d.shards[i].dead++
 	}
@@ -529,7 +509,7 @@ func (d *DynamicIndex) shardForSlotLocked(slot int) int {
 func (d *DynamicIndex) Deleted() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.deleted)
+	return d.deleted.Count()
 }
 
 // idWatermark returns the next id Add will assign — the never-reused
@@ -574,21 +554,20 @@ func (d *DynamicIndex) Rebuild() error {
 	// Compact into fresh state and commit only after the build succeeds,
 	// so a failed rebuild leaves the index exactly as it was.
 	store, ids, attrs := d.store, d.ids, d.attrs
-	if len(d.deleted) > 0 {
-		isDead := func(slot int) bool { return d.deleted[slot] }
+	if d.deleted.Count() > 0 {
 		if attrs != nil {
-			attrs = attrs.CompactCopy(d.store.Len(), 0, isDead)
+			attrs = attrs.CompactCopy(d.store.Len(), 0, d.deleted.Has)
 		}
-		store = d.store.CompactCopy(0, isDead)
+		store = d.store.CompactCopy(0, d.deleted.Has)
 		ids = d.ids.Clone()
-		ids.Compact(0, isDead)
+		ids.Compact(0, d.deleted.Has)
 	}
 	n := store.Len()
 	if n == 0 {
 		// Everything was deleted (or nothing ever added): no index to
 		// build, nothing buffered.
 		d.store, d.ids, d.attrs = store, ids, attrs
-		d.deleted = make(map[int]bool)
+		d.deleted = slotSet{}
 		d.shards = nil
 		d.indexed = 0
 		d.buildErr = nil
@@ -600,7 +579,7 @@ func (d *DynamicIndex) Rebuild() error {
 		return err
 	}
 	d.store, d.ids, d.attrs = store, ids, attrs
-	d.deleted = make(map[int]bool)
+	d.deleted = slotSet{}
 	d.adoptConfigLocked(ix)
 	d.shards = []dynShard{{ix: ix, off: 0}}
 	d.indexed = n
@@ -613,7 +592,7 @@ func (d *DynamicIndex) Rebuild() error {
 func (d *DynamicIndex) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.store.Len() - len(d.deleted)
+	return d.store.Len() - d.deleted.Count()
 }
 
 // Buffered returns the number of vectors not yet covered by an index
@@ -664,15 +643,18 @@ func (d *DynamicIndex) defaultBudgetLocked() int {
 // shardLocked returns the scan view of shard i.
 func (d *DynamicIndex) shardLocked(i int) shardRef {
 	sh := d.shards[i]
-	return shardRef{ix: sh.ix, n: i, off: sh.off, dead: sh.dead, attrs: d.attrs, tomb: d.deleted}
+	return shardRef{ix: sh.ix, n: i, off: sh.off, dead: sh.dead, attrs: d.attrs, tomb: d.deleted.words}
 }
 
 // SearchQuery answers qr, appending into dst (reset to dst[:0] first;
 // dst may be nil). As in ShardedIndex, the budget is divided across the
 // index shards (⌈λ/S⌉ each); the insert buffer is always scanned
-// exactly, filtered row by row. Shard fetches and the k-best row ride in
-// pooled scratch, so a steady-state query's only allocations are those
-// of the result row growth.
+// exactly, filtered row by row; a tombstoned row is dropped by a bitset
+// probe — in the shards as it leaves the candidate stream, in the buffer
+// after the bulk kernel scored it — and counts as neither a candidate nor
+// filter-rejected. The k-best row rides in pooled scratch, so a
+// steady-state query's only allocations are those of the result row
+// growth.
 func (d *DynamicIndex) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -693,52 +675,49 @@ func (d *DynamicIndex) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Nei
 	}
 	for i := range d.shards {
 		var stats core.SearchStats
-		ctx.shardBuf, stats = d.shardLocked(i).scan(q, k, lambda, f, filtered, ctx.shardBuf, tr, root)
+		ctx.row, stats = d.shardLocked(i).scan(q, k, lambda, f, filtered, ctx.row, tr, root)
 		co.addStats(stats)
-		// Shard ranges are disjoint, so no dedup is needed; an unfiltered
-		// scan over-fetched by the shard's tombstone count and sheds its
-		// dead rows here.
-		for _, nb := range ctx.shardBuf {
-			if filtered || !d.deleted[nb.ID] {
-				ctx.best.Add(nb.ID, nb.Dist)
-			}
+		// Shard ranges are disjoint, so no dedup is needed.
+		for _, nb := range ctx.row {
+			ctx.best.Add(nb.ID, nb.Dist)
 		}
 	}
 	// The unindexed buffer: one bulk kernel pass over the flat block.
 	bufSpan := tr.StartSpan(obs.StageBufferScan, root)
 	bufRows := d.store.Len() - d.indexed
-	rejected := 0
+	cands, rejected := 0, 0
 	d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
-		if d.deleted[slot] {
+		if d.deleted.Has(slot) {
 			return
 		}
 		if filtered && !f.Matches(d.attrs.Row(slot)) {
 			rejected++
 			return
 		}
+		cands++
 		ctx.best.Add(slot, dist)
 	})
-	// The buffer scan reads every row's full float32 payload exactly
-	// once; rows the predicate rejected still paid for their distance
-	// (Comparisons) but do not count as candidates, matching the core
-	// accounting.
+	// The bulk kernel reads every buffered row's full float32 payload
+	// exactly once, dead or rejected rows included (Comparisons,
+	// BytesScanned); only live rows that pass the predicate count as
+	// candidates, matching the core accounting.
 	bufBytes := int64(bufRows) * int64(d.store.Dim()) * 4
 	if tr != nil {
-		obs.ObserveDur(obs.StageBufferScan, tr.FinishSpanCost(bufSpan, int64(bufRows), int64(bufRows-rejected), bufBytes))
+		obs.ObserveDur(obs.StageBufferScan, tr.FinishSpanCost(bufSpan, int64(bufRows), int64(cands), bufBytes))
 	}
 	co.addStats(core.SearchStats{
 		Comparisons:    bufRows,
-		Candidates:     bufRows - rejected,
+		Candidates:     cands,
 		BytesScanned:   bufBytes,
 		FilterRejected: rejected,
 	})
 	mergeSpan := tr.StartSpan(obs.StageMerge, root)
-	ctx.sorted = ctx.best.AppendSorted(ctx.sorted[:0])
+	ctx.row = ctx.best.AppendSorted(ctx.row[:0])
 	if dst == nil {
-		dst = make([]Neighbor, 0, len(ctx.sorted))
+		dst = make([]Neighbor, 0, len(ctx.row))
 	}
 	dst = dst[:0]
-	for _, nb := range ctx.sorted {
+	for _, nb := range ctx.row {
 		// Results leave in the stable external id space.
 		dst = append(dst, Neighbor{ID: d.ids.Ext(nb.ID), Dist: nb.Dist})
 	}
@@ -810,11 +789,9 @@ func (d *DynamicIndex) snapshotStore() (*vec.Store, *ShardedIndex, error) {
 	}
 	shards := make([]*Index, 0, len(d.shards)+1)
 	offsets := make([]int, 0, len(d.shards)+2)
-	shardDead := make([]int, 0, len(d.shards)+1)
 	for _, sh := range d.shards {
 		shards = append(shards, sh.ix)
 		offsets = append(offsets, sh.off)
-		shardDead = append(shardDead, sh.dead)
 	}
 	if d.indexed < n {
 		tail, err := buildIndexOver(d.store.Slice(d.indexed, n), d.cfg)
@@ -824,7 +801,6 @@ func (d *DynamicIndex) snapshotStore() (*vec.Store, *ShardedIndex, error) {
 		d.adoptConfigLocked(tail)
 		shards = append(shards, tail)
 		offsets = append(offsets, d.indexed)
-		shardDead = append(shardDead, 0) // the buffer was just compacted
 	}
 	offsets = append(offsets, n)
 	budget := d.cfg.Budget
@@ -846,12 +822,8 @@ func (d *DynamicIndex) snapshotStore() (*vec.Store, *ShardedIndex, error) {
 	if d.attrs != nil && !d.attrs.Empty() {
 		sx.attrs = d.attrs.Slice(n)
 	}
-	if len(d.deleted) > 0 {
-		sx.dead = make(map[int]bool, len(d.deleted))
-		for slot := range d.deleted {
-			sx.dead[slot] = true
-		}
-		sx.shardDead = shardDead
+	if d.deleted.Count() > 0 {
+		sx.setDead(d.deleted.Clone())
 	}
 	sx.initPool()
 	return frozen, sx, nil

@@ -272,6 +272,17 @@ type Scan struct {
 	// slice of a larger dataset starting at this global id, so results
 	// from several shards merge without remapping.
 	Offset int
+	// Dead is the tombstone bitset of that larger dataset, one bit per
+	// global id (bit Offset+id for index-local id; ids past its end are
+	// live). A candidate whose bit is set is dropped the moment it leaves
+	// the CSA stream: no predicate call, no prefetch, no gather, and it
+	// is counted neither as a candidate nor as filter-rejected.
+	Dead []uint64
+	// ChargeDead makes a dropped dead candidate use one slot of the
+	// λ+k−1 verification budget; when false it is free, like a candidate
+	// Accept rejects. Facades set it on unfiltered one-shot queries, whose
+	// budget carries an allowance for the shard's tombstones.
+	ChargeDead bool
 	// Accept, when non-nil, restricts the search to the candidates it
 	// admits. It receives index-local ids (before the Offset shift).
 	// Rejected candidates are discarded before any distance work and do
@@ -323,7 +334,7 @@ func (ix *Index) SearchScan(q []float32, k, lambda int, sc Scan, dst []pqueue.Ne
 	if sc.Accept != nil {
 		start = time.Now()
 	}
-	verified, rejected, reranked := ix.verify(ctx, q, k, lambda+k-1, sc.Accept)
+	verified, rejected, reranked := ix.verify(ctx, q, k, lambda+k-1, &sc)
 	if sc.Accept != nil {
 		obs.ObserveDur(obs.StageFilter, time.Since(start))
 	}
@@ -390,17 +401,19 @@ func defaultRerank(n int) int {
 }
 
 // verify is the one verification loop. It drains ctx.s in batches of
-// verifyBatch — skipping candidates accept (when non-nil) rejects, at the
-// cost of one predicate call each — until nCand candidates are scored or
-// the stream is exhausted, and feeds ctx.best (already Reset to k). An
-// exact index scores each batch with float32 distances straight into
+// verifyBatch until the budget of nCand candidates is spent or the stream
+// is exhausted, and feeds ctx.best (already Reset to k). A candidate
+// tombstoned in sc.Dead is dropped first, by an inlined word probe (free,
+// or for one budget slot under sc.ChargeDead); one sc.Accept (when
+// non-nil) rejects is dropped next, at the cost of one predicate call.
+// An exact index scores each batch with float32 distances straight into
 // ctx.best; an SQ8 index ranks by approximate quantized score into
 // ctx.rr and then re-ranks the winners exactly (timed into the obs
 // "rerank" stage histogram). Candidates enter the collectors in CSA
 // stream order, so results are bit-identical to per-row verification.
 // Each candidate's row is hinted to the cache the moment its id leaves the
 // stream, a batch ahead of its scoring.
-func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, accept func(id int) bool) (verified, rejected, reranked int) {
+func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, sc *Scan) (verified, rejected, reranked int) {
 	quantized := ix.sq8 != nil
 	if quantized {
 		rr := ix.rerank
@@ -410,17 +423,20 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, accept func(i
 		ix.sq8.Prepare(ix.metric, q, &ctx.sq8q)
 		ctx.rr.Reset(rr)
 	}
-	for drained := false; !drained && verified < nCand; {
+	dead, off, charge, accept := sc.Dead, uint(sc.Offset), sc.ChargeDead, sc.Accept
+	for drained := false; !drained && nCand > 0; {
 		b := 0
-		max := nCand - verified
-		if max > verifyBatch {
-			max = verifyBatch
-		}
-		for b < max {
+		for b < verifyBatch && nCand > 0 {
 			r, ok := ctx.s.Next()
 			if !ok {
 				drained = true
 				break
+			}
+			if g := uint(r.ID) + off; g>>6 < uint(len(dead)) && dead[g>>6]>>(g&63)&1 != 0 {
+				if charge {
+					nCand--
+				}
+				continue
 			}
 			if accept != nil && !accept(r.ID) {
 				rejected++
@@ -428,6 +444,7 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, accept func(i
 			}
 			ctx.ids[b] = int32(r.ID)
 			b++
+			nCand--
 			// Scored once the batch is full: the row's first lines
 			// travel while the CSA finds the rest of the batch.
 			if quantized {
@@ -437,7 +454,7 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, accept func(i
 			}
 		}
 		if b == 0 {
-			break // only an exhausted stream yields an empty batch
+			break // the stream or the budget ran out on dropped rows
 		}
 		if quantized {
 			ix.sq8.GatherScoresInto(ctx.ids[:b], &ctx.sq8q, ctx.scores[:b])

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lccs"
+	"lccs/internal/engine"
 )
 
 // TestUsageEndpoints drives metered traffic over a durable backend and
@@ -322,6 +323,71 @@ func TestExplainFilteredBuffer(t *testing.T) {
 	if e.Cost == nil || e.Cost.FilterRejected != int64(len(data)/2) {
 		t.Fatalf("cost = %+v, want %d filter-rejected", e.Cost, len(data)/2)
 	}
+}
+
+// TestExplainSelectivityIgnoresTombstones: a tombstoned row is neither a
+// candidate nor filter-rejected, so the selectivity EXPLAIN reports for a
+// filter is a property of the live rows, not of the delete history — the
+// same before and after a third of the rows of both colours is deleted
+// from a collection with index shards and a delta buffer.
+func TestExplainSelectivityIgnoresTombstones(t *testing.T) {
+	srv, ts := newCollServer(t, Config{})
+	if code := doJSON(t, ts, "POST", "/v1/collections",
+		createCollectionRequest{Name: "tenant-a", Spec: engine.Spec{RebuildAt: 32}}, nil); code != http.StatusCreated {
+		t.Fatal("create failed")
+	}
+	c, err := srv.eng.Get("tenant-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, queries := testWorkload(25, 108, 8)
+	// One shard per 32 rows, whatever the timing; the last 12 stay buffered.
+	for lo := 0; lo < len(data); lo += 32 {
+		hi := min(lo+32, len(data))
+		attrs := make([]map[string]any, hi-lo)
+		for i := range attrs {
+			attrs[i] = map[string]any{"color": []string{"red", "blue"}[(lo+i)%2]}
+		}
+		if code := postJSON(t, ts, "/v1/collections/tenant-a/insert",
+			insertRequest{Vectors: data[lo:hi], Attrs: attrs}, nil); code != http.StatusOK {
+			t.Fatal("insert failed")
+		}
+		c.Dynamic().WaitRebuild()
+	}
+	if dyn := c.Dynamic(); dyn.Shards() != 3 || dyn.Buffered() != 12 {
+		t.Fatalf("fixture: %d shards, %d buffered", dyn.Shards(), dyn.Buffered())
+	}
+	explain := func(live int) *explainJSON {
+		t.Helper()
+		var got searchResponse
+		req := searchRequest{Query: queries[0], K: 5, Budget: 8 * len(data), Explain: true,
+			Filter: []filterTermJSON{{Key: "color", Value: "red"}}}
+		if code := postJSON(t, ts, "/v1/collections/tenant-a/search", req, &got); code != http.StatusOK {
+			t.Fatalf("filtered explain: HTTP %d", code)
+		}
+		e := got.Explain
+		if e == nil || e.FilterSelectivity == nil || e.Cost == nil {
+			t.Fatalf("incomplete plan: %+v", e)
+		}
+		if *e.FilterSelectivity != 0.5 || e.Cost.Candidates != int64(live/2) || e.Cost.FilterRejected != int64(live/2) {
+			t.Fatalf("%d live rows, half of them red: selectivity %g, cost %+v", live, *e.FilterSelectivity, e.Cost)
+		}
+		return e
+	}
+	explain(len(data))
+	// Ids 0, 1 (mod 6): a red and a blue row out of every six, in every
+	// shard and in the buffer.
+	var victims []int
+	for id := range data {
+		if id%6 < 2 {
+			victims = append(victims, id)
+		}
+	}
+	var del deleteResponse
+	if code := postJSON(t, ts, "/v1/collections/tenant-a/delete", deleteRequest{IDs: victims}, &del); code != http.StatusOK || del.Deleted != len(victims) {
+		t.Fatalf("delete: HTTP %d, %+v", code, del)
+	}
+	explain(len(data) - len(victims))
 }
 
 // TestWriteRequestIDs checks that the write and registry endpoints

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"lccs/internal/core"
 	"lccs/internal/idmap"
@@ -152,7 +151,7 @@ func (sx *ShardedIndex) encode(w io.Writer) error { return sx.encodeContainer(w,
 // Every section encodes deterministically, so a loaded file re-saves
 // byte for byte.
 func (sx *ShardedIndex) encodeContainer(w io.Writer, kind byte) error {
-	lifecycle := sx.ids != nil || len(sx.dead) > 0
+	lifecycle := sx.ids != nil || sx.dead.Count() > 0
 	quantized := len(sx.shards) > 0 && sx.shards[0].core.SQ8() != nil
 	var flags byte
 	if lifecycle {
@@ -647,15 +646,13 @@ func (sx *ShardedIndex) encodeLifecycle(w io.Writer) error {
 			return err
 		}
 	}
-	dead := make([]int, 0, len(sx.dead))
-	for slot := range sx.dead {
-		dead = append(dead, sx.ids.Ext(slot))
-	}
-	sort.Ints(dead)
+	// External ids increase with the slot, so ascending slots are sorted ids.
+	dead := make([]int64, 0, sx.dead.Count())
+	sx.dead.Each(func(slot int) { dead = append(dead, int64(sx.ids.Ext(slot))) })
 	if err := binary.Write(w, binary.LittleEndian, int64(len(dead))); err != nil {
 		return err
 	}
-	return binary.Write(w, binary.LittleEndian, toInt64s(dead))
+	return binary.Write(w, binary.LittleEndian, dead)
 }
 
 // toInt64s widens ids for the fixed-width container encoding.
@@ -724,8 +721,7 @@ func (sx *ShardedIndex) decodeLifecycle(r io.Reader) error {
 	if err := binary.Read(r, binary.LittleEndian, deadIDs); err != nil {
 		return err
 	}
-	sx.dead = make(map[int]bool, deadCount)
-	sx.shardDead = make([]int, len(sx.shards))
+	var dead slotSet
 	prev := -1
 	for _, id := range deadIDs {
 		if int(id) <= prev {
@@ -739,14 +735,9 @@ func (sx *ShardedIndex) decodeLifecycle(r io.Reader) error {
 		if !ok || slot >= slots {
 			return fmt.Errorf("lccs: tombstone id %d resolves to no slot", id)
 		}
-		sx.dead[slot] = true
-		for s := 0; s < len(sx.shards); s++ {
-			if slot >= sx.offsets[s] && slot < sx.offsets[s+1] {
-				sx.shardDead[s]++
-				break
-			}
-		}
+		dead.Set(slot)
 	}
+	sx.setDead(dead)
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -241,10 +240,7 @@ func stateOf(t *testing.T, ix Searcher, vectors [][]float32) containerState {
 			}
 			st.Quantize, st.Rerank = kind, rerank
 		}
-		for slot := range v.dead {
-			st.Dead = append(st.Dead, slot)
-		}
-		sort.Ints(st.Dead)
+		v.dead.Each(func(slot int) { st.Dead = append(st.Dead, slot) })
 		if v.ids != nil {
 			st.IDs, st.NextID = v.ids.AppendIDs(nil), v.ids.Next()
 		}

@@ -82,7 +82,9 @@ func ReleaseTrace(t *Trace) { obs.PutTrace(t) }
 // Query.Cost: every counter is summed across shards and the delta
 // buffer, so one Cost describes the whole query regardless of which
 // facade answered it. All fields are additive — reuse one Cost across
-// queries to meter a workload, or reset it per query to bill one.
+// queries to meter a workload, or reset it per query to bill one. A
+// tombstoned row is dropped before the filter and before any distance
+// work: it is neither a candidate nor filter-rejected.
 type Cost struct {
 	// Comparisons counts hash-string comparisons by the CSA circular
 	// binary searches (the retrieval phase's rows touched).

@@ -34,6 +34,11 @@ import (
 // count that saturates the hardware: GOMAXPROCS for build-heavy or
 // mixed workloads (the default), 1 for tiny datasets.
 //
+// A ShardedIndex taken from DynamicIndex.Snapshot (or loaded from such a
+// snapshot's file) also carries the snapshot's tombstones, as a bitset
+// every shard scan probes: a tombstoned row is dropped as it leaves the
+// candidate stream and reaches neither a distance kernel nor the merge.
+//
 // A ShardedIndex is safe for concurrent queries; per-query scratch (the
 // per-shard result lists and the tournament merge) is pooled, so the
 // sequential SearchInto path allocates nothing at steady state.
@@ -56,11 +61,11 @@ type ShardedIndex struct {
 	// reported in; nil means the identity (slot == id).
 	ids *idmap.Map
 	// dead is the tombstone set keyed by store slot: these rows are
-	// indexed positionally by the shard structures but must never
-	// surface in results.
-	dead map[int]bool
-	// shardDead[s] counts tombstones inside shard s — its per-query
-	// over-fetch allowance.
+	// indexed positionally by the shard structures but every scan drops
+	// them as they leave the candidate stream.
+	dead slotSet
+	// shardDead[s] counts tombstones inside shard s — its budget
+	// allowance on unfiltered queries.
 	shardDead []int
 	// attrs holds per-slot metadata (global slot space, shared across
 	// shards); nil when no vector carries attributes.
@@ -234,14 +239,8 @@ func (sx *ShardedIndex) searchQuery(q []float32, qr Query, dst []Neighbor, paral
 		if !ok {
 			break
 		}
-		// Tombstones from a dynamic snapshot are filtered here (the
-		// per-shard fetch over-shot by the shard's tombstone count, so k
-		// live results still come through); ids leave in the stable
-		// external space. Both are no-ops on fresh builds, and a
-		// filtered scan already rejected dead rows in-stream.
-		if !filtered && sx.dead != nil && sx.dead[nb.ID] {
-			continue
-		}
+		// Ids leave in the stable external space (a no-op on fresh
+		// builds).
 		dst = append(dst, Neighbor{ID: sx.ids.Ext(nb.ID), Dist: nb.Dist})
 	}
 	if qr.Cost != nil {
@@ -265,11 +264,21 @@ type shardRef struct {
 	ix  *Index
 	n   int // shard number, for span labels
 	off int // global slot of the shard's first row
-	// dead counts the tombstones inside the shard: its over-fetch
-	// allowance on unfiltered queries.
+	// dead counts the tombstones inside the shard: its budget allowance
+	// on unfiltered queries.
 	dead  int
 	attrs *vec.MetaStore
-	tomb  map[int]bool
+	tomb  []uint64 // tombstone bitset words of the whole slot space
+}
+
+// setDead installs the tombstone set a snapshot or a container's
+// lifecycle section carries, and derives the per-shard counts from it.
+func (sx *ShardedIndex) setDead(dead slotSet) {
+	sx.dead = dead
+	sx.shardDead = make([]int, len(sx.shards))
+	for s := range sx.shardDead {
+		sx.shardDead[s] = dead.CountRange(sx.offsets[s], sx.offsets[s+1])
+	}
 }
 
 // asShard views an unsharded index as the single shard it is.
@@ -277,7 +286,7 @@ func (ix *Index) asShard() shardRef { return shardRef{ix: ix, attrs: ix.attrs} }
 
 // shard returns the scan view of shard i.
 func (sx *ShardedIndex) shard(i int) shardRef {
-	sh := shardRef{ix: sx.shards[i], n: i, off: sx.offsets[i], attrs: sx.attrs, tomb: sx.dead}
+	sh := shardRef{ix: sx.shards[i], n: i, off: sx.offsets[i], attrs: sx.attrs, tomb: sx.dead.words}
 	if sx.shardDead != nil {
 		sh.dead = sx.shardDead[i]
 	}
@@ -288,18 +297,27 @@ func (sx *ShardedIndex) shard(i int) shardRef {
 // core search for the k nearest under budget lambda, appending into dst
 // (reset first) with ids shifted to the global slot space, and records a
 // shard_scan span with rows-compared, candidates-verified, and
-// bytes-scanned counters when traced. Tombstones are handled one of two
-// ways. inStream — every filtered query, every cursor page — rejects
-// them (and rows failing f) inside the candidate stream, so the k
-// results are all live matches; otherwise the scan over-fetches by the
-// shard's tombstone count, never past what the shard holds, and the
-// caller drops the dead rows when it merges.
+// bytes-scanned counters when traced. Tombstoned rows are dropped inside
+// the candidate stream on every path (core.Scan.Dead), so the results
+// are all live and a dead row is neither a candidate nor filter-rejected.
+// What differs is the budget. inStream — every filtered query, every
+// cursor page — drops dead rows (and rows failing f) for free. Otherwise
+// a dropped dead row uses one slot of a budget widened by the shard's
+// tombstone count, never past what the shard holds: the scan consumes the
+// stream prefix λ + min(k+dead, len) − 1 it always has, and returns the k
+// nearest live rows of it.
 func (sh shardRef) scan(q []float32, k, lambda int, f *Filter, inStream bool, dst []pqueue.Neighbor, tr *Trace, parent int) ([]pqueue.Neighbor, core.SearchStats) {
-	sc := core.Scan{Offset: sh.off}
+	sc := core.Scan{Offset: sh.off, Dead: sh.tomb}
 	if inStream {
 		sc.Accept = sh.accept(f)
 	} else {
-		k = min(k+sh.dead, sh.ix.Len())
+		// The allowance, and the one bit that tells the two paths apart:
+		// ROADMAP's λ-pinning follow-up deletes these lines together with
+		// the per-shard dead counters.
+		n := sh.ix.Len()
+		k = min(k, n)
+		lambda += min(sh.dead, n-k)
+		sc.ChargeDead = true
 	}
 	sp := tr.StartShardSpan(obs.StageShardScan, parent, sh.n)
 	dst, stats := sh.ix.core.SearchScan(q, k, lambda, sc, dst)
@@ -309,20 +327,14 @@ func (sh shardRef) scan(q []float32, k, lambda int, f *Filter, inStream bool, ds
 	return dst, stats
 }
 
-// accept builds the shard's candidate predicate: live (not tombstoned)
-// and matching f, over shard-local ids. It is nil when every row passes.
+// accept builds the shard's filter predicate over shard-local ids; nil
+// when every row passes.
 func (sh shardRef) accept(f *Filter) func(int) bool {
-	attrs, tomb, off := sh.attrs, sh.tomb, sh.off
-	switch {
-	case len(tomb) > 0:
-		return func(local int) bool {
-			glob := local + off
-			return !tomb[glob] && f.Matches(attrs.Row(glob))
-		}
-	case !f.Empty():
-		return func(local int) bool { return f.Matches(attrs.Row(local + off)) }
+	if f.Empty() {
+		return nil
 	}
-	return nil
+	attrs, off := sh.attrs, sh.off
+	return func(local int) bool { return f.Matches(attrs.Row(local + off)) }
 }
 
 // NewShardedIndexWithAttrs is NewShardedIndex with per-vector metadata:
@@ -362,7 +374,7 @@ func (sx *ShardedIndex) slotFor(id int) (int, bool) {
 		}
 		slot = s
 	}
-	if slot < 0 || slot >= sx.slots() || (sx.dead != nil && sx.dead[slot]) {
+	if slot < 0 || slot >= sx.slots() || sx.dead.Has(slot) {
 		return 0, false
 	}
 	return slot, true
@@ -388,7 +400,7 @@ func (sx *ShardedIndex) Dim() int { return sx.dim }
 
 // Len returns the number of live (searchable) vectors: tombstoned rows
 // carried by a dynamic snapshot are not counted.
-func (sx *ShardedIndex) Len() int { return sx.slots() - len(sx.dead) }
+func (sx *ShardedIndex) Len() int { return sx.slots() - sx.dead.Count() }
 
 // slots returns the total number of physical rows the shards index,
 // including tombstoned ones — the length of the data slice Save/Load
@@ -397,7 +409,7 @@ func (sx *ShardedIndex) slots() int { return sx.offsets[len(sx.offsets)-1] }
 
 // Deleted returns the number of tombstoned rows this index carries
 // (non-zero only for dynamic snapshots taken with pending deletes).
-func (sx *ShardedIndex) Deleted() int { return len(sx.dead) }
+func (sx *ShardedIndex) Deleted() int { return sx.dead.Count() }
 
 // Bytes returns the approximate total index memory footprint.
 func (sx *ShardedIndex) Bytes() int64 {
