@@ -18,7 +18,6 @@ import (
 	"lccs"
 	"lccs/internal/dataset"
 	"lccs/internal/eval"
-	"lccs/internal/pqueue"
 )
 
 func main() {
@@ -89,13 +88,12 @@ func main() {
 			}
 		}
 		if gt != nil {
-			got := toNeighbors(res)
 			want := gt.Neighbors[qi]
 			if len(want) > *k {
 				want = want[:*k]
 			}
-			totalRecall += eval.Recall(got, want)
-			totalRatio += eval.Ratio(got, want)
+			totalRecall += eval.Recall(res, want)
+			totalRatio += eval.Ratio(res, want)
 		}
 	}
 	nq := float64(len(ds.Queries))
@@ -103,14 +101,6 @@ func main() {
 	if gt != nil {
 		fmt.Printf("recall@%d = %.2f%%, overall ratio = %.4f\n", *k, 100*totalRecall/nq, totalRatio/nq)
 	}
-}
-
-func toNeighbors(res []lccs.Neighbor) []pqueue.Neighbor {
-	out := make([]pqueue.Neighbor, len(res))
-	for i, r := range res {
-		out[i] = pqueue.Neighbor{ID: r.ID, Dist: r.Dist}
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -2,27 +2,16 @@ package engine
 
 import "sync/atomic"
 
-// Usage is one collection's cumulative resource accounting: every
-// counter is a monotone atomic, so the search hot path records a
-// query's cost with a handful of uncontended atomic adds — no locks,
-// no allocations — and a usage scrape reads a consistent-enough
-// snapshot without stopping traffic. Counters reset only with the
-// process; windowed rates are derived by the observability layer
-// (internal/obs) from periodic snapshots, not here.
-type Usage struct {
-	searches       atomic.Int64
-	inserts        atomic.Int64
-	deletes        atomic.Int64
-	errors         atomic.Int64
-	comparisons    atomic.Int64
-	candidates     atomic.Int64
-	reranked       atomic.Int64
-	bytesScanned   atomic.Int64
-	filterRejected atomic.Int64
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	walBytes       atomic.Int64
-}
+// Usage is one collection's cumulative resource accounting, and the one
+// owner of its twelve numbers: /v1/stats' inserts and deletes, both usage
+// endpoints and the lccs_collection_*_total families all read them from
+// here. It is a UsageSnapshot kept in monotone atomics — counter i is
+// field i of UsageSnapshot.counters — so a request is recorded with a
+// handful of uncontended atomic adds, no locks, no allocations, and a
+// scrape reads a consistent-enough snapshot without stopping traffic.
+// Counters reset only with the process; windowed rates come from the
+// health rings (internal/obs), which the same recorder feeds.
+type Usage struct{ c [12]atomic.Int64 }
 
 // UsageSnapshot is a point-in-time copy of a Usage, shaped for JSON.
 type UsageSnapshot struct {
@@ -32,7 +21,8 @@ type UsageSnapshot struct {
 	// Inserts and Deletes count acknowledged write operations.
 	Inserts int64 `json:"inserts"`
 	Deletes int64 `json:"deletes"`
-	// Errors counts failed requests of any kind against the collection.
+	// Errors counts failed requests of any kind against the collection,
+	// requests shed by admission included.
 	Errors int64 `json:"errors"`
 	// Comparisons is the total CSA hash-comparison work; Candidates the
 	// vectors verified with exact (or quantized) distances; Reranked the
@@ -46,7 +36,8 @@ type UsageSnapshot struct {
 	BytesScanned int64 `json:"bytes_scanned"`
 	// FilterRejected counts candidates discarded by a metadata predicate.
 	FilterRejected int64 `json:"filter_rejected"`
-	// CacheHits / CacheMisses count result-cache outcomes.
+	// CacheHits / CacheMisses count result-cache probes by outcome,
+	// whatever the request did after the probe.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	// WALBytes is the journal bytes appended on behalf of this
@@ -59,57 +50,32 @@ type UsageSnapshot struct {
 	CostUnits int64 `json:"cost_units"`
 }
 
-// AddSearch records one search and its cost record. The counter
-// arguments mirror lccs.Cost; the server layer passes them through so
-// engine does not depend on the root package's types here.
-func (u *Usage) AddSearch(comparisons, candidates, reranked, bytesScanned, filterRejected int64) {
-	u.searches.Add(1)
-	u.comparisons.Add(comparisons)
-	u.candidates.Add(candidates)
-	u.reranked.Add(reranked)
-	u.bytesScanned.Add(bytesScanned)
-	u.filterRejected.Add(filterRejected)
+// counters lists the stored counters — every field but the derived
+// CostUnits — in the order Usage keeps them.
+func (s *UsageSnapshot) counters() [12]*int64 {
+	return [...]*int64{&s.Searches, &s.Inserts, &s.Deletes, &s.Errors, &s.Comparisons, &s.Candidates,
+		&s.Reranked, &s.BytesScanned, &s.FilterRejected, &s.CacheHits, &s.CacheMisses, &s.WALBytes}
 }
 
-// AddInsert records n acknowledged inserts and the WAL bytes they
-// appended (0 for memory-only collections).
-func (u *Usage) AddInsert(n int, walBytes int64) {
-	u.inserts.Add(int64(n))
-	u.walBytes.Add(walBytes)
+// Add folds one request's contribution into the counters; zero fields
+// cost nothing. The serving layer calls it from exactly one place
+// (Server.record), once per request.
+func (u *Usage) Add(d UsageSnapshot) {
+	for i, v := range d.counters() {
+		if *v != 0 {
+			u.c[i].Add(*v)
+		}
+	}
 }
-
-// AddDelete records n acknowledged deletes and the WAL bytes they
-// appended.
-func (u *Usage) AddDelete(n int, walBytes int64) {
-	u.deletes.Add(int64(n))
-	u.walBytes.Add(walBytes)
-}
-
-// AddError records one failed request.
-func (u *Usage) AddError() { u.errors.Add(1) }
-
-// AddCacheHit / AddCacheMiss record one result-cache outcome.
-func (u *Usage) AddCacheHit()  { u.cacheHits.Add(1) }
-func (u *Usage) AddCacheMiss() { u.cacheMisses.Add(1) }
 
 // Snapshot copies the counters. Each load is individually atomic; the
 // snapshot as a whole is not a cross-counter consistent cut, which is
 // fine for metering (counters are monotone and drift by at most the
 // requests in flight during the scrape).
 func (u *Usage) Snapshot() UsageSnapshot {
-	s := UsageSnapshot{
-		Searches:       u.searches.Load(),
-		Inserts:        u.inserts.Load(),
-		Deletes:        u.deletes.Load(),
-		Errors:         u.errors.Load(),
-		Comparisons:    u.comparisons.Load(),
-		Candidates:     u.candidates.Load(),
-		Reranked:       u.reranked.Load(),
-		BytesScanned:   u.bytesScanned.Load(),
-		FilterRejected: u.filterRejected.Load(),
-		CacheHits:      u.cacheHits.Load(),
-		CacheMisses:    u.cacheMisses.Load(),
-		WALBytes:       u.walBytes.Load(),
+	var s UsageSnapshot
+	for i, v := range s.counters() {
+		*v = u.c[i].Load()
 	}
 	s.CostUnits = s.Comparisons + s.BytesScanned/4
 	return s
@@ -117,18 +83,10 @@ func (u *Usage) Snapshot() UsageSnapshot {
 
 // Add accumulates o into s (for the engine-wide aggregate view).
 func (s *UsageSnapshot) Add(o UsageSnapshot) {
-	s.Searches += o.Searches
-	s.Inserts += o.Inserts
-	s.Deletes += o.Deletes
-	s.Errors += o.Errors
-	s.Comparisons += o.Comparisons
-	s.Candidates += o.Candidates
-	s.Reranked += o.Reranked
-	s.BytesScanned += o.BytesScanned
-	s.FilterRejected += o.FilterRejected
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.WALBytes += o.WALBytes
+	dst := s.counters()
+	for i, v := range o.counters() {
+		*dst[i] += *v
+	}
 	s.CostUnits += o.CostUnits
 }
 

@@ -19,14 +19,16 @@ import (
 // Record takes one short mutex critical section (a handful of adds),
 // matching the serving layer's request-counting precedent; the search
 // hot path itself never touches a Health — recording happens once per
-// HTTP request, not per shard.
+// HTTP request, not per shard, and only in the server's one recorder
+// (Server.record), which hands the same sample to the server-wide ring
+// and the collection's.
 const (
 	healthSecSlots = 120 // per-second ring: ~2 minutes
 	healthMinSlots = 60  // per-minute ring: ~1 hour
 )
 
-// HealthSample is one finished request (or admission rejection) to
-// record.
+// HealthSample is one finished request to record: exactly one sample per
+// request, whatever its outcome.
 type HealthSample struct {
 	// Dur is the request's total latency (ignored for rejections). A
 	// negative Dur counts the request without a latency observation —
@@ -35,8 +37,11 @@ type HealthSample struct {
 	Dur time.Duration
 	// Err marks a failed request.
 	Err bool
-	// Rejected marks an admission rejection — counted separately, not
-	// as a served request.
+	// Rejected marks a request shed by admission (the collection's
+	// share, the full queue, the admission deadline) — counted
+	// separately, not as a served request: it adds to Rejected and, when
+	// the cache was probed first, to the cache outcome, and to nothing
+	// else, so shed load is neither an error nor SLO burn.
 	Rejected bool
 	// Comparisons, BytesScanned, WALBytes meter the request's work.
 	Comparisons  int64
@@ -61,11 +66,17 @@ type healthBucket struct {
 	cacheMisses  uint64
 	latCount     uint64 // requests that carried a latency observation
 	latSumNS     int64
-	lat          [numStageBuckets + 1]uint32 // power-of-two µs, as stagehist
+	lat          [numBuckets + 1]uint32 // the layout of Hist
 }
 
 // add folds one sample into the bucket.
 func (b *healthBucket) add(s HealthSample) {
+	if s.CacheHit {
+		b.cacheHits++
+	}
+	if s.CacheMiss {
+		b.cacheMisses++
+	}
 	if s.Rejected {
 		b.rejected++
 		return
@@ -77,16 +88,10 @@ func (b *healthBucket) add(s HealthSample) {
 	b.comparisons += s.Comparisons
 	b.bytesScanned += s.BytesScanned
 	b.walBytes += s.WALBytes
-	if s.CacheHit {
-		b.cacheHits++
-	}
-	if s.CacheMiss {
-		b.cacheMisses++
-	}
 	if s.Dur >= 0 {
 		b.latCount++
 		b.latSumNS += int64(s.Dur)
-		b.lat[stageBucketIdx(s.Dur)]++
+		b.lat[bucketIdx(s.Dur)]++
 	}
 }
 
@@ -125,15 +130,17 @@ type HealthWindow struct {
 	// Requests, Errors, Rejected are totals inside the window.
 	Requests uint64 `json:"requests"`
 	Errors   uint64 `json:"errors"`
-	// Rejected counts admission rejections (not included in Requests).
+	// Rejected counts requests shed by admission. They are not included
+	// in Requests or Errors: Requests + Rejected is every request the
+	// window saw, and ErrorRate is over served requests only.
 	Rejected uint64 `json:"rejected"`
 	// ErrorRate is Errors/Requests (0 when idle).
 	ErrorRate float64 `json:"error_rate"`
 	// RPS is Requests divided by the window span.
 	RPS float64 `json:"rps"`
 	// P50Ms / P99Ms are latency percentiles from the merged power-of-two
-	// histogram (bucket upper bounds, so quantized but never understated);
-	// MeanMs is exact.
+	// histogram, read by the rule of Hist.Quantile (bucket upper bounds,
+	// so quantized but never understated); MeanMs is exact.
 	P50Ms  float64 `json:"p50_ms"`
 	P99Ms  float64 `json:"p99_ms"`
 	MeanMs float64 `json:"mean_ms"`
@@ -156,28 +163,18 @@ func (h *Health) Window(now time.Time, span time.Duration) HealthWindow {
 	}
 	var (
 		merged healthBucket
-		lat    [numStageBuckets + 1]uint64
-		res    string
+		lat    [numBuckets + 1]uint64
 	)
+	ring, unit, res := h.sec[:], time.Second, "1s"
+	if span > healthSecSlots*time.Second {
+		ring, unit, res = h.min[:], time.Minute, "1m"
+	}
+	hi := now.Unix() / int64(unit/time.Second)
+	lo := hi - int64((span+unit-1)/unit) + 1
 	h.mu.Lock()
-	if span <= healthSecSlots*time.Second {
-		res = "1s"
-		secs := int64((span + time.Second - 1) / time.Second)
-		lo := now.Unix() - secs + 1
-		for i := range h.sec {
-			if b := &h.sec[i]; b.stamp >= lo && b.stamp <= now.Unix() {
-				mergeBucket(&merged, &lat, b)
-			}
-		}
-	} else {
-		res = "1m"
-		mins := int64((span + time.Minute - 1) / time.Minute)
-		hi := now.Unix() / 60
-		lo := hi - mins + 1
-		for i := range h.min {
-			if b := &h.min[i]; b.stamp >= lo && b.stamp <= hi {
-				mergeBucket(&merged, &lat, b)
-			}
+	for i := range ring {
+		if b := &ring[i]; b.stamp >= lo && b.stamp <= hi {
+			mergeBucket(&merged, &lat, b)
 		}
 	}
 	h.mu.Unlock()
@@ -200,15 +197,15 @@ func (h *Health) Window(now time.Time, span time.Duration) HealthWindow {
 	}
 	if merged.latCount > 0 {
 		w.MeanMs = float64(merged.latSumNS) / float64(merged.latCount) / 1e6
-		w.P50Ms = latQuantileMs(&lat, merged.latCount, 0.50)
-		w.P99Ms = latQuantileMs(&lat, merged.latCount, 0.99)
+		w.P50Ms = quantile(&lat, merged.latCount, 0.50) * 1e3 // seconds → ms
+		w.P99Ms = quantile(&lat, merged.latCount, 0.99) * 1e3
 	}
 	return w
 }
 
 // mergeBucket folds b into the accumulator (latency histogram widened
 // to uint64 so an hour of merges cannot overflow).
-func mergeBucket(dst *healthBucket, lat *[numStageBuckets + 1]uint64, b *healthBucket) {
+func mergeBucket(dst *healthBucket, lat *[numBuckets + 1]uint64, b *healthBucket) {
 	dst.requests += b.requests
 	dst.errors += b.errors
 	dst.rejected += b.rejected
@@ -222,27 +219,4 @@ func mergeBucket(dst *healthBucket, lat *[numStageBuckets + 1]uint64, b *healthB
 	for i, c := range b.lat {
 		lat[i] += uint64(c)
 	}
-}
-
-// latQuantileMs reads quantile q from the merged histogram, reporting
-// the upper bound of the bucket holding the q-th observation in
-// milliseconds (+Inf clamps to the largest finite bound).
-func latQuantileMs(lat *[numStageBuckets + 1]uint64, total uint64, q float64) float64 {
-	// floor(q·N)+1 rather than nearest-rank, so a 1-in-100 outlier is
-	// visible in p99 of exactly 100 samples.
-	rank := uint64(q*float64(total)) + 1
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i := 0; i <= numStageBuckets; i++ {
-		cum += lat[i]
-		if cum >= rank {
-			if i == numStageBuckets {
-				break // +Inf: fall through to the largest finite bound
-			}
-			return stageBucketBound(i) * 1e3 // seconds → ms
-		}
-	}
-	return stageBucketBound(numStageBuckets-1) * 1e3
 }

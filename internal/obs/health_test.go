@@ -109,3 +109,19 @@ func TestHealthWindowIdle(t *testing.T) {
 		t.Fatalf("idle window not zero: %+v", w)
 	}
 }
+
+// TestHealthRejectedSample: a shed request is `rejected` plus the cache
+// outcome of the probe that preceded it, and nothing else — not a served
+// request, not an error, no latency.
+func TestHealthRejectedSample(t *testing.T) {
+	var h Health
+	base := time.Unix(1_700_004_000, 0)
+	h.Record(base, HealthSample{Rejected: true, Err: true, Dur: time.Millisecond, CacheMiss: true})
+	w := h.Window(base, time.Minute)
+	if w.Rejected != 1 || w.CacheMisses != 1 {
+		t.Fatalf("rejected/cache_misses = %d/%d, want 1/1", w.Rejected, w.CacheMisses)
+	}
+	if w.Requests != 0 || w.Errors != 0 || w.ErrorRate != 0 || w.P50Ms != 0 || w.MeanMs != 0 {
+		t.Fatalf("a shed request leaked into the served figures: %+v", w)
+	}
+}

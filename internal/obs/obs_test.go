@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -155,9 +156,10 @@ func TestStageHistogramBuckets(t *testing.T) {
 	if got := StageCount(StageCkptManifest); got != before+3 {
 		t.Fatalf("count = %d, want %d", got, before+3)
 	}
-	var sb strings.Builder
-	WriteStageMetrics(&sb)
-	out := sb.String()
+	var e Expo
+	e.Family("lccs_stage_seconds", "Time spent per request-lifecycle stage.", Histogram)
+	WriteStageMetrics(&e)
+	out := string(e.Bytes())
 	for _, want := range []string{
 		`lccs_stage_seconds_bucket{stage="ckpt_manifest",le="1e-06"}`,
 		`lccs_stage_seconds_bucket{stage="ckpt_manifest",le="+Inf"}`,
@@ -189,8 +191,27 @@ func TestStageBucketIdx(t *testing.T) {
 		{time.Hour, 25},
 	}
 	for _, c := range cases {
-		if got := stageBucketIdx(c.d); got != c.want {
+		if got := bucketIdx(c.d); got != c.want {
 			t.Fatalf("bucketIdx(%v) = %d, want %d", c.d, got, c.want)
 		}
+	}
+}
+
+// TestExpoFormat pins the exposition writer's rules: HELP and TYPE once
+// per family and only before a first sample, labels in the order given
+// with the format's three escapes (a tab stays a tab — %q would write
+// \t, which a Prometheus parser refuses), integers in full.
+func TestExpoFormat(t *testing.T) {
+	var e Expo
+	e.Family("lccs_empty", "Never sampled.", Gauge)
+	e.Family("lccs_things_total", "Things.", Counter)
+	e.Sample("", 12345678, Label{"collection", "a\"b\\c\nd\te"}, Label{"code", "200"})
+	e.Sample("", 0.25)
+	e.Sample("", math.Inf(1))
+	want := "# HELP lccs_things_total Things.\n# TYPE lccs_things_total counter\n" +
+		"lccs_things_total{collection=\"a\\\"b\\\\c\\nd\te\",code=\"200\"} 12345678\n" +
+		"lccs_things_total 0.25\nlccs_things_total +Inf\n"
+	if got := string(e.Bytes()); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -30,7 +30,7 @@ const (
 	StageShardScan               // one CSA scan of one shard
 	StageBufferScan              // linear scan of the unindexed delta buffer
 	StageMerge                   // tournament merge + external-id mapping
-	StageEncode                  // JSON response encode + write
+	StageEncode                  // the cache's copy of the result + response payload assembly
 	StageRerank                  // exact float32 re-rank after a quantized (SQ8) scan
 
 	// Durable write path.

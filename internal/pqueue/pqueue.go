@@ -89,11 +89,16 @@ func (h *Heap[T]) down(i int) {
 	}
 }
 
-// Neighbor is a candidate returned by a nearest-neighbor search: a data
-// object id and its distance to the query.
+// Neighbor is one search result: the index of a data vector and its
+// distance to the query under the index's metric. It is the one neighbor
+// type of the tree — the k-best collectors fill it, the facade returns
+// it (lccs.Neighbor is an alias) and the daemon encodes it — so a result
+// row is never converted on its way out.
 type Neighbor struct {
-	ID   int
-	Dist float64
+	// ID indexes into the data slice the index was built from.
+	ID int `json:"id"`
+	// Dist is the exact (verified) distance to the query.
+	Dist float64 `json:"dist"`
 }
 
 // KBest collects the k smallest-distance Neighbors seen so far. It is a

@@ -90,18 +90,15 @@ func (c *resultCache) clear() {
 	clear(c.byKey)
 }
 
-// len returns the number of live entries.
-func (c *resultCache) len() int {
+// stats returns the live entry count and the hit/miss/eviction counters.
+func (c *resultCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// stats returns the hit/miss/eviction counters.
-func (c *resultCache) stats() (hits, misses, evictions uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
+	st := CacheStats{Enabled: true, Entries: c.ll.Len(), Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
+	if st.Hits+st.Misses > 0 {
+		st.HitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
+	}
+	return st
 }
 
 // cacheKey builds the lookup key for one query: the collection name,

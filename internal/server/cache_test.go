@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lccs"
+	"lccs/internal/obs"
 )
 
 func TestResultCacheLRUEviction(t *testing.T) {
@@ -27,17 +28,17 @@ func TestResultCacheLRUEviction(t *testing.T) {
 			t.Fatalf("%s: %v %v", key, got, ok)
 		}
 	}
-	if c.len() != 2 {
-		t.Fatalf("len=%d", c.len())
+	st := c.stats()
+	if st.Entries != 2 {
+		t.Fatalf("len=%d", st.Entries)
 	}
-	hits, misses, _ := c.stats()
-	if hits != 3 || misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 3/1", hits, misses)
+	if st.Hits != 3 || st.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 3/1", st.Hits, st.Misses)
 	}
 	// Overwriting an existing key updates in place, no growth.
 	c.put("a", res(9), "")
-	if got, _, _ := c.get("a"); got[0].ID != 9 || c.len() != 2 {
-		t.Fatalf("overwrite: %v len=%d", got, c.len())
+	if got, _, _ := c.get("a"); got[0].ID != 9 || c.stats().Entries != 2 {
+		t.Fatalf("overwrite: %v len=%d", got, c.stats().Entries)
 	}
 }
 
@@ -191,23 +192,22 @@ func TestAdmissionHammer(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram()
-	if h.quantile(0.5) != 0 {
+	var h obs.Hist
+	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile should be 0")
 	}
 	for i := 0; i < 100; i++ {
-		h.observe(0.001) // all in one bucket
+		h.Observe(time.Millisecond) // all in one bucket
 	}
-	p50 := h.quantile(0.50)
+	p50 := h.Quantile(0.50)
 	if p50 <= 0 || p50 > 0.002 {
 		t.Fatalf("p50=%v, want within the ~1ms bucket", p50)
 	}
-	h.observe(5.0) // one slow outlier
-	if p999 := h.quantile(0.999); p999 < 0.01 {
+	h.Observe(5 * time.Second) // one slow outlier
+	if p999 := h.Quantile(0.999); p999 < 0.01 {
 		t.Fatalf("p99.9=%v should reflect the outlier region", p999)
 	}
-	_, sum, total := h.snapshot()
-	if total != 101 || sum < 5.0 {
+	if total, sum := h.Count(), h.Sum().Seconds(); total != 101 || sum < 5.0 {
 		t.Fatalf("total=%d sum=%v", total, sum)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -295,7 +296,7 @@ func TestCursorDrainHTTP(t *testing.T) {
 		t.Fatalf("one-shot returned %d, want %d", len(oneShot.Neighbors), n/2)
 	}
 
-	var drained []neighborJSON
+	var drained []lccs.Neighbor
 	cursor := ""
 	pages := 0
 	for {
@@ -419,7 +420,7 @@ func TestCrossTenantCacheIsolation(t *testing.T) {
 	if code := doJSON(t, ts, "DELETE", "/v1/collections/a", nil, nil); code != http.StatusOK {
 		t.Fatalf("drop a: HTTP %d", code)
 	}
-	if got := srv.cache.len(); got != 0 {
+	if got := srv.cache.stats().Entries; got != 0 {
 		t.Fatalf("cache holds %d entries after drop, want 0", got)
 	}
 }
@@ -517,5 +518,41 @@ func TestInsertAttrsValidation(t *testing.T) {
 	}
 	if len(sr.Neighbors) != 1 || sr.Neighbors[0].ID != ir.IDs[1] {
 		t.Fatalf("filtered results = %+v", sr.Neighbors)
+	}
+}
+
+// TestEmptyResultEncodesAsArray: an empty result is [] on the wire, never
+// null — from the backend (an empty store answers with a nil row), from
+// the cache, and inside a batch.
+func TestEmptyResultEncodesAsArray(t *testing.T) {
+	_, ts := newCollServer(t, Config{CacheSize: 8})
+	if code := doJSON(t, ts, "POST", "/v1/collections", createCollectionRequest{Name: "empty"}, nil); code != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", code)
+	}
+	body := func(path string, req any) string {
+		t.Helper()
+		raw, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", path, resp.StatusCode, out)
+		}
+		return string(out)
+	}
+	req := searchRequest{Query: []float32{1, 2}, K: 3}
+	for _, source := range []string{"backend", "cache"} {
+		if got := body("/v1/collections/empty/search", req); !strings.Contains(got, `"neighbors":[]`) {
+			t.Errorf("empty result from the %s: %s", source, got)
+		}
+	}
+	if got := body("/v1/collections/empty/search/batch", batchRequest{Queries: [][]float32{{1, 2}}, K: 3}); !strings.Contains(got, `"results":[[]]`) {
+		t.Errorf("empty row in a batch: %s", got)
+	}
+	if got := body("/v1/collections/empty/search/batch", batchRequest{K: 3}); !strings.Contains(got, `"results":[]`) {
+		t.Errorf("empty batch: %s", got)
 	}
 }

@@ -1,115 +1,46 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
+	"cmp"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
+
+	"lccs"
+	"lccs/internal/engine"
+	"lccs/internal/obs"
 )
 
-// latencyBuckets are the upper bounds (seconds) of the search-latency
-// histogram: exponential from 100µs to ~13s, matching the dynamic range
-// from an in-cache hit to a cold exhaustive query.
-var latencyBuckets = func() []float64 {
-	b := make([]float64, 0, 18)
-	for v := 100e-6; v < 15; v *= 2 {
-		b = append(b, v)
-	}
-	return b
-}()
+// This file declares every serve-time number: the two stores the server
+// itself owns (written only by Server.record), the per-scrape snapshot
+// that reads every other owner once — the JSON surfaces assemble their
+// shapes from it too — and the one table of /metrics families.
 
-// histogram is a fixed-bucket latency histogram, safe for concurrent
-// observation. counts[i] holds observations ≤ buckets[i]; the final
-// slot is the +Inf bucket.
-type histogram struct {
-	mu     sync.Mutex
-	counts []uint64
-	sum    float64
-	total  uint64
-}
-
-func newHistogram() *histogram {
-	return &histogram{counts: make([]uint64, len(latencyBuckets)+1)}
-}
-
-func (h *histogram) observe(sec float64) {
-	i := sort.SearchFloat64s(latencyBuckets, sec)
-	h.mu.Lock()
-	h.counts[i]++
-	h.sum += sec
-	h.total++
-	h.mu.Unlock()
-}
-
-// quantile approximates the q-quantile (0 < q < 1) from the bucket
-// counts, interpolating linearly inside the selected bucket. It returns
-// 0 when nothing has been observed.
-func (h *histogram) quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	rank := q * float64(h.total)
-	var cum, prevCum float64
-	for i, c := range h.counts {
-		prevCum = cum
-		cum += float64(c)
-		if cum >= rank {
-			if i >= len(latencyBuckets) {
-				// Overflow (+Inf) bucket: there is no finite upper
-				// bound to interpolate toward, so clamp to the top
-				// finite bound rather than extrapolating (2*lo used
-				// to report latencies no observation ever had).
-				return latencyBuckets[len(latencyBuckets)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = latencyBuckets[i-1]
-			}
-			hi := latencyBuckets[i]
-			if c == 0 {
-				return hi
-			}
-			return lo + (hi-lo)*(rank-prevCum)/float64(c)
-		}
-	}
-	return latencyBuckets[len(latencyBuckets)-1]
-}
-
-// snapshot returns copies of the counters for rendering.
-func (h *histogram) snapshot() (counts []uint64, sum float64, total uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]uint64(nil), h.counts...), h.sum, h.total
-}
-
-// reqKey identifies one requests_total series. collection is empty for
-// server-scoped endpoints (healthz, metrics, the registry CRUD).
+// reqKey identifies one requests_total series. collection is the name of
+// a loaded collection, or empty — server-scoped endpoints, requests that
+// resolved to none — and never a string from the request path.
 type reqKey struct {
 	collection string
 	endpoint   string
 	code       int
 }
 
-// metrics aggregates the server's counters: per-endpoint/status request
-// counts and the search latency histogram. Gauges (in-flight, queue
-// depth, cache entries, index size) are read live from their owners at
-// render time, so they are never stale.
+// reqCount is one series of a requests snapshot.
+type reqCount struct {
+	reqKey
+	n uint64
+}
+
+// metrics holds the two stores the server owns: per-endpoint/status
+// request counts and the search latency histogram.
 type metrics struct {
 	start    time.Time
 	mu       sync.Mutex
 	requests map[reqKey]uint64
-	latency  *histogram
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		start:    time.Now(),
-		requests: make(map[reqKey]uint64),
-		latency:  newHistogram(),
-	}
+	latency  obs.Hist
 }
 
 func (m *metrics) countRequest(collection, endpoint string, code int) {
@@ -118,90 +49,217 @@ func (m *metrics) countRequest(collection, endpoint string, code int) {
 	m.mu.Unlock()
 }
 
-// requestsSnapshot returns a stable-ordered copy of the request
-// counters.
-func (m *metrics) requestsSnapshot() ([]reqKey, map[reqKey]uint64) {
+// requestsSnapshot returns a copy of the request counters ordered by
+// collection, endpoint and code.
+func (m *metrics) requestsSnapshot() []reqCount {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	cp := make(map[reqKey]uint64, len(m.requests))
-	keys := make([]reqKey, 0, len(m.requests))
-	for k, v := range m.requests {
-		cp[k] = v
-		keys = append(keys, k)
+	out := make([]reqCount, 0, len(m.requests))
+	for k, n := range m.requests {
+		out = append(out, reqCount{k, n})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].collection != keys[j].collection {
-			return keys[i].collection < keys[j].collection
-		}
-		if keys[i].endpoint != keys[j].endpoint {
-			return keys[i].endpoint < keys[j].endpoint
-		}
-		return keys[i].code < keys[j].code
+	m.mu.Unlock()
+	slices.SortFunc(out, func(a, b reqCount) int {
+		return cmp.Or(strings.Compare(a.collection, b.collection), strings.Compare(a.endpoint, b.endpoint), a.code-b.code)
 	})
-	return keys, cp
+	return out
 }
 
-// gauge is one live-read sample rendered into /metrics. labels, when
-// non-empty, is the pre-rendered label set (`{collection="x"}`);
-// several samples may share a name with different labels — HELP/TYPE
-// headers are emitted once per family, so same-family samples must be
-// adjacent in the slice.
-type gauge struct {
-	name   string
-	help   string
-	value  float64
-	labels string
+// ---- the per-scrape snapshot ----
+
+// collSnap is one loaded collection's sources, each read once: its usage
+// counters and, in the shape /v1/stats gives them, the rest (Requests is
+// filled in by the surfaces that report it).
+type collSnap struct {
+	name  string
+	usage engine.UsageSnapshot
+	CollectionStats
 }
 
-// writeProm renders everything in the Prometheus text exposition format
-// (version 0.0.4); counters and gauges are supplied by the caller so the
-// registry stays dependency-free and gauge reads are never stale.
-func (m *metrics) writeProm(w io.Writer, counters, gauges []gauge) {
-	fmt.Fprintf(w, "# HELP lccs_requests_total HTTP requests served, by collection, endpoint, and status code.\n")
-	fmt.Fprintf(w, "# TYPE lccs_requests_total counter\n")
-	keys, counts := m.requestsSnapshot()
-	for _, k := range keys {
-		if k.collection == "" {
-			fmt.Fprintf(w, "lccs_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, counts[k])
-			continue
-		}
-		fmt.Fprintf(w, "lccs_requests_total{collection=%q,endpoint=%q,code=\"%d\"} %d\n",
-			k.collection, k.endpoint, k.code, counts[k])
+func (c *coll) snap() collSnap {
+	cs := collSnap{name: c.name, usage: c.usage.Snapshot()}
+	cs.Inserts, cs.Deletes = uint64(cs.usage.Inserts), uint64(cs.usage.Deletes)
+	cs.InFlight, cs.QuotaRejected = c.occupancy.Load(), c.quotaRejected.Load()
+	cs.Backend = backendStats(c)
+	if c.walStats != nil {
+		ws := c.walStats.WALStats()
+		cs.WAL = &ws
 	}
-
-	counts2, sum, total := m.latency.snapshot()
-	fmt.Fprintf(w, "# HELP lccs_request_seconds Search handler latency (admission wait included).\n")
-	fmt.Fprintf(w, "# TYPE lccs_request_seconds histogram\n")
-	var cum uint64
-	for i, ub := range latencyBuckets {
-		cum += counts2[i]
-		fmt.Fprintf(w, "lccs_request_seconds_bucket{le=%q} %d\n", formatFloat(ub), cum)
-	}
-	cum += counts2[len(counts2)-1]
-	fmt.Fprintf(w, "lccs_request_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "lccs_request_seconds_sum %g\n", sum)
-	fmt.Fprintf(w, "lccs_request_seconds_count %d\n", total)
-
-	seen := make(map[string]bool, len(counters)+len(gauges))
-	for _, c := range counters {
-		if !seen[c.name] {
-			seen[c.name] = true
-			fmt.Fprintf(w, "# HELP %s %s\n", c.name, c.help)
-			fmt.Fprintf(w, "# TYPE %s counter\n", c.name)
-		}
-		fmt.Fprintf(w, "%s%s %g\n", c.name, c.labels, c.value)
-	}
-	for _, g := range gauges {
-		if !seen[g.name] {
-			seen[g.name] = true
-			fmt.Fprintf(w, "# HELP %s %s\n", g.name, g.help)
-			fmt.Fprintf(w, "# TYPE %s gauge\n", g.name)
-		}
-		fmt.Fprintf(w, "%s%s %g\n", g.name, g.labels, g.value)
-	}
-	fmt.Fprintf(w, "# HELP lccs_uptime_seconds Seconds since the server started.\n")
-	fmt.Fprintf(w, "# TYPE lccs_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "lccs_uptime_seconds %g\n", time.Since(m.start).Seconds())
+	return cs
 }
 
-func formatFloat(v float64) string { return fmt.Sprintf("%g", v) }
+// scrape is one read of every source behind the stats surfaces. A total
+// is summed from the collSnaps beside it, and the default collection's
+// figures are those of its collSnap, so a response cannot contradict
+// itself however much is being written while it is assembled.
+type scrape struct {
+	uptime              float64
+	requests            []reqCount
+	latency             *obs.Hist
+	adm                 admissionHealth
+	cache               CacheStats
+	colls               []collSnap           // ordered by name
+	total               engine.UsageSnapshot // Σ colls[i].usage
+	vectors, tombstones int                  // Σ colls[i].backend
+	writable            bool                 // some collection takes writes
+	def                 *collSnap            // the default collection; nil when not loaded
+	// Read by handleMetrics only: ReadMemStats stops the world.
+	version              string
+	poolGets, poolMisses uint64
+	mem                  runtime.MemStats
+}
+
+func (s *Server) scrape() *scrape {
+	loaded := s.loadedColls()
+	sc := &scrape{
+		uptime:   time.Since(s.met.start).Seconds(),
+		requests: s.met.requestsSnapshot(),
+		latency:  &s.met.latency,
+		adm:      s.adm.health(),
+		colls:    make([]collSnap, len(loaded)),
+	}
+	if s.cache != nil {
+		sc.cache = s.cache.stats()
+	}
+	for i, c := range loaded {
+		cs := &sc.colls[i]
+		*cs = c.snap()
+		sc.total.Add(cs.usage)
+		sc.vectors += cs.Backend.Vectors
+		sc.tombstones += cs.Backend.Tombstones
+		sc.writable = sc.writable || cs.Backend.Writable
+		if cs.name == DefaultCollection {
+			sc.def = cs
+		}
+	}
+	return sc
+}
+
+// ---- the /metrics families ----
+
+// family declares one /metrics family: its exposition header and emit,
+// which writes its samples of one scrape — none when their source does
+// not exist in this process (no cache, no journal). The table in
+// docs/OBSERVABILITY.md lists the same rows in the same order
+// (TestMetricFamiliesDeclaredOnce).
+type family struct {
+	name, help string
+	kind       obs.Kind
+	emit       func(e *obs.Expo, sc *scrape)
+}
+
+// value and perColl build emit from a read that returns a value and
+// whether its source exists: one series for the server, or (the
+// lccs_collection_* families) one per loaded collection, labelled with
+// its name. wal reads the default collection's journal, which the
+// unlabelled lccs_wal_* series describe.
+func value(read func(*scrape) (float64, bool)) func(*obs.Expo, *scrape) {
+	return func(e *obs.Expo, sc *scrape) {
+		if v, ok := read(sc); ok {
+			e.Sample("", v)
+		}
+	}
+}
+
+func perColl(read func(*collSnap) (float64, bool)) func(*obs.Expo, *scrape) {
+	return func(e *obs.Expo, sc *scrape) {
+		for i := range sc.colls {
+			if v, ok := read(&sc.colls[i]); ok {
+				e.Sample("", v, obs.Label{Name: "collection", Value: sc.colls[i].name})
+			}
+		}
+	}
+}
+
+func wal(read func(*lccs.WALStats) float64) func(*obs.Expo, *scrape) {
+	return value(func(sc *scrape) (float64, bool) {
+		if sc.def == nil || sc.def.WAL == nil {
+			return 0, false
+		}
+		return read(sc.def.WAL), true
+	})
+}
+
+var families = []family{
+	{"lccs_requests_total", "HTTP requests served, by collection, endpoint, and status code.", obs.Counter, func(e *obs.Expo, sc *scrape) {
+		for _, r := range sc.requests {
+			labels := []obs.Label{{Name: "collection", Value: r.collection},
+				{Name: "endpoint", Value: r.endpoint}, {Name: "code", Value: strconv.Itoa(r.code)}}
+			if r.collection == "" {
+				labels = labels[1:]
+			}
+			e.Sample("", float64(r.n), labels...)
+		}
+	}},
+	{"lccs_request_seconds", "Search handler latency (admission wait included).", obs.Histogram, func(e *obs.Expo, sc *scrape) { sc.latency.Write(e) }},
+
+	{"lccs_admission_rejected_total", "Requests rejected because the admission queue was full.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.adm.Rejected), true })},
+	{"lccs_admission_wait_timeouts_total", "Requests whose deadline expired while waiting for a slot.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.adm.WaitTimeouts), true })},
+	{"lccs_inflight_requests", "Requests currently holding an admission slot.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.adm.InFlight), true })},
+	{"lccs_admission_queue_depth", "Requests waiting for an admission slot.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.adm.QueueDepth), true })},
+
+	{"lccs_inserts_total", "Vectors inserted across all collections.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.total.Inserts), true })},
+	{"lccs_deletes_total", "Vectors tombstoned across all collections.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.total.Deletes), true })},
+	{"lccs_index_vectors", "Vectors searchable across all collections.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.vectors), true })},
+	{"lccs_index_tombstones", "Deleted vectors awaiting compaction.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.tombstones), sc.writable })},
+
+	{"lccs_cache_hits_total", "Result cache hits.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.cache.Hits), sc.cache.Enabled })},
+	{"lccs_cache_misses_total", "Result cache misses.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.cache.Misses), sc.cache.Enabled })},
+	{"lccs_cache_evictions_total", "Result cache LRU evictions.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.cache.Evictions), sc.cache.Enabled })},
+	{"lccs_cache_entries", "Live result cache entries.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.cache.Entries), sc.cache.Enabled })},
+
+	{"lccs_wal_fsyncs_total", "Write-ahead log fsync calls.", obs.Counter, wal(func(w *lccs.WALStats) float64 { return float64(w.Fsyncs) })},
+	{"lccs_wal_depth_records", "Records held only by the write-ahead log (replayed on crash recovery).", obs.Gauge, wal(func(w *lccs.WALStats) float64 { return float64(w.Depth) })},
+	{"lccs_wal_segments", "Live write-ahead log segment files.", obs.Gauge, wal(func(w *lccs.WALStats) float64 { return float64(w.Segments) })},
+	{"lccs_wal_bytes", "Total size of live write-ahead log segments.", obs.Gauge, wal(func(w *lccs.WALStats) float64 { return float64(w.Bytes) })},
+	{"lccs_wal_last_fsync_seconds", "Latency of the most recent WAL fsync.", obs.Gauge, wal(func(w *lccs.WALStats) float64 { return w.LastFsyncMicros / 1e6 })},
+	{"lccs_wal_synced_lsn", "Highest log sequence number known fsynced.", obs.Gauge, wal(func(w *lccs.WALStats) float64 { return float64(w.SyncedLSN) })},
+
+	{"lccs_collection_inserts_total", "Vectors inserted, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.Inserts), true })},
+	{"lccs_collection_deletes_total", "Vectors tombstoned, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.Deletes), true })},
+	{"lccs_collection_searches_total", "Search requests served (backend or cache), by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.Searches), true })},
+	{"lccs_collection_errors_total", "Failed requests, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.Errors), true })},
+	{"lccs_collection_scan_bytes_total", "Vector bytes read by the distance kernels, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.BytesScanned), true })},
+	{"lccs_collection_cost_units_total", "Derived query cost units (comparisons + scan bytes / 4), by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.CostUnits), true })},
+	{"lccs_collection_filter_rejected_total", "Candidates discarded by metadata predicates, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.FilterRejected), true })},
+	{"lccs_collection_cache_hits_total", "Result-cache hits, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.CacheHits), true })},
+	{"lccs_collection_cache_misses_total", "Result-cache misses, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.CacheMisses), true })},
+	{"lccs_collection_wal_appended_bytes_total", "Journal bytes appended by this collection's writes.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.WALBytes), true })},
+	{"lccs_collection_quota_rejected_total", "Requests rejected by the per-collection concurrency share.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.QuotaRejected), true })},
+	{"lccs_collection_vectors", "Vectors searchable, by collection.", obs.Gauge, perColl(func(c *collSnap) (float64, bool) { return float64(c.Backend.Vectors), true })},
+	{"lccs_collection_tombstones", "Deleted vectors awaiting compaction, by collection.", obs.Gauge, perColl(func(c *collSnap) (float64, bool) { return float64(c.Backend.Tombstones), true })},
+	{"lccs_collection_inflight", "Admitted in-flight requests, by collection.", obs.Gauge, perColl(func(c *collSnap) (float64, bool) { return float64(c.InFlight), true })},
+	{"lccs_collection_wal_depth_records", "WAL records a crash would replay, by collection.", obs.Gauge, perColl(func(c *collSnap) (float64, bool) {
+		if c.WAL == nil {
+			return 0, false
+		}
+		return float64(c.WAL.Depth), true
+	})},
+
+	{"lccs_stage_seconds", "Time spent per request-lifecycle stage.", obs.Histogram, func(e *obs.Expo, _ *scrape) { obs.WriteStageMetrics(e) }},
+	{"lccs_trace_pool_gets_total", "Traces drawn from the span pool.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.poolGets), true })},
+	{"lccs_trace_pool_misses_total", "Trace pool gets that allocated a fresh trace.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.poolMisses), true })},
+	{"lccs_trace_pool_hit_rate", "Fraction of trace pool gets served without allocating.", obs.Gauge, value(func(sc *scrape) (float64, bool) {
+		if sc.poolGets == 0 {
+			return 0, true
+		}
+		return float64(sc.poolGets-sc.poolMisses) / float64(sc.poolGets), true
+	})},
+
+	{"lccs_goroutines", "Live goroutines.", obs.Gauge, value(func(*scrape) (float64, bool) { return float64(runtime.NumGoroutine()), true })},
+	{"lccs_heap_alloc_bytes", "Bytes of allocated heap objects.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.mem.HeapAlloc), true })},
+	{"lccs_gc_runs_total", "Completed garbage-collection cycles.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.mem.NumGC), true })},
+	{"lccs_gc_pause_last_seconds", "Duration of the most recent GC stop-the-world pause.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.mem.PauseNs[(sc.mem.NumGC+255)%256]) / 1e9, true })},
+	{"lccs_uptime_seconds", "Seconds since the server started.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return sc.uptime, true })},
+	{"lccs_build_info", "Build metadata; the value is always 1.", obs.Gauge, func(e *obs.Expo, sc *scrape) {
+		e.Sample("", 1, obs.Label{Name: "version", Value: sc.version}, obs.Label{Name: "go", Value: runtime.Version()})
+	}},
+}
+
+// writeFamilies renders the table over one scrape.
+func writeFamilies(e *obs.Expo, sc *scrape) {
+	for i := range families {
+		f := &families[i]
+		e.Family(f.name, f.help, f.kind)
+		f.emit(e, sc)
+	}
+}

@@ -407,14 +407,14 @@ func splitLabels(s string) []string {
 	return out
 }
 
-// TestQuantileOverflowClamp pins the fixed interpolation: observations
-// beyond the top finite bucket must report the top bound, not an
-// extrapolated 2×lo value.
+// TestQuantileOverflowClamp pins the overflow rule: observations beyond
+// the top finite bucket must report the top bound, not an extrapolated
+// 2×lo value.
 func TestQuantileOverflowClamp(t *testing.T) {
-	h := newHistogram()
-	h.observe(30.0) // far past the ~13s top bucket
-	top := latencyBuckets[len(latencyBuckets)-1]
-	if got := h.quantile(0.99); got != top {
+	var h obs.Hist
+	h.Observe(30 * time.Second) // far past the ~16.8s top bucket
+	const top = 16.777216       // 2^24 µs
+	if got := h.Quantile(0.99); got != top {
 		t.Fatalf("overflow quantile = %g, want clamp to top bound %g", got, top)
 	}
 }

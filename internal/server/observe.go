@@ -9,10 +9,10 @@ import (
 	"lccs/internal/obs"
 )
 
-// This file is the server's metering and introspection surface: the
-// per-request health recording shared by every handler, the usage
-// endpoints (/v1/usage, /v1/collections/{name}/usage), the windowed
-// health endpoint (/v1/debug/health), and the EXPLAIN plan builder.
+// This file is the server's metering and introspection surface: the one
+// recorder every request's outcome goes through, the usage endpoints
+// (/v1/usage, /v1/collections/{name}/usage), the windowed health
+// endpoint (/v1/debug/health), and the EXPLAIN plan builder.
 
 // healthWindows are the two resolutions every windowed report carries:
 // the last minute merged from per-second buckets and the last fifteen
@@ -23,14 +23,61 @@ var healthWindows = [2]time.Duration{time.Minute, 15 * time.Minute}
 // indicator: 99.9% of requests succeed.
 const sloTarget = 0.999
 
-// recordHealth folds one finished request into the server-wide ring
-// and, when the request resolved to a collection, that collection's
-// ring. c may be nil (registry endpoints, unknown collections).
-func (s *Server) recordHealth(c *coll, hs obs.HealthSample) {
+// outcome is everything the stats surfaces will ever say about one
+// request. A handler fills it in as the request proceeds and every exit
+// hands it, through respond, to record — once.
+type outcome struct {
+	endpoint string
+	code     int
+	dur      time.Duration // set on the 2xx exits of the search and write endpoints
+	rejected bool          // a 503 from admission: share, full queue or deadline
+	// use is what the request adds to its collection's usage counters.
+	// The handler fills in what it did — the cache probe's result, the
+	// query's cost, the vectors a write applied (the prefix that went in,
+	// on a failed write), the journal bytes — and record adds whether it
+	// was a search or an error.
+	use engine.UsageSnapshot
+}
+
+// record is the one place a request is counted: the only caller of the
+// request counter, the request histogram, engine.Usage and the two
+// health rings, so what two surfaces say about the same requests cannot
+// differ. c is nil for a request that resolved to no collection, which
+// counts under the server-scoped series and the server-wide ring only.
+//
+// Every request is one lccs_requests_total increment. Usage and the
+// rings meter the data plane — search, batch, insert, delete — and every
+// failure (code ≥ 400): an error with no latency observation, so an
+// error storm cannot drag the percentiles toward zero — or, if admission
+// shed it, `rejected` in the rings and nothing else. lccs_request_seconds
+// observes answered searches, single or batch; a batch adds nothing to
+// Usage (the batch engine surfaces no per-query cost).
+func (s *Server) record(c *coll, o outcome) {
+	name := ""
+	if c != nil {
+		name = c.name
+	}
+	s.met.countRequest(name, o.endpoint, o.code)
+	failed := o.code >= 400
+	switch {
+	case failed:
+		o.dur, o.use.Errors = -1, 1
+	case o.endpoint == "search":
+		o.use.Searches = 1
+		fallthrough
+	case o.endpoint == "search_batch":
+		s.met.latency.Observe(o.dur)
+	case o.endpoint != "insert" && o.endpoint != "delete":
+		return // a successful read of a stats or registry endpoint is a request count only
+	}
+	hs := obs.HealthSample{Dur: o.dur, Err: failed, Rejected: o.rejected,
+		Comparisons: o.use.Comparisons, BytesScanned: o.use.BytesScanned, WALBytes: o.use.WALBytes,
+		CacheHit: o.use.CacheHits > 0, CacheMiss: o.use.CacheMisses > 0}
 	now := time.Now()
 	s.health.Record(now, hs)
 	if c != nil {
 		c.health.Record(now, hs)
+		c.usage.Add(o.use)
 	}
 }
 
@@ -71,34 +118,31 @@ type aggregateUsageResponse struct {
 }
 
 func (s *Server) handleCollUsage(w http.ResponseWriter, r *http.Request) {
-	c := s.resolve(w, r, "usage")
+	o := outcome{endpoint: "usage"}
+	c := s.resolve(w, r, o)
 	if c == nil {
 		return
 	}
-	resp := usageResponse{
+	cs := c.snap()
+	s.respond(w, c, o, http.StatusOK, usageResponse{
 		Collection: c.name,
-		Cumulative: c.usage.Snapshot(),
+		Cumulative: cs.usage,
 		Windows:    s.windowsOf(c.health),
-	}
-	if c.walStats != nil {
-		ws := c.walStats.WALStats()
-		resp.WAL = &ws
-	}
-	s.respond(w, c.name, "usage", http.StatusOK, resp)
+		WAL:        cs.WAL,
+	})
 }
 
 func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
-	colls := s.loadedColls()
+	sc := s.scrape()
 	resp := aggregateUsageResponse{
+		Total:       sc.total,
 		Windows:     s.windowsOf(s.health),
-		Collections: make(map[string]engine.UsageSnapshot, len(colls)),
+		Collections: make(map[string]engine.UsageSnapshot, len(sc.colls)),
 	}
-	for _, c := range colls {
-		snap := c.usage.Snapshot()
-		resp.Collections[c.name] = snap
-		resp.Total.Add(snap)
+	for _, cs := range sc.colls {
+		resp.Collections[cs.name] = cs.usage
 	}
-	s.respond(w, "", "usage", http.StatusOK, resp)
+	s.respond(w, nil, outcome{endpoint: "usage"}, http.StatusOK, resp)
 }
 
 // windowsOf merges a ring at the standard resolutions.
@@ -165,13 +209,8 @@ func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.met.start).Seconds(),
 		Windows:       windows,
-		Admission: admissionHealth{
-			InFlight:     s.adm.inFlight(),
-			QueueDepth:   s.adm.queueDepth(),
-			Rejected:     s.adm.rejected.Load(),
-			WaitTimeouts: s.adm.timeouts.Load(),
-		},
-		SLO: sloBurn(windows),
+		Admission:     s.adm.health(),
+		SLO:           sloBurn(windows),
 	}
 	if s.draining.Load() {
 		resp.Status = "draining"
@@ -193,7 +232,7 @@ func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
 			AppendedBytes:   ws.AppendedBytes,
 		})
 	}
-	s.respond(w, "", "debug_health", http.StatusOK, resp)
+	s.respond(w, nil, outcome{endpoint: "debug_health"}, http.StatusOK, resp)
 }
 
 // sloBurn derives the burn-rate indicator from the standard windows
@@ -261,7 +300,7 @@ type explainJSON struct {
 // buildExplain assembles the plan. co is nil on cache hits; tr is the
 // request's trace (explain forces one, so it is non-nil here except
 // for custom backends that ignored it).
-func buildExplain(c *coll, k, budget int, f *lccs.Filter, co *lccs.Cost, cacheOutcome string, tr *obs.Trace) *explainJSON {
+func buildExplain(c *coll, k, budget int, f *lccs.Filter, co *lccs.Cost, cache string, tr *obs.Trace) *explainJSON {
 	e := &explainJSON{
 		Collection: c.name,
 		Backend:    backendStats(c).Kind,
@@ -270,11 +309,8 @@ func buildExplain(c *coll, k, budget int, f *lccs.Filter, co *lccs.Cost, cacheOu
 		Quantize:   c.spec.Quantize,
 		Rerank:     c.spec.Rerank,
 		Filtered:   f != nil,
-		Cache:      cacheOutcome,
+		Cache:      cache,
 		Shards:     []explainShardJSON{},
-	}
-	if e.Cache == "" {
-		e.Cache = "off"
 	}
 	if co != nil {
 		e.Cost = co

@@ -10,6 +10,7 @@ import (
 
 	"lccs"
 	"lccs/internal/engine"
+	"lccs/internal/obs"
 )
 
 // TestUsageEndpoints drives metered traffic over a durable backend and
@@ -465,20 +466,18 @@ func TestPromLabelEscaping(t *testing.T) {
 		"new\nline",
 		"tab\tand\"both\\of\nthem",
 	}
-	m := newMetrics()
-	var counters []gauge
+	// The one exposition writer, driven the way /metrics drives it: the
+	// family table over a scrape whose collections carry the names.
+	snap := &scrape{latency: new(obs.Hist)}
 	for _, name := range hostile {
-		counters = append(counters, gauge{
-			name:   "lccs_collection_scan_bytes_total",
-			help:   "test family",
-			value:  1,
-			labels: collLabel(name),
-		})
+		snap.colls = append(snap.colls, collSnap{name: name, usage: engine.UsageSnapshot{BytesScanned: 1}})
+		snap.requests = append(snap.requests, reqCount{reqKey{name, "search", 200}, 1})
 	}
-	var buf bytes.Buffer
-	m.writeProm(&buf, counters, nil)
+	var e obs.Expo
+	writeFamilies(&e, snap)
+	out := string(e.Bytes())
 
-	sc := bufio.NewScanner(strings.NewReader(buf.String()))
+	sc := bufio.NewScanner(strings.NewReader(out))
 	samples := 0
 	for sc.Scan() {
 		line := sc.Text()
@@ -500,8 +499,7 @@ func TestPromLabelEscaping(t *testing.T) {
 	if samples != len(hostile) {
 		t.Fatalf("rendered %d hostile-name samples, want %d", samples, len(hostile))
 	}
-	// The escapes themselves: %q turns ", \, and newline into \", \\, \n.
-	out := buf.String()
+	// The escapes themselves: ", \, and newline become \", \\, \n.
 	for _, esc := range []string{`quote\"inside`, `back\\slash`, `new\nline`} {
 		if !strings.Contains(out, esc) {
 			t.Errorf("output missing escaped form %s", esc)

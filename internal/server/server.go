@@ -40,7 +40,9 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,9 +157,7 @@ type coll struct {
 	// folded into every cache key, so one write invalidates all of this
 	// collection's earlier cached results at once (and only this
 	// collection's: the key also carries the collection name).
-	gen     atomic.Uint64
-	inserts atomic.Uint64
-	deletes atomic.Uint64
+	gen atomic.Uint64
 	// occupancy counts requests of this collection currently admitted;
 	// quotaRejected counts requests shed by the per-collection share.
 	occupancy     atomic.Int64
@@ -271,7 +271,7 @@ func New(cfg Config) (*Server, error) {
 		quant:     cfg.CacheQuantBits,
 		timeout:   cfg.Timeout,
 		maxBody:   cfg.MaxBodyBytes,
-		met:       newMetrics(),
+		met:       &metrics{start: time.Now(), requests: make(map[reqKey]uint64)},
 		slow:      obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowLogSize, cfg.SlowThreshold),
 		health:    new(obs.Health),
 		logger:    cfg.Logger,
@@ -336,8 +336,10 @@ func collName(r *http.Request) string {
 
 // resolve returns the request's collection state, lazily opening the
 // collection through the registry. On failure it writes the error
-// response and returns nil.
-func (s *Server) resolve(w http.ResponseWriter, r *http.Request, endpoint string) *coll {
+// response — counted under the server-scoped series: the name in the
+// path is the client's, never a label value or a map key — and returns
+// nil.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request, o outcome) *coll {
 	name := collName(r)
 	s.cmu.RLock()
 	c, ok := s.colls[name]
@@ -347,7 +349,7 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, endpoint string
 	}
 	ec, err := s.eng.Get(name)
 	if err != nil {
-		s.fail(w, name, endpoint, engineStatus(err), err)
+		s.fail(w, nil, o, engineStatus(err), err)
 		return nil
 	}
 	s.cmu.Lock()
@@ -449,13 +451,12 @@ type searchRequest struct {
 
 // searchScratch is the pooled per-request state of the single-search
 // endpoint: the decoded request (whose query slice's backing array is
-// reused by the JSON decoder), the backend result row, and the response
-// payload. At steady state an unfiltered, non-paginated search request
-// allocates no per-request buffers in this package.
+// reused by the JSON decoder) and the backend result row, which is also
+// the response payload. At steady state an unfiltered, non-paginated
+// search request allocates no per-request buffers in this package.
 type searchScratch struct {
 	req searchRequest
 	res []lccs.Neighbor
-	out []neighborJSON
 	co  lccs.Cost
 }
 
@@ -475,23 +476,13 @@ func getSearchScratch() *searchScratch {
 	sc.req.Trace = false
 	sc.req.Explain = false
 	sc.co.Reset()
-	if sc.out == nil {
-		// Keep the response field non-nil so an empty result encodes as
-		// [] rather than null.
-		sc.out = []neighborJSON{}
-	}
 	return sc
 }
 
-type neighborJSON struct {
-	ID   int     `json:"id"`
-	Dist float64 `json:"dist"`
-}
-
 type searchResponse struct {
-	Neighbors  []neighborJSON `json:"neighbors"`
-	Cached     bool           `json:"cached"`
-	TookMicros int64          `json:"took_us"`
+	Neighbors  []lccs.Neighbor `json:"neighbors"`
+	Cached     bool            `json:"cached"`
+	TookMicros int64           `json:"took_us"`
 	// NextCursor continues a paginated scan; absent when the stream is
 	// exhausted or the request was not paginated.
 	NextCursor string `json:"next_cursor,omitempty"`
@@ -519,8 +510,8 @@ type batchRequest struct {
 }
 
 type batchResponse struct {
-	Results    [][]neighborJSON `json:"results"`
-	TookMicros int64            `json:"took_us"`
+	Results    [][]lccs.Neighbor `json:"results"`
+	TookMicros int64             `json:"took_us"`
 }
 
 type insertRequest struct {
@@ -598,10 +589,11 @@ type dropCollectionResponse struct {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if !s.requirePost(w, r, "search") {
+	o := outcome{endpoint: "search"}
+	if !s.requirePost(w, r, o) {
 		return
 	}
-	c := s.resolve(w, r, "search")
+	c := s.resolve(w, r, o)
 	if c == nil {
 		return
 	}
@@ -611,18 +603,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	sc := getSearchScratch()
 	defer searchScratchPool.Put(sc)
 	if err := json.NewDecoder(r.Body).Decode(&sc.req); err != nil {
-		s.fail(w, c.name, "search", http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		s.fail(w, c, o, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	req := &sc.req
 	f, err := parseFilter(req.Filter)
 	if err != nil {
-		s.fail(w, c.name, "search", http.StatusBadRequest, fmt.Errorf("%w: %v", lccs.ErrInvalidFilter, err))
+		s.fail(w, c, o, http.StatusBadRequest, fmt.Errorf("%w: %v", lccs.ErrInvalidFilter, err))
 		return
 	}
 	paginated := req.Cursor != "" || req.Limit > 0
 	if paginated && req.Limit <= 0 {
-		s.fail(w, c.name, "search", http.StatusBadRequest, errors.New("\"limit\" must be positive when resuming a cursor"))
+		s.fail(w, c, o, http.StatusBadRequest, errors.New("\"limit\" must be positive when resuming a cursor"))
 		return
 	}
 	reqID := s.reqID.Add(1)
@@ -642,13 +634,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// cache, so 400s do not pollute miss statistics or key space. The
 	// key carries the collection name, the canonical filter encoding,
 	// and the cursor token, so tenants, filtered variants of one query,
-	// and successive pages can never alias each other's entries.
+	// and successive pages can never alias each other's entries. The
+	// probe's result rides in the outcome, so every later exit reports it.
 	kEff := req.K
 	if paginated {
 		kEff = req.Limit
 	}
 	cacheable := s.cache != nil && kEff > 0 && len(req.Query) > 0 && req.Budget >= 0
-	cacheOutcome := ""
+	cache := "off" // as EXPLAIN reports it
 	var key string
 	if cacheable {
 		cacheStart := time.Now()
@@ -658,30 +651,19 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		obs.ObserveDur(obs.StageCache, cacheDur)
 		tr.AddSpan(obs.StageCache, -1, cacheStart, cacheDur)
 		if ok {
-			cacheOutcome = "hit"
-			sc.out = toJSONInto(sc.out[:0], res)
-			took := time.Since(start)
-			s.met.latency.observe(took.Seconds())
-			c.usage.AddCacheHit()
-			c.usage.AddSearch(0, 0, 0, 0, 0)
-			s.recordHealth(c, obs.HealthSample{Dur: took, CacheHit: true})
-			resp := searchResponse{
-				Neighbors:  sc.out,
-				Cached:     true,
-				NextCursor: next,
-				TookMicros: took.Microseconds(),
-			}
+			o.use.CacheHits, o.dur = 1, time.Since(start)
+			resp := searchResponse{Neighbors: res, Cached: true, NextCursor: next}
 			if req.Explain {
-				resp.Explain = buildExplain(c, kEff, req.Budget, f, nil, cacheOutcome, tr)
+				resp.Explain = buildExplain(c, kEff, req.Budget, f, nil, "hit", tr)
 			}
-			s.respondSearch(w, c, resp, reqID, tr, req.Trace)
-			s.recordSlow(reqID, "search", c.name, f, start, took, kEff, req.Budget, tr)
+			s.respondSearch(w, c, o, resp, reqID, tr, req.Trace)
+			s.recordSlow(reqID, "search", c.name, f, start, o.dur, kEff, req.Budget, tr)
 			return
 		}
-		cacheOutcome = "miss"
+		o.use.CacheMisses, cache = 1, "miss"
 	}
 	admStart := time.Now()
-	if ok := s.admit(w, r, "search", c); !ok {
+	if !s.admit(w, r, c, o) {
 		return
 	}
 	defer s.release(c)
@@ -691,63 +673,57 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	var next string
 	var res []lccs.Neighbor
-	co := &sc.co
 	if paginated {
 		res, next, err = s.searchCursor(c, req.Query, req.Limit, req.Budget, f, req.Cursor)
 	} else {
 		// The backend's one query path: filter, cost record and trace ride
 		// in the Query value, each independently nil; co and the result
 		// row are pooled scratch, so accounting allocates nothing.
-		res, err = c.backend.SearchQuery(req.Query, lccs.Query{K: req.K, Budget: req.Budget, Filter: f, Cost: co, Trace: tr}, sc.res)
+		res, err = c.backend.SearchQuery(req.Query, lccs.Query{K: req.K, Budget: req.Budget, Filter: f, Cost: &sc.co, Trace: tr}, sc.res)
 	}
 	if err != nil {
 		code := statusFor(err)
 		if errors.Is(err, errNotSupported) {
 			code = http.StatusNotImplemented
 		}
-		s.fail(w, c.name, "search", code, err)
+		s.fail(w, c, o, code, err)
 		return
 	}
 	if !paginated {
 		sc.res = res
 	}
+	// The encode stage: the cache's copy and the payload (the result row
+	// is the wire form). The JSON encoding itself follows the rendering
+	// of the span tree, so it cannot be inside it.
+	encStart := time.Now()
 	if cacheable {
 		// The cache retains its entries past this request, so it gets
 		// its own copy rather than the pooled row.
 		s.cache.put(key, append([]lccs.Neighbor(nil), res...), next)
-		c.usage.AddCacheMiss()
 	}
-	encStart := time.Now()
-	sc.out = toJSONInto(sc.out[:0], res)
+	resp := searchResponse{Neighbors: res, NextCursor: next}
 	encDur := time.Since(encStart)
 	obs.ObserveDur(obs.StageEncode, encDur)
 	tr.AddSpan(obs.StageEncode, -1, encStart, encDur)
-	took := time.Since(start)
-	s.met.latency.observe(took.Seconds())
-	c.usage.AddSearch(co.Comparisons, co.Candidates, co.Reranked, co.BytesScanned, co.FilterRejected)
-	s.recordHealth(c, obs.HealthSample{
-		Dur:          took,
-		Comparisons:  co.Comparisons,
-		BytesScanned: co.BytesScanned,
-		CacheMiss:    cacheOutcome == "miss",
-	})
-	resp := searchResponse{
-		Neighbors:  sc.out,
-		NextCursor: next,
-		TookMicros: took.Microseconds(),
-	}
+	o.dur = time.Since(start)
+	o.use.Comparisons, o.use.Candidates, o.use.Reranked = sc.co.Comparisons, sc.co.Candidates, sc.co.Reranked
+	o.use.BytesScanned, o.use.FilterRejected = sc.co.BytesScanned, sc.co.FilterRejected
 	if req.Explain {
-		resp.Explain = buildExplain(c, req.K, req.Budget, f, co, cacheOutcome, tr)
+		resp.Explain = buildExplain(c, req.K, req.Budget, f, &sc.co, cache, tr)
 	}
-	s.respondSearch(w, c, resp, reqID, tr, req.Trace)
-	s.recordSlow(reqID, "search", c.name, f, start, took, kEff, req.Budget, tr)
+	s.respondSearch(w, c, o, resp, reqID, tr, req.Trace)
+	s.recordSlow(reqID, "search", c.name, f, start, o.dur, kEff, req.Budget, tr)
 }
 
 // respondSearch sends a search response. Only an explicit "trace": true
 // request gets the span tree inline (plus the request id and the
 // X-Request-Id header); sampler-selected traces feed the histograms and
 // the slow-log reservoir without inflating client responses.
-func (s *Server) respondSearch(w http.ResponseWriter, c *coll, resp searchResponse, reqID uint64, tr *obs.Trace, explicit bool) {
+func (s *Server) respondSearch(w http.ResponseWriter, c *coll, o outcome, resp searchResponse, reqID uint64, tr *obs.Trace, explicit bool) {
+	resp.TookMicros = o.dur.Microseconds()
+	if resp.Neighbors == nil {
+		resp.Neighbors = []lccs.Neighbor{} // an empty result is [], never null
+	}
 	if tr != nil && explicit {
 		resp.Trace = tr.Tree()
 	}
@@ -755,7 +731,7 @@ func (s *Server) respondSearch(w http.ResponseWriter, c *coll, resp searchRespon
 		resp.RequestID = reqID
 		w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
 	}
-	s.respond(w, c.name, "search", http.StatusOK, resp)
+	s.respond(w, c, o, http.StatusOK, resp)
 }
 
 // recordSlow offers a finished search to the slow-query log and warns
@@ -810,10 +786,11 @@ func (s *Server) searchCursor(c *coll, q []float32, limit, budget int, f *lccs.F
 
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if !s.requirePost(w, r, "search_batch") {
+	o := outcome{endpoint: "search_batch"}
+	if !s.requirePost(w, r, o) {
 		return
 	}
-	c := s.resolve(w, r, "search_batch")
+	c := s.resolve(w, r, o)
 	if c == nil {
 		return
 	}
@@ -822,35 +799,34 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	// against the concurrency bound too. The backend's own batch engine
 	// parallelizes across cores. The result cache is bypassed: batch
 	// workloads are throughput-oriented and would churn the LRU.
-	if ok := s.admit(w, r, "search_batch", c); !ok {
+	if !s.admit(w, r, c, o) {
 		return
 	}
 	defer s.release(c)
 	var req batchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, c.name, "search_batch", http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		s.fail(w, c, o, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 
 	rows, err := c.backend.SearchBatch(req.Queries, req.K, req.Budget)
 	if err != nil {
-		s.fail(w, c.name, "search_batch", statusFor(err), err)
+		s.fail(w, c, o, statusFor(err), err)
 		return
 	}
-	out := make([][]neighborJSON, len(rows))
+	// An empty batch and an empty row encode as [], never null, whatever
+	// the backend returned them as.
+	rows = append([][]lccs.Neighbor{}, rows...)
 	for i, row := range rows {
-		out[i] = toJSON(row)
+		if row == nil {
+			rows[i] = []lccs.Neighbor{}
+		}
 	}
-	took := time.Since(start)
-	s.met.latency.observe(took.Seconds())
 	// The batch engine's internal path does not surface per-query cost
-	// records; the batch still counts toward the health rings as one
-	// request with its end-to-end latency.
-	s.recordHealth(c, obs.HealthSample{Dur: took})
-	s.respond(w, c.name, "search_batch", http.StatusOK, batchResponse{
-		Results:    out,
-		TookMicros: took.Microseconds(),
-	})
+	// records; the batch counts as one request with its end-to-end
+	// latency.
+	o.dur = time.Since(start)
+	s.respond(w, c, o, http.StatusOK, batchResponse{Results: rows, TookMicros: o.dur.Microseconds()})
 }
 
 // parseAttrs translates wire attribute rows into library attribute
@@ -882,46 +858,47 @@ func parseAttrs(rows []map[string]any) ([]lccs.Attrs, error) {
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if !s.requirePost(w, r, "insert") {
+	o := outcome{endpoint: "insert"}
+	if !s.requirePost(w, r, o) {
 		return
 	}
-	c := s.resolve(w, r, "insert")
+	c := s.resolve(w, r, o)
 	if c == nil {
 		return
 	}
 	reqID := s.reqID.Add(1)
 	if c.writer == nil {
-		s.fail(w, c.name, "insert", http.StatusNotImplemented,
+		s.fail(w, c, o, http.StatusNotImplemented,
 			errors.New("backend is read-only: inserts need a DynamicIndex (-dynamic)"))
 		return
 	}
 	// Inserts go through admission too: the append itself is cheap, but
 	// decoding a vector batch is not, and it must not bypass the
 	// concurrency bound.
-	if ok := s.admit(w, r, "insert", c); !ok {
+	if !s.admit(w, r, c, o) {
 		return
 	}
 	defer s.release(c)
 	var req insertRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, c.name, "insert", http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		s.fail(w, c, o, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if len(req.Vectors) == 0 {
-		s.fail(w, c.name, "insert", http.StatusBadRequest, errors.New("no vectors in request"))
+		s.fail(w, c, o, http.StatusBadRequest, errors.New("no vectors in request"))
 		return
 	}
 	var attrs []lccs.Attrs
 	if req.Attrs != nil {
 		if len(req.Attrs) != len(req.Vectors) {
-			s.fail(w, c.name, "insert", http.StatusBadRequest,
+			s.fail(w, c, o, http.StatusBadRequest,
 				fmt.Errorf("%w: %d attr rows for %d vectors", lccs.ErrAttrsMismatch, len(req.Attrs), len(req.Vectors)))
 			return
 		}
 		var err error
 		attrs, err = parseAttrs(req.Attrs)
 		if err != nil {
-			s.fail(w, c.name, "insert", http.StatusBadRequest, err)
+			s.fail(w, c, o, http.StatusBadRequest, err)
 			return
 		}
 	}
@@ -935,56 +912,43 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, v := range req.Vectors {
 		if len(v) == 0 {
-			s.fail(w, c.name, "insert", http.StatusBadRequest,
-				fmt.Errorf("vector %d: %w", i, lccs.ErrEmptyVector))
+			s.fail(w, c, o, http.StatusBadRequest, fmt.Errorf("vector %d: %w", i, lccs.ErrEmptyVector))
 			return
 		}
 		if dim == 0 {
 			dim = len(v)
 		}
 		if len(v) != dim {
-			s.fail(w, c.name, "insert", http.StatusBadRequest,
+			s.fail(w, c, o, http.StatusBadRequest,
 				fmt.Errorf("vector %d: %w: has %d dimensions, want %d", i, lccs.ErrDimensionMismatch, len(v), dim))
 			return
 		}
 	}
 	walBefore := walAppended(c)
 	ids, warning, failCode, failErr := s.applyInserts(c, req.Vectors, attrs)
-	walBytes := walAppended(c) - walBefore
+	o.use.Inserts, o.use.WALBytes = int64(len(ids)), walAppended(c)-walBefore
+	if len(ids) > 0 {
+		c.gen.Add(1) // invalidate every cached result of this collection
+	}
+	w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
 	if failErr != nil {
-		// Earlier vectors of the batch may already be in — bump the
-		// generation so their results become visible, and return their
-		// ids so the client can recover without duplicating them. (On a
+		// Earlier vectors of the batch may already be in — the generation
+		// bump above makes their results visible — so return their ids
+		// and let the client recover without duplicating them. (On a
 		// durability failure the applied ids are in memory but possibly
 		// not on disk; the 5xx tells the client not to trust them.)
-		if len(ids) > 0 {
-			c.gen.Add(1)
-			c.inserts.Add(uint64(len(ids)))
-			c.usage.AddInsert(len(ids), walBytes)
-		}
-		c.usage.AddError()
-		s.recordHealth(c, obs.HealthSample{Dur: -1, Err: true, WALBytes: walBytes})
-		w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
-		s.met.countRequest(c.name, "insert", failCode)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(failCode)
-		_ = json.NewEncoder(w).Encode(struct {
+		s.respond(w, c, o, failCode, struct {
 			errorResponse
 			IDs       []int  `json:"ids"`
 			RequestID uint64 `json:"request_id,omitempty"`
 		}{errorResponse{Error: failErr.Error()}, ids, reqID})
 		return
 	}
-	c.gen.Add(1) // invalidate every cached result of this collection
-	c.inserts.Add(uint64(len(ids)))
-	c.usage.AddInsert(len(ids), walBytes)
-	took := time.Since(start)
-	s.recordHealth(c, obs.HealthSample{Dur: took, WALBytes: walBytes})
+	o.dur = time.Since(start)
 	s.logger.Debug("insert",
 		"request_id", reqID, "collection", c.name,
-		"vectors", len(ids), "wal_bytes", walBytes, "took", took)
-	w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
-	s.respond(w, c.name, "insert", http.StatusOK, insertResponse{IDs: ids, Warning: warning, RequestID: reqID})
+		"vectors", len(ids), "wal_bytes", o.use.WALBytes, "took", o.dur)
+	s.respond(w, c, o, http.StatusOK, insertResponse{IDs: ids, Warning: warning, RequestID: reqID})
 }
 
 // applyInserts pushes a pre-validated vector batch (with optional
@@ -1010,29 +974,30 @@ func (s *Server) applyInserts(c *coll, vectors [][]float32, attrs []lccs.Attrs) 
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if !s.requirePost(w, r, "delete") {
+	o := outcome{endpoint: "delete"}
+	if !s.requirePost(w, r, o) {
 		return
 	}
-	c := s.resolve(w, r, "delete")
+	c := s.resolve(w, r, o)
 	if c == nil {
 		return
 	}
 	reqID := s.reqID.Add(1)
 	if c.writer == nil {
-		s.fail(w, c.name, "delete", http.StatusNotImplemented,
+		s.fail(w, c, o, http.StatusNotImplemented,
 			errors.New("backend cannot delete: deletes need a DynamicIndex (-dynamic)"))
 		return
 	}
 	// Deletes share the admission bound: each one takes the backend's
 	// write lock, so a flood of them must not bypass the concurrency
 	// controls that protect searches.
-	if ok := s.admit(w, r, "delete", c); !ok {
+	if !s.admit(w, r, c, o) {
 		return
 	}
 	defer s.release(c)
 	var req deleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, c.name, "delete", http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		s.fail(w, c, o, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	ids := req.IDs
@@ -1040,7 +1005,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		ids = append([]int{*req.ID}, ids...)
 	}
 	if len(ids) == 0 {
-		s.fail(w, c.name, "delete", http.StatusBadRequest, errors.New("no ids in request"))
+		s.fail(w, c, o, http.StatusBadRequest, errors.New("no ids in request"))
 		return
 	}
 	// On a durable backend the delete is acknowledged only after the
@@ -1051,32 +1016,24 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var resp deleteResponse
 	var err error
 	resp.Deleted, resp.Missing, err = c.writer.DeleteBatch(ids)
-	if err != nil {
-		if resp.Deleted > 0 {
-			c.gen.Add(1)
-			c.deletes.Add(uint64(resp.Deleted))
-			c.usage.AddDelete(resp.Deleted, walAppended(c)-walBefore)
-		}
-		s.fail(w, c.name, "delete", http.StatusServiceUnavailable, err)
-		return
-	}
+	o.use.Deletes, o.use.WALBytes = int64(resp.Deleted), walAppended(c)-walBefore
 	if resp.Deleted > 0 {
 		// A delete changes every query's answer set: bump the write
 		// generation so stale cached results can never be served.
 		c.gen.Add(1)
-		c.deletes.Add(uint64(resp.Deleted))
 	}
-	walBytes := walAppended(c) - walBefore
-	c.usage.AddDelete(resp.Deleted, walBytes)
-	took := time.Since(start)
-	s.recordHealth(c, obs.HealthSample{Dur: took, WALBytes: walBytes})
+	if err != nil {
+		s.fail(w, c, o, http.StatusServiceUnavailable, err)
+		return
+	}
+	o.dur = time.Since(start)
 	s.logger.Debug("delete",
 		"request_id", reqID, "collection", c.name,
 		"deleted", resp.Deleted, "missing", len(resp.Missing),
-		"wal_bytes", walBytes, "took", took)
+		"wal_bytes", o.use.WALBytes, "took", o.dur)
 	resp.RequestID = reqID
 	w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
-	s.respond(w, c.name, "delete", http.StatusOK, resp)
+	s.respond(w, c, o, http.StatusOK, resp)
 }
 
 // isRejectedInsert reports whether an insert error means the vector
@@ -1090,16 +1047,17 @@ func isRejectedInsert(err error) bool {
 // ---- collection registry endpoints ----
 
 func (s *Server) handleCollCreate(w http.ResponseWriter, r *http.Request) {
+	o := outcome{endpoint: "collections_create"}
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	var req createCollectionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, "", "collections_create", http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		s.fail(w, nil, o, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	reqID := s.reqID.Add(1)
 	ec, err := s.eng.Create(req.Name, req.Spec)
 	if err != nil {
-		s.fail(w, "", "collections_create", engineStatus(err), err)
+		s.fail(w, nil, o, engineStatus(err), err)
 		return
 	}
 	s.cmu.Lock()
@@ -1107,7 +1065,7 @@ func (s *Server) handleCollCreate(w http.ResponseWriter, r *http.Request) {
 	s.cmu.Unlock()
 	s.logger.Info("collection created", "request_id", reqID, "collection", req.Name)
 	w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
-	s.respond(w, "", "collections_create", http.StatusCreated, createCollectionResponse{
+	s.respond(w, nil, o, http.StatusCreated, createCollectionResponse{
 		collectionInfo: collectionInfo{Name: req.Name, Vectors: ec.Backend().Len(), Loaded: true},
 		RequestID:      reqID,
 	})
@@ -1126,14 +1084,15 @@ func (s *Server) handleCollList(w http.ResponseWriter, r *http.Request) {
 		out.Collections = append(out.Collections, info)
 	}
 	s.cmu.RUnlock()
-	s.respond(w, "", "collections_list", http.StatusOK, out)
+	s.respond(w, nil, outcome{endpoint: "collections_list"}, http.StatusOK, out)
 }
 
 func (s *Server) handleCollDrop(w http.ResponseWriter, r *http.Request) {
+	o := outcome{endpoint: "collections_drop"}
 	name := r.PathValue("name")
 	reqID := s.reqID.Add(1)
 	if err := s.eng.Drop(name); err != nil {
-		s.fail(w, "", "collections_drop", engineStatus(err), err)
+		s.fail(w, nil, o, engineStatus(err), err)
 		return
 	}
 	s.cmu.Lock()
@@ -1147,24 +1106,26 @@ func (s *Server) handleCollDrop(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logger.Info("collection dropped", "request_id", reqID, "collection", name)
 	w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
-	s.respond(w, "", "collections_drop", http.StatusOK, dropCollectionResponse{Dropped: name, RequestID: reqID})
+	s.respond(w, nil, o, http.StatusOK, dropCollectionResponse{Dropped: name, RequestID: reqID})
 }
 
 func (s *Server) handleCollStats(w http.ResponseWriter, r *http.Request) {
-	c := s.resolve(w, r, "stats")
+	o := outcome{endpoint: "stats"}
+	c := s.resolve(w, r, o)
 	if c == nil {
 		return
 	}
-	s.respond(w, c.name, "stats", http.StatusOK, s.collStats(c))
+	cs := c.snap()
+	s.respond(w, c, o, http.StatusOK, cs.stats(s.met.requestsSnapshot()))
 }
 
 // ---- stats ----
 
-// Stats is the /v1/stats payload. The top-level request/insert/delete
-// counters aggregate across collections; Backend and WAL describe the
-// default collection when one exists (the legacy single-index shape
-// monitoring already scrapes). Collections breaks everything out per
-// collection.
+// Stats is the /v1/stats payload, assembled from one scrape. The
+// top-level request/insert/delete counters sum the Collections entries
+// beside them; Backend and WAL are the default collection's entry when
+// one exists (the legacy single-index shape monitoring already scrapes);
+// Latency reads lccs_request_seconds by the health windows' rule.
 type Stats struct {
 	UptimeSeconds float64           `json:"uptime_seconds"`
 	Requests      map[string]uint64 `json:"requests"` // "endpoint:code" → count
@@ -1230,91 +1191,60 @@ type BackendStats struct {
 // loadedColls returns the resolved collections sorted by name.
 func (s *Server) loadedColls() []*coll {
 	s.cmu.RLock()
-	defer s.cmu.RUnlock()
 	out := make([]*coll, 0, len(s.colls))
 	for _, c := range s.colls {
 		out = append(out, c)
 	}
-	sortColls(out)
+	s.cmu.RUnlock()
+	slices.SortFunc(out, func(a, b *coll) int { return strings.Compare(a.name, b.name) })
 	return out
 }
 
-func sortColls(cs []*coll) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].name < cs[j-1].name; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
+// stats completes the collection's stats with its own series of a
+// requests snapshot.
+func (cs collSnap) stats(reqs []reqCount) CollectionStats {
+	cs.Requests = make(map[string]uint64)
+	for _, r := range reqs {
+		if r.collection == cs.name {
+			cs.Requests[r.endpoint+":"+strconv.Itoa(r.code)] = r.n
 		}
 	}
-}
-
-// collStats assembles one collection's stats.
-func (s *Server) collStats(c *coll) CollectionStats {
-	keys, counts := s.met.requestsSnapshot()
-	reqs := make(map[string]uint64)
-	for _, k := range keys {
-		if k.collection == c.name {
-			reqs[fmt.Sprintf("%s:%d", k.endpoint, k.code)] = counts[k]
-		}
-	}
-	st := CollectionStats{
-		Requests:      reqs,
-		Inserts:       c.inserts.Load(),
-		Deletes:       c.deletes.Load(),
-		InFlight:      c.occupancy.Load(),
-		QuotaRejected: c.quotaRejected.Load(),
-		Backend:       backendStats(c),
-	}
-	if c.walStats != nil {
-		ws := c.walStats.WALStats()
-		st.WAL = &ws
-	}
-	return st
+	return cs.CollectionStats
 }
 
 // StatsSnapshot assembles the current Stats (also used by /v1/stats).
 func (s *Server) StatsSnapshot() Stats {
-	keys, counts := s.met.requestsSnapshot()
-	reqs := make(map[string]uint64, len(keys))
-	for _, k := range keys {
+	sc := s.scrape()
+	st := Stats{
+		UptimeSeconds: sc.uptime,
+		Requests:      make(map[string]uint64, len(sc.requests)),
+		InFlight:      sc.adm.InFlight,
+		QueueDepth:    sc.adm.QueueDepth,
+		Rejected:      sc.adm.Rejected,
+		WaitTimeouts:  sc.adm.WaitTimeouts,
+		Inserts:       uint64(sc.total.Inserts),
+		Deletes:       uint64(sc.total.Deletes),
+		Cache:         sc.cache,
+		Latency: LatencyStats{
+			Count: sc.latency.Count(),
+			P50Ms: sc.latency.Quantile(0.50) * 1e3,
+			P99Ms: sc.latency.Quantile(0.99) * 1e3,
+		},
+		Collections: make(map[string]CollectionStats, len(sc.colls)),
+	}
+	for _, r := range sc.requests {
 		// Aggregate across collections under the legacy "endpoint:code"
 		// keys.
-		reqs[fmt.Sprintf("%s:%d", k.endpoint, k.code)] += counts[k]
+		st.Requests[r.endpoint+":"+strconv.Itoa(r.code)] += r.n
 	}
-	st := Stats{
-		UptimeSeconds: time.Since(s.met.start).Seconds(),
-		Requests:      reqs,
-		InFlight:      s.adm.inFlight(),
-		QueueDepth:    s.adm.queueDepth(),
-		Rejected:      s.adm.rejected.Load(),
-		WaitTimeouts:  s.adm.timeouts.Load(),
+	for i := range sc.colls {
+		st.Collections[sc.colls[i].name] = sc.colls[i].stats(sc.requests)
 	}
-	colls := s.loadedColls()
-	st.Collections = make(map[string]CollectionStats, len(colls))
-	for _, c := range colls {
-		cst := s.collStats(c)
-		st.Collections[c.name] = cst
-		st.Inserts += cst.Inserts
-		st.Deletes += cst.Deletes
-		if c.name == DefaultCollection {
-			st.Backend = cst.Backend
-			st.WAL = cst.WAL
-		}
+	if sc.def != nil {
+		st.Backend, st.WAL = sc.def.Backend, sc.def.WAL
 	}
-	_, sum, total := s.met.latency.snapshot()
-	st.Latency = LatencyStats{
-		Count: total,
-		P50Ms: s.met.latency.quantile(0.50) * 1000,
-		P99Ms: s.met.latency.quantile(0.99) * 1000,
-	}
-	if total > 0 {
-		st.Latency.MeanMs = sum / float64(total) * 1000
-	}
-	if s.cache != nil {
-		hits, misses, evictions := s.cache.stats()
-		st.Cache = CacheStats{Enabled: true, Entries: s.cache.len(), Hits: hits, Misses: misses, Evictions: evictions}
-		if hits+misses > 0 {
-			st.Cache.HitRate = float64(hits) / float64(hits+misses)
-		}
+	if st.Latency.Count > 0 {
+		st.Latency.MeanMs = sc.latency.Sum().Seconds() / float64(st.Latency.Count) * 1e3
 	}
 	return st
 }
@@ -1345,13 +1275,14 @@ func backendStats(c *coll) BackendStats {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.respond(w, "", "stats", http.StatusOK, s.StatsSnapshot())
+	s.respond(w, nil, outcome{endpoint: "stats"}, http.StatusOK, s.StatsSnapshot())
 }
 
 func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
+	o := outcome{endpoint: "debug_slow"}
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		s.fail(w, "", "debug_slow", http.StatusMethodNotAllowed, errors.New("use GET"))
+		s.fail(w, nil, o, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
 	slow, sample := s.slow.Snapshot()
@@ -1361,7 +1292,7 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 	if sample == nil {
 		sample = []obs.SlowEntry{}
 	}
-	s.respond(w, "", "debug_slow", http.StatusOK, slowLogResponse{
+	s.respond(w, nil, o, http.StatusOK, slowLogResponse{
 		ThresholdUS: float64(s.slow.Threshold()) / float64(time.Microsecond),
 		Slow:        slow,
 		Sample:      sample,
@@ -1369,192 +1300,25 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	code, status := http.StatusOK, "ok"
 	if s.draining.Load() {
-		s.respond(w, "", "healthz", http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
+		code, status = http.StatusServiceUnavailable, "draining"
 	}
-	s.respond(w, "", "healthz", http.StatusOK, map[string]string{"status": "ok"})
+	s.respond(w, nil, outcome{endpoint: "healthz"}, code, map[string]string{"status": status})
 }
 
+// handleMetrics renders the family table (metrics.go) over one scrape.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	colls := s.loadedColls()
-	var totInserts, totDeletes, totTombstones, totVectors float64
-	type collFig struct {
-		name                       string
-		bs                         BackendStats
-		inserts, deletes, quotaRej float64
-		occupancy                  float64
-	}
-	figs := make([]collFig, 0, len(colls))
-	for _, c := range colls {
-		bs := backendStats(c)
-		figs = append(figs, collFig{
-			name: c.name, bs: bs,
-			inserts:   float64(c.inserts.Load()),
-			deletes:   float64(c.deletes.Load()),
-			quotaRej:  float64(c.quotaRejected.Load()),
-			occupancy: float64(c.occupancy.Load()),
-		})
-		totInserts += float64(c.inserts.Load())
-		totDeletes += float64(c.deletes.Load())
-		totTombstones += float64(bs.Tombstones)
-		totVectors += float64(bs.Vectors)
-	}
-	counters := []gauge{
-		{name: "lccs_admission_rejected_total", help: "Requests rejected because the admission queue was full.", value: float64(s.adm.rejected.Load())},
-		{name: "lccs_admission_wait_timeouts_total", help: "Requests whose deadline expired while waiting for a slot.", value: float64(s.adm.timeouts.Load())},
-		{name: "lccs_inserts_total", help: "Vectors inserted across all collections.", value: totInserts},
-		{name: "lccs_deletes_total", help: "Vectors tombstoned across all collections.", value: totDeletes},
-	}
-	gauges := []gauge{
-		{name: "lccs_inflight_requests", help: "Requests currently holding an admission slot.", value: float64(s.adm.inFlight())},
-		{name: "lccs_admission_queue_depth", help: "Requests waiting for an admission slot.", value: float64(s.adm.queueDepth())},
-		{name: "lccs_index_vectors", help: "Vectors searchable across all collections.", value: totVectors},
-	}
-	anyWritable := false
-	for _, f := range figs {
-		if f.bs.Writable {
-			anyWritable = true
-		}
-	}
-	if anyWritable {
-		gauges = append(gauges,
-			gauge{name: "lccs_index_tombstones", help: "Deleted vectors awaiting compaction.", value: totTombstones})
-	}
-	// Per-collection series (same-family samples adjacent: writeProm
-	// emits HELP/TYPE once per family).
-	for _, f := range figs {
-		counters = append(counters, gauge{name: "lccs_collection_inserts_total",
-			help: "Vectors inserted, by collection.", value: f.inserts, labels: collLabel(f.name)})
-	}
-	for _, f := range figs {
-		counters = append(counters, gauge{name: "lccs_collection_deletes_total",
-			help: "Vectors tombstoned, by collection.", value: f.deletes, labels: collLabel(f.name)})
-	}
-	for _, f := range figs {
-		counters = append(counters, gauge{name: "lccs_collection_quota_rejected_total",
-			help: "Requests rejected by the per-collection concurrency share.", value: f.quotaRej, labels: collLabel(f.name)})
-	}
-	for _, f := range figs {
-		gauges = append(gauges, gauge{name: "lccs_collection_vectors",
-			help: "Vectors searchable, by collection.", value: float64(f.bs.Vectors), labels: collLabel(f.name)})
-	}
-	for _, f := range figs {
-		gauges = append(gauges, gauge{name: "lccs_collection_tombstones",
-			help: "Deleted vectors awaiting compaction, by collection.", value: float64(f.bs.Tombstones), labels: collLabel(f.name)})
-	}
-	for _, f := range figs {
-		gauges = append(gauges, gauge{name: "lccs_collection_inflight",
-			help: "Admitted in-flight requests, by collection.", value: f.occupancy, labels: collLabel(f.name)})
-	}
-	// Per-collection usage metering (cumulative resource accounting from
-	// engine.Usage; same adjacency rule as above).
-	type collUse struct {
-		name string
-		us   engine.UsageSnapshot
-	}
-	uses := make([]collUse, 0, len(colls))
-	for _, c := range colls {
-		uses = append(uses, collUse{c.name, c.usage.Snapshot()})
-	}
-	for _, u := range uses {
-		counters = append(counters, gauge{name: "lccs_collection_searches_total",
-			help: "Search requests served (backend or cache), by collection.", value: float64(u.us.Searches), labels: collLabel(u.name)})
-	}
-	for _, u := range uses {
-		counters = append(counters, gauge{name: "lccs_collection_scan_bytes_total",
-			help: "Vector bytes read by the distance kernels, by collection.", value: float64(u.us.BytesScanned), labels: collLabel(u.name)})
-	}
-	for _, u := range uses {
-		counters = append(counters, gauge{name: "lccs_collection_cost_units_total",
-			help: "Derived query cost units (comparisons + scan bytes / 4), by collection.", value: float64(u.us.CostUnits), labels: collLabel(u.name)})
-	}
-	for _, u := range uses {
-		counters = append(counters, gauge{name: "lccs_collection_filter_rejected_total",
-			help: "Candidates discarded by metadata predicates, by collection.", value: float64(u.us.FilterRejected), labels: collLabel(u.name)})
-	}
-	for _, u := range uses {
-		counters = append(counters, gauge{name: "lccs_collection_cache_hits_total",
-			help: "Result-cache hits, by collection.", value: float64(u.us.CacheHits), labels: collLabel(u.name)})
-	}
-	for _, u := range uses {
-		counters = append(counters, gauge{name: "lccs_collection_cache_misses_total",
-			help: "Result-cache misses, by collection.", value: float64(u.us.CacheMisses), labels: collLabel(u.name)})
-	}
-	for _, u := range uses {
-		counters = append(counters, gauge{name: "lccs_collection_wal_appended_bytes_total",
-			help: "Journal bytes appended by this collection's writes.", value: float64(u.us.WALBytes), labels: collLabel(u.name)})
-	}
-	for _, u := range uses {
-		counters = append(counters, gauge{name: "lccs_collection_errors_total",
-			help: "Failed requests, by collection.", value: float64(u.us.Errors), labels: collLabel(u.name)})
-	}
-	if s.cache != nil {
-		hits, misses, evictions := s.cache.stats()
-		counters = append(counters,
-			gauge{name: "lccs_cache_hits_total", help: "Result cache hits.", value: float64(hits)},
-			gauge{name: "lccs_cache_misses_total", help: "Result cache misses.", value: float64(misses)},
-			gauge{name: "lccs_cache_evictions_total", help: "Result cache LRU evictions.", value: float64(evictions)},
-		)
-		gauges = append(gauges,
-			gauge{name: "lccs_cache_entries", help: "Live result cache entries.", value: float64(s.cache.len())})
-	}
-	// WAL health, by collection (the legacy unlabeled series kept for
-	// the default collection).
-	for _, c := range colls {
-		if c.walStats == nil {
-			continue
-		}
-		ws := c.walStats.WALStats()
-		if c.name == DefaultCollection {
-			counters = append(counters,
-				gauge{name: "lccs_wal_fsyncs_total", help: "Write-ahead log fsync calls.", value: float64(ws.Fsyncs)})
-			gauges = append(gauges,
-				gauge{name: "lccs_wal_depth_records", help: "Records held only by the write-ahead log (replayed on crash recovery).", value: float64(ws.Depth)},
-				gauge{name: "lccs_wal_segments", help: "Live write-ahead log segment files.", value: float64(ws.Segments)},
-				gauge{name: "lccs_wal_bytes", help: "Total size of live write-ahead log segments.", value: float64(ws.Bytes)},
-				gauge{name: "lccs_wal_last_fsync_seconds", help: "Latency of the most recent WAL fsync.", value: ws.LastFsyncMicros / 1e6},
-				gauge{name: "lccs_wal_synced_lsn", help: "Highest log sequence number known fsynced.", value: float64(ws.SyncedLSN)},
-			)
-		}
-	}
-	for _, c := range colls {
-		if c.walStats == nil {
-			continue
-		}
-		ws := c.walStats.WALStats()
-		gauges = append(gauges, gauge{name: "lccs_collection_wal_depth_records",
-			help: "WAL records a crash would replay, by collection.", value: float64(ws.Depth), labels: collLabel(c.name)})
-	}
-	gets, misses := obs.PoolStats()
-	counters = append(counters,
-		gauge{name: "lccs_trace_pool_gets_total", help: "Traces drawn from the span pool.", value: float64(gets)},
-		gauge{name: "lccs_trace_pool_misses_total", help: "Trace pool gets that allocated a fresh trace.", value: float64(misses)},
-	)
-	hitRate := 0.0
-	if gets > 0 {
-		hitRate = float64(gets-misses) / float64(gets)
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	gauges = append(gauges,
-		gauge{name: "lccs_trace_pool_hit_rate", help: "Fraction of trace pool gets served without allocating.", value: hitRate},
-		gauge{name: "lccs_goroutines", help: "Live goroutines.", value: float64(runtime.NumGoroutine())},
-		gauge{name: "lccs_heap_alloc_bytes", help: "Bytes of allocated heap objects.", value: float64(ms.HeapAlloc)},
-		gauge{name: "lccs_gc_runs_total", help: "Completed garbage-collection cycles.", value: float64(ms.NumGC)},
-		gauge{name: "lccs_gc_pause_last_seconds", help: "Duration of the most recent GC stop-the-world pause.", value: float64(ms.PauseNs[(ms.NumGC+255)%256]) / 1e9},
-	)
+	s.record(nil, outcome{endpoint: "metrics", code: http.StatusOK})
+	sc := s.scrape()
+	sc.version = s.version
+	sc.poolGets, sc.poolMisses = obs.PoolStats()
+	runtime.ReadMemStats(&sc.mem)
+	var e obs.Expo
+	writeFamilies(&e, sc)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.countRequest("", "metrics", http.StatusOK)
-	s.met.writeProm(w, counters, gauges)
-	obs.WriteStageMetrics(w)
-	fmt.Fprintf(w, "# HELP lccs_build_info Build metadata; the value is always 1.\n")
-	fmt.Fprintf(w, "# TYPE lccs_build_info gauge\n")
-	fmt.Fprintf(w, "lccs_build_info{version=%q,go=%q} 1\n", s.version, runtime.Version())
+	_, _ = w.Write(e.Bytes()) // a scraper that hung up is not an error to report
 }
-
-// collLabel renders the collection label set of one series.
-func collLabel(name string) string { return fmt.Sprintf("{collection=%q}", name) }
 
 // ---- plumbing ----
 
@@ -1563,46 +1327,33 @@ func collLabel(name string) string { return fmt.Sprintf("{collection=%q}", name)
 // 503 (with a load-derived Retry-After) on share exhaustion, queue
 // overflow, or admission deadline, and reports whether the caller now
 // holds a slot (to be returned via release).
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, c *coll) bool {
-	if c != nil {
-		if occ := c.occupancy.Add(1); s.collShare > 0 && occ > s.collShare {
-			c.occupancy.Add(-1)
-			c.quotaRejected.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			s.recordHealth(c, obs.HealthSample{Rejected: true})
-			s.fail(w, c.name, endpoint, http.StatusServiceUnavailable,
-				fmt.Errorf("collection %q is over its concurrency share (%d in flight)", c.name, s.collShare))
-			return false
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	if err := s.adm.acquire(ctx); err != nil {
-		if c != nil {
-			c.occupancy.Add(-1)
-		}
-		s.recordHealth(c, obs.HealthSample{Rejected: true})
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		msg := err
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, c *coll, o outcome) bool {
+	var err error
+	if occ := c.occupancy.Add(1); s.collShare > 0 && occ > s.collShare {
+		c.quotaRejected.Add(1)
+		err = fmt.Errorf("collection %q is over its concurrency share (%d in flight)", c.name, s.collShare)
+	} else {
+		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+		err = s.adm.acquire(ctx)
+		cancel()
 		if errors.Is(err, context.DeadlineExceeded) {
-			msg = fmt.Errorf("server: admission wait exceeded %v", s.timeout)
+			err = fmt.Errorf("server: admission wait exceeded %v", s.timeout)
 		}
-		name := ""
-		if c != nil {
-			name = c.name
-		}
-		s.fail(w, name, endpoint, http.StatusServiceUnavailable, msg)
-		return false
 	}
-	return true
+	if err == nil {
+		return true
+	}
+	c.occupancy.Add(-1)
+	o.rejected = true
+	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+	s.fail(w, c, o, http.StatusServiceUnavailable, err)
+	return false
 }
 
 // release returns the slot taken by a successful admit.
 func (s *Server) release(c *coll) {
 	s.adm.release()
-	if c != nil {
-		c.occupancy.Add(-1)
-	}
+	c.occupancy.Add(-1)
 }
 
 // retryAfterSeconds estimates how long a shed client should back off:
@@ -1612,7 +1363,7 @@ func (s *Server) release(c *coll) {
 // most likely queue up to that deadline again anyway.
 func (s *Server) retryAfterSeconds() int {
 	return retryAfterSeconds(s.adm.queueDepth(), s.adm.capacity(),
-		s.met.latency.quantile(0.50), s.timeout.Seconds())
+		s.met.latency.Quantile(0.50), s.timeout.Seconds())
 }
 
 // retryAfterSeconds is the pure calculation behind the Retry-After
@@ -1640,10 +1391,10 @@ func retryAfterSeconds(queued int64, slots int, p50, timeoutSec float64) int {
 // requirePost enforces the method and caps the request body, so an
 // oversized post fails during decoding instead of buffering unbounded
 // data outside the admission controller's resource bounds.
-func (s *Server) requirePost(w http.ResponseWriter, r *http.Request, endpoint string) bool {
+func (s *Server) requirePost(w http.ResponseWriter, r *http.Request, o outcome) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.fail(w, "", endpoint, http.StatusMethodNotAllowed, errors.New("use POST"))
+		s.fail(w, nil, o, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return false
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
@@ -1670,39 +1421,17 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-func (s *Server) respond(w http.ResponseWriter, collection, endpoint string, code int, body any) {
-	s.met.countRequest(collection, endpoint, code)
+// respond is every handler's exit: it records the request's one outcome,
+// then writes body under the status code.
+func (s *Server) respond(w http.ResponseWriter, c *coll, o outcome, code int, body any) {
+	o.code = code
+	s.record(c, o)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-func (s *Server) fail(w http.ResponseWriter, collection, endpoint string, code int, err error) {
-	s.respond(w, collection, endpoint, code, errorResponse{Error: err.Error()})
-	// Fold the failure into the health rings and the collection's error
-	// counter. Dur < 0 counts the request without a latency observation,
-	// so an error storm cannot drag the latency percentiles toward zero.
-	var c *coll
-	if collection != "" {
-		s.cmu.RLock()
-		c = s.colls[collection]
-		s.cmu.RUnlock()
-	}
-	if c != nil {
-		c.usage.AddError()
-	}
-	s.recordHealth(c, obs.HealthSample{Dur: -1, Err: true})
-}
-
-func toJSON(res []lccs.Neighbor) []neighborJSON {
-	return toJSONInto(make([]neighborJSON, 0, len(res)), res)
-}
-
-// toJSONInto appends the wire form of res to dst; with pooled dst the
-// conversion allocates nothing at steady state.
-func toJSONInto(dst []neighborJSON, res []lccs.Neighbor) []neighborJSON {
-	for _, nb := range res {
-		dst = append(dst, neighborJSON{ID: nb.ID, Dist: nb.Dist})
-	}
-	return dst
+// fail is respond with an error body.
+func (s *Server) fail(w http.ResponseWriter, c *coll, o outcome, code int, err error) {
+	s.respond(w, c, o, code, errorResponse{Error: err.Error()})
 }

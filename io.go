@@ -547,7 +547,6 @@ func checkCoreMatches(single *core.Index, cfg Config) error {
 // restoring the multi-probe state when the configuration asks for it.
 func wrapSingle(single *core.Index, cfg Config, family lshfamily.Family) (*Index, error) {
 	ix := &Index{core: single, metric: family.Metric(), budget: cfg.Budget, dim: family.Dim(), cfg: cfg}
-	ix.raw.New = func() any { return new(rawBuf) }
 	if err := ix.enableProbes(); err != nil {
 		return nil, err
 	}

@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"lccs/internal/core"
@@ -333,14 +332,10 @@ type Config struct {
 	Rerank int
 }
 
-// Neighbor is one search result: the index of a data vector and its
-// distance to the query under the index's metric.
-type Neighbor struct {
-	// ID indexes into the data slice the index was built from.
-	ID int
-	// Dist is the exact (verified) distance to the query.
-	Dist float64
-}
+// Neighbor is one search result: the index of a data vector (ID) and
+// its exact, verified distance to the query under the index's metric
+// (Dist).
+type Neighbor = pqueue.Neighbor
 
 // Index is an LCCS-LSH index over a fixed dataset. It is safe for
 // concurrent queries. The vectors are packed once into a flat
@@ -359,14 +354,7 @@ type Index struct {
 	// attrs holds the optional per-vector metadata, slot-aligned with
 	// the vector store; nil when no vector carries attributes.
 	attrs *vec.MetaStore
-	// raw pools the core-typed result buffers of SearchQuery, so
-	// converting to the public Neighbor type allocates nothing at steady
-	// state.
-	raw sync.Pool
 }
-
-// rawBuf is the pooled core-result buffer of the facade conversion.
-type rawBuf struct{ buf []pqueue.Neighbor }
 
 const (
 	defaultM      = 64
@@ -464,7 +452,6 @@ func newIndexFromStore(store *vec.Store, cfg Config) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{metric: family.Metric(), budget: cfg.Budget, dim: store.Dim(), cfg: cfg}
-	ix.raw.New = func() any { return new(rawBuf) }
 	ix.core, err = core.BuildStore(store, family, core.Params{M: cfg.M, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
@@ -555,29 +542,12 @@ func (ix *Index) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor,
 	}
 	tr := qr.Trace
 	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
-	rb := ix.raw.Get().(*rawBuf)
-	var stats core.SearchStats
-	rb.buf, stats = ix.asShard().scan(q, qr.K, lambda, qr.Filter, !qr.Filter.Empty(), rb.buf, tr, root)
+	dst, stats := ix.asShard().scan(q, qr.K, lambda, qr.Filter, !qr.Filter.Empty(), dst, tr, root)
 	qr.Cost.addStats(stats)
-	if dst == nil {
-		// The plain Search path: one exactly-sized result allocation.
-		dst = make([]Neighbor, 0, len(rb.buf))
-	}
-	dst = appendNeighbors(dst[:0], rb.buf)
-	ix.raw.Put(rb)
 	if tr != nil {
 		obs.ObserveDur(obs.StageQuery, tr.FinishSpan(root))
 	}
 	return dst, nil
-}
-
-// appendNeighbors converts core results to the public Neighbor type,
-// appending into dst without allocating when dst has capacity.
-func appendNeighbors(dst []Neighbor, raw []pqueue.Neighbor) []Neighbor {
-	for _, r := range raw {
-		dst = append(dst, Neighbor{ID: r.ID, Dist: r.Dist})
-	}
-	return dst
 }
 
 // Distance returns the index's metric distance between two vectors.
