@@ -10,46 +10,35 @@ import (
 	"time"
 
 	"lccs/internal/obs"
-	"lccs/internal/pqueue"
 )
 
 // Cursor-paginated search. SearchCursor replaces one-shot top-k with
 // direct access into the ranked result stream: each call returns the
 // next `limit` results and an opaque continuation token. The token
-// records, per result source (one per shard, plus the delta buffer on a
+// records, per result source (one per segment, plus the tail on a
 // DynamicIndex), how many results earlier pages consumed, together with
 // a write-generation guard and a hash binding it to the query, filter,
 // and budget it was minted for. Resuming re-fetches each source's top
-// (consumed + limit) ranked stream, skips the consumed prefix, and
-// merges by (distance, id) — the same deterministic order the one-shot
-// tournament merge uses — so draining a cursor to exhaustion yields
-// exactly the one-shot top-n ordering. Any write (insert, delete,
-// compaction, background shard swap, rebuild) bumps the generation and
-// invalidates outstanding tokens; immutable facades never invalidate.
+// (consumed + limit) ranked stream and runs the segment set's merge
+// (segset.go) from the consumed positions, so draining a cursor to
+// exhaustion yields exactly the one-shot top-n ordering. Any write
+// (insert, delete, compaction, background shard swap, rebuild) bumps the
+// generation and invalidates outstanding tokens; immutable facades never
+// invalidate.
 //
-// Ranking inside each source is budget-bound like any LCCS query: with
-// an exhaustive budget (λ ≥ n) pagination is exact; under smaller
-// budgets the per-source streams are the usual approximate rankings.
-// Crucially the number of candidates each source verifies is pinned to
-// the token's λ rather than the usual λ+k−1: the fetch size k grows
+// Ranking inside each source is budget-bound like any LCCS query, each
+// segment under its share of λ by the set's budget rule — on every
+// facade: a DynamicIndex cursor once gave each shard the whole λ at any
+// λ; it now divides a budget below the live indexed rows like every
+// other path, and like them is exact at λ ≥ Len(). Crucially the number
+// of candidates each source verifies is pinned to its share of the
+// token's λ rather than the usual λ+k−1: the fetch size k grows
 // with every page, and letting it widen the verified set would let a
 // newly discovered candidate slide in ahead of the consumed prefix —
 // duplicating one result and silently dropping another. With the
 // candidate count fixed, a source's ranked stream is a deterministic
 // function of (query, filter, λ) alone and deeper fetches only extend
 // it.
-
-// cursorFetch pins a source's verification work to exactly lambda
-// candidates: the fetch size is capped at lambda (a λ-candidate stream
-// cannot rank more than λ results) and the budget passed down
-// compensates so nCand = λ' + k − 1 = λ on every page.
-func cursorFetch(requested, lambda int) (kFetch, lambdaEff int) {
-	kFetch = requested
-	if kFetch > lambda {
-		kFetch = lambda
-	}
-	return kFetch, lambda - kFetch + 1
-}
 
 // ErrCursorInvalid is returned for a malformed cursor token or one
 // minted for a different query, filter, budget, or backend shape.
@@ -136,7 +125,7 @@ func decodeCursor(s string) (cursorToken, error) {
 	t.hash = binary.LittleEndian.Uint64(rest)
 	rest = rest[8:]
 	nsrc, ok := next()
-	if !ok || nsrc == 0 || nsrc > cursorMaxSources {
+	if !ok || nsrc == 0 || nsrc > cursorMaxSources || nsrc > uint64(len(rest)) { // an offset is at least a byte
 		return t, ErrCursorInvalid
 	}
 	t.gen, t.lambda = gen, int(lambda)
@@ -185,60 +174,25 @@ func cursorResume(cursor string, q []float32, lambda int, f *Filter, gen uint64,
 	return t, nil
 }
 
-// mergeCursorPage pops up to limit results from the per-source sorted
-// lists, starting at pos t.offs[i] in list i, advancing offsets in
-// place. It merges by (Dist, ID) — identical to the tournament's
-// tie-break — and reports whether every source is fully drained.
-// requested[i] is how many results source i was asked for: a list
-// shorter than its request has no more to give; a list that merely ran
-// out of fetched entries cannot (and, because pos[i] never exceeds
-// offs[i]+limit ≤ requested[i], does not) truncate the page.
-func mergeCursorPage(lists [][]pqueue.Neighbor, requested []int, t *cursorToken, limit int, emit func(pqueue.Neighbor)) (exhausted bool) {
-	pos := t.offs
-	for i := range pos {
-		if pos[i] > len(lists[i]) {
-			pos[i] = len(lists[i])
-		}
+// searchCursor is the cursor page of every facade, under the backend's
+// write generation gen: validate and clamp the request, resume (or mint)
+// the token, fetch each source's ranked top (consumed + limit) — every
+// segment with tombstones and rows failing f dropped in-stream for free
+// and the verification work pinned to its share of λ live matching
+// candidates, the tail by its exact scan, which is always fully
+// enumerated — merge one page from the consumed positions, and re-encode.
+// A source is drained once it returned fewer results than it was asked
+// for and the page consumed them all.
+func (s *segSet) searchCursor(q []float32, limit, budget int, f *Filter, cursor string, gen uint64) ([]Neighbor, string, error) {
+	limit, lambda, err := Query{K: limit, Budget: budget, Filter: f}.resolve(q, s)
+	if err != nil {
+		return nil, "", err
 	}
-	for emitted := 0; emitted < limit; emitted++ {
-		bestSrc := -1
-		var best pqueue.Neighbor
-		for i, list := range lists {
-			if pos[i] >= len(list) {
-				continue
-			}
-			nb := list[pos[i]]
-			if bestSrc < 0 || nb.Dist < best.Dist || (nb.Dist == best.Dist && nb.ID < best.ID) {
-				bestSrc, best = i, nb
-			}
-		}
-		if bestSrc < 0 {
-			break
-		}
-		pos[bestSrc]++
-		emit(best)
-	}
-	exhausted = true
-	for i, list := range lists {
-		// Unconsumed fetched results remain, or the source returned its
-		// full request (it may hold more beyond what was fetched).
-		if pos[i] < len(list) || len(list) >= requested[i] {
-			exhausted = false
-			break
-		}
-	}
-	return exhausted
-}
-
-// cursorPage is the shared body of the three SearchCursor methods, run
-// once the query is validated: resume (or mint) the token against the
-// backend's write generation gen and source count nsrc, have fetch
-// produce each source's ranked top `want` under the scan's budget,
-// merge one page, and re-encode. ext maps a result's slot to its
-// external id.
-func cursorPage(q []float32, limit, lambda int, f *Filter, cursor string, gen uint64, nsrc int,
-	fetch func(src, want, lambda int) []pqueue.Neighbor, ext func(slot int) int) ([]Neighbor, string, error) {
 	start := time.Now()
+	nsrc := len(s.segs)
+	if s.kind == kindDynamic {
+		nsrc++
+	}
 	t, err := cursorResume(cursor, q, lambda, f, gen, nsrc)
 	if err != nil {
 		return nil, "", err
@@ -247,57 +201,53 @@ func cursorPage(q []float32, limit, lambda int, f *Filter, cursor string, gen ui
 		lambda = t.lambda
 		defer func() { obs.ObserveDur(obs.StageCursorResume, time.Since(start)) }()
 	}
-	lists := make([][]pqueue.Neighbor, nsrc)
-	requested := make([]int, nsrc)
-	for i := range lists {
-		requested[i] = t.offs[i] + limit
-		lists[i] = fetch(i, requested[i], lambda)
-	}
 	page := make([]Neighbor, 0, limit)
-	exhausted := mergeCursorPage(lists, requested, &t, limit, func(nb pqueue.Neighbor) {
-		page = append(page, Neighbor{ID: ext(nb.ID), Dist: nb.Dist})
-	})
+	if limit == 0 { // an empty DynamicIndex
+		return page, "", nil
+	}
+	ctx := getCtx(nsrc)
+	lamSeg := s.segBudget(lambda)
+	for i := range s.segs {
+		// Exactly lamSeg candidates on every page: a stream of that many
+		// cannot rank more, and the budget passed down makes up for the
+		// fetch size so that λ' + k − 1 = lamSeg.
+		k := min(t.offs[i]+limit, lamSeg)
+		ctx.lists[i], _ = s.scan(i, q, k, lamSeg-k+1, f, true, ctx.lists[i], nil, -1)
+	}
+	if tail := len(s.segs); tail < nsrc {
+		ctx.lists[tail], _ = s.scanTail(q, t.offs[tail]+limit, f, math.Inf(1), &ctx.best, ctx.lists[tail])
+	}
+	ctx.t.Reset(ctx.lists[:nsrc], t.offs)
+	page = ctx.t.AppendTopK(limit, page)
+	more := false
+	for i, list := range ctx.lists[:nsrc] {
+		requested := t.offs[i] + limit
+		t.offs[i] = ctx.t.Pos(i)
+		// Unconsumed results remain, or the source returned its full
+		// request (it may hold more beyond what was fetched).
+		more = more || t.offs[i] < len(list) || len(list) >= requested
+	}
+	setCtxs.Put(ctx)
 	next := ""
-	if !exhausted {
+	if more {
 		next = encodeCursor(t)
 	}
+	for i := range page {
+		page[i].ID = s.ids.Ext(page[i].ID)
+	}
 	return page, next, nil
-}
-
-// cursorScan fetches one shard source's ranked top `want` for a cursor
-// page: the shard's scan step with tombstones and rows failing f dropped
-// in-stream for free and the verification work pinned to lambda live
-// matching candidates.
-func (sh shardRef) cursorScan(q []float32, want, lambda int, f *Filter) []pqueue.Neighbor {
-	kFetch, lamEff := cursorFetch(want, lambda)
-	list, _ := sh.scan(q, kFetch, lamEff, f, true, nil, nil, -1)
-	return list
 }
 
 // SearchCursor pages through the ranked results of a (optionally
 // filtered) scan of a static Index. See CursorSearcher.
 func (ix *Index) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
-	lambda, err := Query{K: limit, Budget: lambda, Filter: f}.resolve(q, ix.dim, ix.budget)
-	if err != nil {
-		return nil, "", err
-	}
-	return cursorPage(q, limit, lambda, f, cursor, 0, 1,
-		func(_, want, lambda int) []pqueue.Neighbor { return ix.asShard().cursorScan(q, want, lambda, f) },
-		func(slot int) int { return slot })
+	return ix.searchCursor(q, limit, lambda, f, cursor, 0)
 }
 
 // SearchCursor pages through the ranked, merged results of a sharded
 // scan. See CursorSearcher.
 func (sx *ShardedIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
-	lambda, err := Query{K: limit, Budget: lambda, Filter: f}.resolve(q, sx.dim, sx.budget)
-	if err != nil {
-		return nil, "", err
-	}
-	s := len(sx.shards)
-	return cursorPage(q, limit, lambda, f, cursor, 0, s,
-		func(i, want, lambda int) []pqueue.Neighbor {
-			return sx.shard(i).cursorScan(q, want, (lambda+s-1)/s, f)
-		}, sx.ids.Ext)
+	return sx.searchCursor(q, limit, lambda, f, cursor, 0)
 }
 
 // SearchCursor pages through the ranked results of a dynamic scan:
@@ -306,34 +256,5 @@ func (sx *ShardedIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, 
 func (d *DynamicIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	lambda, err := Query{K: limit, Budget: lambda, Filter: f}.resolve(q, d.store.Dim(), d.defaultBudgetLocked())
-	if err != nil {
-		return nil, "", err
-	}
-	nsrc := len(d.shards) + 1 // + the delta buffer
-	return cursorPage(q, limit, lambda, f, cursor, d.writes, nsrc,
-		func(i, want, lambda int) []pqueue.Neighbor {
-			if i < len(d.shards) {
-				// Each shard source gets the full budget rather than a ⌈λ/S⌉
-				// split: dynamic shards are uneven (each background build
-				// freezes whatever the buffer held), so a split budget could
-				// under-verify the largest shard and break the λ ≥ n
-				// exactness guarantee.
-				return d.shardLocked(i).cursorScan(q, want, lambda, f)
-			}
-			// The delta buffer is one exact-scan source: collect its top
-			// `want` eligible rows. It is always fully enumerated, so the
-			// request never truncates it.
-			if d.store.Len() == d.indexed {
-				return nil
-			}
-			var best pqueue.KBest
-			best.Reset(want)
-			d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
-				if !d.deleted.Has(slot) && f.Matches(d.attrs.Row(slot)) {
-					best.Add(slot, dist)
-				}
-			})
-			return best.AppendSorted(nil)
-		}, d.ids.Ext)
+	return d.searchCursor(q, limit, lambda, f, cursor, d.writes)
 }

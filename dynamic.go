@@ -3,14 +3,13 @@ package lccs
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lccs/internal/core"
 	"lccs/internal/idmap"
-	"lccs/internal/obs"
-	"lccs/internal/pqueue"
 	"lccs/internal/vec"
 )
 
@@ -35,8 +34,9 @@ func nextCursorEpoch() uint64 { return cursorEpoch.Add(1 << 32) }
 // the background** — writers keep appending to a fresh buffer while the
 // shard builds, and the finished shard is swapped in under the write lock
 // in O(1). The main index is therefore a growing sequence of immutable
-// shards covering disjoint, contiguous id ranges; queries fan out across
-// the shards and the buffer.
+// shards covering disjoint, contiguous id ranges — a segment set
+// (segset.go) whose tail is the buffer, behind a lock — and queries fan
+// out across the shards and the buffer as that set's one query does.
 //
 // Deletes are a first-class part of the lifecycle. A Delete tombstones
 // the vector immediately: one bit in a slot bitset (n/8 bytes) that every
@@ -69,20 +69,15 @@ func nextCursorEpoch() uint64 { return cursorEpoch.Add(1 << 32) }
 type DynamicIndex struct {
 	mu   sync.RWMutex
 	cond *sync.Cond // signaled when a background build finishes; L = &mu
-	cfg  Config
+	// The set: store holds all live (plus not-yet-compacted) rows, segs
+	// the immutable shards over slots [0, indexed), ids the stable
+	// external ids ⇔ dense store slots (compaction shifts slots, never
+	// ids), dead the tombstones compaction has not reclaimed yet.
+	segSet
 	// cfgResolved is set once a build has resolved derived config fields
 	// (bucket width); later shards reuse the same resolved values so all
 	// shards are seed-equivalent.
 	cfgResolved bool
-	store       *vec.Store // all live (plus not-yet-compacted) rows, slot-ordered
-	shards      []dynShard // immutable shards over slots [0, indexed)
-	indexed     int        // prefix of the store covered by shards
-	// ids maps stable external ids ⇔ dense store slots; compaction
-	// shifts slots, never ids.
-	ids *idmap.Map
-	// deleted is the tombstone set, keyed by store slot (the space the
-	// query path works in). Compaction removes reclaimed slots.
-	deleted slotSet
 	// rebuildAt triggers a background shard build when the buffer
 	// reaches this size.
 	rebuildAt int
@@ -95,49 +90,30 @@ type DynamicIndex struct {
 	// surfaced (and cleared) by the next Add. A successful explicit
 	// Rebuild supersedes the failed delta and clears it unseen.
 	buildErr error
-	// attrs holds the optional per-vector metadata, slot-aligned with
-	// the store (rows beyond its length have none); nil until the first
-	// attributed insert.
-	attrs *vec.MetaStore
 	// writes is the write generation guarding open cursors: any change
 	// that could reorder or renumber the result stream — insert, delete,
 	// compaction, shard swap-in, rebuild — bumps it, and a cursor token
 	// minted under an older generation is rejected.
 	writes uint64
-	// ctxs pools the per-query scratch (shard fetch buffer, k-best row).
-	ctxs sync.Pool
-}
-
-// dynShard is one immutable index shard covering slots
-// [off, off+ix.Len()).
-type dynShard struct {
-	ix  *Index
-	off int
-	// dead counts tombstoned slots inside this shard's range: how far an
-	// unfiltered scan's budget is widened so that dropping them in-stream
-	// still leaves k live candidates.
-	dead int
-}
-
-// dynCtx is the pooled per-query scratch of a dynamic search.
-type dynCtx struct {
-	best pqueue.KBest
-	row  []pqueue.Neighbor // each shard's k nearest in turn, then the merged result
 }
 
 // DefaultRebuildThreshold is the buffer size that triggers a background
 // shard build.
 const DefaultRebuildThreshold = 4096
 
-// buildIndexOver resolves the configuration against a store and builds a
-// facade index — the shared path of the dynamic build sites (initial
-// build, background delta shard, compaction, snapshot tail).
-func buildIndexOver(store *vec.Store, cfg Config) (*Index, error) {
-	cfg, err := resolveConfig(store, cfg)
-	if err != nil {
-		return nil, err
+// newDynamic wraps a set — empty, or frozen from a ShardedIndex — as a
+// DynamicIndex. rebuildAt ≤ 0 selects DefaultRebuildThreshold.
+func newDynamic(set segSet, cfgResolved bool, rebuildAt int) *DynamicIndex {
+	if rebuildAt <= 0 {
+		rebuildAt = DefaultRebuildThreshold
 	}
-	return newIndexFromStore(store, cfg)
+	if set.cfg.Budget == 0 {
+		set.cfg.Budget = defaultBudget // what the first build would resolve it to
+	}
+	d := &DynamicIndex{segSet: set, cfgResolved: cfgResolved, rebuildAt: rebuildAt, writes: nextCursorEpoch()}
+	d.adopt(kindDynamic)
+	d.cond = sync.NewCond(&d.mu)
+	return d
 }
 
 // NewDynamicIndex builds a dynamic index over an initial dataset (which
@@ -145,35 +121,24 @@ func buildIndexOver(store *vec.Store, cfg Config) (*Index, error) {
 // selects DefaultRebuildThreshold. The initial rows are copied into the
 // index's flat store; data itself is not retained.
 func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex, error) {
-	if rebuildAt <= 0 {
-		rebuildAt = DefaultRebuildThreshold
-	}
 	store, err := storeFromRows(data)
 	if err != nil {
 		return nil, err
 	}
-	d := &DynamicIndex{
-		cfg:       cfg,
-		store:     store,
-		ids:       idmap.New(store.Len()),
-		rebuildAt: rebuildAt,
-		writes:    nextCursorEpoch(),
+	// No build runs yet on an empty start, so reject here a config the
+	// first build would otherwise fail on — turning a construction-time
+	// error into a runtime surprise.
+	metric, err := validateConfig(cfg)
+	if err != nil {
+		return nil, err
 	}
-	d.ctxs.New = func() any { return new(dynCtx) }
-	d.cond = sync.NewCond(&d.mu)
-	if store.Len() > 0 {
-		ix, err := buildIndexOver(store.Slice(0, store.Len()), cfg)
+	d := newDynamic(segSet{cfg: cfg, metric: metric, store: store}, false, rebuildAt)
+	if n := store.Len(); n > 0 {
+		c, cfg, err := buildCore(store.Slice(0, n), cfg)
 		if err != nil {
 			return nil, err
 		}
-		d.adoptConfigLocked(ix)
-		d.shards = []dynShard{{ix: ix, off: 0}}
-		d.indexed = store.Len()
-	} else if err := validateConfig(cfg); err != nil {
-		// No build runs yet on an empty start, so reject a config the
-		// first build (or query) would otherwise fail on — turning a
-		// construction-time error into a runtime surprise.
-		return nil, err
+		d.swapInLocked(c, cfg, 0, n)
 	}
 	return d, nil
 }
@@ -187,7 +152,7 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 // sharded index's flat store rather than copying it. rebuildAt ≤ 0
 // selects DefaultRebuildThreshold.
 func NewDynamicIndexFromSharded(sx *ShardedIndex, data [][]float32, rebuildAt int) (*DynamicIndex, error) {
-	if slots := sx.slots(); slots != len(data) {
+	if slots := sx.store.Len(); slots != len(data) {
 		return nil, fmt.Errorf("lccs: sharded index covers %d vectors, data has %d", slots, len(data))
 	}
 	return NewDynamicIndexFromShardedStore(sx, rebuildAt)
@@ -198,56 +163,29 @@ func NewDynamicIndexFromSharded(sx *ShardedIndex, data [][]float32, rebuildAt in
 // adopted directly, so a warm restart (LoadShardedStore over a
 // flat-loaded dataset) never materializes per-row slices. rebuildAt ≤ 0
 // selects DefaultRebuildThreshold.
+//
+// The set is frozen, not shared: the store is a capped view, so the first
+// Add grows a private copy of the block and the still-live ShardedIndex
+// (documented safe for concurrent queries) is never mutated; and the
+// lifecycle state a snapshot's container carries across a restart — the
+// id map and the tombstones — is cloned, so deleted ids stay dead and id
+// allocation resumes past the watermark. Container headers hold the
+// resolved config.
 func NewDynamicIndexFromShardedStore(sx *ShardedIndex, rebuildAt int) (*DynamicIndex, error) {
-	slots := sx.slots()
-	if rebuildAt <= 0 {
-		rebuildAt = DefaultRebuildThreshold
-	}
-	d := &DynamicIndex{
-		cfg:         sx.cfg, // container headers hold the resolved config
-		cfgResolved: true,
-		// Adopt a capped view of the sharded index's store: the first
-		// Add then grows a private copy of the block, so the still-live
-		// ShardedIndex (documented safe for concurrent queries) is
-		// never mutated, whichever constructor produced it.
-		store:     sx.store.Slice(0, slots),
-		shards:    make([]dynShard, len(sx.shards)),
-		indexed:   slots,
-		deleted:   sx.dead.Clone(),
-		rebuildAt: rebuildAt,
-		writes:    nextCursorEpoch(),
-	}
-	// Adopt the sharded index's lifecycle state — the id map and the
-	// tombstones a snapshot's lifecycle section carries across a restart
-	// — so deleted ids stay dead and id allocation resumes past the
-	// watermark.
-	if sx.ids != nil {
-		d.ids = sx.ids.Clone()
-	} else {
-		d.ids = idmap.New(slots)
-	}
-	if sx.attrs != nil {
-		d.attrs = sx.attrs.Slice(slots)
-	}
-	for i, ix := range sx.shards {
-		sh := dynShard{ix: ix, off: sx.offsets[i]}
-		if sx.shardDead != nil {
-			sh.dead = sx.shardDead[i]
-		}
-		d.shards[i] = sh
-	}
-	d.ctxs.New = func() any { return new(dynCtx) }
-	d.cond = sync.NewCond(&d.mu)
-	return d, nil
+	return newDynamic(sx.freeze(), true, rebuildAt), nil
 }
 
-// adoptConfigLocked stores the resolved configuration of the first built
-// index so every later shard hashes with seed-equivalent parameters.
-func (d *DynamicIndex) adoptConfigLocked(ix *Index) {
+// swapInLocked appends a segment built over slots [lo, hi) with the
+// resolved configuration cfg; the first one's configuration is kept, so
+// every later segment hashes with seed-equivalent parameters. Deletes that
+// landed in the range while the segment was building become its budget
+// allowance.
+func (d *DynamicIndex) swapInLocked(c *core.Index, cfg Config, lo, hi int) {
 	if !d.cfgResolved {
-		d.cfg = ix.cfg
-		d.cfgResolved = true
+		d.cfg, d.cfgResolved = cfg, true
 	}
+	d.segs = append(d.segs, segment{core: c, off: lo, dead: d.dead.CountRange(lo, hi)})
+	d.indexed = hi
 }
 
 // validateVector is the one write validator: a non-empty, finite vector
@@ -351,11 +289,7 @@ func (d *DynamicIndex) takeBuildErrLocked() error {
 func (d *DynamicIndex) Attrs(id int) Attrs {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	slot, ok := d.ids.Slot(id)
-	if !ok || d.deleted.Has(slot) {
-		return nil
-	}
-	return d.attrs.Row(slot)
+	return d.segSet.Attrs(id)
 }
 
 // maybeStartBuildLocked freezes the buffer into a background shard build
@@ -390,15 +324,15 @@ func (d *DynamicIndex) maybeStartBuildLocked() {
 // (bump d.gen), because the build's [lo, hi) range names pre-compaction
 // slots.
 func (d *DynamicIndex) compactBufferLocked() bool {
-	if d.deleted.CountRange(d.indexed, d.store.Len()) == 0 {
+	if d.dead.CountRange(d.indexed, d.store.Len()) == 0 {
 		return false
 	}
 	if d.attrs != nil {
-		d.attrs = d.attrs.CompactCopy(d.store.Len(), d.indexed, d.deleted.Has)
+		d.attrs = d.attrs.CompactCopy(d.store.Len(), d.indexed, d.dead.Has)
 	}
-	d.store = d.store.CompactCopy(d.indexed, d.deleted.Has)
-	d.ids.Compact(d.indexed, d.deleted.Has)
-	d.deleted.Truncate(d.indexed)
+	d.store = d.store.CompactCopy(d.indexed, d.dead.Has)
+	d.ids.Compact(d.indexed, d.dead.Has)
+	d.dead.Truncate(d.indexed)
 	d.writes++ // compaction renumbers buffer slots; open cursors die
 	return true
 }
@@ -407,7 +341,7 @@ func (d *DynamicIndex) compactBufferLocked() bool {
 // swaps it in. A generation mismatch (an explicit Rebuild ran meanwhile)
 // discards the result.
 func (d *DynamicIndex) buildShard(gen uint64, lo, hi int, delta *vec.Store, cfg Config) {
-	ix, err := buildIndexOver(delta, cfg)
+	c, cfg, err := buildCore(delta, cfg)
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -416,11 +350,7 @@ func (d *DynamicIndex) buildShard(gen uint64, lo, hi int, delta *vec.Store, cfg 
 		if err != nil {
 			d.buildErr = err
 		} else {
-			d.adoptConfigLocked(ix)
-			// Deletes that landed in [lo, hi) while the shard was
-			// building become its budget allowance.
-			d.shards = append(d.shards, dynShard{ix: ix, off: lo, dead: d.deleted.CountRange(lo, hi)})
-			d.indexed = hi
+			d.swapInLocked(c, cfg, lo, hi)
 			d.writes++ // source set changed; open cursors die
 		}
 	}
@@ -475,33 +405,17 @@ func (d *DynamicIndex) DeleteBatch(ids []int) (deleted int, missing []int, err e
 
 func (d *DynamicIndex) deleteLocked(id int) bool {
 	slot, ok := d.ids.Slot(id)
-	if !ok || d.deleted.Has(slot) {
+	if !ok || d.dead.Has(slot) {
 		return false
 	}
-	d.deleted.Set(slot)
-	if i := d.shardForSlotLocked(slot); i >= 0 {
-		d.shards[i].dead++
+	d.dead.Set(slot)
+	if slot < d.indexed {
+		// The last segment starting at or before the slot covers it.
+		i := sort.Search(len(d.segs), func(i int) bool { return d.segs[i].off > slot }) - 1
+		d.segs[i].dead++
 	}
 	d.writes++
 	return true
-}
-
-// shardForSlotLocked returns the index of the shard covering slot, or
-// -1 when the slot lives in the unindexed buffer.
-func (d *DynamicIndex) shardForSlotLocked(slot int) int {
-	if slot >= d.indexed || len(d.shards) == 0 {
-		return -1
-	}
-	lo, hi := 0, len(d.shards)-1
-	for lo < hi { // find the last shard with off ≤ slot
-		mid := (lo + hi + 1) / 2
-		if d.shards[mid].off <= slot {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
 }
 
 // Deleted returns the number of pending tombstones — deleted vectors
@@ -509,7 +423,7 @@ func (d *DynamicIndex) shardForSlotLocked(slot int) int {
 func (d *DynamicIndex) Deleted() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.deleted.Count()
+	return d.dead.Count()
 }
 
 // idWatermark returns the next id Add will assign — the never-reused
@@ -551,38 +465,30 @@ func (d *DynamicIndex) Rebuild() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.gen++ // discard any in-flight background build
-	// Compact into fresh state and commit only after the build succeeds,
-	// so a failed rebuild leaves the index exactly as it was.
-	store, ids, attrs := d.store, d.ids, d.attrs
-	if d.deleted.Count() > 0 {
+	// Compact by copy and commit only after the build succeeds, so a
+	// failed rebuild leaves the index exactly as it was.
+	store, attrs := d.store, d.attrs
+	if d.dead.Count() > 0 {
 		if attrs != nil {
-			attrs = attrs.CompactCopy(d.store.Len(), 0, d.deleted.Has)
+			attrs = attrs.CompactCopy(d.store.Len(), 0, d.dead.Has)
 		}
-		store = d.store.CompactCopy(0, d.deleted.Has)
-		ids = d.ids.Clone()
-		ids.Compact(0, d.deleted.Has)
+		store = d.store.CompactCopy(0, d.dead.Has)
 	}
 	n := store.Len()
-	if n == 0 {
-		// Everything was deleted (or nothing ever added): no index to
-		// build, nothing buffered.
-		d.store, d.ids, d.attrs = store, ids, attrs
-		d.deleted = slotSet{}
-		d.shards = nil
-		d.indexed = 0
-		d.buildErr = nil
-		d.writes++
-		return nil
+	var c *core.Index
+	cfg := d.cfg
+	if n > 0 { // else everything was deleted (or nothing ever added): no index to build
+		var err error
+		if c, cfg, err = buildCore(store.Slice(0, n), cfg); err != nil {
+			return err
+		}
 	}
-	ix, err := buildIndexOver(store.Slice(0, n), d.cfg)
-	if err != nil {
-		return err
+	d.ids.Compact(0, d.dead.Has)
+	d.store, d.attrs, d.dead = store, attrs, slotSet{}
+	d.segs, d.indexed = nil, 0
+	if c != nil {
+		d.swapInLocked(c, cfg, 0, n)
 	}
-	d.store, d.ids, d.attrs = store, ids, attrs
-	d.deleted = slotSet{}
-	d.adoptConfigLocked(ix)
-	d.shards = []dynShard{{ix: ix, off: 0}}
-	d.indexed = n
 	d.buildErr = nil
 	d.writes++
 	return nil
@@ -592,7 +498,7 @@ func (d *DynamicIndex) Rebuild() error {
 func (d *DynamicIndex) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.store.Len() - d.deleted.Count()
+	return d.segSet.Len()
 }
 
 // Buffered returns the number of vectors not yet covered by an index
@@ -609,14 +515,14 @@ func (d *DynamicIndex) Buffered() int {
 func (d *DynamicIndex) Dim() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.store.Dim()
+	return d.segSet.Dim()
 }
 
 // Shards returns the number of index shards currently serving queries.
 func (d *DynamicIndex) Shards() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.shards)
+	return len(d.segs)
 }
 
 // Search returns the k nearest live vectors: every shard's candidates
@@ -630,103 +536,18 @@ func (d *DynamicIndex) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbo
 	return d.SearchQuery(q, Query{K: k}, dst)
 }
 
-// defaultBudgetLocked returns the facade's default candidate budget: the
-// resolved configuration's, or the package default before the first
-// build resolves one.
-func (d *DynamicIndex) defaultBudgetLocked() int {
-	if d.cfg.Budget > 0 {
-		return d.cfg.Budget
-	}
-	return defaultBudget
-}
-
-// shardLocked returns the scan view of shard i.
-func (d *DynamicIndex) shardLocked(i int) shardRef {
-	sh := d.shards[i]
-	return shardRef{ix: sh.ix, n: i, off: sh.off, dead: sh.dead, attrs: d.attrs, tomb: d.deleted.words}
-}
-
 // SearchQuery answers qr, appending into dst (reset to dst[:0] first;
-// dst may be nil). As in ShardedIndex, the budget is divided across the
-// index shards (⌈λ/S⌉ each); the insert buffer is always scanned
-// exactly, filtered row by row; a tombstoned row is dropped by a bitset
-// probe — in the shards as it leaves the candidate stream, in the buffer
-// after the bulk kernel scored it — and counts as neither a candidate nor
-// filter-rejected. The k-best row rides in pooled scratch, so a
+// dst may be nil): the set's one query, under the read lock. The insert
+// buffer is always scanned exactly, filtered row by row; a tombstoned row
+// is dropped by a bitset probe — in the shards as it leaves the candidate
+// stream, in the buffer after the bulk kernel scored it — and counts as
+// neither a candidate nor filter-rejected. All scratch is pooled, so a
 // steady-state query's only allocations are those of the result row
 // growth.
 func (d *DynamicIndex) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	lambda, err := qr.resolve(q, d.store.Dim(), d.defaultBudgetLocked())
-	if err != nil {
-		return nil, err
-	}
-	if d.store.Len() == 0 {
-		return nil, nil
-	}
-	k, f, co, tr := qr.K, qr.Filter, qr.Cost, qr.Trace
-	filtered := !f.Empty()
-	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
-	ctx := d.ctxs.Get().(*dynCtx)
-	ctx.best.Reset(k)
-	if s := len(d.shards); s > 1 {
-		lambda = (lambda + s - 1) / s
-	}
-	for i := range d.shards {
-		var stats core.SearchStats
-		ctx.row, stats = d.shardLocked(i).scan(q, k, lambda, f, filtered, ctx.row, tr, root)
-		co.addStats(stats)
-		// Shard ranges are disjoint, so no dedup is needed.
-		for _, nb := range ctx.row {
-			ctx.best.Add(nb.ID, nb.Dist)
-		}
-	}
-	// The unindexed buffer: one bulk kernel pass over the flat block.
-	bufSpan := tr.StartSpan(obs.StageBufferScan, root)
-	bufRows := d.store.Len() - d.indexed
-	cands, rejected := 0, 0
-	d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
-		if d.deleted.Has(slot) {
-			return
-		}
-		if filtered && !f.Matches(d.attrs.Row(slot)) {
-			rejected++
-			return
-		}
-		cands++
-		ctx.best.Add(slot, dist)
-	})
-	// The bulk kernel reads every buffered row's full float32 payload
-	// exactly once, dead or rejected rows included (Comparisons,
-	// BytesScanned); only live rows that pass the predicate count as
-	// candidates, matching the core accounting.
-	bufBytes := int64(bufRows) * int64(d.store.Dim()) * 4
-	if tr != nil {
-		obs.ObserveDur(obs.StageBufferScan, tr.FinishSpanCost(bufSpan, int64(bufRows), int64(cands), bufBytes))
-	}
-	co.addStats(core.SearchStats{
-		Comparisons:    bufRows,
-		Candidates:     cands,
-		BytesScanned:   bufBytes,
-		FilterRejected: rejected,
-	})
-	mergeSpan := tr.StartSpan(obs.StageMerge, root)
-	ctx.row = ctx.best.AppendSorted(ctx.row[:0])
-	if dst == nil {
-		dst = make([]Neighbor, 0, len(ctx.row))
-	}
-	dst = dst[:0]
-	for _, nb := range ctx.row {
-		// Results leave in the stable external id space.
-		dst = append(dst, Neighbor{ID: d.ids.Ext(nb.ID), Dist: nb.Dist})
-	}
-	d.ctxs.Put(ctx)
-	if tr != nil {
-		obs.ObserveDur(obs.StageMerge, tr.FinishSpanN(mergeSpan, int64(len(dst)), 0))
-		obs.ObserveDur(obs.StageQuery, tr.FinishSpan(root))
-	}
-	return dst, nil
+	return d.searchQuery(q, qr, dst, false)
 }
 
 // SearchBatch answers many queries concurrently under one k and
@@ -734,13 +555,6 @@ func (d *DynamicIndex) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Nei
 // query order.
 func (d *DynamicIndex) SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error) {
 	return searchBatch(queries, k, budget, d.SearchQuery)
-}
-
-// Distance returns the configured metric's distance between two vectors.
-func (d *DynamicIndex) Distance(a, b []float32) float64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.metricLocked().Distance(a, b)
 }
 
 // Snapshot freezes the current contents into a point-in-time view: the
@@ -787,46 +601,23 @@ func (d *DynamicIndex) snapshotStore() (*vec.Store, *ShardedIndex, error) {
 	if n == 0 {
 		return nil, nil, errors.New("lccs: nothing to snapshot: empty dynamic index")
 	}
-	shards := make([]*Index, 0, len(d.shards)+1)
-	offsets := make([]int, 0, len(d.shards)+2)
-	for _, sh := range d.shards {
-		shards = append(shards, sh.ix)
-		offsets = append(offsets, sh.off)
-	}
+	var tail *core.Index
 	if d.indexed < n {
-		tail, err := buildIndexOver(d.store.Slice(d.indexed, n), d.cfg)
+		c, cfg, err := buildCore(d.store.Slice(d.indexed, n), d.cfg)
 		if err != nil {
 			return nil, nil, err
 		}
-		d.adoptConfigLocked(tail)
-		shards = append(shards, tail)
-		offsets = append(offsets, d.indexed)
+		if tail = c; !d.cfgResolved {
+			d.cfg, d.cfgResolved = cfg, true
+		}
 	}
-	offsets = append(offsets, n)
-	budget := d.cfg.Budget
-	if budget <= 0 {
-		budget = defaultBudget
+	sx := &ShardedIndex{segSet: d.freeze()}
+	if tail != nil { // compacted just now: no tombstones
+		sx.segs = append(sx.segs, segment{core: tail, off: d.indexed})
+		sx.indexed = n
 	}
-	frozen := d.store.Slice(0, n)
-	sx := &ShardedIndex{
-		cfg:     d.cfg,
-		store:   frozen,
-		shards:  shards,
-		offsets: offsets,
-		budget:  budget,
-		dim:     d.store.Dim(),
-	}
-	if !d.ids.Identity() {
-		sx.ids = d.ids.Clone()
-	}
-	if d.attrs != nil && !d.attrs.Empty() {
-		sx.attrs = d.attrs.Slice(n)
-	}
-	if d.deleted.Count() > 0 {
-		sx.setDead(d.deleted.Clone())
-	}
-	sx.initPool()
-	return frozen, sx, nil
+	sx.adopt(kindSharded)
+	return sx.store, sx, nil
 }
 
 // Vector returns the vector stored under id as a read-only view into
@@ -841,28 +632,4 @@ func (d *DynamicIndex) Vector(id int) []float32 {
 		return nil
 	}
 	return d.store.Row(slot)
-}
-
-// metricLocked returns the configured distance metric, usable before the
-// first index exists.
-func (d *DynamicIndex) metricLocked() vec.Metric {
-	if len(d.shards) > 0 {
-		return d.shards[0].ix.metric
-	}
-	// No index yet: resolve the metric from the config. familyFor needs
-	// a dimension; any positive one works for metric resolution.
-	dim := d.store.Dim()
-	if dim == 0 {
-		dim = 1
-	}
-	cfg := d.cfg
-	if cfg.Metric == Euclidean && cfg.BucketWidth == 0 {
-		cfg.BucketWidth = 1 // metric resolution only; not used for hashing
-	}
-	fam, err := familyFor(cfg, dim)
-	if err != nil {
-		// Unknown metric: surface loudly at query time.
-		panic(err)
-	}
-	return fam.Metric()
 }

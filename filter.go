@@ -74,9 +74,6 @@ var ErrInvalidFilter = errors.New("lccs: invalid filter")
 // slice whose length does not match the data.
 var ErrAttrsMismatch = errors.New("lccs: attrs length does not match vectors")
 
-// Attrs returns the metadata of the vector with the given id, or nil.
-func (ix *Index) Attrs(id int) Attrs { return ix.attrs.Row(id) }
-
 // NewIndexWithAttrs is NewIndex with per-vector metadata: attrs[i]
 // belongs to data[i]. attrs may be shorter than data (missing rows have
 // no metadata) but not longer.

@@ -2,8 +2,11 @@ package lccs
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -55,6 +58,68 @@ func FuzzLoadSharded(f *testing.F) {
 		}
 		if ix, err := Load(path, data); err == nil {
 			ix.Search(data[0], 3)
+		}
+	})
+}
+
+// FuzzCursorToken feeds arbitrary strings to the cursor-token door. The
+// decoder never panics, fails only with ErrCursorInvalid, and sizes what
+// it allocates by the bytes it was given; a token it accepts re-encodes to
+// a token that decodes back equal, as every token encodeCursor mints does;
+// and whatever decodes is safe to resume with — rebound to a real query and
+// handed to a sharded and a dynamic backend, it yields a page or a cursor
+// error, never a panic.
+func FuzzCursorToken(f *testing.F) {
+	data, attrs := filterTestData(150, 6)
+	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}
+	sx := must(NewShardedIndexWithAttrs(data, attrs, cfg, 3))
+	d := must(NewDynamicIndex(nil, cfg, 64)) // two shards, 22 buffered rows, tombstones in each
+	for i, v := range data {
+		must(d.AddWithAttrs(v, attrs[i]))
+		d.WaitRebuild()
+		if i%9 == 2 {
+			d.Delete(i - 1)
+		}
+	}
+	q := data[4]
+	_, minted, err := sx.SearchCursor(q, 7, math.MaxInt, nil, "")
+	if err != nil || minted == "" {
+		f.Fatalf("minting a seed token: %q, %v", minted, err)
+	}
+	// testdata/fuzz/FuzzCursorToken holds the hostile ones: the token an
+	// unclamped λ of 1<<40 once minted (refused by the decoder's bound),
+	// λ and every offset at MaxInt32, 65535 claimed sources with none
+	// carried. These are tokens the backends above mint and accept.
+	f.Add(minted)
+	f.Add(minted[:len(minted)/2])
+	f.Add(encodeCursor(cursorToken{gen: d.writes, lambda: 150, hash: cursorHash(q, nil), offs: []int{3, 0, 149}}))
+	f.Add("not-base64!!")
+	f.Add("")
+
+	f.Fuzz(func(t *testing.T, token string) {
+		tok, err := decodeCursor(token)
+		if err != nil {
+			if !errors.Is(err, ErrCursorInvalid) {
+				t.Fatalf("decodeCursor(%q): %v is not ErrCursorInvalid", token, err)
+			}
+			return
+		}
+		if len(tok.offs) == 0 || len(tok.offs) > len(token) || tok.lambda <= 0 || tok.lambda > math.MaxInt32 {
+			t.Fatalf("decodeCursor(%q) accepted %+v", token, tok)
+		}
+		if again, err := decodeCursor(encodeCursor(tok)); err != nil || !reflect.DeepEqual(again, tok) {
+			t.Fatalf("token %+v re-encodes to %+v, %v", tok, again, err)
+		}
+		tok.hash = cursorHash(q, nil)
+		for _, cs := range []CursorSearcher{sx, d} {
+			tok.gen = 0
+			if cs == CursorSearcher(d) {
+				tok.gen = d.writes
+			}
+			page, _, err := cs.SearchCursor(q, 5, 0, nil, encodeCursor(tok))
+			if err != nil && !errors.Is(err, ErrCursorInvalid) || len(page) > 5 {
+				t.Fatalf("resuming %+v: %d results, %v", tok, len(page), err)
+			}
 		}
 	})
 }

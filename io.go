@@ -24,10 +24,10 @@ import (
 //	quantization section            flagQuantized: quantizer, re-rank depth, SQ8 store × shards
 //	attribute section               always; 16 zero bytes when no row carries metadata
 //
-// The dataset itself is never stored. A single Index is the one-shard
-// case of the same body, so one encoder (encodeContainer) and one decoder
-// (decodeBody) serve both facades, the durable checkpoint and the
-// lccs-serve warm start. Files of the four earlier versions differ only
+// The dataset itself is never stored. The body is a segment set's, and a
+// single Index is its one-shard case, so one encoder (segSet.encode) and
+// one decoder (decodeBody) serve both facades, the durable checkpoint and
+// the lccs-serve warm start. Files of the four earlier versions differ only
 // in how the header names the optional sections; readHeader maps them
 // onto the same header value and they load through the same decoder:
 //
@@ -132,10 +132,7 @@ func saveFile(path string, encode func(io.Writer) error) error {
 func (ix *Index) Save(path string) error { return saveFile(path, ix.encode) }
 
 // encode writes ix as the one-shard case of the container body.
-func (ix *Index) encode(w io.Writer) error {
-	one := &ShardedIndex{cfg: ix.cfg, shards: []*Index{ix}, offsets: []int{0, ix.Len()}, attrs: ix.attrs}
-	return one.encodeContainer(w, containerSingle)
-}
+func (ix *Index) encode(w io.Writer) error { return ix.segSet.encode(w, containerSingle) }
 
 // Save writes the sharded index to path: the shared configuration, the
 // shard table, each shard's core index, and whatever the index carries
@@ -145,14 +142,13 @@ func (ix *Index) encode(w io.Writer) error {
 // given the same data slice in the same order.
 func (sx *ShardedIndex) Save(path string) error { return saveFile(path, sx.encode) }
 
-func (sx *ShardedIndex) encode(w io.Writer) error { return sx.encodeContainer(w, containerSharded) }
+func (sx *ShardedIndex) encode(w io.Writer) error { return sx.segSet.encode(w, containerSharded) }
 
-// encodeContainer writes the container layout described at pkgMagic.
-// Every section encodes deterministically, so a loaded file re-saves
-// byte for byte.
-func (sx *ShardedIndex) encodeContainer(w io.Writer, kind byte) error {
+// encode writes the container layout described at pkgMagic. Every section
+// encodes deterministically, so a loaded file re-saves byte for byte.
+func (sx *segSet) encode(w io.Writer, kind byte) error {
 	lifecycle := sx.ids != nil || sx.dead.Count() > 0
-	quantized := len(sx.shards) > 0 && sx.shards[0].core.SQ8() != nil
+	quantized := len(sx.segs) > 0 && sx.segs[0].core.SQ8() != nil
 	var flags byte
 	if lifecycle {
 		flags |= flagLifecycle
@@ -167,19 +163,19 @@ func (sx *ShardedIndex) encodeContainer(w io.Writer, kind byte) error {
 		return err
 	}
 	if kind == containerSharded {
-		if err := binary.Write(w, binary.LittleEndian, int32(len(sx.shards))); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, int32(len(sx.segs))); err != nil {
 			return err
 		}
-		sizes := make([]int64, len(sx.shards))
-		for s := range sx.shards {
-			sizes[s] = int64(sx.offsets[s+1] - sx.offsets[s])
+		sizes := make([]int64, len(sx.segs))
+		for s := range sx.segs {
+			sizes[s] = int64(sx.segs[s].core.N())
 		}
 		if err := binary.Write(w, binary.LittleEndian, sizes); err != nil {
 			return err
 		}
 	}
-	for _, shard := range sx.shards {
-		if err := shard.core.Encode(w); err != nil {
+	for _, seg := range sx.segs {
+		if err := seg.core.Encode(w); err != nil {
 			return err
 		}
 	}
@@ -192,8 +188,8 @@ func (sx *ShardedIndex) encodeContainer(w io.Writer, kind byte) error {
 		if err := encodeQuantHeader(w, sx.cfg); err != nil {
 			return err
 		}
-		for s, shard := range sx.shards {
-			qs := shard.core.SQ8()
+		for s, seg := range sx.segs {
+			qs := seg.core.SQ8()
 			if qs == nil {
 				return fmt.Errorf("lccs: shard %d has no quantized store while shard 0 does", s)
 			}
@@ -356,12 +352,12 @@ func Load(path string, data [][]float32) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	sx, err := loadContainer(path, store, true)
+	set, err := loadContainer(path, store, true)
 	if err != nil {
 		return nil, err
 	}
-	ix := sx.shards[0]
-	ix.attrs = sx.attrs
+	ix := &Index{segSet: *set, core: set.segs[0].core}
+	ix.adopt(kindIndex)
 	return ix, nil
 }
 
@@ -384,12 +380,16 @@ func LoadSharded(path string, data [][]float32) (*ShardedIndex, error) {
 // warm-restart path (dataset.Dataset.FlatData feeds it directly). The
 // caller must not write through store afterwards.
 func LoadShardedStore(path string, store *vec.Store) (*ShardedIndex, error) {
-	return loadContainer(path, store, false)
+	set, err := loadContainer(path, store, false)
+	if err != nil {
+		return nil, err
+	}
+	return &ShardedIndex{segSet: *set}, nil
 }
 
 // loadContainer opens path behind the container's one read buffer and
 // decodes it over store; single refuses a sharded body.
-func loadContainer(path string, store *vec.Store, single bool) (*ShardedIndex, error) {
+func loadContainer(path string, store *vec.Store, single bool) (*segSet, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -419,10 +419,11 @@ func checkStore(store *vec.Store) error {
 	return nil
 }
 
-// decodeBody decodes everything after the header, in the order
-// encodeContainer wrote it; h selects the optional sections. A single
-// body has no shard table and decodes as one shard over the whole store.
-func decodeBody(r io.Reader, store *vec.Store, h header) (*ShardedIndex, error) {
+// decodeBody decodes everything after the header, in the order encode
+// wrote it, into a set adopted as a ShardedIndex's; h selects the optional
+// sections. A single body has no shard table and decodes as one shard over
+// the whole store.
+func decodeBody(r io.Reader, store *vec.Store, h header) (*segSet, error) {
 	cfg, err := decodeConfig(r)
 	if err != nil {
 		return nil, err
@@ -441,35 +442,29 @@ func decodeBody(r io.Reader, store *vec.Store, h header) (*ShardedIndex, error) 
 	if err != nil {
 		return nil, err
 	}
-	sx := &ShardedIndex{
-		cfg:     cfg,
-		store:   store,
-		shards:  make([]*Index, len(offsets)-1),
-		offsets: offsets,
-		budget:  cfg.Budget,
-		dim:     store.Dim(),
-	}
+	sx := &segSet{cfg: cfg, metric: family.Metric(), store: store, segs: make([]segment, len(offsets)-1), indexed: n}
 	inShard := func(s int, err error) error {
 		if !h.sharded {
 			return err
 		}
 		return fmt.Errorf("lccs: shard %d: %w", s, err)
 	}
-	for s := range sx.shards {
+	for s := range sx.segs {
 		// Every shard decodes against a capped contiguous view of the one
 		// flat store, exactly as NewShardedIndex builds: growing the owner
 		// (e.g. through a DynamicIndex that adopts it) must never change
 		// what a loaded index covers.
-		single, err := core.DecodeStore(r, store.Slice(offsets[s], offsets[s+1]), family)
+		c, err := core.DecodeStore(r, store.Slice(offsets[s], offsets[s+1]), family)
 		if err == nil {
-			err = checkCoreMatches(single, cfg)
+			err = checkCoreMatches(c, cfg)
 		}
 		if err == nil {
-			sx.shards[s], err = wrapSingle(single, cfg, family)
+			err = enableProbes(c, cfg)
 		}
 		if err != nil {
 			return nil, inShard(s, err)
 		}
+		sx.segs[s] = segment{core: c, off: offsets[s]}
 	}
 	if h.lifecycle {
 		if err := sx.decodeLifecycle(r); err != nil {
@@ -482,16 +477,15 @@ func decodeBody(r io.Reader, store *vec.Store, h header) (*ShardedIndex, error) 
 			return nil, err
 		}
 		sx.cfg.Quantize, sx.cfg.Rerank = kind, rerank
-		if err := validateConfig(sx.cfg); err != nil {
+		if _, err := validateConfig(sx.cfg); err != nil {
 			return nil, err
 		}
-		for s, shard := range sx.shards {
-			qs, err := decodeSQ8(r, shard.Len(), store.Dim())
+		for s, seg := range sx.segs {
+			qs, err := decodeSQ8(r, seg.core.N(), store.Dim())
 			if err != nil {
 				return nil, inShard(s, err)
 			}
-			shard.core.EnableSQ8(qs, rerank)
-			shard.cfg.Quantize, shard.cfg.Rerank = kind, rerank
+			seg.core.EnableSQ8(qs, rerank)
 		}
 	}
 	if h.attrs {
@@ -499,7 +493,7 @@ func decodeBody(r io.Reader, store *vec.Store, h header) (*ShardedIndex, error) 
 			return nil, err
 		}
 	}
-	sx.initPool()
+	sx.adopt(kindSharded)
 	return sx, nil
 }
 
@@ -510,8 +504,8 @@ func decodeShardTable(r io.Reader, n int) ([]int, error) {
 	if err := binary.Read(r, binary.LittleEndian, &shardCount); err != nil {
 		return nil, err
 	}
-	if err := validateShardCount(int(shardCount), n); err != nil {
-		return nil, err
+	if shardCount <= 0 || int(shardCount) > n {
+		return nil, fmt.Errorf("lccs: corrupt shard count %d for %d vectors", shardCount, n)
 	}
 	sizes := make([]int64, shardCount)
 	if err := binary.Read(r, binary.LittleEndian, sizes); err != nil {
@@ -541,16 +535,6 @@ func checkCoreMatches(single *core.Index, cfg Config) error {
 		return fmt.Errorf("lccs: package header seed %d disagrees with core index seed %d", cfg.Seed, single.Seed())
 	}
 	return nil
-}
-
-// wrapSingle builds the facade Index around a decoded core index,
-// restoring the multi-probe state when the configuration asks for it.
-func wrapSingle(single *core.Index, cfg Config, family lshfamily.Family) (*Index, error) {
-	ix := &Index{core: single, metric: family.Metric(), budget: cfg.Budget, dim: family.Dim(), cfg: cfg}
-	if err := ix.enableProbes(); err != nil {
-		return nil, err
-	}
-	return ix, nil
 }
 
 // encodeAttrsSection writes the container's last section: the stored row
@@ -621,10 +605,10 @@ func decodeAttrsSection(r io.Reader, maxRows int) (*vec.MetaStore, error) {
 // next-id watermark, and — when compacted — the slot-ordered external
 // ids) followed by the sorted tombstoned external ids. The encoding is
 // deterministic (ids in slot order, tombstones sorted).
-func (sx *ShardedIndex) encodeLifecycle(w io.Writer) error {
+func (sx *segSet) encodeLifecycle(w io.Writer) error {
 	identity := sx.ids.Identity()
 	flag := byte(0)
-	next := sx.slots()
+	next := sx.store.Len()
 	if identity {
 		flag = 1
 	} else {
@@ -637,7 +621,7 @@ func (sx *ShardedIndex) encodeLifecycle(w io.Writer) error {
 		return err
 	}
 	if !identity {
-		ids := sx.ids.AppendIDs(make([]int, 0, sx.slots()))
+		ids := sx.ids.AppendIDs(make([]int, 0, sx.store.Len()))
 		if err := binary.Write(w, binary.LittleEndian, int64(len(ids))); err != nil {
 			return err
 		}
@@ -665,9 +649,8 @@ func toInt64s(ids []int) []int64 {
 
 // decodeLifecycle reads the lifecycle section and installs the lifecycle
 // state on sx: the restored id map (nil for identity) and the tombstone
-// set translated back to slots, with per-shard tombstone counts derived
-// from the shard table.
-func (sx *ShardedIndex) decodeLifecycle(r io.Reader) error {
+// set translated back to slots.
+func (sx *segSet) decodeLifecycle(r io.Reader) error {
 	var flag [1]byte
 	if _, err := io.ReadFull(r, flag[:]); err != nil {
 		return err
@@ -676,7 +659,7 @@ func (sx *ShardedIndex) decodeLifecycle(r io.Reader) error {
 	if err := binary.Read(r, binary.LittleEndian, &next); err != nil {
 		return err
 	}
-	slots := sx.slots()
+	slots := sx.store.Len()
 	switch flag[0] {
 	case 1:
 		if next != int64(slots) {
@@ -736,7 +719,7 @@ func (sx *ShardedIndex) decodeLifecycle(r io.Reader) error {
 		}
 		dead.Set(slot)
 	}
-	sx.setDead(dead)
+	sx.dead = dead
 	return nil
 }
 

@@ -34,11 +34,12 @@
 // enabled by setting Config.Probes > 1.
 //
 // Beyond the single static Index, the package provides ShardedIndex —
-// the dataset partitioned across S shards whose CSAs build in parallel
-// and whose per-shard top-k results merge through a tournament tree —
+// the dataset partitioned across S shards whose CSAs build in parallel —
 // and DynamicIndex, a delta-main structure whose buffered inserts are
 // rebuilt into new shards in the background without blocking writers.
-// All three implement the Searcher interface, so consumers (including
+// All three are facades over one segment set (segset.go), which owns the
+// query, the budget rule and the merge, and all three implement the
+// Searcher interface, so consumers (including
 // the internal/server network daemon behind cmd/lccs-serve) are
 // agnostic to which facade backs them. See README.md for the
 // architecture and shard-count guidance.
@@ -132,11 +133,11 @@ type Query struct {
 	K int
 	// Budget is the candidate budget λ: the query verifies the λ+K−1 data
 	// objects whose hash strings share the longest circular co-substring
-	// with the query's, so larger budgets trade time for recall. Sharded
-	// facades divide it across their shards (⌈λ/S⌉ each), so a given
-	// budget means comparable verification work on every backend. 0
-	// selects the facade's default (Config.Budget); negative is
-	// ErrInvalidBudget.
+	// with the query's, so larger budgets trade time for recall. How it is
+	// shared among shards, and why a budget of at least Len() is exactly
+	// brute force on every facade, is the segment set's budget rule
+	// (segset.go). 0 selects the facade's default (Config.Budget);
+	// negative is ErrInvalidBudget.
 	Budget int
 	// Filter restricts results to vectors whose attributes match; nil or
 	// empty matches everything.
@@ -214,32 +215,35 @@ var (
 )
 
 // resolve applies the shared query contract — positive K, a non-negative
-// budget, a non-empty finite query of matching dimensionality (when
-// dim > 0 is known), a well-formed filter — and returns the effective
-// candidate budget: qr.Budget, or def when that is 0.
-func (qr Query) resolve(q []float32, dim, def int) (lambda int, err error) {
+// budget, a non-empty finite query of the set's dimensionality (once a
+// first row has fixed it), a well-formed filter — and returns the
+// effective k and candidate budget (qr.Budget, or the configured default
+// when that is 0), each capped at the set's row count: a larger value asks
+// for nothing more, and every sum taken downstream stays in range.
+func (qr Query) resolve(q []float32, s *segSet) (k, lambda int, err error) {
 	if qr.K <= 0 {
-		return 0, ErrInvalidK
+		return 0, 0, ErrInvalidK
 	}
 	if lambda = qr.Budget; lambda == 0 {
-		lambda = def
+		lambda = s.cfg.Budget
 	}
 	if lambda <= 0 {
-		return 0, ErrInvalidBudget
+		return 0, 0, ErrInvalidBudget
 	}
 	if len(q) == 0 {
-		return 0, ErrEmptyQuery
+		return 0, 0, ErrEmptyQuery
 	}
-	if dim > 0 && len(q) != dim {
-		return 0, fmt.Errorf("%w: query has %d dimensions, index has %d", ErrDimensionMismatch, len(q), dim)
+	if dim := s.store.Dim(); dim > 0 && len(q) != dim {
+		return 0, 0, fmt.Errorf("%w: query has %d dimensions, index has %d", ErrDimensionMismatch, len(q), dim)
 	}
 	if !finite(q) {
-		return 0, ErrNonFinite
+		return 0, 0, ErrNonFinite
 	}
 	if err := qr.Filter.Validate(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrInvalidFilter, err)
+		return 0, 0, fmt.Errorf("%w: %v", ErrInvalidFilter, err)
 	}
-	return lambda, nil
+	rows := s.store.Len()
+	return min(qr.K, rows), min(lambda, rows), nil
 }
 
 // finite reports whether every coordinate of v is finite. v−v is 0 for a
@@ -342,18 +346,10 @@ type Neighbor = pqueue.Neighbor
 // structure-of-arrays store (one contiguous float32 block) that the
 // index retains; the input rows are not referenced afterwards.
 type Index struct {
-	// core is the one core searcher: single-probe, or carrying multi-probe
-	// state when Config.Probes > 1.
-	core   *core.Index
-	metric vec.Metric
-	budget int
-	dim    int
-	// cfg is the fully resolved configuration (auto-derived bucket width
-	// filled in), persisted by Save.
-	cfg Config
-	// attrs holds the optional per-vector metadata, slot-aligned with
-	// the vector store; nil when no vector carries attributes.
-	attrs *vec.MetaStore
+	segSet
+	// core is the set's one segment — the one core searcher: single-probe,
+	// or carrying multi-probe state when Config.Probes > 1.
+	core *core.Index
 }
 
 const (
@@ -379,7 +375,7 @@ func resolveConfig(store *vec.Store, cfg Config) (Config, error) {
 	if cfg.Budget == 0 {
 		cfg.Budget = defaultBudget
 	}
-	if err := validateConfig(cfg); err != nil {
+	if _, err := validateConfig(cfg); err != nil {
 		return cfg, err
 	}
 	if cfg.Metric == Euclidean && cfg.BucketWidth == 0 {
@@ -404,29 +400,32 @@ func storeFromRows(rows [][]float32) (*vec.Store, error) {
 	return store, nil
 }
 
-// validateConfig checks a Config without a dataset: value ranges and
-// metric resolvability. It is the single source of truth shared by
-// resolveConfig and the empty-start dynamic path, where no build runs
-// yet. A zero Euclidean bucket width is acceptable here — it is
-// auto-derived when the first build sees data.
-func validateConfig(cfg Config) error {
+// validateConfig checks a Config without a dataset — value ranges and
+// metric resolvability — and returns the metric it selects. It is the
+// single source of truth shared by resolveConfig and the empty-start
+// dynamic path, where no build runs yet. A zero Euclidean bucket width is
+// acceptable here — it is auto-derived when the first build sees data.
+func validateConfig(cfg Config) (vec.Metric, error) {
 	if cfg.M < 0 || cfg.Probes < 0 || cfg.Budget < 0 || cfg.BucketWidth < 0 || cfg.Rerank < 0 {
-		return errors.New("lccs: negative configuration value")
+		return nil, errors.New("lccs: negative configuration value")
 	}
 	switch cfg.Quantize {
 	case "":
 	case QuantizeSQ8:
 		if cfg.Metric != Euclidean && cfg.Metric != Angular {
-			return fmt.Errorf("lccs: quantize %q supports euclidean and angular metrics, got %q", cfg.Quantize, cfg.Metric)
+			return nil, fmt.Errorf("lccs: quantize %q supports euclidean and angular metrics, got %q", cfg.Quantize, cfg.Metric)
 		}
 	default:
-		return fmt.Errorf("lccs: unknown quantization %q (want %q)", cfg.Quantize, QuantizeSQ8)
+		return nil, fmt.Errorf("lccs: unknown quantization %q (want %q)", cfg.Quantize, QuantizeSQ8)
 	}
 	if cfg.Metric == Euclidean && cfg.BucketWidth == 0 {
 		cfg.BucketWidth = 1 // resolvability check only; derived at build time
 	}
-	_, err := familyFor(cfg, 1)
-	return err
+	family, err := familyFor(cfg, 1) // any dimension resolves the metric
+	if err != nil {
+		return nil, err
+	}
+	return family.Metric(), nil
 }
 
 // NewIndex builds an LCCS-LSH index over data. The rows are packed once
@@ -436,49 +435,54 @@ func NewIndex(data [][]float32, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err = resolveConfig(store, cfg)
+	c, cfg, err := buildCore(store, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newIndexFromStore(store, cfg)
+	return newIndex(c, cfg, store), nil
 }
 
-// newIndexFromStore builds the facade index over a flat store with an
-// already resolved configuration — the shared constructor behind
-// NewIndex, the sharded per-shard builds, and the dynamic delta builds.
-func newIndexFromStore(store *vec.Store, cfg Config) (*Index, error) {
+// newIndex wraps one core index over store as the one-segment set it is.
+func newIndex(c *core.Index, cfg Config, store *vec.Store) *Index {
+	return &Index{segSet: segSet{kind: kindIndex, cfg: cfg, metric: c.Metric(), store: store, segs: []segment{{core: c}}, indexed: store.Len()}, core: c}
+}
+
+// buildCore resolves the configuration against a store and builds one
+// segment's core index over it — the shared constructor behind NewIndex,
+// the sharded per-shard builds, and the dynamic delta builds. An already
+// resolved Config passes through unchanged.
+func buildCore(store *vec.Store, cfg Config) (*core.Index, Config, error) {
+	cfg, err := resolveConfig(store, cfg)
+	if err != nil {
+		return nil, cfg, err
+	}
 	family, err := familyFor(cfg, store.Dim())
 	if err != nil {
-		return nil, err
+		return nil, cfg, err
 	}
-	ix := &Index{metric: family.Metric(), budget: cfg.Budget, dim: store.Dim(), cfg: cfg}
-	ix.core, err = core.BuildStore(store, family, core.Params{M: cfg.M, Seed: cfg.Seed})
+	c, err := core.BuildStore(store, family, core.Params{M: cfg.M, Seed: cfg.Seed})
 	if err != nil {
-		return nil, err
+		return nil, cfg, err
 	}
-	if err := ix.enableProbes(); err != nil {
-		return nil, err
+	if err := enableProbes(c, cfg); err != nil {
+		return nil, cfg, err
 	}
 	if cfg.Quantize == QuantizeSQ8 {
-		// Quantize exactly the rows this index covers: for a sharded build
-		// the store is already the shard's view, so codebooks are
-		// per-shard.
-		ix.core.EnableSQ8(vec.QuantizeSQ8(store), cfg.Rerank)
+		// Quantize exactly the rows this segment covers: the store is
+		// already the segment's view, so codebooks are per-segment.
+		c.EnableSQ8(vec.QuantizeSQ8(store), cfg.Rerank)
 	}
-	return ix, nil
+	return c, cfg, nil
 }
 
-// enableProbes installs multi-probe state on the core index when the
+// enableProbes installs multi-probe state on a core index when the
 // configuration asks for it (Probes > 1) — after a build and after a
 // load alike.
-func (ix *Index) enableProbes() error {
-	if ix.cfg.Probes <= 1 {
+func enableProbes(c *core.Index, cfg Config) error {
+	if cfg.Probes <= 1 {
 		return nil
 	}
-	_, err := core.WrapMP(ix.core, core.MPParams{
-		Params: core.Params{M: ix.cfg.M, Seed: ix.cfg.Seed},
-		Probes: ix.cfg.Probes,
-	})
+	_, err := core.WrapMP(c, core.MPParams{Params: core.Params{M: cfg.M, Seed: cfg.Seed}, Probes: cfg.Probes})
 	return err
 }
 
@@ -536,31 +540,11 @@ func (ix *Index) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, err
 // dst may be nil). A vector with no metadata matches only the empty
 // filter.
 func (ix *Index) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
-	lambda, err := qr.resolve(q, ix.dim, ix.budget)
-	if err != nil {
-		return nil, err
-	}
-	tr := qr.Trace
-	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
-	dst, stats := ix.asShard().scan(q, qr.K, lambda, qr.Filter, !qr.Filter.Empty(), dst, tr, root)
-	qr.Cost.addStats(stats)
-	if tr != nil {
-		obs.ObserveDur(obs.StageQuery, tr.FinishSpan(root))
-	}
-	return dst, nil
+	return ix.searchQuery(q, qr, dst, false)
 }
-
-// Distance returns the index's metric distance between two vectors.
-func (ix *Index) Distance(a, b []float32) float64 { return ix.metric.Distance(a, b) }
 
 // M returns the hash-string length.
 func (ix *Index) M() int { return ix.core.M() }
-
-// Dim returns the dimensionality of the indexed vectors.
-func (ix *Index) Dim() int { return ix.dim }
-
-// Len returns the number of indexed vectors.
-func (ix *Index) Len() int { return ix.core.N() }
 
 // Bytes returns the approximate index memory footprint.
 func (ix *Index) Bytes() int64 { return ix.core.Bytes() }

@@ -21,9 +21,12 @@ type queryFacade struct {
 
 // queryFacades builds every facade shape over the same attributed rows:
 // the static Index plain, SQ8-quantized and multi-probe, a ShardedIndex,
-// and the three lifecycle shapes — a DynamicIndex with background-built
+// and the lifecycle shapes — a DynamicIndex with background-built
 // shards, a non-empty delta buffer and tombstones in both; the
-// tombstoned Snapshot of one; and a DurableIndex in the same state.
+// tombstoned Snapshot of one; a DurableIndex in the same state; and a
+// DynamicIndex with uneven shards (one large compacted shard, two
+// background-built 32-row ones, 13 buffered rows, tombstones in each),
+// where a budget split evenly would starve the large shard.
 // Rerank = n keeps the SQ8 row exact at an exhaustive budget.
 func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 	t.Helper()
@@ -64,6 +67,24 @@ func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 		}
 		return d
 	}
+	uneven := must(NewDynamicIndex(nil, cfg, 32))
+	for i, v := range data {
+		if id := must(uneven.AddWithAttrs(v, attrs[i])); id != i {
+			t.Fatalf("uneven fixture: row %d got id %d", i, id)
+		}
+		uneven.WaitRebuild()
+		if i == n-2*32-13-1 {
+			if err := uneven.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for id := range dead {
+		uneven.Delete(id)
+	}
+	if uneven.Shards() != 3 || uneven.Buffered() != 13 || uneven.Deleted() != len(dead) {
+		t.Fatalf("uneven fixture: %d shards, %d buffered, %d tombstones", uneven.Shards(), uneven.Buffered(), uneven.Deleted())
+	}
 	_, snap, err := newDyn().Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +107,7 @@ func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 		{"Snapshot", snap, live},
 		{"DynamicIndex", newDyn(), live},
 		{"DurableIndex", dur, live},
+		{"DynamicIndex/uneven", uneven, live},
 	}
 }
 
@@ -111,7 +133,7 @@ func spanTotals(t *testing.T, tr *Trace) (rows, cands, bytes int64) {
 func TestQueryConformance(t *testing.T) {
 	const n, dim, k = 200, 8, 10
 	data, attrs := filterTestData(n, dim)
-	exhaustive := 8 * n // covers every shard even after ⌈λ/S⌉ splitting
+	exhaustive := n // a budget covering every row is not split
 	type baseCase struct {
 		name  string
 		qr    Query
@@ -230,6 +252,47 @@ func TestQueryBudgetRule(t *testing.T) {
 		}
 		if _, _, err := cs.SearchCursor(q, 5, -1, nil, ""); !errors.Is(err, ErrInvalidBudget) {
 			t.Errorf("%s: SearchCursor budget -1: err=%v", fc.name, err)
+		}
+	}
+}
+
+// TestQueryHostileNumbers: a k, page limit or budget far above the row
+// count — up to math.MaxInt, where λ+k−1 used to overflow — asks for
+// nothing more than the row count does, on every entry point of every
+// facade: the answer is the K: n / Budget: n answer, never an empty
+// result, a panic or an out-of-range allocation, and a cursor minted
+// under such numbers is resumed by its own tokens.
+func TestQueryHostileNumbers(t *testing.T) {
+	const n, dim, k = 177, 8, 10
+	data, attrs := filterTestData(n, dim)
+	q := data[11]
+	red := testFilters()["eq-str"]
+	for _, fc := range queryFacades(t, data, attrs) {
+		cs := fc.s.(CursorSearcher)
+		atN := must(fc.s.SearchQuery(q, Query{K: k, Budget: n}, nil))
+		if brute := bruteFilter(data, attrs, fc.live, q, k, nil, fc.s.Distance); !neighborsEqual(atN, brute) {
+			t.Fatalf("%s: Budget n is not brute force: %v vs %v", fc.name, atN, brute)
+		}
+		all := must(fc.s.SearchQuery(q, Query{K: n, Budget: n}, nil))
+		allRed := must(fc.s.SearchQuery(q, Query{K: n, Filter: red}, nil))
+		if len(all) != fc.s.Len() || len(allRed) == 0 {
+			t.Fatalf("%s: K n returned %d of %d rows, %d red ones", fc.name, len(all), fc.s.Len(), len(allRed))
+		}
+		drained := drainCursor(t, cs, q, 7, n, red)
+		for _, huge := range []int{math.MaxInt, math.MaxInt - 5, 1 << 40, math.MaxInt32} {
+			check := func(what string, got, want []Neighbor) {
+				t.Helper()
+				if !neighborsEqual(got, want) {
+					t.Errorf("%s/%d %s: %d results %v, want %d %v", fc.name, huge, what, len(got), got, len(want), want)
+				}
+			}
+			check("Budget", must(fc.s.SearchQuery(q, Query{K: k, Budget: huge}, nil)), atN)
+			check("K+Budget", must(fc.s.SearchQuery(q, Query{K: huge, Budget: huge}, nil)), all)
+			check("K+Budget into dst", must(fc.s.SearchQuery(q, Query{K: huge, Budget: huge}, make([]Neighbor, 0, 4))), all)
+			check("K+Filter", must(fc.s.SearchQuery(q, Query{K: huge, Filter: red}, nil)), allRed)
+			check("batch", must(fc.s.SearchBatch([][]float32{q}, huge, huge))[0], all)
+			check("cursor budget", drainCursor(t, cs, q, 7, huge, red), drained)
+			check("cursor limit+budget", drainCursor(t, cs, q, huge, huge, red), drained)
 		}
 	}
 }

@@ -1,0 +1,332 @@
+package lccs
+
+import (
+	"math"
+	"runtime"
+	"sync"
+
+	"lccs/internal/core"
+	"lccs/internal/idmap"
+	"lccs/internal/obs"
+	"lccs/internal/pqueue"
+	"lccs/internal/vec"
+)
+
+// The segment set is the one state value behind every facade, and the one
+// place the query procedure of the paper (§4.1) is written down.
+//
+// A segment is an immutable CSA index over a contiguous run of rows of the
+// set's flat vector store. The segments tile the slots [0, indexed); the
+// rows [indexed, store.Len()) are the tail, which no CSA covers and every
+// query scans exactly. Index is the one-segment, empty-tail, identity-id
+// case; ShardedIndex the immutable S-segment case; DynamicIndex a lock and
+// write bookkeeping around a set whose tail is the insert buffer.
+//
+// The budget rule. A query's candidate budget λ is divided across the
+// segments, ⌈λ/S⌉ each, so a given budget means comparable verification
+// work on every facade — except that a λ covering every live indexed row
+// is not divided: segments are uneven once a DynamicIndex has built a few
+// in the background, and an exhaustive budget must reach the largest of
+// them whole for "λ ≥ n equals brute force" to hold. Before any of that
+// arithmetic, Query.resolve caps k, a cursor's page size and λ at the
+// set's row count: a value above it asks for nothing more.
+//
+// The merge. Every segment answers with its k nearest as a run sorted by
+// (Dist, slot); the tail's exact scan is one more such run; a tournament
+// tree merges the runs in that same order, and only then are slots
+// translated to external ids. A cursor page is the same merge started at
+// the positions its token carries. A one-segment, empty-tail set has
+// nothing to merge and scans straight into the caller's buffer.
+//
+// Snapshot. freeze shares what never changes (segment indexes, store and
+// attribute rows behind capped views) and clones what the source keeps
+// mutating (the id map, the tombstone bitset, the segment table), so a
+// snapshot answers its own point in time forever.
+type segSet struct {
+	kind facadeKind
+	// cfg is the fully resolved configuration (auto-derived bucket width
+	// and the default budget filled in) every segment is built with, so a
+	// set is seed-equivalent to one index over the same rows.
+	cfg    Config
+	metric vec.Metric
+	// store holds every row, slot-ordered; segments index capped views.
+	store   *vec.Store
+	segs    []segment
+	indexed int // slots [0, indexed) are covered by segs
+	// ids maps store slots to the stable external ids results are
+	// reported in; nil is the identity.
+	ids *idmap.Map
+	// dead is the tombstone set, keyed by slot: every scan drops these
+	// rows as they leave the candidate stream.
+	dead slotSet
+	// attrs holds per-slot metadata; nil before any row carries some.
+	attrs *vec.MetaStore
+}
+
+// segment is one immutable index over slots [off, off+core.N()).
+type segment struct {
+	core *core.Index
+	off  int
+	// dead counts the tombstones inside the segment: its budget allowance
+	// on unfiltered one-shot queries.
+	dead int
+}
+
+// facadeKind names the facade a set sits behind, for what is the facade's
+// rather than the set's: which stages a query reports (and with them
+// whether the tail is a cursor source), and whether the id map is
+// materialised.
+type facadeKind uint8
+
+const (
+	kindIndex   facadeKind = iota // shard_scan
+	kindSharded                   // shard_scan × S, merge
+	kindDynamic                   // shard_scan × S, buffer_scan, merge
+)
+
+// setCtx is the pooled scratch of one query: a sorted run and a stats
+// slot per segment and one more of each for the tail (written by each
+// scan, summed after a fan-out joins — no atomics), the tail's k-best
+// collector, the merge tree and the fan-out's join.
+type setCtx struct {
+	lists [][]pqueue.Neighbor
+	stats []core.SearchStats
+	best  pqueue.KBest
+	t     pqueue.Tournament
+	wg    sync.WaitGroup
+}
+
+var setCtxs = sync.Pool{New: func() any { return new(setCtx) }}
+
+// getCtx draws a scratch with room for n runs.
+func getCtx(n int) *setCtx {
+	ctx := setCtxs.Get().(*setCtx)
+	for len(ctx.lists) < n {
+		ctx.lists = append(ctx.lists, nil)
+		ctx.stats = append(ctx.stats, core.SearchStats{})
+	}
+	return ctx
+}
+
+// adopt makes the set the state of a facade of the given kind: the id map
+// is materialised for a DynamicIndex, which allocates from it, and nil
+// while it is the identity everywhere else; every segment's tombstone
+// count is taken from the bitset.
+func (s *segSet) adopt(kind facadeKind) {
+	s.kind = kind
+	if kind == kindDynamic && s.ids == nil {
+		s.ids = idmap.New(s.store.Len())
+	} else if kind != kindDynamic && s.ids.Identity() {
+		s.ids = nil
+	}
+	for i := range s.segs {
+		seg := &s.segs[i]
+		seg.dead = s.dead.CountRange(seg.off, seg.off+seg.core.N())
+	}
+}
+
+// freeze returns an independent copy of the set as it is now (see the
+// Snapshot paragraph above), for the caller to adopt.
+func (s *segSet) freeze() segSet {
+	n := s.store.Len()
+	f := *s
+	f.store = s.store.Slice(0, n)
+	f.segs = append([]segment(nil), s.segs...)
+	f.attrs = s.attrs.Slice(n)
+	f.dead = s.dead.Clone()
+	if s.ids != nil {
+		f.ids = s.ids.Clone()
+	}
+	return f
+}
+
+// The accessors every facade answers alike are the set's, promoted;
+// DynamicIndex shadows the ones that read what its writers replace.
+
+// Len returns the number of live (searchable) vectors: tombstoned rows
+// are not counted.
+func (s *segSet) Len() int { return s.store.Len() - s.dead.Count() }
+
+// Dim returns the dimensionality of the vectors (0 before a DynamicIndex
+// has seen its first).
+func (s *segSet) Dim() int { return s.store.Dim() }
+
+// Distance returns the configured metric's distance between two vectors.
+func (s *segSet) Distance(a, b []float32) float64 { return s.metric.Distance(a, b) }
+
+// Attrs returns the metadata of the live vector with the given external
+// id, or nil.
+func (s *segSet) Attrs(id int) Attrs {
+	slot, ok := id, id >= 0 && id < s.store.Len()
+	if s.ids != nil {
+		slot, ok = s.ids.Slot(id)
+	}
+	if !ok || s.dead.Has(slot) {
+		return nil
+	}
+	return s.attrs.Row(slot)
+}
+
+// segBudget is the budget rule: one segment's share of λ.
+func (s *segSet) segBudget(lambda int) int {
+	n := len(s.segs)
+	live := s.indexed
+	for i := range s.segs {
+		live -= s.segs[i].dead
+	}
+	if n <= 1 || lambda >= live {
+		return lambda
+	}
+	return (lambda + n - 1) / n
+}
+
+// scan is the one per-segment step of every query: it runs segment i's
+// core search for the k nearest under budget lambda, appending into dst
+// (reset first) with ids shifted to the slot space, and records a
+// shard_scan span with rows-compared, candidates-verified, and
+// bytes-scanned counters when traced. Tombstoned rows are dropped inside
+// the candidate stream on every path (core.Scan.Dead), so the results
+// are all live and a dead row is neither a candidate nor filter-rejected.
+// What differs is the budget. inStream — every filtered query, every
+// cursor page — drops dead rows (and rows failing f) for free. Otherwise
+// a dropped dead row uses one slot of a budget widened by the segment's
+// tombstone count, never past what the segment holds: the scan consumes
+// the stream prefix λ + min(k+dead, len) − 1 it always has, and returns
+// the k nearest live rows of it.
+func (s *segSet) scan(i int, q []float32, k, lambda int, f *Filter, inStream bool, dst []pqueue.Neighbor, tr *Trace, parent int) ([]pqueue.Neighbor, core.SearchStats) {
+	seg := &s.segs[i]
+	sc := core.Scan{Offset: seg.off, Dead: s.dead.words}
+	if !inStream {
+		// The allowance, and the one bit that tells the two paths apart:
+		// ROADMAP's λ-pinning follow-up deletes these lines together with
+		// the per-segment dead counters.
+		n := seg.core.N()
+		k = min(k, n)
+		lambda += min(seg.dead, n-k)
+		sc.ChargeDead = true
+	} else if !f.Empty() {
+		sc.Accept = func(local int) bool { return f.Matches(s.attrs.Row(local + seg.off)) }
+	}
+	sp := tr.StartShardSpan(obs.StageShardScan, parent, i)
+	dst, stats := seg.core.SearchScan(q, k, lambda, sc, dst)
+	if tr != nil {
+		obs.ObserveDur(obs.StageShardScan, tr.FinishSpanCost(sp, int64(stats.Comparisons), int64(stats.Candidates), stats.BytesScanned))
+	}
+	return dst, stats
+}
+
+// scanTail is the tail's step: the k nearest live rows matching f of an
+// exact scan — one bulk kernel pass over the flat block — appended to dst
+// (reset first) as one more sorted run. The kernel reads every tail row's
+// full float32 payload exactly once, dead or rejected rows included
+// (Comparisons, BytesScanned); only live rows that pass the predicate
+// count as candidates, matching the core accounting. A row farther than
+// bound — the k-th distance of a run the merge already holds — cannot
+// reach the answer and is counted but not collected.
+func (s *segSet) scanTail(q []float32, k int, f *Filter, bound float64, best *pqueue.KBest, dst []pqueue.Neighbor) ([]pqueue.Neighbor, core.SearchStats) {
+	lo, hi := s.indexed, s.store.Len()
+	if lo == hi {
+		return dst[:0], core.SearchStats{}
+	}
+	best.Reset(k)
+	filtered := !f.Empty()
+	stats := core.SearchStats{Comparisons: hi - lo, BytesScanned: int64(hi-lo) * int64(s.store.Dim()) * 4}
+	s.store.Scan(lo, hi, q, s.metric, func(slot int, dist float64) {
+		if s.dead.Has(slot) {
+			return
+		}
+		if filtered && !f.Matches(s.attrs.Row(slot)) {
+			stats.FilterRejected++
+			return
+		}
+		if stats.Candidates++; dist <= bound {
+			best.Add(slot, dist)
+		}
+	})
+	return best.AppendSorted(dst[:0]), stats
+}
+
+// searchQuery is the one-shot query of every facade: qr validated and
+// clamped, each segment's k nearest under its share of the budget, the
+// tail's exact scan, the merge, and external ids — appended into dst
+// (reset first; dst may be nil). fanOut lets the segments scan in
+// goroutines when more than one CPU is available; per-segment results and
+// stats land in pooled slots, so neither way needs atomics, the merge is
+// deterministic and the sequential unmetered path allocates nothing.
+func (s *segSet) searchQuery(q []float32, qr Query, dst []Neighbor, fanOut bool) ([]Neighbor, error) {
+	k, lambda, err := qr.resolve(q, s)
+	if err != nil {
+		return nil, err
+	}
+	if s.store.Len() == 0 {
+		return nil, nil
+	}
+	f, tr := qr.Filter, qr.Trace
+	inStream := !f.Empty()
+	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
+	lamSeg := s.segBudget(lambda)
+	runs := len(s.segs)
+	ctx := getCtx(runs + 1)
+	direct := runs == 1 && s.indexed == s.store.Len()
+	fanOut = fanOut && runtime.GOMAXPROCS(0) > 1
+	if direct {
+		dst, ctx.stats[0] = s.scan(0, q, k, lamSeg, f, inStream, dst, tr, root)
+	} else {
+		for i := range s.segs {
+			if !fanOut {
+				ctx.lists[i], ctx.stats[i] = s.scan(i, q, k, lamSeg, f, inStream, ctx.lists[i], tr, root)
+				continue
+			}
+			ctx.wg.Add(1)
+			go func(i int) {
+				defer ctx.wg.Done()
+				ctx.lists[i], ctx.stats[i] = s.scan(i, q, k, lamSeg, f, inStream, ctx.lists[i], tr, root)
+			}(i)
+		}
+		ctx.wg.Wait()
+	}
+	if s.kind == kindDynamic {
+		sp := tr.StartSpan(obs.StageBufferScan, root)
+		bound := math.Inf(1)
+		for _, run := range ctx.lists[:runs] {
+			if len(run) == k {
+				bound = min(bound, run[k-1].Dist)
+			}
+		}
+		st := &ctx.stats[runs]
+		ctx.lists[runs], *st = s.scanTail(q, k, f, bound, &ctx.best, ctx.lists[runs])
+		if tr != nil {
+			obs.ObserveDur(obs.StageBufferScan, tr.FinishSpanCost(sp, int64(st.Comparisons), int64(st.Candidates), st.BytesScanned))
+		}
+		runs++
+	}
+	mergeSpan := -1
+	if s.kind != kindIndex {
+		mergeSpan = tr.StartSpan(obs.StageMerge, root)
+	}
+	if !direct {
+		if dst == nil {
+			// The plain Search path: one exactly-sized result allocation.
+			dst = make([]Neighbor, 0, k)
+		}
+		ctx.t.Reset(ctx.lists[:runs], nil)
+		dst = ctx.t.AppendTopK(k, dst[:0])
+	}
+	if s.ids != nil {
+		// Results leave in the stable external id space.
+		for i := range dst {
+			dst[i].ID = s.ids.Ext(dst[i].ID)
+		}
+	}
+	for _, st := range ctx.stats[:runs] {
+		qr.Cost.addStats(st) // nil-safe
+	}
+	setCtxs.Put(ctx)
+	if tr != nil {
+		if mergeSpan >= 0 {
+			obs.ObserveDur(obs.StageMerge, tr.FinishSpanN(mergeSpan, int64(len(dst)), 0))
+		}
+		obs.ObserveDur(obs.StageQuery, tr.FinishSpan(root))
+	}
+	return dst, nil
+}

@@ -87,36 +87,43 @@ func TestSlotSet(t *testing.T) {
 // per-shard counters — the model set of deleted external ids.
 type tombState struct {
 	s       Searcher
-	shards  []shardRef
+	shards  []segment
+	metric  vec.Metric
 	attrs   *vec.MetaStore
 	store   *vec.Store // the slot space; [bufLo, store.Len()) is the buffer
 	bufLo   int
 	ext     func(slot int) int
 	deleted map[int]bool
-	// split and cursorSplit map a query's budget to one shard's.
-	split, cursorSplit func(lambda int) int
 }
 
 func dynState(d *DynamicIndex, deleted map[int]bool) *tombState {
-	st := &tombState{s: d, attrs: d.attrs, store: d.store, bufLo: d.indexed, ext: d.ids.Ext, deleted: deleted}
-	for i := range d.shards {
-		st.shards = append(st.shards, d.shardLocked(i))
-	}
-	s := len(st.shards)
-	st.split = func(l int) int { return (l + s - 1) / s }
-	st.cursorSplit = func(l int) int { return l }
-	return st
+	return setState(d, &d.segSet, deleted)
 }
 
 func shardedState(sx *ShardedIndex, deleted map[int]bool) *tombState {
-	st := &tombState{s: sx, attrs: sx.attrs, store: sx.store, bufLo: sx.slots(), ext: sx.ids.Ext, deleted: deleted}
-	for i := range sx.shards {
-		st.shards = append(st.shards, sx.shard(i))
+	return setState(sx, &sx.segSet, deleted)
+}
+
+func setState(s Searcher, set *segSet, deleted map[int]bool) *tombState {
+	return &tombState{s: s, shards: set.segs, metric: set.metric, attrs: set.attrs, store: set.store,
+		bufLo: set.indexed, ext: set.ids.Ext, deleted: deleted}
+}
+
+// split maps a query's budget to one shard's by the one budget rule, from
+// the model's deleted set rather than the index's counters: ⌈λ/S⌉, and a λ
+// covering every live indexed row is not split. It is the one-shot's and
+// the cursor's alike.
+func (st *tombState) split(lambda int) int {
+	live := 0
+	for slot := 0; slot < st.bufLo; slot++ {
+		if !st.dead(slot) {
+			live++
+		}
 	}
-	s := len(st.shards)
-	st.split = func(l int) int { return (l + s - 1) / s }
-	st.cursorSplit = st.split
-	return st
+	if s := len(st.shards); s > 1 && lambda < live {
+		return (lambda + s - 1) / s
+	}
+	return lambda
 }
 
 func (st *tombState) dead(slot int) bool { return st.deleted[st.ext(slot)] }
@@ -136,7 +143,7 @@ func (st *tombState) top(all []pqueue.Neighbor, k int) []Neighbor {
 
 // buffer appends the exact scan of the live buffered rows matching f.
 func (st *tombState) buffer(all []pqueue.Neighbor, q []float32, f *Filter) []pqueue.Neighbor {
-	st.store.Scan(st.bufLo, st.store.Len(), q, st.shards[0].ix.metric, func(slot int, dist float64) {
+	st.store.Scan(st.bufLo, st.store.Len(), q, st.metric, func(slot int, dist float64) {
 		if !st.dead(slot) && f.Matches(st.attrs.Row(slot)) {
 			all = append(all, pqueue.Neighbor{ID: slot, Dist: dist})
 		}
@@ -152,12 +159,12 @@ func (st *tombState) overfetch(q []float32, k, lambda int) []Neighbor {
 	var all []pqueue.Neighbor
 	for _, sh := range st.shards {
 		dead := 0
-		for local := 0; local < sh.ix.Len(); local++ {
+		for local := 0; local < sh.core.N(); local++ {
 			if st.dead(sh.off + local) {
 				dead++
 			}
 		}
-		res, _ := sh.ix.core.SearchScan(q, min(k+dead, sh.ix.Len()), st.split(lambda), core.Scan{Offset: sh.off}, nil)
+		res, _ := sh.core.SearchScan(q, min(k+dead, sh.core.N()), st.split(lambda), core.Scan{Offset: sh.off}, nil)
 		for _, nb := range res {
 			if !st.dead(nb.ID) {
 				all = append(all, nb)
@@ -177,7 +184,7 @@ func (st *tombState) inStream(q []float32, k, budget int, f *Filter, keep int) [
 	for _, sh := range st.shards {
 		off := sh.off
 		accept := func(local int) bool { return !st.dead(off+local) && f.Matches(st.attrs.Row(off+local)) }
-		res, _ := sh.ix.core.SearchScan(q, k, budget, core.Scan{Offset: off, Accept: accept}, nil)
+		res, _ := sh.core.SearchScan(q, k, budget, core.Scan{Offset: off, Accept: accept}, nil)
 		all = append(all, res...)
 	}
 	return st.top(st.buffer(all, q, f), keep)
@@ -212,7 +219,7 @@ func (st *tombState) check(t *testing.T, name string, queries [][]float32, n, pe
 		}
 		for _, f := range []*Filter{nil, red} {
 			for _, lambda := range []int{1, 7, 4 * n} {
-				want := st.inStream(q, st.cursorSplit(lambda), 1, f, 4*n)
+				want := st.inStream(q, st.split(lambda), 1, f, 4*n)
 				got := drainCursor(t, st.s.(CursorSearcher), q, 7, lambda, f)
 				if !neighborsEqual(got, want) {
 					t.Fatalf("%s/q%d/λ=%d cursor (filtered: %v): drained %v, in-stream oracle says %v", name, qi, lambda, f != nil, got, want)
