@@ -5,8 +5,13 @@
 // Usage:
 //
 //	lccs-query -data sift.ds -metric euclidean -m 128 -lambda 100 -k 10
-//	lccs-query -data glove.ds -metric angular -m 64 -probes 129 -truth glove.gt
+//	lccs-query -data glove.ds -metric angular -m 64 -lambda 1600 -truth glove.gt
 //	lccs-query -data sets.ds -metric jaccard -m 96
+//
+// Recall is bought with λ (more candidates verified per query) and m
+// (longer hash strings, a larger index). The paper's multi-probe variant
+// (§4.2) is reproduced by `lccs-bench -exp fig10`; on this implementation
+// raising λ reaches the same recall faster (docs/PERFORMANCE.md).
 package main
 
 import (
@@ -24,9 +29,8 @@ func main() {
 	var (
 		dataPath  = flag.String("data", "", "dataset file from lccs-datagen")
 		metric    = flag.String("metric", "euclidean", "euclidean | angular | hamming | jaccard")
-		m         = flag.Int("m", 64, "hash-string length")
-		probes    = flag.Int("probes", 1, "probing sequences per query (1 = single-probe)")
-		lambda    = flag.Int("lambda", 100, "candidate budget per query")
+		m         = flag.Int("m", 64, "hash-string length (larger m: higher recall per candidate, more memory)")
+		lambda    = flag.Int("lambda", 100, "candidate budget per query (larger λ: higher recall, more time)")
 		k         = flag.Int("k", 10, "neighbors per query")
 		truthPath = flag.String("truth", "", "optional ground-truth file for recall/ratio")
 		seed      = flag.Uint64("seed", 1, "random seed")
@@ -52,15 +56,14 @@ func main() {
 	ix, err := lccs.NewIndex(ds.Data, lccs.Config{
 		Metric: kind,
 		M:      *m,
-		Probes: *probes,
 		Budget: *lambda,
 		Seed:   *seed,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("index: n=%d d=%d m=%d probes=%d size=%.1fMB built in %.2fs\n",
-		ix.Len(), ds.Dim, ix.M(), *probes, float64(ix.Bytes())/(1<<20), time.Since(start).Seconds())
+	fmt.Printf("index: n=%d d=%d m=%d lambda=%d size=%.1fMB built in %.2fs\n",
+		ix.Len(), ds.Dim, ix.M(), *lambda, float64(ix.Bytes())/(1<<20), time.Since(start).Seconds())
 
 	var gt *dataset.GroundTruth
 	if *truthPath != "" {

@@ -77,22 +77,20 @@ func main() {
 		dataPath  = flag.String("data", "", "dataset file, or a directory for durable mode (required)")
 		indexPath = flag.String("index", "", "load a prebuilt index container instead of building (file mode)")
 		metric    = flag.String("metric", "euclidean", "euclidean | angular | hamming | jaccard")
-		m         = flag.Int("m", 64, "hash-string length")
-		probes    = flag.Int("probes", 1, "probing sequences per query (1 = single-probe)")
-		lambda    = flag.Int("lambda", 100, "default candidate budget per query")
+		m         = flag.Int("m", 64, "hash-string length (larger m: higher recall per candidate, more memory)")
+		lambda    = flag.Int("lambda", 100, "default candidate budget per query (larger λ: higher recall, more time)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		shards    = flag.Int("shards", 0, "shard count for the sharded backend (0 = GOMAXPROCS)")
 		dynamic   = flag.Bool("dynamic", false, "serve a DynamicIndex backend (enables /v1/insert)")
 		rebuildAt = flag.Int("rebuild-at", 0, "dynamic delta size that triggers a background shard build (0 = default)")
-		quantize  = flag.String("quantize", "", "scan-time vector compression: sq8 (euclidean/angular only; exact re-rank keeps distances exact)")
+		quantize  = flag.String("quantize", "", "scan-time vector compression: sq8 (euclidean/angular only; exact re-rank keeps distances exact; costs n·d bytes and pays off only at high dimensionality, see docs/PERFORMANCE.md)")
 		rerank    = flag.Int("rerank", 0, "quantized-scan survivors re-ranked with exact distances per query (0 = default)")
 
 		maxInFlight  = flag.Int("max-inflight", 0, "concurrent searches (0 = GOMAXPROCS)")
 		collInFlight = flag.Int("coll-max-inflight", 0, "per-collection concurrent requests before 503 (0 = no per-collection cap)")
 		maxQueue     = flag.Int("max-queue", 0, "requests waiting for a slot before 503 (0 = 4x max-inflight, negative = no waiting)")
 		timeout      = flag.Duration("timeout", 2*time.Second, "per-request admission deadline")
-		cacheSize    = flag.Int("cache", 4096, "result cache entries (0 disables)")
-		cacheQuant   = flag.Uint("cache-quant", 0, "low mantissa bits masked in cache keys (0 = exact)")
+		cacheSize    = flag.Int("cache", 4096, "result cache entries, keyed on the exact request (0 disables)")
 		maxBody      = flag.Int64("max-body", 0, "request body cap in bytes (0 = 32 MiB)")
 
 		syncPolicy  = flag.String("sync", "always", "durable mode WAL sync policy: always | interval | none (none: acks survive a process kill but NOT an OS crash)")
@@ -133,7 +131,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := lccs.Config{Metric: kind, M: *m, Probes: *probes, Budget: *lambda, Seed: *seed,
+	cfg := lccs.Config{Metric: kind, M: *m, Budget: *lambda, Seed: *seed,
 		Quantize: *quantize, Rerank: *rerank}
 
 	var (
@@ -155,7 +153,7 @@ func main() {
 		// collection. New collections inherit the daemon's flags unless
 		// their create request overrides them.
 		eng, err = engine.New(*dataPath, engine.Spec{
-			Metric: *metric, M: *m, Probes: *probes, Budget: *lambda, Seed: *seed,
+			Metric: *metric, M: *m, Budget: *lambda, Seed: *seed,
 			Quantize: *quantize, Rerank: *rerank, RebuildAt: *rebuildAt,
 			Sync: *syncPolicy, SyncIntervalMS: int(syncEvery.Milliseconds()),
 			SegmentBytes: *walSegMB << 20,
@@ -191,7 +189,6 @@ func main() {
 		MaxQueue:              *maxQueue,
 		Timeout:               *timeout,
 		CacheSize:             *cacheSize,
-		CacheQuantBits:        *cacheQuant,
 		MaxBodyBytes:          *maxBody,
 		TraceSample:           *traceSample,
 		SlowThreshold:         *slowThresh,

@@ -525,6 +525,14 @@ func (d *DynamicIndex) Shards() int {
 	return len(d.segs)
 }
 
+// Quantization reports the scan-time compression the shards verify with
+// and their re-rank depth; the buffer is always scanned exactly.
+func (d *DynamicIndex) Quantization() (kind string, rerank int) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.segSet.Quantization()
+}
+
 // Search returns the k nearest live vectors: every shard's candidates
 // (at the default budget) merged with an exact scan of the buffer.
 func (d *DynamicIndex) Search(q []float32, k int) ([]Neighbor, error) {

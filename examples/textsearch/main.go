@@ -1,9 +1,9 @@
 // Text-embedding search: the workload the paper's GloVe experiments model.
 // Synthetic 100-d word embeddings (unit-norm, topic-clustered) are indexed
 // under Angular distance with the cross-polytope family, and the example
-// contrasts single-probe LCCS-LSH with multi-probe MP-LCCS-LSH on the same
-// hash-string length — the paper's reason for MP: equal recall from a
-// smaller index.
+// walks the scheme's two knobs: the hash-string length m, which sets the
+// index size and the recall each candidate buys, and the per-query
+// candidate budget λ, which trades query time for recall on a built index.
 package main
 
 import (
@@ -49,46 +49,35 @@ func main() {
 		truth[i] = exactSet(words, q)
 	}
 
-	for _, cfg := range []struct {
-		label  string
-		probes int
-		m      int
-	}{
-		{"LCCS-LSH (single-probe), m=64", 1, 64},
-		{"MP-LCCS-LSH (65 probes),  m=16", 65, 16},
-	} {
-		ix, err := lccs.NewIndex(words, lccs.Config{
-			Metric: lccs.Angular,
-			M:      cfg.m,
-			Probes: cfg.probes,
-			Seed:   5,
-		})
+	for _, m := range []int{16, 64} {
+		ix, err := lccs.NewIndex(words, lccs.Config{Metric: lccs.Angular, M: m, Seed: 5})
 		if err != nil {
 			log.Fatal(err)
 		}
-		const lambda = 400
-		results := make([][]lccs.Neighbor, nq)
-		start := time.Now()
-		for i, q := range queries {
-			res, err := ix.SearchQuery(q, lccs.Query{K: k, Budget: lambda}, nil)
-			if err != nil {
-				log.Fatal(err)
-			}
-			results[i] = res
-		}
-		elapsed := time.Since(start)
-		var recall float64
-		for i, got := range results {
-			var hits float64
-			for _, g := range got {
-				if truth[i][g.ID] {
-					hits++
+		for _, lambda := range []int{100, 400, 1600} {
+			results := make([][]lccs.Neighbor, nq)
+			start := time.Now()
+			for i, q := range queries {
+				res, err := ix.SearchQuery(q, lccs.Query{K: k, Budget: lambda}, nil)
+				if err != nil {
+					log.Fatal(err)
 				}
+				results[i] = res
 			}
-			recall += hits / k
+			elapsed := time.Since(start)
+			var recall float64
+			for i, got := range results {
+				var hits float64
+				for _, g := range got {
+					if truth[i][g.ID] {
+						hits++
+					}
+				}
+				recall += hits / k
+			}
+			fmt.Printf("m=%-3d λ=%-5d index=%5.1fMB recall@%d=%5.1f%% query=%.2fms\n",
+				m, lambda, float64(ix.Bytes())/(1<<20), k, 100*recall/float64(nq), elapsed.Seconds()*1000/nq)
 		}
-		fmt.Printf("%-32s index=%5.1fMB recall@%d=%5.1f%% query=%.2fms\n",
-			cfg.label, float64(ix.Bytes())/(1<<20), k, 100*recall/float64(nq), elapsed.Seconds()*1000/nq)
 	}
 
 	// Show one concrete result list.

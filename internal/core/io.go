@@ -16,10 +16,10 @@ var indexMagic = [8]byte{'L', 'C', 'C', 'S', 'I', 'D', 'X', '1'}
 
 // Encode serializes the index: parameters plus the CSA. The dataset
 // itself is not stored — hash functions regenerate deterministically from
-// (family, M, Seed), and the caller supplies the same data slice at
-// Decode time. Loading skips the sort and the induced passes of the build;
-// it still pays the O(n·m) pass that validates the orders and rebuilds
-// the rank entries' LCP bits.
+// (family, M, Seed), and the caller supplies the same data at DecodeStore
+// time. Loading skips the sort and the induced passes of the build; it
+// still pays the O(n·m) pass that validates the orders and rebuilds the
+// rank entries' LCP bits.
 func (ix *Index) Encode(w io.Writer) error {
 	if _, err := w.Write(indexMagic[:]); err != nil {
 		return err
@@ -39,17 +39,6 @@ func (ix *Index) Encode(w io.Writer) error {
 		return err
 	}
 	return ix.csa.Encode(w)
-}
-
-// Decode reconstructs an index written by Encode from row-slice data: a
-// convenience wrapper that packs the rows into a flat store first. See
-// DecodeStore.
-func Decode(r io.Reader, data [][]float32, family lshfamily.Family) (*Index, error) {
-	store, err := vec.FromRows(data)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return DecodeStore(r, store, family)
 }
 
 // DecodeStore reconstructs an index written by Encode. store must hold

@@ -8,6 +8,7 @@ import (
 
 	"lccs/internal/lshfamily"
 	"lccs/internal/rng"
+	"lccs/internal/vec"
 )
 
 func TestCoreEncodeDecodeRoundTrip(t *testing.T) {
@@ -22,7 +23,7 @@ func TestCoreEncodeDecodeRoundTrip(t *testing.T) {
 	if err := ix.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Decode(bytes.NewReader(buf.Bytes()), data, fam)
+	loaded, err := decodeRows(bytes.NewReader(buf.Bytes()), data, fam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +42,18 @@ func TestCoreEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeConsumesExactly: Decode and DecodeStore read their own blob
-// and nothing after it, whatever the reader — two indexes back to back
-// plus a tail must come out as two indexes and that tail.
+// decodeRows is DecodeStore over row-slice data packed into a flat store.
+func decodeRows(r io.Reader, data [][]float32, family lshfamily.Family) (*Index, error) {
+	store, err := vec.FromRows(data)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeStore(r, store, family)
+}
+
+// TestDecodeConsumesExactly: DecodeStore reads its own blob and nothing
+// after it, whatever the reader — two indexes back to back plus a tail
+// must come out as two indexes and that tail.
 func TestDecodeConsumesExactly(t *testing.T) {
 	g := rng.New(83)
 	data := clusteredData(g, 120, 8, 4, 0.5)
@@ -65,7 +75,7 @@ func TestDecodeConsumesExactly(t *testing.T) {
 	}
 	for name, rd := range readers {
 		for _, m := range []int{16, 8} {
-			ix, err := Decode(rd, data, fam)
+			ix, err := decodeRows(rd, data, fam)
 			if err != nil {
 				t.Fatalf("%s: index m=%d: %v", name, m, err)
 			}
@@ -94,27 +104,27 @@ func TestCoreDecodeRejectsMismatches(t *testing.T) {
 	blob := buf.Bytes()
 
 	// Wrong family name.
-	if _, err := Decode(bytes.NewReader(blob), data, lshfamily.NewSimHash(8)); err == nil {
+	if _, err := decodeRows(bytes.NewReader(blob), data, lshfamily.NewSimHash(8)); err == nil {
 		t.Error("wrong family should fail")
 	}
 	// Wrong dimension.
-	if _, err := Decode(bytes.NewReader(blob), data, lshfamily.NewRandomProjection(9, 4)); err == nil {
+	if _, err := decodeRows(bytes.NewReader(blob), data, lshfamily.NewRandomProjection(9, 4)); err == nil {
 		t.Error("wrong dimension should fail")
 	}
 	// Wrong dataset length.
-	if _, err := Decode(bytes.NewReader(blob), data[:100], fam); err == nil {
+	if _, err := decodeRows(bytes.NewReader(blob), data[:100], fam); err == nil {
 		t.Error("wrong n should fail")
 	}
 	// Different bucket width changes hash values: the spot check fires.
-	if _, err := Decode(bytes.NewReader(blob), data, lshfamily.NewRandomProjection(8, 2)); err == nil {
+	if _, err := decodeRows(bytes.NewReader(blob), data, lshfamily.NewRandomProjection(8, 2)); err == nil {
 		t.Error("different bucket width should fail the hash spot check")
 	}
 	// Garbage.
-	if _, err := Decode(bytes.NewReader([]byte("nope")), data, fam); err == nil {
+	if _, err := decodeRows(bytes.NewReader([]byte("nope")), data, fam); err == nil {
 		t.Error("garbage should fail")
 	}
 	// Truncation.
-	if _, err := Decode(bytes.NewReader(blob[:len(blob)/2]), data, fam); err == nil {
+	if _, err := decodeRows(bytes.NewReader(blob[:len(blob)/2]), data, fam); err == nil {
 		t.Error("truncation should fail")
 	}
 }

@@ -62,15 +62,16 @@ func ValidateName(name string) error {
 
 // Spec is a collection's configuration, persisted as COLLECTION.json in
 // the collection directory so a restart reopens the collection exactly
-// as created. Zero fields inherit the engine's defaults.
+// as created. Zero fields inherit the engine's defaults. A key the spec no
+// longer has — "probes", the multi-probe count of specs written while the
+// facade offered one — is ignored on read, so such a collection reopens as
+// its single-probe index.
 type Spec struct {
 	// Metric names the distance metric: euclidean | angular | hamming |
 	// jaccard. Empty inherits the engine default.
 	Metric string `json:"metric,omitempty"`
 	// M is the hash-string length (0 = default).
 	M int `json:"m,omitempty"`
-	// Probes is the multi-probe count (0/1 = single-probe).
-	Probes int `json:"probes,omitempty"`
 	// Budget is the default per-query candidate budget λ.
 	Budget int `json:"budget,omitempty"`
 	// Seed fixes the hash functions.
@@ -100,9 +101,6 @@ func (s Spec) merged(def Spec) Spec {
 	}
 	if s.M == 0 {
 		s.M = def.M
-	}
-	if s.Probes == 0 {
-		s.Probes = def.Probes
 	}
 	if s.Budget == 0 {
 		s.Budget = def.Budget
@@ -147,7 +145,6 @@ func (s Spec) config() (lccs.Config, error) {
 	return lccs.Config{
 		Metric:      kind,
 		M:           s.M,
-		Probes:      s.Probes,
 		Budget:      s.Budget,
 		Seed:        s.Seed,
 		BucketWidth: s.BucketWidth,

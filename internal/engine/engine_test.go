@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"lccs"
+	"lccs/internal/rng"
 )
 
 func mustCreate(t *testing.T, e *Engine, name string, spec Spec) *Collection {
@@ -112,6 +115,77 @@ func TestRootedLifecycle(t *testing.T) {
 	}
 	if err := e2.Drop("tenant-b"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double drop: %v", err)
+	}
+}
+
+// TestSpecProbesKeyReopens is the shim for collections created while the
+// spec carried a multi-probe count: a COLLECTION.json holding "probes": 33
+// reopens, as the single-probe index over the same state, with the
+// answers the same state gives without the key.
+func TestSpecProbesKeyReopens(t *testing.T) {
+	root := t.TempDir()
+	defaults := Spec{Metric: "euclidean", M: 8, Seed: 1, BucketWidth: 4}
+	e, err := New(root, defaults, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustCreate(t, e, "mp", Spec{})
+	g := rng.New(5)
+	rows := make([][]float32, 200)
+	for i := range rows {
+		rows[i] = g.GaussianVector(4)
+	}
+	if _, err := c.Durable().AddBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Durable().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// reopen opens the collection in a fresh engine and returns its answers
+	// to fixed queries, served by the checkpoint's CSA.
+	reopen := func() [][]lccs.Neighbor {
+		e, err := New(root, defaults, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		c, err := e.Get("mp")
+		if err != nil {
+			t.Fatalf("reopening: %v", err)
+		}
+		var out [][]lccs.Neighbor
+		for i := 0; i < 10; i++ {
+			res, err := c.Backend().Search(rows[i*17], 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	want := reopen()
+
+	path := filepath.Join(root, "collections", "mp", specFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec map[string]any
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	spec["probes"] = 33
+	if raw, err = json.Marshal(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := reopen(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("answers with \"probes\": 33 in the spec:\n%v\nwant\n%v", got, want)
 	}
 }
 

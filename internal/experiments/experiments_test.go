@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -273,6 +276,52 @@ func TestFig10QuickEndToEnd(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "probes=1 ") && !strings.Contains(out, "probes=1 ") && !strings.Contains(out, "probes=1") {
 		t.Errorf("missing probes rows:\n%s", out)
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/recall.golden from the running code (for an intentional change of the paper's curves only)")
+
+// TestPaperRecallGolden pins the recall of every configuration Figures 9
+// and 10 sweep at quick size — fig9: m × λ of single-probe LCCS-LSH; fig10:
+// #probes × λ of MP-LCCS-LSH (§4.2) — on seeded data, under both metrics.
+// Recall is exact per seed, unlike the timed Pareto frontier the figures
+// print, so a CSA, hashing or probing change that moves the paper's curves
+// fails here. 50 queries make a moved neighbour visible.
+func TestPaperRecallGolden(t *testing.T) {
+	opt := quickOpt(&bytes.Buffer{})
+	opt.NQ = 50
+	var lines []string
+	record := func(fig string) func(ds string, results []eval.Result) {
+		return func(ds string, results []eval.Result) {
+			for _, r := range results {
+				lines = append(lines, fmt.Sprintf("%s %s %s recall=%.4f", fig, ds, r.Config, r.Recall))
+			}
+		}
+	}
+	if err := fig9(opt, record("fig9")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fig10(opt, 16, record("fig10")); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	const path = "testdata/recall.golden"
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("the paper's recall curves moved.\n--- %s\n%s--- got\n%s", path, want, got)
 	}
 }
 

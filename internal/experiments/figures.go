@@ -5,7 +5,6 @@ import (
 
 	"lccs/internal/core"
 	"lccs/internal/eval"
-	"lccs/internal/pqueue"
 	"lccs/internal/vec"
 )
 
@@ -152,6 +151,12 @@ func Fig8(opt Options) error {
 func Fig9(opt Options) error {
 	opt.fill()
 	fmt.Fprintf(opt.Out, "# Figure 9: impact of m for LCCS-LSH, sift, k=%d\n", opt.K)
+	return fig9(opt, func(ds string, results []eval.Result) { printFrontier(opt.Out, ds, results) })
+}
+
+// fig9 runs Figure 9's sweep and hands each m's λ sweep to emit, one
+// result per λ in grid order, under the dataset-metric label.
+func fig9(opt Options, emit func(ds string, results []eval.Result)) error {
 	ms := []int{8, 16, 32, 64, 128, 256, 512}
 	if opt.Quick {
 		ms = []int{8, 16}
@@ -167,20 +172,7 @@ func Fig9(opt Options) error {
 			if err != nil {
 				return err
 			}
-			var results []eval.Result
-			for _, lam := range e.lambdaGrid(opt.Quick) {
-				lam := lam
-				results = append(results, eval.EvaluatePrecise(&eval.Runner{
-					MethodName: "LCCS-LSH",
-					ConfigDesc: fmt.Sprintf("m=%d λ=%d", m, lam),
-					IndexBytes: ix.Bytes(),
-					IndexTime:  ix.BuildTime(),
-					SearchFunc: func(q []float32, k int) []pqueue.Neighbor {
-						return ix.Search(q, k, lam)
-					},
-				}, e.DS.Queries, e.Truth, e.K))
-			}
-			printFrontier(opt.Out, "sift-"+metric.Name(), results)
+			emit("sift-"+metric.Name(), lambdaSweep(e, "LCCS-LSH", fmt.Sprintf("m=%d", m), ix, e.lambdaGrid(opt.Quick)))
 		}
 	}
 	return nil
@@ -196,6 +188,13 @@ func Fig10(opt Options) error {
 		m = 16
 	}
 	fmt.Fprintf(opt.Out, "# Figure 10: impact of #probes for MP-LCCS-LSH, sift, m=%d, k=%d\n", m, opt.K)
+	return fig10(opt, m, func(ds string, results []eval.Result) { printFrontier(opt.Out, ds, results) })
+}
+
+// fig10 runs Figure 10's sweep at hash-string length m and hands each probe
+// count's λ sweep to emit, one result per λ in grid order, under the
+// dataset-metric label.
+func fig10(opt Options, m int, emit func(ds string, results []eval.Result)) error {
 	probesGrid := []int{1, m + 1, 2*m + 1, 4*m + 1, 8*m + 1}
 	if opt.Quick {
 		probesGrid = []int{1, m + 1}
@@ -217,20 +216,7 @@ func Fig10(opt Options) error {
 			if err != nil {
 				return err
 			}
-			var results []eval.Result
-			for _, lam := range lamGrid {
-				lam := lam
-				results = append(results, eval.EvaluatePrecise(&eval.Runner{
-					MethodName: "MP-LCCS-LSH",
-					ConfigDesc: fmt.Sprintf("m=%d probes=%d λ=%d", m, probes, lam),
-					IndexBytes: ix.Bytes(),
-					IndexTime:  ix.BuildTime(),
-					SearchFunc: func(q []float32, k int) []pqueue.Neighbor {
-						return ix.Search(q, k, lam)
-					},
-				}, e.DS.Queries, e.Truth, e.K))
-			}
-			printFrontier(opt.Out, "sift-"+metric.Name(), results)
+			emit("sift-"+metric.Name(), lambdaSweep(e, "MP-LCCS-LSH", fmt.Sprintf("m=%d probes=%d", m, probes), ix.Index, lamGrid))
 		}
 	}
 	return nil

@@ -58,6 +58,25 @@ func (e *Env) lambdaGrid(quick bool) []int {
 	return out
 }
 
+// lambdaSweep evaluates one built LCCS index — single-probe, or carrying
+// the probe state of an MP-LCCS-LSH index — at every candidate budget of
+// grid. Each result's configuration is config followed by its λ.
+func lambdaSweep(e *Env, method, config string, ix *core.Index, grid []int) []eval.Result {
+	out := make([]eval.Result, 0, len(grid))
+	for _, lam := range grid {
+		out = append(out, eval.EvaluatePrecise(&eval.Runner{
+			MethodName: method,
+			ConfigDesc: fmt.Sprintf("%s λ=%d", config, lam),
+			IndexBytes: ix.Bytes(),
+			IndexTime:  ix.BuildTime(),
+			SearchFunc: func(q []float32, k int) []pqueue.Neighbor {
+				return ix.Search(q, k, lam)
+			},
+		}, e.DS.Queries, e.Truth, e.K))
+	}
+	return out
+}
+
 // SweepLCCS evaluates single-probe LCCS-LSH over the m × λ grid.
 func SweepLCCS(e *Env, opt Options) []eval.Result {
 	fam := e.family()
@@ -67,19 +86,7 @@ func SweepLCCS(e *Env, opt Options) []eval.Result {
 		if err != nil {
 			continue
 		}
-		for _, lam := range e.lambdaGrid(opt.Quick) {
-			lam := lam
-			r := eval.EvaluatePrecise(&eval.Runner{
-				MethodName: "LCCS-LSH",
-				ConfigDesc: fmt.Sprintf("m=%d λ=%d", m, lam),
-				IndexBytes: ix.Bytes(),
-				IndexTime:  ix.BuildTime(),
-				SearchFunc: func(q []float32, k int) []pqueue.Neighbor {
-					return ix.Search(q, k, lam)
-				},
-			}, e.DS.Queries, e.Truth, e.K)
-			out = append(out, r)
-		}
+		out = append(out, lambdaSweep(e, "LCCS-LSH", fmt.Sprintf("m=%d", m), ix, e.lambdaGrid(opt.Quick))...)
 	}
 	return out
 }
@@ -114,19 +121,7 @@ func SweepMPLCCS(e *Env, opt Options) []eval.Result {
 				}
 				lamGrid = thinned
 			}
-			for _, lam := range lamGrid {
-				lam := lam
-				r := eval.EvaluatePrecise(&eval.Runner{
-					MethodName: "MP-LCCS-LSH",
-					ConfigDesc: fmt.Sprintf("m=%d probes=%d λ=%d", m, probes, lam),
-					IndexBytes: ix.Bytes(),
-					IndexTime:  ix.BuildTime(),
-					SearchFunc: func(q []float32, k int) []pqueue.Neighbor {
-						return ix.Search(q, k, lam)
-					},
-				}, e.DS.Queries, e.Truth, e.K)
-				out = append(out, r)
-			}
+			out = append(out, lambdaSweep(e, "MP-LCCS-LSH", fmt.Sprintf("m=%d probes=%d", m, probes), ix.Index, lamGrid)...)
 		}
 	}
 	return out

@@ -102,30 +102,23 @@ func (c *resultCache) stats() CacheStats {
 }
 
 // cacheKey builds the lookup key for one query: the collection name,
-// its write generation, k, the candidate budget, the quantized query
-// vector, the canonical filter encoding, and the cursor token. The
-// collection name is length-prefixed so tenants can never alias each
+// its write generation, k, the candidate budget, the query vector's exact
+// float bit patterns, the canonical filter encoding, and the cursor token.
+// The collection name is length-prefixed so tenants can never alias each
 // other's entries, and the filter/cursor tails are length-prefixed so
-// a filter's bytes cannot be confused with a cursor's. quantBits low
-// mantissa bits of every float32 coordinate are masked off before
-// keying: 0 keys on exact bit patterns (no false sharing), while small
-// positive values let queries that differ only by float noise share an
-// entry at the cost of returning the aliased neighbor list. quantBits
-// is clamped to [0, 23] so sign and exponent always survive.
-func cacheKey(collection string, gen uint64, k, lambda int, q []float32, quantBits uint, f *lccs.Filter, cursor string) string {
-	if quantBits > 23 {
-		quantBits = 23
-	}
-	mask := ^uint32(0) << quantBits
-	buf := make([]byte, 0, 24+len(collection)+4*len(q)+len(cursor))
+// a filter's bytes cannot be confused with a cursor's. k and the budget
+// are keyed at full width, as the request carried them: two requests
+// share an entry only when they asked for the same thing.
+func cacheKey(collection string, gen uint64, k, lambda int, q []float32, f *lccs.Filter, cursor string) string {
+	buf := make([]byte, 0, 32+len(collection)+4*len(q)+len(cursor))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(collection)))
 	buf = append(buf, collection...)
 	buf = binary.LittleEndian.AppendUint64(buf, gen)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(lambda))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(lambda))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q)))
 	for _, v := range q {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v)&mask)
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
 	}
 	fkey := f.AppendKey(nil)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fkey)))

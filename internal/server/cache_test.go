@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -42,38 +44,65 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheKeyDiscriminatesAndQuantizes(t *testing.T) {
+func TestCacheKeyDiscriminates(t *testing.T) {
 	q := []float32{1.5, -2.25, 3.125}
-	base := cacheKey("c", 7, 10, 100, q, 0, nil, "")
+	base := cacheKey("c", 7, 10, 100, q, nil, "")
 	distinct := []string{
-		cacheKey("c", 8, 10, 100, q, 0, nil, ""),                          // generation
-		cacheKey("c", 7, 11, 100, q, 0, nil, ""),                          // k
-		cacheKey("c", 7, 10, 101, q, 0, nil, ""),                          // budget
-		cacheKey("c", 7, 10, 100, []float32{1.5, -2.25, 3.0}, 0, nil, ""), // query
-		cacheKey("c", 7, 10, 100, q[:2], 0, nil, ""),                      // length
+		cacheKey("c", 8, 10, 100, q, nil, ""),                                // generation
+		cacheKey("c", 7, 11, 100, q, nil, ""),                                // k
+		cacheKey("c", 7, 10, 101, q, nil, ""),                                // budget
+		cacheKey("c", 7, 1<<32+10, 100, q, nil, ""),                          // k beyond 32 bits
+		cacheKey("c", 7, 10, 1<<32+100, q, nil, ""),                          // budget beyond 32 bits
+		cacheKey("c", 7, 10, 100, []float32{1.5, -2.25, 3.0}, nil, ""),       // query
+		cacheKey("c", 7, 10, 100, []float32{1.5, -2.25, 3.1250002}, nil, ""), // one ulp
+		cacheKey("c", 7, 10, 100, q[:2], nil, ""),                            // length
 	}
 	for i, k := range distinct {
 		if k == base {
 			t.Errorf("variant %d collides with base key", i)
 		}
 	}
-	if cacheKey("c", 7, 10, 100, []float32{1.5, -2.25, 3.125}, 0, nil, "") != base {
+	if cacheKey("c", 7, 10, 100, []float32{1.5, -2.25, 3.125}, nil, "") != base {
 		t.Error("identical inputs must produce identical keys")
 	}
+}
 
-	// With quantization, queries differing only in masked-off mantissa
-	// bits share a key; without it they do not.
-	a := []float32{1.0, 2.0}
-	b := []float32{1.0000001, 2.0}
-	if cacheKey("c", 1, 5, 50, a, 0, nil, "") == cacheKey("c", 1, 5, 50, b, 0, nil, "") {
-		t.Error("quant=0 must key on exact bits")
+// TestCacheKeyFullWidth replays, over HTTP, the aliasing of a cache key
+// that held k and the budget as 32-bit values: {"k": 2³²+3} stored an
+// entry that {"k": 3} then hit, 147 neighbours for a request asking for 3;
+// and {"budget": 2⁴⁰} shared the default budget's entry, so an exhaustive
+// answer was served to a default-budget request.
+func TestCacheKeyFullWidth(t *testing.T) {
+	data, queries := testWorkload(29, 147, 8)
+	ix, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cacheKey("c", 1, 5, 50, a, 8, nil, "") != cacheKey("c", 1, 5, 50, b, 8, nil, "") {
-		t.Error("quant=8 should alias float-noise-close queries")
+	_, ts := newTestServer(t, Config{Backend: ix, CacheSize: 16})
+	search := func(body map[string]any) searchResponse {
+		t.Helper()
+		body["query"] = queries[0]
+		var resp searchResponse
+		if code := postJSON(t, ts, "/v1/search", body, &resp); code != http.StatusOK {
+			t.Fatalf("%v: HTTP %d", body, code)
+		}
+		return resp
 	}
-	// Clamped quantization never erases sign or exponent.
-	if cacheKey("c", 1, 5, 50, []float32{1}, 60, nil, "") == cacheKey("c", 1, 5, 50, []float32{-1}, 60, nil, "") {
-		t.Error("sign must survive any quantization level")
+	if wide := search(map[string]any{"k": 1<<32 + 3}); len(wide.Neighbors) != len(data) {
+		t.Fatalf("k = 2³²+3: %d neighbours, want all %d", len(wide.Neighbors), len(data))
+	}
+	if narrow := search(map[string]any{"k": 3}); narrow.Cached || len(narrow.Neighbors) != 3 {
+		t.Fatalf("k = 3 after k = 2³²+3: cached %v, %d neighbours", narrow.Cached, len(narrow.Neighbors))
+	}
+
+	search(map[string]any{"k": 10, "budget": 1 << 40})
+	def := search(map[string]any{"k": 10})
+	want, err := ix.Search(queries[0], 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Cached || !reflect.DeepEqual(def.Neighbors, want) {
+		t.Fatalf("default budget after budget = 2⁴⁰: cached %v, %v, want the default-budget answer %v", def.Cached, def.Neighbors, want)
 	}
 }
 

@@ -278,7 +278,8 @@ type explainJSON struct {
 	K       int    `json:"k"`
 	// Budget is the requested candidate budget λ (0 = backend default).
 	Budget int `json:"budget"`
-	// Quantize/Rerank echo the collection's compression settings.
+	// Quantize/Rerank are the compression the backend verifies with and
+	// its effective re-rank depth, as the backend reports them.
 	Quantize string `json:"quantize,omitempty"`
 	Rerank   int    `json:"rerank,omitempty"`
 	Filtered bool   `json:"filtered"`
@@ -297,6 +298,12 @@ type explainJSON struct {
 	Buffer *explainShardJSON  `json:"buffer,omitempty"`
 }
 
+// quantizer is what a backend reports of its scan-time compression;
+// every facade of package lccs answers it.
+type quantizer interface {
+	Quantization() (kind string, rerank int)
+}
+
 // buildExplain assembles the plan. co is nil on cache hits; tr is the
 // request's trace (explain forces one, so it is non-nil here except
 // for custom backends that ignored it).
@@ -306,11 +313,12 @@ func buildExplain(c *coll, k, budget int, f *lccs.Filter, co *lccs.Cost, cache s
 		Backend:    backendStats(c).Kind,
 		K:          k,
 		Budget:     budget,
-		Quantize:   c.spec.Quantize,
-		Rerank:     c.spec.Rerank,
 		Filtered:   f != nil,
 		Cache:      cache,
 		Shards:     []explainShardJSON{},
+	}
+	if q, ok := c.backend.(quantizer); ok {
+		e.Quantize, e.Rerank = q.Quantization()
 	}
 	if co != nil {
 		e.Cost = co

@@ -264,6 +264,45 @@ func TestExplainSearch(t *testing.T) {
 	}
 }
 
+// TestExplainReportsBackendQuantization: EXPLAIN reports the compression
+// the backend verifies with, as the backend reports it, also for a backend
+// adopted as the default collection, which has no collection spec — an
+// SQ8 dynamic backend, as `lccs-serve -dynamic -quantize sq8` builds, once
+// answered "quantize": "" beside a non-zero re-ranked count.
+func TestExplainReportsBackendQuantization(t *testing.T) {
+	data, queries := testWorkload(25, 300, 8)
+	for _, tc := range []struct {
+		name       string
+		cfg        lccs.Config
+		wantKind   string
+		wantRerank int
+	}{
+		{"sq8", lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 9, Quantize: lccs.QuantizeSQ8}, lccs.QuantizeSQ8, 64},
+		{"sq8 rerank 32", lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 9, Quantize: lccs.QuantizeSQ8, Rerank: 32}, lccs.QuantizeSQ8, 32},
+		{"plain", lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 9}, "", 0},
+	} {
+		dyn, err := lccs.NewDynamicIndex(data, tc.cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Config{Backend: dyn})
+		var got searchResponse
+		if code := postJSON(t, ts, "/v1/search", searchRequest{Query: queries[0], K: 5, Explain: true}, &got); code != http.StatusOK {
+			t.Fatalf("%s: explain search: HTTP %d", tc.name, code)
+		}
+		e := got.Explain
+		if e == nil || e.Backend != "dynamic" || e.Cost == nil {
+			t.Fatalf("%s: plan %+v", tc.name, e)
+		}
+		if e.Quantize != tc.wantKind || e.Rerank != tc.wantRerank {
+			t.Fatalf("%s: plan says quantize %q, rerank %d; want %q, %d", tc.name, e.Quantize, e.Rerank, tc.wantKind, tc.wantRerank)
+		}
+		if reranked := e.Cost.Reranked > 0; reranked != (tc.wantKind != "") {
+			t.Fatalf("%s: cost.reranked = %d beside quantize %q", tc.name, e.Cost.Reranked, e.Quantize)
+		}
+	}
+}
+
 // TestExplainFilteredBuffer checks the plan of a filtered query against
 // a dynamic collection whose rows still sit in the delta buffer: the
 // buffer scan is reported, and the observed filter selectivity is

@@ -107,10 +107,6 @@ type Config struct {
 	// CacheSize is the result-cache capacity in entries; 0 disables
 	// caching.
 	CacheSize int
-	// CacheQuantBits masks this many low mantissa bits off every query
-	// coordinate in the cache key (see cacheKey). 0 caches on exact
-	// float bit patterns.
-	CacheQuantBits uint
 	// MaxBodyBytes caps every request body; larger posts fail with 400.
 	// Batch and insert bodies are additionally decoded only after
 	// admission, so aggregate decode memory is bounded by
@@ -145,9 +141,6 @@ type coll struct {
 	writer   Writer     // nil: read-only backend
 	walStats WALStatser // nil: no write-ahead log
 	cur      lccs.CursorSearcher
-	// spec is the resolved collection configuration (zero for adopted
-	// backends); EXPLAIN reports its quantize/re-rank settings.
-	spec engine.Spec
 	// usage is the collection's cumulative resource accounting (owned
 	// by the registry, shared by every handle); health is its windowed
 	// RED/usage ring for /v1/debug/health and /v1/collections/⋯/usage.
@@ -167,8 +160,7 @@ type coll struct {
 // newColl resolves a backend's capability interfaces once.
 func newColl(ec *engine.Collection) *coll {
 	name, backend := ec.Name(), ec.Backend()
-	c := &coll{name: name, backend: backend, spec: ec.Spec(),
-		usage: ec.Usage(), health: new(obs.Health)}
+	c := &coll{name: name, backend: backend, usage: ec.Usage(), health: new(obs.Health)}
 	if wr, ok := backend.(Writer); ok {
 		c.writer = wr
 	}
@@ -192,7 +184,6 @@ type Server struct {
 	adm       *admission
 	collShare int64        // per-collection in-flight cap; 0 = uncapped
 	cache     *resultCache // nil when disabled
-	quant     uint
 	timeout   time.Duration
 	maxBody   int64
 	met       *metrics
@@ -268,7 +259,6 @@ func New(cfg Config) (*Server, error) {
 		colls:     make(map[string]*coll),
 		adm:       newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
 		collShare: int64(cfg.CollectionMaxInFlight),
-		quant:     cfg.CacheQuantBits,
 		timeout:   cfg.Timeout,
 		maxBody:   cfg.MaxBodyBytes,
 		met:       &metrics{start: time.Now(), requests: make(map[reqKey]uint64)},
@@ -645,7 +635,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var key string
 	if cacheable {
 		cacheStart := time.Now()
-		key = cacheKey(c.name, c.gen.Load(), kEff, req.Budget, req.Query, s.quant, f, req.Cursor)
+		key = cacheKey(c.name, c.gen.Load(), kEff, req.Budget, req.Query, f, req.Cursor)
 		res, next, ok := s.cache.get(key)
 		cacheDur := time.Since(cacheStart)
 		obs.ObserveDur(obs.StageCache, cacheDur)

@@ -32,8 +32,6 @@ var (
 	// sqBlock writes out[r] = Σ_d (block[r*dim+d] - q[d])² for each of
 	// len(out) rows, dim = len(q), in float32.
 	sqBlock func(block, q, out []float32) = sqBlockGeneric
-	// dotBlock writes out[r] = Σ_d block[r*dim+d]·q[d].
-	dotBlock func(block, q, out []float32) = dotBlockGeneric
 	// dotNormBlock writes outDot[r] = Σ_d row·q and outNorm[r] = Σ_d row²
 	// in a single pass over the block.
 	dotNormBlock func(block, q, outDot, outNorm []float32) = dotNormBlockGeneric
@@ -95,40 +93,6 @@ func angularFromParts(dot, na2, nb2 float32) float64 {
 // widened values equal the pairwise Distance exactly.
 func euclideanFromSq(sq float32) float64 {
 	return float64(float32(math.Sqrt(float64(sq))))
-}
-
-// SquaredEuclideanBlock writes the squared Euclidean distance from q to
-// each row of block (len(out) rows of dim len(q)) into out. It is the
-// raw kernel entry used by benchmarks and tests; panics on size
-// mismatch.
-func SquaredEuclideanBlock(block, q, out []float32) {
-	checkBlock(block, q, out)
-	sqBlock(block, q, out)
-}
-
-// DotBlock writes the dot product of q with each row of block into out.
-func DotBlock(block, q, out []float32) {
-	checkBlock(block, q, out)
-	dotBlock(block, q, out)
-}
-
-// DotNormBlock writes per-row dot products with q and per-row squared
-// norms in one pass.
-func DotNormBlock(block, q, outDot, outNorm []float32) {
-	checkBlock(block, q, outDot)
-	if len(outNorm) != len(outDot) {
-		panic("vec: dot/norm output length mismatch")
-	}
-	dotNormBlock(block, q, outDot, outNorm)
-}
-
-func checkBlock(block, q, out []float32) {
-	if len(q) == 0 {
-		panic("vec: zero-dimensional block kernel")
-	}
-	if len(block) != len(q)*len(out) {
-		panic("vec: block size mismatch")
-	}
 }
 
 // Naive scalar references. These are the float64-accumulating textbook

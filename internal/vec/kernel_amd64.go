@@ -12,9 +12,6 @@ package vec
 func sqBlockAVX2(block, q, out []float32)
 
 //go:noescape
-func dotBlockAVX2(block, q, out []float32)
-
-//go:noescape
 func dotNormBlockAVX2(block, q, outDot, outNorm []float32)
 
 //go:noescape
@@ -60,7 +57,6 @@ func hasAVX2() bool {
 func init() {
 	if hasAVX2() {
 		sqBlock = sqBlockAVX2
-		dotBlock = dotBlockAVX2
 		dotNormBlock = dotNormBlockAVX2
 		sqRow = sqRowAVX2
 		dotRow = dotRowAVX2

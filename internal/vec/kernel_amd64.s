@@ -191,73 +191,6 @@ sq_store:
 sq_done:
 	RET
 
-// func dotBlockAVX2(block, q, out []float32)
-// out[r] = sum_d block[r*dim+d] * q[d].
-TEXT ·dotBlockAVX2(SB), NOSPLIT, $0-72
-	MOVQ block_base+0(FP), SI
-	MOVQ q_base+24(FP), DX
-	MOVQ q_len+32(FP), CX
-	MOVQ out_base+48(FP), DI
-	MOVQ out_len+56(FP), BX
-
-dot_rowloop:
-	TESTQ BX, BX
-	JZ    dot_done
-	XORQ  R8, R8
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	MOVQ  CX, R9
-	SUBQ  $16, R9
-
-dot_loop16:
-	CMPQ    R8, R9
-	JG      dot_loop8entry
-	PREFETCHT0 blockAhead(SI)(R8*4)
-	DOT16
-	JMP     dot_loop16
-
-dot_loop8entry:
-	MOVQ CX, R9
-	SUBQ $8, R9
-
-dot_loop8:
-	CMPQ    R8, R9
-	JG      dot_reduce
-	VMOVUPS (SI)(R8*4), Y2
-	VMOVUPS (DX)(R8*4), Y3
-	VMULPS  Y3, Y2, Y4
-	VADDPS  Y4, Y0, Y0
-	ADDQ    $8, R8
-	JMP     dot_loop8
-
-dot_reduce:
-	VADDPS       Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS       X1, X0, X0
-	VHADDPS      X0, X0, X0
-	VHADDPS      X0, X0, X0
-	VZEROUPPER
-
-dot_tail:
-	CMPQ  R8, CX
-	JGE   dot_store
-	MOVSS (SI)(R8*4), X2
-	MOVSS (DX)(R8*4), X3
-	MULSS X3, X2
-	ADDSS X2, X0
-	INCQ  R8
-	JMP   dot_tail
-
-dot_store:
-	MOVSS X0, (DI)
-	ADDQ  $4, DI
-	LEAQ  (SI)(CX*4), SI
-	DECQ  BX
-	JMP   dot_rowloop
-
-dot_done:
-	RET
-
 // func dotNormBlockAVX2(block, q, outDot, outNorm []float32)
 // outDot[r] = row . q, outNorm[r] = row . row, one pass per row.
 TEXT ·dotNormBlockAVX2(SB), NOSPLIT, $0-96

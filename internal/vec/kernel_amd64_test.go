@@ -44,13 +44,6 @@ func TestKernelAsmGenericBitIdentity(t *testing.T) {
 				t.Fatalf("dim %d row %d: sq asm %x generic %x", dim, r, math.Float32bits(outA[r]), math.Float32bits(outG[r]))
 			}
 		}
-		dotBlockAVX2(block, q, outA)
-		dotBlockGeneric(block, q, outG)
-		for r := range outA {
-			if math.Float32bits(outA[r]) != math.Float32bits(outG[r]) {
-				t.Fatalf("dim %d row %d: dot asm %x generic %x", dim, r, math.Float32bits(outA[r]), math.Float32bits(outG[r]))
-			}
-		}
 		nA := make([]float32, rows)
 		nG := make([]float32, rows)
 		dotNormBlockAVX2(block, q, outA, nA)

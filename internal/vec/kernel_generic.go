@@ -55,13 +55,6 @@ func sqRowGeneric(a, b, _ []float32) float32 {
 	return s
 }
 
-func dotBlockGeneric(block, q, out []float32) {
-	dim := len(q)
-	for r := range out {
-		out[r] = dotRowGeneric(block[r*dim:r*dim+dim], q, nil)
-	}
-}
-
 func dotRowGeneric(a, b, _ []float32) float32 {
 	var acc0, acc1 [8]float32
 	j := 0

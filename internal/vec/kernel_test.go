@@ -46,12 +46,10 @@ func TestKernelParityAgainstReference(t *testing.T) {
 		}
 		q := kernelTestVec(g, dim)
 		outSq := make([]float32, rows)
-		outDot := make([]float32, rows)
 		outDN := make([]float32, rows)
 		outNorm := make([]float32, rows)
-		SquaredEuclideanBlock(block, q, outSq)
-		DotBlock(block, q, outDot)
-		DotNormBlock(block, q, outDN, outNorm)
+		sqBlock(block, q, outSq)
+		dotNormBlock(block, q, outDN, outNorm)
 		for r, row := range rowsRef {
 			wantSq := refSquaredDistance(row, q)
 			wantDot := refDot(row, q)
@@ -62,8 +60,8 @@ func TestKernelParityAgainstReference(t *testing.T) {
 			if !relClose(float64(outSq[r]), wantSq, wantSq, tol) {
 				t.Fatalf("dim %d row %d: sq block %g, reference %g", dim, r, outSq[r], wantSq)
 			}
-			if !relClose(float64(outDot[r]), wantDot, dotScale, tol) {
-				t.Fatalf("dim %d row %d: dot block %g, reference %g", dim, r, outDot[r], wantDot)
+			if got := dotRow(row, q, row); !relClose(float64(got), wantDot, dotScale, tol) {
+				t.Fatalf("dim %d row %d: dotRow %g, reference %g", dim, r, got, wantDot)
 			}
 			if !relClose(float64(outDN[r]), wantDot, dotScale, tol) {
 				t.Fatalf("dim %d row %d: dotnorm dot %g, reference %g", dim, r, outDN[r], wantDot)
@@ -76,8 +74,8 @@ func TestKernelParityAgainstReference(t *testing.T) {
 			if sqRow(row, q, row) != outSq[r] {
 				t.Fatalf("dim %d row %d: sqRow %g != block %g", dim, r, sqRow(row, q, row), outSq[r])
 			}
-			if dotRow(row, q, row) != outDot[r] {
-				t.Fatalf("dim %d row %d: dotRow %g != block %g", dim, r, dotRow(row, q, row), outDot[r])
+			if dotRow(row, q, row) != outDN[r] {
+				t.Fatalf("dim %d row %d: dotRow %g != dotnorm block %g", dim, r, dotRow(row, q, row), outDN[r])
 			}
 			d, nrm := dotNormRow(row, q, row)
 			if d != outDN[r] || nrm != outNorm[r] {
@@ -89,11 +87,13 @@ func TestKernelParityAgainstReference(t *testing.T) {
 
 func TestKernelEmptyBlock(t *testing.T) {
 	q := []float32{1, 2, 3}
-	SquaredEuclideanBlock(nil, q, nil) // zero rows: must not touch memory
-	DotBlock(nil, q, nil)
-	DotNormBlock(nil, q, nil, nil)
+	sqBlock(nil, q, nil) // zero rows: must not touch memory
+	dotNormBlock(nil, q, nil, nil)
 }
 
+// The block kernels take their sizes from Store.DistancesInto, their one
+// caller: a short output buffer is refused before anything is written, and
+// a row range beyond the store panics instead of reading past the block.
 func TestKernelPanicsOnMismatch(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -103,9 +103,19 @@ func TestKernelPanicsOnMismatch(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("zero dim", func() { SquaredEuclideanBlock(nil, nil, make([]float32, 1)) })
-	mustPanic("size mismatch", func() { DotBlock(make([]float32, 5), make([]float32, 2), make([]float32, 2)) })
-	mustPanic("norm length", func() { DotNormBlock(make([]float32, 4), make([]float32, 2), make([]float32, 2), make([]float32, 1)) })
+	s, err := FromRows([][]float32{{1, 2}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := []float32{1, 1}
+	for _, m := range []Metric{Euclidean, Angular} {
+		out := []float32{-1}
+		mustPanic(m.Name()+": short out", func() { s.DistancesInto(0, 2, q, m, out) })
+		if out[0] != -1 {
+			t.Fatalf("%s: short out was written to before the panic: %v", m.Name(), out)
+		}
+		mustPanic(m.Name()+": rows beyond the store", func() { s.DistancesInto(1, 3, q, m, make([]float32, 2)) })
+	}
 }
 
 // Non-finite inputs must propagate through the kernels the way the
@@ -126,7 +136,7 @@ func TestKernelNonFinite(t *testing.T) {
 				}
 				row[pos] = bad
 				out := make([]float32, 1)
-				SquaredEuclideanBlock(row, q, out)
+				sqBlock(row, q, out)
 				if !math.IsNaN(float64(out[0])) && !math.IsInf(float64(out[0]), 1) {
 					t.Fatalf("dim %d pos %d bad %g: sq %g is finite", dim, pos, bad, out[0])
 				}
@@ -286,19 +296,17 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		block := vals[dim : dim+rows*dim]
 		outSq := make([]float32, rows)
-		outDot := make([]float32, rows)
 		outDN := make([]float32, rows)
 		outNorm := make([]float32, rows)
-		SquaredEuclideanBlock(block, q, outSq)
-		DotBlock(block, q, outDot)
-		DotNormBlock(block, q, outDN, outNorm)
+		sqBlock(block, q, outSq)
+		dotNormBlock(block, q, outDN, outNorm)
 		for r := 0; r < rows; r++ {
 			row := block[r*dim : (r+1)*dim]
 			if g := sqRow(row, q, row); g != outSq[r] && !(math.IsNaN(float64(g)) && math.IsNaN(float64(outSq[r]))) {
 				t.Fatalf("row %d: sqRow %g != block %g", r, g, outSq[r])
 			}
-			if g := dotRow(row, q, row); g != outDot[r] && !(math.IsNaN(float64(g)) && math.IsNaN(float64(outDot[r]))) {
-				t.Fatalf("row %d: dotRow %g != block %g", r, g, outDot[r])
+			if g := dotRow(row, q, row); g != outDN[r] && !(math.IsNaN(float64(g)) && math.IsNaN(float64(outDN[r]))) {
+				t.Fatalf("row %d: dotRow %g != dotnorm block %g", r, g, outDN[r])
 			}
 			// Against the scalar reference only when everything stays
 			// comfortably finite in float32.

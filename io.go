@@ -17,7 +17,7 @@ import (
 // carries:
 //
 //	magic "LCCSPKG5" · kind byte · flags byte
-//	config                          metric, m, probes, budget, bucket width, seed
+//	config                          metric, m, probes (reserved: written 0), budget, bucket width, seed
 //	shard table                     sharded kind only: count, then each shard's size
 //	core index × shards             one blob per shard (one for the single kind)
 //	lifecycle section               flagLifecycle: id map + tombstoned ids
@@ -202,7 +202,8 @@ func (sx *segSet) encode(w io.Writer, kind byte) error {
 }
 
 // encodeConfig writes the resolved configuration every container
-// starts its body with.
+// starts its body with. The probes slot held a multi-probe count when the
+// facade offered one; it is written 0.
 func encodeConfig(w io.Writer, cfg Config) error {
 	metric := string(cfg.Metric)
 	if err := binary.Write(w, binary.LittleEndian, int32(len(metric))); err != nil {
@@ -211,7 +212,7 @@ func encodeConfig(w io.Writer, cfg Config) error {
 	if _, err := w.Write([]byte(metric)); err != nil {
 		return err
 	}
-	hdr := []int64{int64(cfg.M), int64(cfg.Probes), int64(cfg.Budget)}
+	hdr := []int64{int64(cfg.M), 0, int64(cfg.Budget)}
 	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
 		return err
 	}
@@ -221,7 +222,10 @@ func encodeConfig(w io.Writer, cfg Config) error {
 	return binary.Write(w, binary.LittleEndian, cfg.Seed)
 }
 
-// decodeConfig reads the configuration encodeConfig wrote.
+// decodeConfig reads the configuration encodeConfig wrote. A file saved
+// with a multi-probe count in the probes slot loads as the single-probe
+// index over the same CSA: the slot is checked to be non-negative, as a
+// corruption check, and otherwise ignored.
 func decodeConfig(r io.Reader) (Config, error) {
 	var cfg Config
 	var metricLen int32
@@ -253,7 +257,6 @@ func decodeConfig(r io.Reader) (Config, error) {
 	return Config{
 		Metric:      MetricKind(metricBuf),
 		M:           int(hdr[0]),
-		Probes:      int(hdr[1]),
 		Budget:      int(hdr[2]),
 		BucketWidth: bucketWidth,
 		Seed:        seed,
@@ -457,9 +460,6 @@ func decodeBody(r io.Reader, store *vec.Store, h header) (*segSet, error) {
 		c, err := core.DecodeStore(r, store.Slice(offsets[s], offsets[s+1]), family)
 		if err == nil {
 			err = checkCoreMatches(c, cfg)
-		}
-		if err == nil {
-			err = enableProbes(c, cfg)
 		}
 		if err != nil {
 			return nil, inShard(s, err)

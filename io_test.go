@@ -2,7 +2,9 @@ package lccs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -551,9 +553,9 @@ func TestLoadCorruptedHeaderBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Header = magic(8) + kind(1) + flags(1) + metric len(4)/str +
-	// [M,Probes,Budget] int64 + bucket width float64 + seed uint64. Flips
-	// in Probes or Budget yield a coherent-but-different config that
-	// legitimately loads, so the test targets the regions the loader must
+	// [M,probes slot,Budget] int64 + bucket width float64 + seed uint64.
+	// Flips in the probes slot or Budget yield a coherent-but-different
+	// config that legitimately loads, so the test targets the regions the loader must
 	// verify: the magic, the kind and flags bytes, the metric, the M
 	// field (cross-checked against the core index), and the seed (caught
 	// by the hash-string spot check).
@@ -615,28 +617,59 @@ func TestSaveLoadRoundTripEuclidean(t *testing.T) {
 	}
 }
 
+// TestSaveLoadMultiProbe pins the read-only shim for files saved while the
+// facade offered multi-probe querying, when the config's probes slot held
+// the probe count: such a file loads as the single-probe index over the
+// same CSA — the answers of the same file with the slot at 0 — and saves
+// back with the slot at 0, the same bytes. A negative slot is corruption
+// and is refused.
 func TestSaveLoadMultiProbe(t *testing.T) {
-	data, _ := testData(32, 400, 10, 4, 0.5)
-	ix, err := NewIndex(data, Config{Metric: Euclidean, M: 16, Probes: 17, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "mp.lccs")
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.core.Probes() != ix.core.Probes() || loaded.core.Probes() <= 1 {
-		t.Fatal("multi-probe configuration lost on load")
-	}
-	q := data[3]
-	a, b := must(ix.Search(q, 5)), must(loaded.Search(q, 5))
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatalf("MP results differ after load: %+v vs %+v", a[j], b[j])
+	data, _ := goldenSetup()
+	dir := t.TempDir()
+	for _, g := range []struct {
+		file     string
+		configAt int // the magic, then format 5's kind and flags bytes
+	}{
+		{"golden_pkg1.lccs", 8},
+		{"golden_pkg5.lccs", 10},
+	} {
+		golden, err := os.ReadFile(filepath.Join("testdata", g.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		probesAt := g.configAt + 4 + len(Euclidean) + 8 // metric length, metric, m
+		if slot := binary.LittleEndian.Uint64(golden[probesAt:]); slot != 0 {
+			t.Fatalf("%s: probes slot holds %d, want 0", g.file, slot)
+		}
+		withProbes := func(probes int64) string {
+			blob := append([]byte(nil), golden...)
+			binary.LittleEndian.PutUint64(blob[probesAt:], uint64(probes))
+			path := filepath.Join(dir, fmt.Sprintf("probes%d-%s", probes, g.file))
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}
+		want := must(LoadSharded(filepath.Join("testdata", g.file), data))
+		got, err := LoadSharded(withProbes(17), data)
+		if err != nil {
+			t.Fatalf("%s with probes=17: %v", g.file, err)
+		}
+		for qi := 0; qi < 10; qi++ {
+			q := data[qi*13]
+			for _, budget := range []int{40, 4 * len(data)} {
+				a := must(want.SearchQuery(q, Query{K: 5, Budget: budget}, nil))
+				b := must(got.SearchQuery(q, Query{K: 5, Budget: budget}, nil))
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s, query %d, λ=%d: probes=17 answers %+v, the golden %+v", g.file, qi, budget, b, a)
+				}
+			}
+		}
+		if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+			t.Fatalf("%s: the probes=17 file re-saves differently from the golden", g.file)
+		}
+		if _, err := LoadSharded(withProbes(-1), data); err == nil {
+			t.Fatalf("%s: a negative probes slot loaded", g.file)
 		}
 	}
 }

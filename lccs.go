@@ -30,9 +30,6 @@
 // SearchBatch answers many queries across all CPUs, and SearchCursor
 // pages through the ranked result stream.
 //
-// Multi-probe querying (MP-LCCS-LSH, smaller indexes at equal recall) is
-// enabled by setting Config.Probes > 1.
-//
 // Beyond the single static Index, the package provides ShardedIndex —
 // the dataset partitioned across S shards whose CSAs build in parallel —
 // and DynamicIndex, a delta-main structure whose buffered inserts are
@@ -309,10 +306,6 @@ type Config struct {
 	// parameter: larger m raises recall per candidate at the cost of
 	// memory (3·4·n·m bytes) and per-query hashing. 0 selects 64.
 	M int
-	// Probes enables multi-probe querying (MP-LCCS-LSH) when > 1: each
-	// query additionally explores Probes−1 perturbed hash strings,
-	// recovering recall on smaller indexes. 0 or 1 selects single-probe.
-	Probes int
 	// BucketWidth is the w of the Euclidean family (Eq. 1). 0 derives it
 	// from a sample of the data (twice the median 10-NN distance of a
 	// small sample), mirroring how the paper fine-tunes w per dataset.
@@ -347,8 +340,7 @@ type Neighbor = pqueue.Neighbor
 // index retains; the input rows are not referenced afterwards.
 type Index struct {
 	segSet
-	// core is the set's one segment — the one core searcher: single-probe,
-	// or carrying multi-probe state when Config.Probes > 1.
+	// core is the set's one segment: the one core searcher.
 	core *core.Index
 }
 
@@ -406,7 +398,7 @@ func storeFromRows(rows [][]float32) (*vec.Store, error) {
 // dynamic path, where no build runs yet. A zero Euclidean bucket width is
 // acceptable here — it is auto-derived when the first build sees data.
 func validateConfig(cfg Config) (vec.Metric, error) {
-	if cfg.M < 0 || cfg.Probes < 0 || cfg.Budget < 0 || cfg.BucketWidth < 0 || cfg.Rerank < 0 {
+	if cfg.M < 0 || cfg.Budget < 0 || cfg.BucketWidth < 0 || cfg.Rerank < 0 {
 		return nil, errors.New("lccs: negative configuration value")
 	}
 	switch cfg.Quantize {
@@ -464,26 +456,12 @@ func buildCore(store *vec.Store, cfg Config) (*core.Index, Config, error) {
 	if err != nil {
 		return nil, cfg, err
 	}
-	if err := enableProbes(c, cfg); err != nil {
-		return nil, cfg, err
-	}
 	if cfg.Quantize == QuantizeSQ8 {
 		// Quantize exactly the rows this segment covers: the store is
 		// already the segment's view, so codebooks are per-segment.
 		c.EnableSQ8(vec.QuantizeSQ8(store), cfg.Rerank)
 	}
 	return c, cfg, nil
-}
-
-// enableProbes installs multi-probe state on a core index when the
-// configuration asks for it (Probes > 1) — after a build and after a
-// load alike.
-func enableProbes(c *core.Index, cfg Config) error {
-	if cfg.Probes <= 1 {
-		return nil
-	}
-	_, err := core.WrapMP(c, core.MPParams{Params: core.Params{M: cfg.M, Seed: cfg.Seed}, Probes: cfg.Probes})
-	return err
 }
 
 // autoBucketWidth estimates a bucket width from the data: twice the median
@@ -548,16 +526,6 @@ func (ix *Index) M() int { return ix.core.M() }
 
 // Bytes returns the approximate index memory footprint.
 func (ix *Index) Bytes() int64 { return ix.core.Bytes() }
-
-// Quantization reports the scan-time compression in effect ("" = none,
-// QuantizeSQ8) and the effective per-query re-rank depth (0 when
-// unquantized).
-func (ix *Index) Quantization() (kind string, rerank int) {
-	if ix.core.SQ8() == nil {
-		return "", 0
-	}
-	return ix.cfg.Quantize, ix.core.Rerank()
-}
 
 // BuildTime returns the wall-clock time spent building the index.
 func (ix *Index) BuildTime() time.Duration { return ix.core.BuildTime() }

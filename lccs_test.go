@@ -157,28 +157,6 @@ func TestHammingSearch(t *testing.T) {
 	}
 }
 
-func TestMultiProbeConfig(t *testing.T) {
-	data, _ := testData(5, 800, 12, 8, 0.5)
-	mp, err := NewIndex(data, Config{Metric: Euclidean, M: 16, Probes: 33, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := NewIndex(data, Config{Metric: Euclidean, M: 16, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := data[10]
-	a, b := must(mp.Search(q, 5)), must(sp.Search(q, 5))
-	if len(a) != 5 || len(b) != 5 {
-		t.Fatal("result sizes")
-	}
-	// Multi-probe explores at least as much; its top result cannot be
-	// worse on the same budget and seed.
-	if a[0].Dist > b[0].Dist+1e-9 {
-		t.Fatalf("multi-probe top result worse: %v vs %v", a[0].Dist, b[0].Dist)
-	}
-}
-
 func TestSearchUsesDefaultBudget(t *testing.T) {
 	data, _ := testData(6, 400, 8, 4, 0.5)
 	ix, err := NewIndex(data, Config{Metric: Euclidean, M: 32, Budget: 150, Seed: 2})

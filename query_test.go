@@ -20,7 +20,7 @@ type queryFacade struct {
 }
 
 // queryFacades builds every facade shape over the same attributed rows:
-// the static Index plain, SQ8-quantized and multi-probe, a ShardedIndex,
+// the static Index plain and SQ8-quantized, a ShardedIndex,
 // and the lifecycle shapes — a DynamicIndex with background-built
 // shards, a non-empty delta buffer and tombstones in both; the
 // tombstoned Snapshot of one; a DurableIndex in the same state; and a
@@ -32,9 +32,8 @@ func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 	t.Helper()
 	n := len(data)
 	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}
-	sq8, mp := cfg, cfg
+	sq8 := cfg
 	sq8.Quantize, sq8.Rerank = QuantizeSQ8, n
-	mp.Probes = 5
 
 	// Deletes land in every shard and in the delta buffer.
 	dead := map[int]bool{}
@@ -102,7 +101,6 @@ func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 	return []queryFacade{
 		{"Index", must(NewIndexWithAttrs(data, attrs, cfg)), nil},
 		{"Index+SQ8", must(NewIndexWithAttrs(data, attrs, sq8)), nil},
-		{"Index+Probes", must(NewIndexWithAttrs(data, attrs, mp)), nil},
 		{"ShardedIndex", must(NewShardedIndexWithAttrs(data, attrs, cfg, 3)), nil},
 		{"Snapshot", snap, live},
 		{"DynamicIndex", newDyn(), live},

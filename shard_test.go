@@ -144,18 +144,6 @@ func TestShardedConfigAndEdgeCases(t *testing.T) {
 	}
 }
 
-func TestShardedMultiProbe(t *testing.T) {
-	data, _ := testData(75, 600, 8, 6, 0.5)
-	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Probes: 17, Seed: 13}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := must(sx.SearchQuery(data[42], Query{K: 1, Budget: 3 * len(data)}, nil))
-	if len(res) != 1 || res[0].Dist != 0 {
-		t.Fatalf("multi-probe sharded self-search: %+v", res)
-	}
-}
-
 func TestShardOffsets(t *testing.T) {
 	cases := []struct {
 		n, shards int

@@ -252,47 +252,40 @@ func TestTombstoneStreamMatchesOverfetch(t *testing.T) {
 		{"shard0", func(id int) bool { return id < per }},
 		{"all", func(id int) bool { return true }},
 	}
-	plain := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}
-	probes := plain
-	probes.Probes = 3
-	for ci, cfg := range []Config{plain, probes} {
-		for shards := 1; shards <= 3; shards++ {
-			for _, buffered := range []int{0, 15} {
-				for _, den := range densities {
-					n := shards*per + buffered
-					name := fmt.Sprintf("probes=%d/shards=%d/buffered=%d/dead=%s", max(cfg.Probes, 1), shards, buffered, den.name)
-					if ci > 0 && (shards == 3 || den.name == "one") {
-						continue // the multi-probe pass repeats a subset
+	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}
+	for shards := 1; shards <= 3; shards++ {
+		for _, buffered := range []int{0, 15} {
+			for _, den := range densities {
+				n := shards*per + buffered
+				name := fmt.Sprintf("shards=%d/buffered=%d/dead=%s", shards, buffered, den.name)
+				d, data, _, live := tombstonedFixture(t, cfg, n, per, den.dead)
+				queries := [][]float32{data[3], data[per-1], data[n-1]}
+				deleted := map[int]bool{}
+				for id := range data {
+					if !live(id) {
+						deleted[id] = true
 					}
-					d, data, _, live := tombstonedFixture(t, cfg, n, per, den.dead)
-					queries := [][]float32{data[3], data[per-1], data[n-1]}
-					deleted := map[int]bool{}
-					for id := range data {
-						if !live(id) {
-							deleted[id] = true
-						}
-					}
-					dynState(d, deleted).check(t, name+"/dynamic", queries, n, per)
-
-					// Snapshot compacts the buffer and indexes it as a shard.
-					rows, sx, err := d.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
-					shardedState(sx, deleted).check(t, name+"/snapshot", queries, n, per)
-
-					path := filepath.Join(t.TempDir(), "snap.lccs")
-					if err := sx.Save(path); err != nil {
-						t.Fatal(err)
-					}
-					loaded := must(LoadSharded(path, rows))
-					shardedState(loaded, deleted).check(t, name+"/loaded", queries[:1], n, per)
-					warm := must(NewDynamicIndexFromSharded(loaded, rows, per))
-					if warm.Len() != n-len(deleted) {
-						t.Fatalf("%s: warm restart holds %d live rows, want %d", name, warm.Len(), n-len(deleted))
-					}
-					dynState(warm, deleted).check(t, name+"/restarted", queries[:1], n, per)
 				}
+				dynState(d, deleted).check(t, name+"/dynamic", queries, n, per)
+
+				// Snapshot compacts the buffer and indexes it as a shard.
+				rows, sx, err := d.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				shardedState(sx, deleted).check(t, name+"/snapshot", queries, n, per)
+
+				path := filepath.Join(t.TempDir(), "snap.lccs")
+				if err := sx.Save(path); err != nil {
+					t.Fatal(err)
+				}
+				loaded := must(LoadSharded(path, rows))
+				shardedState(loaded, deleted).check(t, name+"/loaded", queries[:1], n, per)
+				warm := must(NewDynamicIndexFromSharded(loaded, rows, per))
+				if warm.Len() != n-len(deleted) {
+					t.Fatalf("%s: warm restart holds %d live rows, want %d", name, warm.Len(), n-len(deleted))
+				}
+				dynState(warm, deleted).check(t, name+"/restarted", queries[:1], n, per)
 			}
 		}
 	}
