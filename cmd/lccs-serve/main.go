@@ -1,35 +1,33 @@
 // Command lccs-serve puts an LCCS-LSH index behind a network endpoint: a
-// long-lived daemon that loads (or builds) an index over a dataset file
-// and serves the HTTP/JSON API of internal/server — /v1/search,
-// /v1/search/batch, /v1/insert, /v1/delete, /v1/stats, /v1/debug/slow,
-// /healthz, /metrics — with bounded concurrency, an LRU result cache,
-// and graceful shutdown.
+// long-lived daemon that serves the HTTP/JSON API of internal/server —
+// /v1/search, /v1/search/batch, /v1/insert, /v1/delete, /v1/collections,
+// /v1/stats, /v1/debug/slow, /healthz, /metrics — with bounded
+// concurrency, an LRU result cache, and graceful shutdown.
 //
 // Usage:
 //
-//	lccs-serve -data sift.ds -metric euclidean -m 64 -shards 0 -addr :8080
-//	lccs-serve -data sift.ds -dynamic -snapshot snap.lccs -snapshot-data snap.ds
-//	lccs-serve -data snap.ds -index snap.lccs            # warm start, read-only
-//	lccs-serve -data snap.ds -index snap.lccs -dynamic \
-//	           -snapshot snap.lccs                       # warm start, writable
 //	mkdir -p /var/lib/lccs && \
-//	lccs-serve -data /var/lib/lccs -sync always          # durable data dir
+//	lccs-serve -data /var/lib/lccs -sync always          # writable data dir
+//	lccs-serve -data /var/lib/lccs -bootstrap sift.ds    # seed a fresh dir
+//	lccs-serve -data sift.ds -metric euclidean -m 64 -shards 0 -addr :8080
+//	lccs-serve -data snap.ds -index snap.lccs            # prebuilt, read-only
 //
-// Backend selection: when -data names a DIRECTORY, the daemon runs in
-// durable mode — the directory holds a manifest, snapshot container,
-// and write-ahead log (see lccs.OpenDurable); boot recovers the
-// previous state (the recovery summary is logged), /v1/insert and
-// /v1/delete acknowledge only after the write is durable per -sync,
-// and the index is checkpointed on a timer, when the WAL outgrows
-// -checkpoint-wal-mb, and on graceful shutdown. A SIGKILLed durable
-// daemon restarts with every acknowledged write intact.
+// When -data names a DIRECTORY, every write is durable. The directory is
+// the collection registry's root (internal/engine): it holds the default
+// collection — a manifest, snapshot container and write-ahead log, see
+// lccs.OpenDurable — and each created collection under collections/.
+// Boot recovers the previous state (the recovery summary is logged),
+// /v1/insert and /v1/delete acknowledge only after the write is durable
+// per -sync, and every loaded collection is checkpointed on a timer, when
+// its WAL outgrows -checkpoint-wal-mb, and on graceful shutdown. A
+// SIGKILLed daemon restarts with every acknowledged write intact.
+// -bootstrap seeds a fresh directory's default collection from a dataset
+// file, as one index shard.
 //
-// When -data names a dataset FILE, the pre-PR5 modes apply: -index
-// loads a prebuilt index container (read-only, or writable with
-// -dynamic); -dynamic alone builds a DynamicIndex (writes are held only
-// in memory until the shutdown snapshot — use a durable data dir when
-// acknowledged writes must survive a crash); otherwise a ShardedIndex
-// is built with -shards shards.
+// When -data names a dataset FILE, the daemon serves it read-only with no
+// disk footprint: a ShardedIndex built with -shards shards, or with
+// -index, a prebuilt index container over the file's vectors. Writes and
+// collection creates answer 501.
 //
 // Observability: the daemon logs structured key=value (or JSON with
 // -log-format json) records through log/slog; -trace-sample traces a
@@ -39,9 +37,8 @@
 // so profiling endpoints are never exposed on the public port.
 //
 // On SIGINT or SIGTERM the daemon flips /healthz to 503, drains
-// in-flight requests, waits for any background delta build, and
-// persists: durable mode checkpoints (snapshot + WAL truncation), the
-// file modes honor -snapshot. A second signal forces immediate exit.
+// in-flight requests, stops the checkpoint timer, and checkpoints and
+// closes every loaded collection. A second signal forces immediate exit.
 package main
 
 import (
@@ -74,15 +71,14 @@ var logger *slog.Logger
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		dataPath  = flag.String("data", "", "dataset file, or a directory for durable mode (required)")
-		indexPath = flag.String("index", "", "load a prebuilt index container instead of building (file mode)")
+		dataPath  = flag.String("data", "", "data directory (writable, durable), or a dataset file (read-only) (required)")
+		indexPath = flag.String("index", "", "file mode: load a prebuilt index container instead of building")
 		metric    = flag.String("metric", "euclidean", "euclidean | angular | hamming | jaccard")
 		m         = flag.Int("m", 64, "hash-string length (larger m: higher recall per candidate, more memory)")
 		lambda    = flag.Int("lambda", 100, "default candidate budget per query (larger λ: higher recall, more time)")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		shards    = flag.Int("shards", 0, "shard count for the sharded backend (0 = GOMAXPROCS)")
-		dynamic   = flag.Bool("dynamic", false, "serve a DynamicIndex backend (enables /v1/insert)")
-		rebuildAt = flag.Int("rebuild-at", 0, "dynamic delta size that triggers a background shard build (0 = default)")
+		shards    = flag.Int("shards", 0, "file mode: shard count of the built index (0 = GOMAXPROCS)")
+		rebuildAt = flag.Int("rebuild-at", 0, "delta size that triggers a background shard build (0 = default)")
 		quantize  = flag.String("quantize", "", "scan-time vector compression: sq8 (euclidean/angular only; exact re-rank keeps distances exact; costs n·d bytes and pays off only at high dimensionality, see docs/PERFORMANCE.md)")
 		rerank    = flag.Int("rerank", 0, "quantized-scan survivors re-ranked with exact distances per query (0 = default)")
 
@@ -93,16 +89,14 @@ func main() {
 		cacheSize    = flag.Int("cache", 4096, "result cache entries, keyed on the exact request (0 disables)")
 		maxBody      = flag.Int64("max-body", 0, "request body cap in bytes (0 = 32 MiB)")
 
-		syncPolicy  = flag.String("sync", "always", "durable mode WAL sync policy: always | interval | none (none: acks survive a process kill but NOT an OS crash)")
-		syncEvery   = flag.Duration("sync-interval", 50*time.Millisecond, "fsync period for -sync interval")
-		walSegMB    = flag.Int64("wal-segment-mb", 64, "durable mode WAL segment size before rotation")
-		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "durable mode: checkpoint at least this often (0 disables the timer)")
-		ckptWALMB   = flag.Int64("checkpoint-wal-mb", 256, "durable mode: checkpoint when the WAL exceeds this size (0 disables the size trigger)")
-		bootstrap   = flag.String("bootstrap", "", "durable mode: seed a fresh data dir from this dataset file (ignored once data exists)")
-		snapPath    = flag.String("snapshot", "", "file mode: on shutdown, save the dynamic index here")
-		snapDataPth = flag.String("snapshot-data", "", "file mode: on shutdown, save the snapshot's vectors here (default: <snapshot>.ds)")
-		drainWait   = flag.Duration("drain", 10*time.Second, "graceful shutdown deadline")
-		drainDelay  = flag.Duration("drain-delay", 0, "window between /healthz going 503 and the listener closing; set to ≥ your load balancer's probe interval")
+		syncPolicy = flag.String("sync", "always", "WAL sync policy: always | interval | none (none: acks survive a process kill but NOT an OS crash)")
+		syncEvery  = flag.Duration("sync-interval", 50*time.Millisecond, "fsync period for -sync interval")
+		walSegMB   = flag.Int64("wal-segment-mb", 64, "WAL segment size before rotation")
+		ckptEvery  = flag.Duration("checkpoint-interval", 5*time.Minute, "checkpoint every collection at least this often (0 disables the timer)")
+		ckptWALMB  = flag.Int64("checkpoint-wal-mb", 256, "checkpoint a collection when its WAL exceeds this size (0 disables the size trigger)")
+		bootstrap  = flag.String("bootstrap", "", "seed a fresh data dir's default collection from this dataset file (ignored once data exists)")
+		drainWait  = flag.Duration("drain", 10*time.Second, "graceful shutdown deadline")
+		drainDelay = flag.Duration("drain-delay", 0, "window between /healthz going 503 and the listener closing; set to ≥ your load balancer's probe interval")
 
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
 		logFormat   = flag.String("log-format", "text", "log encoding: text | json")
@@ -131,27 +125,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := lccs.Config{Metric: kind, M: *m, Budget: *lambda, Seed: *seed,
-		Quantize: *quantize, Rerank: *rerank}
 
 	var (
-		backend lccs.Searcher
-		dyn     *lccs.DynamicIndex // file-mode lifecycle handle
-		dur     *lccs.DurableIndex // durable-mode lifecycle handle
-		eng     *engine.Engine     // collection registry (rooted in durable mode)
-		ds      *dataset.Dataset   // file-mode dataset (snapshot output needs it)
+		backend lccs.Searcher  // file mode: the read-only index
+		eng     *engine.Engine // data-dir mode: the registry, default collection included
+		vectors int
 	)
 	if fi, err := os.Stat(*dataPath); err == nil && fi.IsDir() {
-		dur, err = openDurable(*dataPath, cfg, *syncPolicy, *syncEvery, *walSegMB, *rebuildAt, *bootstrap)
-		if err != nil {
-			fatal(err)
-		}
-		backend = dur
-		// Collections created over the API live under
-		// <data>/collections/<name>/, each with its own WAL and
-		// snapshot; the root data dir itself stays the "default"
-		// collection. New collections inherit the daemon's flags unless
-		// their create request overrides them.
+		// The data dir is the default collection; collections created over
+		// the API live under <data>/collections/<name>/. Both take the
+		// daemon's flags as their spec, unless a create request overrides
+		// them.
 		eng, err = engine.New(*dataPath, engine.Spec{
 			Metric: *metric, M: *m, Budget: *lambda, Seed: *seed,
 			Quantize: *quantize, Rerank: *rerank, RebuildAt: *rebuildAt,
@@ -161,24 +145,33 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *indexPath != "" || *snapPath != "" || *dynamic {
-			logger.Warn("file-mode flags ignored with a durable data dir", "flags", "-index/-snapshot/-dynamic")
+		def, err := eng.Get(engine.DefaultCollection)
+		if err != nil {
+			fatal(err)
 		}
+		if *bootstrap != "" {
+			if err := bootstrapFrom(def.Durable(), *bootstrap, kind); err != nil {
+				fatal(fmt.Errorf("bootstrap: %w", err))
+			}
+		}
+		if *indexPath != "" {
+			logger.Warn("-index ignored with a data dir")
+		}
+		vectors = def.Backend().Len()
 	} else {
-		ds, err = dataset.Load(*dataPath)
+		ds, err := dataset.Load(*dataPath)
 		if err != nil {
 			fatal(err)
 		}
 		if kind == lccs.Angular {
 			ds = ds.NormalizedCopy()
 		}
-		backend, dyn, err = buildBackend(ds, cfg, *indexPath, *dynamic, *shards, *rebuildAt)
-		if err != nil {
+		cfg := lccs.Config{Metric: kind, M: *m, Budget: *lambda, Seed: *seed,
+			Quantize: *quantize, Rerank: *rerank}
+		if backend, err = buildBackend(ds, cfg, *indexPath, *shards); err != nil {
 			fatal(err)
 		}
-		if *snapPath != "" && dyn == nil {
-			logger.Warn("-snapshot is only honored with -dynamic; ignoring")
-		}
+		vectors = backend.Len()
 	}
 
 	srv, err := server.New(server.Config{
@@ -221,7 +214,7 @@ func main() {
 
 	done := make(chan error, 1)
 	go func() {
-		logger.Info("listening", "addr", *addr, "vectors", backend.Len(), "metric", string(kind),
+		logger.Info("listening", "addr", *addr, "vectors", vectors, "metric", string(kind),
 			"version", version, "trace_sample", *traceSample, "slow_threshold", *slowThresh)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			done <- err
@@ -230,12 +223,12 @@ func main() {
 		done <- nil
 	}()
 
-	// Durable mode checkpoints in the background: on a timer and when
-	// the WAL outgrows its budget, so neither recovery-replay time nor
-	// the data directory grows unboundedly under steady churn.
-	stopCkpt := make(chan struct{})
-	if dur != nil {
-		go checkpointLoop(dur, eng, *ckptEvery, *ckptWALMB<<20, stopCkpt)
+	// Collections checkpoint in the background: on a timer and when a WAL
+	// outgrows its budget, so neither recovery-replay time nor the data
+	// directory grows unboundedly under steady churn.
+	stopCheckpoints := func() {}
+	if eng != nil {
+		stopCheckpoints = startCheckpoints(eng, *ckptEvery, *ckptWALMB<<20)
 	}
 
 	// SIGINT and SIGTERM get the same graceful drain; a second signal
@@ -256,8 +249,8 @@ func main() {
 
 	// Graceful shutdown: readiness drops first — and stays observable
 	// for -drain-delay so load balancers can route away before the
-	// listener closes — then connections drain, then the dynamic state
-	// is quiesced and persisted.
+	// listener closes — then connections drain, then the checkpoint timer
+	// stops and every collection is checkpointed and closed.
 	srv.SetDraining(true)
 	if *drainDelay > 0 {
 		time.Sleep(*drainDelay)
@@ -270,39 +263,10 @@ func main() {
 	if err := <-done; err != nil {
 		logger.Error("serve", "err", err)
 	}
-	close(stopCkpt)
-	switch {
-	case dur != nil:
-		// Checkpoint every API-created collection before the registry
-		// closes them, so their next boot replays an empty WAL too.
-		if eng != nil {
-			for _, c := range eng.Loaded() {
-				cd := c.Durable()
-				if cd == nil || c.Adopted() {
-					continue
-				}
-				cd.WaitRebuild()
-				if err := checkpoint(cd, "drain "+c.Name()); err != nil {
-					logger.Error("drain checkpoint", "collection", c.Name(), "err", err)
-				}
-			}
-			if err := eng.Close(); err != nil {
-				logger.Error("closing collections", "err", err)
-			}
-		}
-		dur.WaitRebuild()
-		if err := checkpoint(dur, "drain"); err != nil {
-			fatal(fmt.Errorf("drain checkpoint: %w", err))
-		}
-		if err := dur.Close(); err != nil {
-			fatal(fmt.Errorf("close: %w", err))
-		}
-	case dyn != nil:
-		dyn.WaitRebuild()
-		if *snapPath != "" {
-			if err := snapshot(dyn, ds, *snapPath, *snapDataPth); err != nil {
-				fatal(fmt.Errorf("snapshot: %w", err))
-			}
+	stopCheckpoints()
+	if eng != nil {
+		if err := drain(eng); err != nil {
+			fatal(err)
 		}
 	}
 	logger.Info("bye")
@@ -328,43 +292,17 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 	return slog.New(h), nil
 }
 
-// openDurable opens the durable data directory (recovery details are
-// logged by the library through the injected logger) and seeds a fresh
-// directory from -bootstrap when given.
-func openDurable(dir string, cfg lccs.Config, policy string, syncEvery time.Duration, segMB int64, rebuildAt int, bootstrap string) (*lccs.DurableIndex, error) {
-	sp, err := lccs.ParseSyncPolicy(policy)
-	if err != nil {
-		return nil, err
+// bootstrapFrom ingests a dataset file into a fresh default collection
+// through the durable write path, compacts it into one shard and
+// checkpoints, so the directory starts with an indexed, snapshotted
+// corpus, an empty WAL and a shard layout that does not depend on
+// background-build timing. A directory that already holds data is left
+// alone.
+func bootstrapFrom(dur *lccs.DurableIndex, path string, kind lccs.MetricKind) error {
+	if rec := dur.Recovery(); dur.Len() > 0 || rec.Records > 0 || rec.SnapshotVectors > 0 {
+		logger.Warn("-bootstrap ignored: data dir already holds data", "dir", dur.Dir())
+		return nil
 	}
-	dur, err := lccs.OpenDurable(dir, lccs.DurableConfig{
-		Config:       cfg,
-		Sync:         sp,
-		SyncInterval: syncEvery,
-		SegmentBytes: segMB << 20,
-		RebuildAt:    rebuildAt,
-		Logger:       logger,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if bootstrap != "" {
-		rec := dur.Recovery()
-		if dur.Len() > 0 || rec.Records > 0 || rec.SnapshotVectors > 0 {
-			logger.Warn("-bootstrap ignored: data dir already holds data", "dir", dir)
-			return dur, nil
-		}
-		if err := seed(dur, bootstrap, cfg.Metric); err != nil {
-			dur.Close()
-			return nil, fmt.Errorf("bootstrap: %w", err)
-		}
-	}
-	return dur, nil
-}
-
-// seed ingests a dataset file through the durable write path and
-// checkpoints, so a fresh data directory starts with an indexed,
-// snapshotted corpus and an empty WAL.
-func seed(dur *lccs.DurableIndex, path string, kind lccs.MetricKind) error {
 	ds, err := dataset.Load(path)
 	if err != nil {
 		return err
@@ -380,7 +318,9 @@ func seed(dur *lccs.DurableIndex, path string, kind lccs.MetricKind) error {
 			return err
 		}
 	}
-	dur.WaitRebuild()
+	if err := dur.Rebuild(); err != nil {
+		return err
+	}
 	if err := checkpoint(dur, "bootstrap"); err != nil {
 		return err
 	}
@@ -389,11 +329,25 @@ func seed(dur *lccs.DurableIndex, path string, kind lccs.MetricKind) error {
 	return nil
 }
 
+// startCheckpoints runs checkpointLoop in the background and returns its
+// stop: once stop returns, no checkpoint is in flight and none starts.
+func startCheckpoints(eng *engine.Engine, every time.Duration, walBytes int64) (stop func()) {
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		checkpointLoop(eng, every, walBytes, quit)
+	}()
+	return func() {
+		close(quit)
+		<-exited
+	}
+}
+
 // checkpointLoop runs periodic and WAL-size-triggered checkpoints over
-// the root durable index and every loaded durable collection until stop
-// closes. Collections opened mid-flight (lazily or via the create API)
-// join the sweep on the next tick.
-func checkpointLoop(dur *lccs.DurableIndex, eng *engine.Engine, every time.Duration, walBytes int64, stop <-chan struct{}) {
+// every loaded durable collection until stop closes. Collections opened
+// mid-flight (lazily or via the create API) join the sweep on the next
+// tick.
+func checkpointLoop(eng *engine.Engine, every time.Duration, walBytes int64, stop <-chan struct{}) {
 	poll := 10 * time.Second
 	if every > 0 && every < poll {
 		poll = every
@@ -405,31 +359,23 @@ func checkpointLoop(dur *lccs.DurableIndex, eng *engine.Engine, every time.Durat
 		select {
 		case <-t.C:
 			due := every > 0 && time.Since(last) >= every
-			type target struct {
-				d    *lccs.DurableIndex
-				name string
-			}
-			targets := []target{{dur, "default"}}
-			if eng != nil {
-				for _, c := range eng.Loaded() {
-					if cd := c.Durable(); cd != nil && !c.Adopted() {
-						targets = append(targets, target{cd, c.Name()})
-					}
-				}
-			}
 			ran := false
-			for _, tg := range targets {
-				st := tg.d.WALStats()
+			for _, c := range eng.Loaded() {
+				d := c.Durable()
+				if d == nil {
+					continue
+				}
+				st := d.WALStats()
 				oversize := walBytes > 0 && st.Bytes >= walBytes
 				if st.Depth == 0 || (!due && !oversize) {
 					continue
 				}
-				reason := "interval " + tg.name
+				reason := "interval " + c.Name()
 				if oversize {
-					reason = fmt.Sprintf("wal size %dMB %s", st.Bytes>>20, tg.name)
+					reason = fmt.Sprintf("wal size %dMB %s", st.Bytes>>20, c.Name())
 				}
-				if err := checkpoint(tg.d, reason); err != nil {
-					logger.Error("checkpoint failed", "collection", tg.name, "err", err)
+				if err := checkpoint(d, reason); err != nil {
+					logger.Error("checkpoint failed", "collection", c.Name(), "err", err)
 				}
 				ran = true
 			}
@@ -440,6 +386,21 @@ func checkpointLoop(dur *lccs.DurableIndex, eng *engine.Engine, every time.Durat
 			return
 		}
 	}
+}
+
+// drain checkpoints every loaded durable collection, so the next boot
+// replays empty logs, and closes the registry.
+func drain(eng *engine.Engine) error {
+	var errs []error
+	for _, c := range eng.Loaded() {
+		if d := c.Durable(); d != nil {
+			d.WaitRebuild()
+			if err := checkpoint(d, "drain "+c.Name()); err != nil {
+				errs = append(errs, fmt.Errorf("drain checkpoint %s: %w", c.Name(), err))
+			}
+		}
+	}
+	return errors.Join(append(errs, eng.Close())...)
 }
 
 // checkpoint runs one checkpoint and logs its outcome (phase timings
@@ -463,87 +424,33 @@ func checkpoint(dur *lccs.DurableIndex, reason string) error {
 	return nil
 }
 
-// buildBackend selects and constructs the index facade behind the
-// server in file mode. It returns the backend and, when dynamic, the
-// concrete DynamicIndex for lifecycle calls (WaitRebuild, Snapshot).
-func buildBackend(ds *dataset.Dataset, cfg lccs.Config, indexPath string, dynamic bool, shards, rebuildAt int) (lccs.Searcher, *lccs.DynamicIndex, error) {
-	switch {
-	case indexPath != "":
-		start := time.Now()
+// buildBackend builds or loads the read-only index a dataset file is
+// served through: a ShardedIndex with the given shard count, or the
+// prebuilt container at indexPath over the file's vectors.
+func buildBackend(ds *dataset.Dataset, cfg lccs.Config, indexPath string, shards int) (lccs.Searcher, error) {
+	start := time.Now()
+	if indexPath != "" {
 		// Warm start stays flat: the dataset's contiguous block feeds the
 		// container decode directly, no per-row re-packing.
 		flat, err := ds.FlatData()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		sx, err := lccs.LoadShardedStore(indexPath, flat)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		logger.Info("loaded index", "path", indexPath, "shards", sx.Shards(), "vectors", sx.Len(),
 			"took", time.Since(start).Round(time.Millisecond))
-		if dynamic {
-			// Keep a warm restart writable: the loaded shards become the
-			// dynamic main, so snapshot → restart → insert keeps working
-			// across any number of cycles.
-			dyn, err := lccs.NewDynamicIndexFromShardedStore(sx, rebuildAt)
-			if err != nil {
-				return nil, nil, err
-			}
-			return dyn, dyn, nil
-		}
-		return sx, nil, nil
-	case dynamic:
-		start := time.Now()
-		dyn, err := lccs.NewDynamicIndex(ds.Data, cfg, rebuildAt)
-		if err != nil {
-			return nil, nil, err
-		}
-		logger.Info("built dynamic index", "vectors", dyn.Len(),
-			"took", time.Since(start).Round(time.Millisecond))
-		return dyn, dyn, nil
-	default:
-		start := time.Now()
-		sx, err := lccs.NewShardedIndex(ds.Data, cfg, shards)
-		if err != nil {
-			return nil, nil, err
-		}
-		logger.Info("built sharded index", "shards", sx.Shards(), "vectors", sx.Len(),
-			"took", time.Since(start).Round(time.Millisecond))
-		return sx, nil, nil
+		return sx, nil
 	}
-}
-
-// snapshot persists the dynamic index (existing shards plus a shard
-// built over the buffer) and all its vectors, so a warm restart via
-// -data <snapDataPath> -index <snapPath> preserves every insert — and
-// every delete: Snapshot compacts buffered tombstones away, and Save
-// writes the id map plus remaining tombstones into the container's
-// lifecycle section whenever deletion state exists.
-func snapshot(dyn *lccs.DynamicIndex, ds *dataset.Dataset, snapPath, snapDataPath string) error {
-	if snapDataPath == "" {
-		snapDataPath = snapPath + ".ds"
-	}
-	vectors, sx, err := dyn.Snapshot()
+	sx, err := lccs.NewShardedIndex(ds.Data, cfg, shards)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := sx.Save(snapPath); err != nil {
-		return err
-	}
-	out := &dataset.Dataset{
-		Name:    ds.Name,
-		Kind:    ds.Kind,
-		Dim:     ds.Dim,
-		Data:    vectors,
-		Queries: ds.Queries,
-	}
-	if err := out.Save(snapDataPath); err != nil {
-		return err
-	}
-	logger.Info("snapshot saved", "live", sx.Len(), "tombstones", sx.Deleted(),
-		"shards", sx.Shards(), "index", snapPath, "data", snapDataPath)
-	return nil
+	logger.Info("built sharded index", "shards", sx.Shards(), "vectors", sx.Len(),
+		"took", time.Since(start).Round(time.Millisecond))
+	return sx, nil
 }
 
 func fatal(err error) {

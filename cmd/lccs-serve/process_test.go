@@ -501,3 +501,34 @@ func TestProcessObservability(t *testing.T) {
 	resp.Body.Close()
 	d.stop(t, syscall.SIGTERM)
 }
+
+// TestProcessBootstrapOneShard: -bootstrap seeds a fresh data dir as one
+// index shard over every row, with nothing left in the delta buffer,
+// whatever the background builds were doing while the rows went in.
+func TestProcessBootstrapOneShard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a daemon")
+	}
+	spec, err := dataset.Preset("sift", 10000, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := dataset.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := filepath.Join(t.TempDir(), "boot.ds")
+	if err := ds.Save(data); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	d := startDaemon(t, "-data", dir, "-bootstrap", data, "-m", "16", "-sync", "none")
+	var stats struct {
+		Backend struct{ Vectors, Shards, Buffered int }
+	}
+	d.ok(t, "GET", "/v1/stats", nil, &stats)
+	if b := stats.Backend; b.Vectors != 10000 || b.Shards != 1 || b.Buffered != 0 {
+		t.Fatalf("after -bootstrap: backend %+v, want 10000 vectors in 1 shard, 0 buffered\n%s", b, d.logs.String())
+	}
+	d.stop(t, syscall.SIGTERM)
+}

@@ -7,19 +7,17 @@
 // those specs on first use — while the HTTP layer (internal/server)
 // owns request routing, admission, and per-collection metrics.
 //
-// Two storage modes, chosen by the registry root:
+// Every collection the registry creates is durable. A rooted engine (New
+// with a directory) opens the root itself as the collection named
+// "default" — a durable data dir (WAL + snapshot, see lccs.OpenDurable)
+// configured by the engine's defaults — and stores each created collection
+// under <root>/collections/<name>/ as a durable data dir of its own. Every
+// acknowledged write survives a crash.
 //
-//   - A rooted engine (New with a directory) stores each collection
-//     under <root>/collections/<name>/ as a durable data dir (WAL +
-//     snapshot, see lccs.OpenDurable); every acknowledged write
-//     survives a crash.
-//   - A rootless engine (New with "") creates memory-only collections
-//     backed by a DynamicIndex — the file-mode daemon's behavior,
-//     where persistence is the operator's explicit snapshot.
-//
-// A pre-built backend (the legacy single-index serving modes) joins the
-// registry through Adopt, typically under the name "default"; adopted
-// collections are not droppable and own no directory.
+// A rootless engine (New with "") creates nothing: it holds only the
+// pre-built backends an embedder registers through Adopt, such as the
+// read-only index a daemon serves from a dataset file. The default
+// collection and adopted backends cannot be dropped.
 package engine
 
 import (
@@ -35,18 +33,25 @@ import (
 	"time"
 
 	"lccs"
+	"lccs/internal/faultfs"
 )
 
 // Errors of the registry API. The HTTP layer maps NotFound to 404,
-// Exists to 409, and the validation errors to 400.
+// Exists and Pinned to 409, NoRoot to 501, and the validation errors to
+// 400.
 var (
 	ErrNotFound    = errors.New("engine: collection not found")
 	ErrExists      = errors.New("engine: collection already exists")
 	ErrBadName     = errors.New("engine: invalid collection name")
-	ErrAdopted     = errors.New("engine: adopted collection has no managed storage")
+	ErrPinned      = errors.New("engine: the default collection and adopted backends cannot be dropped")
+	ErrNoRoot      = errors.New("engine: collections need a data directory")
 	ErrClosed      = errors.New("engine: engine is closed")
 	ErrInvalidSpec = errors.New("engine: invalid collection spec")
 )
+
+// DefaultCollection is the name of the collection a rooted engine opens
+// over its root directory.
+const DefaultCollection = "default"
 
 // nameRE bounds collection names to path- and label-safe tokens: they
 // appear in directory names, URLs, and Prometheus label values.
@@ -85,8 +90,8 @@ type Spec struct {
 	// RebuildAt is the dynamic delta threshold triggering a background
 	// shard build.
 	RebuildAt int `json:"rebuild_at,omitempty"`
-	// Sync is the WAL sync policy of a rooted collection: always |
-	// interval | none. Empty inherits the engine default.
+	// Sync is the collection's WAL sync policy: always | interval |
+	// none. Empty inherits the engine default.
 	Sync string `json:"sync,omitempty"`
 	// SyncIntervalMS is the fsync period for Sync "interval".
 	SyncIntervalMS int `json:"sync_interval_ms,omitempty"`
@@ -132,32 +137,16 @@ func (s Spec) merged(def Spec) Spec {
 	return s
 }
 
-// config translates the spec into the library's index configuration.
-func (s Spec) config() (lccs.Config, error) {
+// durableConfig translates the spec into the library's configuration of
+// a durable index.
+func (s Spec) durableConfig(fsys faultfs.FS, logger *slog.Logger) (lccs.DurableConfig, error) {
 	metric := s.Metric
 	if metric == "" {
 		metric = "euclidean"
 	}
 	kind, err := lccs.ParseMetric(metric)
 	if err != nil {
-		return lccs.Config{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
-	}
-	return lccs.Config{
-		Metric:      kind,
-		M:           s.M,
-		Budget:      s.Budget,
-		Seed:        s.Seed,
-		BucketWidth: s.BucketWidth,
-		Quantize:    s.Quantize,
-		Rerank:      s.Rerank,
-	}, nil
-}
-
-// durableConfig translates the spec into a durable-mode configuration.
-func (s Spec) durableConfig(logger *slog.Logger) (lccs.DurableConfig, error) {
-	cfg, err := s.config()
-	if err != nil {
-		return lccs.DurableConfig{}, err
+		return lccs.DurableConfig{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	policy := s.Sync
 	if policy == "" {
@@ -168,26 +157,36 @@ func (s Spec) durableConfig(logger *slog.Logger) (lccs.DurableConfig, error) {
 		return lccs.DurableConfig{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	return lccs.DurableConfig{
-		Config:       cfg,
+		Config: lccs.Config{
+			Metric:      kind,
+			M:           s.M,
+			Budget:      s.Budget,
+			Seed:        s.Seed,
+			BucketWidth: s.BucketWidth,
+			Quantize:    s.Quantize,
+			Rerank:      s.Rerank,
+		},
 		Sync:         sp,
 		SyncInterval: time.Duration(s.SyncIntervalMS) * time.Millisecond,
 		SegmentBytes: s.SegmentBytes,
 		RebuildAt:    s.RebuildAt,
+		FS:           fsys,
 		Logger:       logger,
 	}, nil
 }
 
 // Collection is one named index inside the registry: the backend that
-// answers its queries plus the lifecycle handles the registry and the
-// daemon need (checkpointing, closing).
+// answers its queries plus the durable handle the registry and the daemon
+// need (checkpointing, closing).
 type Collection struct {
 	name    string
 	spec    Spec
 	backend lccs.Searcher
-	dur     *lccs.DurableIndex // nil for adopted and memory-only collections
-	dyn     *lccs.DynamicIndex // nil when the backend is immutable
-	adopted bool
-	dir     string // "" for adopted and memory-only collections
+	dur     *lccs.DurableIndex // nil for adopted backends
+	// dir is what Drop deletes: "" for the collections the registry
+	// cannot drop — the default collection at the root and adopted
+	// backends.
+	dir string
 	// usage is the collection's cumulative resource accounting; the
 	// serving layer records into it on every request.
 	usage Usage
@@ -203,17 +202,8 @@ func (c *Collection) Spec() Spec { return c.spec }
 // Backend returns the Searcher answering this collection's queries.
 func (c *Collection) Backend() lccs.Searcher { return c.backend }
 
-// Durable returns the durable handle, or nil when the collection is
-// memory-only or adopted.
+// Durable returns the durable handle, or nil for an adopted backend.
 func (c *Collection) Durable() *lccs.DurableIndex { return c.dur }
-
-// Dynamic returns the writable handle, or nil when the backend is
-// immutable. For durable collections it is the embedded DynamicIndex.
-func (c *Collection) Dynamic() *lccs.DynamicIndex { return c.dyn }
-
-// Adopted reports whether the collection wraps a pre-built backend the
-// registry does not manage on disk.
-func (c *Collection) Adopted() bool { return c.adopted }
 
 // specFile is the on-disk spec name inside a collection directory.
 const specFile = "COLLECTION.json"
@@ -224,20 +214,25 @@ const specFile = "COLLECTION.json"
 // restart) and index opens of serving-size corpora are fast relative
 // to request timeouts.
 type Engine struct {
-	root     string // "" = rootless (memory-only collections)
+	root     string // "" = rootless (adopted backends only)
 	defaults Spec
 	logger   *slog.Logger
+	// fs carries the spec writes and every durable collection's I/O;
+	// tests inject faults through it.
+	fs faultfs.FS
 
 	mu     sync.RWMutex
 	colls  map[string]*Collection
 	closed bool
 }
 
-// New opens a registry. root "" builds a rootless engine whose created
-// collections are memory-only; a directory root persists each
-// collection under <root>/collections/<name>/. defaults fill zero
-// fields of every Create spec. Existing on-disk collections are NOT
-// opened eagerly — they appear in List and open lazily on first Get.
+// New opens a registry. root "" builds a rootless engine, which holds
+// only adopted backends. A directory root is opened — recovering whatever
+// a previous process left — as the durable default collection, with
+// defaults as its spec; created collections persist under
+// <root>/collections/<name>/. defaults fill zero fields of every Create
+// spec. Existing created collections are NOT opened eagerly — they appear
+// in List and open lazily on first Get.
 func New(root string, defaults Spec, logger *slog.Logger) (*Engine, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -246,38 +241,37 @@ func New(root string, defaults Spec, logger *slog.Logger) (*Engine, error) {
 		root:     root,
 		defaults: defaults,
 		logger:   logger,
+		fs:       faultfs.OS{},
 		colls:    make(map[string]*Collection),
 	}
-	if root != "" {
-		if err := os.MkdirAll(filepath.Join(root, "collections"), 0o755); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
+	if root == "" {
+		return e, nil
+	}
+	if err := os.MkdirAll(filepath.Join(root, "collections"), 0o755); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	if _, err := e.openLocked(DefaultCollection, root, defaults); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-// collDir returns the directory of a rooted collection.
+// collDir returns the directory of a created collection.
 func (e *Engine) collDir(name string) string {
 	return filepath.Join(e.root, "collections", name)
 }
 
 // Adopt registers a pre-built backend under name. The registry does not
 // manage its storage: it cannot be dropped, and Close leaves it alone
-// (the daemon owns its lifecycle). dur may carry the durable handle
-// when the backend is one, so per-collection WAL stats keep working.
-func (e *Engine) Adopt(name string, backend lccs.Searcher, dur *lccs.DurableIndex) (*Collection, error) {
+// (the embedder owns its lifecycle).
+func (e *Engine) Adopt(name string, backend lccs.Searcher) (*Collection, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
 	if backend == nil {
 		return nil, errors.New("engine: Adopt requires a backend")
 	}
-	c := &Collection{name: name, backend: backend, dur: dur, adopted: true}
-	if dur != nil {
-		c.dyn = dur.DynamicIndex
-	} else if dyn, ok := backend.(*lccs.DynamicIndex); ok {
-		c.dyn = dyn
-	}
+	c := &Collection{name: name, backend: backend}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -290,10 +284,10 @@ func (e *Engine) Adopt(name string, backend lccs.Searcher, dur *lccs.DurableInde
 	return c, nil
 }
 
-// Create makes a new collection. On a rooted engine the collection
-// directory and its COLLECTION.json spec are written first, so the
-// collection survives restarts; rootless engines build a memory-only
-// DynamicIndex.
+// Create makes a new durable collection under <root>/collections/<name>/.
+// Its directory and COLLECTION.json spec are on disk before the index
+// opens, so the collection survives restarts. A rootless engine answers
+// ErrNoRoot.
 func (e *Engine) Create(name string, spec Spec) (*Collection, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
@@ -308,18 +302,7 @@ func (e *Engine) Create(name string, spec Spec) (*Collection, error) {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	if e.root == "" {
-		cfg, err := spec.config()
-		if err != nil {
-			return nil, err
-		}
-		dyn, err := lccs.NewDynamicIndex(nil, cfg, spec.RebuildAt)
-		if err != nil {
-			return nil, fmt.Errorf("engine: create %q: %w", name, err)
-		}
-		c := &Collection{name: name, spec: spec, backend: dyn, dyn: dyn}
-		e.colls[name] = c
-		e.logger.Info("collection created", "collection", name, "mode", "memory")
-		return c, nil
+		return nil, fmt.Errorf("%w: cannot create %q", ErrNoRoot, name)
 	}
 	dir := e.collDir(name)
 	if _, err := os.Stat(filepath.Join(dir, specFile)); err == nil {
@@ -328,11 +311,11 @@ func (e *Engine) Create(name string, spec Spec) (*Collection, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: create %q: %w", name, err)
 	}
-	if err := writeSpec(dir, spec); err != nil {
+	if err := e.writeSpec(dir, spec); err != nil {
 		os.RemoveAll(dir)
 		return nil, fmt.Errorf("engine: create %q: %w", name, err)
 	}
-	c, err := e.openLocked(name, spec)
+	c, err := e.openLocked(name, dir, spec)
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, err
@@ -375,7 +358,7 @@ func (e *Engine) Get(name string) (*Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: open %q: %w", name, err)
 	}
-	c, err = e.openLocked(name, spec.merged(e.defaults))
+	c, err = e.openLocked(name, e.collDir(name), spec.merged(e.defaults))
 	if err != nil {
 		return nil, err
 	}
@@ -383,26 +366,27 @@ func (e *Engine) Get(name string) (*Collection, error) {
 	return c, nil
 }
 
-// openLocked opens a rooted collection's durable state and registers
-// it. Caller holds e.mu.
-func (e *Engine) openLocked(name string, spec Spec) (*Collection, error) {
-	dcfg, err := spec.durableConfig(e.logger.With("collection", name))
+// openLocked opens the durable state in dir and registers it as the
+// collection name. Caller holds e.mu, or is New.
+func (e *Engine) openLocked(name, dir string, spec Spec) (*Collection, error) {
+	dcfg, err := spec.durableConfig(e.fs, e.logger.With("collection", name))
 	if err != nil {
 		return nil, err
 	}
-	dir := e.collDir(name)
 	dur, err := lccs.OpenDurable(dir, dcfg)
 	if err != nil {
 		return nil, fmt.Errorf("engine: open %q: %w", name, err)
 	}
-	c := &Collection{name: name, spec: spec, backend: dur, dur: dur,
-		dyn: dur.DynamicIndex, dir: dir}
+	c := &Collection{name: name, spec: spec, backend: dur, dur: dur}
+	if dir != e.root {
+		c.dir = dir // the root is the default collection's, never dropped
+	}
 	e.colls[name] = c
 	return c, nil
 }
 
-// Drop closes the named collection and deletes its storage. Adopted
-// collections are refused — the registry does not own their state.
+// Drop closes the named collection and deletes its storage. The default
+// collection and adopted backends are refused with ErrPinned.
 func (e *Engine) Drop(name string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -423,22 +407,16 @@ func (e *Engine) Drop(name string) error {
 		}
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if c.adopted {
-		return fmt.Errorf("%w: cannot drop %q", ErrAdopted, name)
+	if c.dir == "" {
+		return fmt.Errorf("%w: %q", ErrPinned, name)
 	}
 	delete(e.colls, name)
-	if c.dur != nil {
-		c.dur.WaitRebuild()
-		if err := c.dur.Close(); err != nil {
-			e.logger.Warn("closing dropped collection", "collection", name, "err", err)
-		}
-	} else if c.dyn != nil {
-		c.dyn.WaitRebuild()
+	c.dur.WaitRebuild()
+	if err := c.dur.Close(); err != nil {
+		e.logger.Warn("closing dropped collection", "collection", name, "err", err)
 	}
-	if c.dir != "" {
-		if err := os.RemoveAll(c.dir); err != nil {
-			return fmt.Errorf("engine: drop %q: %w", name, err)
-		}
+	if err := os.RemoveAll(c.dir); err != nil {
+		return fmt.Errorf("engine: drop %q: %w", name, err)
 	}
 	e.logger.Info("collection dropped", "collection", name)
 	return nil
@@ -489,7 +467,7 @@ func (e *Engine) Loaded() []*Collection {
 	return out
 }
 
-// Close closes every managed collection (adopted backends are left to
+// Close closes every durable collection (adopted backends are left to
 // their owner) and refuses further registry operations.
 func (e *Engine) Close() error {
 	e.mu.Lock()
@@ -500,7 +478,7 @@ func (e *Engine) Close() error {
 	e.closed = true
 	var firstErr error
 	for name, c := range e.colls {
-		if c.adopted || c.dur == nil {
+		if c.dur == nil {
 			continue
 		}
 		c.dur.WaitRebuild()
@@ -511,19 +489,21 @@ func (e *Engine) Close() error {
 	return firstErr
 }
 
-// writeSpec persists the spec atomically (temp file + rename), so a
-// crash mid-create never leaves a half-written COLLECTION.json that a
-// restart would reject.
-func writeSpec(dir string, spec Spec) error {
+// writeSpec persists the spec through faultfs.WriteFileAtomic, then
+// fsyncs the collections directory, which holds the new collection's own
+// entry. A crash mid-create never leaves a half-written COLLECTION.json
+// that a restart would reject, and once it returns, a power loss cannot
+// take the collection — and with it the writes acknowledged into it —
+// out of List and Get.
+func (e *Engine) writeSpec(dir string, spec Spec) error {
 	buf, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, specFile+".tmp")
-	if err := os.WriteFile(tmp, append(buf, '\n'), 0o644); err != nil {
+	if err := faultfs.WriteFileAtomic(e.fs, filepath.Join(dir, specFile), append(buf, '\n')); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, specFile))
+	return e.fs.SyncDir(filepath.Dir(dir))
 }
 
 // readSpec loads a collection's persisted spec.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lccs"
+	"lccs/internal/faultfs"
 	"lccs/internal/rng"
 )
 
@@ -61,8 +62,7 @@ func TestRootedLifecycle(t *testing.T) {
 		t.Fatalf("lens: a=%d b=%d", a.Backend().Len(), b.Backend().Len())
 	}
 
-	got := e.List()
-	if len(got) != 2 || got[0] != "tenant-a" || got[1] != "tenant-b" {
+	if got := e.List(); !reflect.DeepEqual(got, []string{"default", "tenant-a", "tenant-b"}) {
 		t.Fatalf("List = %v", got)
 	}
 	if err := e.Close(); err != nil {
@@ -78,7 +78,7 @@ func TestRootedLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	if got := e2.List(); len(got) != 2 {
+	if got := e2.List(); len(got) != 3 {
 		t.Fatalf("restart List = %v", got)
 	}
 	a2, err := e2.Get("tenant-a")
@@ -88,7 +88,7 @@ func TestRootedLifecycle(t *testing.T) {
 	if a2.Backend().Len() != 10 {
 		t.Fatalf("recovered len = %d, want 10", a2.Backend().Len())
 	}
-	if attrs := a2.Dynamic().Attrs(3); !attrs.Equal(lccs.Attrs{"i": lccs.IntAttr(3)}) {
+	if attrs := a2.Durable().Attrs(3); !attrs.Equal(lccs.Attrs{"i": lccs.IntAttr(3)}) {
 		t.Fatalf("recovered attrs = %v", attrs)
 	}
 	if _, err := e2.Get("nope"); !errors.Is(err, ErrNotFound) {
@@ -102,7 +102,7 @@ func TestRootedLifecycle(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, "collections", "tenant-a")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("dropped dir still exists: %v", err)
 	}
-	if got := e2.List(); len(got) != 1 || got[0] != "tenant-b" {
+	if got := e2.List(); !reflect.DeepEqual(got, []string{"default", "tenant-b"}) {
 		t.Fatalf("post-drop List = %v", got)
 	}
 	b2, err := e2.Get("tenant-b")
@@ -189,7 +189,9 @@ func TestSpecProbesKeyReopens(t *testing.T) {
 	}
 }
 
-// TestRootlessEngine covers memory-only collections and adoption.
+// TestRootlessEngine: an engine without a data directory creates
+// nothing — it holds only the backends an embedder adopts, and those
+// cannot be dropped.
 func TestRootlessEngine(t *testing.T) {
 	e, err := New("", Spec{Metric: "euclidean", M: 8, Seed: 1, BucketWidth: 4}, nil)
 	if err != nil {
@@ -197,18 +199,14 @@ func TestRootlessEngine(t *testing.T) {
 	}
 	defer e.Close()
 
-	c := mustCreate(t, e, "mem", Spec{})
-	if c.Durable() != nil || c.Dynamic() == nil {
-		t.Fatal("memory collection should be dynamic, not durable")
+	if _, err := e.Create("mem", Spec{}); !errors.Is(err, ErrNoRoot) {
+		t.Fatalf("rootless create: %v, want ErrNoRoot", err)
 	}
-	if _, err := c.Dynamic().Add([]float32{1, 2}); err != nil {
-		t.Fatal(err)
+	if got := e.List(); len(got) != 0 {
+		t.Fatalf("List after a refused create = %v", got)
 	}
-	if c.Backend().Len() != 1 {
-		t.Fatalf("len = %d", c.Backend().Len())
-	}
-	if err := e.Drop("mem"); err != nil {
-		t.Fatal(err)
+	if _, err := e.Get("mem"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after a refused create: %v", err)
 	}
 
 	// Adopt a pre-built read-only backend as the default collection.
@@ -217,20 +215,128 @@ func TestRootlessEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := e.Adopt("default", sx, nil)
+	d, err := e.Adopt(DefaultCollection, sx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Adopted() || d.Dynamic() != nil {
+	if d.Durable() != nil || d.Backend() != lccs.Searcher(sx) {
 		t.Fatalf("adopted state: %+v", d)
 	}
-	if err := e.Drop("default"); !errors.Is(err, ErrAdopted) {
+	if err := e.Drop(DefaultCollection); !errors.Is(err, ErrPinned) {
 		t.Fatalf("dropping adopted: %v", err)
 	}
-	if _, err := e.Get("default"); err != nil {
+	if _, err := e.Get(DefaultCollection); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefaultCollectionAtRoot: a rooted engine opens its root as the
+// durable default collection with the engine's defaults as its spec. It
+// cannot be dropped — every file under the root survives the attempt —
+// or created again, and a second engine over the root recovers it.
+func TestDefaultCollectionAtRoot(t *testing.T) {
+	root := t.TempDir()
+	defaults := Spec{Metric: "euclidean", M: 8, Seed: 1, BucketWidth: 4, Sync: "none"}
+	e, err := New(root, defaults, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := e.Get(DefaultCollection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Durable() == nil || def.Durable().Dir() != root || def.Spec() != defaults {
+		t.Fatalf("default collection: durable %v, spec %+v", def.Durable(), def.Spec())
+	}
+	if _, err := def.Durable().AddBatch([][]float32{{1, 2}, {3, 4}, {5, 6}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := def.Durable().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := def.Durable().Add([]float32{7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	mustCreate(t, e, "tenant", Spec{})
+	files := func() []string {
+		var out []string
+		err := filepath.WalkDir(root, func(path string, _ os.DirEntry, err error) error {
+			out = append(out, path)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := files()
+
+	if err := e.Drop(DefaultCollection); !errors.Is(err, ErrPinned) {
+		t.Fatalf("Drop(default): %v, want ErrPinned", err)
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("files under the root after Drop(default):\n%v\nwant\n%v", after, before)
+	}
+	if _, err := e.Create(DefaultCollection, Spec{}); !errors.Is(err, ErrExists) {
+		t.Fatalf("Create(default): %v, want ErrExists", err)
 	}
 	if _, err := e.Create("other", Spec{Metric: "bogus"}); !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("bad metric: %v", err)
+	}
+	if got := e.List(); !reflect.DeepEqual(got, []string{"default", "tenant"}) {
+		t.Fatalf("List = %v", got)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, err := New(root, defaults, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	def2, err := e2.Get(DefaultCollection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := def2.Backend().Len(); n != 4 {
+		t.Fatalf("recovered default holds %d vectors, want 4", n)
+	}
+}
+
+// TestCreateFailsOnSpecSyncFault: a create is acknowledged only once its
+// COLLECTION.json is on disk. An injected failure of the spec file's
+// fsync, of its rename, or of a directory fsync fails the create and
+// leaves no collection behind, and a retry without the fault succeeds.
+func TestCreateFailsOnSpecSyncFault(t *testing.T) {
+	for _, op := range []faultfs.Op{faultfs.OpSync, faultfs.OpRename, faultfs.OpSyncDir} {
+		t.Run(op.String(), func(t *testing.T) {
+			root := t.TempDir()
+			e, err := New(root, Spec{Metric: "euclidean", M: 8, Seed: 1, BucketWidth: 4, Sync: "none"}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			inj := faultfs.NewInjected(faultfs.OS{})
+			e.fs = inj
+			path := specFile
+			if op == faultfs.OpSyncDir {
+				path = "collections"
+			}
+			inj.Inject(&faultfs.Fault{Op: op, Path: path, Once: true})
+			if _, err := e.Create("tenant", Spec{}); !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("Create with a failing %s: %v, want the injected fault", op, err)
+			}
+			if got := e.List(); !reflect.DeepEqual(got, []string{"default"}) {
+				t.Fatalf("List after the failed create = %v", got)
+			}
+			if _, err := e.Get("tenant"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get after the failed create: %v", err)
+			}
+			if _, err := os.Stat(filepath.Join(root, "collections", "tenant")); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("the failed create left its directory: %v", err)
+			}
+			mustCreate(t, e, "tenant", Spec{})
+		})
 	}
 }

@@ -20,6 +20,7 @@ package faultfs
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is the subset of *os.File the durability stack uses.
@@ -104,4 +105,31 @@ func (OS) SyncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// WriteFileAtomic replaces path with data: write a temp file beside it,
+// fsync it, rename it over path, fsync the directory. A crash at any point
+// leaves either the old file or the new one, never a partial one, and a
+// nil return means the new one is on disk.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
 }

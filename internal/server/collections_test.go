@@ -47,16 +47,26 @@ func doJSON(t *testing.T, ts *httptest.Server, method, path string, body, out an
 	return resp.StatusCode
 }
 
-// newCollServer stands up a server over a rootless engine with sensible
-// index defaults, no adopted backend.
+// newCollServer stands up a server over a rooted engine in a temporary
+// directory — an empty default collection at the root — with sensible
+// index defaults and no fsyncs.
 func newCollServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	eng, err := engine.New("", engine.Spec{Metric: "euclidean", M: 8, Seed: 7, BucketWidth: 4}, nil)
+	cfg.Engine = newTestEngine(t)
+	return newTestServer(t, cfg)
+}
+
+// newTestEngine opens a rooted engine over a temporary directory with the
+// index defaults the collection tests share and Sync "none", and closes
+// it when the test ends.
+func newTestEngine(t *testing.T) *engine.Engine {
+	t.Helper()
+	eng, err := engine.New(t.TempDir(), engine.Spec{Metric: "euclidean", M: 8, Seed: 7, BucketWidth: 4, Sync: "none"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine = eng
-	return newTestServer(t, cfg)
+	t.Cleanup(func() { eng.Close() })
+	return eng
 }
 
 // TestCollectionsCRUD drives the registry endpoints end to end: create
@@ -103,9 +113,9 @@ func TestCollectionsCRUD(t *testing.T) {
 	if code := doJSON(t, ts, "GET", "/v1/collections", nil, &list); code != http.StatusOK {
 		t.Fatalf("list: HTTP %d", code)
 	}
-	if len(list.Collections) != 2 ||
-		list.Collections[0].Name != "tenant-a" || list.Collections[0].Vectors != 8 ||
-		list.Collections[1].Name != "tenant-b" || list.Collections[1].Vectors != 2 {
+	if len(list.Collections) != 3 || list.Collections[0].Name != DefaultCollection ||
+		list.Collections[1].Name != "tenant-a" || list.Collections[1].Vectors != 8 ||
+		list.Collections[2].Name != "tenant-b" || list.Collections[2].Vectors != 2 {
 		t.Fatalf("list = %+v", list.Collections)
 	}
 
@@ -153,6 +163,31 @@ func TestCollectionsCRUD(t *testing.T) {
 	}
 	if _, ok := st.Collections["tenant-b"]; !ok {
 		t.Fatalf("stats missing tenant-b breakout: %v", st.Collections)
+	}
+}
+
+// TestCreateNeedsDataDir: a server built with a Backend and no Engine —
+// lccs-serve over a dataset file — answers a collection create with 501,
+// and the list still holds only the default collection.
+func TestCreateNeedsDataDir(t *testing.T) {
+	data, _ := testWorkload(3, 20, 4)
+	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 3, BucketWidth: 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Backend: sx})
+	var er errorResponse
+	if code := doJSON(t, ts, "POST", "/v1/collections", createCollectionRequest{Name: "tenant"}, &er); code != http.StatusNotImplemented ||
+		!strings.Contains(er.Error, "data directory") {
+		t.Fatalf("create without a data dir: HTTP %d, %q; want 501 naming the data directory", code, er.Error)
+	}
+	var list listCollectionsResponse
+	doJSON(t, ts, "GET", "/v1/collections", nil, &list)
+	if len(list.Collections) != 1 || list.Collections[0].Name != DefaultCollection {
+		t.Fatalf("list after the refused create = %+v", list.Collections)
+	}
+	if code := postJSON(t, ts, "/v1/collections/tenant/search", searchRequest{Query: data[0], K: 1}, nil); code != http.StatusNotFound {
+		t.Fatalf("search on the refused collection: HTTP %d, want 404", code)
 	}
 }
 

@@ -267,8 +267,8 @@ func TestExplainSearch(t *testing.T) {
 // TestExplainReportsBackendQuantization: EXPLAIN reports the compression
 // the backend verifies with, as the backend reports it, also for a backend
 // adopted as the default collection, which has no collection spec — an
-// SQ8 dynamic backend, as `lccs-serve -dynamic -quantize sq8` builds, once
-// answered "quantize": "" beside a non-zero re-ranked count.
+// adopted SQ8 dynamic backend once answered "quantize": "" beside a
+// non-zero re-ranked count.
 func TestExplainReportsBackendQuantization(t *testing.T) {
 	data, queries := testWorkload(25, 300, 8)
 	for _, tc := range []struct {
@@ -304,7 +304,7 @@ func TestExplainReportsBackendQuantization(t *testing.T) {
 }
 
 // TestExplainFilteredBuffer checks the plan of a filtered query against
-// a dynamic collection whose rows still sit in the delta buffer: the
+// a collection whose rows still sit in the delta buffer: the
 // buffer scan is reported, and the observed filter selectivity is
 // present and sane.
 func TestExplainFilteredBuffer(t *testing.T) {
@@ -341,7 +341,7 @@ func TestExplainFilteredBuffer(t *testing.T) {
 	if e == nil {
 		t.Fatal("response missing explain")
 	}
-	if e.Backend != "dynamic" || !e.Filtered {
+	if e.Backend != "durable" || !e.Filtered {
 		t.Fatalf("plan header: %+v", e)
 	}
 	if e.Cache != "off" {
@@ -392,9 +392,9 @@ func TestExplainSelectivityIgnoresTombstones(t *testing.T) {
 			insertRequest{Vectors: data[lo:hi], Attrs: attrs}, nil); code != http.StatusOK {
 			t.Fatal("insert failed")
 		}
-		c.Dynamic().WaitRebuild()
+		c.Durable().WaitRebuild()
 	}
-	if dyn := c.Dynamic(); dyn.Shards() != 3 || dyn.Buffered() != 12 {
+	if dyn := c.Durable(); dyn.Shards() != 3 || dyn.Buffered() != 12 {
 		t.Fatalf("fixture: %d shards, %d buffered", dyn.Shards(), dyn.Buffered())
 	}
 	explain := func(live int) *explainJSON {

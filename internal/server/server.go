@@ -81,11 +81,13 @@ type WALStatser interface {
 // Config configures a Server.
 type Config struct {
 	// Backend, when set, is adopted as the collection named "default":
-	// the legacy single-index serving mode. At least one of Backend and
-	// Engine is required.
+	// the single-index serving mode of library embedders and of a daemon
+	// serving a dataset file. At least one of Backend and Engine is
+	// required; a rooted Engine already has its own default collection.
 	Backend lccs.Searcher
 	// Engine is the collection registry behind /v1/collections. Nil
-	// builds a rootless registry holding only the adopted Backend.
+	// builds a rootless registry holding only the adopted Backend, which
+	// answers collection creates with 501.
 	Engine *engine.Engine
 	// MaxInFlight bounds concurrently executing searches. 0 selects
 	// GOMAXPROCS.
@@ -203,7 +205,7 @@ type Server struct {
 
 // DefaultCollection is the registry name the legacy single-index routes
 // serve.
-const DefaultCollection = "default"
+const DefaultCollection = engine.DefaultCollection
 
 // New validates cfg and builds a Server.
 func New(cfg Config) (*Server, error) {
@@ -249,8 +251,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.Backend != nil {
-		dur, _ := cfg.Backend.(*lccs.DurableIndex)
-		if _, err := eng.Adopt(DefaultCollection, cfg.Backend, dur); err != nil {
+		if _, err := eng.Adopt(DefaultCollection, cfg.Backend); err != nil {
 			return nil, fmt.Errorf("server: adopting default backend: %w", err)
 		}
 	}
@@ -276,8 +277,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheSize > 0 {
 		s.cache = newResultCache(cfg.CacheSize)
 	}
-	// Pre-resolve already-loaded collections (the adopted default, any
-	// the caller opened before handing the engine over).
+	// Pre-resolve already-loaded collections (the default, any the caller
+	// opened before handing the engine over).
 	for _, ec := range eng.Loaded() {
 		s.colls[ec.Name()] = newColl(ec)
 	}
@@ -357,8 +358,10 @@ func engineStatus(err error) int {
 	switch {
 	case errors.Is(err, engine.ErrNotFound):
 		return http.StatusNotFound
-	case errors.Is(err, engine.ErrExists), errors.Is(err, engine.ErrAdopted):
+	case errors.Is(err, engine.ErrExists), errors.Is(err, engine.ErrPinned):
 		return http.StatusConflict
+	case errors.Is(err, engine.ErrNoRoot):
+		return http.StatusNotImplemented
 	case errors.Is(err, engine.ErrBadName), errors.Is(err, engine.ErrInvalidSpec):
 		return http.StatusBadRequest
 	case errors.Is(err, engine.ErrClosed):
@@ -859,7 +862,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	reqID := s.reqID.Add(1)
 	if c.writer == nil {
 		s.fail(w, c, o, http.StatusNotImplemented,
-			errors.New("backend is read-only: inserts need a DynamicIndex (-dynamic)"))
+			errors.New("backend is read-only: inserts need a collection in a data directory"))
 		return
 	}
 	// Inserts go through admission too: the append itself is cheap, but
@@ -975,7 +978,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	reqID := s.reqID.Add(1)
 	if c.writer == nil {
 		s.fail(w, c, o, http.StatusNotImplemented,
-			errors.New("backend cannot delete: deletes need a DynamicIndex (-dynamic)"))
+			errors.New("backend is read-only: deletes need a collection in a data directory"))
 		return
 	}
 	// Deletes share the admission bound: each one takes the backend's

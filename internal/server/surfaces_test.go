@@ -50,21 +50,22 @@ type surfaceFixture struct {
 
 func newSurfaceFixture(t *testing.T) *surfaceFixture {
 	t.Helper()
-	dir := t.TempDir()
-	f := &surfaceFixture{
-		dur:  openDurableBackend(t, dir),
-		gate: &blockingBackend{started: make(chan struct{}, 64), gate: make(chan struct{})},
-	}
-	eng, err := engine.New(dir, engine.Spec{Metric: "euclidean", M: 8, Seed: 7, BucketWidth: 4,
+	f := &surfaceFixture{gate: &blockingBackend{started: make(chan struct{}, 64), gate: make(chan struct{})}}
+	eng, err := engine.New(t.TempDir(), engine.Spec{Metric: "euclidean", M: 8, Seed: 7, BucketWidth: 4,
 		RebuildAt: 64, SegmentBytes: 4096}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	if _, err := eng.Adopt("gate", f.gate, nil); err != nil {
+	def, err := eng.Get(DefaultCollection)
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.srv, f.ts = newTestServer(t, Config{Backend: f.dur, Engine: eng, CacheSize: 64,
+	f.dur = def.Durable()
+	if _, err := eng.Adopt("gate", f.gate); err != nil {
+		t.Fatal(err)
+	}
+	f.srv, f.ts = newTestServer(t, Config{Engine: eng, CacheSize: 64,
 		MaxInFlight: 1, MaxQueue: -1, CollectionMaxInFlight: 1, Timeout: 10 * time.Second})
 	f.data, f.queries = testWorkload(31, 120, 8)
 	return f
@@ -829,12 +830,9 @@ func TestShedRequestCountedOnce(t *testing.T) {
 // mix of hit, miss-then-200, miss-then-400 and miss-then-503, the global
 // cache counters equal the per-collection sums on every surface.
 func TestCacheOutcomeOnEveryExit(t *testing.T) {
-	eng, err := engine.New("", engine.Spec{Metric: "euclidean", M: 8, Seed: 7, BucketWidth: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newTestEngine(t)
 	gate := &blockingBackend{started: make(chan struct{}, 8), gate: make(chan struct{})}
-	if _, err := eng.Adopt("gate", gate, nil); err != nil {
+	if _, err := eng.Adopt("gate", gate); err != nil {
 		t.Fatal(err)
 	}
 	f := &surfaceFixture{gate: gate}

@@ -67,34 +67,13 @@ func WriteManifest(dir string, m *Manifest) error {
 	return WriteManifestFS(faultfs.OS{}, dir, m)
 }
 
-// WriteManifestFS is WriteManifest over an injectable filesystem:
-// write to a temp file, fsync it, rename over the manifest, fsync the
-// directory — a crash at any point leaves either the old or the new
-// manifest, never a partial one.
+// WriteManifestFS is WriteManifest over an injectable filesystem, through
+// faultfs.WriteFileAtomic: a crash at any point leaves either the old or
+// the new manifest, never a partial one.
 func WriteManifestFS(fsys FS, dir string, m *Manifest) error {
 	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	blob = append(blob, '\n')
-	tmp := filepath.Join(dir, ManifestName+".tmp")
-	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
+	return faultfs.WriteFileAtomic(fsys, filepath.Join(dir, ManifestName), append(blob, '\n'))
 }
