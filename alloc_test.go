@@ -71,14 +71,14 @@ func TestSearchZeroAllocIndex(t *testing.T) {
 
 // TestSearchZeroAllocSharded pins the same property across the shard
 // fan-out: sequential per-shard search, pooled per-shard lists, and the
-// reusable tournament merge together make ShardedIndex.SearchQuery
-// allocation-free at steady state.
+// reusable tournament merge together make SearchQuery on a three-shard
+// Index allocation-free at steady state.
 func TestSearchZeroAllocSharded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation; run without -race")
 	}
 	data, queries := allocWorkload(42, 2000, 12)
-	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 3}, 4)
+	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSearchZeroAllocSharded(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ShardedIndex.SearchQuery: %v allocs/op, want 0", allocs)
+		t.Fatalf("three-shard Index.SearchQuery: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestSearchZeroAllocSQ8(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("quantized ShardedIndex.SearchQuery: %v allocs/op, want 0", allocs)
+		t.Fatalf("quantized four-shard Index.SearchQuery: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -235,7 +235,7 @@ func TestSearchZeroAllocCosted(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cs   Searcher
-	}{{"Index", ix}, {"ShardedIndex", sx}, {"DynamicIndex", dx}} {
+	}{{"Index", ix}, {"Index/4 shards", sx}, {"DynamicIndex", dx}} {
 		// Warm the pooled scratch through the metered call itself.
 		var dst []Neighbor
 		for round := 0; round < 3; round++ {

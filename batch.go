@@ -79,13 +79,6 @@ func batchResult(out [][]Neighbor, errs []error) ([][]Neighbor, error) {
 	return out, nil
 }
 
-// SearchBatch answers many queries concurrently across all CPUs under
-// one k and candidate budget (0 selects the default); results are
-// returned in query order.
-func (ix *Index) SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error) {
-	return searchBatch(queries, k, budget, ix.SearchQuery)
-}
-
 // SearchBatch answers many queries concurrently under one k and
 // candidate budget (0 selects the default); results are returned in
 // query order. When the batch has at least GOMAXPROCS queries the worker
@@ -93,9 +86,9 @@ func (ix *Index) SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, 
 // sequentially; smaller batches keep the per-shard fan-out so idle cores
 // still help. Results are identical either way — the merge is
 // deterministic.
-func (sx *ShardedIndex) SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error) {
+func (ix *Index) SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error) {
 	parallel := len(queries) < runtime.GOMAXPROCS(0)
 	return searchBatch(queries, k, budget, func(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
-		return sx.searchQuery(q, qr, dst, parallel)
+		return ix.searchQuery(q, qr, dst, parallel)
 	})
 }

@@ -95,7 +95,7 @@ func TestSearchBatchEdgeCases(t *testing.T) {
 
 // TestShardedSearchBatchMatchesSequential checks the sharded batch engine
 // (which skips the per-query shard fan-out goroutines) is byte-identical
-// to per-query ShardedIndex.Search.
+// to per-query Search on a three-shard Index.
 func TestShardedSearchBatchMatchesSequential(t *testing.T) {
 	data, g := testData(46, 600, 10, 5, 0.5)
 	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 8}, 3)

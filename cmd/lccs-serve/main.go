@@ -25,8 +25,8 @@
 // file, as one index shard.
 //
 // When -data names a dataset FILE, the daemon serves it read-only with no
-// disk footprint: a ShardedIndex built with -shards shards, or with
-// -index, a prebuilt index container over the file's vectors. Writes and
+// disk footprint: an index built with -shards shards, or with -index, a
+// prebuilt index container over the file's vectors. Writes and
 // collection creates answer 501.
 //
 // Observability: the daemon logs structured key=value (or JSON with
@@ -425,8 +425,8 @@ func checkpoint(dur *lccs.DurableIndex, reason string) error {
 }
 
 // buildBackend builds or loads the read-only index a dataset file is
-// served through: a ShardedIndex with the given shard count, or the
-// prebuilt container at indexPath over the file's vectors.
+// served through: an index with the given shard count, or the prebuilt
+// container at indexPath over the file's vectors.
 func buildBackend(ds *dataset.Dataset, cfg lccs.Config, indexPath string, shards int) (lccs.Searcher, error) {
 	start := time.Now()
 	if indexPath != "" {
@@ -436,21 +436,21 @@ func buildBackend(ds *dataset.Dataset, cfg lccs.Config, indexPath string, shards
 		if err != nil {
 			return nil, err
 		}
-		sx, err := lccs.LoadShardedStore(indexPath, flat)
+		ix, err := lccs.LoadStore(indexPath, flat)
 		if err != nil {
 			return nil, err
 		}
-		logger.Info("loaded index", "path", indexPath, "shards", sx.Shards(), "vectors", sx.Len(),
+		logger.Info("loaded index", "path", indexPath, "shards", ix.Shards(), "vectors", ix.Len(),
 			"took", time.Since(start).Round(time.Millisecond))
-		return sx, nil
+		return ix, nil
 	}
-	sx, err := lccs.NewShardedIndex(ds.Data, cfg, shards)
+	ix, err := lccs.NewShardedIndex(ds.Data, cfg, shards)
 	if err != nil {
 		return nil, err
 	}
-	logger.Info("built sharded index", "shards", sx.Shards(), "vectors", sx.Len(),
+	logger.Info("built index", "shards", ix.Shards(), "vectors", ix.Len(),
 		"took", time.Since(start).Round(time.Millisecond))
-	return sx, nil
+	return ix, nil
 }
 
 func fatal(err error) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"lccs/internal/obs"
@@ -21,10 +22,12 @@ import (
 // and budget it was minted for. Resuming re-fetches each source's top
 // (consumed + limit) ranked stream and runs the segment set's merge
 // (segset.go) from the consumed positions, so draining a cursor to
-// exhaustion yields exactly the one-shot top-n ordering. Any write
-// (insert, delete, compaction, background shard swap, rebuild) bumps the
-// generation and invalidates outstanding tokens; immutable facades never
-// invalidate.
+// exhaustion yields exactly the one-shot top-n ordering. The generation
+// starts at an instance-unique epoch, so a token resumes only on the index
+// instance that minted it — never on another index, nor on the same data
+// reopened by a later process. On a DynamicIndex any write (insert,
+// delete, compaction, background shard swap, rebuild) bumps the generation
+// and invalidates outstanding tokens; an Index never invalidates its own.
 //
 // Ranking inside each source is budget-bound like any LCCS query, each
 // segment under its share of λ by the set's budget rule — on every
@@ -62,9 +65,23 @@ type CursorSearcher interface {
 // DynamicIndex).
 var (
 	_ CursorSearcher = (*Index)(nil)
-	_ CursorSearcher = (*ShardedIndex)(nil)
 	_ CursorSearcher = (*DynamicIndex)(nil)
 )
+
+// cursorEpoch seeds each facade instance's cursor generation — an
+// Index's fixed epoch, a DynamicIndex's write generation — with a unique
+// starting value: time-seeded so generations never repeat across process
+// restarts, strided so two instances in one process (two indexes over
+// different data, a durable index before and after crash recovery) can
+// never reach each other's range by ordinary write bumps. A cursor token
+// is thereby bound to the index *instance* that minted it — on any other
+// instance the token is rejected (ErrCursorStale) instead of silently
+// resuming over a result stream that instance never produced.
+var cursorEpoch atomic.Uint64
+
+func init() { cursorEpoch.Store(uint64(time.Now().UnixNano())) }
+
+func nextCursorEpoch() uint64 { return cursorEpoch.Add(1 << 32) }
 
 // cursorToken is the decoded continuation state.
 type cursorToken struct {
@@ -190,7 +207,7 @@ func (s *segSet) searchCursor(q []float32, limit, budget int, f *Filter, cursor 
 	}
 	start := time.Now()
 	nsrc := len(s.segs)
-	if s.kind == kindDynamic {
+	if s.dynamic {
 		nsrc++
 	}
 	t, err := cursorResume(cursor, q, lambda, f, gen, nsrc)
@@ -238,16 +255,11 @@ func (s *segSet) searchCursor(q []float32, limit, budget int, f *Filter, cursor 
 	return page, next, nil
 }
 
-// SearchCursor pages through the ranked results of a (optionally
-// filtered) scan of a static Index. See CursorSearcher.
+// SearchCursor pages through the ranked, merged results of a (optionally
+// filtered) scan of every shard. Tokens are bound to this instance. See
+// CursorSearcher.
 func (ix *Index) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
-	return ix.searchCursor(q, limit, lambda, f, cursor, 0)
-}
-
-// SearchCursor pages through the ranked, merged results of a sharded
-// scan. See CursorSearcher.
-func (sx *ShardedIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
-	return sx.searchCursor(q, limit, lambda, f, cursor, 0)
+	return ix.searchCursor(q, limit, lambda, f, cursor, ix.epoch)
 }
 
 // SearchCursor pages through the ranked results of a dynamic scan:

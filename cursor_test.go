@@ -2,6 +2,7 @@ package lccs
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 )
 
@@ -168,8 +169,8 @@ func TestCursorInvalidation(t *testing.T) {
 		}
 	}
 
-	// Immutable facades never invalidate: a token survives arbitrarily
-	// many pages and other queries in between.
+	// An Index never invalidates its own tokens: a token survives
+	// arbitrarily many pages and other queries in between.
 	ix, err := NewIndexWithAttrs(data, attrs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +184,43 @@ func TestCursorInvalidation(t *testing.T) {
 	}
 	if _, _, err := ix.SearchCursor(q, 5, 0, nil, next); err != nil {
 		t.Errorf("immutable resume: %v", err)
+	}
+}
+
+// TestCursorBoundToIndex pins the cursor epoch of an Index: a token
+// resumes only on the instance that minted it. Another index with the same
+// shard count over different data, and the minting index saved and loaded
+// again, refuse it as stale, while the minting index drains as before.
+func TestCursorBoundToIndex(t *testing.T) {
+	const n, dim = 80, 6
+	data, attrs := filterTestData(n, dim)
+	other, _ := testData(5, n, dim, 4, 0.5)
+	cfg := Config{Metric: Euclidean, M: 16, Seed: 3, Budget: n}
+	q := data[2]
+	for _, shards := range []int{1, 2} {
+		a := must(NewShardedIndexWithAttrs(data, attrs, cfg, shards))
+		b := must(NewShardedIndex(other, cfg, shards))
+		_, tok, err := a.SearchCursor(q, 5, n, nil, "")
+		if err != nil || tok == "" {
+			t.Fatalf("shards=%d: minting: %q, %v", shards, tok, err)
+		}
+		if page, _, err := b.SearchCursor(q, 5, n, nil, tok); !errors.Is(err, ErrCursorStale) {
+			t.Errorf("shards=%d: A's token on B: %d results, err=%v, want ErrCursorStale", shards, len(page), err)
+		}
+		path := filepath.Join(t.TempDir(), "a.lccs")
+		if err := a.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := must(Load(path, data)).SearchCursor(q, 5, n, nil, tok); !errors.Is(err, ErrCursorStale) {
+			t.Errorf("shards=%d: A's token on a reloaded A: err=%v, want ErrCursorStale", shards, err)
+		}
+		if _, _, err := a.SearchCursor(q, 5, n, nil, tok); err != nil {
+			t.Errorf("shards=%d: A's token on A: %v", shards, err)
+		}
+		want := must(a.SearchQuery(q, Query{K: n, Budget: n}, nil))
+		if got := drainCursor(t, a, q, 5, n, nil); !neighborsEqual(got, want) {
+			t.Errorf("shards=%d: drain %v, one-shot %v", shards, got, want)
+		}
 	}
 }
 

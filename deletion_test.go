@@ -86,14 +86,11 @@ func TestSnapshotExcludesDeletedRoundTrip(t *testing.T) {
 	if err := sx.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSharded(path, vectors)
+	loaded, err := Load(path, vectors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := NewDynamicIndexFromSharded(loaded, vectors, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := NewDynamicIndexFrom(loaded, 10000)
 
 	exhaustive := 4 * len(vectors)
 	searchers := map[string]Searcher{"snapshot": sx, "loaded": loaded, "warm": warm}
@@ -140,7 +137,7 @@ func TestSnapshotExcludesDeletedRoundTrip(t *testing.T) {
 	if err := snap2.Save(path2); err != nil {
 		t.Fatal(err)
 	}
-	loaded2, err := LoadSharded(path2, vectors2)
+	loaded2, err := Load(path2, vectors2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +153,7 @@ func TestSnapshotExcludesDeletedRoundTrip(t *testing.T) {
 // mustSlot maps an external id to its row position in the snapshot's
 // vector slice via the loaded index's id map (identity when no
 // compaction happened).
-func mustSlot(t *testing.T, sx *ShardedIndex, id int) int {
+func mustSlot(t *testing.T, sx *Index, id int) int {
 	t.Helper()
 	if sx.ids == nil {
 		return id

@@ -165,7 +165,7 @@ func TestLifecycleDifferential(t *testing.T) {
 			}
 			type frozen struct {
 				where string
-				sx    *ShardedIndex
+				sx    *Index
 				m     *lifecycleModel
 			}
 			var kept []frozen
@@ -236,8 +236,8 @@ func TestLifecycleDifferential(t *testing.T) {
 					if err := sx.Save(path); err != nil {
 						t.Fatalf("%s: Save: %v", where, err)
 					}
-					loaded := must(LoadSharded(path, rows))
-					d = must(NewDynamicIndexFromShardedStore(loaded, rebuildAt))
+					loaded := must(Load(path, rows))
+					d = NewDynamicIndexFrom(loaded, rebuildAt)
 					m = m.snapshot()
 					kept = append(kept, frozen{where + " loaded", loaded, m.snapshot()})
 				}
@@ -353,7 +353,7 @@ func TestLifecycleConcurrent(t *testing.T) {
 			if d.Len() == 0 {
 				continue
 			}
-			var sx *ShardedIndex
+			var sx *Index
 			first := answer("snapshot", func() []Neighbor {
 				var err error
 				if _, sx, err = d.Snapshot(); err != nil {

@@ -238,14 +238,11 @@ func OpenDurable(dir string, dc DurableConfig) (*DurableIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lccs: durable open: load snapshot vectors: %w", err)
 		}
-		sx, err := LoadShardedStore(filepath.Join(dir, man.Container), flat)
+		ix, err := LoadStore(filepath.Join(dir, man.Container), flat)
 		if err != nil {
 			return nil, fmt.Errorf("lccs: durable open: load snapshot container: %w", err)
 		}
-		dyn, err = NewDynamicIndexFromShardedStore(sx, dc.RebuildAt)
-		if err != nil {
-			return nil, err
-		}
+		dyn = NewDynamicIndexFrom(ix, dc.RebuildAt)
 		snapVectors = flat.Len()
 	} else {
 		dyn, err = NewDynamicIndex(nil, dc.Config, dc.RebuildAt)
@@ -550,12 +547,12 @@ func (di *DurableIndex) Checkpoint() (CheckpointInfo, error) {
 	empty := di.DynamicIndex.Len() == 0
 	var watermark int
 	var frozen *vec.Store
-	var sx *ShardedIndex
+	var snap *Index
 	var err error
 	if empty {
 		watermark = di.DynamicIndex.idWatermark()
 	} else {
-		frozen, sx, err = di.DynamicIndex.snapshotStore()
+		frozen, snap, err = di.DynamicIndex.snapshotStore()
 	}
 	depth := di.log.Stats().Depth
 	di.wmu.Unlock()
@@ -587,7 +584,7 @@ func (di *DurableIndex) Checkpoint() (CheckpointInfo, error) {
 		man.IDWatermark = uint64(watermark)
 	} else {
 		container, dsName := snapshotNames(gen)
-		if err := sx.Save(filepath.Join(di.dir, container)); err != nil {
+		if err := snap.Save(filepath.Join(di.dir, container)); err != nil {
 			return CheckpointInfo{}, err
 		}
 		// Persist the frozen store as a flat-backed dataset: the vector
@@ -605,7 +602,7 @@ func (di *DurableIndex) Checkpoint() (CheckpointInfo, error) {
 		}
 		man.Container, man.Dataset = container, dsName
 		info.Container, info.Dataset = container, dsName
-		info.Live, info.Tombstones = sx.Len(), sx.Deleted()
+		info.Live, info.Tombstones = snap.Len(), snap.Deleted()
 	}
 	writeTook := time.Since(writeStart)
 	obs.ObserveDur(obs.StageCkptWrite, writeTook)

@@ -5,27 +5,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"lccs/internal/core"
 	"lccs/internal/idmap"
 	"lccs/internal/vec"
 )
-
-// cursorEpoch seeds each DynamicIndex's write generation with an
-// instance-unique starting value: time-seeded so generations never
-// repeat across process restarts, strided so two instances in one
-// process (e.g. a durable index before and after crash recovery) can
-// never reach each other's range by ordinary write bumps. A cursor
-// token is thereby bound to the index *instance* that minted it — after
-// any reopen the token is rejected (ErrCursorStale) instead of silently
-// resuming over a replayed, possibly renumbered result stream.
-var cursorEpoch atomic.Uint64
-
-func init() { cursorEpoch.Store(uint64(time.Now().UnixNano())) }
-
-func nextCursorEpoch() uint64 { return cursorEpoch.Add(1 << 32) }
 
 // DynamicIndex supports online inserts and deletes on top of the static
 // CSA structure with a delta-main architecture: new vectors accumulate in
@@ -101,7 +85,7 @@ type DynamicIndex struct {
 // shard build.
 const DefaultRebuildThreshold = 4096
 
-// newDynamic wraps a set — empty, or frozen from a ShardedIndex — as a
+// newDynamic wraps a set — empty, or frozen from an Index — as a
 // DynamicIndex. rebuildAt ≤ 0 selects DefaultRebuildThreshold.
 func newDynamic(set segSet, cfgResolved bool, rebuildAt int) *DynamicIndex {
 	if rebuildAt <= 0 {
@@ -111,7 +95,7 @@ func newDynamic(set segSet, cfgResolved bool, rebuildAt int) *DynamicIndex {
 		set.cfg.Budget = defaultBudget // what the first build would resolve it to
 	}
 	d := &DynamicIndex{segSet: set, cfgResolved: cfgResolved, rebuildAt: rebuildAt, writes: nextCursorEpoch()}
-	d.adopt(kindDynamic)
+	d.adopt(true)
 	d.cond = sync.NewCond(&d.mu)
 	return d
 }
@@ -143,36 +127,22 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 	return d, nil
 }
 
-// NewDynamicIndexFromSharded wraps an existing ShardedIndex — typically
-// a snapshot written at shutdown and reloaded with LoadSharded — as a
-// DynamicIndex, so a warm restart stays writable without rebuilding:
-// the sharded index's shards become the dynamic main, new inserts
-// buffer on top. data must be the slice the sharded index was built or
-// loaded over (ids keep indexing it); the dynamic index adopts the
-// sharded index's flat store rather than copying it. rebuildAt ≤ 0
-// selects DefaultRebuildThreshold.
-func NewDynamicIndexFromSharded(sx *ShardedIndex, data [][]float32, rebuildAt int) (*DynamicIndex, error) {
-	if slots := sx.store.Len(); slots != len(data) {
-		return nil, fmt.Errorf("lccs: sharded index covers %d vectors, data has %d", slots, len(data))
-	}
-	return NewDynamicIndexFromShardedStore(sx, rebuildAt)
-}
-
-// NewDynamicIndexFromShardedStore is NewDynamicIndexFromSharded without
-// the row-slice cross-check: the sharded index's own flat store is
-// adopted directly, so a warm restart (LoadShardedStore over a
-// flat-loaded dataset) never materializes per-row slices. rebuildAt ≤ 0
+// NewDynamicIndexFrom wraps an existing Index — typically a snapshot
+// saved at a checkpoint and reopened with Load — as a DynamicIndex, so a
+// warm restart stays writable without rebuilding: the index's shards
+// become the dynamic main, new inserts buffer on top, and ids keep
+// indexing the rows the index was built or loaded over. rebuildAt ≤ 0
 // selects DefaultRebuildThreshold.
 //
-// The set is frozen, not shared: the store is a capped view, so the first
-// Add grows a private copy of the block and the still-live ShardedIndex
-// (documented safe for concurrent queries) is never mutated; and the
-// lifecycle state a snapshot's container carries across a restart — the
-// id map and the tombstones — is cloned, so deleted ids stay dead and id
-// allocation resumes past the watermark. Container headers hold the
-// resolved config.
-func NewDynamicIndexFromShardedStore(sx *ShardedIndex, rebuildAt int) (*DynamicIndex, error) {
-	return newDynamic(sx.freeze(), true, rebuildAt), nil
+// The set is frozen, not shared: the index's flat store is adopted as a
+// capped view, so the first Add grows a private copy of the block and the
+// still-live Index (documented safe for concurrent queries) is never
+// mutated; and the lifecycle state a snapshot's container carries across
+// a restart — the id map and the tombstones — is cloned, so deleted ids
+// stay dead and id allocation resumes past the watermark. Container
+// headers hold the resolved config.
+func NewDynamicIndexFrom(ix *Index, rebuildAt int) *DynamicIndex {
+	return newDynamic(ix.freeze(), true, rebuildAt)
 }
 
 // swapInLocked appends a segment built over slots [lo, hi) with the
@@ -566,37 +536,37 @@ func (d *DynamicIndex) SearchBatch(queries [][]float32, k, budget int) ([][]Neig
 }
 
 // Snapshot freezes the current contents into a point-in-time view: the
-// slot-ordered vector slice (rows are views into the flat store) and a
-// ShardedIndex over it, assembled from the existing immutable shards
-// plus one freshly built shard covering the unindexed buffer. The
-// ShardedIndex can be persisted with Save and reloaded against the
-// returned vectors with LoadSharded, so buffered inserts survive a
-// process restart without replaying them.
+// slot-ordered vector slice (rows are views into the flat store) and an
+// Index over it, assembled from the existing immutable shards plus one
+// freshly built shard covering the unindexed buffer. The Index can be
+// persisted with Save and reopened against the returned vectors with
+// Load, so buffered inserts survive a process restart without replaying
+// them.
 //
 // Deletion state travels with the snapshot. The buffer is compacted
 // first, so tombstones that never reached a shard are simply gone; the
 // rest — tombstoned slots inside immutable shards, and the id map that
 // keeps external ids stable across compactions — is carried by the
-// ShardedIndex and persisted by Save in the container's lifecycle
-// section. The snapshot therefore never resurrects a deleted id: not in
-// its own results, and not after a save/load round trip. (The returned
-// vector slice still includes rows tombstoned inside shards — the shard
+// Index and persisted by Save in the container's lifecycle section. The
+// snapshot therefore never resurrects a deleted id: not in its own
+// results, and not after a save/load round trip. (The returned vector
+// slice still includes rows tombstoned inside shards — the shard
 // structures index them positionally — but no search will return them.)
 //
 // Snapshot blocks writers while the buffer shard builds; it is meant for
 // shutdown and checkpoint paths, not the hot loop.
-func (d *DynamicIndex) Snapshot() ([][]float32, *ShardedIndex, error) {
-	frozen, sx, err := d.snapshotStore()
+func (d *DynamicIndex) Snapshot() ([][]float32, *Index, error) {
+	frozen, ix, err := d.snapshotStore()
 	if err != nil {
 		return nil, nil, err
 	}
-	return frozen.Rows(), sx, nil
+	return frozen.Rows(), ix, nil
 }
 
 // snapshotStore is Snapshot returning the frozen flat store itself —
 // the durable checkpoint path persists the block directly instead of
 // materializing per-row views.
-func (d *DynamicIndex) snapshotStore() (*vec.Store, *ShardedIndex, error) {
+func (d *DynamicIndex) snapshotStore() (*vec.Store, *Index, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.compactBufferLocked() { // buffered tombstones never reach disk
@@ -619,13 +589,13 @@ func (d *DynamicIndex) snapshotStore() (*vec.Store, *ShardedIndex, error) {
 			d.cfg, d.cfgResolved = cfg, true
 		}
 	}
-	sx := &ShardedIndex{segSet: d.freeze()}
+	set := d.freeze()
 	if tail != nil { // compacted just now: no tombstones
-		sx.segs = append(sx.segs, segment{core: tail, off: d.indexed})
-		sx.indexed = n
+		set.segs = append(set.segs, segment{core: tail, off: d.indexed})
+		set.indexed = n
 	}
-	sx.adopt(kindSharded)
-	return sx.store, sx, nil
+	ix := indexOf(set, 0)
+	return ix.store, ix, nil
 }
 
 // Vector returns the vector stored under id as a read-only view into

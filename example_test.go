@@ -2,6 +2,8 @@ package lccs_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"lccs"
 )
@@ -87,4 +89,66 @@ func ExampleIndex_SearchBatch() {
 	}
 	fmt.Println(len(results), results[0][0].ID, results[1][0].ID, results[2][0].ID)
 	// Output: 3 0 1 2
+}
+
+func ExampleNewShardedIndex() {
+	data := grid(600, 16)
+	// Three shards build their CSAs in parallel; a search fans out across
+	// them and merges the per-shard answers.
+	ix, err := lccs.NewShardedIndex(data, lccs.Config{
+		Metric:      lccs.Euclidean,
+		M:           32,
+		BucketWidth: 8,
+		Seed:        1,
+	}, 3)
+	if err != nil {
+		panic(err)
+	}
+	res, err := ix.Search(data[450], 1)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(ix.Shards(), ix.Len(), res[0].ID, res[0].Dist == 0)
+	// Output: 3 600 450 true
+}
+
+func ExampleLoad() {
+	data := grid(600, 16)
+	ix, err := lccs.NewShardedIndex(data, lccs.Config{
+		Metric:      lccs.Euclidean,
+		M:           32,
+		BucketWidth: 8,
+		Seed:        1,
+	}, 3)
+	if err != nil {
+		panic(err)
+	}
+	dir, err := os.MkdirTemp("", "lccs-example")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "index.lccs")
+	if err := ix.Save(path); err != nil {
+		panic(err)
+	}
+
+	// A warm start: Load opens the file over the same rows without
+	// rebuilding, and NewDynamicIndexFrom makes it writable again.
+	loaded, err := lccs.Load(path, data)
+	if err != nil {
+		panic(err)
+	}
+	dyn := lccs.NewDynamicIndexFrom(loaded, 0)
+	id, err := dyn.Add(data[5])
+	if err != nil {
+		panic(err)
+	}
+	res, err := dyn.SearchQuery(data[5], lccs.Query{K: 2, Budget: dyn.Len()}, nil)
+	if err != nil {
+		panic(err)
+	}
+	// The re-added vector answers beside its original, both at distance 0.
+	fmt.Println(loaded.Shards(), id, dyn.Len(), res[0].ID, res[1].ID, res[1].Dist == 0)
+	// Output: 3 600 601 5 600 true
 }

@@ -1248,8 +1248,9 @@ func backendStats(c *coll) BackendStats {
 	switch ix := c.backend.(type) {
 	case *lccs.Index:
 		b.Kind = "index"
-	case *lccs.ShardedIndex:
-		b.Kind = "sharded"
+		if ix.Shards() > 1 {
+			b.Kind = "sharded"
+		}
 		b.Shards = ix.Shards()
 	case *lccs.DynamicIndex:
 		b.Kind = "dynamic"

@@ -16,20 +16,22 @@ import (
 // The index container. Save writes one layout, whatever the index
 // carries:
 //
-//	magic "LCCSPKG5" · kind byte · flags byte
+//	magic "LCCSPKG5" · kind byte (2) · flags byte
 //	config                          metric, m, probes (reserved: written 0), budget, bucket width, seed
-//	shard table                     sharded kind only: count, then each shard's size
-//	core index × shards             one blob per shard (one for the single kind)
+//	shard table                     count, then each shard's size
+//	core index × shards             one blob per shard
 //	lifecycle section               flagLifecycle: id map + tombstoned ids
 //	quantization section            flagQuantized: quantizer, re-rank depth, SQ8 store × shards
 //	attribute section               always; 16 zero bytes when no row carries metadata
 //
-// The dataset itself is never stored. The body is a segment set's, and a
-// single Index is its one-shard case, so one encoder (segSet.encode) and
-// one decoder (decodeBody) serve both facades, the durable checkpoint and
-// the lccs-serve warm start. Files of the four earlier versions differ only
-// in how the header names the optional sections; readHeader maps them
-// onto the same header value and they load through the same decoder:
+// The dataset itself is never stored. The body is a segment set's, so one
+// encoder (segSet.encode) and one decoder (decodeBody) serve every Index,
+// the durable checkpoint and the lccs-serve warm start. Files of the four
+// earlier versions, and version-5 files of the single kind (one core blob,
+// no shard table) an earlier Index.Save wrote, differ only in how the
+// header names the optional sections; readHeader maps them onto the same
+// header value and they load through the same decoder, a single body as
+// one shard:
 //
 //	LCCSPKG1  nothing after the magic           single
 //	LCCSPKG2  nothing after the magic           sharded
@@ -38,7 +40,8 @@ import (
 //	LCCSPKG5  kind, flags                       attribute section present
 var pkgMagic = [8]byte{'L', 'C', 'C', 'S', 'P', 'K', 'G', '5'}
 
-// Container-kind byte.
+// Container-kind byte: Save writes the sharded kind; the single kind is
+// read only.
 const (
 	containerSingle  byte = 1
 	containerSharded byte = 2
@@ -126,27 +129,18 @@ func saveFile(path string, encode func(io.Writer) error) error {
 	return f.Close()
 }
 
-// Save writes the index to path. The dataset itself is not stored: Load
-// must be given the same data slice (same order) the index was built
-// over. Saving avoids the build cost on the next start.
+// Save writes the index to path: the shared configuration, the shard
+// table, each shard's core index, and whatever the index carries of
+// deletion state (a compacted id map or tombstones from a dynamic
+// snapshot), a quantized store and vector attributes. The dataset itself
+// is not stored: Load must be given the same data slice, in the same
+// order, the index was built over. Saving avoids the build cost on the
+// next start.
 func (ix *Index) Save(path string) error { return saveFile(path, ix.encode) }
-
-// encode writes ix as the one-shard case of the container body.
-func (ix *Index) encode(w io.Writer) error { return ix.segSet.encode(w, containerSingle) }
-
-// Save writes the sharded index to path: the shared configuration, the
-// shard table, each shard's core index, and whatever the index carries
-// of deletion state (a compacted id map or tombstones from a dynamic
-// snapshot), a quantized store and vector attributes. As with
-// Index.Save, the dataset itself is not stored — LoadSharded must be
-// given the same data slice in the same order.
-func (sx *ShardedIndex) Save(path string) error { return saveFile(path, sx.encode) }
-
-func (sx *ShardedIndex) encode(w io.Writer) error { return sx.segSet.encode(w, containerSharded) }
 
 // encode writes the container layout described at pkgMagic. Every section
 // encodes deterministically, so a loaded file re-saves byte for byte.
-func (sx *segSet) encode(w io.Writer, kind byte) error {
+func (sx *segSet) encode(w io.Writer) error {
 	lifecycle := sx.ids != nil || sx.dead.Count() > 0
 	quantized := len(sx.segs) > 0 && sx.segs[0].core.SQ8() != nil
 	var flags byte
@@ -156,23 +150,21 @@ func (sx *segSet) encode(w io.Writer, kind byte) error {
 	if quantized {
 		flags |= flagQuantized
 	}
-	if _, err := w.Write(append(pkgMagic[:], kind, flags)); err != nil {
+	if _, err := w.Write(append(pkgMagic[:], containerSharded, flags)); err != nil {
 		return err
 	}
 	if err := encodeConfig(w, sx.cfg); err != nil {
 		return err
 	}
-	if kind == containerSharded {
-		if err := binary.Write(w, binary.LittleEndian, int32(len(sx.segs))); err != nil {
-			return err
-		}
-		sizes := make([]int64, len(sx.segs))
-		for s := range sx.segs {
-			sizes[s] = int64(sx.segs[s].core.N())
-		}
-		if err := binary.Write(w, binary.LittleEndian, sizes); err != nil {
-			return err
-		}
+	if err := binary.Write(w, binary.LittleEndian, int32(len(sx.segs))); err != nil {
+		return err
+	}
+	sizes := make([]int64, len(sx.segs))
+	for s := range sx.segs {
+		sizes[s] = int64(sx.segs[s].core.N())
+	}
+	if err := binary.Write(w, binary.LittleEndian, sizes); err != nil {
+		return err
 	}
 	for _, seg := range sx.segs {
 		if err := seg.core.Encode(w); err != nil {
@@ -345,54 +337,27 @@ func decodeSQ8(r io.Reader, rows, dim int) (*vec.SQ8Store, error) {
 	return vec.RestoreSQ8(dim, min, scale, norms, codes), nil
 }
 
-// Load reads a single-Index file written by Index.Save. data must be the
-// dataset the index was built over; a sample of hash strings is
-// re-verified against it, so passing different data fails loudly rather
-// than silently returning wrong neighbors. Sharded files are rejected
-// with an error directing to LoadSharded.
+// Load opens an index file written by Save: every container kind of all
+// five magics, a single-index file as one shard. data must be the dataset
+// the index was built over, in the same order (for a file carrying
+// lifecycle state that is the slot-ordered row slice Snapshot returned,
+// including rows tombstoned inside shards); the shard table must tile its
+// rows and a sample of hash strings is re-verified against it, so passing
+// different data fails loudly rather than silently returning wrong
+// neighbors.
 func Load(path string, data [][]float32) (*Index, error) {
 	store, err := storeFromRows(data)
 	if err != nil {
 		return nil, err
 	}
-	set, err := loadContainer(path, store, true)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{segSet: *set, core: set.segs[0].core}
-	ix.adopt(kindIndex)
-	return ix, nil
+	return LoadStore(path, store)
 }
 
-// LoadSharded reads a sharded index written by ShardedIndex.Save. data
-// must be the dataset the index was built over, in the same order (for
-// a file carrying lifecycle state that is the slot-ordered row slice
-// Snapshot returned, including rows tombstoned inside shards). A
-// single-Index file is accepted too and opens as one shard, so callers
-// can migrate to the sharded API without rewriting old files.
-func LoadSharded(path string, data [][]float32) (*ShardedIndex, error) {
-	store, err := storeFromRows(data)
-	if err != nil {
-		return nil, err
-	}
-	return LoadShardedStore(path, store)
-}
-
-// LoadShardedStore is LoadSharded over an already-flat vector store,
-// which the loaded index adopts without re-packing — the copy-free
-// warm-restart path (dataset.Dataset.FlatData feeds it directly). The
-// caller must not write through store afterwards.
-func LoadShardedStore(path string, store *vec.Store) (*ShardedIndex, error) {
-	set, err := loadContainer(path, store, false)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedIndex{segSet: *set}, nil
-}
-
-// loadContainer opens path behind the container's one read buffer and
-// decodes it over store; single refuses a sharded body.
-func loadContainer(path string, store *vec.Store, single bool) (*segSet, error) {
+// LoadStore is Load over an already-flat vector store, which the loaded
+// index adopts without re-packing — the copy-free warm-restart path
+// (dataset.Dataset.FlatData feeds it directly). The caller must not write
+// through store afterwards.
+func LoadStore(path string, store *vec.Store) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -403,10 +368,11 @@ func loadContainer(path string, store *vec.Store, single bool) (*segSet, error) 
 	if err != nil {
 		return nil, err
 	}
-	if single && h.sharded {
-		return nil, fmt.Errorf("lccs: %s holds a sharded index; use LoadSharded", path)
+	set, err := decodeBody(r, store, h)
+	if err != nil {
+		return nil, err
 	}
-	return decodeBody(r, store, h)
+	return indexOf(*set, 0), nil
 }
 
 // checkStore validates the caller-supplied dataset store before it is
@@ -423,7 +389,7 @@ func checkStore(store *vec.Store) error {
 }
 
 // decodeBody decodes everything after the header, in the order encode
-// wrote it, into a set adopted as a ShardedIndex's; h selects the optional
+// wrote it, into a set for an Index to adopt; h selects the optional
 // sections. A single body has no shard table and decodes as one shard over
 // the whole store.
 func decodeBody(r io.Reader, store *vec.Store, h header) (*segSet, error) {
@@ -493,7 +459,6 @@ func decodeBody(r io.Reader, store *vec.Store, h header) (*segSet, error) {
 			return nil, err
 		}
 	}
-	sx.adopt(kindSharded)
 	return sx, nil
 }
 

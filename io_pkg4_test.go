@@ -25,17 +25,16 @@ func TestGoldenFormat4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSharded(path, data)
+	loaded, err := Load(path, data)
 	if err != nil {
 		t.Fatalf("golden format-4 file no longer loads: %v", err)
 	}
 	if loaded.Shards() != 3 || loaded.Len() != len(data) {
 		t.Fatalf("golden shape: shards=%d len=%d", loaded.Shards(), loaded.Len())
 	}
-	for s := 0; s < loaded.Shards(); s++ {
-		shard, _ := loaded.Shard(s)
-		if kind, rerank := shard.Quantization(); kind != QuantizeSQ8 || rerank != cfg.Rerank {
-			t.Fatalf("shard %d quantization (%q, %d), want (%q, %d)", s, kind, rerank, QuantizeSQ8, cfg.Rerank)
+	for s, seg := range loaded.segs {
+		if seg.core.SQ8() == nil || seg.core.Rerank() != cfg.Rerank {
+			t.Fatalf("shard %d quantization (%v, %d), want (sq8, %d)", s, seg.core.SQ8() != nil, seg.core.Rerank(), cfg.Rerank)
 		}
 	}
 	for qi := 0; qi < 10; qi++ {
@@ -47,16 +46,11 @@ func TestGoldenFormat4(t *testing.T) {
 			}
 		}
 	}
-	// A format-4 sharded container is not a single-index file.
-	if _, err := Load(path, data); err == nil {
-		t.Fatal("Load accepted a sharded format-4 container")
-	}
 }
 
-// TestFormat4SingleRoundTrip pins a quantized single Index through the
+// TestFormat4SingleRoundTrip pins a quantized one-shard Index through the
 // public accessors: Load restores the quantized store with its re-rank
-// depth and exact search parity, and LoadSharded opens the same file as
-// one quantized shard.
+// depth and exact search parity.
 func TestFormat4SingleRoundTrip(t *testing.T) {
 	data, cfg := goldenQuantizedSetup()
 	ix, err := NewIndex(data, cfg)
@@ -82,14 +76,6 @@ func TestFormat4SingleRoundTrip(t *testing.T) {
 				t.Fatalf("query %d pos %d: %+v vs %+v", qi, j, a[j], b[j])
 			}
 		}
-	}
-	wrapped, err := LoadSharded(path, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard, _ := wrapped.Shard(0)
-	if kind, _ := shard.Quantization(); kind != QuantizeSQ8 {
-		t.Fatalf("wrapped quantized single file lost quantization (kind %q)", kind)
 	}
 }
 
@@ -119,15 +105,14 @@ func TestFormat4WithLifecycle(t *testing.T) {
 	if err := sx.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSharded(path, vectors)
+	loaded, err := Load(path, vectors)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Deleted() != 2 {
 		t.Fatalf("loaded %d tombstones, want 2", loaded.Deleted())
 	}
-	shard, _ := loaded.Shard(0)
-	if kind, _ := shard.Quantization(); kind != QuantizeSQ8 {
+	if kind, _ := loaded.Quantization(); kind != QuantizeSQ8 {
 		t.Fatalf("quantized lifecycle snapshot lost quantization (kind %q)", kind)
 	}
 	exhaustive := 4 * len(vectors)
@@ -177,7 +162,7 @@ func TestFormat4CorruptQuantSection(t *testing.T) {
 		if err := os.WriteFile(p, blob[:len(blob)-cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadSharded(p, data); err == nil {
+		if _, err := Load(p, data); err == nil {
 			t.Fatalf("truncated quant section (-%d bytes) loaded", cut)
 		}
 	}
@@ -188,7 +173,7 @@ func TestFormat4CorruptQuantSection(t *testing.T) {
 	if err := os.WriteFile(p, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSharded(p, data); err == nil {
+	if _, err := Load(p, data); err == nil {
 		t.Fatal("corrupt container kind loaded")
 	}
 	// A flags byte naming a section this build does not know is rejected.
@@ -198,7 +183,7 @@ func TestFormat4CorruptQuantSection(t *testing.T) {
 	if err := os.WriteFile(p, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSharded(p, data); err == nil {
+	if _, err := Load(p, data); err == nil {
 		t.Fatal("unknown container flags loaded")
 	}
 }

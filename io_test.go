@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"lccs/internal/rng"
@@ -32,9 +31,8 @@ func goldenSetup() ([][]float32, Config) {
 }
 
 // TestGoldenFormat1 pins the on-disk compatibility promise: a format-1
-// (LCCSPKG1) file written by an old release keeps loading — through both
-// Load and LoadSharded — and returns the exact neighbors a fresh build
-// returns.
+// (LCCSPKG1) file written by an old release keeps loading, as one shard,
+// and returns the exact neighbors a fresh build returns.
 func TestGoldenFormat1(t *testing.T) {
 	const path = "testdata/golden_pkg1.lccs"
 	data, cfg := goldenSetup()
@@ -46,8 +44,8 @@ func TestGoldenFormat1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden format-1 file no longer loads: %v", err)
 	}
-	if loaded.M() != fresh.M() || loaded.Len() != fresh.Len() {
-		t.Fatalf("golden shape: m=%d n=%d", loaded.M(), loaded.Len())
+	if loaded.M() != fresh.M() || loaded.Len() != fresh.Len() || loaded.Shards() != 1 {
+		t.Fatalf("golden shape: m=%d n=%d shards=%d", loaded.M(), loaded.Len(), loaded.Shards())
 	}
 	for qi := 0; qi < 10; qi++ {
 		q := data[qi*11]
@@ -57,14 +55,6 @@ func TestGoldenFormat1(t *testing.T) {
 				t.Fatalf("query %d pos %d: %+v vs %+v", qi, j, a[j], b[j])
 			}
 		}
-	}
-	// The migration path: old single-index files open as one shard.
-	wrapped, err := LoadSharded(path, data)
-	if err != nil {
-		t.Fatalf("LoadSharded on golden format-1 file: %v", err)
-	}
-	if wrapped.Shards() != 1 || wrapped.Len() != len(data) {
-		t.Fatalf("wrapped golden: shards=%d len=%d", wrapped.Shards(), wrapped.Len())
 	}
 }
 
@@ -76,7 +66,7 @@ func TestGoldenFormat2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSharded(path, data)
+	loaded, err := Load(path, data)
 	if err != nil {
 		t.Fatalf("golden format-2 file no longer loads: %v", err)
 	}
@@ -98,7 +88,7 @@ func TestGoldenFormat2(t *testing.T) {
 // the format-3 golden file: deletes in the main shard and the buffer,
 // plus post-delete inserts, so the snapshot carries a compacted id map
 // and live tombstones.
-func goldenLifecycleIndex(t *testing.T) ([][]float32, *ShardedIndex) {
+func goldenLifecycleIndex(t *testing.T) ([][]float32, *Index) {
 	t.Helper()
 	data, cfg := goldenSetup()
 	d, err := NewDynamicIndex(data, cfg, 10000)
@@ -137,7 +127,7 @@ func goldenLifecycleIndex(t *testing.T) ([][]float32, *ShardedIndex) {
 func TestGoldenFormat3(t *testing.T) {
 	const path = "testdata/golden_pkg3.lccs"
 	vectors, fresh := goldenLifecycleIndex(t)
-	loaded, err := LoadSharded(path, vectors)
+	loaded, err := Load(path, vectors)
 	if err != nil {
 		t.Fatalf("golden format-3 file no longer loads: %v", err)
 	}
@@ -165,11 +155,6 @@ func TestGoldenFormat3(t *testing.T) {
 			}
 		}
 	}
-	// A format-3 file is a sharded container: the single-index loader
-	// directs callers to LoadSharded.
-	if _, err := Load(path, vectors); err == nil {
-		t.Fatal("Load accepted a format-3 container")
-	}
 }
 
 // TestGoldenReencodeByteIdentical pins the on-disk layout itself, not
@@ -185,7 +170,7 @@ func TestGoldenReencodeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := LoadSharded(path, data)
+	sx, err := Load(path, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,35 +208,21 @@ type containerState struct {
 
 // stateOf extracts the containerState of a loaded or built index over
 // its slot-ordered vectors.
-func stateOf(t *testing.T, ix Searcher, vectors [][]float32) containerState {
+func stateOf(t *testing.T, ix *Index, vectors [][]float32) containerState {
 	t.Helper()
-	var st containerState
-	var attrs func(slot int) Attrs
-	switch v := ix.(type) {
-	case *Index:
-		st.Shards, st.Len = 1, v.Len()
-		st.Quantize, st.Rerank = v.Quantization()
-		attrs = v.attrs.Row
-	case *ShardedIndex:
-		st.Shards, st.Len = v.Shards(), v.Len()
-		for s := 0; s < v.Shards(); s++ {
-			shard, _ := v.Shard(s)
-			kind, rerank := shard.Quantization()
-			if s > 0 && (kind != st.Quantize || rerank != st.Rerank) {
-				t.Fatalf("shard %d quantization (%q, %d) differs from shard 0's (%q, %d)", s, kind, rerank, st.Quantize, st.Rerank)
-			}
-			st.Quantize, st.Rerank = kind, rerank
+	st := containerState{Shards: ix.Shards(), Len: ix.Len()}
+	st.Quantize, st.Rerank = ix.Quantization()
+	for s, seg := range ix.segs {
+		if quantized := seg.core.SQ8() != nil; quantized != (st.Quantize != "") || quantized && seg.core.Rerank() != st.Rerank {
+			t.Fatalf("shard %d quantization (%v, %d) differs from shard 0's (%q, %d)", s, quantized, seg.core.Rerank(), st.Quantize, st.Rerank)
 		}
-		v.dead.Each(func(slot int) { st.Dead = append(st.Dead, slot) })
-		if v.ids != nil {
-			st.IDs, st.NextID = v.ids.AppendIDs(nil), v.ids.Next()
-		}
-		attrs = v.attrs.Row
-	default:
-		t.Fatalf("stateOf: unexpected %T", ix)
+	}
+	ix.dead.Each(func(slot int) { st.Dead = append(st.Dead, slot) })
+	if ix.ids != nil {
+		st.IDs, st.NextID = ix.ids.AppendIDs(nil), ix.ids.Next()
 	}
 	for slot := range vectors {
-		a := attrs(slot)
+		a := ix.attrs.Row(slot)
 		if len(a) == 0 {
 			a = nil
 		}
@@ -267,13 +238,9 @@ func stateOf(t *testing.T, ix Searcher, vectors [][]float32) containerState {
 }
 
 // checkOneLayout saves ix, checks the file is the one layout with the
-// given kind and flags bytes, reloads it through load, and checks the
-// reloaded index carries the same state and saves to the same bytes. It
-// returns the reloaded index.
-func checkOneLayout[T interface {
-	Searcher
-	Save(string) error
-}](t *testing.T, ix T, vectors [][]float32, kind, flags byte, load func(string, [][]float32) (T, error)) T {
+// given flags byte, reloads it, and checks the reloaded index carries the
+// same state and saves to the same bytes.
+func checkOneLayout(t *testing.T, ix *Index, vectors [][]float32, flags byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "one.lccs")
 	if err := ix.Save(path); err != nil {
@@ -283,10 +250,10 @@ func checkOneLayout[T interface {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := append([]byte("LCCSPKG5"), kind, flags); !bytes.HasPrefix(first, want) {
+	if want := append([]byte("LCCSPKG5"), containerSharded, flags); !bytes.HasPrefix(first, want) {
 		t.Fatalf("saved header %q, want %q", first[:10], want)
 	}
-	reloaded, err := load(path, vectors)
+	reloaded, err := Load(path, vectors)
 	if err != nil {
 		t.Fatalf("reload: %v", err)
 	}
@@ -296,17 +263,30 @@ func checkOneLayout[T interface {
 	if second := saveBytes(t, reloaded); !bytes.Equal(first, second) {
 		t.Fatalf("second save differs from the first: %d vs %d bytes", len(second), len(first))
 	}
-	return reloaded
+}
+
+// singleKind rewrites a one-shard file Save wrote into the single kind an
+// earlier Index.Save wrote: kind byte 1 and no shard table (a 4-byte count
+// and one 8-byte size after the config).
+func singleKind(t *testing.T, blob []byte, cfg Config) []byte {
+	t.Helper()
+	table := len(pkgMagic) + 2 + 4 + len(cfg.Metric) + 3*8 + 8 + 8
+	if blob[8] != containerSharded || binary.LittleEndian.Uint32(blob[table:]) != 1 {
+		t.Fatalf("singleKind: not a one-shard file (kind %d)", blob[8])
+	}
+	out := append([]byte(nil), blob[:table]...)
+	out[8] = containerSingle
+	return append(out, blob[table+12:]...)
 }
 
 // TestContainerCompat is the container's compatibility table. Read side:
 // each of the five golden files — one per magic ever written — loads
-// through LoadSharded (and through Load when it holds a single index;
-// Load refuses the others), re-saves as the one layout, and reloads to
-// the same results, tombstones, id map, re-rank depth and attribute
-// rows, after which saving is a fixed point. Write side: every
-// combination of facade and optional section writes that one layout and
-// round-trips the same way.
+// through Load, re-saves as the one layout, and reloads to the same
+// results, tombstones, id map, re-rank depth and attribute rows, after
+// which saving is a fixed point. Write side: every combination of shard
+// count and optional section writes that one layout and round-trips the
+// same way, and a one-shard index rewritten into the single kind an
+// earlier Index.Save wrote loads back to the same state and bytes.
 func TestContainerCompat(t *testing.T) {
 	data, cfg := goldenSetup()
 	_, qcfg := goldenQuantizedSetup()
@@ -314,38 +294,21 @@ func TestContainerCompat(t *testing.T) {
 	goldens := []struct {
 		file    string
 		vectors [][]float32
-		single  bool
 		flags   byte
 	}{
-		{"golden_pkg1.lccs", data, true, 0},
-		{"golden_pkg2.lccs", data, false, 0},
-		{"golden_pkg3.lccs", lifeVectors, false, flagLifecycle},
-		{"golden_pkg4.lccs", data, false, flagQuantized},
-		{"golden_pkg5.lccs", data, false, 0},
+		{"golden_pkg1.lccs", data, 0},
+		{"golden_pkg2.lccs", data, 0},
+		{"golden_pkg3.lccs", lifeVectors, flagLifecycle},
+		{"golden_pkg4.lccs", data, flagQuantized},
+		{"golden_pkg5.lccs", data, 0},
 	}
 	for _, g := range goldens {
 		t.Run(g.file, func(t *testing.T) {
-			path := filepath.Join("testdata", g.file)
-			sx, err := LoadSharded(path, g.vectors)
-			if err != nil {
-				t.Fatalf("LoadSharded: %v", err)
-			}
-			upgraded := checkOneLayout(t, sx, g.vectors, containerSharded, g.flags, LoadSharded)
-			ix, err := Load(path, g.vectors)
-			if !g.single {
-				if err == nil || !strings.Contains(err.Error(), "use LoadSharded") {
-					t.Fatalf("Load = %v, want the use-LoadSharded refusal", err)
-				}
-				return
-			}
+			ix, err := Load(filepath.Join("testdata", g.file), g.vectors)
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
-			single := checkOneLayout(t, ix, g.vectors, containerSingle, g.flags, Load)
-			// One shard or one index, legacy bytes or new: the same answers.
-			if a, b := stateOf(t, single, g.vectors).Results, stateOf(t, upgraded, g.vectors).Results; !reflect.DeepEqual(a, b) {
-				t.Fatalf("single and one-shard loads answer differently:\n%v\n%v", a, b)
-			}
+			checkOneLayout(t, ix, g.vectors, g.flags)
 		})
 	}
 
@@ -364,11 +327,11 @@ func TestContainerCompat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkOneLayout(t, ix, data, containerSingle, flags, Load)
+				checkOneLayout(t, ix, data, flags)
+				blob := saveBytes(t, ix)
 				if !withAttrs {
 					// No metadata is 16 zero bytes, and all-nil attribute rows
 					// count as no metadata.
-					blob := saveBytes(t, ix)
 					if !bytes.HasSuffix(blob, make([]byte, 16)) {
 						t.Fatalf("attribute-free file ends %x, want the empty attribute section", blob[len(blob)-16:])
 					}
@@ -380,18 +343,21 @@ func TestContainerCompat(t *testing.T) {
 						t.Fatal("all-nil attribute rows write different bytes than no rows")
 					}
 				}
-				// The migration path: a single-index file opens as one shard
-				// with everything it carries.
+				// The single kind opens as one shard with everything it
+				// carries and re-saves as the sharded kind.
 				path := filepath.Join(t.TempDir(), "single.lccs")
-				if err := ix.Save(path); err != nil {
+				if err := os.WriteFile(path, singleKind(t, blob, c), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				wrapped, err := LoadSharded(path, data)
+				old, err := Load(path, data)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want, got := stateOf(t, ix, data), stateOf(t, wrapped, data); !reflect.DeepEqual(want, got) {
-					t.Fatalf("one-shard load of a single file differs:\nsaved  %+v\nloaded %+v", want, got)
+				if want, got := stateOf(t, ix, data), stateOf(t, old, data); !reflect.DeepEqual(want, got) {
+					t.Fatalf("single-kind load differs:\nsaved  %+v\nloaded %+v", want, got)
+				}
+				if !bytes.Equal(blob, saveBytes(t, old)) {
+					t.Fatal("a single-kind file re-saves differently from the index it was written from")
 				}
 			})
 			t.Run("ShardedIndex/"+name, func(t *testing.T) {
@@ -399,7 +365,7 @@ func TestContainerCompat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkOneLayout(t, sx, data, containerSharded, flags, LoadSharded)
+				checkOneLayout(t, sx, data, flags)
 			})
 			t.Run("ShardedIndex/lifecycle+"+name, func(t *testing.T) {
 				// A dynamic snapshot with deletes inside a shard and a
@@ -429,7 +395,7 @@ func TestContainerCompat(t *testing.T) {
 				if sx.Deleted() != 2 || sx.ids == nil {
 					t.Fatalf("setup: Deleted=%d ids=%v, want 2 tombstones and a compacted id map", sx.Deleted(), sx.ids)
 				}
-				checkOneLayout(t, sx, vectors, containerSharded, flags|flagLifecycle, LoadSharded)
+				checkOneLayout(t, sx, vectors, flags|flagLifecycle)
 			})
 		}
 	}
@@ -460,7 +426,7 @@ func TestLoadCorruptedLifecycleSection(t *testing.T) {
 		if err := os.WriteFile(p, blob[:len(blob)-cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadSharded(p, vectors); err == nil {
+		if _, err := Load(p, vectors); err == nil {
 			t.Fatalf("truncated lifecycle (-%d bytes) loaded", cut)
 		}
 	}
@@ -471,7 +437,7 @@ func TestLoadCorruptedLifecycleSection(t *testing.T) {
 	if err := os.WriteFile(p, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSharded(p, vectors); err == nil {
+	if _, err := Load(p, vectors); err == nil {
 		t.Fatal("corrupt id-map flag loaded")
 	}
 	// A tombstone id that resolves to no slot is rejected.
@@ -483,17 +449,17 @@ func TestLoadCorruptedLifecycleSection(t *testing.T) {
 	if err := os.WriteFile(p, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSharded(p, vectors); err == nil {
+	if _, err := Load(p, vectors); err == nil {
 		t.Fatal("unresolvable tombstone id loaded")
 	}
 }
 
 // TestFormat1WarmRestartDoesNotMutateLoadedIndex pins the store-view
-// contract across the format-1 warm-restart chain: LoadSharded wraps a
-// single-index file as one shard, NewDynamicIndexFromSharded adopts its
-// store, and Adds to the dynamic index must grow a private copy — the
-// loaded index keeps its original length and the snapshot of the grown
-// dynamic index must round-trip.
+// contract across the one-shard warm-restart chain: Load opens a
+// one-shard file, NewDynamicIndexFrom adopts its store, and Adds to the
+// dynamic index must grow a private copy — the loaded index keeps its
+// original length and the snapshot of the grown dynamic index must
+// round-trip.
 func TestFormat1WarmRestartDoesNotMutateLoadedIndex(t *testing.T) {
 	data, _ := testData(51, 200, 8, 4, 0.5)
 	ix, err := NewIndex(data, Config{Metric: Euclidean, M: 16, Seed: 12})
@@ -504,23 +470,16 @@ func TestFormat1WarmRestartDoesNotMutateLoadedIndex(t *testing.T) {
 	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	sx, err := LoadSharded(path, data)
+	sx, err := Load(path, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamicIndexFromSharded(sx, data, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDynamicIndexFrom(sx, 64)
 	if _, err := d.Add([]float32{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
 		t.Fatal(err)
 	}
 	if got := sx.Len(); got != len(data) {
 		t.Fatalf("loaded index grew with the dynamic store: Len=%d, want %d", got, len(data))
-	}
-	shard, _ := sx.Shard(0)
-	if got := shard.Len(); got != len(data) {
-		t.Fatalf("loaded shard grew with the dynamic store: Len=%d, want %d", got, len(data))
 	}
 	vecs, snap, err := d.Snapshot()
 	if err != nil {
@@ -530,7 +489,7 @@ func TestFormat1WarmRestartDoesNotMutateLoadedIndex(t *testing.T) {
 	if err := snap.Save(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSharded(snapPath, vecs); err != nil {
+	if _, err := Load(snapPath, vecs); err != nil {
 		t.Fatalf("snapshot after warm-restart Add does not reload: %v", err)
 	}
 }
@@ -650,8 +609,8 @@ func TestSaveLoadMultiProbe(t *testing.T) {
 			}
 			return path
 		}
-		want := must(LoadSharded(filepath.Join("testdata", g.file), data))
-		got, err := LoadSharded(withProbes(17), data)
+		want := must(Load(filepath.Join("testdata", g.file), data))
+		got, err := Load(withProbes(17), data)
 		if err != nil {
 			t.Fatalf("%s with probes=17: %v", g.file, err)
 		}
@@ -668,7 +627,7 @@ func TestSaveLoadMultiProbe(t *testing.T) {
 		if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
 			t.Fatalf("%s: the probes=17 file re-saves differently from the golden", g.file)
 		}
-		if _, err := LoadSharded(withProbes(-1), data); err == nil {
+		if _, err := Load(withProbes(-1), data); err == nil {
 			t.Fatalf("%s: a negative probes slot loaded", g.file)
 		}
 	}
@@ -827,7 +786,7 @@ func TestGoldenFormat5(t *testing.T) {
 	if string(blob[:8]) != "LCCSPKG5" {
 		t.Fatalf("golden file has magic %q, want LCCSPKG5", blob[:8])
 	}
-	loaded, err := LoadSharded(path, data)
+	loaded, err := Load(path, data)
 	if err != nil {
 		t.Fatalf("golden format-5 file no longer loads: %v", err)
 	}
@@ -851,15 +810,10 @@ func TestGoldenFormat5(t *testing.T) {
 			t.Fatalf("query %d: %v vs %v", qi, a, b)
 		}
 	}
-	// A sharded format-5 container is rejected by the single loader.
-	if _, err := Load(path, data); err == nil {
-		t.Fatal("Load accepted a sharded format-5 container")
-	}
 }
 
-// TestFormat5SingleRoundTrip checks a single Index with metadata through
-// the public accessors: attribute rows, a filtered search, the
-// LoadSharded migration path carrying the metadata along, and
+// TestFormat5SingleRoundTrip checks a one-shard Index with metadata
+// through the public accessors: attribute rows, a filtered search, and
 // truncations inside the attribute section.
 func TestFormat5SingleRoundTrip(t *testing.T) {
 	data, cfg := goldenSetup()
@@ -896,14 +850,6 @@ func TestFormat5SingleRoundTrip(t *testing.T) {
 	}
 	if !neighborsEqual(a, b) {
 		t.Fatalf("filtered search differs after load: %v vs %v", a, b)
-	}
-	// The migration path keeps the metadata.
-	wrapped, err := LoadSharded(path, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wrapped.Attrs(10).Equal(attrs[10]) {
-		t.Fatalf("wrapped attrs(10) = %v, want %v", wrapped.Attrs(10), attrs[10])
 	}
 	// Truncations inside the attribute tail must fail loudly.
 	dir := t.TempDir()

@@ -17,7 +17,7 @@
 //
 //	ix, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 64})
 //	if err != nil { ... }
-//	neighbors := ix.Search(query, 10)
+//	neighbors, err := ix.Search(query, 10)
 //
 // Every search on every facade goes through one method, SearchQuery,
 // which takes one request value:
@@ -30,16 +30,17 @@
 // SearchBatch answers many queries across all CPUs, and SearchCursor
 // pages through the ranked result stream.
 //
-// Beyond the single static Index, the package provides ShardedIndex —
-// the dataset partitioned across S shards whose CSAs build in parallel —
-// and DynamicIndex, a delta-main structure whose buffered inserts are
-// rebuilt into new shards in the background without blocking writers.
-// All three are facades over one segment set (segset.go), which owns the
-// query, the budget rule and the merge, and all three implement the
-// Searcher interface, so consumers (including
-// the internal/server network daemon behind cmd/lccs-serve) are
-// agnostic to which facade backs them. See README.md for the
-// architecture and shard-count guidance.
+// The package has two facades. Index is immutable: NewIndex builds one
+// CSA, NewShardedIndex partitions the dataset across S shards whose CSAs
+// build in parallel, and Load opens either from a saved file. DynamicIndex
+// is a delta-main structure whose buffered inserts are rebuilt into new
+// shards in the background without blocking writers; DurableIndex
+// journals its writes. Both facades sit over one segment set
+// (segset.go), which owns the query, the budget rule and the merge, and
+// both implement the Searcher interface, so consumers (including the
+// internal/server network daemon behind cmd/lccs-serve) are agnostic to
+// which facade backs them. See README.md for the architecture and
+// shard-count guidance.
 package lccs
 
 import (
@@ -142,10 +143,10 @@ type Query struct {
 	// Cost, when non-nil, has the query's resource cost added to it.
 	Cost *Cost
 	// Trace, when non-nil, records the query's spans: a query root, one
-	// shard_scan span per shard (an unsharded Index is its own single
-	// shard) carrying CSA-comparison, verified-candidate and
-	// bytes-scanned counters, plus buffer_scan and merge spans where the
-	// facade has those stages.
+	// shard_scan span per shard carrying CSA-comparison,
+	// verified-candidate and bytes-scanned counters, a buffer_scan span on
+	// a DynamicIndex, and a merge span whenever more than one run (shards
+	// and buffer) is merged.
 	Trace *Trace
 }
 
@@ -173,10 +174,10 @@ var (
 	ErrNonFinite = errors.New("lccs: vector has a NaN or infinite coordinate")
 )
 
-// Searcher is the facade-agnostic query interface implemented by Index,
-// ShardedIndex, and DynamicIndex. Consumers that only search — the
-// network server, evaluation harnesses, future backends — should accept
-// a Searcher rather than a concrete facade.
+// Searcher is the facade-agnostic query interface implemented by Index
+// and DynamicIndex (and DurableIndex through it). Consumers that only
+// search — the network server, evaluation harnesses, future backends —
+// should accept a Searcher rather than a concrete facade.
 //
 // All search methods validate their input and return the package's
 // typed errors (ErrInvalidK, ErrInvalidBudget, ErrEmptyQuery,
@@ -203,11 +204,10 @@ type Searcher interface {
 	Distance(a, b []float32) float64
 }
 
-// Compile-time conformance of the three facades (DurableIndex embeds
+// Compile-time conformance of the facades (DurableIndex embeds
 // DynamicIndex).
 var (
 	_ Searcher = (*Index)(nil)
-	_ Searcher = (*ShardedIndex)(nil)
 	_ Searcher = (*DynamicIndex)(nil)
 )
 
@@ -334,14 +334,47 @@ type Config struct {
 // (Dist).
 type Neighbor = pqueue.Neighbor
 
-// Index is an LCCS-LSH index over a fixed dataset. It is safe for
-// concurrent queries. The vectors are packed once into a flat
-// structure-of-arrays store (one contiguous float32 block) that the
-// index retains; the input rows are not referenced afterwards.
+// Index is an LCCS-LSH index over a fixed dataset, partitioned across S
+// shards: the immutable S-segment case of the segment set (segset.go).
+// Each shard is an independent CSA over a contiguous slice of the data,
+// and all shards share one fully resolved configuration — the same seed,
+// hash-string length m, and bucket width (derived once from the full
+// dataset) — so an index is seed-equivalent whatever its shard count. The
+// vectors are packed once into one flat store (one contiguous float32
+// block) shared by every shard; the input rows are not referenced
+// afterwards, and sharding adds no per-shard copies.
+//
+// Sharding serves two purposes. Construction: the orders of one CSA are
+// induced from one another, shift by shift, on one core, and S shards
+// build S independent problems of size n/S in parallel, each over an S×
+// smaller working set. Queries: a search fans out across all
+// shards — concurrently when cores allow — and the set merges the
+// per-shard top-k lists into the global top-k. Query cost grows mildly
+// with S (each shard runs its own binary searches and verifies its own
+// candidate floor), so prefer the smallest shard count that saturates the
+// hardware: NewIndex is one shard, NewShardedIndex with GOMAXPROCS suits
+// build-heavy or mixed workloads.
+//
+// An Index taken from DynamicIndex.Snapshot (or loaded from such a
+// snapshot's file) also carries the snapshot's id map and tombstones; on
+// fresh builds and on loads without a lifecycle section both stay empty,
+// keeping the common path untouched.
+//
+// An Index is safe for concurrent queries; per-query scratch is pooled,
+// so the sequential SearchInto path allocates nothing at steady state.
 type Index struct {
 	segSet
-	// core is the set's one segment: the one core searcher.
-	core *core.Index
+	buildTime time.Duration
+	// epoch is the generation cursor tokens are minted under: unique to
+	// this instance, so a token resumes only on the index that minted it.
+	epoch uint64
+}
+
+// indexOf makes set an Index with a fresh cursor epoch.
+func indexOf(set segSet, buildTime time.Duration) *Index {
+	ix := &Index{segSet: set, buildTime: buildTime, epoch: nextCursorEpoch()}
+	ix.adopt(false)
+	return ix
 }
 
 const (
@@ -352,7 +385,7 @@ const (
 // resolveConfig fills a Config's derived fields against a dataset:
 // defaults for M and Budget, and the auto-derived Euclidean bucket width.
 // It is idempotent, so an already resolved Config passes through
-// unchanged — which is how every shard of a ShardedIndex ends up with the
+// unchanged — which is how every shard of an Index ends up with the
 // exact same (seed-equivalent) configuration.
 func resolveConfig(store *vec.Store, cfg Config) (Config, error) {
 	if store.Len() == 0 {
@@ -420,28 +453,15 @@ func validateConfig(cfg Config) (vec.Metric, error) {
 	return family.Metric(), nil
 }
 
-// NewIndex builds an LCCS-LSH index over data. The rows are packed once
-// into a flat vector store; data itself is not retained.
+// NewIndex builds an LCCS-LSH index over data as one shard. The rows are
+// packed once into a flat vector store; data itself is not retained.
 func NewIndex(data [][]float32, cfg Config) (*Index, error) {
-	store, err := storeFromRows(data)
-	if err != nil {
-		return nil, err
-	}
-	c, cfg, err := buildCore(store, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newIndex(c, cfg, store), nil
-}
-
-// newIndex wraps one core index over store as the one-segment set it is.
-func newIndex(c *core.Index, cfg Config, store *vec.Store) *Index {
-	return &Index{segSet: segSet{kind: kindIndex, cfg: cfg, metric: c.Metric(), store: store, segs: []segment{{core: c}}, indexed: store.Len()}, core: c}
+	return NewShardedIndex(data, cfg, 1)
 }
 
 // buildCore resolves the configuration against a store and builds one
-// segment's core index over it — the shared constructor behind NewIndex,
-// the sharded per-shard builds, and the dynamic delta builds. An already
+// segment's core index over it — the shared constructor behind the
+// per-shard builds of an Index and the dynamic delta builds. An already
 // resolved Config passes through unchanged.
 func buildCore(store *vec.Store, cfg Config) (*core.Index, Config, error) {
 	cfg, err := resolveConfig(store, cfg)
@@ -502,8 +522,9 @@ func autoBucketWidth(store *vec.Store, seed uint64) float64 {
 	return w
 }
 
-// Search returns the k nearest neighbors of q found within the index's
-// default candidate budget, in ascending distance order.
+// Search returns the k nearest neighbors of q across all shards with the
+// index's default candidate budget, in ascending distance order. Ids are
+// global: they index into the data slice the index was built from.
 func (ix *Index) Search(q []float32, k int) ([]Neighbor, error) {
 	return ix.SearchQuery(q, Query{K: k}, nil)
 }
@@ -516,16 +537,34 @@ func (ix *Index) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, err
 
 // SearchQuery answers qr, appending into dst (reset to dst[:0] first;
 // dst may be nil). A vector with no metadata matches only the empty
-// filter.
+// filter. An allocating call (dst == nil) may fan the shards out in
+// goroutines; a call that reuses dst is meant for callers that already
+// provide their own concurrency (batch workers, server handlers) and
+// scans them sequentially. The merge is deterministic, so results are
+// identical either way.
 func (ix *Index) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
-	return ix.searchQuery(q, qr, dst, false)
+	return ix.searchQuery(q, qr, dst, dst == nil)
 }
 
-// M returns the hash-string length.
-func (ix *Index) M() int { return ix.core.M() }
+// Shards returns the number of shards.
+func (ix *Index) Shards() int { return len(ix.segs) }
 
-// Bytes returns the approximate index memory footprint.
-func (ix *Index) Bytes() int64 { return ix.core.Bytes() }
+// M returns the hash-string length (identical across shards).
+func (ix *Index) M() int { return ix.segs[0].core.M() }
 
-// BuildTime returns the wall-clock time spent building the index.
-func (ix *Index) BuildTime() time.Duration { return ix.core.BuildTime() }
+// Deleted returns the number of tombstoned rows this index carries
+// (non-zero only for dynamic snapshots taken with pending deletes).
+func (ix *Index) Deleted() int { return ix.dead.Count() }
+
+// Bytes returns the approximate total index memory footprint.
+func (ix *Index) Bytes() int64 {
+	var total int64
+	for _, seg := range ix.segs {
+		total += seg.core.Bytes()
+	}
+	return total
+}
+
+// BuildTime returns the wall-clock time of the (parallel) build; zero for
+// a loaded index or a snapshot.
+func (ix *Index) BuildTime() time.Duration { return ix.buildTime }

@@ -2,11 +2,16 @@ package lccs
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"unicode"
 
 	"lccs/internal/core"
 )
@@ -20,7 +25,7 @@ type queryFacade struct {
 }
 
 // queryFacades builds every facade shape over the same attributed rows:
-// the static Index plain and SQ8-quantized, a ShardedIndex,
+// the static Index plain and SQ8-quantized, a three-shard Index,
 // and the lifecycle shapes — a DynamicIndex with background-built
 // shards, a non-empty delta buffer and tombstones in both; the
 // tombstoned Snapshot of one; a DurableIndex in the same state; and a
@@ -101,7 +106,7 @@ func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 	return []queryFacade{
 		{"Index", must(NewIndexWithAttrs(data, attrs, cfg)), nil},
 		{"Index+SQ8", must(NewIndexWithAttrs(data, attrs, sq8)), nil},
-		{"ShardedIndex", must(NewShardedIndexWithAttrs(data, attrs, cfg, 3)), nil},
+		{"Index/3 shards", must(NewShardedIndexWithAttrs(data, attrs, cfg, 3)), nil},
 		{"Snapshot", snap, live},
 		{"DynamicIndex", newDyn(), live},
 		{"DurableIndex", dur, live},
@@ -366,8 +371,8 @@ func TestNonFiniteRejected(t *testing.T) {
 }
 
 // TestSearchSurface is the guard against the method matrix regrowing:
-// the exported Search* methods of every facade and of the core index are
-// exactly these.
+// the exported Search* methods of the three facades and of the core index
+// are exactly these.
 func TestSearchSurface(t *testing.T) {
 	facade := []string{"Search", "SearchBatch", "SearchCursor", "SearchInto", "SearchQuery"}
 	coreSet := []string{"Search", "SearchInto", "SearchScan"}
@@ -376,7 +381,6 @@ func TestSearchSurface(t *testing.T) {
 		want []string
 	}{
 		{(*Index)(nil), facade},
-		{(*ShardedIndex)(nil), facade},
 		{(*DynamicIndex)(nil), facade},
 		{(*DurableIndex)(nil), facade},
 		{(*core.Index)(nil), coreSet},
@@ -393,5 +397,67 @@ func TestSearchSurface(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%v exports %v, want exactly %v", typ, got, tc.want)
 		}
+	}
+}
+
+// TestDurableShadowsWrites guards the durable write path: DurableIndex
+// embeds *DynamicIndex, so an exported Add* or Delete* method of
+// DynamicIndex that DurableIndex does not declare itself is promoted and
+// changes a durable collection without journaling the change. The package
+// source is parsed, so a new mutator fails here the day it is added.
+func TestDurableShadowsWrites(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := map[string]map[string]bool{} // receiver type → exported methods
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || !fn.Name.IsExported() {
+				continue
+			}
+			star, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
+			if !ok {
+				continue
+			}
+			if recv, ok := star.X.(*ast.Ident); ok {
+				if methods[recv.Name] == nil {
+					methods[recv.Name] = map[string]bool{}
+				}
+				methods[recv.Name][fn.Name.Name] = true
+			}
+		}
+	}
+	// A mutator is the verb alone or the verb and a capitalised qualifier
+	// (AddBatch, DeleteBatch); Deleted, a count, is not one.
+	mutator := func(name string) bool {
+		for _, verb := range []string{"Add", "Delete"} {
+			if rest, ok := strings.CutPrefix(name, verb); ok && (rest == "" || unicode.IsUpper(rune(rest[0]))) {
+				return true
+			}
+		}
+		return false
+	}
+	writes := 0
+	for name := range methods["DynamicIndex"] {
+		if !mutator(name) {
+			continue
+		}
+		writes++
+		if !methods["DurableIndex"][name] {
+			t.Errorf("(*DynamicIndex).%s has no (*DurableIndex).%s: on a durable collection it would write past the log", name, name)
+		}
+	}
+	if writes == 0 {
+		t.Fatal("found no Add*/Delete* method on *DynamicIndex: the parse is broken")
 	}
 }

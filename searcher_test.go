@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// searcherFixtures builds the three facades over identical seeded data
-// with one fully resolved configuration, so their hashing is
-// seed-equivalent.
+// searcherFixtures builds a one-shard and a three-shard Index and a
+// DynamicIndex over identical seeded data with one fully resolved
+// configuration, so their hashing is seed-equivalent.
 func searcherFixtures(t *testing.T, data [][]float32, cfg Config) map[string]Searcher {
 	t.Helper()
 	ix, err := NewIndex(data, cfg)
@@ -24,12 +24,12 @@ func searcherFixtures(t *testing.T, data [][]float32, cfg Config) map[string]Sea
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Searcher{"Index": ix, "ShardedIndex": sx, "DynamicIndex": dyn}
+	return map[string]Searcher{"Index": ix, "Index/3 shards": sx, "DynamicIndex": dyn}
 }
 
 // TestSearcherConformanceIdenticalResults: at an exhaustive candidate
-// budget every facade verifies every vector, so Index, ShardedIndex,
-// and DynamicIndex must return identical (id, distance) lists on
+// budget every facade verifies every vector, so an Index of one or three
+// shards and a DynamicIndex must return identical (id, distance) lists on
 // identical seeded data — the Searcher interface's core contract.
 func TestSearcherConformanceIdenticalResults(t *testing.T) {
 	data, g := testData(91, 600, 10, 6, 0.5)
@@ -77,7 +77,7 @@ func TestSearcherConformanceIdenticalResults(t *testing.T) {
 
 // TestSearcherConformanceTombstoneFiltering extends the conformance
 // contract to the deletion lifecycle: with tombstones in place, the
-// DynamicIndex and the ShardedIndex snapshot derived from it must
+// DynamicIndex and the Index snapshot derived from it must
 // agree with each other at an exhaustive budget AND with a brute-force
 // scan over only the live vectors — deleted ids appear nowhere, live
 // ids keep their stable values.
@@ -140,7 +140,7 @@ func TestSearcherConformanceTombstoneFiltering(t *testing.T) {
 	}
 }
 
-// TestFacadeValidationConformance: all three facades answer the same
+// TestFacadeValidationConformance: every facade answers the same
 // invalid input with the same typed error — never a silent empty
 // result.
 func TestFacadeValidationConformance(t *testing.T) {
@@ -214,7 +214,7 @@ func TestParseMetric(t *testing.T) {
 }
 
 // TestDynamicSnapshotRoundTrip: a snapshot taken with buffered inserts
-// persists through the LCCSPKG2 container and serves identical results
+// persists through the container and serves identical results
 // after a reload — the serve daemon's shutdown path.
 func TestDynamicSnapshotRoundTrip(t *testing.T) {
 	data, g := testData(93, 300, 8, 4, 0.5)
@@ -246,7 +246,7 @@ func TestDynamicSnapshotRoundTrip(t *testing.T) {
 	if err := sx.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSharded(path, vectors)
+	loaded, err := Load(path, vectors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +280,8 @@ func TestDynamicSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestDynamicFromShardedStaysWritable: the warm-restart path — a
-// snapshot reloaded with LoadSharded and wrapped back into a
-// DynamicIndex keeps serving inserts, so writability survives any
+// snapshot reopened with Load and wrapped back into a DynamicIndex with
+// NewDynamicIndexFrom keeps serving inserts, so writability survives any
 // number of snapshot/restart cycles.
 func TestDynamicFromShardedStaysWritable(t *testing.T) {
 	data, g := testData(94, 200, 8, 4, 0.5)
@@ -301,15 +301,12 @@ func TestDynamicFromShardedStaysWritable(t *testing.T) {
 	if err := snap.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSharded(path, vectors)
+	loaded, err := Load(path, vectors)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	warm, err := NewDynamicIndexFromSharded(loaded, vectors, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := NewDynamicIndexFrom(loaded, 50)
 	if warm.Len() != 201 || warm.Buffered() != 0 {
 		t.Fatalf("Len=%d Buffered=%d", warm.Len(), warm.Buffered())
 	}
@@ -342,8 +339,8 @@ func TestDynamicFromShardedStaysWritable(t *testing.T) {
 		t.Fatalf("Buffered=%d, background build never triggered", warm.Buffered())
 	}
 
-	// A mismatched data slice is rejected.
-	if _, err := NewDynamicIndexFromSharded(loaded, vectors[:10], 0); err == nil {
+	// A mismatched data slice is rejected where it enters, by Load.
+	if _, err := Load(path, vectors[:10]); err == nil {
 		t.Fatal("short data slice should fail")
 	}
 }

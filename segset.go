@@ -18,9 +18,9 @@ import (
 // A segment is an immutable CSA index over a contiguous run of rows of the
 // set's flat vector store. The segments tile the slots [0, indexed); the
 // rows [indexed, store.Len()) are the tail, which no CSA covers and every
-// query scans exactly. Index is the one-segment, empty-tail, identity-id
-// case; ShardedIndex the immutable S-segment case; DynamicIndex a lock and
-// write bookkeeping around a set whose tail is the insert buffer.
+// query scans exactly. Index is the immutable S-segment, empty-tail case;
+// DynamicIndex a lock and write bookkeeping around a set whose tail is the
+// insert buffer.
 //
 // The budget rule. A query's candidate budget λ is divided across the
 // segments, ⌈λ/S⌉ each, so a given budget means comparable verification
@@ -43,7 +43,10 @@ import (
 // mutating (the id map, the tombstone bitset, the segment table), so a
 // snapshot answers its own point in time forever.
 type segSet struct {
-	kind facadeKind
+	// dynamic marks the set of a DynamicIndex: its tail is a result source
+	// of every query and cursor (empty or not) and its id map is
+	// materialised.
+	dynamic bool
 	// cfg is the fully resolved configuration (auto-derived bucket width
 	// and the default budget filled in) every segment is built with, so a
 	// set is seed-equivalent to one index over the same rows.
@@ -72,18 +75,6 @@ type segment struct {
 	dead int
 }
 
-// facadeKind names the facade a set sits behind, for what is the facade's
-// rather than the set's: which stages a query reports (and with them
-// whether the tail is a cursor source), and whether the id map is
-// materialised.
-type facadeKind uint8
-
-const (
-	kindIndex   facadeKind = iota // shard_scan
-	kindSharded                   // shard_scan × S, merge
-	kindDynamic                   // shard_scan × S, buffer_scan, merge
-)
-
 // setCtx is the pooled scratch of one query: a sorted run and a stats
 // slot per segment and one more of each for the tail (written by each
 // scan, summed after a fan-out joins — no atomics), the tail's k-best
@@ -108,15 +99,15 @@ func getCtx(n int) *setCtx {
 	return ctx
 }
 
-// adopt makes the set the state of a facade of the given kind: the id map
-// is materialised for a DynamicIndex, which allocates from it, and nil
-// while it is the identity everywhere else; every segment's tombstone
+// adopt makes the set the state of a DynamicIndex (dynamic) or an Index:
+// the id map is materialised for a DynamicIndex, which allocates from it,
+// and nil while it is the identity on an Index; every segment's tombstone
 // count is taken from the bitset.
-func (s *segSet) adopt(kind facadeKind) {
-	s.kind = kind
-	if kind == kindDynamic && s.ids == nil {
+func (s *segSet) adopt(dynamic bool) {
+	s.dynamic = dynamic
+	if dynamic && s.ids == nil {
 		s.ids = idmap.New(s.store.Len())
-	} else if kind != kindDynamic && s.ids.Identity() {
+	} else if !dynamic && s.ids.Identity() {
 		s.ids = nil
 	}
 	for i := range s.segs {
@@ -296,7 +287,7 @@ func (s *segSet) searchQuery(q []float32, qr Query, dst []Neighbor, fanOut bool)
 		}
 		ctx.wg.Wait()
 	}
-	if s.kind == kindDynamic {
+	if s.dynamic {
 		sp := tr.StartSpan(obs.StageBufferScan, root)
 		bound := math.Inf(1)
 		for _, run := range ctx.lists[:runs] {
@@ -312,7 +303,7 @@ func (s *segSet) searchQuery(q []float32, qr Query, dst []Neighbor, fanOut bool)
 		runs++
 	}
 	mergeSpan := -1
-	if s.kind != kindIndex {
+	if runs > 1 {
 		mergeSpan = tr.StartSpan(obs.StageMerge, root)
 	}
 	if !direct {

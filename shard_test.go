@@ -17,8 +17,8 @@ func sortedIDSet(res []Neighbor) map[int]bool {
 }
 
 func TestShardedMatchesSingleIndexTopK(t *testing.T) {
-	// At an exhaustive candidate budget both a single Index and a
-	// ShardedIndex verify every vector, so the top-k sets must coincide
+	// At an exhaustive candidate budget an Index of one shard and one of
+	// several verify every vector, so the top-k sets must coincide
 	// exactly (and match brute force) — the sharding changes the
 	// partitioning, never the answer.
 	data, g := testData(71, 1200, 10, 6, 0.5)
@@ -124,10 +124,6 @@ func TestShardedConfigAndEdgeCases(t *testing.T) {
 	if sx.BuildTime() < 0 {
 		t.Fatal("negative build time")
 	}
-	ix, off := sx.Shard(0)
-	if ix == nil || off != 0 {
-		t.Fatalf("Shard(0) = %v, %d", ix, off)
-	}
 	// Degenerate queries surface typed errors, never silent empties.
 	if _, err := sx.Search(data[0], 0); !errors.Is(err, ErrInvalidK) {
 		t.Fatalf("k=0: err=%v, want ErrInvalidK", err)
@@ -177,7 +173,7 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	if err := sx.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSharded(path, data)
+	loaded, err := Load(path, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,30 +192,26 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Loading through the single-index API is refused with a clear error.
-	if _, err := Load(path, data); err == nil {
-		t.Fatal("Load should reject a sharded container")
-	}
 }
 
+// TestLoadShardedAcceptsFormat1: the format-1 golden — a single-index
+// file with no shard table, as old releases wrote — opens through Load as
+// one shard and answers as a one-shard build does. (TestContainerCompat
+// checks it re-saves as the sharded kind.)
 func TestLoadShardedAcceptsFormat1(t *testing.T) {
-	data, _ := testData(77, 400, 8, 4, 0.5)
-	ix, err := NewIndex(data, Config{Metric: Euclidean, M: 16, Seed: 22})
+	data, cfg := goldenSetup()
+	ix, err := NewIndex(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "single.lccs")
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	sx, err := LoadSharded(path, data)
+	loaded, err := Load("testdata/golden_pkg1.lccs", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sx.Shards() != 1 || sx.Len() != 400 {
-		t.Fatalf("wrapped format-1: shards=%d len=%d", sx.Shards(), sx.Len())
+	if loaded.Shards() != 1 || loaded.Len() != len(data) {
+		t.Fatalf("format-1 file: shards=%d len=%d", loaded.Shards(), loaded.Len())
 	}
-	a, b := must(ix.SearchQuery(data[7], Query{K: 5, Budget: 60}, nil)), must(sx.SearchQuery(data[7], Query{K: 5, Budget: 60}, nil))
+	a, b := must(ix.SearchQuery(data[7], Query{K: 5, Budget: 60}, nil)), must(loaded.SearchQuery(data[7], Query{K: 5, Budget: 60}, nil))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("pos %d: %+v vs %+v", i, a[i], b[i])
@@ -253,7 +245,7 @@ func TestLoadShardedRejectsCorruption(t *testing.T) {
 	// mid-shard-blob. All must error, never panic.
 	for _, frac := range []float64{0.001, 0.01, 0.3, 0.9} {
 		cut := blob[:int(float64(len(blob))*frac)]
-		if _, err := LoadSharded(write("cut.lccs", cut), data); err == nil {
+		if _, err := Load(write("cut.lccs", cut), data); err == nil {
 			t.Fatalf("truncation at %.1f%% should fail", frac*100)
 		}
 	}
@@ -262,29 +254,29 @@ func TestLoadShardedRejectsCorruption(t *testing.T) {
 	hdrEnd := len(pkgMagic) + 2 + 4 + len(Euclidean) + 3*8 + 8 + 8 // magic, kind, flags, config
 	bad[hdrEnd] = 0xFF
 	bad[hdrEnd+1] = 0xFF
-	if _, err := LoadSharded(write("badcount.lccs", bad), data); err == nil {
+	if _, err := Load(write("badcount.lccs", bad), data); err == nil {
 		t.Fatal("corrupt shard count should fail")
 	}
 	// Corrupt a shard size entry.
 	bad = append([]byte(nil), blob...)
 	bad[hdrEnd+4] = 0xEE
-	if _, err := LoadSharded(write("badsize.lccs", bad), data); err == nil {
+	if _, err := Load(write("badsize.lccs", bad), data); err == nil {
 		t.Fatal("corrupt shard size should fail")
 	}
 	// Wrong data slice fails the per-shard hash spot check.
 	other, _ := testData(979, 300, 8, 4, 0.5)
-	if _, err := LoadSharded(path, other); err == nil {
+	if _, err := Load(path, other); err == nil {
 		t.Fatal("different data should fail")
 	}
-	if _, err := LoadSharded(path, nil); err == nil {
+	if _, err := Load(path, nil); err == nil {
 		t.Fatal("nil data should fail")
 	}
 	// Nil vectors (right length, zero dimension) must error, not panic
 	// inside the LSH family constructor.
-	if _, err := LoadSharded(path, make([][]float32, 300)); err == nil {
+	if _, err := Load(path, make([][]float32, 300)); err == nil {
 		t.Fatal("zero-dimensional data should fail")
 	}
-	if _, err := LoadSharded(filepath.Join(dir, "missing.lccs"), data); err == nil {
+	if _, err := Load(filepath.Join(dir, "missing.lccs"), data); err == nil {
 		t.Fatal("missing file should fail")
 	}
 }

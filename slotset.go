@@ -6,7 +6,7 @@ import "math/bits"
 // zero value is empty and Has answers false past the last word, so the
 // set grows only when a slot beyond it is set. It is not synchronized:
 // a DynamicIndex mutates its set under the write lock and hands
-// snapshots a Clone; a ShardedIndex never mutates its own. The query
+// snapshots a Clone; an Index never mutates its own. The query
 // path probes the words directly (core.Scan.Dead).
 type slotSet struct {
 	words []uint64

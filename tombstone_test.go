@@ -100,7 +100,7 @@ func dynState(d *DynamicIndex, deleted map[int]bool) *tombState {
 	return setState(d, &d.segSet, deleted)
 }
 
-func shardedState(sx *ShardedIndex, deleted map[int]bool) *tombState {
+func indexState(sx *Index, deleted map[int]bool) *tombState {
 	return setState(sx, &sx.segSet, deleted)
 }
 
@@ -273,15 +273,15 @@ func TestTombstoneStreamMatchesOverfetch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				shardedState(sx, deleted).check(t, name+"/snapshot", queries, n, per)
+				indexState(sx, deleted).check(t, name+"/snapshot", queries, n, per)
 
 				path := filepath.Join(t.TempDir(), "snap.lccs")
 				if err := sx.Save(path); err != nil {
 					t.Fatal(err)
 				}
-				loaded := must(LoadSharded(path, rows))
-				shardedState(loaded, deleted).check(t, name+"/loaded", queries[:1], n, per)
-				warm := must(NewDynamicIndexFromSharded(loaded, rows, per))
+				loaded := must(Load(path, rows))
+				indexState(loaded, deleted).check(t, name+"/loaded", queries[:1], n, per)
+				warm := NewDynamicIndexFrom(loaded, per)
 				if warm.Len() != n-len(deleted) {
 					t.Fatalf("%s: warm restart holds %d live rows, want %d", name, warm.Len(), n-len(deleted))
 				}
@@ -393,8 +393,7 @@ func TestSQ8RerankDepthIgnoresTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard0, _ := sx.Shard(0)
-	if kind, _ := shard0.Quantization(); kind != QuantizeSQ8 || sx.Deleted() == 0 {
+	if kind, _ := sx.Quantization(); kind != QuantizeSQ8 || sx.Deleted() == 0 {
 		t.Fatalf("snapshot fixture: quantization %q, %d tombstones", kind, sx.Deleted())
 	}
 	check("snapshot", sx, sx.Shards())

@@ -69,13 +69,8 @@ func TestLoadRejectsUnsortedCSA(t *testing.T) {
 		if err := os.WriteFile(path, unsortCSA(t, golden), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadSharded(path, data); err == nil || !strings.Contains(err.Error(), "circular order") {
-			t.Errorf("LoadSharded(unsorted %s) = %v, want a circular-order error", name, err)
-		}
-		if name == "golden_pkg1.lccs" {
-			if _, err := Load(path, data); err == nil || !strings.Contains(err.Error(), "circular order") {
-				t.Errorf("Load(unsorted %s) = %v, want a circular-order error", name, err)
-			}
+		if _, err := Load(path, data); err == nil || !strings.Contains(err.Error(), "circular order") {
+			t.Errorf("Load(unsorted %s) = %v, want a circular-order error", name, err)
 		}
 	}
 
