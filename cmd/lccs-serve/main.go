@@ -298,7 +298,7 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 // corpus, an empty WAL and a shard layout that does not depend on
 // background-build timing. A directory that already holds data is left
 // alone.
-func bootstrapFrom(dur *lccs.DurableIndex, path string, kind lccs.MetricKind) error {
+func bootstrapFrom(dur *lccs.DynamicIndex, path string, kind lccs.MetricKind) error {
 	if rec := dur.Recovery(); dur.Len() > 0 || rec.Records > 0 || rec.SnapshotVectors > 0 {
 		logger.Warn("-bootstrap ignored: data dir already holds data", "dir", dur.Dir())
 		return nil
@@ -405,7 +405,7 @@ func drain(eng *engine.Engine) error {
 
 // checkpoint runs one checkpoint and logs its outcome (phase timings
 // are logged by the library through the injected logger).
-func checkpoint(dur *lccs.DurableIndex, reason string) error {
+func checkpoint(dur *lccs.DynamicIndex, reason string) error {
 	info, err := dur.Checkpoint()
 	if err != nil {
 		return err

@@ -48,7 +48,7 @@ func TestCheckpointStopJoinsTheLoop(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, c := range colls {
 		wg.Add(1)
-		go func(d *lccs.DurableIndex) {
+		go func(d *lccs.DynamicIndex) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				select {

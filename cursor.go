@@ -61,8 +61,7 @@ type CursorSearcher interface {
 	SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) (page []Neighbor, next string, err error)
 }
 
-// Compile-time conformance of the facades (DurableIndex inherits from
-// DynamicIndex).
+// Compile-time conformance of the facades.
 var (
 	_ CursorSearcher = (*Index)(nil)
 	_ CursorSearcher = (*DynamicIndex)(nil)

@@ -2,6 +2,7 @@ package lccs
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -140,10 +141,11 @@ func (m *lifecycleModel) check(t *testing.T, where string, s lifecycleFacade, q 
 }
 
 // TestLifecycleDifferential drives seeded random op sequences through a
-// DynamicIndex and a DurableIndex beside the brute-force model, checking
-// after every step; a snapshot taken on the way (and the loaded container
-// a restart adopts) is checked again after the source has moved on, which
-// is what holds freeze to cloning the id map and the tombstone bitset.
+// memory-only and a journaled DynamicIndex beside the brute-force model,
+// checking after every step; a snapshot taken on the way (and the loaded
+// container a restart adopts) is checked again after the source has moved
+// on, which is what holds freeze to cloning the id map and the tombstone
+// bitset.
 func TestLifecycleDifferential(t *testing.T) {
 	const dim, rebuildAt, steps = 6, 24, 260
 	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}
@@ -156,10 +158,8 @@ func TestLifecycleDifferential(t *testing.T) {
 			dir := t.TempDir()
 			dc := DurableConfig{Config: cfg, RebuildAt: rebuildAt}
 			var d *DynamicIndex
-			var di *DurableIndex
 			if durable {
-				di = must(OpenDurable(dir, dc))
-				d = di.DynamicIndex
+				d = must(OpenDurable(dir, dc))
 			} else {
 				d = must(NewDynamicIndex(nil, cfg, rebuildAt))
 			}
@@ -179,25 +179,14 @@ func TestLifecycleDifferential(t *testing.T) {
 					if g.IntN(4) > 0 {
 						a = Attrs{"color": StrAttr(colors[g.IntN(3)])}
 					}
-					var id int
-					if durable {
-						id = must(di.AddWithAttrs(v, a))
-					} else {
-						id = must(d.AddWithAttrs(v, a))
-					}
+					id := must(d.AddWithAttrs(v, a))
 					d.WaitRebuild()
 					if want := m.add(v, a); id != want {
 						t.Fatalf("%s: Add returned id %d, the model says %d", where, id, want)
 					}
 				case op < 80:
 					id := g.IntN(len(m.vecs) + 2)
-					got := false
-					if durable {
-						got = di.Delete(id)
-					} else {
-						got = d.Delete(id)
-					}
-					if want := m.delete(id); got != want {
+					if got, want := d.Delete(id), m.delete(id); got != want {
 						t.Fatalf("%s: Delete(%d) = %v, the model says %v", where, id, got, want)
 					}
 				case op < 85:
@@ -214,15 +203,14 @@ func TestLifecycleDifferential(t *testing.T) {
 					kept = append(kept, frozen{where + " snapshot", sx, m.snapshot()})
 				case len(m.liveIDs()) == 0:
 				case durable:
-					if _, err := di.Checkpoint(); err != nil {
+					if _, err := d.Checkpoint(); err != nil {
 						t.Fatalf("%s: Checkpoint: %v", where, err)
 					}
-					if err := di.Close(); err != nil {
+					if err := d.Close(); err != nil {
 						t.Fatalf("%s: Close: %v", where, err)
 					}
-					di = must(OpenDurable(dir, dc))
-					if d = di.DynamicIndex; di.Recovery().Records != 0 {
-						t.Fatalf("%s: replayed %d records over a fresh checkpoint", where, di.Recovery().Records)
+					if d = must(OpenDurable(dir, dc)); d.Recovery().Records != 0 {
+						t.Fatalf("%s: replayed %d records over a fresh checkpoint", where, d.Recovery().Records)
 					}
 					m = m.snapshot()
 				default:
@@ -249,9 +237,7 @@ func TestLifecycleDifferential(t *testing.T) {
 					fz.m.check(t, where+", "+fz.where, fz.sx, q)
 				}
 			}
-			if durable {
-				di.Close()
-			}
+			d.Close()
 		}
 	}
 }
@@ -264,9 +250,57 @@ func TestLifecycleDifferential(t *testing.T) {
 // whose Delete had returned before the call began must not be. A snapshot
 // answers the same way — and answers identically again after the source
 // has moved on.
+//
+// The journaled variant runs the same schedule on an index OpenDurable
+// opened, with one more goroutine checkpointing in a loop, then crashes
+// it: the reopened index must hold exactly the live ids of the crashed
+// one, each with a bit-identical vector.
 func TestLifecycleConcurrent(t *testing.T) {
-	const writers, perWriter, readers, dim, rebuildAt = 3, 70, 2, 6, 32
-	d := must(NewDynamicIndex(nil, Config{Metric: Euclidean, M: 16, Seed: 9, BucketWidth: 1}, rebuildAt))
+	const rebuildAt = 32
+	cfg := Config{Metric: Euclidean, M: 16, Seed: 9, BucketWidth: 1}
+	t.Run("memory", func(t *testing.T) {
+		lifecycleConcurrent(t, must(NewDynamicIndex(nil, cfg, rebuildAt)))
+	})
+	t.Run("journaled", func(t *testing.T) {
+		dir := t.TempDir()
+		dc := DurableConfig{Config: cfg, Sync: SyncNone, RebuildAt: rebuildAt}
+		d := must(OpenDurable(dir, dc))
+		lifecycleConcurrent(t, d)
+		crash(d)
+		// Replay fails the reopen when a record's id is not the one the
+		// replayed insert draws, so reopening is the id-mismatch check.
+		re, err := OpenDurable(dir, dc)
+		if err != nil {
+			t.Fatalf("reopen after the crash: %v", err)
+		}
+		defer re.Close()
+		q := make([]float32, 6)
+		live, recovered := searchIDs(t, d, q, d.Len()), searchIDs(t, re, q, d.Len())
+		if len(recovered) != len(live) || re.Len() != len(live) {
+			t.Fatalf("recovered %d live ids (Len %d), the crashed index held %d", len(recovered), re.Len(), len(live))
+		}
+		for id := range recovered {
+			if !live[id] {
+				t.Fatalf("recovered id %d was not live at the crash", id)
+			}
+			was, now := d.Vector(id), re.Vector(id)
+			if len(was) != len(now) {
+				t.Fatalf("id %d: recovered a %d-dim vector, want %d", id, len(now), len(was))
+			}
+			for i := range was {
+				if math.Float32bits(was[i]) != math.Float32bits(now[i]) {
+					t.Fatalf("id %d: recovered %v, the crashed index held %v", id, now, was)
+				}
+			}
+		}
+	})
+}
+
+// lifecycleConcurrent runs TestLifecycleConcurrent's schedule on d; on a
+// journaled d one more goroutine checkpoints in a loop. Every goroutine
+// has joined when it returns.
+func lifecycleConcurrent(t *testing.T, d *DynamicIndex) {
+	const writers, perWriter, readers, dim = 3, 70, 2, 6
 	const total = writers * perWriter
 	var seq atomic.Int64
 	var added, delBegun, delDone [total]atomic.Int64
@@ -345,6 +379,23 @@ func TestLifecycleConcurrent(t *testing.T) {
 				}
 			}
 		}(r)
+	}
+	if d.Dir() != "" {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				if _, err := d.Checkpoint(); err != nil {
+					t.Errorf("Checkpoint: %v", err)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
 	}
 	writing.Add(1)
 	go func() {

@@ -15,15 +15,15 @@ import (
 	"lccs/internal/wal"
 )
 
-// ErrNotDurable is returned (wrapped) by DurableIndex write paths when
-// the write-ahead log could not make the write durable. The in-memory
-// index may already hold the write, but a crash could lose it, so
-// callers must not acknowledge it; the log is broken until the index is
-// reopened.
+// ErrNotDurable is returned (wrapped) by the write paths of an index
+// OpenDurable opened when the write-ahead log could not make the write
+// durable. The in-memory index may already hold the write, but a crash
+// could lose it, so callers must not acknowledge it; the log is broken
+// until the index is reopened.
 var ErrNotDurable = errors.New("lccs: write not durable: write-ahead log failure")
 
-// SyncPolicy selects what an acknowledged DurableIndex write
-// guarantees; it mirrors the policies of the underlying write-ahead
+// SyncPolicy selects what an acknowledged write to an index OpenDurable
+// opened guarantees; it mirrors the policies of the underlying write-ahead
 // log.
 type SyncPolicy int
 
@@ -153,48 +153,24 @@ type WALStats struct {
 	MeanFsyncMicros float64 `json:"mean_fsync_us"`
 }
 
-// DurableIndex is a DynamicIndex whose inserts and deletes are recorded
-// in a write-ahead log before they are acknowledged, and whose state is
-// periodically checkpointed into a snapshot container — so a crash
-// (SIGKILL, OOM, power loss within the sync policy's guarantee) loses
-// no acknowledged write. It owns a data directory:
-//
-//	<dir>/MANIFEST            durable root: active snapshot + WAL watermark
-//	<dir>/snapshot-N.lccs     index container of generation N
-//	<dir>/snapshot-N.ds       the snapshot's vectors
-//	<dir>/wal/*.wal           log segments holding writes since the snapshot
-//
-// OpenDurable recovers: it loads the manifest's snapshot and replays
-// the log records above the manifest watermark, reproducing exactly the
-// acknowledged state — inserted ids searchable, deleted ids dead, and
-// the id watermark monotone across any number of crash cycles.
-// Checkpoint persists a new snapshot and truncates the log; Close
-// flushes and closes the log (checkpoint first for a fast next boot).
-//
-// All Searcher methods are served by the embedded DynamicIndex; Add,
-// AddBatch, and Delete journal before acknowledging. A DurableIndex is
-// safe for concurrent use. The data directory must have a single owner:
-// running two processes over one directory corrupts it.
-type DurableIndex struct {
-	*DynamicIndex
+// journal is what OpenDurable attaches to a DynamicIndex: the data
+// directory it owns, the write-ahead log every write is appended to, and
+// the checkpoint state.
+type journal struct {
 	dir string
 	fs  wal.FS
 	log *wal.Log
-	// wmu orders id allocation against WAL appends, so replaying the
-	// log in LSN order reassigns exactly the original ids. It is held
-	// across apply+append but released before the durability wait, so
-	// concurrent writers group-commit.
-	wmu sync.Mutex
-	// cmu serializes checkpoints.
+	// cmu serializes checkpoints; ckptGen is the last snapshot generation
+	// a checkpoint claimed (the build generation is DynamicIndex.gen).
 	cmu      sync.Mutex
-	gen      uint64
+	ckptGen  uint64
 	recovery RecoveryInfo
 	logger   *slog.Logger
 }
 
-// Compile-time conformance: a DurableIndex serves queries like any
-// other facade.
-var _ Searcher = (*DurableIndex)(nil)
+// errMemoryOnly is what Checkpoint answers on an index OpenDurable did not
+// open: there is no directory to write a snapshot to.
+var errMemoryOnly = errors.New("lccs: checkpoint: memory-only index (open it with OpenDurable)")
 
 const walSubdir = "wal"
 
@@ -202,12 +178,27 @@ func snapshotNames(gen uint64) (container, ds string) {
 	return fmt.Sprintf("snapshot-%06d.lccs", gen), fmt.Sprintf("snapshot-%06d.ds", gen)
 }
 
-// OpenDurable opens (creating if needed) a durable index over a data
-// directory, recovering any state a previous process left: the
-// manifest's snapshot is loaded and the write-ahead log above the
-// checkpoint watermark is replayed. See DurableIndex for the directory
-// layout and guarantees.
-func OpenDurable(dir string, dc DurableConfig) (*DurableIndex, error) {
+// OpenDurable opens (creating if needed) a data directory and returns the
+// DynamicIndex it holds with a write-ahead journal attached: every insert
+// and delete is appended to the log before it is acknowledged, and
+// Checkpoint persists the state as a snapshot, so a crash (SIGKILL, OOM,
+// power loss within the sync policy's guarantee) loses no acknowledged
+// write. The index owns the directory:
+//
+//	<dir>/MANIFEST            durable root: active snapshot + WAL watermark
+//	<dir>/snapshot-N.lccs     index container of generation N
+//	<dir>/snapshot-N.ds       the snapshot's vectors
+//	<dir>/wal/*.wal           log segments holding writes since the snapshot
+//
+// Opening recovers: the manifest's snapshot is loaded and the log records
+// above its watermark are replayed — before the journal is attached, so
+// replay journals nothing — reproducing exactly the acknowledged state:
+// inserted ids searchable, deleted ids dead, and the id watermark
+// monotone across any number of crash cycles. Close flushes and closes the
+// log (Checkpoint first for a fast next boot). The data directory must
+// have a single owner: running two processes over one directory corrupts
+// it.
+func OpenDurable(dir string, dc DurableConfig) (*DynamicIndex, error) {
 	fsys := dc.FS
 	if fsys == nil {
 		fsys = faultfs.OS{}
@@ -278,7 +269,7 @@ func OpenDurable(dir string, dc DurableConfig) (*DurableIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	di := &DurableIndex{DynamicIndex: dyn, dir: dir, fs: fsys, log: log, gen: gen, logger: logger}
+	j := &journal{dir: dir, fs: fsys, log: log, ckptGen: gen, logger: logger}
 	start := time.Now()
 	info, err := log.Replay(from, func(rec wal.Record) error {
 		switch rec.Op {
@@ -319,13 +310,13 @@ func OpenDurable(dir string, dc DurableConfig) (*DurableIndex, error) {
 		log.Close()
 		return nil, err
 	}
-	if err := di.removeOrphans(man); err != nil {
+	if err := j.removeOrphans(man); err != nil {
 		log.Close()
 		return nil, err
 	}
 	replayTook := time.Since(start)
 	obs.ObserveDur(obs.StageRecoveryReplay, replayTook)
-	di.recovery = RecoveryInfo{
+	j.recovery = RecoveryInfo{
 		Segments:        info.Segments,
 		Records:         info.Records,
 		Skipped:         info.Skipped,
@@ -345,14 +336,15 @@ func OpenDurable(dir string, dc DurableConfig) (*DurableIndex, error) {
 		"checkpoint_lsn", from,
 		"last_lsn", info.LastLSN,
 		"took", replayTook)
-	return di, nil
+	dyn.j = j
+	return dyn, nil
 }
 
 // removeOrphans deletes snapshot files not referenced by the manifest —
 // debris of a checkpoint that crashed between writing its files and
 // committing the manifest — plus any manifest temp file.
-func (di *DurableIndex) removeOrphans(man *wal.Manifest) error {
-	entries, err := di.fs.ReadDir(di.dir)
+func (j *journal) removeOrphans(man *wal.Manifest) error {
+	entries, err := j.fs.ReadDir(j.dir)
 	if err != nil {
 		return err
 	}
@@ -368,7 +360,7 @@ func (di *DurableIndex) removeOrphans(man *wal.Manifest) error {
 			orphan = true
 		}
 		if orphan {
-			if err := di.fs.Remove(filepath.Join(di.dir, name)); err != nil {
+			if err := j.fs.Remove(filepath.Join(j.dir, name)); err != nil {
 				return err
 			}
 		}
@@ -383,66 +375,43 @@ func isValidationError(err error) bool {
 	return errors.Is(err, ErrEmptyVector) || errors.Is(err, ErrDimensionMismatch) || errors.Is(err, ErrNonFinite)
 }
 
-// journal is the one durable write step. apply changes the in-memory
-// index and returns the records describing what it did; it runs under
-// wmu together with the log append, so LSN order is id-allocation
-// order, and the durability wait comes after the unlock, so concurrent
-// writers group-commit. A write that applied nothing journals nothing.
-// An error (always wrapping ErrNotDurable) means the records may not
-// survive a crash. The stage clock: apply covers the write-lock wait
-// plus the in-memory change; append the journal record write; fsync the
-// group-commit durability wait.
-func (di *DurableIndex) journal(apply func() []wal.Record) error {
-	t0 := time.Now()
-	di.wmu.Lock()
-	recs := apply()
+// clock starts a write's stage clock; only journaled writes are timed.
+func (j *journal) clock() time.Time {
+	if j == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// commit ends every write body. It is called with d.mu held, after the
+// in-memory apply, and returns with d.mu released. recs describe what the
+// apply did (nil on a memory-only index); they are appended to the log in
+// the critical section that allocated their ids, so LSN order is id order
+// by construction, and the durability wait runs after the unlock, so
+// concurrent writers group-commit. A journal failure — wrapping
+// ErrNotDurable: the write is applied in memory but may not survive a
+// crash, so it must not be acknowledged — supersedes err, the write's own
+// outcome. The stage clock from t0: index_apply is the lock wait plus the
+// apply, wal_append the enqueue, wal_fsync the durability wait.
+func (d *DynamicIndex) commit(t0 time.Time, recs []wal.Record, err error) error {
 	if len(recs) == 0 {
-		di.wmu.Unlock()
-		return nil
+		d.mu.Unlock()
+		return err
 	}
 	t1 := time.Now()
 	obs.ObserveDur(obs.StageIndexApply, t1.Sub(t0))
-	lsn, err := di.log.Append(recs...)
-	di.wmu.Unlock()
+	lsn, jerr := d.j.log.Append(recs...)
+	d.mu.Unlock()
 	t2 := time.Now()
 	obs.ObserveDur(obs.StageWALAppend, t2.Sub(t1))
-	if err == nil {
-		err = di.log.WaitDurable(lsn)
+	if jerr == nil {
+		jerr = d.j.log.WaitDurable(lsn)
 		obs.ObserveSince(obs.StageWALFsync, t2)
 	}
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNotDurable, err)
+	if jerr != nil {
+		return fmt.Errorf("%w: %v", ErrNotDurable, jerr)
 	}
-	return nil
-}
-
-// Add inserts a vector and blocks until the insert is durable under
-// the configured sync policy; only then is the id safe to acknowledge.
-// As with DynamicIndex.Add, a non-nil error alongside a valid id can be
-// a deferred background-build failure (the insert itself succeeded); an
-// error wrapping ErrNotDurable, however, means the write may not
-// survive a crash and must not be acknowledged.
-func (di *DurableIndex) Add(v []float32) (int, error) {
-	return di.AddWithAttrs(v, nil)
-}
-
-// AddWithAttrs is Add with per-vector metadata: the attribute row is
-// journaled alongside the vector (an OpInsertAttrs record), so filtered
-// search state survives crash recovery exactly like the vectors do.
-func (di *DurableIndex) AddWithAttrs(v []float32, a Attrs) (int, error) {
-	var id int
-	var aerr error
-	werr := di.journal(func() []wal.Record {
-		id, aerr = di.DynamicIndex.AddWithAttrs(v, a)
-		if aerr != nil && isValidationError(aerr) {
-			return nil
-		}
-		return []wal.Record{insertRecord(id, v, a)}
-	})
-	if werr != nil {
-		return id, werr
-	}
-	return id, aerr
+	return err
 }
 
 // insertRecord builds the journal record for one insert: a plain
@@ -455,78 +424,6 @@ func insertRecord(id int, v []float32, a Attrs) wal.Record {
 	return wal.Record{Op: wal.OpInsertAttrs, ID: int64(id), Vec: v, Attrs: vec.AppendAttrs(nil, a)}
 }
 
-// AddBatch inserts many vectors with one journal append and one
-// durability wait, so a bulk ingest pays one (group-committed) fsync
-// per batch instead of one per vector. On a validation error the valid
-// prefix is inserted, journaled, and returned alongside the error.
-func (di *DurableIndex) AddBatch(vecs [][]float32) ([]int, error) {
-	return di.AddBatchWithAttrs(vecs, nil)
-}
-
-// AddBatchWithAttrs is AddBatch with per-vector metadata: attrs[i]
-// belongs to vecs[i]. attrs may be nil (no metadata) or must match
-// vecs in length; rows whose attrs are empty journal as plain inserts.
-func (di *DurableIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int, error) {
-	var ids []int
-	var aerr error // a rejected vector, or a deferred build failure
-	werr := di.journal(func() []wal.Record {
-		ids, aerr = di.DynamicIndex.AddBatchWithAttrs(vecs, attrs)
-		recs := make([]wal.Record, len(ids))
-		for i, id := range ids {
-			var a Attrs
-			if attrs != nil {
-				a = attrs[i]
-			}
-			recs[i] = insertRecord(id, vecs[i], a)
-		}
-		return recs
-	})
-	if werr != nil {
-		return ids, werr
-	}
-	return ids, aerr
-}
-
-// DeleteDurable tombstones id and blocks until the delete is durable
-// under the configured sync policy. It reports whether the id was live;
-// an error wrapping ErrNotDurable means the delete may not survive a
-// crash and must not be acknowledged.
-func (di *DurableIndex) DeleteDurable(id int) (bool, error) {
-	deleted, _, err := di.DeleteBatch([]int{id})
-	return deleted == 1, err
-}
-
-// Delete is DeleteDurable for callers bound to the DynamicIndex
-// signature; a journal failure is reported as not-live so it is never
-// silently acknowledged. Prefer DeleteDurable where the error matters.
-func (di *DurableIndex) Delete(id int) bool {
-	ok, err := di.DeleteDurable(id)
-	return ok && err == nil
-}
-
-// DeleteBatch tombstones many ids with one journal append and one
-// durability wait — the delete-side mirror of AddBatch, so a bulk
-// delete pays one (group-committed) fsync instead of one per id. It
-// returns how many ids were live (now tombstoned, durably) and which
-// were unknown or already deleted; an error wrapping ErrNotDurable
-// means the tombstones may not survive a crash and must not be
-// acknowledged.
-func (di *DurableIndex) DeleteBatch(ids []int) (deleted int, missing []int, err error) {
-	err = di.journal(func() []wal.Record {
-		recs := make([]wal.Record, 0, len(ids))
-		for _, id := range ids {
-			if di.DynamicIndex.Delete(id) {
-				recs = append(recs, wal.Record{Op: wal.OpDelete, ID: int64(id)})
-			} else {
-				missing = append(missing, id)
-			}
-		}
-		deleted = len(recs)
-		return recs
-	})
-	return deleted, missing, err
-}
-
 // Checkpoint persists the current state as a new snapshot generation,
 // commits the manifest, and truncates the write-ahead log through the
 // captured watermark — bounding both recovery replay time and the data
@@ -537,25 +434,32 @@ func (di *DurableIndex) DeleteBatch(ids []int) (deleted int, missing []int, err 
 // the id watermark instead of naming a container, so even a fully
 // emptied index truncates its log and never reissues a deleted id. The
 // checkpoint is skipped only when the log holds nothing past the
-// previous one (there is nothing new to capture).
-func (di *DurableIndex) Checkpoint() (CheckpointInfo, error) {
-	di.cmu.Lock()
-	defer di.cmu.Unlock()
+// previous one (there is nothing new to capture). A memory-only index has
+// no directory to checkpoint into: it returns an error and writes nothing.
+func (d *DynamicIndex) Checkpoint() (CheckpointInfo, error) {
+	j := d.j
+	if j == nil {
+		return CheckpointInfo{}, errMemoryOnly
+	}
+	j.cmu.Lock()
+	defer j.cmu.Unlock()
 	start := time.Now()
-	di.wmu.Lock()
-	lsn := di.log.LastLSN()
-	empty := di.DynamicIndex.Len() == 0
+	// One critical section with every write's id allocation and log
+	// append: the snapshot holds exactly the records through lsn.
+	d.mu.Lock()
+	lsn := j.log.LastLSN()
+	depth := j.log.Stats().Depth
+	empty := d.segSet.Len() == 0
 	var watermark int
 	var frozen *vec.Store
 	var snap *Index
 	var err error
 	if empty {
-		watermark = di.DynamicIndex.idWatermark()
+		watermark = d.ids.Next()
 	} else {
-		frozen, snap, err = di.DynamicIndex.snapshotStore()
+		frozen, snap, err = d.snapshotStoreLocked()
 	}
-	depth := di.log.Stats().Depth
-	di.wmu.Unlock()
+	d.mu.Unlock()
 	snapTook := time.Since(start)
 	obs.ObserveDur(obs.StageCkptSnapshot, snapTook)
 	if err != nil {
@@ -568,15 +472,15 @@ func (di *DurableIndex) Checkpoint() (CheckpointInfo, error) {
 	}
 	// Claim the generation before any file is written. A checkpoint
 	// that fails partway (even after its manifest committed — say the
-	// directory fsync or the log truncation errored) leaves di.gen
+	// directory fsync or the log truncation errored) leaves ckptGen
 	// advanced, so the next attempt picks a fresh generation and never
 	// overwrites snapshot files a committed manifest may still
 	// reference. Claiming only after a fully successful commit — as
 	// this code once did — let the next checkpoint reuse the
 	// generation the live manifest pointed at and clobber its files:
 	// the directory then looked checkpointed but could never recover.
-	di.gen++
-	gen := di.gen
+	j.ckptGen++
+	gen := j.ckptGen
 	man := &wal.Manifest{LSN: lsn, Generation: gen}
 	info := CheckpointInfo{LSN: lsn, Generation: gen}
 	writeStart := time.Now()
@@ -584,19 +488,19 @@ func (di *DurableIndex) Checkpoint() (CheckpointInfo, error) {
 		man.IDWatermark = uint64(watermark)
 	} else {
 		container, dsName := snapshotNames(gen)
-		if err := snap.Save(filepath.Join(di.dir, container)); err != nil {
+		if err := snap.Save(filepath.Join(j.dir, container)); err != nil {
 			return CheckpointInfo{}, err
 		}
 		// Persist the frozen store as a flat-backed dataset: the vector
 		// block writes out in one pass, no per-row materialization.
 		out := dataset.NewFlat("durable", "snapshot", frozen, nil)
-		if err := out.Save(filepath.Join(di.dir, dsName)); err != nil {
+		if err := out.Save(filepath.Join(j.dir, dsName)); err != nil {
 			return CheckpointInfo{}, err
 		}
 		// The snapshot files must be on disk before the manifest names
 		// them.
 		for _, name := range []string{container, dsName} {
-			if err := fsyncFile(di.fs, filepath.Join(di.dir, name)); err != nil {
+			if err := fsyncFile(j.fs, filepath.Join(j.dir, name)); err != nil {
 				return CheckpointInfo{}, err
 			}
 		}
@@ -607,26 +511,26 @@ func (di *DurableIndex) Checkpoint() (CheckpointInfo, error) {
 	writeTook := time.Since(writeStart)
 	obs.ObserveDur(obs.StageCkptWrite, writeTook)
 	manStart := time.Now()
-	if err := wal.WriteManifestFS(di.fs, di.dir, man); err != nil {
+	if err := wal.WriteManifestFS(j.fs, j.dir, man); err != nil {
 		return CheckpointInfo{}, err
 	}
 	manTook := time.Since(manStart)
 	obs.ObserveDur(obs.StageCkptManifest, manTook)
 	truncStart := time.Now()
-	if err := di.log.TruncateThrough(lsn); err != nil {
+	if err := j.log.TruncateThrough(lsn); err != nil {
 		return CheckpointInfo{}, err
 	}
 	// Sweep everything the committed manifest does not reference: the
 	// previous generation's files plus any debris a failed earlier
 	// checkpoint left behind. OpenDurable runs the same sweep, so a
 	// crash anywhere in here is finished by the next recovery.
-	if err := di.removeOrphans(man); err != nil {
+	if err := j.removeOrphans(man); err != nil {
 		return CheckpointInfo{}, err
 	}
 	truncTook := time.Since(truncStart)
 	obs.ObserveDur(obs.StageCkptTruncate, truncTook)
 	info.Took = time.Since(start)
-	di.logger.Info("durable: checkpoint",
+	j.logger.Info("durable: checkpoint",
 		"generation", gen,
 		"lsn", lsn,
 		"live", info.Live,
@@ -640,22 +544,42 @@ func (di *DurableIndex) Checkpoint() (CheckpointInfo, error) {
 }
 
 // Close waits for any background build and closes the write-ahead log
-// (flushing and fsyncing it). It does not checkpoint: the log replays
-// on the next OpenDurable. Call Checkpoint first for a fast next boot.
-func (di *DurableIndex) Close() error {
-	di.WaitRebuild()
-	return di.log.Close()
+// (flushing and fsyncing it); on a memory-only index there is no log and
+// Close returns nil. It does not checkpoint: the log replays on the next
+// OpenDurable. Call Checkpoint first for a fast next boot.
+func (d *DynamicIndex) Close() error {
+	d.WaitRebuild()
+	if d.j == nil {
+		return nil
+	}
+	return d.j.log.Close()
 }
 
-// Recovery returns what OpenDurable replayed.
-func (di *DurableIndex) Recovery() RecoveryInfo { return di.recovery }
+// Recovery returns what OpenDurable replayed; zero on a memory-only
+// index.
+func (d *DynamicIndex) Recovery() RecoveryInfo {
+	if d.j == nil {
+		return RecoveryInfo{}
+	}
+	return d.j.recovery
+}
 
-// Dir returns the data directory the index owns.
-func (di *DurableIndex) Dir() string { return di.dir }
+// Dir returns the data directory the index owns: "" exactly when the
+// index is memory-only.
+func (d *DynamicIndex) Dir() string {
+	if d.j == nil {
+		return ""
+	}
+	return d.j.dir
+}
 
-// WALStats returns a point-in-time summary of the write-ahead log.
-func (di *DurableIndex) WALStats() WALStats {
-	st := di.log.Stats()
+// WALStats returns a point-in-time summary of the write-ahead log; zero
+// on a memory-only index.
+func (d *DynamicIndex) WALStats() WALStats {
+	if d.j == nil {
+		return WALStats{}
+	}
+	st := d.j.log.Stats()
 	return WALStats{
 		Policy:          st.Policy,
 		Depth:           st.Depth,

@@ -20,7 +20,7 @@ func faultVecs(n int) [][]float32 {
 }
 
 // openFaulted opens a durable index over a fresh injector.
-func openFaulted(t *testing.T, dir string) (*DurableIndex, *faultfs.Injected) {
+func openFaulted(t *testing.T, dir string) (*DynamicIndex, *faultfs.Injected) {
 	t.Helper()
 	fs := faultfs.NewInjected(faultfs.OS{})
 	cfg := durableCfg()
@@ -178,8 +178,8 @@ func TestCheckpointCrashAtEveryStep(t *testing.T) {
 				}
 			}
 			for _, id := range []int{1, 5} {
-				if ok, err := di.DeleteDurable(id); !ok || err != nil {
-					t.Fatalf("DeleteDurable(%d) = %v, %v", id, ok, err)
+				if n, _, err := di.DeleteBatch([]int{id}); n != 1 || err != nil {
+					t.Fatalf("DeleteBatch([%d]) = %d, %v", id, n, err)
 				}
 			}
 			if _, err := di.Checkpoint(); err != nil {
@@ -190,8 +190,8 @@ func TestCheckpointCrashAtEveryStep(t *testing.T) {
 					t.Fatalf("Add: %v", err)
 				}
 			}
-			if ok, err := di.DeleteDurable(9); !ok || err != nil {
-				t.Fatalf("DeleteDurable(9) = %v, %v", ok, err)
+			if n, _, err := di.DeleteBatch([]int{9}); n != 1 || err != nil {
+				t.Fatalf("DeleteBatch([9]) = %d, %v", n, err)
 			}
 			fs.Inject(&faultfs.Fault{AtStep: fs.Steps() + n, Crash: true})
 			_, cerr := di.Checkpoint()

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"lccs/internal/obs"
 )
 
 // durableCfg is the shared test configuration: a small rebuild
@@ -21,14 +23,14 @@ func durableCfg() DurableConfig {
 	}
 }
 
-// crash abandons a DurableIndex without Close or Checkpoint — the
+// crash abandons a journaled index without Close or Checkpoint — the
 // in-process stand-in for SIGKILL: whatever reached the OS is on disk,
 // everything else (including the open file handles) is simply dropped.
-func crash(di *DurableIndex) {
+func crash(di *DynamicIndex) {
 	di.WaitRebuild() // quiesce background goroutines touching the store
 }
 
-func mustOpenDurable(t *testing.T, dir string) *DurableIndex {
+func mustOpenDurable(t *testing.T, dir string) *DynamicIndex {
 	t.Helper()
 	di, err := OpenDurable(dir, durableCfg())
 	if err != nil {
@@ -69,8 +71,8 @@ func TestCrashRecoveryTwoCycles(t *testing.T) {
 	}
 	deleted := []int{0, 50, 199}
 	for _, id := range deleted {
-		if ok, err := di.DeleteDurable(id); !ok || err != nil {
-			t.Fatalf("DeleteDurable(%d) = %v, %v", id, ok, err)
+		if n, _, err := di.DeleteBatch([]int{id}); n != 1 || err != nil {
+			t.Fatalf("DeleteBatch([%d]) = %d, %v", id, n, err)
 		}
 	}
 	crash(di)
@@ -102,8 +104,8 @@ func TestCrashRecoveryTwoCycles(t *testing.T) {
 	if id != 200 {
 		t.Fatalf("cycle 1: watermark broken: new id %d, want 200", id)
 	}
-	if ok, err := di2.DeleteDurable(id); !ok || err != nil {
-		t.Fatalf("DeleteDurable(%d): %v, %v", id, ok, err)
+	if n, _, err := di2.DeleteBatch([]int{id}); n != 1 || err != nil {
+		t.Fatalf("DeleteBatch([%d]): %d, %v", id, n, err)
 	}
 	for _, v := range data[201:250] {
 		if _, err := di2.Add(v); err != nil {
@@ -143,7 +145,7 @@ func TestCheckpointThenCrashSkipsReplayed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	di.DeleteDurable(7)
+	di.Delete(7)
 	info, err := di.Checkpoint()
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
@@ -157,7 +159,7 @@ func TestCheckpointThenCrashSkipsReplayed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	di.DeleteDurable(120)
+	di.Delete(120)
 	crash(di)
 
 	di2 := mustOpenDurable(t, dir)
@@ -198,7 +200,7 @@ func TestCheckpointBoundsDataDir(t *testing.T) {
 				t.Fatal(err)
 			}
 			if next > 0 && i%3 == 0 {
-				di.DeleteDurable(next - 1)
+				di.Delete(next - 1)
 			}
 			next++
 		}
@@ -318,8 +320,8 @@ func TestDurableConcurrentWriters(t *testing.T) {
 	}
 	wg.Wait()
 	// A few durable deletes interleaved with background builds.
-	if ok, err := di.DeleteDurable(acked[0][0]); !ok || err != nil {
-		t.Fatalf("DeleteDurable: %v %v", ok, err)
+	if n, _, err := di.DeleteBatch(acked[0][:1]); n != 1 || err != nil {
+		t.Fatalf("DeleteBatch: %d %v", n, err)
 	}
 	crash(di)
 
@@ -433,7 +435,7 @@ func TestDurableSearchConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		di.DeleteDurable(g.IntN(len(data)))
+		di.Delete(g.IntN(len(data)))
 	}
 	di.WaitRebuild()
 	q := data[g.IntN(len(data))]
@@ -613,11 +615,58 @@ func TestDurableOperationsAfterClose(t *testing.T) {
 	if _, err := di.Add([]float32{3, 4}); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("Add after Close: %v, want ErrNotDurable", err)
 	}
-	if ok, err := di.DeleteDurable(0); err == nil || ok == false && err == nil {
-		t.Fatalf("DeleteDurable after Close: %v %v, want error", ok, err)
+	if n, _, err := di.DeleteBatch([]int{0}); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("DeleteBatch after Close: %d %v, want ErrNotDurable", n, err)
 	}
 	if di.Delete(0) {
 		t.Fatal("Delete after Close acknowledged")
+	}
+}
+
+// TestMemoryOnlyHasNoJournal: the journal's methods on an index
+// NewDynamicIndex built say there is none. Checkpoint refuses and writes
+// nothing (a "" data dir would resolve to the working directory), Close
+// is a no-op after which writes still apply, the accessors are zero, and
+// its writes observe none of the journaled write stages.
+func TestMemoryOnlyHasNoJournal(t *testing.T) {
+	data, _ := testData(83, 40, 8, 4, 0.5)
+	d := must(NewDynamicIndex(data, durableCfg().Config, 16))
+	files := func() (names []string) {
+		for _, e := range must(os.ReadDir(".")) {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	before := files()
+	if info, err := d.Checkpoint(); err == nil || info != (CheckpointInfo{}) {
+		t.Fatalf("Checkpoint on a memory-only index = %+v, %v; want an error", info, err)
+	}
+	if after := files(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("Checkpoint on a memory-only index wrote files: %v → %v", before, after)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if d.Dir() != "" || d.WALStats() != (WALStats{}) || d.Recovery() != (RecoveryInfo{}) {
+		t.Fatalf("memory-only accessors: Dir %q, WALStats %+v, Recovery %+v", d.Dir(), d.WALStats(), d.Recovery())
+	}
+	stages := func() [3]uint64 {
+		return [3]uint64{obs.StageCount(obs.StageIndexApply), obs.StageCount(obs.StageWALAppend), obs.StageCount(obs.StageWALFsync)}
+	}
+	was := stages()
+	if id, err := d.Add(data[0]); err != nil || id != len(data) || !d.Delete(id) {
+		t.Fatalf("write after Close: id %d, err %v", id, err)
+	}
+	if now := stages(); now != was {
+		t.Fatalf("memory-only writes observed the journaled write stages: %v → %v", was, now)
+	}
+	di := mustOpenDurable(t, t.TempDir())
+	defer di.Close()
+	if _, err := di.Add(data[0]); err != nil {
+		t.Fatal(err)
+	}
+	if now := stages(); now[0] == was[0] || now[1] == was[1] || now[2] == was[2] {
+		t.Fatalf("a journaled write did not observe every write stage: %v → %v", was, now)
 	}
 }
 
@@ -677,7 +726,7 @@ func TestDurableAttrsRoundTrip(t *testing.T) {
 		t.Fatalf("misaligned attrs: got %v, want ErrAttrsMismatch", err)
 	}
 
-	checkAttrs := func(di *DurableIndex, label string) {
+	checkAttrs := func(di *DynamicIndex, label string) {
 		t.Helper()
 		for i, id := range ids {
 			got := di.Attrs(id)

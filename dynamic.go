@@ -9,6 +9,7 @@ import (
 	"lccs/internal/core"
 	"lccs/internal/idmap"
 	"lccs/internal/vec"
+	"lccs/internal/wal"
 )
 
 // DynamicIndex supports online inserts and deletes on top of the static
@@ -46,10 +47,14 @@ import (
 // neither readers nor writers are blocked by a background shard build
 // beyond the O(1) swap.
 //
-// A DynamicIndex alone holds every write since the last Snapshot only
-// in memory. For crash durability — inserts and deletes journaled in a
-// write-ahead log before they are acknowledged, replayed on reopen —
-// use OpenDurable, which wraps a DynamicIndex in a DurableIndex.
+// A DynamicIndex from NewDynamicIndex or NewDynamicIndexFrom is
+// memory-only: it holds every write since the last Snapshot only in
+// memory. One from OpenDurable is journaled: every write is appended to a
+// write-ahead log in the same critical section that applies it, and is
+// acknowledged only once the log made it durable, so a reopen replays it.
+// The write methods are the same either way; Checkpoint, Close, Recovery,
+// Dir and WALStats act on the journal, and Dir is "" exactly when there
+// is none.
 type DynamicIndex struct {
 	mu   sync.RWMutex
 	cond *sync.Cond // signaled when a background build finishes; L = &mu
@@ -79,6 +84,9 @@ type DynamicIndex struct {
 	// compaction, shard swap-in, rebuild — bumps it, and a cursor token
 	// minted under an older generation is rejected.
 	writes uint64
+	// j is the write-ahead journal; nil on a memory-only index. It is set
+	// once, before OpenDurable returns, and never changes.
+	j *journal
 }
 
 // DefaultRebuildThreshold is the buffer size that triggers a background
@@ -159,9 +167,9 @@ func (d *DynamicIndex) swapInLocked(c *core.Index, cfg Config, lo, hi int) {
 }
 
 // validateVector is the one write validator: a non-empty, finite vector
-// of the index's dimensionality (when dim > 0 is known). The durable
-// layer applies a write here before journaling it, so a rejected vector
-// never reaches the WAL.
+// of the index's dimensionality (when dim > 0 is known). A write is
+// validated before it is applied or journaled, so a rejected vector never
+// reaches the WAL.
 func validateVector(v []float32, dim int) error {
 	if len(v) == 0 {
 		return ErrEmptyVector
@@ -179,28 +187,49 @@ func validateVector(v []float32, dim int) error {
 // Crossing the rebuild threshold starts a background shard build; Add
 // itself never blocks on index construction. If a previous background
 // build failed, its error is returned here (the insert itself still
-// succeeded) and cleared.
+// succeeded) and cleared. On a journaled index Add returns once the
+// insert is durable under the sync policy; an error wrapping
+// ErrNotDurable means it may not survive a crash and must not be
+// acknowledged.
 func (d *DynamicIndex) Add(v []float32) (int, error) {
 	return d.AddWithAttrs(v, nil)
 }
 
 // AddWithAttrs is Add with optional metadata attached to the vector:
 // the attributes become filterable through Query.Filter and travel through
-// snapshots and (on a DurableIndex) the WAL. A nil attrs is exactly Add.
+// snapshots and the WAL. A nil attrs is exactly Add.
 func (d *DynamicIndex) AddWithAttrs(v []float32, a Attrs) (int, error) {
+	// The journal record is encoded before the lock, so readers never wait
+	// on it; only its id is filled in under the lock.
+	var recs []wal.Record
+	if d.j != nil {
+		recs = []wal.Record{insertRecord(0, v, a)}
+	}
+	t0 := d.j.clock()
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	id, err := d.addLocked(v, a)
 	if err != nil {
+		d.mu.Unlock()
 		return 0, err
 	}
-	return id, d.takeBuildErrLocked()
+	if recs != nil {
+		recs[0].ID = int64(id)
+	}
+	return id, d.commit(t0, recs, d.takeBuildErrLocked())
 }
 
-// AddBatchWithAttrs inserts many vectors under one hold of the write
-// lock; attrs[i] belongs to vecs[i], and attrs may be nil (no metadata)
-// or must match vecs in length. On a validation error the valid prefix
-// stays inserted and its ids are returned alongside the error; a
+// AddBatch inserts many vectors under one hold of the write lock and, on
+// a journaled index, with one log append and one durability wait, so a
+// bulk ingest pays one (group-committed) fsync per batch instead of one
+// per vector.
+func (d *DynamicIndex) AddBatch(vecs [][]float32) ([]int, error) {
+	return d.AddBatchWithAttrs(vecs, nil)
+}
+
+// AddBatchWithAttrs is AddBatch with per-vector metadata: attrs[i]
+// belongs to vecs[i], and attrs may be nil (no metadata) or must match
+// vecs in length. On a validation error the valid prefix stays inserted
+// (and journaled) and its ids are returned alongside the error; a
 // deferred background-build failure is returned alongside all the ids,
 // as Add does.
 func (d *DynamicIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int, error) {
@@ -210,21 +239,43 @@ func (d *DynamicIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int
 	if len(vecs) == 0 {
 		return nil, nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids := make([]int, 0, len(vecs))
-	for i, v := range vecs {
-		var a Attrs
-		if attrs != nil {
-			a = attrs[i]
+	var recs []wal.Record
+	if d.j != nil {
+		recs = make([]wal.Record, len(vecs))
+		for i, v := range vecs {
+			recs[i] = insertRecord(0, v, attrAt(attrs, i))
 		}
-		id, err := d.addLocked(v, a)
-		if err != nil {
-			return ids, fmt.Errorf("vector %d: %w", i, err)
+	}
+	t0 := d.j.clock()
+	d.mu.Lock()
+	ids := make([]int, 0, len(vecs))
+	var err error
+	for i, v := range vecs {
+		id, aerr := d.addLocked(v, attrAt(attrs, i))
+		if aerr != nil {
+			err = fmt.Errorf("vector %d: %w", i, aerr)
+			break
 		}
 		ids = append(ids, id)
 	}
-	return ids, d.takeBuildErrLocked()
+	if err == nil {
+		err = d.takeBuildErrLocked()
+	}
+	if recs != nil {
+		recs = recs[:len(ids)]
+		for i, id := range ids {
+			recs[i].ID = int64(id)
+		}
+	}
+	return ids, d.commit(t0, recs, err)
+}
+
+// attrAt is attrs[i], or nil when the batch carries no metadata.
+func attrAt(attrs []Attrs, i int) Attrs {
+	if attrs == nil {
+		return nil
+	}
+	return attrs[i]
 }
 
 // addLocked validates and appends one vector and returns its id.
@@ -348,29 +399,35 @@ func (d *DynamicIndex) WaitRebuild() {
 // Delete tombstones a vector id: it stops appearing in results
 // immediately, and its row is physically reclaimed by the next
 // compaction (the background delta build for buffered rows, Rebuild for
-// everything). It reports whether the id was live; deleting an unknown
-// or already-deleted id is a no-op returning false.
+// everything). It reports whether the id was live and, on a journaled
+// index, the delete durable; deleting an unknown or already-deleted id is
+// a no-op returning false. It is DeleteBatch of one id: use DeleteBatch
+// where a journal failure must be told apart from a dead id.
 func (d *DynamicIndex) Delete(id int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.deleteLocked(id)
+	deleted, _, err := d.DeleteBatch([]int{id})
+	return deleted == 1 && err == nil
 }
 
-// DeleteBatch tombstones many ids under one hold of the write lock. It
+// DeleteBatch tombstones many ids under one hold of the write lock and, on
+// a journaled index, with one log append and one durability wait. It
 // returns how many ids were live (now tombstoned) and which were unknown
-// or already deleted. The error is always nil here: it is the slot
-// through which DurableIndex.DeleteBatch reports a journal failure.
+// or already deleted; an error wrapping ErrNotDurable means the
+// tombstones may not survive a crash and must not be acknowledged.
 func (d *DynamicIndex) DeleteBatch(ids []int) (deleted int, missing []int, err error) {
+	var recs []wal.Record
+	t0 := d.j.clock()
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, id := range ids {
-		if d.deleteLocked(id) {
-			deleted++
-		} else {
+		if !d.deleteLocked(id) {
 			missing = append(missing, id)
+			continue
+		}
+		deleted++
+		if d.j != nil {
+			recs = append(recs, wal.Record{Op: wal.OpDelete, ID: int64(id)})
 		}
 	}
-	return deleted, missing, nil
+	return deleted, missing, d.commit(t0, recs, nil)
 }
 
 func (d *DynamicIndex) deleteLocked(id int) bool {
@@ -394,15 +451,6 @@ func (d *DynamicIndex) Deleted() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.dead.Count()
-}
-
-// idWatermark returns the next id Add will assign — the never-reused
-// monotone allocation watermark the durable layer persists when there
-// are no vectors left to carry it.
-func (d *DynamicIndex) idWatermark() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.ids.Next()
 }
 
 // restoreWatermark installs a persisted id watermark on a freshly
@@ -556,19 +604,19 @@ func (d *DynamicIndex) SearchBatch(queries [][]float32, k, budget int) ([][]Neig
 // Snapshot blocks writers while the buffer shard builds; it is meant for
 // shutdown and checkpoint paths, not the hot loop.
 func (d *DynamicIndex) Snapshot() ([][]float32, *Index, error) {
-	frozen, ix, err := d.snapshotStore()
+	d.mu.Lock()
+	frozen, ix, err := d.snapshotStoreLocked()
+	d.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
 	return frozen.Rows(), ix, nil
 }
 
-// snapshotStore is Snapshot returning the frozen flat store itself —
-// the durable checkpoint path persists the block directly instead of
+// snapshotStoreLocked is Snapshot returning the frozen flat store
+// itself — Checkpoint persists the block directly instead of
 // materializing per-row views.
-func (d *DynamicIndex) snapshotStore() (*vec.Store, *Index, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *DynamicIndex) snapshotStoreLocked() (*vec.Store, *Index, error) {
 	if d.compactBufferLocked() { // buffered tombstones never reach disk
 		// Slots shifted: an in-flight background build over the
 		// pre-compaction buffer must not swap in. Its completion handler

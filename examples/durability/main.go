@@ -40,8 +40,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("inserted ids:", ids)
-	if ok, err := di.DeleteDurable(3); !ok || err != nil {
-		log.Fatalf("delete: %v %v", ok, err)
+	if deleted, _, err := di.DeleteBatch([]int{3}); deleted != 1 || err != nil {
+		log.Fatalf("delete: %d %v", deleted, err)
 	}
 	fmt.Println("deleted id 3 (durably)")
 	st := di.WALStats()

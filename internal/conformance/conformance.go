@@ -3,9 +3,9 @@
 // of inserts, deletes, searches, checkpoints, restarts, and crashes,
 // plus a plan of filesystem faults (torn writes, failed fsyncs, ENOSPC,
 // crash-at-step) injected through internal/faultfs. The runner executes
-// the schedule against a real DurableIndex over a temp directory and,
-// after every reopen, checks the recovered state against a model of the
-// acknowledged history:
+// the schedule against a real index opened by lccs.OpenDurable over a
+// temp directory and, after every reopen, checks the recovered state
+// against a model of the acknowledged history:
 //
 //   - every acknowledged insert is searchable with its exact vector;
 //   - every acknowledged delete stays dead — ids never resurrect;
@@ -164,7 +164,7 @@ type runner struct {
 	dir   string
 	sc    Scenario
 	rng   *rng.RNG
-	di    *lccs.DurableIndex
+	di    *lccs.DynamicIndex
 	fs    *faultfs.Injected
 	opens int
 	stats Stats
@@ -194,7 +194,7 @@ type runner struct {
 	}
 }
 
-// Run executes a scenario against a DurableIndex in dir (which must be
+// Run executes a scenario against a journaled index in dir (which must be
 // empty) and returns the first invariant violation, or nil. A failed
 // recovery (OpenDurable error) is itself a violation: whatever a fault
 // or crash left behind, reopen must always succeed.
@@ -381,8 +381,8 @@ func (r *runner) delete() error {
 	if r.broken {
 		return nil
 	}
-	ok, err := r.di.DeleteDurable(id)
-	if !ok {
+	n, _, err := r.di.DeleteBatch([]int{id})
+	if n != 1 {
 		if r.live[id] != nil {
 			return r.violation("delete of acked-live id %d reported not-live", id)
 		}

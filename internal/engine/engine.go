@@ -176,13 +176,14 @@ func (s Spec) durableConfig(fsys faultfs.FS, logger *slog.Logger) (lccs.DurableC
 }
 
 // Collection is one named index inside the registry: the backend that
-// answers its queries plus the durable handle the registry and the daemon
-// need (checkpointing, closing).
+// answers its queries and, when the registry opened it, the same index as
+// the journaled DynamicIndex the registry and the daemon checkpoint and
+// close.
 type Collection struct {
 	name    string
 	spec    Spec
 	backend lccs.Searcher
-	dur     *lccs.DurableIndex // nil for adopted backends
+	dur     *lccs.DynamicIndex // nil for adopted backends
 	// dir is what Drop deletes: "" for the collections the registry
 	// cannot drop — the default collection at the root and adopted
 	// backends.
@@ -202,8 +203,9 @@ func (c *Collection) Spec() Spec { return c.spec }
 // Backend returns the Searcher answering this collection's queries.
 func (c *Collection) Backend() lccs.Searcher { return c.backend }
 
-// Durable returns the durable handle, or nil for an adopted backend.
-func (c *Collection) Durable() *lccs.DurableIndex { return c.dur }
+// Durable returns the journaled index the registry opened, or nil for an
+// adopted backend.
+func (c *Collection) Durable() *lccs.DynamicIndex { return c.dur }
 
 // specFile is the on-disk spec name inside a collection directory.
 const specFile = "COLLECTION.json"
@@ -411,7 +413,6 @@ func (e *Engine) Drop(name string) error {
 		return fmt.Errorf("%w: %q", ErrPinned, name)
 	}
 	delete(e.colls, name)
-	c.dur.WaitRebuild()
 	if err := c.dur.Close(); err != nil {
 		e.logger.Warn("closing dropped collection", "collection", name, "err", err)
 	}
@@ -481,7 +482,6 @@ func (e *Engine) Close() error {
 		if c.dur == nil {
 			continue
 		}
-		c.dur.WaitRebuild()
 		if err := c.dur.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("engine: close %q: %w", name, err)
 		}

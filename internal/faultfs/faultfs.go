@@ -1,13 +1,13 @@
 // Package faultfs is the filesystem abstraction the durability stack
-// (internal/wal and the DurableIndex snapshot/manifest paths) performs
-// its I/O through, together with a deterministic fault injector over
-// it. Production code runs on the zero-cost OS implementation; the
-// conformance and regression tests wrap it in an Injected filesystem
-// that can tear writes mid-frame, fail fsyncs with fsyncgate semantics
-// (dirty pages dropped, later fsyncs lying), return ENOSPC, slow
-// individual operations down, or kill the whole filesystem at a chosen
-// mutating-operation count — the in-process stand-in for crashing the
-// process at an arbitrary point of a checkpoint or append.
+// (internal/wal and the snapshot/manifest paths of a journaled
+// DynamicIndex) performs its I/O through, together with a deterministic
+// fault injector over it. Production code runs on the zero-cost OS
+// implementation; the conformance and regression tests wrap it in an
+// Injected filesystem that can tear writes mid-frame, fail fsyncs with
+// fsyncgate semantics (dirty pages dropped, later fsyncs lying), return
+// ENOSPC, slow individual operations down, or kill the whole filesystem
+// at a chosen mutating-operation count — the in-process stand-in for
+// crashing the process at an arbitrary point of a checkpoint or append.
 //
 // The interface is intentionally narrow: exactly the operations the
 // write-ahead log and checkpoint protocol rely on for durability
@@ -41,7 +41,7 @@ type File interface {
 	Name() string
 }
 
-// FS is the filesystem the write-ahead log and the DurableIndex
+// FS is the filesystem the write-ahead log and the journaled DynamicIndex
 // checkpoint/manifest paths perform their I/O through.
 type FS interface {
 	// OpenFile opens (possibly creating) a file for writing.

@@ -3,8 +3,10 @@
 // circular shifts, longest common prefixes, and a brute-force reference
 // implementation of the Longest Circular Co-Substring (Definition 3.2).
 //
-// The Circular Shift Array (package csa) is tested against these reference
-// implementations; the production index never materializes shifted copies.
+// The package is the test oracle of the LCCS search: no production code
+// imports it, and it stays because the csa and core tests compare the
+// Circular Shift Array and the index against these direct, unoptimized
+// definitions. The production index never materializes shifted copies.
 package hstring
 
 // Shift returns the circular string of t after shifting i positions:

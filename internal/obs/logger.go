@@ -6,8 +6,8 @@ import (
 )
 
 // NopLogger returns a logger that discards everything. Library layers
-// (DurableIndex, the WAL) default to it when no logger is injected, so
-// they stay silent unless the embedding process opts in.
+// (the journaled DynamicIndex, the WAL) default to it when no logger is
+// injected, so they stay silent unless the embedding process opts in.
 func NopLogger() *slog.Logger { return slog.New(discardHandler{}) }
 
 // discardHandler is a hand-rolled no-op slog.Handler. (The stdlib's

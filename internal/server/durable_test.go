@@ -10,8 +10,9 @@ import (
 	"lccs"
 )
 
-// openDurableBackend stands up a DurableIndex over a test temp dir.
-func openDurableBackend(t *testing.T, dir string) *lccs.DurableIndex {
+// openDurableBackend stands up a journaled DynamicIndex over a test temp
+// dir.
+func openDurableBackend(t *testing.T, dir string) *lccs.DynamicIndex {
 	t.Helper()
 	di, err := lccs.OpenDurable(dir, lccs.DurableConfig{
 		Config:       lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 1, BucketWidth: 4},

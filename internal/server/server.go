@@ -52,12 +52,12 @@ import (
 	"lccs/internal/obs"
 )
 
-// Writer is the optional write side of a backend; DynamicIndex and
-// DurableIndex implement it. Backends that do not are served read-only
-// and /v1/insert and /v1/delete answer 501. Each request is one call —
-// on a write-ahead-logged backend one journal append and one
-// group-committed fsync for the whole batch — that returns only once
-// the write is durable per the backend's sync policy.
+// Writer is the optional write side of a backend; DynamicIndex
+// implements it, memory-only or journaled. Backends that do not are
+// served read-only and /v1/insert and /v1/delete answer 501. Each request
+// is one call — on a journaled backend one log append and one
+// group-committed fsync for the whole batch — that returns only once the
+// write is durable per the backend's sync policy.
 //
 // AddBatchWithAttrs (attrs nil, or one row per vector) returns the ids
 // of the vectors that went in: all of them, or the valid prefix
@@ -71,11 +71,13 @@ type Writer interface {
 	DeleteBatch(ids []int) (deleted int, missing []int, err error)
 }
 
-// WALStatser exposes write-ahead-log health; DurableIndex implements
-// it. When present, WAL depth and fsync latency appear in /v1/stats
-// and /metrics.
+// WALStatser exposes write-ahead-log health; DynamicIndex implements
+// it. A backend with a log — a journaled DynamicIndex, whose Dir is not
+// empty — shows WAL depth and fsync latency in /v1/stats and /metrics; one
+// whose Dir is empty, a memory-only DynamicIndex, has no log to report.
 type WALStatser interface {
 	WALStats() lccs.WALStats
+	Dir() string
 }
 
 // Config configures a Server.
@@ -166,7 +168,7 @@ func newColl(ec *engine.Collection) *coll {
 	if wr, ok := backend.(Writer); ok {
 		c.writer = wr
 	}
-	if ws, ok := backend.(WALStatser); ok {
+	if ws, ok := backend.(WALStatser); ok && ws.Dir() != "" {
 		c.walStats = ws
 	}
 	if cu, ok := backend.(lccs.CursorSearcher); ok {
@@ -1254,11 +1256,9 @@ func backendStats(c *coll) BackendStats {
 		b.Shards = ix.Shards()
 	case *lccs.DynamicIndex:
 		b.Kind = "dynamic"
-		b.Shards = ix.Shards()
-		b.Buffered = ix.Buffered()
-		b.Tombstones = ix.Deleted()
-	case *lccs.DurableIndex:
-		b.Kind = "durable"
+		if ix.Dir() != "" {
+			b.Kind = "durable"
+		}
 		b.Shards = ix.Shards()
 		b.Buffered = ix.Buffered()
 		b.Tombstones = ix.Deleted()

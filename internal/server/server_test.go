@@ -630,6 +630,14 @@ func TestServeHealthzDrainAndStats(t *testing.T) {
 	if st.Backend.Kind != "dynamic" || !st.Backend.Writable || st.Backend.Vectors != 120 {
 		t.Errorf("backend stats: %+v", st.Backend)
 	}
+	// A memory-only DynamicIndex has the WAL methods but no log (Dir is
+	// ""), so it reports no wal section and no WAL series.
+	if st.WAL != nil {
+		t.Errorf("memory-only backend reports a wal section: %+v", st.WAL)
+	}
+	if _, metrics := get("/metrics"); strings.Contains(metrics, "lccs_wal_") {
+		t.Errorf("memory-only backend exports WAL series:\n%s", metrics)
+	}
 	if st.Latency.Count != 2 || st.Latency.P99Ms <= 0 {
 		t.Errorf("latency stats: %+v", st.Latency)
 	}

@@ -42,7 +42,7 @@ var updateGolden = flag.Bool("update-golden", false,
 type surfaceFixture struct {
 	srv     *Server
 	ts      *httptest.Server
-	dur     *lccs.DurableIndex
+	dur     *lccs.DynamicIndex
 	gate    *blockingBackend
 	data    [][]float32
 	queries [][]float32

@@ -34,8 +34,9 @@
 // CSA, NewShardedIndex partitions the dataset across S shards whose CSAs
 // build in parallel, and Load opens either from a saved file. DynamicIndex
 // is a delta-main structure whose buffered inserts are rebuilt into new
-// shards in the background without blocking writers; DurableIndex
-// journals its writes. Both facades sit over one segment set
+// shards in the background without blocking writers; opened with
+// OpenDurable, it also journals its writes to a write-ahead log before
+// acknowledging them. Both facades sit over one segment set
 // (segset.go), which owns the query, the budget rule and the merge, and
 // both implement the Searcher interface, so consumers (including the
 // internal/server network daemon behind cmd/lccs-serve) are agnostic to
@@ -170,12 +171,12 @@ var (
 	// ErrNonFinite is returned when a query, an inserted vector, or a
 	// dataset row holds a NaN or infinite coordinate: such a vector has no
 	// meaningful distance to anything, so it is rejected at the door —
-	// on a DurableIndex before anything is journaled.
+	// on a journaled DynamicIndex before anything is journaled.
 	ErrNonFinite = errors.New("lccs: vector has a NaN or infinite coordinate")
 )
 
 // Searcher is the facade-agnostic query interface implemented by Index
-// and DynamicIndex (and DurableIndex through it). Consumers that only
+// and DynamicIndex, memory-only or journaled. Consumers that only
 // search — the network server, evaluation harnesses, future backends —
 // should accept a Searcher rather than a concrete facade.
 //
@@ -204,8 +205,7 @@ type Searcher interface {
 	Distance(a, b []float32) float64
 }
 
-// Compile-time conformance of the facades (DurableIndex embeds
-// DynamicIndex).
+// Compile-time conformance of the facades.
 var (
 	_ Searcher = (*Index)(nil)
 	_ Searcher = (*DynamicIndex)(nil)

@@ -2,16 +2,11 @@ package lccs
 
 import (
 	"errors"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"math"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
-	"unicode"
 
 	"lccs/internal/core"
 )
@@ -28,7 +23,7 @@ type queryFacade struct {
 // the static Index plain and SQ8-quantized, a three-shard Index,
 // and the lifecycle shapes — a DynamicIndex with background-built
 // shards, a non-empty delta buffer and tombstones in both; the
-// tombstoned Snapshot of one; a DurableIndex in the same state; and a
+// tombstoned Snapshot of one; a journaled one in the same state; and a
 // DynamicIndex with uneven shards (one large compacted shard, two
 // background-built 32-row ones, 13 buffered rows, tombstones in each),
 // where a budget split evenly would starve the large shard.
@@ -109,7 +104,7 @@ func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 		{"Index/3 shards", must(NewShardedIndexWithAttrs(data, attrs, cfg, 3)), nil},
 		{"Snapshot", snap, live},
 		{"DynamicIndex", newDyn(), live},
-		{"DurableIndex", dur, live},
+		{"DynamicIndex/journaled", dur, live},
 		{"DynamicIndex/uneven", uneven, live},
 	}
 }
@@ -351,10 +346,10 @@ func TestNonFiniteRejected(t *testing.T) {
 	id := must(di.Add(good))
 	before := di.WALStats()
 	if _, err := di.Add([]float32{1, nan, 3}); !errors.Is(err, ErrNonFinite) {
-		t.Errorf("DurableIndex.Add: err=%v", err)
+		t.Errorf("journaled Add: err=%v", err)
 	}
 	if ids, err := di.AddBatch([][]float32{{4, 5, inf}, {4, 5, 6}}); !errors.Is(err, ErrNonFinite) || len(ids) != 0 {
-		t.Errorf("DurableIndex.AddBatch: ids=%v err=%v", ids, err)
+		t.Errorf("journaled AddBatch: ids=%v err=%v", ids, err)
 	}
 	if after := di.WALStats(); after.Bytes != before.Bytes || after.AppendedBytes != before.AppendedBytes || after.LastLSN != before.LastLSN {
 		t.Errorf("rejected writes reached the log: %+v → %+v", before, after)
@@ -371,7 +366,7 @@ func TestNonFiniteRejected(t *testing.T) {
 }
 
 // TestSearchSurface is the guard against the method matrix regrowing:
-// the exported Search* methods of the three facades and of the core index
+// the exported Search* methods of the two facades and of the core index
 // are exactly these.
 func TestSearchSurface(t *testing.T) {
 	facade := []string{"Search", "SearchBatch", "SearchCursor", "SearchInto", "SearchQuery"}
@@ -382,7 +377,6 @@ func TestSearchSurface(t *testing.T) {
 	}{
 		{(*Index)(nil), facade},
 		{(*DynamicIndex)(nil), facade},
-		{(*DurableIndex)(nil), facade},
 		{(*core.Index)(nil), coreSet},
 		{(*core.MPIndex)(nil), coreSet},
 	} {
@@ -397,67 +391,5 @@ func TestSearchSurface(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%v exports %v, want exactly %v", typ, got, tc.want)
 		}
-	}
-}
-
-// TestDurableShadowsWrites guards the durable write path: DurableIndex
-// embeds *DynamicIndex, so an exported Add* or Delete* method of
-// DynamicIndex that DurableIndex does not declare itself is promoted and
-// changes a durable collection without journaling the change. The package
-// source is parsed, so a new mutator fails here the day it is added.
-func TestDurableShadowsWrites(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	methods := map[string]map[string]bool{} // receiver type → exported methods
-	fset := token.NewFileSet()
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || !fn.Name.IsExported() {
-				continue
-			}
-			star, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
-			if !ok {
-				continue
-			}
-			if recv, ok := star.X.(*ast.Ident); ok {
-				if methods[recv.Name] == nil {
-					methods[recv.Name] = map[string]bool{}
-				}
-				methods[recv.Name][fn.Name.Name] = true
-			}
-		}
-	}
-	// A mutator is the verb alone or the verb and a capitalised qualifier
-	// (AddBatch, DeleteBatch); Deleted, a count, is not one.
-	mutator := func(name string) bool {
-		for _, verb := range []string{"Add", "Delete"} {
-			if rest, ok := strings.CutPrefix(name, verb); ok && (rest == "" || unicode.IsUpper(rune(rest[0]))) {
-				return true
-			}
-		}
-		return false
-	}
-	writes := 0
-	for name := range methods["DynamicIndex"] {
-		if !mutator(name) {
-			continue
-		}
-		writes++
-		if !methods["DurableIndex"][name] {
-			t.Errorf("(*DynamicIndex).%s has no (*DurableIndex).%s: on a durable collection it would write past the log", name, name)
-		}
-	}
-	if writes == 0 {
-		t.Fatal("found no Add*/Delete* method on *DynamicIndex: the parse is broken")
 	}
 }
