@@ -89,6 +89,6 @@ func batchResult(out [][]Neighbor, errs []error) ([][]Neighbor, error) {
 func (ix *Index) SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error) {
 	parallel := len(queries) < runtime.GOMAXPROCS(0)
 	return searchBatch(queries, k, budget, func(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
-		return ix.searchQuery(q, qr, dst, parallel)
+		return ix.searchQuery(q, qr, 0, dst, parallel)
 	})
 }

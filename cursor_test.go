@@ -2,13 +2,14 @@ package lccs
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 )
 
 // drainCursor pages through SearchCursor until the token runs out,
 // concatenating every page.
-func drainCursor(t *testing.T, cs CursorSearcher, q []float32, limit, lambda int, f *Filter) []Neighbor {
+func drainCursor(t *testing.T, cs Searcher, q []float32, limit, lambda int, f *Filter) []Neighbor {
 	t.Helper()
 	var all []Neighbor
 	cursor := ""
@@ -16,7 +17,7 @@ func drainCursor(t *testing.T, cs CursorSearcher, q []float32, limit, lambda int
 		if pages > 1000 {
 			t.Fatal("cursor never exhausted")
 		}
-		page, next, err := cs.SearchCursor(q, limit, lambda, f, cursor)
+		page, next, err := cs.SearchCursor(q, Query{K: limit, Budget: lambda, Filter: f}, cursor)
 		if err != nil {
 			t.Fatalf("page %d: %v", pages, err)
 		}
@@ -65,7 +66,7 @@ func TestCursorDrainEqualsOneShot(t *testing.T) {
 	}
 
 	type facadeCase struct {
-		cs     CursorSearcher
+		cs     Searcher
 		fs     Searcher
 		nTotal int
 	}
@@ -91,6 +92,39 @@ func TestCursorDrainEqualsOneShot(t *testing.T) {
 	}
 }
 
+// TestCursorFirstPageIsOneShot: a cursor's first page is the one-shot
+// answer at K = limit, ids and distances alike, on every facade shape,
+// filtered or not, at small, medium and exhaustive budgets; and the drain
+// that continues it never returns an id twice.
+func TestCursorFirstPageIsOneShot(t *testing.T) {
+	data, attrs := filterTestData(400, 8)
+	queries := [][]float32{data[3], data[77], data[250]}
+	for _, fc := range queryFacades(t, data, attrs) {
+		for _, f := range []*Filter{nil, testFilters()["eq-str"]} {
+			for _, lambda := range []int{5, 20, fc.s.Len()} {
+				for _, limit := range []int{1, 10} {
+					for qi, q := range queries {
+						label := fmt.Sprintf("%s/filtered=%v/λ=%d/limit=%d/q%d", fc.name, f != nil, lambda, limit, qi)
+						qr := Query{K: limit, Budget: lambda, Filter: f}
+						want := must(fc.s.SearchQuery(q, qr, nil))
+						page, _, err := fc.s.SearchCursor(q, qr, "")
+						if err != nil || !neighborsEqual(page, want) {
+							t.Errorf("%s: first page %v (err %v), one-shot %v", label, page, err, want)
+						}
+						seen := map[int]bool{}
+						for _, nb := range drainCursor(t, fc.s, q, limit, lambda, f) {
+							if seen[nb.ID] {
+								t.Errorf("%s: the drain returned id %d twice", label, nb.ID)
+							}
+							seen[nb.ID] = true
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCursorInvalidation pins the generation guard: tokens die on
 // insert, delete, and rebuild, and malformed tokens are rejected.
 func TestCursorInvalidation(t *testing.T) {
@@ -110,7 +144,7 @@ func TestCursorInvalidation(t *testing.T) {
 
 	mint := func() string {
 		t.Helper()
-		_, next, err := dyn.SearchCursor(q, 5, 0, nil, "")
+		_, next, err := dyn.SearchCursor(q, Query{K: 5}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +159,7 @@ func TestCursorInvalidation(t *testing.T) {
 	if _, err := dyn.Add(data[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dyn.SearchCursor(q, 5, 0, nil, tok); !errors.Is(err, ErrCursorStale) {
+	if _, _, err := dyn.SearchCursor(q, Query{K: 5}, tok); !errors.Is(err, ErrCursorStale) {
 		t.Errorf("after insert: err = %v, want ErrCursorStale", err)
 	}
 
@@ -134,7 +168,7 @@ func TestCursorInvalidation(t *testing.T) {
 	if !dyn.Delete(3) {
 		t.Fatal("delete failed")
 	}
-	if _, _, err := dyn.SearchCursor(q, 5, 0, nil, tok); !errors.Is(err, ErrCursorInvalid) {
+	if _, _, err := dyn.SearchCursor(q, Query{K: 5}, tok); !errors.Is(err, ErrCursorInvalid) {
 		t.Errorf("after delete: err = %v, want ErrCursorInvalid", err)
 	}
 
@@ -143,19 +177,19 @@ func TestCursorInvalidation(t *testing.T) {
 	if err := dyn.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dyn.SearchCursor(q, 5, 0, nil, tok); !errors.Is(err, ErrCursorStale) {
+	if _, _, err := dyn.SearchCursor(q, Query{K: 5}, tok); !errors.Is(err, ErrCursorStale) {
 		t.Errorf("after rebuild: err = %v, want ErrCursorStale", err)
 	}
 
 	// A token minted for one query must not resume another.
 	tok = mint()
 	q2 := data[1]
-	if _, _, err := dyn.SearchCursor(q2, 5, 0, nil, tok); !errors.Is(err, ErrCursorInvalid) {
+	if _, _, err := dyn.SearchCursor(q2, Query{K: 5}, tok); !errors.Is(err, ErrCursorInvalid) {
 		t.Errorf("query mismatch: err = %v, want ErrCursorInvalid", err)
 	}
 	// ... nor a different filter.
 	f := &Filter{Terms: []FilterTerm{EqStr("color", "red")}}
-	if _, _, err := dyn.SearchCursor(q, 5, 0, f, tok); !errors.Is(err, ErrCursorInvalid) {
+	if _, _, err := dyn.SearchCursor(q, Query{K: 5, Filter: f}, tok); !errors.Is(err, ErrCursorInvalid) {
 		t.Errorf("filter mismatch: err = %v, want ErrCursorInvalid", err)
 	}
 
@@ -164,7 +198,7 @@ func TestCursorInvalidation(t *testing.T) {
 		if bad == "" {
 			continue
 		}
-		if _, _, err := dyn.SearchCursor(q, 5, 0, nil, bad); !errors.Is(err, ErrCursorInvalid) {
+		if _, _, err := dyn.SearchCursor(q, Query{K: 5}, bad); !errors.Is(err, ErrCursorInvalid) {
 			t.Errorf("garbage %q: err = %v, want ErrCursorInvalid", bad, err)
 		}
 	}
@@ -175,14 +209,14 @@ func TestCursorInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, next, err := ix.SearchCursor(q, 5, 0, nil, "")
+	_, next, err := ix.SearchCursor(q, Query{K: 5}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ix.SearchCursor(q2, 5, 0, nil, ""); err != nil {
+	if _, _, err := ix.SearchCursor(q2, Query{K: 5}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ix.SearchCursor(q, 5, 0, nil, next); err != nil {
+	if _, _, err := ix.SearchCursor(q, Query{K: 5}, next); err != nil {
 		t.Errorf("immutable resume: %v", err)
 	}
 }
@@ -200,21 +234,21 @@ func TestCursorBoundToIndex(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		a := must(NewShardedIndexWithAttrs(data, attrs, cfg, shards))
 		b := must(NewShardedIndex(other, cfg, shards))
-		_, tok, err := a.SearchCursor(q, 5, n, nil, "")
+		_, tok, err := a.SearchCursor(q, Query{K: 5, Budget: n}, "")
 		if err != nil || tok == "" {
 			t.Fatalf("shards=%d: minting: %q, %v", shards, tok, err)
 		}
-		if page, _, err := b.SearchCursor(q, 5, n, nil, tok); !errors.Is(err, ErrCursorStale) {
+		if page, _, err := b.SearchCursor(q, Query{K: 5, Budget: n}, tok); !errors.Is(err, ErrCursorStale) {
 			t.Errorf("shards=%d: A's token on B: %d results, err=%v, want ErrCursorStale", shards, len(page), err)
 		}
 		path := filepath.Join(t.TempDir(), "a.lccs")
 		if err := a.Save(path); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := must(Load(path, data)).SearchCursor(q, 5, n, nil, tok); !errors.Is(err, ErrCursorStale) {
+		if _, _, err := must(Load(path, data)).SearchCursor(q, Query{K: 5, Budget: n}, tok); !errors.Is(err, ErrCursorStale) {
 			t.Errorf("shards=%d: A's token on a reloaded A: err=%v, want ErrCursorStale", shards, err)
 		}
-		if _, _, err := a.SearchCursor(q, 5, n, nil, tok); err != nil {
+		if _, _, err := a.SearchCursor(q, Query{K: 5, Budget: n}, tok); err != nil {
 			t.Errorf("shards=%d: A's token on A: %v", shards, err)
 		}
 		want := must(a.SearchQuery(q, Query{K: n, Budget: n}, nil))
@@ -240,7 +274,7 @@ func TestCursorPageSizes(t *testing.T) {
 	cursor := ""
 	total := 0
 	for {
-		page, next, err := sx.SearchCursor(q, limit, n, nil, cursor)
+		page, next, err := sx.SearchCursor(q, Query{K: limit, Budget: n}, cursor)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -103,7 +103,6 @@ func (m *lifecycleModel) snapshot() *lifecycleModel {
 // lifecycleFacade is what the model predicts of any facade.
 type lifecycleFacade interface {
 	Searcher
-	CursorSearcher
 	Deleted() int
 	Shards() int
 }

@@ -573,7 +573,7 @@ func (d *DynamicIndex) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbo
 func (d *DynamicIndex) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.searchQuery(q, qr, dst, false)
+	return d.searchQuery(q, qr, 0, dst, false)
 }
 
 // SearchBatch answers many queries concurrently under one k and

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -60,12 +59,13 @@ func FuzzLoadSharded(f *testing.F) {
 }
 
 // FuzzCursorToken feeds arbitrary strings to the cursor-token door. The
-// decoder never panics, fails only with ErrCursorInvalid, and sizes what
-// it allocates by the bytes it was given; a token it accepts re-encodes to
-// a token that decodes back equal, as every token encodeCursor mints does;
-// and whatever decodes is safe to resume with — rebound to a real query and
-// handed to a sharded and a dynamic backend, it yields a page or a cursor
-// error, never a panic.
+// decoder never panics, fails only with ErrCursorInvalid, and accepts only
+// tokens whose λ and first page size k₀ are positive and whose λ, k₀ and
+// consumed count are at most MaxInt32; a token it accepts re-encodes to a
+// token that decodes back equal, as every token encodeCursor mints does;
+// and whatever decodes is safe to resume with — rebound to a real query
+// and handed to a sharded and a dynamic backend, it yields at most a
+// page of results or a cursor error, never a panic.
 func FuzzCursorToken(f *testing.F) {
 	data, attrs := filterTestData(150, 6)
 	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}
@@ -79,17 +79,18 @@ func FuzzCursorToken(f *testing.F) {
 		}
 	}
 	q := data[4]
-	_, minted, err := sx.SearchCursor(q, 7, math.MaxInt, nil, "")
+	_, minted, err := sx.SearchCursor(q, Query{K: 7, Budget: math.MaxInt}, "")
 	if err != nil || minted == "" {
 		f.Fatalf("minting a seed token: %q, %v", minted, err)
 	}
-	// testdata/fuzz/FuzzCursorToken holds the hostile ones: the token an
-	// unclamped λ of 1<<40 once minted (refused by the decoder's bound),
-	// λ and every offset at MaxInt32, 65535 claimed sources with none
-	// carried. These are tokens the backends above mint and accept.
+	// testdata/fuzz/FuzzCursorToken holds the hostile ones: consumed count
+	// and k₀ at MaxInt32, λ at 1<<40 and k₀ = 0 (both refused by the
+	// decoder's bounds), and the version-1 tokens of the per-source
+	// layout, all refused. These are tokens the backends above mint and
+	// accept.
 	f.Add(minted)
 	f.Add(minted[:len(minted)/2])
-	f.Add(encodeCursor(cursorToken{gen: d.writes, lambda: 150, hash: cursorHash(q, nil), offs: []int{3, 0, 149}}))
+	f.Add(encodeCursor(cursorToken{gen: d.writes, lambda: 150, k0: 3, hash: cursorHash(q, nil), consumed: 149}))
 	f.Add("not-base64!!")
 	f.Add("")
 
@@ -101,19 +102,19 @@ func FuzzCursorToken(f *testing.F) {
 			}
 			return
 		}
-		if len(tok.offs) == 0 || len(tok.offs) > len(token) || tok.lambda <= 0 || tok.lambda > math.MaxInt32 {
+		if tok.lambda <= 0 || tok.k0 <= 0 || tok.consumed < 0 || max(tok.lambda, tok.k0, tok.consumed) > math.MaxInt32 {
 			t.Fatalf("decodeCursor(%q) accepted %+v", token, tok)
 		}
-		if again, err := decodeCursor(encodeCursor(tok)); err != nil || !reflect.DeepEqual(again, tok) {
+		if again, err := decodeCursor(encodeCursor(tok)); err != nil || again != tok {
 			t.Fatalf("token %+v re-encodes to %+v, %v", tok, again, err)
 		}
 		tok.hash = cursorHash(q, nil)
-		for _, cs := range []CursorSearcher{sx, d} {
+		for _, s := range []Searcher{sx, d} {
 			tok.gen = sx.epoch
-			if cs == CursorSearcher(d) {
+			if s == Searcher(d) {
 				tok.gen = d.writes
 			}
-			page, _, err := cs.SearchCursor(q, 5, 0, nil, encodeCursor(tok))
+			page, _, err := s.SearchCursor(q, Query{K: 5}, encodeCursor(tok))
 			if err != nil && !errors.Is(err, ErrCursorInvalid) || len(page) > 5 {
 				t.Fatalf("resuming %+v: %d results, %v", tok, len(page), err)
 			}

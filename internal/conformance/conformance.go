@@ -443,7 +443,7 @@ func (r *runner) paginate() error {
 	if r.di.Len() == 0 {
 		return nil
 	}
-	page, next, err := r.di.SearchCursor(r.scan.query, 5, searchBudget, nil, r.scan.token)
+	page, next, err := r.di.SearchCursor(r.scan.query, lccs.Query{K: 5, Budget: searchBudget}, r.scan.token)
 	if errors.Is(err, lccs.ErrCursorInvalid) {
 		// A write since the last page bumped the generation.
 		r.scan.token = ""
@@ -506,7 +506,7 @@ func (r *runner) reopenAndCheck() error {
 	// so the surviving token must be rejected — resuming it could skip
 	// or repeat results over the replayed, possibly renumbered stream.
 	if r.scan.token != "" {
-		_, _, err := r.di.SearchCursor(r.scan.query, 5, searchBudget, nil, r.scan.token)
+		_, _, err := r.di.SearchCursor(r.scan.query, lccs.Query{K: 5, Budget: searchBudget}, r.scan.token)
 		if !errors.Is(err, lccs.ErrCursorInvalid) {
 			return r.violation("pre-reopen cursor token accepted after recovery (err=%v)", err)
 		}

@@ -34,6 +34,7 @@ import (
 
 	"lccs"
 	"lccs/internal/faultfs"
+	"lccs/internal/obs"
 )
 
 // Errors of the registry API. The HTTP layer maps NotFound to 404,
@@ -237,7 +238,7 @@ type Engine struct {
 // in List and open lazily on first Get.
 func New(root string, defaults Spec, logger *slog.Logger) (*Engine, error) {
 	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
+		logger = obs.NopLogger()
 	}
 	e := &Engine{
 		root:     root,

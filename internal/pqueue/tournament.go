@@ -4,9 +4,7 @@ package pqueue
 // used to merge per-shard top-k lists into a global top-k. Compared to a
 // binary heap, a winner replay after Pop touches exactly ⌈log2 S⌉ internal
 // nodes with no sift branching, which is the classic choice for k-way
-// merges of short sorted runs. A merge may start partway into each run
-// and report how far it got — a cursor page is "reset at the consumed
-// positions, pop the page, read the positions back".
+// merges of short sorted runs.
 //
 // Streams are ordered by (Dist, ID): the id tie-break makes merges
 // deterministic when equal distances occur in different shards.
@@ -54,16 +52,14 @@ func (t *Tournament) worse(a, b int) bool {
 // sorted ascending by (Dist, ID); runs may be empty or nil.
 func NewTournament(lists [][]Neighbor) *Tournament {
 	t := &Tournament{}
-	t.Reset(lists, nil)
+	t.Reset(lists)
 	return t
 }
 
 // Reset re-arms the tree over a fresh set of runs, reusing the internal
 // buffers — the pooled-context path for repeated shard-merge queries.
-// The previous runs are released. The merge starts at start[i] in run i
-// (capped at the run's length); a nil start is the beginning of every
-// run.
-func (t *Tournament) Reset(lists [][]Neighbor, start []int) {
+// The previous runs are released.
+func (t *Tournament) Reset(lists [][]Neighbor) {
 	size := 1
 	for size < len(lists) {
 		size *= 2
@@ -71,9 +67,6 @@ func (t *Tournament) Reset(lists [][]Neighbor, start []int) {
 	t.lists = lists
 	t.size = size
 	t.pos = zeroed(t.pos, len(lists))
-	for i, at := range start {
-		t.pos[i] = min(at, len(lists[i]))
-	}
 	t.loser = zeroed(t.loser, size)
 	// Initialise bottom-up: play every leaf pair, propagate winners.
 	t.winner = zeroed(t.winner, 2*size)
@@ -110,9 +103,6 @@ func (t *Tournament) Pop() (Neighbor, bool) {
 	t.loser[0] = int32(w)
 	return nb, true
 }
-
-// Pos returns how far into run i the merge has advanced.
-func (t *Tournament) Pos(i int) int { return t.pos[i] }
 
 // AppendTopK pops up to k elements off the tree into dst, ascending,
 // and returns the extended slice. Nothing is allocated when dst has

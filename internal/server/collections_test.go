@@ -295,17 +295,6 @@ func TestFilteredSearchHTTP(t *testing.T) {
 			t.Errorf("%s: HTTP %d, want 400", name, code)
 		}
 	}
-
-	// Filters ride in the Query every Searcher takes; cursor pagination
-	// is the one optional capability, and a backend without it answers
-	// 501.
-	bb := &blockingBackend{started: make(chan struct{}, 8), gate: make(chan struct{})}
-	close(bb.gate)
-	_, ts2 := newTestServer(t, Config{Backend: bb})
-	if code := postJSON(t, ts2, "/v1/search",
-		searchRequest{Query: q, Limit: 2}, nil); code != http.StatusNotImplemented {
-		t.Fatalf("cursor on plain backend: HTTP %d, want 501", code)
-	}
 }
 
 // TestCursorDrainHTTP drains a paginated scan over the wire and checks

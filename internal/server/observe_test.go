@@ -264,6 +264,64 @@ func TestExplainSearch(t *testing.T) {
 	}
 }
 
+// TestPaginatedSearchMetered: a cursor page is a query like any other. Its
+// cost reaches the collection's usage exactly as EXPLAIN reports it, its
+// plan has k = limit and lists every shard and the buffer it scanned, and
+// a traced page carries the query root with its scan spans.
+func TestPaginatedSearchMetered(t *testing.T) {
+	data, queries := testWorkload(26, 300, 8)
+	dyn, err := lccs.NewDynamicIndex(data[:280], lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 9}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range data[280:] {
+		if _, err := dyn.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, ts := newTestServer(t, Config{Backend: dyn})
+
+	var first searchResponse
+	if code := postJSON(t, ts, "/v1/search", searchRequest{Query: queries[0], Limit: 4, Explain: true}, &first); code != http.StatusOK {
+		t.Fatalf("first page: HTTP %d", code)
+	}
+	e := first.Explain
+	if e == nil || e.K != 4 || len(first.Neighbors) != 4 || first.NextCursor == "" {
+		t.Fatalf("first page: %d results, cursor %q, plan %+v", len(first.Neighbors), first.NextCursor, e)
+	}
+	if e.Cost == nil || e.Cost.Comparisons <= 0 || e.Cost.Candidates <= 0 {
+		t.Fatalf("page cost empty: %+v", e.Cost)
+	}
+	if len(e.Shards) != dyn.Shards() || e.Buffer == nil || e.Buffer.Comparisons != int64(dyn.Buffered()) {
+		t.Fatalf("plan scans: %d shards (want %d), buffer %+v", len(e.Shards), dyn.Shards(), e.Buffer)
+	}
+	var ur usageResponse
+	if code := doJSON(t, ts, "GET", "/v1/collections/default/usage", nil, &ur); code != http.StatusOK {
+		t.Fatalf("usage: HTTP %d", code)
+	}
+	cu := ur.Cumulative
+	if cu.Searches != 1 || cu.Comparisons != e.Cost.Comparisons || cu.Candidates != e.Cost.Candidates ||
+		cu.BytesScanned != e.Cost.BytesScanned || cu.Reranked != e.Cost.Reranked {
+		t.Fatalf("usage %+v after one page, its plan costs %+v", cu, e.Cost)
+	}
+
+	var second searchResponse
+	if code := postJSON(t, ts, "/v1/search", searchRequest{Query: queries[0], Limit: 4, Cursor: first.NextCursor, Trace: true}, &second); code != http.StatusOK {
+		t.Fatalf("second page: HTTP %d", code)
+	}
+	q := findRoot(second.Trace, "query")
+	if q == nil {
+		t.Fatalf("traced page has no query span: %+v", second.Trace)
+	}
+	scans := map[string]int{}
+	for _, c := range q.Children {
+		scans[c.Stage]++
+	}
+	if scans["shard_scan"] != dyn.Shards() || scans["buffer_scan"] != 1 {
+		t.Fatalf("traced page's query spans %+v", q.Children)
+	}
+}
+
 // TestExplainReportsBackendQuantization: EXPLAIN reports the compression
 // the backend verifies with, as the backend reports it, also for a backend
 // adopted as the default collection, which has no collection spec — an

@@ -144,7 +144,6 @@ type coll struct {
 	backend  lccs.Searcher
 	writer   Writer     // nil: read-only backend
 	walStats WALStatser // nil: no write-ahead log
-	cur      lccs.CursorSearcher
 	// usage is the collection's cumulative resource accounting (owned
 	// by the registry, shared by every handle); health is its windowed
 	// RED/usage ring for /v1/debug/health and /v1/collections/⋯/usage.
@@ -170,9 +169,6 @@ func newColl(ec *engine.Collection) *coll {
 	}
 	if ws, ok := backend.(WALStatser); ok && ws.Dir() != "" {
 		c.walStats = ws
-	}
-	if cu, ok := backend.(lccs.CursorSearcher); ok {
-		c.cur = cu
 	}
 	return c
 }
@@ -666,22 +662,20 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	obs.ObserveDur(obs.StageAdmission, admDur)
 	tr.AddSpan(obs.StageAdmission, -1, admStart, admDur)
 
+	// The backend's one query path: filter, cost record and trace ride in
+	// the Query value, each independently nil; co and the result row are
+	// pooled scratch, so accounting allocates nothing. A page is the same
+	// query resumed at a rank, metered and traced alike.
 	var next string
 	var res []lccs.Neighbor
+	qr := lccs.Query{K: kEff, Budget: req.Budget, Filter: f, Cost: &sc.co, Trace: tr}
 	if paginated {
-		res, next, err = s.searchCursor(c, req.Query, req.Limit, req.Budget, f, req.Cursor)
+		res, next, err = c.backend.SearchCursor(req.Query, qr, req.Cursor)
 	} else {
-		// The backend's one query path: filter, cost record and trace ride
-		// in the Query value, each independently nil; co and the result
-		// row are pooled scratch, so accounting allocates nothing.
-		res, err = c.backend.SearchQuery(req.Query, lccs.Query{K: req.K, Budget: req.Budget, Filter: f, Cost: &sc.co, Trace: tr}, sc.res)
+		res, err = c.backend.SearchQuery(req.Query, qr, sc.res)
 	}
 	if err != nil {
-		code := statusFor(err)
-		if errors.Is(err, errNotSupported) {
-			code = http.StatusNotImplemented
-		}
-		s.fail(w, c, o, code, err)
+		s.fail(w, c, o, statusFor(err), err)
 		return
 	}
 	if !paginated {
@@ -704,7 +698,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	o.use.Comparisons, o.use.Candidates, o.use.Reranked = sc.co.Comparisons, sc.co.Candidates, sc.co.Reranked
 	o.use.BytesScanned, o.use.FilterRejected = sc.co.BytesScanned, sc.co.FilterRejected
 	if req.Explain {
-		resp.Explain = buildExplain(c, req.K, req.Budget, f, &sc.co, cache, tr)
+		resp.Explain = buildExplain(c, kEff, req.Budget, f, &sc.co, cache, tr)
 	}
 	s.respondSearch(w, c, o, resp, reqID, tr, req.Trace)
 	s.recordSlow(reqID, "search", c.name, f, start, o.dur, kEff, req.Budget, tr)
@@ -765,18 +759,6 @@ func (s *Server) recordSlow(reqID uint64, endpoint, collection string, f *lccs.F
 			"filter", filterKey, "took", took,
 			"k", k, "budget", budget, "traced", tr != nil)
 	}
-}
-
-// errNotSupported marks a request for a capability the collection's
-// backend lacks; the handler maps it to 501.
-var errNotSupported = errors.New("backend does not support this request")
-
-// searchCursor routes a paginated query to the backend's cursor path.
-func (s *Server) searchCursor(c *coll, q []float32, limit, budget int, f *lccs.Filter, cursor string) ([]lccs.Neighbor, string, error) {
-	if c.cur == nil {
-		return nil, "", fmt.Errorf("%w: cursor pagination", errNotSupported)
-	}
-	return c.cur.SearchCursor(q, limit, budget, f, cursor)
 }
 
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
@@ -961,7 +943,7 @@ func (s *Server) applyInserts(c *coll, vectors [][]float32, attrs []lccs.Attrs) 
 		return ids, "", 0, nil
 	case errors.Is(err, lccs.ErrNotDurable):
 		return ids, "", http.StatusServiceUnavailable, err
-	case errors.Is(err, lccs.ErrAttrsMismatch), isRejectedInsert(err):
+	case statusFor(err) == http.StatusBadRequest:
 		return ids, "", http.StatusBadRequest, err
 	}
 	return ids, err.Error(), 0, nil
@@ -1029,14 +1011,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	resp.RequestID = reqID
 	w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
 	s.respond(w, c, o, http.StatusOK, resp)
-}
-
-// isRejectedInsert reports whether an insert error means the vector
-// was rejected (DynamicIndex's validation errors), as opposed to
-// a deferred background-build failure delivered alongside a successful
-// insert.
-func isRejectedInsert(err error) bool {
-	return errors.Is(err, lccs.ErrEmptyVector) || errors.Is(err, lccs.ErrDimensionMismatch) || errors.Is(err, lccs.ErrNonFinite)
 }
 
 // ---- collection registry endpoints ----
@@ -1396,9 +1370,9 @@ func (s *Server) requirePost(w http.ResponseWriter, r *http.Request, o outcome) 
 }
 
 // statusFor maps backend errors to HTTP statuses: the facade's typed
-// validation errors are the client's fault (400), a stale cursor is
-// 410 Gone (the token was valid once; the client restarts the scan),
-// anything else is 500.
+// validation errors — of a query or of an inserted vector — are the
+// client's fault (400), a stale cursor is 410 Gone (the token was valid
+// once; the client restarts the scan), anything else is 500.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, lccs.ErrCursorStale):
@@ -1406,6 +1380,8 @@ func statusFor(err error) int {
 	case errors.Is(err, lccs.ErrInvalidK),
 		errors.Is(err, lccs.ErrInvalidBudget),
 		errors.Is(err, lccs.ErrEmptyQuery),
+		errors.Is(err, lccs.ErrEmptyVector),
+		errors.Is(err, lccs.ErrAttrsMismatch),
 		errors.Is(err, lccs.ErrDimensionMismatch),
 		errors.Is(err, lccs.ErrNonFinite),
 		errors.Is(err, lccs.ErrInvalidFilter),

@@ -442,6 +442,10 @@ func (b *blockingBackend) SearchQuery(q []float32, qr lccs.Query, dst []lccs.Nei
 	res, err := b.Search(q, qr.K)
 	return append(dst[:0], res...), err
 }
+func (b *blockingBackend) SearchCursor(q []float32, qr lccs.Query, cursor string) ([]lccs.Neighbor, string, error) {
+	res, err := b.SearchQuery(q, qr, nil)
+	return res, "", err
+}
 func (b *blockingBackend) SearchBatch(qs [][]float32, k, budget int) ([][]lccs.Neighbor, error) {
 	return [][]lccs.Neighbor{}, nil
 }

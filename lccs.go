@@ -28,7 +28,7 @@
 // optional attribute Filter, and optional Cost and Trace recorders;
 // Search and SearchInto are one-line conveniences for Query{K: k},
 // SearchBatch answers many queries across all CPUs, and SearchCursor
-// pages through the ranked result stream.
+// pages through the ranking of one such query.
 //
 // The package has two facades. Index is immutable: NewIndex builds one
 // CSA, NewShardedIndex partitions the dataset across S shards whose CSAs
@@ -122,13 +122,14 @@ func (c *Cost) addStats(st core.SearchStats) {
 	c.FilterRejected += int64(st.FilterRejected)
 }
 
-// Query is the one request value every facade's SearchQuery takes. The
-// zero value of each optional field selects the plain behaviour, and the
-// fields degrade independently: Query{K: k} is exactly Search(q, k), and
-// with Filter, Cost, and Trace all nil the steady-state path stays
-// allocation-free.
+// Query is the one request value every facade's SearchQuery and
+// SearchCursor take. The zero value of each optional field selects the
+// plain behaviour, and the fields degrade independently: Query{K: k} is
+// exactly Search(q, k), and with Filter, Cost, and Trace all nil the
+// steady-state path stays allocation-free.
 type Query struct {
-	// K is the number of neighbors wanted. Required (> 0).
+	// K is the number of neighbors wanted (a cursor's page size).
+	// Required (> 0).
 	K int
 	// Budget is the candidate budget λ: the query verifies the λ+K−1 data
 	// objects whose hash strings share the longest circular co-substring
@@ -199,6 +200,15 @@ type Searcher interface {
 	// supports it) under one k and budget (0 selects the default), in
 	// query order; each row is what SearchQuery would return.
 	SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error)
+	// SearchCursor pages through the ranking of one query, qr.K being the
+	// page size: an empty cursor starts a scan whose first page is
+	// SearchQuery(q, qr, nil), later pages hold the next ranks of that
+	// query's candidate set, and next is empty once it is exhausted.
+	// Resuming ignores qr.Budget (the token carries the first page's) and
+	// refuses a token minted for another query, filter or index instance
+	// (ErrCursorInvalid), or before a write (ErrCursorStale). Cost and
+	// Trace meter each page as they do a one-shot.
+	SearchCursor(q []float32, qr Query, cursor string) (page []Neighbor, next string, err error)
 	// Len returns the number of searchable vectors.
 	Len() int
 	// Distance returns the facade's metric distance between two vectors.
@@ -543,7 +553,7 @@ func (ix *Index) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, err
 // scans them sequentially. The merge is deterministic, so results are
 // identical either way.
 func (ix *Index) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
-	return ix.searchQuery(q, qr, dst, dst == nil)
+	return ix.searchQuery(q, qr, 0, dst, dst == nil)
 }
 
 // Shards returns the number of shards.

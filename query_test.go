@@ -231,7 +231,7 @@ func TestQueryBudgetRule(t *testing.T) {
 	data, attrs := filterTestData(120, 8)
 	q := data[5]
 	for _, fc := range queryFacades(t, data, attrs) {
-		cs := fc.s.(CursorSearcher)
+		cs := fc.s
 		def := must(fc.s.Search(q, 5))
 		if got := must(fc.s.SearchQuery(q, Query{K: 5, Budget: 0}, nil)); !neighborsEqual(got, def) {
 			t.Errorf("%s: Budget 0 is not the default: %v vs %v", fc.name, got, def)
@@ -239,7 +239,7 @@ func TestQueryBudgetRule(t *testing.T) {
 		if got := must(fc.s.SearchBatch([][]float32{q}, 5, 0)); !neighborsEqual(got[0], def) {
 			t.Errorf("%s: batch budget 0 is not the default: %v vs %v", fc.name, got[0], def)
 		}
-		if page, _, err := cs.SearchCursor(q, 5, 0, nil, ""); err != nil || len(page) != 5 {
+		if page, _, err := cs.SearchCursor(q, Query{K: 5}, ""); err != nil || len(page) != 5 {
 			t.Errorf("%s: cursor budget 0: %d results, err %v", fc.name, len(page), err)
 		}
 		if _, err := fc.s.SearchQuery(q, Query{K: 5, Budget: -1}, nil); !errors.Is(err, ErrInvalidBudget) {
@@ -248,7 +248,7 @@ func TestQueryBudgetRule(t *testing.T) {
 		if _, err := fc.s.SearchBatch([][]float32{q}, 5, -1); !errors.Is(err, ErrInvalidBudget) {
 			t.Errorf("%s: SearchBatch budget -1: err=%v", fc.name, err)
 		}
-		if _, _, err := cs.SearchCursor(q, 5, -1, nil, ""); !errors.Is(err, ErrInvalidBudget) {
+		if _, _, err := cs.SearchCursor(q, Query{K: 5, Budget: -1}, ""); !errors.Is(err, ErrInvalidBudget) {
 			t.Errorf("%s: SearchCursor budget -1: err=%v", fc.name, err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestQueryHostileNumbers(t *testing.T) {
 	q := data[11]
 	red := testFilters()["eq-str"]
 	for _, fc := range queryFacades(t, data, attrs) {
-		cs := fc.s.(CursorSearcher)
+		cs := fc.s
 		atN := must(fc.s.SearchQuery(q, Query{K: k, Budget: n}, nil))
 		if brute := bruteFilter(data, attrs, fc.live, q, k, nil, fc.s.Distance); !neighborsEqual(atN, brute) {
 			t.Fatalf("%s: Budget n is not brute force: %v vs %v", fc.name, atN, brute)
@@ -315,7 +315,7 @@ func TestNonFiniteRejected(t *testing.T) {
 			if _, err := fc.s.SearchBatch([][]float32{data[1], q}, 3, 0); !errors.Is(err, ErrNonFinite) {
 				t.Errorf("%s: SearchBatch(%v): err=%v", fc.name, x, err)
 			}
-			if _, _, err := fc.s.(CursorSearcher).SearchCursor(q, 3, 0, nil, ""); !errors.Is(err, ErrNonFinite) {
+			if _, _, err := fc.s.SearchCursor(q, Query{K: 3}, ""); !errors.Is(err, ErrNonFinite) {
 				t.Errorf("%s: SearchCursor(%v): err=%v", fc.name, x, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package lccs
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"sync"
@@ -34,9 +35,13 @@ import (
 // The merge. Every segment answers with its k nearest as a run sorted by
 // (Dist, slot); the tail's exact scan is one more such run; a tournament
 // tree merges the runs in that same order, and only then are slots
-// translated to external ids. A cursor page is the same merge started at
-// the positions its token carries. A one-segment, empty-tail set has
-// nothing to merge and scans straight into the caller's buffer.
+// translated to external ids. A one-segment, empty-tail set has nothing
+// to merge and scans straight into the caller's buffer.
+//
+// A cursor page is the same query fetched deeper (cursor.go): each
+// segment still verifies the candidates of the first page's k, so every
+// page ranks one fixed candidate set and a page is a range of ranks of
+// that one (Dist, slot) order.
 //
 // Snapshot. freeze shares what never changes (segment indexes, store and
 // attribute rows behind capped views) and clones what the source keeps
@@ -189,13 +194,14 @@ func (s *segSet) segBudget(lambda int) int {
 // bytes-scanned counters when traced. Tombstoned rows are dropped inside
 // the candidate stream on every path (core.Scan.Dead), so the results
 // are all live and a dead row is neither a candidate nor filter-rejected.
-// What differs is the budget. inStream — every filtered query, every
-// cursor page — drops dead rows (and rows failing f) for free. Otherwise
-// a dropped dead row uses one slot of a budget widened by the segment's
-// tombstone count, never past what the segment holds: the scan consumes
-// the stream prefix λ + min(k+dead, len) − 1 it always has, and returns
-// the k nearest live rows of it.
-func (s *segSet) scan(i int, q []float32, k, lambda int, f *Filter, inStream bool, dst []pqueue.Neighbor, tr *Trace, parent int) ([]pqueue.Neighbor, core.SearchStats) {
+// What differs is the budget. inStream — every filtered query — drops
+// dead rows (and rows failing f) for free. Otherwise a dropped dead row
+// uses one slot of a budget widened by the segment's tombstone count,
+// never past what the segment holds: the scan consumes the stream prefix
+// λ + min(k0+dead, len) − 1 it always has. The candidates are always
+// those of a k0-nearest query; k > k0 (a cursor's later page) returns
+// more of them, never others.
+func (s *segSet) scan(i int, q []float32, k, k0, lambda int, f *Filter, inStream bool, dst []pqueue.Neighbor, tr *Trace, parent int) ([]pqueue.Neighbor, core.SearchStats) {
 	seg := &s.segs[i]
 	sc := core.Scan{Offset: seg.off, Dead: s.dead.words}
 	if !inStream {
@@ -203,11 +209,17 @@ func (s *segSet) scan(i int, q []float32, k, lambda int, f *Filter, inStream boo
 		// ROADMAP's λ-pinning follow-up deletes these lines together with
 		// the per-segment dead counters.
 		n := seg.core.N()
-		k = min(k, n)
-		lambda += min(seg.dead, n-k)
+		k, k0 = min(k, n), min(k0, n)
+		lambda += min(seg.dead, n-k0)
 		sc.ChargeDead = true
 	} else if !f.Empty() {
 		sc.Accept = func(local int) bool { return f.Matches(s.attrs.Row(local + seg.off)) }
+	}
+	if k > k0 {
+		// The core verifies λ+k−1 candidates: trade budget for fetch size.
+		nCand := lambda + k0 - 1
+		k = min(k, nCand)
+		lambda = nCand - k + 1
 	}
 	sp := tr.StartShardSpan(obs.StageShardScan, parent, i)
 	dst, stats := seg.core.SearchScan(q, k, lambda, sc, dst)
@@ -248,18 +260,22 @@ func (s *segSet) scanTail(q []float32, k int, f *Filter, bound float64, best *pq
 	return best.AppendSorted(dst[:0]), stats
 }
 
-// searchQuery is the one-shot query of every facade: qr validated and
+// searchQuery is the one query of every facade: qr validated and
 // clamped, each segment's k nearest under its share of the budget, the
 // tail's exact scan, the merge, and external ids — appended into dst
-// (reset first; dst may be nil). fanOut lets the segments scan in
-// goroutines when more than one CPU is available; per-segment results and
-// stats land in pooled slots, so neither way needs atomics, the merge is
-// deterministic and the sequential unmetered path allocates nothing.
-func (s *segSet) searchQuery(q []float32, qr Query, dst []Neighbor, fanOut bool) ([]Neighbor, error) {
+// (reset first; dst may be nil). Each segment verifies the candidates of
+// a k0-nearest query, k0 being first capped at k: a cursor passes its
+// first page size, a one-shot 0, which means k. fanOut lets the segments
+// scan in goroutines when more than one CPU is available; per-segment
+// results and stats land in pooled slots, so neither way needs atomics,
+// the merge is deterministic and the sequential unmetered path allocates
+// nothing.
+func (s *segSet) searchQuery(q []float32, qr Query, first int, dst []Neighbor, fanOut bool) ([]Neighbor, error) {
 	k, lambda, err := qr.resolve(q, s)
 	if err != nil {
 		return nil, err
 	}
+	k0 := min(cmp.Or(first, k), k)
 	if s.store.Len() == 0 {
 		return nil, nil
 	}
@@ -272,17 +288,17 @@ func (s *segSet) searchQuery(q []float32, qr Query, dst []Neighbor, fanOut bool)
 	direct := runs == 1 && s.indexed == s.store.Len()
 	fanOut = fanOut && runtime.GOMAXPROCS(0) > 1
 	if direct {
-		dst, ctx.stats[0] = s.scan(0, q, k, lamSeg, f, inStream, dst, tr, root)
+		dst, ctx.stats[0] = s.scan(0, q, k, k0, lamSeg, f, inStream, dst, tr, root)
 	} else {
 		for i := range s.segs {
 			if !fanOut {
-				ctx.lists[i], ctx.stats[i] = s.scan(i, q, k, lamSeg, f, inStream, ctx.lists[i], tr, root)
+				ctx.lists[i], ctx.stats[i] = s.scan(i, q, k, k0, lamSeg, f, inStream, ctx.lists[i], tr, root)
 				continue
 			}
 			ctx.wg.Add(1)
 			go func(i int) {
 				defer ctx.wg.Done()
-				ctx.lists[i], ctx.stats[i] = s.scan(i, q, k, lamSeg, f, inStream, ctx.lists[i], tr, root)
+				ctx.lists[i], ctx.stats[i] = s.scan(i, q, k, k0, lamSeg, f, inStream, ctx.lists[i], tr, root)
 			}(i)
 		}
 		ctx.wg.Wait()
@@ -311,7 +327,7 @@ func (s *segSet) searchQuery(q []float32, qr Query, dst []Neighbor, fanOut bool)
 			// The plain Search path: one exactly-sized result allocation.
 			dst = make([]Neighbor, 0, k)
 		}
-		ctx.t.Reset(ctx.lists[:runs], nil)
+		ctx.t.Reset(ctx.lists[:runs])
 		dst = ctx.t.AppendTopK(k, dst[:0])
 	}
 	if s.ids != nil {
