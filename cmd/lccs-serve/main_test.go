@@ -1,13 +1,13 @@
 package main
 
 import (
-	"log/slog"
 	"sync"
 	"testing"
 	"time"
 
 	"lccs"
 	"lccs/internal/engine"
+	"lccs/internal/obs"
 	"lccs/internal/wal"
 )
 
@@ -17,7 +17,7 @@ import (
 // interval and writes into two collections that never pause, no
 // collection's manifest generation moves after the stop.
 func TestCheckpointStopJoinsTheLoop(t *testing.T) {
-	logger = slog.New(slog.DiscardHandler)
+	logger = obs.NopLogger()
 	root := t.TempDir()
 	eng, err := engine.New(root, engine.Spec{Metric: "euclidean", M: 8, Seed: 1, BucketWidth: 4, Sync: "none"}, logger)
 	if err != nil {

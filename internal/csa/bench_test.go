@@ -81,3 +81,19 @@ func BenchmarkCSABegin(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCSABuild times NewFromFlat at BenchmarkCSABegin's two shapes.
+// index-MB is the Bytes() of the index it builds, in 10^6 bytes.
+func BenchmarkCSABuild(b *testing.B) {
+	for _, shape := range []struct{ n, m int }{{100000, 32}, {50000, 64}} {
+		b.Run(fmt.Sprintf("n=%d,m=%d", shape.n, shape.m), func(b *testing.B) {
+			data, _ := lshStrings(shape.n, shape.m, 0)
+			var c *CSA
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c = NewFromFlat(data, shape.n, shape.m)
+			}
+			b.ReportMetric(float64(c.Bytes())/1e6, "index-MB")
+		})
+	}
+}

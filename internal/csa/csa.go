@@ -10,6 +10,26 @@
 // sorted neighborhoods with a priority queue to emit candidates in
 // non-increasing LCCS-length order (Algorithm 2).
 //
+// # Symbols
+//
+// The walk needs only the order and the equality of symbols, and only of
+// two symbols in one column: a circular comparison reads position p of
+// both strings. So the CSA stores codes, not symbols. Column j keeps its
+// D_j distinct symbols in a sorted dictionary; the symbol of rank r there
+// is stored as the code 2r+1, and a query symbol the column lacks is
+// coded as the even number between its neighbours' codes — 0 below all of
+// them, 2·D_j above. The map is monotone within a column, so every
+// comparison, and with it every bound, LCP, candidate stream and
+// Comparisons() count, is what it would be on the symbols themselves.
+//
+// The codes take w = 1 byte when the widest column holds at most 127
+// symbols (its largest code, 2·D, then fits), 2 bytes up to 32 767 and 4
+// beyond; the CSA picks w once, at build or decode, from its own columns.
+// An index over n strings of length m holds (w + 8)·n·m bytes — w-byte
+// codes, 4-byte rank entries, 4-byte next links — plus its dictionaries.
+// Each walk that reads codes is written once, generic over the width
+// (block), and the CSA runs the one instantiation it chose.
+//
 // # Rank entries
 //
 // A rank entry of a sorted order is one 32-bit word. Its low
@@ -32,10 +52,11 @@
 //
 // The circular order at shift i is the stable sort of the order at shift
 // i+1 by the single symbol at position i (equal strings stay id-ordered).
-// NewFromFlat therefore runs one comparison sort, at shift m−1, and
-// induces the other m−1 orders with stable counting passes over one
-// int32 column each (two 16-bit radix passes when a column's value range
-// needs them); the next links fall out of the scatter. A final pass per
+// NewFromFlat therefore codes the symbols, runs one comparison sort, at
+// shift m−1, and induces the other m−1 orders with stable counting
+// passes over one column of codes each, a bucket per distinct symbol (two
+// 16-bit radix passes when a column has more than 2^16); the next links
+// fall out of the scatter. A final pass per
 // shift fills the LCP bits, carrying each string's LCP along its next
 // link (the LCP with the successor drops by at most one per shift, as in
 // Kasai et al.), which bounds the work at O(n·m) symbol comparisons; the
@@ -45,8 +66,8 @@
 // # Prefetching
 //
 // Begin is a chain of scattered reads — a link, a rank entry, a hash
-// string, per shift and per binary-search level — in 12·n·m bytes no cache
-// holds. It asks for what the next steps may read before it needs it
+// string, per shift and per binary-search level — in (w + 8)·n·m bytes no
+// cache holds. It asks for what the next steps may read before it needs it
 // (package prefetch; search has the scheme). A prefetch is a hint: bounds,
 // candidate streams and Comparisons() are exactly what they are without
 // it, as they are under -tags noasm, where it compiles to nothing.
@@ -74,9 +95,14 @@ import (
 // strided reads of one block instead of a pointer chase per shift.
 type CSA struct {
 	n, m int
-	// data holds the n strings row-major: symbol j of string id is
-	// data[id*m + j].
-	data []int32
+	// syms holds the n strings as codes, row-major: the code of symbol j
+	// of string id is at id*m + j.
+	syms symbols
+	// dict holds every column's distinct symbols in increasing order,
+	// back to back: column j's are dict[dictAt[j]:dictAt[j+1]], and code
+	// 2r+1 of column j stands for dict[dictAt[j]+r].
+	dict   []int32
+	dictAt []int
 	// sorted holds the m sorted orders back to back as rank entries:
 	// sorted[i*n + rank] & idMask is the id of the rank-th smallest string
 	// when strings are compared circularly starting at position i (the
@@ -118,9 +144,165 @@ func (c *CSA) nextRow(i int) []int32 {
 	return c.next[i*c.n : (i+1)*c.n : (i+1)*c.n]
 }
 
-// str returns string id as a view into the symbol block.
-func (c *CSA) str(id uint32) []int32 {
-	return c.data[int(id)*c.m : (int(id)+1)*c.m : (int(id)+1)*c.m]
+// code is a width the codes of a CSA can be stored at.
+type code interface{ uint8 | uint16 | uint32 }
+
+// block is the code block at one width. Every walk that reads codes is a
+// method of block, so it is compiled once per width and a CSA pays one
+// indirect call per walk — per sort, column, run of shifts, binary
+// search — and never one per comparison.
+type block[T code] []T
+
+// symbols is the CSA's block at the width it chose.
+type symbols interface {
+	// width is the size of a code in bytes.
+	width() int
+	// sortLast sorts shift m−1's order, ties broken by id.
+	sortLast(c *CSA)
+	// column sets keys[id] to the rank, in column i's dictionary, of
+	// string id's symbol i.
+	column(keys []uint32, i, m int)
+	fillShifts(c *CSA, from, to int) error
+	bisect(s *Searcher, probe int32, shift, l, h int, lenL, lenU int32) (int, int, int32, int32)
+	// prefix is commonPrefix of string id and the coded query q.
+	prefix(id uint32, q []uint32, shift, from, limit int) int
+	// decode writes string id's symbols into out.
+	decode(c *CSA, id int, out []int32)
+}
+
+// str returns string id as a view into the block.
+func (b block[T]) str(id uint32, m int) []T {
+	return b[int(id)*m : (int(id)+1)*m : (int(id)+1)*m]
+}
+
+func (b block[T]) width() int { return bits.Len64(uint64(^T(0))) / 8 }
+
+func (b block[T]) column(keys []uint32, i, m int) {
+	for id, p := 0, i; id < len(keys); id, p = id+1, p+m {
+		keys[id] = uint32(b[p]) >> 1
+	}
+}
+
+func (b block[T]) prefix(id uint32, q []uint32, shift, from, limit int) int {
+	k, _ := commonPrefix(b.str(id, len(q)), q, shift, from, limit)
+	return k
+}
+
+func (b block[T]) decode(c *CSA, id int, out []int32) {
+	for j, x := range b.str(uint32(id), c.m) {
+		out[j] = c.dict[c.dictAt[j]+int(x>>1)]
+	}
+}
+
+// setSymbols codes data, the row-major n×m symbol block, into c.dict,
+// c.dictAt and c.syms. Every pass reads the block row by row — a pass per
+// column would stride through all of it m times: one for each column's
+// range; one that marks, in a table with an entry per value of a column's
+// range, the symbols that occur, for every column whose range is narrower
+// than n (any other is gathered and sorted instead); and the coding pass.
+func (c *CSA) setSymbols(data []int32) {
+	n, m := c.n, c.m
+	lo, hi := slices.Clone(data[:m]), slices.Clone(data[:m])
+	for p := m; p < len(data); p += m {
+		for j, v := range data[p : p+m] {
+			lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
+		}
+	}
+	tableAt, size := make([]int, m), 0
+	for j := range tableAt {
+		tableAt[j] = -1
+		if span := int64(hi[j]) - int64(lo[j]); span < int64(n) {
+			tableAt[j], size = size, size+int(span)+1
+		}
+	}
+	table := make([]uint32, size)
+	for p := 0; p < len(data); p += m {
+		for j, v := range data[p : p+m] {
+			if at := tableAt[j]; at >= 0 {
+				table[at+int(uint32(v)-uint32(lo[j]))] = 1
+			}
+		}
+	}
+	// The dictionaries, and in place of each mark the code it stands for.
+	c.dict, c.dictAt = nil, make([]int, m+1)
+	var sorted []int32
+	widest := 0
+	for j := 0; j < m; j++ {
+		if at := tableAt[j]; at >= 0 {
+			for k, seen := range table[at : at+int(uint32(hi[j])-uint32(lo[j]))+1] {
+				if seen != 0 {
+					table[at+k] = uint32(2*(len(c.dict)-c.dictAt[j]) + 1)
+					c.dict = append(c.dict, lo[j]+int32(k))
+				}
+			}
+		} else {
+			sorted = sorted[:0]
+			for p := j; p < len(data); p += m {
+				sorted = append(sorted, data[p])
+			}
+			slices.Sort(sorted)
+			c.dict = append(c.dict, slices.Compact(sorted)...)
+		}
+		c.dictAt[j+1] = len(c.dict)
+		widest = max(widest, c.dictAt[j+1]-c.dictAt[j])
+	}
+	switch {
+	case widest <= math.MaxInt8:
+		c.syms = codeBlock[uint8](c, data, lo, tableAt, table)
+	case widest <= math.MaxInt16:
+		c.syms = codeBlock[uint16](c, data, lo, tableAt, table)
+	default:
+		c.syms = codeBlock[uint32](c, data, lo, tableAt, table)
+	}
+}
+
+// codeBlock is setSymbols' coding pass at width T.
+func codeBlock[T code](c *CSA, data, lo []int32, tableAt []int, table []uint32) block[T] {
+	m := c.m
+	b := make(block[T], len(data))
+	for p := 0; p < len(data); p += m {
+		out := b[p : p+m]
+		for j, v := range data[p : p+m] {
+			if at := tableAt[j]; at >= 0 {
+				out[j] = T(table[at+int(uint32(v)-uint32(lo[j]))])
+			} else {
+				out[j] = T(2*rank(c.dictOf(j), v) + 1)
+			}
+		}
+	}
+	return b
+}
+
+// dictOf returns column j's dictionary.
+func (c *CSA) dictOf(j int) []int32 {
+	return c.dict[c.dictAt[j]:c.dictAt[j+1]]
+}
+
+// rank returns the number of symbols in dict below x, by a bisection
+// that adds a step masked by the sign of a difference instead of
+// branching on a comparison: a query symbol falls anywhere, so such a
+// branch would be mispredicted at every other step.
+func rank(dict []int32, x int32) int {
+	base := 0
+	for n := len(dict); n > 1; n -= n >> 1 {
+		base += n >> 1 & int((int64(dict[base+n>>1])-int64(x))>>63)
+	}
+	return base - int((int64(dict[base])-int64(x))>>63)
+}
+
+// appendCodes codes the query q (see Symbols in the package comment) onto
+// dst.
+func (c *CSA) appendCodes(dst []uint32, q []int32) []uint32 {
+	for j, x := range q {
+		dict := c.dictOf(j)
+		r := rank(dict, x)
+		code := uint32(2 * r)
+		if r < len(dict) && dict[r] == x {
+			code++
+		}
+		dst = append(dst, code)
+	}
+	return dst
 }
 
 // New builds a CSA over the given equal-length strings (Algorithm 1).
@@ -145,8 +327,9 @@ func New(strings [][]int32) *CSA {
 	return NewFromFlat(data, n, m)
 }
 
-// NewFromFlat builds a CSA from a row-major n×m symbol block. The block is
-// retained by the CSA and must not be modified afterwards.
+// NewFromFlat builds a CSA from a row-major n×m symbol block. The CSA
+// keeps the symbols as codes of its own and does not retain data, which
+// the caller may reuse once NewFromFlat returns.
 func NewFromFlat(data []int32, n, m int) *CSA {
 	return newFromFlat(data, n, m, entryBits)
 }
@@ -155,7 +338,8 @@ func newFromFlat(data []int32, n, m, fieldBits int) *CSA {
 	if len(data) != n*m {
 		panic("csa: flat data size mismatch")
 	}
-	c := &CSA{n: n, m: m, data: data}
+	c := &CSA{n: n, m: m}
+	c.setSymbols(data)
 	c.setLayout(fieldBits)
 	c.sorted = make([]uint32, m*n)
 	c.next = make([]int32, m*n)
@@ -171,19 +355,8 @@ func newFromFlat(data []int32, n, m, fieldBits int) *CSA {
 // induced pass per remaining shift.
 func (c *CSA) buildOrders() {
 	n, m := c.n, c.m
+	c.syms.sortLast(c)
 	last := c.sortedRow(m - 1)
-	for j := range last {
-		last[j] = uint32(j)
-	}
-	slices.SortFunc(last, func(a, b uint32) int {
-		if k, greater := commonPrefix(c.str(a), c.str(b), m-1, 0, m); k < m {
-			if greater {
-				return 1
-			}
-			return -1
-		}
-		return cmp.Compare(a, b)
-	})
 	sc := &induceScratch{keys: make([]uint32, n)}
 	for i := m - 2; i >= 0; i-- {
 		c.induce(i, sc)
@@ -200,9 +373,26 @@ func (c *CSA) buildOrders() {
 	}
 }
 
+func (b block[T]) sortLast(c *CSA) {
+	m := c.m
+	last := c.sortedRow(m - 1)
+	for j := range last {
+		last[j] = uint32(j)
+	}
+	slices.SortFunc(last, func(x, y uint32) int {
+		if k, greater := commonPrefix(b.str(x, m), b.str(y, m), m-1, 0, m); k < m {
+			if greater {
+				return 1
+			}
+			return -1
+		}
+		return cmp.Compare(x, y)
+	})
+}
+
 // induceScratch is the O(n) working memory of the induced passes.
 type induceScratch struct {
-	keys   []uint32 // one column, biased so that unsigned order is int32 order
+	keys   []uint32 // one column's ranks
 	counts []uint32
 	// Intermediate order of a two-digit pass: ids and the ranks they
 	// came from. Allocated on the first column that needs it.
@@ -213,18 +403,13 @@ type induceScratch struct {
 const digitBits = 16
 
 // induce derives shift i's order and next links from shift i+1's: a
-// stable sort of that order by the symbol at position i. Columns whose
-// values span fewer than 2^16 take one counting pass, wider ones an LSD
-// pass per 16-bit digit.
+// stable sort of that order by the symbol at position i. Columns of at
+// most 2^16 distinct symbols take one counting pass, wider ones an LSD
+// pass per 16-bit digit of the rank.
 func (c *CSA) induce(i int, sc *induceScratch) {
-	n, m := c.n, c.m
-	lo, hi := uint32(math.MaxUint32), uint32(0)
-	for id, p := 0, i; id < n; id, p = id+1, p+m {
-		k := uint32(c.data[p]) ^ 1<<31
-		sc.keys[id] = k
-		lo, hi = min(lo, k), max(hi, k)
-	}
-	span := hi - lo
+	n := c.n
+	c.syms.column(sc.keys, i, c.m)
+	span := uint32(len(c.dictOf(i)) - 1)
 	srcIDs, srcRanks := c.sortedRow(i+1), []int32(nil)
 	for shift := uint(0); ; shift += digitBits {
 		final := span>>shift < 1<<digitBits
@@ -243,7 +428,7 @@ func (c *CSA) induce(i int, sc *induceScratch) {
 		clear(counts)
 		const mask = 1<<digitBits - 1
 		for _, k := range sc.keys {
-			counts[(k-lo)>>shift&mask]++
+			counts[k>>shift&mask]++
 		}
 		sum := uint32(0)
 		for d, cnt := range counts {
@@ -251,7 +436,7 @@ func (c *CSA) induce(i int, sc *induceScratch) {
 			sum += cnt
 		}
 		for r, id := range srcIDs {
-			d := (sc.keys[id] - lo) >> shift & mask
+			d := sc.keys[id] >> shift & mask
 			at := counts[d]
 			counts[d] = at + 1
 			dstIDs[at] = id
@@ -303,7 +488,7 @@ func (c *CSA) fillLCP() error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = c.fillShifts(w*c.m/workers, (w+1)*c.m/workers)
+			errs[w] = c.syms.fillShifts(c, w*c.m/workers, (w+1)*c.m/workers)
 		}(w)
 	}
 	wg.Wait()
@@ -316,42 +501,42 @@ func (c *CSA) fillLCP() error {
 }
 
 // fillShifts is fillLCP over shifts [from, to).
-func (c *CSA) fillShifts(from, to int) error {
+func (b block[T]) fillShifts(c *CSA, from, to int) error {
 	n, m := c.n, c.m
 	limit := int(c.lcpMax)
 	// The first symbols of a block of neighbours are gathered ahead of
 	// the comparisons: loads that depend on nothing but the order, which
 	// the processor overlaps instead of stalling on one row at a time.
-	var first [64]int32
+	var first [64]T
 	for i := from; i < to; i++ {
 		row, links := c.sortedRow(i), c.nextRow(i)
 		var following []uint32 // nothing is carried out of the run
 		if i+1 < to {
 			following = c.sortedRow(i + 1)
 		}
-		a := c.str(row[0] & c.idMask)
+		a := b.str(row[0]&c.idMask, m)
 		x := a[i]
 		for base := 1; base < n; base += len(first) {
-			block := row[base:min(base+len(first), n)]
-			for j, w := range block {
-				first[j] = c.data[int(w&c.idMask)*m+i]
+			ranks := row[base:min(base+len(first), n)]
+			for j, w := range ranks {
+				first[j] = b[int(w&c.idMask)*m+i]
 			}
-			for j, w := range block {
+			for j, w := range ranks {
 				r, y := base+j-1, first[j]
 				if x > y {
 					return errUnsorted
 				}
-				b := c.str(w & c.idMask)
+				z := b.str(w&c.idMask, m)
 				lcp, follows := 0, links[r] < links[r+1]
 				switch {
 				case x < y:
 				case follows:
 					carried := int(row[r] >> c.idBits)
-					lcp, _ = commonPrefix(a, b, i, max(carried-1, 1), limit)
+					lcp, _ = commonPrefix(a, z, i, max(carried-1, 1), limit)
 				default:
 					// Only equal strings may swap places; compared in
 					// full and from the start, whatever was carried.
-					if k, _ := commonPrefix(a, b, 0, 0, m); k < m {
+					if k, _ := commonPrefix(a, z, 0, 0, m); k < m {
 						return errUnsorted
 					}
 					lcp = limit
@@ -362,7 +547,7 @@ func (c *CSA) fillShifts(from, to int) error {
 				if follows && following != nil {
 					following[links[r]] |= uint32(lcp) << c.idBits
 				}
-				a, x = b, y
+				a, x = z, y
 			}
 		}
 		row[n-1] &= c.idMask
@@ -370,11 +555,11 @@ func (c *CSA) fillShifts(from, to int) error {
 	return nil
 }
 
-// commonPrefix compares strings a and b of length m = len(a), both read
-// circularly from position shift, given that their first from symbols
-// are equal. It returns the length of their common prefix, capped at
-// limit, and whether a is the greater at the first mismatch.
-func commonPrefix(a, b []int32, shift, from, limit int) (int, bool) {
+// commonPrefix compares coded strings a and b of length m = len(a), both
+// read circularly from position shift, given that their first from
+// symbols are equal. It returns the length of their common prefix, capped
+// at limit, and whether a is the greater at the first mismatch.
+func commonPrefix[A, B code](a []A, b []B, shift, from, limit int) (int, bool) {
 	m := len(a)
 	b = b[:m]
 	p := shift + from
@@ -382,7 +567,7 @@ func commonPrefix(a, b []int32, shift, from, limit int) (int, bool) {
 		p -= m
 	}
 	for k := from; k < limit; k++ {
-		if x, y := a[p], b[p]; x != y {
+		if x, y := uint32(a[p]), uint32(b[p]); x != y {
 			return k, x > y
 		}
 		p++
@@ -399,17 +584,18 @@ func (c *CSA) N() int { return c.n }
 // M returns the string length (the number of circular shifts).
 func (c *CSA) M() int { return c.m }
 
-// String returns a copy of the indexed string with the given id.
+// String returns the symbols of the indexed string with the given id.
 func (c *CSA) String(id int) []int32 {
 	out := make([]int32, c.m)
-	copy(out, c.data[id*c.m:(id+1)*c.m])
+	c.syms.decode(c, id, out)
 	return out
 }
 
-// Bytes returns the approximate memory footprint of the index in bytes:
-// the symbol block plus the m sorted orders and m next-link arrays.
+// Bytes returns the memory the index holds in bytes: the code block, the
+// m sorted orders, the m next-link arrays and the dictionaries.
 func (c *CSA) Bytes() int64 {
-	return int64(c.n) * int64(c.m) * 4 * 3
+	cells := int64(c.n) * int64(c.m)
+	return cells*int64(c.syms.width()+8) + 4*int64(len(c.dict)) + bits.UintSize/8*int64(len(c.dictAt))
 }
 
 // Result is one k-LCCS answer: a string id and its LCCS length with the
@@ -463,24 +649,26 @@ type Searcher struct {
 	bounds  []bounds
 	visited []int32
 	gen     int32
-	// qbuf holds one query string per probe issued so far in the current
-	// search, back to back: probe p occupies qbuf[p*m : (p+1)*m] (probe 0
-	// is the unperturbed query). The buffer is reused across searches.
-	qbuf []int32
+	// qbuf holds one coded query string per probe issued so far in the
+	// current search, back to back: probe p occupies qbuf[p*m : (p+1)*m]
+	// (probe 0 is the unperturbed query). The buffer is reused across
+	// searches.
+	qbuf []uint32
 	// stats
 	comparisons int
 }
 
-// query returns probe p's query string as a view into the flat buffer.
-func (s *Searcher) query(p int32) []int32 {
+// query returns probe p's coded query string as a view into the flat
+// buffer.
+func (s *Searcher) query(p int32) []uint32 {
 	m := s.c.m
 	return s.qbuf[int(p)*m : (int(p)+1)*m]
 }
 
-// pushQuery copies q into the flat query buffer as the next probe and
+// pushQuery codes q into the flat query buffer as the next probe and
 // returns its index. Steady state reuses the buffer's capacity.
 func (s *Searcher) pushQuery(q []int32) int32 {
-	s.qbuf = append(s.qbuf, q...)
+	s.qbuf = s.c.appendCodes(s.qbuf, q)
 	return int32(len(s.qbuf)/s.c.m - 1)
 }
 
@@ -566,28 +754,7 @@ func (s *Searcher) replaceTop(e lane) {
 // which symbol, is untouched, and Comparisons() counts the same.
 func (s *Searcher) search(probe int32, shift, l, h int, lenL, lenU int32) bounds {
 	c := s.c
-	q := s.query(probe)
-	order := c.sortedRow(shift)
-	warmed := false
-	for h-l > 1 {
-		from := int(min(lenL, lenU))
-		switch {
-		case warmed:
-		case h-l <= narrowWindow:
-			c.warmWindow(shift, l, h, from)
-			warmed = true
-		default:
-			c.warmLevels(shift, l, h, from)
-		}
-		mid := int(uint(l+h) >> 1)
-		s.comparisons++
-		k, greater := commonPrefix(c.str(order[mid]&c.idMask), q, shift, from, c.m)
-		if greater {
-			h, lenU = mid, int32(k)
-		} else {
-			l, lenL = mid, int32(k)
-		}
-	}
+	l, h, lenL, lenU = c.syms.bisect(s, probe, shift, l, h, lenL, lenU)
 	b := bounds{posL: int32(l), posU: int32(h), lenL: lenL, lenU: lenU, validL: l >= 0, validU: h < c.n}
 	// No string ⪯ q, or none ≻ q: the missing bound clamps onto the other.
 	if !b.validL {
@@ -599,6 +766,35 @@ func (s *Searcher) search(probe int32, shift, l, h int, lenL, lenU int32) bounds
 	s.push(lane{key: uint64(int32(c.m)-b.lenL)<<32 | key, pos: b.posL, probe: probe})
 	s.push(lane{key: uint64(int32(c.m)-b.lenU)<<32 | key | 1, pos: b.posU, probe: probe})
 	return b
+}
+
+// bisect is search's binary search: it returns the two ranks it closes
+// in on and their LCPs with the query.
+func (b block[T]) bisect(s *Searcher, probe int32, shift, l, h int, lenL, lenU int32) (int, int, int32, int32) {
+	c := s.c
+	q := s.query(probe)
+	order := c.sortedRow(shift)
+	warmed := false
+	for h-l > 1 {
+		from := int(min(lenL, lenU))
+		switch {
+		case warmed:
+		case h-l <= narrowWindow:
+			b.warmWindow(c, shift, l, h, from)
+			warmed = true
+		default:
+			b.warmLevels(c, shift, l, h, from)
+		}
+		mid := int(uint(l+h) >> 1)
+		s.comparisons++
+		k, greater := commonPrefix(b.str(order[mid]&c.idMask, c.m), q, shift, from, c.m)
+		if greater {
+			h, lenU = mid, int32(k)
+		} else {
+			l, lenL = mid, int32(k)
+		}
+	}
+	return l, h, lenL, lenU
 }
 
 // narrowWindow is the widest window (h − l) that search warms whole: the
@@ -615,12 +811,12 @@ const _ = uint(narrowWindow - 7) // does not compile below the bound
 
 // warmStr asks for the line of string id's symbols that a comparison
 // starting from symbol `from` at this shift reads first.
-func (c *CSA) warmStr(id uint32, shift, from int) {
+func (b block[T]) warmStr(id uint32, m, shift, from int) {
 	p := shift + from
-	if p >= c.m {
-		p -= c.m
+	if p >= m {
+		p -= m
 	}
-	prefetch.T0(&c.data[int(id)*c.m+p])
+	prefetch.T0(&b[int(id)*m+p])
 }
 
 // warmWindow prepares a search that has come down to the few ranks
@@ -632,12 +828,12 @@ func (c *CSA) warmStr(id uint32, shift, from int) {
 // and, should its window be empty, its own links will be read. The links
 // are asked for before the strings and read after, by when they have had
 // as long to arrive as this search's first string.
-func (c *CSA) warmWindow(shift, l, h, from int) {
+func (b block[T]) warmWindow(c *CSA, shift, l, h, from int) {
 	links := c.nextRow(shift)[max(l, 0) : min(h, c.n-1)+1]
 	prefetch.T0(&links[0])
 	prefetch.T0(&links[len(links)-1])
 	for _, w := range c.sortedRow(shift)[l+1 : h] {
-		c.warmStr(w&c.idMask, shift, from)
+		b.warmStr(w&c.idMask, c.m, shift, from)
 	}
 	if shift+1 == c.m {
 		return
@@ -661,12 +857,12 @@ func (c *CSA) warmWindow(shift, l, h, from int) {
 // before asked for — and for the rank entries of the four that may follow
 // those. A level then waits for one round of overlapped misses, not for
 // two chained ones.
-func (c *CSA) warmLevels(shift, l, h, from int) {
+func (b block[T]) warmLevels(c *CSA, shift, l, h, from int) {
 	order := c.sortedRow(shift)
 	mid := int(uint(l+h) >> 1)
 	lo, hi := int(uint(l+mid)>>1), int(uint(mid+h)>>1)
-	c.warmStr(order[lo]&c.idMask, shift, from)
-	c.warmStr(order[hi]&c.idMask, shift, from)
+	b.warmStr(order[lo]&c.idMask, c.m, shift, from)
+	b.warmStr(order[hi]&c.idMask, c.m, shift, from)
 	prefetch.T0(&order[int(uint(l+lo)>>1)])
 	prefetch.T0(&order[int(uint(lo+mid)>>1)])
 	prefetch.T0(&order[int(uint(mid+hi)>>1)])
@@ -685,7 +881,8 @@ func (c *CSA) shifted(l int32) int32 {
 // Begin starts a new k-LCCS search for query q (Algorithm 2, lines 1–11):
 // it computes the per-shift bounds — a full binary search at shift 0, then
 // next-link-narrowed searches — and seeds the lane queue. Candidates are
-// then pulled with Next. q must have length m; Begin copies it.
+// then pulled with Next. q must have length m; Begin codes it into the
+// searcher's buffer.
 func (s *Searcher) Begin(q []int32) {
 	c := s.c
 	if len(q) != c.m {
@@ -759,8 +956,7 @@ func (s *Searcher) Next() (Result, bool) {
 				if lcp == c.lcpMax {
 					// Saturated: the stored value is a lower bound
 					// (lcp < length ≤ m, so lcpMax < m here).
-					k, _ := commonPrefix(c.str(order[npos]&c.idMask), s.query(e.probe), shift, int(lcp), int(length))
-					lcp = int32(k)
+					lcp = int32(c.syms.prefix(order[npos]&c.idMask, s.query(e.probe), shift, int(lcp), int(length)))
 				}
 				e.key += uint64(length-lcp) << 32
 			}

@@ -1,6 +1,7 @@
 package csa
 
 import (
+	"math/bits"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -67,11 +68,12 @@ func TestNextLinksConsistency(t *testing.T) {
 
 func TestSortedOrdersAreSorted(t *testing.T) {
 	r := rand.New(rand.NewPCG(17, 19))
-	c := New(randStrings(r, 80, 5, 3))
+	strs := randStrings(r, 80, 5, 3)
+	c := New(strs)
 	for i := 0; i < c.m; i++ {
 		ids := rowIDs(c, i)
 		for rank := 1; rank < c.n; rank++ {
-			if c.compareStrings(ids[rank-1], ids[rank], i) > 0 {
+			if compareAt(strs[ids[rank-1]], strs[ids[rank]], i) > 0 {
 				t.Fatalf("sorted[%d] out of order at rank %d", i, rank)
 			}
 		}
@@ -361,8 +363,10 @@ func TestCSAAccessors(t *testing.T) {
 	if !eqInt32(c.String(1), paperO2) {
 		t.Fatalf("String(1) = %v", c.String(1))
 	}
-	if c.Bytes() != 3*8*4*3 {
-		t.Fatalf("Bytes = %d", c.Bytes())
+	// One-byte codes (no column holds more than three symbols), a rank
+	// entry and a next link per cell; 18 dictionary symbols, 9 offsets.
+	if want := int64(3*8*(1+4+4) + 18*4 + 9*bits.UintSize/8); c.Bytes() != want {
+		t.Fatalf("Bytes = %d, want %d", c.Bytes(), want)
 	}
 }
 

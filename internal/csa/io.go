@@ -9,14 +9,14 @@ import (
 // csaMagic versions the on-disk CSA format.
 var csaMagic = [8]byte{'L', 'C', 'C', 'S', 'C', 'S', 'A', '1'}
 
-// Encode writes the CSA to w: the symbol block, the m sorted orders, and
-// the m next-link arrays. Each index structure is one contiguous block
-// in memory, so it is written as one contiguous block on disk — the
-// byte stream is identical to what the earlier per-shift encoder
-// produced (m consecutive length-n little-endian arrays), keeping old
-// files loadable unchanged. Loading an encoded CSA skips the sort and
-// the induced passes of the build, not the O(n·m) LCP pass. Encode
-// writes straight to w; buffering is the caller's (the container's) job.
+// Encode writes the CSA to w: the symbol block (the n·m symbols as
+// int32, decoded from the codes), the m sorted orders, and the m
+// next-link arrays, each one contiguous block on disk — the byte stream
+// is identical to what the earlier per-shift encoder produced (m
+// consecutive length-n little-endian arrays), keeping old files loadable
+// unchanged. Loading an encoded CSA skips the sort and the induced passes
+// of the build, not the O(n·m) LCP pass. Encode writes straight to w;
+// buffering is the caller's (the container's) job.
 func (c *CSA) Encode(w io.Writer) error {
 	if _, err := w.Write(csaMagic[:]); err != nil {
 		return err
@@ -25,12 +25,25 @@ func (c *CSA) Encode(w io.Writer) error {
 	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, c.data); err != nil {
+	var buf [1 << 14]byte
+	out, row := buf[:0], make([]int32, c.m)
+	for id := 0; id < c.n; id++ {
+		c.syms.decode(c, id, row)
+		for _, v := range row {
+			if len(out) == len(buf) {
+				if _, err := w.Write(out); err != nil {
+					return err
+				}
+				out = buf[:0]
+			}
+			out = binary.LittleEndian.AppendUint32(out, uint32(v))
+		}
+	}
+	if _, err := w.Write(out); err != nil {
 		return err
 	}
 	// Rank entries go to disk as bare ids: the LCP bits are derived
 	// from the strings, so Decode rebuilds rather than trusts them.
-	var buf [1 << 14]byte
 	for off := 0; off < len(c.sorted); off += len(buf) / 4 {
 		chunk := c.sorted[off:min(off+len(buf)/4, len(c.sorted))]
 		for j, entry := range chunk {
@@ -43,11 +56,12 @@ func (c *CSA) Encode(w io.Writer) error {
 	return binary.Write(w, binary.LittleEndian, c.next)
 }
 
-// Decode reads a CSA written by Encode, validates its invariants (each
-// sorted order a permutation in circular order, next links consistent)
-// and rebuilds the LCP bits of the rank entries from the strings. It
-// reads exactly the bytes Encode wrote — never past them — so whatever
-// follows the CSA in r is still there for the caller.
+// Decode reads a CSA written by Encode, codes its symbols (the int32
+// block is not kept), validates its invariants (each sorted order a
+// permutation in circular order, next links consistent) and rebuilds the
+// LCP bits of the rank entries from the strings. It reads exactly the
+// bytes Encode wrote — never past them — so whatever follows the CSA in r
+// is still there for the caller.
 func Decode(r io.Reader) (*CSA, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -65,21 +79,25 @@ func Decode(r io.Reader) (*CSA, error) {
 		return nil, fmt.Errorf("csa: corrupt header n=%d m=%d", n, m)
 	}
 	c := &CSA{n: n, m: m}
-	// Each block decodes with chunked reads: memory grows only as data
-	// actually arrives, so a corrupt header claiming a huge n·m fails
-	// with a read error after at most one chunk instead of committing
-	// a multi-gigabyte allocation up front.
-	var err error
-	if c.data, err = readBlock[int32](r, n*m); err != nil {
+	// The symbol block grows only as data actually arrives, so a corrupt
+	// header claiming a huge n·m fails with a read error after at most
+	// one chunk instead of committing a multi-gigabyte allocation up
+	// front. Once it is in, the stream has shown that it holds n·m
+	// values, and the m sorted orders and m next-link arrays, flat blocks
+	// of the same shape (legacy files wrote the same bytes as m
+	// consecutive arrays — the stream is identical), are read into whole
+	// blocks. The next links go into the symbol block's memory, which the
+	// codes no longer need, so a load leaves little for the collector and
+	// keeps no spare capacity.
+	data, err := readBlock[int32](r, nil, n*m)
+	if err != nil {
 		return nil, err
 	}
-	// The m sorted orders and m next-link arrays are flat blocks, so
-	// each decodes in one read (legacy files wrote the same bytes as m
-	// consecutive arrays — the stream is identical).
-	if c.sorted, err = readBlock[uint32](r, m*n); err != nil {
+	c.setSymbols(data)
+	if c.sorted, err = readBlock(r, make([]uint32, 0, m*n), m*n); err != nil {
 		return nil, err
 	}
-	if c.next, err = readBlock[int32](r, m*n); err != nil {
+	if c.next, err = readBlock(r, data[:0], m*n); err != nil {
 		return nil, err
 	}
 	if err := c.validate(); err != nil {
@@ -92,17 +110,26 @@ func Decode(r io.Reader) (*CSA, error) {
 	return c, nil
 }
 
-// readBlock reads count little-endian 32-bit values, growing the result
-// chunk by chunk so the allocation never outruns the bytes the stream
-// really holds.
-func readBlock[T int32 | uint32](r io.Reader, count int) ([]T, error) {
+// readBlock reads count little-endian 32-bit values onto dst, which is
+// empty. Past dst's capacity the block at most doubles what has arrived,
+// so the allocation never outruns twice the bytes the stream really
+// holds; the bytes pass through one small buffer.
+func readBlock[T int32 | uint32](r io.Reader, dst []T, count int) ([]T, error) {
 	const chunk = 1 << 20
-	out := make([]T, 0, min(count, chunk))
+	var buf [1 << 14]byte
+	out := dst
 	for len(out) < count {
-		step := min(count-len(out), chunk)
-		out = append(out, make([]T, step)...)
-		if err := binary.Read(r, binary.LittleEndian, out[len(out)-step:]); err != nil {
+		if len(out) == cap(out) {
+			grown := make([]T, len(out), len(out)+min(count-len(out), max(len(out), chunk)))
+			copy(grown, out)
+			out = grown
+		}
+		step := min(count-len(out), cap(out)-len(out), len(buf)/4)
+		if _, err := io.ReadFull(r, buf[:4*step]); err != nil {
 			return nil, err
+		}
+		for i := 0; i < step; i++ {
+			out = append(out, T(binary.LittleEndian.Uint32(buf[4*i:])))
 		}
 	}
 	return out, nil

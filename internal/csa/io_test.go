@@ -179,14 +179,14 @@ func TestDecodeRejectsUnsortedOrder(t *testing.T) {
 // equal strings change their relative order from shift to shift. It
 // reports how many pairs it swapped.
 func flipEqualNeighbours(r *rand.Rand, c *CSA) int {
-	swapped := 0
+	raw, swapped := rawStrings(c), 0
 	for i := 0; i < c.m; i++ {
 		if r.IntN(2) == 0 {
 			continue
 		}
 		for rank := 0; rank+1 < c.n; rank++ {
 			row := c.sortedRow(i)
-			if r.IntN(2) == 0 && eqInt32(c.str(row[rank]&c.idMask), c.str(row[rank+1]&c.idMask)) {
+			if r.IntN(2) == 0 && eqInt32(raw[row[rank]&c.idMask], raw[row[rank+1]&c.idMask]) {
 				swapRanks(c, i, rank)
 				swapped++
 			}
@@ -199,15 +199,16 @@ func flipEqualNeighbours(r *rand.Rand, c *CSA) int {
 }
 
 // checkStoredLCPs compares the LCP bits of every rank entry with the LCP
-// of the two strings recomputed from the symbol block.
+// of the two strings recomputed from their symbols.
 func checkStoredLCPs(t *testing.T, c *CSA, label string) {
 	t.Helper()
+	raw := rawStrings(c)
 	for i := 0; i < c.m; i++ {
 		ids := rowIDs(c, i)
 		for rank, w := range c.sortedRow(i) {
 			want := int32(0)
 			if rank+1 < c.n {
-				want = min(c.lcpMax, c.lcpWithQuery(ids[rank], c.str(uint32(ids[rank+1])), i))
+				want = min(c.lcpMax, lcpAt(raw[ids[rank]], raw[ids[rank+1]], i))
 			}
 			if got := int32(w >> c.idBits); got != want {
 				t.Fatalf("%s: lcp[%d][%d] = %d, want %d", label, i, rank, got, want)
@@ -316,9 +317,10 @@ func TestDecodeEqualStringsFlipped(t *testing.T) {
 }
 
 // FuzzCSADecode feeds arbitrary bytes to Decode. It must never panic or
-// allocate beyond the bytes it was given, and whatever it accepts must
-// behave as an index: draining a search yields every id once, in
-// non-increasing length order, each length the true LCCS.
+// allocate beyond the bytes it was given, whatever it accepts must
+// re-encode to exactly the bytes it consumed, and behave as an index:
+// draining a search yields every id once, in non-increasing length order,
+// each length the true LCCS.
 func FuzzCSADecode(f *testing.F) {
 	r := rand.New(rand.NewPCG(59, 60))
 	for _, shape := range [][3]int{{1, 1, 2}, {5, 3, 2}, {40, 6, 3}, {9, 1, 4}} {
@@ -354,12 +356,20 @@ func FuzzCSADecode(f *testing.F) {
 	}
 	f.Add([]byte("LCCSCSA1"))
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		c, err := Decode(bytes.NewReader(blob))
+		rd := bytes.NewReader(blob)
+		c, err := Decode(rd)
 		if err != nil {
 			return
 		}
 		if int64(c.n)*int64(c.m)*12 > int64(len(blob)) {
 			t.Fatalf("accepted %dx%d from %d bytes", c.n, c.m, len(blob))
+		}
+		var again bytes.Buffer
+		if err := c.Encode(&again); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := blob[:len(blob)-rd.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+			t.Fatalf("%d bytes decoded re-encode to %d other bytes", len(consumed), again.Len())
 		}
 		q := c.String(0)
 		if len(blob) > 0 {

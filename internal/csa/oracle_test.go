@@ -1,9 +1,12 @@
 package csa
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,22 +18,17 @@ import (
 // strings, every binary search reads whole strings through sort.Search,
 // every order is its own sort.Slice. The one change is that probe is the
 // comparator's last component, which the old frontier left to the heap.
+// The oracle reads symbols as the caller gave them — the input strings,
+// or a CSA's strings through String — never a CSA's codes, so it checks
+// the coding as well as the walk.
 
-func (c *CSA) compareStrings(a, b int32, shift int) int {
-	return c.compareToQuery(a, c.str(uint32(b)), shift)
-}
-
-func (c *CSA) compareToQuery(id int32, q []int32, shift int) int {
-	m := c.m
-	row := c.data[int(id)*m : int(id)*m+m]
+// compareAt compares strings a and b, both read circularly from shift.
+func compareAt(a, b []int32, shift int) int {
+	m := len(a)
 	p := shift
 	for i := 0; i < m; i++ {
-		av, bv := row[p], q[p]
-		if av != bv {
-			if av < bv {
-				return -1
-			}
-			return 1
+		if a[p] != b[p] {
+			return cmp.Compare(a[p], b[p])
 		}
 		p++
 		if p >= m {
@@ -40,12 +38,13 @@ func (c *CSA) compareToQuery(id int32, q []int32, shift int) int {
 	return 0
 }
 
-func (c *CSA) lcpWithQuery(id int32, q []int32, shift int) int32 {
-	m := c.m
-	row := c.data[int(id)*m : int(id)*m+m]
+// lcpAt is the length of the common prefix of a and b, both read
+// circularly from shift.
+func lcpAt(a, b []int32, shift int) int32 {
+	m := len(a)
 	p := shift
 	for i := 0; i < m; i++ {
-		if row[p] != q[p] {
+		if a[p] != b[p] {
 			return int32(i)
 		}
 		p++
@@ -56,9 +55,18 @@ func (c *CSA) lcpWithQuery(id int32, q []int32, shift int) int32 {
 	return int32(m)
 }
 
+// rawStrings returns every string of c, decoded through String.
+func rawStrings(c *CSA) [][]int32 {
+	out := make([][]int32, c.n)
+	for id := range out {
+		out[id] = c.String(id)
+	}
+	return out
+}
+
 // refOrders is the build by m independent sorts plus a pos-array pass.
-func refOrders(data []int32, n, m int) (sorted, next [][]int32) {
-	c := &CSA{n: n, m: m, data: data}
+func refOrders(strs [][]int32) (sorted, next [][]int32) {
+	n, m := len(strs), len(strs[0])
 	sorted, next = make([][]int32, m), make([][]int32, m)
 	for i := range sorted {
 		ids := make([]int32, n)
@@ -66,7 +74,7 @@ func refOrders(data []int32, n, m int) (sorted, next [][]int32) {
 			ids[j] = int32(j)
 		}
 		sort.Slice(ids, func(a, b int) bool {
-			if cmp := c.compareStrings(ids[a], ids[b], i); cmp != 0 {
+			if cmp := compareAt(strs[ids[a]], strs[ids[b]], i); cmp != 0 {
 				return cmp < 0
 			}
 			return ids[a] < ids[b]
@@ -92,6 +100,7 @@ type refEntry struct {
 
 type refSearcher struct {
 	c       *CSA
+	raw     [][]int32
 	order   [][]int32
 	heap    *pqueue.Heap[refEntry]
 	bounds  []bounds
@@ -100,7 +109,7 @@ type refSearcher struct {
 }
 
 func newRefSearcher(c *CSA) *refSearcher {
-	s := &refSearcher{c: c, bounds: make([]bounds, c.m)}
+	s := &refSearcher{c: c, raw: rawStrings(c), bounds: make([]bounds, c.m)}
 	for i := 0; i < c.m; i++ {
 		s.order = append(s.order, rowIDs(c, i))
 	}
@@ -108,9 +117,9 @@ func newRefSearcher(c *CSA) *refSearcher {
 }
 
 func (s *refSearcher) searchRange(q []int32, shift, lo, hi int) bounds {
-	c, order := s.c, s.order[shift]
+	order := s.order[shift]
 	first := lo + sort.Search(hi-lo+1, func(i int) bool {
-		return c.compareToQuery(order[lo+i], q, shift) > 0
+		return compareAt(s.raw[order[lo+i]], q, shift) > 0
 	})
 	var b bounds
 	if first > lo {
@@ -123,8 +132,8 @@ func (s *refSearcher) searchRange(q []int32, shift, lo, hi int) bounds {
 	} else {
 		b.posU = int32(hi)
 	}
-	b.lenL = c.lcpWithQuery(order[b.posL], q, shift)
-	b.lenU = c.lcpWithQuery(order[b.posU], q, shift)
+	b.lenL = lcpAt(s.raw[order[b.posL]], q, shift)
+	b.lenU = lcpAt(s.raw[order[b.posU]], q, shift)
 	return b
 }
 
@@ -188,7 +197,7 @@ func (s *refSearcher) next() (Result, bool) {
 		id := order[e.pos]
 		if npos := e.pos + e.dir; npos >= 0 && npos < int32(c.n) {
 			e2 := e
-			e2.pos, e2.len = npos, c.lcpWithQuery(order[npos], s.queries[e.probe], int(e.shift))
+			e2.pos, e2.len = npos, lcpAt(s.raw[order[npos]], s.queries[e.probe], int(e.shift))
 			s.heap.Push(e2)
 		}
 		if s.visited[id] {
@@ -198,6 +207,46 @@ func (s *refSearcher) next() (Result, bool) {
 		return Result{ID: int(id), Length: int(e.len)}, true
 	}
 	return Result{}, false
+}
+
+// bisections replays Begin's bounds phase — the narrowing through next
+// links, then the bisection of the open window between two known ends —
+// comparing raw strings in full. It returns the bounds by shift and the
+// number of comparisons, which Comparisons() must equal: a comparison's
+// outcome, not the symbols it reads, decides where the next one lands.
+func (s *refSearcher) bisections(q []int32) ([]bounds, int) {
+	c := s.c
+	out, compared := make([]bounds, c.m), 0
+	for i := range out {
+		l, h, lenL, lenU := -1, c.n, int32(0), int32(0)
+		if i > 0 {
+			prev, links := out[i-1], c.nextRow(i-1)
+			if prev.validL && prev.lenL >= 1 {
+				l, lenL = int(links[prev.posL]), c.shifted(prev.lenL)
+			}
+			if prev.validU && prev.lenU >= 1 {
+				h, lenU = int(links[prev.posU]), c.shifted(prev.lenU)
+			}
+		}
+		for h-l > 1 {
+			mid := (l + h) / 2
+			compared++
+			str := s.raw[s.order[i][mid]]
+			if k := lcpAt(str, q, i); compareAt(str, q, i) > 0 {
+				h, lenU = mid, k
+			} else {
+				l, lenL = mid, k
+			}
+		}
+		b := bounds{posL: int32(l), posU: int32(h), lenL: lenL, lenU: lenU, validL: l >= 0, validU: h < c.n}
+		if !b.validL {
+			b.posL, b.lenL = b.posU, b.lenU
+		} else if !b.validU {
+			b.posU, b.lenU = b.posL, b.lenL
+		}
+		out[i] = b
+	}
+	return out, compared
 }
 
 // oracleCase is one index plus the queries to run against it.
@@ -239,11 +288,7 @@ func TestWalkMatchesOracle(t *testing.T) {
 	for _, tc := range oracleCases(r) {
 		n, m := len(tc.strs), len(tc.strs[0])
 		for _, fieldBits := range []int{32, 1, 2, 3} {
-			data := make([]int32, 0, n*m)
-			for _, s := range tc.strs {
-				data = append(data, s...)
-			}
-			c := newFromFlat(data, n, m, fieldBits)
+			c := newFromFlat(slices.Concat(tc.strs...), n, m, fieldBits)
 			s, ref := c.NewSearcher(), newRefSearcher(c)
 			for qi, q := range tc.queries {
 				for _, withProbe := range []bool{false, true} {
@@ -254,6 +299,9 @@ func TestWalkMatchesOracle(t *testing.T) {
 						if s.bounds[i] != ref.bounds[i] {
 							t.Fatalf("%s: bounds[%d] = %+v, oracle %+v", name, i, s.bounds[i], ref.bounds[i])
 						}
+					}
+					if _, want := ref.bisections(q); s.Comparisons() != want {
+						t.Fatalf("%s: %d comparisons, oracle %d", name, s.Comparisons(), want)
 					}
 					if withProbe {
 						// Drain a little first, so the probe's lanes meet a live queue.
@@ -353,12 +401,9 @@ func buildInputs(r *rand.Rand) map[string][][]int32 {
 func TestBuildMatchesReferenceSort(t *testing.T) {
 	r := rand.New(rand.NewPCG(0xb01d, 16))
 	for name, strs := range buildInputs(r) {
+		sorted, next := refOrders(strs)
 		for _, fieldBits := range []int{32, 2} {
-			c := New(strs)
-			if fieldBits != 32 {
-				c = newFromFlat(c.data, c.n, c.m, fieldBits)
-			}
-			sorted, next := refOrders(c.data, c.n, c.m)
+			c := newFromFlat(slices.Concat(strs...), len(strs), len(strs[0]), fieldBits)
 			for i := 0; i < c.m; i++ {
 				if got := rowIDs(c, i); !eqInt32(got, sorted[i]) {
 					t.Fatalf("%s: sorted[%d] = %v, want %v", name, i, got, sorted[i])
@@ -386,6 +431,89 @@ func TestLayout(t *testing.T) {
 		c.setLayout(32)
 		if c.idBits != tc.idBits || c.lcpMax != tc.lcpMax || c.idMask != 1<<tc.idBits-1 {
 			t.Errorf("n=%d m=%d: idBits %d lcpMax %d idMask %#x, want %d %d", tc.n, tc.m, c.idBits, c.lcpMax, c.idMask, tc.idBits, tc.lcpMax)
+		}
+	}
+}
+
+// TestSymbolWidths: the codes take the narrowest width that holds the
+// widest column — one byte up to 127 distinct symbols, two up to 32 767,
+// four beyond — at build and at decode alike, and at every width query
+// symbols below, between, above and equal to a column's symbols give the
+// bounds, the (ID, Length) stream to exhaustion and the Comparisons() of
+// the raw symbols.
+func TestSymbolWidths(t *testing.T) {
+	r := rand.New(rand.NewPCG(0x5e, 0x1d))
+	for _, tc := range []struct{ distinct, width int }{{127, 1}, {128, 2}, {32767, 2}, {32768, 4}} {
+		// Column 0 holds the distinct symbols, spread over int32 with
+		// room between them and at both ends, so it is coded through a
+		// sort; column 1 only MinInt32 and MaxInt32; column 2 a few small
+		// symbols; column 3 as many as column 0, in a range narrow enough
+		// for a table.
+		d, n := tc.distinct, tc.distinct*3/2
+		step := int32(math.MaxUint32 / uint32(d))
+		sym := func(k int) int32 { return math.MinInt32 + 1 + int32(k)*step }
+		strs := make([][]int32, n)
+		for id := range strs {
+			k, k3 := id, d-1-id
+			if id >= d {
+				k, k3 = r.IntN(d), r.IntN(d)
+			}
+			strs[id] = []int32{sym(k), []int32{math.MinInt32, math.MaxInt32}[r.IntN(2)], r.Int32N(3), int32(k3)}
+		}
+		built := New(strs)
+		var buf bytes.Buffer
+		if err := built.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*CSA{built, decoded} {
+			name := fmt.Sprintf("%d distinct", d)
+			if got := c.syms.width(); got != tc.width {
+				t.Fatalf("%s: %d-byte codes, want %d", name, got, tc.width)
+			}
+			s, ref := c.NewSearcher(), newRefSearcher(c)
+			for id, str := range ref.raw {
+				if !eqInt32(str, strs[id]) {
+					t.Fatalf("%s: String(%d) = %v, want %v", name, id, str, strs[id])
+				}
+			}
+			base, k := strs[r.IntN(n)], r.IntN(d)
+			var queries [][]int32
+			for _, x := range []int32{math.MinInt32, sym(k) - 1, sym(k), sym(k) + 1, math.MaxInt32} {
+				queries = append(queries, append([]int32{x}, base[1:]...))
+			}
+			for _, set := range [][2]int32{{1, 0}, {2, 7}, {3, -1}, {3, int32(d)}} {
+				q := slices.Clone(base)
+				q[set[0]] = set[1]
+				queries = append(queries, q)
+			}
+			for qi, q := range queries {
+				label := fmt.Sprintf("%s: query %d %v", name, qi, q)
+				s.Begin(q)
+				ref.begin(q)
+				want, compared := ref.bisections(q)
+				for i := range want {
+					if s.bounds[i] != want[i] || s.bounds[i] != ref.bounds[i] {
+						t.Fatalf("%s: bounds[%d] = %+v, oracle %+v / %+v", label, i, s.bounds[i], want[i], ref.bounds[i])
+					}
+				}
+				if s.Comparisons() != compared {
+					t.Fatalf("%s: %d comparisons, oracle %d", label, s.Comparisons(), compared)
+				}
+				for step := 0; ; step++ {
+					got, ok := s.Next()
+					want, wantOK := ref.next()
+					if got != want || ok != wantOK {
+						t.Fatalf("%s: step %d: (%+v, %v), oracle (%+v, %v)", label, step, got, ok, want, wantOK)
+					}
+					if !ok {
+						break
+					}
+				}
+			}
 		}
 	}
 }
