@@ -30,8 +30,9 @@ const (
 	StageShardScan               // one CSA scan of one shard
 	StageBufferScan              // linear scan of the unindexed delta buffer
 	StageMerge                   // tournament merge + external-id mapping
-	StageEncode                  // the cache's copy of the result + response payload assembly
+	StageEncode                  // the cache's copy of the result + response serialisation
 	StageRerank                  // exact float32 re-rank after a quantized (SQ8) scan
+	StageDecode                  // request body read + parse
 
 	// Durable write path.
 	StageIndexApply // in-memory DynamicIndex apply under the write lock
@@ -49,7 +50,7 @@ const (
 
 	// Hybrid-query path.
 	StageFilter       // predicate evaluation inside candidate verification
-	StageCursorResume // cursor token decode + per-shard offset restore
+	StageCursorResume // a resumed cursor page: token decode + the query it reruns
 
 	numStages
 )
@@ -63,6 +64,7 @@ var stageNames = [numStages]string{
 	StageMerge:          "merge",
 	StageEncode:         "encode",
 	StageRerank:         "rerank",
+	StageDecode:         "decode",
 	StageIndexApply:     "index_apply",
 	StageWALAppend:      "wal_append",
 	StageWALFsync:       "wal_fsync",
@@ -127,11 +129,16 @@ var (
 
 // GetTrace draws a reset Trace from the pool and stamps it with the
 // given request id. Pair with PutTrace.
-func GetTrace(id uint64) *Trace {
+func GetTrace(id uint64) *Trace { return GetTraceAt(id, time.Now()) }
+
+// GetTraceAt is GetTrace for a trace that began at start: a handler
+// that decides to trace only once it has parsed the request still
+// records the parse as a span with a non-negative start.
+func GetTraceAt(id uint64, start time.Time) *Trace {
 	poolGets.Add(1)
 	t := tracePool.Get().(*Trace)
 	t.ID = id
-	t.start = time.Now()
+	t.start = start
 	t.spans = t.spans[:0]
 	return t
 }

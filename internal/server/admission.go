@@ -40,14 +40,24 @@ func newAdmission(inFlight, maxQueue int) *admission {
 	}
 }
 
+// tryAcquire takes a slot if one is free now, without waiting; true
+// must be paired with release. A caller tries it before building the
+// deadline context acquire waits under, which only a wait needs.
+func (a *admission) tryAcquire() bool {
+	select {
+	case a.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
 // acquire takes a slot, waiting while the queue has room. It returns
 // ErrOverloaded when the queue is full and the context's error when the
 // deadline expires first. A nil return must be paired with release.
 func (a *admission) acquire(ctx context.Context) error {
-	select {
-	case a.slots <- struct{}{}:
+	if a.tryAcquire() {
 		return nil
-	default:
 	}
 	if a.queued.Add(1) > a.maxQueue {
 		a.queued.Add(-1)

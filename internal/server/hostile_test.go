@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"lccs"
@@ -99,6 +100,19 @@ func TestServeHostileNumbers(t *testing.T) {
 	}
 }
 
+// searchSeedBodies are the seed /v1/search bodies of the fuzz targets,
+// around the JSON array q.
+func searchSeedBodies(q string) []string {
+	return []string{
+		`{"query":` + q + `,"k":5}`,
+		`{"query":` + q + `,"limit":3,"budget":40,"trace":true}`,
+		`{"query":[1e39],"k":1}`,
+		`{"query":[],"k":-1,"budget":-1}`,
+		`{"k":`,
+		``,
+	}
+}
+
 // FuzzSearchRequest feeds arbitrary bytes to POST /v1/search on an
 // in-process server over the tombstoned dynamic backend: the handler
 // never panics, answers only with the statuses the API documents, and
@@ -113,14 +127,7 @@ func FuzzSearchRequest(f *testing.F) {
 	q, _ := json.Marshal(data[9])
 	// testdata/fuzz/FuzzSearchRequest holds the bodies that once panicked
 	// the handler (k, limit and budget at math.MaxInt, a forged cursor).
-	for _, body := range []string{
-		`{"query":` + string(q) + `,"k":5}`,
-		`{"query":` + string(q) + `,"limit":3,"budget":40,"trace":true}`,
-		`{"query":[1e39],"k":1}`,
-		`{"query":[],"k":-1,"budget":-1}`,
-		`{"k":`,
-		``,
-	} {
+	for _, body := range searchSeedBodies(string(q)) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -135,4 +142,41 @@ func FuzzSearchRequest(f *testing.F) {
 			t.Fatalf("%d admission slots held after body %q", n, body)
 		}
 	})
+}
+
+// TestServeNonFiniteDistance: a finite query whose distances overflow
+// float32 — coordinates near 1e30 — is answered 400 with an error that
+// says so, on /v1/search (from the backend and from the cache) and on
+// /v1/search/batch, never 200 with an empty body; and the request
+// counters record the 400s.
+func TestServeNonFiniteDistance(t *testing.T) {
+	d, _ := hostileBackend(t)
+	srv, ts := newTestServer(t, Config{Backend: d, CacheSize: 16})
+	q := make([]float32, d.Dim())
+	for i := range q {
+		q[i] = 1e30
+	}
+	if res, err := d.SearchQuery(q, lccs.Query{K: 3}, nil); err != nil || len(res) == 0 || !math.IsInf(res[0].Dist, 1) {
+		t.Fatalf("fixture: direct search gave %+v, %v; want +Inf distances", res, err)
+	}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/search", searchRequest{Query: q, K: 3}},
+		{"/v1/search", searchRequest{Query: q, K: 3}},
+		{"/v1/search/batch", batchRequest{Queries: [][]float32{q}, K: 3}},
+	} {
+		var er errorResponse
+		if code := postJSON(t, ts, c.path, c.body, &er); code != http.StatusBadRequest || !strings.Contains(er.Error, "result distance is not finite") {
+			t.Fatalf("%s: HTTP %d, error %q; want 400 naming the non-finite distance", c.path, code, er.Error)
+		}
+	}
+	st := srv.StatsSnapshot()
+	if st.Requests["search:400"] != 2 || st.Requests["search_batch:400"] != 1 || st.Requests["search:200"]+st.Requests["search_batch:200"] != 0 {
+		t.Fatalf("request counters %v, want two search and one batch 400", st.Requests)
+	}
+	if st.Cache.Hits != 1 {
+		t.Fatalf("cache hits %d, want the second search answered from the cache", st.Cache.Hits)
+	}
 }

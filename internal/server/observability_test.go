@@ -48,9 +48,9 @@ func TestTracedSearchEndToEnd(t *testing.T) {
 		t.Fatal("traced response missing span tree")
 	}
 
-	// The roots cover the handler stages (cache probe, admission wait,
-	// backend query, response encode) ...
-	for _, stage := range []string{"cache", "admission", "query", "encode"} {
+	// The roots cover the handler stages (body decode, cache probe,
+	// admission wait, backend query, response encode) ...
+	for _, stage := range []string{"decode", "cache", "admission", "query", "encode"} {
 		if findRoot(got.Trace, stage) == nil {
 			t.Errorf("no %s span in trace %+v", stage, got.Trace)
 		}

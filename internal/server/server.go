@@ -441,33 +441,42 @@ type searchRequest struct {
 }
 
 // searchScratch is the pooled per-request state of the single-search
-// endpoint: the decoded request (whose query slice's backing array is
-// reused by the JSON decoder) and the backend result row, which is also
-// the response payload. At steady state an unfiltered, non-paginated
-// search request allocates no per-request buffers in this package.
+// endpoint: the request body's bytes, the decoded request (whose query
+// slice's backing array the decoder reuses) and the backend result row,
+// which is also the response payload. At steady state an unfiltered,
+// non-paginated search request allocates no per-request buffers in this
+// package.
 type searchScratch struct {
-	req searchRequest
-	res []lccs.Neighbor
-	co  lccs.Cost
+	body []byte
+	req  searchRequest
+	res  []lccs.Neighbor
+	co   lccs.Cost
 }
 
 // searchScratchPool serves every /v1/search request.
 var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// getSearchScratch fetches pooled scratch with the request fields reset
-// (the query buffer keeps its capacity for the decoder to reuse).
+// getSearchScratch fetches pooled scratch with the request fields reset.
 func getSearchScratch() *searchScratch {
 	sc := searchScratchPool.Get().(*searchScratch)
-	sc.req.Query = sc.req.Query[:0]
-	sc.req.K = 0
-	sc.req.Budget = 0
-	sc.req.Filter = nil
-	sc.req.Limit = 0
-	sc.req.Cursor = ""
-	sc.req.Trace = false
-	sc.req.Explain = false
+	sc.req.reset()
 	sc.co.Reset()
 	return sc
+}
+
+// putSearchScratch returns scratch to the pool, dropping a body buffer
+// grown past maxPooledBuf.
+func putSearchScratch(sc *searchScratch) {
+	if cap(sc.body) > maxPooledBuf {
+		sc.body = nil
+	}
+	searchScratchPool.Put(sc)
+}
+
+// reset zeroes the request, keeping the query buffer's capacity for the
+// next decode to reuse.
+func (req *searchRequest) reset() {
+	*req = searchRequest{Query: req.Query[:0]}
 }
 
 type searchResponse struct {
@@ -588,12 +597,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
-	// Decode into pooled scratch: the JSON decoder appends into the
-	// previous request's query buffer instead of allocating a fresh
-	// slice per request.
+	// Decode into pooled scratch: the body is read into the previous
+	// request's buffer and the query appended into its query slice.
 	sc := getSearchScratch()
-	defer searchScratchPool.Put(sc)
-	if err := json.NewDecoder(r.Body).Decode(&sc.req); err != nil {
+	defer putSearchScratch(sc)
+	decStart := time.Now()
+	err := readSearch(r.Body, sc)
+	decDur := time.Since(decStart)
+	obs.ObserveDur(obs.StageDecode, decDur)
+	if err != nil {
 		s.fail(w, c, o, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -616,9 +628,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// the span calls below vanish into a pointer check.
 	var tr *obs.Trace
 	if req.Trace || req.Explain || (s.sampleEvery > 0 && s.sampleSeq.Add(1)%s.sampleEvery == 0) {
-		tr = obs.GetTrace(reqID)
+		tr = obs.GetTraceAt(reqID, start)
 		defer obs.PutTrace(tr)
 	}
+	tr.AddSpan(obs.StageDecode, -1, decStart, decDur)
 	// The cache is probed before admission: a hit costs microseconds and
 	// touches no backend, so it must not occupy an execution slot or be
 	// shed under overload. Obviously invalid requests never touch the
@@ -647,7 +660,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			if req.Explain {
 				resp.Explain = buildExplain(c, kEff, req.Budget, f, nil, "hit", tr)
 			}
-			s.respondSearch(w, c, o, resp, reqID, tr, req.Trace)
+			s.respondSearch(w, c, o, resp, reqID, tr, req.Trace, time.Time{})
 			s.recordSlow(reqID, "search", c.name, f, start, o.dur, kEff, req.Budget, tr)
 			return
 		}
@@ -681,46 +694,64 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !paginated {
 		sc.res = res
 	}
-	// The encode stage: the cache's copy and the payload (the result row
-	// is the wire form). The JSON encoding itself follows the rendering
-	// of the span tree, so it cannot be inside it.
+	// The encode stage: the cache's copy and the serialisation of the
+	// payload (the result row is the wire form). respondSearch closes it.
 	encStart := time.Now()
 	if cacheable {
 		// The cache retains its entries past this request, so it gets
 		// its own copy rather than the pooled row.
 		s.cache.put(key, append([]lccs.Neighbor(nil), res...), next)
 	}
-	resp := searchResponse{Neighbors: res, NextCursor: next}
-	encDur := time.Since(encStart)
-	obs.ObserveDur(obs.StageEncode, encDur)
-	tr.AddSpan(obs.StageEncode, -1, encStart, encDur)
 	o.dur = time.Since(start)
 	o.use.Comparisons, o.use.Candidates, o.use.Reranked = sc.co.Comparisons, sc.co.Candidates, sc.co.Reranked
 	o.use.BytesScanned, o.use.FilterRejected = sc.co.BytesScanned, sc.co.FilterRejected
+	resp := searchResponse{Neighbors: res, NextCursor: next}
 	if req.Explain {
 		resp.Explain = buildExplain(c, kEff, req.Budget, f, &sc.co, cache, tr)
 	}
-	s.respondSearch(w, c, o, resp, reqID, tr, req.Trace)
+	s.respondSearch(w, c, o, resp, reqID, tr, req.Trace, encStart)
 	s.recordSlow(reqID, "search", c.name, f, start, o.dur, kEff, req.Budget, tr)
 }
 
 // respondSearch sends a search response. Only an explicit "trace": true
 // request gets the span tree inline (plus the request id and the
 // X-Request-Id header); sampler-selected traces feed the histograms and
-// the slow-log reservoir without inflating client responses.
-func (s *Server) respondSearch(w http.ResponseWriter, c *coll, o outcome, resp searchResponse, reqID uint64, tr *obs.Trace, explicit bool) {
+// the slow-log reservoir without inflating client responses. A non-zero
+// encStart is the start of the encode stage, which ends once the payload
+// is serialised — or, for a response carrying its span tree, before the
+// tree is rendered. A response encoding/json would refuse is a 400.
+func (s *Server) respondSearch(w http.ResponseWriter, c *coll, o outcome, resp searchResponse, reqID uint64, tr *obs.Trace, explicit bool, encStart time.Time) {
+	endEncode := func() {
+		if !encStart.IsZero() {
+			encDur := time.Since(encStart)
+			obs.ObserveDur(obs.StageEncode, encDur)
+			tr.AddSpan(obs.StageEncode, -1, encStart, encDur)
+		}
+	}
 	resp.TookMicros = o.dur.Microseconds()
 	if resp.Neighbors == nil {
 		resp.Neighbors = []lccs.Neighbor{} // an empty result is [], never null
 	}
-	if tr != nil && explicit {
-		resp.Trace = tr.Tree()
-	}
 	if (tr != nil && explicit) || resp.Explain != nil {
+		endEncode()
+		if tr != nil && explicit {
+			resp.Trace = tr.Tree()
+		}
 		resp.RequestID = reqID
 		w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
+		s.respond(w, c, o, http.StatusOK, resp)
+		return
 	}
-	s.respond(w, c, o, http.StatusOK, resp)
+	wb := getWireBuf()
+	defer putWireBuf(wb)
+	var err error
+	wb.b, err = encodeSearch(wb.b, &resp)
+	endEncode()
+	if err != nil {
+		s.fail(w, c, o, statusFor(err), err)
+		return
+	}
+	s.send(w, c, o, http.StatusOK, wb.b)
 }
 
 // recordSlow offers a finished search to the slow-query log and warns
@@ -1300,7 +1331,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, c *coll, o outcom
 	if occ := c.occupancy.Add(1); s.collShare > 0 && occ > s.collShare {
 		c.quotaRejected.Add(1)
 		err = fmt.Errorf("collection %q is over its concurrency share (%d in flight)", c.name, s.collShare)
-	} else {
+	} else if !s.adm.tryAcquire() {
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 		err = s.adm.acquire(ctx)
 		cancel()
@@ -1391,14 +1422,29 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-// respond is every handler's exit: it records the request's one outcome,
-// then writes body under the status code.
+// respond is every handler's exit: it encodes body into a pooled buffer,
+// then sends it under the status code. A body encoding/json refuses is
+// answered 400 instead — never a status with an empty body.
 func (s *Server) respond(w http.ResponseWriter, c *coll, o outcome, code int, body any) {
+	wb := getWireBuf()
+	defer putWireBuf(wb)
+	if err := json.NewEncoder(wb).Encode(body); err != nil {
+		s.fail(w, c, o, statusFor(errNotFinite), errNotFinite)
+		return
+	}
+	s.send(w, c, o, code, wb.b)
+}
+
+// send records the request's one outcome, then writes the encoded body
+// under the status code in one Write.
+func (s *Server) send(w http.ResponseWriter, c *coll, o outcome, code int, body []byte) {
 	o.code = code
 	s.record(c, o)
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(body) // a client that hung up is not an error to report
 }
 
 // fail is respond with an error body.
