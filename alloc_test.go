@@ -69,10 +69,10 @@ func TestSearchZeroAllocIndex(t *testing.T) {
 	}
 }
 
-// TestSearchZeroAllocSharded pins the same property across the shard
-// fan-out: sequential per-shard search, pooled per-shard lists, and the
-// reusable tournament merge together make SearchQuery on a three-shard
-// Index allocation-free at steady state.
+// TestSearchZeroAllocSharded pins the same property across shards: the
+// pooled H(q) buffer and the one pooled top-k collector every shard
+// verifies into make SearchQuery on a three-shard Index allocation-free
+// at steady state.
 func TestSearchZeroAllocSharded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation; run without -race")

@@ -81,14 +81,7 @@ func batchResult(out [][]Neighbor, errs []error) ([][]Neighbor, error) {
 
 // SearchBatch answers many queries concurrently under one k and
 // candidate budget (0 selects the default); results are returned in
-// query order. When the batch has at least GOMAXPROCS queries the worker
-// pool already saturates the CPUs, so each query runs its shard fan-out
-// sequentially; smaller batches keep the per-shard fan-out so idle cores
-// still help. Results are identical either way — the merge is
-// deterministic.
+// query order.
 func (ix *Index) SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error) {
-	parallel := len(queries) < runtime.GOMAXPROCS(0)
-	return searchBatch(queries, k, budget, func(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
-		return ix.searchQuery(q, qr, 0, dst, parallel)
-	})
+	return searchBatch(queries, k, budget, ix.SearchQuery)
 }

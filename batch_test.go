@@ -37,9 +37,10 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSearchBatchWorkersLEOne pins GOMAXPROCS to 1 so the sequential
-// fallback path of the batch engine runs with a multi-query batch, and
-// checks its results are byte-identical to per-query Search.
+// TestSearchBatchWorkersLEOne pins GOMAXPROCS to 1 so the batch engine
+// answers a multi-query batch on the calling goroutine, without its
+// worker pool, and checks its results are byte-identical to per-query
+// Search.
 func TestSearchBatchWorkersLEOne(t *testing.T) {
 	data, g := testData(44, 400, 10, 6, 0.5)
 	ix, err := NewIndex(data, Config{Metric: Euclidean, M: 16, Seed: 6})
@@ -93,9 +94,8 @@ func TestSearchBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestShardedSearchBatchMatchesSequential checks the sharded batch engine
-// (which skips the per-query shard fan-out goroutines) is byte-identical
-// to per-query Search on a three-shard Index.
+// TestShardedSearchBatchMatchesSequential checks the batch engine is
+// byte-identical to per-query Search on a three-shard Index.
 func TestShardedSearchBatchMatchesSequential(t *testing.T) {
 	data, g := testData(46, 600, 10, 5, 0.5)
 	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 8}, 3)

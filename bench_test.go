@@ -394,8 +394,9 @@ func BenchmarkShardedBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedSearch measures the fan-out/merge query path against
-// the single-index query path on the same index contents.
+// BenchmarkShardedSearch measures a query over S shards, visited in
+// sequence into one top-k collector, against the one-shard query on the
+// same index contents.
 func BenchmarkShardedSearch(b *testing.B) {
 	const n, d, m = 100_000, 16, 32
 	data := shardBenchData(n, d)

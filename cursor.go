@@ -18,7 +18,7 @@ import (
 // Filter: f} with k₀ the first page size. Every page runs the segment
 // set's one query (segset.go) for the top consumed + limit rows, with each
 // segment verifying exactly the candidates that first query verifies, and
-// returns ranks [consumed, consumed + limit) of the merge. The candidate
+// returns ranks [consumed, consumed + limit) of its answer. The candidate
 // set is fixed and the (Dist, slot) order total, so page 1 is the one-shot
 // answer at K = limit, each later page holds the next ranks of that one
 // ranking, and at λ ≥ Len() — every live row a candidate — a drain is the
@@ -175,7 +175,7 @@ func (s *segSet) searchCursor(q []float32, qr Query, cursor string, gen uint64) 
 		return nil, "", nil
 	}
 	qr.K, qr.Budget = t.consumed+limit, t.lambda
-	res, err := s.searchQuery(q, qr, t.k0, nil, false)
+	res, err := s.searchQuery(q, qr, t.k0, nil)
 	if err != nil {
 		return nil, "", err
 	}

@@ -771,3 +771,63 @@ func TestDurableAttrsRoundTrip(t *testing.T) {
 	defer di3.Close()
 	checkAttrs(di3, "after checkpoint reopen")
 }
+
+// TestCheckpointDuringFirstBuild: a checkpoint taken while an empty
+// index's first background build is in flight leaves a directory that
+// reopens to the same index. The build is scheduled inside AddBatch and
+// cannot swap in before the checkpoint's snapshot, which takes the write
+// lock right after and builds its own segment over every row. Both
+// builds must hash with the one bucket width the index derives when the
+// first is scheduled; otherwise the second checkpoint saves the swapped-in
+// segment under a header it does not match, and the reopen fails.
+func TestCheckpointDuringFirstBuild(t *testing.T) {
+	const rebuildAt = 20000
+	data, g := testData(35, rebuildAt+20, 16, 16, 1)
+	dir := t.TempDir()
+	dc := DurableConfig{Config: Config{Metric: Euclidean, M: 32, Seed: 5}, Sync: SyncNone, RebuildAt: rebuildAt}
+	di, err := OpenDurable(dir, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.AddBatch(data[:rebuildAt+10]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	di.WaitRebuild()
+	if _, err := di.AddBatch(data[rebuildAt+10:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// The reopened index is the checkpointed one: the first build's
+	// segment and one over the 20 rows after it.
+	_, snap, err := di.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([][]float32, 8)
+	want := make([][]Neighbor, len(queries))
+	for i := range queries {
+		queries[i] = g.GaussianVector(16)
+		want[i] = must(snap.Search(queries[i], 10))
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDurable(dir, dc)
+	if err != nil {
+		t.Fatalf("reopen after a checkpoint during the first build: %v", err)
+	}
+	defer re.Close()
+	if re.Shards() != 2 || re.Len() != len(data) {
+		t.Fatalf("reopened: %d shards, %d rows", re.Shards(), re.Len())
+	}
+	for i, q := range queries {
+		if got := must(re.Search(q, 10)); !neighborsEqual(got, want[i]) {
+			t.Errorf("query %d after reopen: %v, before: %v", i, got, want[i])
+		}
+	}
+}

@@ -20,8 +20,8 @@ import (
 // shard builds, and the finished shard is swapped in under the write lock
 // in O(1). The main index is therefore a growing sequence of immutable
 // shards covering disjoint, contiguous id ranges — a segment set
-// (segset.go) whose tail is the buffer, behind a lock — and queries fan
-// out across the shards and the buffer as that set's one query does.
+// (segset.go) whose tail is the buffer, behind a lock — and queries visit
+// the shards and the buffer as that set's one query does.
 //
 // Deletes are a first-class part of the lifecycle. A Delete tombstones
 // the vector immediately: one bit in a slot bitset (n/8 bytes) that every
@@ -62,11 +62,11 @@ type DynamicIndex struct {
 	// the immutable shards over slots [0, indexed), ids the stable
 	// external ids ⇔ dense store slots (compaction shifts slots, never
 	// ids), dead the tombstones compaction has not reclaimed yet.
+	// Its cfg has its derived fields (bucket width) filled in, under mu,
+	// the moment the first build is scheduled, from the rows that build
+	// covers; every build runs with that one configuration, so every
+	// segment hashes with the same functions.
 	segSet
-	// cfgResolved is set once a build has resolved derived config fields
-	// (bucket width); later shards reuse the same resolved values so all
-	// shards are seed-equivalent.
-	cfgResolved bool
 	// rebuildAt triggers a background shard build when the buffer
 	// reaches this size.
 	rebuildAt int
@@ -95,14 +95,14 @@ const DefaultRebuildThreshold = 4096
 
 // newDynamic wraps a set — empty, or frozen from an Index — as a
 // DynamicIndex. rebuildAt ≤ 0 selects DefaultRebuildThreshold.
-func newDynamic(set segSet, cfgResolved bool, rebuildAt int) *DynamicIndex {
+func newDynamic(set segSet, rebuildAt int) *DynamicIndex {
 	if rebuildAt <= 0 {
 		rebuildAt = DefaultRebuildThreshold
 	}
 	if set.cfg.Budget == 0 {
 		set.cfg.Budget = defaultBudget // what the first build would resolve it to
 	}
-	d := &DynamicIndex{segSet: set, cfgResolved: cfgResolved, rebuildAt: rebuildAt, writes: nextCursorEpoch()}
+	d := &DynamicIndex{segSet: set, rebuildAt: rebuildAt, writes: nextCursorEpoch()}
 	d.adopt(true)
 	d.cond = sync.NewCond(&d.mu)
 	return d
@@ -124,13 +124,16 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 	if err != nil {
 		return nil, err
 	}
-	d := newDynamic(segSet{cfg: cfg, metric: metric, store: store}, false, rebuildAt)
+	d := newDynamic(segSet{cfg: cfg, metric: metric, store: store}, rebuildAt)
 	if n := store.Len(); n > 0 {
-		c, cfg, err := buildCore(store.Slice(0, n), cfg)
+		if d.cfg, err = resolveConfig(store, d.cfg); err != nil {
+			return nil, err
+		}
+		c, err := buildCore(store.Slice(0, n), d.cfg)
 		if err != nil {
 			return nil, err
 		}
-		d.swapInLocked(c, cfg, 0, n)
+		d.swapInLocked(c, 0, n)
 	}
 	return d, nil
 }
@@ -150,18 +153,13 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 // stay dead and id allocation resumes past the watermark. Container
 // headers hold the resolved config.
 func NewDynamicIndexFrom(ix *Index, rebuildAt int) *DynamicIndex {
-	return newDynamic(ix.freeze(), true, rebuildAt)
+	return newDynamic(ix.freeze(), rebuildAt)
 }
 
-// swapInLocked appends a segment built over slots [lo, hi) with the
-// resolved configuration cfg; the first one's configuration is kept, so
-// every later segment hashes with seed-equivalent parameters. Deletes that
-// landed in the range while the segment was building become its budget
-// allowance.
-func (d *DynamicIndex) swapInLocked(c *core.Index, cfg Config, lo, hi int) {
-	if !d.cfgResolved {
-		d.cfg, d.cfgResolved = cfg, true
-	}
+// swapInLocked appends a segment built over slots [lo, hi) with the set's
+// configuration. Deletes that landed in the range while the segment was
+// building become its budget allowance.
+func (d *DynamicIndex) swapInLocked(c *core.Index, lo, hi int) {
 	d.segs = append(d.segs, segment{core: c, off: lo, dead: d.dead.CountRange(lo, hi)})
 	d.indexed = hi
 }
@@ -325,13 +323,18 @@ func (d *DynamicIndex) maybeStartBuildLocked() {
 	if d.store.Len()-d.indexed < d.rebuildAt {
 		return // compaction shrank the buffer back under the threshold
 	}
-	d.building = true
 	lo, hi := d.indexed, d.store.Len()
 	// Freeze the delta: a Slice view is stable across later appends
 	// (growth copies to a new block; in-place growth writes only beyond
 	// hi), and vectors themselves are never mutated.
 	delta := d.store.Slice(lo, hi)
-	go d.buildShard(d.gen, lo, hi, delta, d.cfg)
+	cfg, err := resolveConfig(delta, d.cfg)
+	if err != nil {
+		d.buildErr = err
+		return
+	}
+	d.cfg, d.building = cfg, true
+	go d.buildShard(d.gen, lo, hi, delta, cfg)
 }
 
 // compactBufferLocked physically drops tombstoned rows from the
@@ -362,7 +365,7 @@ func (d *DynamicIndex) compactBufferLocked() bool {
 // swaps it in. A generation mismatch (an explicit Rebuild ran meanwhile)
 // discards the result.
 func (d *DynamicIndex) buildShard(gen uint64, lo, hi int, delta *vec.Store, cfg Config) {
-	c, cfg, err := buildCore(delta, cfg)
+	c, err := buildCore(delta, cfg)
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -371,7 +374,7 @@ func (d *DynamicIndex) buildShard(gen uint64, lo, hi int, delta *vec.Store, cfg 
 		if err != nil {
 			d.buildErr = err
 		} else {
-			d.swapInLocked(c, cfg, lo, hi)
+			d.swapInLocked(c, lo, hi)
 			d.writes++ // source set changed; open cursors die
 		}
 	}
@@ -497,15 +500,18 @@ func (d *DynamicIndex) Rebuild() error {
 	cfg := d.cfg
 	if n > 0 { // else everything was deleted (or nothing ever added): no index to build
 		var err error
-		if c, cfg, err = buildCore(store.Slice(0, n), cfg); err != nil {
+		if cfg, err = resolveConfig(store, cfg); err != nil {
+			return err
+		}
+		if c, err = buildCore(store.Slice(0, n), cfg); err != nil {
 			return err
 		}
 	}
 	d.ids.Compact(0, d.dead.Has)
-	d.store, d.attrs, d.dead = store, attrs, slotSet{}
+	d.store, d.attrs, d.dead, d.cfg = store, attrs, slotSet{}, cfg
 	d.segs, d.indexed = nil, 0
 	if c != nil {
-		d.swapInLocked(c, cfg, 0, n)
+		d.swapInLocked(c, 0, n)
 	}
 	d.buildErr = nil
 	d.writes++
@@ -552,7 +558,8 @@ func (d *DynamicIndex) Quantization() (kind string, rerank int) {
 }
 
 // Search returns the k nearest live vectors: every shard's candidates
-// (at the default budget) merged with an exact scan of the buffer.
+// (at the default budget) and an exact scan of the buffer, collected into
+// one top k.
 func (d *DynamicIndex) Search(q []float32, k int) ([]Neighbor, error) {
 	return d.SearchQuery(q, Query{K: k}, nil)
 }
@@ -573,7 +580,7 @@ func (d *DynamicIndex) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbo
 func (d *DynamicIndex) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.searchQuery(q, qr, 0, dst, false)
+	return d.searchQuery(q, qr, 0, dst)
 }
 
 // SearchBatch answers many queries concurrently under one k and
@@ -629,12 +636,13 @@ func (d *DynamicIndex) snapshotStoreLocked() (*vec.Store, *Index, error) {
 	}
 	var tail *core.Index
 	if d.indexed < n {
-		c, cfg, err := buildCore(d.store.Slice(d.indexed, n), d.cfg)
-		if err != nil {
+		rows := d.store.Slice(d.indexed, n)
+		var err error
+		if d.cfg, err = resolveConfig(rows, d.cfg); err != nil {
 			return nil, nil, err
 		}
-		if tail = c; !d.cfgResolved {
-			d.cfg, d.cfgResolved = cfg, true
+		if tail, err = buildCore(rows, d.cfg); err != nil {
+			return nil, nil, err
 		}
 	}
 	set := d.freeze()

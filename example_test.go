@@ -93,8 +93,8 @@ func ExampleIndex_SearchBatch() {
 
 func ExampleNewShardedIndex() {
 	data := grid(600, 16)
-	// Three shards build their CSAs in parallel; a search fans out across
-	// them and merges the per-shard answers.
+	// Three shards build their CSAs in parallel; a search hashes the query
+	// once and verifies every shard's candidates into one top-k.
 	ix, err := lccs.NewShardedIndex(data, lccs.Config{
 		Metric:      lccs.Euclidean,
 		M:           32,

@@ -95,7 +95,7 @@ func TestBuildValidation(t *testing.T) {
 	if ix.Bytes() <= 0 {
 		t.Error("Bytes should be positive")
 	}
-	if len(ix.HashQuery(data[0])) != 8 {
+	if len(ix.HashQuery(data[0], nil)) != 8 {
 		t.Error("HashQuery length wrong")
 	}
 	if !vec.Equal(ix.Data(3), data[3]) {
@@ -110,14 +110,14 @@ func TestBuildDeterministicWithSeed(t *testing.T) {
 	ix1, _ := Build(data, fam, Params{M: 16, Seed: 7})
 	ix2, _ := Build(data, fam, Params{M: 16, Seed: 7})
 	q := data[0]
-	h1, h2 := ix1.HashQuery(q), ix2.HashQuery(q)
+	h1, h2 := ix1.HashQuery(q, nil), ix2.HashQuery(q, nil)
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatal("same seed produced different hash functions")
 		}
 	}
 	ix3, _ := Build(data, fam, Params{M: 16, Seed: 8})
-	h3 := ix3.HashQuery(q)
+	h3 := ix3.HashQuery(q, nil)
 	same := true
 	for i := range h1 {
 		if h1[i] != h3[i] {
@@ -135,7 +135,7 @@ func TestBuildDeterministicWithSeed(t *testing.T) {
 func hashStringsDistinct(ix *Index) bool {
 	seen := map[string]bool{}
 	for id := 0; id < ix.N(); id++ {
-		h := ix.HashQuery(ix.Data(id))
+		h := ix.HashQuery(ix.Data(id), nil)
 		key := fmt.Sprint(h)
 		if seen[key] {
 			return false
@@ -278,7 +278,9 @@ func TestSearchStatsCounters(t *testing.T) {
 	data := clusteredData(g, 300, 8, 5, 0.3)
 	fam := lshfamily.NewRandomProjection(8, 8)
 	ix, _ := Build(data, fam, Params{M: 16, Seed: 1})
-	_, st := ix.SearchScan(data[0], 5, 50, Scan{}, nil)
+	var best pqueue.KBest
+	best.Reset(5)
+	st := ix.SearchScan(data[0], ix.HashQuery(data[0], nil), 5, 50, Scan{}, &best)
 	if st.Probes != 1 {
 		t.Errorf("Probes = %d, want 1", st.Probes)
 	}
@@ -286,7 +288,8 @@ func TestSearchStatsCounters(t *testing.T) {
 		t.Errorf("Candidates = %d, want 54", st.Candidates)
 	}
 	// Degenerate arguments.
-	if res, st := ix.SearchScan(data[0], 0, 10, Scan{}, nil); res != nil || st.Candidates != 0 {
+	best.Reset(5)
+	if st := ix.SearchScan(data[0], ix.HashQuery(data[0], nil), 0, 10, Scan{}, &best); best.Len() != 0 || st.Candidates != 0 {
 		t.Error("k=0 should return nothing")
 	}
 	if res := ix.Search(data[0], 5, 0); res != nil {

@@ -259,18 +259,20 @@ func (ix *Index) Bytes() int64 {
 	return ix.csa.Bytes() + lshfamily.FuncsBytes(ix.funcs)
 }
 
-// HashQuery computes H(q) for a query vector. Exposed for tests and for
-// tools that inspect hash strings.
-func (ix *Index) HashQuery(q []float32) []int32 {
-	return lshfamily.HashString(ix.funcs, q, nil)
+// HashQuery appends H(q) to dst[:0] and returns it; with cap(dst) ≥ M
+// nothing is allocated. Indexes built with the same family, M and seed
+// hash alike, so one H(q) serves every segment of a set.
+func (ix *Index) HashQuery(q []float32, dst []int32) []int32 {
+	return lshfamily.HashString(ix.funcs, q, dst)
 }
 
 // Scan narrows one search for shard-local use; the zero value is the
 // plain query.
 type Scan struct {
-	// Offset is added to every returned id: the index covers a contiguous
-	// slice of a larger dataset starting at this global id, so results
-	// from several shards merge without remapping.
+	// Offset is added to every id offered to the collector: the index
+	// covers a contiguous slice of a larger dataset starting at this
+	// global id, so several shards verify into one collector without
+	// remapping.
 	Offset int
 	// Dead is the tombstone bitset of that larger dataset, one bit per
 	// global id (bit Offset+id for index-local id; ids past its end are
@@ -302,51 +304,59 @@ type Scan struct {
 // returns the k nearest in ascending distance order. lambda is the
 // candidate budget λ; larger values trade time for recall.
 func (ix *Index) Search(q []float32, k, lambda int) []pqueue.Neighbor {
-	res, _ := ix.SearchScan(q, k, lambda, Scan{}, nil)
-	return res
+	return ix.SearchInto(q, k, lambda, nil)
 }
 
 // SearchInto is Search appending into dst (reset to dst[:0] first): the
-// zero-allocation path for callers that reuse a result buffer.
+// zero-allocation path for callers that reuse a result buffer. H(q) and
+// the k-best collector come from the index's own pooled scratch.
 func (ix *Index) SearchInto(q []float32, k, lambda int, dst []pqueue.Neighbor) []pqueue.Neighbor {
-	res, _ := ix.SearchScan(q, k, lambda, Scan{}, dst)
-	return res
-}
-
-// SearchScan is the one query path: Search narrowed by sc, appending the
-// k nearest to dst (reset to dst[:0] first; dst may be nil) and
-// returning the query's work counters. All scratch is pooled.
-func (ix *Index) SearchScan(q []float32, k, lambda int, sc Scan, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
 	dst = dst[:0]
 	if k <= 0 || lambda <= 0 {
-		return dst, SearchStats{}
+		return dst
 	}
 	ctx := ix.ctxs.Get().(*searchCtx)
-	ctx.hq = lshfamily.HashString(ix.funcs, q, ctx.hq)
-	ctx.s.Begin(ctx.hq)
+	ctx.hq = ix.HashQuery(q, ctx.hq)
+	ctx.best.Reset(k)
+	ix.scan(ctx, q, ctx.hq, k, lambda, &Scan{}, &ctx.best)
+	dst = ctx.best.AppendSorted(dst)
+	ix.ctxs.Put(ctx)
+	return dst
+}
+
+// SearchScan is the one query path: Search narrowed by sc over the
+// caller's H(q) = hq, offering each verified candidate to best (which
+// the caller has Reset) under id sc.Offset+id, and returning the query's
+// work counters. k sets the λ+k−1 candidate count and the SQ8 re-rank
+// floor; best may hold more than k, as when several shards share it. All
+// other scratch is pooled.
+func (ix *Index) SearchScan(q []float32, hq []int32, k, lambda int, sc Scan, best *pqueue.KBest) SearchStats {
+	if k <= 0 || lambda <= 0 {
+		return SearchStats{}
+	}
+	ctx := ix.ctxs.Get().(*searchCtx)
+	stats := ix.scan(ctx, q, hq, k, lambda, &sc, best)
+	ix.ctxs.Put(ctx)
+	return stats
+}
+
+// scan is SearchScan on a drawn scratch.
+func (ix *Index) scan(ctx *searchCtx, q []float32, hq []int32, k, lambda int, sc *Scan, best *pqueue.KBest) SearchStats {
+	ctx.s.Begin(hq)
 	probes := 1
 	if ix.mp != nil { // the one place single- and multi-probe differ
-		probes += ix.mp.issueProbes(ctx, q)
+		probes += ix.mp.issueProbes(ctx, q, hq)
 	}
-	ctx.best.Reset(k)
 	ctx.bytes = 0
 	var start time.Time
 	if sc.Accept != nil {
 		start = time.Now()
 	}
-	verified, rejected, reranked := ix.verify(ctx, q, k, lambda+k-1, &sc)
+	verified, rejected, reranked := ix.verify(ctx, q, k, lambda+k-1, sc, best)
 	if sc.Accept != nil {
 		obs.ObserveDur(obs.StageFilter, time.Since(start))
 	}
-	dst = ctx.best.AppendSorted(dst)
-	stats := SearchStats{Candidates: verified, Probes: probes, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes, FilterRejected: rejected}
-	ix.ctxs.Put(ctx)
-	if sc.Offset != 0 {
-		for i := range dst {
-			dst[i].ID += sc.Offset
-		}
-	}
-	return dst, stats
+	return SearchStats{Candidates: verified, Probes: probes, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes, FilterRejected: rejected}
 }
 
 // EnableSQ8 attaches a scalar-quantized mirror of the index's store.
@@ -402,18 +412,18 @@ func defaultRerank(n int) int {
 
 // verify is the one verification loop. It drains ctx.s in batches of
 // verifyBatch until the budget of nCand candidates is spent or the stream
-// is exhausted, and feeds ctx.best (already Reset to k). A candidate
+// is exhausted, and feeds best under ids shifted by sc.Offset. A candidate
 // tombstoned in sc.Dead is dropped first, by an inlined word probe (free,
 // or for one budget slot under sc.ChargeDead); one sc.Accept (when
 // non-nil) rejects is dropped next, at the cost of one predicate call.
 // An exact index scores each batch with float32 distances straight into
-// ctx.best; an SQ8 index ranks by approximate quantized score into
+// best; an SQ8 index ranks by approximate quantized score into
 // ctx.rr and then re-ranks the winners exactly (timed into the obs
 // "rerank" stage histogram). Candidates enter the collectors in CSA
 // stream order, so results are bit-identical to per-row verification.
 // Each candidate's row is hinted to the cache the moment its id leaves the
 // stream, a batch ahead of its scoring.
-func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, sc *Scan) (verified, rejected, reranked int) {
+func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, sc *Scan, best *pqueue.KBest) (verified, rejected, reranked int) {
 	quantized := ix.sq8 != nil
 	if quantized {
 		rr := ix.rerank
@@ -463,7 +473,7 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, sc *Scan) (ve
 				ctx.rr.Add(int(ctx.ids[i]), float64(ctx.scores[i]))
 			}
 		} else {
-			ix.scoreExact(ctx, q, b)
+			ix.scoreExact(ctx, q, b, sc.Offset, best)
 		}
 		verified += b
 	}
@@ -480,20 +490,20 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, sc *Scan) (ve
 		for i := 0; i < c; i++ {
 			ctx.ids[i] = int32(ctx.rrBuf[base+i].ID)
 		}
-		ix.scoreExact(ctx, q, c)
+		ix.scoreExact(ctx, q, c, sc.Offset, best)
 	}
 	obs.ObserveDur(obs.StageRerank, time.Since(start))
 	return verified, rejected, len(ctx.rrBuf)
 }
 
 // scoreExact gathers the exact float32 distances of ctx.ids[:b] and adds
-// them to ctx.best: the scoring step of an exact index and the re-rank
-// step of a quantized one.
-func (ix *Index) scoreExact(ctx *searchCtx, q []float32, b int) {
+// them to best under ids shifted by off: the scoring step of an exact
+// index and the re-rank step of a quantized one.
+func (ix *Index) scoreExact(ctx *searchCtx, q []float32, b, off int, best *pqueue.KBest) {
 	ix.store.GatherDistancesInto(ctx.ids[:b], q, ix.metric, ctx.dists[:b])
 	ctx.bytes += int64(b) * int64(ix.store.Dim()) * 4
 	for i := 0; i < b; i++ {
-		ctx.best.Add(int(ctx.ids[i]), ctx.dists[i])
+		best.Add(off+int(ctx.ids[i]), ctx.dists[i])
 	}
 }
 

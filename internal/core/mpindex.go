@@ -113,9 +113,9 @@ func (ix *Index) Probes() int {
 }
 
 // issueProbes issues the Probes−1 perturbed probes of Algorithm 3 into
-// the CSA scan the caller has begun over ctx.hq = H(q); it returns how
-// many it issued.
-func (ix *MPIndex) issueProbes(ctx *searchCtx, q []float32) int {
+// the CSA scan the caller has begun over hq = H(q); it returns how many
+// it issued.
+func (ix *MPIndex) issueProbes(ctx *searchCtx, q []float32, hq []int32) int {
 	if ix.probes <= 1 {
 		return 0
 	}
@@ -128,7 +128,7 @@ func (ix *MPIndex) issueProbes(ctx *searchCtx, q []float32) int {
 	}
 	perts := generatePerturbations(ctx.alts, ix.probes, ix.maxGap)
 	for _, p := range perts {
-		copy(ctx.probeStr, ctx.hq)
+		copy(ctx.probeStr, hq)
 		ctx.modPos = ctx.modPos[:0]
 		for _, md := range p.mods {
 			ctx.probeStr[md.pos] = ctx.alts[md.pos][md.alt].Value

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"lccs/internal/lshfamily"
+	"lccs/internal/pqueue"
 	"lccs/internal/rng"
 	"lccs/internal/vec"
 )
@@ -194,12 +195,14 @@ func TestMPSearchStatsProbes(t *testing.T) {
 	data := clusteredData(g, 200, 8, 4, 0.3)
 	fam := lshfamily.NewRandomProjection(8, 8)
 	mp, _ := BuildMP(data, fam, MPParams{Params: Params{M: 16, Seed: 1}, Probes: 9})
-	_, st := mp.SearchScan(data[0], 5, 20, Scan{}, nil)
+	var best pqueue.KBest
+	best.Reset(5)
+	st := mp.SearchScan(data[0], mp.HashQuery(data[0], nil), 5, 20, Scan{}, &best)
 	if st.Probes != 9 {
 		t.Errorf("Probes = %d, want 9", st.Probes)
 	}
 	mp1, _ := BuildMP(data, fam, MPParams{Params: Params{M: 16, Seed: 1}, Probes: 1})
-	_, st1 := mp1.SearchScan(data[0], 5, 20, Scan{}, nil)
+	st1 := mp1.SearchScan(data[0], mp1.HashQuery(data[0], nil), 5, 20, Scan{}, &best)
 	if st1.Probes != 1 {
 		t.Errorf("Probes = %d, want 1", st1.Probes)
 	}

@@ -29,7 +29,7 @@ const (
 	StageQuery                   // whole backend search call (parent of the scans and merge)
 	StageShardScan               // one CSA scan of one shard
 	StageBufferScan              // linear scan of the unindexed delta buffer
-	StageMerge                   // tournament merge + external-id mapping
+	StageMerge                   // final sort of the one top-k collector + external-id mapping
 	StageEncode                  // the cache's copy of the result + response serialisation
 	StageRerank                  // exact float32 re-rank after a quantized (SQ8) scan
 	StageDecode                  // request body read + parse
@@ -108,8 +108,9 @@ type Span struct {
 
 // Trace accumulates spans for a single traced request. All methods
 // are nil-safe: a nil *Trace is the untraced fast path and every
-// method returns immediately. A mutex guards the span slice because
-// the sharded fan-out records spans from worker goroutines.
+// method returns immediately. A mutex guards the span slice, so a
+// Trace may be written from more than one goroutine; a search records
+// all its spans from the goroutine that runs it.
 type Trace struct {
 	ID    uint64
 	start time.Time

@@ -154,8 +154,19 @@ func worse(a, b Neighbor) bool {
 }
 
 // Add offers a neighbor; it is retained if fewer than k neighbors are held
-// or if it improves on the current worst. Returns true if retained.
+// or if it improves on the current worst. Returns true if retained. The
+// test for a row farther than the current worst is small enough to
+// inline, so a caller offering many rows that miss the k nearest — an
+// exact scan — pays one comparison for each.
 func (b *KBest) Add(id int, dist float64) bool {
+	if len(b.items) == b.k && dist > b.items[0].Dist {
+		return false
+	}
+	return b.add(id, dist)
+}
+
+// add is Add past its inlined rejection.
+func (b *KBest) add(id int, dist float64) bool {
 	if len(b.items) < b.k {
 		b.items = append(b.items, Neighbor{ID: id, Dist: dist})
 		b.up(len(b.items) - 1)

@@ -137,6 +137,22 @@ func TestKBestProperty(t *testing.T) {
 	}
 }
 
+// TestKBestTieBreakByID: equal distances rank by id, whatever order they
+// are offered in, both in what the collector keeps at the cut and in how
+// it sorts — the order that lets several shards share one collector and
+// still answer deterministically.
+func TestKBestTieBreakByID(t *testing.T) {
+	b := NewKBest(3)
+	for _, id := range []int{9, 3, 12, 6, 1} {
+		b.Add(id, 1)
+	}
+	b.Add(0, 2)
+	got := b.Sorted()
+	if len(got) != 3 || got[0].ID != 1 || got[1].ID != 3 || got[2].ID != 6 {
+		t.Fatalf("tie order wrong: %+v", got)
+	}
+}
+
 func TestKBestWorst(t *testing.T) {
 	b := NewKBest(2)
 	if _, ok := b.Worst(); ok {

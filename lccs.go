@@ -37,7 +37,8 @@
 // shards in the background without blocking writers; opened with
 // OpenDurable, it also journals its writes to a write-ahead log before
 // acknowledging them. Both facades sit over one segment set
-// (segset.go), which owns the query, the budget rule and the merge, and
+// (segset.go), which owns the query — q hashed once, every shard and the
+// buffer verified into one k-best collector — and the budget rule, and
 // both implement the Searcher interface, so consumers (including the
 // internal/server network daemon behind cmd/lccs-serve) are agnostic to
 // which facade backs them. See README.md for the architecture and
@@ -147,8 +148,8 @@ type Query struct {
 	// Trace, when non-nil, records the query's spans: a query root, one
 	// shard_scan span per shard carrying CSA-comparison,
 	// verified-candidate and bytes-scanned counters, a buffer_scan span on
-	// a DynamicIndex, and a merge span whenever more than one run (shards
-	// and buffer) is merged.
+	// a DynamicIndex, and a merge span — the final sort and id mapping —
+	// whenever more than one source (shards and buffer) fed the collector.
 	Trace *Trace
 }
 
@@ -354,16 +355,15 @@ type Neighbor = pqueue.Neighbor
 // block) shared by every shard; the input rows are not referenced
 // afterwards, and sharding adds no per-shard copies.
 //
-// Sharding serves two purposes. Construction: the orders of one CSA are
-// induced from one another, shift by shift, on one core, and S shards
-// build S independent problems of size n/S in parallel, each over an S×
-// smaller working set. Queries: a search fans out across all
-// shards — concurrently when cores allow — and the set merges the
-// per-shard top-k lists into the global top-k. Query cost grows mildly
-// with S (each shard runs its own binary searches and verifies its own
-// candidate floor), so prefer the smallest shard count that saturates the
-// hardware: NewIndex is one shard, NewShardedIndex with GOMAXPROCS suits
-// build-heavy or mixed workloads.
+// Sharding serves construction: the orders of one CSA are induced from
+// one another, shift by shift, on one core, and S shards build S
+// independent problems of size n/S in parallel, each over an S× smaller
+// working set. A query visits the shards in sequence, hashing q once and
+// verifying every shard's candidates into one top-k collector. Query cost
+// grows mildly with S (each shard runs its own binary searches and
+// verifies its own candidate floor), so prefer the smallest shard count
+// whose build time is acceptable: NewIndex is one shard, NewShardedIndex
+// with GOMAXPROCS suits build-heavy workloads.
 //
 // An Index taken from DynamicIndex.Snapshot (or loaded from such a
 // snapshot's file) also carries the snapshot's id map and tombstones; on
@@ -469,29 +469,25 @@ func NewIndex(data [][]float32, cfg Config) (*Index, error) {
 	return NewShardedIndex(data, cfg, 1)
 }
 
-// buildCore resolves the configuration against a store and builds one
-// segment's core index over it — the shared constructor behind the
-// per-shard builds of an Index and the dynamic delta builds. An already
-// resolved Config passes through unchanged.
-func buildCore(store *vec.Store, cfg Config) (*core.Index, Config, error) {
-	cfg, err := resolveConfig(store, cfg)
-	if err != nil {
-		return nil, cfg, err
-	}
+// buildCore builds one segment's core index over a store under a
+// resolved configuration — the shared constructor behind the per-shard
+// builds of an Index and the dynamic delta builds. Segments built under
+// one resolved Config draw the same hash functions.
+func buildCore(store *vec.Store, cfg Config) (*core.Index, error) {
 	family, err := familyFor(cfg, store.Dim())
 	if err != nil {
-		return nil, cfg, err
+		return nil, err
 	}
 	c, err := core.BuildStore(store, family, core.Params{M: cfg.M, Seed: cfg.Seed})
 	if err != nil {
-		return nil, cfg, err
+		return nil, err
 	}
 	if cfg.Quantize == QuantizeSQ8 {
 		// Quantize exactly the rows this segment covers: the store is
 		// already the segment's view, so codebooks are per-segment.
 		c.EnableSQ8(vec.QuantizeSQ8(store), cfg.Rerank)
 	}
-	return c, cfg, nil
+	return c, nil
 }
 
 // autoBucketWidth estimates a bucket width from the data: twice the median
@@ -546,14 +542,10 @@ func (ix *Index) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, err
 }
 
 // SearchQuery answers qr, appending into dst (reset to dst[:0] first;
-// dst may be nil). A vector with no metadata matches only the empty
-// filter. An allocating call (dst == nil) may fan the shards out in
-// goroutines; a call that reuses dst is meant for callers that already
-// provide their own concurrency (batch workers, server handlers) and
-// scans them sequentially. The merge is deterministic, so results are
-// identical either way.
+// dst may be nil): the set's one query, visiting the shards in sequence.
+// A vector with no metadata matches only the empty filter.
 func (ix *Index) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error) {
-	return ix.searchQuery(q, qr, 0, dst, dst == nil)
+	return ix.searchQuery(q, qr, 0, dst)
 }
 
 // Shards returns the number of shards.

@@ -1,6 +1,7 @@
 package lccs
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"reflect"
@@ -20,20 +21,25 @@ type queryFacade struct {
 }
 
 // queryFacades builds every facade shape over the same attributed rows:
-// the static Index plain and SQ8-quantized, a three-shard Index,
-// and the lifecycle shapes — a DynamicIndex with background-built
+// the static Index plain and SQ8-quantized, a three-shard Index plain and
+// SQ8-quantized, and the lifecycle shapes — a DynamicIndex with background-built
 // shards, a non-empty delta buffer and tombstones in both; the
 // tombstoned Snapshot of one; a journaled one in the same state; and a
 // DynamicIndex with uneven shards (one large compacted shard, two
 // background-built 32-row ones, 13 buffered rows, tombstones in each),
 // where a budget split evenly would starve the large shard.
-// Rerank = n keeps the SQ8 row exact at an exhaustive budget.
+// Rerank = n keeps the one-shard SQ8 row exact at an exhaustive budget;
+// the three-shard one re-ranks at the default depth, whose per-shard
+// floor of min(64, shard rows) sets how many rows each shard's collector
+// offers.
 func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 	t.Helper()
 	n := len(data)
 	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}
 	sq8 := cfg
 	sq8.Quantize, sq8.Rerank = QuantizeSQ8, n
+	sq8Default := cfg
+	sq8Default.Quantize = QuantizeSQ8
 
 	// Deletes land in every shard and in the delta buffer.
 	dead := map[int]bool{}
@@ -102,6 +108,7 @@ func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 		{"Index", must(NewIndexWithAttrs(data, attrs, cfg)), nil},
 		{"Index+SQ8", must(NewIndexWithAttrs(data, attrs, sq8)), nil},
 		{"Index/3 shards", must(NewShardedIndexWithAttrs(data, attrs, cfg, 3)), nil},
+		{"Index+SQ8/3 shards", must(NewShardedIndexWithAttrs(data, attrs, sq8Default, 3)), nil},
 		{"Snapshot", snap, live},
 		{"DynamicIndex", newDyn(), live},
 		{"DynamicIndex/journaled", dur, live},
@@ -193,8 +200,7 @@ func TestQueryConformance(t *testing.T) {
 				ReleaseTrace(trOnly)
 				ReleaseTrace(tr)
 
-				// A reused dst (the sequential fan-out) answers like the
-				// allocating call (the parallel one).
+				// A reused dst answers like the allocating call.
 				dst := make([]Neighbor, 0, 2*k)
 				if got := must(fc.s.SearchQuery(q, base.qr, dst)); !neighborsEqual(got, want) {
 					t.Errorf("%s query %d: %v vs %v", label("dst"), qi, got, want)
@@ -218,6 +224,111 @@ func TestQueryConformance(t *testing.T) {
 			for i, q := range queries {
 				if seq := must(fc.s.SearchQuery(q, base.qr, nil)); !neighborsEqual(rows[i], seq) {
 					t.Errorf("%s/%s/batch row %d: %v vs %v", fc.name, base.name, i, rows[i], seq)
+				}
+			}
+		}
+	}
+}
+
+// segmentMerge is the per-segment reference for one query of s: each
+// segment's own k nearest (core.SearchInto) under the budget rule and the
+// k₀ trade a cursor fetch makes (segSet.scan), shifted by the segment's
+// offset, with the tail's brute-force rows, sorted by (Dist, slot), cut
+// to k and mapped to external ids. Valid on sets without tombstones and
+// unfiltered queries only.
+func segmentMerge(s *segSet, q []float32, k, k0, lambda int) []Neighbor {
+	rows := s.store.Len()
+	k, lambda = min(k, rows), min(lambda, rows)
+	k0 = min(k0, k)
+	lamSeg := s.segBudget(lambda)
+	var all []Neighbor
+	for _, seg := range s.segs {
+		n := seg.core.N()
+		kSeg, k0Seg, lam := min(k, n), min(k0, n), lamSeg
+		if kSeg > k0Seg {
+			nCand := lam + k0Seg - 1
+			kSeg = min(kSeg, nCand)
+			lam = nCand - kSeg + 1
+		}
+		for _, nb := range seg.core.SearchInto(q, kSeg, lam, nil) {
+			all = append(all, Neighbor{ID: seg.off + nb.ID, Dist: nb.Dist})
+		}
+	}
+	for slot := s.indexed; slot < rows; slot++ {
+		all = append(all, Neighbor{ID: slot, Dist: s.metric.Distance(q, s.store.Row(slot))})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		return all[i].Dist < all[j].Dist || (all[i].Dist == all[j].Dist && all[i].ID < all[j].ID)
+	})
+	all = all[:min(k, len(all))]
+	if s.ids != nil {
+		for i := range all {
+			all[i].ID = s.ids.Ext(all[i].ID)
+		}
+	}
+	return all
+}
+
+// TestOneCollectorMatchesSegmentMerge: the set's one collector — every
+// segment's verified rows and the tail's offered to one k-best under the
+// (Dist, slot) order — answers exactly as merging each segment's own
+// top-k run would, SQ8 re-rank included, on one-shot queries and on every
+// cursor page, at budgets that make each segment verify only a prefix of
+// its stream. Shapes: the tombstone-free rows of queryFacades, plus a
+// DynamicIndex with three background-built segments and a buffered tail.
+func TestOneCollectorMatchesSegmentMerge(t *testing.T) {
+	const n, dim = 200, 8
+	data, attrs := filterTestData(n, dim)
+	type shape struct {
+		name string
+		s    Searcher
+		set  *segSet
+	}
+	var shapes []shape
+	for _, fc := range queryFacades(t, data, attrs) {
+		if ix, ok := fc.s.(*Index); ok && fc.live == nil {
+			shapes = append(shapes, shape{fc.name, ix, &ix.segSet})
+		}
+	}
+	for _, quant := range []string{"", QuantizeSQ8} {
+		d := must(NewDynamicIndex(nil, Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1, Quantize: quant}, 64))
+		for _, v := range data {
+			must(d.Add(v))
+			d.WaitRebuild()
+		}
+		if d.Shards() != 3 || d.Buffered() != n-3*64 {
+			t.Fatalf("dynamic fixture: %d shards, %d buffered", d.Shards(), d.Buffered())
+		}
+		shapes = append(shapes, shape{"DynamicIndex/" + cmp.Or(quant, "exact"), d, &d.segSet})
+	}
+	if len(shapes) != 6 {
+		t.Fatalf("%d shapes", len(shapes))
+	}
+	queries := [][]float32{data[3], data[77], data[n-1], make([]float32, dim)}
+	for _, sh := range shapes {
+		for qi, q := range queries {
+			for _, lambda := range []int{1, 7, 37} {
+				for _, k := range []int{1, 10, 70} {
+					want := segmentMerge(sh.set, q, k, k, lambda)
+					if got := must(sh.s.SearchQuery(q, Query{K: k, Budget: lambda}, nil)); !neighborsEqual(got, want) {
+						t.Errorf("%s query %d λ=%d k=%d: %v, segment merge says %v", sh.name, qi, lambda, k, got, want)
+					}
+				}
+				const limit = 4
+				token, consumed := "", 0
+				for page := 0; page < 50; page++ {
+					got, next, err := sh.s.SearchCursor(q, Query{K: limit, Budget: lambda}, token)
+					if err != nil {
+						t.Fatalf("%s query %d λ=%d page %d: %v", sh.name, qi, lambda, page, err)
+					}
+					ref := segmentMerge(sh.set, q, consumed+limit, limit, lambda)
+					if want := ref[min(consumed, len(ref)):]; !neighborsEqual(got, want) {
+						t.Errorf("%s query %d λ=%d page %d: %v, segment merge says %v", sh.name, qi, lambda, page, got, want)
+					}
+					if next == "" {
+						break
+					}
+					token, consumed = next, consumed+limit
 				}
 			}
 		}

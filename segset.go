@@ -2,8 +2,6 @@ package lccs
 
 import (
 	"cmp"
-	"math"
-	"runtime"
 	"sync"
 
 	"lccs/internal/core"
@@ -32,11 +30,14 @@ import (
 // arithmetic, Query.resolve caps k, a cursor's page size and λ at the
 // set's row count: a value above it asks for nothing more.
 //
-// The merge. Every segment answers with its k nearest as a run sorted by
-// (Dist, slot); the tail's exact scan is one more such run; a tournament
-// tree merges the runs in that same order, and only then are slots
-// translated to external ids. A one-segment, empty-tail set has nothing
-// to merge and scans straight into the caller's buffer.
+// The merge. Every segment of a set is built under the set's one
+// resolved configuration, so all hash with the same functions and q is
+// hashed once. Every segment's verified rows and the tail's exact scan
+// are offered, one source after another, to one k-best collector under
+// the (Dist, slot) order; only then are slots translated to external ids.
+// The top k of all verified rows under that total order is the top k of
+// the per-segment top-k runs, so the answer is the one a merge of those
+// runs would give.
 //
 // A cursor page is the same query fetched deeper (cursor.go): each
 // segment still verifies the candidates of the first page's k, so every
@@ -80,29 +81,15 @@ type segment struct {
 	dead int
 }
 
-// setCtx is the pooled scratch of one query: a sorted run and a stats
-// slot per segment and one more of each for the tail (written by each
-// scan, summed after a fan-out joins — no atomics), the tail's k-best
-// collector, the merge tree and the fan-out's join.
+// setCtx is the pooled scratch of one query: H(q), computed once for
+// every segment, and the one k-best collector every source verifies
+// into.
 type setCtx struct {
-	lists [][]pqueue.Neighbor
-	stats []core.SearchStats
-	best  pqueue.KBest
-	t     pqueue.Tournament
-	wg    sync.WaitGroup
+	hq   []int32
+	best pqueue.KBest
 }
 
 var setCtxs = sync.Pool{New: func() any { return new(setCtx) }}
-
-// getCtx draws a scratch with room for n runs.
-func getCtx(n int) *setCtx {
-	ctx := setCtxs.Get().(*setCtx)
-	for len(ctx.lists) < n {
-		ctx.lists = append(ctx.lists, nil)
-		ctx.stats = append(ctx.stats, core.SearchStats{})
-	}
-	return ctx
-}
 
 // adopt makes the set the state of a DynamicIndex (dynamic) or an Index:
 // the id map is materialised for a DynamicIndex, which allocates from it,
@@ -188,8 +175,8 @@ func (s *segSet) segBudget(lambda int) int {
 }
 
 // scan is the one per-segment step of every query: it runs segment i's
-// core search for the k nearest under budget lambda, appending into dst
-// (reset first) with ids shifted to the slot space, and records a
+// core search over H(q) = hq for the k nearest under budget lambda,
+// offering every verified row to best under its slot, and records a
 // shard_scan span with rows-compared, candidates-verified, and
 // bytes-scanned counters when traced. Tombstoned rows are dropped inside
 // the candidate stream on every path (core.Scan.Dead), so the results
@@ -199,9 +186,9 @@ func (s *segSet) segBudget(lambda int) int {
 // uses one slot of a budget widened by the segment's tombstone count,
 // never past what the segment holds: the scan consumes the stream prefix
 // λ + min(k0+dead, len) − 1 it always has. The candidates are always
-// those of a k0-nearest query; k > k0 (a cursor's later page) returns
+// those of a k0-nearest query; k > k0 (a cursor's later page) verifies
 // more of them, never others.
-func (s *segSet) scan(i int, q []float32, k, k0, lambda int, f *Filter, inStream bool, dst []pqueue.Neighbor, tr *Trace, parent int) ([]pqueue.Neighbor, core.SearchStats) {
+func (s *segSet) scan(i int, q []float32, hq []int32, k, k0, lambda int, f *Filter, inStream bool, best *pqueue.KBest, tr *Trace, parent int) core.SearchStats {
 	seg := &s.segs[i]
 	sc := core.Scan{Offset: seg.off, Dead: s.dead.words}
 	if !inStream {
@@ -222,27 +209,21 @@ func (s *segSet) scan(i int, q []float32, k, k0, lambda int, f *Filter, inStream
 		lambda = nCand - k + 1
 	}
 	sp := tr.StartShardSpan(obs.StageShardScan, parent, i)
-	dst, stats := seg.core.SearchScan(q, k, lambda, sc, dst)
+	stats := seg.core.SearchScan(q, hq, k, lambda, sc, best)
 	if tr != nil {
 		obs.ObserveDur(obs.StageShardScan, tr.FinishSpanCost(sp, int64(stats.Comparisons), int64(stats.Candidates), stats.BytesScanned))
 	}
-	return dst, stats
+	return stats
 }
 
-// scanTail is the tail's step: the k nearest live rows matching f of an
-// exact scan — one bulk kernel pass over the flat block — appended to dst
-// (reset first) as one more sorted run. The kernel reads every tail row's
-// full float32 payload exactly once, dead or rejected rows included
-// (Comparisons, BytesScanned); only live rows that pass the predicate
-// count as candidates, matching the core accounting. A row farther than
-// bound — the k-th distance of a run the merge already holds — cannot
-// reach the answer and is counted but not collected.
-func (s *segSet) scanTail(q []float32, k int, f *Filter, bound float64, best *pqueue.KBest, dst []pqueue.Neighbor) ([]pqueue.Neighbor, core.SearchStats) {
+// scanTail is the tail's step: an exact scan of the live rows matching f
+// — one bulk kernel pass over the flat block — offered to best. The
+// kernel reads every tail row's full float32 payload exactly once, dead
+// or rejected rows included (Comparisons, BytesScanned); only live rows
+// that pass the predicate count as candidates, matching the core
+// accounting.
+func (s *segSet) scanTail(q []float32, f *Filter, best *pqueue.KBest) core.SearchStats {
 	lo, hi := s.indexed, s.store.Len()
-	if lo == hi {
-		return dst[:0], core.SearchStats{}
-	}
-	best.Reset(k)
 	filtered := !f.Empty()
 	stats := core.SearchStats{Comparisons: hi - lo, BytesScanned: int64(hi-lo) * int64(s.store.Dim()) * 4}
 	s.store.Scan(lo, hi, q, s.metric, func(slot int, dist float64) {
@@ -253,24 +234,21 @@ func (s *segSet) scanTail(q []float32, k int, f *Filter, bound float64, best *pq
 			stats.FilterRejected++
 			return
 		}
-		if stats.Candidates++; dist <= bound {
-			best.Add(slot, dist)
-		}
+		stats.Candidates++
+		best.Add(slot, dist)
 	})
-	return best.AppendSorted(dst[:0]), stats
+	return stats
 }
 
 // searchQuery is the one query of every facade: qr validated and
-// clamped, each segment's k nearest under its share of the budget, the
-// tail's exact scan, the merge, and external ids — appended into dst
-// (reset first; dst may be nil). Each segment verifies the candidates of
+// clamped, H(q) computed once, each segment's verified rows under its
+// share of the budget and the tail's exact scan offered to one k-best
+// collector, its (Dist, slot) order appended into dst (reset first; dst
+// may be nil), and external ids. Each segment verifies the candidates of
 // a k0-nearest query, k0 being first capped at k: a cursor passes its
-// first page size, a one-shot 0, which means k. fanOut lets the segments
-// scan in goroutines when more than one CPU is available; per-segment
-// results and stats land in pooled slots, so neither way needs atomics,
-// the merge is deterministic and the sequential unmetered path allocates
-// nothing.
-func (s *segSet) searchQuery(q []float32, qr Query, first int, dst []Neighbor, fanOut bool) ([]Neighbor, error) {
+// first page size, a one-shot 0, which means k. The sources run in
+// sequence on pooled scratch, so the unmetered path allocates nothing.
+func (s *segSet) searchQuery(q []float32, qr Query, first int, dst []Neighbor) ([]Neighbor, error) {
 	k, lambda, err := qr.resolve(q, s)
 	if err != nil {
 		return nil, err
@@ -282,64 +260,38 @@ func (s *segSet) searchQuery(q []float32, qr Query, first int, dst []Neighbor, f
 	f, tr := qr.Filter, qr.Trace
 	inStream := !f.Empty()
 	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
-	lamSeg := s.segBudget(lambda)
-	runs := len(s.segs)
-	ctx := getCtx(runs + 1)
-	direct := runs == 1 && s.indexed == s.store.Len()
-	fanOut = fanOut && runtime.GOMAXPROCS(0) > 1
-	if direct {
-		dst, ctx.stats[0] = s.scan(0, q, k, k0, lamSeg, f, inStream, dst, tr, root)
-	} else {
-		for i := range s.segs {
-			if !fanOut {
-				ctx.lists[i], ctx.stats[i] = s.scan(i, q, k, k0, lamSeg, f, inStream, ctx.lists[i], tr, root)
-				continue
-			}
-			ctx.wg.Add(1)
-			go func(i int) {
-				defer ctx.wg.Done()
-				ctx.lists[i], ctx.stats[i] = s.scan(i, q, k, k0, lamSeg, f, inStream, ctx.lists[i], tr, root)
-			}(i)
-		}
-		ctx.wg.Wait()
+	ctx := setCtxs.Get().(*setCtx)
+	ctx.best.Reset(k)
+	if len(s.segs) > 0 {
+		// Every segment hashes with the set's one configuration.
+		ctx.hq = s.segs[0].core.HashQuery(q, ctx.hq)
 	}
+	lamSeg := s.segBudget(lambda)
+	for i := range s.segs {
+		qr.Cost.addStats(s.scan(i, q, ctx.hq, k, k0, lamSeg, f, inStream, &ctx.best, tr, root)) // nil-safe
+	}
+	sources := len(s.segs)
 	if s.dynamic {
 		sp := tr.StartSpan(obs.StageBufferScan, root)
-		bound := math.Inf(1)
-		for _, run := range ctx.lists[:runs] {
-			if len(run) == k {
-				bound = min(bound, run[k-1].Dist)
-			}
-		}
-		st := &ctx.stats[runs]
-		ctx.lists[runs], *st = s.scanTail(q, k, f, bound, &ctx.best, ctx.lists[runs])
+		st := s.scanTail(q, f, &ctx.best)
+		qr.Cost.addStats(st)
 		if tr != nil {
 			obs.ObserveDur(obs.StageBufferScan, tr.FinishSpanCost(sp, int64(st.Comparisons), int64(st.Candidates), st.BytesScanned))
 		}
-		runs++
+		sources++
 	}
 	mergeSpan := -1
-	if runs > 1 {
+	if sources > 1 {
 		mergeSpan = tr.StartSpan(obs.StageMerge, root)
 	}
-	if !direct {
-		if dst == nil {
-			// The plain Search path: one exactly-sized result allocation.
-			dst = make([]Neighbor, 0, k)
-		}
-		ctx.t.Reset(ctx.lists[:runs])
-		dst = ctx.t.AppendTopK(k, dst[:0])
-	}
+	dst = ctx.best.AppendSorted(dst[:0])
+	setCtxs.Put(ctx)
 	if s.ids != nil {
 		// Results leave in the stable external id space.
 		for i := range dst {
 			dst[i].ID = s.ids.Ext(dst[i].ID)
 		}
 	}
-	for _, st := range ctx.stats[:runs] {
-		qr.Cost.addStats(st) // nil-safe
-	}
-	setCtxs.Put(ctx)
 	if tr != nil {
 		if mergeSpan >= 0 {
 			obs.ObserveDur(obs.StageMerge, tr.FinishSpanN(mergeSpan, int64(len(dst)), 0))

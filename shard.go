@@ -40,7 +40,7 @@ func NewShardedIndex(data [][]float32, cfg Config, shards int) (*Index, error) {
 		go func(s int) {
 			defer wg.Done()
 			var c *core.Index
-			c, _, errs[s] = buildCore(store.Slice(offsets[s], offsets[s+1]), cfg)
+			c, errs[s] = buildCore(store.Slice(offsets[s], offsets[s+1]), cfg)
 			set.segs[s] = segment{core: c, off: offsets[s]}
 		}(s)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -279,4 +280,93 @@ func TestLoadShardedRejectsCorruption(t *testing.T) {
 	if _, err := Load(filepath.Join(dir, "missing.lccs"), data); err == nil {
 		t.Fatal("missing file should fail")
 	}
+}
+
+// TestSegmentsShareHashFunctions pins the invariant the set's one query
+// leans on when it hashes q once for every segment: on every way a set
+// comes to hold segments, each segment's H(q) equals segment 0's. The
+// bucket width is left to be derived from the data, the case in which
+// two builds could disagree.
+func TestSegmentsShareHashFunctions(t *testing.T) {
+	const n, dim = 600, 8
+	data, g := testData(17, n+160, dim, 6, 1)
+	cfg := Config{Metric: Euclidean, M: 16, Seed: 9}
+	queries := make([][]float32, 16)
+	for i := range queries {
+		queries[i] = g.UniformVector(dim, -12, 12)
+	}
+	check := func(name string, set *segSet, minSegs int) {
+		t.Helper()
+		if len(set.segs) < minSegs {
+			t.Fatalf("%s: %d segments, want at least %d", name, len(set.segs), minSegs)
+		}
+		for qi, q := range queries {
+			h0 := set.segs[0].core.HashQuery(q, nil)
+			for i, seg := range set.segs[1:] {
+				if h := seg.core.HashQuery(q, nil); !slices.Equal(h, h0) {
+					t.Fatalf("%s query %d: segment %d hashes %v, segment 0 %v", name, qi, i+1, h, h0)
+				}
+			}
+		}
+	}
+
+	one := must(NewShardedIndex(data[:n], cfg, 1))
+	check("NewShardedIndex/1", &one.segSet, 1)
+	three := must(NewShardedIndex(data[:n], cfg, 3))
+	check("NewShardedIndex/3", &three.segSet, 3)
+	path := filepath.Join(t.TempDir(), "three.lccs")
+	if err := three.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	check("Load", &must(Load(path, data[:n])).segSet, 3)
+
+	// Background builds from an empty start, then a buffered tail.
+	d := must(NewDynamicIndex(nil, cfg, 128))
+	for _, v := range data[:n] {
+		must(d.Add(v))
+		d.WaitRebuild()
+	}
+	check("DynamicIndex/background builds", &d.segSet, n/128)
+	_, snap, err := d.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Snapshot with a tail", &snap.segSet, n/128+1)
+	from := NewDynamicIndexFrom(snap, 16)
+	for _, v := range data[n:] {
+		must(from.Add(v))
+		from.WaitRebuild()
+	}
+	check("NewDynamicIndexFrom + background builds", &from.segSet, n/128+2)
+	if err := d.Rebuild(); err != nil || d.Shards() != 1 {
+		t.Fatalf("Rebuild: %d shards, err %v", d.Shards(), err)
+	}
+	for _, v := range data[n:] {
+		must(d.Add(v))
+	}
+	d.WaitRebuild()
+	check("Rebuild + background build", &d.segSet, 2)
+
+	// A checkpoint of several segments, recovered, then written to again.
+	dir := t.TempDir()
+	dc := DurableConfig{Config: cfg, Sync: SyncNone, RebuildAt: 128}
+	di := must(OpenDurable(dir, dc))
+	for _, v := range data[:n] {
+		must(di.Add(v))
+		di.WaitRebuild()
+	}
+	if _, err := di.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := must(OpenDurable(dir, dc))
+	defer re.Close()
+	check("OpenDurable recovery", &re.segSet, n/128+1)
+	for _, v := range data[n:] {
+		must(re.Add(v))
+	}
+	re.WaitRebuild()
+	check("OpenDurable recovery + writes", &re.segSet, n/128+2)
 }

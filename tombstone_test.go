@@ -151,6 +151,15 @@ func (st *tombState) buffer(all []pqueue.Neighbor, q []float32, f *Filter) []pqu
 	return all
 }
 
+// shardSearch is one shard's k nearest under budget lambda and sc, in
+// the set's slot space.
+func shardSearch(c *core.Index, q []float32, k, lambda int, sc core.Scan) []pqueue.Neighbor {
+	var best pqueue.KBest
+	best.Reset(k)
+	c.SearchScan(q, c.HashQuery(q, nil), k, lambda, sc, &best)
+	return best.Sorted()
+}
+
 // overfetch is the parent commit's unfiltered query: every shard fetches
 // its min(k+dead, len) nearest of the λ_shard + that − 1 stream prefix
 // with no tombstone knowledge, the dead rows are shed afterwards, and the
@@ -164,7 +173,7 @@ func (st *tombState) overfetch(q []float32, k, lambda int) []Neighbor {
 				dead++
 			}
 		}
-		res, _ := sh.core.SearchScan(q, min(k+dead, sh.core.N()), st.split(lambda), core.Scan{Offset: sh.off}, nil)
+		res := shardSearch(sh.core, q, min(k+dead, sh.core.N()), st.split(lambda), core.Scan{Offset: sh.off})
 		for _, nb := range res {
 			if !st.dead(nb.ID) {
 				all = append(all, nb)
@@ -184,7 +193,7 @@ func (st *tombState) inStream(q []float32, k, budget int, f *Filter, keep int) [
 	for _, sh := range st.shards {
 		off := sh.off
 		accept := func(local int) bool { return !st.dead(off+local) && f.Matches(st.attrs.Row(off+local)) }
-		res, _ := sh.core.SearchScan(q, k, budget, core.Scan{Offset: off, Accept: accept}, nil)
+		res := shardSearch(sh.core, q, k, budget, core.Scan{Offset: off, Accept: accept})
 		all = append(all, res...)
 	}
 	return st.top(st.buffer(all, q, f), keep)
@@ -208,7 +217,7 @@ func (st *tombState) candidates(q []float32, k0, lambda int, f *Filter) []Neighb
 			}
 		}
 		prefix := st.split(lambda) + min(k0+dead, sh.core.N()) - 1
-		res, _ := sh.core.SearchScan(q, prefix, 1, core.Scan{Offset: sh.off}, nil)
+		res := shardSearch(sh.core, q, prefix, 1, core.Scan{Offset: sh.off})
 		for _, nb := range res {
 			if !st.dead(nb.ID) {
 				all = append(all, nb)
