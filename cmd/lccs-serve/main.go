@@ -1,8 +1,9 @@
 // Command lccs-serve puts an LCCS-LSH index behind a network endpoint: a
 // long-lived daemon that serves the HTTP/JSON API of internal/server —
 // /v1/search, /v1/search/batch, /v1/insert, /v1/delete, /v1/collections,
-// /v1/stats, /v1/debug/slow, /healthz, /metrics — with bounded
-// concurrency, an LRU result cache, and graceful shutdown.
+// /v1/stats, /v1/usage, /v1/collections/{name}/usage, /v1/debug/slow,
+// /v1/debug/health, /healthz, /metrics — with bounded concurrency, an LRU
+// result cache, and graceful shutdown.
 //
 // Usage:
 //

@@ -45,9 +45,25 @@ func TestConformanceDocInStep(t *testing.T) {
 	}
 }
 
+// TestReadmeExamplesDeclared: every Example function README.md cites is
+// declared in some _test.go of the module, so a pointer to a walk-through
+// cannot outlive it.
+func TestReadmeExamplesDeclared(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := testFuncs(t)
+	for _, name := range regexp.MustCompile(`\bExample[A-Z_]\w*`).FindAllString(string(readme), -1) {
+		if !declared[name] {
+			t.Errorf("README.md cites %s, which no _test.go of the module declares", name)
+		}
+	}
+}
+
 // testFuncs parses every _test.go of the module — nested modules,
 // testdata and hidden directories skipped — and returns the names of its
-// top-level Test* and Fuzz* functions.
+// top-level Test*, Fuzz* and Example* functions.
 func testFuncs(t *testing.T) map[string]bool {
 	t.Helper()
 	names := map[string]bool{}
@@ -77,7 +93,8 @@ func testFuncs(t *testing.T) map[string]bool {
 		}
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil &&
-				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz") ||
+					strings.HasPrefix(fn.Name.Name, "Example")) {
 				names[fn.Name.Name] = true
 			}
 		}

@@ -670,28 +670,60 @@ func TestMemoryOnlyHasNoJournal(t *testing.T) {
 	}
 }
 
-// id collisions across facades would be caught here: the example keeps
-// the doc honest.
+// ExampleOpenDurable walks the durable lifecycle: journaled writes, a
+// crash with no shutdown path, recovery, and a checkpoint that truncates
+// the log.
 func ExampleOpenDurable() {
-	dir, _ := os.MkdirTemp("", "lccs-durable")
+	dir, err := os.MkdirTemp("", "lccs-durable")
+	if err != nil {
+		panic(err)
+	}
 	defer os.RemoveAll(dir)
 
 	// The Config seeds a fresh directory; once a checkpoint exists its
-	// container carries the resolved configuration instead.
+	// container carries the resolved configuration instead. The zero
+	// Sync policy, SyncAlways, fsyncs every write before acknowledging it.
 	cfg := DurableConfig{Config: Config{Metric: Euclidean, M: 8, BucketWidth: 4}}
-	di, _ := OpenDurable(dir, cfg)
-	id, _ := di.Add([]float32{1, 0})
-	di.Add([]float32{0, 1})
-	fmt.Println("first id:", id)
+	di, err := OpenDurable(dir, cfg)
+	if err != nil {
+		panic(err)
+	}
+	ids, err := di.AddBatch([][]float32{{0, 0}, {1, 0}, {0, 1}, {5, 5}, {9, 9}})
+	if err != nil {
+		panic(err)
+	}
+	deleted, _, err := di.DeleteBatch([]int{3})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("acknowledged ids:", ids, "deleted:", deleted)
 
-	// Crash: no Close, no Checkpoint. Reopen and everything acked is
-	// back.
-	di2, _ := OpenDurable(dir, cfg)
-	fmt.Println("recovered vectors:", di2.Len())
-	di2.Close()
+	// Crash: no Close, no Checkpoint. Reopen and everything acknowledged
+	// is back, replayed from the log.
+	di, err = OpenDurable(dir, cfg)
+	if err != nil {
+		panic(err)
+	}
+	defer di.Close()
+	fmt.Println("replayed records:", di.Recovery().Records, "live:", di.Len())
+
+	// The id watermark survived too: a new insert never reuses id 3.
+	id, err := di.Add([]float32{2, 2})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("next id:", id)
+
+	info, err := di.Checkpoint()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("checkpointed live:", info.Live, "WAL depth:", di.WALStats().Depth)
 	// Output:
-	// first id: 0
-	// recovered vectors: 2
+	// acknowledged ids: [0 1 2 3 4] deleted: 1
+	// replayed records: 6 live: 4
+	// next id: 5
+	// checkpointed live: 5 WAL depth: 0
 }
 
 // TestDurableAttrsRoundTrip asserts metadata durability on both halves

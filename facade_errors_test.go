@@ -2,6 +2,11 @@ package lccs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -87,6 +92,53 @@ func TestNewDynamicIndexBadConfig(t *testing.T) {
 	// A valid empty start still works.
 	if _, err := NewDynamicIndex(nil, Config{Metric: Euclidean}, 0); err != nil {
 		t.Errorf("valid empty start: %v", err)
+	}
+}
+
+// TestNonFiniteBucketWidthRejected: a NaN or infinite Euclidean bucket
+// width hashes every point to one bucket, so it must be refused by every
+// constructor and by Load, never built into an index whose strings all
+// collide.
+func TestNonFiniteBucketWidthRejected(t *testing.T) {
+	data, _ := testData(64, 40, 4, 2, 0.5)
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := Config{Metric: Euclidean, M: 8, BucketWidth: w, Seed: 1}
+		if _, err := NewIndex(data, cfg); err == nil {
+			t.Errorf("NewIndex accepted bucket width %v", w)
+		}
+		if _, err := NewDynamicIndex(data, cfg, 0); err == nil {
+			t.Errorf("NewDynamicIndex accepted bucket width %v", w)
+		}
+		if di, err := OpenDurable(t.TempDir(), DurableConfig{Config: cfg}); err == nil {
+			di.Close()
+			t.Errorf("OpenDurable accepted bucket width %v", w)
+		}
+	}
+
+	// A container whose width bytes read NaN.
+	const width = 3.25
+	ix, err := NewIndex(data, Config{Metric: Euclidean, M: 8, BucketWidth: width, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	at := bytes.Index(blob, binary.LittleEndian.AppendUint64(nil, math.Float64bits(width)))
+	if at < 0 {
+		t.Fatal("the container does not hold the bucket width's bytes")
+	}
+	binary.LittleEndian.PutUint64(blob[at:], math.Float64bits(math.NaN()))
+	path := filepath.Join(t.TempDir(), "nan.lccs")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Without the width check the load still fails, later and for
+	// another reason: the stored hash strings stop matching the data.
+	if _, err := Load(path, data); err == nil || !strings.Contains(err.Error(), "bucket width") {
+		t.Errorf("Load of a container whose bucket width is NaN: %v, want a bucket-width error", err)
 	}
 }
 

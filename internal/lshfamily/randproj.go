@@ -22,8 +22,8 @@ type RandomProjection struct {
 // NewRandomProjection returns the family for dimension dim with bucket
 // width w. w must be positive.
 func NewRandomProjection(dim int, w float64) *RandomProjection {
-	if dim <= 0 || w <= 0 {
-		panic("lshfamily: NewRandomProjection requires dim > 0 and w > 0")
+	if dim <= 0 || !(w > 0) || math.IsInf(w, 1) {
+		panic("lshfamily: NewRandomProjection requires dim > 0 and a finite w > 0")
 	}
 	return &RandomProjection{dim: dim, w: w}
 }

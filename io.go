@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"lccs/internal/core"
@@ -689,12 +690,14 @@ func (sx *segSet) decodeLifecycle(r io.Reader) error {
 }
 
 // familyFor constructs the LSH family a Config selects. BucketWidth must
-// already be resolved (non-zero) for Euclidean.
+// already be resolved (non-zero) for Euclidean, and finite: a NaN or
+// infinite width puts every point in one bucket, so every hash string
+// collides.
 func familyFor(cfg Config, dim int) (lshfamily.Family, error) {
 	switch cfg.Metric {
 	case Euclidean:
-		if cfg.BucketWidth <= 0 {
-			return nil, fmt.Errorf("lccs: euclidean index requires a positive bucket width, got %v", cfg.BucketWidth)
+		if !(cfg.BucketWidth > 0) || math.IsInf(cfg.BucketWidth, 1) {
+			return nil, fmt.Errorf("lccs: euclidean index requires a positive finite bucket width, got %v", cfg.BucketWidth)
 		}
 		return lshfamily.NewRandomProjection(dim, cfg.BucketWidth), nil
 	case Angular:

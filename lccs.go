@@ -315,11 +315,14 @@ type Config struct {
 	Metric MetricKind
 	// M is the hash-string length, the scheme's single capacity
 	// parameter: larger m raises recall per candidate at the cost of
-	// memory (3·4·n·m bytes) and per-query hashing. 0 selects 64.
+	// memory and per-query hashing. The CSA holds (c + 8)·n·m bytes,
+	// where c = 1, 2 or 4 is the width of its symbol codes (see
+	// internal/csa). 0 selects 64.
 	M int
-	// BucketWidth is the w of the Euclidean family (Eq. 1). 0 derives it
-	// from a sample of the data (twice the median 10-NN distance of a
-	// small sample), mirroring how the paper fine-tunes w per dataset.
+	// BucketWidth is the w of the Euclidean family (Eq. 1); it must be
+	// finite. 0 derives it from the data, mirroring how the paper
+	// fine-tunes w per dataset: twice the median, over 64 sampled rows,
+	// of each row's smallest non-zero distance to up to 512 random rows.
 	BucketWidth float64
 	// Budget is the default per-query candidate budget λ used by Search.
 	// 0 selects 100.
