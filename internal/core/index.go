@@ -75,9 +75,11 @@ type SearchStats struct {
 	// distances after the quantized (SQ8) scan; 0 on exact indexes.
 	Reranked int
 	// BytesScanned is the vector-block memory traffic of the
-	// verification phase: float32 gathers cost 4 bytes per dimension per
-	// candidate, SQ8 score gathers 1 byte, and the exact re-rank pays
-	// the float32 rate again for its survivors.
+	// verification phase, the bytes the kernels read: SQ8 score gathers
+	// cost 1 byte per dimension per candidate; float32 gathers, and the
+	// exact re-rank of the SQ8 survivors, 4 bytes per dimension they read
+	// — all of a row, or, Euclidean, as far as the checkpoint at which it
+	// could no longer enter the k-best collector (vec.Store.GatherNearest).
 	BytesScanned int64
 	// FilterRejected counts candidates the accept predicate discarded
 	// before any distance work (filtered searches only).
@@ -498,8 +500,14 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, sc *Scan, bes
 
 // scoreExact gathers the exact float32 distances of ctx.ids[:b] and adds
 // them to best under ids shifted by off: the scoring step of an exact
-// index and the re-rank step of a quantized one.
+// index and the re-rank step of a quantized one. A Euclidean row stops
+// being read once it cannot enter best (vec.Store.GatherNearest), which
+// changes what best keeps in nothing, only the bytes charged.
 func (ix *Index) scoreExact(ctx *searchCtx, q []float32, b, off int, best *pqueue.KBest) {
+	if ix.metric == vec.Euclidean {
+		ctx.bytes += ix.store.GatherNearest(ctx.ids[:b], q, off, best)
+		return
+	}
 	ix.store.GatherDistancesInto(ctx.ids[:b], q, ix.metric, ctx.dists[:b])
 	ctx.bytes += int64(b) * int64(ix.store.Dim()) * 4
 	for i := 0; i < b; i++ {

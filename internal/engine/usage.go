@@ -31,8 +31,9 @@ type UsageSnapshot struct {
 	Candidates  int64 `json:"candidates"`
 	Reranked    int64 `json:"reranked"`
 	// BytesScanned is the vector bytes the distance kernels read:
-	// 4 B/dim per float32 candidate, 1 B/dim per SQ8 candidate, plus
-	// 4 B/dim again per re-ranked row.
+	// 1 B/dim per SQ8 candidate, and 4 B/dim per float32 candidate and
+	// per re-ranked row, of the dims read — a Euclidean row stops being
+	// read once it cannot make the k nearest.
 	BytesScanned int64 `json:"bytes_scanned"`
 	// FilterRejected counts candidates discarded by a metadata predicate.
 	FilterRejected int64 `json:"filter_rejected"`

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"lccs/internal/pqueue"
 )
 
 // gatherIDLists are the id sequences the gather entry points must handle:
@@ -91,6 +93,71 @@ func TestGatherMatchesDistance(t *testing.T) {
 					if math.Float32bits(out[j]) != math.Float32bits(want) {
 						t.Fatalf("dim %d sq8 %s %s: out[%d] (row %d) = %x, row kernel = %x", dim, m.Name(), name, j, id,
 							math.Float32bits(out[j]), math.Float32bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatherNearestMatchesAdd holds GatherNearest to its contract: a
+// k-best collector, empty or already holding rows, ends up holding bit for
+// bit what GatherDistancesInto and an Add per row leave in it, while the
+// bytes it reports never exceed a full read — equal it at dims without a
+// checkpoint, and fall short of it at 960 once the collector is full.
+func TestGatherNearestMatchesAdd(t *testing.T) {
+	g := rand.New(rand.NewPCG(29, 31))
+	const n = 40
+	for _, dim := range []int{1, 16, 64, 65, 128, 960, 961} {
+		// Rows near one of two far-apart centres: the far half is what a
+		// bound stops.
+		rows := make([][]float32, n)
+		for i := range rows {
+			rows[i] = make([]float32, dim)
+			for d := range rows[i] {
+				rows[i][d] = float32(i%2*20) + float32(g.NormFloat64())
+			}
+		}
+		s, err := FromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := rows[0]
+		lists := gatherIDLists(n)
+		long := make([]int32, 3*n)
+		for j := range long {
+			long[j] = int32(g.IntN(n))
+		}
+		lists["long"] = long
+		for name, ids := range lists {
+			for _, k := range []int{1, 5, 200} {
+				for _, prefill := range []bool{false, true} {
+					var bounded, oracle pqueue.KBest
+					bounded.Reset(k)
+					oracle.Reset(k)
+					if prefill {
+						for i := 0; i < k; i++ {
+							d := 2 * math.Sqrt(float64(dim)) * float64(i+1) / float64(k)
+							bounded.Add(-1-i, d)
+							oracle.Add(-1-i, d)
+						}
+					}
+					dists := make([]float64, len(ids))
+					s.GatherDistancesInto(ids, q, Euclidean, dists)
+					for j, id := range ids {
+						oracle.Add(100+int(id), dists[j])
+					}
+					read := s.GatherNearest(ids, q, 100, &bounded)
+					label := fmt.Sprintf("dim %d %s k %d prefill %v", dim, name, k, prefill)
+					if got, want := bounded.Sorted(), oracle.Sorted(); !sameNeighbors(got, want) {
+						t.Fatalf("%s: GatherNearest kept %v, GatherDistancesInto and Add %v", label, got, want)
+					}
+					full := int64(len(ids)) * int64(dim) * 4
+					if read > full || (dim <= boundStride && read != full) {
+						t.Fatalf("%s: read %d bytes of %d", label, read, full)
+					}
+					if dim >= 960 && name == "long" && k < 200 && read >= full {
+						t.Fatalf("%s: read every byte (%d)", label, read)
 					}
 				}
 			}

@@ -56,9 +56,34 @@ var (
 	// A caller with no next row — the pairwise helpers, the last row of a
 	// gather — passes the row itself, and nothing is requested. next is
 	// never read and changes no result; the pure-Go kernels ignore it.
-	sqRow      func(a, b, next []float32) float32            = sqRowGeneric
-	dotRow     func(a, b, next []float32) float32            = dotRowGeneric
-	dotNormRow func(a, q, next []float32) (float32, float32) = dotNormRowGeneric
+	//
+	// sqRow alone also takes a bound, and returns with the sum how many
+	// elements it read. Every boundStride elements, while some remain, it
+	// reduces a copy of its two banks through the same tree as the end of
+	// the row and returns that partial at once if it exceeds bound. A bound
+	// of +Inf (or NaN) never stops it, and the sum is then the unbounded
+	// sum bit for bit: the pairwise helpers and GatherDistancesInto pass +Inf,
+	// and rows of at most boundStride elements have no checkpoint at all.
+	// A stopped partial never exceeds the full sum, so a caller whose bound
+	// is the largest squared distance it would still accept (sqBound) loses
+	// no row it wants by the stop:
+	//
+	//   - every lane adds squares, which are ≥ 0, and round-to-nearest
+	//     addition of a non-negative never decreases a sum, so each lane
+	//     only grows;
+	//   - the reduction tree is monotone in each of its inputs, and the
+	//     scalar tail adds only non-negatives, so a checkpoint's partial is
+	//     ≤ the final sum (an overflow to +Inf stays +Inf; a NaN, from a
+	//     NaN input or ∞−∞, compares false and so never stops the row);
+	//   - euclideanFromSq is monotone, so partial > sqBound(w) means the
+	//     final distance is > w, which a k-best collector whose worst is w
+	//     rejects before any id tie-break.
+	//
+	// Both implementations check at the same elements with the same tree,
+	// so they agree on the stopping point as well as on the value.
+	sqRow      func(a, b, next []float32, bound float32) (float32, int) = sqRowGeneric
+	dotRow     func(a, b, next []float32) float32                       = dotRowGeneric
+	dotNormRow func(a, q, next []float32) (float32, float32)            = dotNormRowGeneric
 
 	// kernelImpl names the selected implementation ("avx2" or "generic").
 	kernelImpl = "generic"
@@ -85,6 +110,34 @@ func angularFromParts(dot, na2, nb2 float32) float64 {
 		c = -1
 	}
 	return float64(float32(math.Acos(c)))
+}
+
+// boundStride is how many elements sqRow consumes between two looks at
+// its bound; the assembly hard-codes it as its 64-element step (four
+// SQ16s and a SQCHECK). It is a multiple of the 16-element main-loop step,
+// so a checkpoint always falls between two steps. See docs/PERFORMANCE.md,
+// "Bounded verification", for the sweep that chose it.
+const boundStride = 64
+
+// posInf is the bound that never stops sqRow.
+var posInf = float32(math.Inf(1))
+
+// sqBound returns the largest float32 squared distance s whose Euclidean
+// distance euclideanFromSq(s) is at most worst: a row whose squared sum
+// exceeds it is farther than worst. It is +Inf for a worst of +Inf, NaN
+// or below zero, none of which a finite bound can serve.
+func sqBound(worst float64) float32 {
+	if !(worst >= 0 && worst < math.Inf(1)) {
+		return posInf
+	}
+	s := float32(worst * worst)
+	for s > 0 && euclideanFromSq(s) > worst {
+		s = math.Float32frombits(math.Float32bits(s) - 1)
+	}
+	for s < math.MaxFloat32 && euclideanFromSq(math.Float32frombits(math.Float32bits(s)+1)) <= worst {
+		s = math.Float32frombits(math.Float32bits(s) + 1)
+	}
+	return s
 }
 
 // euclideanFromSq widens a float32 squared distance to the float64

@@ -15,7 +15,7 @@ func sqBlockAVX2(block, q, out []float32)
 func dotNormBlockAVX2(block, q, outDot, outNorm []float32)
 
 //go:noescape
-func sqRowAVX2(a, b, next []float32) float32
+func sqRowAVX2(a, b, next []float32, bound float32) (sum float32, n int)
 
 //go:noescape
 func dotRowAVX2(a, b, next []float32) float32

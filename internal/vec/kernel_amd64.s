@@ -60,6 +60,25 @@
 	VADDPS  Y7, Y1, Y1; \
 	ADDQ    $16, R8
 
+// SQCHECK: the checkpoint of sqRowAVX2, at the end of each of its 64-element
+// steps (boundStride). If elements remain, it reduces a copy of the banks
+// through the tree of rsq_reduce, operand for operand, and leaves the row
+// with that partial (in X2) if it exceeds the bound (in X8); otherwise, or
+// at the row's end, it goes on at loop. VUCOMISS, not UCOMISS: a legacy
+// SSE op here, with the banks' upper halves live, would pay the SSE/AVX
+// transition on every checkpoint.
+#define SQCHECK(loop) \
+	CMPQ         R8, CX; \
+	JGE          loop; \
+	VADDPS       Y1, Y0, Y2; \
+	VEXTRACTF128 $1, Y2, X3; \
+	VADDPS       X3, X2, X2; \
+	VHADDPS      X2, X2, X2; \
+	VHADDPS      X2, X2, X2; \
+	VUCOMISS     X8, X2; \
+	JA           rsq_stop; \
+	JMP          loop
+
 // DOT16: acc += a * b.
 #define DOT16 \
 	VMOVUPS (SI)(R8*4), Y2; \
@@ -273,19 +292,50 @@ dn_store:
 dn_done:
 	RET
 
-// func sqRowAVX2(a, b, next []float32) float32
+// func sqRowAVX2(a, b, next []float32, bound float32) (sum float32, n int)
 // Single-row squared Euclidean: same structure as one sqBlockAVX2 row,
-// returned by value so pairwise callers need no out buffer.
-TEXT ·sqRowAVX2(SB), NOSPLIT, $0-76
+// returned by value so pairwise callers need no out buffer, plus the
+// checkpoints of sqRowGeneric. The main loop takes four SQ16 steps at a
+// time while 64 elements remain, with a SQCHECK after each such step, and
+// hands what is left under 64 to the plain 16-element loop, which can
+// reach no further checkpoint. A bound of +Inf, which no checkpoint can
+// act on, skips them all: the kernel then runs the loops it ran before it
+// had a bound (see docs/PERFORMANCE.md, "Bounded verification", for what
+// the checkpoints cost on rows in cache). n is how many elements were
+// read: len(a), or the checkpoint the row stopped at.
+TEXT ·sqRowAVX2(SB), NOSPLIT, $0-96
 	MOVQ a_base+0(FP), SI
 	MOVQ a_len+8(FP), CX
 	MOVQ b_base+24(FP), DX
 	MOVQ next_base+48(FP), R10
+	VMOVSS bound+72(FP), X8
 	XORQ R8, R8
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
+	MOVQ CX, R11
+	SUBQ $64, R11
 	MOVQ CX, R9
 	SUBQ $16, R9
+	MOVL bound+72(FP), AX
+	CMPL AX, $0x7f800000
+	JEQ  rsq_unbounded
+	CMPQ R10, SI
+	JEQ  rsq_loop64
+
+rsq_ahead64:
+	CMPQ       R8, R11
+	JG         rsq_ahead16
+	PREFETCHT1 (R10)(R8*4)
+	SQ16
+	PREFETCHT1 (R10)(R8*4)
+	SQ16
+	PREFETCHT1 (R10)(R8*4)
+	SQ16
+	PREFETCHT1 (R10)(R8*4)
+	SQ16
+	SQCHECK(rsq_ahead64)
+
+rsq_unbounded:
 	CMPQ R10, SI
 	JEQ  rsq_loop16
 
@@ -302,6 +352,15 @@ rsq_aheadrest:
 	JGE        rsq_reduce
 	PREFETCHT1 (R10)(R8*4)
 	JMP        rsq_loop8entry
+
+rsq_loop64:
+	CMPQ    R8, R11
+	JG      rsq_loop16
+	SQ16
+	SQ16
+	SQ16
+	SQ16
+	SQCHECK(rsq_loop64)
 
 rsq_loop16:
 	CMPQ    R8, R9
@@ -344,7 +403,14 @@ rsq_tail:
 	JMP   rsq_tail
 
 rsq_done:
-	MOVSS X0, ret+72(FP)
+	MOVSS X0, sum+80(FP)
+	MOVQ  CX, n+88(FP)
+	RET
+
+rsq_stop:
+	VZEROUPPER
+	MOVSS X2, sum+80(FP)
+	MOVQ  R8, n+88(FP)
 	RET
 
 // func dotRowAVX2(a, b, next []float32) float32

@@ -3,6 +3,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -13,15 +14,17 @@ import (
 // reduction tree, no FMA), so every distance is independent of which
 // implementation the dispatcher picked. This test holds that promise to
 // exact float32 equality across dims 1..67 — every combination of main
-// loop, half-width loop, and scalar tail — including negative zeros and
-// denormals.
+// loop, half-width loop, and scalar tail — and 960 and 961, including
+// negative zeros and denormals, and a row whose squares overflow to +Inf
+// part way. sqRow is held to it under every bound of testBounds, with and
+// without a row to prefetch: value, stopping point and all.
 func TestKernelAsmGenericBitIdentity(t *testing.T) {
 	if !hasAVX2() {
 		t.Skip("no AVX2 on this CPU")
 	}
 	g := rand.New(rand.NewPCG(3, 9))
-	for dim := 1; dim <= kernelDimMax; dim++ {
-		const rows = 5
+	for _, dim := range kernelDims() {
+		const rows = 6
 		block := make([]float32, rows*dim)
 		for i := range block {
 			block[i] = float32(g.NormFloat64() * 100)
@@ -30,6 +33,10 @@ func TestKernelAsmGenericBitIdentity(t *testing.T) {
 		block[g.IntN(len(block))] = 0
 		block[g.IntN(len(block))] = float32(math.Copysign(0, -1))
 		block[g.IntN(len(block))] = math.Float32frombits(1) // smallest denormal
+		// The last row's second half overflows its lanes to +Inf.
+		for i := (rows-1)*dim + dim/2; i < rows*dim; i++ {
+			block[i] = 3e19
+		}
 		q := make([]float32, dim)
 		for i := range q {
 			q[i] = float32(g.NormFloat64() * 100)
@@ -57,8 +64,18 @@ func TestKernelAsmGenericBitIdentity(t *testing.T) {
 
 		for r := 0; r < rows; r++ {
 			row := block[r*dim : (r+1)*dim]
-			if a, g := sqRowAVX2(row, q, row), sqRowGeneric(row, q, row); math.Float32bits(a) != math.Float32bits(g) {
-				t.Fatalf("dim %d row %d: sqRow asm %x generic %x", dim, r, math.Float32bits(a), math.Float32bits(g))
+			next := block[((r+1)%rows)*dim : ((r+1)%rows+1)*dim]
+			full, _ := sqRowGeneric(row, q, row, posInf)
+			for _, bound := range testBounds(g, row, q) {
+				for _, ahead := range [][]float32{row, next} {
+					a, an := sqRowAVX2(row, q, ahead, bound)
+					gg, gn := sqRowGeneric(row, q, ahead, bound)
+					if math.Float32bits(a) != math.Float32bits(gg) || an != gn {
+						t.Fatalf("dim %d row %d bound %g: sqRow asm %x after %d elements, generic %x after %d", dim, r, bound,
+							math.Float32bits(a), an, math.Float32bits(gg), gn)
+					}
+					checkBoundedSq(t, fmt.Sprintf("dim %d row %d", dim, r), row, bound, full, a, an)
+				}
 			}
 			if a, g := dotRowAVX2(row, q, row), dotRowGeneric(row, q, row); math.Float32bits(a) != math.Float32bits(g) {
 				t.Fatalf("dim %d row %d: dotRow asm %x generic %x", dim, r, math.Float32bits(a), math.Float32bits(g))

@@ -13,10 +13,15 @@ package vec
 //   - lane reduction as bank add, high/low half add, then two pairwise
 //     horizontal adds — the VADDPS / VEXTRACTF128 / 2×VHADDPS tree;
 //   - the scalar tail (dim mod 8) folded in sequentially after the
-//     vector reduction.
+//     vector reduction;
+//   - in sqRow alone, a checkpoint after every boundStride elements of
+//     the main loop (while some remain) that reduces the banks by the
+//     same tree and stops if that partial exceeds the bound.
 //
 // The amd64-only parity test asserts exact equality between these and
-// the assembly across dims 1..67, so any structural drift fails CI.
+// the assembly across dims 1..67, 960 and 961 — for sqRow, under every
+// bound it tries, the stopping point too — so any structural drift fails
+// CI.
 //
 // The row kernels take a last argument, next, that these twins ignore:
 // it is the row the caller will ask for next, which the assembly
@@ -26,19 +31,29 @@ package vec
 func sqBlockGeneric(block, q, out []float32) {
 	dim := len(q)
 	for r := range out {
-		out[r] = sqRowGeneric(block[r*dim:r*dim+dim], q, nil)
+		out[r], _ = sqRowGeneric(block[r*dim:r*dim+dim], q, nil, posInf)
 	}
 }
 
-func sqRowGeneric(a, b, _ []float32) float32 {
+// sqRowGeneric is the one kernel with a bound (see sqRow in kernel.go):
+// each time the main loop has consumed a multiple of boundStride elements
+// and some remain, it reduces the two banks as the end of the row does and
+// stops with that partial if it exceeds bound.
+func sqRowGeneric(a, b, _ []float32, bound float32) (float32, int) {
 	var acc0, acc1 [8]float32
 	j := 0
-	for ; j+16 <= len(a); j += 16 {
+	for j+16 <= len(a) {
 		for l := 0; l < 8; l++ {
 			d0 := a[j+l] - b[j+l]
 			acc0[l] += d0 * d0
 			d1 := a[j+8+l] - b[j+8+l]
 			acc1[l] += d1 * d1
+		}
+		j += 16
+		if j%boundStride == 0 && j < len(a) {
+			if s := reduce8(&acc0, &acc1); s > bound {
+				return s, j
+			}
 		}
 	}
 	for ; j+8 <= len(a); j += 8 {
@@ -52,7 +67,7 @@ func sqRowGeneric(a, b, _ []float32) float32 {
 		d := a[j] - b[j]
 		s += d * d
 	}
-	return s
+	return s, len(a)
 }
 
 func dotRowGeneric(a, b, _ []float32) float32 {

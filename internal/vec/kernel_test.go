@@ -1,21 +1,88 @@
 package vec
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"lccs/internal/pqueue"
 )
 
 // Parity property tests: every dispatched kernel against the naive
 // float64 scalar references, across every dimensionality from 1 to 67
-// (covering the 16-wide main loop, the 8-wide half loop, and every
-// scalar tail length), plus empty blocks and non-finite inputs. The
-// dispatched kernels accumulate in float32, so agreement with the
-// float64 reference is to within a relative tolerance; agreement
-// between the two dispatched implementations (asm and generic) is
-// asserted exactly in kernel_amd64_test.go.
+// (covering the 16-wide main loop, the 8-wide half loop, every scalar
+// tail length and sqRow's first bound checkpoint) and two GIST-sized
+// ones, plus empty blocks and non-finite inputs. The dispatched kernels
+// accumulate in float32, so agreement with the float64 reference is to
+// within a relative tolerance; agreement between the two dispatched
+// implementations (asm and generic) is asserted exactly in
+// kernel_amd64_test.go.
 
 const kernelDimMax = 67
+
+// kernelDims are the dimensionalities the kernel tests sweep: 1 to
+// kernelDimMax, then 960 (the paper's GIST, fourteen checkpoints) and 961
+// (the same with a scalar tail after the last one).
+func kernelDims() []int {
+	dims := make([]int, 0, kernelDimMax+2)
+	for dim := 1; dim <= kernelDimMax; dim++ {
+		dims = append(dims, dim)
+	}
+	return append(dims, 960, 961)
+}
+
+// nextUp32 and nextDown32 step a non-negative finite float32 by one ulp.
+func nextUp32(v float32) float32   { return math.Float32frombits(math.Float32bits(v) + 1) }
+func nextDown32(v float32) float32 { return math.Float32frombits(math.Float32bits(v) - 1) }
+
+// testBounds are the bounds the bounded-kernel tests put to row against
+// q: none (+Inf, and NaN, which compares false), the extremes (-Inf, ±0,
+// the smallest subnormal, MaxFloat32), the unbounded sum and its ulp
+// neighbours, every checkpoint's partial sum, at which the row must read
+// on, and random fractions of the sum, which stop it all along its length.
+func testBounds(g *rand.Rand, row, q []float32) []float32 {
+	full, _ := sqRowGeneric(row, q, nil, posInf)
+	bounds := []float32{posInf, float32(math.NaN()), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
+		math.Float32frombits(1), math.MaxFloat32, full}
+	for c := boundStride; c < len(row); c += boundStride {
+		// Cut just past checkpoint c, the row stops there under -Inf.
+		partial, _ := sqRowGeneric(row[:c+1], q[:c+1], nil, float32(math.Inf(-1)))
+		bounds = append(bounds, partial)
+	}
+	if full > 0 && !math.IsInf(float64(full), 0) && !math.IsNaN(float64(full)) {
+		bounds = append(bounds, nextDown32(full), nextUp32(full))
+		for i := 0; i < 6; i++ {
+			bounds = append(bounds, full*float32(g.Float64()))
+		}
+	}
+	return bounds
+}
+
+// checkBoundedSq holds one bounded sqRow result (got, n) for row and q
+// under bound to the kernel's contract, given the row's unbounded sum
+// full: it read len(row) elements or stopped at a checkpoint; read to the
+// end it is full bit for bit, which it must be when full does not exceed
+// bound; stopped, it exceeds bound and, full being a number, not full.
+func checkBoundedSq(t *testing.T, label string, row []float32, bound, full, got float32, n int) {
+	t.Helper()
+	dim := len(row)
+	switch {
+	case n == dim:
+		if math.Float32bits(got) != math.Float32bits(full) {
+			t.Fatalf("%s: bound %g: read the row to its end but returned %x, unbounded %x", label, bound, math.Float32bits(got), math.Float32bits(full))
+		}
+	case n <= 0 || n > dim || n%boundStride != 0:
+		t.Fatalf("%s: bound %g: stopped after %d of %d elements, not at a checkpoint", label, bound, n, dim)
+	case !(full > bound) && !math.IsNaN(float64(full)):
+		t.Fatalf("%s: bound %g: stopped after %d of %d elements though the full sum %g does not exceed it", label, bound, n, dim, full)
+	case !(got > bound):
+		t.Fatalf("%s: bound %g: stopped after %d of %d elements with partial %g, which does not exceed it", label, bound, n, dim, got)
+	case !math.IsNaN(float64(full)) && !(got <= full):
+		t.Fatalf("%s: bound %g: partial %g after %d of %d elements exceeds the full sum %g", label, bound, got, n, dim, full)
+	}
+}
 
 func kernelTestVec(g *rand.Rand, dim int) []float32 {
 	v := make([]float32, dim)
@@ -37,7 +104,8 @@ func TestKernelParityAgainstReference(t *testing.T) {
 	g := rand.New(rand.NewPCG(7, 7))
 	const rows = 9
 	const tol = 1e-4
-	for dim := 1; dim <= kernelDimMax; dim++ {
+	for _, dim := range kernelDims() {
+		stopped := 0
 		block := make([]float32, 0, rows*dim)
 		rowsRef := make([][]float32, rows)
 		for r := range rowsRef {
@@ -71,8 +139,15 @@ func TestKernelParityAgainstReference(t *testing.T) {
 			}
 			// Single-row variants must agree with the block kernels
 			// bit for bit — they are the same accumulation structure.
-			if sqRow(row, q, row) != outSq[r] {
-				t.Fatalf("dim %d row %d: sqRow %g != block %g", dim, r, sqRow(row, q, row), outSq[r])
+			if sq, n := sqRow(row, q, row, posInf); sq != outSq[r] || n != dim {
+				t.Fatalf("dim %d row %d: sqRow %g after %d elements != block %g", dim, r, sq, n, outSq[r])
+			}
+			for _, bound := range testBounds(g, row, q) {
+				sq, n := sqRow(row, q, row, bound)
+				checkBoundedSq(t, fmt.Sprintf("dim %d row %d", dim, r), row, bound, outSq[r], sq, n)
+				if n < dim {
+					stopped++
+				}
 			}
 			if dotRow(row, q, row) != outDN[r] {
 				t.Fatalf("dim %d row %d: dotRow %g != dotnorm block %g", dim, r, dotRow(row, q, row), outDN[r])
@@ -81,6 +156,46 @@ func TestKernelParityAgainstReference(t *testing.T) {
 			if d != outDN[r] || nrm != outNorm[r] {
 				t.Fatalf("dim %d row %d: dotNormRow (%g,%g) != block (%g,%g)", dim, r, d, nrm, outDN[r], outNorm[r])
 			}
+		}
+		// A row with a checkpoint must stop under some bound below its sum.
+		if dim > boundStride && stopped == 0 {
+			t.Fatalf("dim %d: no bound stopped sqRow", dim)
+		}
+	}
+}
+
+// sqBound(w) must be the largest float32 squared distance whose distance
+// is at most w: euclideanFromSq(b) ≤ w < euclideanFromSq(nextUp(b)). The
+// bound is then exact in both directions — a row it stops is farther than
+// w, and a row at distance w is never stopped.
+func TestSqBound(t *testing.T) {
+	g := rand.New(rand.NewPCG(5, 17))
+	ws := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1e-300,
+		float64(math.Float32frombits(1)), float64(math.Float32frombits(0x007fffff)), 1e-23, 3.7e-23, 4e-23,
+		math.Sqrt(math.MaxFloat32), math.MaxFloat32, math.MaxFloat64}
+	for _, root := range []float32{1, 2, 3, 10, 12345, math.Float32frombits(0x1f800000), float32(math.Sqrt(math.MaxFloat32))} {
+		// An exact square's root and its ulp neighbours.
+		ws = append(ws, float64(root), float64(nextUp32(root)), float64(nextDown32(root)))
+	}
+	for i := 0; i < 2000; i++ {
+		ws = append(ws, float64(float32(g.ExpFloat64()*100)), g.ExpFloat64()*math.Pow(10, float64(g.IntN(40)-20)),
+			float64(math.Float32frombits(g.Uint32()&0x7fffffff)))
+	}
+	for _, w := range ws {
+		b := sqBound(w)
+		if math.IsInf(w, 1) || math.IsNaN(w) {
+			continue
+		}
+		if math.IsInf(float64(b), 0) || math.IsNaN(float64(b)) || b < 0 {
+			t.Fatalf("sqBound(%g) = %g, want a finite non-negative bound", w, b)
+		}
+		if lo, hi := euclideanFromSq(b), euclideanFromSq(nextUp32(b)); !(lo <= w && w < hi) {
+			t.Fatalf("sqBound(%g) = %g: distance %g there, %g one ulp up", w, b, lo, hi)
+		}
+	}
+	for _, w := range []float64{math.Inf(1), math.NaN(), -1, -math.SmallestNonzeroFloat64, math.Inf(-1)} {
+		if b := sqBound(w); !math.IsInf(float64(b), 1) {
+			t.Fatalf("sqBound(%g) = %g, want +Inf", w, b)
 		}
 	}
 }
@@ -271,16 +386,24 @@ func TestSQ8SupportedMetrics(t *testing.T) {
 // FuzzKernelParity drives the dispatched kernels with arbitrary bytes
 // reinterpreted as float32 vectors — including NaN, Inf, denormals and
 // extreme exponents — and cross-checks them against the float64 scalar
-// references, plus the block/row bit-identity invariant, plus the gather:
+// references, plus the block/row bit-identity invariant, plus sqRow's
+// bound contract under a fuzzed bound (checkBoundedSq), plus the gathers:
 // the same bytes pick a list of row ids (repeats and all), and what
 // GatherDistancesInto writes for each must be what the row kernels make of
-// that row alone, whichever row they were given to prefetch.
+// that row alone, whichever row they were given to prefetch, and
+// GatherNearest must leave a k-best collector — filled beforehand with k
+// rows at the distance the fuzzed bound stands for — holding exactly what
+// GatherDistancesInto and an Add per row leave in it, having read no more
+// bytes than that gather (and all of them at dims without a checkpoint).
 func FuzzKernelParity(f *testing.F) {
-	f.Add(uint16(4), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f.Add(uint16(1), []byte{0x7f, 0x80, 0, 0, 0xff, 0x80, 0, 0})       // ±Inf
-	f.Add(uint16(3), []byte{0x7f, 0xc0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}) // NaN, denormal
-	f.Fuzz(func(t *testing.T, dimSeed uint16, raw []byte) {
-		dim := int(dimSeed)%kernelDimMax + 1
+	f.Add(uint16(4), uint32(0x7f800000), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add(uint16(1), uint32(0), []byte{0x7f, 0x80, 0, 0, 0xff, 0x80, 0, 0})                       // ±Inf
+	f.Add(uint16(3), uint32(1), []byte{0x7f, 0xc0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})                 // NaN, denormal
+	f.Add(uint16(64), uint32(0x3f800000), bytes.Repeat([]byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0}, 80)) // dim 65: one checkpoint
+	f.Fuzz(func(t *testing.T, dimSeed uint16, boundBits uint32, raw []byte) {
+		dims := kernelDims()
+		dim := dims[int(dimSeed)%len(dims)]
+		bound := math.Float32frombits(boundBits)
 		vals := make([]float32, len(raw)/4)
 		for i := range vals {
 			bits := uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24
@@ -302,9 +425,11 @@ func FuzzKernelParity(f *testing.F) {
 		dotNormBlock(block, q, outDN, outNorm)
 		for r := 0; r < rows; r++ {
 			row := block[r*dim : (r+1)*dim]
-			if g := sqRow(row, q, row); g != outSq[r] && !(math.IsNaN(float64(g)) && math.IsNaN(float64(outSq[r]))) {
-				t.Fatalf("row %d: sqRow %g != block %g", r, g, outSq[r])
+			if g, n := sqRow(row, q, row, posInf); (g != outSq[r] && !(math.IsNaN(float64(g)) && math.IsNaN(float64(outSq[r])))) || n != dim {
+				t.Fatalf("row %d: sqRow %g after %d elements != block %g", r, g, n, outSq[r])
 			}
+			g, n := sqRow(row, q, row, bound)
+			checkBoundedSq(t, fmt.Sprintf("row %d dim %d", r, dim), row, bound, outSq[r], g, n)
 			if g := dotRow(row, q, row); g != outDN[r] && !(math.IsNaN(float64(g)) && math.IsNaN(float64(outDN[r]))) {
 				t.Fatalf("row %d: dotRow %g != dotnorm block %g", r, g, outDN[r])
 			}
@@ -333,7 +458,8 @@ func FuzzKernelParity(f *testing.F) {
 			s.GatherDistancesInto(ids, q, m, got)
 			for j, id := range ids {
 				row := s.Row(int(id))
-				want := euclideanFromSq(sqRow(row, q, row))
+				sq, _ := sqRow(row, q, row, posInf)
+				want := euclideanFromSq(sq)
 				if m == Angular {
 					d, n2 := dotNormRow(row, q, row)
 					want = angularFromParts(d, n2, qn2)
@@ -343,7 +469,41 @@ func FuzzKernelParity(f *testing.F) {
 				}
 			}
 		}
+
+		k := 1 + int(dimSeed>>8)%4
+		var bounded, oracle pqueue.KBest
+		bounded.Reset(k)
+		oracle.Reset(k)
+		for i := 0; i < k; i++ {
+			bounded.Add(-1-i, euclideanFromSq(bound))
+			oracle.Add(-1-i, euclideanFromSq(bound))
+		}
+		s.GatherDistancesInto(ids, q, Euclidean, got)
+		for j, id := range ids {
+			oracle.Add(7+int(id), got[j])
+		}
+		read := s.GatherNearest(ids, q, 7, &bounded)
+		if full := int64(len(ids)) * int64(dim) * 4; read > full || (dim <= boundStride && read != full) {
+			t.Fatalf("dim %d: GatherNearest read %d bytes of %d", dim, read, full)
+		}
+		if b, o := bounded.Sorted(), oracle.Sorted(); !sameNeighbors(b, o) {
+			t.Fatalf("dim %d k %d bound %g: GatherNearest kept %v, GatherDistancesInto and Add %v", dim, k, bound, b, o)
+		}
 	})
+}
+
+// sameNeighbors reports whether a and b hold the same ids at the same
+// distances, bit for bit.
+func sameNeighbors(a, b []pqueue.Neighbor) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float64bits(a[i].Dist) != math.Float64bits(b[i].Dist) {
+			return false
+		}
+	}
+	return true
 }
 
 // finite32 reports whether v survives a round trip through float32

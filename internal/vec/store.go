@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"lccs/internal/pqueue"
 	"lccs/internal/prefetch"
 )
 
@@ -265,7 +266,8 @@ func (s *Store) GatherDistancesInto(ids []int32, q []float32, m Metric, out []fl
 		row := s.Row(int(ids[0]))
 		for j := range ids {
 			next := s.rowAfter(ids, j, row)
-			out[j] = euclideanFromSq(sqRow(row, q, next))
+			sq, _ := sqRow(row, q, next, posInf)
+			out[j] = euclideanFromSq(sq)
 			row = next
 		}
 	case angular:
@@ -282,6 +284,50 @@ func (s *Store) GatherDistancesInto(ids []int32, q []float32, m Metric, out []fl
 			out[j] = m.Distance(s.Row(int(id)), q)
 		}
 	}
+}
+
+// GatherNearest offers every row ids[j], in order, to best under id
+// off+ids[j] at its Euclidean distance to q — what GatherDistancesInto
+// followed by an Add per row would offer — and returns the vector bytes it
+// read. It reads less than all of them: each row is scored under the
+// bound sqBound of the worst distance best keeps, refreshed after every
+// Add best retains, and a row whose partial sum passes that bound is
+// abandoned at its checkpoint. Such a row is offered at its partial
+// distance, which is already farther than best's worst, so best rejects
+// it exactly as it would have rejected the full distance: what best holds
+// afterwards does not depend on the bound (see sqRow in kernel.go). A best
+// that is not full, or whose worst is +Inf, gives the bound +Inf.
+func (s *Store) GatherNearest(ids []int32, q []float32, off int, best *pqueue.KBest) int64 {
+	if len(ids) == 0 {
+		return 0
+	}
+	// A row of at most boundStride elements has no checkpoint to use a
+	// bound at, so none is worked out for it.
+	bounded := len(q) > boundStride
+	bound := posInf
+	if bounded {
+		bound = boundOf(best)
+	}
+	read := 0
+	row := s.Row(int(ids[0]))
+	for j, id := range ids {
+		next := s.rowAfter(ids, j, row)
+		sq, n := sqRow(row, q, next, bound)
+		read += n
+		if best.Add(off+int(id), euclideanFromSq(sq)) && bounded {
+			bound = boundOf(best)
+		}
+		row = next
+	}
+	return int64(read) * 4
+}
+
+// boundOf is the sqRow bound a row must not exceed to enter best.
+func boundOf(best *pqueue.KBest) float32 {
+	if w, ok := best.Worst(); ok {
+		return sqBound(w)
+	}
+	return posInf
 }
 
 // rowAfter returns the row a gather over ids reads after the one at

@@ -33,7 +33,8 @@ func SquaredDistance(a, b []float32) float64 {
 	if len(a) == 0 {
 		return 0
 	}
-	return float64(sqRow(a, b, a))
+	s, _ := sqRow(a, b, a, posInf)
+	return float64(s)
 }
 
 // Distance returns the Euclidean distance between a and b. The value is
@@ -46,7 +47,8 @@ func Distance(a, b []float32) float64 {
 	if len(a) == 0 {
 		return 0
 	}
-	return euclideanFromSq(sqRow(a, b, a))
+	s, _ := sqRow(a, b, a, posInf)
+	return euclideanFromSq(s)
 }
 
 // Norm returns the Euclidean norm of a (float32-accumulated square sum,

@@ -94,9 +94,12 @@ type Cost struct {
 	// Reranked counts SQ8-scan survivors re-ranked with exact float32
 	// distances (0 on unquantized indexes).
 	Reranked int64 `json:"reranked"`
-	// BytesScanned is the vector-block memory traffic of verification:
-	// float32 gathers at 4 bytes per dimension per candidate, SQ8 score
-	// gathers at 1, the exact re-rank at 4 again.
+	// BytesScanned is the vector-block memory traffic of verification,
+	// the bytes the distance kernels read: SQ8 score gathers at 1 byte per
+	// dimension per candidate; float32 gathers and the exact re-rank at 4,
+	// except that a Euclidean row is read only until it cannot make the k
+	// nearest (past 64 dimensions; see docs/PERFORMANCE.md, "Bounded
+	// verification"), so it may charge less than the row.
 	BytesScanned int64 `json:"bytes_scanned"`
 	// FilterRejected counts candidates the filter predicate discarded
 	// before any distance work.

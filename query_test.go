@@ -128,6 +128,37 @@ func spanTotals(t *testing.T, tr *Trace) (rows, cands, bytes int64) {
 	return rows, cands, bytes
 }
 
+// TestCostCountsBytesRead: Cost.BytesScanned is the vector bytes the
+// distance kernels read. A Euclidean row is read only until it cannot make
+// the k nearest, so at dim 960 some query reports fewer than
+// Candidates·dim·4 bytes, and its trace's spans sum to that smaller count;
+// at a dim with no checkpoint (≤ 64) every candidate's full row is read and
+// charged.
+func TestCostCountsBytesRead(t *testing.T) {
+	for _, dim := range []int{16, 64, 960} {
+		data, g := testData(5, 600, dim, 6, 0.5)
+		ix := must(NewIndex(data, Config{Metric: Euclidean, M: 16, Seed: 3, Budget: 200}))
+		stopped := false
+		for qi := 0; qi < 5; qi++ {
+			var co Cost
+			tr := NewTrace(1)
+			must(ix.SearchQuery(data[g.IntN(len(data))], Query{K: 10, Cost: &co, Trace: tr}, nil))
+			full := co.Candidates * int64(dim) * 4
+			if co.BytesScanned > full || (dim <= 64 && co.BytesScanned != full) {
+				t.Fatalf("dim %d query %d: %d bytes scanned for %d candidates", dim, qi, co.BytesScanned, co.Candidates)
+			}
+			stopped = stopped || co.BytesScanned < full
+			if _, _, bytes := spanTotals(t, tr); bytes != co.BytesScanned {
+				t.Fatalf("dim %d query %d: spans sum to %d bytes, cost says %d", dim, qi, bytes, co.BytesScanned)
+			}
+			ReleaseTrace(tr)
+		}
+		if dim > 64 && !stopped {
+			t.Fatalf("dim %d: every query read every candidate's row in full", dim)
+		}
+	}
+}
+
 // TestQueryConformance is the one table over the Query value: every
 // facade × {plain, Budget, Filter, exhaustive Budget × every test filter}
 // × {no instrumentation, Cost, Trace, both}. Setting Cost or Trace never changes results; Cost
