@@ -97,3 +97,27 @@ func BenchmarkCSABuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCSADrain times Begin plus the drain of the λ + k − 1 distinct
+// candidates a query verifies, at BenchmarkCSABegin's two shapes, for 109
+// and 1 009 candidates (static-d16's and static-d960's). ns/cand divides
+// the time per search by the candidates drawn; cmp/op is Comparisons().
+func BenchmarkCSADrain(b *testing.B) {
+	for _, shape := range []struct{ n, m int }{{100000, 32}, {50000, 64}} {
+		data, queries := lshStrings(shape.n, shape.m, 4096)
+		s := NewFromFlat(data, shape.n, shape.m).NewSearcher()
+		for _, cands := range []int{109, 1009} {
+			b.Run(fmt.Sprintf("n=%d,m=%d,cand=%d", shape.n, shape.m, cands), func(b *testing.B) {
+				dst := make([]Result, 0, cands)
+				comparisons := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst = s.SearchInto(queries[i%len(queries)], cands, dst)
+					comparisons += s.Comparisons()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cands), "ns/cand")
+				b.ReportMetric(float64(comparisons)/float64(b.N), "cmp/op")
+			})
+		}
+	}
+}

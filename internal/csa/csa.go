@@ -7,8 +7,8 @@
 // (i+1) mod m (Algorithm 1). A query performs one full binary search at
 // shift 0 and then narrows every subsequent shift's search range through
 // the next links (Lemma 3.1 / Corollary 3.2), finally merging the 2m
-// sorted neighborhoods with a priority queue to emit candidates in
-// non-increasing LCCS-length order (Algorithm 2).
+// sorted neighborhoods to emit candidates in non-increasing LCCS-length
+// order (Algorithm 2).
 //
 // # Symbols
 //
@@ -47,6 +47,25 @@
 // current length exceeds lcpMax can need more than that, and only then is
 // the length finished by comparing the string with the query from symbol
 // lcpMax on.
+//
+// # The lane queue
+//
+// The merge has a lane per shift and direction, and per probe under
+// multi-probe: a lane stands at one rank of its shift's order, and its
+// length is the LCP of the string there with its probe's query. Next
+// emits from the lane of greatest length, ties going to the lower shift,
+// then to the downward lane, then to the lower probe. That order is total,
+// and a length is a small integer in [0, m] that a lane's step only
+// lowers, so the queue is a bucket queue (Dial, CACM 1969) rather than a
+// heap: a bitset of lanes per length, lane (shift, up, probe) at bit
+// (shift<<1 | up)·P + probe, P a power of two above every probe issued,
+// so bit order is the tie order. Next reads the lowest bit of the highest
+// non-empty bucket; a step leaves the lane's bit where it is, moves it to
+// a lower bucket or clears it. Only Probe adds lanes, which may be longer
+// than every lane queued, and only a Probe beyond P doubles P, moving
+// every lane to its slot at the new P. A heap ordered by (m − length,
+// shift, up, probe) pops the minimum of the same order, and the lanes
+// change in the same steps, so the stream is the heap's.
 //
 // # Build
 //
@@ -605,26 +624,6 @@ type Result struct {
 	Length int
 }
 
-// lane is one frontier of the 2m-way merge (times the probes issued): it
-// stands at rank pos of one shift's sorted order and advances in one
-// direction. key packs what orders the lanes — the LCP of the lane's
-// string with its probe's query (longest first), then the shift, then
-// the direction (downward first) — as
-//
-//	(m − len) << 32 | shift << 1 | up
-//
-// so that the smaller key pops first; probe breaks the ties that only
-// multi-probe can produce, which makes the order total.
-type lane struct {
-	key   uint64
-	pos   int32
-	probe int32
-}
-
-func (a lane) before(b lane) bool {
-	return a.key < b.key || a.key == b.key && a.probe < b.probe
-}
-
 // bounds records the outcome of the binary search at one shift, kept both
 // for the next-link narrowing and for the multi-probe skip rule (§4.2).
 type bounds struct {
@@ -637,18 +636,32 @@ type bounds struct {
 }
 
 // Searcher runs k-LCCS queries against one CSA. It owns reusable scratch
-// (visited stamps, per-shift bounds, the lane queue, the flat query
+// (the visited bitset, per-shift bounds, the lane queue, the flat query
 // buffer) and is therefore not safe for concurrent use; create one
 // Searcher per goroutine — or, as the core index does, keep Searchers in
-// a sync.Pool. At steady state (buffers grown to their working size) a
-// full Begin/Next/SearchInto cycle performs no heap allocations.
+// a sync.Pool. It holds n/8 bytes of visited bits and n/16 of emitted
+// ids, plus the lane queue: (m+1)·⌈2m·P/64⌉ words of buckets and 2m·P
+// positions, P = 1 until a search probes. At steady state (buffers grown
+// to their working size) a full Begin/Next/SearchInto cycle performs no
+// heap allocations.
 type Searcher struct {
 	c *CSA
-	// lanes is a binary min-heap under lane.before.
-	lanes   []lane
-	bounds  []bounds
-	visited []int32
-	gen     int32
+	// The lane queue (see the package comment): bucket L, the lanes of
+	// length L, is the bitset of slots queue[L·words:(L+1)·words], and
+	// pos holds each lane's rank by slot, P = 1<<logP. No bucket above
+	// top has a bit set.
+	queue []uint64
+	pos   []int32
+	words int
+	logP  uint
+	top   int
+
+	bounds []bounds
+	// seen has bit id set once id is emitted; emitted lists those ids
+	// while there are fewer of them than words of seen, which reset clears
+	// one word per id, or whole once they are as many.
+	seen    []uint64
+	emitted []uint32
 	// qbuf holds one coded query string per probe issued so far in the
 	// current search, back to back: probe p occupies qbuf[p*m : (p+1)*m]
 	// (probe 0 is the unperturbed query). The buffer is reused across
@@ -666,73 +679,98 @@ func (s *Searcher) query(p int32) []uint32 {
 }
 
 // pushQuery codes q into the flat query buffer as the next probe and
-// returns its index. Steady state reuses the buffer's capacity.
+// returns its index, making room for its lanes. Steady state reuses the
+// buffers' capacity.
 func (s *Searcher) pushQuery(q []int32) int32 {
 	s.qbuf = s.c.appendCodes(s.qbuf, q)
-	return int32(len(s.qbuf)/s.c.m - 1)
+	probe := int32(len(s.qbuf)/s.c.m - 1)
+	for probe>>s.logP != 0 {
+		s.grow()
+	}
+	return probe
 }
 
 // NewSearcher returns a fresh Searcher for c.
 func (c *CSA) NewSearcher() *Searcher {
-	return &Searcher{
+	words := (c.n + 63) / 64
+	s := &Searcher{
 		c:       c,
-		lanes:   make([]lane, 0, 2*c.m+16),
 		bounds:  make([]bounds, c.m),
-		visited: make([]int32, c.n),
+		seen:    make([]uint64, words),
+		emitted: make([]uint32, 0, words),
+		top:     -1,
 	}
+	s.layout(0)
+	return s
 }
 
-// reset prepares the reusable scratch for a fresh search: no lanes, an
-// empty query buffer, a new visited generation (re-stamping the visited
-// array only on the rare int32 wrap), zeroed counters.
-func (s *Searcher) reset() {
-	s.lanes = s.lanes[:0]
-	if s.gen == math.MaxInt32 {
-		for i := range s.visited {
-			s.visited[i] = 0
-		}
-		s.gen = 0
+// layout sizes the queue for P = 1<<logP, keeping what the buffers hold;
+// queue words beyond the old length are garbage until zeroed.
+func (s *Searcher) layout(logP uint) {
+	slots := 2 * s.c.m << logP
+	s.logP, s.words = logP, (slots+63)/64
+	s.queue = resize(s.queue, (s.c.m+1)*s.words)
+	s.pos = resize(s.pos, slots)
+}
+
+// resize returns x at length n, its first min(n, len(x)) elements kept.
+func resize[T any](x []T, n int) []T {
+	if n <= cap(x) {
+		return x[:n]
 	}
-	s.gen++
+	return append(x[:cap(x)], make([]T, n-cap(x))...)
+}
+
+// reset prepares the reusable scratch for a fresh search: an empty queue
+// at P = 1, no emitted ids, an empty query buffer, zeroed counters.
+func (s *Searcher) reset() {
+	// Every bucket above top is empty, so this empties the queue at any
+	// layout, and with it the smaller P = 1 layout.
+	clear(s.queue[:(s.top+1)*s.words])
+	s.top = -1
+	s.layout(0)
+	if len(s.emitted) == len(s.seen) {
+		clear(s.seen)
+	} else {
+		for _, id := range s.emitted {
+			s.seen[id>>6] = 0
+		}
+	}
+	s.emitted = s.emitted[:0]
 	s.comparisons = 0
 	s.qbuf = s.qbuf[:0]
 }
 
-// push adds a lane to the queue.
-func (s *Searcher) push(e lane) {
-	h := append(s.lanes, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
+// grow doubles P and moves every lane to its slot at the new P: slot
+// g·P + p becomes g·2P + p. No lane moves down, in its bucket or in the
+// queue as a whole, so walking the set bits and the positions from the
+// top down moves each before anything lands on it.
+func (s *Searcher) grow() {
+	oldLog, oldWords, oldLen := s.logP, s.words, len(s.queue)
+	s.layout(oldLog + 1)
+	clear(s.queue[oldLen:])
+	move := func(slot int) int {
+		return slot>>oldLog<<s.logP | slot&(1<<oldLog-1)
 	}
-	h[i] = e
-	s.lanes = h
+	for slot := 2*s.c.m<<oldLog - 1; slot >= 0; slot-- {
+		s.pos[move(slot)] = s.pos[slot]
+	}
+	for i := oldLen - 1; i >= 0; i-- {
+		x := s.queue[i]
+		s.queue[i] = 0
+		for ; x != 0; x &^= 1 << (63 - bits.LeadingZeros64(x)) {
+			slot := move(i%oldWords<<6 | (63 - bits.LeadingZeros64(x)))
+			s.queue[i/oldWords*s.words+slot>>6] |= 1 << (slot & 63)
+		}
+	}
 }
 
-// replaceTop puts e where the first lane was and restores the heap.
-func (s *Searcher) replaceTop(e lane) {
-	h := s.lanes
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= len(h) {
-			break
-		}
-		if r := child + 1; r < len(h) && h[r].before(h[child]) {
-			child = r
-		}
-		if !h[child].before(e) {
-			break
-		}
-		h[i] = h[child]
-		i = child
-	}
-	h[i] = e
+// push adds lane (shift, up, probe) at rank pos with the given length.
+func (s *Searcher) push(shift, up int, probe, pos, length int32) {
+	slot := (shift<<1|up)<<s.logP | int(probe)
+	s.pos[slot] = pos
+	s.queue[int(length)*s.words+slot>>6] |= 1 << (slot & 63)
+	s.top = max(s.top, int(length))
 }
 
 // search binary-searches sorted[shift] for the query q read circularly
@@ -762,9 +800,8 @@ func (s *Searcher) search(probe int32, shift, l, h int, lenL, lenU int32) bounds
 	} else if !b.validU {
 		b.posU, b.lenU = b.posL, b.lenL
 	}
-	key := uint64(shift) << 1
-	s.push(lane{key: uint64(int32(c.m)-b.lenL)<<32 | key, pos: b.posL, probe: probe})
-	s.push(lane{key: uint64(int32(c.m)-b.lenU)<<32 | key | 1, pos: b.posU, probe: probe})
+	s.push(shift, 0, probe, b.posL, b.lenL)
+	s.push(shift, 1, probe, b.posU, b.lenU)
 	return b
 }
 
@@ -933,49 +970,59 @@ func (s *Searcher) BeginSimple(q []int32) {
 // for the first emission of an id equals its LCCS length with the query.
 func (s *Searcher) Next() (Result, bool) {
 	c := s.c
-	m := int32(c.m)
-	for len(s.lanes) > 0 {
-		e := s.lanes[0]
-		shift := int(uint32(e.key) >> 1)
-		order := c.sortedRow(shift)
-		w := order[e.pos]
-		length := m - int32(e.key>>32)
-		// Advance this lane before the dedup check so it keeps producing
-		// candidates. A lane moves away from the query's place in the
-		// order, so its next length is the smaller of this one and the
-		// LCP stored between the two ranks.
-		npos, between := e.pos+1, w
-		if e.key&1 == 0 {
-			if npos = e.pos - 1; npos >= 0 {
-				between = order[npos]
+	words, logP := s.words, s.logP
+	for top := s.top; top >= 0; top-- {
+		length := int32(top)
+		bucket := s.queue[top*words : (top+1)*words]
+		for i := 0; i < len(bucket); {
+			if bucket[i] == 0 {
+				i++
+				continue
 			}
-		}
-		if uint32(npos) < uint32(c.n) {
-			e.pos = npos
-			if lcp := int32(between >> c.idBits); lcp < length {
-				if lcp == c.lcpMax {
-					// Saturated: the stored value is a lower bound
-					// (lcp < length ≤ m, so lcpMax < m here).
-					lcp = int32(c.syms.prefix(order[npos]&c.idMask, s.query(e.probe), shift, int(lcp), int(length)))
+			tz := bits.TrailingZeros64(bucket[i])
+			bit, slot := uint64(1)<<tz, i<<6|tz
+			lane := slot >> logP
+			order := c.sortedRow(lane >> 1)
+			pos := s.pos[slot]
+			w := order[pos]
+			// Advance this lane before the dedup check so it keeps
+			// producing candidates. A lane moves away from the query's
+			// place in the order, so its next length is the smaller of
+			// this one and the LCP stored between the two ranks.
+			npos, between := pos+1, w
+			if lane&1 == 0 {
+				if npos = pos - 1; npos >= 0 {
+					between = order[npos]
 				}
-				e.key += uint64(length-lcp) << 32
 			}
-			s.replaceTop(e)
-		} else {
-			last := len(s.lanes) - 1
-			e = s.lanes[last]
-			s.lanes = s.lanes[:last]
-			if last > 0 {
-				s.replaceTop(e)
+			if uint32(npos) < uint32(c.n) {
+				s.pos[slot] = npos
+				if lcp := int32(between >> c.idBits); lcp < length {
+					if lcp == c.lcpMax {
+						// Saturated: the stored value is a lower bound
+						// (lcp < length ≤ m, so lcpMax < m here).
+						probe := int32(slot & (1<<logP - 1))
+						lcp = int32(c.syms.prefix(order[npos]&c.idMask, s.query(probe), lane>>1, int(lcp), int(length)))
+					}
+					bucket[i] &^= bit
+					s.queue[int(lcp)*words+i] |= bit
+				}
+			} else {
+				bucket[i] &^= bit
 			}
+			id := w & c.idMask
+			if s.seen[id>>6]&(1<<(id&63)) != 0 {
+				continue
+			}
+			s.seen[id>>6] |= 1 << (id & 63)
+			if len(s.emitted) < len(s.seen) {
+				s.emitted = append(s.emitted, id)
+			}
+			s.top = top
+			return Result{ID: int(id), Length: int(length)}, true
 		}
-		id := w & c.idMask
-		if s.visited[id] == s.gen {
-			continue
-		}
-		s.visited[id] = s.gen
-		return Result{ID: int(id), Length: int(length)}, true
 	}
+	s.top = -1
 	return Result{}, false
 }
 
