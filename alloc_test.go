@@ -1,6 +1,9 @@
 package lccs
 
 import (
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 )
 
@@ -146,6 +149,80 @@ func TestSearchZeroAllocSQ8(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("quantized four-shard Index.SearchQuery: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestSearchZeroAllocSplit holds a query large enough to score every
+// other batch on a helper goroutine — d = 960 at λ = 1 000, 3.9 MB of
+// candidate rows, above internal/core's splitBytes — to zero allocations:
+// the helper's collector, slots and channels live in the pooled search
+// context, and the goroutine is started on a function that captures
+// nothing. testing.AllocsPerRun holds GOMAXPROCS at 1, where the split
+// still runs (it does not read GOMAXPROCS). The second measurement counts
+// mallocs around a loop at GOMAXPROCS 2, where the helper runs on its own
+// processor, with the collector off so that no GC empties the pool.
+func TestSearchZeroAllocSplit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation; run without -race")
+	}
+	data, queries := allocWorkload(47, 2000, 960)
+	ix, err := NewIndex(data, Config{Metric: Euclidean, M: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, lambda = 10, 1000
+	dst := warmSearcher(t, ix, queries, k, lambda)
+	search := func(i int) {
+		dst, err = ix.SearchQuery(queries[i%len(queries)], Query{K: k, Budget: lambda}, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	qi := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		search(qi)
+		qi++
+	})
+	if allocs != 0 {
+		t.Fatalf("split Index.SearchQuery under GOMAXPROCS 1: %v allocs/op, want 0", allocs)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// A query may end on another processor than it began on, and the
+	// pools of search contexts and the runtime's lists of dead goroutines
+	// are kept per processor; a processor keeps up to 64 dead goroutines
+	// before it shares them. Warm both with 128 queries in flight at once,
+	// so that every list holds spares, then with queries one at a time.
+	var wg sync.WaitGroup
+	for w := 0; w < 128; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var dst []Neighbor
+			for i := 0; i < 8; i++ {
+				var err error
+				if dst, err = ix.SearchQuery(queries[(w+i)%len(queries)], Query{K: k, Budget: lambda}, dst); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < 1000; i++ {
+		search(i)
+	}
+	const runs = 400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		search(i)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("split Index.SearchQuery under GOMAXPROCS 2: %d allocations in %d queries, want 0", n, runs)
 	}
 }
 

@@ -113,7 +113,7 @@ func newDynamic(set segSet, rebuildAt int) *DynamicIndex {
 // selects DefaultRebuildThreshold. The initial rows are copied into the
 // index's flat store; data itself is not retained.
 func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex, error) {
-	store, err := storeFromRows(data)
+	store, err := storeFromRows(data, cfg.Metric)
 	if err != nil {
 		return nil, err
 	}
@@ -164,18 +164,18 @@ func (d *DynamicIndex) swapInLocked(c *core.Index, lo, hi int) {
 	d.indexed = hi
 }
 
-// validateVector is the one write validator: a non-empty, finite vector
-// of the index's dimensionality (when dim > 0 is known). A write is
-// validated before it is applied or journaled, so a rejected vector never
-// reaches the WAL.
-func validateVector(v []float32, dim int) error {
+// validateVector is the one write validator: a non-empty vector of the
+// index's dimensionality (when dim > 0 is known), admissible under metric.
+// A write is validated before it is applied or journaled, so a rejected
+// vector never reaches the WAL.
+func validateVector(v []float32, dim int, metric MetricKind) error {
 	if len(v) == 0 {
 		return ErrEmptyVector
 	}
 	if dim != 0 && len(v) != dim {
 		return fmt.Errorf("%w: vector has %d dimensions, index has %d", ErrDimensionMismatch, len(v), dim)
 	}
-	if !finite(v) {
+	if !admissible(v, metric) {
 		return ErrNonFinite
 	}
 	return nil
@@ -278,7 +278,7 @@ func attrAt(attrs []Attrs, i int) Attrs {
 
 // addLocked validates and appends one vector and returns its id.
 func (d *DynamicIndex) addLocked(v []float32, a Attrs) (int, error) {
-	if err := validateVector(v, d.store.Dim()); err != nil {
+	if err := validateVector(v, d.store.Dim(), d.cfg.Metric); err != nil {
 		return 0, err
 	}
 	slot := d.store.Append(v)

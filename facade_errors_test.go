@@ -3,6 +3,7 @@ package lccs
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -26,7 +27,7 @@ func TestFamilyForErrors(t *testing.T) {
 
 func TestDecodeHeaderErrors(t *testing.T) {
 	data, _ := testData(61, 20, 4, 2, 0.5)
-	store, err := storeFromRows(data)
+	store, err := storeFromRows(data, Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +140,74 @@ func TestNonFiniteBucketWidthRejected(t *testing.T) {
 	// another reason: the stored hash strings stop matching the data.
 	if _, err := Load(path, data); err == nil || !strings.Contains(err.Error(), "bucket width") {
 		t.Errorf("Load of a container whose bucket width is NaN: %v, want a bucket-width error", err)
+	}
+}
+
+// TestAngularNormOverflowRejected: under Angular a vector whose float32
+// sum of squares overflows has a cosine of 0 (distance π/2) or NaN to
+// everything, itself included, so it is refused with ErrNonFinite as a
+// data row, on insert (before anything is journaled) and as a query.
+// Under Euclidean the same vector stays admissible: its distances
+// overflow to +Inf, which rank, and it is still found at 0 from itself.
+func TestAngularNormOverflowRejected(t *testing.T) {
+	const dim = 8
+	data, _ := testData(65, 60, dim, 3, 0.5)
+	fill := func(x float32) []float32 {
+		v := make([]float32, dim)
+		for i := range v {
+			v[i] = x
+		}
+		return v
+	}
+	cfg := Config{Metric: Angular, M: 8, Seed: 1}
+	for _, x := range []float32{1e20, 3e38, -1e20} {
+		big := fill(x)
+		rows := append(append([][]float32(nil), data...), big)
+		if _, err := NewIndex(rows, cfg); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%g: NewIndex with the row: %v, want ErrNonFinite", x, err)
+		}
+		if _, err := NewDynamicIndex(rows, cfg, 0); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%g: NewDynamicIndex with the row: %v, want ErrNonFinite", x, err)
+		}
+
+		ix := must(NewIndex(data, cfg))
+		if res, err := ix.SearchQuery(big, Query{K: 3}, nil); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%g: SearchQuery: %v, err=%v, want ErrNonFinite", x, res, err)
+		}
+		dyn := must(NewDynamicIndex(data, cfg, 0))
+		if _, err := dyn.Add(big); !errors.Is(err, ErrNonFinite) || dyn.Len() != len(data) {
+			t.Errorf("%g: Add: err=%v, Len=%d", x, err, dyn.Len())
+		}
+		if ids, err := dyn.AddBatch([][]float32{data[0], big}); !errors.Is(err, ErrNonFinite) || len(ids) != 1 {
+			t.Errorf("%g: AddBatch: ids=%v err=%v, want the first inserted and ErrNonFinite", x, ids, err)
+		}
+		if res, err := dyn.SearchQuery(big, Query{K: 3}, nil); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%g: DynamicIndex.SearchQuery: %v, err=%v, want ErrNonFinite", x, res, err)
+		}
+
+		di, err := OpenDurable(t.TempDir(), DurableConfig{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		must(di.Add(data[0]))
+		before := di.WALStats()
+		if _, err := di.Add(big); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%g: journaled Add: %v, want ErrNonFinite", x, err)
+		}
+		if after := di.WALStats(); after.LastLSN != before.LastLSN || after.AppendedBytes != before.AppendedBytes {
+			t.Errorf("%g: a refused write reached the log: %+v → %+v", x, before, after)
+		}
+		if err := di.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Euclidean keeps the vector: the row is found from itself at 0.
+	big := fill(1e20)
+	rows := append(append([][]float32(nil), data...), big)
+	ix := must(NewIndex(rows, Config{Metric: Euclidean, M: 8, Seed: 1, BucketWidth: 4}))
+	if res := must(ix.SearchQuery(big, Query{K: 1, Budget: len(rows)}, nil)); len(res) != 1 || res[0].ID != len(data) || res[0].Dist != 0 {
+		t.Errorf("Euclidean: the row answered %v, want id %d at 0", res, len(data))
 	}
 }
 

@@ -150,6 +150,9 @@ type searchCtx struct {
 	// bytes accumulates the vector-block bytes one query's verification
 	// touched; reset on entry and read into the returned SearchStats.
 	bytes int64
+	// h scores every other batch of a query whose candidates are large
+	// (splitBytes); made by the first such query, nil until then.
+	h *helper
 }
 
 // initPool installs the searchCtx pool; called once per constructed or
@@ -342,8 +345,17 @@ func (ix *Index) SearchScan(q []float32, hq []int32, k, lambda int, sc Scan, bes
 	return stats
 }
 
-// scan is SearchScan on a drawn scratch.
+// scan is SearchScan on a drawn scratch. A query whose candidates are
+// large in full rows (splitBytes) starts ctx.h's goroutine first, so that
+// it is running by the time verify hands it a batch.
 func (ix *Index) scan(ctx *searchCtx, q []float32, hq []int32, k, lambda int, sc *Scan, best *pqueue.KBest) SearchStats {
+	split := ix.sq8 == nil && int64(lambda+k-1)*int64(ix.store.Dim())*4 >= splitBytes
+	if split {
+		if ctx.h == nil {
+			ctx.h = newHelper(ix)
+		}
+		ctx.h.start(q, sc.Offset, best.Cap())
+	}
 	ctx.s.Begin(hq)
 	probes := 1
 	if ix.mp != nil { // the one place single- and multi-probe differ
@@ -354,7 +366,7 @@ func (ix *Index) scan(ctx *searchCtx, q []float32, hq []int32, k, lambda int, sc
 	if sc.Accept != nil {
 		start = time.Now()
 	}
-	verified, rejected, reranked := ix.verify(ctx, q, k, lambda+k-1, sc, best)
+	verified, rejected, reranked := ix.verify(ctx, q, k, lambda+k-1, split, sc, best)
 	if sc.Accept != nil {
 		obs.ObserveDur(obs.StageFilter, time.Since(start))
 	}
@@ -421,11 +433,17 @@ func defaultRerank(n int) int {
 // An exact index scores each batch with float32 distances straight into
 // best; an SQ8 index ranks by approximate quantized score into
 // ctx.rr and then re-ranks the winners exactly (timed into the obs
-// "rerank" stage histogram). Candidates enter the collectors in CSA
-// stream order, so results are bit-identical to per-row verification.
-// Each candidate's row is hinted to the cache the moment its id leaves the
-// stream, a batch ahead of its scoring.
-func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, sc *Scan, best *pqueue.KBest) (verified, rejected, reranked int) {
+// "rerank" stage histogram). When split (an exact query whose candidates
+// are large, splitBytes), the odd batches go to ctx.h, whose goroutine
+// scores them into a collector of its own, merged into best before verify
+// returns. The hand-off points are fixed by batch parity, so results,
+// counts and bytes do not depend on scheduling, and best ends holding
+// what per-row verification in stream order would leave in it, bit for
+// bit (the argument is on helper). Each candidate's row is hinted to the
+// cache a batch ahead of its scoring, on the core that scores it: by this
+// loop the moment its id leaves the stream, or by the helper as it takes
+// the batch.
+func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, split bool, sc *Scan, best *pqueue.KBest) (verified, rejected, reranked int) {
 	quantized := ix.sq8 != nil
 	if quantized {
 		rr := ix.rerank
@@ -435,8 +453,12 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, sc *Scan, bes
 		ix.sq8.Prepare(ix.metric, q, &ctx.sq8q)
 		ctx.rr.Reset(rr)
 	}
+	if split {
+		defer ctx.h.stop()
+	}
 	dead, off, charge, accept := sc.Dead, uint(sc.Offset), sc.ChargeDead, sc.Accept
-	for drained := false; !drained && nCand > 0; {
+	for batch, drained := 0, false; !drained && nCand > 0; batch++ {
+		mine := !split || batch&1 == 0 // scored on this goroutine
 		b := 0
 		for b < verifyBatch && nCand > 0 {
 			r, ok := ctx.s.Next()
@@ -461,23 +483,29 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, sc *Scan, bes
 			// travel while the CSA finds the rest of the batch.
 			if quantized {
 				ix.sq8.PrefetchRow(r.ID)
-			} else {
+			} else if mine {
 				ix.store.PrefetchRow(r.ID)
 			}
 		}
 		if b == 0 {
 			break // the stream or the budget ran out on dropped rows
 		}
-		if quantized {
+		switch {
+		case quantized:
 			ix.sq8.GatherScoresInto(ctx.ids[:b], &ctx.sq8q, ctx.scores[:b])
 			ctx.bytes += int64(b) * int64(ix.store.Dim())
 			for i := 0; i < b; i++ {
 				ctx.rr.Add(int(ctx.ids[i]), float64(ctx.scores[i]))
 			}
-		} else {
-			ix.scoreExact(ctx, q, b, sc.Offset, best)
+		case !mine:
+			ctx.h.hand(ctx.ids[:b], best)
+		default:
+			ctx.bytes += ix.scoreExact(ctx.ids[:b], ctx.dists[:], q, sc.Offset, best)
 		}
 		verified += b
+	}
+	if split {
+		ctx.bytes += ctx.h.merge(best)
 	}
 	if !quantized {
 		return verified, rejected, 0
@@ -492,27 +520,27 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, sc *Scan, bes
 		for i := 0; i < c; i++ {
 			ctx.ids[i] = int32(ctx.rrBuf[base+i].ID)
 		}
-		ix.scoreExact(ctx, q, c, sc.Offset, best)
+		ctx.bytes += ix.scoreExact(ctx.ids[:c], ctx.dists[:], q, sc.Offset, best)
 	}
 	obs.ObserveDur(obs.StageRerank, time.Since(start))
 	return verified, rejected, len(ctx.rrBuf)
 }
 
-// scoreExact gathers the exact float32 distances of ctx.ids[:b] and adds
-// them to best under ids shifted by off: the scoring step of an exact
-// index and the re-rank step of a quantized one. A Euclidean row stops
-// being read once it cannot enter best (vec.Store.GatherNearest), which
-// changes what best keeps in nothing, only the bytes charged.
-func (ix *Index) scoreExact(ctx *searchCtx, q []float32, b, off int, best *pqueue.KBest) {
+// scoreExact gathers the exact float32 distances of ids, using dists (at
+// least as long) as scratch, adds them to best under ids shifted by off
+// and returns the bytes it read: the scoring step of an exact index and
+// the re-rank step of a quantized one. A Euclidean row stops being read once it cannot
+// enter best (vec.Store.GatherNearest), which changes what best keeps in
+// nothing, only the bytes charged.
+func (ix *Index) scoreExact(ids []int32, dists []float64, q []float32, off int, best *pqueue.KBest) int64 {
 	if ix.metric == vec.Euclidean {
-		ctx.bytes += ix.store.GatherNearest(ctx.ids[:b], q, off, best)
-		return
+		return ix.store.GatherNearest(ids, q, off, best)
 	}
-	ix.store.GatherDistancesInto(ctx.ids[:b], q, ix.metric, ctx.dists[:b])
-	ctx.bytes += int64(b) * int64(ix.store.Dim()) * 4
-	for i := 0; i < b; i++ {
-		best.Add(off+int(ctx.ids[i]), ctx.dists[i])
+	ix.store.GatherDistancesInto(ids, q, ix.metric, dists[:len(ids)])
+	for i, id := range ids {
+		best.Add(off+int(id), dists[i])
 	}
+	return int64(len(ids)) * int64(ix.store.Dim()) * 4
 }
 
 // Data returns the indexed vector with the given id (a view into the

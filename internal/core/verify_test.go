@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lccs/internal/dataset"
 	"lccs/internal/lshfamily"
@@ -17,8 +21,9 @@ import (
 // csa.Searcher, dropping tombstoned and rejected ones by the same rules,
 // scores them with the unbounded gather (GatherDistancesInto) — on an SQ8
 // index after ranking them by quantized score and keeping the re-rank
-// pool's best — and returns them under global ids, unsorted.
-func oracleScan(ix *Index, q []float32, hq []int32, k, lambda int, sc Scan) []pqueue.Neighbor {
+// pool's best — and returns them under global ids, unsorted, with the
+// number of candidates drained (SearchStats.Candidates).
+func oracleScan(ix *Index, q []float32, hq []int32, k, lambda int, sc Scan) ([]pqueue.Neighbor, int) {
 	s := ix.csa.NewSearcher()
 	s.Begin(hq)
 	var ids []int32
@@ -39,6 +44,7 @@ func oracleScan(ix *Index, q []float32, hq []int32, k, lambda int, sc Scan) []pq
 		ids = append(ids, int32(r.ID))
 		nCand--
 	}
+	drained := len(ids)
 	if ix.sq8 != nil && len(ids) > 0 {
 		var st vec.SQ8Query
 		ix.sq8.Prepare(ix.metric, q, &st)
@@ -64,7 +70,7 @@ func oracleScan(ix *Index, q []float32, hq []int32, k, lambda int, sc Scan) []pq
 	for i, id := range ids {
 		out[i] = pqueue.Neighbor{ID: sc.Offset + int(id), Dist: dists[i]}
 	}
-	return out
+	return out, drained
 }
 
 // nearestOf sorts candidates by (Dist, ID) and keeps the first kc.
@@ -90,174 +96,329 @@ func sameNeighbors(a, b []pqueue.Neighbor) bool {
 // TestVerifyMatchesUnboundedOracle holds the bounded verification to
 // exactness: whatever rows it stops reading, every query returns bit for
 // bit the k nearest (by distance, then id) of the candidates the oracle
-// drains and scores in full. It covers one index through SearchInto and
-// three segments verifying into one collector through SearchScan — plain,
-// with tombstones charged and free, filtered, a cursor's later page (k >
-// k0, the candidates of a k0 query) and SQ8 indexes — at dims on both
-// sides of the first checkpoint and at GIST's 960. It also checks the
-// metering: a dim without a checkpoint charges every candidate's full row,
-// and at dim 960 some query charges less.
+// drains and scores in full, and verifies as many candidates. It covers
+// one index through SearchInto and three segments verifying into one
+// collector through SearchScan — plain, with tombstones charged and free,
+// filtered, a cursor's later page (k > k0, the candidates of a k0 query),
+// a collector wider than the segments' k, and SQ8 indexes — at dims on
+// both sides of the first checkpoint and at GIST's 960. The last two
+// shapes, Euclidean and Angular, ask for more candidate bytes than
+// splitBytes, so their exact queries score every other batch on the
+// helper goroutine, the whole index's at λ ≥ n too.
+// It also checks the metering: a dim without a checkpoint, or a metric
+// without a bound, charges every candidate's full row; at dim 960 some
+// Euclidean query charges less; and every query charges the same bytes
+// twice over and under GOMAXPROCS 1 and 2.
 func TestVerifyMatchesUnboundedOracle(t *testing.T) {
-	const k, lambda = 10, 150
-	for _, dim := range []int{16, 64, 65, 128, 960} {
-		g := rng.New(uint64(dim))
-		n := 1200
-		data := clusteredData(g, n, dim, 12, 0.6)
-		store, err := vec.FromRows(data)
+	type shape struct {
+		dim, n, lambda int
+		angular        bool
+	}
+	shapes := []shape{
+		{dim: 16, n: 1200, lambda: 150}, {dim: 64, n: 1200, lambda: 150}, {dim: 65, n: 1200, lambda: 150},
+		{dim: 128, n: 1200, lambda: 150}, {dim: 960, n: 1200, lambda: 150},
+		{dim: 960, n: 3000, lambda: 1000}, {dim: 960, n: 3000, lambda: 1000, angular: true},
+	}
+	for _, sh := range shapes {
+		name := fmt.Sprintf("dim%d/n%d/lambda%d", sh.dim, sh.n, sh.lambda)
+		if sh.angular {
+			name += "/angular"
+		}
+		t.Run(name, func(t *testing.T) { checkVerifyShape(t, sh.dim, sh.n, sh.lambda, sh.angular) })
+	}
+}
+
+// checkVerifyShape is TestVerifyMatchesUnboundedOracle at one shape.
+func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
+	const k = 10
+	if split := int64(lambda+k-1)*int64(dim)*4 >= splitBytes; split != (n > 1200) {
+		t.Fatalf("dim %d λ %d: split %v; the shapes no longer straddle splitBytes", dim, lambda, split)
+	}
+	g := rng.New(uint64(dim))
+	data := clusteredData(g, n, dim, 12, 0.6)
+	store, err := vec.FromRows(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fam lshfamily.Family = lshfamily.NewRandomProjection(dim, 2*math.Sqrt(float64(dim)))
+	if angular {
+		fam = lshfamily.NewSimHash(dim)
+	}
+	p := Params{M: 16, Seed: 3}
+	whole, err := BuildStore(store, fam, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []int{0, n * 7 / 24, n * 2 / 3, n}
+	var segs []*Index
+	for i := 0; i+1 < len(bounds); i++ {
+		ix, err := BuildStore(store.Slice(bounds[i], bounds[i+1]), fam, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fam := lshfamily.NewRandomProjection(dim, 2*math.Sqrt(float64(dim)))
-		p := Params{M: 16, Seed: 3}
-		whole, err := BuildStore(store, fam, p)
+		segs = append(segs, ix)
+	}
+	var sq8Segs []*Index
+	for i := range segs {
+		part := store.Slice(bounds[i], bounds[i+1])
+		ix, err := BuildStore(part, fam, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bounds := []int{0, 350, 800, n}
-		var segs []*Index
-		for i := 0; i+1 < len(bounds); i++ {
-			ix, err := BuildStore(store.Slice(bounds[i], bounds[i+1]), fam, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			segs = append(segs, ix)
-		}
-		var sq8Segs []*Index
-		for i := range segs {
-			part := store.Slice(bounds[i], bounds[i+1])
-			ix, err := BuildStore(part, fam, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix.EnableSQ8(vec.QuantizeSQ8(part), 24)
-			sq8Segs = append(sq8Segs, ix)
-		}
-		dead := make([]uint64, (n+63)/64)
-		for id := 0; id < n; id += 7 {
-			dead[id/64] |= 1 << (id % 64)
-		}
+		ix.EnableSQ8(vec.QuantizeSQ8(part), 24)
+		sq8Segs = append(sq8Segs, ix)
+	}
+	dead := make([]uint64, (n+63)/64)
+	for id := 0; id < n; id += 7 {
+		dead[id/64] |= 1 << (id % 64)
+	}
 
-		type variant struct {
-			name   string
-			segs   []*Index
-			k0     int // the first page's size; k when 0
-			dead   []uint64
-			charge bool
-			accept func(global int) bool
+	type variant struct {
+		name   string
+		segs   []*Index
+		k0     int  // the first page's size; k when 0
+		wide   bool // a collector of 3k rows, the segments verifying for k
+		dead   []uint64
+		charge bool
+		accept func(global int) bool
+	}
+	variants := []variant{
+		{name: "plain", segs: segs},
+		{name: "dead charged", segs: segs, dead: dead, charge: true},
+		{name: "dead free", segs: segs, dead: dead},
+		{name: "filter", segs: segs, accept: func(id int) bool { return id%3 != 0 }},
+		{name: "cursor page", segs: segs, k0: 4},
+		{name: "wide collector", segs: segs, wide: true},
+		{name: "sq8", segs: sq8Segs},
+		{name: "sq8 dead filter", segs: sq8Segs, dead: dead, accept: func(id int) bool { return id%2 == 0 }},
+	}
+	scanOf := func(v variant, off int) Scan {
+		sc := Scan{Offset: off, Dead: v.dead, ChargeDead: v.charge}
+		if v.accept != nil {
+			sc.Accept = func(local int) bool { return v.accept(off + local) }
 		}
-		variants := []variant{
-			{name: "plain", segs: segs},
-			{name: "dead charged", segs: segs, dead: dead, charge: true},
-			{name: "dead free", segs: segs, dead: dead},
-			{name: "filter", segs: segs, accept: func(id int) bool { return id%3 != 0 }},
-			{name: "cursor page", segs: segs, k0: 4},
-			{name: "sq8", segs: sq8Segs},
-			{name: "sq8 dead filter", segs: sq8Segs, dead: dead, accept: func(id int) bool { return id%2 == 0 }},
-		}
+		return sc
+	}
+	// unbounded reports whether a query's bytes must be every
+	// candidate's full row: no checkpoint, or no bound to check.
+	unbounded := dim <= 64 || angular
 
-		var stoppedSomewhere bool
-		for qi, q := range queriesFrom(g, data, 6, 0.3) {
-			hq := whole.HashQuery(q, nil)
+	var stoppedSomewhere bool
+	for qi, q := range queriesFrom(g, data, 6, 0.3) {
+		label := fmt.Sprintf("query %d", qi)
+		hq := whole.HashQuery(q, nil)
 
-			want := nearestOf(oracleScan(whole, q, hq, k, lambda, Scan{}), k)
-			if got := whole.SearchInto(q, k, lambda, nil); !sameNeighbors(got, want) {
-				t.Fatalf("dim %d query %d: SearchInto %v, oracle %v", dim, qi, got, want)
+		for _, lam := range []int{lambda, n} {
+			cands, drained := oracleScan(whole, q, hq, k, lam, Scan{})
+			want := nearestOf(cands, k)
+			if got := whole.SearchInto(q, k, lam, nil); !sameNeighbors(got, want) {
+				t.Fatalf("%s λ %d: SearchInto %v, oracle %v", label, lam, got, want)
 			}
-			var best pqueue.KBest
-			best.Reset(k)
-			st := whole.SearchScan(q, hq, k, lambda, Scan{}, &best)
-			full := int64(st.Candidates) * int64(dim) * 4
-			if st.BytesScanned > full || (dim <= 64 && st.BytesScanned != full) {
-				t.Fatalf("dim %d query %d: %d bytes scanned for %d candidates", dim, qi, st.BytesScanned, st.Candidates)
-			}
-			stoppedSomewhere = stoppedSomewhere || st.BytesScanned < full
-
-			for _, v := range variants {
-				kk, lam := k, lambda
-				if v.k0 > 0 {
-					// A cursor's later page, as the facade asks for it:
-					// the candidate count of a k0 query, fetched k deep.
-					kk, lam = 3*k, lambda+v.k0-3*k
-				}
+			var bytes int64
+			for run, procs := range []int{2, 2, 1} {
+				prev := runtime.GOMAXPROCS(procs)
 				var best pqueue.KBest
-				best.Reset(kk)
-				var cands []pqueue.Neighbor
-				var verified, reranked int
-				var bytes int64
+				best.Reset(k)
+				st := whole.SearchScan(q, hq, k, lam, Scan{}, &best)
+				runtime.GOMAXPROCS(prev)
+				if got := best.Sorted(); !sameNeighbors(got, want) || st.Candidates != drained {
+					t.Fatalf("%s λ %d GOMAXPROCS %d: SearchScan %v over %d candidates, oracle %v over %d",
+						label, lam, procs, got, st.Candidates, want, drained)
+				}
+				if run > 0 && st.BytesScanned != bytes {
+					t.Fatalf("%s λ %d: %d bytes scanned under GOMAXPROCS %d, %d before", label, lam, st.BytesScanned, procs, bytes)
+				}
+				bytes = st.BytesScanned
+			}
+			full := int64(drained) * int64(dim) * 4
+			if bytes > full || (unbounded && bytes != full) {
+				t.Fatalf("%s λ %d: %d bytes scanned for %d candidates", label, lam, bytes, drained)
+			}
+			stoppedSomewhere = stoppedSomewhere || bytes < full
+		}
+
+		for _, v := range variants {
+			kk, lam, capacity := k, lambda, k
+			if v.k0 > 0 {
+				// A cursor's later page, as the facade asks for it:
+				// the candidate count of a k0 query, fetched k deep.
+				kk, lam, capacity = 3*k, lambda+v.k0-3*k, 3*k
+			}
+			if v.wide {
+				capacity = 3 * k
+			}
+			var cands []pqueue.Neighbor
+			var drained int
+			for i, ix := range v.segs {
+				c, d := oracleScan(ix, q, hq, kk, lam, scanOf(v, bounds[i]))
+				cands = append(cands, c...)
+				drained += d
+			}
+			want := nearestOf(cands, capacity)
+			var bytes int64
+			for run, procs := range []int{2, 2, 1} {
+				prev := runtime.GOMAXPROCS(procs)
+				var best pqueue.KBest
+				best.Reset(capacity)
+				var st SearchStats
 				for i, ix := range v.segs {
-					sc := Scan{Offset: bounds[i], Dead: v.dead, ChargeDead: v.charge}
-					if v.accept != nil {
-						off := bounds[i]
-						sc.Accept = func(local int) bool { return v.accept(off + local) }
-					}
-					cands = append(cands, oracleScan(ix, q, hq, kk, lam, sc)...)
-					st := ix.SearchScan(q, hq, kk, lam, sc, &best)
-					verified += st.Candidates
-					reranked += st.Reranked
-					bytes += st.BytesScanned
+					st.Add(ix.SearchScan(q, hq, kk, lam, scanOf(v, bounds[i]), &best))
 				}
-				want := nearestOf(cands, kk)
-				if got := best.Sorted(); !sameNeighbors(got, want) {
-					t.Fatalf("dim %d query %d %s: got %v, oracle %v", dim, qi, v.name, got, want)
+				runtime.GOMAXPROCS(prev)
+				if got := best.Sorted(); !sameNeighbors(got, want) || st.Candidates != drained {
+					t.Fatalf("%s %s GOMAXPROCS %d: got %v over %d candidates, oracle %v over %d",
+						label, v.name, procs, got, st.Candidates, want, drained)
 				}
-				full := int64(verified) * int64(dim) * 4
+				if run > 0 && st.BytesScanned != bytes {
+					t.Fatalf("%s %s: %d bytes scanned under GOMAXPROCS %d, %d before", label, v.name, st.BytesScanned, procs, bytes)
+				}
+				bytes = st.BytesScanned
+				full := int64(st.Candidates) * int64(dim) * 4
 				if v.segs[0].sq8 != nil {
-					full = int64(verified)*int64(dim) + int64(reranked)*int64(dim)*4
+					full = int64(st.Candidates)*int64(dim) + int64(st.Reranked)*int64(dim)*4
 				}
-				if bytes > full || (dim <= 64 && bytes != full) {
-					t.Fatalf("dim %d query %d %s: %d bytes scanned, %d candidates and %d re-ranked read in full are %d",
-						dim, qi, v.name, bytes, verified, reranked, full)
+				if bytes > full || (unbounded && bytes != full) {
+					t.Fatalf("%s %s: %d bytes scanned, %d candidates and %d re-ranked read in full are %d",
+						label, v.name, bytes, st.Candidates, st.Reranked, full)
 				}
 			}
 		}
-		if dim == 960 && !stoppedSomewhere {
-			t.Fatalf("dim %d: no query stopped reading a row", dim)
+	}
+	if dim == 960 && !angular && !stoppedSomewhere {
+		t.Fatalf("dim %d: no query stopped reading a row", dim)
+	}
+}
+
+// TestSplitHelperEndsWithItsQuery checks that a helper goroutine does not
+// outlive its query: not after a query that returns, nor after one whose
+// filter panics mid-drain, once hand-offs have begun.
+func TestSplitHelperEndsWithItsQuery(t *testing.T) {
+	const n, dim, k, lambda = 1500, 960, 10, 1000
+	g := rng.New(5)
+	data := clusteredData(g, n, dim, 12, 0.6)
+	ix, err := Build(data, lshfamily.NewRandomProjection(dim, 2*math.Sqrt(dim)), Params{M: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := queriesFrom(g, data, 1, 0.3)[0]
+	hq := ix.HashQuery(q, nil)
+	settled := func(want int) bool {
+		for i := 0; i < 1000 && runtime.NumGoroutine() > want; i++ {
+			time.Sleep(time.Millisecond)
 		}
+		return runtime.NumGoroutine() <= want
+	}
+	before := runtime.NumGoroutine()
+	var best pqueue.KBest
+	best.Reset(k)
+	ix.SearchScan(q, hq, k, lambda, Scan{}, &best)
+	if !settled(before) {
+		t.Fatalf("%d goroutines after a split query returned, %d before", runtime.NumGoroutine(), before)
+	}
+
+	seen := 0
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the filter's panic did not reach the caller")
+			}
+		}()
+		best.Reset(k)
+		ix.SearchScan(q, hq, k, lambda, Scan{Accept: func(int) bool {
+			if seen++; seen == 5*verifyBatch {
+				panic("filter")
+			}
+			return true
+		}}, &best)
+	}()
+	if !settled(before) {
+		t.Fatalf("%d goroutines after a split query panicked, %d before", runtime.NumGoroutine(), before)
 	}
 }
 
 // BenchmarkVerify runs one query at a time against an index of
-// static-d960's shape (50 000 GIST-like rows, m = 64, λ = 1 000, k = 10):
-// the verification this package's bounded gather serves. Besides the time
-// it reports read-frac, the vector bytes the gathers read over what
-// reading every candidate's row in full would take — the share of the
-// traffic the bound leaves. Re-running it with another boundStride (and
-// the assembly's checkpoint mask to match) is the sweep in
-// docs/PERFORMANCE.md, "Bounded verification".
+// static-d960's shape (50 000 rows, m = 64, k = 10) at budgets λ of 100,
+// 300, 1 000 and 3 000, over the sift (d128) and gist (d960) presets:
+// the verification this package's bounded gather and its helper
+// goroutine serve; gist/lambda=1000 is static-d960's own query. Besides
+// the time it reports read-frac, the vector bytes the gathers read over
+// what reading every candidate's row in full would take — the share of
+// the traffic the bound leaves. The saturated variant runs GOMAXPROCS
+// such queries at once (b.RunParallel), so no core is idle for a helper:
+// what splitting a query costs a loaded machine. Re-running it with
+// another boundStride (and the assembly's checkpoint mask to match), or
+// with splitBytes past every shape, gives the sweeps in
+// docs/PERFORMANCE.md, "Bounded verification" and "Verifying on the idle
+// core".
 func BenchmarkVerify(b *testing.B) {
-	const n, nq, m, lambda, k = 50_000, 200, 64, 1000, 10
-	spec, err := dataset.Preset("gist", n, nq, 1)
-	if err != nil {
-		b.Fatal(err)
+	const n, nq, m, k = 50_000, 200, 64, 10
+	for _, preset := range []string{"sift", "gist"} {
+		var (
+			ix      *Index
+			queries [][]float32
+			hqs     [][]int32
+		)
+		setup := func(b *testing.B) {
+			if ix != nil {
+				return
+			}
+			spec, err := dataset.Preset(preset, n, nq, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ds, err := dataset.Generate(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			store, err := ds.FlatData()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix, err = BuildStore(store, lshfamily.NewRandomProjection(store.Dim(), nnWidth(store)), Params{M: m, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			queries = ds.Queries
+			hqs = make([][]int32, len(queries))
+			for i, q := range queries {
+				hqs[i] = ix.HashQuery(q, nil)
+			}
+		}
+		for _, lambda := range []int{100, 300, 1000, 3000} {
+			b.Run(fmt.Sprintf("%s/lambda=%d", preset, lambda), func(b *testing.B) {
+				setup(b)
+				var best pqueue.KBest
+				var read, full int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					qi := i % len(queries)
+					best.Reset(k)
+					st := ix.SearchScan(queries[qi], hqs[qi], k, lambda, Scan{}, &best)
+					read += st.BytesScanned
+					full += int64(st.Candidates) * int64(ix.store.Dim()) * 4
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+				b.ReportMetric(float64(read)/float64(full), "read-frac")
+			})
+		}
+		if preset != "gist" {
+			continue
+		}
+		b.Run("gist-saturated/lambda=1000", func(b *testing.B) {
+			setup(b)
+			var next atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				var best pqueue.KBest
+				for pb.Next() {
+					qi := int(next.Add(1)) % len(queries)
+					best.Reset(k)
+					ix.SearchScan(queries[qi], hqs[qi], k, 1000, Scan{}, &best)
+				}
+			})
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+		})
 	}
-	ds, err := dataset.Generate(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	store, err := ds.FlatData()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := BuildStore(store, lshfamily.NewRandomProjection(store.Dim(), nnWidth(store)), Params{M: m, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hqs := make([][]int32, len(ds.Queries))
-	for i, q := range ds.Queries {
-		hqs[i] = ix.HashQuery(q, nil)
-	}
-	var best pqueue.KBest
-	var read, full int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		qi := i % len(ds.Queries)
-		best.Reset(k)
-		st := ix.SearchScan(ds.Queries[qi], hqs[qi], k, lambda, Scan{}, &best)
-		read += st.BytesScanned
-		full += int64(st.Candidates) * int64(store.Dim()) * 4
-	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
-	b.ReportMetric(float64(read)/float64(full), "read-frac")
 }
 
 // nnWidth is the Euclidean family's bucket width as the facade derives it

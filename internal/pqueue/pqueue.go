@@ -133,6 +133,9 @@ func (b *KBest) Reset(k int) {
 // Len returns the number of neighbors currently retained.
 func (b *KBest) Len() int { return len(b.items) }
 
+// Cap returns k, the number of neighbors the collector retains.
+func (b *KBest) Cap() int { return b.k }
+
 // Full reports whether k neighbors are retained.
 func (b *KBest) Full() bool { return len(b.items) == b.k }
 

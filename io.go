@@ -347,7 +347,7 @@ func decodeSQ8(r io.Reader, rows, dim int) (*vec.SQ8Store, error) {
 // different data fails loudly rather than silently returning wrong
 // neighbors.
 func Load(path string, data [][]float32) (*Index, error) {
-	store, err := storeFromRows(data)
+	store, err := storeFromRows(data, "")
 	if err != nil {
 		return nil, err
 	}

@@ -48,6 +48,7 @@ package lccs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -174,9 +175,11 @@ var (
 	// not match the indexed data.
 	ErrDimensionMismatch = errors.New("lccs: query dimension mismatch")
 	// ErrNonFinite is returned when a query, an inserted vector, or a
-	// dataset row holds a NaN or infinite coordinate: such a vector has no
-	// meaningful distance to anything, so it is rejected at the door —
-	// on a journaled DynamicIndex before anything is journaled.
+	// dataset row holds a NaN or infinite coordinate, or, under Angular,
+	// coordinates whose float32 sum of squares overflows (every cosine of
+	// such a vector comes out 0 or NaN): such a vector has no meaningful
+	// distance to anything, so it is rejected at the door — on a
+	// journaled DynamicIndex before anything is journaled.
 	ErrNonFinite = errors.New("lccs: vector has a NaN or infinite coordinate")
 )
 
@@ -226,7 +229,7 @@ var (
 )
 
 // resolve applies the shared query contract — positive K, a non-negative
-// budget, a non-empty finite query of the set's dimensionality (once a
+// budget, a non-empty admissible query of the set's dimensionality (once a
 // first row has fixed it), a well-formed filter — and returns the
 // effective k and candidate budget (qr.Budget, or the configured default
 // when that is 0), each capped at the set's row count: a larger value asks
@@ -247,7 +250,7 @@ func (qr Query) resolve(q []float32, s *segSet) (k, lambda int, err error) {
 	if dim := s.store.Dim(); dim > 0 && len(q) != dim {
 		return 0, 0, fmt.Errorf("%w: query has %d dimensions, index has %d", ErrDimensionMismatch, len(q), dim)
 	}
-	if !finite(q) {
+	if !admissible(q, s.cfg.Metric) {
 		return 0, 0, ErrNonFinite
 	}
 	if err := qr.Filter.Validate(); err != nil {
@@ -266,6 +269,15 @@ func finite(v []float32) bool {
 		}
 	}
 	return true
+}
+
+// admissible reports whether v may enter an index of the given metric, as
+// a row or as a query: every coordinate finite and, under Angular, a
+// float32 sum of squares that does not overflow, without which every
+// cosine of v comes out 0 or NaN. Euclidean needs no such rule: its
+// overflowed distances are +Inf, which rank like any other.
+func admissible(v []float32, metric MetricKind) bool {
+	return finite(v) && (metric != Angular || !math.IsInf(vec.Norm(v), 1))
 }
 
 // ParseMetric resolves a CLI-style metric name to a MetricKind. It
@@ -427,14 +439,15 @@ func resolveConfig(store *vec.Store, cfg Config) (Config, error) {
 
 // storeFromRows packs public row-slice input into a flat store — the
 // one door dataset rows enter by — translating the validation error into
-// this package's voice and rejecting non-finite rows.
-func storeFromRows(rows [][]float32) (*vec.Store, error) {
+// this package's voice and rejecting rows not admissible under metric
+// (Load, which learns the metric from the file, passes "": finite rows).
+func storeFromRows(rows [][]float32, metric MetricKind) (*vec.Store, error) {
 	store, err := vec.FromRows(rows)
 	if err != nil {
 		return nil, fmt.Errorf("lccs: %w", err)
 	}
 	for i, row := range rows {
-		if !finite(row) {
+		if !admissible(row, metric) {
 			return nil, fmt.Errorf("%w: data row %d", ErrNonFinite, i)
 		}
 	}

@@ -174,7 +174,7 @@ func TestSearchUsesDefaultBudget(t *testing.T) {
 
 func TestAutoBucketWidth(t *testing.T) {
 	data, _ := testData(7, 300, 8, 4, 0.5)
-	store, err := storeFromRows(data)
+	store, err := storeFromRows(data, Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestAutoBucketWidth(t *testing.T) {
 	for i := range same {
 		same[i] = []float32{1, 2, 3}
 	}
-	sameStore, err := storeFromRows(same)
+	sameStore, err := storeFromRows(same, Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}

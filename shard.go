@@ -15,7 +15,7 @@ import (
 // once into one flat store, every shard indexes a contiguous view of it,
 // and all shard CSAs are built in parallel.
 func NewShardedIndex(data [][]float32, cfg Config, shards int) (*Index, error) {
-	store, err := storeFromRows(data)
+	store, err := storeFromRows(data, cfg.Metric)
 	if err != nil {
 		return nil, err
 	}
