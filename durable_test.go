@@ -276,23 +276,27 @@ func TestDurableAddBatch(t *testing.T) {
 	if len(ids) != 128 || ids[0] != 0 || ids[127] != 127 {
 		t.Fatalf("AddBatch ids %v...", ids[:3])
 	}
-	// A validation error mid-batch keeps (and journals) the prefix.
+	// A validation error mid-batch applies and journals nothing.
 	bad := [][]float32{data[128], {1, 2}, data[129]}
+	before := di.WALStats()
 	ids, err = di.AddBatch(bad)
 	if !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("AddBatch with bad vector: %v", err)
 	}
-	if len(ids) != 1 || ids[0] != 128 {
-		t.Fatalf("AddBatch prefix ids = %v, want [128]", ids)
+	if ids != nil || di.Len() != 128 {
+		t.Fatalf("AddBatch with bad vector: ids %v, Len %d; want none and 128", ids, di.Len())
+	}
+	if after := di.WALStats(); after.LastLSN != before.LastLSN || after.AppendedBytes != before.AppendedBytes {
+		t.Fatalf("a rejected batch reached the log: %+v → %+v", before, after)
 	}
 	crash(di)
 	di2 := mustOpenDurable(t, dir)
 	defer di2.Close()
-	if di2.Len() != 129 {
-		t.Fatalf("recovered %d vectors, want 129", di2.Len())
+	if di2.Len() != 128 {
+		t.Fatalf("recovered %d vectors, want 128", di2.Len())
 	}
-	if ids := searchIDs(t, di2, data[128], 1); !ids[128] {
-		t.Fatal("prefix insert of failed batch lost")
+	if ids := searchIDs(t, di2, data[128], 1); ids[128] {
+		t.Fatal("a vector of the rejected batch was recovered")
 	}
 }
 

@@ -226,10 +226,11 @@ func (d *DynamicIndex) AddBatch(vecs [][]float32) ([]int, error) {
 
 // AddBatchWithAttrs is AddBatch with per-vector metadata: attrs[i]
 // belongs to vecs[i], and attrs may be nil (no metadata) or must match
-// vecs in length. On a validation error the valid prefix stays inserted
-// (and journaled) and its ids are returned alongside the error; a
-// deferred background-build failure is returned alongside all the ids,
-// as Add does.
+// vecs in length. The whole batch is validated before any of it is
+// applied: on a validation error nothing is inserted or journaled, no
+// ids are returned and the error names the first bad vector. A deferred
+// background-build failure is returned alongside all the ids, as Add
+// does.
 func (d *DynamicIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int, error) {
 	if attrs != nil && len(attrs) != len(vecs) {
 		return nil, ErrAttrsMismatch
@@ -246,26 +247,24 @@ func (d *DynamicIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int
 	}
 	t0 := d.j.clock()
 	d.mu.Lock()
-	ids := make([]int, 0, len(vecs))
-	var err error
+	// The first vector of a batch into an empty index sets the
+	// dimensionality the rest must match.
+	dim := d.store.Dim()
 	for i, v := range vecs {
-		id, aerr := d.addLocked(v, attrAt(attrs, i))
-		if aerr != nil {
-			err = fmt.Errorf("vector %d: %w", i, aerr)
-			break
+		if err := validateVector(v, dim, d.cfg.Metric); err != nil {
+			d.mu.Unlock()
+			return nil, fmt.Errorf("vector %d: %w", i, err)
 		}
-		ids = append(ids, id)
+		dim = len(v)
 	}
-	if err == nil {
-		err = d.takeBuildErrLocked()
-	}
-	if recs != nil {
-		recs = recs[:len(ids)]
-		for i, id := range ids {
-			recs[i].ID = int64(id)
+	ids := make([]int, len(vecs))
+	for i, v := range vecs {
+		ids[i] = d.appendLocked(v, attrAt(attrs, i))
+		if recs != nil {
+			recs[i].ID = int64(ids[i])
 		}
 	}
-	return ids, d.commit(t0, recs, err)
+	return ids, d.commit(t0, recs, d.takeBuildErrLocked())
 }
 
 // attrAt is attrs[i], or nil when the batch carries no metadata.
@@ -281,6 +280,11 @@ func (d *DynamicIndex) addLocked(v []float32, a Attrs) (int, error) {
 	if err := validateVector(v, d.store.Dim(), d.cfg.Metric); err != nil {
 		return 0, err
 	}
+	return d.appendLocked(v, a), nil
+}
+
+// appendLocked appends one validated vector and returns its id.
+func (d *DynamicIndex) appendLocked(v []float32, a Attrs) int {
 	slot := d.store.Append(v)
 	if len(a) > 0 {
 		if d.attrs == nil {
@@ -292,7 +296,7 @@ func (d *DynamicIndex) addLocked(v []float32, a Attrs) (int, error) {
 	id := d.ids.Alloc()
 	d.writes++
 	d.maybeStartBuildLocked()
-	return id, nil
+	return id
 }
 
 // takeBuildErrLocked returns and clears the most recent background

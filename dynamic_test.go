@@ -141,9 +141,8 @@ func TestDynamicDimensionMismatch(t *testing.T) {
 }
 
 // TestDynamicBatchWrites pins the batch write methods the serving layer
-// calls: the ids and attribute rows of a whole batch, the valid prefix
-// alongside a validation error, and DeleteBatch's live count and
-// missing list.
+// calls: the ids and attribute rows of a whole batch, nothing inserted
+// on a validation error, and DeleteBatch's live count and missing list.
 func TestDynamicBatchWrites(t *testing.T) {
 	data, _ := testData(56, 60, 8, 4, 0.5)
 	d, err := NewDynamicIndex(data[:50], Config{Metric: Euclidean, M: 16, Seed: 5}, 100)
@@ -160,13 +159,16 @@ func TestDynamicBatchWrites(t *testing.T) {
 			t.Fatalf("Attrs(%d) = %v, want %v", id, d.Attrs(id), attrs[i])
 		}
 	}
-	// A rejected vector stops the batch; the prefix is in and reported.
+	// A rejected vector rejects the batch whole: nothing is inserted.
 	ids, err = d.AddBatchWithAttrs([][]float32{data[53], {1, 2}, data[54]}, nil)
-	if !errors.Is(err, ErrDimensionMismatch) || len(ids) != 1 || ids[0] != 53 {
-		t.Fatalf("batch with a bad vector = %v, %v; want [53] and ErrDimensionMismatch", ids, err)
+	if !errors.Is(err, ErrDimensionMismatch) || ids != nil {
+		t.Fatalf("batch with a bad vector = %v, %v; want no ids and ErrDimensionMismatch", ids, err)
 	}
-	if d.Len() != 54 {
-		t.Fatalf("Len = %d after the rejected batch, want 54", d.Len())
+	if d.Len() != 53 {
+		t.Fatalf("Len = %d after the rejected batch, want 53", d.Len())
+	}
+	if ids, err := d.AddBatchWithAttrs(data[53:54], nil); err != nil || len(ids) != 1 || ids[0] != 53 {
+		t.Fatalf("batch after the rejected one = %v, %v; want [53]", ids, err)
 	}
 	if _, err := d.AddBatchWithAttrs(data[54:56], attrs); !errors.Is(err, ErrAttrsMismatch) {
 		t.Fatalf("3 attr rows for 2 vectors: err=%v, want ErrAttrsMismatch", err)

@@ -178,8 +178,8 @@ func TestAngularNormOverflowRejected(t *testing.T) {
 		if _, err := dyn.Add(big); !errors.Is(err, ErrNonFinite) || dyn.Len() != len(data) {
 			t.Errorf("%g: Add: err=%v, Len=%d", x, err, dyn.Len())
 		}
-		if ids, err := dyn.AddBatch([][]float32{data[0], big}); !errors.Is(err, ErrNonFinite) || len(ids) != 1 {
-			t.Errorf("%g: AddBatch: ids=%v err=%v, want the first inserted and ErrNonFinite", x, ids, err)
+		if ids, err := dyn.AddBatch([][]float32{data[0], big}); !errors.Is(err, ErrNonFinite) || ids != nil || dyn.Len() != len(data) {
+			t.Errorf("%g: AddBatch: ids=%v err=%v Len=%d, want nothing inserted and ErrNonFinite", x, ids, err, dyn.Len())
 		}
 		if res, err := dyn.SearchQuery(big, Query{K: 3}, nil); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("%g: DynamicIndex.SearchQuery: %v, err=%v, want ErrNonFinite", x, res, err)

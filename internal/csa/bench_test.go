@@ -1,6 +1,7 @@
 package csa
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -93,6 +94,31 @@ func BenchmarkCSABuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c = NewFromFlat(data, shape.n, shape.m)
 			}
+			b.ReportMetric(float64(c.Bytes())/1e6, "index-MB")
+		})
+	}
+}
+
+// BenchmarkCSADecode times Decode, the daemon's boot and recovery path, at
+// BenchmarkCSABegin's two shapes. index-MB is the Bytes() of the index it
+// decodes, in 10^6 bytes.
+func BenchmarkCSADecode(b *testing.B) {
+	for _, shape := range []struct{ n, m int }{{100000, 32}, {50000, 64}} {
+		b.Run(fmt.Sprintf("n=%d,m=%d", shape.n, shape.m), func(b *testing.B) {
+			data, _ := lshStrings(shape.n, shape.m, 0)
+			var file bytes.Buffer
+			if err := NewFromFlat(data, shape.n, shape.m).Encode(&file); err != nil {
+				b.Fatal(err)
+			}
+			var c *CSA
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if c, err = Decode(bytes.NewReader(file.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
 			b.ReportMetric(float64(c.Bytes())/1e6, "index-MB")
 		})
 	}

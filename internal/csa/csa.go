@@ -25,10 +25,12 @@
 // The codes take w = 1 byte when the widest column holds at most 127
 // symbols (its largest code, 2·D, then fits), 2 bytes up to 32 767 and 4
 // beyond; the CSA picks w once, at build or decode, from its own columns.
-// An index over n strings of length m holds (w + 8)·n·m bytes — w-byte
-// codes, 4-byte rank entries, 4-byte next links — plus its dictionaries.
 // Each walk that reads codes is written once, generic over the width
 // (block), and the CSA runs the one instantiation it chose.
+//
+// An index over n strings of length m holds (w + 4)·n·m bytes of codes and
+// rank entries, m·⌈n·b/8⌉ bytes of next links (see Next links) and its
+// dictionaries: 22.8 MB at n = 100 000, m = 32, w = 1.
 //
 // # Rank entries
 //
@@ -47,6 +49,17 @@
 // current length exceeds lcpMax can need more than that, and only then is
 // the length finished by comparing the string with the query from symbol
 // lcpMax on.
+//
+// # Next links
+//
+// A next link is a rank below n, so it needs b = bits.Len(n−1) bits, the
+// width of a rank entry's id field, and the links are stored at that
+// width: a row of ⌈n·b/8⌉ bytes per shift, link r at bits [r·b, (r+1)·b)
+// of its row, little-endian, and eight spare bytes after the last row. A
+// link is read by one 8-byte load from its first byte, a shift by the
+// bit's offset within that byte and a mask, so Begin's chain of link
+// reads keeps one load per link. Like w, b is derived from the index,
+// from n, at build and at decode; on disk every link is still an int32.
 //
 // # The lane queue
 //
@@ -85,8 +98,8 @@
 // # Prefetching
 //
 // Begin is a chain of scattered reads — a link, a rank entry, a hash
-// string, per shift and per binary-search level — in (w + 8)·n·m bytes no
-// cache holds. It asks for what the next steps may read before it needs it
+// string, per shift and per binary-search level — in an index no cache
+// holds. It asks for what the next steps may read before it needs it
 // (package prefetch; search has the scheme). A prefetch is a hint: bounds,
 // candidate streams and Comparisons() are exactly what they are without
 // it, as they are under -tags noasm, where it compiles to nothing.
@@ -94,6 +107,7 @@ package csa
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -129,24 +143,32 @@ type CSA struct {
 	// is min(lcpMax, LCP of that string with the one at rank+1), zero at
 	// the last rank.
 	sorted []uint32
-	// next holds the m next-link arrays back to back: next[i*n + rank]
+	// next holds the m next-link arrays packed (see Next links in the
+	// package comment), a row of rowBytes per shift: link rank of row i
 	// is the rank, in shift (i+1) mod m's order, of the string at
 	// sorted[i*n + rank] (the paper's N_{i+1}).
-	next []int32
+	next     []byte
+	rowBytes int
 
 	idBits uint
 	idMask uint32
 	lcpMax int32
 }
 
+// linkSlack is the spare bytes after the last row of links: an 8-byte
+// load from the first byte of any link stays inside the block.
+const linkSlack = 8
+
 // entryBits is the width of a rank entry.
 const entryBits = 32
 
 // setLayout splits the rank entry for n ids, leaving the LCP field at
-// most fieldBits wide (tests narrow it to reach the saturation rule).
+// most fieldBits wide (tests narrow it to reach the saturation rule), and
+// sizes a row of next links, which are as wide as an id.
 func (c *CSA) setLayout(fieldBits int) {
 	c.idBits = uint(bits.Len(uint(c.n - 1)))
 	c.idMask = 1<<c.idBits - 1
+	c.rowBytes = (c.n*int(c.idBits) + 7) / 8
 	free := min(entryBits-int(c.idBits), fieldBits)
 	c.lcpMax = int32(min(int64(c.m), 1<<free-1))
 }
@@ -157,10 +179,41 @@ func (c *CSA) sortedRow(i int) []uint32 {
 	return c.sorted[i*c.n : (i+1)*c.n : (i+1)*c.n]
 }
 
-// nextRow returns the next-link array of shift i as a view into the
-// flat block.
-func (c *CSA) nextRow(i int) []int32 {
-	return c.next[i*c.n : (i+1)*c.n : (i+1)*c.n]
+// linkBit returns the bit of the packed block at which link r of shift i
+// starts; the links of a row follow one another every idBits bits.
+func (c *CSA) linkBit(i, r int) uint {
+	return uint(i*c.rowBytes)<<3 + uint(r)*c.idBits
+}
+
+// linkAt returns the link that starts at bit bit of the packed block.
+func (c *CSA) linkAt(bit uint) int32 { return loadLink(c.next, bit, uint64(c.idMask)) }
+
+// loadLink returns the link, masked by mask, that starts at bit bit of
+// next: a walk along a row holds next and mask in locals, which the
+// fields of c, reloaded after every store the walk makes, are not.
+func loadLink(next []byte, bit uint, mask uint64) int32 {
+	return int32(binary.LittleEndian.Uint64(next[bit>>3:]) >> (bit & 7) & mask)
+}
+
+// link returns link r of shift i.
+func (c *CSA) link(i, r int) int32 { return c.linkAt(c.linkBit(i, r)) }
+
+// packRow stores row, shift i's next links as ranks, in the packed block:
+// whole 32-bit words as they fill, then the row's last bytes.
+func (c *CSA) packRow(i int, row []int32) {
+	out, width := c.next[i*c.rowBytes:(i+1)*c.rowBytes], c.idBits
+	var acc uint64
+	held, at := uint(0), 0
+	for _, r := range row {
+		acc |= uint64(uint32(r)) << (held & 63) // held < 32: the mask only spares a check
+		if held += width; held >= 32 {
+			binary.LittleEndian.PutUint32(out[at:], uint32(acc))
+			acc, held, at = acc>>32, held-32, at+4
+		}
+	}
+	for ; at < len(out); at++ {
+		out[at], acc = byte(acc), acc>>8
+	}
 }
 
 // code is a width the codes of a CSA can be stored at.
@@ -361,7 +414,7 @@ func newFromFlat(data []int32, n, m, fieldBits int) *CSA {
 	c.setSymbols(data)
 	c.setLayout(fieldBits)
 	c.sorted = make([]uint32, m*n)
-	c.next = make([]int32, m*n)
+	c.next = make([]byte, m*c.rowBytes+linkSlack)
 	c.buildOrders()
 	if err := c.fillLCP(); err != nil {
 		panic(err) // the orders just built are sorted
@@ -376,7 +429,7 @@ func (c *CSA) buildOrders() {
 	n, m := c.n, c.m
 	c.syms.sortLast(c)
 	last := c.sortedRow(m - 1)
-	sc := &induceScratch{keys: make([]uint32, n)}
+	sc := &induceScratch{keys: make([]uint32, n), links: make([]int32, n)}
 	for i := m - 2; i >= 0; i-- {
 		c.induce(i, sc)
 	}
@@ -386,10 +439,10 @@ func (c *CSA) buildOrders() {
 	for r, id := range c.sortedRow(0) {
 		pos[id] = uint32(r)
 	}
-	links := c.nextRow(m - 1)
 	for r, id := range last {
-		links[r] = int32(pos[id])
+		sc.links[r] = int32(pos[id])
 	}
+	c.packRow(m-1, sc.links)
 }
 
 func (b block[T]) sortLast(c *CSA) {
@@ -412,6 +465,7 @@ func (b block[T]) sortLast(c *CSA) {
 // induceScratch is the O(n) working memory of the induced passes.
 type induceScratch struct {
 	keys   []uint32 // one column's ranks
+	links  []int32  // one shift's next links, before packRow
 	counts []uint32
 	// Intermediate order of a two-digit pass: ids and the ranks they
 	// came from. Allocated on the first column that needs it.
@@ -424,7 +478,8 @@ const digitBits = 16
 // induce derives shift i's order and next links from shift i+1's: a
 // stable sort of that order by the symbol at position i. Columns of at
 // most 2^16 distinct symbols take one counting pass, wider ones an LSD
-// pass per 16-bit digit of the rank.
+// pass per 16-bit digit of the rank. The links are scattered as int32 and
+// packed once the row is whole.
 func (c *CSA) induce(i int, sc *induceScratch) {
 	n := c.n
 	c.syms.column(sc.keys, i, c.m)
@@ -432,7 +487,7 @@ func (c *CSA) induce(i int, sc *induceScratch) {
 	srcIDs, srcRanks := c.sortedRow(i+1), []int32(nil)
 	for shift := uint(0); ; shift += digitBits {
 		final := span>>shift < 1<<digitBits
-		dstIDs, dstRanks := c.sortedRow(i), c.nextRow(i)
+		dstIDs, dstRanks := c.sortedRow(i), sc.links
 		if !final {
 			if sc.ids == nil {
 				sc.ids, sc.ranks = make([]uint32, n), make([]int32, n)
@@ -466,6 +521,7 @@ func (c *CSA) induce(i int, sc *induceScratch) {
 			}
 		}
 		if final {
+			c.packRow(i, sc.links)
 			return
 		}
 		srcIDs, srcRanks = dstIDs, dstRanks
@@ -497,9 +553,16 @@ var errUnsorted = errors.New("csa: sorted order is not in circular order")
 // bounds are only as good as the orders; they are trusted because a file
 // whose orders are not sorted is rejected as a whole.
 func (c *CSA) fillLCP() error {
-	// Shifts are dealt out in contiguous runs, one per worker. A run
-	// touches the rank entries of its own shifts only, and starts without
-	// carried LCPs as shift 0 does, so runs share nothing they write.
+	// A run touches the rank entries of its own shifts only, and starts
+	// without carried LCPs as shift 0 does, so runs share nothing they
+	// write.
+	return c.inRuns(func(from, to int) error { return c.syms.fillShifts(c, from, to) })
+}
+
+// inRuns deals the shifts out in contiguous runs [from, to), one per
+// worker on up to GOMAXPROCS workers, calls f on each and returns the
+// error of the lowest run that failed.
+func (c *CSA) inRuns(f func(from, to int) error) error {
 	workers := min(runtime.GOMAXPROCS(0), c.m)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -507,7 +570,7 @@ func (c *CSA) fillLCP() error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = c.syms.fillShifts(c, w*c.m/workers, (w+1)*c.m/workers)
+			errs[w] = f(w*c.m/workers, (w+1)*c.m/workers)
 		}(w)
 	}
 	wg.Wait()
@@ -527,14 +590,16 @@ func (b block[T]) fillShifts(c *CSA, from, to int) error {
 	// the comparisons: loads that depend on nothing but the order, which
 	// the processor overlaps instead of stalling on one row at a time.
 	var first [64]T
+	next, width, mask := c.next, c.idBits, uint64(c.idMask)
 	for i := from; i < to; i++ {
-		row, links := c.sortedRow(i), c.nextRow(i)
+		row := c.sortedRow(i)
 		var following []uint32 // nothing is carried out of the run
 		if i+1 < to {
 			following = c.sortedRow(i + 1)
 		}
 		a := b.str(row[0]&c.idMask, m)
-		x := a[i]
+		bit := c.linkBit(i, 0)
+		x, la := a[i], loadLink(next, bit, mask)
 		for base := 1; base < n; base += len(first) {
 			ranks := row[base:min(base+len(first), n)]
 			for j, w := range ranks {
@@ -545,8 +610,9 @@ func (b block[T]) fillShifts(c *CSA, from, to int) error {
 				if x > y {
 					return errUnsorted
 				}
-				z := b.str(w&c.idMask, m)
-				lcp, follows := 0, links[r] < links[r+1]
+				bit += width
+				z, lb := b.str(w&c.idMask, m), loadLink(next, bit, mask)
+				lcp, follows := 0, la < lb
 				switch {
 				case x < y:
 				case follows:
@@ -564,9 +630,9 @@ func (b block[T]) fillShifts(c *CSA, from, to int) error {
 				// The carry bounds a's LCP with its successor one shift on
 				// only if b still comes after a there.
 				if follows && following != nil {
-					following[links[r]] |= uint32(lcp) << c.idBits
+					following[la] |= uint32(lcp) << c.idBits
 				}
-				a, x = z, y
+				a, x, la = z, y, lb
 			}
 		}
 		row[n-1] &= c.idMask
@@ -611,10 +677,10 @@ func (c *CSA) String(id int) []int32 {
 }
 
 // Bytes returns the memory the index holds in bytes: the code block, the
-// m sorted orders, the m next-link arrays and the dictionaries.
+// m sorted orders, the packed next links and the dictionaries.
 func (c *CSA) Bytes() int64 {
 	cells := int64(c.n) * int64(c.m)
-	return cells*int64(c.syms.width()+8) + 4*int64(len(c.dict)) + bits.UintSize/8*int64(len(c.dictAt))
+	return cells*int64(c.syms.width()+4) + int64(len(c.next)) + 4*int64(len(c.dict)) + bits.UintSize/8*int64(len(c.dictAt))
 }
 
 // Result is one k-LCCS answer: a string id and its LCCS length with the
@@ -836,8 +902,9 @@ func (b block[T]) bisect(s *Searcher, probe int32, shift, l, h int, lenL, lenU i
 
 // narrowWindow is the widest window (h − l) that search warms whole: the
 // ranks strictly inside are a few entries of one or two cache lines, and
-// so are the links of l..h. Anything wider is searched by levels; at least
-// 7, so that every rank warmLevels names lies inside its window.
+// the links of l..h lie in one or two. Anything wider is searched by
+// levels; at least 7, so that every rank warmLevels names lies inside its
+// window.
 // BenchmarkCSABegin on a 2-vCPU Xeon @ 2.1 GHz, µs per Begin at
 // (n = 100 000, m = 32) / (n = 50 000, m = 64), medians of 7 alternating
 // runs: no warming 17.0 / 34.9; 8: 10.7 / 20.5; 12: 10.4 / 20.3;
@@ -863,27 +930,31 @@ func (b block[T]) warmStr(id uint32, m, shift, from int) {
 // starts from this shift's links of the two ranks this one ends on, which
 // are among l..h; the ranks all of those lead to are where its rank entries
 // and, should its window be empty, its own links will be read. The links
-// are asked for before the strings and read after, by when they have had
-// as long to arrive as this search's first string.
+// are asked for before the strings — the first byte of the first and the
+// last byte the load of the last reads — and read after, by when they have
+// had as long to arrive as this search's first string.
 func (b block[T]) warmWindow(c *CSA, shift, l, h, from int) {
-	links := c.nextRow(shift)[max(l, 0) : min(h, c.n-1)+1]
-	prefetch.T0(&links[0])
-	prefetch.T0(&links[len(links)-1])
+	lo, hi := max(l, 0), min(h, c.n-1)
+	first, last := c.linkBit(shift, lo), c.linkBit(shift, hi)
+	prefetch.T0(&c.next[first>>3])
+	prefetch.T0(&c.next[last>>3+7])
 	for _, w := range c.sortedRow(shift)[l+1 : h] {
 		b.warmStr(w&c.idMask, c.m, shift, from)
 	}
 	if shift+1 == c.m {
 		return
 	}
-	order, following := c.sortedRow(shift+1), c.nextRow(shift+1)
+	order, following := c.sortedRow(shift+1), c.linkBit(shift+1, 0)
 	// Neighbours here mostly stay neighbours one shift on: one request
-	// per run of ranks that share 16 entries, a cache line of either row.
+	// per run of ranks that share 16 entries, a cache line of rank entries
+	// (their links take about half of one, from the first of which the
+	// request is made).
 	line := int32(-1)
-	for _, r := range links {
-		if r>>4 != line {
+	for k, bit := lo, first; k <= hi; k, bit = k+1, bit+c.idBits {
+		if r := c.linkAt(bit); r>>4 != line {
 			line = r >> 4
 			prefetch.T0(&order[r])
-			prefetch.T0(&following[r])
+			prefetch.T0(&c.next[(following+uint(r)*c.idBits)>>3])
 		}
 	}
 }
@@ -935,12 +1006,11 @@ func (s *Searcher) Begin(q []int32) {
 			// Corollary 3.2, applied per side: a bound whose LCP with
 			// the query is ≥ 1 is, one shift on, a string on the same
 			// side of the query whose LCP is known without a read.
-			links := c.nextRow(i - 1)
 			if prev.validL && prev.lenL >= 1 {
-				l, lenL = int(links[prev.posL]), c.shifted(prev.lenL)
+				l, lenL = int(c.link(i-1, int(prev.posL))), c.shifted(prev.lenL)
 			}
 			if prev.validU && prev.lenU >= 1 {
-				h, lenU = int(links[prev.posU]), c.shifted(prev.lenU)
+				h, lenU = int(c.link(i-1, int(prev.posU))), c.shifted(prev.lenU)
 			}
 		}
 		prev = s.search(0, i, l, h, lenL, lenU)

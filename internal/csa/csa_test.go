@@ -27,7 +27,7 @@ func TestBuildPaperExample(t *testing.T) {
 	if got, want := rowIDs(c, 0), []int32{0, 2, 1}; !eqInt32(got, want) {
 		t.Errorf("sorted[0] = %v, want %v", got, want)
 	}
-	if got, want := c.nextRow(0), []int32{2, 0, 1}; !eqInt32(got, want) {
+	if got, want := linkRow(c, 0), []int32{2, 0, 1}; !eqInt32(got, want) {
 		t.Errorf("next[0] = %v, want %v", got, want)
 	}
 }
@@ -58,7 +58,7 @@ func TestNextLinksConsistency(t *testing.T) {
 	for i := 0; i < c.m; i++ {
 		following := rowIDs(c, (i+1)%c.m)
 		for rank, id := range rowIDs(c, i) {
-			got := following[c.nextRow(i)[rank]]
+			got := following[linkRow(c, i)[rank]]
 			if got != id {
 				t.Fatalf("next link broken at shift %d rank %d: %d != %d", i, rank, got, id)
 			}
@@ -363,9 +363,10 @@ func TestCSAAccessors(t *testing.T) {
 	if !eqInt32(c.String(1), paperO2) {
 		t.Fatalf("String(1) = %v", c.String(1))
 	}
-	// One-byte codes (no column holds more than three symbols), a rank
-	// entry and a next link per cell; 18 dictionary symbols, 9 offsets.
-	if want := int64(3*8*(1+4+4) + 18*4 + 9*bits.UintSize/8); c.Bytes() != want {
+	// One-byte codes (no column holds more than three symbols) and a rank
+	// entry per cell; a byte of three 2-bit links per shift, and the
+	// slack; 18 dictionary symbols, 9 offsets.
+	if want := int64(3*8*(1+4) + 8*1 + linkSlack + 18*4 + 9*bits.UintSize/8); c.Bytes() != want {
 		t.Fatalf("Bytes = %d, want %d", c.Bytes(), want)
 	}
 }
@@ -396,6 +397,25 @@ func randStrings(r *rand.Rand, n, m int, alphabet int32) [][]int32 {
 			s[j] = r.Int32N(alphabet)
 		}
 		out[i] = s
+	}
+	return out
+}
+
+// linkRow unpacks the next links of shift i.
+func linkRow(c *CSA, i int) []int32 {
+	out := make([]int32, c.n)
+	for r := range out {
+		out[r] = c.link(i, r)
+	}
+	return out
+}
+
+// linkBlock unpacks every shift's next links, back to back as a file
+// stores them.
+func linkBlock(c *CSA) []int32 {
+	var out []int32
+	for i := 0; i < c.m; i++ {
+		out = append(out, linkRow(c, i)...)
 	}
 	return out
 }

@@ -11,49 +11,61 @@ var csaMagic = [8]byte{'L', 'C', 'C', 'S', 'C', 'S', 'A', '1'}
 
 // Encode writes the CSA to w: the symbol block (the n·m symbols as
 // int32, decoded from the codes), the m sorted orders, and the m
-// next-link arrays, each one contiguous block on disk — the byte stream
-// is identical to what the earlier per-shift encoder produced (m
+// next-link arrays as int32, each one contiguous block on disk — the byte
+// stream is identical to what the earlier per-shift encoder produced (m
 // consecutive length-n little-endian arrays), keeping old files loadable
 // unchanged. Loading an encoded CSA skips the sort and the induced passes
-// of the build, not the O(n·m) LCP pass. Encode writes straight to w;
-// buffering is the caller's (the container's) job.
+// of the build, not the O(n·m) LCP pass. Encode writes straight to w
+// through one small buffer; buffering is the caller's (the container's)
+// job.
 func (c *CSA) Encode(w io.Writer) error {
-	if _, err := w.Write(csaMagic[:]); err != nil {
-		return err
-	}
-	hdr := []int32{int32(c.n), int32(c.m)}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	var buf [1 << 14]byte
-	out, row := buf[:0], make([]int32, c.m)
+	out := &words{w: w}
+	out.n = copy(out.buf[:], csaMagic[:])
+	out.put(uint32(c.n))
+	out.put(uint32(c.m))
+	row := make([]int32, c.m)
 	for id := 0; id < c.n; id++ {
 		c.syms.decode(c, id, row)
 		for _, v := range row {
-			if len(out) == len(buf) {
-				if _, err := w.Write(out); err != nil {
-					return err
-				}
-				out = buf[:0]
-			}
-			out = binary.LittleEndian.AppendUint32(out, uint32(v))
+			out.put(uint32(v))
 		}
-	}
-	if _, err := w.Write(out); err != nil {
-		return err
 	}
 	// Rank entries go to disk as bare ids: the LCP bits are derived
 	// from the strings, so Decode rebuilds rather than trusts them.
-	for off := 0; off < len(c.sorted); off += len(buf) / 4 {
-		chunk := c.sorted[off:min(off+len(buf)/4, len(c.sorted))]
-		for j, entry := range chunk {
-			binary.LittleEndian.PutUint32(buf[4*j:], entry&c.idMask)
-		}
-		if _, err := w.Write(buf[:4*len(chunk)]); err != nil {
-			return err
+	for _, entry := range c.sorted {
+		out.put(entry & c.idMask)
+	}
+	for i := 0; i < c.m; i++ {
+		for r, bit := 0, c.linkBit(i, 0); r < c.n; r, bit = r+1, bit+c.idBits {
+			out.put(uint32(c.linkAt(bit)))
 		}
 	}
-	return binary.Write(w, binary.LittleEndian, c.next)
+	return out.flush()
+}
+
+// words writes little-endian 32-bit words to w through one buffer. A
+// write error is kept, and returned by flush.
+type words struct {
+	w   io.Writer
+	buf [1 << 14]byte
+	n   int
+	err error
+}
+
+func (o *words) put(v uint32) {
+	if o.n == len(o.buf) {
+		o.flush()
+	}
+	binary.LittleEndian.PutUint32(o.buf[o.n:], v)
+	o.n += 4
+}
+
+func (o *words) flush() error {
+	if o.err == nil {
+		_, o.err = o.w.Write(o.buf[:o.n])
+	}
+	o.n = 0
+	return o.err
 }
 
 // Decode reads a CSA written by Encode, codes its symbols (the int32
@@ -86,9 +98,9 @@ func Decode(r io.Reader) (*CSA, error) {
 	// values, and the m sorted orders and m next-link arrays, flat blocks
 	// of the same shape (legacy files wrote the same bytes as m
 	// consecutive arrays — the stream is identical), are read into whole
-	// blocks. The next links go into the symbol block's memory, which the
-	// codes no longer need, so a load leaves little for the collector and
-	// keeps no spare capacity.
+	// blocks. The int32 next links go into the symbol block's memory,
+	// which the codes no longer need, and are packed from there once
+	// checked, so a load keeps no spare capacity.
 	data, err := readBlock[int32](r, nil, n*m)
 	if err != nil {
 		return nil, err
@@ -97,13 +109,15 @@ func Decode(r io.Reader) (*CSA, error) {
 	if c.sorted, err = readBlock(r, make([]uint32, 0, m*n), m*n); err != nil {
 		return nil, err
 	}
-	if c.next, err = readBlock(r, data[:0], m*n); err != nil {
-		return nil, err
-	}
-	if err := c.validate(); err != nil {
+	links, err := readBlock(r, data[:0], m*n)
+	if err != nil {
 		return nil, err
 	}
 	c.setLayout(entryBits)
+	c.next = make([]byte, m*c.rowBytes+linkSlack)
+	if err := c.validate(links); err != nil {
+		return nil, err
+	}
 	if err := c.fillLCP(); err != nil {
 		return nil, err
 	}
@@ -135,31 +149,37 @@ func readBlock[T int32 | uint32](r io.Reader, dst []T, count int) ([]T, error) {
 	return out, nil
 }
 
-// validate checks the structural invariants of a decoded CSA: every rank
-// array is a permutation of [0,n) and every next link points at the same
-// string in the following shift's order. That the orders are sorted is
-// left to fillLCP.
-func (c *CSA) validate() error {
-	seen := make([]bool, c.n)
-	for i := 0; i < c.m; i++ {
-		for j := range seen {
-			seen[j] = false
-		}
-		order := c.sortedRow(i)
-		for _, id := range order {
-			if int(id) >= c.n || seen[id] {
-				return fmt.Errorf("csa: sorted[%d] is not a permutation", i)
+// validate checks the structural invariants of a decoded CSA, whose rank
+// entries hold bare ids, against links, its m next-link arrays as read:
+// every rank array is a permutation of [0,n) and every next link points
+// at the same string in the following shift's order. It packs each row of
+// links once the row has checked out, never before — packing keeps a
+// link's low idBits only, so a link out of range by a multiple of 2^idBits
+// would pass for a valid one. That the orders are sorted is left to
+// fillLCP. Rows are checked and packed in runs of shifts on all cores: a
+// row's check only reads, and its packing writes its own bytes.
+func (c *CSA) validate(links []int32) error {
+	return c.inRuns(func(from, to int) error {
+		seen := make([]bool, c.n)
+		for i := from; i < to; i++ {
+			clear(seen)
+			order := c.sortedRow(i)
+			for _, id := range order {
+				if int(id) >= c.n || seen[id] {
+					return fmt.Errorf("csa: sorted[%d] is not a permutation", i)
+				}
+				seen[id] = true
 			}
-			seen[id] = true
-		}
-		nextOrder := c.sortedRow((i + 1) % c.m)
-		links := c.nextRow(i)
-		for rank, id := range order {
-			link := links[rank]
-			if link < 0 || int(link) >= c.n || nextOrder[link] != id {
-				return fmt.Errorf("csa: next[%d][%d] broken", i, rank)
+			nextOrder := c.sortedRow((i + 1) % c.m)
+			row := links[i*c.n : (i+1)*c.n]
+			for rank, id := range order {
+				link := row[rank]
+				if link < 0 || int(link) >= c.n || nextOrder[link] != id {
+					return fmt.Errorf("csa: next[%d][%d] broken", i, rank)
+				}
 			}
+			c.packRow(i, row)
 		}
-	}
-	return nil
+		return nil
+	})
 }

@@ -2,6 +2,7 @@ package csa
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -120,13 +121,91 @@ func TestDecodeRejectsCorruptedLinks(t *testing.T) {
 	}
 }
 
+// maskedLink returns c's file with link r of shift i raised by
+// 2^idBits: out of range, yet with the valid rank's low idBits.
+func maskedLink(t testing.TB, c *CSA, i, r int) []byte {
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	at := 16 + 8*c.n*c.m + 4*(i*c.n+r)
+	binary.LittleEndian.PutUint32(blob[at:], binary.LittleEndian.Uint32(blob[at:])+1<<c.idBits)
+	return blob
+}
+
+// TestDecodeRejectsMaskedLink: a link that is a valid rank plus 2^idBits
+// must be refused. Packed at idBits it would read back as the valid rank,
+// so this holds only because Decode checks links before it packs them.
+func TestDecodeRejectsMaskedLink(t *testing.T) {
+	r := rand.New(rand.NewPCG(63, 64))
+	for _, n := range []int{2, 30, 64} {
+		c := New(randStrings(r, n, 5, 4))
+		for _, at := range [][2]int{{0, 0}, {2, n / 2}, {c.m - 1, n - 1}} {
+			if _, err := Decode(bytes.NewReader(maskedLink(t, c, at[0], at[1]))); err == nil {
+				t.Fatalf("n=%d: next[%d][%d] + 2^%d accepted", n, at[0], at[1], c.idBits)
+			}
+		}
+	}
+}
+
+// TestBytesIsRetainedHeap: Bytes() is the memory a CSA keeps — what the
+// heap grows by across NewFromFlat, and across Decode, once the collector
+// has run twice — within 2 %, at BenchmarkCSABegin's first shape.
+func TestBytesIsRetainedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, m = 100000, 32
+	data, _ := lshStrings(n, m, 0)
+	retained := func(build func() *CSA) (*CSA, int64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := build()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return c, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	check := func(name string, c *CSA, grew int64) {
+		d, report := float64(grew-c.Bytes())/float64(c.Bytes()), t.Logf
+		if d < -0.02 || d > 0.02 {
+			report = t.Errorf
+		}
+		report("%s: heap grew %d bytes, Bytes() = %d (%+.2f %%)", name, grew, c.Bytes(), 100*d)
+	}
+	built, grew := retained(func() *CSA { return NewFromFlat(data, n, m) })
+	check("NewFromFlat", built, grew)
+	var file bytes.Buffer
+	if err := built.Encode(&file); err != nil {
+		t.Fatal(err)
+	}
+	decoded, grew := retained(func() *CSA {
+		c, err := Decode(&file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	})
+	check("Decode", decoded, grew)
+	// What the builds read must outlive the second measurement, or its
+	// release would count against them.
+	runtime.KeepAlive(data)
+	runtime.KeepAlive(&file)
+	runtime.KeepAlive(built)
+}
+
 // swapRanks exchanges ranks r and r+1 of shift i's order and repairs the
 // next links on both sides, so that only the circular order is broken.
 func swapRanks(c *CSA, i, r int) {
-	row, links := c.sortedRow(i), c.nextRow(i)
+	row, links := c.sortedRow(i), linkRow(c, i)
 	row[r], row[r+1] = row[r+1]&c.idMask, row[r]&c.idMask
 	links[r], links[r+1] = links[r+1], links[r]
-	into := c.nextRow((i + c.m - 1) % c.m)
+	c.packRow(i, links)
+	before := (i + c.m - 1) % c.m
+	into := linkRow(c, before)
 	for j, link := range into {
 		switch int(link) {
 		case r:
@@ -135,6 +214,7 @@ func swapRanks(c *CSA, i, r int) {
 			into[j] = int32(r)
 		}
 	}
+	c.packRow(before, into)
 }
 
 // TestDecodeRejectsUnsortedOrder: permutations and links that check out
@@ -152,7 +232,7 @@ func TestDecodeRejectsUnsortedOrder(t *testing.T) {
 		for j := range c.sorted {
 			c.sorted[j] &= c.idMask // validate reads bare ids, as Decode hands it
 		}
-		if err := c.validate(); err != nil {
+		if err := c.validate(linkBlock(c)); err != nil {
 			t.Fatalf("swap left the structure inconsistent: %v", err)
 		}
 		var buf bytes.Buffer
@@ -282,7 +362,7 @@ func TestDecodeEqualStringsFlipped(t *testing.T) {
 			} else if flipEqualNeighbours(r, c) == 0 {
 				continue
 			}
-			if err := c.validate(); err != nil {
+			if err := c.validate(linkBlock(c)); err != nil {
 				t.Fatalf("input %d: flips left the structure inconsistent: %v", idx, err)
 			}
 			var buf bytes.Buffer
@@ -354,6 +434,8 @@ func FuzzCSADecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// A link out of range by 2^idBits, which packing would mask.
+	f.Add(maskedLink(f, New(randStrings(r, 9, 3, 3)), 1, 4))
 	f.Add([]byte("LCCSCSA1"))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		rd := bytes.NewReader(blob)

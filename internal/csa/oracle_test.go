@@ -162,7 +162,7 @@ func (s *refSearcher) begin(q []int32) {
 	for i := 0; i < c.m; i++ {
 		lo, hi := 0, c.n-1
 		if i > 0 {
-			prev, links := s.bounds[i-1], c.nextRow(i-1)
+			prev, links := s.bounds[i-1], linkRow(c, i-1)
 			if prev.validL && prev.lenL >= 1 {
 				lo = int(links[prev.posL])
 			}
@@ -220,7 +220,7 @@ func (s *refSearcher) bisections(q []int32) ([]bounds, int) {
 	for i := range out {
 		l, h, lenL, lenU := -1, c.n, int32(0), int32(0)
 		if i > 0 {
-			prev, links := out[i-1], c.nextRow(i-1)
+			prev, links := out[i-1], linkRow(c, i-1)
 			if prev.validL && prev.lenL >= 1 {
 				l, lenL = int(links[prev.posL]), c.shifted(prev.lenL)
 			}
@@ -408,8 +408,8 @@ func TestBuildMatchesReferenceSort(t *testing.T) {
 				if got := rowIDs(c, i); !eqInt32(got, sorted[i]) {
 					t.Fatalf("%s: sorted[%d] = %v, want %v", name, i, got, sorted[i])
 				}
-				if !eqInt32(c.nextRow(i), next[i]) {
-					t.Fatalf("%s: next[%d] = %v, want %v", name, i, c.nextRow(i), next[i])
+				if got := linkRow(c, i); !eqInt32(got, next[i]) {
+					t.Fatalf("%s: next[%d] = %v, want %v", name, i, got, next[i])
 				}
 			}
 			checkStoredLCPs(t, c, fmt.Sprintf("%s: bits %d", name, fieldBits))
@@ -491,28 +491,84 @@ func TestSymbolWidths(t *testing.T) {
 				queries = append(queries, q)
 			}
 			for qi, q := range queries {
-				label := fmt.Sprintf("%s: query %d %v", name, qi, q)
-				s.Begin(q)
-				ref.begin(q)
-				want, compared := ref.bisections(q)
-				for i := range want {
-					if s.bounds[i] != want[i] || s.bounds[i] != ref.bounds[i] {
-						t.Fatalf("%s: bounds[%d] = %+v, oracle %+v / %+v", label, i, s.bounds[i], want[i], ref.bounds[i])
-					}
-				}
-				if s.Comparisons() != compared {
-					t.Fatalf("%s: %d comparisons, oracle %d", label, s.Comparisons(), compared)
-				}
-				for step := 0; ; step++ {
-					got, ok := s.Next()
-					want, wantOK := ref.next()
-					if got != want || ok != wantOK {
-						t.Fatalf("%s: step %d: (%+v, %v), oracle (%+v, %v)", label, step, got, ok, want, wantOK)
-					}
-					if !ok {
-						break
-					}
-				}
+				matchOracle(t, s, ref, q, fmt.Sprintf("%s: query %d %v", name, qi, q))
+			}
+		}
+	}
+}
+
+// matchOracle runs q on s and on the oracle: the bounds, the bisections'
+// Comparisons() and the (ID, Length) stream to exhaustion must agree.
+func matchOracle(t *testing.T, s *Searcher, ref *refSearcher, q []int32, label string) {
+	t.Helper()
+	s.Begin(q)
+	ref.begin(q)
+	want, compared := ref.bisections(q)
+	for i := range want {
+		if s.bounds[i] != want[i] || s.bounds[i] != ref.bounds[i] {
+			t.Fatalf("%s: bounds[%d] = %+v, oracle %+v / %+v", label, i, s.bounds[i], want[i], ref.bounds[i])
+		}
+	}
+	if s.Comparisons() != compared {
+		t.Fatalf("%s: %d comparisons, oracle %d", label, s.Comparisons(), compared)
+	}
+	for step := 0; ; step++ {
+		got, ok := s.Next()
+		want, wantOK := ref.next()
+		if got != want || ok != wantOK {
+			t.Fatalf("%s: step %d: (%+v, %v), oracle (%+v, %v)", label, step, got, ok, want, wantOK)
+		}
+		if !ok {
+			break
+		}
+	}
+}
+
+// TestLinkWidths: at the n where the next links' width is 0, 1 and 2 bits
+// and where it crosses 16 → 17, the links of a build are the reference
+// sort's, a file round-trips byte for byte (encoded, decoded, encoded
+// again), and the built and the decoded index give the oracle's bounds,
+// Comparisons() and candidate stream.
+func TestLinkWidths(t *testing.T) {
+	const m = 8
+	for _, tc := range []struct {
+		n     int
+		width uint
+	}{{1, 0}, {2, 1}, {3, 2}, {65536, 16}, {65537, 17}} {
+		data, queries := lshStrings(tc.n, m, 3)
+		strs := make([][]int32, tc.n)
+		for id := range strs {
+			strs[id] = data[id*m : (id+1)*m]
+		}
+		queries = append(queries, strs[tc.n/2])
+		built := NewFromFlat(data, tc.n, m)
+		if built.idBits != tc.width {
+			t.Fatalf("n=%d: %d-bit links, want %d", tc.n, built.idBits, tc.width)
+		}
+		_, next := refOrders(strs)
+		for i := range next {
+			if got := linkRow(built, i); !eqInt32(got, next[i]) {
+				t.Fatalf("n=%d: next[%d] differs from the reference sort's", tc.n, i)
+			}
+		}
+		var file, again bytes.Buffer
+		if err := built.Encode(&file); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := Decode(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatalf("n=%d: %v", tc.n, err)
+		}
+		if err := decoded.Encode(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file.Bytes(), again.Bytes()) {
+			t.Fatalf("n=%d: a decoded file re-encodes to other bytes", tc.n)
+		}
+		for name, c := range map[string]*CSA{"built": built, "decoded": decoded} {
+			s, ref := c.NewSearcher(), newRefSearcher(c)
+			for qi, q := range queries {
+				matchOracle(t, s, ref, q, fmt.Sprintf("n=%d %s query %d", tc.n, name, qi))
 			}
 		}
 	}

@@ -59,13 +59,14 @@ import (
 // group-committed fsync for the whole batch — that returns only once the
 // write is durable per the backend's sync policy.
 //
-// AddBatchWithAttrs (attrs nil, or one row per vector) returns the ids
-// of the vectors that went in: all of them, or the valid prefix
-// alongside a validation error. An error wrapping lccs.ErrNotDurable
-// means the write must not be acknowledged; any other error alongside
-// all the ids is a deferred background-build failure and the insert
-// itself succeeded. DeleteBatch reports how many ids were live and
-// which were unknown or already deleted.
+// AddBatchWithAttrs (attrs nil, or one row per vector) validates the
+// whole batch before applying any of it: it returns the ids of every
+// vector, or no ids and a validation error, nothing applied or
+// journaled. An error wrapping lccs.ErrNotDurable means the write must
+// not be acknowledged; any other error alongside all the ids is a
+// deferred background-build failure and the insert itself succeeded.
+// DeleteBatch reports how many ids were live and which were unknown or
+// already deleted.
 type Writer interface {
 	AddBatchWithAttrs(vecs [][]float32, attrs []lccs.Attrs) ([]int, error)
 	DeleteBatch(ids []int) (deleted int, missing []int, err error)
@@ -910,28 +911,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Validate the whole batch up front so rejections are atomic:
-	// either every vector goes in or none does. The batch must be
-	// internally consistent and, when the backend already knows its
-	// dimensionality, match it.
-	dim := 0
-	if d, ok := c.backend.(interface{ Dim() int }); ok {
-		dim = d.Dim()
-	}
-	for i, v := range req.Vectors {
-		if len(v) == 0 {
-			s.fail(w, c, o, http.StatusBadRequest, fmt.Errorf("vector %d: %w", i, lccs.ErrEmptyVector))
-			return
-		}
-		if dim == 0 {
-			dim = len(v)
-		}
-		if len(v) != dim {
-			s.fail(w, c, o, http.StatusBadRequest,
-				fmt.Errorf("vector %d: %w: has %d dimensions, want %d", i, lccs.ErrDimensionMismatch, len(v), dim))
-			return
-		}
-	}
 	walBefore := walAppended(c)
 	ids, warning, failCode, failErr := s.applyInserts(c, req.Vectors, attrs)
 	o.use.Inserts, o.use.WALBytes = int64(len(ids)), walAppended(c)-walBefore
@@ -940,11 +919,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
 	if failErr != nil {
-		// Earlier vectors of the batch may already be in — the generation
-		// bump above makes their results visible — so return their ids
-		// and let the client recover without duplicating them. (On a
-		// durability failure the applied ids are in memory but possibly
-		// not on disk; the 5xx tells the client not to trust them.)
+		// A rejected vector rejects the batch whole, so a 400 carries no
+		// ids. On a durability failure the batch is in memory — the
+		// generation bump above makes its results visible — but possibly
+		// not on disk: its ids come back with the 5xx, which tells the
+		// client not to trust them.
 		s.respond(w, c, o, failCode, struct {
 			errorResponse
 			IDs       []int  `json:"ids"`
@@ -959,8 +938,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, c, o, http.StatusOK, insertResponse{IDs: ids, Warning: warning, RequestID: reqID})
 }
 
-// applyInserts pushes a pre-validated vector batch (with optional
-// aligned attrs) into the backend and classifies the outcome. The call
+// applyInserts pushes a vector batch (with optional aligned attrs) into
+// the backend, which validates it whole before applying any of it, and
+// classifies the outcome. The call
 // returns only once the batch is durable per the backend's sync policy,
 // so a 200 never acknowledges a write a crash could lose. A durability
 // failure is a 503 (the write may be applied in memory but not on
