@@ -165,6 +165,15 @@ func mustSlot(t *testing.T, sx *Index, id int) int {
 	return slot
 }
 
+// blockBytes sums the bytes of the row blocks a set's sources view.
+func blockBytes(s *segSet) int64 {
+	var total int64
+	for _, b := range s.blocks() {
+		total += b.Bytes()
+	}
+	return total
+}
+
 // TestRebuildReclaimsMemory pins the churn-leak regression: repeated
 // delete+Rebuild cycles must hold the store flat instead of
 // accumulating dead rows and tombstones forever.
@@ -174,8 +183,8 @@ func TestRebuildReclaimsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRows := d.store.Len()
-	baseBytes := d.store.Bytes()
+	baseRows := d.slots()
+	baseBytes := blockBytes(&d.segSet)
 	for cycle := 0; cycle < 5; cycle++ {
 		var ids []int
 		for i := 0; i < 100; i++ {
@@ -193,9 +202,9 @@ func TestRebuildReclaimsMemory(t *testing.T) {
 		if err := d.Rebuild(); err != nil {
 			t.Fatal(err)
 		}
-		if d.store.Len() != baseRows || d.store.Bytes() != baseBytes {
+		if d.slots() != baseRows || blockBytes(&d.segSet) != baseBytes {
 			t.Fatalf("cycle %d: store grew to %d rows / %d bytes (base %d / %d)",
-				cycle, d.store.Len(), d.store.Bytes(), baseRows, baseBytes)
+				cycle, d.slots(), blockBytes(&d.segSet), baseRows, baseBytes)
 		}
 		if d.Len() != baseRows || d.Deleted() != 0 || d.Buffered() != 0 {
 			t.Fatalf("cycle %d: Len=%d Deleted=%d Buffered=%d", cycle, d.Len(), d.Deleted(), d.Buffered())

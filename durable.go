@@ -451,13 +451,12 @@ func (d *DynamicIndex) Checkpoint() (CheckpointInfo, error) {
 	depth := j.log.Stats().Depth
 	empty := d.segSet.Len() == 0
 	var watermark int
-	var frozen *vec.Store
 	var snap *Index
 	var err error
 	if empty {
 		watermark = d.ids.Next()
 	} else {
-		frozen, snap, err = d.snapshotStoreLocked()
+		snap, err = d.snapshotLocked()
 	}
 	d.mu.Unlock()
 	snapTook := time.Since(start)
@@ -491,10 +490,9 @@ func (d *DynamicIndex) Checkpoint() (CheckpointInfo, error) {
 		if err := snap.Save(filepath.Join(j.dir, container)); err != nil {
 			return CheckpointInfo{}, err
 		}
-		// Persist the frozen store as a flat-backed dataset: the vector
-		// block writes out in one pass, no per-row materialization.
-		out := dataset.NewFlat("durable", "snapshot", frozen, nil)
-		if err := out.Save(filepath.Join(j.dir, dsName)); err != nil {
+		// Persist the snapshot's rows as one dataset: each block the rows
+		// live in streams out in slot order, none is concatenated first.
+		if err := dataset.SaveBlocks(filepath.Join(j.dir, dsName), "durable", "snapshot", snap.blocks()); err != nil {
 			return CheckpointInfo{}, err
 		}
 		// The snapshot files must be on disk before the manifest names

@@ -3,7 +3,6 @@ package lccs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"lccs/internal/core"
@@ -36,10 +35,14 @@ import (
 // forever, deleted ids are never reissued, and until the first
 // compaction the mapping is a zero-cost identity.
 //
-// All vectors live in one growing flat store (vec.Store): Add copies the
-// vector to the end of the contiguous block, shards index stable views
-// of it, and the unindexed buffer is scanned with the store's bulk
-// distance kernel — one forward pass over contiguous memory.
+// Every row is held once, in the block of the source that holds it: a
+// shard verifies against the rows it was built over (a view of the
+// loaded or initial block, or the frozen buffer it was built from), and
+// Add copies the vector to the end of the buffer's own flat block
+// (vec.Store), which the bulk distance kernel scans in one forward pass
+// over contiguous memory. Only the buffer's block grows, and only it is
+// rewritten when its tombstoned rows are dropped; at swap-in the rows
+// appended during the build start the next buffer.
 //
 // Vector ids are assignment-ordered and stable across rebuilds and
 // compactions: the i-th vector ever added (counting the initial
@@ -58,10 +61,10 @@ import (
 type DynamicIndex struct {
 	mu   sync.RWMutex
 	cond *sync.Cond // signaled when a background build finishes; L = &mu
-	// The set: store holds all live (plus not-yet-compacted) rows, segs
-	// the immutable shards over slots [0, indexed), ids the stable
-	// external ids ⇔ dense store slots (compaction shifts slots, never
-	// ids), dead the tombstones compaction has not reclaimed yet.
+	// The set: segs the immutable shards over slots [0, indexed), each
+	// with its rows, tail the buffer's rows after them, ids the stable
+	// external ids ⇔ dense slots (compaction shifts slots, never ids), dead
+	// the tombstones compaction has not reclaimed yet.
 	// Its cfg has its derived fields (bucket width) filled in, under mu,
 	// the moment the first build is scheduled, from the rows that build
 	// covers; every build runs with that one configuration, so every
@@ -110,8 +113,8 @@ func newDynamic(set segSet, rebuildAt int) *DynamicIndex {
 
 // NewDynamicIndex builds a dynamic index over an initial dataset (which
 // may be empty — pass nil — if all data arrives via Add). rebuildAt ≤ 0
-// selects DefaultRebuildThreshold. The initial rows are copied into the
-// index's flat store; data itself is not retained.
+// selects DefaultRebuildThreshold. The initial rows are copied into one
+// flat block the first shard indexes; data itself is not retained.
 func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex, error) {
 	store, err := storeFromRows(data, cfg.Metric)
 	if err != nil {
@@ -124,12 +127,12 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 	if err != nil {
 		return nil, err
 	}
-	d := newDynamic(segSet{cfg: cfg, metric: metric, store: store}, rebuildAt)
+	d := newDynamic(segSet{cfg: cfg, metric: metric, tail: store}, rebuildAt)
 	if n := store.Len(); n > 0 {
 		if d.cfg, err = resolveConfig(store, d.cfg); err != nil {
 			return nil, err
 		}
-		c, err := buildCore(store.Slice(0, n), d.cfg)
+		c, err := buildCore(store, d.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -145,23 +148,36 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 // indexing the rows the index was built or loaded over. rebuildAt ≤ 0
 // selects DefaultRebuildThreshold.
 //
-// The set is frozen, not shared: the index's flat store is adopted as a
-// capped view, so the first Add grows a private copy of the block and the
-// still-live Index (documented safe for concurrent queries) is never
-// mutated; and the lifecycle state a snapshot's container carries across
-// a restart — the id map and the tombstones — is cloned, so deleted ids
-// stay dead and id allocation resumes past the watermark. Container
-// headers hold the resolved config.
+// The set is frozen, not shared: the index's shards keep verifying
+// against the rows they were loaded over — nothing is copied — and
+// inserts go to a buffer block of their own, so the still-live Index
+// (documented safe for concurrent queries) is never mutated; and the
+// lifecycle state a snapshot's container carries across a restart — the
+// id map and the tombstones — is cloned, so deleted ids stay dead and id
+// allocation resumes past the watermark. Container headers hold the
+// resolved config.
 func NewDynamicIndexFrom(ix *Index, rebuildAt int) *DynamicIndex {
 	return newDynamic(ix.freeze(), rebuildAt)
 }
 
-// swapInLocked appends a segment built over slots [lo, hi) with the set's
-// configuration. Deletes that landed in the range while the segment was
-// building become its budget allowance.
+// swapInLocked appends a segment built with the set's configuration over
+// the tail's first hi−lo rows, slots [lo, hi): the segment keeps them (c
+// verifies against a view of the tail's block) and the rows after them
+// start the next tail, copied out to a block of their own so the
+// segment's block is held once. Deletes that landed in the range while
+// the segment was building become its budget allowance.
 func (d *DynamicIndex) swapInLocked(c *core.Index, lo, hi int) {
-	d.segs = append(d.segs, segment{core: c, off: lo, dead: d.dead.CountRange(lo, hi)})
+	m, n := hi-lo, d.tail.Len()
+	seg := segment{core: c, off: lo, dead: d.dead.CountRange(lo, hi)}
+	if a := d.tailAttrs; a != nil {
+		seg.attrs, d.tailAttrs = a.Range(0, m), nil
+		if a.Len() > m {
+			d.tailAttrs = a.Range(m, a.Len())
+		}
+	}
+	d.segs = append(d.segs, seg)
 	d.indexed = hi
+	d.tail = d.tail.Copy(m, n)
 }
 
 // validateVector is the one write validator: a non-empty vector of the
@@ -181,7 +197,7 @@ func validateVector(v []float32, dim int, metric MetricKind) error {
 	return nil
 }
 
-// Add inserts a vector (copied into the flat store) and returns its id.
+// Add inserts a vector (copied into the buffer's block) and returns its id.
 // Crossing the rebuild threshold starts a background shard build; Add
 // itself never blocks on index construction. If a previous background
 // build failed, its error is returned here (the insert itself still
@@ -249,7 +265,7 @@ func (d *DynamicIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int
 	d.mu.Lock()
 	// The first vector of a batch into an empty index sets the
 	// dimensionality the rest must match.
-	dim := d.store.Dim()
+	dim := d.tail.Dim()
 	for i, v := range vecs {
 		if err := validateVector(v, dim, d.cfg.Metric); err != nil {
 			d.mu.Unlock()
@@ -277,7 +293,7 @@ func attrAt(attrs []Attrs, i int) Attrs {
 
 // addLocked validates and appends one vector and returns its id.
 func (d *DynamicIndex) addLocked(v []float32, a Attrs) (int, error) {
-	if err := validateVector(v, d.store.Dim(), d.cfg.Metric); err != nil {
+	if err := validateVector(v, d.tail.Dim(), d.cfg.Metric); err != nil {
 		return 0, err
 	}
 	return d.appendLocked(v, a), nil
@@ -285,13 +301,13 @@ func (d *DynamicIndex) addLocked(v []float32, a Attrs) (int, error) {
 
 // appendLocked appends one validated vector and returns its id.
 func (d *DynamicIndex) appendLocked(v []float32, a Attrs) int {
-	slot := d.store.Append(v)
+	i := d.tail.Append(v)
 	if len(a) > 0 {
-		if d.attrs == nil {
-			d.attrs = vec.NewMetaStore(slot + 1)
+		if d.tailAttrs == nil {
+			d.tailAttrs = vec.NewMetaStore(i + 1)
 		}
-		d.attrs.PadTo(slot)
-		d.attrs.Append(a)
+		d.tailAttrs.PadTo(i)
+		d.tailAttrs.Append(a)
 	}
 	id := d.ids.Alloc()
 	d.writes++
@@ -320,18 +336,18 @@ func (d *DynamicIndex) Attrs(id int) Attrs {
 // buffer is compacted first — tombstoned rows that never made it into a
 // shard are dropped before any index work is spent on them.
 func (d *DynamicIndex) maybeStartBuildLocked() {
-	if d.building || d.store.Len()-d.indexed < d.rebuildAt {
+	if d.building || d.tail.Len() < d.rebuildAt {
 		return
 	}
 	d.compactBufferLocked()
-	if d.store.Len()-d.indexed < d.rebuildAt {
+	if d.tail.Len() < d.rebuildAt {
 		return // compaction shrank the buffer back under the threshold
 	}
-	lo, hi := d.indexed, d.store.Len()
-	// Freeze the delta: a Slice view is stable across later appends
-	// (growth copies to a new block; in-place growth writes only beyond
-	// hi), and vectors themselves are never mutated.
-	delta := d.store.Slice(lo, hi)
+	lo, hi := d.indexed, d.slots()
+	// Freeze the delta, the tail's rows so far: a Slice view is stable
+	// across later appends (growth copies to a new block; in-place growth
+	// writes only beyond hi), and vectors themselves are never mutated.
+	delta := d.tail.Slice(0, hi-lo)
 	cfg, err := resolveConfig(delta, d.cfg)
 	if err != nil {
 		d.buildErr = err
@@ -345,21 +361,22 @@ func (d *DynamicIndex) maybeStartBuildLocked() {
 // unindexed buffer, remapping ids and releasing their slots; it reports
 // whether anything was dropped. Rows already covered by an immutable
 // shard are left in place (shard-local offsets depend on them); a full
-// Rebuild reclaims those. The store is compacted by copy, never in
-// place, so outstanding views — shard stores, snapshot rows, a frozen
-// delta being indexed in the background — are unaffected; callers that
-// compact while a background build may be in flight must invalidate it
-// (bump d.gen), because the build's [lo, hi) range names pre-compaction
-// slots.
+// Rebuild reclaims those. Only the tail is rewritten, by copy, never in
+// place, so outstanding views — snapshot rows, a frozen delta being
+// indexed in the background — are unaffected; callers that compact while
+// a background build may be in flight must invalidate it (bump d.gen),
+// because the build's [lo, hi) range names pre-compaction slots.
 func (d *DynamicIndex) compactBufferLocked() bool {
-	if d.dead.CountRange(d.indexed, d.store.Len()) == 0 {
+	lo, n := d.indexed, d.tail.Len()
+	if d.dead.CountRange(lo, lo+n) == 0 {
 		return false
 	}
-	if d.attrs != nil {
-		d.attrs = d.attrs.CompactCopy(d.store.Len(), d.indexed, d.dead.Has)
+	dead := func(i int) bool { return d.dead.Has(lo + i) }
+	if d.attrRows() > 0 {
+		d.tailAttrs = d.tailAttrs.CompactCopy(n, dead)
 	}
-	d.store = d.store.CompactCopy(d.indexed, d.dead.Has)
-	d.ids.Compact(d.indexed, d.dead.Has)
+	d.tail = d.tail.CompactCopy(dead)
+	d.ids.Compact(lo, d.dead.Has)
 	d.dead.Truncate(d.indexed)
 	d.writes++ // compaction renumbers buffer slots; open cursors die
 	return true
@@ -444,9 +461,7 @@ func (d *DynamicIndex) deleteLocked(id int) bool {
 	}
 	d.dead.Set(slot)
 	if slot < d.indexed {
-		// The last segment starting at or before the slot covers it.
-		i := sort.Search(len(d.segs), func(i int) bool { return d.segs[i].off > slot }) - 1
-		d.segs[i].dead++
+		d.segAt(slot).dead++
 	}
 	d.writes++
 	return true
@@ -468,8 +483,8 @@ func (d *DynamicIndex) Deleted() int {
 func (d *DynamicIndex) restoreWatermark(next int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.store.Len() != 0 || d.ids.Next() != 0 {
-		return fmt.Errorf("lccs: watermark restore on a non-fresh index (%d rows, next id %d)", d.store.Len(), d.ids.Next())
+	if d.slots() != 0 || d.ids.Next() != 0 {
+		return fmt.Errorf("lccs: watermark restore on a non-fresh index (%d rows, next id %d)", d.slots(), d.ids.Next())
 	}
 	m, err := idmap.Restore([]int{}, next)
 	if err != nil {
@@ -490,15 +505,9 @@ func (d *DynamicIndex) Rebuild() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.gen++ // discard any in-flight background build
-	// Compact by copy and commit only after the build succeeds, so a
-	// failed rebuild leaves the index exactly as it was.
-	store, attrs := d.store, d.attrs
-	if d.dead.Count() > 0 {
-		if attrs != nil {
-			attrs = attrs.CompactCopy(d.store.Len(), 0, d.dead.Has)
-		}
-		store = d.store.CompactCopy(0, d.dead.Has)
-	}
+	// Gather the live rows into one block and commit only after the build
+	// succeeds, so a failed rebuild leaves the index exactly as it was.
+	store, attrs := d.compacted()
 	n := store.Len()
 	var c *core.Index
 	cfg := d.cfg
@@ -507,12 +516,12 @@ func (d *DynamicIndex) Rebuild() error {
 		if cfg, err = resolveConfig(store, cfg); err != nil {
 			return err
 		}
-		if c, err = buildCore(store.Slice(0, n), cfg); err != nil {
+		if c, err = buildCore(store, cfg); err != nil {
 			return err
 		}
 	}
 	d.ids.Compact(0, d.dead.Has)
-	d.store, d.attrs, d.dead, d.cfg = store, attrs, slotSet{}, cfg
+	d.tail, d.tailAttrs, d.dead, d.cfg = store, attrs, slotSet{}, cfg
 	d.segs, d.indexed = nil, 0
 	if c != nil {
 		d.swapInLocked(c, 0, n)
@@ -535,7 +544,7 @@ func (d *DynamicIndex) Len() int {
 func (d *DynamicIndex) Buffered() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.store.Len() - d.indexed
+	return d.tail.Len()
 }
 
 // Dim returns the dimensionality of the stored vectors, or 0 before the
@@ -595,7 +604,8 @@ func (d *DynamicIndex) SearchBatch(queries [][]float32, k, budget int) ([][]Neig
 }
 
 // Snapshot freezes the current contents into a point-in-time view: the
-// slot-ordered vector slice (rows are views into the flat store) and an
+// slot-ordered vector slice (rows are views into the blocks that hold
+// them) and an
 // Index over it, assembled from the existing immutable shards plus one
 // freshly built shard covering the unindexed buffer. The Index can be
 // persisted with Save and reopened against the returned vectors with
@@ -616,52 +626,51 @@ func (d *DynamicIndex) SearchBatch(queries [][]float32, k, budget int) ([][]Neig
 // shutdown and checkpoint paths, not the hot loop.
 func (d *DynamicIndex) Snapshot() ([][]float32, *Index, error) {
 	d.mu.Lock()
-	frozen, ix, err := d.snapshotStoreLocked()
+	ix, err := d.snapshotLocked()
 	d.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
-	return frozen.Rows(), ix, nil
+	return ix.rowViews(), ix, nil
 }
 
-// snapshotStoreLocked is Snapshot returning the frozen flat store
-// itself — Checkpoint persists the block directly instead of
-// materializing per-row views.
-func (d *DynamicIndex) snapshotStoreLocked() (*vec.Store, *Index, error) {
+// snapshotLocked is Snapshot without the row views: Checkpoint streams
+// the snapshot's blocks to disk directly.
+func (d *DynamicIndex) snapshotLocked() (*Index, error) {
 	if d.compactBufferLocked() { // buffered tombstones never reach disk
 		// Slots shifted: an in-flight background build over the
 		// pre-compaction buffer must not swap in. Its completion handler
 		// restarts a build over the corrected state.
 		d.gen++
 	}
-	n := d.store.Len()
+	n := d.slots()
 	if n == 0 {
-		return nil, nil, errors.New("lccs: nothing to snapshot: empty dynamic index")
+		return nil, errors.New("lccs: nothing to snapshot: empty dynamic index")
 	}
 	var tail *core.Index
-	if d.indexed < n {
-		rows := d.store.Slice(d.indexed, n)
+	if m := d.tail.Len(); m > 0 {
+		rows := d.tail.Slice(0, m)
 		var err error
 		if d.cfg, err = resolveConfig(rows, d.cfg); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if tail, err = buildCore(rows, d.cfg); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	set := d.freeze()
 	if tail != nil { // compacted just now: no tombstones
-		set.segs = append(set.segs, segment{core: tail, off: d.indexed})
+		set.segs = append(set.segs, segment{core: tail, off: d.indexed, attrs: set.tailAttrs})
 		set.indexed = n
+		set.tail, set.tailAttrs = vec.NewStore(set.tail.Dim()), nil
 	}
-	ix := indexOf(set, 0)
-	return ix.store, ix, nil
+	return indexOf(set, 0), nil
 }
 
 // Vector returns the vector stored under id as a read-only view into
-// the flat store. Tombstoned ids keep answering until a compaction
-// reclaims their row; afterwards (and for ids never assigned) Vector
-// returns nil.
+// the block that holds it. Tombstoned ids keep answering until a
+// compaction reclaims their row; afterwards (and for ids never assigned)
+// Vector returns nil.
 func (d *DynamicIndex) Vector(id int) []float32 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -669,5 +678,5 @@ func (d *DynamicIndex) Vector(id int) []float32 {
 	if !ok {
 		return nil
 	}
-	return d.store.Row(slot)
+	return d.row(slot)
 }

@@ -183,8 +183,9 @@ func Build(data [][]float32, family lshfamily.Family, p Params) (*Index, error) 
 
 // BuildStore constructs an LCCS-LSH index over the vectors of a flat
 // store. The store is retained by reference and must not be mutated
-// afterwards (appends to an owning store the index got a Slice view of
-// are fine — views are stable).
+// afterwards. Appends to an owning store the index got a Slice view of
+// are fine — views are stable — which is how a DynamicIndex indexes the
+// frozen prefix of its insert buffer while writers keep appending to it.
 func BuildStore(store *vec.Store, family lshfamily.Family, p Params) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -223,4 +224,44 @@ func TestGroundTruthRoundTrip(t *testing.T) {
 
 func writeFile(path string, b []byte) error {
 	return os.WriteFile(path, b, 0o644)
+}
+
+// TestSaveBlocksMatchesFlat pins that a dataset streamed from several
+// blocks is byte for byte the one NewFlat writes over their concatenation.
+func TestSaveBlocksMatchesFlat(t *testing.T) {
+	rows := make([][]float32, 700)
+	for i := range rows {
+		rows[i] = []float32{float32(i), float32(-i), float32(i) / 7}
+	}
+	flat, err := vec.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ref, got := filepath.Join(dir, "ref.ds"), filepath.Join(dir, "got.ds")
+	if err := NewFlat("durable", "snapshot", flat, nil).Save(ref); err != nil {
+		t.Fatal(err)
+	}
+	blocks := []*vec.Store{flat.Slice(0, 100), flat.Copy(100, 100), flat.Copy(100, 650), flat.Slice(650, 700)}
+	if err := SaveBlocks(got, "durable", "snapshot", blocks); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(have, want) {
+		t.Fatalf("streamed dataset (%d bytes) differs from the flat one (%d bytes)", len(have), len(want))
+	}
+	ds, err := Load(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Dim != 3 || len(ds.Data) != len(rows) || !vec.Equal(ds.Data[699], rows[699]) {
+		t.Fatalf("reloaded %d×%d, last row %v", len(ds.Data), ds.Dim, ds.Data[len(ds.Data)-1])
+	}
 }

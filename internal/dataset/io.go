@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"lccs/internal/pqueue"
@@ -19,13 +20,42 @@ var (
 
 // Save writes the dataset to path in the repository's little-endian binary
 // format (header, then data vectors, then query vectors, all float32).
-func (d *Dataset) Save(path string) error {
+func (d *Dataset) Save(path string) error { return saveFile(path, d.encode) }
+
+// SaveBlocks writes a dataset without queries whose data vectors are the
+// rows of blocks, in order, to path: byte for byte what Save writes for
+// NewFlat over their concatenation, without concatenating them. All
+// blocks must share one dimensionality.
+func SaveBlocks(path, name, kind string, blocks []*vec.Store) error {
+	dim, n := 0, 0
+	for _, b := range blocks {
+		if b.Len() > 0 {
+			dim = b.Dim()
+		}
+		n += b.Len()
+	}
+	return saveFile(path, func(w io.Writer) error {
+		if err := encodeHeader(w, name, kind, dim, n, 0); err != nil {
+			return err
+		}
+		for _, b := range blocks {
+			if err := writeFloats(w, b.Block()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// saveFile creates path and streams encode into it through one write
+// buffer.
+func saveFile(path string, encode func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
-	if err := d.encode(w); err != nil {
+	if err := encode(w); err != nil {
 		f.Close()
 		return err
 	}
@@ -36,35 +66,57 @@ func (d *Dataset) Save(path string) error {
 	return f.Close()
 }
 
-func (d *Dataset) encode(w io.Writer) error {
+// encodeHeader writes the magic, the names and the dimensionality, data
+// and query counts every dataset file starts with.
+func encodeHeader(w io.Writer, name, kind string, dim, data, queries int) error {
 	if _, err := w.Write(datasetMagic[:]); err != nil {
 		return err
 	}
-	if err := writeString(w, d.Name); err != nil {
+	if err := writeString(w, name); err != nil {
 		return err
 	}
-	if err := writeString(w, d.Kind); err != nil {
+	if err := writeString(w, kind); err != nil {
 		return err
 	}
-	hdr := []int32{int32(d.Dim), int32(len(d.Data)), int32(len(d.Queries))}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
+	return binary.Write(w, binary.LittleEndian, []int32{int32(dim), int32(data), int32(queries)})
+}
+
+// writeFloats writes v little-endian, as binary.Write would, through a
+// bounded buffer instead of one staging copy of all of v.
+func writeFloats(w io.Writer, v []float32) error {
+	var buf [16 << 10]byte
+	for len(v) > 0 {
+		n := min(len(v), len(buf)/4)
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(x))
+		}
+		if _, err := w.Write(buf[:4*n]); err != nil {
+			return err
+		}
+		v = v[n:]
+	}
+	return nil
+}
+
+func (d *Dataset) encode(w io.Writer) error {
+	if err := encodeHeader(w, d.Name, d.Kind, d.Dim, len(d.Data), len(d.Queries)); err != nil {
 		return err
 	}
 	if d.flat != nil && d.flat.Len() == len(d.Data) {
 		// Flat-backed data writes as one block — byte-identical to the
-		// row loop, without a reflection pass per row.
-		if err := binary.Write(w, binary.LittleEndian, d.flat.Block()); err != nil {
+		// row loop.
+		if err := writeFloats(w, d.flat.Block()); err != nil {
 			return err
 		}
 	} else {
 		for _, v := range d.Data {
-			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+			if err := writeFloats(w, v); err != nil {
 				return err
 			}
 		}
 	}
 	for _, v := range d.Queries {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+		if err := writeFloats(w, v); err != nil {
 			return err
 		}
 	}

@@ -108,40 +108,24 @@ func (ms *MetaStore) PadTo(n int) {
 	}
 }
 
-// Empty reports whether no row carries any attribute.
-func (ms *MetaStore) Empty() bool {
-	if ms == nil {
-		return true
-	}
-	for _, r := range ms.rows {
-		if len(r) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Slice returns a capped view over rows [0, n): appends to the view
-// never alias the parent, mirroring vec.Store.Slice's stability contract.
-func (ms *MetaStore) Slice(n int) *MetaStore {
+// Range returns a capped view over rows [lo, min(hi, Len())) — empty when
+// lo is past the last row, nil on a nil store: appends to the view never
+// alias the parent, mirroring vec.Store.Slice's stability contract.
+func (ms *MetaStore) Range(lo, hi int) *MetaStore {
 	if ms == nil {
 		return nil
 	}
-	if n > len(ms.rows) {
-		n = len(ms.rows)
-	}
-	return &MetaStore{rows: ms.rows[:n:n]}
+	hi = min(hi, len(ms.rows))
+	lo = min(lo, hi)
+	return &MetaStore{rows: ms.rows[lo:hi:hi]}
 }
 
-// CompactCopy mirrors vec.Store.CompactCopy over attribute rows: rows
-// [0, keepPrefix) verbatim, then every row in [keepPrefix, n) for which
-// dead reports false. n may exceed Len(); missing rows compact as nil.
-func (ms *MetaStore) CompactCopy(n, keepPrefix int, dead func(slot int) bool) *MetaStore {
+// CompactCopy mirrors vec.Store.CompactCopy over attribute rows: every row
+// in [0, n) for which dead reports false. n may exceed Len(); missing rows
+// compact as nil.
+func (ms *MetaStore) CompactCopy(n int, dead func(i int) bool) *MetaStore {
 	out := &MetaStore{rows: make([]Attrs, 0, n)}
-	for i := 0; i < keepPrefix && i < n; i++ {
-		out.rows = append(out.rows, ms.Row(i))
-	}
-	for i := keepPrefix; i < n; i++ {
+	for i := 0; i < n; i++ {
 		if !dead(i) {
 			out.rows = append(out.rows, ms.Row(i))
 		}

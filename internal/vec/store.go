@@ -20,7 +20,8 @@ import (
 // Append) or a view (returned by Slice) that shares the owner's block.
 // Vectors are immutable once stored; views therefore stay valid across
 // later Appends to the owner (growth copies to a new block, and in-place
-// growth writes only beyond the view's range).
+// growth writes only beyond the view's range). A view is capped at its
+// last row, so an Append to a view copies it out to a block of its own.
 type Store struct {
 	data []float32
 	dim  int
@@ -112,9 +113,18 @@ func (s *Store) Append(v []float32) int {
 }
 
 // Slice returns a view over vectors [lo, hi) sharing this store's block.
-// Do not Append to a view.
 func (s *Store) Slice(lo, hi int) *Store {
 	return &Store{data: s.data[lo*s.dim : hi*s.dim : hi*s.dim], dim: s.dim}
+}
+
+// Copy returns a fresh owning store holding vectors [lo, hi): unlike a
+// Slice, it keeps nothing of the receiver's block alive.
+func (s *Store) Copy(lo, hi int) *Store {
+	out := &Store{dim: s.dim}
+	if hi > lo {
+		out.data = append([]float32(nil), s.data[lo*s.dim:hi*s.dim]...)
+	}
+	return out
 }
 
 // Rows materializes per-vector views (headers only; the block is
@@ -131,23 +141,21 @@ func (s *Store) Rows() [][]float32 {
 // Bytes returns the memory footprint of the stored block.
 func (s *Store) Bytes() int64 { return int64(len(s.data)) * 4 }
 
-// CompactCopy returns a fresh owning store holding rows [0, keepPrefix)
-// verbatim followed by every row in [keepPrefix, Len()) for which dead
-// reports false. The receiver's block is never mutated, so outstanding
-// views (index shards, snapshot rows) stay exactly what they were; the
-// caller adopts the returned store and the old block is released once
-// the last view over it dies.
-func (s *Store) CompactCopy(keepPrefix int, dead func(slot int) bool) *Store {
+// CompactCopy returns a fresh owning store holding every row for which
+// dead reports false, in order. The receiver's block is never mutated, so
+// outstanding views (index shards, snapshot rows) stay exactly what they
+// were; the caller adopts the returned store and the old block is
+// released once the last view over it dies.
+func (s *Store) CompactCopy(dead func(i int) bool) *Store {
 	n := s.Len()
-	live := keepPrefix
-	for i := keepPrefix; i < n; i++ {
+	live := 0
+	for i := 0; i < n; i++ {
 		if !dead(i) {
 			live++
 		}
 	}
 	out := &Store{dim: s.dim, data: make([]float32, 0, live*s.dim)}
-	out.data = append(out.data, s.data[:keepPrefix*s.dim]...)
-	for i := keepPrefix; i < n; i++ {
+	for i := 0; i < n; i++ {
 		if !dead(i) {
 			out.data = append(out.data, s.Row(i)...)
 		}

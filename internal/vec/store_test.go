@@ -84,12 +84,11 @@ func TestStoreCompactCopy(t *testing.T) {
 		s.Append([]float32{float32(i), float32(i * 10)})
 	}
 	dead := map[int]bool{3: true, 5: true}
-	out := s.CompactCopy(2, func(slot int) bool { return dead[slot] })
+	out := s.CompactCopy(func(i int) bool { return dead[i] })
 	if out.Len() != 4 || out.Dim() != 2 {
 		t.Fatalf("Len=%d Dim=%d", out.Len(), out.Dim())
 	}
-	// Prefix kept verbatim (even though slot-space filtering would not
-	// apply there), survivors shifted down in order.
+	// Survivors shifted down in order.
 	for i, want := range []float32{0, 1, 2, 4} {
 		if row := out.Row(i); row[0] != want {
 			t.Fatalf("row %d = %v, want first coord %v", i, row, want)
@@ -105,14 +104,39 @@ func TestStoreCompactCopy(t *testing.T) {
 	}
 
 	// Dropping nothing still yields an independent copy of equal size.
-	all := s.CompactCopy(0, func(int) bool { return false })
+	all := s.CompactCopy(func(int) bool { return false })
 	if all.Len() != 6 {
 		t.Fatalf("no-drop copy Len=%d", all.Len())
 	}
-	// Dropping everything beyond the prefix.
-	none := s.CompactCopy(0, func(int) bool { return true })
+	// Dropping everything.
+	none := s.CompactCopy(func(int) bool { return true })
 	if none.Len() != 0 {
 		t.Fatalf("all-drop copy Len=%d", none.Len())
+	}
+}
+
+func TestStoreCopy(t *testing.T) {
+	s := NewStore(2)
+	for i := 0; i < 6; i++ {
+		s.Append([]float32{float32(i), float32(i * 10)})
+	}
+	out := s.Copy(2, 5)
+	if out.Len() != 3 || out.Dim() != 2 {
+		t.Fatalf("Len=%d Dim=%d", out.Len(), out.Dim())
+	}
+	for i := 0; i < 3; i++ {
+		if !Equal(out.Row(i), s.Row(2+i)) {
+			t.Fatalf("row %d = %v, want %v", i, out.Row(i), s.Row(2+i))
+		}
+	}
+	// The copy owns its block: appending to it leaves the source alone.
+	out.Append([]float32{7, 7})
+	out.Row(0)[0] = 99
+	if s.Row(2)[0] != 2 || s.Row(5)[0] != 5 {
+		t.Fatalf("copy aliases the source block: %v %v", s.Row(2), s.Row(5))
+	}
+	if empty := s.Copy(4, 4); empty.Len() != 0 || empty.Dim() != 2 {
+		t.Fatalf("empty copy: Len=%d Dim=%d", empty.Len(), empty.Dim())
 	}
 }
 

@@ -191,7 +191,7 @@ func (sx *segSet) encode(w io.Writer) error {
 			}
 		}
 	}
-	return encodeAttrsSection(w, sx.attrs)
+	return sx.encodeAttrsSection(w)
 }
 
 // encodeConfig writes the resolved configuration every container
@@ -412,7 +412,7 @@ func decodeBody(r io.Reader, store *vec.Store, h header) (*segSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	sx := &segSet{cfg: cfg, metric: family.Metric(), store: store, segs: make([]segment, len(offsets)-1), indexed: n}
+	sx := &segSet{cfg: cfg, metric: family.Metric(), tail: vec.NewStore(store.Dim()), segs: make([]segment, len(offsets)-1), indexed: n}
 	inShard := func(s int, err error) error {
 		if !h.sharded {
 			return err
@@ -421,9 +421,9 @@ func decodeBody(r io.Reader, store *vec.Store, h header) (*segSet, error) {
 	}
 	for s := range sx.segs {
 		// Every shard decodes against a capped contiguous view of the one
-		// flat store, exactly as NewShardedIndex builds: growing the owner
-		// (e.g. through a DynamicIndex that adopts it) must never change
-		// what a loaded index covers.
+		// flat store, exactly as NewShardedIndex builds, and keeps
+		// verifying against it: a DynamicIndex that adopts the index buffers
+		// its inserts in a block of its own.
 		c, err := core.DecodeStore(r, store.Slice(offsets[s], offsets[s+1]), family)
 		if err == nil {
 			err = checkCoreMatches(c, cfg)
@@ -456,9 +456,11 @@ func decodeBody(r io.Reader, store *vec.Store, h header) (*segSet, error) {
 		}
 	}
 	if h.attrs {
-		if sx.attrs, err = decodeAttrsSection(r, n); err != nil {
+		ms, err := decodeAttrsSection(r, n)
+		if err != nil {
 			return nil, err
 		}
+		sx.setAttrs(ms)
 	}
 	return sx, nil
 }
@@ -503,19 +505,24 @@ func checkCoreMatches(single *core.Index, cfg Config) error {
 	return nil
 }
 
-// encodeAttrsSection writes the container's last section: the stored row
-// count, the byte length of the concatenated canonical row encodings,
-// and the rows themselves (sorted keys, so the encoding is
-// deterministic). A store in which no row carries an attribute writes
-// zero rows — the same 16 bytes as an index built without metadata.
-func encodeAttrsSection(w io.Writer, ms *vec.MetaStore) error {
-	n := ms.Len()
-	if ms.Empty() {
-		n = 0
-	}
+// encodeAttrsSection writes the container's last section: the attribute
+// column's row count, the byte length of the concatenated canonical row
+// encodings, and the rows themselves (sorted keys, so the encoding is
+// deterministic). A set in which no row carries an attribute writes zero
+// rows — the same 16 bytes as an index built without metadata.
+func (sx *segSet) encodeAttrsSection(w io.Writer) error {
+	n := sx.attrRows()
 	var buf []byte
-	for i := 0; i < n; i++ {
-		buf = vec.AppendAttrs(buf, ms.Row(i))
+	empty := true
+	for _, src := range sx.sources() {
+		for i := 0; i < src.rows.Len() && src.off+i < n; i++ {
+			a := src.attrs.Row(i)
+			empty = empty && len(a) == 0
+			buf = vec.AppendAttrs(buf, a)
+		}
+	}
+	if empty {
+		n, buf = 0, nil
 	}
 	if err := binary.Write(w, binary.LittleEndian, [2]int64{int64(n), int64(len(buf))}); err != nil {
 		return err
@@ -574,7 +581,7 @@ func decodeAttrsSection(r io.Reader, maxRows int) (*vec.MetaStore, error) {
 func (sx *segSet) encodeLifecycle(w io.Writer) error {
 	identity := sx.ids.Identity()
 	flag := byte(0)
-	next := sx.store.Len()
+	next := sx.slots()
 	if identity {
 		flag = 1
 	} else {
@@ -587,7 +594,7 @@ func (sx *segSet) encodeLifecycle(w io.Writer) error {
 		return err
 	}
 	if !identity {
-		ids := sx.ids.AppendIDs(make([]int, 0, sx.store.Len()))
+		ids := sx.ids.AppendIDs(make([]int, 0, sx.slots()))
 		if err := binary.Write(w, binary.LittleEndian, int64(len(ids))); err != nil {
 			return err
 		}
@@ -625,7 +632,7 @@ func (sx *segSet) decodeLifecycle(r io.Reader) error {
 	if err := binary.Read(r, binary.LittleEndian, &next); err != nil {
 		return err
 	}
-	slots := sx.store.Len()
+	slots := sx.slots()
 	switch flag[0] {
 	case 1:
 		if next != int64(slots) {

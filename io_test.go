@@ -222,7 +222,7 @@ func stateOf(t *testing.T, ix *Index, vectors [][]float32) containerState {
 		st.IDs, st.NextID = ix.ids.AppendIDs(nil), ix.ids.Next()
 	}
 	for slot := range vectors {
-		a := ix.attrs.Row(slot)
+		a := ix.attrRow(slot)
 		if len(a) == 0 {
 			a = nil
 		}
@@ -456,10 +456,10 @@ func TestLoadCorruptedLifecycleSection(t *testing.T) {
 
 // TestFormat1WarmRestartDoesNotMutateLoadedIndex pins the store-view
 // contract across the one-shard warm-restart chain: Load opens a
-// one-shard file, NewDynamicIndexFrom adopts its store, and Adds to the
-// dynamic index must grow a private copy — the loaded index keeps its
-// original length and the snapshot of the grown dynamic index must
-// round-trip.
+// one-shard file, NewDynamicIndexFrom adopts its shard and the rows it
+// verifies against, and Adds to the dynamic index go to a buffer block of
+// its own — the loaded index keeps its original length and the snapshot
+// of the grown dynamic index must round-trip.
 func TestFormat1WarmRestartDoesNotMutateLoadedIndex(t *testing.T) {
 	data, _ := testData(51, 200, 8, 4, 0.5)
 	ix, err := NewIndex(data, Config{Metric: Euclidean, M: 16, Seed: 12})

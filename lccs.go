@@ -247,7 +247,7 @@ func (qr Query) resolve(q []float32, s *segSet) (k, lambda int, err error) {
 	if len(q) == 0 {
 		return 0, 0, ErrEmptyQuery
 	}
-	if dim := s.store.Dim(); dim > 0 && len(q) != dim {
+	if dim := s.tail.Dim(); dim > 0 && len(q) != dim {
 		return 0, 0, fmt.Errorf("%w: query has %d dimensions, index has %d", ErrDimensionMismatch, len(q), dim)
 	}
 	if !admissible(q, s.cfg.Metric) {
@@ -256,7 +256,7 @@ func (qr Query) resolve(q []float32, s *segSet) (k, lambda int, err error) {
 	if err := qr.Filter.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrInvalidFilter, err)
 	}
-	rows := s.store.Len()
+	rows := s.slots()
 	return min(qr.K, rows), min(lambda, rows), nil
 }
 

@@ -268,7 +268,7 @@ func TestQueryConformance(t *testing.T) {
 // to k and mapped to external ids. Valid on sets without tombstones and
 // unfiltered queries only.
 func segmentMerge(s *segSet, q []float32, k, k0, lambda int) []Neighbor {
-	rows := s.store.Len()
+	rows := s.slots()
 	k, lambda = min(k, rows), min(lambda, rows)
 	k0 = min(k0, k)
 	lamSeg := s.segBudget(lambda)
@@ -286,7 +286,7 @@ func segmentMerge(s *segSet, q []float32, k, k0, lambda int) []Neighbor {
 		}
 	}
 	for slot := s.indexed; slot < rows; slot++ {
-		all = append(all, Neighbor{ID: slot, Dist: s.metric.Distance(q, s.store.Row(slot))})
+		all = append(all, Neighbor{ID: slot, Dist: s.metric.Distance(q, s.row(slot))})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		return all[i].Dist < all[j].Dist || (all[i].Dist == all[j].Dist && all[i].ID < all[j].ID)

@@ -31,7 +31,7 @@ func NewShardedIndex(data [][]float32, cfg Config, shards int) (*Index, error) {
 	}
 
 	start := time.Now()
-	set := segSet{cfg: cfg, store: store, segs: make([]segment, shards), indexed: n}
+	set := segSet{cfg: cfg, tail: vec.NewStore(store.Dim()), segs: make([]segment, shards), indexed: n}
 	offsets := shardOffsets(n, shards)
 	var wg sync.WaitGroup
 	errs := make([]error, shards)
@@ -81,7 +81,7 @@ func NewShardedIndexWithAttrs(data [][]float32, attrs []Attrs, cfg Config, shard
 		return nil, err
 	}
 	if len(attrs) > 0 {
-		ix.attrs = vec.MetaFromRows(append([]Attrs(nil), attrs...))
+		ix.setAttrs(vec.MetaFromRows(append([]Attrs(nil), attrs...)))
 	}
 	return ix, nil
 }

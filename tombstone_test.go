@@ -89,9 +89,10 @@ type tombState struct {
 	s       Searcher
 	shards  []segment
 	metric  vec.Metric
-	attrs   *vec.MetaStore
-	store   *vec.Store // the slot space; [bufLo, store.Len()) is the buffer
+	attrs   func(slot int) Attrs
+	tail    *vec.Store // the buffer's rows, slots [bufLo, rows)
 	bufLo   int
+	rows    int
 	ext     func(slot int) int
 	deleted map[int]bool
 }
@@ -105,8 +106,8 @@ func indexState(sx *Index, deleted map[int]bool) *tombState {
 }
 
 func setState(s Searcher, set *segSet, deleted map[int]bool) *tombState {
-	return &tombState{s: s, shards: set.segs, metric: set.metric, attrs: set.attrs, store: set.store,
-		bufLo: set.indexed, ext: set.ids.Ext, deleted: deleted}
+	return &tombState{s: s, shards: set.segs, metric: set.metric, attrs: set.attrRow, tail: set.tail,
+		bufLo: set.indexed, rows: set.slots(), ext: set.ids.Ext, deleted: deleted}
 }
 
 // split maps a query's budget to one shard's by the one budget rule, from
@@ -143,8 +144,8 @@ func (st *tombState) top(all []pqueue.Neighbor, k int) []Neighbor {
 
 // buffer appends the exact scan of the live buffered rows matching f.
 func (st *tombState) buffer(all []pqueue.Neighbor, q []float32, f *Filter) []pqueue.Neighbor {
-	st.store.Scan(st.bufLo, st.store.Len(), q, st.metric, func(slot int, dist float64) {
-		if !st.dead(slot) && f.Matches(st.attrs.Row(slot)) {
+	st.tail.Scan(0, st.tail.Len(), q, st.metric, func(i int, dist float64) {
+		if slot := st.bufLo + i; !st.dead(slot) && f.Matches(st.attrs(slot)) {
 			all = append(all, pqueue.Neighbor{ID: slot, Dist: dist})
 		}
 	})
@@ -192,7 +193,7 @@ func (st *tombState) inStream(q []float32, k, budget int, f *Filter, keep int) [
 	var all []pqueue.Neighbor
 	for _, sh := range st.shards {
 		off := sh.off
-		accept := func(local int) bool { return !st.dead(off+local) && f.Matches(st.attrs.Row(off+local)) }
+		accept := func(local int) bool { return !st.dead(off+local) && f.Matches(st.attrs(off+local)) }
 		res := shardSearch(sh.core, q, k, budget, core.Scan{Offset: off, Accept: accept})
 		all = append(all, res...)
 	}
@@ -206,7 +207,7 @@ func (st *tombState) inStream(q []float32, k, budget int, f *Filter, keep int) [
 // the buffer's exact scan either way.
 func (st *tombState) candidates(q []float32, k0, lambda int, f *Filter) []Neighbor {
 	if f != nil {
-		return st.inStream(q, st.split(lambda)+k0-1, 1, f, st.store.Len())
+		return st.inStream(q, st.split(lambda)+k0-1, 1, f, st.rows)
 	}
 	var all []pqueue.Neighbor
 	for _, sh := range st.shards {
@@ -224,7 +225,7 @@ func (st *tombState) candidates(q []float32, k0, lambda int, f *Filter) []Neighb
 			}
 		}
 	}
-	return st.top(st.buffer(all, q, nil), st.store.Len())
+	return st.top(st.buffer(all, q, nil), st.rows)
 }
 
 // check compares every query shape of one state with its oracle.
