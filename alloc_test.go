@@ -3,6 +3,7 @@ package lccs
 import (
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"testing"
 )
@@ -102,6 +103,45 @@ func TestSearchZeroAllocSharded(t *testing.T) {
 	}
 }
 
+// TestSearchZeroAllocFiltered extends the gate to filtered queries on a
+// four-shard Index: each segment's candidate stream tests its rows
+// through a predicate bound once per pooled query context, so no scan
+// allocates a closure for it.
+func TestSearchZeroAllocFiltered(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation; run without -race")
+	}
+	data, queries := allocWorkload(48, 2000, 12)
+	attrs := make([]Attrs, len(data))
+	for i := range attrs {
+		attrs[i] = Attrs{"color": StrAttr([]string{"red", "green", "blue"}[i%3])}
+	}
+	sx, err := NewShardedIndexWithAttrs(data, attrs, Config{Metric: Euclidean, M: 16, Seed: 3}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr := Query{K: 10, Budget: 40, Filter: &Filter{Terms: []FilterTerm{EqStr("color", "red")}}}
+	var dst []Neighbor
+	for round := 0; round < 3; round++ {
+		for _, q := range queries {
+			if dst, err = sx.SearchQuery(q, qr, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	qi := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		dst, err = sx.SearchQuery(queries[qi%len(queries)], qr, dst)
+		qi++
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("filtered four-shard Index.SearchQuery: %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestSearchZeroAllocSQ8 extends the zero-allocation gate to the
 // quantized search path: the SQ8 gather (pooled adjusted-query state
 // and score buffers) plus the exact re-rank must add no per-query heap
@@ -160,7 +200,8 @@ func TestSearchZeroAllocSQ8(t *testing.T) {
 // nothing. testing.AllocsPerRun holds GOMAXPROCS at 1, where the split
 // still runs (it does not read GOMAXPROCS). The second measurement counts
 // mallocs around a loop at GOMAXPROCS 2, where the helper runs on its own
-// processor, with the collector off so that no GC empties the pool.
+// processor, with the collector off so that no GC empties the pool, and
+// repeats a loop in which the runtime started an OS thread.
 func TestSearchZeroAllocSplit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation; run without -race")
@@ -214,15 +255,31 @@ func TestSearchZeroAllocSplit(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		search(i)
 	}
-	const runs = 400
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		search(i)
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("split Index.SearchQuery under GOMAXPROCS 2: %d allocations in %d queries, want 0", n, runs)
+	// The runtime may start an OS thread during the loop, on a busy
+	// machine: its M, g0 and signal stack are 5 allocations (448 B ×2,
+	// 1 152 B ×2, 2 048 B) that no query made. A loop in which the
+	// thread-creation count rose is therefore run again, up to 5 times;
+	// any allocation in a loop that created no thread fails, and so do 5
+	// loops that each created one.
+	const runs, loops = 400, 5
+	threads := pprof.Lookup("threadcreate")
+	for loop := 1; ; loop++ {
+		var before, after runtime.MemStats
+		created := threads.Count()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			search(i)
+		}
+		runtime.ReadMemStats(&after)
+		if threads.Count() == created {
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("split Index.SearchQuery under GOMAXPROCS 2: %d allocations in %d queries, want 0", n, runs)
+			}
+			return
+		}
+		if loop == loops {
+			t.Fatalf("split Index.SearchQuery under GOMAXPROCS 2: the runtime started an OS thread in each of %d loops of %d queries", loops, runs)
+		}
 	}
 }
 
@@ -345,7 +402,7 @@ func TestSearchZeroAllocCosted(t *testing.T) {
 // TestSearchZeroAllocTombstoned extends the gate to the tombstone path:
 // a DynamicIndex with tombstones in its shards and its buffer, and the
 // tombstoned Snapshot of it, answer SearchQuery — plain and metered —
-// without allocating. The bitset probe rides in core.Scan by value.
+// without allocating. The bitset probe rides in the pooled core.Stream.
 func TestSearchZeroAllocTombstoned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation; run without -race")

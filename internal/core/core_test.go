@@ -280,7 +280,7 @@ func TestSearchStatsCounters(t *testing.T) {
 	ix, _ := Build(data, fam, Params{M: 16, Seed: 1})
 	var best pqueue.KBest
 	best.Reset(5)
-	st := ix.SearchScan(data[0], ix.HashQuery(data[0], nil), 5, 50, Scan{}, &best)
+	st := ix.Open(data[0], ix.HashQuery(data[0], nil), 0, nil).Verify(50+5-1, &best)
 	if st.Probes != 1 {
 		t.Errorf("Probes = %d, want 1", st.Probes)
 	}
@@ -289,7 +289,10 @@ func TestSearchStatsCounters(t *testing.T) {
 	}
 	// Degenerate arguments.
 	best.Reset(5)
-	if st := ix.SearchScan(data[0], ix.HashQuery(data[0], nil), 0, 10, Scan{}, &best); best.Len() != 0 || st.Candidates != 0 {
+	if st := ix.Open(data[0], ix.HashQuery(data[0], nil), 0, nil).Verify(0, &best); best.Len() != 0 || st.Candidates != 0 {
+		t.Error("a count of 0 should verify nothing")
+	}
+	if res := ix.Search(data[0], 0, 10); res != nil {
 		t.Error("k=0 should return nothing")
 	}
 	if res := ix.Search(data[0], 5, 0); res != nil {

@@ -7,9 +7,9 @@ import (
 	"lccs/internal/pqueue"
 )
 
-// splitBytes is the size, in full float32 rows, (λ+k−1)·dim·4 bytes, of
-// the candidates from which an exact query's verify scores every other
-// batch on a helper goroutine. Below it a second goroutine's start, the
+// splitBytes is the size, in full float32 rows, n·dim·4 bytes for a count
+// of n candidates (λ+k−1 on a plain query), of the candidates from which
+// an exact query's verify scores every other batch on a helper goroutine. Below it a second goroutine's start, the
 // hand-offs and the merge cost more than the half of the gather they
 // take off the caller. BenchmarkVerify's sweep chose it: splitting lost
 // at 56, 158 and 419 KB, broke even at 517 KB (d128, λ = 1 000) and won

@@ -86,17 +86,6 @@ type SearchStats struct {
 	FilterRejected int
 }
 
-// Add accumulates o into s (facades fold per-shard stats into one query
-// record with it).
-func (s *SearchStats) Add(o SearchStats) {
-	s.Candidates += o.Candidates
-	s.Probes += o.Probes
-	s.Comparisons += o.Comparisons
-	s.Reranked += o.Reranked
-	s.BytesScanned += o.BytesScanned
-	s.FilterRejected += o.FilterRejected
-}
-
 // Index is an LCCS-LSH index over a fixed dataset: single-probe as
 // built, multi-probe once WrapMP has installed probe state on it.
 // It is safe for concurrent queries.
@@ -150,6 +139,8 @@ type searchCtx struct {
 	// bytes accumulates the vector-block bytes one query's verification
 	// touched; reset on entry and read into the returned SearchStats.
 	bytes int64
+	// st is the query's candidate stream, Open's.
+	st Stream
 	// h scores every other batch of a query whose candidates are large
 	// (splitBytes); made by the first such query, nil until then.
 	h *helper
@@ -272,37 +263,6 @@ func (ix *Index) HashQuery(q []float32, dst []int32) []int32 {
 	return lshfamily.HashString(ix.funcs, q, dst)
 }
 
-// Scan narrows one search for shard-local use; the zero value is the
-// plain query.
-type Scan struct {
-	// Offset is added to every id offered to the collector: the index
-	// covers a contiguous slice of a larger dataset starting at this
-	// global id, so several shards verify into one collector without
-	// remapping.
-	Offset int
-	// Dead is the tombstone bitset of that larger dataset, one bit per
-	// global id (bit Offset+id for index-local id; ids past its end are
-	// live). A candidate whose bit is set is dropped the moment it leaves
-	// the CSA stream: no predicate call, no prefetch, no gather, and it
-	// is counted neither as a candidate nor as filter-rejected.
-	Dead []uint64
-	// ChargeDead makes a dropped dead candidate use one slot of the
-	// λ+k−1 verification budget; when false it is free, like a candidate
-	// Accept rejects. Facades set it on unfiltered one-shot queries, whose
-	// budget carries an allowance for the shard's tombstones.
-	ChargeDead bool
-	// Accept, when non-nil, restricts the search to the candidates it
-	// admits. It receives index-local ids (before the Offset shift).
-	// Rejected candidates are discarded before any distance work and do
-	// not count toward the λ+k−1 verification budget, so the CSA stream
-	// keeps draining (in LCCS order) until enough matching candidates are
-	// verified or the stream is exhausted — the over-fetch ladder for
-	// selective filters is built in. With an exhaustive budget (λ ≥ n)
-	// every matching row is verified, making the result exactly the
-	// brute-force answer over matching vectors.
-	Accept func(id int) bool
-}
-
 // Search answers a c-k-ANNS query: it performs a (λ+k−1)-LCCS search of
 // H(q) (§4.1) — plus, on a multi-probe index, the Probes−1 perturbed
 // probes of Algorithm 3 merged into the same deduplicated candidate
@@ -324,54 +284,10 @@ func (ix *Index) SearchInto(q []float32, k, lambda int, dst []pqueue.Neighbor) [
 	ctx := ix.ctxs.Get().(*searchCtx)
 	ctx.hq = ix.HashQuery(q, ctx.hq)
 	ctx.best.Reset(k)
-	ix.scan(ctx, q, ctx.hq, k, lambda, &Scan{}, &ctx.best)
+	ix.open(ctx, q, ctx.hq, 0, nil).verify(lambda+k-1, &ctx.best)
 	dst = ctx.best.AppendSorted(dst)
 	ix.ctxs.Put(ctx)
 	return dst
-}
-
-// SearchScan is the one query path: Search narrowed by sc over the
-// caller's H(q) = hq, offering each verified candidate to best (which
-// the caller has Reset) under id sc.Offset+id, and returning the query's
-// work counters. k sets the λ+k−1 candidate count and the SQ8 re-rank
-// floor; best may hold more than k, as when several shards share it. All
-// other scratch is pooled.
-func (ix *Index) SearchScan(q []float32, hq []int32, k, lambda int, sc Scan, best *pqueue.KBest) SearchStats {
-	if k <= 0 || lambda <= 0 {
-		return SearchStats{}
-	}
-	ctx := ix.ctxs.Get().(*searchCtx)
-	stats := ix.scan(ctx, q, hq, k, lambda, &sc, best)
-	ix.ctxs.Put(ctx)
-	return stats
-}
-
-// scan is SearchScan on a drawn scratch. A query whose candidates are
-// large in full rows (splitBytes) starts ctx.h's goroutine first, so that
-// it is running by the time verify hands it a batch.
-func (ix *Index) scan(ctx *searchCtx, q []float32, hq []int32, k, lambda int, sc *Scan, best *pqueue.KBest) SearchStats {
-	split := ix.sq8 == nil && int64(lambda+k-1)*int64(ix.store.Dim())*4 >= splitBytes
-	if split {
-		if ctx.h == nil {
-			ctx.h = newHelper(ix)
-		}
-		ctx.h.start(q, sc.Offset, best.Cap())
-	}
-	ctx.s.Begin(hq)
-	probes := 1
-	if ix.mp != nil { // the one place single- and multi-probe differ
-		probes += ix.mp.issueProbes(ctx, q, hq)
-	}
-	ctx.bytes = 0
-	var start time.Time
-	if sc.Accept != nil {
-		start = time.Now()
-	}
-	verified, rejected, reranked := ix.verify(ctx, q, k, lambda+k-1, split, sc, best)
-	if sc.Accept != nil {
-		obs.ObserveDur(obs.StageFilter, time.Since(start))
-	}
-	return SearchStats{Candidates: verified, Probes: probes, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes, FilterRejected: rejected}
 }
 
 // EnableSQ8 attaches a scalar-quantized mirror of the index's store.
@@ -425,61 +341,135 @@ func defaultRerank(n int) int {
 	return r
 }
 
-// verify is the one verification loop. It drains ctx.s in batches of
-// verifyBatch until the budget of nCand candidates is spent or the stream
-// is exhausted, and feeds best under ids shifted by sc.Offset. A candidate
-// tombstoned in sc.Dead is dropped first, by an inlined word probe (free,
-// or for one budget slot under sc.ChargeDead); one sc.Accept (when
-// non-nil) rejects is dropped next, at the cost of one predicate call.
-// An exact index scores each batch with float32 distances straight into
-// best; an SQ8 index ranks by approximate quantized score into
-// ctx.rr and then re-ranks the winners exactly (timed into the obs
-// "rerank" stage histogram). When split (an exact query whose candidates
-// are large, splitBytes), the odd batches go to ctx.h, whose goroutine
-// scores them into a collector of its own, merged into best before verify
-// returns. The hand-off points are fixed by batch parity, so results,
-// counts and bytes do not depend on scheduling, and best ends holding
-// what per-row verification in stream order would leave in it, bit for
-// bit (the argument is on helper). Each candidate's row is hinted to the
-// cache a batch ahead of its scoring, on the core that scores it: by this
-// loop the moment its id leaves the stream, or by the helper as it takes
-// the batch.
-func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, split bool, sc *Scan, best *pqueue.KBest) (verified, rejected, reranked int) {
-	quantized := ix.sq8 != nil
-	if quantized {
-		rr := ix.rerank
-		if rr < k {
-			rr = k
-		}
-		ix.sq8.Prepare(ix.metric, q, &ctx.sq8q)
-		ctx.rr.Reset(rr)
+// Stream is one query's candidate stream over one index, the paper's
+// k-LCCS stream (§4.1, Algorithm 2), kept in the pooled searchCtx so that
+// opening one allocates nothing. next yields what csa.Searcher.Next does,
+// ids in non-increasing LCCS Length, less the rows dropped inside the
+// stream: a tombstoned row, by an inlined word probe, then a row Filter's
+// predicate rejects. It yields at most the candidate count that Verify,
+// its one consumer, gives it; each row it yields uses up one unit, and so
+// does, under ChargeDead, each dead row it drops.
+type Stream struct {
+	ix  *Index
+	ctx *searchCtx
+	q   []float32
+	// The index covers ids [off, off+N) of a larger dataset whose
+	// tombstones dead holds, one bit per id; ids past its end are live.
+	off    uint
+	dead   []uint64
+	charge int // what a dropped dead row uses up of the count: 1 under ChargeDead
+	accept func(local int) bool
+	left   int // the count not yet used up
+	// rejected counts the rows accept discarded, probes the probing
+	// sequences Open issued.
+	rejected, probes int
+}
+
+// Open runs Begin over the caller's H(q) = hq on pooled scratch, and on a
+// multi-probe index issues the perturbed probes, returning the stream of a
+// query that offers each verified row under id off+id and sees no row
+// tombstoned in dead: a dead row is not prefetched, gathered or offered to
+// the predicate, and counts neither as a candidate nor as filter-rejected.
+func (ix *Index) Open(q []float32, hq []int32, off int, dead []uint64) *Stream {
+	return ix.open(ix.ctxs.Get().(*searchCtx), q, hq, off, dead)
+}
+
+// open is Open on a drawn scratch.
+func (ix *Index) open(ctx *searchCtx, q []float32, hq []int32, off int, dead []uint64) *Stream {
+	ctx.s.Begin(hq)
+	probes := 1
+	if ix.mp != nil { // the one place single- and multi-probe differ
+		probes += ix.mp.issueProbes(ctx, q, hq)
 	}
+	ctx.st = Stream{ix: ix, ctx: ctx, q: q, off: uint(off), dead: dead, probes: probes}
+	return &ctx.st
+}
+
+// ChargeDead makes each dead row the stream drops use up one unit of its
+// count, as facades do on unfiltered one-shot queries, whose count carries
+// an allowance for the index's tombstones; otherwise a dead row is free.
+func (st *Stream) ChargeDead() { st.charge = 1 }
+
+// Filter restricts the stream to the rows accept (given index-local ids)
+// admits. A rejected row costs no distance work and none of the count, so
+// the stream drains on in LCCS order until the count is verified or the
+// CSA exhausted; a count covering every row gives the brute-force answer
+// over the matching rows.
+func (st *Stream) Filter(accept func(local int) bool) { st.accept = accept }
+
+// next yields the stream's next row, or false once the CSA or the count is
+// exhausted.
+func (st *Stream) next() (r csa.Result, ok bool) {
+	for st.left > 0 {
+		if r, ok = st.ctx.s.Next(); !ok {
+			break // and an exhausted csa.Searcher stays so, at no cost
+		}
+		if g := uint(r.ID) + st.off; g>>6 < uint(len(st.dead)) && st.dead[g>>6]>>(g&63)&1 != 0 {
+			st.left -= st.charge
+			continue
+		}
+		if st.accept != nil && !st.accept(r.ID) {
+			st.rejected++
+			continue
+		}
+		st.left--
+		return r, true
+	}
+	return csa.Result{}, false
+}
+
+// Verify consumes the stream: it verifies the first n candidates the
+// stream yields into best (Reset by the caller, and perhaps shared with
+// other indexes' streams), returns the scratch to the pool and the query's
+// work counters.
+func (st *Stream) Verify(n int, best *pqueue.KBest) SearchStats {
+	stats := st.verify(n, best)
+	st.ix.ctxs.Put(st.ctx)
+	return stats
+}
+
+// verify is the one verification loop. It drains up to n candidates from
+// the stream in batches of verifyBatch and feeds best under ids shifted by
+// the stream's offset: an exact index scores each batch with float32
+// distances, an SQ8 index ranks it by quantized score into ctx.rr (the
+// re-rank depth deep, but at least best's capacity) and then re-ranks the
+// winners exactly, timed into the "rerank" stage. An exact query whose n
+// candidates are large in full rows (splitBytes) starts ctx.h's goroutine
+// and hands it the odd batches, which it scores into a collector of its
+// own, merged into best at the end. The hand-offs are fixed by batch
+// parity, so results, counts and bytes do not depend on scheduling and
+// equal per-row verification in stream order, bit for bit (the argument is
+// on helper). Each row is hinted to the cache a batch ahead of its
+// scoring, on the core that scores it: here as its id leaves the stream,
+// or by the helper as it takes the batch.
+func (st *Stream) verify(n int, best *pqueue.KBest) SearchStats {
+	ix, ctx, q, off := st.ix, st.ctx, st.q, int(st.off)
+	st.left = n
+	var start time.Time
+	if st.accept != nil {
+		start = time.Now()
+	}
+	split := ix.sq8 == nil && int64(n)*int64(ix.store.Dim())*4 >= splitBytes
 	if split {
+		if ctx.h == nil {
+			ctx.h = newHelper(ix)
+		}
+		ctx.h.start(q, off, best.Cap())
 		defer ctx.h.stop()
 	}
-	dead, off, charge, accept := sc.Dead, uint(sc.Offset), sc.ChargeDead, sc.Accept
-	for batch, drained := 0, false; !drained && nCand > 0; batch++ {
+	quantized := ix.sq8 != nil
+	if quantized {
+		ix.sq8.Prepare(ix.metric, q, &ctx.sq8q)
+		ctx.rr.Reset(max(ix.rerank, best.Cap()))
+	}
+	ctx.bytes = 0
+	verified := 0
+	for batch := 0; ; batch++ {
 		mine := !split || batch&1 == 0 // scored on this goroutine
 		b := 0
-		for b < verifyBatch && nCand > 0 {
-			r, ok := ctx.s.Next()
-			if !ok {
-				drained = true
-				break
-			}
-			if g := uint(r.ID) + off; g>>6 < uint(len(dead)) && dead[g>>6]>>(g&63)&1 != 0 {
-				if charge {
-					nCand--
-				}
-				continue
-			}
-			if accept != nil && !accept(r.ID) {
-				rejected++
-				continue
-			}
+		for r, ok := st.next(); ok; r, ok = st.next() {
 			ctx.ids[b] = int32(r.ID)
 			b++
-			nCand--
 			// Scored once the batch is full: the row's first lines
 			// travel while the CSA finds the rest of the batch.
 			if quantized {
@@ -487,9 +477,12 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, split bool, s
 			} else if mine {
 				ix.store.PrefetchRow(r.ID)
 			}
+			if b == verifyBatch {
+				break
+			}
 		}
 		if b == 0 {
-			break // the stream or the budget ran out on dropped rows
+			break // the stream or its count ran out
 		}
 		switch {
 		case quantized:
@@ -501,30 +494,33 @@ func (ix *Index) verify(ctx *searchCtx, q []float32, k, nCand int, split bool, s
 		case !mine:
 			ctx.h.hand(ctx.ids[:b], best)
 		default:
-			ctx.bytes += ix.scoreExact(ctx.ids[:b], ctx.dists[:], q, sc.Offset, best)
+			ctx.bytes += ix.scoreExact(ctx.ids[:b], ctx.dists[:], q, off, best)
 		}
 		verified += b
 	}
 	if split {
 		ctx.bytes += ctx.h.merge(best)
 	}
-	if !quantized {
-		return verified, rejected, 0
-	}
-	start := time.Now()
-	ctx.rrBuf = ctx.rr.AppendSorted(ctx.rrBuf[:0])
-	for base := 0; base < len(ctx.rrBuf); base += verifyBatch {
-		c := len(ctx.rrBuf) - base
-		if c > verifyBatch {
-			c = verifyBatch
+	reranked := 0
+	if quantized {
+		rstart := time.Now()
+		ctx.rrBuf = ctx.rr.AppendSorted(ctx.rrBuf[:0])
+		for base := 0; base < len(ctx.rrBuf); base += verifyBatch {
+			c := min(len(ctx.rrBuf)-base, verifyBatch)
+			for i := 0; i < c; i++ {
+				ctx.ids[i] = int32(ctx.rrBuf[base+i].ID)
+			}
+			ctx.bytes += ix.scoreExact(ctx.ids[:c], ctx.dists[:], q, off, best)
 		}
-		for i := 0; i < c; i++ {
-			ctx.ids[i] = int32(ctx.rrBuf[base+i].ID)
-		}
-		ctx.bytes += ix.scoreExact(ctx.ids[:c], ctx.dists[:], q, sc.Offset, best)
+		obs.ObserveDur(obs.StageRerank, time.Since(rstart))
+		reranked = len(ctx.rrBuf)
 	}
-	obs.ObserveDur(obs.StageRerank, time.Since(start))
-	return verified, rejected, len(ctx.rrBuf)
+	if st.accept != nil {
+		obs.ObserveDur(obs.StageFilter, time.Since(start))
+	}
+	stats := SearchStats{Candidates: verified, Probes: st.probes, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes, FilterRejected: st.rejected}
+	*st = Stream{ix: ix, ctx: ctx} // the pool keeps no caller's query, bitset or predicate
+	return stats
 }
 
 // scoreExact gathers the exact float32 distances of ids, using dists (at

@@ -197,12 +197,12 @@ func TestMPSearchStatsProbes(t *testing.T) {
 	mp, _ := BuildMP(data, fam, MPParams{Params: Params{M: 16, Seed: 1}, Probes: 9})
 	var best pqueue.KBest
 	best.Reset(5)
-	st := mp.SearchScan(data[0], mp.HashQuery(data[0], nil), 5, 20, Scan{}, &best)
+	st := mp.Open(data[0], mp.HashQuery(data[0], nil), 0, nil).Verify(20+5-1, &best)
 	if st.Probes != 9 {
 		t.Errorf("Probes = %d, want 9", st.Probes)
 	}
 	mp1, _ := BuildMP(data, fam, MPParams{Params: Params{M: 16, Seed: 1}, Probes: 1})
-	st1 := mp1.SearchScan(data[0], mp1.HashQuery(data[0], nil), 5, 20, Scan{}, &best)
+	st1 := mp1.Open(data[0], mp1.HashQuery(data[0], nil), 0, nil).Verify(20+5-1, &best)
 	if st1.Probes != 1 {
 		t.Errorf("Probes = %d, want 1", st1.Probes)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lccs/internal/csa"
 	"lccs/internal/dataset"
 	"lccs/internal/lshfamily"
 	"lccs/internal/pqueue"
@@ -16,35 +17,70 @@ import (
 	"lccs/internal/vec"
 )
 
-// oracleScan is what SearchScan(q, hq, k, lambda, sc, ·) verifies, worked
-// out the long way round: it drains the same λ+k−1 candidates from a fresh
+// narrowing is what a segment's query asks of its stream: the offset of
+// its ids, the tombstones it drops (charged to the count or free) and the
+// predicate it filters by.
+type narrowing struct {
+	off    int
+	dead   []uint64
+	charge bool
+	accept func(local int) bool
+}
+
+// open opens ix's stream over hq, narrowed by nw.
+func (nw narrowing) open(ix *Index, q []float32, hq []int32) *Stream {
+	st := ix.Open(q, hq, nw.off, nw.dead)
+	if nw.charge {
+		st.ChargeDead()
+	}
+	if nw.accept != nil {
+		st.Filter(nw.accept)
+	}
+	return st
+}
+
+// drain is what a stream yields to a verifier asking for n candidates.
+func drain(st *Stream, n int) []csa.Result {
+	var out []csa.Result
+	st.left = n
+	for r, ok := st.next(); ok; r, ok = st.next() {
+		out = append(out, r)
+	}
+	st.ix.ctxs.Put(st.ctx)
+	return out
+}
+
+// oracleScan is what nw.open(ix, q, hq).Verify(n, best) verifies, worked
+// out the long way round: it takes the first n candidates from a fresh
 // csa.Searcher, dropping tombstoned and rejected ones by the same rules,
 // scores them with the unbounded gather (GatherDistancesInto) — on an SQ8
 // index after ranking them by quantized score and keeping the re-rank
-// pool's best — and returns them under global ids, unsorted, with the
-// number of candidates drained (SearchStats.Candidates).
-func oracleScan(ix *Index, q []float32, hq []int32, k, lambda int, sc Scan) ([]pqueue.Neighbor, int) {
+// pool's best, capacity deep at least — and returns them under global
+// ids, unsorted, with the candidates themselves in stream order (what
+// drain must yield; their count is SearchStats.Candidates).
+func oracleScan(ix *Index, q []float32, hq []int32, n, capacity int, nw narrowing) ([]pqueue.Neighbor, []csa.Result) {
 	s := ix.csa.NewSearcher()
 	s.Begin(hq)
+	var stream []csa.Result
 	var ids []int32
-	for nCand := lambda + k - 1; nCand > 0; {
+	for nCand := n; nCand > 0; {
 		r, ok := s.Next()
 		if !ok {
 			break
 		}
-		if g := r.ID + sc.Offset; g/64 < len(sc.Dead) && sc.Dead[g/64]>>(g%64)&1 != 0 {
-			if sc.ChargeDead {
+		if g := r.ID + nw.off; g/64 < len(nw.dead) && nw.dead[g/64]>>(g%64)&1 != 0 {
+			if nw.charge {
 				nCand--
 			}
 			continue
 		}
-		if sc.Accept != nil && !sc.Accept(r.ID) {
+		if nw.accept != nil && !nw.accept(r.ID) {
 			continue
 		}
+		stream = append(stream, r)
 		ids = append(ids, int32(r.ID))
 		nCand--
 	}
-	drained := len(ids)
 	if ix.sq8 != nil && len(ids) > 0 {
 		var st vec.SQ8Query
 		ix.sq8.Prepare(ix.metric, q, &st)
@@ -58,7 +94,7 @@ func oracleScan(ix *Index, q []float32, hq []int32, k, lambda int, sc Scan) ([]p
 			sa, sb := scores[order[a]], scores[order[b]]
 			return sa < sb || (sa == sb && ids[order[a]] < ids[order[b]])
 		})
-		pool := make([]int32, min(max(ix.rerank, k), len(ids)))
+		pool := make([]int32, min(max(ix.rerank, capacity), len(ids)))
 		for i := range pool {
 			pool[i] = ids[order[i]]
 		}
@@ -68,9 +104,26 @@ func oracleScan(ix *Index, q []float32, hq []int32, k, lambda int, sc Scan) ([]p
 	ix.store.GatherDistancesInto(ids, q, ix.metric, dists)
 	out := make([]pqueue.Neighbor, len(ids))
 	for i, id := range ids {
-		out[i] = pqueue.Neighbor{ID: sc.Offset + int(id), Dist: dists[i]}
+		out[i] = pqueue.Neighbor{ID: nw.off + int(id), Dist: dists[i]}
 	}
-	return out, drained
+	return out, stream
+}
+
+// sameStream reports whether a stream yielded want, the oracle's
+// sequence, with lengths that never increase.
+func sameStream(got, want []csa.Result) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d candidates, oracle %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("candidate %d is %+v, oracle %+v", i, got[i], want[i])
+		}
+		if i > 0 && got[i].Length > got[i-1].Length {
+			return fmt.Errorf("candidate %d's length %d follows %d", i, got[i].Length, got[i-1].Length)
+		}
+	}
+	return nil
 }
 
 // nearestOf sorts candidates by (Dist, ID) and keeps the first kc.
@@ -97,11 +150,13 @@ func sameNeighbors(a, b []pqueue.Neighbor) bool {
 // exactness: whatever rows it stops reading, every query returns bit for
 // bit the k nearest (by distance, then id) of the candidates the oracle
 // drains and scores in full, and verifies as many candidates. It covers
-// one index through SearchInto and three segments verifying into one
-// collector through SearchScan — plain, with tombstones charged and free,
-// filtered, a cursor's later page (k > k0, the candidates of a k0 query),
-// a collector wider than the segments' k, and SQ8 indexes — at dims on
-// both sides of the first checkpoint and at GIST's 960. The last two
+// one index through SearchInto and three segments verifying their streams
+// into one collector — plain, with tombstones charged and free, filtered,
+// a cursor's later page (k > k0, the candidates of a k0 query), a
+// collector wider than the segments' k, and SQ8 indexes — at dims on both
+// sides of the first checkpoint and at GIST's 960. Each segment's stream,
+// drained on its own, yields the oracle's candidates in the oracle's
+// order, at lengths that never increase. The last two
 // shapes, Euclidean and Angular, ask for more candidate bytes than
 // splitBytes, so their exact queries score every other batch on the
 // helper goroutine, the whole index's at λ ≥ n too.
@@ -192,12 +247,12 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 		{name: "sq8", segs: sq8Segs},
 		{name: "sq8 dead filter", segs: sq8Segs, dead: dead, accept: func(id int) bool { return id%2 == 0 }},
 	}
-	scanOf := func(v variant, off int) Scan {
-		sc := Scan{Offset: off, Dead: v.dead, ChargeDead: v.charge}
+	scanOf := func(v variant, off int) narrowing {
+		nw := narrowing{off: off, dead: v.dead, charge: v.charge}
 		if v.accept != nil {
-			sc.Accept = func(local int) bool { return v.accept(off + local) }
+			nw.accept = func(local int) bool { return v.accept(off + local) }
 		}
-		return sc
+		return nw
 	}
 	// unbounded reports whether a query's bytes must be every
 	// candidate's full row: no checkpoint, or no bound to check.
@@ -209,8 +264,8 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 		hq := whole.HashQuery(q, nil)
 
 		for _, lam := range []int{lambda, n} {
-			cands, drained := oracleScan(whole, q, hq, k, lam, Scan{})
-			want := nearestOf(cands, k)
+			cands, stream := oracleScan(whole, q, hq, lam+k-1, k, narrowing{})
+			want, drained := nearestOf(cands, k), len(stream)
 			if got := whole.SearchInto(q, k, lam, nil); !sameNeighbors(got, want) {
 				t.Fatalf("%s λ %d: SearchInto %v, oracle %v", label, lam, got, want)
 			}
@@ -219,10 +274,10 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 				prev := runtime.GOMAXPROCS(procs)
 				var best pqueue.KBest
 				best.Reset(k)
-				st := whole.SearchScan(q, hq, k, lam, Scan{}, &best)
+				st := whole.Open(q, hq, 0, nil).Verify(lam+k-1, &best)
 				runtime.GOMAXPROCS(prev)
 				if got := best.Sorted(); !sameNeighbors(got, want) || st.Candidates != drained {
-					t.Fatalf("%s λ %d GOMAXPROCS %d: SearchScan %v over %d candidates, oracle %v over %d",
+					t.Fatalf("%s λ %d GOMAXPROCS %d: Verify %v over %d candidates, oracle %v over %d",
 						label, lam, procs, got, st.Candidates, want, drained)
 				}
 				if run > 0 && st.BytesScanned != bytes {
@@ -248,11 +303,13 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 				capacity = 3 * k
 			}
 			var cands []pqueue.Neighbor
+			var streams [][]csa.Result
 			var drained int
 			for i, ix := range v.segs {
-				c, d := oracleScan(ix, q, hq, kk, lam, scanOf(v, bounds[i]))
+				c, stream := oracleScan(ix, q, hq, lam+kk-1, capacity, scanOf(v, bounds[i]))
 				cands = append(cands, c...)
-				drained += d
+				streams = append(streams, stream)
+				drained += len(stream)
 			}
 			want := nearestOf(cands, capacity)
 			var bytes int64
@@ -262,7 +319,13 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 				best.Reset(capacity)
 				var st SearchStats
 				for i, ix := range v.segs {
-					st.Add(ix.SearchScan(q, hq, kk, lam, scanOf(v, bounds[i]), &best))
+					one := scanOf(v, bounds[i]).open(ix, q, hq).Verify(lam+kk-1, &best)
+					st.Candidates += one.Candidates
+					st.Reranked += one.Reranked
+					st.BytesScanned += one.BytesScanned
+					if err := sameStream(drain(scanOf(v, bounds[i]).open(ix, q, hq), lam+kk-1), streams[i]); err != nil {
+						t.Fatalf("%s %s segment %d GOMAXPROCS %d: stream: %v", label, v.name, i, procs, err)
+					}
 				}
 				runtime.GOMAXPROCS(prev)
 				if got := best.Sorted(); !sameNeighbors(got, want) || st.Candidates != drained {
@@ -311,7 +374,7 @@ func TestSplitHelperEndsWithItsQuery(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var best pqueue.KBest
 	best.Reset(k)
-	ix.SearchScan(q, hq, k, lambda, Scan{}, &best)
+	ix.Open(q, hq, 0, nil).Verify(lambda+k-1, &best)
 	if !settled(before) {
 		t.Fatalf("%d goroutines after a split query returned, %d before", runtime.NumGoroutine(), before)
 	}
@@ -324,12 +387,14 @@ func TestSplitHelperEndsWithItsQuery(t *testing.T) {
 			}
 		}()
 		best.Reset(k)
-		ix.SearchScan(q, hq, k, lambda, Scan{Accept: func(int) bool {
+		st := ix.Open(q, hq, 0, nil)
+		st.Filter(func(int) bool {
 			if seen++; seen == 5*verifyBatch {
 				panic("filter")
 			}
 			return true
-		}}, &best)
+		})
+		st.Verify(lambda+k-1, &best)
 	}()
 	if !settled(before) {
 		t.Fatalf("%d goroutines after a split query panicked, %d before", runtime.NumGoroutine(), before)
@@ -338,86 +403,118 @@ func TestSplitHelperEndsWithItsQuery(t *testing.T) {
 
 // BenchmarkVerify runs one query at a time against an index of
 // static-d960's shape (50 000 rows, m = 64, k = 10) at budgets λ of 100,
-// 300, 1 000 and 3 000, over the sift (d128) and gist (d960) presets:
-// the verification this package's bounded gather and its helper
-// goroutine serve; gist/lambda=1000 is static-d960's own query. Besides
-// the time it reports read-frac, the vector bytes the gathers read over
-// what reading every candidate's row in full would take — the share of
-// the traffic the bound leaves. The saturated variant runs GOMAXPROCS
-// such queries at once (b.RunParallel), so no core is idle for a helper:
-// what splitting a query costs a loaded machine. Re-running it with
-// another boundStride (and the assembly's checkpoint mask to match), or
-// with splitBytes past every shape, gives the sweeps in
-// docs/PERFORMANCE.md, "Bounded verification" and "Verifying on the idle
-// core".
+// 300, 1 000 and 3 000 (and, over sift, 800 and 1 600), over the sift
+// (d128) and gist (d960) presets: the verification this package's bounded
+// gather and its helper goroutine serve; gist/lambda=1000 is static-d960's
+// own query. Besides the time it reports read-frac, the vector bytes the
+// gathers read over what reading every candidate's row in full would take
+// — the share of the traffic the bound leaves. The saturated variants
+// (gist at λ = 1 000, sift at 1 600) run GOMAXPROCS such queries at once
+// (b.RunParallel), so no core is idle for a helper: what splitting a query
+// costs a loaded machine. The cells SQ8 is decided on run a second time,
+// as …/sq8, on an SQ8 mirror of the same index at the default re-rank
+// depth: gist at λ = 1 000, alone and saturated, and sift at 800 and
+// 1 600, alone and saturated at 1 600. Re-running it with another
+// boundStride (and the assembly's checkpoint mask to match), or with
+// splitBytes past every shape, gives the sweeps in docs/PERFORMANCE.md,
+// "Bounded verification" and "Verifying on the idle core"; its /sq8 pairs
+// give "Optional mechanisms on the frontier".
 func BenchmarkVerify(b *testing.B) {
 	const n, nq, m, k = 50_000, 200, 64, 10
+	type cell struct {
+		lambda           int
+		saturated, pairs bool // pairs: also run on the SQ8 mirror
+	}
+	cells := map[string][]cell{
+		"sift": {{lambda: 100}, {lambda: 300}, {lambda: 800, pairs: true}, {lambda: 1000},
+			{lambda: 1600, pairs: true}, {lambda: 3000}, {lambda: 1600, saturated: true, pairs: true}},
+		"gist": {{lambda: 100}, {lambda: 300}, {lambda: 1000, pairs: true}, {lambda: 3000},
+			{lambda: 1000, saturated: true, pairs: true}},
+	}
 	for _, preset := range []string{"sift", "gist"} {
 		var (
-			ix      *Index
-			queries [][]float32
-			hqs     [][]int32
+			exact, sq8 *Index
+			queries    [][]float32
+			hqs        [][]int32
 		)
-		setup := func(b *testing.B) {
-			if ix != nil {
-				return
-			}
-			spec, err := dataset.Preset(preset, n, nq, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ds, err := dataset.Generate(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			store, err := ds.FlatData()
-			if err != nil {
-				b.Fatal(err)
-			}
-			ix, err = BuildStore(store, lshfamily.NewRandomProjection(store.Dim(), nnWidth(store)), Params{M: m, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			queries = ds.Queries
-			hqs = make([][]int32, len(queries))
-			for i, q := range queries {
-				hqs[i] = ix.HashQuery(q, nil)
-			}
-		}
-		for _, lambda := range []int{100, 300, 1000, 3000} {
-			b.Run(fmt.Sprintf("%s/lambda=%d", preset, lambda), func(b *testing.B) {
-				setup(b)
-				var best pqueue.KBest
-				var read, full int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					qi := i % len(queries)
-					best.Reset(k)
-					st := ix.SearchScan(queries[qi], hqs[qi], k, lambda, Scan{}, &best)
-					read += st.BytesScanned
-					full += int64(st.Candidates) * int64(ix.store.Dim()) * 4
+		setup := func(b *testing.B, quantized bool) *Index {
+			if exact == nil {
+				spec, err := dataset.Preset(preset, n, nq, 1)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
-				b.ReportMetric(float64(read)/float64(full), "read-frac")
-			})
-		}
-		if preset != "gist" {
-			continue
-		}
-		b.Run("gist-saturated/lambda=1000", func(b *testing.B) {
-			setup(b)
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				var best pqueue.KBest
-				for pb.Next() {
-					qi := int(next.Add(1)) % len(queries)
-					best.Reset(k)
-					ix.SearchScan(queries[qi], hqs[qi], k, 1000, Scan{}, &best)
+				ds, err := dataset.Generate(spec)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
-		})
+				store, err := ds.FlatData()
+				if err != nil {
+					b.Fatal(err)
+				}
+				exact, err = BuildStore(store, lshfamily.NewRandomProjection(store.Dim(), nnWidth(store)), Params{M: m, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				queries = ds.Queries
+				hqs = make([][]int32, len(queries))
+				for i, q := range queries {
+					hqs[i] = exact.HashQuery(q, nil)
+				}
+			}
+			if !quantized {
+				return exact
+			}
+			if sq8 == nil {
+				// The same rows and CSA, verified through the mirror.
+				sq8 = &Index{family: exact.family, funcs: exact.funcs, metric: exact.metric, store: exact.store, csa: exact.csa, m: exact.m, seed: exact.seed}
+				sq8.initPool()
+				sq8.EnableSQ8(vec.QuantizeSQ8(exact.store), 0)
+			}
+			return sq8
+		}
+		for _, c := range cells[preset] {
+			for _, quantized := range []bool{false, true} {
+				if quantized && !c.pairs {
+					continue
+				}
+				name := fmt.Sprintf("%s/lambda=%d", preset, c.lambda)
+				if c.saturated {
+					name = fmt.Sprintf("%s-saturated/lambda=%d", preset, c.lambda)
+				}
+				if quantized {
+					name += "/sq8"
+				}
+				b.Run(name, func(b *testing.B) {
+					ix := setup(b, quantized)
+					if c.saturated {
+						var next atomic.Int64
+						b.ResetTimer()
+						b.RunParallel(func(pb *testing.PB) {
+							var best pqueue.KBest
+							for pb.Next() {
+								qi := int(next.Add(1)) % len(queries)
+								best.Reset(k)
+								ix.Open(queries[qi], hqs[qi], 0, nil).Verify(c.lambda+k-1, &best)
+							}
+						})
+						b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+						return
+					}
+					var best pqueue.KBest
+					var read, full int64
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						qi := i % len(queries)
+						best.Reset(k)
+						st := ix.Open(queries[qi], hqs[qi], 0, nil).Verify(c.lambda+k-1, &best)
+						read += st.BytesScanned
+						full += int64(st.Candidates) * int64(ix.store.Dim()) * 4
+					}
+					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+					b.ReportMetric(float64(read)/float64(full), "read-frac")
+				})
+			}
+		}
 	}
 }
 

@@ -262,8 +262,9 @@ func TestQueryConformance(t *testing.T) {
 }
 
 // segmentMerge is the per-segment reference for one query of s: each
-// segment's own k nearest (core.SearchInto) under the budget rule and the
-// k₀ trade a cursor fetch makes (segSet.scan), shifted by the segment's
+// segment's own k nearest (core.SearchInto) under the budget rule, its
+// (k, λ) traded so that core's λ + k − 1 is the λ + k₀ − 1 candidates
+// segSet.scan verifies on a cursor fetch, shifted by the segment's
 // offset, with the tail's brute-force rows, sorted by (Dist, slot), cut
 // to k and mapped to external ids. Valid on sets without tombstones and
 // unfiltered queries only.
@@ -512,7 +513,7 @@ func TestNonFiniteRejected(t *testing.T) {
 // are exactly these.
 func TestSearchSurface(t *testing.T) {
 	facade := []string{"Search", "SearchBatch", "SearchCursor", "SearchInto", "SearchQuery"}
-	coreSet := []string{"Search", "SearchInto", "SearchScan"}
+	coreSet := []string{"Search", "SearchInto"}
 	for _, tc := range []struct {
 		v    any
 		want []string

@@ -96,13 +96,22 @@ type segment struct {
 
 // setCtx is the pooled scratch of one query: H(q), computed once for
 // every segment, and the one k-best collector every source verifies
-// into.
+// into. accept is a filtered scan's predicate, bound once per context: it
+// tests the scanned segment's row against the query's filter (f, attrs),
+// so that a scan allocates no closure for it.
 type setCtx struct {
-	hq   []int32
-	best pqueue.KBest
+	hq     []int32
+	best   pqueue.KBest
+	f      *Filter
+	attrs  *vec.MetaStore
+	accept func(local int) bool
 }
 
-var setCtxs = sync.Pool{New: func() any { return new(setCtx) }}
+var setCtxs = sync.Pool{New: func() any {
+	c := new(setCtx)
+	c.accept = func(local int) bool { return c.f.Matches(c.attrs.Row(local)) }
+	return c
+}}
 
 // adopt makes the set the state of a DynamicIndex (dynamic) or an Index:
 // the id map is materialised for a DynamicIndex, which allocates from it,
@@ -331,42 +340,35 @@ func (s *segSet) segBudget(lambda int) int {
 	return (lambda + n - 1) / n
 }
 
-// scan is the one per-segment step of every query: it runs segment i's
-// core search over H(q) = hq for the k nearest under budget lambda,
-// offering every verified row to best under its slot, and records a
-// shard_scan span with rows-compared, candidates-verified, and
-// bytes-scanned counters when traced. Tombstoned rows are dropped inside
-// the candidate stream on every path (core.Scan.Dead), so the results
-// are all live and a dead row is neither a candidate nor filter-rejected.
-// What differs is the budget. inStream — every filtered query — drops
-// dead rows (and rows failing f) for free. Otherwise a dropped dead row
-// uses one slot of a budget widened by the segment's tombstone count,
-// never past what the segment holds: the scan consumes the stream prefix
-// λ + min(k0+dead, len) − 1 it always has. The candidates are always
-// those of a k0-nearest query; k > k0 (a cursor's later page) verifies
-// more of them, never others.
-func (s *segSet) scan(i int, q []float32, hq []int32, k, k0, lambda int, f *Filter, inStream bool, best *pqueue.KBest, tr *Trace, parent int) core.SearchStats {
+// scan is the one per-segment step of every query: it opens segment i's
+// candidate stream over H(q) = ctx.hq and verifies its first λ + k0 − 1
+// candidates into ctx.best under their slots, recording a shard_scan span
+// with rows-compared, candidates-verified, and bytes-scanned counters when
+// traced. Tombstoned rows are dropped inside the stream on every path, so
+// the results are all live and a dead row is neither a candidate nor
+// filter-rejected. What differs is the count. A filtered query drops dead
+// rows (and rows failing f) for free. Otherwise each dropped dead row uses
+// one unit of a count widened by the segment's tombstone count, never past
+// what the segment holds: the scan consumes the stream prefix
+// λ + min(k0+dead, len) − 1 it always has. The candidates are always those
+// of a k0-nearest query; a collector deeper than k0 (a cursor's later
+// page) ranks more of them, never others.
+func (s *segSet) scan(i int, q []float32, ctx *setCtx, k0, lambda int, f *Filter, tr *Trace, parent int) core.SearchStats {
 	seg := &s.segs[i]
-	sc := core.Scan{Offset: seg.off, Dead: s.dead.words}
-	if !inStream {
-		// The allowance, and the one bit that tells the two paths apart:
-		// ROADMAP's λ-pinning follow-up deletes these lines together with
-		// the per-segment dead counters.
-		n := seg.core.N()
-		k, k0 = min(k, n), min(k0, n)
-		lambda += min(seg.dead, n-k0)
-		sc.ChargeDead = true
-	} else if !f.Empty() {
-		sc.Accept = func(local int) bool { return f.Matches(seg.attrs.Row(local)) }
-	}
-	if k > k0 {
-		// The core verifies λ+k−1 candidates: trade budget for fetch size.
-		nCand := lambda + k0 - 1
-		k = min(k, nCand)
-		lambda = nCand - k + 1
-	}
 	sp := tr.StartShardSpan(obs.StageShardScan, parent, i)
-	stats := seg.core.SearchScan(q, hq, k, lambda, sc, best)
+	st := seg.core.Open(q, ctx.hq, seg.off, s.dead.words)
+	allowance := 0
+	if f.Empty() {
+		// The stream's allowance: ROADMAP item 6 deletes these lines,
+		// ChargeDead and the per-segment dead counters together.
+		k0 = min(k0, seg.core.N())
+		allowance = min(seg.dead, seg.core.N()-k0)
+		st.ChargeDead()
+	} else {
+		ctx.f, ctx.attrs = f, seg.attrs
+		st.Filter(ctx.accept)
+	}
+	stats := st.Verify(lambda+k0-1+allowance, &ctx.best)
 	if tr != nil {
 		obs.ObserveDur(obs.StageShardScan, tr.FinishSpanCost(sp, int64(stats.Comparisons), int64(stats.Candidates), stats.BytesScanned))
 	}
@@ -415,7 +417,6 @@ func (s *segSet) searchQuery(q []float32, qr Query, first int, dst []Neighbor) (
 		return nil, nil
 	}
 	f, tr := qr.Filter, qr.Trace
-	inStream := !f.Empty()
 	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
 	ctx := setCtxs.Get().(*setCtx)
 	ctx.best.Reset(k)
@@ -425,7 +426,7 @@ func (s *segSet) searchQuery(q []float32, qr Query, first int, dst []Neighbor) (
 	}
 	lamSeg := s.segBudget(lambda)
 	for i := range s.segs {
-		qr.Cost.addStats(s.scan(i, q, ctx.hq, k, k0, lamSeg, f, inStream, &ctx.best, tr, root)) // nil-safe
+		qr.Cost.addStats(s.scan(i, q, ctx, k0, lamSeg, f, tr, root)) // nil-safe
 	}
 	sources := len(s.segs)
 	if s.dynamic {
@@ -442,6 +443,7 @@ func (s *segSet) searchQuery(q []float32, qr Query, first int, dst []Neighbor) (
 		mergeSpan = tr.StartSpan(obs.StageMerge, root)
 	}
 	dst = ctx.best.AppendSorted(dst[:0])
+	ctx.f, ctx.attrs = nil, nil
 	setCtxs.Put(ctx)
 	if s.ids != nil {
 		// Results leave in the stable external id space.

@@ -7,7 +7,8 @@ import "math/bits"
 // set grows only when a slot beyond it is set. It is not synchronized:
 // a DynamicIndex mutates its set under the write lock and hands
 // snapshots a Clone; an Index never mutates its own. The query
-// path probes the words directly (core.Scan.Dead).
+// path probes the words directly, inside each segment's candidate
+// stream (core.Index.Open).
 type slotSet struct {
 	words []uint64
 	count int

@@ -152,12 +152,17 @@ func (st *tombState) buffer(all []pqueue.Neighbor, q []float32, f *Filter) []pqu
 	return all
 }
 
-// shardSearch is one shard's k nearest under budget lambda and sc, in
-// the set's slot space.
-func shardSearch(c *core.Index, q []float32, k, lambda int, sc core.Scan) []pqueue.Neighbor {
+// shardSearch is one shard's k nearest under budget lambda — the first
+// λ + k − 1 candidates of its stream, restricted to accept when non-nil —
+// in the set's slot space, the shard starting at slot off.
+func shardSearch(c *core.Index, q []float32, k, lambda, off int, accept func(local int) bool) []pqueue.Neighbor {
 	var best pqueue.KBest
 	best.Reset(k)
-	c.SearchScan(q, c.HashQuery(q, nil), k, lambda, sc, &best)
+	st := c.Open(q, c.HashQuery(q, nil), off, nil)
+	if accept != nil {
+		st.Filter(accept)
+	}
+	st.Verify(lambda+k-1, &best)
 	return best.Sorted()
 }
 
@@ -174,7 +179,7 @@ func (st *tombState) overfetch(q []float32, k, lambda int) []Neighbor {
 				dead++
 			}
 		}
-		res := shardSearch(sh.core, q, min(k+dead, sh.core.N()), st.split(lambda), core.Scan{Offset: sh.off})
+		res := shardSearch(sh.core, q, min(k+dead, sh.core.N()), st.split(lambda), sh.off, nil)
 		for _, nb := range res {
 			if !st.dead(nb.ID) {
 				all = append(all, nb)
@@ -194,7 +199,7 @@ func (st *tombState) inStream(q []float32, k, budget int, f *Filter, keep int) [
 	for _, sh := range st.shards {
 		off := sh.off
 		accept := func(local int) bool { return !st.dead(off+local) && f.Matches(st.attrs(off+local)) }
-		res := shardSearch(sh.core, q, k, budget, core.Scan{Offset: off, Accept: accept})
+		res := shardSearch(sh.core, q, k, budget, off, accept)
 		all = append(all, res...)
 	}
 	return st.top(st.buffer(all, q, f), keep)
@@ -218,7 +223,7 @@ func (st *tombState) candidates(q []float32, k0, lambda int, f *Filter) []Neighb
 			}
 		}
 		prefix := st.split(lambda) + min(k0+dead, sh.core.N()) - 1
-		res := shardSearch(sh.core, q, prefix, 1, core.Scan{Offset: sh.off})
+		res := shardSearch(sh.core, q, prefix, 1, sh.off, nil)
 		for _, nb := range res {
 			if !st.dead(nb.ID) {
 				all = append(all, nb)
