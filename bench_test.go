@@ -188,11 +188,7 @@ func BenchmarkAblationMaxGap(b *testing.B) {
 	}
 	fam := lshfamily.NewRandomProjection(d, 4)
 	for _, gap := range []int{1, 2, 4, 8} {
-		ix, err := core.BuildMP(data, fam, core.MPParams{
-			Params: core.Params{M: m, Seed: 1},
-			Probes: 2*m + 1,
-			MaxGap: gap,
-		})
+		ix, err := core.Build(data, fam, core.Params{M: m, Seed: 1, Probes: 2*m + 1, MaxGap: gap})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +284,7 @@ func BenchmarkMethodsQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mpIx, err := core.BuildMP(data, fam, core.MPParams{Params: core.Params{M: 32, Seed: 1}, Probes: 65})
+	mpIx, err := core.Build(data, fam, core.Params{M: 32, Seed: 1, Probes: 65})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func TestBuildValidation(t *testing.T) {
 	if ix.N() != 10 || ix.M() != 8 {
 		t.Fatalf("N,M = %d,%d", ix.N(), ix.M())
 	}
-	if ix.Family() != fam || ix.Metric() != vec.Euclidean {
+	if ix.family != fam || ix.Metric() != vec.Euclidean {
 		t.Error("accessors wrong")
 	}
 	if ix.Bytes() <= 0 {
@@ -98,8 +98,8 @@ func TestBuildValidation(t *testing.T) {
 	if len(ix.HashQuery(data[0], nil)) != 8 {
 		t.Error("HashQuery length wrong")
 	}
-	if !vec.Equal(ix.Data(3), data[3]) {
-		t.Error("Data accessor wrong")
+	if !vec.Equal(ix.Store().Row(3), data[3]) {
+		t.Error("Store row wrong")
 	}
 }
 
@@ -135,7 +135,7 @@ func TestBuildDeterministicWithSeed(t *testing.T) {
 func hashStringsDistinct(ix *Index) bool {
 	seen := map[string]bool{}
 	for id := 0; id < ix.N(); id++ {
-		h := ix.HashQuery(ix.Data(id), nil)
+		h := ix.HashQuery(ix.Store().Row(id), nil)
 		key := fmt.Sprint(h)
 		if seen[key] {
 			return false

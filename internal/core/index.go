@@ -48,12 +48,33 @@ type Params struct {
 	// Seed drives all randomness (hash function draws); equal seeds
 	// yield identical indexes.
 	Seed uint64
+	// Probes is the number of probing sequences per query of MP-LCCS-LSH
+	// (§4.2), the unperturbed one included; the family's hash functions
+	// must implement lshfamily.ProbeFunc. The paper evaluates
+	// #probes ∈ {1, m+1, 2m+1, 4m+1, 8m+1}; Probes ≤ 1 is single-probe
+	// LCCS-LSH.
+	Probes int
+	// MaxGap bounds the gap between adjacent modified positions in a
+	// perturbation vector. The paper sets MAX_GAP = 2 in practice; 0
+	// selects that default.
+	MaxGap int
 }
+
+// defaultMaxGap is the paper's practical MAX_GAP setting.
+const defaultMaxGap = 2
+
+// maxAlt bounds the per-position alternative list length of a probe —
+// ample: a position is rarely re-perturbed more than a few times before
+// the score outgrows other positions.
+const maxAlt = 16
 
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
 	if p.M <= 0 {
 		return fmt.Errorf("core: M must be positive, got %d", p.M)
+	}
+	if p.Probes < 0 || p.MaxGap < 0 {
+		return fmt.Errorf("core: Probes and MaxGap must be non-negative, got %d and %d", p.Probes, p.MaxGap)
 	}
 	return nil
 }
@@ -86,9 +107,8 @@ type SearchStats struct {
 	FilterRejected int
 }
 
-// Index is an LCCS-LSH index over a fixed dataset: single-probe as
-// built, multi-probe once WrapMP has installed probe state on it.
-// It is safe for concurrent queries.
+// Index is an LCCS-LSH index over a fixed dataset, or an MP-LCCS-LSH one
+// when built with Params.Probes > 1. It is safe for concurrent queries.
 type Index struct {
 	family lshfamily.Family
 	funcs  []lshfamily.Func
@@ -104,9 +124,11 @@ type Index struct {
 	sq8    *vec.SQ8Store
 	rerank int
 
-	// mp, when non-nil, is the multi-probe state WrapMP installed: every
-	// search then begins with its perturbed probes.
-	mp *MPIndex
+	// pfuncs, when non-nil, are the probing hooks of funcs on an
+	// MP-LCCS-LSH index: every search then begins with the probes−1
+	// perturbed probes of Algorithm 3, under the maxGap limit.
+	pfuncs         []lshfamily.ProbeFunc
+	probes, maxGap int
 
 	buildTime time.Duration
 	// ctxs pools searchCtx values: all per-query scratch in one object,
@@ -191,6 +213,17 @@ func BuildStore(store *vec.Store, family lshfamily.Family, p Params) (*Index, er
 	start := time.Now()
 	g := rng.New(p.Seed)
 	funcs := lshfamily.NewFuncs(family, p.M, g)
+	var pfuncs []lshfamily.ProbeFunc
+	if p.Probes > 1 {
+		var ok bool
+		if pfuncs, ok = lshfamily.ProbeFuncs(funcs); !ok {
+			return nil, fmt.Errorf("core: family %q does not support multi-probe", family.Name())
+		}
+	}
+	maxGap := p.MaxGap
+	if maxGap == 0 {
+		maxGap = defaultMaxGap
+	}
 
 	// Hash all objects in parallel; the flat block is handed straight to
 	// the CSA.
@@ -225,6 +258,9 @@ func BuildStore(store *vec.Store, family lshfamily.Family, p Params) (*Index, er
 		csa:    csa.NewFromFlat(flat, n, m),
 		m:      m,
 		seed:   p.Seed,
+		pfuncs: pfuncs,
+		probes: p.Probes,
+		maxGap: maxGap,
 	}
 	ix.initPool()
 	ix.buildTime = time.Since(start)
@@ -239,9 +275,6 @@ func (ix *Index) Seed() uint64 { return ix.seed }
 
 // N returns the number of indexed objects.
 func (ix *Index) N() int { return ix.store.Len() }
-
-// Family returns the LSH family backing the index.
-func (ix *Index) Family() lshfamily.Family { return ix.family }
 
 // Metric returns the index's distance metric.
 func (ix *Index) Metric() vec.Metric { return ix.metric }
@@ -378,8 +411,8 @@ func (ix *Index) Open(q []float32, hq []int32, off int, dead []uint64) *Stream {
 func (ix *Index) open(ctx *searchCtx, q []float32, hq []int32, off int, dead []uint64) *Stream {
 	ctx.s.Begin(hq)
 	probes := 1
-	if ix.mp != nil { // the one place single- and multi-probe differ
-		probes += ix.mp.issueProbes(ctx, q, hq)
+	if ix.pfuncs != nil { // the one place single- and multi-probe differ
+		probes += ix.issueProbes(ctx, q, hq)
 	}
 	ctx.st = Stream{ix: ix, ctx: ctx, q: q, off: uint(off), dead: dead, probes: probes}
 	return &ctx.st
@@ -539,10 +572,6 @@ func (ix *Index) scoreExact(ids []int32, dists []float64, q []float32, off int, 
 	}
 	return int64(len(ids)) * int64(ix.store.Dim()) * 4
 }
-
-// Data returns the indexed vector with the given id (a view into the
-// flat store; treat it as read-only).
-func (ix *Index) Data(id int) []float32 { return ix.store.Row(id) }
 
 // Store returns the flat vector store backing the index (read-only).
 func (ix *Index) Store() *vec.Store { return ix.store }

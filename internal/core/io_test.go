@@ -129,6 +129,10 @@ func TestCoreDecodeRejectsMismatches(t *testing.T) {
 	}
 }
 
+// TestWrapMPValidation checks the multi-probe state Build wraps around an
+// index: it leaves the base index as a single-probe build of the same seed
+// encodes it, issues the requested probe count, and is refused for a
+// family without probe functions.
 func TestWrapMPValidation(t *testing.T) {
 	g := rng.New(83)
 	data := clusteredData(g, 100, 8, 4, 0.5)
@@ -137,14 +141,24 @@ func TestWrapMPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WrapMP(base, MPParams{Params: Params{M: 8}, Probes: 3}); err == nil {
-		t.Error("mismatched M should fail")
+	if _, err := Build(data, noProbeFamily{fam}, Params{M: 16, Seed: 11, Probes: 5}); err == nil {
+		t.Error("a family without probe functions should fail")
 	}
-	mp, err := WrapMP(base, MPParams{Params: Params{M: 16}, Probes: 5})
+	mp, err := Build(data, fam, Params{M: 16, Seed: 11, Probes: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mp.Probes() != 5 {
-		t.Fatalf("probes = %d", mp.Probes())
+	if got := probesOf(mp, data[0]); got != 5 {
+		t.Fatalf("probes = %d, want 5", got)
+	}
+	var a, b bytes.Buffer
+	if err := base.Encode(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := mp.Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("multi-probe index encodes differently from its single-probe base")
 	}
 }

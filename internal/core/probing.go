@@ -95,3 +95,24 @@ func generatePerturbations(alts [][]lshfamily.Alternative, probes, maxGap int) [
 	}
 	return out
 }
+
+// issueProbes issues the probes−1 perturbed probes of Algorithm 3 into
+// the CSA scan the caller has begun over hq = H(q); it returns how many
+// it issued.
+func (ix *Index) issueProbes(ctx *searchCtx, q []float32, hq []int32) int {
+	alts := min(maxAlt, ix.probes)
+	for i, pf := range ix.pfuncs {
+		ctx.alts[i] = pf.Alternatives(q, alts, ctx.alts[i])
+	}
+	perts := generatePerturbations(ctx.alts, ix.probes, ix.maxGap)
+	for _, p := range perts {
+		copy(ctx.probeStr, hq)
+		ctx.modPos = ctx.modPos[:0]
+		for _, md := range p.mods {
+			ctx.probeStr[md.pos] = ctx.alts[md.pos][md.alt].Value
+			ctx.modPos = append(ctx.modPos, md.pos)
+		}
+		ctx.affected = ctx.s.Probe(ctx.probeStr, ctx.modPos, ctx.affected)
+	}
+	return len(perts)
+}

@@ -146,25 +146,59 @@ func TestGeneratePerturbationsFirstIsGlobalMin(t *testing.T) {
 	}
 }
 
+// noProbeFamily is a random-projection family whose hash functions do not
+// implement lshfamily.ProbeFunc.
+type noProbeFamily struct{ lshfamily.Family }
+
+type noProbeFunc struct{ f lshfamily.Func }
+
+func (h noProbeFunc) Hash(v []float32) int32          { return h.f.Hash(v) }
+func (f noProbeFamily) New(g *rng.RNG) lshfamily.Func { return noProbeFunc{f.Family.New(g)} }
+
+// probesOf reports the probing sequences one query on ix issues.
+func probesOf(ix *Index, q []float32) int {
+	var best pqueue.KBest
+	best.Reset(1)
+	return ix.Open(q, ix.HashQuery(q, nil), 0, nil).Verify(1, &best).Probes
+}
+
 func TestBuildMPValidation(t *testing.T) {
 	g := rng.New(20)
 	data := clusteredData(g, 50, 8, 4, 0.3)
 	fam := lshfamily.NewRandomProjection(8, 8)
-	if _, err := BuildMP(data, fam, MPParams{Params: Params{M: 8}, Probes: 0}); err == nil {
-		t.Error("Probes=0 should fail")
+	if _, err := Build(data, fam, Params{M: 8, Probes: -1}); err == nil {
+		t.Error("Probes=-1 should fail")
 	}
-	if _, err := BuildMP(data, fam, MPParams{Params: Params{M: 0}, Probes: 2}); err == nil {
+	if _, err := Build(data, fam, Params{M: 8, Probes: 2, MaxGap: -1}); err == nil {
+		t.Error("MaxGap=-1 should fail")
+	}
+	if _, err := Build(data, fam, Params{M: 0, Probes: 2}); err == nil {
 		t.Error("M=0 should fail")
 	}
-	mp, err := BuildMP(data, fam, MPParams{Params: Params{M: 8}, Probes: 9})
+	if _, err := Build(data, noProbeFamily{fam}, Params{M: 8, Probes: 3}); err == nil {
+		t.Error("a family without probe functions should fail with Probes=3")
+	}
+	if _, err := Build(data, noProbeFamily{fam}, Params{M: 8, Probes: 1}); err != nil {
+		t.Errorf("a family without probe functions builds single-probe: %v", err)
+	}
+	mp, err := Build(data, fam, Params{M: 8, Probes: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mp.Probes() != 9 {
-		t.Errorf("Probes = %d", mp.Probes())
+	if got := probesOf(mp, data[0]); got != 9 {
+		t.Errorf("Probes = %d, want 9", got)
 	}
-	if mp.maxGap != DefaultMaxGap || mp.maxAlt != defaultMaxAlt {
-		t.Error("defaults not applied")
+	if mp.maxGap != defaultMaxGap {
+		t.Error("default MaxGap not applied")
+	}
+	for _, probes := range []int{0, 1} {
+		ix, err := Build(data, fam, Params{M: 8, Probes: probes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.pfuncs != nil || probesOf(ix, data[0]) != 1 {
+			t.Errorf("Probes=%d should build single-probe LCCS-LSH", probes)
+		}
 	}
 }
 
@@ -175,11 +209,11 @@ func TestMPSearchSelfQuery(t *testing.T) {
 		data[i] = g.UniformVector(12, -10, 10)
 	}
 	fam := lshfamily.NewRandomProjection(12, 2)
-	mp, err := BuildMP(data, fam, MPParams{Params: Params{M: 32, Seed: 1}, Probes: 17})
+	mp, err := Build(data, fam, Params{M: 32, Seed: 1, Probes: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hashStringsDistinct(mp.Index) {
+	if !hashStringsDistinct(mp) {
 		t.Skip("hash strings collided; self-query rank not guaranteed")
 	}
 	for id := 0; id < 300; id += 61 {
@@ -194,14 +228,14 @@ func TestMPSearchStatsProbes(t *testing.T) {
 	g := rng.New(24)
 	data := clusteredData(g, 200, 8, 4, 0.3)
 	fam := lshfamily.NewRandomProjection(8, 8)
-	mp, _ := BuildMP(data, fam, MPParams{Params: Params{M: 16, Seed: 1}, Probes: 9})
+	mp, _ := Build(data, fam, Params{M: 16, Seed: 1, Probes: 9})
 	var best pqueue.KBest
 	best.Reset(5)
 	st := mp.Open(data[0], mp.HashQuery(data[0], nil), 0, nil).Verify(20+5-1, &best)
 	if st.Probes != 9 {
 		t.Errorf("Probes = %d, want 9", st.Probes)
 	}
-	mp1, _ := BuildMP(data, fam, MPParams{Params: Params{M: 16, Seed: 1}, Probes: 1})
+	mp1, _ := Build(data, fam, Params{M: 16, Seed: 1, Probes: 1})
 	st1 := mp1.Open(data[0], mp1.HashQuery(data[0], nil), 0, nil).Verify(20+5-1, &best)
 	if st1.Probes != 1 {
 		t.Errorf("Probes = %d, want 1", st1.Probes)
@@ -221,7 +255,7 @@ func TestMPImprovesRecallAtSmallM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := BuildMP(data, fam, MPParams{Params: Params{M: m, Seed: 3}, Probes: 4*m + 1})
+	multi, err := Build(data, fam, Params{M: m, Seed: 3, Probes: 4*m + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +282,7 @@ func TestMPSearchCrossPolytope(t *testing.T) {
 		vec.NormalizeInPlace(v)
 	}
 	fam := lshfamily.NewCrossPolytope(d)
-	mp, err := BuildMP(data, fam, MPParams{Params: Params{M: 32, Seed: 5}, Probes: 33})
+	mp, err := Build(data, fam, Params{M: 32, Seed: 5, Probes: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +305,8 @@ func TestMPConcurrentQueries(t *testing.T) {
 		data[i] = g.UniformVector(8, -10, 10)
 	}
 	fam := lshfamily.NewRandomProjection(8, 2)
-	mp, _ := BuildMP(data, fam, MPParams{Params: Params{M: 32, Seed: 4}, Probes: 17})
-	if !hashStringsDistinct(mp.Index) {
+	mp, _ := Build(data, fam, Params{M: 32, Seed: 4, Probes: 17})
+	if !hashStringsDistinct(mp) {
 		t.Skip("hash strings collided; self-query rank not guaranteed")
 	}
 	done := make(chan bool)

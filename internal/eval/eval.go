@@ -15,44 +15,16 @@ import (
 	"lccs/internal/pqueue"
 )
 
-// Method is one fully configured ANN method ready to answer k-NN queries.
-type Method interface {
-	// Name is the method's display name ("LCCS-LSH", "E2LSH", ...).
-	Name() string
-	// Config describes this configuration (e.g. "m=128 λ=40").
-	Config() string
-	// Bytes is the index memory footprint.
-	Bytes() int64
-	// BuildTime is the indexing wall-clock time.
-	BuildTime() time.Duration
-	// Search answers a k-NN query.
-	Search(q []float32, k int) []pqueue.Neighbor
-}
-
-// Runner adapts an index + parameter closure into a Method.
+// Runner is one fully configured ANN method ready to answer k-NN
+// queries: its display name ("LCCS-LSH", "E2LSH", ...), its configuration
+// (e.g. "m=128 λ=40"), its index footprint and indexing wall-clock time,
+// and its search.
 type Runner struct {
 	MethodName string
 	ConfigDesc string
 	IndexBytes int64
 	IndexTime  time.Duration
 	SearchFunc func(q []float32, k int) []pqueue.Neighbor
-}
-
-// Name implements Method.
-func (r *Runner) Name() string { return r.MethodName }
-
-// Config implements Method.
-func (r *Runner) Config() string { return r.ConfigDesc }
-
-// Bytes implements Method.
-func (r *Runner) Bytes() int64 { return r.IndexBytes }
-
-// BuildTime implements Method.
-func (r *Runner) BuildTime() time.Duration { return r.IndexTime }
-
-// Search implements Method.
-func (r *Runner) Search(q []float32, k int) []pqueue.Neighbor {
-	return r.SearchFunc(q, k)
 }
 
 // Recall is the fraction of the true k-NN ids present in got (§6.2). want
@@ -137,40 +109,10 @@ func (r Result) String() string {
 		float64(r.IndexBytes)/(1<<20), r.IndexTimeMS)
 }
 
-// Evaluate runs every query through m (single-threaded, matching the
-// paper's measurement methodology) and aggregates metrics against the
-// exact truth.
-func Evaluate(m Method, queries [][]float32, truth [][]pqueue.Neighbor, k int) Result {
-	if len(queries) != len(truth) {
-		panic("eval: queries/truth length mismatch")
-	}
-	var recall, ratio float64
-	start := time.Now()
-	results := make([][]pqueue.Neighbor, len(queries))
-	for i, q := range queries {
-		results[i] = m.Search(q, k)
-	}
-	elapsed := time.Since(start)
-	for i := range queries {
-		recall += Recall(results[i], truth[i])
-		ratio += Ratio(results[i], truth[i])
-	}
-	nq := float64(len(queries))
-	return Result{
-		Method:      m.Name(),
-		Config:      m.Config(),
-		K:           k,
-		Recall:      recall / nq,
-		Ratio:       ratio / nq,
-		QueryTimeMS: float64(elapsed.Milliseconds()) / nq,
-		IndexBytes:  m.Bytes(),
-		IndexTimeMS: float64(m.BuildTime().Milliseconds()),
-	}
-}
-
-// EvaluatePrecise is Evaluate with per-query nanosecond timing, for fast
-// queries where millisecond totals would round to zero.
-func EvaluatePrecise(m Method, queries [][]float32, truth [][]pqueue.Neighbor, k int) Result {
+// Evaluate runs every query through r (single-threaded, matching the
+// paper's measurement methodology), timing each to the nanosecond, and
+// aggregates metrics against the exact truth.
+func Evaluate(r *Runner, queries [][]float32, truth [][]pqueue.Neighbor, k int) Result {
 	if len(queries) != len(truth) {
 		panic("eval: queries/truth length mismatch")
 	}
@@ -178,21 +120,21 @@ func EvaluatePrecise(m Method, queries [][]float32, truth [][]pqueue.Neighbor, k
 	var total time.Duration
 	for i, q := range queries {
 		start := time.Now()
-		got := m.Search(q, k)
+		got := r.SearchFunc(q, k)
 		total += time.Since(start)
 		recall += Recall(got, truth[i])
 		ratio += Ratio(got, truth[i])
 	}
 	nq := float64(len(queries))
 	return Result{
-		Method:      m.Name(),
-		Config:      m.Config(),
+		Method:      r.MethodName,
+		Config:      r.ConfigDesc,
 		K:           k,
 		Recall:      recall / nq,
 		Ratio:       ratio / nq,
 		QueryTimeMS: total.Seconds() * 1000 / nq,
-		IndexBytes:  m.Bytes(),
-		IndexTimeMS: float64(m.BuildTime().Milliseconds()),
+		IndexBytes:  r.IndexBytes,
+		IndexTimeMS: float64(r.IndexTime.Milliseconds()),
 	}
 }
 

@@ -77,7 +77,7 @@ func mkRunner(name string, recallDist float64) *Runner {
 func TestEvaluateAggregates(t *testing.T) {
 	queries := [][]float32{{0}, {1}}
 	truth := [][]pqueue.Neighbor{nb(1, 1.0), nb(2, 1.0)}
-	r := EvaluatePrecise(mkRunner("M", 1.0), queries, truth, 1)
+	r := Evaluate(mkRunner("M", 1.0), queries, truth, 1)
 	if r.Method != "M" || r.Config != "cfg" || r.K != 1 {
 		t.Fatalf("metadata: %+v", r)
 	}

@@ -106,9 +106,8 @@ func TestSweepsProduceSaneResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweeps := euclideanSweeps()
-	for _, name := range methodOrderEuclidean {
-		rs := sweeps[name](e, opt)
+	for _, name := range e.methods() {
+		rs := e.sweep(name, opt.Quick)
 		if len(rs) == 0 {
 			t.Errorf("%s: no results", name)
 			continue
@@ -123,7 +122,17 @@ func TestSweepsProduceSaneResults(t *testing.T) {
 			if r.QueryTimeMS < 0 || r.IndexBytes < 0 {
 				t.Errorf("%s: negative accounting %+v", name, r)
 			}
+			// Figure 8 finds each printed row's configuration again.
+			if c, err := e.lookup(name, r.Config, opt.Quick); err != nil || c.method != name || len(c.lambdas) != 1 || c.label(c.lambdas[0]) != r.Config {
+				t.Errorf("%s: lookup(%q) = %+v, %v", name, r.Config, c, err)
+			}
 		}
+	}
+	if _, err := e.lookup("LCCS-LSH", "garbage", opt.Quick); err == nil {
+		t.Error("an unknown config should fail")
+	}
+	if _, err := e.lookup("NopeLSH", "m=1", opt.Quick); err == nil {
+		t.Error("an unknown method should fail")
 	}
 }
 
@@ -133,60 +142,11 @@ func TestSweepsAngular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweeps := angularSweeps()
-	for _, name := range methodOrderAngular {
-		rs := sweeps[name](e, opt)
+	for _, name := range e.methods() {
+		rs := e.sweep(name, opt.Quick)
 		if len(rs) == 0 {
 			t.Errorf("%s: no results", name)
 		}
-	}
-}
-
-func TestBuildRunnerRoundTrip(t *testing.T) {
-	opt := quickOpt(&bytes.Buffer{})
-	e, err := NewEnv("sift", vec.Euclidean, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string]string{
-		"LCCS-LSH":        "m=16 λ=10",
-		"MP-LCCS-LSH":     "m=16 probes=17 λ=10",
-		"E2LSH":           "K=4 L=8",
-		"Multi-Probe LSH": "K=4 L=4 T=8",
-		"C2LSH":           "m=32 l=8 B=100",
-		"QALSH":           "m=32 l=8 B=100",
-		"SRS":             "d'=6 B=100",
-	}
-	for method, config := range cases {
-		r, err := e.buildRunner(method, config)
-		if err != nil {
-			t.Fatalf("%s: %v", method, err)
-		}
-		res := r.Search(e.DS.Queries[0], 5)
-		if len(res) == 0 {
-			t.Fatalf("%s: no results from rebuilt runner", method)
-		}
-	}
-	if _, err := e.buildRunner("LCCS-LSH", "garbage"); err == nil {
-		t.Error("bad config should fail")
-	}
-	if _, err := e.buildRunner("NopeLSH", "m=1"); err == nil {
-		t.Error("unknown method should fail")
-	}
-}
-
-func TestBuildRunnerFALCONNAngular(t *testing.T) {
-	opt := quickOpt(&bytes.Buffer{})
-	e, err := NewEnv("sift", vec.Angular, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := e.buildRunner("FALCONN", "K=1 L=4 T=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Search(e.DS.Queries[0], 5)) == 0 {
-		t.Fatal("no results")
 	}
 }
 
@@ -284,10 +244,12 @@ var updateGolden = flag.Bool("update-golden", false,
 
 // TestPaperRecallGolden pins the recall of every configuration Figures 9
 // and 10 sweep at quick size — fig9: m × λ of single-probe LCCS-LSH; fig10:
-// #probes × λ of MP-LCCS-LSH (§4.2) — on seeded data, under both metrics.
-// Recall is exact per seed, unlike the timed Pareto frontier the figures
-// print, so a CSA, hashing or probing change that moves the paper's curves
-// fails here. 50 queries make a moved neighbour visible.
+// #probes × λ of MP-LCCS-LSH (§4.2) — on seeded data, under both metrics,
+// and the recall and ratio of every configuration of every method Figures 4
+// (Euclidean) and 5 (Angular) sweep at quick size. Recall is exact per
+// seed, unlike the timed Pareto frontier the figures print, so a CSA,
+// hashing, probing or baseline change that moves the paper's curves fails
+// here. 50 queries make a moved neighbour visible.
 func TestPaperRecallGolden(t *testing.T) {
 	opt := quickOpt(&bytes.Buffer{})
 	opt.NQ = 50
@@ -304,6 +266,24 @@ func TestPaperRecallGolden(t *testing.T) {
 	}
 	if err := fig10(opt, 16, record("fig10")); err != nil {
 		t.Fatal(err)
+	}
+	for _, fig := range []struct {
+		label  string
+		metric vec.Metric
+	}{
+		{"fig4", vec.Euclidean},
+		{"fig5", vec.Angular},
+	} {
+		e, err := NewEnv("sift", fig.metric, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range e.methods() {
+			for _, r := range e.sweep(name, opt.Quick) {
+				lines = append(lines, fmt.Sprintf("%s sift-%s %q %s recall=%.4f ratio=%.4f",
+					fig.label, fig.metric.Name(), r.Method, r.Config, r.Recall, r.Ratio))
+			}
+		}
 	}
 	got := strings.Join(lines, "\n") + "\n"
 	const path = "testdata/recall.golden"

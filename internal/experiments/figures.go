@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"lccs/internal/core"
 	"lccs/internal/eval"
 	"lccs/internal/vec"
 )
@@ -14,7 +13,7 @@ import (
 func Fig4(opt Options) error {
 	opt.fill()
 	fmt.Fprintf(opt.Out, "# Figure 4: query time vs recall, k=%d, Euclidean\n", opt.K)
-	return figQueryRecall(opt, vec.Euclidean, euclideanSweeps(), methodOrderEuclidean)
+	return figQueryRecall(opt, vec.Euclidean)
 }
 
 // Fig5 regenerates Figure 5: query time–recall curves under Angular
@@ -22,17 +21,17 @@ func Fig4(opt Options) error {
 func Fig5(opt Options) error {
 	opt.fill()
 	fmt.Fprintf(opt.Out, "# Figure 5: query time vs recall, k=%d, Angular\n", opt.K)
-	return figQueryRecall(opt, vec.Angular, angularSweeps(), methodOrderAngular)
+	return figQueryRecall(opt, vec.Angular)
 }
 
-func figQueryRecall(opt Options, metric vec.Metric, sweeps map[string]func(*Env, Options) []eval.Result, order []string) error {
+func figQueryRecall(opt Options, metric vec.Metric) error {
 	for _, dsName := range opt.Datasets {
 		e, err := NewEnv(dsName, metric, opt)
 		if err != nil {
 			return err
 		}
-		byMethod := runSweeps(e, opt, sweeps, order)
-		for _, m := range order {
+		byMethod := runSweeps(e, opt)
+		for _, m := range e.methods() {
 			printFrontier(opt.Out, dsName, byMethod[m])
 		}
 	}
@@ -45,26 +44,26 @@ func figQueryRecall(opt Options, metric vec.Metric, sweeps map[string]func(*Env,
 func Fig6(opt Options) error {
 	opt.fill()
 	fmt.Fprintf(opt.Out, "# Figure 6: query time vs index size / indexing time @50%% recall, k=%d, Euclidean\n", opt.K)
-	return figTradeoff(opt, vec.Euclidean, euclideanSweeps(), methodOrderEuclidean)
+	return figTradeoff(opt, vec.Euclidean)
 }
 
 // Fig7 regenerates Figure 7: the same trade-off under Angular distance.
 func Fig7(opt Options) error {
 	opt.fill()
 	fmt.Fprintf(opt.Out, "# Figure 7: query time vs index size / indexing time @50%% recall, k=%d, Angular\n", opt.K)
-	return figTradeoff(opt, vec.Angular, angularSweeps(), methodOrderAngular)
+	return figTradeoff(opt, vec.Angular)
 }
 
 const tradeoffRecallFloor = 0.5
 
-func figTradeoff(opt Options, metric vec.Metric, sweeps map[string]func(*Env, Options) []eval.Result, order []string) error {
+func figTradeoff(opt Options, metric vec.Metric) error {
 	for _, dsName := range opt.Datasets {
 		e, err := NewEnv(dsName, metric, opt)
 		if err != nil {
 			return err
 		}
-		byMethod := runSweeps(e, opt, sweeps, order)
-		for _, m := range order {
+		byMethod := runSweeps(e, opt)
+		for _, m := range e.methods() {
 			series := eval.BestAtRecallBySize(byMethod[m], tradeoffRecallFloor)
 			if len(series) == 0 {
 				fmt.Fprintf(opt.Out, "%-8s %-14s (no configuration reached %.0f%% recall)\n",
@@ -108,19 +107,15 @@ func Fig8(opt Options) error {
 		ks = []int{1, 10}
 	}
 	for _, metric := range []vec.Metric{vec.Euclidean, vec.Angular} {
-		var sweeps map[string]func(*Env, Options) []eval.Result
-		var order []string
-		if metric.Name() == "angular" {
-			sweeps, order = angularSweeps(), methodOrderAngular
-		} else {
-			sweeps, order = euclideanSweeps(), methodOrderEuclidean
-		}
 		e, err := NewEnv("sift", metric, opt)
 		if err != nil {
 			return err
 		}
-		byMethod := runSweeps(e, opt, sweeps, order)
-		for _, m := range order {
+		byMethod := runSweeps(e, opt)
+		for _, m := range e.methods() {
+			if len(byMethod[m]) == 0 {
+				continue // not selected, or no configuration built
+			}
 			best, ok := eval.BestAtRecall(byMethod[m], tradeoffRecallFloor)
 			if !ok {
 				// Fall back to the highest-recall configuration.
@@ -130,15 +125,18 @@ func Fig8(opt Options) error {
 					}
 				}
 			}
-			// Re-evaluate the chosen configuration across the k sweep.
-			runner, err := e.buildRunner(m, best.Config)
+			// Rebuild the chosen configuration and re-evaluate it
+			// across the k sweep.
+			c, err := e.lookup(m, best.Config, opt.Quick)
 			if err != nil {
 				return err
 			}
-			for _, k := range ks {
-				truth := e.TruthAt(k)
-				r := eval.EvaluatePrecise(runner, e.DS.Queries, truth, k)
-				fmt.Fprintf(opt.Out, "sift-%-9s k=%-3d %s\n", metric.Name(), k, r)
+			rs, err := e.evaluate(c, ks...)
+			if err != nil {
+				return err
+			}
+			for _, r := range rs {
+				fmt.Fprintf(opt.Out, "sift-%-9s k=%-3d %s\n", metric.Name(), r.K, r)
 			}
 		}
 	}
@@ -168,11 +166,11 @@ func fig9(opt Options, emit func(ds string, results []eval.Result)) error {
 		}
 		fam := e.family()
 		for _, m := range ms {
-			ix, err := core.Build(e.DS.Data, fam, core.Params{M: m, Seed: e.Seed})
+			rs, err := e.evaluate(e.lccs(fam, m, 0, e.lambdaGrid(opt.Quick)), e.K)
 			if err != nil {
 				return err
 			}
-			emit("sift-"+metric.Name(), lambdaSweep(e, "LCCS-LSH", fmt.Sprintf("m=%d", m), ix, e.lambdaGrid(opt.Quick)))
+			emit("sift-"+metric.Name(), rs)
 		}
 	}
 	return nil
@@ -209,14 +207,11 @@ func fig10(opt Options, m int, emit func(ds string, results []eval.Result)) erro
 		}
 		fam := e.family()
 		for _, probes := range probesGrid {
-			ix, err := core.BuildMP(e.DS.Data, fam, core.MPParams{
-				Params: core.Params{M: m, Seed: e.Seed},
-				Probes: probes,
-			})
+			rs, err := e.evaluate(e.lccs(fam, m, probes, lamGrid), e.K)
 			if err != nil {
 				return err
 			}
-			emit("sift-"+metric.Name(), lambdaSweep(e, "MP-LCCS-LSH", fmt.Sprintf("m=%d probes=%d", m, probes), ix.Index, lamGrid))
+			emit("sift-"+metric.Name(), rs)
 		}
 	}
 	return nil

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"lccs/internal/baseline/c2lsh"
 	"lccs/internal/baseline/e2lsh"
@@ -38,7 +40,7 @@ func (e *Env) tunedW() float64 {
 	return w
 }
 
-// grids returns (full, quick) integer grids.
+// pick returns the small grid in quick mode, the full one otherwise.
 func pick(quick bool, full, small []int) []int {
 	if quick {
 		return small
@@ -58,75 +60,6 @@ func (e *Env) lambdaGrid(quick bool) []int {
 	return out
 }
 
-// lambdaSweep evaluates one built LCCS index — single-probe, or carrying
-// the probe state of an MP-LCCS-LSH index — at every candidate budget of
-// grid. Each result's configuration is config followed by its λ.
-func lambdaSweep(e *Env, method, config string, ix *core.Index, grid []int) []eval.Result {
-	out := make([]eval.Result, 0, len(grid))
-	for _, lam := range grid {
-		out = append(out, eval.EvaluatePrecise(&eval.Runner{
-			MethodName: method,
-			ConfigDesc: fmt.Sprintf("%s λ=%d", config, lam),
-			IndexBytes: ix.Bytes(),
-			IndexTime:  ix.BuildTime(),
-			SearchFunc: func(q []float32, k int) []pqueue.Neighbor {
-				return ix.Search(q, k, lam)
-			},
-		}, e.DS.Queries, e.Truth, e.K))
-	}
-	return out
-}
-
-// SweepLCCS evaluates single-probe LCCS-LSH over the m × λ grid.
-func SweepLCCS(e *Env, opt Options) []eval.Result {
-	fam := e.family()
-	var out []eval.Result
-	for _, m := range pick(opt.Quick, []int{16, 32, 64, 128, 256}, []int{16, 32}) {
-		ix, err := core.Build(e.DS.Data, fam, core.Params{M: m, Seed: e.Seed})
-		if err != nil {
-			continue
-		}
-		out = append(out, lambdaSweep(e, "LCCS-LSH", fmt.Sprintf("m=%d", m), ix, e.lambdaGrid(opt.Quick))...)
-	}
-	return out
-}
-
-// SweepMPLCCS evaluates MP-LCCS-LSH over the m × #probes × λ grid; the
-// probe counts follow the paper's {1, m+1, 2m+1, 4m+1} pattern (trimmed to
-// two points per m — probing cost scales with #probes × λ, and the two
-// points bracket the regime the paper studies).
-func SweepMPLCCS(e *Env, opt Options) []eval.Result {
-	fam := e.family()
-	var out []eval.Result
-	for _, m := range pick(opt.Quick, []int{16, 64}, []int{16}) {
-		probesGrid := []int{m + 1, 4*m + 1}
-		if opt.Quick {
-			probesGrid = []int{m + 1}
-		}
-		for _, probes := range probesGrid {
-			ix, err := core.BuildMP(e.DS.Data, fam, core.MPParams{
-				Params: core.Params{M: m, Seed: e.Seed},
-				Probes: probes,
-			})
-			if err != nil {
-				continue
-			}
-			lamGrid := e.lambdaGrid(opt.Quick)
-			if !opt.Quick {
-				// Probing cost dominates re-evaluation: thin the
-				// λ grid (every other point) for the MP sweep.
-				thinned := lamGrid[:0:0]
-				for i := 0; i < len(lamGrid); i += 2 {
-					thinned = append(thinned, lamGrid[i])
-				}
-				lamGrid = thinned
-			}
-			out = append(out, lambdaSweep(e, "MP-LCCS-LSH", fmt.Sprintf("m=%d probes=%d", m, probes), ix.Index, lamGrid)...)
-		}
-	}
-	return out
-}
-
 // concatK returns the K grid for static-concatenation methods; the
 // cross-polytope alphabet is enormous (±D), so fewer concatenations are
 // needed than for random projections.
@@ -137,221 +70,222 @@ func (e *Env) concatK(quick bool) []int {
 	return pick(quick, []int{2, 4, 6}, []int{4})
 }
 
-// SweepE2LSH evaluates E2LSH over the K × L grid.
-func SweepE2LSH(e *Env, opt Options) []eval.Result {
-	fam := e.family()
-	var out []eval.Result
-	for _, kk := range e.concatK(opt.Quick) {
-		for _, ll := range pick(opt.Quick, []int{4, 8, 16, 32}, []int{8}) {
-			ix, err := e2lsh.Build(e.DS.Data, fam, e2lsh.Params{K: kk, L: ll, Seed: e.Seed})
-			if err != nil {
-				continue
-			}
-			r := eval.EvaluatePrecise(&eval.Runner{
-				MethodName: "E2LSH",
-				ConfigDesc: fmt.Sprintf("K=%d L=%d", kk, ll),
-				IndexBytes: ix.Bytes(),
-				IndexTime:  ix.BuildTime(),
-				SearchFunc: ix.Search,
-			}, e.DS.Queries, e.Truth, e.K)
-			out = append(out, r)
-		}
-	}
-	return out
+// config is one configuration of one method, stated once: the config
+// string its result rows print and the one function that builds the
+// method there. An LCCS scheme's one build is queried at every candidate
+// budget of lambdas, and each result's config is config followed by its
+// λ; a baseline has the one budget 0, which its search ignores.
+type config struct {
+	method, config string
+	lambdas        []int
+	build          func() (built, error)
 }
 
-// SweepMPLSH evaluates Multi-Probe LSH over K × L × probes.
-func SweepMPLSH(e *Env, opt Options) []eval.Result {
+// built is a method built at one configuration.
+type built struct {
+	bytes  int64
+	time   time.Duration
+	search func(q []float32, k, lambda int) []pqueue.Neighbor
+}
+
+// label is the config string of c's results at candidate budget lambda.
+func (c config) label(lambda int) string {
+	if lambda == 0 {
+		return c.config
+	}
+	return fmt.Sprintf("%s λ=%d", c.config, lambda)
+}
+
+// lccs is LCCS-LSH at hash-string length m queried at lambdas or, with
+// probes > 0, MP-LCCS-LSH at that many probes (§4.2: one probe is the
+// single-probe scheme, which Figure 10 plots as its first point).
+func (e *Env) lccs(fam lshfamily.Family, m, probes int, lambdas []int) config {
+	c := config{method: "LCCS-LSH", config: fmt.Sprintf("m=%d", m), lambdas: lambdas}
+	if probes > 0 {
+		c.method, c.config = "MP-LCCS-LSH", fmt.Sprintf("m=%d probes=%d", m, probes)
+	}
+	c.build = func() (built, error) {
+		ix, err := core.Build(e.DS.Data, fam, core.Params{M: m, Seed: e.Seed, Probes: probes})
+		if err != nil {
+			return built{}, err
+		}
+		return built{ix.Bytes(), ix.BuildTime(), ix.Search}, nil
+	}
+	return c
+}
+
+// searcher is what every baseline index offers the harness.
+type searcher interface {
+	Bytes() int64
+	BuildTime() time.Duration
+	Search(q []float32, k int) []pqueue.Neighbor
+}
+
+// baseline is a baseline method's configuration.
+func baseline(method, cfg string, build func() (searcher, error)) config {
+	return config{method: method, config: cfg, lambdas: []int{0}, build: func() (built, error) {
+		ix, err := build()
+		if err != nil {
+			return built{}, err
+		}
+		return built{ix.Bytes(), ix.BuildTime(), func(q []float32, k, _ int) []pqueue.Neighbor { return ix.Search(q, k) }}, nil
+	}}
+}
+
+// grid returns every configuration of method that the Figure 4 and 5
+// sweeps evaluate on e, in sweep order; quick selects the smoke-test grid.
+func (e *Env) grid(method string, quick bool) []config {
 	fam := e.family()
-	var out []eval.Result
-	for _, kk := range e.concatK(opt.Quick) {
-		for _, ll := range pick(opt.Quick, []int{4, 8}, []int{4}) {
-			for _, probes := range pick(opt.Quick, []int{4, 8, 16, 32}, []int{8}) {
-				ix, err := mplsh.Build(e.DS.Data, fam, mplsh.Params{K: kk, L: ll, Probes: probes, Seed: e.Seed})
-				if err != nil {
-					continue
+	var out []config
+	switch method {
+	case "LCCS-LSH":
+		for _, m := range pick(quick, []int{16, 32, 64, 128, 256}, []int{16, 32}) {
+			out = append(out, e.lccs(fam, m, 0, e.lambdaGrid(quick)))
+		}
+	case "MP-LCCS-LSH":
+		// The probe counts follow the paper's {1, m+1, 2m+1, 4m+1}
+		// pattern, trimmed to two points per m: probing cost scales
+		// with #probes × λ, and the two points bracket the regime the
+		// paper studies. For the same reason the full λ grid is thinned
+		// to every other point.
+		lambdas := e.lambdaGrid(quick)
+		if !quick {
+			thinned := lambdas[:0:0]
+			for i := 0; i < len(lambdas); i += 2 {
+				thinned = append(thinned, lambdas[i])
+			}
+			lambdas = thinned
+		}
+		for _, m := range pick(quick, []int{16, 64}, []int{16}) {
+			for _, probes := range pick(quick, []int{m + 1, 4*m + 1}, []int{m + 1}) {
+				out = append(out, e.lccs(fam, m, probes, lambdas))
+			}
+		}
+	case "E2LSH":
+		for _, kk := range e.concatK(quick) {
+			for _, ll := range pick(quick, []int{4, 8, 16, 32}, []int{8}) {
+				out = append(out, baseline(method, fmt.Sprintf("K=%d L=%d", kk, ll), func() (searcher, error) {
+					return e2lsh.Build(e.DS.Data, fam, e2lsh.Params{K: kk, L: ll, Seed: e.Seed})
+				}))
+			}
+		}
+	case "Multi-Probe LSH":
+		for _, kk := range e.concatK(quick) {
+			for _, ll := range pick(quick, []int{4, 8}, []int{4}) {
+				for _, probes := range pick(quick, []int{4, 8, 16, 32}, []int{8}) {
+					out = append(out, baseline(method, fmt.Sprintf("K=%d L=%d T=%d", kk, ll, probes), func() (searcher, error) {
+						return mplsh.Build(e.DS.Data, fam, mplsh.Params{K: kk, L: ll, Probes: probes, Seed: e.Seed})
+					}))
 				}
-				r := eval.EvaluatePrecise(&eval.Runner{
-					MethodName: "Multi-Probe LSH",
-					ConfigDesc: fmt.Sprintf("K=%d L=%d T=%d", kk, ll, probes),
-					IndexBytes: ix.Bytes(),
-					IndexTime:  ix.BuildTime(),
-					SearchFunc: ix.Search,
-				}, e.DS.Queries, e.Truth, e.K)
-				out = append(out, r)
 			}
 		}
-	}
-	return out
-}
-
-// SweepC2LSH evaluates C2LSH over m × budget with the threshold fixed at
-// m/4 (≥2).
-func SweepC2LSH(e *Env, opt Options) []eval.Result {
-	fam := e.family()
-	var out []eval.Result
-	for _, m := range pick(opt.Quick, []int{16, 32, 64}, []int{32}) {
-		thr := m / 4
-		if thr < 2 {
-			thr = 2
-		}
-		for _, budget := range pick(opt.Quick, []int{50, 100, 200, 400, 800, 1600}, []int{100}) {
-			ix, err := c2lsh.Build(e.DS.Data, fam, c2lsh.Params{
-				M: m, Threshold: thr, Budget: budget, Seed: e.Seed,
-			})
-			if err != nil {
-				continue
-			}
-			r := eval.EvaluatePrecise(&eval.Runner{
-				MethodName: "C2LSH",
-				ConfigDesc: fmt.Sprintf("m=%d l=%d B=%d", m, thr, budget),
-				IndexBytes: ix.Bytes(),
-				IndexTime:  ix.BuildTime(),
-				SearchFunc: ix.Search,
-			}, e.DS.Queries, e.Truth, e.K)
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// SweepQALSH evaluates QALSH over m × budget (Euclidean only).
-func SweepQALSH(e *Env, opt Options) []eval.Result {
-	w := e.tunedW()
-	var out []eval.Result
-	for _, m := range pick(opt.Quick, []int{16, 32, 64}, []int{32}) {
-		thr := m / 4
-		if thr < 2 {
-			thr = 2
-		}
-		for _, budget := range pick(opt.Quick, []int{50, 100, 200, 400, 800, 1600}, []int{100}) {
-			ix, err := qalsh.Build(e.DS.Data, e.DS.Dim, qalsh.Params{
-				M: m, Threshold: thr, W: w, Budget: budget, Seed: e.Seed,
-			})
-			if err != nil {
-				continue
-			}
-			r := eval.EvaluatePrecise(&eval.Runner{
-				MethodName: "QALSH",
-				ConfigDesc: fmt.Sprintf("m=%d l=%d B=%d", m, thr, budget),
-				IndexBytes: ix.Bytes(),
-				IndexTime:  ix.BuildTime(),
-				SearchFunc: ix.Search,
-			}, e.DS.Queries, e.Truth, e.K)
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// SweepSRS evaluates SRS over projection dimension × budget (Euclidean
-// only).
-func SweepSRS(e *Env, opt Options) []eval.Result {
-	var out []eval.Result
-	for _, dp := range pick(opt.Quick, []int{6, 8, 10}, []int{6}) {
-		for _, budget := range pick(opt.Quick, []int{50, 100, 200, 400, 800, 1600}, []int{100}) {
-			ix, err := srs.Build(e.DS.Data, e.DS.Dim, srs.Params{
-				ProjDim: dp, Budget: budget, Seed: e.Seed,
-			})
-			if err != nil {
-				continue
-			}
-			r := eval.EvaluatePrecise(&eval.Runner{
-				MethodName: "SRS",
-				ConfigDesc: fmt.Sprintf("d'=%d B=%d", dp, budget),
-				IndexBytes: ix.Bytes(),
-				IndexTime:  ix.BuildTime(),
-				SearchFunc: ix.Search,
-			}, e.DS.Queries, e.Truth, e.K)
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// SweepFALCONN evaluates the FALCONN baseline over K × L × probes
-// (Angular only).
-func SweepFALCONN(e *Env, opt Options) []eval.Result {
-	fam := e.family()
-	var out []eval.Result
-	for _, kk := range pick(opt.Quick, []int{1, 2}, []int{1}) {
-		for _, ll := range pick(opt.Quick, []int{4, 8, 16}, []int{8}) {
-			for _, probes := range pick(opt.Quick, []int{1, 4, 16}, []int{4}) {
-				ix, err := falconn.Build(e.DS.Data, fam, falconn.Params{
-					K: kk, L: ll, Probes: probes, Seed: e.Seed,
-				})
-				if err != nil {
-					continue
+	case "FALCONN":
+		for _, kk := range pick(quick, []int{1, 2}, []int{1}) {
+			for _, ll := range pick(quick, []int{4, 8, 16}, []int{8}) {
+				for _, probes := range pick(quick, []int{1, 4, 16}, []int{4}) {
+					out = append(out, baseline(method, fmt.Sprintf("K=%d L=%d T=%d", kk, ll, probes), func() (searcher, error) {
+						return falconn.Build(e.DS.Data, fam, falconn.Params{K: kk, L: ll, Probes: probes, Seed: e.Seed})
+					}))
 				}
-				r := eval.EvaluatePrecise(&eval.Runner{
-					MethodName: "FALCONN",
-					ConfigDesc: fmt.Sprintf("K=%d L=%d T=%d", kk, ll, probes),
-					IndexBytes: ix.Bytes(),
-					IndexTime:  ix.BuildTime(),
-					SearchFunc: ix.Search,
-				}, e.DS.Queries, e.Truth, e.K)
-				out = append(out, r)
+			}
+		}
+	case "C2LSH":
+		for _, m := range pick(quick, []int{16, 32, 64}, []int{32}) {
+			thr := max(m/4, 2) // the collision threshold, fixed at m/4
+			for _, budget := range pick(quick, []int{50, 100, 200, 400, 800, 1600}, []int{100}) {
+				out = append(out, baseline(method, fmt.Sprintf("m=%d l=%d B=%d", m, thr, budget), func() (searcher, error) {
+					return c2lsh.Build(e.DS.Data, fam, c2lsh.Params{M: m, Threshold: thr, Budget: budget, Seed: e.Seed})
+				}))
+			}
+		}
+	case "QALSH":
+		w := e.tunedW()
+		for _, m := range pick(quick, []int{16, 32, 64}, []int{32}) {
+			thr := max(m/4, 2)
+			for _, budget := range pick(quick, []int{50, 100, 200, 400, 800, 1600}, []int{100}) {
+				out = append(out, baseline(method, fmt.Sprintf("m=%d l=%d B=%d", m, thr, budget), func() (searcher, error) {
+					return qalsh.Build(e.DS.Data, e.DS.Dim, qalsh.Params{M: m, Threshold: thr, W: w, Budget: budget, Seed: e.Seed})
+				}))
+			}
+		}
+	case "SRS":
+		for _, dp := range pick(quick, []int{6, 8, 10}, []int{6}) {
+			for _, budget := range pick(quick, []int{50, 100, 200, 400, 800, 1600}, []int{100}) {
+				out = append(out, baseline(method, fmt.Sprintf("d'=%d B=%d", dp, budget), func() (searcher, error) {
+					return srs.Build(e.DS.Data, e.DS.Dim, srs.Params{ProjDim: dp, Budget: budget, Seed: e.Seed})
+				}))
 			}
 		}
 	}
 	return out
 }
 
-// euclideanSweeps returns the Figure 4 method set.
-func euclideanSweeps() map[string]func(*Env, Options) []eval.Result {
-	return map[string]func(*Env, Options) []eval.Result{
-		"LCCS-LSH":        SweepLCCS,
-		"MP-LCCS-LSH":     SweepMPLCCS,
-		"E2LSH":           SweepE2LSH,
-		"Multi-Probe LSH": SweepMPLSH,
-		"C2LSH":           SweepC2LSH,
-		"SRS":             SweepSRS,
-		"QALSH":           SweepQALSH,
+// evaluate builds c once and measures it against the exact truth at each
+// k of ks in turn, at every candidate budget of c.
+func (e *Env) evaluate(c config, ks ...int) ([]eval.Result, error) {
+	ix, err := c.build()
+	if err != nil {
+		return nil, err
 	}
-}
-
-// angularSweeps returns the Figure 5 method set.
-func angularSweeps() map[string]func(*Env, Options) []eval.Result {
-	return map[string]func(*Env, Options) []eval.Result{
-		"LCCS-LSH":    SweepLCCS,
-		"MP-LCCS-LSH": SweepMPLCCS,
-		"E2LSH":       SweepE2LSH,
-		"FALCONN":     SweepFALCONN,
-		"C2LSH":       SweepC2LSH,
-	}
-}
-
-// methodOrderEuclidean is the legend order of Figure 4.
-var methodOrderEuclidean = []string{
-	"LCCS-LSH", "MP-LCCS-LSH", "E2LSH", "Multi-Probe LSH", "C2LSH", "SRS", "QALSH",
-}
-
-// methodOrderAngular is the legend order of Figure 5.
-var methodOrderAngular = []string{
-	"LCCS-LSH", "MP-LCCS-LSH", "E2LSH", "FALCONN", "C2LSH",
-}
-
-// runSweeps executes the given sweeps in legend order and returns results
-// grouped by method, honoring opt.Methods when set.
-func runSweeps(e *Env, opt Options, sweeps map[string]func(*Env, Options) []eval.Result, order []string) map[string][]eval.Result {
-	wanted := func(name string) bool {
-		if len(opt.Methods) == 0 {
-			return true
+	var out []eval.Result
+	for _, k := range ks {
+		truth := e.TruthAt(k)
+		for _, lam := range c.lambdas {
+			out = append(out, eval.Evaluate(&eval.Runner{
+				MethodName: c.method,
+				ConfigDesc: c.label(lam),
+				IndexBytes: ix.bytes,
+				IndexTime:  ix.time,
+				SearchFunc: func(q []float32, k int) []pqueue.Neighbor { return ix.search(q, k, lam) },
+			}, e.DS.Queries, truth, k))
 		}
-		for _, m := range opt.Methods {
-			if m == name {
-				return true
+	}
+	return out, nil
+}
+
+// sweep evaluates every configuration of method's grid on e at e.K, in
+// sweep order; a configuration that fails to build is left out.
+func (e *Env) sweep(method string, quick bool) []eval.Result {
+	var out []eval.Result
+	for _, c := range e.grid(method, quick) {
+		rs, _ := e.evaluate(c, e.K) // a grid point that cannot build has no row
+		out = append(out, rs...)
+	}
+	return out
+}
+
+// lookup returns the configuration of method's grid whose results print
+// label, narrowed to the one candidate budget the label names.
+func (e *Env) lookup(method, label string, quick bool) (config, error) {
+	for _, c := range e.grid(method, quick) {
+		for _, lam := range c.lambdas {
+			if c.label(lam) == label {
+				c.lambdas = []int{lam}
+				return c, nil
 			}
 		}
-		return false
 	}
-	out := make(map[string][]eval.Result, len(sweeps))
-	for _, name := range order {
-		sweep, ok := sweeps[name]
-		if !ok || !wanted(name) {
+	return config{}, fmt.Errorf("experiments: %s has no configuration %q", method, label)
+}
+
+// methods returns the legend of Figure 4 (Euclidean) or Figure 5
+// (Angular): the methods swept under the env's metric, in order.
+func (e *Env) methods() []string {
+	if e.Metric.Name() == "angular" {
+		return []string{"LCCS-LSH", "MP-LCCS-LSH", "E2LSH", "FALCONN", "C2LSH"}
+	}
+	return []string{"LCCS-LSH", "MP-LCCS-LSH", "E2LSH", "Multi-Probe LSH", "C2LSH", "SRS", "QALSH"}
+}
+
+// runSweeps sweeps the env's methods, honoring opt.Methods when set, and
+// returns each one's results sorted by recall.
+func runSweeps(e *Env, opt Options) map[string][]eval.Result {
+	out := make(map[string][]eval.Result)
+	for _, name := range e.methods() {
+		if len(opt.Methods) > 0 && !slices.Contains(opt.Methods, name) {
 			continue
 		}
-		rs := sweep(e, opt)
+		rs := e.sweep(name, opt.Quick)
 		sortResults(rs)
 		out[name] = rs
 	}

@@ -521,7 +521,6 @@ func TestSearchSurface(t *testing.T) {
 		{(*Index)(nil), facade},
 		{(*DynamicIndex)(nil), facade},
 		{(*core.Index)(nil), coreSet},
-		{(*core.MPIndex)(nil), coreSet},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		var got []string
