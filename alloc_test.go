@@ -192,13 +192,14 @@ func TestSearchZeroAllocSQ8(t *testing.T) {
 	}
 }
 
-// TestSearchZeroAllocSplit holds a query large enough to score every
-// other batch on a helper goroutine — d = 960 at λ = 1 000, 3.9 MB of
-// candidate rows, above internal/core's splitBytes — to zero allocations:
-// the helper's collector, slots and channels live in the pooled search
-// context, and the goroutine is started on a function that captures
-// nothing. testing.AllocsPerRun holds GOMAXPROCS at 1, where the split
-// still runs (it does not read GOMAXPROCS). The second measurement counts
+// TestSearchZeroAllocSplit holds the queries internal/core verifies with
+// a helper goroutine to zero allocations: a d960 query at λ = 1 000, whose
+// helper scores every other batch, and a query of tombstonedD16's, whose
+// helper scores every batch while the caller drains. The helper's
+// collector, slots and channels live in the pooled search context, and
+// the goroutine is started on a function that captures nothing.
+// testing.AllocsPerRun holds GOMAXPROCS at 1, where the helper still
+// runs (it does not read GOMAXPROCS). The second measurement counts
 // mallocs around a loop at GOMAXPROCS 2, where the helper runs on its own
 // processor, with the collector off so that no GC empties the pool, and
 // repeats a loop in which the runtime started an OS thread.
@@ -211,8 +212,42 @@ func TestSearchZeroAllocSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k, lambda = 10, 1000
+	checkZeroAllocSplit(t, "parity Index", ix, queries, 1000)
+	dx, queries := tombstonedD16(t)
+	checkZeroAllocSplit(t, "pipelined DynamicIndex", dx, queries, 100)
+}
+
+// tombstonedD16 is churn-d16's shape scaled down: a DynamicIndex of one
+// 8 000-row d16 segment (m = 32) with every other row deleted, and
+// queries near its rows. A query's count at budget 100 and k = 10,
+// widened by the segment's 4 000 tombstones (segSet.scan), is 4 109
+// candidates, 2.4 MB by internal/core's estimate, so its helper scores
+// every batch.
+func tombstonedD16(tb testing.TB) (*DynamicIndex, [][]float32) {
+	data, queries := allocWorkload(53, 8000, 16)
+	dx, err := NewDynamicIndex(data, Config{Metric: Euclidean, M: 32, Seed: 3}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dead := make([]int, 0, len(data)/2)
+	for id := 0; id < len(data); id += 2 {
+		dead = append(dead, id)
+	}
+	if n, _, err := dx.DeleteBatch(dead); n != len(dead) || err != nil {
+		tb.Fatalf("fixture: %d of %d deleted: %v", n, len(dead), err)
+	}
+	if dx.Shards() != 1 || dx.Buffered() != 0 {
+		tb.Fatalf("fixture: %d shards, %d buffered", dx.Shards(), dx.Buffered())
+	}
+	return dx, queries
+}
+
+// checkZeroAllocSplit is TestSearchZeroAllocSplit on one searcher, at
+// k = 10 and the budget lambda.
+func checkZeroAllocSplit(t *testing.T, name string, ix Searcher, queries [][]float32, lambda int) {
+	const k = 10
 	dst := warmSearcher(t, ix, queries, k, lambda)
+	var err error
 	search := func(i int) {
 		dst, err = ix.SearchQuery(queries[i%len(queries)], Query{K: k, Budget: lambda}, dst)
 		if err != nil {
@@ -226,7 +261,7 @@ func TestSearchZeroAllocSplit(t *testing.T) {
 		qi++
 	})
 	if allocs != 0 {
-		t.Fatalf("split Index.SearchQuery under GOMAXPROCS 1: %v allocs/op, want 0", allocs)
+		t.Fatalf("%s.SearchQuery under GOMAXPROCS 1: %v allocs/op, want 0", name, allocs)
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -273,12 +308,12 @@ func TestSearchZeroAllocSplit(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if threads.Count() == created {
 			if n := after.Mallocs - before.Mallocs; n != 0 {
-				t.Fatalf("split Index.SearchQuery under GOMAXPROCS 2: %d allocations in %d queries, want 0", n, runs)
+				t.Fatalf("%s.SearchQuery under GOMAXPROCS 2: %d allocations in %d queries, want 0", name, n, runs)
 			}
 			return
 		}
 		if loop == loops {
-			t.Fatalf("split Index.SearchQuery under GOMAXPROCS 2: the runtime started an OS thread in each of %d loops of %d queries", loops, runs)
+			t.Fatalf("%s.SearchQuery under GOMAXPROCS 2: the runtime started an OS thread in each of %d loops of %d queries", name, loops, runs)
 		}
 	}
 }

@@ -7,24 +7,71 @@ import (
 	"lccs/internal/pqueue"
 )
 
-// splitBytes is the size, in full float32 rows, n·dim·4 bytes for a count
-// of n candidates (λ+k−1 on a plain query), of the candidates from which
-// an exact query's verify scores every other batch on a helper goroutine. Below it a second goroutine's start, the
-// hand-offs and the merge cost more than the half of the gather they
-// take off the caller. BenchmarkVerify's sweep chose it: splitting lost
-// at 56, 158 and 419 KB, broke even at 517 KB (d128, λ = 1 000) and won
-// from 1.19 MB (d960, λ = 300) (docs/PERFORMANCE.md, "Verifying on the
-// idle core"). Every workload of the benchmark but static-d960 (3.87 MB)
-// stays below it: churn-d16's segments ask for about 275 KB each and
-// serve-* for 56 KB.
-const splitBytes = 1 << 20
+// splitBytes and drainBytes decide how verify scores an exact query of
+// n candidates (split). Its single-core work is estimated in bytes as
+// n·(drainBytes + row), row being dim·4: drainBytes is what draining one
+// candidate from the CSA costs, in row bytes scored in the same time. A
+// query whose estimate is at least splitBytes starts a helper goroutine;
+// below it a second goroutine's start, the hand-offs and the end of the
+// query cost more than the helper takes off the caller. A started query
+// whose rows are narrower than 2·drainBytes is pipelined: the caller only
+// drains and the helper scores every batch. Wider rows keep parity: the
+// caller scores the even batches and the helper the odd ones. With D the
+// drain's time and S the scoring's, parity takes D + S/2 and the pipeline
+// max(D, S), so the pipeline is the faster while S < 2·D.
+//
+// BenchmarkVerify's sweeps chose both (docs/PERFORMANCE.md, "Verifying on
+// the idle core" and "Pipelining drain-bound queries"). Splitting every
+// query, pipelined or by parity, lost at λ = 100 (1.22–1.30 times the
+// serial µs/op at d16, 1.23–1.61 at d128, 1.03–1.20 at d960), was even at
+// d128, λ = 300, and won from d16, λ = 1 000 (0.86), d128, λ = 800
+// (0.73–0.89) and d960, λ = 300 (0.87). Those estimates are 119, 167,
+// 530 and 475 KB against 1.10, 1.24 and 1.50 MB with drainBytes = 1 KB,
+// so splitBytes stays 1 MB and drainBytes is 1 KB; rows under the pipeline
+// are then d16's and d128's, and d960's keep parity, as measured there:
+// the pipeline took 0.85 and 0.74 of the serial µs/op at d16, λ = 3 000
+// and d128, λ = 1 600, where parity took 1.01 and 0.79, and at d960 it
+// lost (1.14–1.28 from λ = 300) where parity took 0.87–1.08. Of the
+// benchmark's workloads static-d960 (λ = 1 000, 4.9 MB) keeps parity,
+// churn-d16's larger segment is pipelined, static-d16 and serve-read
+// (109 candidates) stay serial, and serve-mixed's late queries (about
+// 1 309 d128 candidates, 2 MB) are pipelined.
+//
+// An SQ8 index verifies serially: with its scan on the helper, 20
+// alternating rounds had gist, λ = 1 000 faster in 16 of 20 and both
+// saturated SQ8 cells slower (docs/PERFORMANCE.md, "Optional mechanisms
+// on the frontier").
+const (
+	splitBytes = 1 << 20
+	drainBytes = 1 << 10
+)
+
+// split reports whether verify scores n candidates of ix with the helper,
+// and whether the helper then scores every batch (pipelined) rather than
+// the odd ones. It reads only n, the dimension and whether ix is SQ8, so
+// it does not depend on scheduling or GOMAXPROCS.
+func (ix *Index) split(n int) (split, pipelined bool) {
+	if ix.sq8 != nil {
+		return false, false
+	}
+	row := int64(ix.store.Dim()) * 4
+	split = int64(n)*(drainBytes+row) >= splitBytes
+	return split, split && row < 2*drainBytes
+}
 
 // helperSlots is how many handed-off batches may wait for the helper at
 // once; the caller waits for a slot only when the helper is that many
-// batches behind. Eight hold every odd batch of static-d960's λ = 1 000,
-// so its caller never waits for a helper that is still starting (with
-// two it waited 50 µs a query).
-const helperSlots = 8
+// batches behind. Eight held every odd batch of static-d960's λ = 1 000,
+// so its caller never waited for a helper that was still starting (with
+// two it waited 50 µs a query). Sixty-four hold every batch of a
+// pipelined query to λ ≈ 4 000, so where no core is idle the caller
+// drains to the end before it yields to the helper, rather than trading
+// the processor with it every eight batches: in BenchmarkVerify's
+// saturated cells, split queries took 1.22 (sift, λ = 1 600), 1.20 (d16,
+// λ = 3 000) and 1.13 (gist, λ = 1 000) times the parent's serial or
+// eight-slot µs/op with eight slots, and 1.04, 1.08 and 1.01 with 64 (8
+// rounds), at the same µs/op one query at a time.
+const helperSlots = 64
 
 // padID is the id of the placeholder rows that pad the helper's
 // collector down to the caller's bound. It ranks after every real id at
@@ -42,33 +89,41 @@ var helpers = make(chan *helper, 64)
 
 // helper is verify's second scorer, kept in the pooled searchCtx (made by
 // its first split query) so that a split query allocates nothing. verify
-// keeps draining the CSA on the calling goroutine and scores the even
-// batches into best itself; hand gives each odd batch, in stream order,
-// to the helper goroutine, which scores it into its own collector of
-// best's capacity; merge offers what that collector kept to best.
+// keeps draining the CSA on the calling goroutine and hand gives batches,
+// in stream order, to the helper goroutine. Pipelined, it hands every
+// batch and the helper scores them straight into the query's collector,
+// which the caller neither reads nor writes until merge: the batches are
+// scored in stream order into one collector, as the serial loop scores
+// them, so the answer and the bytes read are the serial ones. By parity,
+// the caller scores the even batches into its collector and hands the odd
+// ones, which the helper scores into a collector of its own, of the same
+// capacity; merge offers what that collector kept to the caller's.
 //
-// Each odd batch carries bound, best's worst distance at the hand-off,
-// and pad lowers the helper collector's worst to it, so a Euclidean row
-// stops being read against the tighter of the two collectors' worsts.
-// That changes nothing in the answer. Let c be the capacity and W the
-// c-th nearest of all scored rows in (Dist, ID) order. A full best holds
-// c candidates of the query, so W never ranks after its worst; the
-// helper's worst is a candidate's in the same way or a placeholder's,
-// (bound, padID), which ranks after W too. So a row that ranks among the
-// final c is never farther than a bound and never stopped, and it is
-// kept by whichever collector scored it: fewer than c rows rank before
-// it and no placeholder does. A stopped row is rejected by its collector
-// and never enters either. merge offers the helper's real rows to best,
-// so best ends holding the c nearest of all scored rows, the serial
-// answer bit for bit. Which batches are handed off, and each one's bound,
-// depend only on batch parity and on what the caller scored before, not
-// on scheduling, so the bytes read are deterministic too.
+// Each odd batch of a parity query carries bound, the caller's worst
+// distance at the hand-off, and pad lowers the helper collector's worst
+// to it, so a Euclidean row stops being read against the tighter of the
+// two collectors' worsts. That changes nothing in the answer. Let c be
+// the capacity and W the c-th nearest of all scored rows in (Dist, ID)
+// order. A full collector of the caller's holds c candidates of the
+// query, so W never ranks after its worst; the helper's worst is a
+// candidate's in the same way or a placeholder's, (bound, padID), which
+// ranks after W too. So a row that ranks among the final c is never
+// farther than a bound and never stopped, and it is kept by whichever
+// collector scored it: fewer than c rows rank before it and no
+// placeholder does. A stopped row is rejected by its collector and never
+// enters either. merge offers the helper's real rows to the caller's
+// collector, which ends holding the c nearest of all scored rows, the
+// serial answer bit for bit. Which batches are handed off, and each one's
+// bound, depend only on n, the batch's index and what the caller scored
+// before, not on scheduling, so the bytes read are deterministic too.
 type helper struct {
 	ix *Index
 	// q and off are the started query's, q nil while none is.
 	q   []float32
 	off int
-	// best is the helper's collector, of the caller's capacity.
+	// dst is the collector the helper scores into: the query's own when
+	// pipelined, else best, the helper's, of the caller's capacity.
+	dst  *pqueue.KBest
 	best pqueue.KBest
 	// slot s holds a handed-off batch: n[s] ids and the caller's bound.
 	ids   [helperSlots][verifyBatch]int32
@@ -100,30 +155,37 @@ func newHelper(ix *Index) *helper {
 }
 
 // start arms h for one query that scores q's candidates under ids
-// shifted by off into a collector of capacity rows, and starts the
-// goroutine that serves it. It then yields once: a new goroutine waits
-// in its creator's run-next slot, from which an idle processor takes it
-// only after a short sleep that Linux's default timer slack stretches
-// (65 µs from the go statement to the helper's first instruction,
-// measured on a 2-vCPU VM); yielding runs it at once, and its own first
-// yield (await) leaves it on the global run queue, where the idle
-// processor finds it.
-func (h *helper) start(q []float32, off, capacity int) {
+// shifted by off, into dst when pipelined and otherwise into a collector
+// of dst's capacity, and starts the goroutine that serves it. It then
+// yields once: a new goroutine waits in its creator's run-next slot, from
+// which an idle processor takes it only after a short sleep that Linux's
+// default timer slack stretches (65 µs from the go statement to the
+// helper's first instruction, measured on a 2-vCPU VM); yielding runs it
+// at once, and its own first yield (await) leaves it on the global run
+// queue, where the idle processor finds it.
+func (h *helper) start(q []float32, off int, dst *pqueue.KBest, pipelined bool) {
 	h.q, h.off, h.bytes = q, off, 0
-	h.best.Reset(capacity)
+	h.dst = dst
+	if !pipelined {
+		h.best.Reset(dst.Cap())
+		h.dst = &h.best
+	}
 	helpers <- h
 	go helpVerify()
 	runtime.Gosched()
 }
 
-// hand passes a copy of ids to the helper, with best's worst distance
-// (+Inf while best is not full) as its bound.
-func (h *helper) hand(ids []int32, best *pqueue.KBest) {
+// hand passes a copy of ids to the helper. A parity batch carries dst's
+// worst distance (+Inf while dst is not full) as its bound; a pipelined
+// one carries +Inf, and hand does not read dst, which the helper owns.
+func (h *helper) hand(ids []int32, dst *pqueue.KBest) {
 	s := await(h.free)
 	h.n[s] = copy(h.ids[s][:], ids)
 	h.bound[s] = math.Inf(1)
-	if w, ok := best.Worst(); ok {
-		h.bound[s] = w
+	if h.dst == &h.best {
+		if w, ok := dst.Worst(); ok {
+			h.bound[s] = w
+		}
 	}
 	h.todo <- s
 }
@@ -135,11 +197,12 @@ func (h *helper) hand(ids []int32, best *pqueue.KBest) {
 func helpVerify() {
 	h := <-helpers
 	for s := await(h.todo); s >= 0; s = await(h.todo) {
-		for _, id := range h.ids[s][:h.n[s]] {
+		ids := h.ids[s][:h.n[s]]
+		for _, id := range ids {
 			h.ix.store.PrefetchRow(int(id))
 		}
 		h.pad(h.bound[s])
-		h.bytes += h.ix.scoreExact(h.ids[s][:h.n[s]], h.dists[:], h.q, h.off, &h.best)
+		h.bytes += h.ix.scoreExact(ids, h.dists[:], h.q, h.off, h.dst)
 		h.free <- s
 	}
 	h.done <- 0
@@ -167,21 +230,25 @@ func await(c chan int) int {
 // it keeps ranks at or before one, so its worst is at most bound: the
 // placeholders take the empty places and displace every row farther than
 // bound, none of which can rank among the final nearest. A bound of +Inf,
-// from a caller's collector not yet full, pads nothing.
+// from a caller's collector not yet full or on a pipelined batch, pads
+// nothing.
 func (h *helper) pad(bound float64) {
 	for bound < math.Inf(1) && h.best.Add(padID, bound) {
 	}
 }
 
 // merge ends the query: it waits for the helper's last batch, offers
-// every real row the helper kept to best and returns the bytes the
-// helper read.
-func (h *helper) merge(best *pqueue.KBest) int64 {
+// every real row a parity helper kept to dst and returns the bytes the
+// helper read. A pipelined helper scored into dst itself.
+func (h *helper) merge(dst *pqueue.KBest) int64 {
+	parity := h.dst == &h.best
 	h.stop()
-	h.buf = h.best.AppendSorted(h.buf[:0])
-	for _, nb := range h.buf {
-		if nb.ID != padID {
-			best.Add(nb.ID, nb.Dist)
+	if parity {
+		h.buf = h.best.AppendSorted(h.buf[:0])
+		for _, nb := range h.buf {
+			if nb.ID != padID {
+				dst.Add(nb.ID, nb.Dist)
+			}
 		}
 	}
 	return h.bytes
@@ -196,5 +263,5 @@ func (h *helper) stop() {
 	}
 	h.todo <- -1
 	await(h.done)
-	h.q = nil
+	h.q, h.dst = nil, nil // the pool keeps no caller's query or collector
 }

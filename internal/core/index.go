@@ -163,8 +163,9 @@ type searchCtx struct {
 	bytes int64
 	// st is the query's candidate stream, Open's.
 	st Stream
-	// h scores every other batch of a query whose candidates are large
-	// (splitBytes); made by the first such query, nil until then.
+	// h scores every batch, or every other one, of a query whose
+	// estimated work is large (split); made by the first such query, nil
+	// until then.
 	h *helper
 }
 
@@ -466,15 +467,16 @@ func (st *Stream) Verify(n int, best *pqueue.KBest) SearchStats {
 // the stream's offset: an exact index scores each batch with float32
 // distances, an SQ8 index ranks it by quantized score into ctx.rr (the
 // re-rank depth deep, but at least best's capacity) and then re-ranks the
-// winners exactly, timed into the "rerank" stage. An exact query whose n
-// candidates are large in full rows (splitBytes) starts ctx.h's goroutine
-// and hands it the odd batches, which it scores into a collector of its
-// own, merged into best at the end. The hand-offs are fixed by batch
-// parity, so results, counts and bytes do not depend on scheduling and
-// equal per-row verification in stream order, bit for bit (the argument is
-// on helper). Each row is hinted to the cache a batch ahead of its
-// scoring, on the core that scores it: here as its id leaves the stream,
-// or by the helper as it takes the batch.
+// winners exactly, timed into the "rerank" stage. An exact query whose
+// estimated work is large (split) starts ctx.h's goroutine, which scores
+// every batch when the query is pipelined, the caller only draining, or
+// else the odd batches, into a collector of its own merged into best at
+// the end. Which batches are handed off depends only on n, the index's
+// shape and the batch's index, so results, counts and bytes do not depend
+// on scheduling and equal per-row verification in stream order, bit for
+// bit (the argument is on helper). Each row is hinted to the cache a batch
+// ahead of its scoring, on the core that scores it: here as its id leaves
+// the stream, or by the helper as it takes the batch.
 func (st *Stream) verify(n int, best *pqueue.KBest) SearchStats {
 	ix, ctx, q, off := st.ix, st.ctx, st.q, int(st.off)
 	st.left = n
@@ -482,12 +484,12 @@ func (st *Stream) verify(n int, best *pqueue.KBest) SearchStats {
 	if st.accept != nil {
 		start = time.Now()
 	}
-	split := ix.sq8 == nil && int64(n)*int64(ix.store.Dim())*4 >= splitBytes
+	split, pipelined := ix.split(n)
 	if split {
 		if ctx.h == nil {
 			ctx.h = newHelper(ix)
 		}
-		ctx.h.start(q, off, best.Cap())
+		ctx.h.start(q, off, best, pipelined)
 		defer ctx.h.stop()
 	}
 	quantized := ix.sq8 != nil
@@ -498,7 +500,7 @@ func (st *Stream) verify(n int, best *pqueue.KBest) SearchStats {
 	ctx.bytes = 0
 	verified := 0
 	for batch := 0; ; batch++ {
-		mine := !split || batch&1 == 0 // scored on this goroutine
+		mine := !split || !pipelined && batch&1 == 0 // scored on this goroutine
 		b := 0
 		for r, ok := st.next(); ok; r, ok = st.next() {
 			ctx.ids[b] = int32(r.ID)

@@ -153,42 +153,83 @@ func sameNeighbors(a, b []pqueue.Neighbor) bool {
 // one index through SearchInto and three segments verifying their streams
 // into one collector — plain, with tombstones charged and free, filtered,
 // a cursor's later page (k > k0, the candidates of a k0 query), a
-// collector wider than the segments' k, and SQ8 indexes — at dims on both
+// collector wider than the segments' k, a collector that starts full at
+// the candidates' nearest distances, and SQ8 indexes — at dims on both
 // sides of the first checkpoint and at GIST's 960. Each segment's stream,
 // drained on its own, yields the oracle's candidates in the oracle's
-// order, at lengths that never increase. The last two
-// shapes, Euclidean and Angular, ask for more candidate bytes than
-// splitBytes, so their exact queries score every other batch on the
-// helper goroutine, the whole index's at λ ≥ n too.
+// order, at lengths that never increase. Each shape pins how its exact
+// queries verify (split): the first five serially, the d960 ones by
+// parity and the d16 and d128 ones pipelined; SQ8 queries verify
+// serially at every shape. The whole index's λ ≥ n queries split as
+// their counts say.
 // It also checks the metering: a dim without a checkpoint, or a metric
 // without a bound, charges every candidate's full row; at dim 960 some
-// Euclidean query charges less; and every query charges the same bytes
-// twice over and under GOMAXPROCS 1 and 2.
+// Euclidean query charges less; every query charges the same bytes twice
+// over and under GOMAXPROCS 1 and 2; and an exact query that is not split
+// by parity charges what verifying on the calling goroutine alone
+// charges (serialBytes), the pipelined ones included.
 func TestVerifyMatchesUnboundedOracle(t *testing.T) {
-	type shape struct {
-		dim, n, lambda int
-		angular        bool
-	}
-	shapes := []shape{
+	shapes := []verifyShape{
 		{dim: 16, n: 1200, lambda: 150}, {dim: 64, n: 1200, lambda: 150}, {dim: 65, n: 1200, lambda: 150},
 		{dim: 128, n: 1200, lambda: 150}, {dim: 960, n: 1200, lambda: 150},
-		{dim: 960, n: 3000, lambda: 1000}, {dim: 960, n: 3000, lambda: 1000, angular: true},
+		{dim: 960, n: 3000, lambda: 1000, mode: "parity"},
+		{dim: 960, n: 3000, lambda: 1000, angular: true, mode: "parity"},
+		{dim: 16, n: 6000, lambda: 2200, mode: "pipelined"},
+		{dim: 128, n: 3000, lambda: 1100, mode: "pipelined"},
 	}
 	for _, sh := range shapes {
 		name := fmt.Sprintf("dim%d/n%d/lambda%d", sh.dim, sh.n, sh.lambda)
 		if sh.angular {
 			name += "/angular"
 		}
-		t.Run(name, func(t *testing.T) { checkVerifyShape(t, sh.dim, sh.n, sh.lambda, sh.angular) })
+		t.Run(name, func(t *testing.T) { checkVerifyShape(t, sh) })
 	}
 }
 
-// checkVerifyShape is TestVerifyMatchesUnboundedOracle at one shape.
-func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
-	const k = 10
-	if split := int64(lambda+k-1)*int64(dim)*4 >= splitBytes; split != (n > 1200) {
-		t.Fatalf("dim %d λ %d: split %v; the shapes no longer straddle splitBytes", dim, lambda, split)
+// verifyShape is one shape of TestVerifyMatchesUnboundedOracle: n rows of
+// dim, queried at λ, and how a query of λ+k−1 candidates verifies on the
+// exact index (modeOf; "" for serial).
+type verifyShape struct {
+	dim, n, lambda int
+	angular        bool
+	mode           string
+}
+
+// modeOf names how ix verifies n candidates: "" serially, "parity" or
+// "pipelined".
+func modeOf(ix *Index, n int) string {
+	switch split, pipelined := ix.split(n); {
+	case pipelined:
+		return "pipelined"
+	case split:
+		return "parity"
 	}
+	return ""
+}
+
+// serialBytes is what verifying nw's stream of the exact index ix over
+// hq, n candidates into best, reads on the calling goroutine alone: the
+// stream drained, then scored batch by batch in stream order, as
+// verify's serial loop scores it.
+func serialBytes(ix *Index, q []float32, hq []int32, n int, best *pqueue.KBest, nw narrowing) int64 {
+	cands := drain(nw.open(ix, q, hq), n)
+	var ids [verifyBatch]int32
+	var dists [verifyBatch]float64
+	var bytes int64
+	for base := 0; base < len(cands); base += verifyBatch {
+		b := min(len(cands)-base, verifyBatch)
+		for i := 0; i < b; i++ {
+			ids[i] = int32(cands[base+i].ID)
+		}
+		bytes += ix.scoreExact(ids[:b], dists[:], q, nw.off, best)
+	}
+	return bytes
+}
+
+// checkVerifyShape is TestVerifyMatchesUnboundedOracle at one shape.
+func checkVerifyShape(t *testing.T, sh verifyShape) {
+	const k = 10
+	dim, n, lambda, angular := sh.dim, sh.n, sh.lambda, sh.angular
 	g := rng.New(uint64(dim))
 	data := clusteredData(g, n, dim, 12, 0.6)
 	store, err := vec.FromRows(data)
@@ -223,6 +264,12 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 		ix.EnableSQ8(vec.QuantizeSQ8(part), 24)
 		sq8Segs = append(sq8Segs, ix)
 	}
+	if got := modeOf(whole, lambda+k-1); got != sh.mode {
+		t.Fatalf("dim %d λ %d: verifies %q, want %q", dim, lambda, got, sh.mode)
+	}
+	if got := modeOf(sq8Segs[0], lambda+k-1); got != "" {
+		t.Fatalf("dim %d λ %d, SQ8: verifies %q, want serially", dim, lambda, got)
+	}
 	dead := make([]uint64, (n+63)/64)
 	for id := 0; id < n; id += 7 {
 		dead[id/64] |= 1 << (id % 64)
@@ -233,6 +280,7 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 		segs   []*Index
 		k0     int  // the first page's size; k when 0
 		wide   bool // a collector of 3k rows, the segments verifying for k
+		seeded bool // the collector starts full: seeds, below
 		dead   []uint64
 		charge bool
 		accept func(global int) bool
@@ -244,6 +292,7 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 		{name: "filter", segs: segs, accept: func(id int) bool { return id%3 != 0 }},
 		{name: "cursor page", segs: segs, k0: 4},
 		{name: "wide collector", segs: segs, wide: true},
+		{name: "seeded collector", segs: segs, seeded: true},
 		{name: "sq8", segs: sq8Segs},
 		{name: "sq8 dead filter", segs: sq8Segs, dead: dead, accept: func(id int) bool { return id%2 == 0 }},
 	}
@@ -289,6 +338,13 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 			if bytes > full || (unbounded && bytes != full) {
 				t.Fatalf("%s λ %d: %d bytes scanned for %d candidates", label, lam, bytes, drained)
 			}
+			if modeOf(whole, lam+k-1) != "parity" {
+				var serial pqueue.KBest
+				serial.Reset(k)
+				if want := serialBytes(whole, q, hq, lam+k-1, &serial, narrowing{}); bytes != want {
+					t.Fatalf("%s λ %d: %d bytes scanned, %d on the calling goroutine alone", label, lam, bytes, want)
+				}
+			}
 			stoppedSomewhere = stoppedSomewhere || bytes < full
 		}
 
@@ -311,12 +367,29 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 				streams = append(streams, stream)
 				drained += len(stream)
 			}
-			want := nearestOf(cands, capacity)
+			// The seeded variant's collector starts holding the distances
+			// of the candidates' nearest rows under ids past the data's, as
+			// if an earlier source had found rows as near, so its bound is
+			// tight from the first batch; the answer is the nearest of the
+			// candidates and those seeds.
+			var seeds []pqueue.Neighbor
+			if v.seeded {
+				for i, nb := range nearestOf(append([]pqueue.Neighbor(nil), cands...), capacity) {
+					seeds = append(seeds, pqueue.Neighbor{ID: n + i, Dist: nb.Dist})
+				}
+			}
+			seed := func(best *pqueue.KBest) {
+				for _, nb := range seeds {
+					best.Add(nb.ID, nb.Dist)
+				}
+			}
+			want := nearestOf(append(cands, seeds...), capacity)
 			var bytes int64
 			for run, procs := range []int{2, 2, 1} {
 				prev := runtime.GOMAXPROCS(procs)
 				var best pqueue.KBest
 				best.Reset(capacity)
+				seed(&best)
 				var st SearchStats
 				for i, ix := range v.segs {
 					one := scanOf(v, bounds[i]).open(ix, q, hq).Verify(lam+kk-1, &best)
@@ -345,6 +418,18 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 						label, v.name, bytes, st.Candidates, st.Reranked, full)
 				}
 			}
+			if v.segs[0].sq8 == nil && modeOf(v.segs[0], lam+kk-1) != "parity" {
+				var serial pqueue.KBest
+				serial.Reset(capacity)
+				seed(&serial)
+				var want int64
+				for i, ix := range v.segs {
+					want += serialBytes(ix, q, hq, lam+kk-1, &serial, scanOf(v, bounds[i]))
+				}
+				if bytes != want {
+					t.Fatalf("%s %s: %d bytes scanned, %d on the calling goroutine alone", label, v.name, bytes, want)
+				}
+			}
 		}
 	}
 	if dim == 960 && !angular && !stoppedSomewhere {
@@ -354,14 +439,28 @@ func checkVerifyShape(t *testing.T, dim, n, lambda int, angular bool) {
 
 // TestSplitHelperEndsWithItsQuery checks that a helper goroutine does not
 // outlive its query: not after a query that returns, nor after one whose
-// filter panics mid-drain, once hand-offs have begun.
+// filter panics mid-drain, once hand-offs have begun. It runs a d960
+// query split by parity and a d16 one that is pipelined.
 func TestSplitHelperEndsWithItsQuery(t *testing.T) {
-	const n, dim, k, lambda = 1500, 960, 10, 1000
+	for _, sh := range []verifyShape{
+		{dim: 960, n: 1500, lambda: 1000, mode: "parity"},
+		{dim: 16, n: 6000, lambda: 3000, mode: "pipelined"},
+	} {
+		t.Run(sh.mode, func(t *testing.T) { checkHelperEnds(t, sh) })
+	}
+}
+
+// checkHelperEnds is TestSplitHelperEndsWithItsQuery at one shape.
+func checkHelperEnds(t *testing.T, sh verifyShape) {
+	const k = 10
 	g := rng.New(5)
-	data := clusteredData(g, n, dim, 12, 0.6)
-	ix, err := Build(data, lshfamily.NewRandomProjection(dim, 2*math.Sqrt(dim)), Params{M: 16, Seed: 3})
+	data := clusteredData(g, sh.n, sh.dim, 12, 0.6)
+	ix, err := Build(data, lshfamily.NewRandomProjection(sh.dim, 2*math.Sqrt(float64(sh.dim))), Params{M: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := modeOf(ix, sh.lambda+k-1); got != sh.mode {
+		t.Fatalf("verifies %q, want %q", got, sh.mode)
 	}
 	q := queriesFrom(g, data, 1, 0.3)[0]
 	hq := ix.HashQuery(q, nil)
@@ -374,7 +473,7 @@ func TestSplitHelperEndsWithItsQuery(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var best pqueue.KBest
 	best.Reset(k)
-	ix.Open(q, hq, 0, nil).Verify(lambda+k-1, &best)
+	ix.Open(q, hq, 0, nil).Verify(sh.lambda+k-1, &best)
 	if !settled(before) {
 		t.Fatalf("%d goroutines after a split query returned, %d before", runtime.NumGoroutine(), before)
 	}
@@ -394,33 +493,35 @@ func TestSplitHelperEndsWithItsQuery(t *testing.T) {
 			}
 			return true
 		})
-		st.Verify(lambda+k-1, &best)
+		st.Verify(sh.lambda+k-1, &best)
 	}()
 	if !settled(before) {
 		t.Fatalf("%d goroutines after a split query panicked, %d before", runtime.NumGoroutine(), before)
 	}
 }
 
-// BenchmarkVerify runs one query at a time against an index of
-// static-d960's shape (50 000 rows, m = 64, k = 10) at budgets λ of 100,
-// 300, 1 000 and 3 000 (and, over sift, 800 and 1 600), over the sift
-// (d128) and gist (d960) presets: the verification this package's bounded
-// gather and its helper goroutine serve; gist/lambda=1000 is static-d960's
-// own query. Besides the time it reports read-frac, the vector bytes the
-// gathers read over what reading every candidate's row in full would take
-// — the share of the traffic the bound leaves. The saturated variants
-// (gist at λ = 1 000, sift at 1 600) run GOMAXPROCS such queries at once
-// (b.RunParallel), so no core is idle for a helper: what splitting a query
-// costs a loaded machine. The cells SQ8 is decided on run a second time,
-// as …/sq8, on an SQ8 mirror of the same index at the default re-rank
-// depth: gist at λ = 1 000, alone and saturated, and sift at 800 and
-// 1 600, alone and saturated at 1 600. Re-running it with another
-// boundStride (and the assembly's checkpoint mask to match), or with
-// splitBytes past every shape, gives the sweeps in docs/PERFORMANCE.md,
-// "Bounded verification" and "Verifying on the idle core"; its /sq8 pairs
-// give "Optional mechanisms on the frontier".
+// BenchmarkVerify runs one query at a time against 50 000 rows (k = 10)
+// at budgets λ of 100, 300, 1 000 and 3 000 (and, over sift, 800 and
+// 1 600) over the sift (d128) and gist (d960) presets at static-d960's
+// m = 64, and at 100, 1 000 and 3 000 over d16, clusteredData at
+// churn-d16's dimension and m = 32 (verifyData): the verification this
+// package's bounded gather and its helper goroutine serve;
+// gist/lambda=1000 is static-d960's own query. Besides the time it
+// reports read-frac, the vector bytes the gathers read over what reading
+// every candidate's row in full would take — the share of the traffic the
+// bound leaves. The saturated variants (gist at λ = 1 000, sift at 1 600,
+// d16 at 3 000) run GOMAXPROCS such queries at once (b.RunParallel), so no
+// core is idle for a helper: what splitting a query costs a loaded
+// machine. The cells SQ8 is decided on run a second time, as …/sq8, on an
+// SQ8 mirror of the same index at the default re-rank depth: gist at
+// λ = 1 000, alone and saturated, and sift at 800 and 1 600, alone and
+// saturated at 1 600. Re-running it with another boundStride (and the
+// assembly's checkpoint mask to match), or with split forced one way, gives
+// the sweeps in docs/PERFORMANCE.md, "Bounded verification", "Verifying on
+// the idle core" and "Pipelining drain-bound queries"; its /sq8 pairs give
+// "Optional mechanisms on the frontier".
 func BenchmarkVerify(b *testing.B) {
-	const n, nq, m, k = 50_000, 200, 64, 10
+	const n, nq, k = 50_000, 200, 10
 	type cell struct {
 		lambda           int
 		saturated, pairs bool // pairs: also run on the SQ8 mirror
@@ -430,8 +531,9 @@ func BenchmarkVerify(b *testing.B) {
 			{lambda: 1600, pairs: true}, {lambda: 3000}, {lambda: 1600, saturated: true, pairs: true}},
 		"gist": {{lambda: 100}, {lambda: 300}, {lambda: 1000, pairs: true}, {lambda: 3000},
 			{lambda: 1000, saturated: true, pairs: true}},
+		"d16": {{lambda: 100}, {lambda: 1000}, {lambda: 3000}, {lambda: 3000, saturated: true}},
 	}
-	for _, preset := range []string{"sift", "gist"} {
+	for _, preset := range []string{"sift", "gist", "d16"} {
 		var (
 			exact, sq8 *Index
 			queries    [][]float32
@@ -439,23 +541,13 @@ func BenchmarkVerify(b *testing.B) {
 		)
 		setup := func(b *testing.B, quantized bool) *Index {
 			if exact == nil {
-				spec, err := dataset.Preset(preset, n, nq, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ds, err := dataset.Generate(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				store, err := ds.FlatData()
-				if err != nil {
-					b.Fatal(err)
-				}
+				store, qs, m := verifyData(b, preset, n, nq)
+				var err error
 				exact, err = BuildStore(store, lshfamily.NewRandomProjection(store.Dim(), nnWidth(store)), Params{M: m, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				queries = ds.Queries
+				queries = qs
 				hqs = make([][]int32, len(queries))
 				for i, q := range queries {
 					hqs[i] = exact.HashQuery(q, nil)
@@ -516,6 +608,35 @@ func BenchmarkVerify(b *testing.B) {
 			}
 		}
 	}
+}
+
+// verifyData is BenchmarkVerify's dataset of preset, n rows and nq
+// queries, and the hash-string length m it is indexed with: the sift and
+// gist presets at m = 64, or, for "d16", 16-dimensional clusteredData at
+// m = 32, the shape of the benchmark's d16 workloads.
+func verifyData(b *testing.B, preset string, n, nq int) (*vec.Store, [][]float32, int) {
+	if preset == "d16" {
+		g := rng.New(1)
+		data := clusteredData(g, n, 16, 100, 1)
+		store, err := vec.FromRows(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return store, queriesFrom(g, data, nq, 0.5), 32
+	}
+	spec, err := dataset.Preset(preset, n, nq, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := dataset.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := ds.FlatData()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return store, ds.Queries, 64
 }
 
 // nnWidth is the Euclidean family's bucket width as the facade derives it

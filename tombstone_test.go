@@ -607,3 +607,41 @@ func TestTombstoneConcurrent(t *testing.T) {
 		t.Fatalf("exhaustive search returned %d rows, the model holds %d live ids", len(res), live)
 	}
 }
+
+// TestPipelinedConcurrent runs queries whose helper goroutine scores
+// every batch straight into the query's collector (tombstonedD16) from
+// several goroutines on one index at once: the helper writes the
+// collector and the caller reads it once the helper is done, and under
+// -race each answer must still equal the one the same query gave alone.
+func TestPipelinedConcurrent(t *testing.T) {
+	const goroutines, rounds, k, lambda = 4, 3, 10, 100
+	dx, queries := tombstonedD16(t)
+	qr := Query{K: k, Budget: lambda}
+	alone := make([][]Neighbor, len(queries))
+	for i, q := range queries {
+		alone[i] = must(dx.SearchQuery(q, qr, nil))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var dst []Neighbor
+			for r := 0; r < rounds; r++ {
+				for i := range queries {
+					qi := (i + w*len(queries)/goroutines) % len(queries)
+					var err error
+					if dst, err = dx.SearchQuery(queries[qi], qr, dst); err != nil {
+						t.Error(err)
+						return
+					}
+					if !neighborsEqual(dst, alone[qi]) {
+						t.Errorf("goroutine %d query %d: %v, alone %v", w, qi, dst, alone[qi])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
