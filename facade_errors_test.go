@@ -7,8 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"lccs/internal/vec"
 )
 
 func TestFamilyForErrors(t *testing.T) {
@@ -219,5 +222,67 @@ func TestSaveToUnwritablePath(t *testing.T) {
 	}
 	if err := ix.Save("/nonexistent-dir/x/y/z.lccs"); err == nil {
 		t.Error("unwritable path should fail")
+	}
+}
+
+// storeFromRows checks and copies its row ranges in parallel; whichever
+// ranges the bad rows fall in, at GOMAXPROCS 1 and 2, it must refuse a
+// dataset with the serial pack's error text, byte for byte: the lowest
+// offending row named, a dimension error before a non-finite one. A
+// dataset it accepts is packed row for row.
+func TestStoreFromRowsErrors(t *testing.T) {
+	const n, dim = 11, 3
+	nan, inf := float32(math.NaN()), float32(math.Inf(-1))
+	cases := []struct {
+		name   string
+		metric MetricKind
+		edit   func(rows [][]float32)
+		want   string
+	}{
+		{"a NaN row alone", Euclidean, func(r [][]float32) { r[6][1] = nan },
+			"lccs: vector has a NaN or infinite coordinate: data row 6"},
+		{"a NaN row, a wrong dimension in the other range", Euclidean, func(r [][]float32) { r[1][0] = nan; r[8] = r[8][:2] },
+			"lccs: vec: row 8 has dimension 2, want 3"},
+		{"a NaN row, a wrong dimension in the same range", Euclidean, func(r [][]float32) { r[6][2] = nan; r[9] = append(r[9], 1) },
+			"lccs: vec: row 9 has dimension 4, want 3"},
+		{"a wrong dimension, a NaN row after it", Hamming, func(r [][]float32) { r[2] = r[2][:1]; r[3][0] = nan },
+			"lccs: vec: row 2 has dimension 1, want 3"},
+		{"two non-finite rows", Euclidean, func(r [][]float32) { r[9][0] = inf; r[4][2] = nan },
+			"lccs: vector has a NaN or infinite coordinate: data row 4"},
+		{"two wrong dimensions", Euclidean, func(r [][]float32) { r[10] = nil; r[5] = r[5][:2] },
+			"lccs: vec: row 5 has dimension 2, want 3"},
+		{"row 0 sets the dimension", Euclidean, func(r [][]float32) { r[0] = r[0][:2] },
+			"lccs: vec: row 1 has dimension 3, want 2"},
+		{"a zero-dimensional row 0", Euclidean, func(r [][]float32) { r[0] = nil; r[7][0] = nan },
+			"lccs: vec: zero-dimensional row 0"},
+		{"an angular norm overflow", Angular, func(r [][]float32) { r[3] = []float32{3e19, 3e19, 3e19} },
+			"lccs: vector has a NaN or infinite coordinate: data row 3"},
+		{"the same row under Euclidean", Euclidean, func(r [][]float32) { r[3] = []float32{3e19, 3e19, 3e19} }, ""},
+	}
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			rows := make([][]float32, n)
+			for i := range rows {
+				rows[i] = []float32{float32(i), float32(-i), 0.5}
+			}
+			c.edit(rows)
+			store, err := storeFromRows(rows, c.metric)
+			if c.want != "" {
+				if err == nil || err.Error() != c.want {
+					t.Errorf("GOMAXPROCS %d, %s: error %v, want %q", procs, c.name, err, c.want)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d, %s: %v", procs, c.name, err)
+			}
+			for i, row := range rows {
+				if !vec.Equal(store.Row(i), row) {
+					t.Fatalf("GOMAXPROCS %d, %s: row %d packed as %v, want %v", procs, c.name, i, store.Row(i), row)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }

@@ -10,6 +10,10 @@
 // the K positions are enumerated in ascending score order and the
 // corresponding extra buckets are inspected. The packages e2lsh, mplsh,
 // and falconn are thin named wrappers over this engine.
+//
+// A table's K functions hash an object through lshfamily.HashString, at
+// build and at query time, so random-projection tables are scored four
+// functions per kernel pass, as LCCS-LSH's hash strings are.
 package concat
 
 import (
@@ -104,10 +108,7 @@ func Build(data [][]float32, family lshfamily.Family, p Params) (*Index, error) 
 		table := make(map[uint64][]int32, len(data))
 		key := make([]int32, p.K)
 		for id, v := range data {
-			for j, f := range ix.funcs[l] {
-				key[j] = f.Hash(v)
-			}
-			h := hashKey(key)
+			h := hashKey(lshfamily.HashString(ix.funcs[l], v, key))
 			table[h] = append(table[h], int32(id))
 			ix.entries++
 		}
@@ -187,9 +188,7 @@ func (ix *Index) SearchWithStats(q []float32, k int) ([]pqueue.Neighbor, Stats) 
 	best := pqueue.NewKBest(k)
 	var st Stats
 	for l := range ix.tables {
-		for j, f := range ix.funcs[l] {
-			sc.key[j] = f.Hash(q)
-		}
+		lshfamily.HashString(ix.funcs[l], q, sc.key)
 		ix.probeTable(l, q, sc, best, &st)
 	}
 	return best.Sorted(), st

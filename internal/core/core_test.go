@@ -129,6 +129,39 @@ func TestBuildDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// BuildStore hashes every object through HashString, which scores a
+// random-projection set four functions per kernel pass from its block; the
+// CSA must hold, for every id, the string the functions give one by one
+// (drawn afresh from the seed by New, so none shares a block). The shape is
+// static-d960's dimension and string length.
+func TestBuildStoreHashStringsD960(t *testing.T) {
+	const n, d, m, seed = 1500, 960, 64, 9
+	g := rng.New(4)
+	data := clusteredData(g, n, d, 10, 1)
+	store, err := vec.FromRows(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := lshfamily.NewRandomProjection(d, 40)
+	ix, err := BuildStore(store, fam, Params{M: m, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gf := rng.New(seed)
+	funcs := make([]lshfamily.Func, m)
+	for i := range funcs {
+		funcs[i] = fam.New(gf)
+	}
+	for id := 0; id < n; id++ {
+		got := ix.csa.String(id)
+		for i, f := range funcs {
+			if want := f.Hash(data[id]); got[i] != want {
+				t.Fatalf("id %d position %d: CSA holds %d, the function hashes %d", id, i, got[i], want)
+			}
+		}
+	}
+}
+
 // distinctHashData returns a dataset whose hash strings under ix are all
 // distinct, or false if they are not — self-query rank-1 guarantees only
 // hold without exact hash-string duplicates.

@@ -227,7 +227,8 @@ func BuildStore(store *vec.Store, family lshfamily.Family, p Params) (*Index, er
 	}
 
 	// Hash all objects in parallel; the flat block is handed straight to
-	// the CSA.
+	// the CSA. A random-projection set from NewFuncs shares one projection
+	// block, which HashString scores four functions per kernel pass.
 	m := p.M
 	flat := make([]int32, n*m)
 	workers := runtime.GOMAXPROCS(0)

@@ -60,8 +60,13 @@ type Family interface {
 	CollisionProb(dist float64) float64
 }
 
-// NewFuncs draws m i.i.d. hash functions from the family.
+// NewFuncs draws m i.i.d. hash functions from the family: the functions
+// m calls of f.New(g) would draw. From a RandomProjection they share one
+// m×d projection block, which HashString scores four functions at a time.
 func NewFuncs(f Family, m int, g *rng.RNG) []Func {
+	if rp, ok := f.(*RandomProjection); ok {
+		return rp.newFuncs(m, g)
+	}
 	fs := make([]Func, m)
 	for i := range fs {
 		fs[i] = f.New(g)
@@ -70,14 +75,23 @@ func NewFuncs(f Family, m int, g *rng.RNG) []Func {
 }
 
 // HashString computes H(o) = [h_1(o), ..., h_m(o)] into dst (allocated if
-// nil or too short) and returns it.
+// nil or too short) and returns it. Wherever four consecutive functions are
+// consecutive rows of one RandomProjection block — every run of four in a
+// NewFuncs set — it scores them in one kernel pass over v (vec.Dot4); it
+// hashes every other function, and the remainder of a set, one at a time.
+// Either way dst[i] is funcs[i].Hash(v) bit for bit.
 func HashString(funcs []Func, v []float32, dst []int32) []int32 {
 	if cap(dst) < len(funcs) {
 		dst = make([]int32, len(funcs))
 	}
 	dst = dst[:len(funcs)]
-	for i, f := range funcs {
-		dst[i] = f.Hash(v)
+	for i := 0; i < len(funcs); {
+		if i+4 <= len(funcs) && hash4(funcs[i:i+4], v, dst[i:i+4]) {
+			i += 4
+			continue
+		}
+		dst[i] = funcs[i].Hash(v)
+		i++
 	}
 	return dst
 }

@@ -14,6 +14,12 @@ import (
 //	h_{a,b}(o) = ⌊(a·o + b) / w⌋
 //
 // with a ~ N(0, I_d) and b uniform in [0, w).
+//
+// NewFuncs draws a set from it exactly as m calls of New would, in the same
+// order from the same generator, but lays the m vectors a out as the rows
+// of one contiguous m×d block that each function's a views. HashString
+// scores such a set four functions per kernel pass (vec.Dot4), each value
+// bit for bit the function's own Hash.
 type RandomProjection struct {
 	dim int
 	w   float64
@@ -54,21 +60,68 @@ func (f *RandomProjection) New(g *rng.RNG) Func {
 	}
 }
 
+// newFuncs draws m functions as m calls of New would, with their vectors
+// a laid out as the rows of one m×d block (see NewFuncs).
+func (f *RandomProjection) newFuncs(m int, g *rng.RNG) []Func {
+	set := &rpSet{block: make([]float32, m*f.dim)}
+	fs := make([]Func, m)
+	for i := range fs {
+		a := set.block[i*f.dim : (i+1)*f.dim : (i+1)*f.dim]
+		g.Gaussian32(a)
+		fs[i] = &rpFunc{a: a, b: g.Float64() * f.w, w: f.w, set: set, row: i}
+	}
+	return fs
+}
+
 type rpFunc struct {
 	a []float32
 	b float64
 	w float64
+	// set is the block a is row row of, when NewFuncs drew the function;
+	// nil when New did.
+	set *rpSet
+	row int
+}
+
+// rpSet is the m×d block of projection vectors of one NewFuncs set.
+type rpSet struct {
+	block []float32
 }
 
 // project returns (a·v + b)/w, whose floor is the hash value and whose
 // fractional part drives the multi-probe scores.
 func (h *rpFunc) project(v []float32) float64 {
-	return (vec.Dot(h.a, v) + h.b) / h.w
+	return h.scale(vec.Dot(h.a, v))
+}
+
+// scale returns (dot + b)/w for dot = a·v.
+func (h *rpFunc) scale(dot float64) float64 {
+	return (dot + h.b) / h.w
 }
 
 // Hash implements Func.
 func (h *rpFunc) Hash(v []float32) int32 {
 	return int32(math.Floor(h.project(v)))
+}
+
+// hash4 hashes v under fs[:4] in one vec.Dot4 pass, into dst[:4], and
+// reports true, if the four are consecutive rows of one NewFuncs block;
+// otherwise it writes nothing and reports false.
+func hash4(fs []Func, v []float32, dst []int32) bool {
+	var run [4]*rpFunc
+	for k := range run {
+		f, ok := fs[k].(*rpFunc)
+		if !ok || f.set == nil || (k > 0 && (f.set != run[0].set || f.row != run[0].row+k)) {
+			return false
+		}
+		run[k] = f
+	}
+	f0, d := run[0], len(run[0].a)
+	dots := vec.Dot4(f0.set.block[f0.row*d:(f0.row+4)*d], v)
+	for k, f := range run {
+		dst[k] = int32(math.Floor(f.scale(dots[k])))
+	}
+	return true
 }
 
 // Memory implements Memorier: the projection vector plus scalars.

@@ -85,6 +85,14 @@ var (
 	dotRow     func(a, b, next []float32) float32                       = dotRowGeneric
 	dotNormRow func(a, q, next []float32) (float32, float32)            = dotNormRowGeneric
 
+	// dot4Row returns the dot products of v with the four consecutive
+	// rows of block, len(block) = 4·len(v): each is dotRow(row, v, row)
+	// bit for bit. It is the hash functions' kernel (Dot4): one pass that
+	// loads each element of v once for four rows, on eight banks, where
+	// four dotRow calls would load it four times and wait on two banks'
+	// add chains each.
+	dot4Row func(block, v []float32) (d0, d1, d2, d3 float32) = dot4RowGeneric
+
 	// kernelImpl names the selected implementation ("avx2" or "generic").
 	kernelImpl = "generic"
 )

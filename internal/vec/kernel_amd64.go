@@ -21,6 +21,9 @@ func sqRowAVX2(a, b, next []float32, bound float32) (sum float32, n int)
 func dotRowAVX2(a, b, next []float32) float32
 
 //go:noescape
+func dot4RowAVX2(block, v []float32) (d0, d1, d2, d3 float32)
+
+//go:noescape
 func dotNormRowAVX2(a, q, next []float32) (dot, normSq float32)
 
 //go:noescape
@@ -60,6 +63,7 @@ func init() {
 		dotNormBlock = dotNormBlockAVX2
 		sqRow = sqRowAVX2
 		dotRow = dotRowAVX2
+		dot4Row = dot4RowAVX2
 		dotNormRow = dotNormRowAVX2
 		sq8SqRow = sq8SqRowAVX2
 		sq8DotRow = sq8DotRowAVX2

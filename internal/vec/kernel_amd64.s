@@ -20,8 +20,12 @@
 // row itself, and the kernel then runs its main loop without the
 // requests: they are not free on operands already in cache (64 dot
 // products of 960 floats, all in L1: 4.4 µs without, 4.7 with PREFETCHT0,
-// 5.6 with PREFETCHT1 — the hash functions' case, 50 000 × 64 times a
-// build).
+// 5.6 with PREFETCHT1 — measured when every hash function ran its own
+// dotRowAVX2, 50 000 × 64 times a build). The hash functions now run
+// dot4RowAVX2, four rows of their projection block per pass, which asks
+// for nothing either: a PREFETCHT0 512 bytes ahead on each of its rows read
+// the same in BenchmarkHashString/d=960,m=64/block (six alternating runs:
+// 4.2–6.1 µs a row with, 4.5–5.7 without).
 //
 // The row kernels ask with PREFETCHT1 (into L2), not T0 (into L1): a
 // row-long run of requests that each hold one of the core's ten or so L1
@@ -90,6 +94,71 @@
 	VMULPS  Y6, Y5, Y7; \
 	VADDPS  Y7, Y1, Y1; \
 	ADDQ    $16, R8
+
+// DOT4x16: each of four rows' two banks += row * v, the rows at SI, BX, DI
+// and R10, row r's banks Y(2r) and Y(2r+1); v is loaded once for the four.
+// Operand for operand each row is DOT16 with the row as a and v as b.
+#define DOT4x16 \
+	VMOVUPS (DX)(R8*4), Y8; \
+	VMOVUPS 32(DX)(R8*4), Y9; \
+	VMOVUPS (SI)(R8*4), Y10; \
+	VMULPS  Y8, Y10, Y10; \
+	VADDPS  Y10, Y0, Y0; \
+	VMOVUPS 32(SI)(R8*4), Y11; \
+	VMULPS  Y9, Y11, Y11; \
+	VADDPS  Y11, Y1, Y1; \
+	VMOVUPS (BX)(R8*4), Y12; \
+	VMULPS  Y8, Y12, Y12; \
+	VADDPS  Y12, Y2, Y2; \
+	VMOVUPS 32(BX)(R8*4), Y13; \
+	VMULPS  Y9, Y13, Y13; \
+	VADDPS  Y13, Y3, Y3; \
+	VMOVUPS (DI)(R8*4), Y10; \
+	VMULPS  Y8, Y10, Y10; \
+	VADDPS  Y10, Y4, Y4; \
+	VMOVUPS 32(DI)(R8*4), Y11; \
+	VMULPS  Y9, Y11, Y11; \
+	VADDPS  Y11, Y5, Y5; \
+	VMOVUPS (R10)(R8*4), Y12; \
+	VMULPS  Y8, Y12, Y12; \
+	VADDPS  Y12, Y6, Y6; \
+	VMOVUPS 32(R10)(R8*4), Y13; \
+	VMULPS  Y9, Y13, Y13; \
+	VADDPS  Y13, Y7, Y7; \
+	ADDQ    $16, R8
+
+// DOT4x8: the 8-wide clean-up step of DOT4x16, on bank 0 of each row.
+#define DOT4x8 \
+	VMOVUPS (DX)(R8*4), Y8; \
+	VMOVUPS (SI)(R8*4), Y10; \
+	VMULPS  Y8, Y10, Y10; \
+	VADDPS  Y10, Y0, Y0; \
+	VMOVUPS (BX)(R8*4), Y11; \
+	VMULPS  Y8, Y11, Y11; \
+	VADDPS  Y11, Y2, Y2; \
+	VMOVUPS (DI)(R8*4), Y12; \
+	VMULPS  Y8, Y12, Y12; \
+	VADDPS  Y12, Y4, Y4; \
+	VMOVUPS (R10)(R8*4), Y13; \
+	VMULPS  Y8, Y13, Y13; \
+	VADDPS  Y13, Y6, Y6; \
+	ADDQ    $8, R8
+
+// REDUCE: fold banks lo and hi into the low lane of xlo, through the tree
+// every kernel ends with (xlo and xhi name lo and hi's low halves).
+#define REDUCE(lo, hi, xlo, xhi) \
+	VADDPS       hi, lo, lo; \
+	VEXTRACTF128 $1, lo, xhi; \
+	VADDPS       xhi, xlo, xlo; \
+	VHADDPS      xlo, xlo, xlo; \
+	VHADDPS      xlo, xlo, xlo
+
+// DOT4TAIL: one scalar tail element of row base into the sum in x, v's
+// element being in X8.
+#define DOT4TAIL(base, x) \
+	MOVSS (base)(R8*4), X9; \
+	MULSS X8, X9; \
+	ADDSS X9, x
 
 // DN16: dot += a * q, norm += a * a.
 #define DN16 \
@@ -481,6 +550,72 @@ rdot_tail:
 
 rdot_done:
 	MOVSS X0, ret+72(FP)
+	RET
+
+// func dot4RowAVX2(block, v []float32) (d0, d1, d2, d3 float32)
+// d_r = row r . v for the four rows of block, dim = len(v): dotRowAVX2's
+// loops, reduction and tail on eight banks, so each d_r is dotRowAVX2(row
+// r, v, row r) bit for bit, while each element of v is loaded once for the
+// four rows and the four rows' add chains overlap. No prefetch: the rows
+// are hash functions' projections, read again for every object hashed.
+TEXT ·dot4RowAVX2(SB), NOSPLIT, $0-64
+	MOVQ block_base+0(FP), SI
+	MOVQ v_base+24(FP), DX
+	MOVQ v_len+32(FP), CX
+	LEAQ (SI)(CX*4), BX
+	LEAQ (BX)(CX*4), DI
+	LEAQ (DI)(CX*4), R10
+	XORQ R8, R8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ CX, R9
+	SUBQ $16, R9
+
+d4_loop16:
+	CMPQ R8, R9
+	JG   d4_loop8entry
+	DOT4x16
+	JMP  d4_loop16
+
+d4_loop8entry:
+	MOVQ CX, R9
+	SUBQ $8, R9
+
+d4_loop8:
+	CMPQ R8, R9
+	JG   d4_reduce
+	DOT4x8
+	JMP  d4_loop8
+
+d4_reduce:
+	REDUCE(Y0, Y1, X0, X1)
+	REDUCE(Y2, Y3, X2, X3)
+	REDUCE(Y4, Y5, X4, X5)
+	REDUCE(Y6, Y7, X6, X7)
+	VZEROUPPER
+
+d4_tail:
+	CMPQ  R8, CX
+	JGE   d4_done
+	MOVSS (DX)(R8*4), X8
+	DOT4TAIL(SI, X0)
+	DOT4TAIL(BX, X2)
+	DOT4TAIL(DI, X4)
+	DOT4TAIL(R10, X6)
+	INCQ  R8
+	JMP   d4_tail
+
+d4_done:
+	MOVSS X0, d0+48(FP)
+	MOVSS X2, d1+52(FP)
+	MOVSS X4, d2+56(FP)
+	MOVSS X6, d3+60(FP)
 	RET
 
 // func dotNormRowAVX2(a, q, next []float32) (dot, normSq float32)

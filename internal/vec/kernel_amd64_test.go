@@ -17,7 +17,8 @@ import (
 // loop, half-width loop, and scalar tail — and 960 and 961, including
 // negative zeros and denormals, and a row whose squares overflow to +Inf
 // part way. sqRow is held to it under every bound of testBounds, with and
-// without a row to prefetch: value, stopping point and all.
+// without a row to prefetch: value, stopping point and all, and dot4Row
+// on every run of four consecutive rows.
 func TestKernelAsmGenericBitIdentity(t *testing.T) {
 	if !hasAVX2() {
 		t.Skip("no AVX2 on this CPU")
@@ -79,6 +80,15 @@ func TestKernelAsmGenericBitIdentity(t *testing.T) {
 			}
 			if a, g := dotRowAVX2(row, q, row), dotRowGeneric(row, q, row); math.Float32bits(a) != math.Float32bits(g) {
 				t.Fatalf("dim %d row %d: dotRow asm %x generic %x", dim, r, math.Float32bits(a), math.Float32bits(g))
+			}
+			if r+4 <= rows {
+				a0, a1, a2, a3 := dot4RowAVX2(block[r*dim:(r+4)*dim], q)
+				g0, g1, g2, g3 := dot4RowGeneric(block[r*dim:(r+4)*dim], q)
+				a := [4]uint32{math.Float32bits(a0), math.Float32bits(a1), math.Float32bits(a2), math.Float32bits(a3)}
+				g := [4]uint32{math.Float32bits(g0), math.Float32bits(g1), math.Float32bits(g2), math.Float32bits(g3)}
+				if a != g {
+					t.Fatalf("dim %d rows %d..%d: dot4Row asm %x generic %x", dim, r, r+3, a, g)
+				}
 			}
 			ad, an := dotNormRowAVX2(row, q, row)
 			gd, gn := dotNormRowGeneric(row, q, row)

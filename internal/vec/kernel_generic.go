@@ -91,6 +91,14 @@ func dotRowGeneric(a, b, _ []float32) float32 {
 	return s
 }
 
+// dot4RowGeneric is dotRowGeneric on each of block's four rows in turn:
+// the assembly's single pass over eight banks computes the same four sums.
+func dot4RowGeneric(block, v []float32) (d0, d1, d2, d3 float32) {
+	d := len(v)
+	return dotRowGeneric(block[:d], v, nil), dotRowGeneric(block[d:2*d], v, nil),
+		dotRowGeneric(block[2*d:3*d], v, nil), dotRowGeneric(block[3*d:4*d], v, nil)
+}
+
 func dotNormBlockGeneric(block, q, outDot, outNorm []float32) {
 	dim := len(q)
 	for r := range outDot {

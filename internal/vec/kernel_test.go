@@ -156,6 +156,9 @@ func TestKernelParityAgainstReference(t *testing.T) {
 			if d != outDN[r] || nrm != outNorm[r] {
 				t.Fatalf("dim %d row %d: dotNormRow (%g,%g) != block (%g,%g)", dim, r, d, nrm, outDN[r], outNorm[r])
 			}
+			if r+4 <= rows {
+				checkDot4(t, fmt.Sprintf("dim %d rows %d..%d", dim, r, r+3), block[r*dim:(r+4)*dim], q)
+			}
 		}
 		// A row with a checkpoint must stop under some bound below its sum.
 		if dim > boundStride && stopped == 0 {
@@ -209,6 +212,7 @@ func TestKernelEmptyBlock(t *testing.T) {
 // The block kernels take their sizes from Store.DistancesInto, their one
 // caller: a short output buffer is refused before anything is written, and
 // a row range beyond the store panics instead of reading past the block.
+// Dot4 panics on a block that is not four rows of len(v).
 func TestKernelPanicsOnMismatch(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -223,6 +227,8 @@ func TestKernelPanicsOnMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := []float32{1, 1}
+	mustPanic("Dot4: three rows", func() { Dot4(make([]float32, 6), q) })
+	mustPanic("Dot4: five rows", func() { Dot4(make([]float32, 10), q) })
 	for _, m := range []Metric{Euclidean, Angular} {
 		out := []float32{-1}
 		mustPanic(m.Name()+": short out", func() { s.DistancesInto(0, 2, q, m, out) })
@@ -386,7 +392,8 @@ func TestSQ8SupportedMetrics(t *testing.T) {
 // FuzzKernelParity drives the dispatched kernels with arbitrary bytes
 // reinterpreted as float32 vectors — including NaN, Inf, denormals and
 // extreme exponents — and cross-checks them against the float64 scalar
-// references, plus the block/row bit-identity invariant, plus sqRow's
+// references, plus the block/row bit-identity invariant (dot4Row on every
+// run of four consecutive rows included, bit for bit), plus sqRow's
 // bound contract under a fuzzed bound (checkBoundedSq), plus the gathers:
 // the same bytes pick a list of row ids (repeats and all), and what
 // GatherDistancesInto writes for each must be what the row kernels make of
@@ -400,6 +407,7 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(uint16(1), uint32(0), []byte{0x7f, 0x80, 0, 0, 0xff, 0x80, 0, 0})                       // ±Inf
 	f.Add(uint16(3), uint32(1), []byte{0x7f, 0xc0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})                 // NaN, denormal
 	f.Add(uint16(64), uint32(0x3f800000), bytes.Repeat([]byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0}, 80)) // dim 65: one checkpoint
+	f.Add(uint16(len(kernelDims())-1), uint32(0x7f800000), dim961Seed())                          // dim 961: four rows for dot4Row
 	f.Fuzz(func(t *testing.T, dimSeed uint16, boundBits uint32, raw []byte) {
 		dims := kernelDims()
 		dim := dims[int(dimSeed)%len(dims)]
@@ -432,6 +440,9 @@ func FuzzKernelParity(f *testing.F) {
 			checkBoundedSq(t, fmt.Sprintf("row %d dim %d", r, dim), row, bound, outSq[r], g, n)
 			if g := dotRow(row, q, row); g != outDN[r] && !(math.IsNaN(float64(g)) && math.IsNaN(float64(outDN[r]))) {
 				t.Fatalf("row %d: dotRow %g != dotnorm block %g", r, g, outDN[r])
+			}
+			if r+4 <= rows {
+				checkDot4(t, fmt.Sprintf("dim %d rows %d..%d", dim, r, r+3), block[r*dim:(r+4)*dim], q)
 			}
 			// Against the scalar reference only when everything stays
 			// comfortably finite in float32.
@@ -490,6 +501,79 @@ func FuzzKernelParity(f *testing.F) {
 			t.Fatalf("dim %d k %d bound %g: GatherNearest kept %v, GatherDistancesInto and Add %v", dim, k, bound, b, o)
 		}
 	})
+}
+
+// checkDot4 holds dot4Row over the four rows of block to dotRow on each
+// row alone, bit for bit: NaN payloads, signed zeros and all.
+func checkDot4(t *testing.T, label string, block, q []float32) {
+	t.Helper()
+	dim := len(q)
+	var got [4]float32
+	got[0], got[1], got[2], got[3] = dot4Row(block, q)
+	for r, g := range got {
+		row := block[r*dim : (r+1)*dim]
+		if want := dotRow(row, q, row); math.Float32bits(g) != math.Float32bits(want) {
+			t.Fatalf("%s: dot4Row[%d] %x, dotRow %x", label, r, math.Float32bits(g), math.Float32bits(want))
+		}
+	}
+}
+
+// dot4Row must equal dotRow bit for bit on NaN payloads too, and a NaN
+// times a NaN keeps the first operand's: so each case puts a NaN in the
+// query and one of another payload in a single row, at elements of the main
+// loop's low and high halves, the clean-up step and the tail, alone or
+// twice in one lane. Only the product of the row's own NaN tells which
+// operand came first, so every multiply and bank add of every row is
+// exercised by some case.
+func TestDot4NaNPayloads(t *testing.T) {
+	qNaN, rowNaN := math.Float32frombits(0x7fc0000a), math.Float32frombits(0x7fc000b0)
+	for _, c := range []struct {
+		dim int
+		at  []int
+	}{
+		{25, []int{3}}, {25, []int{10}}, {25, []int{18}}, {25, []int{24}},
+		{41, []int{3, 19}}, {41, []int{10, 26}}, {41, []int{3, 35}}, {41, []int{3, 40}},
+	} {
+		for r := 0; r < 4; r++ {
+			q := make([]float32, c.dim)
+			block := make([]float32, 4*c.dim)
+			for i := range q {
+				q[i] = float32(i%5) - 1.5
+			}
+			for i := range block {
+				block[i] = float32(i%7) * 0.25
+			}
+			for k, at := range c.at {
+				q[at] = qNaN
+				block[r*c.dim+at] = math.Float32frombits(math.Float32bits(rowNaN) + uint32(k))
+			}
+			checkDot4(t, fmt.Sprintf("dim %d NaN at %v in row %d", c.dim, c.at, r), block, q)
+		}
+	}
+}
+
+// dim961Seed is a fuzz input at dim 961 (the last of kernelDims): a query
+// and four rows, every main loop, the clean-up step and a scalar tail
+// element. The query and the first row hold NaNs of different payloads at
+// one element, so a product's operand order shows in the bits; the second
+// row holds a denormal, the third a NaN in its tail and the fourth a +Inf.
+func dim961Seed() []byte {
+	const dim = 961
+	vals := make([]float32, 5*dim)
+	for i := range vals {
+		vals[i] = float32(i%13-6) * 0.375
+	}
+	vals[10] = math.Float32frombits(0x7fc00001)
+	vals[dim+10] = math.Float32frombits(0x7fc00002)
+	vals[2*dim+5] = math.Float32frombits(1)
+	vals[4*dim-1] = float32(math.NaN())
+	vals[4*dim+100] = float32(math.Inf(1))
+	raw := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		bits := math.Float32bits(v)
+		raw[4*i], raw[4*i+1], raw[4*i+2], raw[4*i+3] = byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24)
+	}
+	return raw
 }
 
 // sameNeighbors reports whether a and b hold the same ids at the same

@@ -24,6 +24,17 @@ func Dot(a, b []float32) float64 {
 	return float64(dotRow(a, b, a))
 }
 
+// Dot4 returns the inner products of v with the four consecutive rows of
+// block, each len(v) long: element r is Dot(block[r·d:(r+1)·d], v) bit for
+// bit, computed in one pass that reads v once for the four rows.
+func Dot4(block, v []float32) [4]float64 {
+	if len(block) != 4*len(v) {
+		panic("vec: dimension mismatch")
+	}
+	d0, d1, d2, d3 := dot4Row(block, v)
+	return [4]float64{float64(d0), float64(d1), float64(d2), float64(d3)}
+}
+
 // SquaredDistance returns the squared Euclidean distance between a and
 // b (float32-accumulated, widened to float64).
 func SquaredDistance(a, b []float32) float64 {

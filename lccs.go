@@ -49,8 +49,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"lccs/internal/core"
@@ -438,20 +440,65 @@ func resolveConfig(store *vec.Store, cfg Config) (Config, error) {
 }
 
 // storeFromRows packs public row-slice input into a flat store — the
-// one door dataset rows enter by — translating the validation error into
-// this package's voice and rejecting rows not admissible under metric
-// (Load, which learns the metric from the file, passes "": finite rows).
+// one door dataset rows enter by — rejecting a row whose dimension is not
+// row 0's, then a row not admissible under metric (Load, which learns the
+// metric from the file, passes "": finite rows). It is one pass over
+// GOMAXPROCS contiguous row ranges, each checking a row and then copying it
+// into the block, and stopping its copies at its first bad row, so a
+// rejected dataset is never copied whole. The error names the lowest
+// offending row, a dimension error before any other.
 func storeFromRows(rows [][]float32, metric MetricKind) (*vec.Store, error) {
-	store, err := vec.FromRows(rows)
-	if err != nil {
-		return nil, fmt.Errorf("lccs: %w", err)
+	n := len(rows)
+	if n == 0 {
+		return vec.FromRows(nil)
 	}
-	for i, row := range rows {
-		if !admissible(row, metric) {
-			return nil, fmt.Errorf("%w: data row %d", ErrNonFinite, i)
+	dim := len(rows[0])
+	if dim == 0 {
+		return nil, errors.New("lccs: vec: zero-dimensional row 0")
+	}
+	block := make([]float32, n*dim)
+	// firstBad is a range's lowest row of the wrong dimension and its
+	// lowest inadmissible row, n where it has none.
+	type firstBad struct{ dim, value int }
+	workers := min(runtime.GOMAXPROCS(0), n)
+	chunk := (n + workers - 1) / workers
+	bad := make([]firstBad, workers)
+	var wg sync.WaitGroup
+	for w := range bad {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			b := firstBad{n, n}
+			for i := w * chunk; i < min((w+1)*chunk, n); i++ {
+				if len(rows[i]) != dim {
+					b.dim = i
+					break
+				}
+				if b.value < n {
+					continue
+				}
+				if !admissible(rows[i], metric) {
+					b.value = i
+					continue
+				}
+				copy(block[i*dim:], rows[i])
+			}
+			bad[w] = b
+		}(w)
+	}
+	wg.Wait()
+	// The dimension errors keep the text vec.FromRows gives them.
+	for _, b := range bad {
+		if b.dim < n {
+			return nil, fmt.Errorf("lccs: vec: row %d has dimension %d, want %d", b.dim, len(rows[b.dim]), dim)
 		}
 	}
-	return store, nil
+	for _, b := range bad {
+		if b.value < n {
+			return nil, fmt.Errorf("%w: data row %d", ErrNonFinite, b.value)
+		}
+	}
+	return vec.FromBlock(dim, block)
 }
 
 // validateConfig checks a Config without a dataset — value ranges and
