@@ -142,56 +142,6 @@ func TestSearchZeroAllocFiltered(t *testing.T) {
 	}
 }
 
-// TestSearchZeroAllocSQ8 extends the zero-allocation gate to the
-// quantized search path: the SQ8 gather (pooled adjusted-query state
-// and score buffers) plus the exact re-rank must add no per-query heap
-// traffic on either facade.
-func TestSearchZeroAllocSQ8(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts include race-detector instrumentation; run without -race")
-	}
-	data, queries := allocWorkload(45, 2000, 12)
-	const k, lambda = 10, 40
-	ix, err := NewIndex(data, Config{Metric: Euclidean, M: 16, Seed: 3, Quantize: QuantizeSQ8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind, rerank := ix.Quantization(); kind != QuantizeSQ8 || rerank <= 0 {
-		t.Fatalf("Quantization() = (%q, %d), want active sq8", kind, rerank)
-	}
-	dst := warmSearcher(t, ix, queries, k, lambda)
-	qi := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		q := queries[qi%len(queries)]
-		qi++
-		dst, err = ix.SearchQuery(q, Query{K: k, Budget: lambda}, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("quantized Index.SearchQuery: %v allocs/op, want 0", allocs)
-	}
-
-	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 3, Quantize: QuantizeSQ8}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst = warmSearcher(t, sx, queries, k, lambda)
-	qi = 0
-	allocs = testing.AllocsPerRun(200, func() {
-		q := queries[qi%len(queries)]
-		qi++
-		dst, err = sx.SearchQuery(q, Query{K: k, Budget: lambda}, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("quantized four-shard Index.SearchQuery: %v allocs/op, want 0", allocs)
-	}
-}
-
 // TestSearchZeroAllocSplit holds the queries internal/core verifies with
 // a helper goroutine to zero allocations: a d960 query at λ = 1 000, whose
 // helper scores every other batch, and a query of tombstonedD16's, whose

@@ -88,8 +88,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "random seed")
 		shards    = flag.Int("shards", 0, "file mode: shard count of the built index (0 = GOMAXPROCS)")
 		rebuildAt = flag.Int("rebuild-at", 0, "delta size that triggers a background shard build (0 = default)")
-		quantize  = flag.String("quantize", "", "scan-time vector compression: sq8 (euclidean/angular only; exact re-rank keeps distances exact; costs n·d bytes and pays off only at high dimensionality, see docs/PERFORMANCE.md)")
-		rerank    = flag.Int("rerank", 0, "quantized-scan survivors re-ranked with exact distances per query (0 = default)")
 
 		maxInFlight  = flag.Int("max-inflight", 0, "concurrent searches (0 = GOMAXPROCS)")
 		collInFlight = flag.Int("coll-max-inflight", 0, "per-collection concurrent requests before 503 (0 = no per-collection cap)")
@@ -146,8 +144,7 @@ func main() {
 		// daemon's flags as their spec, unless a create request overrides
 		// them.
 		eng, err = engine.New(*dataPath, engine.Spec{
-			Metric: *metric, M: *m, Budget: *lambda, Seed: *seed,
-			Quantize: *quantize, Rerank: *rerank, RebuildAt: *rebuildAt,
+			Metric: *metric, M: *m, Budget: *lambda, Seed: *seed, RebuildAt: *rebuildAt,
 			Sync: *syncPolicy, SyncIntervalMS: int(syncEvery.Milliseconds()),
 			SegmentBytes: *walSegMB << 20,
 		}, logger)
@@ -175,8 +172,7 @@ func main() {
 		if kind == lccs.Angular {
 			ds = ds.NormalizedCopy()
 		}
-		cfg := lccs.Config{Metric: kind, M: *m, Budget: *lambda, Seed: *seed,
-			Quantize: *quantize, Rerank: *rerank}
+		cfg := lccs.Config{Metric: kind, M: *m, Budget: *lambda, Seed: *seed}
 		if backend, err = buildBackend(ds, cfg, *indexPath, *shards); err != nil {
 			fatal(err)
 		}

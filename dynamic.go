@@ -562,14 +562,6 @@ func (d *DynamicIndex) Shards() int {
 	return len(d.segs)
 }
 
-// Quantization reports the scan-time compression the shards verify with
-// and their re-rank depth; the buffer is always scanned exactly.
-func (d *DynamicIndex) Quantization() (kind string, rerank int) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.segSet.Quantization()
-}
-
 // Search returns the k nearest live vectors: every shard's candidates
 // (at the default budget) and an exact scan of the buffer, collected into
 // one top k.

@@ -36,11 +36,6 @@ import (
 // churn-d16's larger segment is pipelined, static-d16 and serve-read
 // (109 candidates) stay serial, and serve-mixed's late queries (about
 // 1 309 d128 candidates, 2 MB) are pipelined.
-//
-// An SQ8 index verifies serially: with its scan on the helper, 20
-// alternating rounds had gist, λ = 1 000 faster in 16 of 20 and both
-// saturated SQ8 cells slower (docs/PERFORMANCE.md, "Optional mechanisms
-// on the frontier").
 const (
 	splitBytes = 1 << 20
 	drainBytes = 1 << 10
@@ -48,12 +43,9 @@ const (
 
 // split reports whether verify scores n candidates of ix with the helper,
 // and whether the helper then scores every batch (pipelined) rather than
-// the odd ones. It reads only n, the dimension and whether ix is SQ8, so
-// it does not depend on scheduling or GOMAXPROCS.
+// the odd ones. It reads only n and the dimension, so it does not depend
+// on scheduling or GOMAXPROCS.
 func (ix *Index) split(n int) (split, pipelined bool) {
-	if ix.sq8 != nil {
-		return false, false
-	}
 	row := int64(ix.store.Dim()) * 4
 	split = int64(n)*(drainBytes+row) >= splitBytes
 	return split, split && row < 2*drainBytes

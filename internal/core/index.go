@@ -92,15 +92,11 @@ type SearchStats struct {
 	// the CSA's circular binary searches — the "rows touched" of the
 	// retrieval phase, as opposed to the Candidates verified exactly.
 	Comparisons int
-	// Reranked is the number of candidates re-ranked with exact float32
-	// distances after the quantized (SQ8) scan; 0 on exact indexes.
-	Reranked int
 	// BytesScanned is the vector-block memory traffic of the
-	// verification phase, the bytes the kernels read: SQ8 score gathers
-	// cost 1 byte per dimension per candidate; float32 gathers, and the
-	// exact re-rank of the SQ8 survivors, 4 bytes per dimension they read
-	// — all of a row, or, Euclidean, as far as the checkpoint at which it
-	// could no longer enter the k-best collector (vec.Store.GatherNearest).
+	// verification phase, the bytes the kernels read: 4 bytes per
+	// dimension a gather reads — all of a row, or, Euclidean, as far as the
+	// checkpoint at which it could no longer enter the k-best collector
+	// (vec.Store.GatherNearest).
 	BytesScanned int64
 	// FilterRejected counts candidates the accept predicate discarded
 	// before any distance work (filtered searches only).
@@ -117,12 +113,6 @@ type Index struct {
 	csa    *csa.CSA
 	m      int
 	seed   uint64
-
-	// sq8, when non-nil, is the scalar-quantized mirror of store:
-	// candidate verification ranks by approximate quantized scores and
-	// re-ranks the best rerank of them with exact distances.
-	sq8    *vec.SQ8Store
-	rerank int
 
 	// pfuncs, when non-nil, are the probing hooks of funcs on an
 	// MP-LCCS-LSH index: every search then begins with the probes−1
@@ -144,15 +134,9 @@ type searchCtx struct {
 	hq   []int32      // hash-string buffer, H(q)
 	best pqueue.KBest // k-best verification collector
 	// batched-verification scratch: candidate ids drained from the CSA
-	// stream and their gathered distances / quantized scores.
-	ids    [verifyBatch]int32
-	dists  [verifyBatch]float64
-	scores [verifyBatch]float32
-	// quantized-path scratch: per-query SQ8 state, the approx-score
-	// collector, and the sorted winners buffer for the exact re-rank.
-	sq8q  vec.SQ8Query
-	rr    pqueue.KBest
-	rrBuf []pqueue.Neighbor
+	// stream and their gathered distances.
+	ids   [verifyBatch]int32
+	dists [verifyBatch]float64
 	// multi-probe scratch (unused, zero-cost for single-probe indexes)
 	alts     [][]lshfamily.Alternative
 	probeStr []int32
@@ -325,57 +309,6 @@ func (ix *Index) SearchInto(q []float32, k, lambda int, dst []pqueue.Neighbor) [
 	return dst
 }
 
-// EnableSQ8 attaches a scalar-quantized mirror of the index's store.
-// Candidate verification then scans qs instead of the float32 store —
-// one byte per dimension of memory traffic — collects the best rerank
-// candidates by approximate score, and re-ranks those with exact
-// distances, so returned distances are always exact. rerank values
-// below the query's k are raised to k at query time. The metric must
-// satisfy vec.SQ8Supported and qs must mirror the full store.
-func (ix *Index) EnableSQ8(qs *vec.SQ8Store, rerank int) {
-	if qs == nil {
-		ix.sq8, ix.rerank = nil, 0
-		return
-	}
-	if !vec.SQ8Supported(ix.metric) {
-		panic(fmt.Sprintf("core: metric %q not supported by SQ8", ix.metric.Name()))
-	}
-	if qs.Len() != ix.store.Len() {
-		panic("core: SQ8 store length mismatch")
-	}
-	if rerank <= 0 {
-		rerank = defaultRerank(ix.store.Len())
-	}
-	ix.sq8 = qs
-	ix.rerank = rerank
-}
-
-// SQ8 returns the attached quantized store, or nil (persistence hook).
-func (ix *Index) SQ8() *vec.SQ8Store { return ix.sq8 }
-
-// Rerank returns the configured exact re-rank depth (0 when exact).
-func (ix *Index) Rerank() int {
-	if ix.sq8 == nil {
-		return 0
-	}
-	return ix.rerank
-}
-
-// defaultRerank picks a re-rank depth when the caller didn't: deep
-// enough that SQ8 ranking noise around the cut line is overwhelmingly
-// unlikely to evict a true neighbor, shallow enough to stay a small
-// fraction of the verification budget.
-func defaultRerank(n int) int {
-	r := 64
-	if n < r {
-		r = n
-	}
-	if r < 1 {
-		r = 1
-	}
-	return r
-}
-
 // Stream is one query's candidate stream over one index, the paper's
 // k-LCCS stream (§4.1, Algorithm 2), kept in the pooled searchCtx so that
 // opening one allocates nothing. next yields what csa.Searcher.Next does,
@@ -465,19 +398,16 @@ func (st *Stream) Verify(n int, best *pqueue.KBest) SearchStats {
 
 // verify is the one verification loop. It drains up to n candidates from
 // the stream in batches of verifyBatch and feeds best under ids shifted by
-// the stream's offset: an exact index scores each batch with float32
-// distances, an SQ8 index ranks it by quantized score into ctx.rr (the
-// re-rank depth deep, but at least best's capacity) and then re-ranks the
-// winners exactly, timed into the "rerank" stage. An exact query whose
-// estimated work is large (split) starts ctx.h's goroutine, which scores
-// every batch when the query is pipelined, the caller only draining, or
-// else the odd batches, into a collector of its own merged into best at
-// the end. Which batches are handed off depends only on n, the index's
-// shape and the batch's index, so results, counts and bytes do not depend
-// on scheduling and equal per-row verification in stream order, bit for
-// bit (the argument is on helper). Each row is hinted to the cache a batch
-// ahead of its scoring, on the core that scores it: here as its id leaves
-// the stream, or by the helper as it takes the batch.
+// the stream's offset, scoring each batch with exact float32 distances. A
+// query whose estimated work is large (split) starts ctx.h's goroutine,
+// which scores every batch when the query is pipelined, the caller only
+// draining, or else the odd batches, into a collector of its own merged
+// into best at the end. Which batches are handed off depends only on n,
+// the index's shape and the batch's index, so results, counts and bytes do
+// not depend on scheduling and equal per-row verification in stream order,
+// bit for bit (the argument is on helper). Each row is hinted to the cache
+// a batch ahead of its scoring, on the core that scores it: here as its id
+// leaves the stream, or by the helper as it takes the batch.
 func (st *Stream) verify(n int, best *pqueue.KBest) SearchStats {
 	ix, ctx, q, off := st.ix, st.ctx, st.q, int(st.off)
 	st.left = n
@@ -493,11 +423,6 @@ func (st *Stream) verify(n int, best *pqueue.KBest) SearchStats {
 		ctx.h.start(q, off, best, pipelined)
 		defer ctx.h.stop()
 	}
-	quantized := ix.sq8 != nil
-	if quantized {
-		ix.sq8.Prepare(ix.metric, q, &ctx.sq8q)
-		ctx.rr.Reset(max(ix.rerank, best.Cap()))
-	}
 	ctx.bytes = 0
 	verified := 0
 	for batch := 0; ; batch++ {
@@ -508,9 +433,7 @@ func (st *Stream) verify(n int, best *pqueue.KBest) SearchStats {
 			b++
 			// Scored once the batch is full: the row's first lines
 			// travel while the CSA finds the rest of the batch.
-			if quantized {
-				ix.sq8.PrefetchRow(r.ID)
-			} else if mine {
+			if mine {
 				ix.store.PrefetchRow(r.ID)
 			}
 			if b == verifyBatch {
@@ -520,51 +443,29 @@ func (st *Stream) verify(n int, best *pqueue.KBest) SearchStats {
 		if b == 0 {
 			break // the stream or its count ran out
 		}
-		switch {
-		case quantized:
-			ix.sq8.GatherScoresInto(ctx.ids[:b], &ctx.sq8q, ctx.scores[:b])
-			ctx.bytes += int64(b) * int64(ix.store.Dim())
-			for i := 0; i < b; i++ {
-				ctx.rr.Add(int(ctx.ids[i]), float64(ctx.scores[i]))
-			}
-		case !mine:
-			ctx.h.hand(ctx.ids[:b], best)
-		default:
+		if mine {
 			ctx.bytes += ix.scoreExact(ctx.ids[:b], ctx.dists[:], q, off, best)
+		} else {
+			ctx.h.hand(ctx.ids[:b], best)
 		}
 		verified += b
 	}
 	if split {
 		ctx.bytes += ctx.h.merge(best)
 	}
-	reranked := 0
-	if quantized {
-		rstart := time.Now()
-		ctx.rrBuf = ctx.rr.AppendSorted(ctx.rrBuf[:0])
-		for base := 0; base < len(ctx.rrBuf); base += verifyBatch {
-			c := min(len(ctx.rrBuf)-base, verifyBatch)
-			for i := 0; i < c; i++ {
-				ctx.ids[i] = int32(ctx.rrBuf[base+i].ID)
-			}
-			ctx.bytes += ix.scoreExact(ctx.ids[:c], ctx.dists[:], q, off, best)
-		}
-		obs.ObserveDur(obs.StageRerank, time.Since(rstart))
-		reranked = len(ctx.rrBuf)
-	}
 	if st.accept != nil {
 		obs.ObserveDur(obs.StageFilter, time.Since(start))
 	}
-	stats := SearchStats{Candidates: verified, Probes: st.probes, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes, FilterRejected: st.rejected}
+	stats := SearchStats{Candidates: verified, Probes: st.probes, Comparisons: ctx.s.Comparisons(), BytesScanned: ctx.bytes, FilterRejected: st.rejected}
 	*st = Stream{ix: ix, ctx: ctx} // the pool keeps no caller's query, bitset or predicate
 	return stats
 }
 
 // scoreExact gathers the exact float32 distances of ids, using dists (at
 // least as long) as scratch, adds them to best under ids shifted by off
-// and returns the bytes it read: the scoring step of an exact index and
-// the re-rank step of a quantized one. A Euclidean row stops being read once it cannot
-// enter best (vec.Store.GatherNearest), which changes what best keeps in
-// nothing, only the bytes charged.
+// and returns the bytes it read. A Euclidean row stops being read once it
+// cannot enter best (vec.Store.GatherNearest), which changes what best
+// keeps in nothing, only the bytes charged.
 func (ix *Index) scoreExact(ids []int32, dists []float64, q []float32, off int, best *pqueue.KBest) int64 {
 	if ix.metric == vec.Euclidean {
 		return ix.store.GatherNearest(ids, q, off, best)

@@ -53,12 +53,10 @@ func drain(st *Stream, n int) []csa.Result {
 // oracleScan is what nw.open(ix, q, hq).Verify(n, best) verifies, worked
 // out the long way round: it takes the first n candidates from a fresh
 // csa.Searcher, dropping tombstoned and rejected ones by the same rules,
-// scores them with the unbounded gather (GatherDistancesInto) — on an SQ8
-// index after ranking them by quantized score and keeping the re-rank
-// pool's best, capacity deep at least — and returns them under global
-// ids, unsorted, with the candidates themselves in stream order (what
+// scores them with the unbounded gather (GatherDistancesInto) and returns
+// them under global ids, unsorted, with the candidates themselves in stream order (what
 // drain must yield; their count is SearchStats.Candidates).
-func oracleScan(ix *Index, q []float32, hq []int32, n, capacity int, nw narrowing) ([]pqueue.Neighbor, []csa.Result) {
+func oracleScan(ix *Index, q []float32, hq []int32, n int, nw narrowing) ([]pqueue.Neighbor, []csa.Result) {
 	s := ix.csa.NewSearcher()
 	s.Begin(hq)
 	var stream []csa.Result
@@ -80,25 +78,6 @@ func oracleScan(ix *Index, q []float32, hq []int32, n, capacity int, nw narrowin
 		stream = append(stream, r)
 		ids = append(ids, int32(r.ID))
 		nCand--
-	}
-	if ix.sq8 != nil && len(ids) > 0 {
-		var st vec.SQ8Query
-		ix.sq8.Prepare(ix.metric, q, &st)
-		scores := make([]float32, len(ids))
-		ix.sq8.GatherScoresInto(ids, &st, scores)
-		order := make([]int, len(ids))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			sa, sb := scores[order[a]], scores[order[b]]
-			return sa < sb || (sa == sb && ids[order[a]] < ids[order[b]])
-		})
-		pool := make([]int32, min(max(ix.rerank, capacity), len(ids)))
-		for i := range pool {
-			pool[i] = ids[order[i]]
-		}
-		ids = pool
 	}
 	dists := make([]float64, len(ids))
 	ix.store.GatherDistancesInto(ids, q, ix.metric, dists)
@@ -154,18 +133,16 @@ func sameNeighbors(a, b []pqueue.Neighbor) bool {
 // into one collector — plain, with tombstones charged and free, filtered,
 // a cursor's later page (k > k0, the candidates of a k0 query), a
 // collector wider than the segments' k, a collector that starts full at
-// the candidates' nearest distances, and SQ8 indexes — at dims on both
-// sides of the first checkpoint and at GIST's 960. Each segment's stream,
-// drained on its own, yields the oracle's candidates in the oracle's
-// order, at lengths that never increase. Each shape pins how its exact
-// queries verify (split): the first five serially, the d960 ones by
-// parity and the d16 and d128 ones pipelined; SQ8 queries verify
-// serially at every shape. The whole index's λ ≥ n queries split as
-// their counts say.
+// the candidates' nearest distances — at dims on both sides of the first
+// checkpoint and at GIST's 960. Each segment's stream, drained on its own,
+// yields the oracle's candidates in the oracle's order, at lengths that
+// never increase. Each shape pins how its queries verify (split): the
+// first five serially, the d960 ones by parity and the d16 and d128 ones
+// pipelined. The whole index's λ ≥ n queries split as their counts say.
 // It also checks the metering: a dim without a checkpoint, or a metric
 // without a bound, charges every candidate's full row; at dim 960 some
 // Euclidean query charges less; every query charges the same bytes twice
-// over and under GOMAXPROCS 1 and 2; and an exact query that is not split
+// over and under GOMAXPROCS 1 and 2; and a query that is not split
 // by parity charges what verifying on the calling goroutine alone
 // charges (serialBytes), the pipelined ones included.
 func TestVerifyMatchesUnboundedOracle(t *testing.T) {
@@ -187,8 +164,8 @@ func TestVerifyMatchesUnboundedOracle(t *testing.T) {
 }
 
 // verifyShape is one shape of TestVerifyMatchesUnboundedOracle: n rows of
-// dim, queried at λ, and how a query of λ+k−1 candidates verifies on the
-// exact index (modeOf; "" for serial).
+// dim, queried at λ, and how a query of λ+k−1 candidates verifies
+// (modeOf; "" for serial).
 type verifyShape struct {
 	dim, n, lambda int
 	angular        bool
@@ -207,7 +184,7 @@ func modeOf(ix *Index, n int) string {
 	return ""
 }
 
-// serialBytes is what verifying nw's stream of the exact index ix over
+// serialBytes is what verifying nw's stream of the index ix over
 // hq, n candidates into best, reads on the calling goroutine alone: the
 // stream drained, then scored batch by batch in stream order, as
 // verify's serial loop scores it.
@@ -254,21 +231,8 @@ func checkVerifyShape(t *testing.T, sh verifyShape) {
 		}
 		segs = append(segs, ix)
 	}
-	var sq8Segs []*Index
-	for i := range segs {
-		part := store.Slice(bounds[i], bounds[i+1])
-		ix, err := BuildStore(part, fam, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix.EnableSQ8(vec.QuantizeSQ8(part), 24)
-		sq8Segs = append(sq8Segs, ix)
-	}
 	if got := modeOf(whole, lambda+k-1); got != sh.mode {
 		t.Fatalf("dim %d λ %d: verifies %q, want %q", dim, lambda, got, sh.mode)
-	}
-	if got := modeOf(sq8Segs[0], lambda+k-1); got != "" {
-		t.Fatalf("dim %d λ %d, SQ8: verifies %q, want serially", dim, lambda, got)
 	}
 	dead := make([]uint64, (n+63)/64)
 	for id := 0; id < n; id += 7 {
@@ -293,8 +257,6 @@ func checkVerifyShape(t *testing.T, sh verifyShape) {
 		{name: "cursor page", segs: segs, k0: 4},
 		{name: "wide collector", segs: segs, wide: true},
 		{name: "seeded collector", segs: segs, seeded: true},
-		{name: "sq8", segs: sq8Segs},
-		{name: "sq8 dead filter", segs: sq8Segs, dead: dead, accept: func(id int) bool { return id%2 == 0 }},
 	}
 	scanOf := func(v variant, off int) narrowing {
 		nw := narrowing{off: off, dead: v.dead, charge: v.charge}
@@ -313,7 +275,7 @@ func checkVerifyShape(t *testing.T, sh verifyShape) {
 		hq := whole.HashQuery(q, nil)
 
 		for _, lam := range []int{lambda, n} {
-			cands, stream := oracleScan(whole, q, hq, lam+k-1, k, narrowing{})
+			cands, stream := oracleScan(whole, q, hq, lam+k-1, narrowing{})
 			want, drained := nearestOf(cands, k), len(stream)
 			if got := whole.SearchInto(q, k, lam, nil); !sameNeighbors(got, want) {
 				t.Fatalf("%s λ %d: SearchInto %v, oracle %v", label, lam, got, want)
@@ -362,7 +324,7 @@ func checkVerifyShape(t *testing.T, sh verifyShape) {
 			var streams [][]csa.Result
 			var drained int
 			for i, ix := range v.segs {
-				c, stream := oracleScan(ix, q, hq, lam+kk-1, capacity, scanOf(v, bounds[i]))
+				c, stream := oracleScan(ix, q, hq, lam+kk-1, scanOf(v, bounds[i]))
 				cands = append(cands, c...)
 				streams = append(streams, stream)
 				drained += len(stream)
@@ -394,7 +356,6 @@ func checkVerifyShape(t *testing.T, sh verifyShape) {
 				for i, ix := range v.segs {
 					one := scanOf(v, bounds[i]).open(ix, q, hq).Verify(lam+kk-1, &best)
 					st.Candidates += one.Candidates
-					st.Reranked += one.Reranked
 					st.BytesScanned += one.BytesScanned
 					if err := sameStream(drain(scanOf(v, bounds[i]).open(ix, q, hq), lam+kk-1), streams[i]); err != nil {
 						t.Fatalf("%s %s segment %d GOMAXPROCS %d: stream: %v", label, v.name, i, procs, err)
@@ -410,15 +371,12 @@ func checkVerifyShape(t *testing.T, sh verifyShape) {
 				}
 				bytes = st.BytesScanned
 				full := int64(st.Candidates) * int64(dim) * 4
-				if v.segs[0].sq8 != nil {
-					full = int64(st.Candidates)*int64(dim) + int64(st.Reranked)*int64(dim)*4
-				}
 				if bytes > full || (unbounded && bytes != full) {
-					t.Fatalf("%s %s: %d bytes scanned, %d candidates and %d re-ranked read in full are %d",
-						label, v.name, bytes, st.Candidates, st.Reranked, full)
+					t.Fatalf("%s %s: %d bytes scanned, %d candidates read in full are %d",
+						label, v.name, bytes, st.Candidates, full)
 				}
 			}
-			if v.segs[0].sq8 == nil && modeOf(v.segs[0], lam+kk-1) != "parity" {
+			if modeOf(v.segs[0], lam+kk-1) != "parity" {
 				var serial pqueue.KBest
 				serial.Reset(capacity)
 				seed(&serial)
@@ -512,100 +470,79 @@ func checkHelperEnds(t *testing.T, sh verifyShape) {
 // bound leaves. The saturated variants (gist at λ = 1 000, sift at 1 600,
 // d16 at 3 000) run GOMAXPROCS such queries at once (b.RunParallel), so no
 // core is idle for a helper: what splitting a query costs a loaded
-// machine. The cells SQ8 is decided on run a second time, as …/sq8, on an
-// SQ8 mirror of the same index at the default re-rank depth: gist at
-// λ = 1 000, alone and saturated, and sift at 800 and 1 600, alone and
-// saturated at 1 600. Re-running it with another boundStride (and the
-// assembly's checkpoint mask to match), or with split forced one way, gives
-// the sweeps in docs/PERFORMANCE.md, "Bounded verification", "Verifying on
-// the idle core" and "Pipelining drain-bound queries"; its /sq8 pairs give
-// "Optional mechanisms on the frontier".
+// machine. Re-running it with another boundStride (and the assembly's
+// checkpoint mask to match), or with split forced one way, gives the sweeps
+// in docs/PERFORMANCE.md, "Bounded verification", "Verifying on the idle
+// core" and "Pipelining drain-bound queries".
 func BenchmarkVerify(b *testing.B) {
 	const n, nq, k = 50_000, 200, 10
 	type cell struct {
-		lambda           int
-		saturated, pairs bool // pairs: also run on the SQ8 mirror
+		lambda    int
+		saturated bool
 	}
 	cells := map[string][]cell{
-		"sift": {{lambda: 100}, {lambda: 300}, {lambda: 800, pairs: true}, {lambda: 1000},
-			{lambda: 1600, pairs: true}, {lambda: 3000}, {lambda: 1600, saturated: true, pairs: true}},
-		"gist": {{lambda: 100}, {lambda: 300}, {lambda: 1000, pairs: true}, {lambda: 3000},
-			{lambda: 1000, saturated: true, pairs: true}},
+		"sift": {{lambda: 100}, {lambda: 300}, {lambda: 800}, {lambda: 1000},
+			{lambda: 1600}, {lambda: 3000}, {lambda: 1600, saturated: true}},
+		"gist": {{lambda: 100}, {lambda: 300}, {lambda: 1000}, {lambda: 3000},
+			{lambda: 1000, saturated: true}},
 		"d16": {{lambda: 100}, {lambda: 1000}, {lambda: 3000}, {lambda: 3000, saturated: true}},
 	}
 	for _, preset := range []string{"sift", "gist", "d16"} {
 		var (
-			exact, sq8 *Index
-			queries    [][]float32
-			hqs        [][]int32
+			ix      *Index
+			queries [][]float32
+			hqs     [][]int32
 		)
-		setup := func(b *testing.B, quantized bool) *Index {
-			if exact == nil {
-				store, qs, m := verifyData(b, preset, n, nq)
-				var err error
-				exact, err = BuildStore(store, lshfamily.NewRandomProjection(store.Dim(), nnWidth(store)), Params{M: m, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				queries = qs
-				hqs = make([][]int32, len(queries))
-				for i, q := range queries {
-					hqs[i] = exact.HashQuery(q, nil)
-				}
+		setup := func(b *testing.B) {
+			if ix != nil {
+				return
 			}
-			if !quantized {
-				return exact
+			store, qs, m := verifyData(b, preset, n, nq)
+			var err error
+			ix, err = BuildStore(store, lshfamily.NewRandomProjection(store.Dim(), nnWidth(store)), Params{M: m, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
 			}
-			if sq8 == nil {
-				// The same rows and CSA, verified through the mirror.
-				sq8 = &Index{family: exact.family, funcs: exact.funcs, metric: exact.metric, store: exact.store, csa: exact.csa, m: exact.m, seed: exact.seed}
-				sq8.initPool()
-				sq8.EnableSQ8(vec.QuantizeSQ8(exact.store), 0)
+			queries = qs
+			hqs = make([][]int32, len(queries))
+			for i, q := range queries {
+				hqs[i] = ix.HashQuery(q, nil)
 			}
-			return sq8
 		}
 		for _, c := range cells[preset] {
-			for _, quantized := range []bool{false, true} {
-				if quantized && !c.pairs {
-					continue
-				}
-				name := fmt.Sprintf("%s/lambda=%d", preset, c.lambda)
-				if c.saturated {
-					name = fmt.Sprintf("%s-saturated/lambda=%d", preset, c.lambda)
-				}
-				if quantized {
-					name += "/sq8"
-				}
-				b.Run(name, func(b *testing.B) {
-					ix := setup(b, quantized)
-					if c.saturated {
-						var next atomic.Int64
-						b.ResetTimer()
-						b.RunParallel(func(pb *testing.PB) {
-							var best pqueue.KBest
-							for pb.Next() {
-								qi := int(next.Add(1)) % len(queries)
-								best.Reset(k)
-								ix.Open(queries[qi], hqs[qi], 0, nil).Verify(c.lambda+k-1, &best)
-							}
-						})
-						b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
-						return
-					}
-					var best pqueue.KBest
-					var read, full int64
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						qi := i % len(queries)
-						best.Reset(k)
-						st := ix.Open(queries[qi], hqs[qi], 0, nil).Verify(c.lambda+k-1, &best)
-						read += st.BytesScanned
-						full += int64(st.Candidates) * int64(ix.store.Dim()) * 4
-					}
-					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
-					b.ReportMetric(float64(read)/float64(full), "read-frac")
-				})
+			name := fmt.Sprintf("%s/lambda=%d", preset, c.lambda)
+			if c.saturated {
+				name = fmt.Sprintf("%s-saturated/lambda=%d", preset, c.lambda)
 			}
+			b.Run(name, func(b *testing.B) {
+				setup(b)
+				if c.saturated {
+					var next atomic.Int64
+					b.ResetTimer()
+					b.RunParallel(func(pb *testing.PB) {
+						var best pqueue.KBest
+						for pb.Next() {
+							qi := int(next.Add(1)) % len(queries)
+							best.Reset(k)
+							ix.Open(queries[qi], hqs[qi], 0, nil).Verify(c.lambda+k-1, &best)
+						}
+					})
+					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+					return
+				}
+				var best pqueue.KBest
+				var read, full int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					qi := i % len(queries)
+					best.Reset(k)
+					st := ix.Open(queries[qi], hqs[qi], 0, nil).Verify(c.lambda+k-1, &best)
+					read += st.BytesScanned
+					full += int64(st.Candidates) * int64(ix.store.Dim()) * 4
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+				b.ReportMetric(float64(read)/float64(full), "read-frac")
+			})
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package engine is the multi-tenant collection registry behind the
 // daemon: named collections, each an independently configured index
-// (its own metric, hash length, quantization, durability directory),
+// (its own metric, hash length, durability directory),
 // created, dropped, and listed at runtime. The registry owns collection
 // lifecycle — creation writes a COLLECTION.json spec next to the
 // collection's durable state, restarts lazily reopen collections from
@@ -69,9 +69,11 @@ func ValidateName(name string) error {
 // Spec is a collection's configuration, persisted as COLLECTION.json in
 // the collection directory so a restart reopens the collection exactly
 // as created. Zero fields inherit the engine's defaults. A key the spec no
-// longer has — "probes", the multi-probe count of specs written while the
-// facade offered one — is ignored on read, so such a collection reopens as
-// its single-probe index.
+// longer has is ignored on read: "probes", the multi-probe count of specs
+// written while the facade offered one, so such a collection reopens as
+// its single-probe index; and "quantize" with its re-rank depth, the
+// quantized scan of specs written while the facade offered one, so such a
+// collection reopens as its exact index.
 type Spec struct {
 	// Metric names the distance metric: euclidean | angular | hamming |
 	// jaccard. Empty inherits the engine default.
@@ -84,10 +86,6 @@ type Spec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// BucketWidth is the Euclidean family's w (0 = derive from data).
 	BucketWidth float64 `json:"bucket_width,omitempty"`
-	// Quantize optionally compresses the scan store ("sq8").
-	Quantize string `json:"quantize,omitempty"`
-	// Rerank is the quantized-scan re-rank depth.
-	Rerank int `json:"rerank,omitempty"`
 	// RebuildAt is the dynamic delta threshold triggering a background
 	// shard build.
 	RebuildAt int `json:"rebuild_at,omitempty"`
@@ -116,12 +114,6 @@ func (s Spec) merged(def Spec) Spec {
 	}
 	if s.BucketWidth == 0 {
 		s.BucketWidth = def.BucketWidth
-	}
-	if s.Quantize == "" {
-		s.Quantize = def.Quantize
-	}
-	if s.Rerank == 0 {
-		s.Rerank = def.Rerank
 	}
 	if s.RebuildAt == 0 {
 		s.RebuildAt = def.RebuildAt
@@ -164,8 +156,6 @@ func (s Spec) durableConfig(fsys faultfs.FS, logger *slog.Logger) (lccs.DurableC
 			Budget:      s.Budget,
 			Seed:        s.Seed,
 			BucketWidth: s.BucketWidth,
-			Quantize:    s.Quantize,
-			Rerank:      s.Rerank,
 		},
 		Sync:         sp,
 		SyncInterval: time.Duration(s.SyncIntervalMS) * time.Millisecond,

@@ -119,9 +119,11 @@ func TestRootedLifecycle(t *testing.T) {
 }
 
 // TestSpecProbesKeyReopens is the shim for collections created while the
-// spec carried a multi-probe count: a COLLECTION.json holding "probes": 33
-// reopens, as the single-probe index over the same state, with the
-// answers the same state gives without the key.
+// spec carried a key it no longer has: a COLLECTION.json holding
+// "probes": 33, the multi-probe count, or "quantize": "sq8" with
+// "rerank": 24, the quantized scan, reopens as the exact single-probe index
+// over the same state, with the answers the same state gives without the
+// keys.
 func TestSpecProbesKeyReopens(t *testing.T) {
 	root := t.TempDir()
 	defaults := Spec{Metric: "euclidean", M: 8, Seed: 1, BucketWidth: 4}
@@ -173,19 +175,27 @@ func TestSpecProbesKeyReopens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spec map[string]any
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		t.Fatal(err)
-	}
-	spec["probes"] = 33
-	if raw, err = json.Marshal(spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := reopen(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("answers with \"probes\": 33 in the spec:\n%v\nwant\n%v", got, want)
+	for _, keys := range []map[string]any{
+		{"probes": 33},
+		{"quantize": "sq8", "rerank": 24},
+	} {
+		var spec map[string]any
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range keys {
+			spec[k] = v
+		}
+		edited, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := reopen(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("answers with %v in the spec:\n%v\nwant\n%v", keys, got, want)
+		}
 	}
 }
 

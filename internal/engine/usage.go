@@ -11,7 +11,7 @@ import "sync/atomic"
 // scrape reads a consistent-enough snapshot without stopping traffic.
 // Counters reset only with the process; windowed rates come from the
 // health rings (internal/obs), which the same recorder feeds.
-type Usage struct{ c [12]atomic.Int64 }
+type Usage struct{ c [11]atomic.Int64 }
 
 // UsageSnapshot is a point-in-time copy of a Usage, shaped for JSON.
 type UsageSnapshot struct {
@@ -25,15 +25,12 @@ type UsageSnapshot struct {
 	// requests shed by admission included.
 	Errors int64 `json:"errors"`
 	// Comparisons is the total CSA hash-comparison work; Candidates the
-	// vectors verified with exact (or quantized) distances; Reranked the
-	// quantized candidates re-scored at full precision.
+	// vectors verified with exact distances.
 	Comparisons int64 `json:"comparisons"`
 	Candidates  int64 `json:"candidates"`
-	Reranked    int64 `json:"reranked"`
-	// BytesScanned is the vector bytes the distance kernels read:
-	// 1 B/dim per SQ8 candidate, and 4 B/dim per float32 candidate and
-	// per re-ranked row, of the dims read — a Euclidean row stops being
-	// read once it cannot make the k nearest.
+	// BytesScanned is the vector bytes the distance kernels read: 4 B/dim
+	// per candidate, of the dims read — a Euclidean row stops being read
+	// once it cannot make the k nearest.
 	BytesScanned int64 `json:"bytes_scanned"`
 	// FilterRejected counts candidates discarded by a metadata predicate.
 	FilterRejected int64 `json:"filter_rejected"`
@@ -53,9 +50,9 @@ type UsageSnapshot struct {
 
 // counters lists the stored counters — every field but the derived
 // CostUnits — in the order Usage keeps them.
-func (s *UsageSnapshot) counters() [12]*int64 {
+func (s *UsageSnapshot) counters() [11]*int64 {
 	return [...]*int64{&s.Searches, &s.Inserts, &s.Deletes, &s.Errors, &s.Comparisons, &s.Candidates,
-		&s.Reranked, &s.BytesScanned, &s.FilterRejected, &s.CacheHits, &s.CacheMisses, &s.WALBytes}
+		&s.BytesScanned, &s.FilterRejected, &s.CacheHits, &s.CacheMisses, &s.WALBytes}
 }
 
 // Add folds one request's contribution into the counters; zero fields

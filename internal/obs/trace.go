@@ -31,7 +31,6 @@ const (
 	StageBufferScan              // linear scan of the unindexed delta buffer
 	StageMerge                   // final sort of the one top-k collector + external-id mapping
 	StageEncode                  // the cache's copy of the result + response serialisation
-	StageRerank                  // exact float32 re-rank after a quantized (SQ8) scan
 	StageDecode                  // request body read + parse
 
 	// Durable write path.
@@ -63,7 +62,6 @@ var stageNames = [numStages]string{
 	StageBufferScan:     "buffer_scan",
 	StageMerge:          "merge",
 	StageEncode:         "encode",
-	StageRerank:         "rerank",
 	StageDecode:         "decode",
 	StageIndexApply:     "index_apply",
 	StageWALAppend:      "wal_append",

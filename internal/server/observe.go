@@ -277,12 +277,8 @@ type explainJSON struct {
 	Backend string `json:"backend"`
 	K       int    `json:"k"`
 	// Budget is the requested candidate budget λ (0 = backend default).
-	Budget int `json:"budget"`
-	// Quantize/Rerank are the compression the backend verifies with and
-	// its effective re-rank depth, as the backend reports them.
-	Quantize string `json:"quantize,omitempty"`
-	Rerank   int    `json:"rerank,omitempty"`
-	Filtered bool   `json:"filtered"`
+	Budget   int  `json:"budget"`
+	Filtered bool `json:"filtered"`
 	// FilterSelectivity is the observed accept fraction among
 	// predicate-checked candidates; present only on filtered queries
 	// that checked at least one.
@@ -298,12 +294,6 @@ type explainJSON struct {
 	Buffer *explainShardJSON  `json:"buffer,omitempty"`
 }
 
-// quantizer is what a backend reports of its scan-time compression;
-// every facade of package lccs answers it.
-type quantizer interface {
-	Quantization() (kind string, rerank int)
-}
-
 // buildExplain assembles the plan. co is nil on cache hits; tr is the
 // request's trace (explain forces one, so it is non-nil here except
 // for custom backends that ignored it).
@@ -316,9 +306,6 @@ func buildExplain(c *coll, k, budget int, f *lccs.Filter, co *lccs.Cost, cache s
 		Filtered:   f != nil,
 		Cache:      cache,
 		Shards:     []explainShardJSON{},
-	}
-	if q, ok := c.backend.(quantizer); ok {
-		e.Quantize, e.Rerank = q.Quantization()
 	}
 	if co != nil {
 		e.Cost = co

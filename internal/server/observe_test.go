@@ -301,7 +301,7 @@ func TestPaginatedSearchMetered(t *testing.T) {
 	}
 	cu := ur.Cumulative
 	if cu.Searches != 1 || cu.Comparisons != e.Cost.Comparisons || cu.Candidates != e.Cost.Candidates ||
-		cu.BytesScanned != e.Cost.BytesScanned || cu.Reranked != e.Cost.Reranked {
+		cu.BytesScanned != e.Cost.BytesScanned {
 		t.Fatalf("usage %+v after one page, its plan costs %+v", cu, e.Cost)
 	}
 
@@ -319,45 +319,6 @@ func TestPaginatedSearchMetered(t *testing.T) {
 	}
 	if scans["shard_scan"] != dyn.Shards() || scans["buffer_scan"] != 1 {
 		t.Fatalf("traced page's query spans %+v", q.Children)
-	}
-}
-
-// TestExplainReportsBackendQuantization: EXPLAIN reports the compression
-// the backend verifies with, as the backend reports it, also for a backend
-// adopted as the default collection, which has no collection spec — an
-// adopted SQ8 dynamic backend once answered "quantize": "" beside a
-// non-zero re-ranked count.
-func TestExplainReportsBackendQuantization(t *testing.T) {
-	data, queries := testWorkload(25, 300, 8)
-	for _, tc := range []struct {
-		name       string
-		cfg        lccs.Config
-		wantKind   string
-		wantRerank int
-	}{
-		{"sq8", lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 9, Quantize: lccs.QuantizeSQ8}, lccs.QuantizeSQ8, 64},
-		{"sq8 rerank 32", lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 9, Quantize: lccs.QuantizeSQ8, Rerank: 32}, lccs.QuantizeSQ8, 32},
-		{"plain", lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 9}, "", 0},
-	} {
-		dyn, err := lccs.NewDynamicIndex(data, tc.cfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, ts := newTestServer(t, Config{Backend: dyn})
-		var got searchResponse
-		if code := postJSON(t, ts, "/v1/search", searchRequest{Query: queries[0], K: 5, Explain: true}, &got); code != http.StatusOK {
-			t.Fatalf("%s: explain search: HTTP %d", tc.name, code)
-		}
-		e := got.Explain
-		if e == nil || e.Backend != "dynamic" || e.Cost == nil {
-			t.Fatalf("%s: plan %+v", tc.name, e)
-		}
-		if e.Quantize != tc.wantKind || e.Rerank != tc.wantRerank {
-			t.Fatalf("%s: plan says quantize %q, rerank %d; want %q, %d", tc.name, e.Quantize, e.Rerank, tc.wantKind, tc.wantRerank)
-		}
-		if reranked := e.Cost.Reranked > 0; reranked != (tc.wantKind != "") {
-			t.Fatalf("%s: cost.reranked = %d beside quantize %q", tc.name, e.Cost.Reranked, e.Quantize)
-		}
 	}
 }
 

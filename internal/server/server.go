@@ -556,7 +556,7 @@ type errorResponse struct {
 }
 
 // createCollectionRequest is the /v1/collections POST body: the name
-// plus the spec fields (metric, m, budget, quantize, ...) inline.
+// plus the spec fields (metric, m, budget, ...) inline.
 type createCollectionRequest struct {
 	Name string `json:"name"`
 	engine.Spec
@@ -704,7 +704,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.cache.put(key, append([]lccs.Neighbor(nil), res...), next)
 	}
 	o.dur = time.Since(start)
-	o.use.Comparisons, o.use.Candidates, o.use.Reranked = sc.co.Comparisons, sc.co.Candidates, sc.co.Reranked
+	o.use.Comparisons, o.use.Candidates = sc.co.Comparisons, sc.co.Candidates
 	o.use.BytesScanned, o.use.FilterRejected = sc.co.BytesScanned, sc.co.FilterRejected
 	resp := searchResponse{Neighbors: res, NextCursor: next}
 	if req.Explain {

@@ -30,10 +30,9 @@ func gatherIDLists(n int) map[string][]int32 {
 	}
 }
 
-// TestGatherMatchesDistance holds both gather entry points to their
-// contract directly: out[j] is, bit for bit, what scoring row ids[j] alone
-// gives — the pairwise Distance for the store, the row kernel's score for
-// the quantized store — whatever row the kernel was handed to prefetch.
+// TestGatherMatchesDistance holds the gather to its contract directly:
+// out[j] is, bit for bit, the pairwise Distance of row ids[j] alone,
+// whatever row the kernel was handed to prefetch.
 // It runs against the assembly and, under -tags noasm, the pure-Go
 // kernels.
 func TestGatherMatchesDistance(t *testing.T) {
@@ -56,7 +55,6 @@ func TestGatherMatchesDistance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qs := QuantizeSQ8(s)
 		q := kernelTestVec(g, dim)
 
 		for name, ids := range gatherIDLists(n) {
@@ -74,26 +72,6 @@ func TestGatherMatchesDistance(t *testing.T) {
 				}
 				if math.Float64bits(out[len(ids)]) != math.Float64bits(sentinel) {
 					t.Fatalf("dim %d %s %s: wrote past out[:len(ids)]", dim, m.Name(), name)
-				}
-			}
-			for _, m := range []Metric{Euclidean, Angular} {
-				var st SQ8Query
-				qs.Prepare(m, q, &st)
-				out := make([]float32, len(ids))
-				qs.GatherScoresInto(ids, &st, out)
-				for j, id := range ids {
-					row := qs.row(int(id))
-					var want float32
-					switch {
-					case m == Euclidean:
-						want = sq8SqRow(row, qs.scale, st.adj, row)
-					case qs.norms[id] != 0:
-						want = -(st.base + sq8DotRow(row, st.adj, row)) / qs.norms[id]
-					}
-					if math.Float32bits(out[j]) != math.Float32bits(want) {
-						t.Fatalf("dim %d sq8 %s %s: out[%d] (row %d) = %x, row kernel = %x", dim, m.Name(), name, j, id,
-							math.Float32bits(out[j]), math.Float32bits(want))
-					}
 				}
 			}
 		}
@@ -173,10 +151,7 @@ func TestGatherPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := QuantizeSQ8(s)
 	q := []float32{1, 1}
-	var st SQ8Query
-	qs.Prepare(Euclidean, q, &st)
 	panicOf := func(f func()) (v any) {
 		defer func() { v = recover() }()
 		f()
@@ -193,13 +168,6 @@ func TestGatherPanics(t *testing.T) {
 			t.Fatalf("%s: short out was written to before the panic: %v", m.Name(), out)
 		}
 	}
-	scores := []float32{-1}
-	if v := panicOf(func() { qs.GatherScoresInto([]int32{0, 1}, &st, scores) }); v != short {
-		t.Fatalf("sq8: short out: panic %v, want %q", v, short)
-	}
-	if scores[0] != -1 {
-		t.Fatalf("sq8: short out was written to before the panic: %v", scores)
-	}
 
 	for _, bad := range []int32{-1, 3, math.MaxInt32, math.MinInt32} {
 		for pos := 0; pos < 3; pos++ {
@@ -211,10 +179,7 @@ func TestGatherPanics(t *testing.T) {
 					t.Fatalf("%s, %s: no panic", name, m.Name())
 				}
 			}
-			if panicOf(func() { qs.GatherScoresInto(ids, &st, make([]float32, 3)) }) == nil {
-				t.Fatalf("%s, sq8: no panic", name)
-			}
-			if panicOf(func() { s.PrefetchRow(int(bad)) }) == nil || panicOf(func() { qs.PrefetchRow(int(bad)) }) == nil {
+			if panicOf(func() { s.PrefetchRow(int(bad)) }) == nil {
 				t.Fatalf("%s: PrefetchRow: no panic", name)
 			}
 		}

@@ -35,12 +35,6 @@ var (
 	// dotNormBlock writes outDot[r] = Σ_d row·q and outNorm[r] = Σ_d row²
 	// in a single pass over the block.
 	dotNormBlock func(block, q, outDot, outNorm []float32) = dotNormBlockGeneric
-	// sq8SqRow returns Σ_d (adj[d] - scale[d]·codes[d])², the asymmetric
-	// int8×float32 squared-Euclidean kernel (adj[d] = q[d] - min[d]).
-	sq8SqRow func(codes []uint8, scale, adj []float32, next []uint8) float32 = sq8SqRowGeneric
-	// sq8DotRow returns Σ_d adj[d]·codes[d], the asymmetric dot kernel
-	// (adj[d] = q[d]·scale[d]; caller adds the Σ q·min base term).
-	sq8DotRow func(codes []uint8, adj []float32, next []uint8) float32 = sq8DotRowGeneric
 
 	// Single-row variants returning by value. These exist (rather than
 	// calling the block kernels with a one-element out slice) because a
@@ -48,10 +42,9 @@ var (
 	// stack out-buffer would be forced to the heap on every pairwise
 	// distance — the hot verification path must stay at 0 allocs/op.
 	//
-	// Each, like the SQ8 kernels above, takes last the row its caller
-	// will ask for next. A gather reads scattered rows, every one of
-	// which would otherwise begin with cache misses no hardware
-	// prefetcher can predict; the assembly requests next line by line as
+	// Each takes last the row its caller will ask for next. A gather reads
+	// scattered rows, every one of which would otherwise begin with cache
+	// misses no hardware prefetcher can predict; the assembly requests next line by line as
 	// it consumes the current row, so the misses overlap the arithmetic.
 	// A caller with no next row — the pairwise helpers, the last row of a
 	// gather — passes the row itself, and nothing is requested. next is

@@ -26,12 +26,6 @@ func dot4RowAVX2(block, v []float32) (d0, d1, d2, d3 float32)
 //go:noescape
 func dotNormRowAVX2(a, q, next []float32) (dot, normSq float32)
 
-//go:noescape
-func sq8SqRowAVX2(codes []uint8, scale, adj []float32, next []uint8) float32
-
-//go:noescape
-func sq8DotRowAVX2(codes []uint8, adj []float32, next []uint8) float32
-
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -65,8 +59,6 @@ func init() {
 		dotRow = dotRowAVX2
 		dot4Row = dot4RowAVX2
 		dotNormRow = dotNormRowAVX2
-		sq8SqRow = sq8SqRowAVX2
-		sq8DotRow = sq8DotRowAVX2
 		kernelImpl = "avx2"
 	}
 }

@@ -176,40 +176,6 @@
 	VADDPS  Y5, Y9, Y9; \
 	ADDQ    $16, R8
 
-// QSQ16: acc += (adj - scale * code)^2.
-#define QSQ16 \
-	VPMOVZXBD (SI)(R8*1), Y2; \
-	VCVTDQ2PS Y2, Y2; \
-	VMOVUPS   (DX)(R8*4), Y3; \
-	VMULPS    Y2, Y3, Y4; \
-	VMOVUPS   (BX)(R8*4), Y5; \
-	VSUBPS    Y4, Y5, Y6; \
-	VMULPS    Y6, Y6, Y6; \
-	VADDPS    Y6, Y0, Y0; \
-	VPMOVZXBD 8(SI)(R8*1), Y2; \
-	VCVTDQ2PS Y2, Y2; \
-	VMOVUPS   32(DX)(R8*4), Y3; \
-	VMULPS    Y2, Y3, Y4; \
-	VMOVUPS   32(BX)(R8*4), Y5; \
-	VSUBPS    Y4, Y5, Y6; \
-	VMULPS    Y6, Y6, Y6; \
-	VADDPS    Y6, Y1, Y1; \
-	ADDQ      $16, R8
-
-// QDOT16: acc += adj * code.
-#define QDOT16 \
-	VPMOVZXBD (SI)(R8*1), Y2; \
-	VCVTDQ2PS Y2, Y2; \
-	VMOVUPS   (BX)(R8*4), Y3; \
-	VMULPS    Y2, Y3, Y4; \
-	VADDPS    Y4, Y0, Y0; \
-	VPMOVZXBD 8(SI)(R8*1), Y2; \
-	VCVTDQ2PS Y2, Y2; \
-	VMOVUPS   32(BX)(R8*4), Y3; \
-	VMULPS    Y2, Y3, Y4; \
-	VADDPS    Y4, Y1, Y1; \
-	ADDQ      $16, R8
-
 // func sqBlockAVX2(block, q, out []float32)
 // out[r] = sum_d (block[r*dim+d] - q[d])^2, dim = len(q), rows = len(out).
 TEXT ·sqBlockAVX2(SB), NOSPLIT, $0-72
@@ -699,169 +665,6 @@ rdn_tail:
 rdn_done:
 	MOVSS X0, dot+72(FP)
 	MOVSS X8, normSq+76(FP)
-	RET
-
-// func sq8SqRowAVX2(codes []uint8, scale, adj []float32, next []uint8) float32
-// ret = sum_d (adj[d] - scale[d]*float32(codes[d]))^2, dim = len(adj).
-// A code is one byte, so an iteration consumes a quarter of a line and
-// every fourth one prefetches.
-TEXT ·sq8SqRowAVX2(SB), NOSPLIT, $0-100
-	MOVQ codes_base+0(FP), SI
-	MOVQ scale_base+24(FP), DX
-	MOVQ adj_base+48(FP), BX
-	MOVQ adj_len+56(FP), CX
-	MOVQ next_base+72(FP), R10
-	XORQ R8, R8
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	MOVQ CX, R9
-	SUBQ $16, R9
-	CMPQ R10, SI
-	JEQ  qsq_loop16
-
-qsq_ahead16:
-	CMPQ       R8, R9
-	JG         qsq_aheadrest
-	TESTQ      $63, R8
-	JNZ        qsq_aheadstep
-	PREFETCHT1 (R10)(R8*1)
-
-qsq_aheadstep:
-	QSQ16
-	JMP        qsq_ahead16
-
-qsq_aheadrest:
-	PREFETCHT1 -1(R10)(CX*1)
-	CMPQ       R8, CX
-	JGE        qsq_reduce
-	PREFETCHT1 (R10)(R8*1)
-	JMP        qsq_loop8entry
-
-qsq_loop16:
-	CMPQ      R8, R9
-	JG        qsq_loop8entry
-	QSQ16
-	JMP       qsq_loop16
-
-qsq_loop8entry:
-	MOVQ CX, R9
-	SUBQ $8, R9
-
-qsq_loop8:
-	CMPQ      R8, R9
-	JG        qsq_reduce
-	VPMOVZXBD (SI)(R8*1), Y2
-	VCVTDQ2PS Y2, Y2
-	VMOVUPS   (DX)(R8*4), Y3
-	VMULPS    Y2, Y3, Y4
-	VMOVUPS   (BX)(R8*4), Y5
-	VSUBPS    Y4, Y5, Y6
-	VMULPS    Y6, Y6, Y6
-	VADDPS    Y6, Y0, Y0
-	ADDQ      $8, R8
-	JMP       qsq_loop8
-
-qsq_reduce:
-	VADDPS       Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS       X1, X0, X0
-	VHADDPS      X0, X0, X0
-	VHADDPS      X0, X0, X0
-	VZEROUPPER
-
-qsq_tail:
-	CMPQ    R8, CX
-	JGE     qsq_done
-	MOVBLZX (SI)(R8*1), AX
-	CVTSL2SS AX, X2
-	MOVSS   (DX)(R8*4), X3
-	MULSS   X3, X2
-	MOVSS   (BX)(R8*4), X3
-	SUBSS   X2, X3
-	MULSS   X3, X3
-	ADDSS   X3, X0
-	INCQ    R8
-	JMP     qsq_tail
-
-qsq_done:
-	MOVSS X0, ret+96(FP)
-	RET
-
-// func sq8DotRowAVX2(codes []uint8, adj []float32, next []uint8) float32
-// ret = sum_d adj[d] * float32(codes[d]), dim = len(adj).
-TEXT ·sq8DotRowAVX2(SB), NOSPLIT, $0-76
-	MOVQ codes_base+0(FP), SI
-	MOVQ adj_base+24(FP), BX
-	MOVQ adj_len+32(FP), CX
-	MOVQ next_base+48(FP), R10
-	XORQ R8, R8
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	MOVQ CX, R9
-	SUBQ $16, R9
-	CMPQ R10, SI
-	JEQ  qdot_loop16
-
-qdot_ahead16:
-	CMPQ       R8, R9
-	JG         qdot_aheadrest
-	TESTQ      $63, R8
-	JNZ        qdot_aheadstep
-	PREFETCHT1 (R10)(R8*1)
-
-qdot_aheadstep:
-	QDOT16
-	JMP        qdot_ahead16
-
-qdot_aheadrest:
-	PREFETCHT1 -1(R10)(CX*1)
-	CMPQ       R8, CX
-	JGE        qdot_reduce
-	PREFETCHT1 (R10)(R8*1)
-	JMP        qdot_loop8entry
-
-qdot_loop16:
-	CMPQ      R8, R9
-	JG        qdot_loop8entry
-	QDOT16
-	JMP       qdot_loop16
-
-qdot_loop8entry:
-	MOVQ CX, R9
-	SUBQ $8, R9
-
-qdot_loop8:
-	CMPQ      R8, R9
-	JG        qdot_reduce
-	VPMOVZXBD (SI)(R8*1), Y2
-	VCVTDQ2PS Y2, Y2
-	VMOVUPS   (BX)(R8*4), Y3
-	VMULPS    Y2, Y3, Y4
-	VADDPS    Y4, Y0, Y0
-	ADDQ      $8, R8
-	JMP       qdot_loop8
-
-qdot_reduce:
-	VADDPS       Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS       X1, X0, X0
-	VHADDPS      X0, X0, X0
-	VHADDPS      X0, X0, X0
-	VZEROUPPER
-
-qdot_tail:
-	CMPQ    R8, CX
-	JGE     qdot_done
-	MOVBLZX (SI)(R8*1), AX
-	CVTSL2SS AX, X2
-	MOVSS   (BX)(R8*4), X3
-	MULSS   X3, X2
-	ADDSS   X2, X0
-	INCQ    R8
-	JMP     qdot_tail
-
-qdot_done:
-	MOVSS X0, ret+72(FP)
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -97,20 +97,5 @@ func TestKernelAsmGenericBitIdentity(t *testing.T) {
 					math.Float32bits(ad), math.Float32bits(an), math.Float32bits(gd), math.Float32bits(gn))
 			}
 		}
-
-		codes := make([]uint8, dim)
-		scale := make([]float32, dim)
-		adj := make([]float32, dim)
-		for i := range codes {
-			codes[i] = uint8(g.IntN(256))
-			scale[i] = float32(g.Float64())
-			adj[i] = float32(g.NormFloat64() * 50)
-		}
-		if a, gg := sq8SqRowAVX2(codes, scale, adj, codes), sq8SqRowGeneric(codes, scale, adj, codes); math.Float32bits(a) != math.Float32bits(gg) {
-			t.Fatalf("dim %d: sq8SqRow asm %x generic %x", dim, math.Float32bits(a), math.Float32bits(gg))
-		}
-		if a, gg := sq8DotRowAVX2(codes, adj, codes), sq8DotRowGeneric(codes, adj, codes); math.Float32bits(a) != math.Float32bits(gg) {
-			t.Fatalf("dim %d: sq8DotRow asm %x generic %x", dim, math.Float32bits(a), math.Float32bits(gg))
-		}
 	}
 }

@@ -136,52 +136,6 @@ func dotNormRowGeneric(a, b, _ []float32) (dot, normSq float32) {
 	return d, n
 }
 
-func sq8SqRowGeneric(codes []uint8, scale, adj []float32, _ []uint8) float32 {
-	var acc0, acc1 [8]float32
-	j := 0
-	for ; j+16 <= len(adj); j += 16 {
-		for l := 0; l < 8; l++ {
-			r0 := adj[j+l] - scale[j+l]*float32(codes[j+l])
-			acc0[l] += r0 * r0
-			r1 := adj[j+8+l] - scale[j+8+l]*float32(codes[j+8+l])
-			acc1[l] += r1 * r1
-		}
-	}
-	for ; j+8 <= len(adj); j += 8 {
-		for l := 0; l < 8; l++ {
-			r := adj[j+l] - scale[j+l]*float32(codes[j+l])
-			acc0[l] += r * r
-		}
-	}
-	s := reduce8(&acc0, &acc1)
-	for ; j < len(adj); j++ {
-		r := adj[j] - scale[j]*float32(codes[j])
-		s += r * r
-	}
-	return s
-}
-
-func sq8DotRowGeneric(codes []uint8, adj []float32, _ []uint8) float32 {
-	var acc0, acc1 [8]float32
-	j := 0
-	for ; j+16 <= len(adj); j += 16 {
-		for l := 0; l < 8; l++ {
-			acc0[l] += adj[j+l] * float32(codes[j+l])
-			acc1[l] += adj[j+8+l] * float32(codes[j+8+l])
-		}
-	}
-	for ; j+8 <= len(adj); j += 8 {
-		for l := 0; l < 8; l++ {
-			acc0[l] += adj[j+l] * float32(codes[j+l])
-		}
-	}
-	s := reduce8(&acc0, &acc1)
-	for ; j < len(adj); j++ {
-		s += adj[j] * float32(codes[j])
-	}
-	return s
-}
-
 // reduce8 collapses the two 8-lane accumulator banks exactly as the
 // assembly does: VADDPS of the banks, VEXTRACTF128 + VADDPS of the
 // halves, then two VHADDPS pairwise folds.

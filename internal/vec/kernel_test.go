@@ -270,125 +270,6 @@ func TestKernelNonFinite(t *testing.T) {
 	}
 }
 
-// SQ8 parity: the quantized kernels against a scalar dequantize-and-
-// measure reference, and the round-trip error of every code bounded by
-// its dimension's affine step.
-func TestSQ8KernelParity(t *testing.T) {
-	g := rand.New(rand.NewPCG(11, 11))
-	for dim := 1; dim <= kernelDimMax; dim++ {
-		const rows = 7
-		data := make([][]float32, rows)
-		for i := range data {
-			data[i] = kernelTestVec(g, dim)
-		}
-		s, err := FromRows(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs := QuantizeSQ8(s)
-		min, scale, norms, codes := qs.Codebook()
-		if len(codes) != rows*dim {
-			t.Fatalf("dim %d: %d codes", dim, len(codes))
-		}
-
-		// Round-trip error bound: |v - decode(code(v))| ≤ scale[d]
-		// (half a step from rounding, up to a full step from the
-		// clamp at the range edge, where error stays within range).
-		dec := make([]float32, dim)
-		for i := 0; i < rows; i++ {
-			qs.DecodeInto(i, dec)
-			for d, v := range data[i] {
-				if err := math.Abs(float64(v - dec[d])); err > float64(scale[d])+1e-6 {
-					t.Fatalf("dim %d row %d coord %d: round-trip error %g > step %g", dim, i, d, err, scale[d])
-				}
-			}
-			wantNorm := math.Sqrt(refNormSq(dec))
-			if !relClose(float64(norms[i]), wantNorm, 1, 1e-4) {
-				t.Fatalf("dim %d row %d: stored norm %g, reference %g", dim, i, norms[i], wantNorm)
-			}
-		}
-
-		q := kernelTestVec(g, dim)
-		ids := make([]int32, rows)
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		out := make([]float32, rows)
-
-		// Euclidean scores = squared distance to the dequantized row.
-		var eq SQ8Query
-		qs.Prepare(Euclidean, q, &eq)
-		qs.GatherScoresInto(ids, &eq, out)
-		for i := range out {
-			qs.DecodeInto(i, dec)
-			want := refSquaredDistance(dec, q)
-			if !relClose(float64(out[i]), want, want, 1e-3) {
-				t.Fatalf("dim %d row %d: sq8 euclid score %g, reference %g", dim, i, out[i], want)
-			}
-			// The scalar expansion Σ(adj - scale·code)² must agree
-			// with the dispatched kernel to float32 tolerance.
-			var ref float64
-			for d := 0; d < dim; d++ {
-				r := float64(q[d]-min[d]) - float64(scale[d])*float64(codes[i*dim+d])
-				ref += r * r
-			}
-			if !relClose(float64(out[i]), ref, ref, 1e-3) {
-				t.Fatalf("dim %d row %d: sq8 kernel %g, scalar expansion %g", dim, i, out[i], ref)
-			}
-		}
-
-		// Angular scores = −cos(q, dequantized row), up to the |q|
-		// factor, which is constant per query and cancels in ranking.
-		var aq SQ8Query
-		qs.Prepare(Angular, q, &aq)
-		qs.GatherScoresInto(ids, &aq, out)
-		qn := math.Sqrt(refNormSq(q))
-		for i := range out {
-			qs.DecodeInto(i, dec)
-			if norms[i] == 0 {
-				continue
-			}
-			want := -refDot(dec, q) / float64(norms[i])
-			if !relClose(float64(out[i]), want, qn, 1e-3) {
-				t.Fatalf("dim %d row %d: sq8 angular score %g, reference %g", dim, i, out[i], want)
-			}
-		}
-	}
-}
-
-func TestSQ8ConstantDimAndEmpty(t *testing.T) {
-	// A constant dimension has scale 0: codes collapse to 0 and decode
-	// back to the constant exactly.
-	s, err := FromRows([][]float32{{5, 1}, {5, 2}, {5, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := QuantizeSQ8(s)
-	dec := make([]float32, 2)
-	for i := 0; i < 3; i++ {
-		qs.DecodeInto(i, dec)
-		if dec[0] != 5 {
-			t.Fatalf("row %d: constant dim decoded to %g", i, dec[0])
-		}
-	}
-	empty, err := FromRows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs := QuantizeSQ8(empty); qs.Len() != 0 {
-		t.Fatalf("empty store quantized to %d rows", qs.Len())
-	}
-}
-
-func TestSQ8SupportedMetrics(t *testing.T) {
-	if !SQ8Supported(Euclidean) || !SQ8Supported(Angular) {
-		t.Fatal("euclidean/angular must support SQ8")
-	}
-	if SQ8Supported(Hamming) || SQ8Supported(Jaccard) {
-		t.Fatal("set metrics must not support SQ8")
-	}
-}
-
 // FuzzKernelParity drives the dispatched kernels with arbitrary bytes
 // reinterpreted as float32 vectors — including NaN, Inf, denormals and
 // extreme exponents — and cross-checks them against the float64 scalar

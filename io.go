@@ -22,7 +22,7 @@ import (
 //	shard table                     count, then each shard's size
 //	core index × shards             one blob per shard
 //	lifecycle section               flagLifecycle: id map + tombstoned ids
-//	quantization section            flagQuantized: quantizer, re-rank depth, SQ8 store × shards
+//	quantization section            flagQuantized: never written; read and discarded (skipQuantSection)
 //	attribute section               always; 16 zero bytes when no row carries metadata
 //
 // The dataset itself is never stored. The body is a segment set's, so one
@@ -48,7 +48,8 @@ const (
 	containerSharded byte = 2
 )
 
-// Flags byte: which optional sections follow the core blobs.
+// Flags byte: which optional sections follow the core blobs. Save never
+// sets flagQuantized.
 const (
 	flagLifecycle byte = 1 << 0
 	flagQuantized byte = 1 << 1
@@ -133,9 +134,9 @@ func saveFile(path string, encode func(io.Writer) error) error {
 // Save writes the index to path: the shared configuration, the shard
 // table, each shard's core index, and whatever the index carries of
 // deletion state (a compacted id map or tombstones from a dynamic
-// snapshot), a quantized store and vector attributes. The dataset itself
-// is not stored: Load must be given the same data slice, in the same
-// order, the index was built over. Saving avoids the build cost on the
+// snapshot) and vector attributes. The dataset itself is not stored: Load
+// must be given the same data slice, in the same order, the index was
+// built over. Saving avoids the build cost on the
 // next start.
 func (ix *Index) Save(path string) error { return saveFile(path, ix.encode) }
 
@@ -143,13 +144,9 @@ func (ix *Index) Save(path string) error { return saveFile(path, ix.encode) }
 // encodes deterministically, so a loaded file re-saves byte for byte.
 func (sx *segSet) encode(w io.Writer) error {
 	lifecycle := sx.ids != nil || sx.dead.Count() > 0
-	quantized := len(sx.segs) > 0 && sx.segs[0].core.SQ8() != nil
 	var flags byte
 	if lifecycle {
 		flags |= flagLifecycle
-	}
-	if quantized {
-		flags |= flagQuantized
 	}
 	if _, err := w.Write(append(pkgMagic[:], containerSharded, flags)); err != nil {
 		return err
@@ -175,20 +172,6 @@ func (sx *segSet) encode(w io.Writer) error {
 	if lifecycle {
 		if err := sx.encodeLifecycle(w); err != nil {
 			return err
-		}
-	}
-	if quantized {
-		if err := encodeQuantHeader(w, sx.cfg); err != nil {
-			return err
-		}
-		for s, seg := range sx.segs {
-			qs := seg.core.SQ8()
-			if qs == nil {
-				return fmt.Errorf("lccs: shard %d has no quantized store while shard 0 does", s)
-			}
-			if err := encodeSQ8(w, qs); err != nil {
-				return err
-			}
 		}
 	}
 	return sx.encodeAttrsSection(w)
@@ -256,86 +239,58 @@ func decodeConfig(r io.Reader) (Config, error) {
 	}, nil
 }
 
-// encodeQuantHeader writes the quantization-section header: the
-// quantizer name and the configured re-rank depth (0 when the user left
-// the default; the default is re-derived deterministically at load
-// time, keeping re-encodes byte-identical).
-func encodeQuantHeader(w io.Writer, cfg Config) error {
-	if err := binary.Write(w, binary.LittleEndian, int32(len(cfg.Quantize))); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte(cfg.Quantize)); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, int64(cfg.Rerank))
-}
-
-// decodeQuantHeader reads the quantization-section header.
-func decodeQuantHeader(r io.Reader) (kind string, rerank int, err error) {
+// skipQuantSection reads the quantization section of a file written with
+// SQ8, a mirror of each shard's rows that verification no longer uses, and
+// discards it, so the file loads as the exact index over the same CSA and
+// re-saves without it. It checks the section as strictly as when it was
+// loaded: the quantizer is "sq8" over a Euclidean or Angular index, the
+// re-rank depth is non-negative, and each shard's part covers that shard's
+// rows×dim and is there in full: its codebook (min and scale, dim float32s
+// each), its row norms (rows float32s) and its codes (rows·dim bytes).
+func skipQuantSection(r io.Reader, sx *segSet, inShard func(int, error) error) error {
 	var kindLen int32
 	if err := binary.Read(r, binary.LittleEndian, &kindLen); err != nil {
-		return "", 0, err
-	}
-	if kindLen < 0 || kindLen > 64 {
-		return "", 0, fmt.Errorf("lccs: corrupt quantizer name length %d", kindLen)
-	}
-	kindBuf := make([]byte, kindLen)
-	if _, err := io.ReadFull(r, kindBuf); err != nil {
-		return "", 0, err
-	}
-	if string(kindBuf) != QuantizeSQ8 {
-		return "", 0, fmt.Errorf("lccs: unknown quantizer %q", kindBuf)
-	}
-	var rr int64
-	if err := binary.Read(r, binary.LittleEndian, &rr); err != nil {
-		return "", 0, err
-	}
-	if rr < 0 {
-		return "", 0, fmt.Errorf("lccs: corrupt re-rank depth %d", rr)
-	}
-	return string(kindBuf), int(rr), nil
-}
-
-// encodeSQ8 writes one shard's quantized store: row/dim counts for
-// validation, the per-dimension codebook (min, scale), the dequantized
-// row norms, and the packed codes.
-func encodeSQ8(w io.Writer, qs *vec.SQ8Store) error {
-	min, scale, norms, codes := qs.Codebook()
-	if err := binary.Write(w, binary.LittleEndian, [2]int64{int64(qs.Len()), int64(qs.Dim())}); err != nil {
 		return err
 	}
-	for _, f32s := range [][]float32{min, scale, norms} {
-		if err := binary.Write(w, binary.LittleEndian, f32s); err != nil {
-			return err
+	if kindLen < 0 || kindLen > 64 {
+		return fmt.Errorf("lccs: corrupt quantizer name length %d", kindLen)
+	}
+	kind := make([]byte, kindLen)
+	if _, err := io.ReadFull(r, kind); err != nil {
+		return err
+	}
+	if string(kind) != "sq8" {
+		return fmt.Errorf("lccs: unknown quantizer %q", kind)
+	}
+	if sx.cfg.Metric != Euclidean && sx.cfg.Metric != Angular {
+		return fmt.Errorf("lccs: quantizer %q over a %q index", kind, sx.cfg.Metric)
+	}
+	var depth int64
+	if err := binary.Read(r, binary.LittleEndian, &depth); err != nil {
+		return err
+	}
+	if depth < 0 {
+		return fmt.Errorf("lccs: corrupt re-rank depth %d", depth)
+	}
+	dim := int64(sx.Dim())
+	for s, seg := range sx.segs {
+		rows := int64(seg.core.N())
+		var hdr [2]int64
+		if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
+			return inShard(s, err)
+		}
+		if hdr[0] != rows || hdr[1] != dim {
+			return inShard(s, fmt.Errorf("lccs: quantized store covers %d×%d, shard is %d×%d", hdr[0], hdr[1], rows, dim))
+		}
+		size := 4*(2*dim+rows) + rows*dim
+		if _, err := io.CopyN(io.Discard, r, size); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return inShard(s, err)
 		}
 	}
-	_, err := w.Write(codes)
-	return err
-}
-
-// decodeSQ8 reads one shard's quantized store, validating it against the
-// shard geometry the container already established.
-func decodeSQ8(r io.Reader, rows, dim int) (*vec.SQ8Store, error) {
-	var hdr [2]int64
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return nil, err
-	}
-	if hdr[0] != int64(rows) || hdr[1] != int64(dim) {
-		return nil, fmt.Errorf("lccs: quantized store covers %d×%d, shard is %d×%d", hdr[0], hdr[1], rows, dim)
-	}
-	min := make([]float32, dim)
-	scale := make([]float32, dim)
-	norms := make([]float32, rows)
-	for _, f32s := range [][]float32{min, scale, norms} {
-		if err := binary.Read(r, binary.LittleEndian, f32s); err != nil {
-			return nil, err
-		}
-	}
-	codes := make([]uint8, rows*dim)
-	if _, err := io.ReadFull(r, codes); err != nil {
-		return nil, err
-	}
-	return vec.RestoreSQ8(dim, min, scale, norms, codes), nil
+	return nil
 }
 
 // Load opens an index file written by Save: every container kind of all
@@ -439,20 +394,8 @@ func decodeBody(r io.Reader, store *vec.Store, h header) (*segSet, error) {
 		}
 	}
 	if h.quantized {
-		kind, rerank, err := decodeQuantHeader(r)
-		if err != nil {
+		if err := skipQuantSection(r, sx, inShard); err != nil {
 			return nil, err
-		}
-		sx.cfg.Quantize, sx.cfg.Rerank = kind, rerank
-		if _, err := validateConfig(sx.cfg); err != nil {
-			return nil, err
-		}
-		for s, seg := range sx.segs {
-			qs, err := decodeSQ8(r, seg.core.N(), store.Dim())
-			if err != nil {
-				return nil, inShard(s, err)
-			}
-			seg.core.EnableSQ8(qs, rerank)
 		}
 	}
 	if h.attrs {

@@ -201,8 +201,6 @@ type containerState struct {
 	Dead        []int        // tombstoned slots, ascending
 	IDs         []int        // slot-ordered external ids; nil for the identity map
 	NextID      int
-	Quantize    string
-	Rerank      int
 	Attrs       []Attrs // one per slot, nil where the slot has none
 }
 
@@ -211,12 +209,6 @@ type containerState struct {
 func stateOf(t *testing.T, ix *Index, vectors [][]float32) containerState {
 	t.Helper()
 	st := containerState{Shards: ix.Shards(), Len: ix.Len()}
-	st.Quantize, st.Rerank = ix.Quantization()
-	for s, seg := range ix.segs {
-		if quantized := seg.core.SQ8() != nil; quantized != (st.Quantize != "") || quantized && seg.core.Rerank() != st.Rerank {
-			t.Fatalf("shard %d quantization (%v, %d) differs from shard 0's (%q, %d)", s, quantized, seg.core.Rerank(), st.Quantize, st.Rerank)
-		}
-	}
 	ix.dead.Each(func(slot int) { st.Dead = append(st.Dead, slot) })
 	if ix.ids != nil {
 		st.IDs, st.NextID = ix.ids.AppendIDs(nil), ix.ids.Next()
@@ -282,14 +274,16 @@ func singleKind(t *testing.T, blob []byte, cfg Config) []byte {
 // TestContainerCompat is the container's compatibility table. Read side:
 // each of the five golden files — one per magic ever written — loads
 // through Load, re-saves as the one layout, and reloads to the same
-// results, tombstones, id map, re-rank depth and attribute rows, after
-// which saving is a fixed point. Write side: every combination of shard
-// count and optional section writes that one layout and round-trips the
-// same way, and a one-shard index rewritten into the single kind an
-// earlier Index.Save wrote loads back to the same state and bytes.
+// results, tombstones, id map and attribute rows, after which saving is a
+// fixed point. Write side: every combination of shard count and optional
+// section writes that one layout and round-trips the same way, and a
+// one-shard index rewritten into the single kind an earlier Index.Save
+// wrote loads back to the same state and bytes. The sq8 rows rewrite each
+// file into the one Save wrote while the index verified with SQ8
+// (withQuantSection), which loads as the exact index: the same state, and
+// the bytes Save now writes.
 func TestContainerCompat(t *testing.T) {
 	data, cfg := goldenSetup()
-	_, qcfg := goldenQuantizedSetup()
 	lifeVectors, _ := goldenLifecycleIndex(t)
 	goldens := []struct {
 		file    string
@@ -299,7 +293,7 @@ func TestContainerCompat(t *testing.T) {
 		{"golden_pkg1.lccs", data, 0},
 		{"golden_pkg2.lccs", data, 0},
 		{"golden_pkg3.lccs", lifeVectors, flagLifecycle},
-		{"golden_pkg4.lccs", data, flagQuantized},
+		{"golden_pkg4.lccs", data, 0},
 		{"golden_pkg5.lccs", data, 0},
 	}
 	for _, g := range goldens {
@@ -315,27 +309,32 @@ func TestContainerCompat(t *testing.T) {
 	attrs := goldenAttrsRows(len(data))
 	for _, quantized := range []bool{false, true} {
 		for _, withAttrs := range []bool{false, true} {
-			name, c, rows, flags := "plain", cfg, []Attrs(nil), byte(0)
+			name, rows := "plain", []Attrs(nil)
 			if quantized {
-				name, c, flags = "sq8", qcfg, flagQuantized
+				name = "sq8"
 			}
 			if withAttrs {
 				name, rows = name+"+attrs", attrs
 			}
 			t.Run("Index/"+name, func(t *testing.T) {
-				ix, err := NewIndexWithAttrs(data, rows, c)
+				ix, err := NewIndexWithAttrs(data, rows, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkOneLayout(t, ix, data, flags)
+				checkOneLayout(t, ix, data, 0)
 				blob := saveBytes(t, ix)
+				written := blob // the file the single kind is made from
+				if quantized {
+					written = withQuantSection(t, ix, blob)
+					loadsAs(t, ix, data, written)
+				}
 				if !withAttrs {
 					// No metadata is 16 zero bytes, and all-nil attribute rows
 					// count as no metadata.
 					if !bytes.HasSuffix(blob, make([]byte, 16)) {
 						t.Fatalf("attribute-free file ends %x, want the empty attribute section", blob[len(blob)-16:])
 					}
-					nilRows, err := NewIndexWithAttrs(data, make([]Attrs, len(data)), c)
+					nilRows, err := NewIndexWithAttrs(data, make([]Attrs, len(data)), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -346,7 +345,7 @@ func TestContainerCompat(t *testing.T) {
 				// The single kind opens as one shard with everything it
 				// carries and re-saves as the sharded kind.
 				path := filepath.Join(t.TempDir(), "single.lccs")
-				if err := os.WriteFile(path, singleKind(t, blob, c), 0o644); err != nil {
+				if err := os.WriteFile(path, singleKind(t, written, cfg), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				old, err := Load(path, data)
@@ -361,16 +360,19 @@ func TestContainerCompat(t *testing.T) {
 				}
 			})
 			t.Run("ShardedIndex/"+name, func(t *testing.T) {
-				sx, err := NewShardedIndexWithAttrs(data, rows, c, 3)
+				sx, err := NewShardedIndexWithAttrs(data, rows, cfg, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkOneLayout(t, sx, data, flags)
+				checkOneLayout(t, sx, data, 0)
+				if quantized {
+					loadsAs(t, sx, data, withQuantSection(t, sx, saveBytes(t, sx)))
+				}
 			})
 			t.Run("ShardedIndex/lifecycle+"+name, func(t *testing.T) {
 				// A dynamic snapshot with deletes inside a shard and a
 				// compacted buffer: tombstones and a non-identity id map.
-				d, err := NewDynamicIndex(data[:140], c, 10000)
+				d, err := NewDynamicIndex(data[:140], cfg, 10000)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -395,7 +397,10 @@ func TestContainerCompat(t *testing.T) {
 				if sx.Deleted() != 2 || sx.ids == nil {
 					t.Fatalf("setup: Deleted=%d ids=%v, want 2 tombstones and a compacted id map", sx.Deleted(), sx.ids)
 				}
-				checkOneLayout(t, sx, vectors, flags|flagLifecycle)
+				checkOneLayout(t, sx, vectors, flagLifecycle)
+				if quantized {
+					loadsAs(t, sx, vectors, withQuantSection(t, sx, saveBytes(t, sx)))
+				}
 			})
 		}
 	}

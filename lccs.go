@@ -94,12 +94,8 @@ type Cost struct {
 	Comparisons int64 `json:"comparisons"`
 	// Candidates counts data objects verified with a distance kernel.
 	Candidates int64 `json:"candidates"`
-	// Reranked counts SQ8-scan survivors re-ranked with exact float32
-	// distances (0 on unquantized indexes).
-	Reranked int64 `json:"reranked"`
 	// BytesScanned is the vector-block memory traffic of verification,
-	// the bytes the distance kernels read: SQ8 score gathers at 1 byte per
-	// dimension per candidate; float32 gathers and the exact re-rank at 4,
+	// the bytes the distance kernels read: 4 per dimension of a candidate,
 	// except that a Euclidean row is read only until it cannot make the k
 	// nearest (past 64 dimensions; see docs/PERFORMANCE.md, "Bounded
 	// verification"), so it may charge less than the row.
@@ -124,7 +120,6 @@ func (c *Cost) addStats(st core.SearchStats) {
 	}
 	c.Comparisons += int64(st.Comparisons)
 	c.Candidates += int64(st.Candidates)
-	c.Reranked += int64(st.Reranked)
 	c.BytesScanned += st.BytesScanned
 	c.FilterRejected += int64(st.FilterRejected)
 }
@@ -319,13 +314,6 @@ const (
 	Jaccard MetricKind = "jaccard"
 )
 
-// QuantizeSQ8 selects the per-dimension affine int8 scalar quantization
-// for Config.Quantize: candidate verification scans one byte per
-// dimension instead of four, and the best Rerank candidates are
-// re-ranked with exact float32 distances, so returned distances are
-// always exact.
-const QuantizeSQ8 = "sq8"
-
 // Config configures an index.
 type Config struct {
 	// Metric selects the distance metric. Required.
@@ -346,18 +334,6 @@ type Config struct {
 	Budget int
 	// Seed makes index construction deterministic.
 	Seed uint64
-	// Quantize selects an optional compressed mirror of the vector store
-	// scanned during candidate verification. "" (the default) verifies
-	// against the exact float32 store; QuantizeSQ8 scans a per-dimension
-	// affine int8 quantization — a quarter of the memory traffic — and
-	// restores exactness by re-ranking the best Rerank candidates with
-	// float32 distances. Supported for Euclidean and Angular metrics.
-	Quantize string
-	// Rerank is the number of quantized-scan survivors re-ranked with
-	// exact distances per query when Quantize is set. 0 selects
-	// min(64, n), raised to the query's k at query time; larger values
-	// recover recall lost to quantization noise at the cut line.
-	Rerank int
 }
 
 // Neighbor is one search result: the index of a data vector (ID) and
@@ -507,17 +483,8 @@ func storeFromRows(rows [][]float32, metric MetricKind) (*vec.Store, error) {
 // dynamic path, where no build runs yet. A zero Euclidean bucket width is
 // acceptable here — it is auto-derived when the first build sees data.
 func validateConfig(cfg Config) (vec.Metric, error) {
-	if cfg.M < 0 || cfg.Budget < 0 || cfg.BucketWidth < 0 || cfg.Rerank < 0 {
+	if cfg.M < 0 || cfg.Budget < 0 || cfg.BucketWidth < 0 {
 		return nil, errors.New("lccs: negative configuration value")
-	}
-	switch cfg.Quantize {
-	case "":
-	case QuantizeSQ8:
-		if cfg.Metric != Euclidean && cfg.Metric != Angular {
-			return nil, fmt.Errorf("lccs: quantize %q supports euclidean and angular metrics, got %q", cfg.Quantize, cfg.Metric)
-		}
-	default:
-		return nil, fmt.Errorf("lccs: unknown quantization %q (want %q)", cfg.Quantize, QuantizeSQ8)
 	}
 	if cfg.Metric == Euclidean && cfg.BucketWidth == 0 {
 		cfg.BucketWidth = 1 // resolvability check only; derived at build time
@@ -544,16 +511,7 @@ func buildCore(store *vec.Store, cfg Config) (*core.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := core.BuildStore(store, family, core.Params{M: cfg.M, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Quantize == QuantizeSQ8 {
-		// Quantize exactly the rows this segment covers: the store is
-		// already the segment's view, so codebooks are per-segment.
-		c.EnableSQ8(vec.QuantizeSQ8(store), cfg.Rerank)
-	}
-	return c, nil
+	return core.BuildStore(store, family, core.Params{M: cfg.M, Seed: cfg.Seed})
 }
 
 // autoBucketWidth estimates a bucket width from the data: twice the median

@@ -1,7 +1,6 @@
 package lccs
 
 import (
-	"cmp"
 	"errors"
 	"math"
 	"reflect"
@@ -21,25 +20,16 @@ type queryFacade struct {
 }
 
 // queryFacades builds every facade shape over the same attributed rows:
-// the static Index plain and SQ8-quantized, a three-shard Index plain and
-// SQ8-quantized, and the lifecycle shapes — a DynamicIndex with background-built
-// shards, a non-empty delta buffer and tombstones in both; the
+// the static Index, a three-shard Index, and the lifecycle shapes — a
+// DynamicIndex with background-built shards, a non-empty delta buffer and tombstones in both; the
 // tombstoned Snapshot of one; a journaled one in the same state; and a
 // DynamicIndex with uneven shards (one large compacted shard, two
 // background-built 32-row ones, 13 buffered rows, tombstones in each),
 // where a budget split evenly would starve the large shard.
-// Rerank = n keeps the one-shard SQ8 row exact at an exhaustive budget;
-// the three-shard one re-ranks at the default depth, whose per-shard
-// floor of min(64, shard rows) sets how many rows each shard's collector
-// offers.
 func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 	t.Helper()
 	n := len(data)
 	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}
-	sq8 := cfg
-	sq8.Quantize, sq8.Rerank = QuantizeSQ8, n
-	sq8Default := cfg
-	sq8Default.Quantize = QuantizeSQ8
 
 	// Deletes land in every shard and in the delta buffer.
 	dead := map[int]bool{}
@@ -106,9 +96,7 @@ func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 
 	return []queryFacade{
 		{"Index", must(NewIndexWithAttrs(data, attrs, cfg)), nil},
-		{"Index+SQ8", must(NewIndexWithAttrs(data, attrs, sq8)), nil},
 		{"Index/3 shards", must(NewShardedIndexWithAttrs(data, attrs, cfg, 3)), nil},
-		{"Index+SQ8/3 shards", must(NewShardedIndexWithAttrs(data, attrs, sq8Default, 3)), nil},
 		{"Snapshot", snap, live},
 		{"DynamicIndex", newDyn(), live},
 		{"DynamicIndex/journaled", dur, live},
@@ -304,7 +292,7 @@ func segmentMerge(s *segSet, q []float32, k, k0, lambda int) []Neighbor {
 // TestOneCollectorMatchesSegmentMerge: the set's one collector — every
 // segment's verified rows and the tail's offered to one k-best under the
 // (Dist, slot) order — answers exactly as merging each segment's own
-// top-k run would, SQ8 re-rank included, on one-shot queries and on every
+// top-k run would, on one-shot queries and on every
 // cursor page, at budgets that make each segment verify only a prefix of
 // its stream. Shapes: the tombstone-free rows of queryFacades, plus a
 // DynamicIndex with three background-built segments and a buffered tail.
@@ -322,18 +310,16 @@ func TestOneCollectorMatchesSegmentMerge(t *testing.T) {
 			shapes = append(shapes, shape{fc.name, ix, &ix.segSet})
 		}
 	}
-	for _, quant := range []string{"", QuantizeSQ8} {
-		d := must(NewDynamicIndex(nil, Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1, Quantize: quant}, 64))
-		for _, v := range data {
-			must(d.Add(v))
-			d.WaitRebuild()
-		}
-		if d.Shards() != 3 || d.Buffered() != n-3*64 {
-			t.Fatalf("dynamic fixture: %d shards, %d buffered", d.Shards(), d.Buffered())
-		}
-		shapes = append(shapes, shape{"DynamicIndex/" + cmp.Or(quant, "exact"), d, &d.segSet})
+	d := must(NewDynamicIndex(nil, Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}, 64))
+	for _, v := range data {
+		must(d.Add(v))
+		d.WaitRebuild()
 	}
-	if len(shapes) != 6 {
+	if d.Shards() != 3 || d.Buffered() != n-3*64 {
+		t.Fatalf("dynamic fixture: %d shards, %d buffered", d.Shards(), d.Buffered())
+	}
+	shapes = append(shapes, shape{"DynamicIndex", d, &d.segSet})
+	if len(shapes) != 3 {
 		t.Fatalf("%d shapes", len(shapes))
 	}
 	queries := [][]float32{data[3], data[77], data[n-1], make([]float32, dim)}

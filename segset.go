@@ -316,17 +316,6 @@ func (s *segSet) Attrs(id int) Attrs {
 	return s.attrRow(slot)
 }
 
-// Quantization reports the scan-time compression in effect ("" = none,
-// QuantizeSQ8) and the first segment's effective per-query re-rank depth
-// (0 when unquantized). A set with no segment yet verifies nothing through
-// a quantized store, so it reports none.
-func (s *segSet) Quantization() (kind string, rerank int) {
-	if len(s.segs) == 0 || s.segs[0].core.SQ8() == nil {
-		return "", 0
-	}
-	return s.cfg.Quantize, s.segs[0].core.Rerank()
-}
-
 // segBudget is the budget rule: one segment's share of λ.
 func (s *segSet) segBudget(lambda int) int {
 	n := len(s.segs)

@@ -409,38 +409,6 @@ func TestTombstoneAccounting(t *testing.T) {
 	check("snapshot", sx, n)
 }
 
-// TestSQ8RerankDepthIgnoresTombstones: the exact re-rank pool of a
-// quantized index is max(rerank, k) live rows per shard however many
-// tombstones the shard carries, and at an exhaustive budget the answer is
-// still brute force over the live rows.
-func TestSQ8RerankDepthIgnoresTombstones(t *testing.T) {
-	const n, per, k, rerank = 148, 64, 5, 20
-	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1, Quantize: QuantizeSQ8, Rerank: rerank}
-	d, data, attrs, live := tombstonedFixture(t, cfg, n, per, func(id int) bool { return id%2 == 0 })
-	check := func(name string, s Searcher, shards int) {
-		t.Helper()
-		for _, q := range [][]float32{data[1], data[70], data[n-1]} {
-			var co Cost
-			got := must(s.SearchQuery(q, Query{K: k, Budget: 8 * n, Cost: &co}, nil))
-			if brute := bruteFilter(data, attrs, live, q, k, nil, s.Distance); !neighborsEqual(got, brute) {
-				t.Errorf("%s: got %v, brute force over the live rows says %v", name, got, brute)
-			}
-			if co.Reranked == 0 || co.Reranked > int64(shards*rerank) {
-				t.Errorf("%s: re-ranked %d rows, want at most %d shards × %d", name, co.Reranked, shards, rerank)
-			}
-		}
-	}
-	check("dynamic", d, d.Shards())
-	_, sx, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind, _ := sx.Quantization(); kind != QuantizeSQ8 || sx.Deleted() == 0 {
-		t.Fatalf("snapshot fixture: quantization %q, %d tombstones", kind, sx.Deleted())
-	}
-	check("snapshot", sx, sx.Shards())
-}
-
 // TestTombstoneConcurrent shares one tombstone bitset between readers and
 // every kind of writer: searches, cursor pages, Attrs, Len and Deleted run
 // beside Add, Delete, DeleteBatch, background shard builds, Snapshot and
