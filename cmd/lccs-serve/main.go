@@ -1,7 +1,8 @@
 // Command lccs-serve puts an LCCS-LSH index behind a network endpoint: a
 // long-lived daemon that serves the HTTP/JSON API of internal/server —
 // /v1/search, /v1/search/batch, /v1/insert, /v1/delete, /v1/collections,
-// /v1/stats, /v1/usage, /v1/collections/{name}/usage, /v1/debug/slow,
+// /v1/stats, /v1/collections/{name}/stats, /v1/usage,
+// /v1/collections/{name}/usage, /v1/debug/slow,
 // /v1/debug/health, /healthz, /metrics — with bounded concurrency, an LRU
 // result cache, and graceful shutdown.
 //
@@ -93,7 +94,7 @@ func main() {
 		collInFlight = flag.Int("coll-max-inflight", 0, "per-collection concurrent requests before 503 (0 = no per-collection cap)")
 		maxQueue     = flag.Int("max-queue", 0, "requests waiting for a slot before 503 (0 = 4x max-inflight, negative = no waiting)")
 		timeout      = flag.Duration("timeout", 2*time.Second, "per-request admission deadline")
-		cacheSize    = flag.Int("cache", 4096, "result cache entries, keyed on the exact request (0 disables)")
+		cacheSize    = flag.Int("cache", 4096, "result cache entries, keyed on the exact request and the index's write generation, which moves whenever an answer can change (0 disables)")
 		maxBody      = flag.Int64("max-body", 0, "request body cap in bytes (0 = 32 MiB)")
 
 		syncPolicy = flag.String("sync", "always", "WAL sync policy: always | interval | none (none: acks survive a process kill but NOT an OS crash)")
@@ -156,7 +157,7 @@ func main() {
 			fatal(err)
 		}
 		if *bootstrap != "" {
-			if err := bootstrapFrom(def.Durable(), *bootstrap, kind); err != nil {
+			if err := bootstrapFrom(def.Dynamic(), *bootstrap, kind); err != nil {
 				fatal(fmt.Errorf("bootstrap: %w", err))
 			}
 		}
@@ -378,7 +379,7 @@ func checkpointLoop(eng *engine.Engine, every time.Duration, walBytes int64, sto
 			due := every > 0 && time.Since(last) >= every
 			ran := false
 			for _, c := range eng.Loaded() {
-				d := c.Durable()
+				d := c.Dynamic()
 				if d == nil {
 					continue
 				}
@@ -410,7 +411,7 @@ func checkpointLoop(eng *engine.Engine, every time.Duration, walBytes int64, sto
 func drain(eng *engine.Engine) error {
 	var errs []error
 	for _, c := range eng.Loaded() {
-		if d := c.Durable(); d != nil {
+		if d := c.Dynamic(); d != nil {
 			d.WaitRebuild()
 			if err := checkpoint(d, "drain "+c.Name()); err != nil {
 				errs = append(errs, fmt.Errorf("drain checkpoint %s: %w", c.Name(), err))

@@ -31,7 +31,7 @@ func TestCheckpointStopJoinsTheLoop(t *testing.T) {
 	generations := func() []uint64 {
 		var out []uint64
 		for _, c := range colls {
-			man, err := wal.ReadManifest(c.Durable().Dir())
+			man, err := wal.ReadManifest(c.Dynamic().Dir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestCheckpointStopJoinsTheLoop(t *testing.T) {
 					return
 				}
 			}
-		}(c.Durable())
+		}(c.Dynamic())
 	}
 	defer func() {
 		close(quit)

@@ -244,9 +244,13 @@ func (d *DynamicIndex) AddBatch(vecs [][]float32) ([]int, error) {
 // belongs to vecs[i], and attrs may be nil (no metadata) or must match
 // vecs in length. The whole batch is validated before any of it is
 // applied: on a validation error nothing is inserted or journaled, no
-// ids are returned and the error names the first bad vector. A deferred
-// background-build failure is returned alongside all the ids, as Add
-// does.
+// ids are returned and the error names the first bad vector. Otherwise it
+// returns the ids of every vector, and on a journaled index only once the
+// batch is durable per the sync policy, under one log append and one
+// group-committed fsync. An error wrapping ErrNotDurable alongside the ids
+// means the batch is applied in memory but must not be acknowledged; any
+// other error alongside all the ids is a deferred background-build
+// failure, returned as Add does, and the insert itself succeeded.
 func (d *DynamicIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int, error) {
 	if attrs != nil && len(attrs) != len(vecs) {
 		return nil, ErrAttrsMismatch
@@ -433,10 +437,11 @@ func (d *DynamicIndex) Delete(id int) bool {
 }
 
 // DeleteBatch tombstones many ids under one hold of the write lock and, on
-// a journaled index, with one log append and one durability wait. It
-// returns how many ids were live (now tombstoned) and which were unknown
-// or already deleted; an error wrapping ErrNotDurable means the
-// tombstones may not survive a crash and must not be acknowledged.
+// a journaled index, with one log append and one group-committed
+// durability wait, returning only once the batch is durable per the sync
+// policy. It returns how many ids were live (now tombstoned) and which
+// were unknown or already deleted; an error wrapping ErrNotDurable means
+// the tombstones may not survive a crash and must not be acknowledged.
 func (d *DynamicIndex) DeleteBatch(ids []int) (deleted int, missing []int, err error) {
 	var recs []wal.Record
 	t0 := d.j.clock()
@@ -529,6 +534,20 @@ func (d *DynamicIndex) Rebuild() error {
 	d.buildErr = nil
 	d.writes++
 	return nil
+}
+
+// Generation returns the index's write generation, the counter its cursor
+// tokens are minted under. Every change that can alter an answer moves it
+// — insert, delete, buffer compaction, a background shard's swap-in,
+// Rebuild — and it starts at an instance-unique epoch, so two instances
+// (a dropped collection and its re-created namesake, one index before and
+// after recovery) never share a value through ordinary writes. An answer
+// computed while Generation returned g stays the index's answer for as
+// long as it returns g, which is what a result cache keys on.
+func (d *DynamicIndex) Generation() uint64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.writes
 }
 
 // Len returns the number of live (non-deleted) vectors.

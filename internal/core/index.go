@@ -28,7 +28,6 @@ import (
 
 	"lccs/internal/csa"
 	"lccs/internal/lshfamily"
-	"lccs/internal/obs"
 	"lccs/internal/pqueue"
 	"lccs/internal/rng"
 	"lccs/internal/vec"
@@ -411,10 +410,6 @@ func (st *Stream) Verify(n int, best *pqueue.KBest) SearchStats {
 func (st *Stream) verify(n int, best *pqueue.KBest) SearchStats {
 	ix, ctx, q, off := st.ix, st.ctx, st.q, int(st.off)
 	st.left = n
-	var start time.Time
-	if st.accept != nil {
-		start = time.Now()
-	}
 	split, pipelined := ix.split(n)
 	if split {
 		if ctx.h == nil {
@@ -452,9 +447,6 @@ func (st *Stream) verify(n int, best *pqueue.KBest) SearchStats {
 	}
 	if split {
 		ctx.bytes += ctx.h.merge(best)
-	}
-	if st.accept != nil {
-		obs.ObserveDur(obs.StageFilter, time.Since(start))
 	}
 	stats := SearchStats{Candidates: verified, Probes: st.probes, Comparisons: ctx.s.Comparisons(), BytesScanned: ctx.bytes, FilterRejected: st.rejected}
 	*st = Stream{ix: ix, ctx: ctx} // the pool keeps no caller's query, bitset or predicate

@@ -5,7 +5,16 @@
 // lifecycle — creation writes a COLLECTION.json spec next to the
 // collection's durable state, restarts lazily reopen collections from
 // those specs on first use — while the HTTP layer (internal/server)
-// owns request routing, admission, and per-collection metrics.
+// owns request routing, admission, and caching.
+//
+// A Collection is the one owner of per-collection state: its backend,
+// the writable index behind it, its usage counters and its serving state
+// (health ring, admission occupancy, quota rejections). The registry
+// creates all of it with the collection, under its lock, and forgets it
+// on Drop, so Get and Loaded never disagree about which collections
+// exist; the serving layer keeps no map of its own. The one fact that
+// changes with every write, the write generation, belongs to the index
+// (lccs.DynamicIndex.Generation).
 //
 // Every collection the registry creates is durable. A rooted engine (New
 // with a directory) opens the root itself as the collection named
@@ -167,21 +176,28 @@ func (s Spec) durableConfig(fsys faultfs.FS, logger *slog.Logger) (lccs.DurableC
 }
 
 // Collection is one named index inside the registry: the backend that
-// answers its queries and, when the registry opened it, the same index as
-// the journaled DynamicIndex the registry and the daemon checkpoint and
-// close.
+// answers its queries, the writable index behind it, and the per-request
+// state the serving layer keeps for it.
 type Collection struct {
 	name    string
 	spec    Spec
 	backend lccs.Searcher
-	dur     *lccs.DynamicIndex // nil for adopted backends
+	// dyn is backend as the writable index, resolved once: the journaled
+	// DynamicIndex the registry opened, or an adopted DynamicIndex; nil
+	// for a read-only backend.
+	dyn *lccs.DynamicIndex
+	// adopted marks a backend an embedder registered: the registry
+	// neither drops nor closes it.
+	adopted bool
 	// dir is what Drop deletes: "" for the collections the registry
 	// cannot drop — the default collection at the root and adopted
 	// backends.
 	dir string
-	// usage is the collection's cumulative resource accounting; the
-	// serving layer records into it on every request.
-	usage Usage
+	// usage is the collection's cumulative resource accounting and
+	// serving its live request state; the serving layer records into
+	// both on every request.
+	usage   Usage
+	serving Serving
 }
 
 // Name returns the collection's registry name.
@@ -194,9 +210,11 @@ func (c *Collection) Spec() Spec { return c.spec }
 // Backend returns the Searcher answering this collection's queries.
 func (c *Collection) Backend() lccs.Searcher { return c.backend }
 
-// Durable returns the journaled index the registry opened, or nil for an
-// adopted backend.
-func (c *Collection) Durable() *lccs.DynamicIndex { return c.dur }
+// Dynamic returns the writable index behind the collection — the
+// journaled DynamicIndex the registry opened, or an adopted DynamicIndex,
+// journaled or memory-only — or nil for a read-only backend. Writes and
+// WAL stats go through it.
+func (c *Collection) Dynamic() *lccs.DynamicIndex { return c.dyn }
 
 // specFile is the on-disk spec name inside a collection directory.
 const specFile = "COLLECTION.json"
@@ -256,7 +274,8 @@ func (e *Engine) collDir(name string) string {
 
 // Adopt registers a pre-built backend under name. The registry does not
 // manage its storage: it cannot be dropped, and Close leaves it alone
-// (the embedder owns its lifecycle).
+// (the embedder owns its lifecycle). A *lccs.DynamicIndex backend is the
+// collection's writable index (Dynamic); any other backend is read-only.
 func (e *Engine) Adopt(name string, backend lccs.Searcher) (*Collection, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
@@ -264,7 +283,8 @@ func (e *Engine) Adopt(name string, backend lccs.Searcher) (*Collection, error) 
 	if backend == nil {
 		return nil, errors.New("engine: Adopt requires a backend")
 	}
-	c := &Collection{name: name, backend: backend}
+	c := &Collection{name: name, backend: backend, adopted: true}
+	c.dyn, _ = backend.(*lccs.DynamicIndex)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -370,7 +390,7 @@ func (e *Engine) openLocked(name, dir string, spec Spec) (*Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: open %q: %w", name, err)
 	}
-	c := &Collection{name: name, spec: spec, backend: dur, dur: dur}
+	c := &Collection{name: name, spec: spec, backend: dur, dyn: dur}
 	if dir != e.root {
 		c.dir = dir // the root is the default collection's, never dropped
 	}
@@ -404,7 +424,7 @@ func (e *Engine) Drop(name string) error {
 		return fmt.Errorf("%w: %q", ErrPinned, name)
 	}
 	delete(e.colls, name)
-	if err := c.dur.Close(); err != nil {
+	if err := c.dyn.Close(); err != nil {
 		e.logger.Warn("closing dropped collection", "collection", name, "err", err)
 	}
 	if err := os.RemoveAll(c.dir); err != nil {
@@ -470,10 +490,10 @@ func (e *Engine) Close() error {
 	e.closed = true
 	var firstErr error
 	for name, c := range e.colls {
-		if c.dur == nil {
+		if c.adopted {
 			continue
 		}
-		if err := c.dur.Close(); err != nil && firstErr == nil {
+		if err := c.dyn.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("engine: close %q: %w", name, err)
 		}
 	}

@@ -51,11 +51,11 @@ func TestRootedLifecycle(t *testing.T) {
 
 	// Write through the durable path; both collections are independent.
 	for i := 0; i < 10; i++ {
-		if _, err := a.Durable().AddWithAttrs([]float32{float32(i), 1}, lccs.Attrs{"i": lccs.IntAttr(int64(i))}); err != nil {
+		if _, err := a.Dynamic().AddWithAttrs([]float32{float32(i), 1}, lccs.Attrs{"i": lccs.IntAttr(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := b.Durable().Add([]float32{1, 0, 0}); err != nil {
+	if _, err := b.Dynamic().Add([]float32{1, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Backend().Len() != 10 || b.Backend().Len() != 1 {
@@ -88,7 +88,7 @@ func TestRootedLifecycle(t *testing.T) {
 	if a2.Backend().Len() != 10 {
 		t.Fatalf("recovered len = %d, want 10", a2.Backend().Len())
 	}
-	if attrs := a2.Durable().Attrs(3); !attrs.Equal(lccs.Attrs{"i": lccs.IntAttr(3)}) {
+	if attrs := a2.Dynamic().Attrs(3); !attrs.Equal(lccs.Attrs{"i": lccs.IntAttr(3)}) {
 		t.Fatalf("recovered attrs = %v", attrs)
 	}
 	if _, err := e2.Get("nope"); !errors.Is(err, ErrNotFound) {
@@ -137,10 +137,10 @@ func TestSpecProbesKeyReopens(t *testing.T) {
 	for i := range rows {
 		rows[i] = g.GaussianVector(4)
 	}
-	if _, err := c.Durable().AddBatch(rows); err != nil {
+	if _, err := c.Dynamic().AddBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Durable().Checkpoint(); err != nil {
+	if _, err := c.Dynamic().Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -229,7 +229,7 @@ func TestRootlessEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Durable() != nil || d.Backend() != lccs.Searcher(sx) {
+	if d.Dynamic() != nil || d.Backend() != lccs.Searcher(sx) {
 		t.Fatalf("adopted state: %+v", d)
 	}
 	if err := e.Drop(DefaultCollection); !errors.Is(err, ErrPinned) {
@@ -237,6 +237,35 @@ func TestRootlessEngine(t *testing.T) {
 	}
 	if _, err := e.Get(DefaultCollection); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdoptDynamic: an adopted DynamicIndex is its collection's writable
+// index, and the registry's Close leaves it to its owner — a journaled
+// one keeps taking durable writes after the engine closed.
+func TestAdoptDynamic(t *testing.T) {
+	e, err := New("", Spec{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := lccs.OpenDurable(t.TempDir(), lccs.DurableConfig{
+		Config: lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 2, BucketWidth: 4}, Sync: lccs.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dyn.Close()
+	c, err := e.Adopt(DefaultCollection, dyn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Dynamic() != dyn {
+		t.Fatalf("adopted DynamicIndex: Dynamic() = %p, want %p", c.Dynamic(), dyn)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dyn.Add([]float32{1, 2}); err != nil {
+		t.Fatalf("write after the engine closed: %v (Close closed an adopted index)", err)
 	}
 }
 
@@ -255,16 +284,16 @@ func TestDefaultCollectionAtRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Durable() == nil || def.Durable().Dir() != root || def.Spec() != defaults {
-		t.Fatalf("default collection: durable %v, spec %+v", def.Durable(), def.Spec())
+	if def.Dynamic() == nil || def.Dynamic().Dir() != root || def.Spec() != defaults {
+		t.Fatalf("default collection: durable %v, spec %+v", def.Dynamic(), def.Spec())
 	}
-	if _, err := def.Durable().AddBatch([][]float32{{1, 2}, {3, 4}, {5, 6}}); err != nil {
+	if _, err := def.Dynamic().AddBatch([][]float32{{1, 2}, {3, 4}, {5, 6}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := def.Durable().Checkpoint(); err != nil {
+	if _, err := def.Dynamic().Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := def.Durable().Add([]float32{7, 8}); err != nil {
+	if _, err := def.Dynamic().Add([]float32{7, 8}); err != nil {
 		t.Fatal(err)
 	}
 	mustCreate(t, e, "tenant", Spec{})

@@ -1,6 +1,10 @@
 package engine
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"lccs/internal/obs"
+)
 
 // Usage is one collection's cumulative resource accounting, and the one
 // owner of its twelve numbers: /v1/stats' inserts and deletes, both usage
@@ -91,3 +95,18 @@ func (s *UsageSnapshot) Add(o UsageSnapshot) {
 // Usage returns the collection's usage counters. Never nil; shared by
 // every handle to the collection.
 func (c *Collection) Usage() *Usage { return &c.usage }
+
+// Serving is one collection's live request state: the windowed RED/usage
+// ring behind /v1/debug/health and the usage endpoints, the requests of
+// the collection currently admitted, and those its concurrency share
+// shed. The registry creates it with the collection and drops it with
+// it; the serving layer reads and writes it.
+type Serving struct {
+	Health        obs.Health
+	Occupancy     atomic.Int64
+	QuotaRejected atomic.Uint64
+}
+
+// Serving returns the collection's request state. Never nil; shared by
+// every handle to the collection.
+func (c *Collection) Serving() *Serving { return &c.serving }

@@ -48,7 +48,6 @@ const (
 	StageRecoveryReplay // WAL replay during OpenDurable
 
 	// Hybrid-query path.
-	StageFilter       // predicate evaluation inside candidate verification
 	StageCursorResume // a resumed cursor page: token decode + the query it reruns
 
 	numStages
@@ -71,7 +70,6 @@ var stageNames = [numStages]string{
 	StageCkptManifest:   "ckpt_manifest",
 	StageCkptTruncate:   "ckpt_truncate",
 	StageRecoveryReplay: "recovery_replay",
-	StageFilter:         "filter",
 	StageCursorResume:   "cursor_resume",
 }
 

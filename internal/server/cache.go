@@ -10,9 +10,12 @@ import (
 )
 
 // resultCache is a fixed-capacity LRU over search results. Entries are
-// keyed by cacheKey, which folds in the backend's insert generation, so
-// a write automatically orphans every earlier entry (stale keys age out
-// through normal LRU eviction — they can never be looked up again).
+// keyed by cacheKey, which folds in the index's write generation, so any
+// change to the index — a write, a compaction, a shard swap-in, a
+// Rebuild — orphans every earlier entry, and a dropped collection's
+// entries can never match its re-created namesake, whose generation
+// starts at a fresh epoch. Orphaned keys age out through normal LRU
+// eviction — they can never be looked up again.
 type resultCache struct {
 	mu        sync.Mutex
 	cap       int
@@ -79,17 +82,6 @@ func (c *resultCache) put(key string, res []lccs.Neighbor, next string) {
 	}
 }
 
-// clear drops every entry (hit/miss counters survive). Used when a
-// collection is dropped: a later collection under the same name would
-// otherwise restart its write generation and could collide with keys
-// the dead tenant left behind.
-func (c *resultCache) clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.byKey)
-}
-
 // stats returns the live entry count and the hit/miss/eviction counters.
 func (c *resultCache) stats() CacheStats {
 	c.mu.Lock()
@@ -102,8 +94,9 @@ func (c *resultCache) stats() CacheStats {
 }
 
 // cacheKey builds the lookup key for one query: the collection name,
-// its write generation, k, the candidate budget, the query vector's exact
-// float bit patterns, the canonical filter encoding, and the cursor token.
+// its index's write generation, k, the candidate budget, the query
+// vector's exact float bit patterns, the canonical filter encoding, and
+// the cursor token.
 // The collection name is length-prefixed so tenants can never alias each
 // other's entries, and the filter/cursor tails are length-prefixed so
 // a filter's bytes cannot be confused with a cursor's. k and the budget

@@ -439,13 +439,32 @@ func TestCrossTenantCacheIsolation(t *testing.T) {
 		}
 	}
 
-	// Dropping a collection flushes the cache: a successor of the same
-	// name starts at generation zero and must not inherit entries.
+	// A successor of a dropped collection must not inherit its cached
+	// entries: its index starts at a fresh generation epoch, so the same
+	// request keys differently even though the cache still holds them.
 	if code := doJSON(t, ts, "DELETE", "/v1/collections/a", nil, nil); code != http.StatusOK {
 		t.Fatalf("drop a: HTTP %d", code)
 	}
-	if got := srv.cache.stats().Entries; got != 0 {
-		t.Fatalf("cache holds %d entries after drop, want 0", got)
+	if got := srv.cache.stats().Entries; got == 0 {
+		t.Fatal("cache emptied on drop; this check needs the dead tenant's entries in place")
+	}
+	if code := doJSON(t, ts, "POST", "/v1/collections",
+		createCollectionRequest{Name: "a"}, nil); code != http.StatusCreated {
+		t.Fatalf("re-create a: HTTP %d", code)
+	}
+	if code := postJSON(t, ts, "/v1/collections/a/insert",
+		insertRequest{Vectors: [][]float32{{7, 7, 7}}}, nil); code != http.StatusOK {
+		t.Fatalf("insert into re-created a: HTTP %d", code)
+	}
+	var rn searchResponse
+	if code := postJSON(t, ts, "/v1/collections/a/search", q, &rn); code != http.StatusOK {
+		t.Fatalf("search re-created a: HTTP %d", code)
+	}
+	if rn.Cached || len(rn.Neighbors) != 1 || rn.Neighbors[0].Dist == ra.Neighbors[0].Dist {
+		t.Fatalf("re-created a answered %+v (cached=%v): the dead tenant's entry", rn.Neighbors, rn.Cached)
+	}
+	if code := postJSON(t, ts, "/v1/collections/a/search", q, &rn); code != http.StatusOK || !rn.Cached {
+		t.Fatalf("repeat search of re-created a: HTTP %d cached=%v", code, rn.Cached)
 	}
 }
 

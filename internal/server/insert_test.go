@@ -40,7 +40,7 @@ func TestInsertBatchAtomicAngular(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := coll.Durable()
+		d := coll.Dynamic()
 		wal := d.WALStats().AppendedBytes
 		var resp struct {
 			Error string `json:"error"`
@@ -82,7 +82,7 @@ func FuzzInsertRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	d, h := coll.Durable(), srv.Handler()
+	d, h := coll.Dynamic(), srv.Handler()
 	repro, _ := json.Marshal(overflowBatch())
 	for _, body := range []string{
 		string(repro),

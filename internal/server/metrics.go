@@ -75,13 +75,14 @@ type collSnap struct {
 	CollectionStats
 }
 
-func (c *coll) snap() collSnap {
-	cs := collSnap{name: c.name, usage: c.usage.Snapshot()}
+func snap(c *engine.Collection) collSnap {
+	cs := collSnap{name: c.Name(), usage: c.Usage().Snapshot()}
 	cs.Inserts, cs.Deletes = uint64(cs.usage.Inserts), uint64(cs.usage.Deletes)
-	cs.InFlight, cs.QuotaRejected = c.occupancy.Load(), c.quotaRejected.Load()
+	sv := c.Serving()
+	cs.InFlight, cs.QuotaRejected = sv.Occupancy.Load(), sv.QuotaRejected.Load()
 	cs.Backend = backendStats(c)
-	if c.walStats != nil {
-		ws := c.walStats.WALStats()
+	if d := c.Dynamic(); d != nil && d.Dir() != "" {
+		ws := d.WALStats()
 		cs.WAL = &ws
 	}
 	return cs
@@ -109,7 +110,7 @@ type scrape struct {
 }
 
 func (s *Server) scrape() *scrape {
-	loaded := s.loadedColls()
+	loaded := s.eng.Loaded()
 	sc := &scrape{
 		uptime:   time.Since(s.met.start).Seconds(),
 		requests: s.met.requestsSnapshot(),
@@ -122,7 +123,7 @@ func (s *Server) scrape() *scrape {
 	}
 	for i, c := range loaded {
 		cs := &sc.colls[i]
-		*cs = c.snap()
+		*cs = snap(c)
 		sc.total.Add(cs.usage)
 		sc.vectors += cs.Backend.Vectors
 		sc.tombstones += cs.Backend.Tombstones

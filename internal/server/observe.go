@@ -52,10 +52,10 @@ type outcome struct {
 // shed it, `rejected` in the rings and nothing else. lccs_request_seconds
 // observes answered searches, single or batch; a batch adds nothing to
 // Usage (the batch engine surfaces no per-query cost).
-func (s *Server) record(c *coll, o outcome) {
+func (s *Server) record(c *engine.Collection, o outcome) {
 	name := ""
 	if c != nil {
-		name = c.name
+		name = c.Name()
 	}
 	s.met.countRequest(name, o.endpoint, o.code)
 	failed := o.code >= 400
@@ -76,22 +76,19 @@ func (s *Server) record(c *coll, o outcome) {
 	now := time.Now()
 	s.health.Record(now, hs)
 	if c != nil {
-		c.health.Record(now, hs)
-		c.usage.Add(o.use)
+		c.Serving().Health.Record(now, hs)
+		c.Usage().Add(o.use)
 	}
 }
 
 // walAppended reads the journal's cumulative appended-bytes counter (0
-// for memory-only backends). The write handlers take the delta around
-// an operation to attribute journal bytes to it; under concurrent
-// writers the split between requests is approximate, but the sum — the
-// number billing cares about — is exact because the counter itself is
-// monotone.
-func walAppended(c *coll) int64 {
-	if c.walStats == nil {
-		return 0
-	}
-	return c.walStats.WALStats().AppendedBytes
+// for memory-only backends). The write handlers, which run only on a
+// writable collection, take the delta around an operation to attribute
+// journal bytes to it; under concurrent writers the split between
+// requests is approximate, but the sum — the number billing cares about
+// — is exact because the counter itself is monotone.
+func walAppended(c *engine.Collection) int64 {
+	return c.Dynamic().WALStats().AppendedBytes
 }
 
 // ---- usage endpoints ----
@@ -123,11 +120,11 @@ func (s *Server) handleCollUsage(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
-	cs := c.snap()
+	cs := snap(c)
 	s.respond(w, c, o, http.StatusOK, usageResponse{
-		Collection: c.name,
+		Collection: c.Name(),
 		Cumulative: cs.usage,
-		Windows:    s.windowsOf(c.health),
+		Windows:    s.windowsOf(&c.Serving().Health),
 		WAL:        cs.WAL,
 	})
 }
@@ -215,17 +212,18 @@ func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		resp.Status = "draining"
 	}
-	colls := s.loadedColls()
+	colls := s.eng.Loaded()
 	resp.Collections = make(map[string]obs.HealthWindow, len(colls))
 	now := time.Now()
 	for _, c := range colls {
-		resp.Collections[c.name] = c.health.Window(now, healthWindows[0])
-		if c.walStats == nil {
-			continue
+		resp.Collections[c.Name()] = c.Serving().Health.Window(now, healthWindows[0])
+		d := c.Dynamic()
+		if d == nil || d.Dir() == "" {
+			continue // no write-ahead log
 		}
-		ws := c.walStats.WALStats()
+		ws := d.WALStats()
 		resp.WAL = append(resp.WAL, walHealth{
-			Collection:      c.name,
+			Collection:      c.Name(),
 			FsyncLagRecords: ws.LastLSN - ws.SyncedLSN,
 			Depth:           ws.Depth,
 			LastFsyncUS:     ws.LastFsyncMicros,
@@ -297,9 +295,9 @@ type explainJSON struct {
 // buildExplain assembles the plan. co is nil on cache hits; tr is the
 // request's trace (explain forces one, so it is non-nil here except
 // for custom backends that ignored it).
-func buildExplain(c *coll, k, budget int, f *lccs.Filter, co *lccs.Cost, cache string, tr *obs.Trace) *explainJSON {
+func buildExplain(c *engine.Collection, k, budget int, f *lccs.Filter, co *lccs.Cost, cache string, tr *obs.Trace) *explainJSON {
 	e := &explainJSON{
-		Collection: c.name,
+		Collection: c.Name(),
 		Backend:    backendStats(c).Kind,
 		K:          k,
 		Budget:     budget,

@@ -411,9 +411,9 @@ func TestExplainSelectivityIgnoresTombstones(t *testing.T) {
 			insertRequest{Vectors: data[lo:hi], Attrs: attrs}, nil); code != http.StatusOK {
 			t.Fatal("insert failed")
 		}
-		c.Durable().WaitRebuild()
+		c.Dynamic().WaitRebuild()
 	}
-	if dyn := c.Durable(); dyn.Shards() != 3 || dyn.Buffered() != 12 {
+	if dyn := c.Dynamic(); dyn.Shards() != 3 || dyn.Buffered() != 12 {
 		t.Fatalf("fixture: %d shards, %d buffered", dyn.Shards(), dyn.Buffered())
 	}
 	explain := func(live int) *explainJSON {

@@ -3,9 +3,12 @@
 // (internal/engine) — each an independently configured index — with a
 // semaphore-based admission controller (bounded concurrency, bounded
 // queue, per-collection concurrency shares, per-request deadlines), an
-// LRU result cache keyed by collection/filter/cursor and invalidated
-// per-collection by write generation, and live counter/latency metrics
-// in the Prometheus text format with per-collection labels.
+// LRU result cache keyed by collection, request and the index's own write
+// generation (lccs.DynamicIndex.Generation) — which every change that can
+// alter an answer moves, a checkpoint's compaction and a Rebuild as much
+// as a write, and which a re-created collection starts at a fresh epoch —
+// and live counter/latency metrics in the Prometheus text format with
+// per-collection labels.
 //
 // Endpoints:
 //
@@ -17,17 +20,26 @@
 //	POST   /v1/collections/{name}/insert            append vectors (+ optional attributes)
 //	POST   /v1/collections/{name}/delete            tombstone ids
 //	GET    /v1/collections/{name}/stats             per-collection stats
+//	GET    /v1/collections/{name}/usage             per-collection usage: cumulative + windowed
 //	GET    /v1/stats                                JSON operational stats (all collections)
+//	GET    /v1/usage                                usage summed over collections, and per collection
+//	GET    /v1/debug/slow                           slow-query ring + traced-request sample
+//	GET    /v1/debug/health                         windowed RED health, admission, SLO burn, WAL lag
 //	GET    /healthz                                 readiness (503 while draining)
 //	GET    /metrics                                 Prometheus text exposition
 //
 // The legacy single-index routes (/v1/search, /v1/search/batch,
 // /v1/insert, /v1/delete) serve the collection named "default", so
-// pre-collections clients keep working unchanged.
+// pre-collections clients keep working unchanged. Writes go to the
+// collection's *lccs.DynamicIndex (engine.Collection.Dynamic); a
+// collection over any other backend is read-only, and its insert and
+// delete answer 501.
 //
-// The package owns request admission and caching; process lifecycle
-// (listening, signal handling, graceful drain, checkpointing) belongs
-// to cmd/lccs-serve.
+// The package owns request admission and caching; every per-collection
+// fact — which collections exist, their usage, health rings and
+// admission occupancy — lives on the registry's engine.Collection, and
+// the package keeps no copy of it. Process lifecycle (listening, signal
+// handling, graceful drain, checkpointing) belongs to cmd/lccs-serve.
 package server
 
 import (
@@ -40,9 +52,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,35 +61,6 @@ import (
 	"lccs/internal/engine"
 	"lccs/internal/obs"
 )
-
-// Writer is the optional write side of a backend; DynamicIndex
-// implements it, memory-only or journaled. Backends that do not are
-// served read-only and /v1/insert and /v1/delete answer 501. Each request
-// is one call — on a journaled backend one log append and one
-// group-committed fsync for the whole batch — that returns only once the
-// write is durable per the backend's sync policy.
-//
-// AddBatchWithAttrs (attrs nil, or one row per vector) validates the
-// whole batch before applying any of it: it returns the ids of every
-// vector, or no ids and a validation error, nothing applied or
-// journaled. An error wrapping lccs.ErrNotDurable means the write must
-// not be acknowledged; any other error alongside all the ids is a
-// deferred background-build failure and the insert itself succeeded.
-// DeleteBatch reports how many ids were live and which were unknown or
-// already deleted.
-type Writer interface {
-	AddBatchWithAttrs(vecs [][]float32, attrs []lccs.Attrs) ([]int, error)
-	DeleteBatch(ids []int) (deleted int, missing []int, err error)
-}
-
-// WALStatser exposes write-ahead-log health; DynamicIndex implements
-// it. A backend with a log — a journaled DynamicIndex, whose Dir is not
-// empty — shows WAL depth and fsync latency in /v1/stats and /metrics; one
-// whose Dir is empty, a memory-only DynamicIndex, has no log to report.
-type WALStatser interface {
-	WALStats() lccs.WALStats
-	Dir() string
-}
 
 // Config configures a Server.
 type Config struct {
@@ -137,51 +118,12 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// coll is the server-side request state of one collection: the
-// backend's capability interfaces resolved once, the write generation
-// folded into its cache keys, and its admission occupancy.
-type coll struct {
-	name     string
-	backend  lccs.Searcher
-	writer   Writer     // nil: read-only backend
-	walStats WALStatser // nil: no write-ahead log
-	// usage is the collection's cumulative resource accounting (owned
-	// by the registry, shared by every handle); health is its windowed
-	// RED/usage ring for /v1/debug/health and /v1/collections/⋯/usage.
-	usage  *engine.Usage
-	health *obs.Health
-	// gen counts completed writes — inserts and deletes alike; it is
-	// folded into every cache key, so one write invalidates all of this
-	// collection's earlier cached results at once (and only this
-	// collection's: the key also carries the collection name).
-	gen atomic.Uint64
-	// occupancy counts requests of this collection currently admitted;
-	// quotaRejected counts requests shed by the per-collection share.
-	occupancy     atomic.Int64
-	quotaRejected atomic.Uint64
-}
-
-// newColl resolves a backend's capability interfaces once.
-func newColl(ec *engine.Collection) *coll {
-	name, backend := ec.Name(), ec.Backend()
-	c := &coll{name: name, backend: backend, usage: ec.Usage(), health: new(obs.Health)}
-	if wr, ok := backend.(Writer); ok {
-		c.writer = wr
-	}
-	if ws, ok := backend.(WALStatser); ok && ws.Dir() != "" {
-		c.walStats = ws
-	}
-	return c
-}
-
 // Server is the HTTP front end over the collection registry. Construct
 // with New, mount Handler on an http.Server, and call SetDraining(true)
 // before shutting that server down so load balancers see readiness drop
 // first.
 type Server struct {
-	eng       *engine.Engine
-	cmu       sync.RWMutex
-	colls     map[string]*coll
+	eng       *engine.Engine // the one registry of collections and their state
 	adm       *admission
 	collShare int64        // per-collection in-flight cap; 0 = uncapped
 	cache     *resultCache // nil when disabled
@@ -190,7 +132,7 @@ type Server struct {
 	met       *metrics
 	mux       *http.ServeMux
 	slow      *obs.SlowLog
-	health    *obs.Health // server-wide RED/usage ring; per-coll rings live on coll
+	health    *obs.Health // server-wide RED/usage ring; per-collection rings live on engine.Serving
 	logger    *slog.Logger
 	version   string
 	// sampleEvery traces every Nth search (0 = only explicit requests);
@@ -256,7 +198,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		eng:       eng,
-		colls:     make(map[string]*coll),
 		adm:       newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
 		collShare: int64(cfg.CollectionMaxInFlight),
 		timeout:   cfg.Timeout,
@@ -275,11 +216,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = newResultCache(cfg.CacheSize)
-	}
-	// Pre-resolve already-loaded collections (the default, any the caller
-	// opened before handing the engine over).
-	for _, ec := range eng.Loaded() {
-		s.colls[ec.Name()] = newColl(ec)
 	}
 	s.mux = http.NewServeMux()
 	// Legacy single-index routes: the "default" collection.
@@ -324,31 +260,17 @@ func collName(r *http.Request) string {
 	return DefaultCollection
 }
 
-// resolve returns the request's collection state, lazily opening the
-// collection through the registry. On failure it writes the error
-// response — counted under the server-scoped series: the name in the
-// path is the client's, never a label value or a map key — and returns
-// nil.
-func (s *Server) resolve(w http.ResponseWriter, r *http.Request, o outcome) *coll {
-	name := collName(r)
-	s.cmu.RLock()
-	c, ok := s.colls[name]
-	s.cmu.RUnlock()
-	if ok {
-		return c
-	}
-	ec, err := s.eng.Get(name)
+// resolve returns the request's collection, lazily opening it through
+// the registry, which holds all of its state. On failure it writes the
+// error response — counted under the server-scoped series: the name in
+// the path is the client's, never a label value or a map key — and
+// returns nil.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request, o outcome) *engine.Collection {
+	c, err := s.eng.Get(collName(r))
 	if err != nil {
 		s.fail(w, nil, o, engineStatus(err), err)
 		return nil
 	}
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	if c, ok := s.colls[name]; ok {
-		return c
-	}
-	c = newColl(ec)
-	s.colls[name] = c
 	return c
 }
 
@@ -637,10 +559,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// touches no backend, so it must not occupy an execution slot or be
 	// shed under overload. Obviously invalid requests never touch the
 	// cache, so 400s do not pollute miss statistics or key space. The
-	// key carries the collection name, the canonical filter encoding,
-	// and the cursor token, so tenants, filtered variants of one query,
-	// and successive pages can never alias each other's entries. The
-	// probe's result rides in the outcome, so every later exit reports it.
+	// key carries the collection name, the index's write generation, the
+	// canonical filter encoding, and the cursor token, so tenants, index
+	// states, filtered variants of one query, and successive pages can
+	// never alias each other's entries. The probe's result rides in the
+	// outcome, so every later exit reports it.
 	kEff := req.K
 	if paginated {
 		kEff = req.Limit
@@ -650,7 +573,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var key string
 	if cacheable {
 		cacheStart := time.Now()
-		key = cacheKey(c.name, c.gen.Load(), kEff, req.Budget, req.Query, f, req.Cursor)
+		var gen uint64 // a read-only backend's answers never change
+		if d := c.Dynamic(); d != nil {
+			gen = d.Generation()
+		}
+		key = cacheKey(c.Name(), gen, kEff, req.Budget, req.Query, f, req.Cursor)
 		res, next, ok := s.cache.get(key)
 		cacheDur := time.Since(cacheStart)
 		obs.ObserveDur(obs.StageCache, cacheDur)
@@ -662,7 +589,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				resp.Explain = buildExplain(c, kEff, req.Budget, f, nil, "hit", tr)
 			}
 			s.respondSearch(w, c, o, resp, reqID, tr, req.Trace, time.Time{})
-			s.recordSlow(reqID, "search", c.name, f, start, o.dur, kEff, req.Budget, tr)
+			s.recordSlow(reqID, "search", c.Name(), f, start, o.dur, kEff, req.Budget, tr)
 			return
 		}
 		o.use.CacheMisses, cache = 1, "miss"
@@ -684,9 +611,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var res []lccs.Neighbor
 	qr := lccs.Query{K: kEff, Budget: req.Budget, Filter: f, Cost: &sc.co, Trace: tr}
 	if paginated {
-		res, next, err = c.backend.SearchCursor(req.Query, qr, req.Cursor)
+		res, next, err = c.Backend().SearchCursor(req.Query, qr, req.Cursor)
 	} else {
-		res, err = c.backend.SearchQuery(req.Query, qr, sc.res)
+		res, err = c.Backend().SearchQuery(req.Query, qr, sc.res)
 	}
 	if err != nil {
 		s.fail(w, c, o, statusFor(err), err)
@@ -711,7 +638,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		resp.Explain = buildExplain(c, kEff, req.Budget, f, &sc.co, cache, tr)
 	}
 	s.respondSearch(w, c, o, resp, reqID, tr, req.Trace, encStart)
-	s.recordSlow(reqID, "search", c.name, f, start, o.dur, kEff, req.Budget, tr)
+	s.recordSlow(reqID, "search", c.Name(), f, start, o.dur, kEff, req.Budget, tr)
 }
 
 // respondSearch sends a search response. Only an explicit "trace": true
@@ -721,7 +648,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // encStart is the start of the encode stage, which ends once the payload
 // is serialised — or, for a response carrying its span tree, before the
 // tree is rendered. A response encoding/json would refuse is a 400.
-func (s *Server) respondSearch(w http.ResponseWriter, c *coll, o outcome, resp searchResponse, reqID uint64, tr *obs.Trace, explicit bool, encStart time.Time) {
+func (s *Server) respondSearch(w http.ResponseWriter, c *engine.Collection, o outcome, resp searchResponse, reqID uint64, tr *obs.Trace, explicit bool, encStart time.Time) {
 	endEncode := func() {
 		if !encStart.IsZero() {
 			encDur := time.Since(encStart)
@@ -818,7 +745,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rows, err := c.backend.SearchBatch(req.Queries, req.K, req.Budget)
+	rows, err := c.Backend().SearchBatch(req.Queries, req.K, req.Budget)
 	if err != nil {
 		s.fail(w, c, o, statusFor(err), err)
 		return
@@ -876,7 +803,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := s.reqID.Add(1)
-	if c.writer == nil {
+	if c.Dynamic() == nil {
 		s.fail(w, c, o, http.StatusNotImplemented,
 			errors.New("backend is read-only: inserts need a collection in a data directory"))
 		return
@@ -914,16 +841,13 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	walBefore := walAppended(c)
 	ids, warning, failCode, failErr := s.applyInserts(c, req.Vectors, attrs)
 	o.use.Inserts, o.use.WALBytes = int64(len(ids)), walAppended(c)-walBefore
-	if len(ids) > 0 {
-		c.gen.Add(1) // invalidate every cached result of this collection
-	}
 	w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
 	if failErr != nil {
 		// A rejected vector rejects the batch whole, so a 400 carries no
-		// ids. On a durability failure the batch is in memory — the
-		// generation bump above makes its results visible — but possibly
-		// not on disk: its ids come back with the 5xx, which tells the
-		// client not to trust them.
+		// ids. On a durability failure the batch is in memory — it moved
+		// the index's generation, so no cached answer predates it — but
+		// possibly not on disk: its ids come back with the 5xx, which
+		// tells the client not to trust them.
 		s.respond(w, c, o, failCode, struct {
 			errorResponse
 			IDs       []int  `json:"ids"`
@@ -933,7 +857,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	o.dur = time.Since(start)
 	s.logger.Debug("insert",
-		"request_id", reqID, "collection", c.name,
+		"request_id", reqID, "collection", c.Name(),
 		"vectors", len(ids), "wal_bytes", o.use.WALBytes, "took", o.dur)
 	s.respond(w, c, o, http.StatusOK, insertResponse{IDs: ids, Warning: warning, RequestID: reqID})
 }
@@ -947,8 +871,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // disk); a rejected vector is a 400. A deferred background-build
 // failure is reported as a warning alongside success, matching
 // DynamicIndex.Add's documented semantics.
-func (s *Server) applyInserts(c *coll, vectors [][]float32, attrs []lccs.Attrs) (ids []int, warning string, failCode int, failErr error) {
-	ids, err := c.writer.AddBatchWithAttrs(vectors, attrs)
+func (s *Server) applyInserts(c *engine.Collection, vectors [][]float32, attrs []lccs.Attrs) (ids []int, warning string, failCode int, failErr error) {
+	ids, err := c.Dynamic().AddBatchWithAttrs(vectors, attrs)
 	switch {
 	case err == nil:
 		return ids, "", 0, nil
@@ -971,7 +895,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := s.reqID.Add(1)
-	if c.writer == nil {
+	if c.Dynamic() == nil {
 		s.fail(w, c, o, http.StatusNotImplemented,
 			errors.New("backend is read-only: deletes need a collection in a data directory"))
 		return
@@ -1003,20 +927,15 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	walBefore := walAppended(c)
 	var resp deleteResponse
 	var err error
-	resp.Deleted, resp.Missing, err = c.writer.DeleteBatch(ids)
+	resp.Deleted, resp.Missing, err = c.Dynamic().DeleteBatch(ids)
 	o.use.Deletes, o.use.WALBytes = int64(resp.Deleted), walAppended(c)-walBefore
-	if resp.Deleted > 0 {
-		// A delete changes every query's answer set: bump the write
-		// generation so stale cached results can never be served.
-		c.gen.Add(1)
-	}
 	if err != nil {
 		s.fail(w, c, o, http.StatusServiceUnavailable, err)
 		return
 	}
 	o.dur = time.Since(start)
 	s.logger.Debug("delete",
-		"request_id", reqID, "collection", c.name,
+		"request_id", reqID, "collection", c.Name(),
 		"deleted", resp.Deleted, "missing", len(resp.Missing),
 		"wal_bytes", o.use.WALBytes, "took", o.dur)
 	resp.RequestID = reqID
@@ -1040,9 +959,6 @@ func (s *Server) handleCollCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, nil, o, engineStatus(err), err)
 		return
 	}
-	s.cmu.Lock()
-	s.colls[req.Name] = newColl(ec)
-	s.cmu.Unlock()
 	s.logger.Info("collection created", "request_id", reqID, "collection", req.Name)
 	w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
 	s.respond(w, nil, o, http.StatusCreated, createCollectionResponse{
@@ -1052,18 +968,20 @@ func (s *Server) handleCollCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCollList(w http.ResponseWriter, r *http.Request) {
+	loaded := make(map[string]*engine.Collection)
+	for _, c := range s.eng.Loaded() {
+		loaded[c.Name()] = c
+	}
 	names := s.eng.List()
 	out := listCollectionsResponse{Collections: make([]collectionInfo, 0, len(names))}
-	s.cmu.RLock()
 	for _, name := range names {
 		info := collectionInfo{Name: name}
-		if c, ok := s.colls[name]; ok {
+		if c, ok := loaded[name]; ok {
 			info.Loaded = true
-			info.Vectors = c.backend.Len()
+			info.Vectors = c.Backend().Len()
 		}
 		out.Collections = append(out.Collections, info)
 	}
-	s.cmu.RUnlock()
 	s.respond(w, nil, outcome{endpoint: "collections_list"}, http.StatusOK, out)
 }
 
@@ -1074,15 +992,6 @@ func (s *Server) handleCollDrop(w http.ResponseWriter, r *http.Request) {
 	if err := s.eng.Drop(name); err != nil {
 		s.fail(w, nil, o, engineStatus(err), err)
 		return
-	}
-	s.cmu.Lock()
-	delete(s.colls, name)
-	s.cmu.Unlock()
-	if s.cache != nil {
-		// A future collection under the same name restarts its write
-		// generation at zero; flushing now makes key collisions with the
-		// dead tenant impossible.
-		s.cache.clear()
 	}
 	s.logger.Info("collection dropped", "request_id", reqID, "collection", name)
 	w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
@@ -1095,7 +1004,7 @@ func (s *Server) handleCollStats(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
-	cs := c.snap()
+	cs := snap(c)
 	s.respond(w, c, o, http.StatusOK, cs.stats(s.met.requestsSnapshot()))
 }
 
@@ -1168,18 +1077,6 @@ type BackendStats struct {
 	Writable   bool `json:"writable"`
 }
 
-// loadedColls returns the resolved collections sorted by name.
-func (s *Server) loadedColls() []*coll {
-	s.cmu.RLock()
-	out := make([]*coll, 0, len(s.colls))
-	for _, c := range s.colls {
-		out = append(out, c)
-	}
-	s.cmu.RUnlock()
-	slices.SortFunc(out, func(a, b *coll) int { return strings.Compare(a.name, b.name) })
-	return out
-}
-
 // stats completes the collection's stats with its own series of a
 // requests snapshot.
 func (cs collSnap) stats(reqs []reqCount) CollectionStats {
@@ -1230,9 +1127,9 @@ func (s *Server) StatsSnapshot() Stats {
 }
 
 // backendStats inspects the concrete facade behind one collection.
-func backendStats(c *coll) BackendStats {
-	b := BackendStats{Vectors: c.backend.Len(), Writable: c.writer != nil}
-	switch ix := c.backend.(type) {
+func backendStats(c *engine.Collection) BackendStats {
+	b := BackendStats{Vectors: c.Backend().Len(), Writable: c.Dynamic() != nil}
+	switch ix := c.Backend().(type) {
 	case *lccs.Index:
 		b.Kind = "index"
 		if ix.Shards() > 1 {
@@ -1306,11 +1203,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // 503 (with a load-derived Retry-After) on share exhaustion, queue
 // overflow, or admission deadline, and reports whether the caller now
 // holds a slot (to be returned via release).
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, c *coll, o outcome) bool {
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, c *engine.Collection, o outcome) bool {
 	var err error
-	if occ := c.occupancy.Add(1); s.collShare > 0 && occ > s.collShare {
-		c.quotaRejected.Add(1)
-		err = fmt.Errorf("collection %q is over its concurrency share (%d in flight)", c.name, s.collShare)
+	sv := c.Serving()
+	if occ := sv.Occupancy.Add(1); s.collShare > 0 && occ > s.collShare {
+		sv.QuotaRejected.Add(1)
+		err = fmt.Errorf("collection %q is over its concurrency share (%d in flight)", c.Name(), s.collShare)
 	} else if !s.adm.tryAcquire() {
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 		err = s.adm.acquire(ctx)
@@ -1322,7 +1220,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, c *coll, o outcom
 	if err == nil {
 		return true
 	}
-	c.occupancy.Add(-1)
+	sv.Occupancy.Add(-1)
 	o.rejected = true
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 	s.fail(w, c, o, http.StatusServiceUnavailable, err)
@@ -1330,9 +1228,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, c *coll, o outcom
 }
 
 // release returns the slot taken by a successful admit.
-func (s *Server) release(c *coll) {
+func (s *Server) release(c *engine.Collection) {
 	s.adm.release()
-	c.occupancy.Add(-1)
+	c.Serving().Occupancy.Add(-1)
 }
 
 // retryAfterSeconds estimates how long a shed client should back off:
@@ -1405,7 +1303,7 @@ func statusFor(err error) int {
 // respond is every handler's exit: it encodes body into a pooled buffer,
 // then sends it under the status code. A body encoding/json refuses is
 // answered 400 instead — never a status with an empty body.
-func (s *Server) respond(w http.ResponseWriter, c *coll, o outcome, code int, body any) {
+func (s *Server) respond(w http.ResponseWriter, c *engine.Collection, o outcome, code int, body any) {
 	wb := getWireBuf()
 	defer putWireBuf(wb)
 	if err := json.NewEncoder(wb).Encode(body); err != nil {
@@ -1417,7 +1315,7 @@ func (s *Server) respond(w http.ResponseWriter, c *coll, o outcome, code int, bo
 
 // send records the request's one outcome, then writes the encoded body
 // under the status code in one Write.
-func (s *Server) send(w http.ResponseWriter, c *coll, o outcome, code int, body []byte) {
+func (s *Server) send(w http.ResponseWriter, c *engine.Collection, o outcome, code int, body []byte) {
 	o.code = code
 	s.record(c, o)
 	h := w.Header()
@@ -1428,6 +1326,6 @@ func (s *Server) send(w http.ResponseWriter, c *coll, o outcome, code int, body 
 }
 
 // fail is respond with an error body.
-func (s *Server) fail(w http.ResponseWriter, c *coll, o outcome, code int, err error) {
+func (s *Server) fail(w http.ResponseWriter, c *engine.Collection, o outcome, code int, err error) {
 	s.respond(w, c, o, code, errorResponse{Error: err.Error()})
 }

@@ -61,7 +61,7 @@ func newSurfaceFixture(t *testing.T) *surfaceFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.dur = def.Durable()
+	f.dur = def.Dynamic()
 	if _, err := eng.Adopt("gate", f.gate); err != nil {
 		t.Fatal(err)
 	}
