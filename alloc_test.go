@@ -296,36 +296,6 @@ func TestSearchAllocBoundAllocatingAPI(t *testing.T) {
 	}
 }
 
-// TestSearchBatchAllocBound bounds the batch engine: per query, the only
-// allocations should be the caller-owned result row (plus a small
-// constant for the worker pool and the out/err tables).
-func TestSearchBatchAllocBound(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts include race-detector instrumentation; run without -race")
-	}
-	data, queries := allocWorkload(44, 2000, 12)
-	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k, lambda = 10, 40
-	if _, err := sx.SearchBatch(queries, k, lambda); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := sx.SearchBatch(queries, k, lambda); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perQuery := allocs / float64(len(queries))
-	// One result row per query is inherent to the API; the bound allows
-	// it plus batch-engine overhead amortized across the batch.
-	if perQuery > 4 {
-		t.Fatalf("SearchBatch: %.2f allocs per query (%.0f total for %d queries), want ≤ 4",
-			perQuery, allocs, len(queries))
-	}
-}
-
 // TestSearchZeroAllocCosted extends the zero-allocation gate to the
 // metered path: SearchQuery with a live cost record (untraced,
 // unfiltered) must stay allocation-free on every facade, so per-tenant

@@ -607,13 +607,6 @@ func (d *DynamicIndex) SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Nei
 	return d.searchQuery(q, qr, 0, dst)
 }
 
-// SearchBatch answers many queries concurrently under one k and
-// candidate budget (0 selects the default); results are returned in
-// query order.
-func (d *DynamicIndex) SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error) {
-	return searchBatch(queries, k, budget, d.SearchQuery)
-}
-
 // Snapshot freezes the current contents into a point-in-time view: the
 // slot-ordered vector slice (rows are views into the blocks that hold
 // them) and an

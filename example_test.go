@@ -81,25 +81,6 @@ func ExampleIndex_SearchQuery() {
 	// Output: 5 5 true
 }
 
-func ExampleIndex_SearchBatch() {
-	data := grid(300, 8)
-	ix, err := lccs.NewIndex(data, lccs.Config{
-		Metric:      lccs.Euclidean,
-		M:           16,
-		BucketWidth: 8,
-		Seed:        2,
-	})
-	if err != nil {
-		panic(err)
-	}
-	results, err := ix.SearchBatch(data[:3], 2, 0)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(len(results), results[0][0].ID, results[1][0].ID, results[2][0].ID)
-	// Output: 3 0 1 2
-}
-
 func ExampleNewShardedIndex() {
 	data := grid(600, 16)
 	// Three shards build their CSAs in parallel; a search hashes the query

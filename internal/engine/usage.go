@@ -19,8 +19,9 @@ type Usage struct{ c [11]atomic.Int64 }
 
 // UsageSnapshot is a point-in-time copy of a Usage, shaped for JSON.
 type UsageSnapshot struct {
-	// Searches counts search requests that reached the backend or
-	// answered from cache (validation failures count under Errors).
+	// Searches counts answered search requests — from the backend or
+	// the cache — a batch being one request (validation failures count
+	// under Errors).
 	Searches int64 `json:"searches"`
 	// Inserts and Deletes count acknowledged write operations.
 	Inserts int64 `json:"inserts"`
@@ -97,12 +98,14 @@ func (s *UsageSnapshot) Add(o UsageSnapshot) {
 func (c *Collection) Usage() *Usage { return &c.usage }
 
 // Serving is one collection's live request state: the windowed RED/usage
-// ring behind /v1/debug/health and the usage endpoints, the requests of
-// the collection currently admitted, and those its concurrency share
-// shed. The registry creates it with the collection and drops it with
-// it; the serving layer reads and writes it.
+// ring behind /v1/debug/health and the usage endpoints, its requests by
+// endpoint and status code (lccs_requests_total), the requests of the
+// collection currently admitted, and those its concurrency share shed.
+// The registry creates it with the collection and drops it with it; the
+// serving layer reads and writes it.
 type Serving struct {
 	Health        obs.Health
+	Requests      obs.RequestCounts
 	Occupancy     atomic.Int64
 	QuotaRejected atomic.Uint64
 }

@@ -1,12 +1,8 @@
 package server
 
 import (
-	"cmp"
 	"runtime"
-	"slices"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"lccs"
@@ -19,66 +15,41 @@ import (
 // that reads every other owner once — the JSON surfaces assemble their
 // shapes from it too — and the one table of /metrics families.
 
-// reqKey identifies one requests_total series. collection is the name of
-// a loaded collection, or empty — server-scoped endpoints, requests that
-// resolved to none — and never a string from the request path.
-type reqKey struct {
-	collection string
-	endpoint   string
-	code       int
-}
-
-// reqCount is one series of a requests snapshot.
-type reqCount struct {
-	reqKey
-	n uint64
-}
-
-// metrics holds the two stores the server owns: per-endpoint/status
-// request counts and the search latency histogram.
+// metrics holds the two stores the server owns: the request counts of
+// requests that resolved no collection (a collection's are on its
+// engine.Serving) and the search latency histogram.
 type metrics struct {
 	start    time.Time
-	mu       sync.Mutex
-	requests map[reqKey]uint64
+	requests obs.RequestCounts
 	latency  obs.Hist
 }
 
-func (m *metrics) countRequest(collection, endpoint string, code int) {
-	m.mu.Lock()
-	m.requests[reqKey{collection, endpoint, code}]++
-	m.mu.Unlock()
-}
-
-// requestsSnapshot returns a copy of the request counters ordered by
-// collection, endpoint and code.
-func (m *metrics) requestsSnapshot() []reqCount {
-	m.mu.Lock()
-	out := make([]reqCount, 0, len(m.requests))
-	for k, n := range m.requests {
-		out = append(out, reqCount{k, n})
+// countRequest counts one request under its collection's series, or the
+// server-scoped ones when c is nil.
+func (m *metrics) countRequest(c *engine.Collection, endpoint string, code int) {
+	rc := &m.requests
+	if c != nil {
+		rc = &c.Serving().Requests
 	}
-	m.mu.Unlock()
-	slices.SortFunc(out, func(a, b reqCount) int {
-		return cmp.Or(strings.Compare(a.collection, b.collection), strings.Compare(a.endpoint, b.endpoint), a.code-b.code)
-	})
-	return out
+	rc.Inc(endpoint, code)
 }
 
 // ---- the per-scrape snapshot ----
 
 // collSnap is one loaded collection's sources, each read once: its usage
-// counters and, in the shape /v1/stats gives them, the rest (Requests is
-// filled in by the surfaces that report it).
+// counters, its request counts and, in the shape /v1/stats gives them,
+// the rest (Requests is filled in by the surfaces that report it).
 type collSnap struct {
-	name  string
-	usage engine.UsageSnapshot
+	name     string
+	usage    engine.UsageSnapshot
+	requests []obs.RequestCount
 	CollectionStats
 }
 
 func snap(c *engine.Collection) collSnap {
-	cs := collSnap{name: c.Name(), usage: c.Usage().Snapshot()}
-	cs.Inserts, cs.Deletes = uint64(cs.usage.Inserts), uint64(cs.usage.Deletes)
 	sv := c.Serving()
+	cs := collSnap{name: c.Name(), usage: c.Usage().Snapshot(), requests: sv.Requests.Snapshot()}
+	cs.Inserts, cs.Deletes = uint64(cs.usage.Inserts), uint64(cs.usage.Deletes)
 	cs.InFlight, cs.QuotaRejected = sv.Occupancy.Load(), sv.QuotaRejected.Load()
 	cs.Backend = backendStats(c)
 	if d := c.Dynamic(); d != nil && d.Dir() != "" {
@@ -94,7 +65,7 @@ func snap(c *engine.Collection) collSnap {
 // itself however much is being written while it is assembled.
 type scrape struct {
 	uptime              float64
-	requests            []reqCount
+	requests            []obs.RequestCount // server-scoped; a collection's are on its collSnap
 	latency             *obs.Hist
 	adm                 admissionHealth
 	cache               CacheStats
@@ -113,7 +84,7 @@ func (s *Server) scrape() *scrape {
 	loaded := s.eng.Loaded()
 	sc := &scrape{
 		uptime:   time.Since(s.met.start).Seconds(),
-		requests: s.met.requestsSnapshot(),
+		requests: s.met.requests.Snapshot(),
 		latency:  &s.met.latency,
 		adm:      s.adm.health(),
 		colls:    make([]collSnap, len(loaded)),
@@ -182,13 +153,17 @@ func wal(read func(*lccs.WALStats) float64) func(*obs.Expo, *scrape) {
 
 var families = []family{
 	{"lccs_requests_total", "HTTP requests served, by collection, endpoint, and status code.", obs.Counter, func(e *obs.Expo, sc *scrape) {
+		sample := func(r obs.RequestCount, labels ...obs.Label) {
+			labels = append(labels, obs.Label{Name: "endpoint", Value: r.Endpoint}, obs.Label{Name: "code", Value: strconv.Itoa(r.Code)})
+			e.Sample("", float64(r.N), labels...)
+		}
 		for _, r := range sc.requests {
-			labels := []obs.Label{{Name: "collection", Value: r.collection},
-				{Name: "endpoint", Value: r.endpoint}, {Name: "code", Value: strconv.Itoa(r.code)}}
-			if r.collection == "" {
-				labels = labels[1:]
+			sample(r)
+		}
+		for i := range sc.colls {
+			for _, r := range sc.colls[i].requests {
+				sample(r, obs.Label{Name: "collection", Value: sc.colls[i].name})
 			}
-			e.Sample("", float64(r.n), labels...)
 		}
 	}},
 	{"lccs_request_seconds", "Search handler latency (admission wait included).", obs.Histogram, func(e *obs.Expo, sc *scrape) { sc.latency.Write(e) }},
@@ -248,7 +223,7 @@ var families = []family{
 
 	{"lccs_goroutines", "Live goroutines.", obs.Gauge, value(func(*scrape) (float64, bool) { return float64(runtime.NumGoroutine()), true })},
 	{"lccs_heap_alloc_bytes", "Bytes of allocated heap objects.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.mem.HeapAlloc), true })},
-	{"lccs_gc_runs_total", "Completed garbage-collection cycles.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.mem.NumGC), true })},
+	{"lccs_gc_runs_total", "Completed garbage-collection cycles.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.mem.NumGC), true })},
 	{"lccs_gc_pause_last_seconds", "Duration of the most recent GC stop-the-world pause.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.mem.PauseNs[(sc.mem.NumGC+255)%256]) / 1e9, true })},
 	{"lccs_uptime_seconds", "Seconds since the server started.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return sc.uptime, true })},
 	{"lccs_build_info", "Build metadata; the value is always 1.", obs.Gauge, func(e *obs.Expo, sc *scrape) {

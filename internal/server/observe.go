@@ -39,6 +39,12 @@ type outcome struct {
 	use engine.UsageSnapshot
 }
 
+// meter fills in the query cost the request's searches added to co.
+func (o *outcome) meter(co *lccs.Cost) {
+	o.use.Comparisons, o.use.Candidates = co.Comparisons, co.Candidates
+	o.use.BytesScanned, o.use.FilterRejected = co.BytesScanned, co.FilterRejected
+}
+
 // record is the one place a request is counted: the only caller of the
 // request counter, the request histogram, engine.Usage and the two
 // health rings, so what two surfaces say about the same requests cannot
@@ -49,23 +55,17 @@ type outcome struct {
 // rings meter the data plane — search, batch, insert, delete — and every
 // failure (code ≥ 400): an error with no latency observation, so an
 // error storm cannot drag the percentiles toward zero — or, if admission
-// shed it, `rejected` in the rings and nothing else. lccs_request_seconds
-// observes answered searches, single or batch; a batch adds nothing to
-// Usage (the batch engine surfaces no per-query cost).
+// shed it, `rejected` in the rings and nothing else. An answered search,
+// single or batch, is one search in Usage and one lccs_request_seconds
+// observation; a batch's cost is the sum of its queries'.
 func (s *Server) record(c *engine.Collection, o outcome) {
-	name := ""
-	if c != nil {
-		name = c.Name()
-	}
-	s.met.countRequest(name, o.endpoint, o.code)
+	s.met.countRequest(c, o.endpoint, o.code)
 	failed := o.code >= 400
 	switch {
 	case failed:
 		o.dur, o.use.Errors = -1, 1
-	case o.endpoint == "search":
+	case o.endpoint == "search" || o.endpoint == "search_batch":
 		o.use.Searches = 1
-		fallthrough
-	case o.endpoint == "search_batch":
 		s.met.latency.Observe(o.dur)
 	case o.endpoint != "insert" && o.endpoint != "delete":
 		return // a successful read of a stats or registry endpoint is a request count only

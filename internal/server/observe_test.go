@@ -528,8 +528,8 @@ func TestPromLabelEscaping(t *testing.T) {
 	// family table over a scrape whose collections carry the names.
 	snap := &scrape{latency: new(obs.Hist)}
 	for _, name := range hostile {
-		snap.colls = append(snap.colls, collSnap{name: name, usage: engine.UsageSnapshot{BytesScanned: 1}})
-		snap.requests = append(snap.requests, reqCount{reqKey{name, "search", 200}, 1})
+		snap.colls = append(snap.colls, collSnap{name: name, usage: engine.UsageSnapshot{BytesScanned: 1},
+			requests: []obs.RequestCount{{Endpoint: "search", Code: 200, N: 1}}})
 	}
 	var e obs.Expo
 	writeFamilies(&e, snap)

@@ -16,7 +16,7 @@
 //	GET    /v1/collections                          list collections
 //	DELETE /v1/collections/{name}                   drop a collection
 //	POST   /v1/collections/{name}/search            one query → top-k (filtered, cursor-paginated)
-//	POST   /v1/collections/{name}/search/batch      many queries → top-k each
+//	POST   /v1/collections/{name}/search/batch      many queries → top-k each, in turn, under one slot
 //	POST   /v1/collections/{name}/insert            append vectors (+ optional attributes)
 //	POST   /v1/collections/{name}/delete            tombstone ids
 //	GET    /v1/collections/{name}/stats             per-collection stats
@@ -35,8 +35,10 @@
 // collection over any other backend is read-only, and its insert and
 // delete answer 501.
 //
-// The package owns request admission and caching; every per-collection
-// fact — which collections exist, their usage, health rings and
+// Every query, a batch's included, is one SearchQuery call on the
+// collection's backend, metered into the collection's usage. The package
+// owns request admission and caching; every per-collection fact — which
+// collections exist, their usage, request counts, health rings and
 // admission occupancy — lives on the registry's engine.Collection, and
 // the package keeps no copy of it. Process lifecycle (listening, signal
 // handling, graceful drain, checkpointing) belongs to cmd/lccs-serve.
@@ -202,7 +204,7 @@ func New(cfg Config) (*Server, error) {
 		collShare: int64(cfg.CollectionMaxInFlight),
 		timeout:   cfg.Timeout,
 		maxBody:   cfg.MaxBodyBytes,
-		met:       &metrics{start: time.Now(), requests: make(map[reqKey]uint64)},
+		met:       &metrics{start: time.Now()},
 		slow:      obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowLogSize, cfg.SlowThreshold),
 		health:    new(obs.Health),
 		logger:    cfg.Logger,
@@ -220,12 +222,12 @@ func New(cfg Config) (*Server, error) {
 	s.mux = http.NewServeMux()
 	// Legacy single-index routes: the "default" collection.
 	s.mux.HandleFunc("/v1/search", s.handleSearch)
-	s.mux.HandleFunc("/v1/search/batch", s.handleSearchBatch)
+	s.mux.HandleFunc("/v1/search/batch", s.handleBatch)
 	s.mux.HandleFunc("/v1/insert", s.handleInsert)
 	s.mux.HandleFunc("/v1/delete", s.handleDelete)
 	// Collection routes.
 	s.mux.HandleFunc("POST /v1/collections/{name}/search", s.handleSearch)
-	s.mux.HandleFunc("POST /v1/collections/{name}/search/batch", s.handleSearchBatch)
+	s.mux.HandleFunc("POST /v1/collections/{name}/search/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/collections/{name}/insert", s.handleInsert)
 	s.mux.HandleFunc("POST /v1/collections/{name}/delete", s.handleDelete)
 	s.mux.HandleFunc("GET /v1/collections/{name}/stats", s.handleCollStats)
@@ -631,8 +633,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.cache.put(key, append([]lccs.Neighbor(nil), res...), next)
 	}
 	o.dur = time.Since(start)
-	o.use.Comparisons, o.use.Candidates = sc.co.Comparisons, sc.co.Candidates
-	o.use.BytesScanned, o.use.FilterRejected = sc.co.BytesScanned, sc.co.FilterRejected
+	o.meter(&sc.co)
 	resp := searchResponse{Neighbors: res, NextCursor: next}
 	if req.Explain {
 		resp.Explain = buildExplain(c, kEff, req.Budget, f, &sc.co, cache, tr)
@@ -720,7 +721,7 @@ func (s *Server) recordSlow(reqID uint64, endpoint, collection string, f *lccs.F
 	}
 }
 
-func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	o := outcome{endpoint: "search_batch"}
 	if !s.requirePost(w, r, o) {
@@ -732,9 +733,10 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// A batch holds one admission slot from before its body is decoded:
 	// batch bodies are the large ones, so decode memory must count
-	// against the concurrency bound too. The backend's own batch engine
-	// parallelizes across cores. The result cache is bypassed: batch
-	// workloads are throughput-oriented and would churn the LRU.
+	// against the concurrency bound too. Its queries run one after
+	// another on this goroutine, so the slot bounds its cores as it does
+	// a single search's. The result cache is bypassed: batch workloads
+	// are throughput-oriented and would churn the LRU.
 	if !s.admit(w, r, c, o) {
 		return
 	}
@@ -744,25 +746,36 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, c, o, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-
-	rows, err := c.Backend().SearchBatch(req.Queries, req.K, req.Budget)
-	if err != nil {
-		s.fail(w, c, o, statusFor(err), err)
+	// k and the budget are checked before the loop, so an empty batch
+	// holds the query contract too.
+	switch {
+	case req.K <= 0:
+		s.fail(w, c, o, http.StatusBadRequest, lccs.ErrInvalidK)
+		return
+	case req.Budget < 0:
+		s.fail(w, c, o, http.StatusBadRequest, lccs.ErrInvalidBudget)
 		return
 	}
-	// An empty batch and an empty row encode as [], never null, whatever
-	// the backend returned them as.
-	rows = append([][]lccs.Neighbor{}, rows...)
-	for i, row := range rows {
-		if row == nil {
-			rows[i] = []lccs.Neighbor{}
+	// Each query is a SearchQuery into one scratch row, copied out; the
+	// first failing query, in order, fails the batch, metered for the
+	// work its predecessors did.
+	var co lccs.Cost
+	var scratch []lccs.Neighbor
+	qr := lccs.Query{K: req.K, Budget: req.Budget, Cost: &co}
+	rows := make([][]lccs.Neighbor, len(req.Queries)) // [] on the wire, never null
+	for i, q := range req.Queries {
+		res, err := c.Backend().SearchQuery(q, qr, scratch)
+		if err != nil {
+			o.meter(&co)
+			s.fail(w, c, o, statusFor(err), err)
+			return
 		}
+		rows[i], scratch = append([]lccs.Neighbor{}, res...), res
 	}
-	// The batch engine's internal path does not surface per-query cost
-	// records; the batch counts as one request with its end-to-end
-	// latency.
 	o.dur = time.Since(start)
+	o.meter(&co)
 	s.respond(w, c, o, http.StatusOK, batchResponse{Results: rows, TookMicros: o.dur.Microseconds()})
+	s.recordSlow(s.reqID.Add(1), "search_batch", c.Name(), nil, start, o.dur, req.K, req.Budget, nil)
 }
 
 // parseAttrs translates wire attribute rows into library attribute
@@ -1004,8 +1017,7 @@ func (s *Server) handleCollStats(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
-	cs := snap(c)
-	s.respond(w, c, o, http.StatusOK, cs.stats(s.met.requestsSnapshot()))
+	s.respond(w, c, o, http.StatusOK, snap(c).stats())
 }
 
 // ---- stats ----
@@ -1077,14 +1089,11 @@ type BackendStats struct {
 	Writable   bool `json:"writable"`
 }
 
-// stats completes the collection's stats with its own series of a
-// requests snapshot.
-func (cs collSnap) stats(reqs []reqCount) CollectionStats {
-	cs.Requests = make(map[string]uint64)
-	for _, r := range reqs {
-		if r.collection == cs.name {
-			cs.Requests[r.endpoint+":"+strconv.Itoa(r.code)] = r.n
-		}
+// stats completes the collection's stats with its request counts.
+func (cs collSnap) stats() CollectionStats {
+	cs.Requests = make(map[string]uint64, len(cs.requests))
+	for _, r := range cs.requests {
+		cs.Requests[r.Endpoint+":"+strconv.Itoa(r.Code)] = r.N
 	}
 	return cs.CollectionStats
 }
@@ -1110,12 +1119,16 @@ func (s *Server) StatsSnapshot() Stats {
 		Collections: make(map[string]CollectionStats, len(sc.colls)),
 	}
 	for _, r := range sc.requests {
-		// Aggregate across collections under the legacy "endpoint:code"
-		// keys.
-		st.Requests[r.endpoint+":"+strconv.Itoa(r.code)] += r.n
+		st.Requests[r.Endpoint+":"+strconv.Itoa(r.Code)] = r.N
 	}
 	for i := range sc.colls {
-		st.Collections[sc.colls[i].name] = sc.colls[i].stats(sc.requests)
+		cs := sc.colls[i].stats()
+		st.Collections[sc.colls[i].name] = cs
+		// Aggregate across collections under the legacy "endpoint:code"
+		// keys.
+		for key, n := range cs.Requests {
+			st.Requests[key] += n
+		}
 	}
 	if sc.def != nil {
 		st.Backend, st.WAL = sc.def.Backend, sc.def.WAL

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -123,18 +124,16 @@ func TestServeBatchMatchesDirect(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("HTTP %d", code)
 	}
-	want, err := sx.SearchBatch(queries, 4, 80)
-	if err != nil {
-		t.Fatal(err)
+	if len(got.Results) != len(queries) {
+		t.Fatalf("%d rows, want %d", len(got.Results), len(queries))
 	}
-	if len(got.Results) != len(want) {
-		t.Fatalf("%d rows, want %d", len(got.Results), len(want))
-	}
-	for i, row := range want {
-		for j, nb := range row {
-			if got.Results[i][j].ID != nb.ID || got.Results[i][j].Dist != nb.Dist {
-				t.Fatalf("row %d pos %d: %+v, want %+v", i, j, got.Results[i][j], nb)
-			}
+	for i, q := range queries {
+		want, err := sx.SearchQuery(q, lccs.Query{K: 4, Budget: 80}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Results[i], want) {
+			t.Fatalf("row %d: %v, SearchQuery answers %v", i, got.Results[i], want)
 		}
 	}
 }
@@ -445,9 +444,6 @@ func (b *blockingBackend) SearchQuery(q []float32, qr lccs.Query, dst []lccs.Nei
 func (b *blockingBackend) SearchCursor(q []float32, qr lccs.Query, cursor string) ([]lccs.Neighbor, string, error) {
 	res, err := b.SearchQuery(q, qr, nil)
 	return res, "", err
-}
-func (b *blockingBackend) SearchBatch(qs [][]float32, k, budget int) ([][]lccs.Neighbor, error) {
-	return [][]lccs.Neighbor{}, nil
 }
 func (b *blockingBackend) Len() int                        { return 1 }
 func (b *blockingBackend) Distance(a, c []float32) float64 { return 0 }

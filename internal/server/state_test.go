@@ -114,8 +114,7 @@ func TestCachedPageFollowsIndexGeneration(t *testing.T) {
 // over and over while other clients search it and read every stats
 // surface. Once a drop returns the name answers 404 and no surface that
 // lists collections — /v1/stats, /v1/usage, /v1/debug/health, the
-// per-collection /metrics families — names it; lccs_requests_total keeps
-// the counts the collection earned while it lived, as a counter does. A
+// per-collection /metrics families, lccs_requests_total — names it. A
 // re-created collection under one cache never answers with the dead
 // one's entries: each round holds a different number of rows.
 func TestCollectionLifecycleHammer(t *testing.T) {
@@ -260,8 +259,56 @@ func assertUnlisted(t *testing.T, ts *httptest.Server, name, stage string) {
 		}
 	}
 	for _, s := range scrapeMetrics(t, ts).samples {
-		if strings.HasPrefix(s.name, "lccs_collection_") && s.labels["collection"] == name {
+		if (strings.HasPrefix(s.name, "lccs_collection_") || s.name == "lccs_requests_total") && s.labels["collection"] == name {
 			t.Fatalf("%s: /metrics has %s for dropped %q", stage, s.name, name)
+		}
+	}
+}
+
+// TestDroppedCollectionsLeaveNoSeries: a collection's request series go
+// with it, so tenants that come and go do not grow every scrape. After 50
+// names are created, searched and dropped, no lccs_requests_total series
+// and no /v1/stats entry names one, and the scrape holds as many
+// lccs_requests_total series as after the first.
+func TestDroppedCollectionsLeaveNoSeries(t *testing.T) {
+	_, ts := newCollServer(t, Config{})
+	query := searchRequest{Query: []float32{0, 0}, K: 1}
+	var afterFirst int
+	for i := range 50 {
+		name := fmt.Sprintf("tenant-%02d", i)
+		if code := doJSON(t, ts, "POST", "/v1/collections", createCollectionRequest{Name: name}, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: HTTP %d", name, code)
+		}
+		base := "/v1/collections/" + name
+		if code := postJSON(t, ts, base+"/insert", insertRequest{Vectors: [][]float32{{1, 2}}}, nil); code != http.StatusOK {
+			t.Fatalf("insert %s: HTTP %d", name, code)
+		}
+		if code := postJSON(t, ts, base+"/search", query, nil); code != http.StatusOK {
+			t.Fatalf("search %s: HTTP %d", name, code)
+		}
+		if code := doJSON(t, ts, "DELETE", base, nil, nil); code != http.StatusOK {
+			t.Fatalf("drop %s: HTTP %d", name, code)
+		}
+		if i == 0 {
+			afterFirst = len(scrapeMetrics(t, ts).series("lccs_requests_total"))
+		}
+	}
+	series := scrapeMetrics(t, ts).series("lccs_requests_total")
+	for _, s := range series {
+		if c := s.labels["collection"]; strings.HasPrefix(c, "tenant-") {
+			t.Fatalf("lccs_requests_total names dropped collection %q", c)
+		}
+	}
+	// The scrape after the first round also counted the /metrics request
+	// that produced it; every later one adds no series.
+	if len(series) != afterFirst {
+		t.Errorf("%d lccs_requests_total series after 50 tenants, %d after one", len(series), afterFirst)
+	}
+	var st Stats
+	getJSON(t, ts, "/v1/stats", &st)
+	for name := range st.Collections {
+		if strings.HasPrefix(name, "tenant-") {
+			t.Errorf("/v1/stats lists dropped collection %q", name)
 		}
 	}
 }

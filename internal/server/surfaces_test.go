@@ -197,7 +197,7 @@ func (f *surfaceFixture) driveMix(t *testing.T) scriptTruth {
 	return scriptTruth{
 		inserts:           map[string]int64{"default": 85, "tenant": 20, "gate": 0},
 		deletes:           map[string]int64{"default": 2, "tenant": 1, "gate": 0},
-		searches:          map[string]int64{"default": 7, "tenant": 3, "gate": 1},
+		searches:          map[string]int64{"default": 8, "tenant": 3, "gate": 1},
 		errors:            map[string]int64{"default": 7, "tenant": 0, "gate": 1},
 		cacheHits:         3,
 		cacheMisses:       11,
@@ -516,7 +516,7 @@ func (f *surfaceFixture) checkSurfacesAgree(t *testing.T, truth scriptTruth) {
 		for key, cnt := range sc.Requests {
 			if endpoint, code := codeOf(t, key); code >= 400 {
 				failed += int64(cnt)
-			} else if endpoint == "search" {
+			} else if endpoint == "search" || endpoint == "search_batch" {
 				ok200 += int64(cnt)
 			}
 		}
@@ -919,11 +919,7 @@ func TestRequestLabelCardinality(t *testing.T) {
 	control, controlScrape := drive(valid[:1], hostile[:1])
 	srv, scrape := drive(valid, hostile)
 
-	count := func(s *Server) int {
-		s.met.mu.Lock()
-		defer s.met.mu.Unlock()
-		return len(s.met.requests)
-	}
+	count := func(s *Server) int { return len(s.met.requests.Snapshot()) }
 	if got, want := count(srv), count(control); got != want {
 		t.Errorf("request map holds %d keys after 1 010 made-up names, %d after two", got, want)
 	}

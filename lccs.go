@@ -26,9 +26,10 @@
 //
 // Query carries the candidate budget λ (0 = the index's default), an
 // optional attribute Filter, and optional Cost and Trace recorders;
-// Search and SearchInto are one-line conveniences for Query{K: k},
-// SearchBatch answers many queries across all CPUs, and SearchCursor
-// pages through the ranking of one such query.
+// Search and SearchInto are one-line conveniences for Query{K: k}, and
+// SearchCursor pages through the ranking of one such query. Many queries
+// are many SearchQuery calls, one per goroutine where they should run in
+// parallel.
 //
 // The package has two facades. Index is immutable: NewIndex builds one
 // CSA, NewShardedIndex partitions the dataset across S shards whose CSAs
@@ -200,10 +201,6 @@ type Searcher interface {
 	// SearchQuery is the one query path: budgeted, filtered, metered and
 	// traced as qr says, appending into dst like SearchInto.
 	SearchQuery(q []float32, qr Query, dst []Neighbor) ([]Neighbor, error)
-	// SearchBatch answers many queries (concurrently where the facade
-	// supports it) under one k and budget (0 selects the default), in
-	// query order; each row is what SearchQuery would return.
-	SearchBatch(queries [][]float32, k, budget int) ([][]Neighbor, error)
 	// SearchCursor pages through the ranking of one query, qr.K being the
 	// page size: an empty cursor starts a scan whose first page is
 	// SearchQuery(q, qr, nil), later pages hold the next ranks of that

@@ -194,3 +194,60 @@ func TestAutoBucketWidth(t *testing.T) {
 		t.Fatalf("degenerate width %v, want fallback 1", w)
 	}
 }
+
+func TestJaccardFacade(t *testing.T) {
+	// Sets as indicator vectors: near-duplicate sets must rank first.
+	d := 128
+	data := make([][]float32, 300)
+	_, g := testData(43, 1, 1, 1, 1)
+	for i := range data {
+		v := make([]float32, d)
+		for _, j := range g.Perm(d)[:20] {
+			v[j] = 1
+		}
+		data[i] = v
+	}
+	// data[50] = data[10] with two members swapped.
+	dup := append([]float32(nil), data[10]...)
+	on, off := -1, -1
+	for j, x := range dup {
+		if x != 0 && on < 0 {
+			on = j
+		}
+		if x == 0 && off < 0 {
+			off = j
+		}
+	}
+	dup[on], dup[off] = 0, 1
+	data[50] = dup
+
+	ix, err := NewIndex(data, Config{Metric: Jaccard, M: 96, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := must(ix.SearchQuery(data[10], Query{K: 2, Budget: 50}, nil))
+	if len(res) != 2 {
+		t.Fatalf("got %d results", len(res))
+	}
+	if res[0].ID != 10 || res[0].Dist != 0 {
+		t.Fatalf("self not first: %+v", res)
+	}
+	if res[1].ID != 50 {
+		t.Fatalf("near-duplicate not second: %+v", res)
+	}
+	// Round-trip through Save/Load for the fourth metric too.
+	path := t.TempDir() + "/jaccard.lccs"
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(path, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2 := must(loaded.SearchQuery(data[10], Query{K: 2, Budget: 50}, nil))
+	for i := range res {
+		if res[i] != res2[i] {
+			t.Fatal("results differ after load")
+		}
+	}
+}

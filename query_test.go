@@ -151,9 +151,8 @@ func TestCostCountsBytesRead(t *testing.T) {
 // facade × {plain, Budget, Filter, exhaustive Budget × every test filter}
 // × {no instrumentation, Cost, Trace, both}. Setting Cost or Trace never changes results; Cost
 // totals equal the sum of the trace's span counters; the conveniences
-// (Search, SearchInto, a reused dst) equal SearchQuery; at an exhaustive
-// budget the answer is brute force over the matching live rows; and
-// SearchBatch rows equal per-query rows.
+// (Search, SearchInto, a reused dst) equal SearchQuery; and at an
+// exhaustive budget the answer is brute force over the matching live rows.
 func TestQueryConformance(t *testing.T) {
 	const n, dim, k = 200, 8, 10
 	data, attrs := filterTestData(n, dim)
@@ -231,18 +230,6 @@ func TestQueryConformance(t *testing.T) {
 					if got := must(fc.s.SearchInto(q, k, dst)); !neighborsEqual(got, want) {
 						t.Errorf("%s query %d: %v vs %v", label("SearchInto"), qi, got, want)
 					}
-				}
-			}
-			if base.qr.Filter != nil {
-				continue // SearchBatch carries k and a budget only
-			}
-			rows, err := fc.s.SearchBatch(queries, k, base.qr.Budget)
-			if err != nil {
-				t.Fatalf("%s/%s/batch: %v", fc.name, base.name, err)
-			}
-			for i, q := range queries {
-				if seq := must(fc.s.SearchQuery(q, base.qr, nil)); !neighborsEqual(rows[i], seq) {
-					t.Errorf("%s/%s/batch row %d: %v vs %v", fc.name, base.name, i, rows[i], seq)
 				}
 			}
 		}
@@ -365,17 +352,11 @@ func TestQueryBudgetRule(t *testing.T) {
 		if got := must(fc.s.SearchQuery(q, Query{K: 5, Budget: 0}, nil)); !neighborsEqual(got, def) {
 			t.Errorf("%s: Budget 0 is not the default: %v vs %v", fc.name, got, def)
 		}
-		if got := must(fc.s.SearchBatch([][]float32{q}, 5, 0)); !neighborsEqual(got[0], def) {
-			t.Errorf("%s: batch budget 0 is not the default: %v vs %v", fc.name, got[0], def)
-		}
 		if page, _, err := cs.SearchCursor(q, Query{K: 5}, ""); err != nil || len(page) != 5 {
 			t.Errorf("%s: cursor budget 0: %d results, err %v", fc.name, len(page), err)
 		}
 		if _, err := fc.s.SearchQuery(q, Query{K: 5, Budget: -1}, nil); !errors.Is(err, ErrInvalidBudget) {
 			t.Errorf("%s: SearchQuery budget -1: err=%v", fc.name, err)
-		}
-		if _, err := fc.s.SearchBatch([][]float32{q}, 5, -1); !errors.Is(err, ErrInvalidBudget) {
-			t.Errorf("%s: SearchBatch budget -1: err=%v", fc.name, err)
 		}
 		if _, _, err := cs.SearchCursor(q, Query{K: 5, Budget: -1}, ""); !errors.Is(err, ErrInvalidBudget) {
 			t.Errorf("%s: SearchCursor budget -1: err=%v", fc.name, err)
@@ -417,7 +398,6 @@ func TestQueryHostileNumbers(t *testing.T) {
 			check("K+Budget", must(fc.s.SearchQuery(q, Query{K: huge, Budget: huge}, nil)), all)
 			check("K+Budget into dst", must(fc.s.SearchQuery(q, Query{K: huge, Budget: huge}, make([]Neighbor, 0, 4))), all)
 			check("K+Filter", must(fc.s.SearchQuery(q, Query{K: huge, Filter: red}, nil)), allRed)
-			check("batch", must(fc.s.SearchBatch([][]float32{q}, huge, huge))[0], all)
 			check("cursor budget", drainCursor(t, cs, q, 7, huge, red), drained)
 			check("cursor limit+budget", drainCursor(t, cs, q, huge, huge, red), drained)
 		}
@@ -440,9 +420,6 @@ func TestNonFiniteRejected(t *testing.T) {
 			q := poison(x)
 			if res, err := fc.s.SearchQuery(q, Query{K: 3}, nil); !errors.Is(err, ErrNonFinite) {
 				t.Errorf("%s: SearchQuery(%v): %v, err=%v", fc.name, x, res, err)
-			}
-			if _, err := fc.s.SearchBatch([][]float32{data[1], q}, 3, 0); !errors.Is(err, ErrNonFinite) {
-				t.Errorf("%s: SearchBatch(%v): err=%v", fc.name, x, err)
 			}
 			if _, _, err := fc.s.SearchCursor(q, Query{K: 3}, ""); !errors.Is(err, ErrNonFinite) {
 				t.Errorf("%s: SearchCursor(%v): err=%v", fc.name, x, err)
@@ -498,7 +475,7 @@ func TestNonFiniteRejected(t *testing.T) {
 // the exported Search* methods of the two facades and of the core index
 // are exactly these.
 func TestSearchSurface(t *testing.T) {
-	facade := []string{"Search", "SearchBatch", "SearchCursor", "SearchInto", "SearchQuery"}
+	facade := []string{"Search", "SearchCursor", "SearchInto", "SearchQuery"}
 	coreSet := []string{"Search", "SearchInto"}
 	for _, tc := range []struct {
 		v    any

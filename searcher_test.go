@@ -53,26 +53,6 @@ func TestSearcherConformanceIdenticalResults(t *testing.T) {
 			}
 		}
 	}
-
-	// Batch answers must equal per-query answers on every facade.
-	queries := make([][]float32, 6)
-	for i := range queries {
-		queries[i] = g.GaussianVector(10)
-	}
-	for name, s := range facades {
-		rows := must(s.SearchBatch(queries, k, exhaustive))
-		for i, q := range queries {
-			seq := must(s.SearchQuery(q, Query{K: k, Budget: exhaustive}, nil))
-			if len(rows[i]) != len(seq) {
-				t.Fatalf("%s batch row %d: lengths differ", name, i)
-			}
-			for j := range seq {
-				if rows[i][j] != seq[j] {
-					t.Fatalf("%s batch row %d pos %d: %+v vs %+v", name, i, j, rows[i][j], seq[j])
-				}
-			}
-		}
-	}
 }
 
 // TestSearcherConformanceTombstoneFiltering extends the conformance
@@ -168,16 +148,6 @@ func TestFacadeValidationConformance(t *testing.T) {
 			if _, err := s.SearchQuery(c.q, Query{K: c.k, Budget: c.l}, nil); !errors.Is(err, c.wantErr) {
 				t.Errorf("%s/SearchQuery/%s: err=%v, want %v", name, c.name, err, c.wantErr)
 			}
-			if _, err := s.SearchBatch([][]float32{c.q}, c.k, c.l); !errors.Is(err, c.wantErr) {
-				t.Errorf("%s/SearchBatch/%s: err=%v, want %v", name, c.name, err, c.wantErr)
-			}
-		}
-		// Even an empty batch enforces the k/λ contract.
-		if _, err := s.SearchBatch(nil, 0, 50); !errors.Is(err, ErrInvalidK) {
-			t.Errorf("%s/SearchBatch empty k=0: err=%v, want ErrInvalidK", name, err)
-		}
-		if _, err := s.SearchBatch([][]float32{}, 5, -1); !errors.Is(err, ErrInvalidBudget) {
-			t.Errorf("%s/SearchBatch empty lambda<0: err=%v, want ErrInvalidBudget", name, err)
 		}
 		// Search (default budget) applies the same k/query checks.
 		if _, err := s.Search(valid, 0); !errors.Is(err, ErrInvalidK) {
