@@ -91,9 +91,11 @@
 // fall out of the scatter. A final pass per
 // shift fills the LCP bits, carrying each string's LCP along its next
 // link (the LCP with the successor drops by at most one per shift, as in
-// Kasai et al.), which bounds the work at O(n·m) symbol comparisons; the
-// inducing is one chain, the LCP pass runs on all cores, a run of shifts
-// each.
+// Kasai et al.), which bounds the work at O(n·m) symbol comparisons.
+// The sort runs on all cores, as sorted ranges merged at co-ranks; the
+// inducing is one chain, each shift depending on the one above; and the
+// LCP pass runs on the other cores behind it, a run of shifts at a time
+// as the chain leaves them, and on every core once it ends.
 //
 // # Prefetching
 //
@@ -415,43 +417,72 @@ func newFromFlat(data []int32, n, m, fieldBits int) *CSA {
 	c.setLayout(fieldBits)
 	c.sorted = make([]uint32, m*n)
 	c.next = make([]byte, m*c.rowBytes+linkSlack)
-	c.buildOrders()
-	if err := c.fillLCP(); err != nil {
+	if err := c.build(); err != nil {
 		panic(err) // the orders just built are sorted
 	}
 	return c
 }
 
-// buildOrders fills sorted (ids only) and next: a comparison sort at
-// shift m−1, ties broken by id so the order is deterministic, then one
-// induced pass per remaining shift.
-func (c *CSA) buildOrders() {
+// lcpRun is the number of shifts in a run of the build's LCP pass. A run
+// starts without carried LCPs, so a shorter one compares more; a longer
+// one waits longer for the chain. BenchmarkCSABuild at GOMAXPROCS 2 on a
+// 2-vCPU Xeon @ 2.1 GHz, ms per build at (n = 100 000, m = 32) /
+// (n = 50 000, m = 64), medians of 8 rotated rounds: 2: 187.7 / 166.5;
+// 4: 185.8 / 161.0; 8: 193.8 / 165.2.
+const lcpRun = 4
+
+// build fills sorted and next — a comparison sort at shift m−1, ties
+// broken by id so the order is deterministic, then one induced pass per
+// remaining shift, a chain from shift m−2 down to 0 — and the LCP bits.
+// The LCP pass runs behind the chain, in runs of lcpRun shifts; a run may
+// start once the chain is done with it: induce(j−1) has read shift j's
+// ids for the last time, and the links of every shift above j are packed,
+// which the 8-byte loads of a run's last links read into. Only shift m−1's
+// are not, which the chain packs last: a row narrower than those 8 bytes
+// lets a run below the top one read into them, so then, as alone on one
+// core, the pass is one run after the chain, which loses no carry.
+func (c *CSA) build() error {
 	n, m := c.n, c.m
 	c.syms.sortLast(c)
-	last := c.sortedRow(m - 1)
-	sc := &induceScratch{keys: make([]uint32, n), links: make([]int32, n)}
-	for i := m - 2; i >= 0; i-- {
-		c.induce(i, sc)
+	run := lcpRun
+	if runtime.GOMAXPROCS(0) == 1 || c.rowBytes < linkSlack {
+		run = m
 	}
-	// The wrap-around links, from shift m−1's ranks to shift 0's; the
-	// key scratch is free to hold shift 0's ranks by id.
-	pos := sc.keys
-	for r, id := range c.sortedRow(0) {
-		pos[id] = uint32(r)
-	}
-	for r, id := range last {
-		sc.links[r] = int32(pos[id])
-	}
-	c.packRow(m-1, sc.links)
+	fill := func(from, to int) error { return c.syms.fillShifts(c, from, to) }
+	return c.inRuns(run, fill, func(ready func(j int)) {
+		sc := &induceScratch{keys: make([]uint32, n), links: make([]int32, n)}
+		for i := m - 2; i >= 0; i-- {
+			c.induce(i, sc)
+			ready(i + 1)
+		}
+		// The wrap-around links, from shift m−1's ranks to shift 0's; the
+		// key scratch is free to hold shift 0's ranks by id.
+		pos := sc.keys
+		for r, id := range c.sortedRow(0) {
+			pos[id] = uint32(r)
+		}
+		for r, id := range c.sortedRow(m - 1) {
+			sc.links[r] = int32(pos[id])
+		}
+		c.packRow(m-1, sc.links)
+	})
 }
 
+// sortGrain is the fewest strings sortLast gives a worker.
+const sortGrain = 1 << 10
+
+// sortLast sorts shift m−1's order with a comparator that breaks ties by
+// id, so no two entries compare equal and the order is the one sort gives
+// whatever the split. Given n ≥ 2·sortGrain and a spare row (m ≥ 2), up to
+// GOMAXPROCS workers each sort a contiguous range of ids, and rounds of
+// pairwise merges join the ranges; each worker writes its own slice of a
+// round's output, which it finds in the merges it falls in by the co-rank
+// of either end (merge path, Odeh et al., IPDPS 2012). The rounds move
+// the order between rows m−1 and m−2, which nothing reads before
+// induce(m−2), starting in the row that leaves it in row m−1.
 func (b block[T]) sortLast(c *CSA) {
-	m := c.m
-	last := c.sortedRow(m - 1)
-	for j := range last {
-		last[j] = uint32(j)
-	}
-	slices.SortFunc(last, func(x, y uint32) int {
+	n, m := c.n, c.m
+	compare := func(x, y uint32) int {
 		if k, greater := commonPrefix(b.str(x, m), b.str(y, m), m-1, 0, m); k < m {
 			if greater {
 				return 1
@@ -459,7 +490,82 @@ func (b block[T]) sortLast(c *CSA) {
 			return -1
 		}
 		return cmp.Compare(x, y)
-	})
+	}
+	src, workers := c.sortedRow(m-1), 1
+	if m > 1 {
+		workers = max(1, min(runtime.GOMAXPROCS(0), n/sortGrain))
+	}
+	dst := src
+	if workers > 1 {
+		dst = c.sortedRow(m - 2)
+		if bits.Len(uint(workers-1))%2 == 1 { // the number of rounds
+			src, dst = dst, src
+		}
+	}
+	for id := range src {
+		src[id] = uint32(id)
+	}
+	cut := func(w int) int { return w * n / workers }
+	onEach(workers, func(w int) { slices.SortFunc(src[cut(w):cut(w+1)], compare) })
+	for width := 1; width < workers; width *= 2 {
+		onEach(workers, func(w int) {
+			lo, hi := cut(w), cut(w+1)
+			for p := 0; p < workers; p += 2 * width {
+				start, mid, end := cut(p), cut(min(p+width, workers)), cut(min(p+2*width, workers))
+				from, to := max(lo, start), min(hi, end)
+				if from >= to {
+					continue
+				}
+				x, y := src[start:mid], src[mid:end]
+				i, j := coRank(from-start, x, y, compare), coRank(to-start, x, y, compare)
+				merge(dst[from:to], x[i:j], y[from-start-i:to-start-j], compare)
+			}
+		})
+		src, dst = dst, src
+	}
+}
+
+// coRank returns how many of the first k entries of the merge of the
+// sorted x and y come from x.
+func coRank(k int, x, y []uint32, compare func(a, b uint32) int) int {
+	lo, hi := max(0, k-len(y)), min(k, len(x))
+	for lo < hi {
+		i := int(uint(lo+hi) >> 1)
+		if compare(x[i], y[k-i-1]) < 0 {
+			lo = i + 1
+		} else {
+			hi = i
+		}
+	}
+	return lo
+}
+
+// merge writes the merge of the sorted x and y, len(dst) entries in all,
+// into dst.
+func merge(dst, x, y []uint32, compare func(a, b uint32) int) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(y) || i < len(x) && compare(x[i], y[j]) < 0 {
+			dst[k], i = x[i], i+1
+		} else {
+			dst[k], j = y[j], j+1
+		}
+	}
+}
+
+// onEach calls f(w) for every w below workers, f(0) on the caller and the
+// others on goroutines of their own, and returns once every call has.
+func onEach(workers int, f func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			f(w)
+		}()
+	}
+	f(0)
+	wg.Wait()
 }
 
 // induceScratch is the O(n) working memory of the induced passes.
@@ -556,30 +662,67 @@ func (c *CSA) fillLCP() error {
 	// A run touches the rank entries of its own shifts only, and starts
 	// without carried LCPs as shift 0 does, so runs share nothing they
 	// write.
-	return c.inRuns(func(from, to int) error { return c.syms.fillShifts(c, from, to) })
+	return c.inRuns(c.runPerWorker(), func(from, to int) error { return c.syms.fillShifts(c, from, to) }, nil)
 }
 
-// inRuns deals the shifts out in contiguous runs [from, to), one per
-// worker on up to GOMAXPROCS workers, calls f on each and returns the
-// error of the lowest run that failed.
-func (c *CSA) inRuns(f func(from, to int) error) error {
+// runPerWorker is the run length that deals the shifts out one run per
+// worker on up to GOMAXPROCS workers.
+func (c *CSA) runPerWorker() int {
 	workers := min(runtime.GOMAXPROCS(0), c.m)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = f(w*c.m/workers, (w+1)*c.m/workers)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	return (c.m + workers - 1) / workers
+}
+
+// inRuns cuts the shifts into runs of length from the top — [m−length, m),
+// [m−2·length, m−length), … and a last, no longer, from 0 — calls f on
+// every run, on up to GOMAXPROCS workers, and returns the error of the
+// lowest run that failed.
+//
+// chain, if not nil, runs first on the caller, while the other workers
+// wait for runs. It calls ready(j) once the runs from j up may start; the
+// top and the bottom run wait for chain to return, and the caller then
+// takes runs too.
+func (c *CSA) inRuns(length int, f func(from, to int) error, chain func(ready func(j int))) error {
+	m := c.m
+	bottom := (m-1)%length + 1 // where the run from 0 ends
+	count := 1 + (m-bottom)/length
+	work := make(chan int, count) // run starts; every send fits
+	var mu sync.Mutex
+	failed, failedAt := error(nil), m
+	onEach(min(runtime.GOMAXPROCS(0), count), func(w int) {
+		if w == 0 {
+			func() {
+				defer close(work)
+				next := m - 2*length // the highest run below the top
+				ready := func(j int) {
+					for ; next > 0 && next >= j; next -= length {
+						work <- next
+					}
+				}
+				if chain != nil {
+					chain(ready)
+				}
+				if count > 1 {
+					work <- m - length
+				}
+				ready(1)
+				work <- 0
+			}()
 		}
-	}
-	return nil
+		for from := range work {
+			to := from + length
+			if from == 0 {
+				to = bottom
+			}
+			if err := f(from, to); err != nil {
+				mu.Lock()
+				if from < failedAt {
+					failed, failedAt = err, from
+				}
+				mu.Unlock()
+			}
+		}
+	})
+	return failed
 }
 
 // fillShifts is fillLCP over shifts [from, to).

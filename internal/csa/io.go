@@ -159,7 +159,7 @@ func readBlock[T int32 | uint32](r io.Reader, dst []T, count int) ([]T, error) {
 // fillLCP. Rows are checked and packed in runs of shifts on all cores: a
 // row's check only reads, and its packing writes its own bytes.
 func (c *CSA) validate(links []int32) error {
-	return c.inRuns(func(from, to int) error {
+	return c.inRuns(c.runPerWorker(), func(from, to int) error {
 		seen := make([]bool, c.n)
 		for i := from; i < to; i++ {
 			clear(seen)
@@ -181,5 +181,5 @@ func (c *CSA) validate(links []int32) error {
 			c.packRow(i, row)
 		}
 		return nil
-	})
+	}, nil)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -413,6 +414,61 @@ func TestBuildMatchesReferenceSort(t *testing.T) {
 				}
 			}
 			checkStoredLCPs(t, c, fmt.Sprintf("%s: bits %d", name, fieldBits))
+		}
+	}
+}
+
+// TestBuildIndependentOfProcs: a build at GOMAXPROCS 1, 2 and 4 has the
+// reference sort's orders and links and the pairwise LCPs, and encodes to
+// the same bytes. The shapes straddle every point where the build splits
+// its work differently: n = 2·sortGrain, below which shift m−1 is one
+// sort, and 3·sortGrain and 4·sortGrain, which at 4 procs merge an odd
+// range in and take two rounds; m = 1 (no spare row to merge through),
+// m = 2, and m = 2·lcpRun, up to which the LCP pass has no run to start
+// before the chain ends (7, 8 and 13 shifts); rows of 1, 7 and 8 bytes of links (n = 4, 14,
+// 16), below 8 of which it starts none. Every input has duplicate strings,
+// most a column spread over all of int32, and every build runs at
+// fieldBits 32 and 2.
+func TestBuildIndependentOfProcs(t *testing.T) {
+	r := rand.New(rand.NewPCG(0x9c, 0x2))
+	for _, shape := range []struct{ n, m int }{
+		{4, 3*lcpRun + 1}, {14, 3*lcpRun + 1}, {16, 3*lcpRun + 1},
+		{2*sortGrain - 1, 1}, {2 * sortGrain, 1}, {2*sortGrain - 1, 2}, {2 * sortGrain, 2},
+		{2 * sortGrain, 2*lcpRun - 1}, {3 * sortGrain, 2 * lcpRun}, {4 * sortGrain, 3*lcpRun + 1},
+	} {
+		n, m := shape.n, shape.m
+		strs := randStrings(r, n, m, 3)
+		for id := range strs {
+			switch {
+			case id%5 == 4:
+				strs[id] = strs[r.IntN(id)]
+			case m > 2:
+				strs[id][1] = int32(r.Uint32())
+			}
+		}
+		sorted, next := refOrders(strs)
+		data := slices.Concat(strs...)
+		for _, fieldBits := range []int{32, 2} {
+			var files [][]byte
+			for _, procs := range []int{1, 2, 4} {
+				label := fmt.Sprintf("n=%d m=%d bits %d procs %d", n, m, fieldBits, procs)
+				old := runtime.GOMAXPROCS(procs)
+				c := newFromFlat(data, n, m, fieldBits)
+				runtime.GOMAXPROCS(old)
+				for i := 0; i < m; i++ {
+					if !eqInt32(rowIDs(c, i), sorted[i]) || !eqInt32(linkRow(c, i), next[i]) {
+						t.Fatalf("%s: shift %d differs from the reference sort", label, i)
+					}
+				}
+				checkStoredLCPs(t, c, label)
+				var file bytes.Buffer
+				if err := c.Encode(&file); err != nil {
+					t.Fatal(err)
+				}
+				if files = append(files, file.Bytes()); !bytes.Equal(file.Bytes(), files[0]) {
+					t.Fatalf("%s: encodes to other bytes than at procs 1", label)
+				}
+			}
 		}
 	}
 }

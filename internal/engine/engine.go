@@ -235,6 +235,11 @@ type Engine struct {
 	mu     sync.RWMutex
 	colls  map[string]*Collection
 	closed bool
+	// retiredUsage and retiredRequests are what the collections dropped
+	// in this process counted, folded in by Drop, so a process-wide total
+	// never falls.
+	retiredUsage    UsageSnapshot
+	retiredRequests obs.RequestCounts
 }
 
 // New opens a registry. root "" builds a rootless engine, which holds
@@ -424,6 +429,8 @@ func (e *Engine) Drop(name string) error {
 		return fmt.Errorf("%w: %q", ErrPinned, name)
 	}
 	delete(e.colls, name)
+	e.retiredUsage.Add(c.usage.Snapshot())
+	e.retiredRequests.Add(c.serving.Requests.Snapshot())
 	if err := c.dyn.Close(); err != nil {
 		e.logger.Warn("closing dropped collection", "collection", name, "err", err)
 	}
@@ -471,12 +478,26 @@ func (e *Engine) List() []string {
 func (e *Engine) Loaded() []*Collection {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	return e.loadedLocked()
+}
+
+func (e *Engine) loadedLocked() []*Collection {
 	out := make([]*Collection, 0, len(e.colls))
 	for _, c := range e.colls {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
+}
+
+// Census returns Loaded and, read under the same lock, what the dropped
+// collections counted: a collection is among the loaded or among the
+// retired, never both nor neither, however Drop races the call. What a
+// request still in flight in a collection adds after its Drop is lost.
+func (e *Engine) Census() (loaded []*Collection, usage UsageSnapshot, requests []obs.RequestCount) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.loadedLocked(), e.retiredUsage, e.retiredRequests.Snapshot()
 }
 
 // Close closes every durable collection (adopted backends are left to

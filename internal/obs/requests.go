@@ -40,6 +40,18 @@ func (r *RequestCounts) Inc(endpoint string, code int) {
 	r.mu.Unlock()
 }
 
+// Add adds counts, as Snapshot returns them.
+func (r *RequestCounts) Add(counts []RequestCount) {
+	r.mu.Lock()
+	if r.m == nil {
+		r.m = make(map[requestKey]uint64)
+	}
+	for _, c := range counts {
+		r.m[requestKey{c.Endpoint, c.Code}] += c.N
+	}
+	r.mu.Unlock()
+}
+
 // Snapshot copies the counts, ordered by endpoint and code.
 func (r *RequestCounts) Snapshot() []RequestCount {
 	r.mu.Lock()

@@ -158,11 +158,65 @@ func TestCollectionsCRUD(t *testing.T) {
 	if code := doJSON(t, ts, "GET", "/v1/stats", nil, &st); code != http.StatusOK {
 		t.Fatalf("stats: HTTP %d", code)
 	}
-	if st.Inserts != 2 { // tenant-a's counters died with it
-		t.Fatalf("aggregate inserts = %d, want 2", st.Inserts)
+	if st.Inserts != 10 { // tenant-a's 8 outlive it in the process-wide total
+		t.Fatalf("aggregate inserts = %d, want 10", st.Inserts)
+	}
+	if _, ok := st.Collections["tenant-a"]; ok {
+		t.Fatalf("stats still break out the dropped tenant-a: %v", st.Collections)
 	}
 	if _, ok := st.Collections["tenant-b"]; !ok {
 		t.Fatalf("stats missing tenant-b breakout: %v", st.Collections)
+	}
+}
+
+// TestCountersSurviveDrop: dropping a collection takes its own series
+// with it, but no process-wide counter falls: lccs_inserts_total,
+// lccs_deletes_total, /v1/usage's total and /v1/stats' inserts, deletes
+// and requests keep what it counted.
+func TestCountersSurviveDrop(t *testing.T) {
+	_, ts := newCollServer(t, Config{})
+	if code := doJSON(t, ts, "POST", "/v1/collections", createCollectionRequest{Name: "gone"}, nil); code != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", code)
+	}
+	var ins insertResponse
+	if code := postJSON(t, ts, "/v1/collections/gone/insert",
+		insertRequest{Vectors: [][]float32{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}}, &ins); code != http.StatusOK {
+		t.Fatalf("insert: HTTP %d", code)
+	}
+	if code := postJSON(t, ts, "/v1/collections/gone/delete", deleteRequest{IDs: ins.IDs[:1]}, nil); code != http.StatusOK {
+		t.Fatalf("delete: HTTP %d", code)
+	}
+	var before Stats
+	getJSON(t, ts, "/v1/stats", &before)
+	if code := doJSON(t, ts, "DELETE", "/v1/collections/gone", nil, nil); code != http.StatusOK {
+		t.Fatalf("drop: HTTP %d", code)
+	}
+
+	m := scrapeMetrics(t, ts)
+	var st Stats
+	getJSON(t, ts, "/v1/stats", &st)
+	var ag aggregateUsageResponse
+	getJSON(t, ts, "/v1/usage", &ag)
+	if got := m.get(t, "lccs_inserts_total"); got < 3 {
+		t.Fatalf("lccs_inserts_total = %v after the drop, want ≥ 3", got)
+	}
+	eq(t, "inserts", 3, int64(m.get(t, "lccs_inserts_total")), int64(st.Inserts), ag.Total.Inserts)
+	eq(t, "deletes", 1, int64(m.get(t, "lccs_deletes_total")), int64(st.Deletes), ag.Total.Deletes)
+	for key, n := range before.Requests {
+		if st.Requests[key] < n {
+			t.Errorf("/v1/stats requests[%s] fell from %d to %d", key, n, st.Requests[key])
+		}
+	}
+	if st.Requests["insert:200"] != 1 || st.Requests["delete:200"] != 1 {
+		t.Errorf("/v1/stats requests = %v, want the dropped collection's insert and delete", st.Requests)
+	}
+	for _, s := range m.samples {
+		if s.labels["collection"] == "gone" {
+			t.Errorf("scrape still has %s%v", s.name, s.labels)
+		}
+	}
+	if _, ok := ag.Collections["gone"]; ok {
+		t.Errorf("/v1/usage still breaks out the dropped collection")
 	}
 }
 

@@ -60,17 +60,20 @@ func snap(c *engine.Collection) collSnap {
 }
 
 // scrape is one read of every source behind the stats surfaces. A total
-// is summed from the collSnaps beside it, and the default collection's
-// figures are those of its collSnap, so a response cannot contradict
-// itself however much is being written while it is assembled.
+// is summed from the collSnaps beside it and what the collections dropped
+// before it counted, and the default collection's figures are those of
+// its collSnap, so a response cannot contradict itself however much is
+// being written while it is assembled, and a counter does not fall when a
+// collection is dropped.
 type scrape struct {
 	uptime              float64
 	requests            []obs.RequestCount // server-scoped; a collection's are on its collSnap
+	retiredRequests     []obs.RequestCount // the dropped collections'
 	latency             *obs.Hist
 	adm                 admissionHealth
 	cache               CacheStats
 	colls               []collSnap           // ordered by name
-	total               engine.UsageSnapshot // Σ colls[i].usage
+	total               engine.UsageSnapshot // the dropped collections' + Σ colls[i].usage
 	vectors, tombstones int                  // Σ colls[i].backend
 	writable            bool                 // some collection takes writes
 	def                 *collSnap            // the default collection; nil when not loaded
@@ -81,13 +84,15 @@ type scrape struct {
 }
 
 func (s *Server) scrape() *scrape {
-	loaded := s.eng.Loaded()
+	loaded, retired, retiredRequests := s.eng.Census()
 	sc := &scrape{
-		uptime:   time.Since(s.met.start).Seconds(),
-		requests: s.met.requests.Snapshot(),
-		latency:  &s.met.latency,
-		adm:      s.adm.health(),
-		colls:    make([]collSnap, len(loaded)),
+		uptime:          time.Since(s.met.start).Seconds(),
+		requests:        s.met.requests.Snapshot(),
+		retiredRequests: retiredRequests,
+		latency:         &s.met.latency,
+		adm:             s.adm.health(),
+		colls:           make([]collSnap, len(loaded)),
+		total:           retired,
 	}
 	if s.cache != nil {
 		sc.cache = s.cache.stats()

@@ -1024,9 +1024,10 @@ func (s *Server) handleCollStats(w http.ResponseWriter, r *http.Request) {
 
 // Stats is the /v1/stats payload, assembled from one scrape. The
 // top-level request/insert/delete counters sum the Collections entries
-// beside them; Backend and WAL are the default collection's entry when
-// one exists (the legacy single-index shape monitoring already scrapes);
-// Latency reads lccs_request_seconds by the health windows' rule.
+// beside them and what the collections dropped before counted; Backend
+// and WAL are the default collection's entry when one exists (the legacy
+// single-index shape monitoring already scrapes); Latency reads
+// lccs_request_seconds by the health windows' rule.
 type Stats struct {
 	UptimeSeconds float64           `json:"uptime_seconds"`
 	Requests      map[string]uint64 `json:"requests"` // "endpoint:code" → count
@@ -1118,8 +1119,10 @@ func (s *Server) StatsSnapshot() Stats {
 		},
 		Collections: make(map[string]CollectionStats, len(sc.colls)),
 	}
-	for _, r := range sc.requests {
-		st.Requests[r.Endpoint+":"+strconv.Itoa(r.Code)] = r.N
+	for _, rs := range [][]obs.RequestCount{sc.requests, sc.retiredRequests} {
+		for _, r := range rs {
+			st.Requests[r.Endpoint+":"+strconv.Itoa(r.Code)] += r.N
+		}
 	}
 	for i := range sc.colls {
 		cs := sc.colls[i].stats()

@@ -669,8 +669,9 @@ func (f *surfaceFixture) checkSurfacesAgree(t *testing.T, truth scriptTruth) {
 // checkScrapesAddUp takes scrapes of /metrics, /v1/stats and /v1/usage
 // while two writers insert and delete, and requires every scrape to add
 // up within itself: a total is the sum of the per-collection series
-// beside it, and the default collection's figures are the same wherever
-// one response repeats them.
+// beside it (the fixture drops no collection, so no retired counts add
+// in; TestCountersSurviveDrop covers those), and the default collection's
+// figures are the same wherever one response repeats them.
 func (f *surfaceFixture) checkScrapesAddUp(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
