@@ -1,10 +1,10 @@
 // Command lccs-serve puts an LCCS-LSH index behind a network endpoint: a
 // long-lived daemon that serves the HTTP/JSON API of internal/server —
 // /v1/search, /v1/search/batch, /v1/insert, /v1/delete, /v1/collections,
-// /v1/stats, /v1/collections/{name}/stats, /v1/usage,
-// /v1/collections/{name}/usage, /v1/debug/slow,
-// /v1/debug/health, /healthz, /metrics — with bounded concurrency, an LRU
-// result cache, and graceful shutdown.
+// the two stats documents /v1/stats (the process) and
+// /v1/collections/{name}/usage (one collection), /v1/debug/slow,
+// /healthz, /metrics — with bounded concurrency, an LRU result cache, and
+// graceful shutdown.
 //
 // Usage:
 //

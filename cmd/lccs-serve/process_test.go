@@ -418,7 +418,8 @@ func TestProcessObservability(t *testing.T) {
 		t.Errorf("slow log = %+v, want an entry of the default collection with a request id", slow.Slow)
 	}
 
-	// Health: two resolutions, and the short window saw the traffic.
+	// The process document's health: two resolutions, and the short
+	// window saw the traffic, the default collection's too.
 	type window struct {
 		Resolution            string
 		Requests, Comparisons int64
@@ -427,16 +428,16 @@ func TestProcessObservability(t *testing.T) {
 	var health struct {
 		Status      string
 		Windows     []window
-		Collections map[string]window
+		Collections map[string]struct{ Windows []window }
 	}
-	d.ok(t, "GET", "/v1/debug/health", nil, &health)
+	d.ok(t, "GET", "/v1/stats", nil, &health)
 	if health.Status != "ok" || len(health.Windows) < 2 || health.Windows[0].Resolution == health.Windows[1].Resolution {
-		t.Fatalf("health = %+v, want status ok and two resolutions", health)
+		t.Fatalf("stats = %+v, want status ok and two resolutions", health)
 	}
 	if w := health.Windows[0]; w.Requests <= 0 || w.Comparisons <= 0 || w.P50Ms <= 0 {
 		t.Errorf("short window is empty after traffic: %+v", w)
 	}
-	if health.Collections["default"].Requests <= 0 {
+	if ws := health.Collections["default"].Windows; len(ws) == 0 || ws[0].Requests <= 0 {
 		t.Errorf("default collection's window is empty: %+v", health.Collections)
 	}
 

@@ -145,8 +145,10 @@ type WALStats struct {
 	Segments int   `json:"segments"`
 	Bytes    int64 `json:"bytes"`
 	// AppendedBytes is the cumulative log bytes accepted since open —
-	// monotone across checkpoint truncation, the write-traffic meter.
-	AppendedBytes int64 `json:"appended_bytes"`
+	// monotone across checkpoint truncation, the write-traffic meter. The
+	// serving layer meters it per write as its collection's usage
+	// wal_bytes, which is where its JSON reports the number.
+	AppendedBytes int64 `json:"-"`
 	// Fsyncs counts fsync calls; the latency fields describe them.
 	Fsyncs          uint64  `json:"fsyncs"`
 	LastFsyncMicros float64 `json:"last_fsync_us"`

@@ -150,6 +150,9 @@ func (s Spec) durableConfig(fsys faultfs.FS, logger *slog.Logger) (lccs.DurableC
 	if err != nil {
 		return lccs.DurableConfig{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
+	if s.M < 0 || s.Budget < 0 || s.BucketWidth < 0 {
+		return lccs.DurableConfig{}, fmt.Errorf("%w: m, budget and bucket_width must not be negative", ErrInvalidSpec)
+	}
 	policy := s.Sync
 	if policy == "" {
 		policy = "always"

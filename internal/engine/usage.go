@@ -7,8 +7,8 @@ import (
 )
 
 // Usage is one collection's cumulative resource accounting, and the one
-// owner of its twelve numbers: /v1/stats' inserts and deletes, both usage
-// endpoints and the lccs_collection_*_total families all read them from
+// owner of its twelve numbers: the stats documents' cumulative and total
+// usage and the lccs_collection_*_total families all read them from
 // here. It is a UsageSnapshot kept in monotone atomics — counter i is
 // field i of UsageSnapshot.counters — so a request is recorded with a
 // handful of uncontended atomic adds, no locks, no allocations, and a
@@ -98,7 +98,7 @@ func (s *UsageSnapshot) Add(o UsageSnapshot) {
 func (c *Collection) Usage() *Usage { return &c.usage }
 
 // Serving is one collection's live request state: the windowed RED/usage
-// ring behind /v1/debug/health and the usage endpoints, its requests by
+// ring behind the stats documents' windows, its requests by
 // endpoint and status code (lccs_requests_total), the requests of the
 // collection currently admitted, and those its concurrency share shed.
 // The registry creates it with the collection and drops it with it; the

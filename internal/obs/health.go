@@ -8,7 +8,7 @@ import (
 // Health is an in-process, dependency-free time-series of request
 // health: every request is dual-written into a per-second ring
 // covering the last two minutes and a per-minute ring covering the
-// last hour, so /v1/debug/health can answer windowed RED questions
+// last hour, so the stats documents can answer windowed RED questions
 // (rate, errors, duration percentiles) plus usage rates (bytes
 // scanned, WAL bytes, cache outcomes) at two resolutions without any
 // external metrics store. Buckets are stamp-invalidated: a slot is

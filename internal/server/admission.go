@@ -90,8 +90,8 @@ func (a *admission) inFlight() int { return len(a.slots) }
 // queueDepth returns the number of requests waiting for a slot.
 func (a *admission) queueDepth() int64 { return a.queued.Load() }
 
-// health reads the controller's live state and counters.
-func (a *admission) health() admissionHealth {
-	return admissionHealth{InFlight: a.inFlight(), QueueDepth: a.queueDepth(),
+// stats reads the controller's live state and counters.
+func (a *admission) stats() admissionStats {
+	return admissionStats{InFlight: a.inFlight(), QueueDepth: a.queueDepth(),
 		Rejected: a.rejected.Load(), WaitTimeouts: a.timeouts.Load()}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -16,8 +17,9 @@ import (
 )
 
 // TestBatchMetersItsQueries: a batch is its queries' work. Every surface
-// that meters a collection's cost — its Usage, /v1/collections/{name}/usage,
-// lccs_collection_scan_bytes_total and the health windows — grows by the
+// that meters a collection's cost — its Usage, the cumulative counters
+// and windows of /v1/collections/{name}/usage, and
+// lccs_collection_scan_bytes_total — grows by the
 // sum of the Cost that direct SearchQuery calls at the batch's k and
 // budget report, and searches by exactly one; a batch over the slow
 // threshold enters /v1/debug/slow as search_batch.
@@ -51,20 +53,17 @@ func TestBatchMetersItsQueries(t *testing.T) {
 	if got := u.Searches - before.Searches; got != 1 {
 		t.Errorf("searches grew by %d, want 1", got)
 	}
-	var cu usageResponse
+	var cu CollectionStats
 	getJSON(t, ts, "/v1/collections/"+DefaultCollection+"/usage", &cu)
-	var hr healthResponse
-	getJSON(t, ts, "/v1/debug/health", &hr)
 	m := scrapeMetrics(t, ts)
-	w := hr.Collections[DefaultCollection]
 	eq(t, "searches", 1, u.Searches, cu.Cumulative.Searches,
 		int64(m.get(t, "lccs_collection_searches_total", "collection", DefaultCollection)))
 	eq(t, "comparisons", want.Comparisons, u.Comparisons, cu.Cumulative.Comparisons,
-		w.Comparisons, cu.Windows[0].Comparisons, cu.Windows[1].Comparisons)
+		cu.Windows[0].Comparisons, cu.Windows[1].Comparisons)
 	eq(t, "candidates", want.Candidates, u.Candidates, cu.Cumulative.Candidates)
 	eq(t, "bytes scanned", want.BytesScanned, u.BytesScanned, cu.Cumulative.BytesScanned,
 		int64(m.get(t, "lccs_collection_scan_bytes_total", "collection", DefaultCollection)),
-		w.BytesScanned, cu.Windows[0].BytesScanned, cu.Windows[1].BytesScanned)
+		cu.Windows[0].BytesScanned, cu.Windows[1].BytesScanned)
 	eq(t, "filter rejected", 0, u.FilterRejected, cu.Cumulative.FilterRejected)
 
 	var sl slowLogResponse
@@ -141,6 +140,69 @@ func TestBatchHoldsOneSlot(t *testing.T) {
 	}
 	if backend.calls != 18 || backend.peak != 1 {
 		t.Fatalf("%d searches, at most %d at once; want 18, one at a time", backend.calls, backend.peak)
+	}
+}
+
+// TestBatchStopsWhenClientLeaves: under MaxInFlight 1, a batch of
+// brute-force queries that would hold the only slot for seconds stops
+// once its client gives up after 0.1 s. The next search gets the slot
+// within about one query's time, and the batch is counted under code 499
+// and metered for the queries it ran, as a failing batch is.
+func TestBatchStopsWhenClientLeaves(t *testing.T) {
+	data, queries := testWorkload(41, 5000, 16)
+	ix, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, Config{Backend: ix, MaxInFlight: 1, Timeout: time.Minute})
+	n := ix.Len()
+	var single lccs.Cost
+	start := time.Now()
+	for _, q := range queries {
+		single = lccs.Cost{}
+		if _, err := ix.SearchQuery(q, lccs.Query{K: 10, Budget: n, Cost: &single}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perQuery := time.Since(start) / time.Duration(len(queries))
+	batch := make([][]float32, int(3*time.Second/perQuery)+1)
+	for i := range batch {
+		batch[i] = queries[i%len(queries)]
+	}
+	body, err := json.Marshal(batchRequest{Queries: batch, K: 10, Budget: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/search/batch", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("a %d-query batch answered HTTP %d within 0.1 s", len(batch), resp.StatusCode)
+	}
+
+	start = time.Now()
+	last := queries[len(queries)-1] // the query single costs
+	if code := postJSON(t, ts, "/v1/search", searchRequest{Query: last, K: 10, Budget: n}, nil); code != http.StatusOK {
+		t.Fatalf("search after the batch's client left: HTTP %d", code)
+	}
+	if waited, bound := time.Since(start), 4*perQuery+500*time.Millisecond; waited > bound {
+		t.Fatalf("the next search took %v, over %v (a query takes %v): the abandoned batch held the slot", waited, bound, perQuery)
+	}
+	m := scrapeMetrics(t, ts)
+	eq(t, "abandoned batches", 1, m.get(t, "lccs_requests_total", "collection", DefaultCollection,
+		"endpoint", "search_batch", "code", "499"))
+	c, err := srv.eng.Get(DefaultCollection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := c.Usage().Snapshot()
+	if u.Errors != 1 || u.Searches != 1 || u.Comparisons <= single.Comparisons {
+		t.Fatalf("usage %+v: want the batch as one error metered for the queries it ran, beside one search of %d comparisons",
+			u, single.Comparisons)
 	}
 }
 

@@ -120,10 +120,10 @@ func TestCollectionsCRUD(t *testing.T) {
 	}
 
 	var cst CollectionStats
-	if code := doJSON(t, ts, "GET", "/v1/collections/tenant-a/stats", nil, &cst); code != http.StatusOK {
+	if code := doJSON(t, ts, "GET", "/v1/collections/tenant-a/usage", nil, &cst); code != http.StatusOK {
 		t.Fatalf("collection stats: HTTP %d", code)
 	}
-	if cst.Inserts != 8 || cst.Backend.Vectors != 8 || !cst.Backend.Writable {
+	if cst.Collection != "tenant-a" || cst.Cumulative.Inserts != 8 || cst.Backend.Vectors != 8 || !cst.Backend.Writable {
 		t.Fatalf("tenant-a stats = %+v", cst)
 	}
 
@@ -158,8 +158,8 @@ func TestCollectionsCRUD(t *testing.T) {
 	if code := doJSON(t, ts, "GET", "/v1/stats", nil, &st); code != http.StatusOK {
 		t.Fatalf("stats: HTTP %d", code)
 	}
-	if st.Inserts != 10 { // tenant-a's 8 outlive it in the process-wide total
-		t.Fatalf("aggregate inserts = %d, want 10", st.Inserts)
+	if st.Total.Inserts != 10 { // tenant-a's 8 outlive it in the process-wide total
+		t.Fatalf("aggregate inserts = %d, want 10", st.Total.Inserts)
 	}
 	if _, ok := st.Collections["tenant-a"]; ok {
 		t.Fatalf("stats still break out the dropped tenant-a: %v", st.Collections)
@@ -171,8 +171,8 @@ func TestCollectionsCRUD(t *testing.T) {
 
 // TestCountersSurviveDrop: dropping a collection takes its own series
 // with it, but no process-wide counter falls: lccs_inserts_total,
-// lccs_deletes_total, /v1/usage's total and /v1/stats' inserts, deletes
-// and requests keep what it counted.
+// lccs_deletes_total and /v1/stats' total and requests keep what it
+// counted.
 func TestCountersSurviveDrop(t *testing.T) {
 	_, ts := newCollServer(t, Config{})
 	if code := doJSON(t, ts, "POST", "/v1/collections", createCollectionRequest{Name: "gone"}, nil); code != http.StatusCreated {
@@ -195,13 +195,11 @@ func TestCountersSurviveDrop(t *testing.T) {
 	m := scrapeMetrics(t, ts)
 	var st Stats
 	getJSON(t, ts, "/v1/stats", &st)
-	var ag aggregateUsageResponse
-	getJSON(t, ts, "/v1/usage", &ag)
 	if got := m.get(t, "lccs_inserts_total"); got < 3 {
 		t.Fatalf("lccs_inserts_total = %v after the drop, want ≥ 3", got)
 	}
-	eq(t, "inserts", 3, int64(m.get(t, "lccs_inserts_total")), int64(st.Inserts), ag.Total.Inserts)
-	eq(t, "deletes", 1, int64(m.get(t, "lccs_deletes_total")), int64(st.Deletes), ag.Total.Deletes)
+	eq(t, "inserts", 3, int64(m.get(t, "lccs_inserts_total")), st.Total.Inserts)
+	eq(t, "deletes", 1, int64(m.get(t, "lccs_deletes_total")), st.Total.Deletes)
 	for key, n := range before.Requests {
 		if st.Requests[key] < n {
 			t.Errorf("/v1/stats requests[%s] fell from %d to %d", key, n, st.Requests[key])
@@ -215,8 +213,8 @@ func TestCountersSurviveDrop(t *testing.T) {
 			t.Errorf("scrape still has %s%v", s.name, s.labels)
 		}
 	}
-	if _, ok := ag.Collections["gone"]; ok {
-		t.Errorf("/v1/usage still breaks out the dropped collection")
+	if _, ok := st.Collections["gone"]; ok {
+		t.Errorf("/v1/stats still breaks out the dropped collection")
 	}
 }
 
@@ -652,4 +650,74 @@ func TestEmptyResultEncodesAsArray(t *testing.T) {
 	if got := body("/v1/collections/empty/search/batch", batchRequest{K: 3}); !strings.Contains(got, `"results":[]`) {
 		t.Errorf("empty batch: %s", got)
 	}
+}
+
+// FuzzCollectionCreate feeds arbitrary bodies to POST /v1/collections on
+// a rooted registry: the handler never panics and answers 201 or a 4xx.
+// A 4xx leaves GET /v1/collections as it was; a 201 lists the new
+// collection, which is dropped again, so every input meets the same
+// registry.
+func FuzzCollectionCreate(f *testing.F) {
+	eng, err := engine.New(f.TempDir(), engine.Spec{Metric: "euclidean", M: 8, Seed: 7, Sync: "none"}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { eng.Close() })
+	srv, err := New(Config{Engine: eng, MaxBodyBytes: 1 << 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	list := func() string { return serve(http.MethodGet, "/v1/collections", nil).Body.String() }
+	for _, body := range []string{
+		`{"name":"a"}`,
+		`{"name":"b","metric":"angular","m":16,"sync":"interval","sync_interval_ms":5}`,
+		`{"name":"c","metric":"hamming","budget":50,"rebuild_at":8,"segment_bytes":4096}`,
+		`{"name":"default"}`,
+		`{"name":""}`,
+		`{"name":"../x"}`,
+		`{"name":"d","metric":"cosine"}`,
+		`{"name":"e","m":-1}`,
+		`{"name":"f","budget":-3}`,
+		`{"name":"g","bucket_width":-1}`,
+		`{"name":"h","sync":"sometimes"}`,
+		`{"name":"i","rebuild_at":-5,"segment_bytes":-1,"sync_interval_ms":-1}`,
+		`{"name":"j","m":1e30}`,
+		`{"name":`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	before := list()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := serve(http.MethodPost, "/v1/collections", body)
+		switch {
+		case rec.Code == http.StatusCreated:
+			var resp createCollectionResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Name == "" {
+				t.Fatalf("HTTP 201 for body %q answered %s", body, rec.Body)
+			}
+			if l := list(); !strings.Contains(l, `"name":"`+resp.Name+`"`) {
+				t.Fatalf("created %q, yet the list is %s", resp.Name, l)
+			}
+			if rec := serve(http.MethodDelete, "/v1/collections/"+resp.Name, nil); rec.Code != http.StatusOK {
+				t.Fatalf("dropping created %q: HTTP %d %s", resp.Name, rec.Code, rec.Body)
+			}
+			if l := list(); l != before {
+				t.Fatalf("after creating and dropping %q the list is %s, was %s", resp.Name, l, before)
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+			if l := list(); l != before {
+				t.Fatalf("HTTP %d for body %q, yet the list went from %s to %s", rec.Code, body, before, l)
+			}
+		default:
+			t.Fatalf("HTTP %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+	})
 }

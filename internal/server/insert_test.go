@@ -130,3 +130,81 @@ func FuzzInsertRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDeleteRequest feeds arbitrary bodies to POST /v1/delete on an
+// in-process server whose default collection is durable, over a data
+// directory holding 64 rows: the handler never panics and answers only
+// 200, 400 or 503; a 4xx leaves the tombstone count and the log bytes as
+// they were; and a 200's deleted count plus its missing ids account for
+// every id the body sent, duplicates included, with the tombstones grown
+// by exactly the deleted count.
+func FuzzDeleteRequest(f *testing.F) {
+	eng, err := engine.New(f.TempDir(), engine.Spec{Metric: "euclidean", M: 8, Seed: 7, BucketWidth: 4, Sync: "none"}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { eng.Close() })
+	srv, err := New(Config{Engine: eng, MaxBodyBytes: 1 << 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	coll, err := eng.Get(DefaultCollection)
+	if err != nil {
+		f.Fatal(err)
+	}
+	d, h := coll.Dynamic(), srv.Handler()
+	data, _ := testWorkload(12, 64, 4)
+	if _, err := d.AddBatch(data); err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"ids":[1,2,3]}`,
+		`{"id":5}`,
+		`{"id":6,"ids":[6,6,7]}`,
+		`{"ids":[-1,64,1000000]}`,
+		`{"ids":[9223372036854775807]}`,
+		`{"ids":[]}`,
+		`{}`,
+		`{"ids":[1.5]}`,
+		`{"ids":[1e30]}`,
+		`{"id":null,"ids":null}`,
+		`{"ids":`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dead, wal := d.Deleted(), d.WALStats().AppendedBytes
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/delete", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest:
+			if d.Deleted() != dead || d.WALStats().AppendedBytes != wal {
+				t.Fatalf("HTTP 400 for body %q, yet %d tombstones and %d log bytes went in",
+					body, d.Deleted()-dead, d.WALStats().AppendedBytes-wal)
+			}
+			return
+		case http.StatusServiceUnavailable:
+			return
+		default:
+			t.Fatalf("HTTP %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		var req deleteRequest
+		var resp deleteResponse
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("HTTP 200 for a body that does not decode: %q", body)
+		}
+		sent := len(req.IDs)
+		if req.ID != nil {
+			sent++
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Deleted+len(resp.Missing) != sent {
+			t.Fatalf("HTTP 200 for %d ids answered %s", sent, rec.Body)
+		}
+		if d.Deleted() != dead+resp.Deleted {
+			t.Fatalf("body %q deleted %d ids, yet the tombstones grew by %d", body, resp.Deleted, d.Deleted()-dead)
+		}
+	})
+}

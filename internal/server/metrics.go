@@ -12,8 +12,9 @@ import (
 
 // This file declares every serve-time number: the two stores the server
 // itself owns (written only by Server.record), the per-scrape snapshot
-// that reads every other owner once — the JSON surfaces assemble their
-// shapes from it too — and the one table of /metrics families.
+// that reads every other owner once — the two JSON stats documents are
+// assembled from it too (server.go, "the stats documents") — and the one
+// table of /metrics families.
 
 // metrics holds the two stores the server owns: the request counts of
 // requests that resolved no collection (a collection's are on its
@@ -36,22 +37,25 @@ func (m *metrics) countRequest(c *engine.Collection, endpoint string, code int) 
 
 // ---- the per-scrape snapshot ----
 
-// collSnap is one loaded collection's sources, each read once: its usage
-// counters, its request counts and, in the shape /v1/stats gives them,
-// the rest (Requests is filled in by the surfaces that report it).
+// collSnap is one loaded collection's sources, each read once: its
+// request counts and, in the shape of its stats document, the rest
+// (Requests is filled in by collSnap.stats).
 type collSnap struct {
-	name     string
-	usage    engine.UsageSnapshot
 	requests []obs.RequestCount
 	CollectionStats
 }
 
-func snap(c *engine.Collection) collSnap {
+// snap reads c's sources, its windows as they stand at now.
+func snap(c *engine.Collection, now time.Time) collSnap {
 	sv := c.Serving()
-	cs := collSnap{name: c.Name(), usage: c.Usage().Snapshot(), requests: sv.Requests.Snapshot()}
-	cs.Inserts, cs.Deletes = uint64(cs.usage.Inserts), uint64(cs.usage.Deletes)
-	cs.InFlight, cs.QuotaRejected = sv.Occupancy.Load(), sv.QuotaRejected.Load()
-	cs.Backend = backendStats(c)
+	cs := collSnap{requests: sv.Requests.Snapshot(), CollectionStats: CollectionStats{
+		Collection:    c.Name(),
+		InFlight:      sv.Occupancy.Load(),
+		QuotaRejected: sv.QuotaRejected.Load(),
+		Cumulative:    c.Usage().Snapshot(),
+		Windows:       windowsOf(&sv.Health, now),
+		Backend:       backendStats(c),
+	}}
 	if d := c.Dynamic(); d != nil && d.Dir() != "" {
 		ws := d.WALStats()
 		cs.WAL = &ws
@@ -67,14 +71,16 @@ func snap(c *engine.Collection) collSnap {
 // collection is dropped.
 type scrape struct {
 	uptime              float64
+	draining            bool
 	requests            []obs.RequestCount // server-scoped; a collection's are on its collSnap
 	retiredRequests     []obs.RequestCount // the dropped collections'
 	latency             *obs.Hist
-	adm                 admissionHealth
+	windows             []obs.HealthWindow // the server-wide ring's
+	adm                 admissionStats
 	cache               CacheStats
 	colls               []collSnap           // ordered by name
-	total               engine.UsageSnapshot // the dropped collections' + Σ colls[i].usage
-	vectors, tombstones int                  // Σ colls[i].backend
+	total               engine.UsageSnapshot // the dropped collections' + Σ colls[i].Cumulative
+	vectors, tombstones int                  // Σ colls[i].Backend
 	writable            bool                 // some collection takes writes
 	def                 *collSnap            // the default collection; nil when not loaded
 	// Read by handleMetrics only: ReadMemStats stops the world.
@@ -84,13 +90,16 @@ type scrape struct {
 }
 
 func (s *Server) scrape() *scrape {
+	now := time.Now()
 	loaded, retired, retiredRequests := s.eng.Census()
 	sc := &scrape{
-		uptime:          time.Since(s.met.start).Seconds(),
+		uptime:          now.Sub(s.met.start).Seconds(),
+		draining:        s.draining.Load(),
 		requests:        s.met.requests.Snapshot(),
 		retiredRequests: retiredRequests,
 		latency:         &s.met.latency,
-		adm:             s.adm.health(),
+		windows:         windowsOf(s.health, now),
+		adm:             s.adm.stats(),
 		colls:           make([]collSnap, len(loaded)),
 		total:           retired,
 	}
@@ -99,12 +108,12 @@ func (s *Server) scrape() *scrape {
 	}
 	for i, c := range loaded {
 		cs := &sc.colls[i]
-		*cs = snap(c)
-		sc.total.Add(cs.usage)
+		*cs = snap(c, now)
+		sc.total.Add(cs.Cumulative)
 		sc.vectors += cs.Backend.Vectors
 		sc.tombstones += cs.Backend.Tombstones
 		sc.writable = sc.writable || cs.Backend.Writable
-		if cs.name == DefaultCollection {
+		if cs.Collection == DefaultCollection {
 			sc.def = cs
 		}
 	}
@@ -141,7 +150,7 @@ func perColl(read func(*collSnap) (float64, bool)) func(*obs.Expo, *scrape) {
 	return func(e *obs.Expo, sc *scrape) {
 		for i := range sc.colls {
 			if v, ok := read(&sc.colls[i]); ok {
-				e.Sample("", v, obs.Label{Name: "collection", Value: sc.colls[i].name})
+				e.Sample("", v, obs.Label{Name: "collection", Value: sc.colls[i].Collection})
 			}
 		}
 	}
@@ -167,7 +176,7 @@ var families = []family{
 		}
 		for i := range sc.colls {
 			for _, r := range sc.colls[i].requests {
-				sample(r, obs.Label{Name: "collection", Value: sc.colls[i].name})
+				sample(r, obs.Label{Name: "collection", Value: sc.colls[i].Collection})
 			}
 		}
 	}},
@@ -195,16 +204,16 @@ var families = []family{
 	{"lccs_wal_last_fsync_seconds", "Latency of the most recent WAL fsync.", obs.Gauge, wal(func(w *lccs.WALStats) float64 { return w.LastFsyncMicros / 1e6 })},
 	{"lccs_wal_synced_lsn", "Highest log sequence number known fsynced.", obs.Gauge, wal(func(w *lccs.WALStats) float64 { return float64(w.SyncedLSN) })},
 
-	{"lccs_collection_inserts_total", "Vectors inserted, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.Inserts), true })},
-	{"lccs_collection_deletes_total", "Vectors tombstoned, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.Deletes), true })},
-	{"lccs_collection_searches_total", "Search requests served (backend or cache), by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.Searches), true })},
-	{"lccs_collection_errors_total", "Failed requests, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.Errors), true })},
-	{"lccs_collection_scan_bytes_total", "Vector bytes read by the distance kernels, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.BytesScanned), true })},
-	{"lccs_collection_cost_units_total", "Derived query cost units (comparisons + scan bytes / 4), by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.CostUnits), true })},
-	{"lccs_collection_filter_rejected_total", "Candidates discarded by metadata predicates, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.FilterRejected), true })},
-	{"lccs_collection_cache_hits_total", "Result-cache hits, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.CacheHits), true })},
-	{"lccs_collection_cache_misses_total", "Result-cache misses, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.CacheMisses), true })},
-	{"lccs_collection_wal_appended_bytes_total", "Journal bytes appended by this collection's writes.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.usage.WALBytes), true })},
+	{"lccs_collection_inserts_total", "Vectors inserted, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.Cumulative.Inserts), true })},
+	{"lccs_collection_deletes_total", "Vectors tombstoned, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.Cumulative.Deletes), true })},
+	{"lccs_collection_searches_total", "Search requests served (backend or cache), by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.Cumulative.Searches), true })},
+	{"lccs_collection_errors_total", "Failed requests, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.Cumulative.Errors), true })},
+	{"lccs_collection_scan_bytes_total", "Vector bytes read by the distance kernels, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.Cumulative.BytesScanned), true })},
+	{"lccs_collection_cost_units_total", "Derived query cost units (comparisons + scan bytes / 4), by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.Cumulative.CostUnits), true })},
+	{"lccs_collection_filter_rejected_total", "Candidates discarded by metadata predicates, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.Cumulative.FilterRejected), true })},
+	{"lccs_collection_cache_hits_total", "Result-cache hits, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.Cumulative.CacheHits), true })},
+	{"lccs_collection_cache_misses_total", "Result-cache misses, by collection.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.Cumulative.CacheMisses), true })},
+	{"lccs_collection_wal_appended_bytes_total", "Journal bytes appended by this collection's writes.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.Cumulative.WALBytes), true })},
 	{"lccs_collection_quota_rejected_total", "Requests rejected by the per-collection concurrency share.", obs.Counter, perColl(func(c *collSnap) (float64, bool) { return float64(c.QuotaRejected), true })},
 	{"lccs_collection_vectors", "Vectors searchable, by collection.", obs.Gauge, perColl(func(c *collSnap) (float64, bool) { return float64(c.Backend.Vectors), true })},
 	{"lccs_collection_tombstones", "Deleted vectors awaiting compaction, by collection.", obs.Gauge, perColl(func(c *collSnap) (float64, bool) { return float64(c.Backend.Tombstones), true })},

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net/http"
 	"time"
 
 	"lccs"
@@ -9,19 +8,8 @@ import (
 	"lccs/internal/obs"
 )
 
-// This file is the server's metering and introspection surface: the one
-// recorder every request's outcome goes through, the usage endpoints
-// (/v1/usage, /v1/collections/{name}/usage), the windowed health
-// endpoint (/v1/debug/health), and the EXPLAIN plan builder.
-
-// healthWindows are the two resolutions every windowed report carries:
-// the last minute merged from per-second buckets and the last fifteen
-// minutes merged from per-minute buckets.
-var healthWindows = [2]time.Duration{time.Minute, 15 * time.Minute}
-
-// sloTarget is the availability objective behind the burn-rate
-// indicator: 99.9% of requests succeed.
-const sloTarget = 0.999
+// This file is the server's metering: the one recorder every request's
+// outcome goes through, and the EXPLAIN plan builder.
 
 // outcome is everything the stats surfaces will ever say about one
 // request. A handler fills it in as the request proceeds and every exit
@@ -89,168 +77,6 @@ func (s *Server) record(c *engine.Collection, o outcome) {
 // — is exact because the counter itself is monotone.
 func walAppended(c *engine.Collection) int64 {
 	return c.Dynamic().WALStats().AppendedBytes
-}
-
-// ---- usage endpoints ----
-
-// usageResponse is the /v1/collections/{name}/usage payload: the
-// cumulative counters since process start plus windowed rates at two
-// resolutions.
-type usageResponse struct {
-	Collection string               `json:"collection"`
-	Cumulative engine.UsageSnapshot `json:"cumulative"`
-	Windows    []obs.HealthWindow   `json:"windows"`
-	// WAL reports the journal's cumulative appended bytes and depth for
-	// durable collections.
-	WAL *lccs.WALStats `json:"wal,omitempty"`
-}
-
-// aggregateUsageResponse is the /v1/usage payload: the sum over every
-// loaded collection, the server-wide windows, and the per-collection
-// breakdown.
-type aggregateUsageResponse struct {
-	Total       engine.UsageSnapshot            `json:"total"`
-	Windows     []obs.HealthWindow              `json:"windows"`
-	Collections map[string]engine.UsageSnapshot `json:"collections"`
-}
-
-func (s *Server) handleCollUsage(w http.ResponseWriter, r *http.Request) {
-	o := outcome{endpoint: "usage"}
-	c := s.resolve(w, r, o)
-	if c == nil {
-		return
-	}
-	cs := snap(c)
-	s.respond(w, c, o, http.StatusOK, usageResponse{
-		Collection: c.Name(),
-		Cumulative: cs.usage,
-		Windows:    s.windowsOf(&c.Serving().Health),
-		WAL:        cs.WAL,
-	})
-}
-
-func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
-	sc := s.scrape()
-	resp := aggregateUsageResponse{
-		Total:       sc.total,
-		Windows:     s.windowsOf(s.health),
-		Collections: make(map[string]engine.UsageSnapshot, len(sc.colls)),
-	}
-	for _, cs := range sc.colls {
-		resp.Collections[cs.name] = cs.usage
-	}
-	s.respond(w, nil, outcome{endpoint: "usage"}, http.StatusOK, resp)
-}
-
-// windowsOf merges a ring at the standard resolutions.
-func (s *Server) windowsOf(h *obs.Health) []obs.HealthWindow {
-	now := time.Now()
-	out := make([]obs.HealthWindow, 0, len(healthWindows))
-	for _, span := range healthWindows {
-		out = append(out, h.Window(now, span))
-	}
-	return out
-}
-
-// ---- /v1/debug/health ----
-
-// admissionHealth is the controller's live state inside the health
-// payload.
-type admissionHealth struct {
-	InFlight     int    `json:"in_flight"`
-	QueueDepth   int64  `json:"queue_depth"`
-	Rejected     uint64 `json:"rejected_total"`
-	WaitTimeouts uint64 `json:"wait_timeouts_total"`
-}
-
-// walHealth is one durable collection's journal lag.
-type walHealth struct {
-	Collection string `json:"collection"`
-	// FsyncLagRecords is LastLSN − SyncedLSN: acknowledged-pending
-	// records an "interval"-policy crash window could lose.
-	FsyncLagRecords uint64 `json:"fsync_lag_records"`
-	// Depth is the records only the log holds (crash replay work).
-	Depth         uint64  `json:"depth"`
-	LastFsyncUS   float64 `json:"last_fsync_us"`
-	AppendedBytes int64   `json:"appended_bytes"`
-}
-
-// sloHealth is the burn-rate indicator: how fast the error budget
-// (1 − target) is being consumed. A burn rate of 1 means errors arrive
-// exactly at the budgeted rate; sustained rates above 1 exhaust it.
-type sloHealth struct {
-	Target     float64 `json:"target"`
-	BurnRate1m float64 `json:"burn_rate_1m"`
-	BurnRate15 float64 `json:"burn_rate_15m"`
-	// State summarizes: "ok" (both windows under budget), "elevated"
-	// (the short window is burning — possibly a blip), "burning" (both
-	// windows over budget — the objective is at risk).
-	State string `json:"state"`
-}
-
-// healthResponse is the /v1/debug/health payload.
-type healthResponse struct {
-	Status        string             `json:"status"` // "ok" | "draining"
-	UptimeSeconds float64            `json:"uptime_seconds"`
-	Windows       []obs.HealthWindow `json:"windows"`
-	Admission     admissionHealth    `json:"admission"`
-	SLO           sloHealth          `json:"slo"`
-	WAL           []walHealth        `json:"wal,omitempty"`
-	// Collections holds each loaded collection's short window.
-	Collections map[string]obs.HealthWindow `json:"collections,omitempty"`
-}
-
-func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
-	windows := s.windowsOf(s.health)
-	resp := healthResponse{
-		Status:        "ok",
-		UptimeSeconds: time.Since(s.met.start).Seconds(),
-		Windows:       windows,
-		Admission:     s.adm.health(),
-		SLO:           sloBurn(windows),
-	}
-	if s.draining.Load() {
-		resp.Status = "draining"
-	}
-	colls := s.eng.Loaded()
-	resp.Collections = make(map[string]obs.HealthWindow, len(colls))
-	now := time.Now()
-	for _, c := range colls {
-		resp.Collections[c.Name()] = c.Serving().Health.Window(now, healthWindows[0])
-		d := c.Dynamic()
-		if d == nil || d.Dir() == "" {
-			continue // no write-ahead log
-		}
-		ws := d.WALStats()
-		resp.WAL = append(resp.WAL, walHealth{
-			Collection:      c.Name(),
-			FsyncLagRecords: ws.LastLSN - ws.SyncedLSN,
-			Depth:           ws.Depth,
-			LastFsyncUS:     ws.LastFsyncMicros,
-			AppendedBytes:   ws.AppendedBytes,
-		})
-	}
-	s.respond(w, nil, outcome{endpoint: "debug_health"}, http.StatusOK, resp)
-}
-
-// sloBurn derives the burn-rate indicator from the standard windows
-// (short first, long second).
-func sloBurn(windows []obs.HealthWindow) sloHealth {
-	budget := 1 - sloTarget
-	h := sloHealth{Target: sloTarget, State: "ok"}
-	if len(windows) > 0 {
-		h.BurnRate1m = windows[0].ErrorRate / budget
-	}
-	if len(windows) > 1 {
-		h.BurnRate15 = windows[1].ErrorRate / budget
-	}
-	switch {
-	case h.BurnRate1m >= 1 && h.BurnRate15 >= 1:
-		h.State = "burning"
-	case h.BurnRate1m >= 1 || h.BurnRate15 >= 1:
-		h.State = "elevated"
-	}
-	return h
 }
 
 // ---- EXPLAIN ----

@@ -14,8 +14,8 @@ import (
 )
 
 // TestUsageEndpoints drives metered traffic over a durable backend and
-// checks both usage views: the per-collection cumulative counters (with
-// WAL bytes) and the engine-wide aggregate.
+// checks both usage views: the collection document's cumulative counters
+// (with WAL bytes) and the process document's total.
 func TestUsageEndpoints(t *testing.T) {
 	dir := t.TempDir()
 	data, queries := testWorkload(21, 200, 8)
@@ -38,7 +38,7 @@ func TestUsageEndpoints(t *testing.T) {
 		t.Fatal("repeat search failed")
 	}
 
-	var ur usageResponse
+	var ur CollectionStats
 	if code := doJSON(t, ts, "GET", "/v1/collections/default/usage", nil, &ur); code != http.StatusOK {
 		t.Fatalf("collection usage: HTTP %d", code)
 	}
@@ -64,8 +64,9 @@ func TestUsageEndpoints(t *testing.T) {
 	if cu.WALBytes <= 0 {
 		t.Fatalf("wal bytes = %d, want > 0", cu.WALBytes)
 	}
-	if ur.WAL == nil || ur.WAL.AppendedBytes < cu.WALBytes {
-		t.Fatalf("wal stats missing or inconsistent: %+v vs usage %d", ur.WAL, cu.WALBytes)
+	if ur.WAL == nil || di.WALStats().AppendedBytes < cu.WALBytes {
+		t.Fatalf("wal stats missing or inconsistent: %+v, journal %d bytes vs usage %d",
+			ur.WAL, di.WALStats().AppendedBytes, cu.WALBytes)
 	}
 	// Windowed rates at both resolutions; the traffic just ran, so the
 	// short window must see it.
@@ -76,16 +77,16 @@ func TestUsageEndpoints(t *testing.T) {
 		t.Fatalf("short window empty: %+v", ur.Windows[0])
 	}
 
-	// The aggregate view sums to the same figures for a single tenant.
-	var ar aggregateUsageResponse
-	if code := doJSON(t, ts, "GET", "/v1/usage", nil, &ar); code != http.StatusOK {
-		t.Fatalf("aggregate usage: HTTP %d", code)
+	// The process total sums to the same figures for a single tenant.
+	var st Stats
+	if code := doJSON(t, ts, "GET", "/v1/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("stats: HTTP %d", code)
 	}
-	if ar.Total != ar.Collections["default"] {
-		t.Fatalf("aggregate total %+v != default %+v", ar.Total, ar.Collections["default"])
+	if st.Total != st.Collections["default"].Cumulative {
+		t.Fatalf("process total %+v != default %+v", st.Total, st.Collections["default"].Cumulative)
 	}
-	if ar.Total.Searches != cu.Searches || ar.Total.BytesScanned < cu.BytesScanned {
-		t.Fatalf("aggregate drifted from collection: %+v vs %+v", ar.Total, cu)
+	if st.Total.Searches != cu.Searches || st.Total.BytesScanned < cu.BytesScanned {
+		t.Fatalf("process total drifted from collection: %+v vs %+v", st.Total, cu)
 	}
 
 	// The same counters surface as per-collection Prometheus families.
@@ -116,10 +117,11 @@ func TestUsageEndpoints(t *testing.T) {
 	}
 }
 
-// TestDebugHealthEndpoint exercises the windowed health report: RED and
-// usage figures at two resolutions, the SLO burn indicator, admission
-// state, per-collection windows, and WAL lag.
-func TestDebugHealthEndpoint(t *testing.T) {
+// TestStatsHealthWindows exercises the process document's windowed
+// health: RED and usage figures at two resolutions, the SLO burn
+// indicator, status and uptime, the collection's windows, and its
+// journal.
+func TestStatsHealthWindows(t *testing.T) {
 	dir := t.TempDir()
 	data, queries := testWorkload(22, 200, 8)
 	di := openDurableBackend(t, dir)
@@ -138,17 +140,17 @@ func TestDebugHealthEndpoint(t *testing.T) {
 		t.Fatal("bad search did not 400")
 	}
 
-	var hr healthResponse
-	if code := doJSON(t, ts, "GET", "/v1/debug/health", nil, &hr); code != http.StatusOK {
-		t.Fatalf("debug health: HTTP %d", code)
+	var st Stats
+	if code := doJSON(t, ts, "GET", "/v1/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("stats: HTTP %d", code)
 	}
-	if hr.Status != "ok" || hr.UptimeSeconds < 0 {
-		t.Fatalf("status/uptime: %+v", hr)
+	if st.Status != "ok" || st.UptimeSeconds < 0 {
+		t.Fatalf("status/uptime: %+v", st)
 	}
-	if len(hr.Windows) != 2 {
-		t.Fatalf("windows = %d, want 2", len(hr.Windows))
+	if len(st.Windows) != 2 {
+		t.Fatalf("windows = %d, want 2", len(st.Windows))
 	}
-	short, long := hr.Windows[0], hr.Windows[1]
+	short, long := st.Windows[0], st.Windows[1]
 	if short.Resolution != "1s" || long.Resolution != "1m" {
 		t.Fatalf("resolutions = %q/%q, want 1s/1m", short.Resolution, long.Resolution)
 	}
@@ -171,19 +173,20 @@ func TestDebugHealthEndpoint(t *testing.T) {
 	}
 	// The SLO indicator reflects the induced error rate (1/10 >> 0.1%
 	// budget in both windows → burning).
-	if hr.SLO.Target != 0.999 {
-		t.Fatalf("slo target = %g", hr.SLO.Target)
+	if st.SLO.Target != 0.999 {
+		t.Fatalf("slo target = %g", st.SLO.Target)
 	}
-	if hr.SLO.BurnRate1m <= 1 || hr.SLO.State != "burning" {
-		t.Fatalf("slo = %+v, want burning with rate > 1", hr.SLO)
+	if st.SLO.BurnRate1m <= 1 || st.SLO.State != "burning" {
+		t.Fatalf("slo = %+v, want burning with rate > 1", st.SLO)
 	}
-	// Per-collection breakdown and WAL lag.
-	cw, ok := hr.Collections["default"]
-	if !ok || cw.Requests == 0 {
-		t.Fatalf("collection window missing/empty: %+v", hr.Collections)
+	// The collection's windows and journal: the fsync lag is the
+	// difference of two LSNs the journal reports.
+	cd, ok := st.Collections["default"]
+	if !ok || len(cd.Windows) != 2 || cd.Windows[0].Requests == 0 {
+		t.Fatalf("collection window missing/empty: %+v", st.Collections)
 	}
-	if len(hr.WAL) != 1 || hr.WAL[0].Collection != "default" || hr.WAL[0].AppendedBytes <= 0 {
-		t.Fatalf("wal health = %+v", hr.WAL)
+	if cd.WAL == nil || cd.WAL.LastLSN < cd.WAL.SyncedLSN || cd.WAL.Depth == 0 || cd.Cumulative.WALBytes <= 0 {
+		t.Fatalf("wal = %+v, wal bytes %d", cd.WAL, cd.Cumulative.WALBytes)
 	}
 }
 
@@ -295,7 +298,7 @@ func TestPaginatedSearchMetered(t *testing.T) {
 	if len(e.Shards) != dyn.Shards() || e.Buffer == nil || e.Buffer.Comparisons != int64(dyn.Buffered()) {
 		t.Fatalf("plan scans: %d shards (want %d), buffer %+v", len(e.Shards), dyn.Shards(), e.Buffer)
 	}
-	var ur usageResponse
+	var ur CollectionStats
 	if code := doJSON(t, ts, "GET", "/v1/collections/default/usage", nil, &ur); code != http.StatusOK {
 		t.Fatalf("usage: HTTP %d", code)
 	}
@@ -528,7 +531,8 @@ func TestPromLabelEscaping(t *testing.T) {
 	// family table over a scrape whose collections carry the names.
 	snap := &scrape{latency: new(obs.Hist)}
 	for _, name := range hostile {
-		snap.colls = append(snap.colls, collSnap{name: name, usage: engine.UsageSnapshot{BytesScanned: 1},
+		snap.colls = append(snap.colls, collSnap{CollectionStats: CollectionStats{Collection: name,
+			Cumulative: engine.UsageSnapshot{BytesScanned: 1}},
 			requests: []obs.RequestCount{{Endpoint: "search", Code: 200, N: 1}}})
 	}
 	var e obs.Expo

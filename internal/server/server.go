@@ -19,12 +19,9 @@
 //	POST   /v1/collections/{name}/search/batch      many queries → top-k each, in turn, under one slot
 //	POST   /v1/collections/{name}/insert            append vectors (+ optional attributes)
 //	POST   /v1/collections/{name}/delete            tombstone ids
-//	GET    /v1/collections/{name}/stats             per-collection stats
-//	GET    /v1/collections/{name}/usage             per-collection usage: cumulative + windowed
-//	GET    /v1/stats                                JSON operational stats (all collections)
-//	GET    /v1/usage                                usage summed over collections, and per collection
+//	GET    /v1/collections/{name}/usage             the collection document: requests, usage, windows, backend, WAL
+//	GET    /v1/stats                                the process document, every loaded collection's inside it
 //	GET    /v1/debug/slow                           slow-query ring + traced-request sample
-//	GET    /v1/debug/health                         windowed RED health, admission, SLO burn, WAL lag
 //	GET    /healthz                                 readiness (503 while draining)
 //	GET    /metrics                                 Prometheus text exposition
 //
@@ -230,15 +227,12 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/collections/{name}/search/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/collections/{name}/insert", s.handleInsert)
 	s.mux.HandleFunc("POST /v1/collections/{name}/delete", s.handleDelete)
-	s.mux.HandleFunc("GET /v1/collections/{name}/stats", s.handleCollStats)
-	s.mux.HandleFunc("GET /v1/collections/{name}/usage", s.handleCollUsage)
+	s.mux.HandleFunc("GET /v1/collections/{name}/usage", s.handleCollStats)
 	s.mux.HandleFunc("POST /v1/collections", s.handleCollCreate)
 	s.mux.HandleFunc("GET /v1/collections", s.handleCollList)
 	s.mux.HandleFunc("DELETE /v1/collections/{name}", s.handleCollDrop)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/usage", s.handleUsage)
 	s.mux.HandleFunc("/v1/debug/slow", s.handleDebugSlow)
-	s.mux.HandleFunc("GET /v1/debug/health", s.handleDebugHealth)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	return s, nil
@@ -758,12 +752,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Each query is a SearchQuery into one scratch row, copied out; the
 	// first failing query, in order, fails the batch, metered for the
-	// work its predecessors did.
+	// work its predecessors did. A client that has gone away fails it
+	// the same way before the next query, so its slot is not held for
+	// an answer nobody reads.
 	var co lccs.Cost
 	var scratch []lccs.Neighbor
 	qr := lccs.Query{K: req.K, Budget: req.Budget, Cost: &co}
 	rows := make([][]lccs.Neighbor, len(req.Queries)) // [] on the wire, never null
 	for i, q := range req.Queries {
+		if err := r.Context().Err(); err != nil {
+			o.meter(&co)
+			s.fail(w, c, o, statusClientClosed, err)
+			return
+		}
 		res, err := c.Backend().SearchQuery(q, qr, scratch)
 		if err != nil {
 			o.meter(&co)
@@ -1011,69 +1012,80 @@ func (s *Server) handleCollDrop(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, nil, o, http.StatusOK, dropCollectionResponse{Dropped: name, RequestID: reqID})
 }
 
-func (s *Server) handleCollStats(w http.ResponseWriter, r *http.Request) {
-	o := outcome{endpoint: "stats"}
-	c := s.resolve(w, r, o)
-	if c == nil {
-		return
-	}
-	s.respond(w, c, o, http.StatusOK, snap(c).stats())
-}
+// ---- the stats documents ----
 
-// ---- stats ----
+// The server reports its numbers as two JSON documents, one per scope,
+// each assembled by one function from one scrape: the process document
+// (Stats, GET /v1/stats, from scrape.stats) and the collection document
+// (CollectionStats, GET /v1/collections/{name}/usage, from
+// collSnap.stats). The process document's Collections holds each loaded
+// collection's document, so the two cannot differ in shape.
 
-// Stats is the /v1/stats payload, assembled from one scrape. The
-// top-level request/insert/delete counters sum the Collections entries
-// beside them and what the collections dropped before counted; Backend
-// and WAL are the default collection's entry when one exists (the legacy
-// single-index shape monitoring already scrapes); Latency reads
-// lccs_request_seconds by the health windows' rule.
+// Stats is the process document. Requests and Total sum the collections'
+// documents beside them, the server-scoped requests and what the
+// collections dropped before counted, so neither falls when a collection
+// goes. Backend and WAL repeat the default collection's (the legacy
+// single-index shape monitoring already scrapes). Windows and SLO read
+// the server-wide health ring; Latency reads lccs_request_seconds by the
+// windows' quantile rule.
 type Stats struct {
 	UptimeSeconds float64           `json:"uptime_seconds"`
+	Status        string            `json:"status"`   // "ok" | "draining"
 	Requests      map[string]uint64 `json:"requests"` // "endpoint:code" → count
-	InFlight      int               `json:"in_flight"`
-	QueueDepth    int64             `json:"queue_depth"`
-	Rejected      uint64            `json:"admission_rejected"`
-	WaitTimeouts  uint64            `json:"admission_wait_timeouts"`
-	Inserts       uint64            `json:"inserts"`
-	Deletes       uint64            `json:"deletes"`
-	Cache         CacheStats        `json:"cache"`
-	Latency       LatencyStats      `json:"latency"`
-	Backend       BackendStats      `json:"backend"`
+	admissionStats
+	// Total is the usage counters summed over every collection this
+	// process served; Total.Searches is also lccs_request_seconds' count.
+	Total   engine.UsageSnapshot `json:"total"`
+	Cache   CacheStats           `json:"cache"`
+	Latency LatencyStats         `json:"latency"`
+	Windows []obs.HealthWindow   `json:"windows"`
+	SLO     sloStats             `json:"slo"`
+	Backend BackendStats         `json:"backend"`
 	// WAL reports write-ahead-log health on durable backends: depth
 	// (records a crash would replay), segment footprint, and fsync
 	// latency. Absent otherwise.
-	WAL *lccs.WALStats `json:"wal,omitempty"`
-	// Collections breaks the same figures out per collection.
-	Collections map[string]CollectionStats `json:"collections,omitempty"`
+	WAL         *lccs.WALStats             `json:"wal,omitempty"`
+	Collections map[string]CollectionStats `json:"collections"`
 }
 
-// CollectionStats is one collection's slice of the operational stats.
+// admissionStats is the admission controller's live state and counters.
+type admissionStats struct {
+	InFlight     int    `json:"in_flight"`
+	QueueDepth   int64  `json:"queue_depth"`
+	Rejected     uint64 `json:"admission_rejected"`
+	WaitTimeouts uint64 `json:"admission_wait_timeouts"`
+}
+
+// CollectionStats is the collection document.
 type CollectionStats struct {
-	Requests map[string]uint64 `json:"requests"` // "endpoint:code" → count
-	Inserts  uint64            `json:"inserts"`
-	Deletes  uint64            `json:"deletes"`
+	Collection string            `json:"collection"`
+	Requests   map[string]uint64 `json:"requests"` // "endpoint:code" → count
 	// InFlight counts this collection's currently admitted requests;
 	// QuotaRejected counts rejections by the per-collection share.
-	InFlight      int64          `json:"in_flight"`
-	QuotaRejected uint64         `json:"quota_rejected"`
-	Backend       BackendStats   `json:"backend"`
-	WAL           *lccs.WALStats `json:"wal,omitempty"`
+	InFlight      int64  `json:"in_flight"`
+	QuotaRejected uint64 `json:"quota_rejected"`
+	// Cumulative is the usage counters since the collection was opened
+	// in this process; Windows the same traffic at two resolutions.
+	Cumulative engine.UsageSnapshot `json:"cumulative"`
+	Windows    []obs.HealthWindow   `json:"windows"`
+	Backend    BackendStats         `json:"backend"`
+	WAL        *lccs.WALStats       `json:"wal,omitempty"`
 }
 
-// CacheStats summarizes the result cache.
+// CacheStats summarizes the result cache. Its hit and miss counters feed
+// lccs_cache_{hits,misses}_total; the JSON reports those numbers once, as
+// the process document's total.cache_hits and total.cache_misses.
 type CacheStats struct {
 	Enabled   bool    `json:"enabled"`
 	Entries   int     `json:"entries"`
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
+	Hits      uint64  `json:"-"`
+	Misses    uint64  `json:"-"`
 	Evictions uint64  `json:"evictions"`
 	HitRate   float64 `json:"hit_rate"`
 }
 
 // LatencyStats summarizes the search latency histogram.
 type LatencyStats struct {
-	Count  uint64  `json:"count"`
 	MeanMs float64 `json:"mean_ms"`
 	P50Ms  float64 `json:"p50_ms"`
 	P99Ms  float64 `json:"p99_ms"`
@@ -1090,57 +1102,104 @@ type BackendStats struct {
 	Writable   bool `json:"writable"`
 }
 
-// stats completes the collection's stats with its request counts.
-func (cs collSnap) stats() CollectionStats {
-	cs.Requests = make(map[string]uint64, len(cs.requests))
-	for _, r := range cs.requests {
-		cs.Requests[r.Endpoint+":"+strconv.Itoa(r.Code)] = r.N
-	}
-	return cs.CollectionStats
+// sloStats is the burn-rate indicator: how fast the error budget
+// (1 − target) is being consumed. A burn rate of 1 means errors arrive
+// exactly at the budgeted rate; sustained rates above 1 exhaust it.
+type sloStats struct {
+	Target     float64 `json:"target"`
+	BurnRate1m float64 `json:"burn_rate_1m"`
+	BurnRate15 float64 `json:"burn_rate_15m"`
+	// State summarizes: "ok" (both windows under budget), "elevated"
+	// (the short window is burning — possibly a blip), "burning" (both
+	// windows over budget — the objective is at risk).
+	State string `json:"state"`
 }
 
-// StatsSnapshot assembles the current Stats (also used by /v1/stats).
-func (s *Server) StatsSnapshot() Stats {
-	sc := s.scrape()
+// healthWindows are the two resolutions every windowed report carries:
+// the last minute merged from per-second buckets and the last fifteen
+// minutes merged from per-minute buckets.
+var healthWindows = [2]time.Duration{time.Minute, 15 * time.Minute}
+
+// sloTarget is the availability objective behind the burn-rate
+// indicator: 99.9% of requests succeed.
+const sloTarget = 0.999
+
+// windowsOf merges a ring at the standard resolutions.
+func windowsOf(h *obs.Health, now time.Time) []obs.HealthWindow {
+	out := make([]obs.HealthWindow, len(healthWindows))
+	for i, span := range healthWindows {
+		out[i] = h.Window(now, span)
+	}
+	return out
+}
+
+// sloBurn derives the burn-rate indicator from the standard windows
+// (short first, long second).
+func sloBurn(windows []obs.HealthWindow) sloStats {
+	budget := 1 - sloTarget
+	h := sloStats{Target: sloTarget, State: "ok",
+		BurnRate1m: windows[0].ErrorRate / budget, BurnRate15: windows[1].ErrorRate / budget}
+	switch {
+	case h.BurnRate1m >= 1 && h.BurnRate15 >= 1:
+		h.State = "burning"
+	case h.BurnRate1m >= 1 || h.BurnRate15 >= 1:
+		h.State = "elevated"
+	}
+	return h
+}
+
+// requestMap folds request counts into the documents' "endpoint:code"
+// map.
+func requestMap(m map[string]uint64, rs []obs.RequestCount) map[string]uint64 {
+	for _, r := range rs {
+		m[r.Endpoint+":"+strconv.Itoa(r.Code)] += r.N
+	}
+	return m
+}
+
+// stats is the collection document.
+func (cs *collSnap) stats() CollectionStats {
+	doc := cs.CollectionStats
+	doc.Requests = requestMap(make(map[string]uint64, len(cs.requests)), cs.requests)
+	return doc
+}
+
+// stats is the process document.
+func (sc *scrape) stats() Stats {
 	st := Stats{
-		UptimeSeconds: sc.uptime,
-		Requests:      make(map[string]uint64, len(sc.requests)),
-		InFlight:      sc.adm.InFlight,
-		QueueDepth:    sc.adm.QueueDepth,
-		Rejected:      sc.adm.Rejected,
-		WaitTimeouts:  sc.adm.WaitTimeouts,
-		Inserts:       uint64(sc.total.Inserts),
-		Deletes:       uint64(sc.total.Deletes),
-		Cache:         sc.cache,
+		UptimeSeconds:  sc.uptime,
+		Status:         "ok",
+		Requests:       requestMap(requestMap(map[string]uint64{}, sc.requests), sc.retiredRequests),
+		admissionStats: sc.adm,
+		Total:          sc.total,
+		Cache:          sc.cache,
 		Latency: LatencyStats{
-			Count: sc.latency.Count(),
 			P50Ms: sc.latency.Quantile(0.50) * 1e3,
 			P99Ms: sc.latency.Quantile(0.99) * 1e3,
 		},
+		Windows:     sc.windows,
+		SLO:         sloBurn(sc.windows),
 		Collections: make(map[string]CollectionStats, len(sc.colls)),
 	}
-	for _, rs := range [][]obs.RequestCount{sc.requests, sc.retiredRequests} {
-		for _, r := range rs {
-			st.Requests[r.Endpoint+":"+strconv.Itoa(r.Code)] += r.N
-		}
+	if sc.draining {
+		st.Status = "draining"
 	}
 	for i := range sc.colls {
-		cs := sc.colls[i].stats()
-		st.Collections[sc.colls[i].name] = cs
-		// Aggregate across collections under the legacy "endpoint:code"
-		// keys.
-		for key, n := range cs.Requests {
-			st.Requests[key] += n
-		}
+		cs := &sc.colls[i]
+		st.Collections[cs.Collection] = cs.stats()
+		requestMap(st.Requests, cs.requests)
 	}
 	if sc.def != nil {
 		st.Backend, st.WAL = sc.def.Backend, sc.def.WAL
 	}
-	if st.Latency.Count > 0 {
-		st.Latency.MeanMs = sc.latency.Sum().Seconds() / float64(st.Latency.Count) * 1e3
+	if n := sc.latency.Count(); n > 0 {
+		st.Latency.MeanMs = sc.latency.Sum().Seconds() / float64(n) * 1e3
 	}
 	return st
 }
+
+// StatsSnapshot assembles the process document, as /v1/stats answers it.
+func (s *Server) StatsSnapshot() Stats { return s.scrape().stats() }
 
 // backendStats inspects the concrete facade behind one collection.
 func backendStats(c *engine.Collection) BackendStats {
@@ -1168,6 +1227,16 @@ func backendStats(c *engine.Collection) BackendStats {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, nil, outcome{endpoint: "stats"}, http.StatusOK, s.StatsSnapshot())
+}
+
+func (s *Server) handleCollStats(w http.ResponseWriter, r *http.Request) {
+	o := outcome{endpoint: "stats"}
+	c := s.resolve(w, r, o)
+	if c == nil {
+		return
+	}
+	cs := snap(c, time.Now())
+	s.respond(w, c, o, http.StatusOK, cs.stats())
 }
 
 func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
@@ -1293,6 +1362,11 @@ func (s *Server) requirePost(w http.ResponseWriter, r *http.Request, o outcome) 
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	return true
 }
+
+// statusClientClosed is the code a batch is counted under when its client
+// went away before it finished (nginx's "client closed request"); the
+// client never sees it.
+const statusClientClosed = 499
 
 // statusFor maps backend errors to HTTP statuses: the facade's typed
 // validation errors — of a query or of an inserted vector — are the

@@ -336,8 +336,8 @@ func TestServeDeleteAndCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Deletes != 3 || st.Backend.Tombstones != 3 {
-		t.Fatalf("stats: deletes=%d tombstones=%d, want 3/3", st.Deletes, st.Backend.Tombstones)
+	if st.Total.Deletes != 3 || st.Backend.Tombstones != 3 {
+		t.Fatalf("stats: deletes=%d tombstones=%d, want 3/3", st.Total.Deletes, st.Backend.Tombstones)
 	}
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -607,6 +607,9 @@ func TestServeHealthzDrainAndStats(t *testing.T) {
 	if code, body := get("/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
 		t.Fatalf("draining healthz: %d %q", code, body)
 	}
+	if code, body := get("/v1/stats"); code != http.StatusOK || !strings.Contains(body, `"status":"draining"`) {
+		t.Fatalf("draining stats: %d %q", code, body)
+	}
 	srv.SetDraining(false)
 
 	// Generate some traffic, then check the stats payload.
@@ -624,8 +627,8 @@ func TestServeHealthzDrainAndStats(t *testing.T) {
 	if st.Requests["search:200"] != 2 {
 		t.Errorf("search:200 = %d, want 2", st.Requests["search:200"])
 	}
-	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
-		t.Errorf("cache hits/misses = %d/%d, want 1/1", st.Cache.Hits, st.Cache.Misses)
+	if st.Total.CacheHits != 1 || st.Total.CacheMisses != 1 {
+		t.Errorf("cache hits/misses = %d/%d, want 1/1", st.Total.CacheHits, st.Total.CacheMisses)
 	}
 	if st.Backend.Kind != "dynamic" || !st.Backend.Writable || st.Backend.Vectors != 120 {
 		t.Errorf("backend stats: %+v", st.Backend)
@@ -638,8 +641,8 @@ func TestServeHealthzDrainAndStats(t *testing.T) {
 	if _, metrics := get("/metrics"); strings.Contains(metrics, "lccs_wal_") {
 		t.Errorf("memory-only backend exports WAL series:\n%s", metrics)
 	}
-	if st.Latency.Count != 2 || st.Latency.P99Ms <= 0 {
-		t.Errorf("latency stats: %+v", st.Latency)
+	if st.Total.Searches != 2 || st.Latency.P99Ms <= 0 {
+		t.Errorf("latency stats: %+v after %d searches", st.Latency, st.Total.Searches)
 	}
 }
 

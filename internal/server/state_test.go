@@ -112,8 +112,8 @@ func TestCachedPageFollowsIndexGeneration(t *testing.T) {
 
 // TestCollectionLifecycleHammer creates, searches and drops one name
 // over and over while other clients search it and read every stats
-// surface. Once a drop returns the name answers 404 and no surface that
-// lists collections — /v1/stats, /v1/usage, /v1/debug/health, the
+// surface. Once a drop returns the name answers 404 — its collection
+// document too — and no surface that lists collections — /v1/stats, the
 // per-collection /metrics families, lccs_requests_total — names it. A
 // re-created collection under one cache never answers with the dead
 // one's entries: each round holds a different number of rows.
@@ -171,17 +171,18 @@ func TestCollectionLifecycleHammer(t *testing.T) {
 			}
 		}()
 	}
+	usage := "/v1/collections/" + name + "/usage" // 404 between a drop and the next create
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for {
-			for _, p := range []string{"/v1/stats", "/v1/usage", "/v1/debug/health", "/metrics", "/v1/collections"} {
+			for _, p := range []string{"/v1/stats", usage, "/metrics", "/v1/collections"} {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if code, err := do("GET", p, nil, nil); err != nil || code != http.StatusOK {
+				if code, err := do("GET", p, nil, nil); err != nil || (code != http.StatusOK && (p != usage || code != http.StatusNotFound)) {
 					t.Errorf("GET %s: HTTP %d, %v", p, code, err)
 					return
 				}
@@ -243,20 +244,8 @@ func assertUnlisted(t *testing.T, ts *httptest.Server, name, stage string) {
 	if _, ok := st.Collections[name]; ok {
 		t.Fatalf("%s: /v1/stats lists dropped %q", stage, name)
 	}
-	var use aggregateUsageResponse
-	getJSON(t, ts, "/v1/usage", &use)
-	if _, ok := use.Collections[name]; ok {
-		t.Fatalf("%s: /v1/usage lists dropped %q", stage, name)
-	}
-	var health healthResponse
-	getJSON(t, ts, "/v1/debug/health", &health)
-	if _, ok := health.Collections[name]; ok {
-		t.Fatalf("%s: /v1/debug/health lists dropped %q", stage, name)
-	}
-	for _, w := range health.WAL {
-		if w.Collection == name {
-			t.Fatalf("%s: /v1/debug/health reports the WAL of dropped %q", stage, name)
-		}
+	if code := doJSON(t, ts, "GET", "/v1/collections/"+name+"/usage", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("%s: the collection document of dropped %q answers HTTP %d, want 404", stage, name, code)
 	}
 	for _, s := range scrapeMetrics(t, ts).samples {
 		if (strings.HasPrefix(s.name, "lccs_collection_") || s.name == "lccs_requests_total") && s.labels["collection"] == name {

@@ -25,10 +25,11 @@ import (
 
 // The tests in this file are black-box in the sense of Huang et al.'s
 // checker (PAPERS.md): they drive the daemon's handler over HTTP and
-// trust only what the client-visible stats surfaces say — /v1/stats,
-// /v1/collections/{name}/stats, /v1/usage, /v1/collections/{name}/usage,
-// /v1/debug/health and /metrics — then check that the surfaces cannot
-// contradict each other, or the script that produced the traffic.
+// trust only what the client-visible stats surfaces say — the process
+// document (/v1/stats), the collection document
+// (/v1/collections/{name}/usage) and /metrics — then check that the
+// surfaces cannot contradict each other, or the script that produced the
+// traffic.
 
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/*.golden from the running code (for an intentional surface change only)")
@@ -343,14 +344,11 @@ func (p promScrape) familyLines() []string {
 	return out
 }
 
-// jsonSurfaces are the five JSON stats surfaces; {name} expands to every
+// jsonSurfaces are the two JSON stats documents; {name} expands to every
 // loaded collection.
 var jsonSurfaces = []string{
 	"/v1/stats",
-	"/v1/collections/{name}/stats",
-	"/v1/usage",
 	"/v1/collections/{name}/usage",
-	"/v1/debug/health",
 }
 
 // keyPaths adds the path of a decoded JSON value and of everything under
@@ -374,7 +372,7 @@ func keyPaths(prefix string, v any, out map[string]bool) {
 	}
 }
 
-// surfaceKeyLines fetches the five JSON surfaces and returns their
+// surfaceKeyLines fetches the JSON documents and returns their
 // recursive key sets as sorted "surface path" lines.
 func surfaceKeyLines(t *testing.T, ts *httptest.Server, collections []string) []string {
 	t.Helper()
@@ -425,14 +423,19 @@ func checkGolden(t *testing.T, name string, lines []string) {
 	}
 }
 
-// TestJSONSurfaceKeys pins the recursive key sets of the five JSON stats
-// surfaces, after the scripted mix has populated every optional field,
-// to the golden captured before the surfaces were re-based on one
-// snapshot: no JSON field was added, removed or renamed.
+// TestJSONSurfaceKeys pins the recursive key sets of the two JSON stats
+// documents, after the scripted mix has populated every optional field,
+// to the golden: no JSON field is added, removed or renamed unnoticed.
+// No other path answers a stats document.
 func TestJSONSurfaceKeys(t *testing.T) {
 	f := newSurfaceFixture(t)
 	f.driveMix(t)
 	checkGolden(t, "json_keys.golden", surfaceKeyLines(t, f.ts, []string{"default", "tenant", "gate"}))
+	for _, path := range []string{"/v1/usage", "/v1/debug/health", "/v1/collections/default/stats"} {
+		if code := doJSON(t, f.ts, "GET", path, nil, nil); code != http.StatusNotFound {
+			t.Errorf("GET %s: HTTP %d, want 404", path, code)
+		}
+	}
 }
 
 // ---- the surfaces agree ----
@@ -461,13 +464,13 @@ func codeOf(t *testing.T, key string) (endpoint string, code int) {
 
 // selfReporting are the endpoints the checks themselves call: their
 // counts move between two reads, so they are compared nowhere.
-var selfReporting = map[string]bool{"stats": true, "usage": true, "debug_health": true, "metrics": true}
+var selfReporting = map[string]bool{"stats": true, "metrics": true}
 
 // TestSurfacesAgree drives the scripted mix and then, through HTTP only,
-// requires every number exported on more than one surface to be equal on
-// all of them — and equal to what the script did. The second half takes
-// scrapes while writers insert and delete, and requires each scrape to
-// add up within itself.
+// requires every number the JSON documents and /metrics both export to
+// be equal on both — and equal to what the script did. The second half
+// takes scrapes while writers insert and delete, and requires each
+// scrape to add up within itself.
 func TestSurfacesAgree(t *testing.T) {
 	f := newSurfaceFixture(t)
 	truth := f.driveMix(t)
@@ -481,37 +484,37 @@ func (f *surfaceFixture) checkSurfacesAgree(t *testing.T, truth scriptTruth) {
 	names := []string{"default", "gate", "tenant"}
 
 	var st Stats
-	var ag aggregateUsageResponse
-	var hr healthResponse
 	getJSON(t, f.ts, "/v1/stats", &st)
-	getJSON(t, f.ts, "/v1/usage", &ag)
-	getJSON(t, f.ts, "/v1/debug/health", &hr)
-	cst := map[string]CollectionStats{}
-	cus := map[string]usageResponse{}
+	docs := map[string]CollectionStats{}
 	for _, n := range names {
-		var cs CollectionStats
-		var cu usageResponse
-		getJSON(t, f.ts, "/v1/collections/"+n+"/stats", &cs)
-		getJSON(t, f.ts, "/v1/collections/"+n+"/usage", &cu)
-		cst[n], cus[n] = cs, cu
+		var cd CollectionStats
+		getJSON(t, f.ts, "/v1/collections/"+n+"/usage", &cd)
+		docs[n] = cd
 	}
 	m := scrapeMetrics(t, f.ts)
-	if len(st.Collections) != len(names) || len(ag.Collections) != len(names) || len(hr.Collections) != len(names) {
-		t.Fatalf("collections: stats %d, usage %d, health %d, want %d each",
-			len(st.Collections), len(ag.Collections), len(hr.Collections), len(names))
+	if len(st.Collections) != len(names) {
+		t.Fatalf("/v1/stats lists %d collections, want %d", len(st.Collections), len(names))
 	}
-	whole, wholeLong := hr.Windows[0], hr.Windows[1]
+	whole, wholeLong := st.Windows[0], st.Windows[1]
 
-	// Per collection: writes, searches, errors, cache, admission, backend.
+	// Per collection: its document inside /v1/stats and at its own path
+	// (one assembly; only the self-reporting request counts move between
+	// the two reads), writes, searches, errors, cache, admission, backend.
 	var sumIns, sumDel, sumVec, sumTomb int64
 	var sumHits, sumMisses, sumQuota, sumRingRejected uint64
+	var sumUse engine.UsageSnapshot
 	for _, n := range names {
-		sc, u, w := st.Collections[n], ag.Collections[n], hr.Collections[n]
+		sc, cd := st.Collections[n], docs[n]
+		u, w := cd.Cumulative, cd.Windows[0]
 		lbl := []string{"collection", n}
-		eq(t, n+" inserts", truth.inserts[n], int64(sc.Inserts), int64(cst[n].Inserts), u.Inserts,
-			cus[n].Cumulative.Inserts, int64(m.get(t, "lccs_collection_inserts_total", lbl...)))
-		eq(t, n+" deletes", truth.deletes[n], int64(sc.Deletes), int64(cst[n].Deletes), u.Deletes,
-			cus[n].Cumulative.Deletes, int64(m.get(t, "lccs_collection_deletes_total", lbl...)))
+		eq(t, n+" name", n, sc.Collection, cd.Collection)
+		eq(t, n+" cumulative", sc.Cumulative, cd.Cumulative)
+		eq(t, n+" windows", len(healthWindows), len(sc.Windows), len(cd.Windows))
+		for i := range sc.Windows {
+			eq(t, n+" window "+sc.Windows[i].Window, sc.Windows[i], cd.Windows[i])
+		}
+		eq(t, n+" inserts", truth.inserts[n], u.Inserts, int64(m.get(t, "lccs_collection_inserts_total", lbl...)))
+		eq(t, n+" deletes", truth.deletes[n], u.Deletes, int64(m.get(t, "lccs_collection_deletes_total", lbl...)))
 		var failed, ok200 int64
 		for key, cnt := range sc.Requests {
 			if endpoint, code := codeOf(t, key); code >= 400 {
@@ -520,30 +523,28 @@ func (f *surfaceFixture) checkSurfacesAgree(t *testing.T, truth scriptTruth) {
 				ok200 += int64(cnt)
 			}
 		}
-		eq(t, n+" errors", truth.errors[n], failed, u.Errors, cus[n].Cumulative.Errors,
+		eq(t, n+" errors", truth.errors[n], failed, u.Errors,
 			int64(m.get(t, "lccs_collection_errors_total", lbl...)),
 			int64(w.Errors+w.Rejected))
-		eq(t, n+" searches", truth.searches[n], ok200, u.Searches, cus[n].Cumulative.Searches,
+		eq(t, n+" searches", truth.searches[n], ok200, u.Searches,
 			int64(m.get(t, "lccs_collection_searches_total", lbl...)))
-		eq(t, n+" cache hits", u.CacheHits, cus[n].Cumulative.CacheHits,
-			int64(m.get(t, "lccs_collection_cache_hits_total", lbl...)), int64(w.CacheHits),
-			int64(cus[n].Windows[0].CacheHits), int64(cus[n].Windows[1].CacheHits))
-		eq(t, n+" cache misses", u.CacheMisses, cus[n].Cumulative.CacheMisses,
-			int64(m.get(t, "lccs_collection_cache_misses_total", lbl...)), int64(w.CacheMisses),
-			int64(cus[n].Windows[0].CacheMisses), int64(cus[n].Windows[1].CacheMisses))
-		eq(t, n+" comparisons", u.Comparisons, cus[n].Cumulative.Comparisons, w.Comparisons)
-		eq(t, n+" scan bytes", u.BytesScanned, cus[n].Cumulative.BytesScanned, w.BytesScanned,
+		eq(t, n+" cache hits", u.CacheHits, int64(m.get(t, "lccs_collection_cache_hits_total", lbl...)),
+			int64(w.CacheHits), int64(cd.Windows[1].CacheHits))
+		eq(t, n+" cache misses", u.CacheMisses, int64(m.get(t, "lccs_collection_cache_misses_total", lbl...)),
+			int64(w.CacheMisses), int64(cd.Windows[1].CacheMisses))
+		eq(t, n+" comparisons", u.Comparisons, w.Comparisons)
+		eq(t, n+" scan bytes", u.BytesScanned, w.BytesScanned,
 			int64(m.get(t, "lccs_collection_scan_bytes_total", lbl...)))
-		eq(t, n+" cost units", u.CostUnits, cus[n].Cumulative.CostUnits, u.Comparisons+u.BytesScanned/4,
+		eq(t, n+" cost units", u.CostUnits, u.Comparisons+u.BytesScanned/4,
 			int64(m.get(t, "lccs_collection_cost_units_total", lbl...)))
-		eq(t, n+" filter rejected", u.FilterRejected, cus[n].Cumulative.FilterRejected,
+		eq(t, n+" filter rejected", u.FilterRejected,
 			int64(m.get(t, "lccs_collection_filter_rejected_total", lbl...)))
-		eq(t, n+" wal bytes", u.WALBytes, cus[n].Cumulative.WALBytes, w.WALBytes,
+		eq(t, n+" wal bytes", u.WALBytes, w.WALBytes,
 			int64(m.get(t, "lccs_collection_wal_appended_bytes_total", lbl...)))
-		eq(t, n+" quota rejected", truth.quotaRejected[n], sc.QuotaRejected, cst[n].QuotaRejected,
+		eq(t, n+" quota rejected", truth.quotaRejected[n], sc.QuotaRejected, cd.QuotaRejected,
 			uint64(m.get(t, "lccs_collection_quota_rejected_total", lbl...)))
-		eq(t, n+" in flight", 0, sc.InFlight, cst[n].InFlight, int64(m.get(t, "lccs_collection_inflight", lbl...)))
-		eq(t, n+" backend", sc.Backend, cst[n].Backend)
+		eq(t, n+" in flight", 0, sc.InFlight, cd.InFlight, int64(m.get(t, "lccs_collection_inflight", lbl...)))
+		eq(t, n+" backend", sc.Backend, cd.Backend)
 		eq(t, n+" vectors", sc.Backend.Vectors, int(m.get(t, "lccs_collection_vectors", lbl...)))
 		eq(t, n+" tombstones", sc.Backend.Tombstones, int(m.get(t, "lccs_collection_tombstones", lbl...)))
 		// The collection's window saw every data-plane request it was not
@@ -560,62 +561,56 @@ func (f *surfaceFixture) checkSurfacesAgree(t *testing.T, truth scriptTruth) {
 			if selfReporting[endpoint] {
 				continue
 			}
-			eq(t, n+" requests "+key, cnt, cst[n].Requests[key], uint64(m.get(t, "lccs_requests_total",
+			eq(t, n+" requests "+key, cnt, cd.Requests[key], uint64(m.get(t, "lccs_requests_total",
 				"collection", n, "endpoint", endpoint, "code", strconv.Itoa(code))))
 		}
 
-		// The journal: present on the two durable collections, on every
-		// surface that reports it, with one depth, one fsync count and
-		// one appended-bytes figure.
+		// The journal: present on the two durable collections, in both
+		// documents, with one depth and one fsync count; the journal's own
+		// appended-bytes counter is the usage counters' wal_bytes.
 		if n == "gate" {
-			if sc.WAL != nil || cst[n].WAL != nil || cus[n].WAL != nil {
-				t.Errorf("gate has no journal, yet a surface reports one")
+			if sc.WAL != nil || cd.WAL != nil {
+				t.Errorf("gate has no journal, yet a document reports one")
 			}
 		} else {
-			var wh *walHealth
-			for i := range hr.WAL {
-				if hr.WAL[i].Collection == n {
-					wh = &hr.WAL[i]
-				}
+			if sc.WAL == nil || cd.WAL == nil {
+				t.Fatalf("%s: journal missing from a document", n)
 			}
-			if sc.WAL == nil || cst[n].WAL == nil || cus[n].WAL == nil || wh == nil {
-				t.Fatalf("%s: journal missing from a surface", n)
+			eq(t, n+" wal", *sc.WAL, *cd.WAL)
+			eq(t, n+" wal depth", sc.WAL.Depth, uint64(m.get(t, "lccs_collection_wal_depth_records", lbl...)))
+			c, err := f.srv.eng.Get(n)
+			if err != nil {
+				t.Fatal(err)
 			}
-			eq(t, n+" wal", *sc.WAL, *cst[n].WAL, *cus[n].WAL)
-			eq(t, n+" wal depth", sc.WAL.Depth, wh.Depth,
-				uint64(m.get(t, "lccs_collection_wal_depth_records", lbl...)))
-			eq(t, n+" wal appended", sc.WAL.AppendedBytes, wh.AppendedBytes, u.WALBytes)
-			eq(t, n+" wal fsync lag", sc.WAL.LastLSN-sc.WAL.SyncedLSN, wh.FsyncLagRecords)
+			eq(t, n+" wal appended", c.Dynamic().WALStats().AppendedBytes, u.WALBytes)
 		}
 		sumIns, sumDel = sumIns+u.Inserts, sumDel+u.Deletes
 		sumVec, sumTomb = sumVec+int64(sc.Backend.Vectors), sumTomb+int64(sc.Backend.Tombstones)
 		sumHits, sumMisses = sumHits+uint64(u.CacheHits), sumMisses+uint64(u.CacheMisses)
 		sumQuota, sumRingRejected = sumQuota+sc.QuotaRejected, sumRingRejected+w.Rejected
+		sumUse.Add(u)
 	}
 
 	// Server-wide: the sums, the cache, admission, the default's journal.
-	eq(t, "inserts", sumIns, int64(st.Inserts), ag.Total.Inserts, int64(m.get(t, "lccs_inserts_total")))
-	eq(t, "deletes", sumDel, int64(st.Deletes), ag.Total.Deletes, int64(m.get(t, "lccs_deletes_total")))
+	eq(t, "usage total", st.Total, sumUse)
+	eq(t, "inserts", sumIns, st.Total.Inserts, int64(m.get(t, "lccs_inserts_total")))
+	eq(t, "deletes", sumDel, st.Total.Deletes, int64(m.get(t, "lccs_deletes_total")))
 	eq(t, "vectors", sumVec, int64(m.get(t, "lccs_index_vectors")))
 	eq(t, "tombstones", sumTomb, int64(m.get(t, "lccs_index_tombstones")))
-	var sumAg engine.UsageSnapshot
-	for _, u := range ag.Collections {
-		sumAg.Add(u)
-	}
-	eq(t, "usage total", ag.Total, sumAg)
-	eq(t, "cache hits", truth.cacheHits, st.Cache.Hits, sumHits, uint64(ag.Total.CacheHits),
+	eq(t, "cache hits", truth.cacheHits, sumHits, uint64(st.Total.CacheHits),
 		uint64(m.get(t, "lccs_cache_hits_total")), whole.CacheHits, wholeLong.CacheHits)
-	eq(t, "cache misses", truth.cacheMisses, st.Cache.Misses, sumMisses, uint64(ag.Total.CacheMisses),
+	eq(t, "cache misses", truth.cacheMisses, sumMisses, uint64(st.Total.CacheMisses),
 		uint64(m.get(t, "lccs_cache_misses_total")), whole.CacheMisses, wholeLong.CacheMisses)
 	eq(t, "cache evictions", st.Cache.Evictions, uint64(m.get(t, "lccs_cache_evictions_total")))
 	eq(t, "cache entries", st.Cache.Entries, int(m.get(t, "lccs_cache_entries")))
-	eq(t, "admission rejected", truth.admissionRejected, st.Rejected, hr.Admission.Rejected,
+	eq(t, "admission rejected", truth.admissionRejected, st.Rejected,
 		uint64(m.get(t, "lccs_admission_rejected_total")))
-	eq(t, "admission timeouts", 0, st.WaitTimeouts, hr.Admission.WaitTimeouts,
-		uint64(m.get(t, "lccs_admission_wait_timeouts_total")))
-	eq(t, "in flight", 0, st.InFlight, hr.Admission.InFlight, int(m.get(t, "lccs_inflight_requests")))
-	eq(t, "queue depth", 0, st.QueueDepth, hr.Admission.QueueDepth, int64(m.get(t, "lccs_admission_queue_depth")))
+	eq(t, "admission timeouts", 0, st.WaitTimeouts, uint64(m.get(t, "lccs_admission_wait_timeouts_total")))
+	eq(t, "in flight", 0, st.InFlight, int(m.get(t, "lccs_inflight_requests")))
+	eq(t, "queue depth", 0, st.QueueDepth, int64(m.get(t, "lccs_admission_queue_depth")))
 	eq(t, "shed requests", st.Rejected+st.WaitTimeouts+sumQuota, whole.Rejected, wholeLong.Rejected, sumRingRejected)
+	eq(t, "status", "ok", st.Status)
+	eq(t, "slo", sloBurn(st.Windows), st.SLO)
 	eq(t, "default backend", st.Backend, st.Collections["default"].Backend)
 	eq(t, "default wal", *st.WAL, *st.Collections["default"].WAL)
 	eq(t, "default wal depth", st.WAL.Depth, uint64(m.get(t, "lccs_wal_depth_records")))
@@ -659,18 +654,19 @@ func (f *surfaceFixture) checkSurfacesAgree(t *testing.T, truth scriptTruth) {
 		uint64(m.get(t, "lccs_requests_total", "endpoint", "search", "code", "404")))
 
 	// Latency: one histogram behind /v1/stats and lccs_request_seconds,
-	// read by the rule the health windows use.
-	eq(t, "latency count", truth.latencies, st.Latency.Count, uint64(m.get(t, "lccs_request_seconds_count")),
+	// read by the rule the health windows use, one observation per
+	// answered search.
+	eq(t, "latency count", truth.latencies, uint64(st.Total.Searches), uint64(m.get(t, "lccs_request_seconds_count")),
 		st.Requests["search:200"]+st.Requests["search_batch:200"])
 	eq(t, "latency p50", st.Latency.P50Ms, m.bucketQuantile(t, "lccs_request_seconds", 0.50)*1000)
 	eq(t, "latency p99", st.Latency.P99Ms, m.bucketQuantile(t, "lccs_request_seconds", 0.99)*1000)
 }
 
-// checkScrapesAddUp takes scrapes of /metrics, /v1/stats and /v1/usage
-// while two writers insert and delete, and requires every scrape to add
-// up within itself: a total is the sum of the per-collection series
-// beside it (the fixture drops no collection, so no retired counts add
-// in; TestCountersSurviveDrop covers those), and the default collection's
+// checkScrapesAddUp takes scrapes of /metrics and /v1/stats while two
+// writers insert and delete, and requires every scrape to add up within
+// itself: a total is the sum of the per-collection series beside it (the
+// fixture drops no collection, so no retired counts add in;
+// TestCountersSurviveDrop covers those), and the default collection's
 // figures are the same wherever one response repeats them.
 func (f *surfaceFixture) checkScrapesAddUp(t *testing.T) {
 	stop := make(chan struct{})
@@ -713,22 +709,13 @@ func (f *surfaceFixture) checkScrapesAddUp(t *testing.T) {
 
 		var st Stats
 		getJSON(t, f.ts, "/v1/stats", &st)
-		var ins, del uint64
+		var sum engine.UsageSnapshot
 		for _, c := range st.Collections {
-			ins, del = ins+c.Inserts, del+c.Deletes
+			sum.Add(c.Cumulative)
 		}
-		eq(t, "stats inserts", st.Inserts, ins)
-		eq(t, "stats deletes", st.Deletes, del)
+		eq(t, "stats total", st.Total, sum)
 		eq(t, "stats backend", st.Backend, st.Collections["default"].Backend)
 		eq(t, "stats wal", *st.WAL, *st.Collections["default"].WAL)
-
-		var ag aggregateUsageResponse
-		getJSON(t, f.ts, "/v1/usage", &ag)
-		var sum engine.UsageSnapshot
-		for _, u := range ag.Collections {
-			sum.Add(u)
-		}
-		eq(t, "usage total", ag.Total, sum)
 		if t.Failed() {
 			t.Fatalf("scrape %d does not add up", i)
 		}
@@ -736,9 +723,10 @@ func (f *surfaceFixture) checkScrapesAddUp(t *testing.T) {
 }
 
 // TestLatencySurfacesAgree: on a server whose whole traffic is searches,
-// the request histogram and the health ring hold the same observations,
-// so /v1/stats and a window covering the run report the same count and
-// the same p50 and p99, to the digit — they share one quantile rule.
+// the request histogram and the health rings hold the same observations,
+// so /v1/stats' latency and every window covering the run — the
+// server's and the collection's — report the same count and the same
+// p50 and p99, to the digit: they share one quantile rule.
 func TestLatencySurfacesAgree(t *testing.T) {
 	data, queries := testWorkload(32, 300, 8)
 	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 8}, 2)
@@ -755,12 +743,10 @@ func TestLatencySurfacesAgree(t *testing.T) {
 		t.Fatalf("batch: HTTP %d", code)
 	}
 	var st Stats
-	var hr healthResponse
 	getJSON(t, ts, "/v1/stats", &st)
-	getJSON(t, ts, "/v1/debug/health", &hr)
 	m := scrapeMetrics(t, ts)
-	for _, w := range append(hr.Windows, hr.Collections["default"]) {
-		eq(t, w.Window+" latency count", 41, st.Latency.Count, w.Requests)
+	for _, w := range append(st.Windows, st.Collections["default"].Windows...) {
+		eq(t, w.Window+" latency count", 41, uint64(st.Total.Searches), w.Requests, uint64(m.get(t, "lccs_request_seconds_count")))
 		eq(t, w.Window+" p50", st.Latency.P50Ms, w.P50Ms, m.bucketQuantile(t, "lccs_request_seconds", 0.50)*1000)
 		eq(t, w.Window+" p99", st.Latency.P99Ms, w.P99Ms, m.bucketQuantile(t, "lccs_request_seconds", 0.99)*1000)
 	}
@@ -797,31 +783,29 @@ func TestShedRequestCountedOnce(t *testing.T) {
 			t.Fatalf("over-share request %d: HTTP %d, want 503", i, code)
 		}
 	}
-	var hr healthResponse
-	getJSON(t, ts, "/v1/debug/health", &hr)
-	for _, w := range append(hr.Windows, hr.Collections["default"]) {
+	var st Stats
+	getJSON(t, ts, "/v1/stats", &st)
+	for _, w := range append(st.Windows, st.Collections["default"].Windows...) {
 		if w.Rejected != shed || w.Requests != 0 || w.Errors != 0 || w.ErrorRate != 0 {
 			t.Fatalf("window %s/%s: rejected %d requests %d errors %d error_rate %g, want %d/0/0/0",
 				w.Window, w.Resolution, w.Rejected, w.Requests, w.Errors, w.ErrorRate, shed)
 		}
 	}
-	if hr.SLO.State != "ok" || hr.SLO.BurnRate1m != 0 {
-		t.Fatalf("shed load burns the SLO budget: %+v", hr.SLO)
+	if st.SLO.State != "ok" || st.SLO.BurnRate1m != 0 {
+		t.Fatalf("shed load burns the SLO budget: %+v", st.SLO)
 	}
-	// The cumulative surfaces still count every 503.
-	var st Stats
-	var ur usageResponse
-	getJSON(t, ts, "/v1/stats", &st)
-	getJSON(t, ts, "/v1/collections/default/usage", &ur)
+	// The cumulative counters still count every 503.
+	var cd CollectionStats
+	getJSON(t, ts, "/v1/collections/default/usage", &cd)
 	m := scrapeMetrics(t, ts)
-	eq(t, "503s", shed, st.Requests["search:503"], uint64(ur.Cumulative.Errors),
-		st.Collections["default"].QuotaRejected,
+	eq(t, "503s", shed, st.Requests["search:503"], uint64(cd.Cumulative.Errors),
+		cd.QuotaRejected,
 		uint64(m.get(t, "lccs_requests_total", "collection", "default", "endpoint", "search", "code", "503")))
 
 	open()
 	wg.Wait()
-	getJSON(t, ts, "/v1/debug/health", &hr)
-	if w := hr.Windows[0]; w.Requests != 1 || w.Rejected != shed || w.Errors != 0 {
+	getJSON(t, ts, "/v1/stats", &st)
+	if w := st.Windows[0]; w.Requests != 1 || w.Rejected != shed || w.Errors != 0 {
 		t.Fatalf("after the gate opens: requests %d rejected %d errors %d, want 1/%d/0", w.Requests, w.Rejected, w.Errors, shed)
 	}
 }
@@ -860,22 +844,20 @@ func TestCacheOutcomeOnEveryExit(t *testing.T) {
 	open()
 
 	var st Stats
-	var ag aggregateUsageResponse
 	getJSON(t, f.ts, "/v1/stats", &st)
-	getJSON(t, f.ts, "/v1/usage", &ag)
 	m := scrapeMetrics(t, f.ts)
 	want := map[string][2]int64{"a": {1, 3}, "b": {1, 2}, "gate": {0, 1}} // hits, misses
 	for name, hm := range want {
-		var cu usageResponse
-		getJSON(t, f.ts, "/v1/collections/"+name+"/usage", &cu)
-		eq(t, name+" cache hits", hm[0], cu.Cumulative.CacheHits, ag.Collections[name].CacheHits,
-			int64(m.get(t, "lccs_collection_cache_hits_total", "collection", name)), int64(cu.Windows[0].CacheHits))
-		eq(t, name+" cache misses", hm[1], cu.Cumulative.CacheMisses, ag.Collections[name].CacheMisses,
-			int64(m.get(t, "lccs_collection_cache_misses_total", "collection", name)), int64(cu.Windows[0].CacheMisses))
+		var cd CollectionStats
+		getJSON(t, f.ts, "/v1/collections/"+name+"/usage", &cd)
+		eq(t, name+" cache hits", hm[0], cd.Cumulative.CacheHits, st.Collections[name].Cumulative.CacheHits,
+			int64(m.get(t, "lccs_collection_cache_hits_total", "collection", name)), int64(cd.Windows[0].CacheHits))
+		eq(t, name+" cache misses", hm[1], cd.Cumulative.CacheMisses, st.Collections[name].Cumulative.CacheMisses,
+			int64(m.get(t, "lccs_collection_cache_misses_total", "collection", name)), int64(cd.Windows[0].CacheMisses))
 	}
-	eq(t, "cache hits", 2, st.Cache.Hits, uint64(ag.Total.CacheHits),
+	eq(t, "cache hits", 2, uint64(st.Total.CacheHits),
 		uint64(m.get(t, "lccs_cache_hits_total")), uint64(m.sum("lccs_collection_cache_hits_total")))
-	eq(t, "cache misses", 6, st.Cache.Misses, uint64(ag.Total.CacheMisses),
+	eq(t, "cache misses", 6, uint64(st.Total.CacheMisses),
 		uint64(m.get(t, "lccs_cache_misses_total")), uint64(m.sum("lccs_collection_cache_misses_total")))
 }
 
