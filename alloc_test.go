@@ -82,7 +82,7 @@ func TestSearchZeroAllocSharded(t *testing.T) {
 		t.Skip("allocation counts include race-detector instrumentation; run without -race")
 	}
 	data, queries := allocWorkload(42, 2000, 12)
-	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 3}, 3)
+	sx, err := newSharded(data, Config{Metric: Euclidean, M: 16, Seed: 3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSearchZeroAllocFiltered(t *testing.T) {
 	for i := range attrs {
 		attrs[i] = Attrs{"color": StrAttr([]string{"red", "green", "blue"}[i%3])}
 	}
-	sx, err := NewShardedIndexWithAttrs(data, attrs, Config{Metric: Euclidean, M: 16, Seed: 3}, 4)
+	sx, err := newShardedWithAttrs(data, attrs, Config{Metric: Euclidean, M: 16, Seed: 3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestSearchZeroAllocCosted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 3}, 4)
+	sx, err := newSharded(data, Config{Metric: Euclidean, M: 16, Seed: 3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,9 @@ package lccs
 import (
 	"fmt"
 	"io"
+	"math"
 	"testing"
+	"time"
 
 	"lccs/internal/baseline/c2lsh"
 	"lccs/internal/baseline/e2lsh"
@@ -18,10 +20,12 @@ import (
 	"lccs/internal/core"
 	"lccs/internal/csa"
 	"lccs/internal/dataset"
+	"lccs/internal/eval"
 	"lccs/internal/experiments"
 	"lccs/internal/lshfamily"
 	"lccs/internal/pqueue"
 	"lccs/internal/rng"
+	"lccs/internal/vec"
 )
 
 // benchOpts is the smoke-scale experiment configuration used by the
@@ -346,8 +350,8 @@ func BenchmarkMethodsQuery(b *testing.B) {
 	})
 }
 
-// shardBenchData builds the 100k-vector clustered workload shared by the
-// sharded-build and sharded-search benchmarks.
+// shardBenchData builds a clustered workload of n vectors in d
+// dimensions.
 func shardBenchData(n, d int) [][]float32 {
 	g := rng.New(9)
 	centers := make([][]float32, 64)
@@ -366,56 +370,61 @@ func shardBenchData(n, d int) [][]float32 {
 	return data
 }
 
-// BenchmarkShardedBuild measures parallel sharded construction against
-// the single-index build on 100k vectors. The m circular sorts dominate
-// indexing time; S shards sort S independent problems of size n/S in
-// parallel (and each shard's working set is S× smaller, keeping the
-// comparison-heavy sorts in cache), so on a multi-core machine the
-// shards=4/shards=8 variants should build well over 1.5× faster than
-// shards=1. Compare with
+// BenchmarkShardFrontier is the frontier a built index's segment count
+// is decided on: S ∈ {1, 2, 4} segments (newSharded) over the sift and
+// gist presets, each searched at candidate budgets λ ∈ {100, 400, 1 000}.
+// Every cell reports recall@10 against the exact ground truth, µs a query
+// (an iteration is the 100 queries, one after another) and the best of
+// three builds in ms, so S > 1 can be set against S = 1 at equal recall.
+// docs/PERFORMANCE.md ("One CSA per built index") records the medians of
+// five processes of
 //
-//	go test -bench BenchmarkShardedBuild -benchtime 3x
-func BenchmarkShardedBuild(b *testing.B) {
-	const n, d, m = 100_000, 16, 32
-	data := shardBenchData(n, d)
-	cfg := Config{Metric: Euclidean, M: m, BucketWidth: 4, Seed: 1}
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("n=%d,shards=%d", n, shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := NewShardedIndex(data, cfg, shards); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkShardedSearch measures a query over S shards, visited in
-// sequence into one top-k collector, against the one-shard query on the
-// same index contents.
-func BenchmarkShardedSearch(b *testing.B) {
-	const n, d, m = 100_000, 16, 32
-	data := shardBenchData(n, d)
-	cfg := Config{Metric: Euclidean, M: m, BucketWidth: 4, Seed: 1}
-	single, err := NewIndex(data, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("single", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			single.Search(data[i%n], 10)
-		}
-	})
-	for _, shards := range []int{4, 8} {
-		sx, err := NewShardedIndex(data, cfg, shards)
+//	go test -run '^$' -bench ShardFrontier -benchtime 20x .
+func BenchmarkShardFrontier(b *testing.B) {
+	presets := []struct {
+		name string
+		n    int
+	}{{"sift", 50_000}, {"gist", 20_000}}
+	for _, p := range presets {
+		env, err := experiments.NewEnv(p.name, vec.Euclidean, experiments.Options{N: p.n, NQ: 100, K: 10, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sx.Search(data[i%n], 10)
+		cfg := Config{Metric: Euclidean, M: 64, Seed: 1}
+		for _, shards := range []int{1, 2, 4} {
+			var ix *Index
+			build := time.Duration(math.MaxInt64)
+			for range 3 {
+				start := time.Now()
+				if ix, err = newSharded(env.DS.Data, cfg, shards); err != nil {
+					b.Fatal(err)
+				}
+				build = min(build, time.Since(start))
 			}
-		})
+			for _, budget := range []int{100, 400, 1000} {
+				b.Run(fmt.Sprintf("%s/S=%d/lambda=%d", p.name, shards, budget), func(b *testing.B) {
+					q := Query{K: 10, Budget: budget}
+					var dst []Neighbor
+					var recall float64
+					for qi, query := range env.DS.Queries {
+						if dst, err = ix.SearchQuery(query, q, dst[:0]); err != nil {
+							b.Fatal(err)
+						}
+						recall += eval.Recall(dst, env.Truth[qi])
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for _, query := range env.DS.Queries {
+							dst, _ = ix.SearchQuery(query, q, dst[:0])
+						}
+					}
+					nq := float64(len(env.DS.Queries))
+					b.ReportMetric(recall/nq, "recall@10")
+					b.ReportMetric(float64(b.Elapsed().Microseconds())/(nq*float64(b.N)), "µs/query")
+					b.ReportMetric(float64(build.Microseconds())/1e3, "build_ms")
+				})
+			}
+		}
 	}
 }
 

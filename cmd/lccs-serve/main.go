@@ -11,7 +11,7 @@
 //	mkdir -p /var/lib/lccs && \
 //	lccs-serve -data /var/lib/lccs -sync always          # writable data dir
 //	lccs-serve -data /var/lib/lccs -bootstrap sift.ds    # seed a fresh dir
-//	lccs-serve -data sift.ds -metric euclidean -m 64 -shards 0 -addr :8080
+//	lccs-serve -data sift.ds -metric euclidean -m 64 -addr :8080
 //	lccs-serve -data snap.ds -index snap.lccs            # prebuilt, read-only
 //
 // When -data names a DIRECTORY, every write is durable. The directory is
@@ -27,9 +27,9 @@
 // file, as one index shard.
 //
 // When -data names a dataset FILE, the daemon serves it read-only with no
-// disk footprint: an index built with -shards shards, or with -index, a
-// prebuilt index container over the file's vectors. Writes and
-// collection creates answer 501.
+// disk footprint: one index built over the file's vectors, or with -index,
+// a prebuilt index container over them. Writes and collection creates
+// answer 501.
 //
 // Observability: the daemon logs structured key=value (or JSON with
 // -log-format json) records through log/slog; -trace-sample traces a
@@ -87,7 +87,6 @@ func main() {
 		m         = flag.Int("m", 64, "hash-string length (larger m: higher recall per candidate, more memory)")
 		lambda    = flag.Int("lambda", 100, "default candidate budget per query (larger λ: higher recall, more time)")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		shards    = flag.Int("shards", 0, "file mode: shard count of the built index (0 = GOMAXPROCS)")
 		rebuildAt = flag.Int("rebuild-at", 0, "delta size that triggers a background shard build (0 = default)")
 
 		maxInFlight  = flag.Int("max-inflight", 0, "concurrent searches (0 = GOMAXPROCS)")
@@ -174,7 +173,7 @@ func main() {
 			ds = ds.NormalizedCopy()
 		}
 		cfg := lccs.Config{Metric: kind, M: *m, Budget: *lambda, Seed: *seed}
-		if backend, err = buildBackend(ds, cfg, *indexPath, *shards); err != nil {
+		if backend, err = buildBackend(ds, cfg, *indexPath); err != nil {
 			fatal(err)
 		}
 		vectors = backend.Len()
@@ -443,9 +442,9 @@ func checkpoint(dur *lccs.DynamicIndex, reason string) error {
 }
 
 // buildBackend builds or loads the read-only index a dataset file is
-// served through: an index with the given shard count, or the prebuilt
-// container at indexPath over the file's vectors.
-func buildBackend(ds *dataset.Dataset, cfg lccs.Config, indexPath string, shards int) (lccs.Searcher, error) {
+// served through: one index built over the file's vectors, or the
+// prebuilt container at indexPath over them.
+func buildBackend(ds *dataset.Dataset, cfg lccs.Config, indexPath string) (lccs.Searcher, error) {
 	start := time.Now()
 	if indexPath != "" {
 		// Warm start stays flat: the dataset's contiguous block feeds the
@@ -462,11 +461,11 @@ func buildBackend(ds *dataset.Dataset, cfg lccs.Config, indexPath string, shards
 			"took", time.Since(start).Round(time.Millisecond))
 		return ix, nil
 	}
-	ix, err := lccs.NewShardedIndex(ds.Data, cfg, shards)
+	ix, err := lccs.NewIndex(ds.Data, cfg)
 	if err != nil {
 		return nil, err
 	}
-	logger.Info("built index", "shards", ix.Shards(), "vectors", ix.Len(),
+	logger.Info("built index", "vectors", ix.Len(),
 		"took", time.Since(start).Round(time.Millisecond))
 	return ix, nil
 }

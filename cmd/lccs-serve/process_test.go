@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"lccs"
 	"lccs/internal/dataset"
 )
 
@@ -328,13 +329,13 @@ func TestProcessCrashRecovery(t *testing.T) {
 }
 
 // TestProcessObservability is the tracing + metering surface end to end:
-// boot a sharded lccs-serve with every request traced and a 1ns slow
-// threshold, issue an explicitly traced query and a burst of plain
-// traffic, and assert the span tree covers the whole lifecycle, the
-// slow-query log captured it, EXPLAIN lists both shards, the per-stage
-// histograms populated, pprof answers on the debug listener, the health
-// windows and usage counters are non-zero after traffic, and /metrics
-// parses as exposition text.
+// boot lccs-serve over a two-segment index container with every request
+// traced and a 1ns slow threshold, issue an explicitly traced query and a
+// burst of plain traffic, and assert the span tree covers the whole
+// lifecycle, the slow-query log captured it, EXPLAIN lists both shards,
+// the per-stage histograms populated, pprof answers on the debug
+// listener, the health windows and usage counters are non-zero after
+// traffic, and /metrics parses as exposition text.
 func TestProcessObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a daemon")
@@ -350,12 +351,30 @@ func TestProcessObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := filepath.Join(t.TempDir(), "obs.ds")
+	dir := t.TempDir()
+	data := filepath.Join(dir, "obs.ds")
 	if err := ds.Save(data); err != nil {
 		t.Fatal(err)
 	}
+	// Two segments: a dynamic index over the first half whose buffered
+	// second half its snapshot builds as a segment of its own.
+	dyn, err := lccs.NewDynamicIndex(ds.Data[:1000], lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 1}, len(ds.Data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dyn.AddBatch(ds.Data[1000:]); err != nil {
+		t.Fatal(err)
+	}
+	_, snap, err := dyn.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := filepath.Join(dir, "obs.lccs")
+	if err := snap.Save(index); err != nil {
+		t.Fatal(err)
+	}
 	debug := freeAddr(t)
-	d := startDaemon(t, "-data", data, "-shards", "2", "-m", "16", "-debug-addr", debug,
+	d := startDaemon(t, "-data", data, "-index", index, "-debug-addr", debug,
 		"-trace-sample", "1", "-slow-threshold", "1ns", "-log-format", "json")
 	query := func(v float32) []float32 {
 		q := make([]float32, 128)
@@ -398,8 +417,8 @@ func TestProcessObservability(t *testing.T) {
 	var explained searchReply
 	d.ok(t, "POST", "/v1/search", obj{"query": query(2), "k": 3, "explain": true}, &explained)
 	// EXPLAIN enumerates both shards with per-shard cost.
-	if ex := explained.Explain; ex.Backend != "sharded" || len(ex.Shards) != 2 || ex.Shards[0].Shard+ex.Shards[1].Shard != 1 {
-		t.Errorf("explain = %+v, want a sharded backend and shards 0 and 1", ex)
+	if ex := explained.Explain; ex.Backend != "index" || len(ex.Shards) != 2 || ex.Shards[0].Shard+ex.Shards[1].Shard != 1 {
+		t.Errorf("explain = %+v, want an index backend and shards 0 and 1", ex)
 	}
 	for _, sh := range explained.Explain.Shards {
 		if sh.Comparisons <= 0 || sh.Bytes <= 0 {

@@ -42,7 +42,7 @@ func TestCursorDrainEqualsOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedIndexWithAttrs(data, attrs, cfg, 3)
+	sharded, err := newShardedWithAttrs(data, attrs, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +232,8 @@ func TestCursorBoundToIndex(t *testing.T) {
 	cfg := Config{Metric: Euclidean, M: 16, Seed: 3, Budget: n}
 	q := data[2]
 	for _, shards := range []int{1, 2} {
-		a := must(NewShardedIndexWithAttrs(data, attrs, cfg, shards))
-		b := must(NewShardedIndex(other, cfg, shards))
+		a := must(newShardedWithAttrs(data, attrs, cfg, shards))
+		b := must(newSharded(other, cfg, shards))
 		_, tok, err := a.SearchCursor(q, Query{K: 5, Budget: n}, "")
 		if err != nil || tok == "" {
 			t.Fatalf("shards=%d: minting: %q, %v", shards, tok, err)
@@ -264,7 +264,7 @@ func TestCursorPageSizes(t *testing.T) {
 	const n, dim = 50, 6
 	data, attrs := filterTestData(n, dim)
 	cfg := Config{Metric: Euclidean, M: 16, Seed: 3, Budget: n}
-	sx, err := NewShardedIndexWithAttrs(data, attrs, cfg, 4)
+	sx, err := newShardedWithAttrs(data, attrs, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

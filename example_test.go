@@ -81,35 +81,14 @@ func ExampleIndex_SearchQuery() {
 	// Output: 5 5 true
 }
 
-func ExampleNewShardedIndex() {
-	data := grid(600, 16)
-	// Three shards build their CSAs in parallel; a search hashes the query
-	// once and verifies every shard's candidates into one top-k.
-	ix, err := lccs.NewShardedIndex(data, lccs.Config{
-		Metric:      lccs.Euclidean,
-		M:           32,
-		BucketWidth: 8,
-		Seed:        1,
-	}, 3)
-	if err != nil {
-		panic(err)
-	}
-	res, err := ix.Search(data[450], 1)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(ix.Shards(), ix.Len(), res[0].ID, res[0].Dist == 0)
-	// Output: 3 600 450 true
-}
-
 func ExampleLoad() {
 	data := grid(600, 16)
-	ix, err := lccs.NewShardedIndex(data, lccs.Config{
+	ix, err := lccs.NewIndex(data, lccs.Config{
 		Metric:      lccs.Euclidean,
 		M:           32,
 		BucketWidth: 8,
 		Seed:        1,
-	}, 3)
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -152,7 +131,7 @@ func ExampleLoad() {
 	}
 	fmt.Println(deleted, res[0].ID != id, dyn.Len())
 	// Output:
-	// 3 600 600 1
+	// 1 600 600 1
 	// true true 600
 }
 

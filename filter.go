@@ -78,5 +78,15 @@ var ErrAttrsMismatch = errors.New("lccs: attrs length does not match vectors")
 // belongs to data[i]. attrs may be shorter than data (missing rows have
 // no metadata) but not longer.
 func NewIndexWithAttrs(data [][]float32, attrs []Attrs, cfg Config) (*Index, error) {
-	return NewShardedIndexWithAttrs(data, attrs, cfg, 1)
+	if len(attrs) > len(data) {
+		return nil, ErrAttrsMismatch
+	}
+	ix, err := NewIndex(data, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(attrs) > 0 {
+		ix.setAttrs(vec.MetaFromRows(append([]Attrs(nil), attrs...)))
+	}
+	return ix, nil
 }

@@ -114,7 +114,7 @@ func TestAttrsAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := NewShardedIndexWithAttrs(data, attrs, cfg, 2)
+	sx, err := newShardedWithAttrs(data, attrs, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

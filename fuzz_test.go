@@ -69,7 +69,7 @@ func FuzzLoadSharded(f *testing.F) {
 func FuzzCursorToken(f *testing.F) {
 	data, attrs := filterTestData(150, 6)
 	cfg := Config{Metric: Euclidean, M: 16, Seed: 7, BucketWidth: 1}
-	sx := must(NewShardedIndexWithAttrs(data, attrs, cfg, 3))
+	sx := must(newShardedWithAttrs(data, attrs, cfg, 3))
 	d := must(NewDynamicIndex(nil, cfg, 64)) // two shards, 22 buffered rows, tombstones in each
 	for i, v := range data {
 		must(d.AddWithAttrs(v, attrs[i]))

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -139,8 +140,17 @@ func (s Spec) merged(def Spec) Spec {
 	return s
 }
 
+// The bounds of a spec's fields past which durableConfig refuses it:
+// maxSpecM keeps one row's hash string at 64 KiB (the paper's figures go
+// to m = 512), and a sync interval must fit a time.Duration.
+const (
+	maxSpecM          = 1 << 14
+	maxSyncIntervalMS = math.MaxInt64 / int64(time.Millisecond)
+)
+
 // durableConfig translates the spec into the library's configuration of
-// a durable index.
+// a durable index. A negative field, m over maxSpecM or a sync interval
+// past maxSyncIntervalMS is an error wrapping ErrInvalidSpec.
 func (s Spec) durableConfig(fsys faultfs.FS, logger *slog.Logger) (lccs.DurableConfig, error) {
 	metric := s.Metric
 	if metric == "" {
@@ -152,6 +162,15 @@ func (s Spec) durableConfig(fsys faultfs.FS, logger *slog.Logger) (lccs.DurableC
 	}
 	if s.M < 0 || s.Budget < 0 || s.BucketWidth < 0 {
 		return lccs.DurableConfig{}, fmt.Errorf("%w: m, budget and bucket_width must not be negative", ErrInvalidSpec)
+	}
+	if s.RebuildAt < 0 || s.SyncIntervalMS < 0 || s.SegmentBytes < 0 {
+		return lccs.DurableConfig{}, fmt.Errorf("%w: rebuild_at, sync_interval_ms and segment_bytes must not be negative", ErrInvalidSpec)
+	}
+	if s.M > maxSpecM {
+		return lccs.DurableConfig{}, fmt.Errorf("%w: m %d is over %d", ErrInvalidSpec, s.M, maxSpecM)
+	}
+	if int64(s.SyncIntervalMS) > maxSyncIntervalMS {
+		return lccs.DurableConfig{}, fmt.Errorf("%w: sync_interval_ms %d overflows a duration", ErrInvalidSpec, s.SyncIntervalMS)
 	}
 	policy := s.Sync
 	if policy == "" {

@@ -220,8 +220,8 @@ func TestRootlessEngine(t *testing.T) {
 	}
 
 	// Adopt a pre-built read-only backend as the default collection.
-	sx, err := lccs.NewShardedIndex([][]float32{{1, 2}, {3, 4}},
-		lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 2, BucketWidth: 4}, 1)
+	sx, err := lccs.NewIndex([][]float32{{1, 2}, {3, 4}},
+		lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 2, BucketWidth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,4 +378,67 @@ func TestCreateFailsOnSpecSyncFault(t *testing.T) {
 			mustCreate(t, e, "tenant", Spec{})
 		})
 	}
+}
+
+// FuzzCollectionSpecFile: whatever bytes a created collection's
+// COLLECTION.json holds, Engine.Get either opens the collection or
+// answers an error wrapping ErrInvalidSpec; it never panics. A spec it
+// opens is in bounds: no field negative, m at most maxSpecM, the sync
+// interval a time.Duration. Every input meets the same empty registry:
+// an opened collection is dropped again. testdata/fuzz pins the specs
+// that once opened: negative rebuild_at, segment_bytes and
+// sync_interval_ms, an overflowing sync interval, and m = 10⁹.
+func FuzzCollectionSpecFile(f *testing.F) {
+	root := f.TempDir()
+	e, err := New(root, Spec{Metric: "euclidean", M: 8, Seed: 7, Sync: "none"}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { e.Close() })
+	dir := filepath.Join(root, "collections", "x")
+	for _, spec := range []string{
+		`{}`,
+		`{"metric":"angular","m":16,"budget":50,"seed":3}`,
+		`{"metric":"hamming","rebuild_at":8,"sync":"interval","sync_interval_ms":5,"segment_bytes":4096}`,
+		`{"metric":"euclidean","bucket_width":0.5,"probes":4,"quantize":"sq8","rerank":24}`,
+		`{"metric":"cosine"}`,
+		`{"m":-1}`,
+		`{"budget":-3}`,
+		`{"bucket_width":-1}`,
+		`{"sync":"sometimes"}`,
+		`{"m":1e30}`,
+		`{"seed":-1}`,
+		`null`,
+		`[]`,
+		`{"m":`,
+		``,
+	} {
+		f.Add([]byte(spec))
+	}
+	f.Fuzz(func(t *testing.T, spec []byte) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		if err := os.WriteFile(filepath.Join(dir, specFile), spec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := e.Get("x")
+		if err != nil {
+			if !errors.Is(err, ErrInvalidSpec) {
+				t.Fatalf("spec %q: %v, want an error wrapping ErrInvalidSpec", spec, err)
+			}
+			return
+		}
+		defer func() {
+			if err := e.Drop("x"); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		s := c.Spec()
+		if s.M < 0 || s.M > maxSpecM || s.Budget < 0 || s.BucketWidth < 0 || s.RebuildAt < 0 ||
+			s.SegmentBytes < 0 || s.SyncIntervalMS < 0 || int64(s.SyncIntervalMS) > maxSyncIntervalMS {
+			t.Fatalf("spec %q opened as %+v", spec, s)
+		}
+	})
 }

@@ -25,7 +25,7 @@ import (
 // threshold enters /v1/debug/slow as search_batch.
 func TestBatchMetersItsQueries(t *testing.T) {
 	data, queries := testWorkload(5, 600, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 6}, 2)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

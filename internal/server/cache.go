@@ -21,8 +21,6 @@ type resultCache struct {
 	cap       int
 	ll        *list.List               // front = most recently used
 	byKey     map[string]*list.Element // value: *cacheEntry
-	hits      uint64
-	misses    uint64
 	evictions uint64
 }
 
@@ -52,10 +50,8 @@ func (c *resultCache) get(key string) ([]lccs.Neighbor, string, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		c.misses++
 		return nil, "", false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	ent := el.Value.(*cacheEntry)
 	return ent.res, ent.next, true
@@ -82,15 +78,13 @@ func (c *resultCache) put(key string, res []lccs.Neighbor, next string) {
 	}
 }
 
-// stats returns the live entry count and the hit/miss/eviction counters.
+// stats returns the live entry count and the eviction counter. Hits and
+// misses are counted once, as each collection's usage (the scrape's
+// total.cache_hits and total.cache_misses).
 func (c *resultCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := CacheStats{Enabled: true, Entries: c.ll.Len(), Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
-	if st.Hits+st.Misses > 0 {
-		st.HitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
-	}
-	return st
+	return CacheStats{Enabled: true, Entries: c.ll.Len(), Evictions: c.evictions}
 }
 
 // cacheKey builds the lookup key for one query: the collection name,

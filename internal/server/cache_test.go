@@ -34,9 +34,6 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	if st.Entries != 2 {
 		t.Fatalf("len=%d", st.Entries)
 	}
-	if st.Hits != 3 || st.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 3/1", st.Hits, st.Misses)
-	}
 	// Overwriting an existing key updates in place, no growth.
 	c.put("a", res(9), "")
 	if got, _, _ := c.get("a"); got[0].ID != 9 || c.stats().Entries != 2 {

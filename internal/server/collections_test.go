@@ -223,7 +223,7 @@ func TestCountersSurviveDrop(t *testing.T) {
 // and the list still holds only the default collection.
 func TestCreateNeedsDataDir(t *testing.T) {
 	data, _ := testWorkload(3, 20, 4)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 3, BucketWidth: 4}, 1)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 3, BucketWidth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

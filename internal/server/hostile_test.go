@@ -176,7 +176,7 @@ func TestServeNonFiniteDistance(t *testing.T) {
 	if st.Requests["search:400"] != 2 || st.Requests["search_batch:400"] != 1 || st.Requests["search:200"]+st.Requests["search_batch:200"] != 0 {
 		t.Fatalf("request counters %v, want two search and one batch 400", st.Requests)
 	}
-	if st.Cache.Hits != 1 {
-		t.Fatalf("cache hits %d, want the second search answered from the cache", st.Cache.Hits)
+	if st.Total.CacheHits != 1 {
+		t.Fatalf("cache hits %d, want the second search answered from the cache", st.Total.CacheHits)
 	}
 }

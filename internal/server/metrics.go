@@ -117,6 +117,9 @@ func (s *Server) scrape() *scrape {
 			sc.def = cs
 		}
 	}
+	if probes := sc.total.CacheHits + sc.total.CacheMisses; sc.cache.Enabled && probes > 0 {
+		sc.cache.HitRate = float64(sc.total.CacheHits) / float64(probes)
+	}
 	return sc
 }
 
@@ -192,8 +195,8 @@ var families = []family{
 	{"lccs_index_vectors", "Vectors searchable across all collections.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.vectors), true })},
 	{"lccs_index_tombstones", "Deleted vectors awaiting compaction.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.tombstones), sc.writable })},
 
-	{"lccs_cache_hits_total", "Result cache hits.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.cache.Hits), sc.cache.Enabled })},
-	{"lccs_cache_misses_total", "Result cache misses.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.cache.Misses), sc.cache.Enabled })},
+	{"lccs_cache_hits_total", "Result cache hits.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.total.CacheHits), sc.cache.Enabled })},
+	{"lccs_cache_misses_total", "Result cache misses.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.total.CacheMisses), sc.cache.Enabled })},
 	{"lccs_cache_evictions_total", "Result cache LRU evictions.", obs.Counter, value(func(sc *scrape) (float64, bool) { return float64(sc.cache.Evictions), sc.cache.Enabled })},
 	{"lccs_cache_entries", "Live result cache entries.", obs.Gauge, value(func(sc *scrape) (float64, bool) { return float64(sc.cache.Entries), sc.cache.Enabled })},
 

@@ -27,10 +27,7 @@ func findRoot(tree []obs.SpanNode, stage string) *obs.SpanNode {
 
 func TestTracedSearchEndToEnd(t *testing.T) {
 	data, queries := testWorkload(7, 400, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 5}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sx := segmentedIndex(t, data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 5}, 3)
 	_, ts := newTestServer(t, Config{Backend: sx, CacheSize: 64})
 
 	scansBefore := obs.StageCount(obs.StageShardScan)
@@ -114,7 +111,7 @@ func TestTracedSearchEndToEnd(t *testing.T) {
 
 func TestTraceSampleStride(t *testing.T) {
 	data, queries := testWorkload(8, 300, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 6}, 2)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +137,7 @@ func TestTraceSampleStride(t *testing.T) {
 
 func TestDebugSlowEndpoint(t *testing.T) {
 	data, queries := testWorkload(9, 300, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 7}, 2)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +200,7 @@ func TestDebugSlowEndpoint(t *testing.T) {
 // declared twice.
 func TestMetricsExpositionParses(t *testing.T) {
 	data, queries := testWorkload(10, 300, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 8}, 2)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ type explainShardJSON struct {
 type explainJSON struct {
 	Collection string `json:"collection"`
 	// Backend is the facade kind serving the collection (index |
-	// sharded | dynamic | durable | custom).
+	// dynamic | durable | custom).
 	Backend string `json:"backend"`
 	K       int    `json:"k"`
 	// Budget is the requested candidate budget λ (0 = backend default).

@@ -190,16 +190,13 @@ func TestStatsHealthWindows(t *testing.T) {
 	}
 }
 
-// TestExplainSearch checks the resolved query plan over a sharded
+// TestExplainSearch checks the resolved query plan over a multi-segment
 // backend: every shard enumerated with its own comparisons, candidates,
 // and bytes, the whole-query cost record, and the cache outcome across
 // a miss/hit pair.
 func TestExplainSearch(t *testing.T) {
 	data, queries := testWorkload(23, 400, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 9}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sx := segmentedIndex(t, data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 9}, 3)
 	_, ts := newTestServer(t, Config{Backend: sx, CacheSize: 16})
 
 	var got searchResponse
@@ -217,7 +214,7 @@ func TestExplainSearch(t *testing.T) {
 	if len(got.Trace) != 0 {
 		t.Fatal("explain leaked the span tree without trace:true")
 	}
-	if e.Collection != "default" || e.Backend != "sharded" || e.K != 5 {
+	if e.Collection != "default" || e.Backend != "index" || e.K != 5 {
 		t.Fatalf("plan header: %+v", e)
 	}
 	if e.Filtered || e.FilterSelectivity != nil {

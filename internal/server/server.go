@@ -1072,14 +1072,12 @@ type CollectionStats struct {
 	WAL        *lccs.WALStats       `json:"wal,omitempty"`
 }
 
-// CacheStats summarizes the result cache. Its hit and miss counters feed
-// lccs_cache_{hits,misses}_total; the JSON reports those numbers once, as
-// the process document's total.cache_hits and total.cache_misses.
+// CacheStats summarizes the result cache. Its hits and misses are the
+// process document's total.cache_hits and total.cache_misses, which
+// HitRate and lccs_cache_{hits,misses}_total read.
 type CacheStats struct {
 	Enabled   bool    `json:"enabled"`
 	Entries   int     `json:"entries"`
-	Hits      uint64  `json:"-"`
-	Misses    uint64  `json:"-"`
 	Evictions uint64  `json:"evictions"`
 	HitRate   float64 `json:"hit_rate"`
 }
@@ -1207,9 +1205,6 @@ func backendStats(c *engine.Collection) BackendStats {
 	switch ix := c.Backend().(type) {
 	case *lccs.Index:
 		b.Kind = "index"
-		if ix.Shards() > 1 {
-			b.Kind = "sharded"
-		}
 		b.Shards = ix.Shards()
 	case *lccs.DynamicIndex:
 		b.Kind = "dynamic"

@@ -39,6 +39,33 @@ func testWorkload(seed uint64, n, d int) (data, queries [][]float32) {
 	return data, queries
 }
 
+// segmentedIndex is a static index of the given number of near-equal
+// segments over data, for tests that need a query to visit several: a
+// DynamicIndex whose background builds cut data into runs, snapshotted
+// (the snapshot builds the last, buffered run).
+func segmentedIndex(t *testing.T, data [][]float32, cfg lccs.Config, segments int) *lccs.Index {
+	t.Helper()
+	per := (len(data) + segments - 1) / segments
+	d, err := lccs.NewDynamicIndex(data[:per], cfg, per)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := per; lo < len(data); lo += per {
+		if _, err := d.AddBatch(data[lo:min(lo+per, len(data))]); err != nil {
+			t.Fatal(err)
+		}
+		d.WaitRebuild()
+	}
+	_, ix, err := d.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Shards() != segments {
+		t.Fatalf("segmentedIndex: %d segments, want %d", ix.Shards(), segments)
+	}
+	return ix
+}
+
 // newTestServer stands up an httptest server (no real port) over the
 // given backend.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -77,7 +104,7 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body, out any) int
 
 func TestServeSearchMatchesDirect(t *testing.T) {
 	data, queries := testWorkload(1, 500, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 3}, 3)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +140,7 @@ func TestServeSearchMatchesDirect(t *testing.T) {
 
 func TestServeBatchMatchesDirect(t *testing.T) {
 	data, queries := testWorkload(2, 400, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 4}, 2)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +167,7 @@ func TestServeBatchMatchesDirect(t *testing.T) {
 
 func TestServeValidationAndMethodErrors(t *testing.T) {
 	data, _ := testWorkload(3, 100, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 5}, 2)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +215,7 @@ func TestServeValidationAndMethodErrors(t *testing.T) {
 	// Insert on a read-only backend.
 	var er errorResponse
 	if code := postJSON(t, ts, "/v1/insert", insertRequest{Vectors: data[:1]}, &er); code != http.StatusNotImplemented {
-		t.Errorf("insert on sharded backend: HTTP %d, want 501", code)
+		t.Errorf("insert on a static backend: HTTP %d, want 501", code)
 	}
 }
 
@@ -360,14 +387,14 @@ func TestServeDeleteAndCacheInvalidation(t *testing.T) {
 // /v1/delete as 501, mirroring /v1/insert.
 func TestServeDeleteReadOnlyBackend(t *testing.T) {
 	data, _ := testWorkload(9, 80, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 11}, 2)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Config{Backend: sx})
 	var er errorResponse
 	if code := postJSON(t, ts, "/v1/delete", deleteRequest{IDs: []int{1}}, &er); code != http.StatusNotImplemented {
-		t.Fatalf("delete on sharded backend: HTTP %d, want 501", code)
+		t.Fatalf("delete on a static backend: HTTP %d, want 501", code)
 	}
 }
 
@@ -400,7 +427,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 
 func TestServeBodySizeLimit(t *testing.T) {
 	data, _ := testWorkload(7, 50, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 9}, 1)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +675,7 @@ func TestServeHealthzDrainAndStats(t *testing.T) {
 
 func TestServeMetricsExposition(t *testing.T) {
 	data, _ := testWorkload(6, 100, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 8}, 2)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

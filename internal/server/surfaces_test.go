@@ -601,6 +601,7 @@ func (f *surfaceFixture) checkSurfacesAgree(t *testing.T, truth scriptTruth) {
 		uint64(m.get(t, "lccs_cache_hits_total")), whole.CacheHits, wholeLong.CacheHits)
 	eq(t, "cache misses", truth.cacheMisses, sumMisses, uint64(st.Total.CacheMisses),
 		uint64(m.get(t, "lccs_cache_misses_total")), whole.CacheMisses, wholeLong.CacheMisses)
+	eq(t, "cache hit rate", float64(truth.cacheHits)/float64(truth.cacheHits+truth.cacheMisses), st.Cache.HitRate)
 	eq(t, "cache evictions", st.Cache.Evictions, uint64(m.get(t, "lccs_cache_evictions_total")))
 	eq(t, "cache entries", st.Cache.Entries, int(m.get(t, "lccs_cache_entries")))
 	eq(t, "admission rejected", truth.admissionRejected, st.Rejected,
@@ -729,7 +730,7 @@ func (f *surfaceFixture) checkScrapesAddUp(t *testing.T) {
 // p50 and p99, to the digit: they share one quantile rule.
 func TestLatencySurfacesAgree(t *testing.T) {
 	data, queries := testWorkload(32, 300, 8)
-	sx, err := lccs.NewShardedIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 8}, 2)
+	sx, err := lccs.NewIndex(data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

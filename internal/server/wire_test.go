@@ -99,6 +99,84 @@ func FuzzSearchDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { decodeSearchBoth(t, body) })
 }
 
+// FuzzFilterTerms: for any filter array in a /v1/search body, parseFilter
+// answers an error or a filter that passes Validate, whose AppendKey is
+// the same on every call and on a second parse of the body, and whose
+// Matches does not panic on attribute rows built from its own terms. A
+// row holding each term's own value matches when no key repeats; a row
+// with no attributes matches only the empty filter.
+func FuzzFilterTerms(f *testing.F) {
+	for _, filter := range []string{
+		`[{"key":"color","value":"red"}]`,
+		`[{"key":"tier","op":"eq","value":3}]`,
+		`[{"key":"n","op":"range","min":-5,"max":5}]`,
+		`[{"key":"n","op":"range","min":7}]`,
+		`[{"key":"n","op":"range","max":-9223372036854775808}]`,
+		`[{"key":"n","op":"range","min":5,"max":4}]`,
+		`[{"key":"n","op":"range"}]`,
+		`[{"key":"","value":"x"}]`,
+		`[{"key":"a","value":1.5}]`,
+		`[{"key":"a","value":9007199254740992}]`,
+		`[{"key":"a","value":-9007199254740991}]`,
+		`[{"key":"a","value":true}]`,
+		`[{"key":"a","value":null}]`,
+		`[{"key":"a","op":"lt","value":1}]`,
+		`[{"key":"a","value":"x"},{"key":"a","value":"y"}]`,
+		`[{"key":"a","value":"x"},{"key":"b","op":"range","min":0,"max":0},{"key":"c","value":0}]`,
+		`[]`,
+		`null`,
+		`[{}]`,
+		`{"key":"a"}`,
+	} {
+		f.Add([]byte(filter))
+	}
+	f.Fuzz(func(t *testing.T, filter []byte) {
+		body := append(append([]byte(`{"query":[1],"k":1,"filter":`), filter...), '}')
+		parse := func() (*lccs.Filter, error) {
+			var sc searchScratch
+			if err := readSearch(bytes.NewReader(body), &sc); err != nil {
+				return nil, err
+			}
+			return parseFilter(sc.req.Filter)
+		}
+		flt, err := parse()
+		if err != nil {
+			return
+		}
+		if err := flt.Validate(); err != nil {
+			t.Fatalf("filter %s: parsed into a filter Validate refuses: %v", filter, err)
+		}
+		key := flt.AppendKey(nil)
+		if again := flt.AppendKey(nil); !bytes.Equal(key, again) {
+			t.Fatalf("filter %s: AppendKey %x, then %x", filter, key, again)
+		}
+		if reparsed, err := parse(); err != nil || !bytes.Equal(key, reparsed.AppendKey(nil)) {
+			t.Fatalf("filter %s: a second parse gives key %x (err %v), the first %x", filter, reparsed.AppendKey(nil), err, key)
+		}
+		own, repeats := lccs.Attrs{}, false
+		if flt != nil {
+			for _, term := range flt.Terms {
+				_, seen := own[term.Key]
+				repeats = repeats || seen
+				switch {
+				case term.Op == lccs.FilterEq:
+					own[term.Key] = term.Value
+				case term.HasMin:
+					own[term.Key] = lccs.IntAttr(term.Min)
+				default:
+					own[term.Key] = lccs.IntAttr(term.Max)
+				}
+			}
+		}
+		if ok := flt.Matches(own); !ok && !repeats {
+			t.Fatalf("filter %s: refuses the row of its own terms' values %v", filter, own)
+		}
+		if ok := flt.Matches(nil); ok != flt.Empty() {
+			t.Fatalf("filter %s: Matches(no attributes) = %v on a filter of %d terms", filter, ok, len(flt.Terms))
+		}
+	})
+}
+
 // TestScanSearchCanonical pins which bodies the scanner decodes itself:
 // every body encoding/json marshals from an unfiltered request, in any
 // key order and spacing, and nothing it must leave to encoding/json.

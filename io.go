@@ -376,9 +376,8 @@ func decodeBody(r io.Reader, store *vec.Store, h header) (*segSet, error) {
 	}
 	for s := range sx.segs {
 		// Every shard decodes against a capped contiguous view of the one
-		// flat store, exactly as NewShardedIndex builds, and keeps
-		// verifying against it: a DynamicIndex that adopts the index buffers
-		// its inserts in a block of its own.
+		// flat store and keeps verifying against it: a DynamicIndex that
+		// adopts the index buffers its inserts in a block of its own.
 		c, err := core.DecodeStore(r, store.Slice(offsets[s], offsets[s+1]), family)
 		if err == nil {
 			err = checkCoreMatches(c, cfg)

@@ -108,7 +108,7 @@ func loadsAs(t *testing.T, ix *Index, vectors [][]float32, legacy []byte) *Index
 // index a fresh build makes, answers like it, and re-saves to its bytes.
 func TestGoldenFormat4(t *testing.T) {
 	data, cfg := goldenSetup()
-	fresh, err := NewShardedIndex(data, cfg, 3)
+	fresh, err := newSharded(data, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestFormat4WithLifecycle(t *testing.T) {
 // it never supported.
 func TestFormat4CorruptQuantSection(t *testing.T) {
 	data, cfg := goldenSetup()
-	sx, err := NewShardedIndex(data, cfg, 3)
+	sx, err := newSharded(data, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestGoldenFormat1(t *testing.T) {
 func TestGoldenFormat2(t *testing.T) {
 	const path = "testdata/golden_pkg2.lccs"
 	data, cfg := goldenSetup()
-	fresh, err := NewShardedIndex(data, cfg, 3)
+	fresh, err := newSharded(data, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestContainerCompat(t *testing.T) {
 				}
 			})
 			t.Run("ShardedIndex/"+name, func(t *testing.T) {
-				sx, err := NewShardedIndexWithAttrs(data, rows, cfg, 3)
+				sx, err := newShardedWithAttrs(data, rows, cfg, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -771,7 +771,7 @@ func TestGoldenFormat5(t *testing.T) {
 	const path = "testdata/golden_pkg5.lccs"
 	data, cfg := goldenSetup()
 	attrs := goldenAttrsRows(len(data))
-	fresh, err := NewShardedIndexWithAttrs(data, attrs, cfg, 3)
+	fresh, err := newShardedWithAttrs(data, attrs, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,8 @@
 // parallel.
 //
 // The package has two facades. Index is immutable: NewIndex builds one
-// CSA, NewShardedIndex partitions the dataset across S shards whose CSAs
-// build in parallel, and Load opens either from a saved file. DynamicIndex
+// CSA over the whole dataset, as the paper does (Algorithm 1), and Load
+// opens a saved file, including older files of several shards. DynamicIndex
 // is a delta-main structure whose buffered inserts are rebuilt into new
 // shards in the background without blocking writers; opened with
 // OpenDurable, it also journals its writes to a write-ahead log before
@@ -42,8 +42,7 @@
 // buffer verified into one k-best collector — and the budget rule, and
 // both implement the Searcher interface, so consumers (including the
 // internal/server network daemon behind cmd/lccs-serve) are agnostic to
-// which facade backs them. See README.md for the architecture and
-// shard-count guidance.
+// which facade backs them. See README.md for the architecture.
 package lccs
 
 import (
@@ -338,25 +337,16 @@ type Config struct {
 // (Dist).
 type Neighbor = pqueue.Neighbor
 
-// Index is an LCCS-LSH index over a fixed dataset, partitioned across S
-// shards: the immutable S-segment case of the segment set (segset.go).
-// Each shard is an independent CSA over a contiguous slice of the data,
-// and all shards share one fully resolved configuration — the same seed,
-// hash-string length m, and bucket width (derived once from the full
-// dataset) — so an index is seed-equivalent whatever its shard count. The
-// vectors are packed once into one flat store (one contiguous float32
-// block) shared by every shard; the input rows are not referenced
-// afterwards, and sharding adds no per-shard copies.
-//
-// Sharding serves construction: the orders of one CSA are induced from
-// one another, shift by shift, on one core, and S shards build S
-// independent problems of size n/S in parallel, each over an S× smaller
-// working set. A query visits the shards in sequence, hashing q once and
-// verifying every shard's candidates into one top-k collector. Query cost
-// grows mildly with S (each shard runs its own binary searches and
-// verifies its own candidate floor), so prefer the smallest shard count
-// whose build time is acceptable: NewIndex is one shard, NewShardedIndex
-// with GOMAXPROCS suits build-heavy workloads.
+// Index is an LCCS-LSH index over a fixed dataset: the immutable case of
+// the segment set (segset.go). NewIndex builds it as one segment, one CSA
+// over every row. A set of S segments comes from a DynamicIndex Snapshot
+// or from a container saved with S shards: each shard is an independent
+// CSA over a contiguous slice of the data, all under one fully resolved
+// configuration — the same seed, hash-string length m, and bucket width —
+// and a query visits them in sequence, hashing q once and verifying every
+// shard's candidates into one top-k collector. The vectors are packed
+// once into one flat store (one contiguous float32 block) shared by every
+// shard; the input rows are not referenced afterwards.
 //
 // An Index taken from DynamicIndex.Snapshot (or loaded from such a
 // snapshot's file) also carries the snapshot's id map and tombstones; on
@@ -493,15 +483,29 @@ func validateConfig(cfg Config) (vec.Metric, error) {
 	return family.Metric(), nil
 }
 
-// NewIndex builds an LCCS-LSH index over data as one shard. The rows are
-// packed once into a flat vector store; data itself is not retained.
+// NewIndex builds an LCCS-LSH index over data: one CSA over the whole
+// dataset (Algorithm 1). The rows are packed once into a flat vector
+// store; data itself is not retained.
 func NewIndex(data [][]float32, cfg Config) (*Index, error) {
-	return NewShardedIndex(data, cfg, 1)
+	store, err := storeFromRows(data, cfg.Metric)
+	if err != nil {
+		return nil, err
+	}
+	if cfg, err = resolveConfig(store, cfg); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	c, err := buildCore(store, cfg)
+	if err != nil {
+		return nil, err
+	}
+	set := segSet{cfg: cfg, metric: c.Metric(), tail: vec.NewStore(store.Dim()), segs: []segment{{core: c}}, indexed: store.Len()}
+	return indexOf(set, time.Since(start)), nil
 }
 
 // buildCore builds one segment's core index over a store under a
-// resolved configuration — the shared constructor behind the per-shard
-// builds of an Index and the dynamic delta builds. Segments built under
+// resolved configuration — the shared constructor behind NewIndex and
+// the dynamic delta builds. Segments built under
 // one resolved Config draw the same hash functions.
 func buildCore(store *vec.Store, cfg Config) (*core.Index, error) {
 	family, err := familyFor(cfg, store.Dim())

@@ -96,7 +96,7 @@ func queryFacades(t *testing.T, data [][]float32, attrs []Attrs) []queryFacade {
 
 	return []queryFacade{
 		{"Index", must(NewIndexWithAttrs(data, attrs, cfg)), nil},
-		{"Index/3 shards", must(NewShardedIndexWithAttrs(data, attrs, cfg, 3)), nil},
+		{"Index/3 shards", must(newShardedWithAttrs(data, attrs, cfg, 3)), nil},
 		{"Snapshot", snap, live},
 		{"DynamicIndex", newDyn(), live},
 		{"DynamicIndex/journaled", dur, live},
@@ -432,9 +432,6 @@ func TestNonFiniteRejected(t *testing.T) {
 	bad := append(append([][]float32(nil), data[:10]...), poison(nan))
 	if _, err := NewIndex(bad, cfg); !errors.Is(err, ErrNonFinite) {
 		t.Errorf("NewIndex: err=%v", err)
-	}
-	if _, err := NewShardedIndex(bad, cfg, 2); !errors.Is(err, ErrNonFinite) {
-		t.Errorf("NewShardedIndex: err=%v", err)
 	}
 	if _, err := NewDynamicIndex(bad, cfg, 0); !errors.Is(err, ErrNonFinite) {
 		t.Errorf("NewDynamicIndex: err=%v", err)

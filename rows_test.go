@@ -362,7 +362,7 @@ func TestAttrsFollowRowsAcrossLifecycle(t *testing.T) {
 		d.WaitRebuild()
 	}
 
-	ix, err := NewShardedIndexWithAttrs(data, attrs, cfg, 2)
+	ix, err := newShardedWithAttrs(data, attrs, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func searcherFixtures(t *testing.T, data [][]float32, cfg Config) map[string]Sea
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := NewShardedIndex(data, cfg, 3)
+	sx, err := newSharded(data, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,107 @@
 package lccs
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
+	"time"
+
+	"lccs/internal/core"
+	"lccs/internal/vec"
 )
+
+// newSharded builds a static index of shards segments, each one CSA over
+// a contiguous, near-equal range of the rows, all under the one
+// configuration resolved from the whole dataset: the layout of a
+// multi-shard container, which Load still opens. shards is capped at
+// len(data) so every segment is non-empty; the segments build in
+// parallel, so the frontier benchmark's build times are those of S
+// parallel builds.
+func newSharded(data [][]float32, cfg Config, shards int) (*Index, error) {
+	store, err := storeFromRows(data, cfg.Metric)
+	if err != nil {
+		return nil, err
+	}
+	if cfg, err = resolveConfig(store, cfg); err != nil {
+		return nil, err
+	}
+	n := store.Len()
+	shards = min(shards, n)
+	start := time.Now()
+	offsets := splitOffsets(n, shards)
+	set := segSet{cfg: cfg, tail: vec.NewStore(store.Dim()), segs: make([]segment, shards), indexed: n}
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for s := range set.segs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var c *core.Index
+			c, errs[s] = buildCore(store.Slice(offsets[s], offsets[s+1]), cfg)
+			set.segs[s] = segment{core: c, off: offsets[s]}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	set.metric = set.segs[0].core.Metric()
+	return indexOf(set, time.Since(start)), nil
+}
+
+// newShardedWithAttrs is newSharded with per-vector metadata, under
+// NewIndexWithAttrs's rule: attrs may be shorter than data, not longer.
+func newShardedWithAttrs(data [][]float32, attrs []Attrs, cfg Config, shards int) (*Index, error) {
+	if len(attrs) > len(data) {
+		return nil, ErrAttrsMismatch
+	}
+	ix, err := newSharded(data, cfg, shards)
+	if err != nil {
+		return nil, err
+	}
+	if len(attrs) > 0 {
+		ix.setAttrs(vec.MetaFromRows(append([]Attrs(nil), attrs...)))
+	}
+	return ix, nil
+}
+
+// splitOffsets splits n rows into an (shards+1)-entry offset table of
+// near-equal contiguous ranges (the first n%shards ranges are one larger).
+func splitOffsets(n, shards int) []int {
+	offsets := make([]int, shards+1)
+	base, rem := n/shards, n%shards
+	for s := 0; s < shards; s++ {
+		size := base
+		if s < rem {
+			size++
+		}
+		offsets[s+1] = offsets[s] + size
+	}
+	return offsets
+}
+
+// reloaded saves ix and loads the container back over data: the
+// multi-segment set a file written by an older multi-shard build opens
+// as. The reload must re-save byte for byte.
+func reloaded(t *testing.T, ix *Index, data [][]float32) *Index {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "reloaded.lccs")
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(path, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob, err := os.ReadFile(path); err != nil || !bytes.Equal(blob, saveBytes(t, loaded)) {
+		t.Fatalf("a loaded %d-segment container does not re-save byte for byte (err %v)", loaded.Shards(), err)
+	}
+	return loaded
+}
 
 // sortedIDSet extracts result ids as a set for top-k set comparisons.
 func sortedIDSet(res []Neighbor) map[int]bool {
@@ -21,7 +116,8 @@ func TestShardedMatchesSingleIndexTopK(t *testing.T) {
 	// At an exhaustive candidate budget an Index of one shard and one of
 	// several verify every vector, so the top-k sets must coincide
 	// exactly (and match brute force) — the sharding changes the
-	// partitioning, never the answer.
+	// partitioning, never the answer. A multi-segment set answers so
+	// whether built or loaded from its container.
 	data, g := testData(71, 1200, 10, 6, 0.5)
 	cfg := Config{Metric: Euclidean, M: 24, Seed: 9}
 	single, err := NewIndex(data, cfg)
@@ -29,32 +125,42 @@ func TestShardedMatchesSingleIndexTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 3, 4, 7} {
-		sx, err := NewShardedIndex(data, cfg, shards)
+		built, err := newSharded(data, cfg, shards)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if sx.Shards() != shards {
-			t.Fatalf("got %d shards, want %d", sx.Shards(), shards)
+		for _, sx := range []*Index{built, reloaded(t, built, data)} {
+			if sx.Shards() != shards {
+				t.Fatalf("got %d shards, want %d", sx.Shards(), shards)
+			}
+			checkExhaustive(t, single, sx, g.GaussianVector, len(data))
 		}
-		exhaustive := shards * len(data)
-		for qi := 0; qi < 15; qi++ {
-			q := g.GaussianVector(10)
-			a := must(single.SearchQuery(q, Query{K: 10, Budget: len(data)}, nil))
-			b := must(sx.SearchQuery(q, Query{K: 10, Budget: exhaustive}, nil))
-			if len(a) != len(b) {
-				t.Fatalf("shards=%d query %d: %d vs %d results", shards, qi, len(a), len(b))
+	}
+}
+
+// checkExhaustive asserts sx answers 15 random queries at an exhaustive
+// budget exactly as the one-segment single does.
+func checkExhaustive(t *testing.T, single, sx *Index, query func(int) []float32, n int) {
+	t.Helper()
+	shards := sx.Shards()
+	exhaustive := shards * n
+	for qi := 0; qi < 15; qi++ {
+		q := query(10)
+		a := must(single.SearchQuery(q, Query{K: 10, Budget: n}, nil))
+		b := must(sx.SearchQuery(q, Query{K: 10, Budget: exhaustive}, nil))
+		if len(a) != len(b) {
+			t.Fatalf("shards=%d query %d: %d vs %d results", shards, qi, len(a), len(b))
+		}
+		want, got := sortedIDSet(a), sortedIDSet(b)
+		for id := range want {
+			if !got[id] {
+				t.Fatalf("shards=%d query %d: id %d missing from sharded top-k", shards, qi, id)
 			}
-			want, got := sortedIDSet(a), sortedIDSet(b)
-			for id := range want {
-				if !got[id] {
-					t.Fatalf("shards=%d query %d: id %d missing from sharded top-k", shards, qi, id)
-				}
-			}
-			// Distances agree pointwise (both ascending).
-			for i := range a {
-				if a[i].Dist != b[i].Dist {
-					t.Fatalf("shards=%d query %d pos %d: dist %v vs %v", shards, qi, i, a[i].Dist, b[i].Dist)
-				}
+		}
+		// Distances agree pointwise (both ascending).
+		for i := range a {
+			if a[i].Dist != b[i].Dist {
+				t.Fatalf("shards=%d query %d pos %d: dist %v vs %v", shards, qi, i, a[i].Dist, b[i].Dist)
 			}
 		}
 	}
@@ -63,23 +169,32 @@ func TestShardedMatchesSingleIndexTopK(t *testing.T) {
 func TestShardedDeterminism(t *testing.T) {
 	data, g := testData(72, 900, 8, 5, 0.5)
 	cfg := Config{Metric: Euclidean, M: 16, Seed: 11}
-	a, err := NewShardedIndex(data, cfg, 4)
+	a, err := newSharded(data, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewShardedIndex(data, cfg, 4)
+	b, err := newSharded(data, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two builds write the same container, and its reload answers as
+	// either build does.
+	if !bytes.Equal(saveBytes(t, a), saveBytes(t, b)) {
+		t.Fatal("two builds of one dataset save different containers")
+	}
+	loaded := reloaded(t, a, data)
 	for qi := 0; qi < 20; qi++ {
 		q := g.GaussianVector(8)
-		ra, rb := must(a.SearchQuery(q, Query{K: 8, Budget: 64}, nil)), must(b.SearchQuery(q, Query{K: 8, Budget: 64}, nil))
-		if len(ra) != len(rb) {
-			t.Fatalf("query %d: lengths %d vs %d", qi, len(ra), len(rb))
-		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("query %d pos %d: %+v vs %+v", qi, i, ra[i], rb[i])
+		ra := must(a.SearchQuery(q, Query{K: 8, Budget: 64}, nil))
+		for _, other := range []*Index{b, loaded} {
+			rb := must(other.SearchQuery(q, Query{K: 8, Budget: 64}, nil))
+			if len(ra) != len(rb) {
+				t.Fatalf("query %d: lengths %d vs %d", qi, len(ra), len(rb))
+			}
+			for i := range ra {
+				if ra[i] != rb[i] {
+					t.Fatalf("query %d pos %d: %+v vs %+v", qi, i, ra[i], rb[i])
+				}
 			}
 		}
 	}
@@ -89,7 +204,7 @@ func TestShardedGlobalIDs(t *testing.T) {
 	// Every vector must be findable under its global id: searching for a
 	// stored vector with a generous budget returns it at distance 0.
 	data, _ := testData(73, 500, 8, 50, 0.3)
-	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 32, Seed: 3}, 5)
+	sx, err := newSharded(data, Config{Metric: Euclidean, M: 32, Seed: 3}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,19 +222,21 @@ func TestShardedGlobalIDs(t *testing.T) {
 func TestShardedConfigAndEdgeCases(t *testing.T) {
 	data, _ := testData(74, 40, 6, 4, 0.5)
 	// More shards than vectors: capped so every shard is non-empty.
-	sx, err := NewShardedIndex(data[:3], Config{Metric: Euclidean, M: 8, Seed: 1}, 16)
+	sx, err := newSharded(data[:3], Config{Metric: Euclidean, M: 8, Seed: 1}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sx.Shards() != 3 || sx.Len() != 3 {
 		t.Fatalf("Shards=%d Len=%d", sx.Shards(), sx.Len())
 	}
-	// shards <= 0 selects GOMAXPROCS (at least one shard).
-	sx, err = NewShardedIndex(data, Config{Metric: Euclidean, M: 8, Seed: 1}, 0)
+	if lx := reloaded(t, sx, data[:3]); lx.Shards() != 3 || lx.Len() != 3 {
+		t.Fatalf("loaded: Shards=%d Len=%d", lx.Shards(), lx.Len())
+	}
+	sx, err = newSharded(data, Config{Metric: Euclidean, M: 8, Seed: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sx.Shards() < 1 || sx.M() != 8 || sx.Len() != 40 || sx.Bytes() <= 0 {
+	if sx.Shards() != 2 || sx.M() != 8 || sx.Len() != 40 || sx.Bytes() <= 0 {
 		t.Fatalf("Shards=%d M=%d Len=%d Bytes=%d", sx.Shards(), sx.M(), sx.Len(), sx.Bytes())
 	}
 	if sx.BuildTime() < 0 {
@@ -133,10 +250,10 @@ func TestShardedConfigAndEdgeCases(t *testing.T) {
 		t.Fatalf("lambda<0: err=%v, want ErrInvalidBudget", err)
 	}
 	// Errors propagate.
-	if _, err := NewShardedIndex(nil, Config{Metric: Euclidean}, 2); err == nil {
+	if _, err := newSharded(nil, Config{Metric: Euclidean}, 2); err == nil {
 		t.Fatal("empty dataset should fail")
 	}
-	if _, err := NewShardedIndex(data, Config{Metric: "nope"}, 2); err == nil {
+	if _, err := newSharded(data, Config{Metric: "nope"}, 2); err == nil {
 		t.Fatal("unknown metric should fail")
 	}
 }
@@ -152,7 +269,7 @@ func TestShardOffsets(t *testing.T) {
 		{5, 5, []int{0, 1, 2, 3, 4, 5}},
 	}
 	for _, c := range cases {
-		got := shardOffsets(c.n, c.shards)
+		got := splitOffsets(c.n, c.shards)
 		if len(got) != len(c.want) {
 			t.Fatalf("n=%d s=%d: %v", c.n, c.shards, got)
 		}
@@ -166,7 +283,7 @@ func TestShardOffsets(t *testing.T) {
 
 func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	data, g := testData(76, 800, 10, 5, 0.5)
-	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 21}, 4)
+	sx, err := newSharded(data, Config{Metric: Euclidean, M: 16, Seed: 21}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +339,7 @@ func TestLoadShardedAcceptsFormat1(t *testing.T) {
 
 func TestLoadShardedRejectsCorruption(t *testing.T) {
 	data, _ := testData(78, 300, 8, 4, 0.5)
-	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 23}, 3)
+	sx, err := newSharded(data, Config{Metric: Euclidean, M: 16, Seed: 23}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +427,10 @@ func TestSegmentsShareHashFunctions(t *testing.T) {
 		}
 	}
 
-	one := must(NewShardedIndex(data[:n], cfg, 1))
-	check("NewShardedIndex/1", &one.segSet, 1)
-	three := must(NewShardedIndex(data[:n], cfg, 3))
-	check("NewShardedIndex/3", &three.segSet, 3)
+	one := must(newSharded(data[:n], cfg, 1))
+	check("one segment", &one.segSet, 1)
+	three := must(newSharded(data[:n], cfg, 3))
+	check("three segments", &three.segSet, 3)
 	path := filepath.Join(t.TempDir(), "three.lccs")
 	if err := three.Save(path); err != nil {
 		t.Fatal(err)

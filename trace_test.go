@@ -44,7 +44,7 @@ func findSpans(t *testing.T, tree []obs.SpanNode, stage string) []obs.SpanNode {
 
 func TestShardedSearchTraced(t *testing.T) {
 	data := traceTestData(400, 8)
-	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 7}, 4)
+	sx, err := newSharded(data, Config{Metric: Euclidean, M: 16, Seed: 7}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
