@@ -28,8 +28,9 @@
 //
 // When -data names a dataset FILE, the daemon serves it read-only with no
 // disk footprint: one index built over the file's vectors, or with -index,
-// a prebuilt index container over them. Writes and collection creates
-// answer 501.
+// a prebuilt index container over them, under the configuration the
+// container carries (-m, -lambda and -seed are refused beside -index).
+// Writes and collection creates answer 501.
 //
 // Observability: the daemon logs structured key=value (or JSON with
 // -log-format json) records through log/slog; -trace-sample traces a
@@ -82,7 +83,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		dataPath  = flag.String("data", "", "data directory (writable, durable), or a dataset file (read-only) (required)")
-		indexPath = flag.String("index", "", "file mode: load a prebuilt index container instead of building")
+		indexPath = flag.String("index", "", "file mode: load a prebuilt index container, under its own m, λ and seed, instead of building")
 		metric    = flag.String("metric", "euclidean", "euclidean | angular | hamming | jaccard")
 		m         = flag.Int("m", 64, "hash-string length (larger m: higher recall per candidate, more memory)")
 		lambda    = flag.Int("lambda", 100, "default candidate budget per query (larger λ: higher recall, more time)")
@@ -159,12 +160,25 @@ func main() {
 			if err := bootstrapFrom(def.Dynamic(), *bootstrap, kind); err != nil {
 				fatal(fmt.Errorf("bootstrap: %w", err))
 			}
+			def.Serving().ClaimWAL(def.Dynamic().WALStats().AppendedBytes) // the seed's journal bytes are no request's
 		}
 		if *indexPath != "" {
 			logger.Warn("-index ignored with a data dir")
 		}
 		vectors = def.Backend().Len()
 	} else {
+		if *indexPath != "" {
+			// The container carries its own resolved configuration, so a
+			// flag that would set it cannot apply: refuse it rather than
+			// serve a configuration the operator did not ask for.
+			flag.Visit(func(f *flag.Flag) {
+				switch f.Name {
+				case "m", "lambda", "seed":
+					fmt.Fprintf(os.Stderr, "lccs-serve: -%s cannot be set with -index: the container carries its own configuration\n", f.Name)
+					os.Exit(2)
+				}
+			})
+		}
 		ds, err := dataset.Load(*dataPath)
 		if err != nil {
 			fatal(err)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -549,6 +550,69 @@ func TestProcessBootstrapOneShard(t *testing.T) {
 	d.ok(t, "GET", "/v1/stats", nil, &stats)
 	if b := stats.Backend; b.Vectors != 10000 || b.Shards != 1 || b.Buffered != 0 {
 		t.Fatalf("after -bootstrap: backend %+v, want 10000 vectors in 1 shard, 0 buffered\n%s", b, d.logs.String())
+	}
+	d.stop(t, syscall.SIGTERM)
+}
+
+// TestProcessIndexRefusesConfigFlags: a container carries its own m, λ
+// and seed, so with -index an explicitly set -m, -lambda or -seed exits 2
+// at startup, naming the flag, instead of being silently ignored; with
+// none of them set (and -metric, which still selects the dataset's
+// normalisation) the daemon serves the container.
+func TestProcessIndexRefusesConfigFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a daemon")
+	}
+	spec, err := dataset.Preset("sift", 300, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := dataset.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	data, index := filepath.Join(dir, "ix.ds"), filepath.Join(dir, "ix.lccs")
+	if err := ds.Save(data); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := lccs.NewIndex(ds.Data, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(index); err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range [][2]string{{"m", "16"}, {"lambda", "400"}, {"seed", "1"}} {
+		cmd := exec.Command(serveBin, "-addr", freeAddr(t), "-data", data, "-index", index, "-"+set[0], set[1])
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		exited := make(chan error, 1)
+		go func() { exited <- cmd.Wait() }()
+		select {
+		case err := <-exited:
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+				t.Errorf("-index with -%s: exit %v, want status 2\n%s", set[0], err, stderr.String())
+			} else if !strings.Contains(stderr.String(), "-"+set[0]+" ") {
+				t.Errorf("-index with -%s: stderr does not name the flag: %q", set[0], stderr.String())
+			}
+		case <-time.After(20 * time.Second):
+			cmd.Process.Kill()
+			<-exited
+			t.Errorf("-index with -%s: still running after 20s, want an exit with status 2\n%s", set[0], stderr.String())
+		}
+	}
+	d := startDaemon(t, "-data", data, "-index", index, "-metric", "euclidean")
+	var stats struct {
+		Backend struct{ Vectors int }
+	}
+	d.ok(t, "GET", "/v1/stats", nil, &stats)
+	if stats.Backend.Vectors != 300 {
+		t.Fatalf("served %d vectors, want 300", stats.Backend.Vectors)
 	}
 	d.stop(t, syscall.SIGTERM)
 }

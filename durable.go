@@ -285,7 +285,7 @@ func OpenDurable(dir string, dc DurableConfig) (*DynamicIndex, error) {
 				attrs = a
 			}
 			id, aerr := dyn.AddWithAttrs(rec.Vec, attrs)
-			if aerr != nil && isValidationError(aerr) {
+			if aerr != nil {
 				// The vector was rejected: the log disagrees with the
 				// snapshot it claims to extend.
 				return fmt.Errorf("lccs: durable open: replay insert LSN %d: %w", rec.LSN, aerr)
@@ -370,13 +370,6 @@ func (j *journal) removeOrphans(man *wal.Manifest) error {
 	return nil
 }
 
-// isValidationError reports whether a DynamicIndex.Add error means the
-// vector was rejected (as opposed to a deferred background-build
-// failure delivered alongside a successful insert).
-func isValidationError(err error) bool {
-	return errors.Is(err, ErrEmptyVector) || errors.Is(err, ErrDimensionMismatch) || errors.Is(err, ErrNonFinite)
-}
-
 // clock starts a write's stage clock; only journaled writes are timed.
 func (j *journal) clock() time.Time {
 	if j == nil {
@@ -390,15 +383,15 @@ func (j *journal) clock() time.Time {
 // apply did (nil on a memory-only index); they are appended to the log in
 // the critical section that allocated their ids, so LSN order is id order
 // by construction, and the durability wait runs after the unlock, so
-// concurrent writers group-commit. A journal failure — wrapping
-// ErrNotDurable: the write is applied in memory but may not survive a
-// crash, so it must not be acknowledged — supersedes err, the write's own
-// outcome. The stage clock from t0: index_apply is the lock wait plus the
-// apply, wal_append the enqueue, wal_fsync the durability wait.
-func (d *DynamicIndex) commit(t0 time.Time, recs []wal.Record, err error) error {
+// concurrent writers group-commit. It returns nil or a journal failure,
+// wrapping ErrNotDurable: the write is applied in memory but may not
+// survive a crash, so it must not be acknowledged. The stage clock from
+// t0: index_apply is the lock wait plus the apply, wal_append the
+// enqueue, wal_fsync the durability wait.
+func (d *DynamicIndex) commit(t0 time.Time, recs []wal.Record) error {
 	if len(recs) == 0 {
 		d.mu.Unlock()
-		return err
+		return nil
 	}
 	t1 := time.Now()
 	obs.ObserveDur(obs.StageIndexApply, t1.Sub(t0))
@@ -413,7 +406,7 @@ func (d *DynamicIndex) commit(t0 time.Time, recs []wal.Record, err error) error 
 	if jerr != nil {
 		return fmt.Errorf("%w: %v", ErrNotDurable, jerr)
 	}
-	return err
+	return nil
 }
 
 // insertRecord builds the journal record for one insert: a plain

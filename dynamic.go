@@ -78,10 +78,6 @@ type DynamicIndex struct {
 	// gen invalidates in-flight builds: Rebuild bumps it and a completing
 	// background build from an older generation is discarded.
 	gen uint64
-	// buildErr holds the most recent background build failure; it is
-	// surfaced (and cleared) by the next Add. A successful explicit
-	// Rebuild supersedes the failed delta and clears it unseen.
-	buildErr error
 	// writes is the write generation guarding open cursors: any change
 	// that could reorder or renumber the result stream — insert, delete,
 	// compaction, shard swap-in, rebuild — bumps it, and a cursor token
@@ -129,14 +125,8 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 	}
 	d := newDynamic(segSet{cfg: cfg, metric: metric, tail: store}, rebuildAt)
 	if n := store.Len(); n > 0 {
-		if d.cfg, err = resolveConfig(store, d.cfg); err != nil {
-			return nil, err
-		}
-		c, err := buildCore(store, d.cfg)
-		if err != nil {
-			return nil, err
-		}
-		d.swapInLocked(c, 0, n)
+		d.cfg = deriveConfig(store, d.cfg)
+		d.swapInLocked(buildCore(store, d.cfg), 0, n)
 	}
 	return d, nil
 }
@@ -197,60 +187,47 @@ func validateVector(v []float32, dim int, metric MetricKind) error {
 	return nil
 }
 
-// Add inserts a vector (copied into the buffer's block) and returns its id.
-// Crossing the rebuild threshold starts a background shard build; Add
-// itself never blocks on index construction. If a previous background
-// build failed, its error is returned here (the insert itself still
-// succeeded) and cleared. On a journaled index Add returns once the
-// insert is durable under the sync policy; an error wrapping
-// ErrNotDurable means it may not survive a crash and must not be
-// acknowledged.
+// Add inserts a vector (copied into the buffer's block) and returns its
+// id: AddBatchWithAttrs of one vector. Crossing the rebuild threshold
+// starts a background shard build; Add itself never blocks on index
+// construction. An error means nothing was inserted, except one wrapping
+// ErrNotDurable: the vector is in memory under the returned id, but a
+// crash may lose it, so it must not be acknowledged.
 func (d *DynamicIndex) Add(v []float32) (int, error) {
-	return d.AddWithAttrs(v, nil)
+	return first(d.AddBatchWithAttrs([][]float32{v}, nil))
 }
 
 // AddWithAttrs is Add with optional metadata attached to the vector:
 // the attributes become filterable through Query.Filter and travel through
 // snapshots and the WAL. A nil attrs is exactly Add.
 func (d *DynamicIndex) AddWithAttrs(v []float32, a Attrs) (int, error) {
-	// The journal record is encoded before the lock, so readers never wait
-	// on it; only its id is filled in under the lock.
-	var recs []wal.Record
-	if d.j != nil {
-		recs = []wal.Record{insertRecord(0, v, a)}
-	}
-	t0 := d.j.clock()
-	d.mu.Lock()
-	id, err := d.addLocked(v, a)
-	if err != nil {
-		d.mu.Unlock()
-		return 0, err
-	}
-	if recs != nil {
-		recs[0].ID = int64(id)
-	}
-	return id, d.commit(t0, recs, d.takeBuildErrLocked())
+	return first(d.AddBatchWithAttrs([][]float32{v}, []Attrs{a}))
 }
 
-// AddBatch inserts many vectors under one hold of the write lock and, on
-// a journaled index, with one log append and one durability wait, so a
-// bulk ingest pays one (group-committed) fsync per batch instead of one
-// per vector.
+// first is the id of a batch of one, with the batch's error.
+func first(ids []int, err error) (int, error) {
+	if len(ids) == 0 {
+		return 0, err
+	}
+	return ids[0], err
+}
+
+// AddBatch is AddBatchWithAttrs without metadata.
 func (d *DynamicIndex) AddBatch(vecs [][]float32) ([]int, error) {
 	return d.AddBatchWithAttrs(vecs, nil)
 }
 
-// AddBatchWithAttrs is AddBatch with per-vector metadata: attrs[i]
-// belongs to vecs[i], and attrs may be nil (no metadata) or must match
-// vecs in length. The whole batch is validated before any of it is
-// applied: on a validation error nothing is inserted or journaled, no
-// ids are returned and the error names the first bad vector. Otherwise it
-// returns the ids of every vector, and on a journaled index only once the
-// batch is durable per the sync policy, under one log append and one
-// group-committed fsync. An error wrapping ErrNotDurable alongside the ids
-// means the batch is applied in memory but must not be acknowledged; any
-// other error alongside all the ids is a deferred background-build
-// failure, returned as Add does, and the insert itself succeeded.
+// AddBatchWithAttrs inserts many vectors under one hold of the write lock
+// and, on a journaled index, with one log append and one durability wait,
+// so a bulk ingest pays one (group-committed) fsync per batch instead of
+// one per vector. attrs[i] belongs to vecs[i], and attrs may be nil (no
+// metadata) or must match vecs in length. The whole batch is validated
+// before any of it is applied: on a validation error nothing is inserted
+// or journaled, no ids are returned and the error names the first bad
+// vector. Otherwise it returns the ids of every vector, and on a
+// journaled index only once the batch is durable per the sync policy. An
+// error alongside the ids always wraps ErrNotDurable: the batch is
+// applied in memory but must not be acknowledged.
 func (d *DynamicIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int, error) {
 	if attrs != nil && len(attrs) != len(vecs) {
 		return nil, ErrAttrsMismatch
@@ -258,6 +235,8 @@ func (d *DynamicIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int
 	if len(vecs) == 0 {
 		return nil, nil
 	}
+	// The journal records are encoded before the lock, so readers never
+	// wait on them; only their ids are filled in under the lock.
 	var recs []wal.Record
 	if d.j != nil {
 		recs = make([]wal.Record, len(vecs))
@@ -284,7 +263,7 @@ func (d *DynamicIndex) AddBatchWithAttrs(vecs [][]float32, attrs []Attrs) ([]int
 			recs[i].ID = int64(ids[i])
 		}
 	}
-	return ids, d.commit(t0, recs, d.takeBuildErrLocked())
+	return ids, d.commit(t0, recs)
 }
 
 // attrAt is attrs[i], or nil when the batch carries no metadata.
@@ -293,14 +272,6 @@ func attrAt(attrs []Attrs, i int) Attrs {
 		return nil
 	}
 	return attrs[i]
-}
-
-// addLocked validates and appends one vector and returns its id.
-func (d *DynamicIndex) addLocked(v []float32, a Attrs) (int, error) {
-	if err := validateVector(v, d.tail.Dim(), d.cfg.Metric); err != nil {
-		return 0, err
-	}
-	return d.appendLocked(v, a), nil
 }
 
 // appendLocked appends one validated vector and returns its id.
@@ -317,14 +288,6 @@ func (d *DynamicIndex) appendLocked(v []float32, a Attrs) int {
 	d.writes++
 	d.maybeStartBuildLocked()
 	return id
-}
-
-// takeBuildErrLocked returns and clears the most recent background
-// build failure; a successful insert delivers it.
-func (d *DynamicIndex) takeBuildErrLocked() error {
-	err := d.buildErr
-	d.buildErr = nil
-	return err
 }
 
 // Attrs returns the metadata of the live vector with the given id, or
@@ -352,13 +315,8 @@ func (d *DynamicIndex) maybeStartBuildLocked() {
 	// across later appends (growth copies to a new block; in-place growth
 	// writes only beyond hi), and vectors themselves are never mutated.
 	delta := d.tail.Slice(0, hi-lo)
-	cfg, err := resolveConfig(delta, d.cfg)
-	if err != nil {
-		d.buildErr = err
-		return
-	}
-	d.cfg, d.building = cfg, true
-	go d.buildShard(d.gen, lo, hi, delta, cfg)
+	d.cfg, d.building = deriveConfig(delta, d.cfg), true
+	go d.buildShard(d.gen, lo, hi, delta, d.cfg)
 }
 
 // compactBufferLocked physically drops tombstoned rows from the
@@ -390,27 +348,19 @@ func (d *DynamicIndex) compactBufferLocked() bool {
 // swaps it in. A generation mismatch (an explicit Rebuild ran meanwhile)
 // discards the result.
 func (d *DynamicIndex) buildShard(gen uint64, lo, hi int, delta *vec.Store, cfg Config) {
-	c, err := buildCore(delta, cfg)
+	c := buildCore(delta, cfg)
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.building = false
 	if d.gen == gen {
-		if err != nil {
-			d.buildErr = err
-		} else {
-			d.swapInLocked(c, lo, hi)
-			d.writes++ // source set changed; open cursors die
-		}
+		d.swapInLocked(c, lo, hi)
+		d.writes++ // source set changed; open cursors die
 	}
-	if err == nil {
-		// The buffer may have crossed the threshold again while this
-		// shard was building — including the stale-generation case,
-		// where writes during an explicit Rebuild are still unindexed.
-		// After a failed build, don't retry in a loop; the next Add
-		// surfaces the error and re-triggers.
-		d.maybeStartBuildLocked()
-	}
+	// The buffer may have crossed the threshold again while this shard
+	// was building — including the stale-generation case, where writes
+	// during an explicit Rebuild are still unindexed.
+	d.maybeStartBuildLocked()
 	d.cond.Broadcast()
 }
 
@@ -456,7 +406,7 @@ func (d *DynamicIndex) DeleteBatch(ids []int) (deleted int, missing []int, err e
 			recs = append(recs, wal.Record{Op: wal.OpDelete, ID: int64(id)})
 		}
 	}
-	return deleted, missing, d.commit(t0, recs, nil)
+	return deleted, missing, d.commit(t0, recs)
 }
 
 func (d *DynamicIndex) deleteLocked(id int) bool {
@@ -505,33 +455,20 @@ func (d *DynamicIndex) restoreWatermark(next int) error {
 // released (ids of surviving vectors are unchanged). It invalidates any
 // in-flight background build and blocks readers and writers for the
 // duration — the background path is the production path; Rebuild is for
-// explicit compaction points.
+// explicit compaction points. Like a background build it cannot fail: the
+// error result is always nil.
 func (d *DynamicIndex) Rebuild() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.gen++ // discard any in-flight background build
-	// Gather the live rows into one block and commit only after the build
-	// succeeds, so a failed rebuild leaves the index exactly as it was.
 	store, attrs := d.compacted()
-	n := store.Len()
-	var c *core.Index
-	cfg := d.cfg
-	if n > 0 { // else everything was deleted (or nothing ever added): no index to build
-		var err error
-		if cfg, err = resolveConfig(store, cfg); err != nil {
-			return err
-		}
-		if c, err = buildCore(store, cfg); err != nil {
-			return err
-		}
-	}
 	d.ids.Compact(0, d.dead.Has)
-	d.tail, d.tailAttrs, d.dead, d.cfg = store, attrs, slotSet{}, cfg
+	d.tail, d.tailAttrs, d.dead = store, attrs, slotSet{}
 	d.segs, d.indexed = nil, 0
-	if c != nil {
-		d.swapInLocked(c, 0, n)
+	if n := store.Len(); n > 0 { // else everything was deleted (or nothing ever added): no index to build
+		d.cfg = deriveConfig(store, d.cfg)
+		d.swapInLocked(buildCore(store, d.cfg), 0, n)
 	}
-	d.buildErr = nil
 	d.writes++
 	return nil
 }
@@ -654,13 +591,8 @@ func (d *DynamicIndex) snapshotLocked() (*Index, error) {
 	var tail *core.Index
 	if m := d.tail.Len(); m > 0 {
 		rows := d.tail.Slice(0, m)
-		var err error
-		if d.cfg, err = resolveConfig(rows, d.cfg); err != nil {
-			return nil, err
-		}
-		if tail, err = buildCore(rows, d.cfg); err != nil {
-			return nil, err
-		}
+		d.cfg = deriveConfig(rows, d.cfg)
+		tail = buildCore(rows, d.cfg)
 	}
 	set := d.freeze()
 	if tail != nil { // compacted just now: no tombstones

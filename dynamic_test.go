@@ -176,17 +176,11 @@ func TestDynamicBatchWrites(t *testing.T) {
 	if ids, err := d.AddBatchWithAttrs(nil, nil); ids != nil || err != nil {
 		t.Fatalf("empty batch = %v, %v; want nil, nil", ids, err)
 	}
-	// A deferred background-build failure rides along with a successful
-	// batch, once.
-	boom := errors.New("background build failed")
-	d.mu.Lock()
-	d.buildErr = boom
-	d.mu.Unlock()
-	if ids, err := d.AddBatchWithAttrs(data[54:56], nil); err != boom || len(ids) != 2 {
-		t.Fatalf("batch after a failed build = %v, %v; want both ids and the build error", ids, err)
+	if ids, err := d.AddBatchWithAttrs(data[54:56], nil); err != nil || len(ids) != 2 {
+		t.Fatalf("batch = %v, %v; want two ids", ids, err)
 	}
 	if _, err := d.Add(data[56]); err != nil {
-		t.Fatalf("build error delivered twice: %v", err)
+		t.Fatal(err)
 	}
 
 	deleted, missing, err := d.DeleteBatch([]int{3, 52, 999, 3})

@@ -12,10 +12,13 @@ import (
 // FuzzLoadSharded feeds arbitrary bytes through the container parsers
 // behind Load, which opens every container kind, and asserts the
 // durability-grade contract: truncated or corrupt containers must return
-// an error, never panic and never OOM. The committed golden files of all
-// five magics, plus an attribute-free one-shard file in the layout Save
-// writes, seed the corpus so the fuzzer starts from deep inside the valid
-// format space.
+// an error, never panic and never OOM — and whatever loads, builds: a
+// DynamicIndex made from it takes 4 admissible rows, every Add returning
+// nil, and builds them into one more shard. The committed golden files of
+// all five magics, plus an attribute-free one-shard file in the layout
+// Save writes, seed the corpus so the fuzzer starts from deep inside the
+// valid format space; testdata/fuzz/FuzzLoadSharded adds an Angular
+// container whose bucket width is −1, which Load must refuse.
 func FuzzLoadSharded(f *testing.F) {
 	data, cfg := goldenSetup()
 	var seeds [][]byte
@@ -52,8 +55,24 @@ func FuzzLoadSharded(f *testing.F) {
 		}
 		// The call may succeed (the input is a valid container) or error;
 		// panics fail the fuzz run.
-		if ix, err := Load(path, data); err == nil {
-			ix.Search(data[0], 3)
+		ix, err := Load(path, data)
+		if err != nil {
+			return
+		}
+		ix.Search(data[0], 3)
+		// Whatever loads, builds: a DynamicIndex over it takes admissible
+		// rows without an error and builds them into a shard.
+		d := NewDynamicIndexFrom(ix, 4)
+		shards := d.Shards()
+		for i, v := range data[:4] {
+			if _, err := d.Add(v); err != nil {
+				t.Fatalf("Add %d into a loaded container: %v", i, err)
+			}
+		}
+		d.WaitRebuild()
+		if d.Shards() != shards+1 || d.Buffered() != 0 {
+			t.Fatalf("after 4 rows at rebuildAt 4: %d shards (from %d), %d buffered; want one more shard and none buffered",
+				d.Shards(), shards, d.Buffered())
 		}
 	})
 }

@@ -343,7 +343,7 @@ func (r *runner) insert() error {
 		return nil
 	}
 	id, err := r.di.Add(vec)
-	if err != nil && errors.Is(err, lccs.ErrNotDurable) {
+	if errors.Is(err, lccs.ErrNotDurable) {
 		// Applied in memory, not acked: may vanish at the next crash,
 		// may survive — but only ever with exactly this vector.
 		r.limbo[id] = vec
@@ -351,8 +351,11 @@ func (r *runner) insert() error {
 		r.stats.FaultBreaks++
 		return nil
 	}
-	// A non-durability error (deferred background-build failure) still
-	// means the insert itself succeeded and was journaled: acked.
+	// Any other error means the write failed, which an admissible
+	// vector's insert must not.
+	if err != nil {
+		return r.violation("insert: unexpected error: %v", err)
+	}
 	if r.live[id] != nil || r.deleted[id] {
 		return r.violation("insert issued id %d, which is already %s", id, r.idState(id))
 	}

@@ -311,7 +311,9 @@ func (e *Engine) Adopt(name string, backend lccs.Searcher) (*Collection, error) 
 		return nil, errors.New("engine: Adopt requires a backend")
 	}
 	c := &Collection{name: name, backend: backend, adopted: true}
-	c.dyn, _ = backend.(*lccs.DynamicIndex)
+	if c.dyn, _ = backend.(*lccs.DynamicIndex); c.dyn != nil {
+		c.serving.ClaimWAL(c.dyn.WALStats().AppendedBytes) // bytes journaled before adoption are no request's
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {

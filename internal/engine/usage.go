@@ -100,14 +100,35 @@ func (c *Collection) Usage() *Usage { return &c.usage }
 // Serving is one collection's live request state: the windowed RED/usage
 // ring behind the stats documents' windows, its requests by
 // endpoint and status code (lccs_requests_total), the requests of the
-// collection currently admitted, and those its concurrency share shed.
-// The registry creates it with the collection and drops it with it; the
-// serving layer reads and writes it.
+// collection currently admitted, those its concurrency share shed, and
+// the journal bytes its writes have claimed. The registry creates it
+// with the collection and drops it with it; the serving layer reads and
+// writes it.
 type Serving struct {
 	Health        obs.Health
 	Requests      obs.RequestCounts
 	Occupancy     atomic.Int64
 	QuotaRejected atomic.Uint64
+	// walMark is the journal's cumulative appended-bytes count already
+	// claimed (ClaimWAL).
+	walMark atomic.Int64
+}
+
+// ClaimWAL attributes to the caller the journal bytes appended past the
+// watermark, appended being the journal's cumulative count read after
+// the caller's own append, and moves the watermark there. Concurrent
+// claims race by CAS, so every byte is claimed once: the claims sum to
+// the highest count claimed minus the watermark's start, exactly.
+func (s *Serving) ClaimWAL(appended int64) int64 {
+	for {
+		mark := s.walMark.Load()
+		if appended <= mark {
+			return 0
+		}
+		if s.walMark.CompareAndSwap(mark, appended) {
+			return appended - mark
+		}
+	}
 }
 
 // Serving returns the collection's request state. Never nil; shared by

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"lccs"
+	"lccs/internal/engine"
+	"lccs/internal/rng"
 )
 
 // openDurableBackend stands up a journaled DynamicIndex over a test temp
@@ -131,5 +133,48 @@ func TestDurableInsertNotAckedAfterClose(t *testing.T) {
 	}
 	if code := postJSON(t, ts, "/v1/delete", map[string]any{"id": 0}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("delete on broken WAL: HTTP %d, want 503", code)
+	}
+}
+
+// TestInsertHugeRowsBuilds: 1e20-scale rows, whose float32 distances all
+// overflow, are admissible, and the bucket width the delta builds derive
+// from them is finite: every one-vector /v1/insert into a durable
+// collection at rebuild_at 16 answers a plain 200 (no warning key), the
+// builds swap shards in, and a checkpoint empties the log.
+func TestInsertHugeRowsBuilds(t *testing.T) {
+	eng, err := engine.New(t.TempDir(), engine.Spec{Metric: "euclidean", M: 8, Seed: 7, RebuildAt: 16, Sync: "none"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	_, ts := newTestServer(t, Config{Engine: eng})
+	g := rng.New(25)
+	for i := 0; i < 40; i++ {
+		v := g.GaussianVector(8)
+		for j := range v {
+			v[j] *= 1e20
+		}
+		var body map[string]any
+		if code := postJSON(t, ts, "/v1/insert", insertRequest{Vectors: [][]float32{v}}, &body); code != http.StatusOK {
+			t.Fatalf("insert %d: HTTP %d %v", i, code, body)
+		}
+		if len(body) != 2 || body["ids"] == nil || body["request_id"] == nil {
+			t.Fatalf("insert %d answered %v, want ids and request_id only", i, body)
+		}
+	}
+	c, err := eng.Get(DefaultCollection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := c.Dynamic()
+	d.WaitRebuild()
+	if d.Shards() == 0 {
+		t.Fatal("no shard built")
+	}
+	if _, err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if depth := d.WALStats().Depth; depth != 0 {
+		t.Fatalf("WAL depth %d after the checkpoint, want 0", depth)
 	}
 }

@@ -69,14 +69,15 @@ func (s *Server) record(c *engine.Collection, o outcome) {
 	}
 }
 
-// walAppended reads the journal's cumulative appended-bytes counter (0
-// for memory-only backends). The write handlers, which run only on a
-// writable collection, take the delta around an operation to attribute
-// journal bytes to it; under concurrent writers the split between
-// requests is approximate, but the sum — the number billing cares about
-// — is exact because the counter itself is monotone.
-func walAppended(c *engine.Collection) int64 {
-	return c.Dynamic().WALStats().AppendedBytes
+// claimWAL is the journal bytes a write request adds to its collection's
+// usage and health samples: called once the write returned, it claims the
+// journal's cumulative appended-bytes count (0 for memory-only backends)
+// past the collection's watermark. Under concurrent writers the split
+// between requests is approximate — a request may claim a concurrent
+// one's bytes — but the claims telescope, so their sum is exactly the
+// bytes the journal appended.
+func claimWAL(c *engine.Collection) int64 {
+	return c.Serving().ClaimWAL(c.Dynamic().WALStats().AppendedBytes)
 }
 
 // ---- EXPLAIN ----

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"lccs"
@@ -562,6 +563,50 @@ func TestPromLabelEscaping(t *testing.T) {
 	for _, esc := range []string{`quote\"inside`, `back\\slash`, `new\nline`} {
 		if !strings.Contains(out, esc) {
 			t.Errorf("output missing escaped form %s", esc)
+		}
+	}
+}
+
+// TestWALBytesExactUnderConcurrentWriters: each write claims the journal
+// bytes appended past its collection's watermark, so however concurrent
+// writers interleave, the usage counters' wal_bytes and the health
+// windows' sum to exactly the bytes the journal appended. Before/after
+// deltas taken around each write overlapped and over-counted.
+func TestWALBytesExactUnderConcurrentWriters(t *testing.T) {
+	di := openDurableBackend(t, t.TempDir())
+	_, ts := newTestServer(t, Config{Backend: di})
+	const writers, each = 8, 40
+	data, _ := testWorkload(24, writers*each, 8)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(rows [][]float32) {
+			defer wg.Done()
+			for i := range rows {
+				raw, _ := json.Marshal(insertRequest{Vectors: rows[i : i+1]})
+				resp, err := http.Post(ts.URL+"/v1/insert", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("insert: HTTP %d", resp.StatusCode)
+				}
+			}
+		}(data[w*each : (w+1)*each])
+	}
+	wg.Wait()
+	var cs CollectionStats
+	getJSON(t, ts, "/v1/collections/"+DefaultCollection+"/usage", &cs)
+	appended := di.WALStats().AppendedBytes
+	if cs.Cumulative.Inserts != writers*each || cs.Cumulative.WALBytes != appended {
+		t.Fatalf("usage: %d inserts, wal_bytes %d; want %d and the journal's %d",
+			cs.Cumulative.Inserts, cs.Cumulative.WALBytes, writers*each, appended)
+	}
+	for _, w := range cs.Windows {
+		if w.WALBytes != appended {
+			t.Errorf("%s window: wal_bytes %d, want %d", w.Window, w.WALBytes, appended)
 		}
 	}
 }

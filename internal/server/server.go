@@ -461,9 +461,6 @@ type deleteResponse struct {
 
 type insertResponse struct {
 	IDs []int `json:"ids"`
-	// Warning carries a non-fatal backend condition (e.g. a previous
-	// background delta build failed); the inserts themselves succeeded.
-	Warning string `json:"warning,omitempty"`
 	// RequestID correlates the response with the server's structured log
 	// (also sent as the X-Request-Id header).
 	RequestID uint64 `json:"request_id,omitempty"`
@@ -852,50 +849,29 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	walBefore := walAppended(c)
-	ids, warning, failCode, failErr := s.applyInserts(c, req.Vectors, attrs)
-	o.use.Inserts, o.use.WALBytes = int64(len(ids)), walAppended(c)-walBefore
+	// The call returns only once the batch is durable per the backend's
+	// sync policy, so a 200 never acknowledges a write a crash could lose.
+	ids, err := c.Dynamic().AddBatchWithAttrs(req.Vectors, attrs)
+	o.use.Inserts, o.use.WALBytes = int64(len(ids)), claimWAL(c)
 	w.Header().Set("X-Request-Id", strconv.FormatUint(reqID, 10))
-	if failErr != nil {
+	if err != nil {
 		// A rejected vector rejects the batch whole, so a 400 carries no
-		// ids. On a durability failure the batch is in memory — it moved
-		// the index's generation, so no cached answer predates it — but
-		// possibly not on disk: its ids come back with the 5xx, which
+		// ids. On a durability failure (503) the batch is in memory — it
+		// moved the index's generation, so no cached answer predates it —
+		// but possibly not on disk: its ids come back with the 5xx, which
 		// tells the client not to trust them.
-		s.respond(w, c, o, failCode, struct {
+		s.respond(w, c, o, statusFor(err), struct {
 			errorResponse
 			IDs       []int  `json:"ids"`
 			RequestID uint64 `json:"request_id,omitempty"`
-		}{errorResponse{Error: failErr.Error()}, ids, reqID})
+		}{errorResponse{Error: err.Error()}, ids, reqID})
 		return
 	}
 	o.dur = time.Since(start)
 	s.logger.Debug("insert",
 		"request_id", reqID, "collection", c.Name(),
 		"vectors", len(ids), "wal_bytes", o.use.WALBytes, "took", o.dur)
-	s.respond(w, c, o, http.StatusOK, insertResponse{IDs: ids, Warning: warning, RequestID: reqID})
-}
-
-// applyInserts pushes a vector batch (with optional aligned attrs) into
-// the backend, which validates it whole before applying any of it, and
-// classifies the outcome. The call
-// returns only once the batch is durable per the backend's sync policy,
-// so a 200 never acknowledges a write a crash could lose. A durability
-// failure is a 503 (the write may be applied in memory but not on
-// disk); a rejected vector is a 400. A deferred background-build
-// failure is reported as a warning alongside success, matching
-// DynamicIndex.Add's documented semantics.
-func (s *Server) applyInserts(c *engine.Collection, vectors [][]float32, attrs []lccs.Attrs) (ids []int, warning string, failCode int, failErr error) {
-	ids, err := c.Dynamic().AddBatchWithAttrs(vectors, attrs)
-	switch {
-	case err == nil:
-		return ids, "", 0, nil
-	case errors.Is(err, lccs.ErrNotDurable):
-		return ids, "", http.StatusServiceUnavailable, err
-	case statusFor(err) == http.StatusBadRequest:
-		return ids, "", http.StatusBadRequest, err
-	}
-	return ids, err.Error(), 0, nil
+	s.respond(w, c, o, http.StatusOK, insertResponse{IDs: ids, RequestID: reqID})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -938,11 +914,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// whole batch is journaled per the sync policy, under a single
 	// group-committed wait; a journal failure turns into a 503 instead
 	// of a silently non-durable 200.
-	walBefore := walAppended(c)
 	var resp deleteResponse
 	var err error
 	resp.Deleted, resp.Missing, err = c.Dynamic().DeleteBatch(ids)
-	o.use.Deletes, o.use.WALBytes = int64(resp.Deleted), walAppended(c)-walBefore
+	o.use.Deletes, o.use.WALBytes = int64(resp.Deleted), claimWAL(c)
 	if err != nil {
 		s.fail(w, c, o, http.StatusServiceUnavailable, err)
 		return
@@ -1366,11 +1341,14 @@ const statusClientClosed = 499
 // statusFor maps backend errors to HTTP statuses: the facade's typed
 // validation errors — of a query or of an inserted vector — are the
 // client's fault (400), a stale cursor is 410 Gone (the token was valid
-// once; the client restarts the scan), anything else is 500.
+// once; the client restarts the scan), a write the journal could not make
+// durable is 503, anything else is 500.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, lccs.ErrCursorStale):
 		return http.StatusGone
+	case errors.Is(err, lccs.ErrNotDurable):
+		return http.StatusServiceUnavailable
 	case errors.Is(err, lccs.ErrInvalidK),
 		errors.Is(err, lccs.ErrInvalidBudget),
 		errors.Is(err, lccs.ErrEmptyQuery),

@@ -151,7 +151,8 @@ func euclideanFromSq(sq float32) float64 {
 
 // Naive scalar references. These are the float64-accumulating textbook
 // loops the optimized kernels are validated against in the parity tests
-// and the fuzz target. They are not used on any query path.
+// and the fuzz target. They are not used on any query path; Distance64,
+// which bucket-width derivation falls back on, reads the first.
 
 func refSquaredDistance(a, b []float32) float64 {
 	var s float64

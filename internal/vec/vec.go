@@ -62,6 +62,16 @@ func Distance(a, b []float32) float64 {
 	return euclideanFromSq(s)
 }
 
+// Distance64 is Distance with the sum of squares taken in float64: slower,
+// but no pair of finite rows overflows it, where the float32 sum of
+// Distance overflows to +Inf for rows beyond about 1e19 apart.
+func Distance64(a, b []float32) float64 {
+	if len(a) != len(b) {
+		panic("vec: dimension mismatch")
+	}
+	return math.Sqrt(refSquaredDistance(a, b))
+}
+
 // Norm returns the Euclidean norm of a (float32-accumulated square sum,
 // float64 square root).
 func Norm(a []float32) float64 {

@@ -300,7 +300,9 @@ func skipQuantSection(r io.Reader, sx *segSet, inShard func(int, error) error) e
 // including rows tombstoned inside shards); the shard table must tile its
 // rows and a sample of hash strings is re-verified against it, so passing
 // different data fails loudly rather than silently returning wrong
-// neighbors.
+// neighbors. Load refuses any configuration NewIndex would refuse (a
+// negative or non-finite bucket width under any metric, say), so whatever
+// loads also builds: a DynamicIndex made from it takes writes.
 func Load(path string, data [][]float32) (*Index, error) {
 	store, err := storeFromRows(data, "")
 	if err != nil {
@@ -347,11 +349,15 @@ func checkStore(store *vec.Store) error {
 // decodeBody decodes everything after the header, in the order encode
 // wrote it, into a set for an Index to adopt; h selects the optional
 // sections. A single body has no shard table and decodes as one shard over
-// the whole store.
+// the whole store. The configuration must pass validateConfig, the rule
+// NewIndex applies.
 func decodeBody(r io.Reader, store *vec.Store, h header) (*segSet, error) {
 	cfg, err := decodeConfig(r)
 	if err != nil {
 		return nil, err
+	}
+	if _, err := validateConfig(cfg); err != nil {
+		return nil, fmt.Errorf("lccs: corrupt container config: %w", err)
 	}
 	if err := checkStore(store); err != nil {
 		return nil, err

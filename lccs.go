@@ -43,6 +43,13 @@
 // both implement the Searcher interface, so consumers (including the
 // internal/server network daemon behind cmd/lccs-serve) are agnostic to
 // which facade backs them. See README.md for the architecture.
+//
+// Every DynamicIndex write has one contract: an error means nothing was
+// applied, except an error wrapping ErrNotDurable, which means the write
+// is applied in memory but not acknowledged. Configurations are checked
+// at every door (NewIndex, NewDynamicIndex, Load, OpenDurable) and rows
+// as they are written, so a background shard build cannot fail, and no
+// write carries a build's outcome.
 package lccs
 
 import (
@@ -321,9 +328,11 @@ type Config struct {
 	// internal/csa). 0 selects 64.
 	M int
 	// BucketWidth is the w of the Euclidean family (Eq. 1); it must be
-	// finite. 0 derives it from the data, mirroring how the paper
-	// fine-tunes w per dataset: twice the median, over 64 sampled rows,
-	// of each row's smallest non-zero distance to up to 512 random rows.
+	// finite and not negative, under every metric. 0 derives it from the
+	// data, mirroring how the paper fine-tunes w per dataset: twice the
+	// median, over 64 sampled rows, of each row's smallest non-zero
+	// distance to up to 512 random rows — a positive, finite width for
+	// every admissible dataset.
 	BucketWidth float64
 	// Budget is the default per-query candidate budget λ used by Search.
 	// 0 selects 100.
@@ -375,31 +384,37 @@ const (
 	defaultBudget = 100
 )
 
-// resolveConfig fills a Config's derived fields against a dataset:
-// defaults for M and Budget, and the auto-derived Euclidean bucket width.
-// It is idempotent, so an already resolved Config passes through
-// unchanged — which is how every shard of an Index ends up with the
-// exact same (seed-equivalent) configuration.
+// resolveConfig checks a Config against a dataset — a non-empty,
+// non-zero-dimensional store, and validateConfig's rules — and fills its
+// derived fields (deriveConfig). It is idempotent, so an already resolved
+// Config passes through unchanged — which is how every shard of an Index
+// ends up with the exact same (seed-equivalent) configuration.
 func resolveConfig(store *vec.Store, cfg Config) (Config, error) {
-	if store.Len() == 0 {
-		return cfg, errors.New("lccs: empty dataset")
+	if err := checkStore(store); err != nil {
+		return cfg, err
 	}
-	if store.Dim() == 0 {
-		return cfg, errors.New("lccs: zero-dimensional data")
+	if _, err := validateConfig(cfg); err != nil {
+		return cfg, err
 	}
+	return deriveConfig(store, cfg), nil
+}
+
+// deriveConfig is the part of resolveConfig that cannot fail: defaults
+// for M and Budget, and the auto-derived Euclidean bucket width, which is
+// positive and finite for every admissible store. A DynamicIndex's
+// configuration passed validateConfig when the index was made, so its
+// builds call only this.
+func deriveConfig(store *vec.Store, cfg Config) Config {
 	if cfg.M == 0 {
 		cfg.M = defaultM
 	}
 	if cfg.Budget == 0 {
 		cfg.Budget = defaultBudget
 	}
-	if _, err := validateConfig(cfg); err != nil {
-		return cfg, err
-	}
 	if cfg.Metric == Euclidean && cfg.BucketWidth == 0 {
 		cfg.BucketWidth = autoBucketWidth(store, cfg.Seed)
 	}
-	return cfg, nil
+	return cfg
 }
 
 // storeFromRows packs public row-slice input into a flat store — the
@@ -464,14 +479,19 @@ func storeFromRows(rows [][]float32, metric MetricKind) (*vec.Store, error) {
 	return vec.FromBlock(dim, block)
 }
 
-// validateConfig checks a Config without a dataset — value ranges and
-// metric resolvability — and returns the metric it selects. It is the
-// single source of truth shared by resolveConfig and the empty-start
-// dynamic path, where no build runs yet. A zero Euclidean bucket width is
-// acceptable here — it is auto-derived when the first build sees data.
+// validateConfig checks a Config without a dataset — value ranges, a
+// finite bucket width and metric resolvability — and returns the metric
+// it selects. It is the one rule every door applies: resolveConfig
+// (NewIndex), the empty-start dynamic path, where no build runs yet, and
+// decodeBody (Load), so a loaded configuration is one NewIndex accepts. A
+// zero Euclidean bucket width is acceptable here — it is auto-derived
+// when the first build sees data.
 func validateConfig(cfg Config) (vec.Metric, error) {
 	if cfg.M < 0 || cfg.Budget < 0 || cfg.BucketWidth < 0 {
 		return nil, errors.New("lccs: negative configuration value")
+	}
+	if math.IsNaN(cfg.BucketWidth) || math.IsInf(cfg.BucketWidth, 1) {
+		return nil, fmt.Errorf("lccs: bucket width must be finite, got %v", cfg.BucketWidth)
 	}
 	if cfg.Metric == Euclidean && cfg.BucketWidth == 0 {
 		cfg.BucketWidth = 1 // resolvability check only; derived at build time
@@ -495,30 +515,35 @@ func NewIndex(data [][]float32, cfg Config) (*Index, error) {
 		return nil, err
 	}
 	start := time.Now()
-	c, err := buildCore(store, cfg)
-	if err != nil {
-		return nil, err
-	}
+	c := buildCore(store, cfg)
 	set := segSet{cfg: cfg, metric: c.Metric(), tail: vec.NewStore(store.Dim()), segs: []segment{{core: c}}, indexed: store.Len()}
 	return indexOf(set, time.Since(start)), nil
 }
 
-// buildCore builds one segment's core index over a store under a
-// resolved configuration — the shared constructor behind NewIndex and
-// the dynamic delta builds. Segments built under
-// one resolved Config draw the same hash functions.
-func buildCore(store *vec.Store, cfg Config) (*core.Index, error) {
+// buildCore builds one segment's core index over a non-empty store under
+// a resolved configuration — the shared constructor behind NewIndex and
+// the dynamic delta builds. Segments built under one resolved Config draw
+// the same hash functions. Nothing in a build can fail under a
+// configuration resolveConfig or deriveConfig produced, so a failure is
+// an invariant violation and panics, as csa.New does.
+func buildCore(store *vec.Store, cfg Config) *core.Index {
 	family, err := familyFor(cfg, store.Dim())
-	if err != nil {
-		return nil, err
+	if err == nil {
+		var c *core.Index
+		if c, err = core.BuildStore(store, family, core.Params{M: cfg.M, Seed: cfg.Seed}); err == nil {
+			return c
+		}
 	}
-	return core.BuildStore(store, family, core.Params{M: cfg.M, Seed: cfg.Seed})
+	panic(fmt.Sprintf("lccs: build under a resolved configuration failed: %v", err))
 }
 
 // autoBucketWidth estimates a bucket width from the data: twice the median
 // distance from a sampled point to its nearest neighbor within a small
 // sample, which places true near neighbors in the high-collision regime of
-// Eq. 2.
+// Eq. 2. The width is positive and finite for every store of finite rows:
+// 1 when every sampled distance is zero, and a distance whose float32 sum
+// of squares overflows (rows beyond about 1e19 apart) is taken again in
+// float64, which no pair of finite rows overflows.
 func autoBucketWidth(store *vec.Store, seed uint64) float64 {
 	g := rng.New(seed ^ 0xB0C4E7)
 	const samples = 64
@@ -531,6 +556,9 @@ func autoBucketWidth(store *vec.Store, seed uint64) float64 {
 		for t := 0; t < pool && t < n; t++ {
 			b := store.Row(g.IntN(n))
 			d := vec.Distance(a, b)
+			if math.IsInf(d, 1) {
+				d = vec.Distance64(a, b)
+			}
 			if d == 0 {
 				continue
 			}
@@ -546,11 +574,7 @@ func autoBucketWidth(store *vec.Store, seed uint64) float64 {
 		return 1
 	}
 	sort.Float64s(dists)
-	w := 2 * dists[len(dists)/2]
-	if w <= 0 {
-		return 1
-	}
-	return w
+	return 2 * dists[len(dists)/2]
 }
 
 // Search returns the k nearest neighbors of q across all shards with the

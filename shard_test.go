@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"lccs/internal/core"
 	"lccs/internal/vec"
 )
 
@@ -34,21 +33,15 @@ func newSharded(data [][]float32, cfg Config, shards int) (*Index, error) {
 	start := time.Now()
 	offsets := splitOffsets(n, shards)
 	set := segSet{cfg: cfg, tail: vec.NewStore(store.Dim()), segs: make([]segment, shards), indexed: n}
-	errs := make([]error, shards)
 	var wg sync.WaitGroup
 	for s := range set.segs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var c *core.Index
-			c, errs[s] = buildCore(store.Slice(offsets[s], offsets[s+1]), cfg)
-			set.segs[s] = segment{core: c, off: offsets[s]}
+			set.segs[s] = segment{core: buildCore(store.Slice(offsets[s], offsets[s+1]), cfg), off: offsets[s]}
 		}()
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
 	set.metric = set.segs[0].core.Metric()
 	return indexOf(set, time.Since(start)), nil
 }
