@@ -252,7 +252,6 @@ func BenchmarkHashFamilies(b *testing.B) {
 	}{
 		{"randproj", lshfamily.NewRandomProjection(d, 4).New(g), v},
 		{"crosspolytope", lshfamily.NewCrossPolytope(d).New(g), v},
-		{"simhash", lshfamily.NewSimHash(d).New(g), v},
 		{"bitsampling", lshfamily.NewBitSampling(d).New(g), bits},
 	}
 	for _, c := range cases {

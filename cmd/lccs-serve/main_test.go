@@ -7,6 +7,7 @@ import (
 
 	"lccs"
 	"lccs/internal/engine"
+	"lccs/internal/faultfs"
 	"lccs/internal/obs"
 	"lccs/internal/wal"
 )
@@ -31,7 +32,7 @@ func TestCheckpointStopJoinsTheLoop(t *testing.T) {
 	generations := func() []uint64 {
 		var out []uint64
 		for _, c := range colls {
-			man, err := wal.ReadManifest(c.Dynamic().Dir())
+			man, err := wal.ReadManifest(faultfs.OS{}, c.Dynamic().Dir())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lccs/internal/rng"
+	"lccs/internal/vec"
 )
 
 // The write contract holds because a background build cannot fail: every
@@ -17,7 +18,7 @@ import (
 
 // hugeRows returns n rows of N(0,1)×1e20 in d = 8: admissible Euclidean
 // rows whose pairwise float32 sums of squares overflow, so every distance
-// vec.Distance gives between two of them is +Inf.
+// between two of them is taken in float64 (vec.Distance64).
 func hugeRows(seed uint64, n int) [][]float32 {
 	g := rng.New(seed)
 	rows := make([][]float32, n)
@@ -108,6 +109,34 @@ func TestNewIndexHugeRows(t *testing.T) {
 		res := must(ix.Search(rows[id], 1))
 		if len(res) != 1 || res[0].ID != id || res[0].Dist != 0 {
 			t.Fatalf("Search(row %d) = %+v", id, res)
+		}
+	}
+}
+
+// TestSearchHugeRowsFinite: every Euclidean distance between finite rows is
+// finite. Over 1e20-scale rows, whose float32 sums of squares all overflow,
+// a k = 3 search at an exhaustive budget answers finite distances within
+// 1e-6 relative of vec.Distance64, from a built index (the bounded gather)
+// and from a DynamicIndex whose rows are all buffered (the tail's scan) —
+// where both once answered +Inf for every row but the query's own.
+func TestSearchHugeRowsFinite(t *testing.T) {
+	rows := hugeRows(3, 40)
+	ix := must(NewIndex(rows, Config{Metric: Euclidean, M: 16, Seed: 1}))
+	d := must(NewDynamicIndex(nil, Config{Metric: Euclidean, M: 16, Seed: 1}, 64))
+	must(d.AddBatch(rows))
+	for name, s := range map[string]Searcher{"index": ix, "buffered": d} {
+		for _, qid := range []int{0, 17, 39} {
+			q := rows[qid]
+			res := must(s.SearchQuery(q, Query{K: 3, Budget: math.MaxInt}, nil))
+			if len(res) != 3 || res[0].ID != qid || res[0].Dist != 0 {
+				t.Fatalf("%s: query %d answered %+v, want 3 neighbors led by itself at 0", name, qid, res)
+			}
+			for _, nb := range res[1:] {
+				want := vec.Distance64(rows[nb.ID], q)
+				if math.IsInf(nb.Dist, 0) || math.Abs(nb.Dist-want) > 1e-6*want {
+					t.Fatalf("%s: query %d: neighbor %d at %v, want %v", name, qid, nb.ID, nb.Dist, want)
+				}
+			}
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package lccs
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"path/filepath"
 	"sync"
@@ -75,13 +77,12 @@ type DurableConfig struct {
 	// RebuildAt is the DynamicIndex delta threshold. 0 selects the
 	// default.
 	RebuildAt int
-	// FS is the filesystem the manifest, WAL, and snapshot lifecycle go
-	// through. Nil selects the real filesystem; tests inject faults
-	// (torn writes, failed fsyncs, crashes) through it. Snapshot file
-	// contents are still written by the dataset/container savers on the
-	// real filesystem — FS coverage of a snapshot starts at its fsync —
-	// so a DurableConfig FS must wrap the real filesystem, not replace
-	// it.
+	// FS is the filesystem every file of the data directory is created,
+	// written, fsynced, read, renamed and removed through: the manifest,
+	// the WAL segments and both snapshot files. Nil selects the real
+	// filesystem; tests inject faults (ENOSPC, torn writes, failed
+	// fsyncs, crashes) through it. An FS may replace the real filesystem,
+	// not only wrap it.
 	FS wal.FS
 	// Logger receives structured recovery, checkpoint, and WAL
 	// lifecycle events. Nil keeps the library silent (events are
@@ -212,26 +213,28 @@ func OpenDurable(dir string, dc DurableConfig) (*DynamicIndex, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	man, err := wal.ReadManifestFS(fsys, dir)
+	man, err := wal.ReadManifest(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
 	var dyn *DynamicIndex
 	var snapVectors int
 	if man != nil && man.Container != "" {
-		ds, err := dataset.Load(filepath.Join(dir, man.Dataset))
-		if err != nil {
-			return nil, fmt.Errorf("lccs: durable open: load snapshot vectors: %w", err)
-		}
 		// The whole warm-restart path is flat: the dataset loads into one
 		// contiguous block, the container decodes against views of it,
 		// and the dynamic index adopts the same store — no per-row
 		// materialization or re-packing copies anywhere.
+		ds, err := readFile(fsys, filepath.Join(dir, man.Dataset), dataset.Decode)
+		if err != nil {
+			return nil, fmt.Errorf("lccs: durable open: load snapshot vectors: %w", err)
+		}
 		flat, err := ds.FlatData()
 		if err != nil {
 			return nil, fmt.Errorf("lccs: durable open: load snapshot vectors: %w", err)
 		}
-		ix, err := LoadStore(filepath.Join(dir, man.Container), flat)
+		ix, err := readFile(fsys, filepath.Join(dir, man.Container), func(r io.Reader) (*Index, error) {
+			return loadStore(r, flat)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("lccs: durable open: load snapshot container: %w", err)
 		}
@@ -481,21 +484,18 @@ func (d *DynamicIndex) Checkpoint() (CheckpointInfo, error) {
 	if empty {
 		man.IDWatermark = uint64(watermark)
 	} else {
-		container, dsName := snapshotNames(gen)
-		if err := snap.Save(filepath.Join(j.dir, container)); err != nil {
-			return CheckpointInfo{}, err
-		}
-		// Persist the snapshot's rows as one dataset: each block the rows
+		// Both files are fsynced before the manifest names them. The
+		// snapshot's rows persist as one dataset: each block the rows
 		// live in streams out in slot order, none is concatenated first.
-		if err := dataset.SaveBlocks(filepath.Join(j.dir, dsName), "durable", "snapshot", snap.blocks()); err != nil {
+		container, dsName := snapshotNames(gen)
+		if err := faultfs.WriteFile(j.fs, filepath.Join(j.dir, container), snap.encode); err != nil {
 			return CheckpointInfo{}, err
 		}
-		// The snapshot files must be on disk before the manifest names
-		// them.
-		for _, name := range []string{container, dsName} {
-			if err := fsyncFile(j.fs, filepath.Join(j.dir, name)); err != nil {
-				return CheckpointInfo{}, err
-			}
+		err := faultfs.WriteFile(j.fs, filepath.Join(j.dir, dsName), func(w io.Writer) error {
+			return dataset.EncodeBlocks(w, "durable", "snapshot", snap.blocks())
+		})
+		if err != nil {
+			return CheckpointInfo{}, err
 		}
 		man.Container, man.Dataset = container, dsName
 		info.Container, info.Dataset = container, dsName
@@ -504,7 +504,7 @@ func (d *DynamicIndex) Checkpoint() (CheckpointInfo, error) {
 	writeTook := time.Since(writeStart)
 	obs.ObserveDur(obs.StageCkptWrite, writeTook)
 	manStart := time.Now()
-	if err := wal.WriteManifestFS(j.fs, j.dir, man); err != nil {
+	if err := wal.WriteManifest(j.fs, j.dir, man); err != nil {
 		return CheckpointInfo{}, err
 	}
 	manTook := time.Since(manStart)
@@ -588,12 +588,13 @@ func (d *DynamicIndex) WALStats() WALStats {
 	}
 }
 
-// fsyncFile fsyncs an already written file by path.
-func fsyncFile(fsys wal.FS, path string) error {
+// readFile opens path through fsys and decodes it from a buffered reader.
+func readFile[T any](fsys wal.FS, path string, decode func(io.Reader) (T, error)) (T, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		return err
+		var zero T
+		return zero, err
 	}
 	defer f.Close()
-	return f.Sync()
+	return decode(bufio.NewReaderSize(f, 1<<20))
 }

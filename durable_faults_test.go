@@ -1,8 +1,11 @@
 package lccs
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -95,7 +98,7 @@ func checkDurableState(t *testing.T, dir string, vecs [][]float32, deleted map[i
 // no snapshot files outside the manifest.
 func checkNoDebris(t *testing.T, dir string) {
 	t.Helper()
-	man, err := wal.ReadManifest(dir)
+	man, err := wal.ReadManifest(faultfs.OS{}, dir)
 	if err != nil {
 		t.Fatalf("ReadManifest: %v", err)
 	}
@@ -160,12 +163,17 @@ func TestCheckpointFailureNeverReusesGeneration(t *testing.T) {
 // Crash the filesystem at every step of a checkpoint in turn, and
 // demand that the next OpenDurable completes the interrupted cleanup
 // from every position: state intact, no debris, directory fully
-// operable. This sweeps the whole protocol — snapshot fsyncs, manifest
-// temp write/fsync/rename/dir-fsync, log truncation (including the
-// segment rotation inside it), and the orphan sweep.
+// operable. This sweeps the whole protocol — both snapshot files'
+// create/write/fsync, manifest temp write/fsync/rename/dir-fsync, log
+// truncation (including the segment rotation inside it), and the orphan
+// sweep — and the sweep must crash at least once in a write of each
+// snapshot file's bytes, so a snapshot write that bypasses the FS fails it.
 func TestCheckpointCrashAtEveryStep(t *testing.T) {
 	vecs := faultVecs(12)
 	deleted := map[int]bool{1: true, 5: true, 9: true}
+	errInContainer := errors.New("crash writing the snapshot container")
+	errInDataset := errors.New("crash writing the snapshot dataset")
+	var inContainer, inDataset int
 	for n := uint64(1); ; n++ {
 		n := n
 		completed := false
@@ -193,8 +201,21 @@ func TestCheckpointCrashAtEveryStep(t *testing.T) {
 			if n, _, err := di.DeleteBatch([]int{9}); n != 1 || err != nil {
 				t.Fatalf("DeleteBatch([9]) = %d, %v", n, err)
 			}
-			fs.Inject(&faultfs.Fault{AtStep: fs.Steps() + n, Crash: true})
+			// The first fault that matches fires, so a crash in a write of
+			// a snapshot file's bytes returns that file's error.
+			at := fs.Steps() + n
+			fs.Inject(
+				&faultfs.Fault{AtStep: at, Op: faultfs.OpWrite, Path: ".lccs", Crash: true, Err: errInContainer},
+				&faultfs.Fault{AtStep: at, Op: faultfs.OpWrite, Path: ".ds", Crash: true, Err: errInDataset},
+				&faultfs.Fault{AtStep: at, Crash: true},
+			)
 			_, cerr := di.Checkpoint()
+			switch {
+			case errors.Is(cerr, errInContainer):
+				inContainer++
+			case errors.Is(cerr, errInDataset):
+				inDataset++
+			}
 			if !fs.Killed() {
 				// The checkpoint finished before step n: the sweep is
 				// past the end of the protocol.
@@ -213,6 +234,87 @@ func TestCheckpointCrashAtEveryStep(t *testing.T) {
 		if n > 100 {
 			t.Fatal("checkpoint did not complete within 100 injected steps")
 		}
+	}
+	if inContainer == 0 || inDataset == 0 {
+		t.Fatalf("the sweep crashed %d times writing the container and %d writing the dataset; want both > 0", inContainer, inDataset)
+	}
+}
+
+// TestSnapshotWriteFaults injects a fault inside each snapshot file a
+// checkpoint writes: ENOSPC on the container's write, a torn write of the
+// vectors' .ds file, a crash at the container's create. Checkpoint must
+// report it, leave MANIFEST byte for byte as it was, and leave a
+// directory that recovers every acknowledged write with no orphan. A
+// checkpoint retried on the index after a fault it survived takes a fresh
+// generation and sweeps the failed one's files.
+func TestSnapshotWriteFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		fault   faultfs.Fault
+		want    error
+		partial string // the failed generation's file the fault cut short
+	}{
+		{"enospc-container-write", faultfs.Fault{Op: faultfs.OpWrite, Path: ".lccs", Err: faultfs.ErrNoSpace, Once: true}, faultfs.ErrNoSpace, "snapshot-000002.lccs"},
+		{"torn-dataset-write", faultfs.Fault{Op: faultfs.OpWrite, Path: ".ds", TornBytes: 10, Once: true}, faultfs.ErrInjected, "snapshot-000002.ds"},
+		{"crash-container-create", faultfs.Fault{Op: faultfs.OpCreate, Path: ".lccs", Crash: true}, faultfs.ErrKilled, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			di, fs := openFaulted(t, dir)
+			vecs := faultVecs(12)
+			deleted := map[int]bool{1: true, 9: true}
+			for _, v := range vecs[:8] {
+				if _, err := di.Add(v); err != nil {
+					t.Fatalf("Add: %v", err)
+				}
+			}
+			if n, _, err := di.DeleteBatch([]int{1}); n != 1 || err != nil {
+				t.Fatalf("DeleteBatch([1]) = %d, %v", n, err)
+			}
+			if _, err := di.Checkpoint(); err != nil {
+				t.Fatalf("baseline checkpoint: %v", err)
+			}
+			for _, v := range vecs[8:] {
+				if _, err := di.Add(v); err != nil {
+					t.Fatalf("Add: %v", err)
+				}
+			}
+			if n, _, err := di.DeleteBatch([]int{9}); n != 1 || err != nil {
+				t.Fatalf("DeleteBatch([9]) = %d, %v", n, err)
+			}
+			manPath := filepath.Join(dir, wal.ManifestName)
+			before, err := os.ReadFile(manPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault := tc.fault
+			fs.Inject(&fault)
+			if _, err := di.Checkpoint(); !errors.Is(err, tc.want) {
+				t.Fatalf("Checkpoint under the fault: %v, want %v", err, tc.want)
+			}
+			if fs.Fired() != 1 {
+				t.Fatalf("%d faults fired, want 1", fs.Fired())
+			}
+			if after, err := os.ReadFile(manPath); err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("MANIFEST changed by a failed checkpoint: %q, %v; was %q", after, err, before)
+			}
+			if tc.partial != "" {
+				if _, err := os.Stat(filepath.Join(dir, tc.partial)); err != nil {
+					t.Fatalf("the fault left no partial %s: %v", tc.partial, err)
+				}
+				info, err := di.Checkpoint()
+				if err != nil {
+					t.Fatalf("retried checkpoint: %v", err)
+				}
+				if info.Generation != 3 {
+					t.Fatalf("retried checkpoint took generation %d, want 3 (the failed one claimed 2)", info.Generation)
+				}
+				checkNoDebris(t, dir)
+			}
+			crash(di)
+			di.Close()
+			checkDurableState(t, dir, vecs, deleted)
+		})
 	}
 }
 

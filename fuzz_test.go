@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzLoadSharded feeds arbitrary bytes through the container parsers
-// behind Load, which opens every container kind, and asserts the
+// behind Load, which opens every container kind (through loadStore, the
+// reader entry Load and the durable open share), and asserts the
 // durability-grade contract: truncated or corrupt containers must return
 // an error, never panic and never OOM — and whatever loads, builds: a
 // DynamicIndex made from it takes 4 admissible rows, every Add returning
@@ -19,6 +20,8 @@ import (
 // Save writes, seed the corpus so the fuzzer starts from deep inside the
 // valid format space; testdata/fuzz/FuzzLoadSharded adds an Angular
 // container whose bucket width is −1, which Load must refuse.
+// Run it with -fuzzminimizetime=100x: under the default 60 s, minimising
+// one new input grown from those ~30 KB seeds takes a whole short run.
 func FuzzLoadSharded(f *testing.F) {
 	data, cfg := goldenSetup()
 	var seeds [][]byte
@@ -49,13 +52,14 @@ func FuzzLoadSharded(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.lccs")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
+		store, err := storeFromRows(data, "")
+		if err != nil {
 			t.Fatal(err)
 		}
 		// The call may succeed (the input is a valid container) or error;
-		// panics fail the fuzz run.
-		ix, err := Load(path, data)
+		// panics fail the fuzz run. Load decodes its file through the same
+		// entry.
+		ix, err := loadStore(bytes.NewReader(blob), store)
 		if err != nil {
 			return
 		}

@@ -22,8 +22,8 @@ func TestRequiresAngularFamily(t *testing.T) {
 	if _, err := Build(data, lshfamily.NewRandomProjection(16, 4), Params{K: 1, L: 1, Probes: 1}); err == nil {
 		t.Fatal("euclidean family should be rejected")
 	}
-	if _, err := Build(data, lshfamily.NewSimHash(16), Params{K: 2, L: 2, Probes: 2}); err != nil {
-		t.Fatalf("simhash (angular) should be accepted: %v", err)
+	if _, err := Build(data, lshfamily.NewCrossPolytope(16), Params{K: 2, L: 2, Probes: 2}); err != nil {
+		t.Fatalf("cross-polytope (angular) should be accepted: %v", err)
 	}
 }
 

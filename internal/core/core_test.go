@@ -254,30 +254,6 @@ func TestSearchRecallAngularCrossPolytope(t *testing.T) {
 	}
 }
 
-func TestSearchFamilyIndependenceSimHash(t *testing.T) {
-	// The same index code must work with a completely different family —
-	// the framework consumes hash strings only (§1, "LSH-family-
-	// independent").
-	g := rng.New(8)
-	n, d := 800, 16
-	data := clusteredData(g, n, d, 8, 0.4)
-	fam := lshfamily.NewSimHash(d)
-	ix, err := Build(data, fam, Params{M: 128, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for i := 0; i < 10; i++ {
-		q := data[i*11]
-		want := bruteForceKNN(data, q, 5, vec.Angular)
-		got := ix.Search(q, 5, 100)
-		total += recallOf(got, want)
-	}
-	if avg := total / 10; avg < 0.6 {
-		t.Fatalf("simhash recall %.2f below 0.6", avg)
-	}
-}
-
 func TestSearchBudgetMonotonic(t *testing.T) {
 	// More candidates (larger λ) must never decrease recall on average.
 	g := rng.New(10)

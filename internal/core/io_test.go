@@ -104,7 +104,7 @@ func TestCoreDecodeRejectsMismatches(t *testing.T) {
 	blob := buf.Bytes()
 
 	// Wrong family name.
-	if _, err := decodeRows(bytes.NewReader(blob), data, lshfamily.NewSimHash(8)); err == nil {
+	if _, err := decodeRows(bytes.NewReader(blob), data, lshfamily.NewCrossPolytope(8)); err == nil {
 		t.Error("wrong family should fail")
 	}
 	// Wrong dimension.

@@ -215,7 +215,7 @@ func checkVerifyShape(t *testing.T, sh verifyShape) {
 	}
 	var fam lshfamily.Family = lshfamily.NewRandomProjection(dim, 2*math.Sqrt(float64(dim)))
 	if angular {
-		fam = lshfamily.NewSimHash(dim)
+		fam = lshfamily.NewCrossPolytope(dim)
 	}
 	p := Params{M: 16, Seed: 3}
 	whole, err := BuildStore(store, fam, p)

@@ -226,9 +226,9 @@ func writeFile(path string, b []byte) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// TestSaveBlocksMatchesFlat pins that a dataset streamed from several
-// blocks is byte for byte the one NewFlat writes over their concatenation.
-func TestSaveBlocksMatchesFlat(t *testing.T) {
+// TestEncodeBlocksMatchesFlat pins that a dataset streamed from several
+// blocks is byte for byte the file NewFlat saves over their concatenation.
+func TestEncodeBlocksMatchesFlat(t *testing.T) {
 	rows := make([][]float32, 700)
 	for i := range rows {
 		rows[i] = []float32{float32(i), float32(-i), float32(i) / 7}
@@ -237,27 +237,23 @@ func TestSaveBlocksMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	ref, got := filepath.Join(dir, "ref.ds"), filepath.Join(dir, "got.ds")
+	ref := filepath.Join(t.TempDir(), "ref.ds")
 	if err := NewFlat("durable", "snapshot", flat, nil).Save(ref); err != nil {
 		t.Fatal(err)
 	}
 	blocks := []*vec.Store{flat.Slice(0, 100), flat.Copy(100, 100), flat.Copy(100, 650), flat.Slice(650, 700)}
-	if err := SaveBlocks(got, "durable", "snapshot", blocks); err != nil {
+	var got bytes.Buffer
+	if err := EncodeBlocks(&got, "durable", "snapshot", blocks); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := os.ReadFile(got)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("streamed dataset (%d bytes) differs from the flat one (%d bytes)", got.Len(), len(want))
 	}
-	if !bytes.Equal(have, want) {
-		t.Fatalf("streamed dataset (%d bytes) differs from the flat one (%d bytes)", len(have), len(want))
-	}
-	ds, err := Load(got)
+	ds, err := Decode(&got)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 
+	"lccs/internal/faultfs"
 	"lccs/internal/pqueue"
 	"lccs/internal/vec"
 )
@@ -19,14 +20,15 @@ var (
 )
 
 // Save writes the dataset to path in the repository's little-endian binary
-// format (header, then data vectors, then query vectors, all float32).
-func (d *Dataset) Save(path string) error { return saveFile(path, d.encode) }
+// format (header, then data vectors, then query vectors, all float32),
+// fsynced before it returns.
+func (d *Dataset) Save(path string) error { return faultfs.WriteFile(faultfs.OS{}, path, d.encode) }
 
-// SaveBlocks writes a dataset without queries whose data vectors are the
-// rows of blocks, in order, to path: byte for byte what Save writes for
-// NewFlat over their concatenation, without concatenating them. All
-// blocks must share one dimensionality.
-func SaveBlocks(path, name, kind string, blocks []*vec.Store) error {
+// EncodeBlocks writes a dataset without queries whose data vectors are the
+// rows of blocks, in order: byte for byte what Save writes for NewFlat
+// over their concatenation, without concatenating them. All blocks must
+// share one dimensionality.
+func EncodeBlocks(w io.Writer, name, kind string, blocks []*vec.Store) error {
 	dim, n := 0, 0
 	for _, b := range blocks {
 		if b.Len() > 0 {
@@ -34,36 +36,15 @@ func SaveBlocks(path, name, kind string, blocks []*vec.Store) error {
 		}
 		n += b.Len()
 	}
-	return saveFile(path, func(w io.Writer) error {
-		if err := encodeHeader(w, name, kind, dim, n, 0); err != nil {
+	if err := encodeHeader(w, name, kind, dim, n, 0); err != nil {
+		return err
+	}
+	for _, b := range blocks {
+		if err := writeFloats(w, b.Block()); err != nil {
 			return err
 		}
-		for _, b := range blocks {
-			if err := writeFloats(w, b.Block()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// saveFile creates path and streams encode into it through one write
-// buffer.
-func saveFile(path string, encode func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := encode(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // encodeHeader writes the magic, the names and the dimensionality, data
@@ -130,10 +111,11 @@ func Load(path string) (*Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return decode(bufio.NewReaderSize(f, 1<<20))
+	return Decode(bufio.NewReaderSize(f, 1<<20))
 }
 
-func decode(r io.Reader) (*Dataset, error) {
+// Decode reads a dataset in the format Save writes from r.
+func Decode(r io.Reader) (*Dataset, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, err
@@ -203,46 +185,36 @@ type GroundTruth struct {
 	Neighbors [][]pqueue.Neighbor // one slice of K per query
 }
 
-// SaveTruth writes ground truth to path.
+// Save writes ground truth to path, fsynced before it returns.
 func (gt *GroundTruth) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
+	return faultfs.WriteFile(faultfs.OS{}, path, gt.encode)
+}
+
+func (gt *GroundTruth) encode(w io.Writer) error {
 	if _, err := w.Write(truthMagic[:]); err != nil {
-		f.Close()
 		return err
 	}
 	hdr := []int32{int32(gt.K), int32(len(gt.Neighbors))}
 	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		f.Close()
 		return err
 	}
 	for _, nn := range gt.Neighbors {
 		if len(nn) != gt.K {
-			f.Close()
 			return fmt.Errorf("dataset: ground truth row has %d entries, want %d", len(nn), gt.K)
 		}
 		for _, e := range nn {
 			if err := binary.Write(w, binary.LittleEndian, int32(e.ID)); err != nil {
-				f.Close()
 				return err
 			}
 			if err := binary.Write(w, binary.LittleEndian, e.Dist); err != nil {
-				f.Close()
 				return err
 			}
 		}
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
-// LoadTruth reads ground truth written by SaveTruth.
+// LoadTruth reads ground truth written by GroundTruth.Save.
 func LoadTruth(path string) (*GroundTruth, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -250,8 +250,12 @@ type Engine struct {
 	root     string // "" = rootless (adopted backends only)
 	defaults Spec
 	logger   *slog.Logger
-	// fs carries the spec writes and every durable collection's I/O;
-	// tests inject faults through it.
+	// fs carries every file operation on the registry's directories:
+	// spec reads and writes, listing, directory creation and every
+	// durable collection's I/O. Only os.RemoveAll, which drops a
+	// collection or clears a failed create, bypasses it (FS has no
+	// RemoveAll, and neither is a durability step). Tests inject faults
+	// through it.
 	fs faultfs.FS
 
 	mu     sync.RWMutex
@@ -285,7 +289,7 @@ func New(root string, defaults Spec, logger *slog.Logger) (*Engine, error) {
 	if root == "" {
 		return e, nil
 	}
-	if err := os.MkdirAll(filepath.Join(root, "collections"), 0o755); err != nil {
+	if err := e.fs.MkdirAll(filepath.Join(root, "collections"), 0o755); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if _, err := e.openLocked(DefaultCollection, root, defaults); err != nil {
@@ -347,10 +351,10 @@ func (e *Engine) Create(name string, spec Spec) (*Collection, error) {
 		return nil, fmt.Errorf("%w: cannot create %q", ErrNoRoot, name)
 	}
 	dir := e.collDir(name)
-	if _, err := os.Stat(filepath.Join(dir, specFile)); err == nil {
+	if e.hasSpec(dir) {
 		return nil, fmt.Errorf("%w: %q (on disk)", ErrExists, name)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := e.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: create %q: %w", name, err)
 	}
 	if err := e.writeSpec(dir, spec); err != nil {
@@ -393,7 +397,7 @@ func (e *Engine) Get(name string) (*Collection, error) {
 	if c, ok := e.colls[name]; ok { // raced another opener
 		return c, nil
 	}
-	spec, err := readSpec(e.collDir(name))
+	spec, err := e.readSpec(e.collDir(name))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
@@ -439,7 +443,7 @@ func (e *Engine) Drop(name string) error {
 	if !ok {
 		// Never opened this process: it may still exist on disk.
 		if e.root != "" {
-			if _, err := os.Stat(filepath.Join(e.collDir(name), specFile)); err == nil {
+			if e.hasSpec(e.collDir(name)) {
 				if err := os.RemoveAll(e.collDir(name)); err != nil {
 					return fmt.Errorf("engine: drop %q: %w", name, err)
 				}
@@ -476,13 +480,13 @@ func (e *Engine) List() []string {
 	root := e.root
 	e.mu.RUnlock()
 	if root != "" {
-		entries, err := os.ReadDir(filepath.Join(root, "collections"))
+		entries, err := e.fs.ReadDir(filepath.Join(root, "collections"))
 		if err == nil {
 			for _, ent := range entries {
 				if !ent.IsDir() || ValidateName(ent.Name()) != nil {
 					continue
 				}
-				if _, err := os.Stat(filepath.Join(root, "collections", ent.Name(), specFile)); err == nil {
+				if e.hasSpec(filepath.Join(root, "collections", ent.Name())) {
 					names[ent.Name()] = true
 				}
 			}
@@ -563,8 +567,8 @@ func (e *Engine) writeSpec(dir string, spec Spec) error {
 }
 
 // readSpec loads a collection's persisted spec.
-func readSpec(dir string) (Spec, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, specFile))
+func (e *Engine) readSpec(dir string) (Spec, error) {
+	buf, err := e.fs.ReadFile(filepath.Join(dir, specFile))
 	if err != nil {
 		return Spec{}, err
 	}
@@ -573,4 +577,14 @@ func readSpec(dir string) (Spec, error) {
 		return Spec{}, fmt.Errorf("%w: corrupt %s: %v", ErrInvalidSpec, specFile, err)
 	}
 	return spec, nil
+}
+
+// hasSpec reports whether dir holds a collection's spec file.
+func (e *Engine) hasSpec(dir string) bool {
+	f, err := e.fs.Open(filepath.Join(dir, specFile))
+	if err != nil {
+		return false
+	}
+	f.Close()
+	return true
 }

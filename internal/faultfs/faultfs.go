@@ -1,7 +1,8 @@
 // Package faultfs is the filesystem abstraction the durability stack
 // (internal/wal and the snapshot/manifest paths of a journaled
-// DynamicIndex) performs its I/O through, together with a deterministic
-// fault injector over it. Production code runs on the zero-cost OS
+// DynamicIndex) performs its I/O through, the one file writer every
+// saver shares (WriteFile), and a deterministic fault injector over the
+// abstraction. Production code runs on the zero-cost OS
 // implementation; the conformance and regression tests wrap it in an
 // Injected filesystem that can tear writes mid-frame, fail fsyncs with
 // fsyncgate semantics (dirty pages dropped, later fsyncs lying), return
@@ -18,6 +19,7 @@
 package faultfs
 
 import (
+	"bufio"
 	"io"
 	"os"
 	"path/filepath"
@@ -107,25 +109,43 @@ func (OS) SyncDir(dir string) error {
 	return d.Sync()
 }
 
-// WriteFileAtomic replaces path with data: write a temp file beside it,
-// fsync it, rename it over path, fsync the directory. A crash at any point
+// WriteFile creates (or truncates) path and streams encode into it
+// through one 1 MiB write buffer, then fsyncs and closes it: a nil return
+// means every byte encode wrote is on disk. It is the one file writer of
+// every saver. A crash or error partway leaves a partial file at path,
+// so a caller that must never expose one either writes a name nothing
+// refers to yet (a snapshot before its manifest commits) or goes through
+// WriteFileAtomic.
+func WriteFile(fsys FS, path string, encode func(io.Writer) error) error {
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriterSize(f, 1<<20)
+	err = encode(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// WriteFileAtomic replaces path with data: WriteFile a temp file beside
+// it, rename it over path, fsync the directory. A crash at any point
 // leaves either the old file or the new one, never a partial one, and a
 // nil return means the new one is on disk.
 func WriteFileAtomic(fsys FS, path string, data []byte) error {
 	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err := WriteFile(fsys, tmp, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	if err := fsys.Rename(tmp, path); err != nil {

@@ -6,8 +6,8 @@
 //   - the cross-polytope family of Andoni et al. for Angular distance
 //     (Eq. 3, collision probability Eq. 4), with FALCONN-style fast
 //     pseudo-random rotations;
-//   - the hyperplane (SimHash) family of Charikar for Angular distance;
-//   - the bit-sampling family of Indyk–Motwani for Hamming distance.
+//   - the bit-sampling family of Indyk–Motwani for Hamming distance;
+//   - the MinHash family of Broder for Jaccard distance.
 //
 // LCCS-LSH is family-independent: it consumes only the Func interface, so
 // any (R, cR, p1, p2)-sensitive family plugs in unchanged.

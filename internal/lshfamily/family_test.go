@@ -92,37 +92,6 @@ func TestRandomProjectionCollisionMatchesEq2(t *testing.T) {
 	}
 }
 
-func TestSimHashCollisionMatchesTheory(t *testing.T) {
-	d := 24
-	fam := NewSimHash(d)
-	for _, theta := range []float64{0.3, 1.0, 2.0} {
-		makePair := func(g *rng.RNG) ([]float32, []float32) {
-			o := vec.Normalize(g.GaussianVector(d))
-			// Construct q at angle theta from o.
-			r := g.GaussianVector(d)
-			// Orthogonalize r against o.
-			dot := vec.Dot(r, o)
-			for i := range r {
-				r[i] -= float32(dot) * o[i]
-			}
-			vec.NormalizeInPlace(r)
-			q := make([]float32, d)
-			for i := range q {
-				q[i] = float32(math.Cos(theta))*o[i] + float32(math.Sin(theta))*r[i]
-			}
-			return o, q
-		}
-		emp, avgDist := empiricalCollision(t, fam, makePair, 4000)
-		if math.Abs(avgDist-theta) > 1e-3 {
-			t.Fatalf("pair construction wrong: angle %v want %v", avgDist, theta)
-		}
-		want := fam.CollisionProb(theta)
-		if math.Abs(emp-want) > 0.03 {
-			t.Errorf("theta=%v: empirical %v vs analytic %v", theta, emp, want)
-		}
-	}
-}
-
 func TestCrossPolytopeBasics(t *testing.T) {
 	fam := NewCrossPolytope(100)
 	if fam.PaddedDim() != 128 {
@@ -320,24 +289,6 @@ func TestCrossPolytopeAlternatives(t *testing.T) {
 	}
 }
 
-func TestSimHashAlternatives(t *testing.T) {
-	g := rng.New(17)
-	fam := NewSimHash(8)
-	h := fam.New(g).(*shFunc)
-	v := g.GaussianVector(8)
-	primary := h.Hash(v)
-	alts := h.Alternatives(v, 5, nil)
-	if len(alts) != 1 {
-		t.Fatalf("simhash should have exactly 1 alternative, got %d", len(alts))
-	}
-	if alts[0].Value == primary {
-		t.Fatal("alternative equals primary")
-	}
-	if got := h.Alternatives(v, 0, nil); len(got) != 0 {
-		t.Fatal("max=0 should yield none")
-	}
-}
-
 func TestBitSamplingAlternatives(t *testing.T) {
 	g := rng.New(19)
 	fam := NewBitSampling(8)
@@ -352,11 +303,10 @@ func TestBitSamplingAlternatives(t *testing.T) {
 
 func TestFamilyConstructorsPanic(t *testing.T) {
 	for name, f := range map[string]func(){
-		"rp dim":  func() { NewRandomProjection(0, 1) },
-		"rp w":    func() { NewRandomProjection(4, 0) },
-		"cp":      func() { NewCrossPolytope(0) },
-		"simhash": func() { NewSimHash(-1) },
-		"bits":    func() { NewBitSampling(0) },
+		"rp dim": func() { NewRandomProjection(0, 1) },
+		"rp w":   func() { NewRandomProjection(4, 0) },
+		"cp":     func() { NewCrossPolytope(0) },
+		"bits":   func() { NewBitSampling(0) },
 	} {
 		func() {
 			defer func() {
@@ -377,7 +327,6 @@ func TestFamilyMetadata(t *testing.T) {
 	}{
 		{NewRandomProjection(4, 2), "randproj", "euclidean"},
 		{NewCrossPolytope(4), "crosspolytope", "angular"},
-		{NewSimHash(4), "simhash", "angular"},
 		{NewBitSampling(4), "bitsampling", "hamming"},
 	}
 	for _, c := range cases {

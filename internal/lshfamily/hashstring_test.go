@@ -142,7 +142,7 @@ func TestHashStringHandAssembled(t *testing.T) {
 		drawn = append(drawn, fam.New(g))
 		interleaved = append(interleaved, set[i], other[i])
 	}
-	mixed := []Func{set[0], set[1], NewSimHash(dim).New(g), set[3], set[4], set[5], set[6], NewCrossPolytope(dim).New(g)}
+	mixed := []Func{set[0], set[1], NewBitSampling(dim).New(g), set[3], set[4], set[5], set[6], NewCrossPolytope(dim).New(g)}
 	cases := map[string][]Func{
 		"reversed": reversed, "replaced": replaced, "drawn": drawn,
 		"tail": set[3:], "interleaved": interleaved, "mixed": mixed,

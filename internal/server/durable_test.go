@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"lccs"
 	"lccs/internal/engine"
 	"lccs/internal/rng"
+	"lccs/internal/vec"
 )
 
 // openDurableBackend stands up a journaled DynamicIndex over a test temp
@@ -133,6 +135,47 @@ func TestDurableInsertNotAckedAfterClose(t *testing.T) {
 	}
 	if code := postJSON(t, ts, "/v1/delete", map[string]any{"id": 0}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("delete on broken WAL: HTTP %d, want 503", code)
+	}
+}
+
+// TestSearchHugeRowsFinite: over 40 inserted rows of N(0,1)×1e20 at d = 8,
+// whose float32 sums of squares all overflow, a /v1/search at k = 3
+// answers 200 with finite distances, each within 1e-6 relative of the
+// float64 distance (vec.Distance64) — where the distances once came back
+// +Inf, which JSON cannot encode, and the search answered 400 blaming an
+// admissible query.
+func TestSearchHugeRowsFinite(t *testing.T) {
+	eng, err := engine.New(t.TempDir(), engine.Spec{Metric: "euclidean", M: 8, Seed: 7, Sync: "none"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	_, ts := newTestServer(t, Config{Engine: eng})
+	g := rng.New(25)
+	rows := make([][]float32, 40)
+	for i := range rows {
+		rows[i] = g.GaussianVector(8)
+		for j := range rows[i] {
+			rows[i][j] *= 1e20
+		}
+		if code := postJSON(t, ts, "/v1/insert", insertRequest{Vectors: rows[i : i+1]}, nil); code != http.StatusOK {
+			t.Fatalf("insert %d: HTTP %d", i, code)
+		}
+	}
+	for _, qid := range []int{0, 21} {
+		var resp searchResponse
+		if code := postJSON(t, ts, "/v1/search", searchRequest{Query: rows[qid], K: 3}, &resp); code != http.StatusOK {
+			t.Fatalf("search from row %d: HTTP %d", qid, code)
+		}
+		if len(resp.Neighbors) != 3 {
+			t.Fatalf("search from row %d answered %+v, want 3 neighbors", qid, resp.Neighbors)
+		}
+		for _, nb := range resp.Neighbors {
+			want := vec.Distance64(rows[nb.ID], rows[qid])
+			if math.IsInf(nb.Dist, 0) || math.Abs(nb.Dist-want) > 1e-6*want {
+				t.Fatalf("search from row %d: neighbor %d at %v, want %v", qid, nb.ID, nb.Dist, want)
+			}
+		}
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"lccs"
+	"lccs/internal/vec"
 )
 
 // hostileBackend is the small lifecycle-complete backend the hostile-input
@@ -144,37 +144,47 @@ func FuzzSearchRequest(f *testing.F) {
 	})
 }
 
-// TestServeNonFiniteDistance: a finite query whose distances overflow
-// float32 — coordinates near 1e30 — is answered 400 with an error that
-// says so, on /v1/search (from the backend and from the cache) and on
-// /v1/search/batch, never 200 with an empty body; and the request
-// counters record the 400s.
+// TestServeNonFiniteDistance: a finite query whose float32 distances
+// overflow — coordinates near 1e30 — is answered 200 with finite
+// distances, each within 1e-6 relative of the float64 distance
+// (vec.Distance64), on /v1/search (from the backend and from the cache)
+// and on /v1/search/batch; and the request counters record the 200s.
+// While the float32 overflow reached the response as +Inf, which JSON
+// cannot encode, all three answered 400 "result distance is not finite".
 func TestServeNonFiniteDistance(t *testing.T) {
-	d, _ := hostileBackend(t)
+	d, data := hostileBackend(t)
 	srv, ts := newTestServer(t, Config{Backend: d, CacheSize: 16})
 	q := make([]float32, d.Dim())
 	for i := range q {
 		q[i] = 1e30
 	}
-	if res, err := d.SearchQuery(q, lccs.Query{K: 3}, nil); err != nil || len(res) == 0 || !math.IsInf(res[0].Dist, 1) {
-		t.Fatalf("fixture: direct search gave %+v, %v; want +Inf distances", res, err)
-	}
-	for _, c := range []struct {
-		path string
-		body any
-	}{
-		{"/v1/search", searchRequest{Query: q, K: 3}},
-		{"/v1/search", searchRequest{Query: q, K: 3}},
-		{"/v1/search/batch", batchRequest{Queries: [][]float32{q}, K: 3}},
-	} {
-		var er errorResponse
-		if code := postJSON(t, ts, c.path, c.body, &er); code != http.StatusBadRequest || !strings.Contains(er.Error, "result distance is not finite") {
-			t.Fatalf("%s: HTTP %d, error %q; want 400 naming the non-finite distance", c.path, code, er.Error)
+	check := func(path string, res []lccs.Neighbor) {
+		t.Helper()
+		if len(res) != 3 {
+			t.Fatalf("%s: %d neighbors, want 3", path, len(res))
+		}
+		for _, nb := range res {
+			want := vec.Distance64(data[nb.ID], q)
+			if math.IsInf(nb.Dist, 0) || math.Abs(nb.Dist-want) > 1e-6*want {
+				t.Fatalf("%s: neighbor %d at %v, want %v", path, nb.ID, nb.Dist, want)
+			}
 		}
 	}
+	for i := 0; i < 2; i++ {
+		var resp searchResponse
+		if code := postJSON(t, ts, "/v1/search", searchRequest{Query: q, K: 3}, &resp); code != http.StatusOK {
+			t.Fatalf("/v1/search: HTTP %d, want 200", code)
+		}
+		check("/v1/search", resp.Neighbors)
+	}
+	var br batchResponse
+	if code := postJSON(t, ts, "/v1/search/batch", batchRequest{Queries: [][]float32{q}, K: 3}, &br); code != http.StatusOK || len(br.Results) != 1 {
+		t.Fatalf("/v1/search/batch: HTTP %d with %d results, want 200 with 1", code, len(br.Results))
+	}
+	check("/v1/search/batch", br.Results[0])
 	st := srv.StatsSnapshot()
-	if st.Requests["search:400"] != 2 || st.Requests["search_batch:400"] != 1 || st.Requests["search:200"]+st.Requests["search_batch:200"] != 0 {
-		t.Fatalf("request counters %v, want two search and one batch 400", st.Requests)
+	if st.Requests["search:200"] != 2 || st.Requests["search_batch:200"] != 1 || st.Requests["search:400"]+st.Requests["search_batch:400"] != 0 {
+		t.Fatalf("request counters %v, want two search and one batch 200", st.Requests)
 	}
 	if st.Total.CacheHits != 1 {
 		t.Fatalf("cache hits %d, want the second search answered from the cache", st.Total.CacheHits)

@@ -27,8 +27,11 @@ const maxPooledBuf = 64 << 10
 
 // errNotFinite answers a response encoding/json refuses. The only values
 // it refuses in this server's bodies are non-finite floats, and the only
-// ones a client can drive there are result distances: a finite query
-// whose distance overflows float32 (coordinates near 1e30) gets +Inf.
+// ones a client can drive there are result distances, which are finite
+// for every admissible query: a Euclidean float32 sum of squares that
+// overflows is taken again in float64 (vec.Distance64), and Angular
+// refuses rows whose norm overflows. It is a guard no admissible request
+// reaches.
 var errNotFinite = fmt.Errorf("%w: result distance is not finite", lccs.ErrNonFinite)
 
 // wireBuf is a pooled response buffer: encoding/json writes into it,

@@ -278,7 +278,9 @@ func TestKernelNonFinite(t *testing.T) {
 // bound contract under a fuzzed bound (checkBoundedSq), plus the gathers:
 // the same bytes pick a list of row ids (repeats and all), and what
 // GatherDistancesInto writes for each must be what the row kernels make of
-// that row alone, whichever row they were given to prefetch, and
+// that row alone, whichever row they were given to prefetch (a Euclidean
+// sum the row kernel took to +Inf is Distance64's instead; the corpus's
+// finite-pair-overflow is such a pair), and
 // GatherNearest must leave a k-best collector — filled beforehand with k
 // rows at the distance the fuzzed bound stands for — holding exactly what
 // GatherDistancesInto and an Add per row leave in it, having read no more
@@ -352,6 +354,9 @@ func FuzzKernelParity(f *testing.F) {
 				row := s.Row(int(id))
 				sq, _ := sqRow(row, q, row, posInf)
 				want := euclideanFromSq(sq)
+				if sq == posInf {
+					want = Distance64(row, q)
+				}
 				if m == Angular {
 					d, n2 := dotNormRow(row, q, row)
 					want = angularFromParts(d, n2, qn2)

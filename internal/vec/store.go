@@ -179,7 +179,9 @@ var scanBufPool = sync.Pool{New: func() any { return new([2 * scanChunk]float32)
 // distance to q. For the kernel-backed metrics (Euclidean, Angular) the
 // rows are processed in blocks of scanChunk through DistancesInto and
 // the float32 results widened — bit-identical to m.Distance by the
-// kernel-layer contract. Other metrics take the per-row scalar path.
+// kernel-layer contract; a Euclidean row whose float32 sum overflowed to
+// +Inf is scored again by m.Distance, which takes it in float64. Other
+// metrics take the per-row scalar path.
 // It is the backing for exact buffer scans and brute-force verification.
 func (s *Store) Scan(lo, hi int, q []float32, m Metric, visit func(id int, d float64)) {
 	switch m.(type) {
@@ -193,7 +195,11 @@ func (s *Store) Scan(lo, hi int, q []float32, m Metric, visit func(id int, d flo
 			}
 			s.DistancesInto(base, base+c, q, m, buf[:c])
 			for i := 0; i < c; i++ {
-				visit(base+i, float64(buf[i]))
+				d := float64(buf[i])
+				if buf[i] == posInf {
+					d = m.Distance(s.Row(base+i), q)
+				}
+				visit(base+i, d)
 			}
 		}
 		scanBufPool.Put(bp)
@@ -212,10 +218,11 @@ func (s *Store) Scan(lo, hi int, q []float32, m Metric, visit func(id int, d flo
 // out[:hi-lo], which the caller provides (out must be at least that
 // long). For Euclidean and Angular the whole range goes through the
 // batched float32 kernels and the written values, widened to float64,
-// equal m.Distance bit for bit. Hamming distances are integral counts,
-// also exact in float32. Jaccard and foreign metrics are computed per
-// row in float64 and rounded to float32 — use Scan where those must
-// stay exact.
+// equal m.Distance bit for bit, except a Euclidean row whose float32 sum
+// of squares overflowed, written +Inf (Scan scores it again). Hamming
+// distances are integral counts, also exact in float32. Jaccard and
+// foreign metrics are computed per row in float64 and rounded to float32
+// — use Scan where those must stay exact.
 func (s *Store) DistancesInto(lo, hi int, q []float32, m Metric, out []float32) {
 	n := hi - lo
 	if n <= 0 {
@@ -276,6 +283,9 @@ func (s *Store) GatherDistancesInto(ids []int32, q []float32, m Metric, out []fl
 			next := s.rowAfter(ids, j, row)
 			sq, _ := sqRow(row, q, next, posInf)
 			out[j] = euclideanFromSq(sq)
+			if sq == posInf {
+				out[j] = Distance64(row, q)
+			}
 			row = next
 		}
 	case angular:
@@ -321,8 +331,14 @@ func (s *Store) GatherNearest(ids []int32, q []float32, off int, best *pqueue.KB
 	for j, id := range ids {
 		next := s.rowAfter(ids, j, row)
 		sq, n := sqRow(row, q, next, bound)
+		d := euclideanFromSq(sq)
+		if sq == posInf {
+			// Only an overflow takes a sum of finite rows to +Inf: the
+			// row is scored again in float64, and read in full.
+			d, n = Distance64(row, q), len(q)
+		}
 		read += n
-		if best.Add(off+int(id), euclideanFromSq(sq)) && bounded {
+		if best.Add(off+int(id), d) && bounded {
 			bound = boundOf(best)
 		}
 		row = next

@@ -48,9 +48,12 @@ func SquaredDistance(a, b []float32) float64 {
 	return float64(s)
 }
 
-// Distance returns the Euclidean distance between a and b. The value is
-// exactly representable in float32, so block scans handing out float32
-// buffers reproduce it bit for bit when widened.
+// Distance returns the Euclidean distance between a and b. The sum of
+// squares is taken in float32, and the value is exactly representable in
+// float32, so block scans handing out float32 buffers reproduce it bit for
+// bit when widened. A float32 sum of finite rows reaches +Inf only by
+// overflowing (rows beyond about 1e19 apart): such a pair is scored again
+// by Distance64, so every distance between finite rows is finite.
 func Distance(a, b []float32) float64 {
 	if len(a) != len(b) {
 		panic("vec: dimension mismatch")
@@ -59,12 +62,15 @@ func Distance(a, b []float32) float64 {
 		return 0
 	}
 	s, _ := sqRow(a, b, a, posInf)
+	if s == posInf {
+		return Distance64(a, b)
+	}
 	return euclideanFromSq(s)
 }
 
 // Distance64 is Distance with the sum of squares taken in float64: slower,
-// but no pair of finite rows overflows it, where the float32 sum of
-// Distance overflows to +Inf for rows beyond about 1e19 apart.
+// but no pair of finite rows overflows it. It is what every Euclidean path
+// scores a pair whose float32 sum overflowed with.
 func Distance64(a, b []float32) float64 {
 	if len(a) != len(b) {
 		panic("vec: dimension mismatch")
@@ -147,16 +153,6 @@ func AngularDistance(a, b []float32) float64 {
 func Scale(a []float32, s float64) {
 	for i := range a {
 		a[i] = float32(float64(a[i]) * s)
-	}
-}
-
-// AddInPlace adds b into a element-wise.
-func AddInPlace(a, b []float32) {
-	if len(a) != len(b) {
-		panic("vec: dimension mismatch")
-	}
-	for i := range a {
-		a[i] += b[i]
 	}
 }
 

@@ -84,14 +84,14 @@ func FuzzManifest(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, ManifestName), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, err := ReadManifest(dir)
+		m, err := ReadManifest(faultfs.OS{}, dir)
 		if err != nil || m == nil {
 			return
 		}
-		if err := WriteManifest(dir, m); err != nil {
+		if err := WriteManifest(faultfs.OS{}, dir, m); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadManifest(dir)
+		back, err := ReadManifest(faultfs.OS{}, dir)
 		if err != nil || *back != *m {
 			t.Fatalf("manifest did not round-trip: %+v vs %+v (%v)", back, m, err)
 		}

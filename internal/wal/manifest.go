@@ -38,15 +38,10 @@ type Manifest struct {
 	IDWatermark uint64 `json:"id_watermark,omitempty"`
 }
 
-// ReadManifest loads the manifest from dir on the real filesystem. A
-// missing manifest is not an error: it returns (nil, nil), meaning a
-// fresh data directory.
-func ReadManifest(dir string) (*Manifest, error) {
-	return ReadManifestFS(faultfs.OS{}, dir)
-}
-
-// ReadManifestFS is ReadManifest over an injectable filesystem.
-func ReadManifestFS(fsys FS, dir string) (*Manifest, error) {
+// ReadManifest loads the manifest from dir through fsys. A missing
+// manifest is not an error: it returns (nil, nil), meaning a fresh data
+// directory.
+func ReadManifest(fsys FS, dir string) (*Manifest, error) {
 	blob, err := fsys.ReadFile(filepath.Join(dir, ManifestName))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -61,16 +56,10 @@ func ReadManifestFS(fsys FS, dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// WriteManifest atomically replaces the manifest in dir on the real
-// filesystem.
-func WriteManifest(dir string, m *Manifest) error {
-	return WriteManifestFS(faultfs.OS{}, dir, m)
-}
-
-// WriteManifestFS is WriteManifest over an injectable filesystem, through
-// faultfs.WriteFileAtomic: a crash at any point leaves either the old or
-// the new manifest, never a partial one.
-func WriteManifestFS(fsys FS, dir string, m *Manifest) error {
+// WriteManifest atomically replaces the manifest in dir through fsys,
+// with faultfs.WriteFileAtomic: a crash at any point leaves either the
+// old or the new manifest, never a partial one.
+func WriteManifest(fsys FS, dir string, m *Manifest) error {
 	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err

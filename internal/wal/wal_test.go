@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lccs/internal/faultfs"
 )
 
 // append a mixed batch of inserts and deletes, one call per record.
@@ -435,15 +437,15 @@ func TestClosedLogRejectsOperations(t *testing.T) {
 
 func TestManifestRoundTripAndAtomicity(t *testing.T) {
 	dir := t.TempDir()
-	m, err := ReadManifest(dir)
+	m, err := ReadManifest(faultfs.OS{}, dir)
 	if err != nil || m != nil {
 		t.Fatalf("fresh dir manifest = %v, %v; want nil, nil", m, err)
 	}
 	want := &Manifest{Container: "snapshot-3.lccs", Dataset: "snapshot-3.ds", LSN: 42, Generation: 3}
-	if err := WriteManifest(dir, want); err != nil {
+	if err := WriteManifest(faultfs.OS{}, dir, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(dir)
+	got, err := ReadManifest(faultfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +460,7 @@ func TestManifestRoundTripAndAtomicity(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifest(dir); err == nil {
+	if _, err := ReadManifest(faultfs.OS{}, dir); err == nil {
 		t.Fatal("corrupt manifest must error")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"lccs/internal/core"
+	"lccs/internal/faultfs"
 	"lccs/internal/idmap"
 	"lccs/internal/lshfamily"
 	"lccs/internal/vec"
@@ -112,33 +113,15 @@ func readHeader(r io.Reader) (header, error) {
 	return h, nil
 }
 
-// saveFile creates path and streams encode into it through the
-// container's one write buffer.
-func saveFile(path string, encode func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := encode(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // Save writes the index to path: the shared configuration, the shard
 // table, each shard's core index, and whatever the index carries of
 // deletion state (a compacted id map or tombstones from a dynamic
 // snapshot) and vector attributes. The dataset itself is not stored: Load
 // must be given the same data slice, in the same order, the index was
-// built over. Saving avoids the build cost on the
-// next start.
-func (ix *Index) Save(path string) error { return saveFile(path, ix.encode) }
+// built over. Saving avoids the build cost on the next start. The file is
+// fsynced before Save returns; a failed Save may leave a partial file at
+// path.
+func (ix *Index) Save(path string) error { return faultfs.WriteFile(faultfs.OS{}, path, ix.encode) }
 
 // encode writes the container layout described at pkgMagic. Every section
 // encodes deterministically, so a loaded file re-saves byte for byte.
@@ -321,7 +304,13 @@ func LoadStore(path string, store *vec.Store) (*Index, error) {
 		return nil, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	return loadStore(bufio.NewReaderSize(f, 1<<20), store)
+}
+
+// loadStore is LoadStore over a reader holding a container: the entry
+// every file load goes through, and the one a caller holding the bytes
+// already (the durable open's FS, the fuzzer) decodes with.
+func loadStore(r io.Reader, store *vec.Store) (*Index, error) {
 	h, err := readHeader(r)
 	if err != nil {
 		return nil, err

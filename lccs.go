@@ -540,10 +540,9 @@ func buildCore(store *vec.Store, cfg Config) *core.Index {
 // autoBucketWidth estimates a bucket width from the data: twice the median
 // distance from a sampled point to its nearest neighbor within a small
 // sample, which places true near neighbors in the high-collision regime of
-// Eq. 2. The width is positive and finite for every store of finite rows:
-// 1 when every sampled distance is zero, and a distance whose float32 sum
-// of squares overflows (rows beyond about 1e19 apart) is taken again in
-// float64, which no pair of finite rows overflows.
+// Eq. 2. The width is positive and finite for every store of finite rows
+// (vec.Distance is finite for every such pair): 1 when every sampled
+// distance is zero.
 func autoBucketWidth(store *vec.Store, seed uint64) float64 {
 	g := rng.New(seed ^ 0xB0C4E7)
 	const samples = 64
@@ -556,9 +555,6 @@ func autoBucketWidth(store *vec.Store, seed uint64) float64 {
 		for t := 0; t < pool && t < n; t++ {
 			b := store.Row(g.IntN(n))
 			d := vec.Distance(a, b)
-			if math.IsInf(d, 1) {
-				d = vec.Distance64(a, b)
-			}
 			if d == 0 {
 				continue
 			}
